@@ -87,14 +87,9 @@ func main() {
 		"write sampled chain traces as Chrome trace-event JSON to this file (implies -trace-sample 64 if unset)")
 	flag.Parse()
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fatalf("unknown scale %q", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	overrides, err := scenario.ParseOverrides(*platformOverrides)

@@ -33,14 +33,9 @@ func main() {
 	targets := flag.String("targets", "", "comma-separated flow types for fig4 (default: all)")
 	flag.Parse()
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fmt.Fprintf(os.Stderr, "pktbench: unknown scale %q\n", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pktbench: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -25,14 +25,9 @@ func main() {
 	validate := flag.Bool("validate", false, "also co-run the mix and report measured drops")
 	flag.Parse()
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fmt.Fprintf(os.Stderr, "predict: unknown scale %q\n", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "predict: %v\n", err)
 		os.Exit(2)
 	}
 

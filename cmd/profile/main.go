@@ -30,14 +30,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "profile:", err)
 		os.Exit(2)
 	}
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fmt.Fprintf(os.Stderr, "profile: unknown scale %q\n", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "profile: %v\n", err)
 		os.Exit(2)
 	}
 	if *window > 0 {

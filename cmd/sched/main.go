@@ -26,14 +26,9 @@ func main() {
 	scaleName := flag.String("scale", "full", "full or quick")
 	flag.Parse()
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fmt.Fprintf(os.Stderr, "sched: unknown scale %q\n", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sched: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -79,14 +79,9 @@ func main() {
 	if *configPath == "" {
 		fatalf("-config is required")
 	}
-	var scale exp.Scale
-	switch *scaleName {
-	case "full":
-		scale = exp.Full()
-	case "quick":
-		scale = exp.Quick()
-	default:
-		fatalf("unknown scale %q", *scaleName)
+	scale, err := exp.ScaleByName(*scaleName)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	cfg, err := sweep.LoadConfig(*configPath)
 	if err != nil {

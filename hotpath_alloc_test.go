@@ -29,6 +29,7 @@ import (
 	"pktpredict/internal/nic"
 	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
+	"pktpredict/internal/spsc"
 	"pktpredict/internal/synth"
 )
 
@@ -84,7 +85,20 @@ func TestHotPathAllocs(t *testing.T) {
 	var lh obs.LatHist
 	gate(t, "obs.LatHist.Observe", func() { lh.Observe(12345) })
 
-	// runtime: the worker's SPSC byte ring, scalar and batched paths.
+	// spsc: the cursor core both rings are built on.
+	var cur spsc.Cursor
+	cur.Init(64)
+	gate(t, "spsc.Cursor.Stage+Commit+Take+Release", func() {
+		if _, ok := cur.Stage(); !ok || !cur.Commit() {
+			t.Fatal("cursor full")
+		}
+		if _, ok := cur.Take(); !ok || !cur.Release() {
+			t.Fatal("cursor empty")
+		}
+	})
+
+	// runtime: the worker's SPSC byte ring, scalar and batched paths
+	// (Commit and Release are the embedded cursor's).
 	ring := runtime.NewRing(64, 256)
 	payload := make([]byte, 128)
 	dst := make([]byte, 256)
@@ -123,7 +137,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
-	// hw: trace replay with per-element accounting installed (execTrace).
+	// hw: trace replay with per-element accounting installed (Core.exec).
 	plat := hw.NewPlatform(hw.DefaultConfig())
 	core := plat.Cores[0]
 	core.SetElemTable(make([]hw.ElemCell, 8))
@@ -231,13 +245,15 @@ var hotpathDirect = map[string]bool{
 	"obs.Gauge.Add":                 true,
 	"obs.Histogram.Observe":         true,
 	"obs.LatHist.Observe":           true,
+	"spsc.Cursor.Stage":             true,
+	"spsc.Cursor.Commit":            true,
+	"spsc.Cursor.Take":              true,
+	"spsc.Cursor.Release":           true,
 	"runtime.Ring.Push":             true,
 	"runtime.Ring.Pop":              true,
 	"runtime.Ring.Stage":            true,
-	"runtime.Ring.Commit":           true,
 	"runtime.Ring.PushBatch":        true,
 	"runtime.Ring.PopStaged":        true,
-	"runtime.Ring.Release":          true,
 	"runtime.Ring.PopBatch":         true,
 	"hw.Core.ExecOps":               true,
 	"hw.Core.ExecStall":             true,
@@ -270,10 +286,11 @@ var hotpathDirect = map[string]bool{
 // hotpathIndirect lists annotated functions that cannot be driven from
 // an external test, each with the exported entry point that covers it.
 var hotpathIndirect = map[string]string{
-	"hw.Core.execTrace":           "unexported; every ExecOps/ExecStall call above runs it",
+	"hw.Core.exec":                "unexported; every ExecOps/ExecStall call above runs it",
 	"click.Pipeline.walk":         "unexported; Pipeline.EmitPacket above walks the graph",
 	"click.walkNodes":             "unexported; Pipeline.EmitPacket above walks the graph",
 	"handoff.Ring.poll":           "unexported; PollFull/PollEmpty above are thin wrappers",
+	"handoff.Ring.chargeCursor":   "unexported; every CommitPush/CommitPop above that moves a cursor runs it",
 	"runtime.ringSource.Pull":     "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
 	"runtime.ringSource.Recycle":  "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
 	"runtime.ringSource.endBatch": "unexported type; Ring.Release above is the whole body, and the worker integration tests drive it each quantum",

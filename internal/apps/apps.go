@@ -481,8 +481,14 @@ func (p Params) BuildSyn(arena *mem.Arena, seed uint64, computePerAccess int) *I
 // BuildHiddenAggressor constructs the Section 4 adversarial flow: it
 // profiles like FW but, after triggerPackets packets, starts performing
 // SYN_MAX-like memory accesses. The returned instance carries a Control
-// element so the administrator's throttle has something to act on.
-func (p Params) BuildHiddenAggressor(arena *mem.Arena, seed uint64, triggerPackets uint64) (*Instance, error) {
+// element so the administrator's throttle has something to act on. The
+// aggressor is an FW pipeline by construction, so any other declared
+// type t is rejected: it would be reported, profiled and predicted as t
+// while running FW.
+func (p Params) BuildHiddenAggressor(t FlowType, arena *mem.Arena, seed uint64, triggerPackets uint64) (*Instance, error) {
+	if t != FW {
+		return nil, fmt.Errorf("apps: a hidden-trigger aggressor is an %s flow; type %s cannot carry HIDDEN_TRIGGER", FW, t)
+	}
 	return p.build(FW, singleArena(arena), seed, elements.NewControl(0), triggerPackets)
 }
 

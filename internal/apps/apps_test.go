@@ -125,7 +125,7 @@ func TestBuildWithControl(t *testing.T) {
 func TestBuildHiddenAggressor(t *testing.T) {
 	p := Small()
 	// Trigger after 2000 packets: far beyond the "before" window below.
-	inst, err := p.BuildHiddenAggressor(mem.NewArena(0), 13, 2000)
+	inst, err := p.BuildHiddenAggressor(FW, mem.NewArena(0), 13, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,13 +367,6 @@ func (pl *Pipeline) String() string {
 	return b.String()
 }
 
-// Totals returns the pipeline's packet counters in one snapshot, for
-// callers (such as the concurrent runtime's telemetry aggregator) that
-// difference counters across measurement windows.
-func (pl *Pipeline) Totals() (received, dropped, finished uint64) {
-	return pl.Received, pl.Dropped, pl.Finished
-}
-
 // Stat aggregates pipeline counters, per-branch node counters, and
 // element counters: "received", "dropped", "finished",
 // "<node>.dropped"/"<node>.finished" for a node's terminal counts, or

@@ -165,11 +165,12 @@ func (sr *StageRunner) Reset() {
 }
 
 // Walk runs p through the runner's stage starting at node index entry
-// (the pipeline head for stage 0, or the resume node a hand-off
-// delivered). It returns the node index the next stage must resume at,
-// or next == -1 when the packet's walk terminated in this stage — the
-// packet is then recycled here, which for a later stage models the
-// cross-core buffer return the paper charges to pipelining.
+// (the pipeline head for stage 0 — HeadIndex, -1 for a bare-source
+// pipeline, whose packets complete without a walk — or the resume node a
+// hand-off delivered). It returns the node index the next stage must
+// resume at, or next == -1 when the packet's walk terminated in this
+// stage — the packet is then recycled here, which for a later stage
+// models the cross-core buffer return the paper charges to pipelining.
 //
 // priorFinished carries the packet-level outcome across cuts: whether a
 // branch already completed in an earlier stage. A terminating walk
@@ -181,9 +182,12 @@ func (sr *StageRunner) Reset() {
 // and counted in CutDropped.
 func (sr *StageRunner) Walk(p *Packet, entry int, priorFinished bool) (next int, finished bool) {
 	sr.Received++
-	n := sr.pl.nodes[entry]
-	res, stack := walkNodes(&sr.ctx, sr.stack, n, p, sr.stage)
-	sr.stack = stack[:0]
+	res := walkResult{finished: 1} // bare source (entry -1): done at pull, as EmitPacket counts it
+	if entry >= 0 {
+		var stack []*Node
+		res, stack = walkNodes(&sr.ctx, sr.stack, sr.pl.nodes[entry], p, sr.stage)
+		sr.stack = stack[:0]
+	}
 	sr.CutDropped += uint64(res.extraCross)
 	finished = priorFinished || res.finished > 0
 	if res.handoff != nil {

@@ -77,7 +77,7 @@ func (s Scenario) Build() (*RunResult, error) {
 		a := arena(f.Domain)
 		switch {
 		case f.HiddenTrigger > 0:
-			inst, err = s.Params.BuildHiddenAggressor(a, f.Seed, f.HiddenTrigger)
+			inst, err = s.Params.BuildHiddenAggressor(f.Type, a, f.Seed, f.HiddenTrigger)
 		case f.Type == apps.SYN:
 			inst = s.Params.BuildSyn(a, f.Seed, f.SynCompute)
 		case f.Type == apps.SYNMAX:

@@ -12,6 +12,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
@@ -41,6 +43,18 @@ func Full() Scale {
 		Window:    0.012,
 		SweepGrid: []int{3200, 1600, 800, 400, 200, 100, 50, 25, 0},
 	}
+}
+
+// ScaleByName resolves a -scale flag value ("full" or "quick"), the one
+// parser every command shares.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "full":
+		return Full(), nil
+	case "quick":
+		return Quick(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
 }
 
 // Quick returns a reduced scale for tests: small tables, a proportionally

@@ -16,19 +16,21 @@
 //
 // The same Ring serves the deterministic engine's Section 2.2 experiment
 // (exp.RunPipeline) and the concurrent runtime's cross-worker service
-// chains, so both charge identical hand-off costs. Concurrent use obeys
-// the SPSC discipline of runtime.Ring: exactly one producer goroutine
-// calls Push/PollFull, exactly one consumer calls Pop/PollEmpty; slots
-// are published by the tail store and released by the head store.
+// chains, so both charge identical hand-off costs. The queue protocol is
+// spsc.Cursor's, shared with runtime.Ring; this package adds only what
+// is stored in a slot and what each operation costs in the simulation.
+// Concurrent use obeys the SPSC discipline: exactly one producer
+// goroutine calls Push/PollFull, exactly one consumer calls
+// Pop/PollEmpty.
 package handoff
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
+	"pktpredict/internal/spsc"
 )
 
 // fnHandoff attributes the ring manipulation in per-function profiles.
@@ -61,30 +63,24 @@ type slot struct {
 	finished bool
 }
 
-// Ring is a bounded SPSC hand-off ring between two pipeline stages.
+// Ring is a bounded SPSC hand-off ring between two pipeline stages. The
+// head/tail protocol is the shared spsc.Cursor's; the ring adds the
+// descriptor slots, the spin-wait poll counters and the modelled cost of
+// every operation.
 type Ring struct {
+	cur   spsc.Cursor
 	slots []slot
-	mask  uint64
 	desc  mem.Region
 
-	_    [64]byte // keep the cursors on separate cache lines
-	tail atomic.Uint64
-	// staged counts slots written past tail but not yet published;
-	// producer-side only, so a plain field.
-	staged uint64
 	// pushPolls counts producer spin-wait iterations (PollFull): a burst
-	// of them means the consumer lags (ring full). Producer-padded line.
+	// of them means the consumer lags (ring full). popPolls counts
+	// consumer spin-wait iterations (PollEmpty): a burst of them means
+	// the producer starves the consumer (ring empty). The two directions
+	// mean opposite things, so they are kept apart (on separate cache
+	// lines, each written by one side only) and exposed separately.
 	pushPolls atomic.Uint64
-	_         [64]byte
-	head      atomic.Uint64
-	// taken counts slots consumed past head but not yet released;
-	// consumer-side only, so a plain field.
-	taken uint64
-	// popPolls counts consumer spin-wait iterations (PollEmpty): a burst
-	// of them means the producer starves the consumer (ring empty). The
-	// two directions mean opposite things, so they are kept apart and
-	// exposed separately.
-	popPolls atomic.Uint64
+	_         [56]byte
+	popPolls  atomic.Uint64
 }
 
 // New builds a ring of the given depth (rounded up to a power of two,
@@ -92,45 +88,33 @@ type Ring struct {
 // conventionally the producing stage's NUMA domain, as a real driver
 // allocates its rings locally.
 func New(arena *mem.Arena, depth int) *Ring {
-	if depth <= 0 {
-		panic(fmt.Sprintf("handoff: invalid ring depth %d", depth))
-	}
-	n := 2
-	for n < depth {
-		n <<= 1
-	}
-	return &Ring{
-		slots: make([]slot, n),
-		mask:  uint64(n - 1),
-		desc:  mem.NewRegion(arena, n, descBytes, false),
-	}
+	r := &Ring{}
+	n := r.cur.Init(depth)
+	r.slots = make([]slot, n)
+	r.desc = mem.NewRegion(arena, n, descBytes, false)
+	return r
 }
 
 // Cap returns the ring's capacity in packets.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return r.cur.Cap() }
 
 // Len returns the current occupancy; naturally racy while both stages run.
-func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
+func (r *Ring) Len() int { return r.cur.Len() }
 
-// Full reports whether a Push or StagePush would fail, counting the
-// producer's staged-but-unpublished slots. Only the producer should act
-// on it (the consumer can only make it stale in the permissive
-// direction).
-func (r *Ring) Full() bool {
-	return r.tail.Load()+r.staged-r.head.Load() >= uint64(len(r.slots))
-}
+// Full reports whether a Push or StagePush would fail (producer side;
+// see spsc.Cursor.Full).
+func (r *Ring) Full() bool { return r.cur.Full() }
 
-// Empty reports whether a Pop or PopStaged would fail, counting the
-// consumer's taken-but-unreleased slots. Only the consumer should act on
-// it.
-func (r *Ring) Empty() bool { return r.tail.Load() == r.head.Load()+r.taken }
+// Empty reports whether a Pop or PopStaged would fail (consumer side;
+// see spsc.Cursor.Empty).
+func (r *Ring) Empty() bool { return r.cur.Empty() }
 
 // Consumed returns the cumulative number of packets popped, for credit
 // accounting across barriers.
-func (r *Ring) Consumed() uint64 { return r.head.Load() }
+func (r *Ring) Consumed() uint64 { return r.cur.Consumed() }
 
 // Produced returns the cumulative number of packets pushed.
-func (r *Ring) Produced() uint64 { return r.tail.Load() }
+func (r *Ring) Produced() uint64 { return r.cur.Produced() }
 
 // Polls returns the cumulative spin-wait iterations both stages have
 // charged against this ring — the observable cost of stage imbalance.
@@ -153,12 +137,9 @@ func (r *Ring) PopPolls() uint64 { return r.popPolls.Load() }
 //dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) Push(ctx *click.Ctx, p *click.Packet, node int, finished bool) bool {
-	if !r.StagePush(ctx, p, node, finished) {
-		r.CommitPush(ctx)
-		return false
-	}
+	ok := r.StagePush(ctx, p, node, finished)
 	r.CommitPush(ctx)
-	return true
+	return ok
 }
 
 // StagePush writes p's descriptor and slot without publishing them: the
@@ -169,16 +150,15 @@ func (r *Ring) Push(ctx *click.Ctx, p *click.Packet, node int, finished bool) bo
 //dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) StagePush(ctx *click.Ctx, p *click.Packet, node int, finished bool) bool {
-	t := r.tail.Load() + r.staged
-	if t-r.head.Load() >= uint64(len(r.slots)) {
+	i, ok := r.cur.Stage()
+	if !ok {
 		return false
 	}
 	old := ctx.SetFunc(fnHandoff)
-	ctx.Store(r.desc.Addr(int(t & r.mask)))
+	ctx.Store(r.desc.Addr(int(i)))
 	ctx.Compute(slotCycles, slotInstrs)
 	ctx.SetFunc(old)
-	r.slots[t&r.mask] = slot{p: p, node: int32(node), finished: finished}
-	r.staged++
+	r.slots[i] = slot{p: p, node: int32(node), finished: finished}
 	return true
 }
 
@@ -189,14 +169,9 @@ func (r *Ring) StagePush(ctx *click.Ctx, p *click.Packet, node int, finished boo
 //dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) CommitPush(ctx *click.Ctx) {
-	if r.staged == 0 {
-		return
+	if r.cur.Commit() {
+		r.chargeCursor(ctx)
 	}
-	old := ctx.SetFunc(fnHandoff)
-	ctx.Compute(cursorCycles, cursorInstrs)
-	ctx.SetFunc(old)
-	r.tail.Store(r.tail.Load() + r.staged) // publish the batch
-	r.staged = 0
 }
 
 // Pop takes the next packet, emitting the descriptor-line load and the
@@ -220,17 +195,16 @@ func (r *Ring) Pop(ctx *click.Ctx) (p *click.Packet, node int, finished bool, ok
 //dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) PopStaged(ctx *click.Ctx) (p *click.Packet, node int, finished bool, ok bool) {
-	h := r.head.Load() + r.taken
-	if h == r.tail.Load() {
+	i, ok := r.cur.Take()
+	if !ok {
 		return nil, 0, false, false
 	}
 	old := ctx.SetFunc(fnHandoff)
-	ctx.Load(r.desc.Addr(int(h & r.mask)))
+	ctx.Load(r.desc.Addr(int(i)))
 	ctx.Compute(slotCycles, slotInstrs)
 	ctx.SetFunc(old)
-	s := r.slots[h&r.mask]
-	r.slots[h&r.mask] = slot{}
-	r.taken++
+	s := r.slots[i]
+	r.slots[i] = slot{}
 	return s.p, int(s.node), s.finished, true
 }
 
@@ -241,14 +215,19 @@ func (r *Ring) PopStaged(ctx *click.Ctx) (p *click.Packet, node int, finished bo
 //dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) CommitPop(ctx *click.Ctx) {
-	if r.taken == 0 {
-		return
+	if r.cur.Release() {
+		r.chargeCursor(ctx)
 	}
+}
+
+// chargeCursor emits the modelled cost of one cursor publish or release.
+//
+//dataplane:stamped hand-off descriptor ops are pipeline overhead (slot 0) by design
+//dataplane:hotpath
+func (r *Ring) chargeCursor(ctx *click.Ctx) {
 	old := ctx.SetFunc(fnHandoff)
 	ctx.Compute(cursorCycles, cursorInstrs)
 	ctx.SetFunc(old)
-	r.head.Store(r.head.Load() + r.taken) // release the batch
-	r.taken = 0
 }
 
 // PollFull models one producer spin-wait iteration: re-reading the line
@@ -258,7 +237,7 @@ func (r *Ring) CommitPop(ctx *click.Ctx) {
 //dataplane:hotpath
 func (r *Ring) PollFull(ctx *click.Ctx) {
 	r.pushPolls.Add(1)
-	r.poll(ctx, r.head.Load())
+	r.poll(ctx, r.cur.Consumed())
 }
 
 // PollEmpty models one consumer spin-wait iteration: re-reading the line
@@ -268,14 +247,14 @@ func (r *Ring) PollFull(ctx *click.Ctx) {
 //dataplane:hotpath
 func (r *Ring) PollEmpty(ctx *click.Ctx) {
 	r.popPolls.Add(1)
-	r.poll(ctx, r.tail.Load())
+	r.poll(ctx, r.cur.Produced())
 }
 
 //dataplane:stamped spin-wait polls are pipeline overhead (slot 0) by design
 //dataplane:hotpath
 func (r *Ring) poll(ctx *click.Ctx, cursor uint64) {
 	old := ctx.SetFunc(fnHandoff)
-	ctx.Load(r.desc.Addr(int(cursor & r.mask)))
+	ctx.Load(r.desc.Addr(int(cursor) & (len(r.slots) - 1)))
 	ctx.Compute(pollCycles, pollInstrs)
 	ctx.SetFunc(old)
 }

@@ -1,26 +1,79 @@
 package hw
 
-// Concurrent trace execution. The Engine interleaves flows in global
-// virtual-time order on one OS thread; the runtime (package runtime)
-// instead runs one goroutine per simulated core and keeps core clocks
-// loosely synchronised with a time quantum. ExecOps is the per-core
-// execution primitive for that mode: it replays a packet's trace against
-// the simulated hierarchy exactly as Engine.step does, but takes the
-// owning socket's lock around every cache-state mutation so that
-// same-socket workers may run concurrently.
+// Trace execution. The Engine interleaves flows in global virtual-time
+// order on one OS thread; the runtime (package runtime) instead runs one
+// goroutine per simulated core and keeps core clocks loosely synchronised
+// with a time quantum. Both replay ops through the same interpreter
+// (Core.exec); ExecOps is the per-core entry point for the concurrent
+// mode, adding only the owning socket's lock around every cache-state
+// mutation so that same-socket workers may run concurrently.
 //
 // Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
 // an access only ever touches its own socket's caches; remote-domain
 // traffic goes through the home socket's channels, which are leaf locks.
 
+// exec is the package's one op interpreter: it replays ops on c,
+// advancing the core's clock and charging each op's latency to the core,
+// function and element accounts. The executors differ only in the policy
+// around it. The Engine passes one op at a time in global virtual-time
+// order with shared false: it is single-threaded and never locks. ExecOps
+// and ExecStall pass a whole trace with shared true, and exec then holds
+// the owning socket's lock around the cache-state mutation of each memory
+// op only.
+//
+//dataplane:owner the simulated core is the single writer of its element cells
+//dataplane:hotpath
+func (c *Core) exec(ops []Op, shared bool) {
+	cnt := &c.Counters
+	for _, op := range ops {
+		var lat, instrs uint64 = 0, 1
+		switch op.Kind {
+		case OpCompute:
+			lat, instrs = uint64(op.Cycles), uint64(op.Instrs)
+		case OpLoad, OpStore, OpLoadStream:
+			c.curElem = op.Elem
+			if shared {
+				c.Socket.mu.Lock()
+			}
+			lat = c.Access(c.clock, op.Addr, op.Kind == OpStore, op.Func)
+			if shared {
+				c.Socket.mu.Unlock()
+			}
+			if op.Kind == OpLoadStream {
+				if mlp := c.Socket.platform.Cfg.StreamMLP; mlp > 1 {
+					lat = (lat + mlp - 1) / mlp
+				}
+			}
+		case OpDMAWrite:
+			if shared {
+				c.Socket.mu.Lock()
+			}
+			c.DMAWrite(c.clock, op.Addr)
+			if shared {
+				c.Socket.mu.Unlock()
+			}
+			continue // the NIC does the work: no cycles, no instruction
+		default:
+			panic("hw: unknown op kind")
+		}
+		c.clock += lat
+		cnt.Cycles += lat
+		cnt.Instructions += instrs
+		cnt.Func[op.Func].Cycles += lat
+		if c.elems != nil {
+			c.elems[op.Elem].Cycles += lat
+		}
+	}
+}
+
 // ExecOps replays one packet's micro-operation trace on c, advancing the
 // core's local clock and counters. It is safe to call concurrently from
 // one goroutine per core; two goroutines must never drive the same core.
-// A non-empty trace counts as one processed packet, mirroring Engine.step.
+// A non-empty trace counts as one processed packet, as in the Engine.
 //
 //dataplane:hotpath
 func (c *Core) ExecOps(ops []Op) {
-	c.execTrace(ops)
+	c.exec(ops, true)
 	if len(ops) > 0 {
 		c.Counters.Packets++
 	}
@@ -33,59 +86,7 @@ func (c *Core) ExecOps(ops []Op) {
 //
 //dataplane:hotpath
 func (c *Core) ExecStall(ops []Op) {
-	c.execTrace(ops)
-}
-
-//dataplane:owner the simulated core is the single writer of its element cells
-//dataplane:hotpath
-func (c *Core) execTrace(ops []Op) {
-	cfg := &c.Socket.platform.Cfg
-	cnt := &c.Counters
-	for _, op := range ops {
-		switch op.Kind {
-		case OpCompute:
-			c.clock += uint64(op.Cycles)
-			cnt.Cycles += uint64(op.Cycles)
-			cnt.Instructions += uint64(op.Instrs)
-			cnt.Func[op.Func].Cycles += uint64(op.Cycles)
-			if c.elems != nil {
-				c.elems[op.Elem].Cycles += uint64(op.Cycles)
-			}
-		case OpLoad, OpStore:
-			c.curElem = op.Elem
-			c.Socket.mu.Lock()
-			lat := c.Access(c.clock, op.Addr, op.Kind == OpStore, op.Func)
-			c.Socket.mu.Unlock()
-			c.clock += lat
-			cnt.Cycles += lat
-			cnt.Instructions++
-			cnt.Func[op.Func].Cycles += lat
-			if c.elems != nil {
-				c.elems[op.Elem].Cycles += lat
-			}
-		case OpLoadStream:
-			c.curElem = op.Elem
-			c.Socket.mu.Lock()
-			lat := c.Access(c.clock, op.Addr, false, op.Func)
-			c.Socket.mu.Unlock()
-			if mlp := cfg.StreamMLP; mlp > 1 {
-				lat = (lat + mlp - 1) / mlp
-			}
-			c.clock += lat
-			cnt.Cycles += lat
-			cnt.Instructions++
-			cnt.Func[op.Func].Cycles += lat
-			if c.elems != nil {
-				c.elems[op.Elem].Cycles += lat
-			}
-		case OpDMAWrite:
-			c.Socket.mu.Lock()
-			c.DMAWrite(c.clock, op.Addr)
-			c.Socket.mu.Unlock()
-		default:
-			panic("hw: unknown op kind in ExecOps")
-		}
-	}
+	c.exec(ops, true)
 }
 
 // BoundChannelWaits caps the queueing delay of every channel on the

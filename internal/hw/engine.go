@@ -51,65 +51,22 @@ func (e *Engine) Attach(coreID int, label string, src PacketSource) *Flow {
 }
 
 // step executes one micro-operation of f, refilling its per-packet op
-// buffer from the source as needed. It returns false when the source is
-// exhausted.
-//
-//dataplane:owner the simulated core is the single writer of its element cells
-func (e *Engine) step(f *Flow) bool {
+// buffer from the source as needed and marking the flow done when the
+// source is exhausted.
+func (e *Engine) step(f *Flow) {
 	if f.pos >= len(f.ops) {
 		f.ops = f.src.EmitPacket(f.ops[:0])
 		f.pos = 0
 		if len(f.ops) == 0 {
 			f.done = true
-			return false
+			return
 		}
 	}
-	op := f.ops[f.pos]
+	f.Core.exec(f.ops[f.pos:f.pos+1], false)
 	f.pos++
-
-	core := f.Core
-	switch op.Kind {
-	case OpCompute:
-		core.clock += uint64(op.Cycles)
-		core.Counters.Cycles += uint64(op.Cycles)
-		core.Counters.Instructions += uint64(op.Instrs)
-		core.Counters.Func[op.Func].Cycles += uint64(op.Cycles)
-		if core.elems != nil {
-			core.elems[op.Elem].Cycles += uint64(op.Cycles)
-		}
-	case OpLoad, OpStore:
-		core.curElem = op.Elem
-		lat := core.Access(core.clock, op.Addr, op.Kind == OpStore, op.Func)
-		core.clock += lat
-		core.Counters.Cycles += lat
-		core.Counters.Instructions++
-		core.Counters.Func[op.Func].Cycles += lat
-		if core.elems != nil {
-			core.elems[op.Elem].Cycles += lat
-		}
-	case OpLoadStream:
-		core.curElem = op.Elem
-		lat := core.Access(core.clock, op.Addr, false, op.Func)
-		if mlp := e.Platform.Cfg.StreamMLP; mlp > 1 {
-			lat = (lat + mlp - 1) / mlp
-		}
-		core.clock += lat
-		core.Counters.Cycles += lat
-		core.Counters.Instructions++
-		core.Counters.Func[op.Func].Cycles += lat
-		if core.elems != nil {
-			core.elems[op.Elem].Cycles += lat
-		}
-	case OpDMAWrite:
-		core.DMAWrite(core.clock, op.Addr)
-	default:
-		panic(fmt.Sprintf("hw: unknown op kind %d", op.Kind))
-	}
-
 	if f.pos >= len(f.ops) {
-		core.Counters.Packets++
+		f.Core.Counters.Packets++
 	}
-	return true
 }
 
 // runnable returns the attached flow with the smallest core clock that has
@@ -131,14 +88,8 @@ func (e *Engine) runnable(limit uint64) *Flow {
 // least t (or its source is exhausted). Flows are interleaved in global
 // virtual-time order throughout.
 func (e *Engine) RunUntil(t uint64) {
-	for {
-		f := e.runnable(t)
-		if f == nil {
-			return
-		}
-		if !e.step(f) {
-			continue
-		}
+	for f := e.runnable(t); f != nil; f = e.runnable(t) {
+		e.step(f)
 	}
 }
 

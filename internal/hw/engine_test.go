@@ -187,3 +187,61 @@ func TestPerformanceDrop(t *testing.T) {
 		t.Fatalf("zero-baseline drop = %v, want 0", d)
 	}
 }
+
+// TestEngineAndExecOpsAgree: the engine and the concurrent entry points
+// are two policies around one interpreter, so the same canned trace —
+// every op kind, element table installed, stream MLP > 1 — replayed on
+// fresh platforms through Engine and through ExecOps must leave
+// identical counters, clock and per-element cells.
+func TestEngineAndExecOpsAgree(t *testing.T) {
+	cfg := smallConfig()
+	cfg.StreamMLP = 4
+	base := DomainBase(0)
+	var packets [][]Op
+	for i := 0; i < 200; i++ {
+		a := base + Addr(i*4160)
+		packets = append(packets, []Op{
+			{Kind: OpDMAWrite, Addr: a, Func: 1},
+			{Kind: OpCompute, Cycles: 37, Instrs: 21, Func: 1, Elem: 1},
+			{Kind: OpLoad, Addr: a, Func: 2, Elem: 2},
+			{Kind: OpStore, Addr: a + 64, Func: 2, Elem: 2},
+			{Kind: OpLoadStream, Addr: base + Addr(i*70000), Func: 3, Elem: 3},
+			{Kind: OpLoadStream, Addr: DomainBase(1) + Addr(i*4096), Func: 3},
+		})
+	}
+
+	viaEngine := NewPlatform(cfg)
+	viaEngine.Cores[0].SetElemTable(make([]ElemCell, 4))
+	next := 0
+	e := NewEngine(viaEngine)
+	e.Attach(0, "canned", SourceFunc(func(buf []Op) []Op {
+		if next == len(packets) {
+			return buf
+		}
+		next++
+		return append(buf, packets[next-1]...)
+	}))
+	e.RunUntil(1 << 40)
+
+	viaExecOps := NewPlatform(cfg)
+	viaExecOps.Cores[0].SetElemTable(make([]ElemCell, 4))
+	for _, ops := range packets {
+		viaExecOps.Cores[0].ExecOps(ops)
+	}
+
+	a, b := viaEngine.Cores[0], viaExecOps.Cores[0]
+	if a.Counters != b.Counters {
+		t.Errorf("counters differ:\nengine  %+v\nExecOps %+v", a.Counters, b.Counters)
+	}
+	if a.Clock() != b.Clock() || a.Clock() == 0 {
+		t.Errorf("clock: engine %d, ExecOps %d", a.Clock(), b.Clock())
+	}
+	for i := range a.elems {
+		if a.elems[i] != b.elems[i] {
+			t.Errorf("element cell %d: engine %+v, ExecOps %+v", i, a.elems[i], b.elems[i])
+		}
+	}
+	if a.Counters.Packets != uint64(len(packets)) || a.Counters.RemoteRefs == 0 || a.elems[3].L3Refs == 0 {
+		t.Errorf("trace did not exercise what it should: %+v", a.Counters)
+	}
+}

@@ -205,16 +205,27 @@ func TestStreamLoadCheaperThanLoad(t *testing.T) {
 	}
 }
 
-func TestEngineUnknownOpPanics(t *testing.T) {
-	p := NewPlatform(smallConfig())
-	e := NewEngine(p)
-	e.Attach(0, "bad", SourceFunc(func(buf []Op) []Op {
-		return append(buf, Op{Kind: OpKind(99)})
-	}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown op kind")
-		}
-	}()
-	e.RunUntil(1000)
+// TestUnknownOpPanics: an op kind the interpreter does not know is a
+// bug in the emitter, and both executors must refuse it loudly.
+func TestUnknownOpPanics(t *testing.T) {
+	bad := []Op{{Kind: OpKind(99)}}
+	paths := map[string]func(p *Platform){
+		"engine": func(p *Platform) {
+			e := NewEngine(p)
+			e.Attach(0, "bad", SourceFunc(func(buf []Op) []Op { return append(buf, bad...) }))
+			e.RunUntil(1000)
+		},
+		"ExecOps":   func(p *Platform) { p.Cores[0].ExecOps(bad) },
+		"ExecStall": func(p *Platform) { p.Cores[0].ExecStall(bad) },
+	}
+	for name, run := range paths {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic for unknown op kind")
+				}
+			}()
+			run(NewPlatform(smallConfig()))
+		})
+	}
 }

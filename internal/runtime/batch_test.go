@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	stdruntime "runtime"
+	"slices"
 	"testing"
 
 	"pktpredict/internal/apps"
@@ -274,6 +275,55 @@ func TestRuntimeBatchedScalarEquivalence(t *testing.T) {
 					t.Errorf("app %s: drop %.1f%% at BATCH 1 vs %.1f%% at BATCH %d — gap %.1f%% exceeds ±%.0f%%",
 						app, d1*100, db*100, batch, diff*100, tol*100)
 				}
+			}
+		})
+	}
+}
+
+// ringSourceAsClick lets Pipeline.EmitPacket pull from a worker's receive
+// path, the way the pre-unification runtime ran unstaged flows.
+type ringSourceAsClick struct{ *ringSource }
+
+func (ringSourceAsClick) Class() string { return "RingSource" }
+
+// TestOneStageTraceMatchesEmitPacket pins the fold of unstaged flows into
+// chains of one stage at the op level: at BATCH 1, stage.step must emit
+// exactly the trace run-to-completion Pipeline.EmitPacket emits over the
+// same receive path (pull → walk → recycle), packet for packet, and leave
+// the same packet-level outcome counters.
+func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
+	for _, typ := range []apps.FlowType{apps.IP, apps.FW, apps.VPN} {
+		t.Run(string(typ), func(t *testing.T) {
+			build := func() *worker {
+				cfg := testConfig([]AppSpec{{Name: "solo", Type: typ, Workers: 1}})
+				cfg.Params.RxBatch = 1
+				r, err := NewRuntime(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.disp.enqueue(0) // prime the receive ring; no worker runs
+				return r.workers[0]
+			}
+			staged, rtc := build(), build()
+			pipe := rtc.unit.fl.pipe
+			pipe.Source = ringSourceAsClick{rtc.src}
+			for i := 0; i < 300; i++ {
+				got := staged.unit.step(staged)
+				staged.opbuf = got.ops
+				want := pipe.EmitPacket(nil)
+				if !got.packet || len(want) == 0 {
+					t.Fatalf("packet %d: step packet=%v, EmitPacket emitted %d ops", i, got.packet, len(want))
+				}
+				if !slices.Equal(got.ops, want) {
+					t.Fatalf("packet %d: one-stage trace (%d ops) differs from EmitPacket's (%d ops)", i, len(got.ops), len(want))
+				}
+				if got.lat == nil || got.trace != 0 || got.handed || got.dequeued {
+					t.Fatalf("packet %d: a run-to-completion step must terminate untraced: %+v", i, got)
+				}
+			}
+			run := staged.unit.runner
+			if rec, drop, fin := pipe.Received, pipe.Dropped, pipe.Finished; run.Received != rec || run.Dropped != drop || run.Finished != fin {
+				t.Fatalf("runner counters %d/%d/%d, pipeline %d/%d/%d", run.Received, run.Dropped, run.Finished, rec, drop, fin)
 			}
 		})
 	}

@@ -200,8 +200,15 @@ func TestRuntimeChainPipelineVersusParallel(t *testing.T) {
 // unit. A single swap cannot move both stages, so even when the chain's
 // predicted drop is the worst on the floor the rebalancer must route
 // around it — here by swapping the co-located thrasher away instead.
+//
+// The mix also holds one flow of every kind — a two-stage chain, a raw
+// synthetic source, a one-stage pipeline and a bare-source pipeline (no
+// elements: packets complete at pull) — so it doubles as the check that
+// all four are the same thing to the worker: each makes progress, each
+// conserves packets, and the swap moves the one-stage flows only.
 func TestRuntimeChainStaysPinned(t *testing.T) {
 	params := withCustom(apps.Small(), "MONC", monStyleGraph(apps.Small()), map[string]int{"nf": 1})
+	params = withCustom(params, "BARE", "src :: FromDevice(SIZE 64, FLOWS 256);", nil)
 	params.SynRegionBytes = testCfg().L3.SizeBytes / 2
 	monSolo := soloStats(t, apps.MON, params)
 	synSolo := soloStats(t, apps.SYNMAX, params)
@@ -222,11 +229,12 @@ func TestRuntimeChainStaysPinned(t *testing.T) {
 		{Name: "chain", Type: "MONC", Workers: 1},
 		{Name: "thrash", Type: apps.SYNMAX, Workers: 1},
 		{Name: "mon", Type: apps.MON, Workers: 1},
+		{Name: "bare", Type: "BARE", Workers: 1},
 	})
 	cfg.Params = params
 	// Both chain stages and the thrasher share socket 0; a swappable MON
-	// sits on socket 1.
-	cfg.Cores = []int{0, 1, 2, cps}
+	// (and the bare-source flow) sit on socket 1.
+	cfg.Cores = []int{0, 1, 2, cps, cps + 1}
 	cfg.Profiles = profiles
 	cfg.DropThreshold = 0.01
 	// State migration enabled: the thrasher/mon relief swap may copy
@@ -241,6 +249,18 @@ func TestRuntimeChainStaysPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
+	for _, a := range rep.Apps {
+		if a.Processed == 0 || a.Finished == 0 {
+			t.Fatalf("app %s made no progress: %+v", a.Name, a)
+		}
+		want := 1
+		if a.Name == "chain" {
+			want = 2
+		}
+		if a.Stages != want {
+			t.Fatalf("app %s reports %d stages, want %d", a.Name, a.Stages, want)
+		}
+	}
 	for _, m := range rep.Migrations {
 		if strings.HasPrefix(m.FlowA, "chain") || strings.HasPrefix(m.FlowB, "chain") {
 			t.Fatalf("pinned chain migrated: %+v", m)
@@ -271,5 +291,29 @@ func TestRuntimeChainStaysPinned(t *testing.T) {
 			t.Fatalf("pinned chain stage %d: state %dB on socket %d, worker on %d",
 				w.Stage, w.StateBytes, w.StateSocket, w.Socket)
 		}
+	}
+}
+
+// TestHiddenTriggerRequiresFW: the hidden-trigger aggressor is an FW
+// pipeline by construction, so both executors must refuse to build it
+// under any other declared type — before the fix a MON flow silently ran
+// (and was reported, profiled and predicted as MON while executing) FW,
+// and a SYN flow built a ring-fed FW with no generator that processed
+// nothing without an error.
+func TestHiddenTriggerRequiresFW(t *testing.T) {
+	params := withCustom(apps.Small(), "monc", monStyleGraph(apps.Small()), map[string]int{"nf": 1})
+	for _, typ := range []apps.FlowType{apps.MON, apps.SYN, "monc"} {
+		t.Run(string(typ), func(t *testing.T) {
+			cfg := testConfig([]AppSpec{{Name: "rogue", Type: typ, Workers: 1, HiddenTrigger: 2000}})
+			cfg.Params = params
+			if _, err := NewRuntime(cfg); err == nil || !strings.Contains(err.Error(), "HIDDEN_TRIGGER") {
+				t.Errorf("runtime built a hidden-trigger %s flow: err = %v", typ, err)
+			}
+			sc := core.Scenario{Cfg: testCfg(), Params: params,
+				Flows: []core.FlowSpec{{Type: typ, Seed: 1, HiddenTrigger: 2000}}}
+			if _, err := sc.Build(); err == nil || !strings.Contains(err.Error(), "HIDDEN_TRIGGER") {
+				t.Errorf("engine built a hidden-trigger %s flow: err = %v", typ, err)
+			}
+		})
 	}
 }

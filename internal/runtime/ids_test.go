@@ -119,7 +119,7 @@ func TestValidateIDSRuntimeDropsAgainstEngine(t *testing.T) {
 		// Placement at build time: the ban table is the chain's stage-1
 		// state, homed in a domain on stage 1's socket.
 		chain := r.flows[0]
-		if chain.stages == nil || len(chain.state) == 0 {
+		if len(chain.stages) < 2 || len(chain.state) == 0 {
 			t.Fatalf("IDS chain flow not staged or stateless: %+v", chain)
 		}
 		sockets := cfg.Cfg.Sockets

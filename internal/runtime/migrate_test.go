@@ -218,7 +218,7 @@ func TestRuntimeChainStageStateLocal(t *testing.T) {
 	// Placement at build time: stage s's bindings live in a domain homed
 	// to stage s's socket, inside that domain's address range.
 	chain := r.flows[0]
-	if chain.stages == nil || len(chain.state) == 0 {
+	if len(chain.stages) < 2 || len(chain.state) == 0 {
 		t.Fatalf("chain flow not staged or stateless: %+v", chain)
 	}
 	sockets := cfg.Cfg.Sockets

@@ -47,10 +47,10 @@ type rtObs struct {
 	// spins on a full ring: the consumer lags) and pop polls (consumer
 	// spins on an empty ring: the producer starves it) mean opposite
 	// things, so they are exposed as separate families alongside the sum.
-	handoffFill      map[*chainStage]*obs.Gauge
-	handoffPolls     map[*chainStage]*obs.Counter
-	handoffPushPolls map[*chainStage]*obs.Counter
-	handoffPopPolls  map[*chainStage]*obs.Counter
+	handoffFill      map[*stage]*obs.Gauge
+	handoffPolls     map[*stage]*obs.Counter
+	handoffPushPolls map[*stage]*obs.Counter
+	handoffPopPolls  map[*stage]*obs.Counter
 
 	// Worker→app binding info gauges, so a scraper can join worker series
 	// to apps across live migrations.
@@ -123,10 +123,10 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 		appPredicted:     map[string]*obs.Gauge{},
 		appResidual:      map[string]*obs.Gauge{},
 		appCause:         map[string]map[obs.Cause]*obs.Gauge{},
-		handoffFill:      map[*chainStage]*obs.Gauge{},
-		handoffPolls:     map[*chainStage]*obs.Counter{},
-		handoffPushPolls: map[*chainStage]*obs.Counter{},
-		handoffPopPolls:  map[*chainStage]*obs.Counter{},
+		handoffFill:      map[*stage]*obs.Gauge{},
+		handoffPolls:     map[*stage]*obs.Counter{},
+		handoffPushPolls: map[*stage]*obs.Counter{},
+		handoffPopPolls:  map[*stage]*obs.Counter{},
 		lastBound:        map[int]*obs.Gauge{},
 		appDrift:         map[string]*obs.Gauge{},
 		appLatQ:          map[string][3]*obs.Gauge{},
@@ -219,7 +219,7 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 			if u.out == nil {
 				continue
 			}
-			app, rep, cut := f.app.spec.Name, fmt.Sprint(f.replica), fmt.Sprint(u.stage)
+			app, rep, cut := f.app.spec.Name, fmt.Sprint(f.replica), fmt.Sprint(u.index)
 			m.handoffFill[u] = hofV.With(app, rep, cut)
 			m.handoffPolls[u] = hopV.With(app, rep, cut)
 			m.handoffPushPolls[u] = hopPushV.With(app, rep, cut)
@@ -362,57 +362,47 @@ type elemWindow struct {
 	cells   hw.ElemCell
 }
 
-// windowElems differences every flow's (and chain stage's) per-element
-// table against its control-window cursor, skipping cells that accrued
-// nothing. The cursors roll forward in rollWindowAccounting after the
-// window's consumers have read them. Runs at the barrier: the owning
-// workers are parked, so plain reads of their cells are safe.
-func (r *Runtime) windowElems() []elemWindow {
-	bound := map[*flow]int{}
-	for _, w := range r.workers {
-		if w.fl != nil && w.unit == nil {
-			bound[w.fl] = w.id
-		}
-	}
-	var out []elemWindow
+// stageElems visits every per-element cell of every pipeline flow's
+// stages, differenced against the cursor table since picks (a stage's
+// prevElems or baseElems) and named the way telemetry names it. Call it
+// only while the owning workers are parked (a barrier, or after Run), so
+// plain reads of their cells are safe.
+func (r *Runtime) stageElems(since func(*stage) []hw.ElemCell, visit func(f *flow, u *stage, element string, d hw.ElemCell)) {
 	for _, f := range r.flows {
 		if f.pipe == nil {
 			continue
 		}
 		nodes := f.pipe.Nodes()
-		name := func(i int) string {
-			if i == 0 {
-				return overheadElem
-			}
-			return nodes[i-1].Name
-		}
-		app := f.app.spec.Name
-		pkts := f.packets - f.prevPackets
-		for i := range f.elems {
-			var prev hw.ElemCell
-			if i < len(f.prevElems) {
-				prev = f.prevElems[i]
-			}
-			d := f.elems[i].Sub(prev)
-			if d.Cycles == 0 && d.L3Refs == 0 {
-				continue
-			}
-			out = append(out, elemWindow{app: app, element: name(i), worker: bound[f], pkts: pkts, cells: d})
-		}
 		for _, u := range f.stages {
+			base := since(u)
 			for i := range u.elems {
-				var prev hw.ElemCell
-				if i < len(u.prevElems) {
-					prev = u.prevElems[i]
+				var b hw.ElemCell
+				if i < len(base) {
+					b = base[i]
 				}
-				d := u.elems[i].Sub(prev)
-				if d.Cycles == 0 && d.L3Refs == 0 {
-					continue
+				name := overheadElem
+				if i > 0 {
+					name = nodes[i-1].Name
 				}
-				out = append(out, elemWindow{app: app, element: name(i), stage: u.stage, worker: u.workerIdx, pkts: pkts, cells: d})
+				visit(f, u, name, u.elems[i].Sub(b))
 			}
 		}
 	}
+}
+
+// windowElems differences every stage's per-element table against its
+// control-window cursor, skipping cells that accrued nothing. The
+// cursors roll forward in rollWindowAccounting after the window's
+// consumers have read them.
+func (r *Runtime) windowElems() []elemWindow {
+	var out []elemWindow
+	r.stageElems(func(u *stage) []hw.ElemCell { return u.prevElems }, func(f *flow, u *stage, element string, d hw.ElemCell) {
+		if d.Cycles == 0 && d.L3Refs == 0 {
+			return
+		}
+		out = append(out, elemWindow{app: f.app.spec.Name, element: element, stage: u.index,
+			worker: u.workerIdx, pkts: f.packets - f.prevPackets, cells: d})
+	})
 	return out
 }
 
@@ -497,8 +487,6 @@ func (r *Runtime) evalLatency() {
 	for _, a := range r.disp.apps {
 		var d obs.LatHist
 		for _, f := range a.flows {
-			fd := f.lat.Sub(&f.prevLat)
-			d.Merge(&fd)
 			for _, u := range f.stages {
 				ud := u.lat.Sub(&u.prevLat)
 				d.Merge(&ud)
@@ -721,8 +709,6 @@ func (r *Runtime) rollWindowAccounting() {
 	}
 	for _, f := range r.flows {
 		f.prevPackets = f.packets
-		f.prevElems = snapshotElems(f.elems, f.prevElems)
-		f.prevLat = f.lat
 		for _, u := range f.stages {
 			u.prevElems = snapshotElems(u.elems, u.prevElems)
 			u.prevLat = u.lat
@@ -763,7 +749,7 @@ func (r *Runtime) buildTracer() {
 		r.tracer.SetThread(i, fmt.Sprintf("worker%d@core%d", i, w.core.ID))
 	}
 	for _, f := range r.flows {
-		if f.stages != nil {
+		if len(f.stages) > 1 {
 			r.tracer.SetProcess(f.id, fmt.Sprintf("%s/%d", f.app.spec.Name, f.replica))
 		}
 	}

@@ -79,35 +79,18 @@ func soloElementBaselines(cfg hw.Config, params apps.Params, t apps.FlowType, wa
 // same-named elements together.
 func (r *Runtime) ElementBaselines() map[string]ElemBaseline {
 	totals := map[string]hw.ElemCell{}
+	r.stageElems(func(u *stage) []hw.ElemCell { return u.baseElems }, func(_ *flow, _ *stage, element string, d hw.ElemCell) {
+		c := totals[element]
+		c.Cycles += d.Cycles
+		c.L3Refs += d.L3Refs
+		c.L3Hits += d.L3Hits
+		c.L3Misses += d.L3Misses
+		totals[element] = c
+	})
 	var pkts uint64
-	add := func(f *flow, cur, base []hw.ElemCell) {
-		nodes := f.pipe.Nodes()
-		for i := range cur {
-			var b hw.ElemCell
-			if i < len(base) {
-				b = base[i]
-			}
-			d := cur[i].Sub(b)
-			name := overheadElem
-			if i > 0 {
-				name = nodes[i-1].Name
-			}
-			c := totals[name]
-			c.Cycles += d.Cycles
-			c.L3Refs += d.L3Refs
-			c.L3Hits += d.L3Hits
-			c.L3Misses += d.L3Misses
-			totals[name] = c
-		}
-	}
 	for _, f := range r.flows {
-		if f.pipe == nil {
-			continue
-		}
-		pkts += f.packets
-		add(f, f.elems, f.baseElems)
-		for _, u := range f.stages {
-			add(f, u.elems, u.baseElems)
+		if f.pipe != nil {
+			pkts += f.packets
 		}
 	}
 	if pkts == 0 {

@@ -2,7 +2,8 @@ package runtime
 
 import (
 	"fmt"
-	"sync/atomic"
+
+	"pktpredict/internal/spsc"
 )
 
 // Ring is a bounded single-producer single-consumer queue of packets,
@@ -13,30 +14,17 @@ import (
 // packet, which is precisely how input overload surfaces on a real
 // dataplane (tail drop at the receive queue).
 //
-// head and tail are monotonically increasing; (tail − head) is the
-// occupancy. The producer only writes tail, the consumer only writes
-// head, and each slot is published by the tail store (release) and
-// consumed before the head store (acquire via atomic loads), the standard
-// SPSC discipline.
-//
-// Batched operation moves each cursor once per batch instead of once per
-// slot: the producer stages slots (Stage) and publishes them with a
-// single tail store (Commit); the consumer reads ahead of head
-// (PopStaged) and releases the slots with a single head store (Release).
-// staged and taken are plain fields — each is touched only by its own
-// side of the ring, so they need no atomicity.
+// The head/tail protocol — including the batched form, where the producer
+// stages slots and publishes them with one tail store (Stage, Commit) and
+// the consumer reads ahead and frees the slots with one head store
+// (PopStaged, Release) — is the embedded spsc.Cursor's, which also
+// supplies Cap, Len and Consumed. The ring itself only copies bytes and
+// stamps into and out of the slots the cursor hands it.
 type Ring struct {
+	spsc.Cursor
 	slots  [][]byte
 	lens   []int32
 	stamps []uint64 // enqueue timestamps (virtual cycles), slot-parallel
-	mask   uint64
-
-	_      [64]byte // keep producer and consumer cursors on separate lines
-	tail   atomic.Uint64
-	staged uint64 // producer-side: slots written beyond tail, unpublished
-	_      [64]byte
-	head   atomic.Uint64
-	taken  uint64 // consumer-side: slots read beyond head, unreleased
 }
 
 // NewRing builds a ring of the given capacity (rounded up to a power of
@@ -45,35 +33,16 @@ func NewRing(capacity, maxPacket int) *Ring {
 	if capacity <= 0 || maxPacket <= 0 {
 		panic(fmt.Sprintf("runtime: invalid ring %d x %d", capacity, maxPacket))
 	}
-	n := 2
-	for n < capacity {
-		n <<= 1
-	}
-	r := &Ring{
-		slots:  make([][]byte, n),
-		lens:   make([]int32, n),
-		stamps: make([]uint64, n),
-		mask:   uint64(n - 1),
-	}
+	r := &Ring{}
+	n := r.Init(capacity)
+	r.slots = make([][]byte, n)
+	r.lens = make([]int32, n)
+	r.stamps = make([]uint64, n)
 	for i := range r.slots {
 		r.slots[i] = make([]byte, maxPacket)
 	}
 	return r
 }
-
-// Cap returns the ring's capacity in packets.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Len returns the current occupancy. It is safe to call from any
-// goroutine; the value is naturally racy while producer and consumer run.
-func (r *Ring) Len() int {
-	return int(r.tail.Load() - r.head.Load())
-}
-
-// Consumed returns the cumulative number of packets popped from the
-// ring — the credit counter the dispatcher's backpressure accounting
-// differences across barriers.
-func (r *Ring) Consumed() uint64 { return r.head.Load() }
 
 // Push copies p into the ring, stamped with the virtual-cycle time at
 // which it was enqueued (the start of the packet's end-to-end latency).
@@ -83,12 +52,9 @@ func (r *Ring) Consumed() uint64 { return r.head.Load() }
 //
 //dataplane:hotpath
 func (r *Ring) Push(p []byte, stamp uint64) bool {
-	if !r.Stage(p, stamp) {
-		r.Commit()
-		return false
-	}
+	ok := r.Stage(p, stamp)
 	r.Commit()
-	return true
+	return ok
 }
 
 // Stage copies p into the next free slot without publishing it: the
@@ -99,32 +65,17 @@ func (r *Ring) Push(p []byte, stamp uint64) bool {
 //
 //dataplane:hotpath
 func (r *Ring) Stage(p []byte, stamp uint64) bool {
-	t := r.tail.Load() + r.staged
-	if t-r.head.Load() >= uint64(len(r.slots)) {
+	if len(p) > len(r.slots[0]) {
 		return false
 	}
-	slot := r.slots[t&r.mask]
-	if len(p) > len(slot) {
+	i, ok := r.Cursor.Stage()
+	if !ok {
 		return false
 	}
-	copy(slot, p)
-	r.lens[t&r.mask] = int32(len(p))
-	r.stamps[t&r.mask] = stamp
-	r.staged++
+	copy(r.slots[i], p)
+	r.lens[i] = int32(len(p))
+	r.stamps[i] = stamp
 	return true
-}
-
-// Commit publishes every staged slot with a single tail store — the
-// batch analogue of Push's per-packet publish. A no-op when nothing is
-// staged. Only the single producer may call Commit.
-//
-//dataplane:hotpath
-func (r *Ring) Commit() {
-	if r.staged == 0 {
-		return
-	}
-	r.tail.Store(r.tail.Load() + r.staged) // publish the batch
-	r.staged = 0
 }
 
 // PushBatch stages every packet of ps (all stamped alike) and publishes
@@ -166,28 +117,13 @@ func (r *Ring) Pop(dst []byte) (n int, stamp uint64, ok bool) {
 //
 //dataplane:hotpath
 func (r *Ring) PopStaged(dst []byte) (n int, stamp uint64, ok bool) {
-	h := r.head.Load() + r.taken
-	if h == r.tail.Load() {
+	i, ok := r.Take()
+	if !ok {
 		return 0, 0, false
 	}
-	ln := int(r.lens[h&r.mask])
-	copy(dst[:ln], r.slots[h&r.mask])
-	stamp = r.stamps[h&r.mask]
-	r.taken++
-	return ln, stamp, true
-}
-
-// Release frees every slot consumed since the last Release with a single
-// head store — the batch analogue of Pop's per-packet release. A no-op
-// when nothing is pending. Only the single consumer may call Release.
-//
-//dataplane:hotpath
-func (r *Ring) Release() {
-	if r.taken == 0 {
-		return
-	}
-	r.head.Store(r.head.Load() + r.taken) // release the batch
-	r.taken = 0
+	n = int(r.lens[i])
+	copy(dst[:n], r.slots[i])
+	return n, r.stamps[i], true
 }
 
 // PopBatch drains up to len(dsts) packets into the caller's buffers and

@@ -5,17 +5,26 @@
 // control (containing flows that exceed their profiled memory-reference
 // rate) and contention-aware re-placement of flows across sockets.
 //
+// There is one notion of flow: a chain of one or more stages, each bound
+// to its own worker (stage.go). A graph cut across cores has a stage per
+// cut, joined by handoff rings; an unstaged graph — Section 2.2's
+// "parallel" approach — is the zero-cut case, a chain of one stage with
+// no hand-off; a synthetic source is one stage that emits its packets'
+// traces directly. The worker loop, telemetry, reports and re-placement
+// see only stages.
+//
 // Where the hw.Engine interleaves flows deterministically on one OS
 // thread in exact global virtual-time order, the runtime lets workers
 // race through a time quantum concurrently and synchronises all core
 // clocks at quantum boundaries (lax conservative synchronisation, as
-// parallel architecture simulators use). Shared cache state is
-// serialised per socket inside hw.Core.ExecOps, so contention between
-// co-located flows remains emergent; only the fine-grained interleaving
-// within a quantum — and therefore the exact drop figures — varies
-// between runs. Dispatch and the control loop run at barrier points,
-// which is also when telemetry is sampled, throttle decisions applied,
-// and flows migrated.
+// parallel architecture simulators use). Both replay ops through the
+// same interpreter in package hw; the runtime's share is the locking
+// policy — shared cache state is serialised per socket inside
+// hw.Core.ExecOps — so contention between co-located flows remains
+// emergent; only the fine-grained interleaving within a quantum — and
+// therefore the exact drop figures — varies between runs. Dispatch and
+// the control loop run at barrier points, which is also when telemetry
+// is sampled, throttle decisions applied, and flows migrated.
 package runtime
 
 import (
@@ -391,32 +400,22 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		stages := cfg.Params.Stages(spec.Type)
 		for k := 0; k < spec.Workers; k++ {
-			w := r.workers[widx]
 			stageArenas := make([]*mem.Arena, stages)
 			for s := range stageArenas {
 				stageArenas[s] = stateArena(r.workers[widx+s].socket)
 			}
-			f, err := r.buildFlow(st, k, stageArenas)
+			f, raw, err := r.buildFlow(st, k, stageArenas)
 			if err != nil {
 				return nil, err
 			}
 			st.flows = append(st.flows, f)
 			r.flows = append(r.flows, f)
-			if stages > 1 {
-				// One replica of a staged flow spans the next `stages`
-				// workers, stage order matching worker order.
-				if f.pipe == nil || f.pipe.NumStages() != stages {
-					return nil, fmt.Errorf("runtime: app %q: pipeline has %d stages, spec expects %d",
-						spec.Name, f.pipe.NumStages(), stages)
-				}
-				if err := r.buildChain(f, widx, stages, arena); err != nil {
-					return nil, err
-				}
-				widx += stages
-			} else {
-				w.bind(f)
-				widx++
+			// One replica spans the next `stages` workers, stage order
+			// matching worker order.
+			if err := r.buildStages(f, raw, widx, stages, arena); err != nil {
+				return nil, err
 			}
+			widx += stages
 		}
 		if !spec.Type.Synthetic() {
 			// The flow population scales with the replica count so that
@@ -497,8 +496,9 @@ func (c Config) resolveRate(a AppSpec) (float64, error) {
 
 // buildFlow constructs one replica with stage s's state allocated from
 // arenas[s] (one private arena per stage, homed to the stage's worker's
-// socket; unstaged flows use arenas[0] for everything).
-func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*flow, error) {
+// socket). It returns the flow and, for a synthetic flow, the raw source
+// its single stage runs in place of a graph walk.
+func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*flow, hw.PacketSource, error) {
 	spec := st.spec
 	seed := core.SeedFor(spec.Type, st.index*64+replica)
 	arenaAt := func(s int) *mem.Arena {
@@ -514,7 +514,7 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 	var err error
 	switch {
 	case spec.HiddenTrigger > 0:
-		inst, err = r.cfg.Params.BuildHiddenAggressor(arenas[0], seed, spec.HiddenTrigger)
+		inst, err = r.cfg.Params.BuildHiddenAggressor(spec.Type, arenas[0], seed, spec.HiddenTrigger)
 	case spec.Type == apps.SYN:
 		inst = r.cfg.Params.BuildSyn(arenas[0], seed, spec.SynCompute)
 	case spec.Type == apps.SYNMAX:
@@ -525,7 +525,7 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 		inst, err = r.cfg.Params.BuildPlaced(spec.Type, arenaAt, seed)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, replica, err)
+		return nil, nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, replica, err)
 	}
 	f := &flow{
 		id:         len(r.flows),
@@ -538,25 +538,23 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 		stateBytes: inst.StateBytes(-1),
 		stateHome:  r.platform.DomainHome(arenas[0].Domain()),
 	}
-	if f.pipe != nil {
-		f.ring = NewRing(r.cfg.RingSize, st.pktSize)
-		// Per-element attribution slots: the graph is structurally final
-		// here (control elements and aggressors are inserted by the
-		// builders), so each node gets the table slot its ops will be
-		// charged to. Slot 0 stays the overhead slot (source pull, ring
-		// polls, recycling). Chains allocate per-stage tables instead
-		// (buildChain); the cursor slices stay nil for them.
-		nodes := f.pipe.Nodes()
-		for i, n := range nodes {
-			n.Elem = uint16(i + 1)
-		}
-		if r.cfg.Params.Stages(spec.Type) == 1 {
-			f.elems = make([]hw.ElemCell, len(nodes)+1)
-		}
-	} else {
-		f.raw = inst.Source
+	if f.pipe == nil {
+		return f, inst.Source, nil
 	}
-	return f, nil
+	f.ring = NewRing(r.cfg.RingSize, st.pktSize)
+	// The graph's own source generated traffic for offline profiling;
+	// here the flow is fed through its ring and pulled by its stage-0
+	// worker's receive path, so let the source (and its packet buffers) go.
+	f.pipe.Source = nil
+	// Per-element attribution slots: the graph is structurally final here
+	// (control elements and aggressors are inserted by the builders), so
+	// each node gets the slot its ops will be charged to in its stage's
+	// table. Slot 0 stays the overhead slot (source pull, ring polls,
+	// recycling).
+	for i, n := range f.pipe.Nodes() {
+		n.Elem = uint16(i + 1)
+	}
+	return f, nil, nil
 }
 
 // Stats exposes the live telemetry aggregator.
@@ -655,28 +653,21 @@ func (r *Runtime) resetMeasurement() {
 		w.totBatchSum, w.totBatchCnt, w.totClipped = 0, 0, 0
 	}
 	for _, f := range r.flows {
-		f.packets = 0
 		f.prevPackets = 0
-		f.prevElems = snapshotElems(f.elems, f.prevElems)
-		f.baseElems = snapshotElems(f.elems, f.baseElems)
-		f.prevLat, f.baseLat = f.lat, f.lat
 		for _, u := range f.stages {
 			u.prevElems = snapshotElems(u.elems, u.prevElems)
 			u.baseElems = snapshotElems(u.elems, u.baseElems)
 			u.prevLat, u.baseLat = u.lat, u.lat
-		}
-		if f.stages != nil {
-			for _, u := range f.stages {
+			if u.runner != nil {
 				u.runner.Reset()
 			}
-			// Packets already inside the chain's hand-off rings will reach
-			// their terminal inside the window; credit them as entered so
-			// the chain's conservation identity holds (the receive-ring
-			// backlog gets the same treatment below).
-			f.packets = f.inFlight()
 		}
+		// Packets already inside a chain's hand-off rings will reach their
+		// terminal inside the window; credit them as entered so the flow's
+		// conservation identity holds (the receive-ring backlog gets the
+		// same treatment below).
+		f.packets = f.inFlight()
 		if f.pipe != nil {
-			f.baseReceived, f.baseDropped, f.baseFinished = f.pipe.Totals()
 			nodes := f.pipe.Nodes()
 			f.baseBranch = make([]branchCounters, len(nodes))
 			for i, n := range nodes {
@@ -749,36 +740,31 @@ func (r *Runtime) controlStep(q int) {
 		tele.RemotePerPacket = delta.PerPacket(delta.RemoteRefs)
 		w.lastRemotePerPkt = tele.RemotePerPacket
 		w.lastWindowPackets = delta.Packets
-		if f := w.fl; f != nil {
-			tele.App = f.app.spec.Name
-			tele.Type = f.app.spec.Type
-			if u := w.unit; u != nil {
-				// Per-stage telemetry: the worker's input is the previous
-				// stage's hand-off ring (stage 0 keeps the receive ring).
-				tele.Stage = u.stage
-				tele.Stages = len(f.stages)
-				if u.in != nil {
-					tele.RingDepth = u.in.Len()
-					tele.RingCap = u.in.Cap()
-				} else if f.ring != nil {
-					tele.RingDepth = f.ring.Len()
-					tele.RingCap = f.ring.Cap()
-				}
-			} else if f.ring != nil {
-				tele.RingDepth = f.ring.Len()
-				tele.RingCap = f.ring.Cap()
-			}
-			if f.control != nil {
-				tele.DelayCycles = f.control.Delay()
-			}
-			live = append(live, core.LiveFlow{
-				Worker: i, Type: f.app.spec.Type, Socket: w.socket,
-				RefsPerSec: tele.RefsPerSec,
-				// Chain stages contend for their socket but migrate only
-				// as a unit, which single-swap re-placement cannot do.
-				Pinned: w.unit != nil,
-			})
+		u := w.unit
+		f := u.fl
+		tele.App = f.app.spec.Name
+		tele.Type = f.app.spec.Type
+		tele.Stage = u.index
+		tele.Stages = len(f.stages)
+		// The worker's input is the previous stage's hand-off ring; stage
+		// 0 of a ring-fed flow has the receive ring.
+		if u.in != nil {
+			tele.RingDepth = u.in.Len()
+			tele.RingCap = u.in.Cap()
+		} else if f.ring != nil {
+			tele.RingDepth = f.ring.Len()
+			tele.RingCap = f.ring.Cap()
 		}
+		if f.control != nil {
+			tele.DelayCycles = f.control.Delay()
+		}
+		live = append(live, core.LiveFlow{
+			Worker: i, Type: f.app.spec.Type, Socket: w.socket,
+			RefsPerSec: tele.RefsPerSec,
+			// Chain stages contend for their socket but migrate only as a
+			// unit, which single-swap re-placement cannot do.
+			Pinned: len(f.stages) > 1,
+		})
 		sample.Workers = append(sample.Workers, tele)
 	}
 
@@ -818,11 +804,8 @@ func (r *Runtime) controlStep(q int) {
 	// control element at stage 0 slows the whole chain down.
 	if r.cfg.Admission {
 		for i, w := range r.workers {
-			f := w.fl
-			if f == nil || f.control == nil {
-				continue
-			}
-			if w.unit != nil && w.unit.stage != 0 {
+			f := w.unit.fl
+			if f.control == nil || w.unit.index != 0 {
 				continue
 			}
 			prof, ok := r.cfg.Profiles[f.app.spec.Type]
@@ -831,13 +814,9 @@ func (r *Runtime) controlStep(q int) {
 			}
 			rc := core.RateController{Limit: prof.SoloRefsPerSec, Slack: r.cfg.Slack}
 			tele := &sample.Workers[i]
-			refs := tele.RefsPerSec
-			if w.unit != nil {
-				for _, u := range f.stages {
-					if u.workerIdx != i {
-						refs += sample.Workers[u.workerIdx].RefsPerSec
-					}
-				}
+			var refs float64
+			for _, u := range f.stages {
+				refs += sample.Workers[u.workerIdx].RefsPerSec
 			}
 			next, throttled := rc.Step(refs, tele.CyclesPerPacket, f.control.Delay())
 			f.control.SetDelay(next)
@@ -899,7 +878,8 @@ func (r *Runtime) controlStep(q int) {
 // pays QPI from its new socket.
 func (r *Runtime) swap(a, b, q int, worstBefore float64) {
 	wa, wb := r.workers[a], r.workers[b]
-	fa, fb := wa.fl, wb.fl
+	ua, ub := wa.unit, wb.unit
+	fa, fb := ua.fl, ub.fl
 	m := Migration{
 		Quantum: q, WorkerA: a, WorkerB: b,
 		FlowA: flowName(fa), FlowB: flowName(fb),
@@ -925,8 +905,8 @@ func (r *Runtime) swap(a, b, q int, worstBefore float64) {
 			w.prevClock = w.core.Clock()
 		}
 	}
-	wa.bind(fb)
-	wb.bind(fa)
+	wa.bind(ub)
+	wb.bind(ua)
 	r.migrations = append(r.migrations, m)
 	if r.obsm != nil {
 		r.obsm.migrations.Inc()
@@ -970,7 +950,7 @@ var fnMigrate = hw.RegisterFunc("state_migration")
 //
 //dataplane:stamped migration copy ops are control-plane cost attributed to fnMigrate, not to any element slot
 func (r *Runtime) migrateState(f *flow, dst *worker) StateCopy {
-	if f == nil || r.cfg.MigrateState == 0 || f.stateBytes == 0 ||
+	if r.cfg.MigrateState == 0 || f.stateBytes == 0 ||
 		f.stateBytes > r.cfg.MigrateState || f.stateHome == dst.socket {
 		return StateCopy{}
 	}
@@ -1012,9 +992,6 @@ func (r *Runtime) migrateState(f *flow, dst *worker) StateCopy {
 }
 
 func flowName(f *flow) string {
-	if f == nil {
-		return "-"
-	}
 	return fmt.Sprintf("%s/%d", f.app.spec.Name, f.replica)
 }
 
@@ -1045,27 +1022,18 @@ func (r *Runtime) buildReport(measQ int) *Report {
 			RemotePerPacket: delta.PerPacket(delta.RemoteRefs),
 			BatchOccupancy:  occupancy(w.totBatchSum, w.totBatchCnt, w.batch),
 			ClippedBatches:  w.totClipped,
-			StateSocket:     -1,
 		}
 		if boundSec > 0 {
 			wr.PPS = float64(bound) / boundSec
 		}
-		if f := w.fl; f != nil {
-			wr.App = f.app.spec.Name
-			wr.Type = f.app.spec.Type
-			if u := w.unit; u != nil {
-				wr.Stage = u.stage
-				wr.Stages = len(f.stages)
-				wr.StateBytes, wr.StateSocket = f.stageState(u.stage, r.platform)
-			} else {
-				wr.StateBytes = f.stateBytes
-				if f.stateBytes > 0 {
-					wr.StateSocket = f.stateHome
-				}
-			}
-			if f.control != nil {
-				wr.DelayCycles = f.control.Delay()
-			}
+		u := w.unit
+		wr.App = u.fl.app.spec.Name
+		wr.Type = u.fl.app.spec.Type
+		wr.Stage = u.index
+		wr.Stages = len(u.fl.stages)
+		wr.StateBytes, wr.StateSocket = u.fl.stageState(u.index, r.platform)
+		if u.fl.control != nil {
+			wr.DelayCycles = u.fl.control.Delay()
 		}
 		rep.Workers = append(rep.Workers, wr)
 	}
@@ -1077,10 +1045,7 @@ func (r *Runtime) buildReport(measQ int) *Report {
 	rep.Residuals = r.Residuals()
 
 	for _, a := range r.disp.apps {
-		stages := 1
-		if len(a.flows) > 0 && a.flows[0].stages != nil {
-			stages = len(a.flows[0].stages)
-		}
+		stages := len(a.flows[0].stages)
 		ar := AppReport{
 			Name: a.spec.Name, Type: a.spec.Type,
 			Workers: len(a.flows) * stages, Stages: stages,
@@ -1094,7 +1059,9 @@ func (r *Runtime) buildReport(measQ int) *Report {
 			ar.Finished += finished
 			ar.InFlight += f.inFlight()
 			for _, u := range f.stages {
-				ar.CutDropped += u.runner.CutDropped
+				if u.runner != nil {
+					ar.CutDropped += u.runner.CutDropped
+				}
 			}
 			// Per-branch terminal counters, aggregated across replicas by
 			// node name (replicas share the graph shape).
@@ -1151,8 +1118,6 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		// accumulated window by window.
 		var hist obs.LatHist
 		for _, f := range a.flows {
-			fd := f.lat.Sub(&f.baseLat)
-			hist.Merge(&fd)
 			for _, u := range f.stages {
 				ud := u.lat.Sub(&u.baseLat)
 				hist.Merge(&ud)

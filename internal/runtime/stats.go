@@ -20,8 +20,8 @@ type WorkerTelemetry struct {
 	App    string
 	Type   apps.FlowType
 
-	// Stage/Stages identify the worker's slice of a cross-worker service
-	// chain (0/0 for run-to-completion flows). For a later stage,
+	// Stage/Stages identify the worker's slice of its flow's chain (0/1
+	// for run-to-completion flows). For a later stage,
 	// RingDepth/RingCap describe its hand-off ring, not the receive ring.
 	Stage  int
 	Stages int
@@ -173,8 +173,8 @@ type WorkerReport struct {
 	Socket int
 	App    string
 	Type   apps.FlowType
-	Stage  int // stage index within a chain (0 otherwise)
-	Stages int // chain length (0 for run-to-completion flows)
+	Stage  int // stage index within the flow's chain
+	Stages int // chain length (1 for run-to-completion flows)
 
 	Packets         uint64 // packets processed under the final binding
 	TotalPackets    uint64 // packets processed across all bindings

@@ -18,27 +18,28 @@ import (
 var fnRingRx = hw.RegisterFunc("from_device")
 
 // flow is one running flow instance: a pipeline replica (or a raw
-// synthetic source) plus its input ring and admission-control element.
-// A flow is bound to exactly one worker at a time; live re-placement
-// exchanges the bindings of two workers at a barrier. The flow's state
-// (tables, buffers) stays in the NUMA domain it was allocated from, so a
-// migrated flow pays remote-memory latency — exactly the cost a real
-// dataplane weighs before moving work across sockets.
+// synthetic source) cut into one or more stages, plus its input ring and
+// admission-control element. Each stage is bound to exactly one worker
+// at a time; live re-placement exchanges the bindings of two one-stage
+// flows at a barrier, while a longer chain is placed and throttled as
+// one unit and stays pinned (its hand-off rings keep exactly one
+// producer and one consumer). The flow's state (tables, buffers) stays
+// in the NUMA domain it was allocated from, so a migrated flow pays
+// remote-memory latency — exactly the cost a real dataplane weighs
+// before moving work across sockets.
 type flow struct {
 	id      int
 	app     *appState
 	replica int
 
 	pipe    *click.Pipeline   // nil for synthetic flows
-	raw     hw.PacketSource   // non-nil for synthetic flows
 	ring    *Ring             // nil for synthetic flows
 	control *elements.Control // non-nil when the app carries admission control
 	traffic *trafficgen.Spec  // the build-time source's generator spec, when it had one
 
-	// stages is non-nil for cross-worker service chains: one entry per
-	// pipeline stage, each bound to its own worker (see chain.go). A
-	// chain is placed, migrated, and throttled as one unit.
-	stages []*chainStage
+	// stages holds the flow's stages in pipeline order, at least one (see
+	// stage.go); the per-element tables and latency shards live there.
+	stages []*stage
 
 	// state records where the flow's live tables sit in simulated memory
 	// (build-time source buffers excluded); stateBytes is their summed
@@ -51,45 +52,35 @@ type flow struct {
 	stateBytes uint64
 	stateHome  int
 
-	// packets counts fully executed packets since measurement start. The
-	// owning worker increments it; the control loop reads it at barriers.
-	// prevPackets is the control loop's window cursor into it.
+	// packets counts packets that entered the flow since measurement
+	// start. The stage-0 worker increments it; the control loop reads it
+	// at barriers. prevPackets is the control loop's window cursor into it.
 	packets     uint64
 	prevPackets uint64
-
-	// elems is the flow's per-element cost table for unstaged flows (nil
-	// for synthetic flows and chains — a chain keeps one table per stage,
-	// see chainStage.elems): slot 0 is the flow's overhead (source pulls,
-	// recycling), slot i+1 is pipe.Nodes()[i]. The table is installed on
-	// whichever core the flow is bound to (hw.Core.SetElemTable) and
-	// follows the flow across migrations; only the owning worker writes
-	// it, the control loop differences it against prevElems at barriers
-	// and resetMeasurement snapshots baseElems.
-	elems, prevElems, baseElems []hw.ElemCell
-
-	// lat is the flow's end-to-end latency histogram for unstaged flows
-	// (chains record into per-stage shards instead): finish-clock minus
-	// ring-enqueue stamp, observed by the owning worker after each
-	// packet's trace executes. prevLat/baseLat are the control-window and
-	// measurement-start snapshots.
-	lat, prevLat, baseLat obs.LatHist
 
 	// lastConsumed is the dispatcher's credit cursor: the ring's consumed
 	// count at the last barrier (see dispatcher.enqueue).
 	lastConsumed uint64
 
-	baseReceived, baseDropped, baseFinished uint64
 	// baseBranch holds each pipeline node's terminal counters at
 	// measurement start, aligned with pipe.Nodes().
 	baseBranch []branchCounters
 }
 
-// stageState sums the state footprint of one chain stage and returns the
+// numStages returns how many stages (and so workers) the flow occupies.
+func (f *flow) numStages() int {
+	if f.pipe == nil {
+		return 1
+	}
+	return f.pipe.NumStages()
+}
+
+// stageState sums the state footprint of one stage and returns the
 // socket currently homing it (-1 when the stage allocated nothing).
 func (f *flow) stageState(stage int, p *hw.Platform) (bytes uint64, socket int) {
 	socket = -1
 	for _, b := range f.state {
-		if b.Stage != stage {
+		if b.Stage != stage || b.Size == 0 {
 			continue
 		}
 		bytes += b.Size
@@ -127,32 +118,27 @@ func (f *flow) branchTotals() []branchCounters {
 	return out
 }
 
-// totals returns the flow's pipeline counters relative to the
-// measurement baseline. For a chain, packets enter at stage 0 and reach
-// exactly one terminal across the stages (packets still inside hand-off
-// rings are neither; see flow.inFlight).
+// totals returns the flow's packet counters since measurement start
+// (resetMeasurement zeroes the stage runners). Packets enter at stage 0
+// and reach exactly one terminal across the stages (packets still inside
+// hand-off rings are neither; see flow.inFlight); every packet a
+// synthetic flow emits completes.
 func (f *flow) totals() (received, dropped, finished uint64) {
-	if f.stages != nil {
-		var d, fin uint64
-		for _, u := range f.stages {
-			d += u.runner.Dropped
-			fin += u.runner.Finished
-		}
-		return f.packets, d, fin
-	}
 	if f.pipe == nil {
 		return f.packets, 0, f.packets
 	}
-	r, d, fin := f.pipe.Totals()
-	return r - f.baseReceived, d - f.baseDropped, fin - f.baseFinished
+	for _, u := range f.stages {
+		dropped += u.runner.Dropped
+		finished += u.runner.Finished
+	}
+	return f.packets, dropped, finished
 }
 
-// ringSource adapts a flow's input ring to click.Source: the worker-side
-// receive path. Popping a packet takes a buffer from the worker's
-// NUMA-local pool, copies the bytes in (modelled as the NIC's DMA into
-// the socket's L3 via direct cache access), and consumes an RX
-// descriptor — the same trace FromDevice emits, with the ring replacing
-// the inline generator.
+// ringSource is the worker-side receive path of a flow's input ring.
+// Popping a packet takes a buffer from the worker's NUMA-local pool,
+// copies the bytes in (modelled as the NIC's DMA into the socket's L3 via
+// direct cache access), and consumes an RX descriptor — the same trace
+// FromDevice emits, with the ring replacing the inline generator.
 type ringSource struct {
 	pool    *nic.BufferPool
 	rx      *nic.Ring
@@ -173,13 +159,6 @@ type ringSource struct {
 	// by the buffer slot makes Pull allocation-free: pkts[idx] cannot be
 	// reused before buffer idx is.
 	pkts []click.Packet
-
-	// lastEnq publishes the enqueue stamp of the most recent Pull to the
-	// owning worker (same goroutine), so an unstaged pipeline's worker —
-	// which never sees the Packet itself — can record the end-to-end
-	// latency after the trace executes. lastEnqOK marks it fresh.
-	lastEnq   uint64
-	lastEnqOK bool
 }
 
 func newRingSource(arena *mem.Arena, buffers, bufSize, ringSize, rxBatch int) *ringSource {
@@ -196,22 +175,17 @@ func newRingSource(arena *mem.Arena, buffers, bufSize, ringSize, rxBatch int) *r
 	}
 }
 
-// Class implements click.Source.
-func (rs *ringSource) Class() string { return "RingSource" }
-
-// Pull implements click.Source.
+// Pull takes the next packet off the bound ring, emitting the receive
+// trace; nil when the ring is empty. Only stage 0 of a ring-fed flow
+// pulls, so the ring is never nil here.
 //
 //dataplane:stamped source-side ring and DMA ops are flow overhead (slot 0) by design
 //dataplane:hotpath
 func (rs *ringSource) Pull(ctx *click.Ctx) *click.Packet {
-	if rs.ring == nil {
-		return nil
-	}
 	n, stamp, ok := rs.ring.PopStaged(rs.scratch)
 	if !ok {
 		return nil
 	}
-	rs.lastEnq, rs.lastEnqOK = stamp, true
 	old := ctx.SetFunc(fnRingRx)
 	defer ctx.SetFunc(old)
 	idx, data, addr := rs.pool.Get(ctx)
@@ -263,8 +237,9 @@ type worker struct {
 	src    *ringSource
 	batch  int
 
-	fl    *flow
-	unit  *chainStage // non-nil when bound to one stage of a chain
+	// unit is the stage the worker runs. Every worker is bound to exactly
+	// one stage from NewRuntime on; swap exchanges two workers' units.
+	unit  *stage
 	opbuf []hw.Op
 
 	// Owner-written telemetry, read by the control loop at barriers.
@@ -310,64 +285,27 @@ type worker struct {
 	mSpins   *obs.Counter
 
 	// shard is the worker's private trace buffer (nil when tracing is
-	// off). A chain stage that processes a sampled packet leaves the
-	// span's identity in the pend fields; runQuantum brackets the trace's
-	// execution with core-clock reads and records the span.
-	shard     *obs.TraceShard
-	pendTrace uint64
-	pendPid   int
-	pendStage int
-	pendDeq   bool
-	pendEnq   bool
-
-	// pendLat carries a finished packet's ring-enqueue stamp from step to
-	// runQuantum, which records finish − enqueue into pendHist after the
-	// packet's trace has advanced the core clock. pendHist is the
-	// single-writer shard the latency belongs to (the unstaged flow's
-	// histogram, or the terminating chain stage's).
-	pendLat  uint64
-	pendHist *obs.LatHist
+	// off): runQuantum records a sampled packet's exec span into it.
+	shard *obs.TraceShard
 
 	startC chan uint64
 	doneC  chan struct{}
 }
 
-// bind attaches f (an unstaged flow, or nil) to w: the flow's pipeline
-// draws packets from this worker's receive path from now on.
-func (w *worker) bind(f *flow) {
-	w.fl = f
-	w.unit = nil
-	w.bindPackets = w.packets
-	w.bindClock = w.core.Clock()
-	if f == nil {
-		w.src.ring = nil
-		w.core.SetElemTable(nil)
-		return
-	}
-	w.src.ring = f.ring
-	if f.pipe != nil {
-		f.pipe.Source = w.src
-	}
-	// The flow's per-element table follows it to this core; only this
-	// worker writes it from now on.
-	w.core.SetElemTable(f.elems)
-}
-
-// bindStage attaches one chain stage to w. Chains are pinned: stages are
-// bound once at construction and never migrate, so their hand-off rings
-// keep exactly one producer and one consumer.
-func (w *worker) bindStage(u *chainStage) {
-	w.fl = u.fl
+// bind attaches stage u to w, at construction and when a re-placement
+// swap moves a one-stage flow: from now on the stage runs on this
+// worker's core, charges its per-element table there (only this worker
+// writes it), and — at stage 0 — draws packets through this worker's
+// NUMA-local receive path.
+func (w *worker) bind(u *stage) {
 	w.unit = u
 	w.bindPackets = w.packets
 	w.bindClock = w.core.Clock()
 	u.workerIdx = w.id
 	w.core.SetElemTable(u.elems)
-	if u.stage == 0 {
+	w.src.ring = nil
+	if u.index == 0 {
 		w.src.ring = u.fl.ring
-		u.src = w.src
-	} else {
-		w.src.ring = nil
 	}
 }
 
@@ -390,57 +328,51 @@ func (w *worker) loop() {
 // fed live by a concurrently running peer); those advance the clock
 // without counting towards throughput or batch occupancy.
 func (w *worker) runQuantum(limit uint64) {
+	u := w.unit
 	for w.core.Clock() < limit {
 		n := 0
 		progressed := false
 		for n < w.batch && w.core.Clock() < limit {
-			ops, pkts := w.step()
-			if len(ops) == 0 {
+			res := u.step(w)
+			w.opbuf = res.ops
+			if len(res.ops) == 0 {
 				break
 			}
 			progressed = true
-			if pkts > 0 {
-				if w.pendTrace != 0 {
-					// A sampled packet's stage work: bracket its execution
-					// with core-clock reads so the span is the charged
-					// virtual time, hand-off costs included.
-					start := w.core.Clock()
-					w.core.ExecOps(ops)
-					w.shard.Exec(obs.TraceEvent{
-						Trace: w.pendTrace, Pid: w.pendPid, Tid: w.id,
-						Stage: w.pendStage, Start: start, End: w.core.Clock(),
-						Dequeued: w.pendDeq, Enqueued: w.pendEnq,
-					})
-					w.pendTrace = 0
-				} else {
-					w.core.ExecOps(ops)
-				}
-				if w.pendHist != nil {
-					// The packet's walk terminated this step: its end-to-end
-					// latency is the core clock now that its trace has
-					// executed, minus the dispatcher's enqueue stamp.
-					w.pendHist.Observe(w.core.Clock() - w.pendLat)
-					w.pendHist = nil
-				}
-				w.packets++
-				if w.mPackets != nil {
-					w.mPackets.Inc()
-				}
-				n++
-			} else {
-				w.core.ExecStall(ops)
+			if !res.packet {
+				w.core.ExecStall(res.ops)
+				continue
 			}
+			// Bracket the trace's execution with core-clock reads: a
+			// sampled packet's span is the charged virtual time, hand-off
+			// costs included.
+			start := w.core.Clock()
+			w.core.ExecOps(res.ops)
+			if res.trace != 0 {
+				w.shard.Exec(obs.TraceEvent{
+					Trace: res.trace, Pid: u.fl.id, Tid: w.id,
+					Stage: u.index, Start: start, End: w.core.Clock(),
+					Dequeued: res.dequeued, Enqueued: res.handed,
+				})
+			}
+			if res.lat != nil {
+				// The packet's walk terminated this step: its end-to-end
+				// latency is the core clock now that its trace has
+				// executed, minus the dispatcher's enqueue stamp.
+				res.lat.Observe(w.core.Clock() - res.enq)
+			}
+			w.packets++
+			if w.mPackets != nil {
+				w.mPackets.Inc()
+			}
+			n++
 		}
 		// Close the batch: release the receive ring's cursor once for the
-		// whole burst, and publish/release any slots a chain stage staged
-		// on its hand-off rings.
-		if w.src != nil {
-			w.src.endBatch()
-		}
-		if w.unit != nil {
-			w.unit.flush(w)
-		}
-		if progressed && n < w.batch && w.core.Clock() >= limit && w.inputReady() {
+		// whole burst, and publish/release any slots the stage staged on
+		// its hand-off rings.
+		w.src.endBatch()
+		u.flush(w)
+		if progressed && n < w.batch && w.core.Clock() >= limit && u.inputReady() {
 			// The quantum boundary cut this batch short with input still
 			// available: its fill reflects the clock, not the ring, so it
 			// is counted apart instead of biasing occupancy low.
@@ -462,67 +394,6 @@ func (w *worker) runQuantum(limit uint64) {
 			w.core.AdvanceTo(limit)
 			return
 		}
-	}
-}
-
-// inputReady reports whether the worker could have kept filling its
-// current batch had the quantum not ended: the bound flow has packets
-// waiting and its output is not blocked. Used only to classify a
-// boundary-clipped poll — a starved or backpressured batch is a genuine
-// occupancy observation even when the clock also ran out.
-func (w *worker) inputReady() bool {
-	switch {
-	case w.fl == nil:
-		return false
-	case w.unit != nil:
-		u := w.unit
-		if u.out != nil && u.out.Full() {
-			return false
-		}
-		if u.stage == 0 {
-			return w.src.ring != nil && w.src.ring.Len() > 0
-		}
-		return u.in != nil && u.in.Len() > 0
-	case w.fl.pipe != nil:
-		return w.src.ring != nil && w.src.ring.Len() > 0
-	default:
-		// Synthetic sources drive themselves; work is always available.
-		return true
-	}
-}
-
-// step performs one unit of work for the bound flow and reports whether a
-// packet was fully processed. Empty ops mean the worker has nothing to do
-// until the next barrier.
-func (w *worker) step() ([]hw.Op, int) {
-	switch {
-	case w.fl == nil:
-		return nil, 0
-	case w.unit != nil:
-		return w.unit.step(w)
-	case w.fl.pipe != nil:
-		w.src.lastEnqOK = false
-		ops := w.fl.pipe.EmitPacket(w.opbuf[:0])
-		if len(ops) == 0 {
-			return nil, 0
-		}
-		w.opbuf = ops
-		w.fl.packets++
-		if w.src.lastEnqOK {
-			// Run-to-completion: the packet pulled this step also finished
-			// this step; leave its stamp for runQuantum to record once the
-			// trace has executed.
-			w.pendLat, w.pendHist = w.src.lastEnq, &w.fl.lat
-		}
-		return ops, 1
-	default:
-		ops := w.fl.raw.EmitPacket(w.opbuf[:0])
-		if len(ops) == 0 {
-			return nil, 0
-		}
-		w.opbuf = ops
-		w.fl.packets++
-		return ops, 1
 	}
 }
 

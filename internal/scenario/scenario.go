@@ -406,6 +406,12 @@ func parseFlow(name string, args click.Args) (Flow, error) {
 	if f.Workers <= 0 {
 		return f, fmt.Errorf("flow %q needs at least one worker", name)
 	}
+	if f.HiddenTrigger > 0 && !strings.EqualFold(f.Type, string(apps.FW)) {
+		// The aggressor is an FW pipeline by construction (see
+		// apps.Params.BuildHiddenAggressor, which enforces the same rule
+		// for hand-built configurations).
+		return f, fmt.Errorf("flow %q: HIDDEN_TRIGGER builds an %s aggressor and cannot be combined with type %s", name, apps.FW, f.Type)
+	}
 	return f, nil
 }
 

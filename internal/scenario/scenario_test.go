@@ -284,6 +284,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestHiddenTriggerRequiresFW: HIDDEN_TRIGGER builds an FW aggressor, so
+// any other flow type is a parse error that names the flow's line.
+func TestHiddenTriggerRequiresFW(t *testing.T) {
+	const graph = "\ngraph G { src :: FromDevice; nf :: NetFlow; src -> nf -> ToDevice; stage 1: nf; }"
+	cases := []struct{ name, flow, tail string }{
+		{"MON", "rogue :: Flow(TYPE MON, HIDDEN_TRIGGER 2000);", ""},
+		{"SYN", "rogue :: Flow(TYPE SYN, HIDDEN_TRIGGER 2000);", ""},
+		{"staged custom", "rogue :: Flow(GRAPH G, HIDDEN_TRIGGER 2000);", graph},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse("scenario :: Scenario(NAME x);\n\n" + tc.flow + tc.tail)
+			if err == nil {
+				t.Fatal("expected a parse error")
+			}
+			for _, sub := range []string{"HIDDEN_TRIGGER", "line 3", `"rogue"`} {
+				if !strings.Contains(err.Error(), sub) {
+					t.Errorf("error %q does not contain %q", err, sub)
+				}
+			}
+		})
+	}
+	if _, err := Parse("scenario :: Scenario(NAME x); rogue :: Flow(TYPE fw, HIDDEN_TRIGGER 2000);"); err != nil {
+		t.Fatalf("FW aggressor rejected: %v", err)
+	}
+}
+
 func TestConfigErrors(t *testing.T) {
 	cfg := testCfg()
 	params := apps.Small()

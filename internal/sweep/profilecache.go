@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"pktpredict/internal/apps"
@@ -50,21 +48,12 @@ const profileCacheVersion = 1
 // other code versions never match.
 func OpenProfileCache(path, salt string) (*ProfileCache, error) {
 	c := &ProfileCache{path: path, salt: salt, entries: map[string]runtime.FlowProfile{}}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("profile cache: %w", err)
-	}
 	var f profileCacheFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Version != profileCacheVersion {
-		if mvErr := os.Rename(path, path+".corrupt"); mvErr != nil {
-			return nil, fmt.Errorf("profile cache %s: unreadable (and could not move aside: %w)", path, mvErr)
-		}
-		return c, nil
+	ok, err := loadStore("profile cache", path, &f, func() bool { return f.Version == profileCacheVersion })
+	if err != nil {
+		return nil, err
 	}
-	if f.Entries != nil {
+	if ok && f.Entries != nil {
 		c.entries = f.Entries
 	}
 	return c, nil
@@ -132,9 +121,8 @@ func (c *ProfileCache) Len() int {
 	return len(c.entries)
 }
 
-// Save writes the cache through a same-directory temp file and
-// os.Rename, like the trend store: a crash mid-write leaves the previous
-// cache intact.
+// Save writes the cache atomically, like the trend store (see
+// saveStore).
 func (c *ProfileCache) Save() error {
 	c.mu.Lock()
 	f := profileCacheFile{Version: profileCacheVersion, Entries: c.entries}
@@ -143,23 +131,7 @@ func (c *ProfileCache) Save() error {
 	if err != nil {
 		return fmt.Errorf("profile cache: %w", err)
 	}
-	dir, base := filepath.Split(c.path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("profile cache: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("profile cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("profile cache: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("profile cache: %w", err)
-	}
-	return os.Rename(tmp.Name(), c.path)
+	return saveStore("profile cache", c.path, data)
 }
 
 // profiledFlows is ProfileFlows behind the cache: cached flow types are

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -43,34 +41,19 @@ type TrendEntry struct {
 	SLOBreaches int     `json:"slo_breaches,omitempty"`
 }
 
-// LoadTrend reads a trend store; a missing file is an empty store. A
-// store that exists but no longer parses (truncated write, merge
-// damage) is moved aside to path+".corrupt" and an empty store
-// returned, so one bad file costs the history, not the nightly run —
-// the damaged bytes stay on disk for inspection.
+// LoadTrend reads a trend store; a missing file is an empty store, and
+// so is a damaged one (moved aside to path+".corrupt", see loadStore).
 func LoadTrend(path string) (*Trend, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &Trend{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trend: %w", err)
-	}
 	var t Trend
-	if err := json.Unmarshal(data, &t); err != nil {
-		if mvErr := os.Rename(path, path+".corrupt"); mvErr != nil {
-			return nil, fmt.Errorf("trend %s: %v (and could not move aside: %w)", path, err, mvErr)
-		}
-		return &Trend{}, nil
+	if ok, err := loadStore("trend", path, &t, nil); err != nil || !ok {
+		return &Trend{}, err
 	}
 	return &t, nil
 }
 
-// Save writes the store back, stable-sorted so diffs stay readable:
-// scenario first, then insertion order (the revision time series). The
-// write goes through a same-directory temp file and os.Rename, so a
-// crash mid-write leaves the previous store intact rather than a
-// truncated one.
+// Save writes the store back atomically (see saveStore), stable-sorted
+// so diffs stay readable: scenario first, then insertion order (the
+// revision time series).
 func (t *Trend) Save(path string) error {
 	sort.SliceStable(t.Entries, func(i, j int) bool {
 		return t.Entries[i].Scenario < t.Entries[j].Scenario
@@ -79,23 +62,7 @@ func (t *Trend) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("trend: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("trend: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("trend: %w", err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return fmt.Errorf("trend: %w", err)
-	}
-	return os.Rename(tmp.Name(), path)
+	return saveStore("trend", path, data)
 }
 
 // Append folds one sweep report into the store: per scenario, the
