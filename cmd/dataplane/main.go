@@ -6,10 +6,10 @@
 // prediction, plus any admission throttling and live re-placement the
 // control loop performed.
 //
-// Scenarios come from Click-style files (-config, see
-// examples/scenarios/*.click) or from the builtin catalogue (-scenario).
-// The shipped files include the four former builtins, a branching
-// NAT/firewall service chain (nat_chain.click) whose pipeline graph is
+// Scenarios are Click-style files: -config loads one by path, -scenario
+// one of the shipped examples/scenarios/*.click by name (they are
+// embedded, so this works from any directory). The shipped files include
+// the four paper mixes, a branching NAT/firewall service chain (nat_chain.click) whose pipeline graph is
 // declared inline in the file, and the same chain cut across workers
 // (nat_chain_staged.click): its `stage 1: fw;` declaration runs the
 // firewall tail on a second core connected by a hand-off ring, and the
@@ -18,7 +18,7 @@
 // Usage:
 //
 //	dataplane [-config examples/scenarios/nat_chain.click]
-//	          [-scenario mixed|bursty|thrash|hidden]
+//	          [-scenario mixed|bursty|thrash|hidden|...]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
 //	          [-duration 0.05] [-packets N]
 //	          [-batch 32] [-ring 512] [-quantum 200000] [-noprofile]
@@ -63,7 +63,7 @@ import (
 func main() {
 	configPath := flag.String("config", "", "scenario file (Click-style .click text)")
 	scenarioName := flag.String("scenario", "mixed",
-		"builtin scenario: "+strings.Join(runtime.ScenarioNames(), ", ")+" (ignored with -config)")
+		"shipped scenario file by name: "+strings.Join(scenario.ShippedNames(), ", ")+" (ignored with -config)")
 	scaleName := flag.String("scale", "quick", "platform/workload scale: quick or full")
 	platformOverrides := flag.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
@@ -97,28 +97,24 @@ func main() {
 		fatalf("-platform: %v", err)
 	}
 
-	var cfg runtime.Config
+	var sc *scenario.Scenario
 	if *configPath != "" {
-		sc, lerr := scenario.Load(*configPath)
-		if lerr != nil {
-			fatalf("%v", lerr)
-		}
-		// Precedence: -scale defaults < file platform block < -platform.
-		hwCfg, perr := sc.PlatformConfig(scale.Cfg)
-		if perr != nil {
-			fatalf("%v", perr)
-		}
-		if hwCfg, perr = overrides.Apply(hwCfg); perr != nil {
-			fatalf("-platform: %v", perr)
-		}
-		cfg, err = sc.ConfigOn(hwCfg, scale.Params)
+		sc, err = scenario.Load(*configPath)
 	} else {
-		hwCfg, perr := overrides.Apply(scale.Cfg)
-		if perr != nil {
-			fatalf("-platform: %v", perr)
-		}
-		cfg, err = runtime.ScenarioConfig(*scenarioName, hwCfg, scale.Params)
+		sc, err = scenario.Shipped(*scenarioName)
 	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	// Precedence: -scale defaults < file platform block < -platform.
+	hwCfg, err := sc.PlatformConfig(scale.Cfg)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if hwCfg, err = overrides.Apply(hwCfg); err != nil {
+		fatalf("-platform: %v", err)
+	}
+	cfg, err := sc.ConfigOn(hwCfg, scale.Params)
 	if err != nil {
 		fatalf("%v", err)
 	}

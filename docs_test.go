@@ -1,16 +1,119 @@
 // Documentation conformance tests: every internal package must carry a
 // godoc package comment stating what it models (the CI vet/test steps
-// keep this enforced), and the README must link the reference docs.
+// keep this enforced), the README must link the reference docs, and the
+// grammar reference must list exactly the keys the parsers declare.
 package pktpredict_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"pktpredict/internal/scenario"
+	"pktpredict/internal/sweep"
 )
+
+// grammarTables returns every declaration class's keys, straight from
+// the parsers' key tables.
+func grammarTables() map[string][]string {
+	tables := scenario.KeyTables()
+	maps.Copy(tables, sweep.KeyTables())
+	return tables
+}
+
+// TestScenarioFormatDocListsEveryKey holds docs/scenario-format.md to the
+// key tables in both directions: under each `Class(...)` heading, the
+// keys in the first column of the table rows must be exactly the keys
+// the parser declares for that class.
+func TestScenarioFormatDocListsEveryKey(t *testing.T) {
+	const doc = "docs/scenario-format.md"
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := regexp.MustCompile("^#+ `(\\w+)\\(\\.\\.\\.\\)`")
+	key := regexp.MustCompile("`([A-Z0-9_]+)`")
+	documented := map[string][]string{}
+	class := ""
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			class = ""
+			if m := heading.FindStringSubmatch(line); m != nil {
+				class = m[1]
+			}
+			continue
+		}
+		if class == "" || !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		firstCell, _, _ := strings.Cut(line[2:], " | ")
+		for _, m := range key.FindAllStringSubmatch(firstCell, -1) {
+			documented[class] = append(documented[class], m[1])
+		}
+	}
+	for class, keys := range grammarTables() {
+		for _, k := range keys {
+			if !slices.Contains(documented[class], k) {
+				t.Errorf("%s: %s key %s is not in the %s(...) table", doc, class, k, class)
+			}
+		}
+		for _, k := range documented[class] {
+			if !slices.Contains(keys, k) {
+				t.Errorf("%s: the %s(...) table lists %s, which the parser does not declare", doc, class, k)
+			}
+		}
+		delete(documented, class)
+	}
+	for class := range documented {
+		t.Errorf("%s: documents a declaration class %s the parsers do not have", doc, class)
+	}
+}
+
+// TestGrammarKeysDeclaredOnce walks the key tables and the non-test
+// source of the two grammar packages: each key's string literal must
+// occur exactly once per class that declares it — in its table row.
+// Twice means some code is again matching the key by hand beside the
+// table.
+func TestGrammarKeysDeclaredOnce(t *testing.T) {
+	want := map[string]int{}
+	for _, keys := range grammarTables() {
+		for _, k := range keys {
+			want[k]++
+		}
+	}
+	got := map[string]int{}
+	for _, dir := range []string{"internal/scenario", "internal/sweep"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil && want[s] > 0 {
+						got[s]++
+					}
+				}
+				return true
+			})
+		}
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("key %q: %d string literals in internal/scenario + internal/sweep, want %d (one per declaring table row)", k, got[k], n)
+		}
+	}
+}
 
 // TestInternalPackagesHaveDocComments walks internal/* and fails on any
 // package whose files all lack a package comment — the godoc contract

@@ -4,8 +4,8 @@
 // simulated core) — run it for a few virtual milliseconds, and read both
 // the final report and the live telemetry the control loop sampled.
 //
-// For the builtin scenarios with offline-profiled prediction, admission
-// control, and live re-placement, see cmd/dataplane.
+// For the shipped scenario files with offline-profiled prediction,
+// admission control, and live re-placement, see cmd/dataplane.
 package main
 
 import (

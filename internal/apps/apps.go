@@ -275,37 +275,63 @@ func (p Params) Config(t FlowType, seed uint64) string {
 	return b.String()
 }
 
+// Spec is what one flow declaration asks the builder for: the fields
+// core.FlowSpec and runtime.AppSpec share beyond placement and traffic.
+type Spec struct {
+	Type FlowType
+	Seed uint64 // all of the flow's randomness derives from it
+	// SynCompute is a SYN flow's compute cycles between accesses (ignored
+	// for other types; SYN_MAX forces 0).
+	SynCompute int
+	// Control inserts a Control element at the head of the pipeline
+	// (Section 4's aggressiveness-containment knob).
+	Control bool
+	// HiddenTrigger, when positive, builds the Section 4 adversarial flow:
+	// it profiles like FW but, after that many packets, starts performing
+	// SYN_MAX-like memory accesses. It implies a Control element, so the
+	// administrator's throttle has something to act on.
+	HiddenTrigger uint64
+}
+
 // Build constructs flow type t with per-flow state allocated from arena
-// (the flow's local NUMA domain) and all randomness derived from seed.
+// (the flow's local NUMA domain) and all randomness derived from seed. A
+// bare SYN flow gets a moderate compute gap; sweeps set Spec.SynCompute.
 func (p Params) Build(t FlowType, arena *mem.Arena, seed uint64) (*Instance, error) {
-	return p.build(t, singleArena(arena), seed, nil, 0)
+	return p.BuildSpec(Spec{Type: t, Seed: seed, SynCompute: 200}, func(int) *mem.Arena { return arena })
 }
 
-// BuildWithControl is Build with a Control element inserted at the head
-// of the pipeline (Section 4's aggressiveness-containment knob). SYN
-// flows cannot carry a control element.
-func (p Params) BuildWithControl(t FlowType, arena *mem.Arena, seed uint64) (*Instance, error) {
-	return p.build(t, singleArena(arena), seed, elements.NewControl(0), 0)
-}
-
-// BuildPlaced constructs flow type t with each pipeline stage's state
+// BuildSpec constructs the flow s declares, each pipeline stage's state
 // allocated from arenaAt(stage) — the concurrent runtime passes the
 // arena of the worker that will run the stage, so a cut graph keeps
 // every stage's tables next to its core instead of piling them all into
-// stage 0's domain. Unstaged flows allocate everything from arenaAt(0).
-func (p Params) BuildPlaced(t FlowType, arenaAt func(stage int) *mem.Arena, seed uint64) (*Instance, error) {
-	return p.build(t, arenaAt, seed, nil, 0)
-}
-
-// BuildPlacedWithControl is BuildPlaced with a Control element at the
-// head of the pipeline.
-func (p Params) BuildPlacedWithControl(t FlowType, arenaAt func(stage int) *mem.Arena, seed uint64) (*Instance, error) {
-	return p.build(t, arenaAt, seed, elements.NewControl(0), 0)
-}
-
-// singleArena adapts a single arena to the per-stage form.
-func singleArena(a *mem.Arena) func(int) *mem.Arena {
-	return func(int) *mem.Arena { return a }
+// stage 0's domain; unstaged flows allocate everything from arenaAt(0).
+// It is the one place that decides which kind of flow a declaration
+// builds, so the deterministic engine and the runtime cannot disagree.
+func (p Params) BuildSpec(s Spec, arenaAt func(stage int) *mem.Arena) (*Instance, error) {
+	if s.HiddenTrigger > 0 && s.Type != FW {
+		// The aggressor is an FW pipeline by construction: any other type
+		// would be reported, profiled and predicted as itself while
+		// running FW.
+		return nil, fmt.Errorf("apps: a hidden-trigger aggressor is an %s flow; type %s cannot carry HIDDEN_TRIGGER", FW, s.Type)
+	}
+	if !s.Type.Synthetic() {
+		var ctl *elements.Control
+		if s.Control || s.HiddenTrigger > 0 {
+			ctl = elements.NewControl(0)
+		}
+		return p.build(s.Type, arenaAt, s.Seed, ctl, s.HiddenTrigger)
+	}
+	if s.Control {
+		return nil, fmt.Errorf("apps: SYN flows have no pipeline for a control element")
+	}
+	cfg := synth.Config{Seed: s.Seed, RegionBytes: p.SynRegionBytes, AccessesPerPacket: p.SynAccesses}
+	if s.Type == SYN {
+		cfg.ComputePerAccess = s.SynCompute
+	}
+	tr := &arenaTracker{}
+	arena := tr.track(arenaAt(0))
+	defer arena.SetLabel(arena.SetLabel(string(s.Type)))
+	return &Instance{Type: s.Type, Source: synth.NewSource(arena, cfg), State: tr.collect(nil, "")}, nil
 }
 
 // arenaTracker records which arenas a build allocated from (and where
@@ -353,26 +379,12 @@ func (tr *arenaTracker) collect(stageOf map[string]int, srcName string) []StateB
 	return out
 }
 
+// build constructs a pipeline flow (builtin or custom graph), optionally
+// with a Control at its head and the hidden aggressor before its sink.
 func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl *elements.Control, hiddenTrigger uint64) (*Instance, error) {
 	tr := &arenaTracker{}
 	arena := tr.track(arenaAt(0))
 	switch t {
-	case SYN, SYNMAX:
-		if ctl != nil {
-			return nil, fmt.Errorf("apps: SYN flows have no pipeline for a control element")
-		}
-		compute := 0
-		if t == SYN {
-			compute = 200 // moderate default; sweeps override
-		}
-		defer arena.SetLabel(arena.SetLabel(string(t)))
-		src := synth.NewSource(arena, synth.Config{
-			Seed:              seed,
-			RegionBytes:       p.SynRegionBytes,
-			AccessesPerPacket: p.SynAccesses,
-			ComputePerAccess:  compute,
-		})
-		return &Instance{Type: t, Source: src, State: tr.collect(nil, "")}, nil
 	case IP, MON, FW, RE, VPN:
 	default:
 		if _, ok := p.Custom[t]; !ok {
@@ -461,35 +473,6 @@ func (p Params) Stages(t FlowType) int {
 		}
 	}
 	return max + 1
-}
-
-// BuildSyn constructs a synthetic flow with explicit knobs, used by the
-// profiling sweep to ramp competing references per second.
-func (p Params) BuildSyn(arena *mem.Arena, seed uint64, computePerAccess int) *Instance {
-	tr := &arenaTracker{}
-	tr.track(arena)
-	defer arena.SetLabel(arena.SetLabel(string(SYN)))
-	src := synth.NewSource(arena, synth.Config{
-		Seed:              seed,
-		RegionBytes:       p.SynRegionBytes,
-		AccessesPerPacket: p.SynAccesses,
-		ComputePerAccess:  computePerAccess,
-	})
-	return &Instance{Type: SYN, Source: src, State: tr.collect(nil, "")}
-}
-
-// BuildHiddenAggressor constructs the Section 4 adversarial flow: it
-// profiles like FW but, after triggerPackets packets, starts performing
-// SYN_MAX-like memory accesses. The returned instance carries a Control
-// element so the administrator's throttle has something to act on. The
-// aggressor is an FW pipeline by construction, so any other declared
-// type t is rejected: it would be reported, profiled and predicted as t
-// while running FW.
-func (p Params) BuildHiddenAggressor(t FlowType, arena *mem.Arena, seed uint64, triggerPackets uint64) (*Instance, error) {
-	if t != FW {
-		return nil, fmt.Errorf("apps: a hidden-trigger aggressor is an %s flow; type %s cannot carry HIDDEN_TRIGGER", FW, t)
-	}
-	return p.build(FW, singleArena(arena), seed, elements.NewControl(0), triggerPackets)
 }
 
 // ParseFlowType converts a string such as "MON" or "syn_max" to a

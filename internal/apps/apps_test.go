@@ -69,17 +69,28 @@ func TestBuildSynTypes(t *testing.T) {
 
 func TestSynMaxMoreAggressiveThanSyn(t *testing.T) {
 	p := Small()
-	measure := func(ft FlowType) float64 {
-		plat := testPlatform()
-		arena := mem.NewArena(0)
-		inst, _ := p.Build(ft, arena, 5)
-		e := hw.NewEngine(plat)
-		e.Attach(0, string(ft), inst.Source)
+	run := func(inst *Instance) float64 {
+		e := hw.NewEngine(testPlatform())
+		e.Attach(0, string(inst.Type), inst.Source)
 		return e.MeasureWindow(0.0002, 0.001)[0].L3RefsPerSec()
+	}
+	measure := func(ft FlowType) float64 {
+		inst, _ := p.Build(ft, mem.NewArena(0), 5)
+		return run(inst)
 	}
 	syn, synMax := measure(SYN), measure(SYNMAX)
 	if synMax <= syn {
 		t.Fatalf("SYN_MAX refs/sec (%.0f) must exceed SYN's (%.0f)", synMax, syn)
+	}
+	// A declared SYN flow takes its compute gap from the spec, so the
+	// profiling sweep's last grid point (gap 0) is SYN_MAX exactly — not
+	// the moderate gap Build gives a bare SYN.
+	inst, err := buildSpec(p, Spec{Type: SYN, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero := run(inst); zero != synMax {
+		t.Fatalf("SYN with SynCompute 0: %.0f refs/sec, want SYN_MAX's %.0f", zero, synMax)
 	}
 }
 
@@ -105,9 +116,15 @@ func TestRelativeWorkloadWeight(t *testing.T) {
 	}
 }
 
-func TestBuildWithControl(t *testing.T) {
+// buildSpec builds s with all state in one fresh arena.
+func buildSpec(p Params, s Spec) (*Instance, error) {
+	a := mem.NewArena(0)
+	return p.BuildSpec(s, func(int) *mem.Arena { return a })
+}
+
+func TestBuildSpecControl(t *testing.T) {
 	p := Small()
-	inst, err := p.BuildWithControl(MON, mem.NewArena(0), 9)
+	inst, err := buildSpec(p, Spec{Type: MON, Seed: 9, Control: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,17 +134,25 @@ func TestBuildWithControl(t *testing.T) {
 	if inst.Pipeline.Elements()[0] != inst.Control {
 		t.Fatal("control element must be first in the chain")
 	}
-	if _, err := p.BuildWithControl(SYN, mem.NewArena(0), 9); err == nil {
-		t.Fatal("SYN with control element must fail")
+	for _, syn := range []FlowType{SYN, SYNMAX} {
+		if _, err := buildSpec(p, Spec{Type: syn, Seed: 9, Control: true}); err == nil {
+			t.Fatalf("%s with control element must fail", syn)
+		}
 	}
 }
 
-func TestBuildHiddenAggressor(t *testing.T) {
+func TestBuildSpecHiddenTrigger(t *testing.T) {
 	p := Small()
 	// Trigger after 2000 packets: far beyond the "before" window below.
-	inst, err := p.BuildHiddenAggressor(FW, mem.NewArena(0), 13, 2000)
+	inst, err := buildSpec(p, Spec{Type: FW, Seed: 13, HiddenTrigger: 2000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inst.Control == nil {
+		t.Fatal("the aggressor must carry a control element for the throttle to act on")
+	}
+	if _, err := buildSpec(p, Spec{Type: MON, Seed: 13, HiddenTrigger: 2000}); err == nil {
+		t.Fatal("a hidden trigger on a non-FW type must fail")
 	}
 	plat := testPlatform()
 	e := hw.NewEngine(plat)
@@ -267,7 +292,7 @@ func TestCustomFlowTypeBuilds(t *testing.T) {
 	}
 
 	// A control element still lands at the head of a custom pipeline.
-	withCtl, err := params.BuildWithControl("NATFW", mem.NewArena(0), 7)
+	withCtl, err := buildSpec(params, Spec{Type: "NATFW", Seed: 7, Control: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +352,7 @@ func TestBuildRecordsStateBindings(t *testing.T) {
 	}
 }
 
-func TestBuildPlacedAllocatesPerStage(t *testing.T) {
+func TestBuildSpecAllocatesPerStage(t *testing.T) {
 	p := Small()
 	custom := map[FlowType]CustomFlow{
 		"MONC": {
@@ -344,7 +369,7 @@ func TestBuildPlacedAllocatesPerStage(t *testing.T) {
 	}
 	p.Custom = custom
 	arenas := []*mem.Arena{mem.NewArena(0), mem.NewArena(1)}
-	inst, err := p.BuildPlaced("MONC", func(s int) *mem.Arena { return arenas[s] }, 11)
+	inst, err := p.BuildSpec(Spec{Type: "MONC", Seed: 11}, func(s int) *mem.Arena { return arenas[s] })
 	if err != nil {
 		t.Fatal(err)
 	}

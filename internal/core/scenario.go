@@ -72,21 +72,11 @@ func (s Scenario) Build() (*RunResult, error) {
 	}
 	res := &RunResult{Platform: platform, Engine: engine}
 	for i, f := range s.Flows {
-		var inst *apps.Instance
-		var err error
 		a := arena(f.Domain)
-		switch {
-		case f.HiddenTrigger > 0:
-			inst, err = s.Params.BuildHiddenAggressor(f.Type, a, f.Seed, f.HiddenTrigger)
-		case f.Type == apps.SYN:
-			inst = s.Params.BuildSyn(a, f.Seed, f.SynCompute)
-		case f.Type == apps.SYNMAX:
-			inst = s.Params.BuildSyn(a, f.Seed, 0)
-		case f.Control:
-			inst, err = s.Params.BuildWithControl(f.Type, a, f.Seed)
-		default:
-			inst, err = s.Params.Build(f.Type, a, f.Seed)
-		}
+		inst, err := s.Params.BuildSpec(apps.Spec{
+			Type: f.Type, Seed: f.Seed, SynCompute: f.SynCompute,
+			Control: f.Control, HiddenTrigger: f.HiddenTrigger,
+		}, func(int) *mem.Arena { return a })
 		if err != nil {
 			return nil, fmt.Errorf("core: flow %d (%s): %w", i, f.Type, err)
 		}

@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	stdruntime "runtime"
 	"slices"
 	"testing"
@@ -198,88 +197,6 @@ func TestWorkerBatchOccupancyExcludesClipped(t *testing.T) {
 	checkConservation(t, rep)
 }
 
-// TestRuntimeBatchedScalarEquivalence runs every builtin paper mix at
-// BATCH 1 (the historical scalar model) and at a deeper modelled batch,
-// and checks batching changed the accounting's efficiency, not its
-// correctness: conservation identities hold exactly in both, every app
-// still processes traffic, and observed drops agree within the same
-// tolerance band the engine validation uses. CI's dedicated -race step
-// runs this test to race-check the batched hot paths end to end.
-func TestRuntimeBatchedScalarEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("equivalence suite skipped in -short mode (runs in its dedicated CI step)")
-	}
-	const (
-		warmup = 0.0005
-		window = 0.002
-		dur    = 0.004
-		batch  = 8
-	)
-	grid := []int{400, 0}
-	for _, name := range ScenarioNames() {
-		t.Run(name, func(t *testing.T) {
-			drops := map[int]map[string]float64{}
-			for _, b := range []int{1, batch} {
-				cfg, err := ScenarioConfig(name, testCfg(), apps.Small())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Params.RxBatch = b
-				cfg.Batch = maxInt(b, 2) // worker burst ≥ 2 keeps batch polls meaningful
-				needsProfile := false
-				for _, a := range cfg.Apps {
-					if a.RateFraction > 0 {
-						needsProfile = true
-					}
-				}
-				if needsProfile {
-					// Profiles must be derived at the same modelled batch
-					// depth the runtime runs with, or rate fractions
-					// reference the wrong solo capacity.
-					profiles, err := ProfileFlows(testCfg(), cfg.Params, warmup, window, grid, cfg.FlowTypes())
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Profiles = profiles
-				}
-				cfg.QuantumCycles = 100_000
-				cfg.ControlEvery = 4
-				cfg.Warmup = 0.0003
-				r, err := NewRuntime(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := r.Run(dur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkConservation(t, rep)
-				drops[b] = map[string]float64{}
-				for _, a := range rep.Apps {
-					if a.Processed == 0 {
-						t.Fatalf("batch %d: app %s processed nothing", b, a.Name)
-					}
-					if a.Type.Synthetic() {
-						continue
-					}
-					drops[b][a.Name] = a.ObservedDrop
-				}
-			}
-			tol := 0.15
-			if name == ScenarioThrash {
-				tol = 0.20 // migration transient timing differs run to run
-			}
-			for app, d1 := range drops[1] {
-				db := drops[batch][app]
-				if diff := math.Abs(d1 - db); diff > tol {
-					t.Errorf("app %s: drop %.1f%% at BATCH 1 vs %.1f%% at BATCH %d — gap %.1f%% exceeds ±%.0f%%",
-						app, d1*100, db*100, batch, diff*100, tol*100)
-				}
-			}
-		})
-	}
-}
-
 // ringSourceAsClick lets Pipeline.EmitPacket pull from a worker's receive
 // path, the way the pre-unification runtime ran unstaged flows.
 type ringSourceAsClick struct{ *ringSource }
@@ -327,13 +244,6 @@ func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
 			}
 		})
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func BenchmarkRingPushPopBatch(b *testing.B) {

@@ -500,7 +500,6 @@ func (c Config) resolveRate(a AppSpec) (float64, error) {
 // its single stage runs in place of a graph walk.
 func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*flow, hw.PacketSource, error) {
 	spec := st.spec
-	seed := core.SeedFor(spec.Type, st.index*64+replica)
 	arenaAt := func(s int) *mem.Arena {
 		if s < 0 {
 			s = 0
@@ -510,20 +509,10 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 		}
 		return arenas[s]
 	}
-	var inst *apps.Instance
-	var err error
-	switch {
-	case spec.HiddenTrigger > 0:
-		inst, err = r.cfg.Params.BuildHiddenAggressor(spec.Type, arenas[0], seed, spec.HiddenTrigger)
-	case spec.Type == apps.SYN:
-		inst = r.cfg.Params.BuildSyn(arenas[0], seed, spec.SynCompute)
-	case spec.Type == apps.SYNMAX:
-		inst = r.cfg.Params.BuildSyn(arenas[0], seed, 0)
-	case spec.Control:
-		inst, err = r.cfg.Params.BuildPlacedWithControl(spec.Type, arenaAt, seed)
-	default:
-		inst, err = r.cfg.Params.BuildPlaced(spec.Type, arenaAt, seed)
-	}
+	inst, err := r.cfg.Params.BuildSpec(apps.Spec{
+		Type: spec.Type, Seed: core.SeedFor(spec.Type, st.index*64+replica), SynCompute: spec.SynCompute,
+		Control: spec.Control, HiddenTrigger: spec.HiddenTrigger,
+	}, arenaAt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, replica, err)
 	}

@@ -205,7 +205,7 @@ func TestRuntimeAdmissionContainsHiddenAggressor(t *testing.T) {
 func TestRuntimeReplacementSeparatesThrashers(t *testing.T) {
 	// The thrasher keeps its region at half the L3 (the regime where a
 	// SYN_MAX stays cache-resident and maximally aggressive next to a
-	// victim), matching the builtin thrash scenario.
+	// victim), matching the shipped thrash scenario.
 	params := apps.Small()
 	params.SynRegionBytes = testCfg().L3.SizeBytes / 2
 	monSolo := soloStats(t, apps.MON, params)
@@ -367,41 +367,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
-	}
-}
-
-func TestScenarioConfigsBuild(t *testing.T) {
-	cfg := testCfg()
-	params := apps.Small()
-	for _, name := range ScenarioNames() {
-		sc, err := ScenarioConfig(name, cfg, params)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(sc.Apps) == 0 {
-			t.Fatalf("%s: no apps", name)
-		}
-		types, err := ScenarioTypes(name, cfg, params)
-		if err != nil || len(types) == 0 {
-			t.Fatalf("%s types: %v %v", name, types, err)
-		}
-		// Scenarios with rate fractions need profiles; the rest must
-		// build runnable runtimes straight away.
-		needsProfile := false
-		for _, a := range sc.Apps {
-			if a.RateFraction > 0 {
-				needsProfile = true
-			}
-		}
-		if needsProfile {
-			continue
-		}
-		if _, err := NewRuntime(sc); err != nil {
-			t.Fatalf("%s: NewRuntime: %v", name, err)
-		}
-	}
-	if _, err := ScenarioConfig("nope", cfg, params); err == nil {
-		t.Fatal("unknown scenario accepted")
 	}
 }
 

@@ -1,162 +1,11 @@
 package runtime
 
 import (
-	"math"
 	"testing"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 )
-
-// Cross-validation of the concurrent runtime against the deterministic
-// engine, closing the ROADMAP item "validate the concurrent runtime's
-// drop figures against the deterministic engine's co-run measurements
-// across all mixes". For every builtin scenario the flow types are
-// profiled offline on the engine (solo runs and drop-versus-competition
-// sweeps — the paper's method), the scenario then runs on the concurrent
-// runtime, and each realistic app's observed drop must agree with the
-// engine-derived prediction within a stated tolerance. The mixed
-// scenario — saturating, placement-stable — is additionally checked
-// against the engine's direct co-run measurement of the same socket mix.
-
-// validationTolerance is the acceptable |observed − predicted| drop gap
-// per scenario. The paper reports ≤5% error for realistic mixes on real
-// hardware; the concurrent runtime adds ring/dispatch effects, quantum
-// granularity, and (for thrash) a pre-migration transient inside the
-// measured window, so the bounds here are wider but still tight enough
-// to catch an accounting or contention-model regression.
-var validationTolerance = map[string]float64{
-	ScenarioMixed:  0.15,
-	ScenarioBursty: 0.15,
-	ScenarioThrash: 0.20,
-	ScenarioHidden: 0.15,
-}
-
-func TestValidateRuntimeDropsAgainstEngine(t *testing.T) {
-	if testing.Short() {
-		// CI runs this suite in its own -race step; -short keeps the
-		// full-tree pass from paying for the offline profiling twice.
-		t.Skip("validation suite skipped in -short mode (runs in its dedicated CI step)")
-	}
-	const (
-		warmup = 0.0005
-		window = 0.002
-		dur    = 0.006
-	)
-	grid := []int{1600, 400, 100, 0}
-	for _, name := range ScenarioNames() {
-		t.Run(name, func(t *testing.T) {
-			cfg, err := ScenarioConfig(name, testCfg(), apps.Small())
-			if err != nil {
-				t.Fatal(err)
-			}
-			profiles, err := ProfileFlows(testCfg(), cfg.Params, warmup, window, grid, cfg.FlowTypes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Profiles = profiles
-			cfg.QuantumCycles = 100_000
-			cfg.ControlEvery = 4
-			cfg.Warmup = 0.0003
-			r, err := NewRuntime(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := r.Run(dur)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkConservation(t, rep)
-
-			specs := map[string]AppSpec{}
-			for _, a := range cfg.Apps {
-				specs[a.Name] = a
-			}
-			tol := validationTolerance[name]
-			validated := 0
-			for _, a := range rep.Apps {
-				spec := specs[a.Name]
-				if a.Type.Synthetic() || spec.HiddenTrigger > 0 {
-					// SYN is the profiling probe, not a prediction target,
-					// and the hidden aggressor's drop comes from the
-					// throttle the scenario exists to trigger.
-					continue
-				}
-				if a.SoloPPS == 0 {
-					t.Fatalf("app %s ran without a solo profile", a.Name)
-				}
-				validated++
-				if spec.RateFraction > 0 && spec.RateFraction < 1 {
-					// An under-capacity flow's drop curve never shows: the
-					// worker absorbs contention as higher cycles/packet
-					// while still keeping up with the offered rate. The
-					// engine-consistent check is capacity: the predicted
-					// contended headroom covers the offered fraction, so
-					// the runtime must deliver it without loss.
-					if headroom := 1 - a.PredictedDrop; spec.RateFraction > headroom {
-						t.Fatalf("app %s: offered %.0f%% of solo but engine predicts only %.0f%% headroom — scenario premise broken",
-							a.Name, spec.RateFraction*100, headroom*100)
-					}
-					if a.ObservedDrop > tol {
-						t.Errorf("app %s (%s): dropped %.1f%% of an offered load the engine predicts it can absorb (tol ±%.0f%%)",
-							a.Name, a.Type, a.ObservedDrop*100, tol*100)
-					}
-					continue
-				}
-				if e := a.PredictionError(); math.Abs(e) > tol {
-					t.Errorf("app %s (%s): observed drop %.1f%% vs engine prediction %.1f%% — error %+.1f%% exceeds ±%.0f%%",
-						a.Name, a.Type, a.ObservedDrop*100, a.PredictedDrop*100, e*100, tol*100)
-				}
-			}
-			if validated == 0 {
-				t.Fatal("scenario validated no apps")
-			}
-
-			if name == ScenarioMixed {
-				validateMixedAgainstCoRun(t, cfg, rep, warmup, window)
-			}
-		})
-	}
-}
-
-// validateMixedAgainstCoRun compares the runtime's per-app observed
-// drops in the mixed scenario against the deterministic engine measuring
-// the identical socket mix co-running — measurement versus measurement,
-// not just measurement versus prediction.
-func validateMixedAgainstCoRun(t *testing.T, cfg Config, rep *Report, warmup, window float64) {
-	t.Helper()
-	var mix []apps.FlowType
-	for _, a := range cfg.Apps {
-		for i := 0; i < a.Workers; i++ {
-			mix = append(mix, a.Type)
-		}
-	}
-	p := core.NewPredictor(testCfg(), cfg.Params, warmup, window)
-	drops, sorted, err := p.MeasuredDrops(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := map[apps.FlowType][]float64{}
-	for i, typ := range sorted {
-		engine[typ] = append(engine[typ], drops[i])
-	}
-	const tol = 0.12
-	for _, a := range rep.Apps {
-		ds := engine[a.Type]
-		if len(ds) == 0 {
-			t.Fatalf("engine co-run measured no %s flow", a.Type)
-		}
-		var mean float64
-		for _, d := range ds {
-			mean += d
-		}
-		mean /= float64(len(ds))
-		if diff := a.ObservedDrop - mean; math.Abs(diff) > tol {
-			t.Errorf("app %s (%s): runtime drop %.1f%% vs engine co-run %.1f%% — gap %+.1f%% exceeds ±%.0f%%",
-				a.Name, a.Type, a.ObservedDrop*100, mean*100, diff*100, tol*100)
-		}
-	}
-}
 
 // TestMaxQueueWaitTracksEngine tunes Config.MaxQueueWait against the
 // deterministic engine: it measures the p99 memory-controller queueing

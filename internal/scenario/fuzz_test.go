@@ -33,6 +33,12 @@ func FuzzParseScenario(f *testing.F) {
 		"scenario :: Scenario(NAME s);\ngraph IDS {\nsrc :: FromDevice(SIG_HIT 0.02, SIG_SHIFT 0.6, SIG_SHIFT_AFTER 4000);\nsig :: SignatureClassifier(SIGS deadbeef0102|cafebabe55aa);\nbans :: BanTable(ENTRIES 4096);\nsrc -> sig;\nsig[0] -> ToDevice;\nsig[1] -> bans;\nbans[0] -> ToDevice;\nbans[1] -> Discard;\nstage 1: bans;\n}\nids :: Flow(GRAPH IDS, MIGRATE_STATE true);",
 		"scenario :: Scenario(NAME s);\ngraph G {\nsig :: SignatureClassifier(SIGS |);\nent :: EntropyGate(THRESHOLD 99, WINDOW -5);\nbans :: BanTable(ENTRIES 0);\n}\ng :: Flow(GRAPH G);",
 		"// comment\n/* block */\nscenario :: Scenario(NAME s);\nmon :: Flow(TYPE MON);",
+		// Undeclared arguments: misspelled keys, keys of another class,
+		// stray positionals — all rejected, none silently dropped.
+		"scenario :: Scenario(NAME s, DROP_TRESHOLD 0.05, BATCHH 9);\nmon :: Flow(TYPE MON, WORKER 3, RATE_FRACTON 0.5);",
+		"scenario :: Scenario(NAME s, ADMISSION);\nmon :: Flow(MON);",
+		// Every Scenario and Flow key at once; TYPE naming a graph.
+		"scenario :: Scenario(NAME s, RING 64, BATCH 4, ADMISSION true, DROP_THRESHOLD 0.05, MIGRATE_STATE 4096, MIN_CORES_PER_SOCKET 2, MIN_SOCKETS 1, FIT 4, SYN_REGION_FRACTION 0.5, PLACE 0 s1:1);\ngraph G { src :: FromDevice; src -> ToDevice; }\ng :: Flow(TYPE G, WORKERS 2, RATE 1e6, RATE_FRACTION 0.5, BURST_ON 2, BURST_OFF 3, CONTROL true, SYN_COMPUTE 7, PACKET_SIZE 128, SLO_P99_US 250);\nfw :: Flow(TYPE fw, HIDDEN_TRIGGER 2000);",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,9 +1,8 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"pktpredict/internal/click"
@@ -14,167 +13,77 @@ import (
 //
 //	platform :: Platform(SOCKETS 2, CORES_PER_SOCKET 4, L3_BYTES 6291456);
 //
-// Each field is nil when its key was absent, so a block overrides only
-// what it names and inherits everything else from the base hw.Config the
-// scenario is assembled on (the -scale platform, or whatever a sweep
-// variant produced). Precedence, lowest to highest: -scale defaults,
-// the file's platform block, a sweep's Platform variant, the CLI
-// -platform flag — each layer is one Platform applied on top of the
-// previous one's result.
+// It is a partial hw.Config: the values of the keys the block named, and
+// which ones those were, so a block overrides only what it names and
+// inherits everything else from the base hw.Config the scenario is
+// assembled on (the -scale platform, or whatever a sweep variant
+// produced). Precedence, lowest to highest: -scale defaults, the file's
+// platform block, a sweep's Platform variant, the CLI -platform flag —
+// each layer is one Platform applied on top of the previous one's result.
 type Platform struct {
-	Sockets        *int
-	CoresPerSocket *int
-	ClockHz        *float64
-
-	L1Bytes, L1Ways *int
-	L2Bytes, L2Ways *int
-	L3Bytes, L3Ways *int
-
-	L3Policy    *hw.ReplacementPolicy
-	InclusiveL3 *bool
-
-	// LineBytes is an assertion, not an override: the cache-line size is
-	// a build constant (hw.LineSize), and a file declaring LINE_BYTES
-	// fails loudly when loaded on a build with different geometry.
-	LineBytes *int
-
-	L1Cycles   *uint64
-	L2Cycles   *uint64
-	L3Cycles   *uint64
-	DRAMCycles *uint64
-	MemCycles  *uint64 // memory-controller occupancy per line (hw.Config.MemCtrlService)
-	QPICycles  *uint64 // one-way remote-access latency (hw.Config.QPILatency)
-	QPIService *uint64
-	StreamMLP  *uint64
+	named uint64    // bit i: platformKeys[i] was named
+	cfg   hw.Config // the named keys' values, in the fields they override
+	// lineBytes is an assertion, not an override: the cache-line size is a
+	// build constant (hw.LineSize), and a file declaring LINE_BYTES fails
+	// loudly when loaded on a build with different geometry. The value is
+	// kept so Render preserves the assertion.
+	lineBytes int
 }
 
-// platformKeys lists every recognized Platform(...) key in canonical
-// order — the order Render emits and error messages use.
-var platformKeys = []string{
-	"SOCKETS", "CORES_PER_SOCKET", "CLOCK_HZ",
-	"L1_BYTES", "L1_WAYS", "L2_BYTES", "L2_WAYS", "L3_BYTES", "L3_WAYS",
-	"L3_POLICY", "INCLUSIVE_L3", "LINE_BYTES",
-	"L1_CYCLES", "L2_CYCLES", "L3_CYCLES", "DRAM_CYCLES",
-	"MEM_CYCLES", "QPI_CYCLES", "QPI_SERVICE", "STREAM_MLP",
+// platformKeys declares every Platform(...) key, each landing in the
+// hw.Config field it overrides.
+var platformKeys = func() []Key[Platform] {
+	size := fmt.Sprintf("[%d,%d]", hw.LineSize, 1<<30)
+	const ways = "[1,65536]"
+	return []Key[Platform]{
+		Int("SOCKETS", "[1,64]", func(p *Platform) *int { return &p.cfg.Sockets }),
+		Int("CORES_PER_SOCKET", "[1,1024]", func(p *Platform) *int { return &p.cfg.CoresPerSocket }),
+		Float("CLOCK_HZ", "(0,)", func(p *Platform) *float64 { return &p.cfg.ClockHz }),
+		Int("L1_BYTES", size, func(p *Platform) *int { return &p.cfg.L1D.SizeBytes }),
+		Int("L1_WAYS", ways, func(p *Platform) *int { return &p.cfg.L1D.Ways }),
+		Int("L2_BYTES", size, func(p *Platform) *int { return &p.cfg.L2.SizeBytes }),
+		Int("L2_WAYS", ways, func(p *Platform) *int { return &p.cfg.L2.Ways }),
+		Int("L3_BYTES", size, func(p *Platform) *int { return &p.cfg.L3.SizeBytes }),
+		Int("L3_WAYS", ways, func(p *Platform) *int { return &p.cfg.L3.Ways }),
+		newKey("L3_POLICY", func(p *Platform) *hw.ReplacementPolicy { return &p.cfg.L3Policy }, parsePolicy, policyName),
+		Bool("INCLUSIVE_L3", func(p *Platform) *bool { return &p.cfg.InclusiveL3 }),
+		Int("LINE_BYTES", fmt.Sprintf("[%d,%[1]d]", hw.LineSize), func(p *Platform) *int { return &p.lineBytes }),
+		Uint("L1_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L1Latency }),
+		Uint("L2_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L2Latency }),
+		Uint("L3_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L3Latency }),
+		Uint("DRAM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.DRAMLatency }),
+		Uint("MEM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.MemCtrlService }), // memory-controller occupancy per line
+		Uint("QPI_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.QPILatency }),     // one-way remote-access latency
+		Uint("QPI_SERVICE", "", func(p *Platform) *uint64 { return &p.cfg.QPIService }),
+		Uint("STREAM_MLP", "[1,)", func(p *Platform) *uint64 { return &p.cfg.StreamMLP }),
+	}
+}()
+
+var policyNames = [...]string{hw.ReplaceLRU: "LRU", hw.ReplaceRandom: "RANDOM"}
+
+func policyName(p hw.ReplacementPolicy) string { return policyNames[p] }
+
+func parsePolicy(s string) (hw.ReplacementPolicy, error) {
+	for p, name := range policyNames {
+		if strings.EqualFold(s, name) {
+			return hw.ReplacementPolicy(p), nil
+		}
+	}
+	return 0, errors.New("is not a replacement policy (want LRU or RANDOM)")
 }
 
 // ParsePlatformArgs builds a Platform from a Platform(...) argument
-// list, validating every value and rejecting unknown keys
-// deterministically. It is exported for the sweep harness, whose grid
-// files declare platform variants with the same argument grammar.
+// list. It is exported for the sweep harness, whose grid files declare
+// platform variants with the same argument grammar.
 func ParsePlatformArgs(args click.Args) (*Platform, error) {
-	if len(args.Positional) > 0 {
-		return nil, fmt.Errorf("platform: positional argument %q (every platform key is KEY VALUE)", args.Positional[0])
-	}
-	known := map[string]bool{}
-	for _, k := range platformKeys {
-		known[k] = true
-	}
-	var unknown []string
-	for k := range args.Keyword {
-		if !known[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("platform: unknown key %s (known keys: %s)",
-			strings.Join(unknown, ", "), strings.Join(platformKeys, " "))
-	}
-
 	p := &Platform{}
-	var err error
-	geti := func(key string, min, max int) *int {
-		if err != nil || args.String(key, "") == "" {
-			return nil
-		}
-		var v int
-		if v, err = args.Int(key, 0); err != nil {
-			return nil
-		}
-		if v < min || v > max {
-			err = fmt.Errorf("platform: %s %d outside [%d,%d]", key, v, min, max)
-			return nil
-		}
-		return &v
-	}
-	getu := func(key string, min uint64) *uint64 {
-		if err != nil || args.String(key, "") == "" {
-			return nil
-		}
-		var v uint64
-		if v, err = args.Uint64(key, 0); err != nil {
-			return nil
-		}
-		if v < min {
-			err = fmt.Errorf("platform: %s %d below minimum %d", key, v, min)
-			return nil
-		}
-		return &v
-	}
-
-	p.Sockets = geti("SOCKETS", 1, 64)
-	p.CoresPerSocket = geti("CORES_PER_SOCKET", 1, 1024)
-	p.L1Bytes = geti("L1_BYTES", hw.LineSize, 1<<30)
-	p.L1Ways = geti("L1_WAYS", 1, 1<<16)
-	p.L2Bytes = geti("L2_BYTES", hw.LineSize, 1<<30)
-	p.L2Ways = geti("L2_WAYS", 1, 1<<16)
-	p.L3Bytes = geti("L3_BYTES", hw.LineSize, 1<<30)
-	p.L3Ways = geti("L3_WAYS", 1, 1<<16)
-	p.L1Cycles = getu("L1_CYCLES", 0)
-	p.L2Cycles = getu("L2_CYCLES", 0)
-	p.L3Cycles = getu("L3_CYCLES", 0)
-	p.DRAMCycles = getu("DRAM_CYCLES", 0)
-	p.MemCycles = getu("MEM_CYCLES", 0)
-	p.QPICycles = getu("QPI_CYCLES", 0)
-	p.QPIService = getu("QPI_SERVICE", 0)
-	p.StreamMLP = getu("STREAM_MLP", 1)
-	if err != nil {
+	if err := Decode("platform", platformKeys, args, p); err != nil {
 		return nil, err
 	}
-
-	if s := args.String("CLOCK_HZ", ""); s != "" {
-		hz, perr := args.Float64("CLOCK_HZ", 0)
-		if perr != nil {
-			return nil, perr
+	for i, k := range platformKeys {
+		if _, ok := args.Keyword[k.Name]; ok {
+			p.named |= 1 << i
 		}
-		if hz <= 0 {
-			return nil, fmt.Errorf("platform: CLOCK_HZ %v must be positive", hz)
-		}
-		p.ClockHz = &hz
-	}
-	if s := args.String("L3_POLICY", ""); s != "" {
-		var pol hw.ReplacementPolicy
-		switch strings.ToUpper(s) {
-		case "LRU":
-			pol = hw.ReplaceLRU
-		case "RANDOM":
-			pol = hw.ReplaceRandom
-		default:
-			return nil, fmt.Errorf("platform: L3_POLICY %q (want LRU or RANDOM)", s)
-		}
-		p.L3Policy = &pol
-	}
-	if s := args.String("INCLUSIVE_L3", ""); s != "" {
-		incl, perr := args.Bool("INCLUSIVE_L3", false)
-		if perr != nil {
-			return nil, perr
-		}
-		p.InclusiveL3 = &incl
-	}
-	// The cache-line size is a platform compile-time constant
-	// (hw.LineSize); the key exists so a file can assert the geometry it
-	// was written for and fail loudly on a mismatched build. The value
-	// is kept so Render preserves the assertion.
-	if s := args.String("LINE_BYTES", ""); s != "" {
-		n, perr := args.Int("LINE_BYTES", 0)
-		if perr != nil {
-			return nil, perr
-		}
-		if n != hw.LineSize {
-			return nil, fmt.Errorf("platform: LINE_BYTES %d unsupported (this build models %d-byte lines)", n, hw.LineSize)
-		}
-		p.LineBytes = &n
 	}
 	return p, nil
 }
@@ -190,50 +99,20 @@ func ParseOverrides(s string) (*Platform, error) {
 	return ParsePlatformArgs(click.ParseArgs(click.SplitTopLevel(s, ",")))
 }
 
-// Apply overlays the block's set fields on base and validates the
+// Apply overlays the block's named keys on base and validates the
 // result's cache geometry (sizes must be whole numbers of line-sized
 // ways, or hw would panic building the caches).
 func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
-	cfg := base
 	if p == nil {
-		return cfg, nil
+		return base, nil
 	}
-	seti := func(dst *int, v *int) {
-		if v != nil {
-			*dst = *v
+	out := Platform{cfg: base}
+	for i, k := range platformKeys {
+		if p.named>>i&1 == 1 {
+			k.assign(&out, p)
 		}
 	}
-	setu := func(dst *uint64, v *uint64) {
-		if v != nil {
-			*dst = *v
-		}
-	}
-	seti(&cfg.Sockets, p.Sockets)
-	seti(&cfg.CoresPerSocket, p.CoresPerSocket)
-	if p.ClockHz != nil {
-		cfg.ClockHz = *p.ClockHz
-	}
-	seti(&cfg.L1D.SizeBytes, p.L1Bytes)
-	seti(&cfg.L1D.Ways, p.L1Ways)
-	seti(&cfg.L2.SizeBytes, p.L2Bytes)
-	seti(&cfg.L2.Ways, p.L2Ways)
-	seti(&cfg.L3.SizeBytes, p.L3Bytes)
-	seti(&cfg.L3.Ways, p.L3Ways)
-	if p.L3Policy != nil {
-		cfg.L3Policy = *p.L3Policy
-	}
-	if p.InclusiveL3 != nil {
-		cfg.InclusiveL3 = *p.InclusiveL3
-	}
-	setu(&cfg.L1Latency, p.L1Cycles)
-	setu(&cfg.L2Latency, p.L2Cycles)
-	setu(&cfg.L3Latency, p.L3Cycles)
-	setu(&cfg.DRAMLatency, p.DRAMCycles)
-	setu(&cfg.MemCtrlService, p.MemCycles)
-	setu(&cfg.QPILatency, p.QPICycles)
-	setu(&cfg.QPIService, p.QPIService)
-	setu(&cfg.StreamMLP, p.StreamMLP)
-
+	cfg := out.cfg
 	for _, lvl := range []struct {
 		name string
 		g    hw.CacheGeom
@@ -245,54 +124,4 @@ func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
 		}
 	}
 	return cfg, nil
-}
-
-// renderArgs returns the block's set keys as canonical "KEY VALUE"
-// strings, in platformKeys order, so Render(Parse(x)) is stable.
-func (p *Platform) renderArgs() []string {
-	var out []string
-	add := func(format string, a ...interface{}) {
-		out = append(out, fmt.Sprintf(format, a...))
-	}
-	addi := func(key string, v *int) {
-		if v != nil {
-			add("%s %d", key, *v)
-		}
-	}
-	addu := func(key string, v *uint64) {
-		if v != nil {
-			add("%s %d", key, *v)
-		}
-	}
-	addi("SOCKETS", p.Sockets)
-	addi("CORES_PER_SOCKET", p.CoresPerSocket)
-	if p.ClockHz != nil {
-		add("CLOCK_HZ %s", strconv.FormatFloat(*p.ClockHz, 'g', -1, 64))
-	}
-	addi("L1_BYTES", p.L1Bytes)
-	addi("L1_WAYS", p.L1Ways)
-	addi("L2_BYTES", p.L2Bytes)
-	addi("L2_WAYS", p.L2Ways)
-	addi("L3_BYTES", p.L3Bytes)
-	addi("L3_WAYS", p.L3Ways)
-	if p.L3Policy != nil {
-		pol := "LRU"
-		if *p.L3Policy == hw.ReplaceRandom {
-			pol = "RANDOM"
-		}
-		add("L3_POLICY %s", pol)
-	}
-	if p.InclusiveL3 != nil {
-		add("INCLUSIVE_L3 %v", *p.InclusiveL3)
-	}
-	addi("LINE_BYTES", p.LineBytes)
-	addu("L1_CYCLES", p.L1Cycles)
-	addu("L2_CYCLES", p.L2Cycles)
-	addu("L3_CYCLES", p.L3Cycles)
-	addu("DRAM_CYCLES", p.DRAMCycles)
-	addu("MEM_CYCLES", p.MemCycles)
-	addu("QPI_CYCLES", p.QPICycles)
-	addu("QPI_SERVICE", p.QPIService)
-	addu("STREAM_MLP", p.StreamMLP)
-	return out
 }

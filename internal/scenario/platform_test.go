@@ -139,10 +139,10 @@ func TestPlatformErrors(t *testing.T) {
 		{"SOCKETS 0", "outside [1,64]"},
 		{"CORES_PER_SOCKET -3", "outside"},
 		{"WIDGETS 7", "unknown key WIDGETS"},
-		{"L3_POLICY FIFO", `L3_POLICY "FIFO"`},
-		{"LINE_BYTES 128", "LINE_BYTES 128 unsupported"},
-		{"CLOCK_HZ -1e9", "must be positive"},
-		{"STREAM_MLP 0", "below minimum 1"},
+		{"L3_POLICY FIFO", "L3_POLICY FIFO is not a replacement policy"},
+		{"LINE_BYTES 128", "LINE_BYTES 128 outside [64,64]"},
+		{"CLOCK_HZ -1e9", "CLOCK_HZ -1e9 outside (0,)"},
+		{"STREAM_MLP 0", "STREAM_MLP 0 outside [1,)"},
 		{"64", "positional argument"},
 	}
 	for _, c := range cases {

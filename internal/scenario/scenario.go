@@ -1,6 +1,8 @@
 // Package scenario loads dataplane scenarios from Click-style text
-// files, replacing hard-coded Go builtins with configuration an operator
-// edits and ships. A scenario file declares flow groups (builtin types
+// files — the only statement of a workload: configuration an operator
+// edits and ships, with no Go-coded catalogue beside it (the shipped
+// examples/scenarios files are resolved by name through Shipped). A
+// scenario file declares flow groups (builtin types
 // or Click graphs defined inline), their offered rates and pacing,
 // replica counts, core placement, and the runtime knobs a scenario
 // needs, e.g.:
@@ -43,12 +45,15 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
+	"pktpredict/examples/scenarios"
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -60,27 +65,6 @@ import (
 type Placement struct {
 	Socket int // -1 for an absolute core index
 	Core   int
-}
-
-// Flow declares one flow group.
-type Flow struct {
-	Name  string
-	Type  string // builtin flow type name, or the name of a Graph
-	Graph string // inline graph reference (sets the custom type)
-
-	Workers       int
-	Rate          float64
-	RateFraction  float64
-	BurstOn       int
-	BurstOff      int
-	Control       bool
-	HiddenTrigger uint64
-	SynCompute    int
-	PacketSize    int
-	// SLOP99US declares an end-to-end latency objective: the flow's
-	// per-window p99 latency must stay at or below this many virtual
-	// microseconds. Zero means no objective.
-	SLOP99US float64
 }
 
 // Graph is one inline pipeline definition; Config is the Click graph
@@ -103,17 +87,6 @@ type Graph struct {
 type StageDecl struct {
 	Stage    int
 	Elements []string
-}
-
-// MaxStage returns the graph's highest declared stage index.
-func (g Graph) MaxStage() int {
-	max := 0
-	for _, d := range g.Stages {
-		if d.Stage > max {
-			max = d.Stage
-		}
-	}
-	return max
 }
 
 // StageMap flattens the declarations into the element→stage map the apps
@@ -163,8 +136,65 @@ type Scenario struct {
 	// unchanged.
 	Platform *Platform
 
-	Flows  []Flow
+	// Flows are the declared flow groups in declaration order, each type
+	// already resolved: the name of a declared graph, or a builtin.
+	Flows  []runtime.AppSpec
 	Graphs []Graph
+}
+
+// scenarioKeys declares every Scenario(...) key.
+var scenarioKeys = []Key[Scenario]{
+	String("NAME", func(s *Scenario) *string { return &s.Name }),
+	Int("RING", "", func(s *Scenario) *int { return &s.RingSize }),
+	Int("BATCH", "[0,)", func(s *Scenario) *int { return &s.Batch }),
+	Bool("ADMISSION", func(s *Scenario) *bool { return &s.Admission }),
+	Float("DROP_THRESHOLD", "", func(s *Scenario) *float64 { return &s.DropThreshold }),
+	Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.MigrateState }),
+	Int("MIN_CORES_PER_SOCKET", "", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
+	Int("MIN_SOCKETS", "", func(s *Scenario) *int { return &s.MinSockets }),
+	Int("FIT", "", func(s *Scenario) *int { return &s.Fit }),
+	Float("SYN_REGION_FRACTION", "[0,1]", func(s *Scenario) *float64 { return &s.SynRegionFraction }),
+	list("PLACE", func(s *Scenario) *[]Placement { return &s.Place }, parsePlacement, Placement.String),
+}
+
+// flowDecl is a Flow(...) declaration as written: the flow group, plus
+// which of TYPE and GRAPH named its type. Parse resolves the pair into
+// AppSpec.Type; Render re-derives it from whether the type names a
+// declared graph.
+type flowDecl struct {
+	runtime.AppSpec
+	typ, graph string
+}
+
+// flowKeys declares every Flow(...) key; all but TYPE and GRAPH land
+// directly in the runtime.AppSpec a flow group is.
+var flowKeys = []Key[flowDecl]{
+	String("TYPE", func(f *flowDecl) *string { return &f.typ }),
+	String("GRAPH", func(f *flowDecl) *string { return &f.graph }),
+	Int("WORKERS", "[1,)", func(f *flowDecl) *int { return &f.Workers }),
+	Float("RATE", "", func(f *flowDecl) *float64 { return &f.Rate }),
+	Float("RATE_FRACTION", "", func(f *flowDecl) *float64 { return &f.RateFraction }),
+	Int("BURST_ON", "", func(f *flowDecl) *int { return &f.BurstOn }),
+	Int("BURST_OFF", "", func(f *flowDecl) *int { return &f.BurstOff }),
+	Bool("CONTROL", func(f *flowDecl) *bool { return &f.Control }),
+	Uint("HIDDEN_TRIGGER", "", func(f *flowDecl) *uint64 { return &f.HiddenTrigger }),
+	Int("SYN_COMPUTE", "", func(f *flowDecl) *int { return &f.SynCompute }),
+	Int("PACKET_SIZE", "", func(f *flowDecl) *int { return &f.PacketSize }),
+	Float("SLO_P99_US", "", func(f *flowDecl) *float64 { return &f.SLOP99US }),
+}
+
+// flowDefaults holds the value of every Flow key a declaration omits.
+var flowDefaults = flowDecl{AppSpec: runtime.AppSpec{Workers: 1}}
+
+// KeyTables lists every key of the scenario grammar by declaration
+// class, in canonical order — the tables as data, for the checks that
+// hold the reference documentation to them.
+func KeyTables() map[string][]string {
+	return map[string][]string{
+		"Scenario": KeyNames(scenarioKeys),
+		"Platform": KeyNames(platformKeys),
+		"Flow":     KeyNames(flowKeys),
+	}
 }
 
 // Load reads and parses a scenario file. A missing NAME defaults to the
@@ -174,6 +204,32 @@ func Load(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	return parseFile(path, text)
+}
+
+// Shipped parses the shipped scenario of the given name — the file
+// examples/scenarios/NAME.click, embedded in the binary so a command
+// resolves it from any directory.
+func Shipped(name string) (*Scenario, error) {
+	file := strings.ToLower(name) + ".click"
+	text, err := scenarios.Files.ReadFile(file)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: no shipped scenario %q (have %s)", name, strings.Join(ShippedNames(), ", "))
+	}
+	return parseFile(file, text)
+}
+
+// ShippedNames lists the shipped scenarios, sorted.
+func ShippedNames() []string {
+	entries, _ := scenarios.Files.ReadDir(".") // an embedded directory always reads
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = strings.TrimSuffix(e.Name(), ".click")
+	}
+	return names
+}
+
+func parseFile(path string, text []byte) (*Scenario, error) {
 	s, err := Parse(string(text))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
@@ -182,6 +238,38 @@ func Load(path string) (*Scenario, error) {
 		s.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
 	return s, nil
+}
+
+// Declarations calls each for every `name :: Class(KEY VALUE, ...);`
+// statement of comment-stripped text, in order — the lexical layer
+// scenario and sweep files share. A statement that is not a declaration
+// of one of classes is an error; every error, each's included, is
+// prefixed with the statement number and the line the statement starts
+// on (StripComments and extractGraphs preserve newlines, so the
+// positions match the original file) — what makes a parse error in a
+// large generated file findable.
+func Declarations(text string, classes []string, each func(name, class string, args click.Args) error) error {
+	want := strings.Join(classes[:len(classes)-1], ", ") + " or " + classes[len(classes)-1]
+	for _, stmt := range click.Statements(text) {
+		err := func() error {
+			name, classRef, ok := click.CutTopLevel(stmt.Text, "::")
+			if !ok {
+				return fmt.Errorf("cannot parse %q (want name :: Class(...) with Class one of %s)", stmt.Text, want)
+			}
+			class, args, err := click.ParseClassRef(strings.TrimSpace(classRef))
+			if err != nil {
+				return err
+			}
+			if !slices.Contains(classes, class) {
+				return fmt.Errorf("unknown declaration class %q (want %s)", class, want)
+			}
+			return each(strings.TrimSpace(name), class, args)
+		}()
+		if err != nil {
+			return fmt.Errorf("statement %d (line %d): %w", stmt.No, stmt.Line, err)
+		}
+	}
+	return nil
 }
 
 // Parse parses scenario text.
@@ -213,57 +301,36 @@ func Parse(text string) (*Scenario, error) {
 		}
 	}
 
-	// Statement errors carry both the statement number and the line the
-	// statement starts on (StripComments and extractGraphs preserve
-	// newlines, so click.Statements' positions match the original file)
-	// — what makes a parse error in a large sweep-authored scenario
-	// findable.
-	for _, stmt := range click.Statements(rest) {
-		st := stmt.Text
-		at := fmt.Sprintf("statement %d (line %d)", stmt.No, stmt.Line)
-		name, classRef, ok := click.CutTopLevel(st, "::")
-		if !ok {
-			return nil, fmt.Errorf("%s: cannot parse %q (want name :: Scenario(...), name :: Platform(...) or name :: Flow(...))", at, st)
-		}
-		name = strings.TrimSpace(name)
+	err = Declarations(rest, []string{"Scenario", "Platform", "Flow"}, func(name, class string, args click.Args) error {
 		if !isFlowName(name) {
-			return nil, fmt.Errorf("%s: bad name %q", at, name)
-		}
-		class, args, err := click.ParseClassRef(strings.TrimSpace(classRef))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", at, err)
+			return fmt.Errorf("bad name %q", name)
 		}
 		switch class {
 		case "Scenario":
 			if seenScenario {
-				return nil, fmt.Errorf("%s: second Scenario declaration", at)
+				return fmt.Errorf("second Scenario declaration")
 			}
 			seenScenario = true
-			if err := s.applyScenarioArgs(args); err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
+			return Decode("scenario", scenarioKeys, args, s)
 		case "Platform":
 			if s.Platform != nil {
-				return nil, fmt.Errorf("%s: second Platform declaration", at)
+				return fmt.Errorf("second Platform declaration")
 			}
 			p, err := ParsePlatformArgs(args)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
 			s.Platform = p
-		case "Flow":
+			return err
+		default:
 			if names[name] {
-				return nil, fmt.Errorf("%s: flow %q declared twice", at, name)
+				return fmt.Errorf("flow %q declared twice", name)
 			}
 			names[name] = true
-			f, err := parseFlow(name, args)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
+			f, err := s.parseFlow(name, args)
 			s.Flows = append(s.Flows, f)
-		default:
-			return nil, fmt.Errorf("%s: unknown declaration class %q (want Scenario, Platform or Flow)", at, class)
+			return err
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !seenScenario {
 		return nil, fmt.Errorf("missing scenario :: Scenario(...) declaration")
@@ -271,19 +338,10 @@ func Parse(text string) (*Scenario, error) {
 	if len(s.Flows) == 0 {
 		return nil, fmt.Errorf("scenario declares no flows")
 	}
-	// Every referenced graph must exist; every declared graph must be used.
-	declared := map[string]bool{}
-	for _, g := range s.Graphs {
-		declared[g.Name] = true
-	}
+	// Every declared graph must be used (parseFlow checked the converse).
 	used := map[string]bool{}
 	for _, f := range s.Flows {
-		if f.Graph != "" {
-			if !declared[f.Graph] {
-				return nil, fmt.Errorf("flow %q references undeclared graph %q", f.Name, f.Graph)
-			}
-			used[f.Graph] = true
-		}
+		used[string(f.Type)] = true
 	}
 	for _, g := range s.Graphs {
 		if !used[g.Name] {
@@ -293,151 +351,75 @@ func Parse(text string) (*Scenario, error) {
 	return s, nil
 }
 
-func (s *Scenario) applyScenarioArgs(args click.Args) error {
+func parsePlacement(tok string) (Placement, error) {
+	bad := errors.New("is not a placement (want <core> or s<socket>:<core>)")
+	p, core := Placement{Socket: -1}, tok
 	var err error
-	get := func(key string, dst *int) {
-		if err != nil {
-			return
+	if sock, rest, ok := strings.Cut(tok, ":"); ok {
+		if !strings.HasPrefix(sock, "s") {
+			return p, bad
 		}
-		*dst, err = args.Int(key, *dst)
-	}
-	getF := func(key string, dst *float64) {
-		if err != nil {
-			return
+		if p.Socket, err = strconv.Atoi(sock[1:]); err != nil || p.Socket < 0 {
+			return p, bad
 		}
-		*dst, err = args.Float64(key, *dst)
+		core = rest
 	}
-	s.Name = args.String("NAME", s.Name)
-	get("RING", &s.RingSize)
-	get("BATCH", &s.Batch)
-	get("MIN_CORES_PER_SOCKET", &s.MinCoresPerSocket)
-	get("MIN_SOCKETS", &s.MinSockets)
-	get("FIT", &s.Fit)
-	getF("DROP_THRESHOLD", &s.DropThreshold)
-	getF("SYN_REGION_FRACTION", &s.SynRegionFraction)
-	if err != nil {
-		return err
+	if p.Core, err = strconv.Atoi(core); err != nil || p.Core < 0 {
+		return p, bad
 	}
-	if s.MigrateState, err = args.Uint64("MIGRATE_STATE", 0); err != nil {
-		return err
+	return p, nil
+}
+
+// String renders the placement as PLACE writes it.
+func (p Placement) String() string {
+	if p.Socket < 0 {
+		return strconv.Itoa(p.Core)
 	}
-	if s.Admission, err = args.Bool("ADMISSION", false); err != nil {
-		return err
+	return fmt.Sprintf("s%d:%d", p.Socket, p.Core)
+}
+
+// parseFlow decodes one Flow(...) declaration and resolves its type
+// against the file's graphs: a declared graph name wins, otherwise it
+// must be a builtin flow type.
+func (s *Scenario) parseFlow(name string, args click.Args) (runtime.AppSpec, error) {
+	d := flowDefaults
+	d.Name = name
+	if err := Decode(fmt.Sprintf("flow %q", name), flowKeys, args, &d); err != nil {
+		return d.AppSpec, err
 	}
-	if place := args.String("PLACE", ""); place != "" {
-		for _, tok := range strings.Fields(place) {
-			p, perr := parsePlacement(tok)
-			if perr != nil {
-				return perr
-			}
-			s.Place = append(s.Place, p)
+	ref := d.typ + d.graph // the type's name: past the first two cases exactly one is set
+	switch {
+	case d.typ == "" && d.graph == "":
+		return d.AppSpec, fmt.Errorf("flow %q needs TYPE or GRAPH", name)
+	case d.typ != "" && d.graph != "":
+		return d.AppSpec, fmt.Errorf("flow %q sets both TYPE and GRAPH", name)
+	case d.graph != "" && s.graph(d.graph) == nil:
+		return d.AppSpec, fmt.Errorf("flow %q references undeclared graph %q", name, d.graph)
+	case s.graph(ref) != nil:
+		d.Type = apps.FlowType(ref)
+	default:
+		var err error
+		if d.Type, err = apps.ParseFlowType(d.typ); err != nil {
+			return d.AppSpec, fmt.Errorf("flow %q: %w", name, err)
 		}
 	}
-	if s.SynRegionFraction < 0 || s.SynRegionFraction > 1 {
-		return fmt.Errorf("SYN_REGION_FRACTION %v outside [0,1]", s.SynRegionFraction)
+	if d.HiddenTrigger > 0 && d.Type != apps.FW {
+		// The aggressor is an FW pipeline by construction (see
+		// apps.Params.BuildSpec, which enforces the same rule for
+		// hand-built configurations).
+		return d.AppSpec, fmt.Errorf("flow %q: HIDDEN_TRIGGER builds an %s aggressor and cannot be combined with type %s", name, apps.FW, d.Type)
 	}
-	if s.Batch < 0 {
-		return fmt.Errorf("BATCH %d must be positive", s.Batch)
+	return d.AppSpec, nil
+}
+
+// graph returns the declared graph of that name, or nil.
+func (s *Scenario) graph(name string) *Graph {
+	for i := range s.Graphs {
+		if s.Graphs[i].Name == name {
+			return &s.Graphs[i]
+		}
 	}
 	return nil
-}
-
-func parsePlacement(tok string) (Placement, error) {
-	if sock, core, ok := strings.Cut(tok, ":"); ok {
-		if !strings.HasPrefix(sock, "s") {
-			return Placement{}, fmt.Errorf("placement %q: want <core> or s<socket>:<core>", tok)
-		}
-		si, err1 := strconv.Atoi(sock[1:])
-		ci, err2 := strconv.Atoi(core)
-		if err1 != nil || err2 != nil || si < 0 || ci < 0 {
-			return Placement{}, fmt.Errorf("placement %q: want <core> or s<socket>:<core>", tok)
-		}
-		return Placement{Socket: si, Core: ci}, nil
-	}
-	ci, err := strconv.Atoi(tok)
-	if err != nil || ci < 0 {
-		return Placement{}, fmt.Errorf("placement %q: want <core> or s<socket>:<core>", tok)
-	}
-	return Placement{Socket: -1, Core: ci}, nil
-}
-
-func parseFlow(name string, args click.Args) (Flow, error) {
-	f := Flow{Name: name, Workers: 1}
-	f.Type = args.String("TYPE", "")
-	f.Graph = args.String("GRAPH", "")
-	switch {
-	case f.Type == "" && f.Graph == "":
-		return f, fmt.Errorf("flow %q needs TYPE or GRAPH", name)
-	case f.Type != "" && f.Graph != "":
-		return f, fmt.Errorf("flow %q sets both TYPE and GRAPH", name)
-	case f.Graph != "":
-		f.Type = f.Graph
-	}
-	var err error
-	geti := func(key string, dst *int) {
-		if err != nil {
-			return
-		}
-		*dst, err = args.Int(key, *dst)
-	}
-	geti("WORKERS", &f.Workers)
-	geti("BURST_ON", &f.BurstOn)
-	geti("BURST_OFF", &f.BurstOff)
-	geti("SYN_COMPUTE", &f.SynCompute)
-	geti("PACKET_SIZE", &f.PacketSize)
-	if err != nil {
-		return f, err
-	}
-	if f.Rate, err = args.Float64("RATE", 0); err != nil {
-		return f, err
-	}
-	if f.RateFraction, err = args.Float64("RATE_FRACTION", 0); err != nil {
-		return f, err
-	}
-	if f.SLOP99US, err = args.Float64("SLO_P99_US", 0); err != nil {
-		return f, err
-	}
-	if f.Control, err = args.Bool("CONTROL", false); err != nil {
-		return f, err
-	}
-	if f.HiddenTrigger, err = args.Uint64("HIDDEN_TRIGGER", 0); err != nil {
-		return f, err
-	}
-	if f.Workers <= 0 {
-		return f, fmt.Errorf("flow %q needs at least one worker", name)
-	}
-	if f.HiddenTrigger > 0 && !strings.EqualFold(f.Type, string(apps.FW)) {
-		// The aggressor is an FW pipeline by construction (see
-		// apps.Params.BuildHiddenAggressor, which enforces the same rule
-		// for hand-built configurations).
-		return f, fmt.Errorf("flow %q: HIDDEN_TRIGGER builds an %s aggressor and cannot be combined with type %s", name, apps.FW, f.Type)
-	}
-	return f, nil
-}
-
-// flowStages returns how many workers one replica of f occupies: the
-// stage count of its graph, or 1 for builtins and unstaged graphs.
-func (s *Scenario) flowStages(f Flow) int {
-	for _, g := range s.Graphs {
-		if g.Name == f.Type {
-			if len(g.Stages) == 0 {
-				return 1
-			}
-			return g.MaxStage() + 1
-		}
-	}
-	return 1
-}
-
-// flowType resolves a flow's type string: a declared graph name wins,
-// otherwise it must be a builtin flow type.
-func (s *Scenario) flowType(f Flow) (apps.FlowType, error) {
-	for _, g := range s.Graphs {
-		if g.Name == f.Type {
-			return apps.FlowType(g.Name), nil
-		}
-	}
-	return apps.ParseFlowType(f.Type)
 }
 
 // PlatformConfig returns base with the file's platform block applied —
@@ -452,11 +434,12 @@ func (s *Scenario) PlatformConfig(base hw.Config) (hw.Config, error) {
 }
 
 // Config assembles the runtime configuration of the scenario on the
-// given platform and workload scale — the file-based counterpart of
-// runtime.ScenarioConfig. The file's platform block, if any, is applied
-// to cfg first; callers that already resolved platform precedence
-// themselves (the sweep harness layering variants, the CLI layering
-// -platform) use ConfigOn instead.
+// given platform and workload scale. Profiles are left nil; callers
+// attach them (see runtime.ProfileFlows) before NewRuntime when
+// prediction, admission, or re-placement is wanted. The file's platform
+// block, if any, is applied to cfg first; callers that already resolved
+// platform precedence themselves (the sweep harness layering variants,
+// the CLI layering -platform) use ConfigOn instead.
 func (s *Scenario) Config(cfg hw.Config, params apps.Params) (runtime.Config, error) {
 	applied, err := s.PlatformConfig(cfg)
 	if err != nil {
@@ -504,7 +487,7 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 			}
 			pktSize := params.PacketSizeIP
 			for _, f := range s.Flows {
-				if f.Graph == g.Name && f.PacketSize > 0 {
+				if string(f.Type) == g.Name && f.PacketSize > 0 {
 					pktSize = f.PacketSize
 				}
 			}
@@ -516,31 +499,17 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 	out := runtime.Config{Cfg: cfg, Params: params, Scenario: s.Name}
 	fit := 0
 	if s.Fit > 0 {
-		fit = cfg.CoresPerSocket
-		if fit > s.Fit {
-			fit = s.Fit
-		}
+		fit = min(cfg.CoresPerSocket, s.Fit)
 	}
 	total := 0
 	for _, f := range s.Flows {
-		t, err := s.flowType(f)
-		if err != nil {
-			return runtime.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
 		// A staged graph's replica occupies one core per stage.
-		cores := f.Workers * s.flowStages(f)
+		cores := f.Workers * params.Stages(f.Type)
 		if fit > 0 && total+cores > fit {
 			break
 		}
 		total += cores
-		out.Apps = append(out.Apps, runtime.AppSpec{
-			Name: f.Name, Type: t, Workers: f.Workers,
-			Rate: f.Rate, RateFraction: f.RateFraction,
-			BurstOn: f.BurstOn, BurstOff: f.BurstOff,
-			Control: f.Control, HiddenTrigger: f.HiddenTrigger,
-			SynCompute: f.SynCompute, PacketSize: f.PacketSize,
-			SLOP99US: f.SLOP99US,
-		})
+		out.Apps = append(out.Apps, f)
 	}
 	if len(out.Apps) == 0 {
 		return runtime.Config{}, fmt.Errorf("scenario %s: no flows fit the platform", s.Name)
@@ -569,57 +538,10 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 // structurally identical to s (graph bodies are preserved verbatim).
 func (s *Scenario) Render() string {
 	var b strings.Builder
-	b.WriteString("scenario :: Scenario(")
-	var attrs []string
-	add := func(format string, a ...interface{}) {
-		attrs = append(attrs, fmt.Sprintf(format, a...))
-	}
-	if s.Name != "" {
-		add("NAME %s", s.Name)
-	}
-	if s.RingSize != 0 {
-		add("RING %d", s.RingSize)
-	}
-	if s.Batch != 0 {
-		add("BATCH %d", s.Batch)
-	}
-	if s.Admission {
-		add("ADMISSION true")
-	}
-	if s.DropThreshold != 0 {
-		add("DROP_THRESHOLD %v", s.DropThreshold)
-	}
-	if s.MigrateState != 0 {
-		add("MIGRATE_STATE %d", s.MigrateState)
-	}
-	if s.MinCoresPerSocket != 0 {
-		add("MIN_CORES_PER_SOCKET %d", s.MinCoresPerSocket)
-	}
-	if s.MinSockets != 0 {
-		add("MIN_SOCKETS %d", s.MinSockets)
-	}
-	if s.Fit != 0 {
-		add("FIT %d", s.Fit)
-	}
-	if s.SynRegionFraction != 0 {
-		add("SYN_REGION_FRACTION %v", s.SynRegionFraction)
-	}
-	if len(s.Place) > 0 {
-		toks := make([]string, len(s.Place))
-		for i, p := range s.Place {
-			if p.Socket < 0 {
-				toks[i] = strconv.Itoa(p.Core)
-			} else {
-				toks[i] = fmt.Sprintf("s%d:%d", p.Socket, p.Core)
-			}
-		}
-		add("PLACE %s", strings.Join(toks, " "))
-	}
-	b.WriteString(strings.Join(attrs, ", "))
-	b.WriteString(");\n")
+	fmt.Fprintf(&b, "scenario :: Scenario(%s);\n", strings.Join(Encode(scenarioKeys, s, &Scenario{}, 0), ", "))
 
-	if s.Platform != nil {
-		fmt.Fprintf(&b, "\nplatform :: Platform(%s);\n", strings.Join(s.Platform.renderArgs(), ", "))
+	if p := s.Platform; p != nil {
+		fmt.Fprintf(&b, "\nplatform :: Platform(%s);\n", strings.Join(Encode(platformKeys, p, nil, p.named), ", "))
 	}
 
 	for _, g := range s.Graphs {
@@ -633,43 +555,11 @@ func (s *Scenario) Render() string {
 	}
 
 	for _, f := range s.Flows {
-		attrs = attrs[:0]
-		if f.Graph != "" {
-			add("GRAPH %s", f.Graph)
-		} else {
-			add("TYPE %s", f.Type)
+		d := flowDecl{AppSpec: f, typ: string(f.Type)}
+		if s.graph(d.typ) != nil {
+			d.typ, d.graph = "", d.typ
 		}
-		if f.Workers != 1 {
-			add("WORKERS %d", f.Workers)
-		}
-		if f.Rate != 0 {
-			add("RATE %v", f.Rate)
-		}
-		if f.RateFraction != 0 {
-			add("RATE_FRACTION %v", f.RateFraction)
-		}
-		if f.BurstOn != 0 {
-			add("BURST_ON %d", f.BurstOn)
-		}
-		if f.BurstOff != 0 {
-			add("BURST_OFF %d", f.BurstOff)
-		}
-		if f.Control {
-			add("CONTROL true")
-		}
-		if f.HiddenTrigger != 0 {
-			add("HIDDEN_TRIGGER %d", f.HiddenTrigger)
-		}
-		if f.SynCompute != 0 {
-			add("SYN_COMPUTE %d", f.SynCompute)
-		}
-		if f.PacketSize != 0 {
-			add("PACKET_SIZE %d", f.PacketSize)
-		}
-		if f.SLOP99US != 0 {
-			add("SLO_P99_US %v", f.SLOP99US)
-		}
-		fmt.Fprintf(&b, "\n%s :: Flow(%s);", f.Name, strings.Join(attrs, ", "))
+		fmt.Fprintf(&b, "\n%s :: Flow(%s);", f.Name, strings.Join(Encode(flowKeys, &d, &flowDefaults, 0), ", "))
 	}
 	b.WriteString("\n")
 	return b.String()

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,30 +33,6 @@ func loadShipped(t *testing.T, name string) *Scenario {
 		t.Fatalf("Load(%s): %v", name, err)
 	}
 	return s
-}
-
-// TestShippedFilesMatchBuiltins is the parity contract: each former
-// builtin scenario, loaded from its shipped .click file, assembles a
-// runtime.Config deep-equal to the Go builtin's — same apps, same rates,
-// same placement, same knobs — and therefore reports the same figures.
-func TestShippedFilesMatchBuiltins(t *testing.T) {
-	cfg := testCfg()
-	params := apps.Small()
-	for _, name := range runtime.ScenarioNames() {
-		t.Run(name, func(t *testing.T) {
-			want, err := runtime.ScenarioConfig(name, cfg, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := loadShipped(t, name).Config(cfg, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("file-based config diverges from builtin:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
 }
 
 // TestShippedFilesRoundTrip re-renders every shipped scenario and parses
@@ -263,7 +240,7 @@ func TestParseErrors(t *testing.T) {
 		{"undeclared graph", `scenario :: Scenario(NAME x); m :: Flow(GRAPH NOPE);`, "undeclared graph"},
 		{"unused graph", "scenario :: Scenario(NAME x); m :: Flow(TYPE MON);\ngraph G { src :: FromDevice; src -> ToDevice; }", "no flow uses it"},
 		{"dup flow", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON); m :: Flow(TYPE MON);`, "declared twice"},
-		{"zero workers", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, WORKERS 0);`, "at least one worker"},
+		{"zero workers", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, WORKERS 0);`, "WORKERS 0 outside [1,)"},
 		{"bad placement", `scenario :: Scenario(NAME x, PLACE q1); m :: Flow(TYPE MON);`, "placement"},
 		{"bad fraction", `scenario :: Scenario(NAME x, SYN_REGION_FRACTION 1.5); m :: Flow(TYPE MON);`, "SYN_REGION_FRACTION"},
 		{"bad batch", `scenario :: Scenario(NAME x, BATCH -2); m :: Flow(TYPE MON);`, "BATCH"},
@@ -281,6 +258,59 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestUndeclaredArgumentsRejected: every declaration class rejects what
+// its key table does not declare — a misspelled key, a stray positional
+// argument — naming the statement, its line and the known keys. The
+// first two cases used to parse silently into one saturating worker
+// with re-placement off.
+func TestUndeclaredArgumentsRejected(t *testing.T) {
+	const header = "scenario :: Scenario(NAME x);\n"
+	cases := []struct{ name, text, at string }{
+		{"scenario misspelling", "scenario :: Scenario(NAME x, DROP_TRESHOLD 0.05, BATCHH 9);\nmon :: Flow(TYPE MON);",
+			"statement 1 (line 1): scenario: unknown key BATCHH, DROP_TRESHOLD (known keys: NAME RING BATCH"},
+		{"flow misspelling", header + "mon :: Flow(TYPE MON, WORKER 3, RATE_FRACTON 0.5);",
+			`statement 2 (line 2): flow "mon": unknown key RATE_FRACTON, WORKER (known keys: TYPE GRAPH WORKERS`},
+		{"flow key on scenario", "scenario :: Scenario(NAME x, WORKERS 2);\nmon :: Flow(TYPE MON);", "scenario: unknown key WORKERS"},
+		{"scenario key on flow", header + "\nmon :: Flow(TYPE MON, MIGRATE_STATE true);", `(line 3): flow "mon": unknown key MIGRATE_STATE`},
+		{"platform misspelling", header + "platform :: Platform(L3_BYTE 524288);\nmon :: Flow(TYPE MON);",
+			"statement 2 (line 2): platform: unknown key L3_BYTE (known keys: SOCKETS CORES_PER_SOCKET"},
+		{"scenario positional", "scenario :: Scenario(NAME x, ADMISSION);\nmon :: Flow(TYPE MON);",
+			`statement 1 (line 1): scenario: positional argument "ADMISSION" (every scenario key is KEY VALUE; known keys: NAME`},
+		{"flow positional", header + "mon :: Flow(MON);", `statement 2 (line 2): flow "mon": positional argument "MON"`},
+		{"platform positional", header + "platform :: Platform(64);\nmon :: Flow(TYPE MON);", `platform: positional argument "64"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Parse(tc.text); err == nil || !strings.Contains(err.Error(), tc.at) {
+				t.Fatalf("error %v, want containing %q", err, tc.at)
+			}
+		})
+	}
+}
+
+// TestShippedByName: a shipped scenario resolved by name is the file
+// loaded by path, and an unknown name lists what is shipped.
+func TestShippedByName(t *testing.T) {
+	names := ShippedNames()
+	for _, want := range []string{"mixed", "bursty", "thrash", "hidden"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("ShippedNames() = %v, missing %s", names, want)
+		}
+	}
+	for _, name := range names {
+		byName, err := Shipped(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byPath := loadShipped(t, name); !reflect.DeepEqual(byName, byPath) {
+			t.Fatalf("%s: embedded copy diverges from the file:\n got %+v\nwant %+v", name, byName, byPath)
+		}
+	}
+	if _, err := Shipped("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Fatalf("unknown shipped scenario: error %v, want the shipped names", err)
 	}
 }
 
@@ -331,12 +361,10 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatalf("socket requirement not enforced: %v", err)
 	}
 
-	s, err = Parse(`scenario :: Scenario(NAME x); m :: Flow(TYPE NOPE);`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Config(cfg, params); err == nil {
-		t.Fatal("unknown flow type accepted")
+	// A flow's type is resolved against the file's graphs when it is
+	// parsed, so an unknown one never reaches Config.
+	if _, err = Parse(`scenario :: Scenario(NAME x); m :: Flow(TYPE NOPE);`); err == nil || !strings.Contains(err.Error(), `unknown flow type "NOPE"`) {
+		t.Fatalf("unknown flow type accepted: %v", err)
 	}
 
 	s, err = Parse(`scenario :: Scenario(NAME x, PLACE s9:0); m :: Flow(TYPE MON);`)

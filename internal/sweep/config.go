@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"pktpredict/internal/click"
@@ -21,12 +20,18 @@ type PlatformVariant struct {
 
 // RunSpec is one point on the sweep's scenario axis: a scenario file and
 // its prediction-error tolerance (0 means the sweep default applies).
-// The tolerances shipped in examples/sweeps mirror the per-mix bounds
-// internal/runtime/validate_test.go enforces in CI.
+// The tolerances shipped in examples/sweeps are the per-mix bounds
+// validate_test.go enforces in CI.
 type RunSpec struct {
 	Name      string
 	File      string
 	Tolerance float64
+}
+
+// runKeys declares every Run(...) key.
+var runKeys = []scenario.Key[RunSpec]{
+	scenario.String("FILE", func(r *RunSpec) *string { return &r.File }),
+	scenario.Float("TOLERANCE", "[0,1)", func(r *RunSpec) *float64 { return &r.Tolerance }),
 }
 
 // Config is a parsed .sweep file: the declarative grid
@@ -58,6 +63,25 @@ type Config struct {
 
 	Platforms []PlatformVariant
 	Runs      []RunSpec
+}
+
+// sweepKeys declares every Sweep(...) key.
+var sweepKeys = []scenario.Key[Config]{
+	scenario.String("NAME", func(c *Config) *string { return &c.Name }),
+	// Duration is measured virtual time; warmup is excluded on top of it.
+	scenario.Float("DURATION", "(0,)", func(c *Config) *float64 { return &c.Duration }),
+	scenario.Float("WARMUP", "[0,)", func(c *Config) *float64 { return &c.Warmup }),
+	scenario.Uint("QUANTUM", "[1000,)", func(c *Config) *uint64 { return &c.Quantum }),
+	scenario.Int("CONTROL_EVERY", "[1,)", func(c *Config) *int { return &c.ControlEvery }),
+	scenario.Int("PARALLEL", "[0,)", func(c *Config) *int { return &c.Parallel }),
+	scenario.Float("TOLERANCE", "(0,1)", func(c *Config) *float64 { return &c.Tolerance }),
+	scenario.Floats("LOADS", "(0,4]", func(c *Config) *[]float64 { return &c.Loads }),
+}
+
+// KeyTables lists every key of the .sweep grammar's own declaration
+// classes (Platform(...) is scenario.KeyTables'), in canonical order.
+func KeyTables() map[string][]string {
+	return map[string][]string{"Sweep": scenario.KeyNames(sweepKeys), "Run": scenario.KeyNames(runKeys)}
 }
 
 // Points returns the grid size.
@@ -116,52 +140,36 @@ func ParseConfig(text string) (*Config, error) {
 	}
 	seenSweep := false
 	names := map[string]bool{}
-	for _, stmt := range click.Statements(stripped) {
-		st := stmt.Text
-		at := fmt.Sprintf("statement %d (line %d)", stmt.No, stmt.Line)
-		name, classRef, ok := click.CutTopLevel(st, "::")
-		if !ok {
-			return nil, fmt.Errorf("%s: cannot parse %q (want name :: Sweep(...), name :: Platform(...) or name :: Run(...))", at, st)
-		}
-		name = strings.TrimSpace(name)
-		class, args, err := click.ParseClassRef(strings.TrimSpace(classRef))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", at, err)
-		}
+	err = scenario.Declarations(stripped, []string{"Sweep", "Platform", "Run"}, func(name, class string, args click.Args) error {
 		if names[name] {
-			return nil, fmt.Errorf("%s: name %q declared twice", at, name)
+			return fmt.Errorf("name %q declared twice", name)
 		}
 		names[name] = true
 		switch class {
 		case "Sweep":
 			if seenSweep {
-				return nil, fmt.Errorf("%s: second Sweep declaration", at)
+				return fmt.Errorf("second Sweep declaration")
 			}
 			seenSweep = true
-			if err := c.applySweepArgs(args); err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
+			return scenario.Decode("sweep", sweepKeys, args, c)
 		case "Platform":
 			p, err := scenario.ParsePlatformArgs(args)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
 			c.Platforms = append(c.Platforms, PlatformVariant{Name: name, Platform: p})
-		case "Run":
-			r := RunSpec{Name: name, File: args.String("FILE", "")}
+			return err
+		default:
+			r := RunSpec{Name: name}
+			if err := scenario.Decode(fmt.Sprintf("run %q", name), runKeys, args, &r); err != nil {
+				return err
+			}
 			if r.File == "" {
-				return nil, fmt.Errorf("%s: run %q needs FILE", at, name)
-			}
-			if r.Tolerance, err = args.Float64("TOLERANCE", 0); err != nil {
-				return nil, fmt.Errorf("%s: %w", at, err)
-			}
-			if r.Tolerance < 0 || r.Tolerance >= 1 {
-				return nil, fmt.Errorf("%s: run %q: TOLERANCE %v outside [0,1)", at, name, r.Tolerance)
+				return fmt.Errorf("run %q needs FILE", name)
 			}
 			c.Runs = append(c.Runs, r)
-		default:
-			return nil, fmt.Errorf("%s: unknown declaration class %q (want Sweep, Platform or Run)", at, class)
+			return nil
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !seenSweep {
 		return nil, fmt.Errorf("missing sweep :: Sweep(...) declaration")
@@ -176,51 +184,4 @@ func ParseConfig(text string) (*Config, error) {
 		c.Loads = []float64{1}
 	}
 	return c, nil
-}
-
-func (c *Config) applySweepArgs(args click.Args) error {
-	var err error
-	c.Name = args.String("NAME", c.Name)
-	if c.Duration, err = args.Float64("DURATION", c.Duration); err != nil {
-		return err
-	}
-	if c.Warmup, err = args.Float64("WARMUP", c.Warmup); err != nil {
-		return err
-	}
-	if c.Quantum, err = args.Uint64("QUANTUM", c.Quantum); err != nil {
-		return err
-	}
-	if c.ControlEvery, err = args.Int("CONTROL_EVERY", c.ControlEvery); err != nil {
-		return err
-	}
-	if c.Parallel, err = args.Int("PARALLEL", 0); err != nil {
-		return err
-	}
-	if c.Tolerance, err = args.Float64("TOLERANCE", c.Tolerance); err != nil {
-		return err
-	}
-	// Duration is measured virtual time; warmup is excluded on top of it.
-	if c.Duration <= 0 || c.Warmup < 0 {
-		return fmt.Errorf("sweep: DURATION %v must be positive and WARMUP %v non-negative", c.Duration, c.Warmup)
-	}
-	if c.Tolerance <= 0 || c.Tolerance >= 1 {
-		return fmt.Errorf("sweep: TOLERANCE %v outside (0,1)", c.Tolerance)
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("sweep: PARALLEL %d negative", c.Parallel)
-	}
-	if c.Quantum < 1000 {
-		return fmt.Errorf("sweep: QUANTUM %d cycles too small (want ≥1000)", c.Quantum)
-	}
-	if c.ControlEvery < 1 {
-		return fmt.Errorf("sweep: CONTROL_EVERY %d (want ≥1)", c.ControlEvery)
-	}
-	for _, tok := range strings.Fields(args.String("LOADS", "")) {
-		f, perr := strconv.ParseFloat(tok, 64)
-		if perr != nil || f <= 0 || f > 4 {
-			return fmt.Errorf("sweep: LOADS point %q (want a multiplier in (0,4])", tok)
-		}
-		c.Loads = append(c.Loads, f)
-	}
-	return nil
 }

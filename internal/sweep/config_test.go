@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pktpredict/internal/hw"
 )
 
 func TestParseConfigFull(t *testing.T) {
@@ -32,8 +34,8 @@ b :: Run(FILE y.click, TOLERANCE 0.2);
 	if len(c.Platforms) != 2 || c.Platforms[0].Name != "base" || c.Platforms[0].Platform == nil {
 		t.Fatalf("platforms misparsed: %+v", c.Platforms)
 	}
-	if c.Platforms[1].Platform.L3Bytes == nil || *c.Platforms[1].Platform.L3Bytes != 524288 {
-		t.Fatalf("variant override misparsed: %+v", c.Platforms[1].Platform)
+	if small, err := c.Platforms[1].Platform.Apply(hw.DefaultConfig()); err != nil || small.L3.SizeBytes != 524288 {
+		t.Fatalf("variant override misparsed: %+v (%v)", small, err)
 	}
 	if len(c.Runs) != 2 || c.Runs[0] != (RunSpec{Name: "a", File: "x.click"}) ||
 		c.Runs[1] != (RunSpec{Name: "b", File: "y.click", Tolerance: 0.2}) {
@@ -66,7 +68,7 @@ func TestParseConfigErrors(t *testing.T) {
 		{"r :: Run(FILE f.click);", "missing sweep"},
 		{"sweep :: Sweep(NAME d);", "declares no runs"},
 		{"sweep :: Sweep(NAME d);\nr :: Run();", "needs FILE"},
-		{"sweep :: Sweep(NAME d, LOADS 0 1);\nr :: Run(FILE f);", "LOADS point"},
+		{"sweep :: Sweep(NAME d, LOADS 0 1);\nr :: Run(FILE f);", "LOADS 0 1 element 0 outside (0,4]"},
 		{"sweep :: Sweep(NAME d, TOLERANCE 1.5);\nr :: Run(FILE f);", "TOLERANCE"},
 		{"sweep :: Sweep(NAME d, QUANTUM 10);\nr :: Run(FILE f);", "QUANTUM"},
 		{"sweep :: Sweep(NAME d, CONTROL_EVERY -1);\nr :: Run(FILE f);", "CONTROL_EVERY"},
@@ -75,6 +77,16 @@ func TestParseConfigErrors(t *testing.T) {
 		{"sweep :: Sweep(NAME d);\nx :: Run(FILE f);\nx :: Run(FILE g);", "declared twice"},
 		{"sweep :: Sweep(NAME d);\nx :: Widget(1);", "unknown declaration class"},
 		{"nonsense", "cannot parse"},
+		// Undeclared arguments are rejected with the statement, its line
+		// and the known keys — a misspelled TOLERANCE used to gate
+		// silently at the default 0.15.
+		{"sweep :: Sweep(TOLERENCE 0.05);\nr :: Run(FILE f);",
+			"statement 1 (line 1): sweep: unknown key TOLERENCE (known keys: NAME DURATION WARMUP QUANTUM CONTROL_EVERY PARALLEL TOLERANCE LOADS)"},
+		{"sweep :: Sweep(NAME d, 0.05);\nr :: Run(FILE f);", `sweep: positional argument "0.05" (every sweep key is KEY VALUE; known keys: NAME`},
+		{"sweep :: Sweep(NAME d);\n\nr :: Run(FILE f, TOLERENCE 0.2);", `statement 2 (line 3): run "r": unknown key TOLERENCE (known keys: FILE TOLERANCE)`},
+		{"sweep :: Sweep(NAME d);\nr :: Run(f.click);", `statement 2 (line 2): run "r": positional argument "f.click"`},
+		{"sweep :: Sweep(NAME d);\nr :: Run(FILE f, TOLERANCE 1);", "TOLERANCE 1 outside [0,1)"},
+		{"sweep :: Sweep(NAME d, DURATION 0);\nr :: Run(FILE f);", "DURATION 0 outside (0,)"},
 	}
 	for _, c := range cases {
 		if _, err := ParseConfig(c.text); err == nil || !strings.Contains(err.Error(), c.want) {

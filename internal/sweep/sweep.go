@@ -11,8 +11,8 @@
 // grammar and examples/sweeps/ for shipped grids) and produces a Report
 // that renders to JSON for machines and markdown for humans. Each
 // point's validated apps must keep |observed − expected| drop within the
-// scenario's tolerance — the same bounds
-// internal/runtime/validate_test.go enforces — so a sweep doubles as a
+// scenario's tolerance — the verdict validate_test.go holds the shipped
+// paper mixes to at test scale — so a sweep doubles as a
 // one-command regression gate for performance work (CI runs the smoke
 // grid and fails on any tolerance breach).
 package sweep
@@ -224,27 +224,8 @@ func (r *Runner) runPoint(v PlatformVariant, load float64, run RunSpec) PointRes
 	pr.Migrations = len(runRep.Migrations)
 	pr.ThrottleEvents = runRep.ThrottleEvents
 
-	specs := map[string]runtime.AppSpec{}
-	for _, a := range cfg.Apps {
-		specs[a.Name] = a
-	}
-	validated := 0
-	for _, a := range runRep.Apps {
-		if err := a.CheckConservation(); err != nil {
-			return fail(err)
-		}
-		row, skip := evalApp(specs[a.Name], a, runRep, runRep.Duration, tol)
-		pr.Apps = append(pr.Apps, row)
-		if skip {
-			continue
-		}
-		if a.SoloPPS == 0 {
-			return fail(fmt.Errorf("app %s ran without a solo profile", a.Name))
-		}
-		validated++
-	}
-	if validated == 0 {
-		return fail(fmt.Errorf("point validated no apps (all synthetic or hidden)"))
+	if pr.Apps, err = evalRun(cfg.Apps, runRep, tol); err != nil {
+		return fail(err)
 	}
 	pr.finish()
 	pr.HostSeconds = time.Since(start).Seconds()
@@ -293,10 +274,42 @@ func scaleLoad(cfg *runtime.Config, f float64) {
 	}
 }
 
+// evalRun is the verdict on one finished run — the sweep's gate and
+// the engine-versus-runtime validation suite both call it: every app
+// must conserve packets, every validated app needs a solo profile, and
+// at least one app must be validated. Each app's row carries its own
+// pass/fail (evalApp).
+func evalRun(specs []runtime.AppSpec, rep *runtime.Report, tol float64) ([]AppResult, error) {
+	byName := map[string]runtime.AppSpec{}
+	for _, a := range specs {
+		byName[a.Name] = a
+	}
+	var rows []AppResult
+	validated := 0
+	for _, a := range rep.Apps {
+		if err := a.CheckConservation(); err != nil {
+			return rows, err
+		}
+		row, skip := evalApp(byName[a.Name], a, rep, rep.Duration, tol)
+		rows = append(rows, row)
+		if skip {
+			continue
+		}
+		if a.SoloPPS == 0 {
+			return rows, fmt.Errorf("app %s ran without a solo profile", a.Name)
+		}
+		validated++
+	}
+	if validated == 0 {
+		return rows, fmt.Errorf("run validated no apps (all synthetic or hidden)")
+	}
+	return rows, nil
+}
+
 // evalApp turns one app's report into a sweep row. Synthetic probe flows
-// and hidden aggressors are reported but not validated (skip=true), as
-// in validate_test: SYN exists to generate competition and the hidden
-// flow's drop comes from the throttle the scenario exists to trigger.
+// and hidden aggressors are reported but not validated (skip=true): SYN
+// exists to generate competition and the hidden flow's drop comes from
+// the throttle the scenario exists to trigger.
 //
 // For validated apps the expected drop depends on the operating point:
 //
@@ -314,8 +327,8 @@ func scaleLoad(cfg *runtime.Config, f float64) {
 //     the offered load outright (expected drop 0), otherwise the flow is
 //     over-subscribed at this point and the expected drop relative to
 //     its offered load is 1 − h/f. The error is observed − expected and
-//     the pass criterion one-sided, mirroring validate_test's
-//     under-capacity check.
+//     the pass criterion one-sided: an under-capacity flow absorbs
+//     contention as higher cycles/packet while still keeping up.
 func evalApp(spec runtime.AppSpec, a runtime.AppReport, rep *runtime.Report, duration, tol float64) (AppResult, bool) {
 	stages := a.Stages
 	if stages < 1 {
