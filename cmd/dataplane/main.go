@@ -50,10 +50,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"pktpredict/internal/apps"
 	"pktpredict/internal/exp"
 	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
@@ -149,14 +151,7 @@ func main() {
 			fatalf("profiling: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "dataplane: profiling done in %.1fs\n", time.Since(start).Seconds())
-		for t, p := range profiles {
-			extra := ""
-			if len(p.Elements) > 0 {
-				extra = fmt.Sprintf(", %d element baselines", len(p.Elements))
-			}
-			fmt.Fprintf(os.Stderr, "  %-8s solo %.2fM pps, %.1fM refs/s, curve %s%s\n",
-				t, p.SoloPPS/1e6, p.SoloRefsPerSec/1e6, p.Curve, extra)
-		}
+		printProfiles(os.Stderr, types, profiles)
 		cfg.Profiles = profiles
 	}
 
@@ -292,4 +287,18 @@ func throttledMark(t bool) string {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "dataplane: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// printProfiles writes one summary line per profiled type, in the order
+// of types: the same profiles always render the same text.
+func printProfiles(w io.Writer, types []apps.FlowType, profiles map[apps.FlowType]runtime.FlowProfile) {
+	for _, t := range types {
+		p := profiles[t]
+		extra := ""
+		if len(p.Elements) > 0 {
+			extra = fmt.Sprintf(", %d element baselines", len(p.Elements))
+		}
+		fmt.Fprintf(w, "  %-8s solo %.2fM pps, %.1fM refs/s, curve %s%s\n",
+			t, p.SoloPPS/1e6, p.SoloRefsPerSec/1e6, p.Curve, extra)
+	}
 }

@@ -1,0 +1,130 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
+)
+
+// buildCount counts constructions of the CountBuild element: one per
+// experiment that builds a flow type whose graph carries it.
+var buildCount atomic.Int64
+
+type countBuild struct{}
+
+func (countBuild) Class() string                                   { return "CountBuild" }
+func (countBuild) Process(*click.Ctx, *click.Packet) click.Verdict { return click.Continue }
+
+func init() {
+	click.Register("CountBuild", func(*click.Env, click.Args) (interface{}, error) {
+		buildCount.Add(1)
+		return countBuild{}, nil
+	})
+}
+
+// countedPredictor profiles two custom types whose every build is
+// counted. A three-core socket, two slow grid points and short windows
+// keep it affordable under the race detector.
+func countedPredictor() (*Predictor, []apps.FlowType) {
+	params := apps.Small()
+	params.Custom = map[apps.FlowType]apps.CustomFlow{}
+	types := []apps.FlowType{"countedA", "countedB"}
+	for _, t := range types {
+		params.Custom[t] = apps.CustomFlow{PacketSize: 64,
+			Config: "src :: FromDevice(SIZE 64, FLOWS 256, BUFFERS 64); src -> CheckIPHeader -> CountBuild -> ToDevice;"}
+	}
+	cfg := testCfg()
+	cfg.CoresPerSocket = 3
+	p := NewPredictor(cfg, params, 0.0001, 0.0003)
+	p.SweepGrid = []int{3200, 800}
+	return p, types
+}
+
+// profileAll asks p, in the order given, for everything it memoises
+// about types and returns the answers keyed by what was asked.
+func profileAll(t *testing.T, p *Predictor, types []apps.FlowType) map[string]any {
+	out := map[string]any{}
+	for _, typ := range types {
+		solo, err := p.Solo(typ)
+		curve, err2 := p.Curve(typ)
+		if err != nil || err2 != nil {
+			t.Errorf("%s: solo %v, curve %v", typ, err, err2)
+		}
+		out["solo "+string(typ)], out["curve "+string(typ)] = solo, curve
+	}
+	stats, sorted, err := p.MeasureMix(types) // one multiset, however the caller spells it
+	if err != nil {
+		t.Errorf("mix %v: %v", types, err)
+	}
+	out["mix stats"], out["mix order"] = stats, sorted
+	return out
+}
+
+// TestPredictorConcurrentUse: goroutines asking one predictor for
+// overlapping quantities all get the values a predictor used from one
+// goroutine returns, and every memoised quantity is measured once.
+func TestPredictorConcurrentUse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	serial, types := countedPredictor()
+	buildCount.Store(0)
+	want := profileAll(t, serial, types)
+	// Each type is built by its solo run, each sweep point and the mix.
+	perPredictor := int64(len(types) * (1 + len(serial.SweepGrid) + 1))
+	if n := buildCount.Load(); n != perPredictor {
+		t.Fatalf("serial use built the counted types %d times, want %d", n, perPredictor)
+	}
+
+	shared, _ := countedPredictor()
+	buildCount.Store(0)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order := types
+			if g%2 == 1 {
+				order = []apps.FlowType{types[1], types[0]}
+			}
+			got := profileAll(t, shared, order)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("goroutine %d got\n%v\nwant\n%v", g, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := buildCount.Load(); n != perPredictor {
+		t.Errorf("eight concurrent users built the counted types %d times, want %d", n, perPredictor)
+	}
+	if liveExperiments != 0 {
+		t.Errorf("%d experiment slots still held", liveExperiments)
+	}
+}
+
+// TestSweepErrorNamesLowestIndexPoint: every grid point of an unbuildable
+// type fails; the error is the first grid point's, names the type and the
+// SYN compute value, and frees its slot, whatever GOMAXPROCS is.
+func TestSweepErrorNamesLowestIndexPoint(t *testing.T) {
+	const want = `core: sweep nosuchgraph @ SYN compute 1600: core: flow 0 (nosuchgraph): apps: unknown flow type "nosuchgraph"`
+	for _, n := range []int{1, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			p := testPredictor()
+			for range 2 { // the second answer is the memoised one
+				if _, err := p.Sweep("nosuchgraph"); err == nil || err.Error() != want {
+					t.Errorf("GOMAXPROCS %d: Sweep error %q, want %q", n, err, want)
+				}
+			}
+			if _, err := p.Curve("nosuchgraph"); err == nil || err.Error() != `core: solo nosuchgraph: core: flow 0 (nosuchgraph): apps: unknown flow type "nosuchgraph"` {
+				t.Errorf("GOMAXPROCS %d: Curve error %q, want the solo run's", n, err)
+			}
+			if liveExperiments != 0 {
+				t.Errorf("GOMAXPROCS %d: %d experiment slots still held after failures", n, liveExperiments)
+			}
+		}()
+	}
+}

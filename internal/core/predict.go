@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/hw"
@@ -68,6 +70,8 @@ var DefaultSweepGrid = []int{3200, 1600, 800, 400, 200, 100, 50, 25, 0}
 // fixed platform configuration and workload scale. It memoises solo
 // profiles and sweep curves: everything is derived from offline profiling
 // and reused across predictions, exactly as an operator would use it.
+// Its methods may be called from several goroutines at once; set the
+// exported fields before the first call.
 type Predictor struct {
 	Cfg       hw.Config
 	Params    apps.Params
@@ -78,10 +82,98 @@ type Predictor struct {
 	// paper uses 5: one target plus five competitors fill a socket).
 	Competitors int
 
-	solo   map[apps.FlowType]hw.FlowStats
-	curves map[apps.FlowType]Curve
-	sweeps map[apps.FlowType][]SweepSample
-	mixes  map[string][]hw.FlowStats
+	mu     sync.Mutex // guards the maps, never held while measuring
+	solo   map[apps.FlowType]*memo[hw.FlowStats]
+	curves map[apps.FlowType]*memo[Curve]
+	sweeps map[apps.FlowType]*memo[[]SweepSample]
+	mixes  map[string]*memo[[]hw.FlowStats]
+}
+
+// memo is one memoised quantity: its first caller measures it, concurrent
+// and later callers share the outcome — a failure too, an experiment
+// being a pure function of the predictor's configuration.
+type memo[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+func memoised[K comparable, T any](p *Predictor, m map[K]*memo[T], k K, measure func() (T, error)) (T, error) {
+	p.mu.Lock()
+	e := m[k]
+	if e == nil {
+		e = new(memo[T])
+		m[k] = e
+	}
+	p.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = measure() })
+	return e.val, e.err
+}
+
+// Offline profiling is a set of independent leaf experiments: each builds
+// its own platform and flows, measures one window, and is a pure function
+// of its scenario. So they run concurrently, every result lands in a slot
+// addressed by its index, and at most GOMAXPROCS are live in the whole
+// process: concurrent passes share that many scenarios' state, no more.
+var (
+	slotMu          sync.Mutex
+	slotFreed       = sync.NewCond(&slotMu)
+	liveExperiments int
+)
+
+// Experiment runs one leaf experiment holding one of the process's
+// GOMAXPROCS experiment slots, taken before run builds anything and
+// released when it returns. run must not wait for another Experiment.
+func Experiment[T any](run func() (T, error)) (T, error) {
+	slotMu.Lock()
+	for liveExperiments >= runtime.GOMAXPROCS(0) {
+		slotFreed.Wait()
+	}
+	liveExperiments++
+	slotMu.Unlock()
+	defer func() {
+		slotMu.Lock()
+		liveExperiments--
+		slotMu.Unlock()
+		slotFreed.Signal()
+	}()
+	return run()
+}
+
+// FanOut runs f(0) … f(n-1) on a goroutine each, joins them all and
+// returns the lowest-index error. f writes its result to a slot addressed
+// by i, so neither results nor the error depend on completion order; what
+// runs at once is bounded by the experiment slots, not here.
+func FanOut(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// measure co-runs flows as one leaf experiment and keeps only the window
+// statistics: platform and tables are garbage once the slot is free.
+func (p *Predictor) measure(flows []FlowSpec) ([]hw.FlowStats, error) {
+	return Experiment(func() ([]hw.FlowStats, error) {
+		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
+			Warmup: p.Warmup, Window: p.Window}.Run()
+		if err != nil {
+			return nil, err
+		}
+		return res.Stats, nil
+	})
 }
 
 // SweepSample is one full measurement of a sweep run: the aggregate
@@ -102,10 +194,10 @@ func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Pr
 		Window:      window,
 		SweepGrid:   DefaultSweepGrid,
 		Competitors: cfg.CoresPerSocket - 1,
-		solo:        make(map[apps.FlowType]hw.FlowStats),
-		curves:      make(map[apps.FlowType]Curve),
-		sweeps:      make(map[apps.FlowType][]SweepSample),
-		mixes:       make(map[string][]hw.FlowStats),
+		solo:        make(map[apps.FlowType]*memo[hw.FlowStats]),
+		curves:      make(map[apps.FlowType]*memo[Curve]),
+		sweeps:      make(map[apps.FlowType]*memo[[]SweepSample]),
+		mixes:       make(map[string]*memo[[]hw.FlowStats]),
 	}
 }
 
@@ -113,84 +205,71 @@ func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Pr
 // offline profile from which both the flow's aggressiveness (refs/sec)
 // and its baseline throughput are read.
 func (p *Predictor) Solo(t apps.FlowType) (hw.FlowStats, error) {
-	if s, ok := p.solo[t]; ok {
-		return s, nil
-	}
-	sc := Scenario{
-		Cfg:    p.Cfg,
-		Params: p.Params,
-		Flows:  []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}},
-		Warmup: p.Warmup,
-		Window: p.Window,
-	}
-	res, err := sc.Run()
-	if err != nil {
-		return hw.FlowStats{}, err
-	}
-	p.solo[t] = res.Stats[0]
-	return res.Stats[0], nil
+	return memoised(p, p.solo, t, func() (hw.FlowStats, error) {
+		stats, err := p.measure([]FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}})
+		if err != nil {
+			return hw.FlowStats{}, fmt.Errorf("core: solo %s: %w", t, err)
+		}
+		return stats[0], nil
+	})
 }
 
 // Sweep returns the memoised sweep samples of flow type t: the target's
 // full statistics when co-running with SYN competitors at each grid rate
-// (step 2 of the method), sorted by competition.
+// (step 2 of the method), sorted by competition; the points run at once.
 func (p *Predictor) Sweep(t apps.FlowType) ([]SweepSample, error) {
-	if s, ok := p.sweeps[t]; ok {
-		return s, nil
-	}
-	var samples []SweepSample
-	for _, k := range p.SweepGrid {
-		flows := []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}}
-		for i := 1; i <= p.Competitors; i++ {
-			flows = append(flows, FlowSpec{
-				Type: apps.SYN, Core: i, Domain: 0,
-				Seed: SeedFor(apps.SYN, i), SynCompute: k,
-			})
-		}
-		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
-			Warmup: p.Warmup, Window: p.Window}.Run()
+	return memoised(p, p.sweeps, t, func() ([]SweepSample, error) {
+		samples := make([]SweepSample, len(p.SweepGrid))
+		err := FanOut(len(samples), func(g int) error {
+			k := p.SweepGrid[g]
+			flows := []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}}
+			for i := 1; i <= p.Competitors; i++ {
+				flows = append(flows, FlowSpec{
+					Type: apps.SYN, Core: i, Domain: 0,
+					Seed: SeedFor(apps.SYN, i), SynCompute: k,
+				})
+			}
+			stats, err := p.measure(flows)
+			if err != nil {
+				return fmt.Errorf("core: sweep %s @ SYN compute %d: %w", t, k, err)
+			}
+			samples[g].Target = stats[0]
+			for _, s := range stats[1:] {
+				samples[g].CompetingRefsPerSec += s.L3RefsPerSec()
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		var competing float64
-		for i := 1; i <= p.Competitors; i++ {
-			competing += res.Stats[i].L3RefsPerSec()
-		}
-		samples = append(samples, SweepSample{
-			CompetingRefsPerSec: competing,
-			Target:              res.Stats[0],
+		sort.Slice(samples, func(i, j int) bool {
+			return samples[i].CompetingRefsPerSec < samples[j].CompetingRefsPerSec
 		})
-	}
-	sort.Slice(samples, func(i, j int) bool {
-		return samples[i].CompetingRefsPerSec < samples[j].CompetingRefsPerSec
+		return samples, nil
 	})
-	p.sweeps[t] = samples
-	return samples, nil
 }
 
 // Curve returns the memoised drop-versus-competition curve of flow type
-// t, derived from the sweep samples.
+// t, derived from the solo run and the sweep.
 func (p *Predictor) Curve(t apps.FlowType) (Curve, error) {
-	if c, ok := p.curves[t]; ok {
-		return c, nil
-	}
-	solo, err := p.Solo(t)
-	if err != nil {
-		return Curve{}, err
-	}
-	samples, err := p.Sweep(t)
-	if err != nil {
-		return Curve{}, err
-	}
-	curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
-	for _, s := range samples {
-		curve.Points = append(curve.Points, CurvePoint{
-			CompetingRefsPerSec: s.CompetingRefsPerSec,
-			Drop:                hw.PerformanceDrop(solo, s.Target),
-		})
-	}
-	p.curves[t] = curve
-	return curve, nil
+	return memoised(p, p.curves, t, func() (Curve, error) {
+		solo, err := p.Solo(t)
+		if err != nil {
+			return Curve{}, err
+		}
+		samples, err := p.Sweep(t)
+		if err != nil {
+			return Curve{}, err
+		}
+		curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
+		for _, s := range samples {
+			curve.Points = append(curve.Points, CurvePoint{
+				CompetingRefsPerSec: s.CompetingRefsPerSec,
+				Drop:                hw.PerformanceDrop(solo, s.Target),
+			})
+		}
+		return curve, nil
+	})
 }
 
 // Prediction is the predicted contention-induced drop for one flow.
@@ -254,21 +333,14 @@ func (p *Predictor) MeasureMix(mix []apps.FlowType) ([]hw.FlowStats, []apps.Flow
 	}
 	sorted := append([]apps.FlowType(nil), mix...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	key := mixKey(sorted)
-	if st, ok := p.mixes[key]; ok {
-		return st, sorted, nil
-	}
-	flows := make([]FlowSpec, len(sorted))
-	for i, t := range sorted {
-		flows[i] = FlowSpec{Type: t, Core: i, Domain: 0, Seed: SeedFor(t, i)}
-	}
-	res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
-		Warmup: p.Warmup, Window: p.Window}.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	p.mixes[key] = res.Stats
-	return res.Stats, sorted, nil
+	stats, err := memoised(p, p.mixes, mixKey(sorted), func() ([]hw.FlowStats, error) {
+		flows := make([]FlowSpec, len(sorted))
+		for i, t := range sorted {
+			flows[i] = FlowSpec{Type: t, Core: i, Domain: 0, Seed: SeedFor(t, i)}
+		}
+		return p.measure(flows)
+	})
+	return stats, sorted, err
 }
 
 // MeasuredDrops returns each flow's measured contention-induced drop in

@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"fmt"
+	"slices"
+
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
@@ -12,64 +15,66 @@ import (
 // The result plugs straight into Config.Profiles, giving the runtime its
 // admission limits, drop baselines, and prediction curves — the exact
 // artefacts an operator would ship from a profiling testbed to
-// production.
+// production. The types' experiments run concurrently, as many as
+// core.Experiment admits; profiles and error are the serial order's.
 func ProfileFlows(cfg hw.Config, params apps.Params, warmup, window float64, grid []int, types []apps.FlowType) (map[apps.FlowType]FlowProfile, error) {
 	p := core.NewPredictor(cfg, params, warmup, window)
 	if len(grid) > 0 {
 		p.SweepGrid = grid
 	}
-	out := make(map[apps.FlowType]FlowProfile, len(types))
+	var uniq []apps.FlowType // a type listed twice is profiled once
 	for _, t := range types {
-		if _, done := out[t]; done {
-			continue
+		if !slices.Contains(uniq, t) {
+			uniq = append(uniq, t)
 		}
-		solo, err := p.Solo(t)
-		if err != nil {
-			return nil, err
+	}
+	// Two tasks per type: the engine's solo run and sweep, then the
+	// runtime's element baselines.
+	profs := make([]FlowProfile, len(uniq))
+	err := core.FanOut(2*len(uniq), func(i int) (err error) {
+		t, prof := uniq[i/2], &profs[i/2]
+		if i%2 == 0 {
+			prof.Curve, err = p.Curve(t)
+		} else if !t.Synthetic() {
+			prof.Elements, err = soloElementBaselines(cfg, params, t, warmup, window)
 		}
-		curve, err := p.Curve(t)
-		if err != nil {
-			return nil, err
-		}
-		prof := FlowProfile{
-			SoloPPS:        solo.Throughput(),
-			SoloRefsPerSec: solo.L3RefsPerSec(),
-			Curve:          curve,
-		}
-		if !t.Synthetic() {
-			// Per-element baselines come from a brief solo run on the
-			// runtime itself rather than the engine: the runtime's build
-			// path (graph surgery, receive rings, recycling) is the one
-			// the live tables will measure, so node names and overhead
-			// attribution match exactly.
-			elems, err := soloElementBaselines(cfg, params, t, warmup, window)
-			if err != nil {
-				return nil, err
-			}
-			prof.Elements = elems
-		}
-		out[t] = prof
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[apps.FlowType]FlowProfile, len(uniq))
+	for i, t := range uniq {
+		solo, _ := p.Solo(t) // memoised: Curve measured it
+		profs[i].SoloPPS, profs[i].SoloRefsPerSec = solo.Throughput(), solo.L3RefsPerSec()
+		out[t] = profs[i]
 	}
 	return out, nil
 }
 
 // soloElementBaselines measures one flow type's per-element per-packet
 // costs with a single saturated replica and no co-runners — the offline
-// side of online drift detection.
+// side of online drift detection. They come from a brief solo run on the
+// runtime itself rather than the engine: the runtime's build path (graph
+// surgery, receive rings, recycling) is the one the live tables will
+// measure, so node names and overhead attribution match exactly. The run
+// is one leaf experiment and holds an experiment slot like the engine's.
 func soloElementBaselines(cfg hw.Config, params apps.Params, t apps.FlowType, warmup, window float64) (map[string]ElemBaseline, error) {
-	rt, err := NewRuntime(Config{
-		Cfg:    cfg,
-		Params: params,
-		Apps:   []AppSpec{{Name: "solo", Type: t, Workers: 1}},
-		Warmup: warmup,
+	return core.Experiment(func() (map[string]ElemBaseline, error) {
+		rt, err := NewRuntime(Config{
+			Cfg:    cfg,
+			Params: params,
+			Apps:   []AppSpec{{Name: "solo", Type: t, Workers: 1}},
+			Warmup: warmup,
+		})
+		if err == nil {
+			_, err = rt.Run(window)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("runtime: element baselines of %s: %w", t, err)
+		}
+		return rt.ElementBaselines(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := rt.Run(window); err != nil {
-		return nil, err
-	}
-	return rt.ElementBaselines(), nil
 }
 
 // ElementBaselines aggregates per-element costs since measurement start
