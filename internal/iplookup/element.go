@@ -2,6 +2,7 @@ package iplookup
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -25,9 +26,6 @@ type Element struct {
 // NewElement wraps an existing trie, allocating the adjacency table for
 // adjEntries next hops from arena.
 func NewElement(trie *RadixTrie, arena *mem.Arena, adjEntries int) *Element {
-	if adjEntries < 1 {
-		adjEntries = 1
-	}
 	return &Element{
 		Trie: trie,
 		adj:  mem.NewRegion(arena, adjEntries, hw.LineSize, true),
@@ -70,6 +68,9 @@ func init() {
 		n, err := args.Int("ROUTES", 128000)
 		if err != nil {
 			return nil, err
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("iplookup: RadixIPLookup ROUTES %d must not be negative", n)
 		}
 		seed, err := args.Uint64("SEED", env.Seed)
 		if err != nil {

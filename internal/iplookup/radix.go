@@ -15,6 +15,7 @@ package iplookup
 
 import (
 	"fmt"
+	"slices"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -40,6 +41,22 @@ type entry struct {
 
 // simEntryBytes is each entry's simulated size.
 const simEntryBytes = 8
+
+// maxEntries and maxNodes are what New reserves of simulated address
+// space; a table past either would alias its arena's next allocation.
+const maxEntries, maxNodes = 1 << 26, 1 << 24
+
+// reserve makes room for that many more nodes and entries, or fails if
+// the trie would outgrow the reservation.
+func (t *RadixTrie) reserve(nodes, entries int) error {
+	if n, e := len(t.level)+nodes, len(t.entries)+entries; n > maxNodes || e > maxEntries {
+		return fmt.Errorf("iplookup: a table of %d nodes and %d entries is past the %d nodes or %d entries of simulated address space reserved for one", n, e, maxNodes, maxEntries)
+	}
+	t.entries = slices.Grow(t.entries, entries)
+	t.level = slices.Grow(t.level, nodes)
+	t.offset = slices.Grow(t.offset, nodes)
+	return nil
+}
 
 // RadixTrie is a multi-bit trie over IPv4 prefixes. Prefix lengths that
 // do not align with a level boundary are expanded into the covering level
@@ -81,8 +98,8 @@ func New(arena *mem.Arena, strides []int) *RadixTrie {
 	// × 8 B = 512 MiB of address space, of which only allocated entries
 	// are ever touched — recordFootprint reports the touched extent once
 	// the table is populated, so the reservation never counts as state.
-	t.base = arena.Reserve(uint64(1<<26)*simEntryBytes, hw.LineSize)
-	t.hdrBase = arena.Reserve(uint64(1<<24)*8, hw.LineSize)
+	t.base = arena.Reserve(maxEntries*simEntryBytes, hw.LineSize)
+	t.hdrBase = arena.Reserve(maxNodes*8, hw.LineSize)
 	t.newNode(0) // root
 	return t
 }
@@ -96,13 +113,16 @@ func (t *RadixTrie) recordFootprint() {
 }
 
 func (t *RadixTrie) newNode(level int) int32 {
-	size := 1 << t.strides[level]
-	off := int32(len(t.entries))
-	for i := 0; i < size; i++ {
-		t.entries = append(t.entries, entry{route: NoRoute, child: -1, plen: -1})
+	off, size := len(t.entries), 1<<t.strides[level]
+	if err := t.reserve(1, size); err != nil {
+		panic(err)
+	}
+	t.entries = t.entries[:off+size]
+	for i := off; i < off+size; i++ {
+		t.entries[i] = entry{route: NoRoute, child: -1, plen: -1}
 	}
 	t.level = append(t.level, int32(level))
-	t.offset = append(t.offset, off)
+	t.offset = append(t.offset, int32(off))
 	return int32(len(t.level) - 1)
 }
 
@@ -135,6 +155,49 @@ func (t *RadixTrie) Insert(prefix uint32, plen int, nexthop uint32) {
 	prefix &= maskOf(plen)
 	t.insert(0, 0, prefix, plen, nexthop)
 	t.routes++
+}
+
+// Route is one prefix → next-hop binding of a route set.
+type Route struct {
+	Prefix  uint32
+	Len     int
+	NextHop uint32
+}
+
+// InsertAll is Insert over routes in order, with the node arrays sized
+// for the whole set first, in one step. A set that does not fit the
+// reserved simulated range fails before anything is inserted.
+func (t *RadixTrie) InsertAll(routes []Route) error {
+	if err := t.reserve(t.need(routes)); err != nil {
+		return err
+	}
+	for _, r := range routes {
+		t.Insert(r.Prefix, r.Len, r.NextHop)
+	}
+	return nil
+}
+
+// need counts the nodes and entries inserting routes adds, exactly for a
+// trie holding no routes (an upper bound once some exist): level l+1 has
+// a node per distinct value, cut at bounds[l], of the prefixes longer
+// than bounds[l], and sorting makes equal cuts adjacent at every l.
+func (t *RadixTrie) need(routes []Route) (nodes, entries int) {
+	keys := make([]uint64, len(routes)) // masked prefix << 8 | length
+	for i, r := range routes {
+		keys[i] = uint64(r.Prefix&maskOf(r.Len))<<8 | uint64(r.Len)
+	}
+	slices.Sort(keys)
+	for l, b := range t.bounds[:len(t.bounds)-1] {
+		last := ^uint64(0) // no 32-bit cut equals it
+		for _, k := range keys {
+			if cut := k >> (40 - b); int(k&0xff) > b && cut != last {
+				last = cut
+				nodes++
+				entries += 1 << t.strides[l+1]
+			}
+		}
+	}
+	return nodes, entries
 }
 
 func maskOf(plen int) uint32 {
@@ -239,7 +302,7 @@ func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 // Next hops index an adjacency table of n+1 entries (see Element).
 func RandomTable(t *RadixTrie, n int, seed uint64) {
 	r := rng.New(seed)
-	t.Insert(0, 0, 0) // default route: every lookup resolves
+	routes := make([]Route, 1, max(n, 0)+1) // [0]: the default route, every lookup resolves
 	for i := 0; i < n; i++ {
 		var plen int
 		switch p := r.Float64(); {
@@ -250,6 +313,9 @@ func RandomTable(t *RadixTrie, n int, seed uint64) {
 		default:
 			plen = 24
 		}
-		t.Insert(r.Uint32(), plen, uint32(r.Intn(n))+1)
+		routes = append(routes, Route{r.Uint32(), plen, uint32(r.Intn(n)) + 1})
+	}
+	if err := t.InsertAll(routes); err != nil {
+		panic(err) // out of reach of this mix: at most ~5.6M nodes at any n
 	}
 }

@@ -1,10 +1,14 @@
 package iplookup
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"pktpredict/internal/click"
+	_ "pktpredict/internal/elements" // FromDevice and ToDevice, for ParseConfig
 	"pktpredict/internal/mem"
 	"pktpredict/internal/rng"
 )
@@ -230,5 +234,166 @@ func TestDeterministicTableConstruction(t *testing.T) {
 		if a.LookupPlain(dst) != b.LookupPlain(dst) {
 			t.Fatalf("tables disagree at %#x", dst)
 		}
+	}
+}
+
+// insertEach is the reference InsertAll must match: one Insert per route.
+func insertEach(tr *RadixTrie, routes []Route) {
+	for _, r := range routes {
+		tr.Insert(r.Prefix, r.Len, r.NextHop)
+	}
+}
+
+// randomTableEach is RandomTable as it was before the bulk path: the same
+// draws in the same order, inserted one at a time.
+func randomTableEach(tr *RadixTrie, n int, seed uint64) {
+	r := rng.New(seed)
+	tr.Insert(0, 0, 0)
+	for i := 0; i < n; i++ {
+		var plen int
+		switch p := r.Float64(); {
+		case p < 0.20:
+			plen = 16
+		case p < 0.40:
+			plen = 20
+		default:
+			plen = 24
+		}
+		tr.Insert(r.Uint32(), plen, uint32(r.Intn(n))+1)
+	}
+}
+
+func sameTrie(t *testing.T, what string, got, want *RadixTrie) {
+	t.Helper()
+	if !slices.Equal(got.entries, want.entries) || !slices.Equal(got.level, want.level) ||
+		!slices.Equal(got.offset, want.offset) {
+		t.Fatalf("%s: node arrays differ from one-at-a-time insertion (%d vs %d nodes, %d vs %d entries)",
+			what, got.Nodes(), want.Nodes(), len(got.entries), len(want.entries))
+	}
+	if got.Routes() != want.Routes() || got.SimBytes() != want.SimBytes() {
+		t.Fatalf("%s: routes %d / sim bytes %d, want %d / %d", what, got.Routes(), got.SimBytes(), want.Routes(), want.SimBytes())
+	}
+}
+
+func TestInsertAllMatchesInsert(t *testing.T) {
+	sets := map[string][]Route{
+		"empty":        nil,
+		"default only": {{0, 0, 1}},
+		"host route":   {{0xc0a80101, 32, 1}},
+		"duplicates":   {{0x0a010200, 24, 1}, {0x0a010200, 24, 2}, {0x0a0102ff, 24, 3}, {0x0a010000, 16, 4}, {0x0a010000, 16, 5}},
+		"long first":   {{0x0a010200, 24, 1}, {0x0a000000, 8, 2}, {0x0a010203, 32, 3}, {0, 0, 4}},
+		"short first":  {{0, 0, 4}, {0x0a000000, 8, 2}, {0x0a010200, 24, 1}, {0x0a010203, 32, 3}},
+		"unaligned":    {{0xc0000000, 3, 1}, {0xc8000000, 5, 2}, {0xc0000000, 9, 3}, {0xc0400000, 11, 4}},
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		// Any length 0..32, prefixes crowded into a few /8s so deep nodes
+		// are shared, revisited and overwritten.
+		r := rng.New(seed)
+		var set []Route
+		for i, n := 0, []int{1, 50, 700, 4000}[seed-1]; i < n; i++ {
+			set = append(set, Route{uint32(r.Intn(3))<<24 | r.Uint32()>>8, r.Intn(33), uint32(i + 1)})
+		}
+		sets[fmt.Sprintf("random seed %d", seed)] = set
+	}
+	for _, strides := range [][]int{nil, {16, 16}, {8, 8, 8, 8}, {4, 4, 4, 4, 4, 4, 4, 4}, {3, 13, 16}} {
+		for name, set := range sets {
+			if len(strides) < 4 && len(set) > 5 {
+				continue // a 16-bit node is 768 KiB on the Go side
+			}
+			got, want := New(mem.NewArena(0), strides), New(mem.NewArena(0), strides)
+			if err := got.InsertAll(set); err != nil {
+				t.Fatalf("%s, strides %v: %v", name, strides, err)
+			}
+			insertEach(want, set)
+			sameTrie(t, fmt.Sprintf("%s, strides %v", name, strides), got, want)
+		}
+	}
+	// A second bulk load lands on nodes the first created: the count is
+	// then an upper bound, and the result still the one-at-a-time trie.
+	got, want := newTrie(), newTrie()
+	for _, name := range []string{"long first", "random seed 3", "duplicates", "random seed 4"} {
+		if err := got.InsertAll(sets[name]); err != nil {
+			t.Fatal(err)
+		}
+		insertEach(want, sets[name])
+	}
+	sameTrie(t, "four loads into one trie", got, want)
+
+	sizes := []int{0, 1, 50, 4000}
+	if !testing.Short() {
+		sizes = append(sizes, 128000)
+	}
+	for i, n := range sizes {
+		got, want := newTrie(), newTrie()
+		RandomTable(got, n, uint64(i+1))
+		randomTableEach(want, n, uint64(i+1))
+		sameTrie(t, fmt.Sprintf("RandomTable(%d)", n), got, want)
+	}
+}
+
+// TestInsertAllSizesOnce pins what the bulk path is for: the node arrays
+// are allocated once at the size they end with, so a build allocates a
+// fixed number of objects whatever the table size.
+func TestInsertAllSizesOnce(t *testing.T) {
+	// The allocator rounds a request up to its size class: at most an
+	// eighth for small objects, a page for large ones.
+	slack := func(length, capacity, elem int) bool {
+		return (capacity-length)*elem <= max(length*elem/8, 8192)
+	}
+	var allocs []float64
+	for _, n := range []int{500, 4000, 40000} {
+		tr := newTrie()
+		RandomTable(tr, n, 9)
+		if !slack(len(tr.entries), cap(tr.entries), 12) || !slack(len(tr.level), cap(tr.level), 4) ||
+			!slack(len(tr.offset), cap(tr.offset), 4) {
+			t.Errorf("n=%d: len/cap entries %d/%d, level %d/%d, offset %d/%d: not sized in one step", n,
+				len(tr.entries), cap(tr.entries), len(tr.level), cap(tr.level), len(tr.offset), cap(tr.offset))
+		}
+		allocs = append(allocs, testing.AllocsPerRun(3, func() { RandomTable(newTrie(), n, 9) }))
+	}
+	for _, a := range allocs {
+		if a != allocs[0] || a > 20 {
+			t.Fatalf("allocations per build %v: want one small constant at every table size", allocs)
+		}
+	}
+}
+
+// TestReservationChecked: a table past the simulated range New reserves
+// must fail naming the limit, not alias the arena's next allocation.
+// Sixteen-bit strides overflow the entry range at the 1024th second-level
+// node; the count shows it before anything is allocated or inserted.
+func TestReservationChecked(t *testing.T) {
+	tr := New(mem.NewArena(0), []int{16, 16})
+	routes := make([]Route, 1024)
+	for i := range routes {
+		routes[i] = Route{uint32(i) << 16, 32, 1}
+	}
+	if nodes, entries := tr.need(routes[:1023]); nodes != 1023 || 1<<16+entries != maxEntries {
+		t.Fatalf("1023 second-level nodes: need = %d nodes, %d entries; want them to fill the reservation exactly", nodes, entries)
+	}
+	err := tr.InsertAll(routes)
+	if err == nil || !strings.Contains(err.Error(), "67108864 entries") {
+		t.Fatalf("1024 second-level nodes: err = %v, want the entry reservation named", err)
+	}
+	if tr.Routes() != 0 || tr.Nodes() != 1 || cap(tr.entries) != 1<<16 {
+		t.Fatalf("InsertAll past the reservation left %d routes, %d nodes, room for %d entries; want the trie untouched", tr.Routes(), tr.Nodes(), cap(tr.entries))
+	}
+	if err := tr.reserve(maxNodes, 0); err == nil || !strings.Contains(err.Error(), "16777216 nodes") {
+		t.Fatalf("one node past the descriptor range: err = %v, want the node reservation named", err)
+	}
+	// newNode makes the same call for one node, so single Inserts are
+	// held to the same bound.
+	if err := tr.reserve(1, maxEntries-1<<16+1); err == nil {
+		t.Fatal("one entry past the entry range accepted")
+	}
+}
+
+// TestNegativeRoutesRejected: ROUTES -5 used to build a table holding
+// only the default route, silently.
+func TestNegativeRoutesRejected(t *testing.T) {
+	env := &click.Env{Arena: mem.NewArena(0), Seed: 1}
+	_, err := click.ParseConfig(env, "neg", "src :: FromDevice(SIZE 64); src -> RadixIPLookup(ROUTES -5) -> ToDevice;")
+	if err == nil || !strings.Contains(err.Error(), "RadixIPLookup") || !strings.Contains(err.Error(), "ROUTES") {
+		t.Fatalf("ROUTES -5: err = %v, want an error naming the element and the key", err)
 	}
 }

@@ -382,7 +382,13 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		a.Reserve(uint64(statePriv)*101*4096, 4096)
 		return a
 	}
+	// Three steps. Flow slots and stage arenas first, in declaration order:
+	// flow ids, the private-domain numbering and the page colour depend on
+	// it. Then the replicas, each allocating only from its own arenas, side
+	// by side. Last the stages and hand-off rings, in declaration order
+	// again: the per-socket arenas and the worker bindings depend on it.
 	var states []*appState
+	var arenasOf [][]*mem.Arena // by flow id: one arena per stage
 	widx := 0
 	for ai := range cfg.Apps {
 		spec := cfg.Apps[ai]
@@ -404,15 +410,29 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			for s := range stageArenas {
 				stageArenas[s] = stateArena(r.workers[widx+s].socket)
 			}
-			f, raw, err := r.buildFlow(st, k, stageArenas)
-			if err != nil {
-				return nil, err
-			}
+			f := &flow{id: len(r.flows), app: st, replica: k}
 			st.flows = append(st.flows, f)
 			r.flows = append(r.flows, f)
+			arenasOf = append(arenasOf, stageArenas)
+			widx += stages
+		}
+		states = append(states, st)
+	}
+	raws := make([]hw.PacketSource, len(r.flows))
+	if err := core.FanOut(len(r.flows), func(i int) (err error) {
+		raws[i], err = r.buildFlow(r.flows[i], arenasOf[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	widx = 0
+	for _, st := range states {
+		spec, pktSize, ai := st.spec, st.pktSize, st.index
+		for _, f := range st.flows {
 			// One replica spans the next `stages` workers, stage order
 			// matching worker order.
-			if err := r.buildStages(f, raw, widx, stages, arena); err != nil {
+			stages := len(arenasOf[f.id])
+			if err := r.buildStages(f, raws[f.id], widx, stages, arena); err != nil {
 				return nil, err
 			}
 			widx += stages
@@ -449,7 +469,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 			st.gen = trafficgen.New(genSpec)
 		}
-		states = append(states, st)
 	}
 	r.disp = &dispatcher{apps: states, quantumSec: r.quantumSec, quantumCycles: cfg.QuantumCycles}
 	r.buildTracer()
@@ -494,12 +513,13 @@ func (c Config) resolveRate(a AppSpec) (float64, error) {
 	return a.RateFraction * p.SoloPPS * float64(a.Workers), nil
 }
 
-// buildFlow constructs one replica with stage s's state allocated from
+// buildFlow constructs replica f with stage s's state allocated from
 // arenas[s] (one private arena per stage, homed to the stage's worker's
-// socket). It returns the flow and, for a synthetic flow, the raw source
-// its single stage runs in place of a graph walk.
-func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*flow, hw.PacketSource, error) {
-	spec := st.spec
+// socket). It returns, for a synthetic flow, the raw source its single
+// stage runs in place of a graph walk. Replicas build concurrently: it
+// reads the runtime's configuration and writes only f and its arenas.
+func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, error) {
+	st, spec := f.app, f.app.spec
 	arenaAt := func(s int) *mem.Arena {
 		if s < 0 {
 			s = 0
@@ -510,25 +530,17 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 		return arenas[s]
 	}
 	inst, err := r.cfg.Params.BuildSpec(apps.Spec{
-		Type: spec.Type, Seed: core.SeedFor(spec.Type, st.index*64+replica), SynCompute: spec.SynCompute,
+		Type: spec.Type, Seed: core.SeedFor(spec.Type, st.index*64+f.replica), SynCompute: spec.SynCompute,
 		Control: spec.Control, HiddenTrigger: spec.HiddenTrigger,
 	}, arenaAt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, replica, err)
+		return nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, f.replica, err)
 	}
-	f := &flow{
-		id:         len(r.flows),
-		app:        st,
-		replica:    replica,
-		pipe:       inst.Pipeline,
-		control:    inst.Control,
-		traffic:    inst.Traffic,
-		state:      inst.StateBindings(-1),
-		stateBytes: inst.StateBytes(-1),
-		stateHome:  r.platform.DomainHome(arenas[0].Domain()),
-	}
+	f.pipe, f.control, f.traffic = inst.Pipeline, inst.Control, inst.Traffic
+	f.state, f.stateBytes = inst.StateBindings(-1), inst.StateBytes(-1)
+	f.stateHome = r.platform.DomainHome(arenas[0].Domain())
 	if f.pipe == nil {
-		return f, inst.Source, nil
+		return inst.Source, nil
 	}
 	f.ring = NewRing(r.cfg.RingSize, st.pktSize)
 	// The graph's own source generated traffic for offline profiling;
@@ -543,7 +555,7 @@ func (r *Runtime) buildFlow(st *appState, replica int, arenas []*mem.Arena) (*fl
 	for i, n := range f.pipe.Nodes() {
 		n.Elem = uint16(i + 1)
 	}
-	return f, nil, nil
+	return nil, nil
 }
 
 // Stats exposes the live telemetry aggregator.

@@ -53,9 +53,14 @@ func (c *Cursor) Init(capacity int) int {
 // Cap returns the ring's capacity in slots.
 func (c *Cursor) Cap() int { return int(c.size) }
 
-// Len returns the published occupancy. It is safe to call from any
-// goroutine; the value is naturally racy while both sides run.
-func (c *Cursor) Len() int { return int(c.tail.Load() - c.head.Load()) }
+// Len returns the published occupancy, 0 ≤ Len ≤ Cap from any goroutine
+// while both sides run: head is loaded first and never passes tail, so
+// the difference cannot go negative, and slots freed and refilled
+// between the two loads are clamped away.
+func (c *Cursor) Len() int {
+	h := c.head.Load()
+	return int(min(c.tail.Load()-h, c.size))
+}
 
 // Full reports whether Stage would fail, counting the producer's
 // staged-but-unpublished slots. Only the producer should act on it (the
