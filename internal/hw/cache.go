@@ -1,6 +1,9 @@
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheGeom describes the geometry of one cache level.
 type CacheGeom struct {
@@ -30,13 +33,27 @@ const (
 	ReplaceRandom
 )
 
-type cacheLine struct {
-	tag   uint64 // full line address (addr >> LineShift); valid if tag != invalidTag
-	stamp uint64 // last-use time for LRU ordering
-	dirty bool
-}
+// A way is two words in two parallel arrays, tags[i] and words[i] with
+// i = set*ways + way. The tag is the full line address (addr >> LineShift),
+// invalidTag when the way is empty. The recency word packs, low to high:
+// the dirty bit, holderBits holder bits (used by the inclusive L3: which
+// cores may hold a private copy), the way's inverted index (ways-1-way)
+// and the use stamp. An empty way's word is its index field alone, so the
+// unsigned minimum over a set's words is the highest-index empty way when
+// there is one and the least recently used way otherwise — see "The cache
+// model" in docs/ARCHITECTURE.md for why each rule is exact.
+const (
+	invalidTag = ^uint64(0)
 
-const invalidTag = ^uint64(0)
+	dirtyBit    = 1
+	holderShift = 1
+	holderBits  = 16
+	idxShift    = holderShift + holderBits
+
+	// maxWays keeps the stamp at 39 bits or more below a clear sign bit
+	// (the victim scan subtracts words as signed numbers).
+	maxWays = 128
+)
 
 // CacheStats aggregates the events observed by one cache instance.
 // For shared caches these are totals across all accessing cores; per-core
@@ -58,28 +75,34 @@ type CacheStats struct {
 type Cache struct {
 	Name   string
 	Stats  CacheStats
-	lines  []cacheLine
+	tags   []uint64
+	words  []uint64
 	sets   uint64
 	ways   int
 	policy ReplacementPolicy
-	clock  uint64 // monotonically increasing use stamp
+	clock  uint64 // stamp of the latest touch, in field position
+	tick   uint64 // one stamp: the lowest bit of the stamp field
 	rng    uint64 // state for ReplaceRandom victim selection
 }
 
 // NewCache builds a cache with the given geometry and replacement policy.
+// It panics on a geometry the recency word cannot index (Ways > 128).
 func NewCache(name string, g CacheGeom, policy ReplacementPolicy) *Cache {
 	sets := g.Sets()
+	if g.Ways > maxWays {
+		panic(fmt.Sprintf("hw: cache %s: %d ways, the model holds at most %d", name, g.Ways, maxWays))
+	}
 	c := &Cache{
 		Name:   name,
-		lines:  make([]cacheLine, sets*g.Ways),
+		tags:   make([]uint64, sets*g.Ways),
+		words:  make([]uint64, sets*g.Ways),
 		sets:   uint64(sets),
 		ways:   g.Ways,
 		policy: policy,
+		tick:   1 << (idxShift + bits.Len(uint(g.Ways-1))),
 		rng:    0x9e3779b97f4a7c15,
 	}
-	for i := range c.lines {
-		c.lines[i].tag = invalidTag
-	}
+	c.Flush()
 	return c
 }
 
@@ -96,23 +119,51 @@ func (c *Cache) setOf(lineAddr uint64) int {
 	return int(lineAddr%c.sets) * c.ways
 }
 
+// find is the one tag scan: the index of the way holding line, or -1.
+func (c *Cache) find(addr Addr) int {
+	line := uint64(addr >> LineShift)
+	base := c.setOf(line)
+	for i, tag := range c.tags[base : base+c.ways] {
+		if tag == line {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// flagOf is the dirty bit of a write.
+func flagOf(write bool) uint64 {
+	if write {
+		return dirtyBit
+	}
+	return 0
+}
+
+// touch stamps way i most recently used and ORs flags (dirty, holder)
+// into its word.
+func (c *Cache) touch(i int, flags uint64) {
+	c.clock += c.tick
+	if int64(c.clock) < 0 {
+		panic("hw: cache " + c.Name + ": use stamps exhausted")
+	}
+	c.words[i] = c.words[i]&(c.tick-1) | c.clock | flags
+}
+
 // Access looks up the line containing addr, updating recency and counting
 // the reference. If write is true and the line is present it is marked
 // dirty. It returns whether the access hit.
 func (c *Cache) Access(addr Addr, write bool) bool {
-	line := uint64(addr >> LineShift)
-	base := c.setOf(line)
+	return c.access(addr, flagOf(write))
+}
+
+// access is Access with the bits to OR into a hit way's word spelled out:
+// the L3 passes the accessing core's holder bit.
+func (c *Cache) access(addr Addr, flags uint64) bool {
 	c.Stats.Refs++
-	c.clock++
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == line {
-			c.lines[i].stamp = c.clock
-			if write {
-				c.lines[i].dirty = true
-			}
-			c.Stats.Hits++
-			return true
-		}
+	if i := c.find(addr); i >= 0 {
+		c.touch(i, flags)
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
@@ -120,114 +171,95 @@ func (c *Cache) Access(addr Addr, write bool) bool {
 
 // Contains reports whether the line containing addr is present, without
 // updating recency or statistics. It is intended for tests and assertions.
-func (c *Cache) Contains(addr Addr) bool {
-	line := uint64(addr >> LineShift)
-	base := c.setOf(line)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == line {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(addr Addr) bool { return c.find(addr) >= 0 }
 
 // Insert fills the line containing addr, evicting a victim if the set is
 // full. It returns the victim's address and dirtiness when a valid line
 // was displaced. Inserting a line that is already present refreshes its
 // recency (and dirtiness if dirty is true) without eviction.
 func (c *Cache) Insert(addr Addr, dirty bool) (victim Addr, victimDirty, evicted bool) {
+	victim, old := c.insert(addr, flagOf(dirty))
+	return victim, old&dirtyBit != 0, old >= c.tick
+}
+
+// insert is Insert in fill's terms: a present line is refreshed and
+// reports an empty way displaced.
+func (c *Cache) insert(addr Addr, flags uint64) (victim Addr, old uint64) {
+	if i := c.find(addr); i >= 0 {
+		c.touch(i, flags)
+		return 0, 0
+	}
+	return c.fill(addr, flags)
+}
+
+// fill places the line containing addr, which the caller knows to be
+// absent, in its set's victim way with flags as its dirty and holder bits. It returns the
+// displaced line's address and recency word; the word is below c.tick
+// (no stamp, no dirty or holder bit) when the way was empty.
+func (c *Cache) fill(addr Addr, flags uint64) (victim Addr, old uint64) {
 	line := uint64(addr >> LineShift)
 	base := c.setOf(line)
-	c.clock++
-
-	victimIdx := base
-	oldest := ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		l := &c.lines[i]
-		if l.tag == line {
-			l.stamp = c.clock
-			if dirty {
-				l.dirty = true
-			}
-			return 0, false, false
-		}
-		if l.tag == invalidTag {
-			// Prefer an invalid way; mark it as the victim and stop
-			// considering occupied ways.
-			victimIdx = i
-			oldest = 0
-		} else if oldest != 0 && l.stamp < oldest {
-			victimIdx = i
-			oldest = l.stamp
-		}
+	set := c.words[base : base+c.ways]
+	// The minimum, branch-free: d's sign is set exactly when x < old
+	// (words stay below 2^63), and the compiler turns both min() and
+	// an if into a jump that mispredicts here.
+	old = set[0]
+	for _, x := range set[1:] {
+		d := x - old
+		old += d & uint64(int64(d)>>63)
 	}
-	if oldest != 0 && c.policy == ReplaceRandom {
-		// xorshift64* victim selection: deterministic, seed-independent of
-		// workload content.
+	if c.policy == ReplaceRandom && old >= c.tick {
+		// No empty way: xorshift64 draws the victim, deterministic and
+		// independent of workload content.
 		c.rng ^= c.rng << 13
 		c.rng ^= c.rng >> 7
 		c.rng ^= c.rng << 17
-		victimIdx = base + int(c.rng%uint64(c.ways))
+		old = set[c.rng%uint64(c.ways)]
 	}
-	v := &c.lines[victimIdx]
-	if v.tag != invalidTag {
+	i := base + c.ways - 1 - int(old&(c.tick-1)>>idxShift)
+	if old >= c.tick {
 		c.Stats.Evictions++
-		if v.dirty {
-			c.Stats.Writebacks++
-		}
-		victim = Addr(v.tag << LineShift)
-		victimDirty = v.dirty
-		evicted = true
+		c.Stats.Writebacks += old & dirtyBit
+		victim = Addr(c.tags[i] << LineShift)
 	}
-	v.tag = line
-	v.stamp = c.clock
-	v.dirty = dirty
-	return victim, victimDirty, evicted
+	c.tags[i] = line
+	c.words[i] = old & (c.tick - 1) &^ (1<<idxShift - 1)
+	c.touch(i, flags)
+	return victim, old
 }
 
 // Invalidate removes the line containing addr if present, returning
 // whether it was present and whether it was dirty. Dirty invalidations
 // are counted as writebacks.
 func (c *Cache) Invalidate(addr Addr) (present, dirty bool) {
-	line := uint64(addr >> LineShift)
-	base := c.setOf(line)
-	for i := base; i < base+c.ways; i++ {
-		l := &c.lines[i]
-		if l.tag == line {
-			present = true
-			dirty = l.dirty
-			if dirty {
-				c.Stats.Writebacks++
-			}
-			l.tag = invalidTag
-			l.dirty = false
-			return present, dirty
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.words[i]&dirtyBit != 0
+	c.Stats.Writebacks += c.words[i] & dirtyBit
+	c.tags[i] = invalidTag
+	c.words[i] &= (c.tick - 1) &^ (1<<idxShift - 1)
+	return true, dirty
 }
 
 // MarkDirty marks the line containing addr dirty if present, returning
 // whether it was present. It models a write-back arriving from an inner
 // cache level.
 func (c *Cache) MarkDirty(addr Addr) bool {
-	line := uint64(addr >> LineShift)
-	base := c.setOf(line)
-	for i := base; i < base+c.ways; i++ {
-		if c.lines[i].tag == line {
-			c.lines[i].dirty = true
-			return true
-		}
+	i := c.find(addr)
+	if i >= 0 {
+		c.words[i] |= dirtyBit
 	}
-	return false
+	return i >= 0
 }
 
 // ValidLines returns the number of currently valid lines, for tests and
 // occupancy diagnostics.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].tag != invalidTag {
+	for _, tag := range c.tags {
+		if tag != invalidTag {
 			n++
 		}
 	}
@@ -236,8 +268,11 @@ func (c *Cache) ValidLines() int {
 
 // Flush invalidates every line and resets statistics.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{tag: invalidTag}
+	for base := 0; base < len(c.tags); base += c.ways {
+		for way := 0; way < c.ways; way++ {
+			c.tags[base+way] = invalidTag
+			c.words[base+way] = uint64(c.ways-1-way) << idxShift
+		}
 	}
 	c.Stats = CacheStats{}
 }

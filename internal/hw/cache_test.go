@@ -250,3 +250,15 @@ func TestCacheLRURetentionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewCacheWaysLimit: the recency word indexes at most 128 ways; a
+// wider geometry must panic at construction, not simulate wrongly.
+func TestNewCacheWaysLimit(t *testing.T) {
+	NewCache("widest", CacheGeom{SizeBytes: 128 * LineSize, Ways: 128}, ReplaceLRU)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a 129-way cache")
+		}
+	}()
+	NewCache("too wide", CacheGeom{SizeBytes: 129 * LineSize, Ways: 129}, ReplaceLRU)
+}

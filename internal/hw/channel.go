@@ -1,6 +1,9 @@
 package hw
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Channel models a bandwidth-limited, first-come-first-served shared
 // resource: a memory controller's command pipeline or a QPI link. Each
@@ -87,14 +90,7 @@ func (ch *Channel) Occupy(now uint64) (wait uint64) {
 }
 
 // waitBucket maps a wait to its histogram bucket.
-func waitBucket(wait uint64) int {
-	b := 0
-	for wait > 0 && b < waitBuckets-1 {
-		b++
-		wait >>= 1
-	}
-	return b
-}
+func waitBucket(wait uint64) int { return min(bits.Len64(wait), waitBuckets-1) }
 
 // WaitQuantile returns an upper bound on the q-quantile (q in [0,1]) of
 // per-request queueing delay: the inclusive upper edge of the histogram

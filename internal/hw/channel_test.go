@@ -134,3 +134,24 @@ func TestChannelWaitQuantile(t *testing.T) {
 		t.Fatalf("post-reset p99 = %d, want 0", got)
 	}
 }
+
+// TestWaitBucketEdges pins the histogram's bucket edges to the values
+// the shift loop that waitBucket replaced produced: bucket 0 is zero
+// wait, bucket i covers [2^(i-1), 2^i), the last bucket is open-ended.
+func TestWaitBucketEdges(t *testing.T) {
+	loop := func(wait uint64) int {
+		b := 0
+		for wait > 0 && b < waitBuckets-1 {
+			b++
+			wait >>= 1
+		}
+		return b
+	}
+	for wait, want := range map[uint64]int{
+		0: 0, 1: 1, 2: 2, 3: 2, 1 << 14: 15, 1<<15 - 1: 15, 1 << 15: 16, 1 << 40: 16, ^uint64(0): 16,
+	} {
+		if got := waitBucket(wait); got != want || got != loop(wait) {
+			t.Errorf("waitBucket(%d) = %d, want %d (the loop gives %d)", wait, got, want, loop(wait))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -16,7 +17,8 @@ type Core struct {
 
 	Counters Counters
 
-	clock uint64 // local virtual time in cycles
+	clock  uint64 // local virtual time in cycles
+	holder uint64 // this core's holder bit in an L3 recency word
 
 	// elems is the per-element attribution table installed by
 	// SetElemTable (nil = attribution off); curElem is the slot of the op
@@ -81,6 +83,7 @@ func NewPlatform(cfg Config) *Platform {
 				Socket: sock,
 				L1:     NewCache(fmt.Sprintf("core%d.L1D", id), cfg.L1D, ReplaceLRU),
 				L2:     NewCache(fmt.Sprintf("core%d.L2", id), cfg.L2, ReplaceLRU),
+				holder: 1 << (holderShift + i%holderBits),
 			}
 			sock.Cores = append(sock.Cores, core)
 			p.Cores = append(p.Cores, core)
@@ -169,48 +172,41 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	if c.elems != nil {
 		c.elems[c.curElem].L3Refs++
 	}
-	if sock.L3.Access(addr, false) {
+	if sock.L3.access(addr, c.holder) {
 		cnt.L3Hits++
 		cnt.Func[fn].L3Hits++
 		if c.elems != nil {
 			c.elems[c.curElem].L3Hits++
 		}
-		c.fillL2(now, addr)
-		c.fillL1(now, addr)
-		if write {
-			// The private copy carries the dirtiness; the L3 copy will be
-			// marked dirty when the private copy writes back.
-			c.L1.MarkDirty(addr)
+	} else {
+		cnt.L3Misses++
+		cnt.Func[fn].L3Misses++
+		if c.elems != nil {
+			c.elems[c.curElem].L3Misses++
 		}
-		return lat
+		// Memory access, possibly across the interconnect.
+		home := sock.platform.HomeSocket(addr)
+		if home != sock {
+			cnt.RemoteRefs++
+			qwait := sock.QPI.Occupy(now + lat)
+			cnt.QPIQueueCycles += qwait
+			lat += qwait + cfg.QPILatency
+		}
+		mwait := home.Mem.Occupy(now + lat)
+		cnt.MemQueueCycles += mwait
+		lat += mwait + cfg.DRAMLatency
+		if home != sock {
+			// Response hop: the return traversal adds latency but the request
+			// already reserved the link slot.
+			lat += cfg.QPILatency
+		}
+		c.fillL3(now, addr, flagOf(write))
 	}
-	cnt.L3Misses++
-	cnt.Func[fn].L3Misses++
-	if c.elems != nil {
-		c.elems[c.curElem].L3Misses++
-	}
-
-	// Memory access, possibly across the interconnect.
-	home := sock.platform.HomeSocket(addr)
-	if home != sock {
-		cnt.RemoteRefs++
-		qwait := sock.QPI.Occupy(now + lat)
-		cnt.QPIQueueCycles += qwait
-		lat += qwait + cfg.QPILatency
-	}
-	mwait := home.Mem.Occupy(now + lat)
-	cnt.MemQueueCycles += mwait
-	lat += mwait + cfg.DRAMLatency
-	if home != sock {
-		// Response hop: the return traversal adds latency but the request
-		// already reserved the link slot.
-		lat += cfg.QPILatency
-	}
-
-	c.insertL3(now, addr, write)
-	c.fillL2(now, addr)
+	c.fillL2(now, addr, 0)
 	c.fillL1(now, addr)
 	if write {
+		// The private copy carries the dirtiness; after an L3 hit the L3
+		// copy is marked dirty when the private copy writes back.
 		c.L1.MarkDirty(addr)
 	}
 	return lat
@@ -225,51 +221,54 @@ func (c *Core) DMAWrite(now uint64, addr Addr) {
 		peer.L1.Invalidate(addr)
 		peer.L2.Invalidate(addr)
 	}
-	c.insertL3(now, addr, true)
+	victim, old := c.Socket.L3.insert(addr, dirtyBit)
+	c.evictedL3(now, victim, old)
 }
+
+// The fills below follow a miss at their level, so they skip the tag scan
+// (Cache.fill): the line is absent, and nothing between the miss and the
+// fill inserts into that cache.
 
 func (c *Core) fillL1(now uint64, addr Addr) {
-	victim, dirty, evicted := c.L1.Insert(addr, false)
-	if evicted && dirty {
-		// Write the victim back into L2; if L2 no longer holds it the
-		// write-back allocates there (and may cascade).
-		if !c.L2.MarkDirty(victim) {
-			c.insertL2(now, victim, true)
-		}
+	victim, old := c.L1.fill(addr, 0)
+	// Write a dirty victim back into L2; if L2 no longer holds it the
+	// write-back allocates there (and may cascade).
+	if old&dirtyBit != 0 && !c.L2.MarkDirty(victim) {
+		c.fillL2(now, victim, dirtyBit)
 	}
 }
 
-func (c *Core) fillL2(now uint64, addr Addr) {
-	c.insertL2(now, addr, false)
-}
-
-func (c *Core) insertL2(now uint64, addr Addr, dirty bool) {
-	victim, vdirty, evicted := c.L2.Insert(addr, dirty)
-	if evicted && vdirty {
-		if !c.Socket.L3.MarkDirty(victim) {
-			c.insertL3(now, victim, true)
-		}
+func (c *Core) fillL2(now uint64, addr Addr, flags uint64) {
+	victim, old := c.L2.fill(addr, flags)
+	if old&dirtyBit != 0 && !c.Socket.L3.MarkDirty(victim) {
+		c.fillL3(now, victim, dirtyBit)
 	}
 }
 
-func (c *Core) insertL3(now uint64, addr Addr, dirty bool) {
+func (c *Core) fillL3(now uint64, addr Addr, flags uint64) {
+	victim, old := c.Socket.L3.fill(addr, flags|c.holder)
+	c.evictedL3(now, victim, old)
+}
+
+// evictedL3 completes an L3 insertion that displaced victim, whose
+// recency word was old (an empty way's word has no bit looked at here).
+func (c *Core) evictedL3(now uint64, victim Addr, old uint64) {
 	sock := c.Socket
-	victim, vdirty, evicted := sock.L3.Insert(addr, dirty)
-	if !evicted {
-		return
-	}
+	dirty := old&dirtyBit != 0
 	if sock.platform.Cfg.InclusiveL3 {
 		// Inclusive L3: displaced lines may not survive in private caches.
-		for _, peer := range sock.Cores {
-			if p, d := peer.L1.Invalidate(victim); p && d {
-				vdirty = true
-			}
-			if p, d := peer.L2.Invalidate(victim); p && d {
-				vdirty = true
+		// A core's holder bit is set when it fills or hits the line in L3,
+		// its only ways to a private copy, so the set bits name every core
+		// that can hold one (core k shares bit k mod holderBits).
+		for h := old >> holderShift & (1<<holderBits - 1); h != 0; h &= h - 1 {
+			for k := bits.TrailingZeros64(h); k < len(sock.Cores); k += holderBits {
+				_, d1 := sock.Cores[k].L1.Invalidate(victim)
+				_, d2 := sock.Cores[k].L2.Invalidate(victim)
+				dirty = dirty || d1 || d2
 			}
 		}
 	}
-	if vdirty {
+	if dirty {
 		// Posted write-back: consumes controller bandwidth, adds no
 		// latency to the access that triggered the eviction.
 		sock.platform.HomeSocket(victim).Mem.Occupy(now)

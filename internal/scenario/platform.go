@@ -30,11 +30,15 @@ type Platform struct {
 	lineBytes int
 }
 
+// maxWays is the widest associativity hw.NewCache builds: its recency word
+// indexes at most 128 ways (TestWaysLimitIsHWs holds the two together).
+const maxWays = 128
+
 // platformKeys declares every Platform(...) key, each landing in the
 // hw.Config field it overrides.
 var platformKeys = func() []Key[Platform] {
 	size := fmt.Sprintf("[%d,%d]", hw.LineSize, 1<<30)
-	const ways = "[1,65536]"
+	ways := fmt.Sprintf("[1,%d]", maxWays)
 	return []Key[Platform]{
 		Int("SOCKETS", "[1,64]", func(p *Platform) *int { return &p.cfg.Sockets }),
 		Int("CORES_PER_SOCKET", "[1,1024]", func(p *Platform) *int { return &p.cfg.CoresPerSocket }),
@@ -101,7 +105,8 @@ func ParseOverrides(s string) (*Platform, error) {
 
 // Apply overlays the block's named keys on base and validates the
 // result's cache geometry (sizes must be whole numbers of line-sized
-// ways, or hw would panic building the caches).
+// ways and no level wider than maxWays, or hw would panic building the
+// caches).
 func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
 	if p == nil {
 		return base, nil
@@ -118,6 +123,9 @@ func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
 		g    hw.CacheGeom
 	}{{"L1", cfg.L1D}, {"L2", cfg.L2}, {"L3", cfg.L3}} {
 		span := hw.LineSize * lvl.g.Ways
+		if lvl.g.Ways > maxWays {
+			return hw.Config{}, fmt.Errorf("platform: %s_WAYS %d outside [1,%d]", lvl.name, lvl.g.Ways, maxWays)
+		}
 		if lvl.g.Ways <= 0 || lvl.g.SizeBytes <= 0 || lvl.g.SizeBytes%span != 0 {
 			return hw.Config{}, fmt.Errorf("platform: %s geometry %d bytes / %d ways invalid (size must be a positive multiple of %d-byte line × ways = %d)",
 				lvl.name, lvl.g.SizeBytes, lvl.g.Ways, hw.LineSize, span)

@@ -144,6 +144,7 @@ func TestPlatformErrors(t *testing.T) {
 		{"CLOCK_HZ -1e9", "CLOCK_HZ -1e9 outside (0,)"},
 		{"STREAM_MLP 0", "STREAM_MLP 0 outside [1,)"},
 		{"64", "positional argument"},
+		{"L1_WAYS 129", "L1_WAYS 129 outside [1,128]"},
 	}
 	for _, c := range cases {
 		text := "scenario :: Scenario(NAME p);\nplatform :: Platform(" + c.args + ");\nmon :: Flow(TYPE MON);\n"
@@ -174,6 +175,54 @@ func TestPlatformErrors(t *testing.T) {
 	_, err = Parse("scenario :: Scenario(NAME p);\nplatform :: Platform();\nplatform2 :: Platform();\nmon :: Flow(TYPE MON);\n")
 	if err == nil || !strings.Contains(err.Error(), "second Platform") {
 		t.Fatalf("duplicate platform accepted: %v", err)
+	}
+}
+
+// TestWaysLimitIsHWs: the cache model's recency word indexes at most 128
+// ways, and a wider level is an error naming the key and the limit —
+// whether a key names it or the base carries it — where hw.NewCache
+// would panic. The widest geometry the grammar admits, with more cores
+// per socket than the L3 word has holder bits, builds and runs.
+func TestWaysLimitIsHWs(t *testing.T) {
+	if _, err := ParseOverrides("L3_WAYS 65536"); err == nil || !strings.Contains(err.Error(), "L3_WAYS 65536 outside [1,128]") {
+		t.Fatalf("L3_WAYS 65536: error %v, want the key and its limit", err)
+	}
+	wide := testCfg()
+	wide.L2.Ways = 256
+	if _, err := (&Platform{}).Apply(wide); err == nil || !strings.Contains(err.Error(), "L2_WAYS 256 outside [1,128]") {
+		t.Fatalf("256-way base: error %v, want the key and its limit", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("hw.NewCache built a 129-way cache: scenario's maxWays is not hw's limit")
+			}
+		}()
+		hw.NewCache("wide", hw.CacheGeom{SizeBytes: (maxWays + 1) * hw.LineSize, Ways: maxWays + 1}, hw.ReplaceLRU)
+	}()
+
+	p, err := ParseOverrides("L3_WAYS 128, CORES_PER_SOCKET 24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := p.Apply(testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := hw.NewPlatform(cfg)
+	// Cores 7 and 23 share a holder bit; both take a private copy, then
+	// core 0 streams the L3 over: neither copy may survive the eviction.
+	const line = hw.Addr(1 << 20)
+	for _, id := range []int{7, 23} {
+		plat.Cores[id].Access(0, line, false, hw.FuncOther)
+	}
+	for a := hw.Addr(0); a < hw.Addr(2*cfg.L3.SizeBytes); a += hw.LineSize {
+		plat.Cores[0].Access(0, 1<<30+a, false, hw.FuncOther)
+	}
+	for _, id := range []int{7, 23} {
+		if c := plat.Cores[id]; c.L1.Contains(line) || c.L2.Contains(line) {
+			t.Errorf("core %d kept a private copy of a line the inclusive L3 evicted", id)
+		}
 	}
 }
 
