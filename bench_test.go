@@ -51,9 +51,9 @@ func benchSetup(b *testing.B) (exp.Scale, *core.Predictor) {
 }
 
 func BenchmarkTable1(b *testing.B) {
-	s, _ := benchSetup(b)
+	s, p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable1(s)
+		res, err := exp.RunTable1(s, p)
 		if err != nil {
 			b.Fatal(err)
 		}

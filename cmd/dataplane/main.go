@@ -268,7 +268,7 @@ func writeTrace(path string, r *runtime.Runtime, clockHz float64) error {
 	n := len(t.Events())
 	msg := fmt.Sprintf("dataplane: wrote %d trace spans to %s", n, path)
 	if d := t.Dropped(); d > 0 {
-		msg += fmt.Sprintf(" (%d spans dropped: raise TraceCap or sample less)", d)
+		msg += fmt.Sprintf(" (%d spans dropped: raise -trace-sample or shorten the run)", d)
 	}
 	if n == 0 {
 		msg += " (no staged chains in this scenario, or no sampled packet completed)"

@@ -78,6 +78,9 @@ func (l *typeList) Set(s string) error {
 		count, name := 1, part
 		if n, rest, ok := strings.Cut(part, "x"); ok {
 			if c, err := strconv.Atoi(n); err == nil {
+				if c < 1 {
+					return fmt.Errorf("%q: a count must be at least 1", part)
+				}
 				count, name = c, rest
 			}
 		}
@@ -144,7 +147,7 @@ func figures(fs *flag.FlagSet) func(exp.Scale) error {
 func runFigure(name string, scale exp.Scale, p *core.Predictor, fig2 **exp.Fig2Result, targets []apps.FlowType) (result, error) {
 	switch name {
 	case "table1":
-		return exp.RunTable1(scale)
+		return exp.RunTable1(scale, p)
 	case "fig2":
 		r, err := exp.RunFig2(scale, p)
 		if err == nil {

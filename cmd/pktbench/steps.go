@@ -8,7 +8,7 @@ import (
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
-	"pktpredict/internal/perf"
+	"pktpredict/internal/hw"
 )
 
 // profile runs one packet-processing flow solo on the simulated platform
@@ -39,13 +39,14 @@ func profile(fs *flag.FlagSet) func(exp.Scale) error {
 		if err != nil {
 			return err
 		}
-		p := perf.Profile{Label: string(t), Stats: res.Stats[0]}
-		fmt.Println(perf.Table([]perf.Profile{p}))
-		fmt.Printf("throughput: %.0f packets/sec\n\n", p.Throughput())
+		st := res.Stats[0]
+		st.Label = string(t)
+		fmt.Println(exp.Table([]hw.FlowStats{st}))
+		fmt.Printf("throughput: %.0f packets/sec\n\n", st.Throughput())
 
 		fmt.Println("per-function breakdown:")
 		fmt.Printf("%-20s %12s %12s %12s %12s\n", "function", "cycles", "L3 refs", "L3 hits", "L3 misses")
-		for _, fn := range res.Stats[0].FuncBreakdown() {
+		for _, fn := range st.FuncBreakdown() {
 			fmt.Printf("%-20s %12d %12d %12d %12d\n", fn.Name, fn.Cycles, fn.L3Refs, fn.L3Hits, fn.L3Misses)
 		}
 		return nil
@@ -61,6 +62,9 @@ func predict(fs *flag.FlagSet) func(exp.Scale) error {
 	mix := typesFlag(fs, "mix", "MON,MON,VPN,VPN,FW,RE", "flow-type list sharing one socket")
 	validate := fs.Bool("validate", false, "also co-run the mix and report measured drops")
 	return func(scale exp.Scale) error {
+		if len(*mix) == 0 {
+			return fmt.Errorf("-mix names no flow type")
+		}
 		p := scale.NewPredictor()
 		preds, sorted, err := p.PredictMix(*mix)
 		if err != nil {

@@ -4,14 +4,13 @@
 // hotpathalloc, elemstamp, singlewriter, metriclint; see
 // internal/analysis and docs/static-analysis.md.
 //
-// Two modes:
+// It is a `go vet` unit checker:
 //
-//	vetdp ./...                          # standalone, loads packages itself
-//	go vet -vettool=$(which vetdp) ./... # unit checker driven by cmd/go
+//	go vet -vettool=$(which vetdp) ./...
 //
-// The second is what CI runs: cmd/go hands vetdp one package at a time
-// with export data and fact files for its dependencies, and caches
-// clean results keyed on the tool's -V=full identity.
+// cmd/go hands vetdp one package at a time with export data and fact
+// files for its dependencies, and caches clean results keyed on the
+// tool's -V=full identity.
 //
 // Each analyzer can be disabled with -<name>=false. Exit status: 0
 // clean, 1 operational error, 2 diagnostics reported.
@@ -67,30 +66,8 @@ func run(args []string) int {
 	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		return analysis.RunUnitchecker(active, rest[0], os.Stderr)
 	}
-	return runStandalone(active, rest)
-}
-
-func runStandalone(active []*analysis.Analyzer, patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analysis.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vetdp: %v\n", err)
-		return 1
-	}
-	findings, err := analysis.Run(active, pkgs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vetdp: %v\n", err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "vetdp: run it through cmd/go: go vet -vettool=$(which vetdp) ./...")
+	return 1
 }
 
 // buildID hashes the running executable so the vet action cache is

@@ -36,7 +36,7 @@
 // The framework mirrors golang.org/x/tools/go/analysis deliberately —
 // Analyzer, Pass, diagnostics, package facts — but is built on the
 // standard library only, so the repo stays dependency-free. cmd/vetdp
-// drives it either standalone or as a `go vet -vettool` unit checker.
+// drives it as a `go vet -vettool` unit checker.
 package analysis
 
 import (

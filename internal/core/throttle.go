@@ -106,23 +106,10 @@ func NewContainment(e *hw.Engine, flowIdx int, ctl *elements.Control, limitRefsP
 func (c *Containment) Run(interval float64, steps int) []ThrottleSample {
 	samples := make([]ThrottleSample, 0, steps)
 	for step := 0; step < steps; step++ {
-		before := c.engine.Flows[c.flow].Core.Counters
-		startClock := c.engine.Flows[c.flow].Core.Clock()
-		c.engine.RunSeconds(interval)
-		delta := c.engine.Flows[c.flow].Core.Counters.Sub(before)
-		elapsed := c.engine.Flows[c.flow].Core.Clock() - startClock
-		seconds := float64(elapsed) / c.engine.Platform.Cfg.ClockHz
-		refsPerSec := 0.0
-		if seconds > 0 {
-			refsPerSec = float64(delta.L3Refs) / seconds
-		}
-
-		cyclesPerPacket := 0.0
-		if delta.Packets > 0 {
-			cyclesPerPacket = float64(delta.Cycles) / float64(delta.Packets)
-		}
+		st := c.engine.Measure(interval)[c.flow]
+		refsPerSec := st.L3RefsPerSec()
 		rc := RateController{Limit: c.Limit, Slack: c.Slack}
-		next, throttled := rc.Step(refsPerSec, cyclesPerPacket, c.Control.Delay())
+		next, throttled := rc.Step(refsPerSec, st.CyclesPerPacket(), c.Control.Delay())
 		c.Control.SetDelay(next)
 		samples = append(samples, ThrottleSample{
 			Interval:    step,

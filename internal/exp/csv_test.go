@@ -29,7 +29,7 @@ func checkCSV(t *testing.T, name, csv string) {
 func TestCSVStructures(t *testing.T) {
 	s, p := quickSetup(t)
 
-	t1, err := RunTable1(s)
+	t1, err := RunTable1(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/hw"
+	"pktpredict/internal/mem"
 )
 
 // The experiment drivers re-run many co-run scenarios; tests share one
@@ -29,11 +33,10 @@ func quickSetup(t *testing.T) (Scale, *core.Predictor) {
 
 func TestTable1(t *testing.T) {
 	s, p := quickSetup(t)
-	res, err := RunTable1(s)
+	res, err := RunTable1(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = p
 	if len(res.Profiles) != 5 {
 		t.Fatalf("profiles = %d, want 5", len(res.Profiles))
 	}
@@ -273,6 +276,70 @@ func TestThrottleExperiment(t *testing.T) {
 		t.Fatalf("containment did not protect the victim: %v vs %v pkts/sec",
 			res.VictimContainedTput, res.VictimUncontainedTput)
 	}
+	wantGolden(t, "testdata/throttle_quick.csv", res.CSV())
+}
+
+// wantGolden requires a figure's quick-scale CSV to equal the committed
+// one byte for byte: a refactor of the figure's driver moves no number,
+// and a model change that does regenerates the file in the same commit
+// (pktbench -exp NAME -scale quick -csv, minus its "# NAME" header line).
+func wantGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("CSV differs from %s:\n%s", path, got)
+	}
+}
+
+// TestUncutMatchesEmitPacket is the engine-side twin of the runtime's
+// TestOneStageTraceMatchesEmitPacket: a pipeline left whole by
+// cutPipeline emits exactly run-to-completion Pipeline.EmitPacket's
+// trace, packet for packet, and reaches the same outcome counters.
+func TestUncutMatchesEmitPacket(t *testing.T) {
+	build := func() *apps.Instance {
+		inst, err := Quick().Params.Build(apps.MON, mem.NewArena(0), core.SeedFor(apps.MON, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	rtc := build().Pipeline
+	cuts, err := cutPipeline(build().Pipeline, 0, mem.NewArena(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) != 1 || cuts[0].in != nil || cuts[0].out != nil {
+		t.Fatalf("uncut pipeline: %d stages, rings %v/%v", len(cuts), cuts[0].in, cuts[0].out)
+	}
+	var got, want []hw.Op
+	for i := 0; i < 1000; i++ {
+		got, want = cuts[0].EmitPacket(got[:0]), rtc.EmitPacket(want[:0])
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("packet %d: uncut trace (%d ops) differs from EmitPacket's (%d ops)", i, len(got), len(want))
+		}
+	}
+	if n := cuts[0].completed(); n != 1000 || n != rtc.Finished+rtc.Dropped {
+		t.Fatalf("completed %d, pipeline finished %d + dropped %d", n, rtc.Finished, rtc.Dropped)
+	}
+}
+
+func TestTableRendering(t *testing.T) {
+	_, p := quickSetup(t)
+	st, err := p.Solo(apps.IP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Label = "IP"
+	out := Table([]hw.FlowStats{st})
+	if !strings.Contains(out, "Flow") || !strings.Contains(out, "IP") {
+		t.Fatalf("table malformed:\n%s", out)
+	}
+	if lines := strings.Count(out, "\n"); lines != 2 {
+		t.Fatalf("table has %d lines, want 2", lines)
+	}
 }
 
 func TestPipelineExperiment(t *testing.T) {
@@ -281,6 +348,7 @@ func TestPipelineExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantGolden(t, "testdata/pipeline_quick.csv", res.CSV())
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}

@@ -63,9 +63,6 @@ func DefaultCombos() []Fig10Combo {
 
 // RunFig10 evaluates the given combos (nil = DefaultCombos).
 func RunFig10(s Scale, p *core.Predictor, combos []Fig10Combo) (*Fig10Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	if combos == nil {
 		combos = DefaultCombos()
 	}

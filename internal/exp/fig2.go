@@ -29,9 +29,6 @@ type Fig2Result struct {
 // RunFig2 runs all 25 pairs using p's memoised measurements (pass
 // s.NewPredictor() to run standalone).
 func RunFig2(s Scale, p *core.Predictor) (*Fig2Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	out := &Fig2Result{Average: make(map[apps.FlowType]float64)}
 	for _, target := range apps.RealisticTypes {
 		var sum float64
@@ -52,9 +49,6 @@ func RunFig2(s Scale, p *core.Predictor) (*Fig2Result, error) {
 // co-running with 5 flows of type comp. It is exported for the ablation
 // benchmarks, which re-measure one cell under modified hardware models.
 func RunFig2Pair(s Scale, p *core.Predictor, target, comp apps.FlowType) (Fig2Cell, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	return measurePair(p, target, comp)
 }
 

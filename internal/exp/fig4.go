@@ -53,9 +53,6 @@ type Fig4Result struct {
 // RunFig4 measures the given targets (nil = all realistic types) under
 // all three modes.
 func RunFig4(s Scale, p *core.Predictor, targets []apps.FlowType) (*Fig4Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	if targets == nil {
 		targets = apps.RealisticTypes
 	}

@@ -22,9 +22,6 @@ type Fig5Result struct {
 // RunFig5 builds the overlay from the predictor's sweeps and the Figure 2
 // measurements.
 func RunFig5(s Scale, p *core.Predictor, fig2 *Fig2Result) (*Fig5Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	if fig2 == nil {
 		var err error
 		fig2, err = RunFig2(s, p)

@@ -38,9 +38,6 @@ type Fig7Result struct {
 // solo hits/sec, W = the flow table's slot count (the structure the model
 // describes exactly, as the paper notes for flow_statistics).
 func RunFig7(s Scale, p *core.Predictor) (*Fig7Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	target := apps.MON
 	solo, err := p.Solo(target)
 	if err != nil {

@@ -36,9 +36,6 @@ type Fig8Result struct {
 
 // RunFig8 predicts and measures every pair scenario.
 func RunFig8(s Scale, p *core.Predictor) (*Fig8Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	out := &Fig8Result{
 		AvgError:      make(map[apps.FlowType]float64),
 		AvgPerfectErr: make(map[apps.FlowType]float64),

@@ -32,9 +32,6 @@ type Fig9Result struct {
 
 // RunFig9 measures and predicts the mixed workload.
 func RunFig9(s Scale, p *core.Predictor) (*Fig9Result, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	measured, sorted, err := p.MeasuredDrops(Fig9Mix)
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig9 measure: %w", err)

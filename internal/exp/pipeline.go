@@ -15,80 +15,90 @@ import (
 
 // Section 2.2: the "parallel" approach (each packet fully processed by
 // one core) versus the "pipeline" approach (processing steps split across
-// cores, packets handed over through a shared ring). The hand-off ring —
-// descriptor and header lines crossing cores, spin-wait polls, buffer
-// recycling into another core's pool — lives in internal/handoff, shared
-// with the concurrent runtime's cross-worker service chains so both
-// charge identical hand-off costs. Pipelining wins only for the crafted
-// workload: per-stage cacheable structures that, replicated per core,
-// overflow the shared cache.
+// cores, packets handed over through a shared ring). Both are the same
+// click.Pipeline: cut with AssignStages, each stage a click.StageRunner
+// walk between internal/handoff rings — descriptor and header lines
+// crossing cores, spin-wait polls, buffer recycling into another core's
+// pool — exactly the walk and ring code runtime.stage.step runs, so the
+// engine and the concurrent runtime charge identical hand-off costs.
+// Pipelining wins only for the crafted workload: per-stage cacheable
+// structures that, replicated per core, overflow the shared cache.
 
-// stage1 pulls packets from the source, runs the first processing steps,
-// and hands packets to stage 2.
-type stage1 struct {
-	src      click.Source
-	elements []click.Element
-	h        *handoff.Ring
-	ctx      click.Ctx
+// cut is one stage of a cut pipeline as an engine flow: stage 0 pulls
+// from the pipeline's source, a later stage pops its in ring; a walk that
+// crosses the cut is pushed to the out ring, one that ends here recycles
+// the packet (for a later stage, into the first core's pool: more
+// cross-core traffic). An uncut pipeline is one cut with no rings.
+type cut struct {
+	runner  *click.StageRunner
+	src     click.Source
+	in, out *handoff.Ring
+	entry   int
 }
 
-// EmitPacket implements hw.PacketSource.
-func (s *stage1) EmitPacket(buf []hw.Op) []hw.Op {
-	s.ctx.Ops = buf
-	if s.h.Full() {
-		s.h.PollFull(&s.ctx) // back-pressure: wait for the consumer
-		return s.ctx.Ops
-	}
-	p := s.src.Pull(&s.ctx)
-	if p == nil {
-		// Return whatever the failed Pull charged; cycles already spent
-		// must not vanish from the trace.
-		return s.ctx.Ops
-	}
-	for _, el := range s.elements {
-		if el.Process(&s.ctx, p) != click.Continue {
-			if p.Recycler != nil {
-				p.Recycler.Recycle(&s.ctx, p)
-			}
-			return s.ctx.Ops
+// cutPipeline cuts pl after its first `after` nodes (0 leaves it whole)
+// and returns its stages in order, joined by rings allocated in arena.
+func cutPipeline(pl *click.Pipeline, after int, arena *mem.Arena) ([]*cut, error) {
+	if after > 0 {
+		nodes := pl.Nodes()
+		if after >= len(nodes) {
+			return nil, fmt.Errorf("exp: pipeline %q too short to cut after node %d (%d nodes)", pl.Name, after, len(nodes))
+		}
+		if err := pl.AssignStages(map[string]int{nodes[after].Name: 1}); err != nil {
+			return nil, err
 		}
 	}
-	s.h.Push(&s.ctx, p, 0, false)
-	return s.ctx.Ops
-}
-
-// stage2 consumes handed-over packets and runs the remaining steps.
-type stage2 struct {
-	elements  []click.Element
-	h         *handoff.Ring
-	ctx       click.Ctx
-	Completed uint64
-}
-
-// EmitPacket implements hw.PacketSource.
-func (s *stage2) EmitPacket(buf []hw.Op) []hw.Op {
-	s.ctx.Ops = buf
-	if s.h.Empty() {
-		s.h.PollEmpty(&s.ctx)
-		return s.ctx.Ops
-	}
-	p, _, _, _ := s.h.Pop(&s.ctx)
-	// The packet's header lines were last written by the other core; this
-	// read is the compulsory hand-off miss the paper describes.
-	s.h.ChargeHeaderMiss(&s.ctx, p)
-	for _, el := range s.elements {
-		if el.Process(&s.ctx, p) != click.Continue {
-			break
+	cuts := make([]*cut, pl.NumStages())
+	for s := range cuts {
+		runner, err := pl.StageRunner(s)
+		if err != nil {
+			return nil, err
+		}
+		cuts[s] = &cut{runner: runner, src: pl.Source, entry: pl.HeadIndex()}
+		if s > 0 {
+			cuts[s].in = handoff.New(arena, 128)
+			cuts[s-1].out = cuts[s].in
 		}
 	}
-	if p.Recycler != nil {
-		// Recycling returns the buffer to stage 1's pool: more cross-core
-		// traffic.
-		p.Recycler.Recycle(&s.ctx, p)
-	}
-	s.Completed++
-	return s.ctx.Ops
+	return cuts, nil
 }
+
+// EmitPacket implements hw.PacketSource. A trace with no packet behind
+// it — a spin-wait poll, a failed pull — still returns what it charged:
+// cycles already spent must not vanish.
+func (c *cut) EmitPacket(buf []hw.Op) []hw.Op {
+	ctx := c.runner.Ctx()
+	ctx.Ops = buf
+	if c.out != nil && c.out.Full() {
+		c.out.PollFull(ctx) // back-pressure: wait for the consumer
+		return ctx.Ops
+	}
+	var p *click.Packet
+	entry, prior := c.entry, false
+	if c.in == nil {
+		if p = c.src.Pull(ctx); p == nil {
+			return ctx.Ops
+		}
+	} else {
+		var ok bool
+		if p, entry, prior, ok = c.in.Pop(ctx); !ok {
+			c.in.PollEmpty(ctx)
+			return ctx.Ops
+		}
+		// The packet's header lines were last written by the other core;
+		// this read is the compulsory hand-off miss the paper describes.
+		c.in.ChargeHeaderMiss(ctx, p)
+	}
+	if next, fin := c.runner.Walk(p, entry, prior); next >= 0 {
+		c.out.Push(ctx, p, next, fin)
+	}
+	return ctx.Ops
+}
+
+// completed counts the packets whose walk ended in this stage. The
+// engine's packet counter cannot stand in: it counts every trace, a
+// spin-wait poll included.
+func (c *cut) completed() uint64 { return c.runner.Finished + c.runner.Dropped }
 
 // PipelineRow is one workload's comparison.
 type PipelineRow struct {
@@ -158,14 +168,11 @@ func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
 	if err != nil {
 		return row, err
 	}
-	elems := inst.Pipeline.Elements()
-	if len(elems) < 3 {
-		return row, fmt.Errorf("exp: MON pipeline too short to split (%d elements)", len(elems))
+	stages, err := cutPipeline(inst.Pipeline, 2, arena)
+	if err != nil {
+		return row, err
 	}
-	h := handoff.New(arena, 128)
-	st1 := &stage1{src: inst.Pipeline.Source, elements: elems[:2], h: h}
-	st2 := &stage2{elements: elems[2:], h: h}
-	row.PipelinePktsPerSec, err = runStages(s, st1, st2, 0, 1)
+	row.PipelinePktsPerSec, err = completionRate(s, stages, 0, 1)
 	return row, err
 }
 
@@ -175,125 +182,83 @@ func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
 // parallel, each core's full replica thrashes.
 func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
 	row := PipelineRow{Workload: "crafted"}
-	accesses := 110            // per half; >200 total per packet, as in the paper
-	half := s.Cfg.L3.SizeBytes // structure totals 2x the L3 size
-
-	mkElems := func(arena *mem.Arena, seed uint64) (*synth.Element, *synth.Element) {
-		a := synth.NewElement(arena, synth.Config{
-			Seed: seed, RegionBytes: half, AccessesPerPacket: accesses}, 0)
-		b := synth.NewElement(arena, synth.Config{
-			Seed: seed ^ 0xb, RegionBytes: half, AccessesPerPacket: accesses}, 0)
-		return a, b
-	}
-	mkSource := func(env *click.Env) (click.Source, error) {
-		return s.newCraftedSource(env)
+	// crafted builds the two-half chain: a small-packet source in arenaA
+	// and one Syn element per half, each making 110 accesses (>200 per
+	// packet, as in the paper) to a region the size of the L3.
+	crafted := func(seedIdx int, arenaA, arenaB *mem.Arena) (*click.Pipeline, error) {
+		env := &click.Env{Arena: arenaA, Seed: core.SeedFor("crafted", seedIdx)}
+		src, err := click.NewInstance(env, "FromDevice", click.ParseArgs([]string{
+			"SIZE 64", fmt.Sprintf("SEED %d", env.Seed), "FLOWS 1024",
+		}))
+		if err != nil {
+			return nil, err
+		}
+		half := synth.Config{Seed: env.Seed, RegionBytes: s.Cfg.L3.SizeBytes, AccessesPerPacket: 110}
+		a := synth.NewElement(arenaA, half, 0)
+		half.Seed ^= 0xb
+		b := synth.NewElement(arenaB, half, 0)
+		return click.NewPipeline("crafted", src.(click.Source), a, b), nil
 	}
 
 	// Parallel: core 0 on socket 0 and core CoresPerSocket on socket 1,
 	// each with a full local replica (the paper's NUMA policy).
-	platform := hw.NewPlatform(s.Cfg)
-	engine := hw.NewEngine(platform)
-	var completed []*craftedParallel
-	for i, coreID := range []int{0, s.Cfg.CoresPerSocket} {
+	var replicas []*cut
+	for i := 0; i < 2; i++ {
 		arena := mem.NewArena(i)
-		env := &click.Env{Arena: arena, Seed: core.SeedFor("crafted", i)}
-		src, err := mkSource(env)
+		pl, err := crafted(i, arena, arena)
 		if err != nil {
 			return row, err
 		}
-		a, b := mkElems(arena, env.Seed)
-		cp := &craftedParallel{src: src, elements: []click.Element{a, b}}
-		completed = append(completed, cp)
-		engine.Attach(coreID, fmt.Sprintf("crafted/par%d", i), cp)
+		whole, err := cutPipeline(pl, 0, arena)
+		if err != nil {
+			return row, err
+		}
+		replicas = append(replicas, whole...)
 	}
-	engine.RunSeconds(s.Warmup)
-	startCounts := []uint64{completed[0].Completed, completed[1].Completed}
-	startClocks := []uint64{platform.Cores[0].Clock(), platform.Cores[s.Cfg.CoresPerSocket].Clock()}
-	engine.RunSeconds(s.Window)
-	for i, coreID := range []int{0, s.Cfg.CoresPerSocket} {
-		cycles := platform.Cores[coreID].Clock() - startClocks[i]
-		row.ParallelPktsPerSec += float64(completed[i].Completed-startCounts[i]) /
-			(float64(cycles) / s.Cfg.ClockHz)
+	var err error
+	if row.ParallelPktsPerSec, err = completionRate(s, replicas, 0, s.Cfg.CoresPerSocket); err != nil {
+		return row, err
 	}
 
 	// Pipeline: stage 1 on socket 0 with half A local; stage 2 on socket
 	// 1 with half B local; hand-off crosses QPI.
 	arena0 := mem.NewArena(0)
-	arena1 := mem.NewArena(1)
-	env := &click.Env{Arena: arena0, Seed: core.SeedFor("crafted", 9)}
-	src, err := mkSource(env)
+	pl, err := crafted(9, arena0, mem.NewArena(1))
 	if err != nil {
 		return row, err
 	}
-	a := synth.NewElement(arena0, synth.Config{
-		Seed: env.Seed, RegionBytes: half, AccessesPerPacket: accesses}, 0)
-	b := synth.NewElement(arena1, synth.Config{
-		Seed: env.Seed ^ 0xb, RegionBytes: half, AccessesPerPacket: accesses}, 0)
-	h := handoff.New(arena0, 128)
-	st1 := &stage1{src: src, elements: []click.Element{a}, h: h}
-	st2 := &stage2{elements: []click.Element{b}, h: h}
-	row.PipelinePktsPerSec, err = runStages(s, st1, st2, 0, s.Cfg.CoresPerSocket)
+	stages, err := cutPipeline(pl, 1, arena0)
+	if err != nil {
+		return row, err
+	}
+	row.PipelinePktsPerSec, err = completionRate(s, stages, 0, s.Cfg.CoresPerSocket)
 	return row, err
 }
 
-// craftedParallel is a full-processing flow for the crafted workload,
-// counting completions itself (the engine's packet counter would also
-// count stalls for the pipelined variant, so both variants count the
-// same way).
-type craftedParallel struct {
-	src       click.Source
-	elements  []click.Element
-	ctx       click.Ctx
-	Completed uint64
-}
-
-// EmitPacket implements hw.PacketSource.
-func (c *craftedParallel) EmitPacket(buf []hw.Op) []hw.Op {
-	c.ctx.Ops = buf
-	p := c.src.Pull(&c.ctx)
-	if p == nil {
-		// Keep whatever the failed Pull charged in the trace.
-		return c.ctx.Ops
+// completionRate attaches flows[i] to cores[i] of a fresh platform and
+// returns the packets per second completed over the window, summed over
+// the flows that complete packets at all: both replicas of a parallel
+// pair, the last stage of a chain.
+func completionRate(s Scale, flows []*cut, cores ...int) (float64, error) {
+	engine := hw.NewEngine(hw.NewPlatform(s.Cfg))
+	for i, c := range flows {
+		engine.Attach(cores[i], fmt.Sprintf("core%d/stage%d", cores[i], c.runner.Stage()), c)
 	}
-	for _, el := range c.elements {
-		if el.Process(&c.ctx, p) != click.Continue {
-			break
-		}
-	}
-	if p.Recycler != nil {
-		p.Recycler.Recycle(&c.ctx, p)
-	}
-	c.Completed++
-	return c.ctx.Ops
-}
-
-// newCraftedSource builds a small-packet source for the crafted flows.
-func (s Scale) newCraftedSource(env *click.Env) (click.Source, error) {
-	inst, err := click.NewInstance(env, "FromDevice", click.ParseArgs([]string{
-		"SIZE 64", fmt.Sprintf("SEED %d", env.Seed), "FLOWS 1024",
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return inst.(click.Source), nil
-}
-
-// runStages attaches the two stages to the given cores of a fresh
-// platform and measures stage 2's completion rate.
-func runStages(s Scale, st1 *stage1, st2 *stage2, core1, core2 int) (float64, error) {
-	platform := hw.NewPlatform(s.Cfg)
-	engine := hw.NewEngine(platform)
-	engine.Attach(core1, "stage1", st1)
-	engine.Attach(core2, "stage2", st2)
 	engine.RunSeconds(s.Warmup)
-	start := st2.Completed
-	startClock := platform.Cores[core2].Clock()
-	engine.RunSeconds(s.Window)
-	cycles := platform.Cores[core2].Clock() - startClock
-	if cycles == 0 {
-		return 0, fmt.Errorf("exp: pipeline stage 2 made no progress")
+	for _, c := range flows {
+		c.runner.Reset()
 	}
-	return float64(st2.Completed-start) / (float64(cycles) / s.Cfg.ClockHz), nil
+	var rate float64
+	for i, st := range engine.Measure(s.Window) {
+		if flows[i].out != nil {
+			continue
+		}
+		if st.Seconds == 0 {
+			return 0, fmt.Errorf("exp: %s made no progress", st.Label)
+		}
+		rate += float64(flows[i].completed()) / st.Seconds
+	}
+	return rate, nil
 }
 
 // String renders the comparison.

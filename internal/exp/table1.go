@@ -5,35 +5,48 @@ import (
 	"strings"
 
 	"pktpredict/internal/apps"
-	"pktpredict/internal/perf"
+	"pktpredict/internal/core"
+	"pktpredict/internal/hw"
 )
 
 // Table1Result reproduces Table 1: the characteristics of each packet-
-// processing type during a solo run.
+// processing type during a solo run — offline profiling, the role
+// OProfile plays in the paper. Each row is labelled with its flow type.
 type Table1Result struct {
-	Profiles []perf.Profile
+	Profiles []hw.FlowStats
 }
 
-// RunTable1 profiles each realistic flow type solo.
-func RunTable1(s Scale) (*Table1Result, error) {
-	p := s.NewPredictor()
+// RunTable1 profiles each realistic flow type solo, through p's memo.
+func RunTable1(s Scale, p *core.Predictor) (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, t := range apps.RealisticTypes {
 		st, err := p.Solo(t)
 		if err != nil {
 			return nil, fmt.Errorf("exp: table1 %s: %w", t, err)
 		}
-		out.Profiles = append(out.Profiles, perf.Profile{Label: string(t), Stats: st})
+		st.Label = string(t)
+		out.Profiles = append(out.Profiles, st)
 	}
 	return out, nil
 }
 
+// Table renders solo profiles as an aligned text table in Table 1's
+// column order.
+func Table(profiles []hw.FlowStats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %8s %14s %14s %10s %10s %10s %10s\n",
+		"Flow", "CPI", "L3refs/s(M)", "L3hits/s(M)", "cyc/pkt", "refs/pkt", "miss/pkt", "L2hit/pkt")
+	for _, p := range profiles {
+		fmt.Fprintf(&b, "%-8s %8.2f %14.2f %14.2f %10.0f %10.2f %10.2f %10.2f\n",
+			p.Label, p.CPI(), p.L3RefsPerSec()/1e6, p.L3HitsPerSec()/1e6,
+			p.CyclesPerPacket(), p.L3RefsPerPacket(), p.L3MissesPerPacket(), p.L2HitsPerPacket())
+	}
+	return b.String()
+}
+
 // String renders the table in the paper's column order.
 func (r *Table1Result) String() string {
-	var b strings.Builder
-	b.WriteString("Table 1: characteristics of each type of packet processing during a solo run\n")
-	b.WriteString(perf.Table(r.Profiles))
-	return b.String()
+	return "Table 1: characteristics of each type of packet processing during a solo run\n" + Table(r.Profiles)
 }
 
 // CSV renders the table as comma-separated values.

@@ -41,9 +41,6 @@ func (r *ThrottleResult) VictimProtection() float64 {
 // plus a MON victim on the same socket — and runs one with the
 // containment loop and one without.
 func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
-	if p == nil {
-		p = s.NewPredictor()
-	}
 	fwSolo, err := p.Solo(apps.FW)
 	if err != nil {
 		return nil, err
@@ -74,16 +71,11 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof.Engine.RunSeconds(s.Warmup)
-	before := prof.Engine.Flows[0].Core.Counters
-	prof.Engine.RunSeconds(s.Warmup)
-	after := prof.Engine.Flows[0].Core.Counters
-	if after.Packets >= trigger {
-		return nil, fmt.Errorf("exp: throttle profiling window crossed the trigger (%d of %d packets)",
-			after.Packets, trigger)
+	honest := prof.Engine.MeasureWindow(s.Warmup, s.Warmup)[0]
+	if n := prof.Engine.Flows[0].Core.Counters.Packets; n >= trigger {
+		return nil, fmt.Errorf("exp: throttle profiling window crossed the trigger (%d of %d packets)", n, trigger)
 	}
-	delta := after.Sub(before)
-	out.ProfiledRefsPerSec = float64(delta.L3Refs) / (float64(delta.Cycles) / s.Cfg.ClockHz)
+	out.ProfiledRefsPerSec = honest.L3RefsPerSec()
 
 	// Run 1: no containment — observe the aggression and the victim's
 	// drop versus its own pre-trigger throughput.
@@ -91,66 +83,27 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.VictimBaselineTput = victimBaseline(free, s)
-	out.Uncontained = passiveMonitor(free, interval, steps, s.Cfg.ClockHz)
-	out.VictimUncontainedTput = victimTput(free, interval, s.Cfg.ClockHz)
+	// The victim's throughput while the aggressor is still honest.
+	out.VictimBaselineTput = free.Engine.MeasureWindow(s.Warmup, s.Warmup)[1].Throughput()
+	for i := 0; i < steps; i++ {
+		out.Uncontained = append(out.Uncontained, core.ThrottleSample{
+			Interval: i, RefsPerSec: free.Engine.Measure(interval)[0].L3RefsPerSec()})
+	}
+	out.VictimUncontainedTput = free.Engine.Measure(interval * 4)[1].Throughput()
 
-	// Run 2: containment active.
+	// Run 2: containment active, after the same two pre-trigger windows.
 	contained, err := build()
 	if err != nil {
 		return nil, err
 	}
-	victimBaseline(contained, s) // advance to the same virtual-time position
+	contained.Engine.MeasureWindow(s.Warmup, s.Warmup)
 	cont, err := core.NewContainment(contained.Engine, 0, contained.Instances[0].Control, out.ProfiledRefsPerSec)
 	if err != nil {
 		return nil, err
 	}
 	out.Contained = cont.Run(interval, steps)
-	out.VictimContainedTput = victimTput(contained, interval, s.Cfg.ClockHz)
+	out.VictimContainedTput = contained.Engine.Measure(interval * 4)[1].Throughput()
 	return out, nil
-}
-
-// victimBaseline measures the victim's throughput while the aggressor is
-// still in its honest (pre-trigger) phase.
-func victimBaseline(res *core.RunResult, s Scale) float64 {
-	res.Engine.RunSeconds(s.Warmup)
-	before := res.Engine.Flows[1].Core.Counters
-	res.Engine.RunSeconds(s.Warmup)
-	delta := res.Engine.Flows[1].Core.Counters.Sub(before)
-	seconds := float64(delta.Cycles) / s.Cfg.ClockHz
-	if seconds == 0 {
-		return 0
-	}
-	return float64(delta.Packets) / seconds
-}
-
-// passiveMonitor samples a flow's refs/sec without adjusting anything.
-func passiveMonitor(res *core.RunResult, interval float64, steps int, clockHz float64) []core.ThrottleSample {
-	samples := make([]core.ThrottleSample, 0, steps)
-	for i := 0; i < steps; i++ {
-		before := res.Engine.Flows[0].Core.Counters
-		res.Engine.RunSeconds(interval)
-		delta := res.Engine.Flows[0].Core.Counters.Sub(before)
-		seconds := float64(delta.Cycles) / clockHz
-		rate := 0.0
-		if seconds > 0 {
-			rate = float64(delta.L3Refs) / seconds
-		}
-		samples = append(samples, core.ThrottleSample{Interval: i, RefsPerSec: rate})
-	}
-	return samples
-}
-
-// victimTput measures the victim's throughput over four more intervals.
-func victimTput(res *core.RunResult, interval float64, clockHz float64) float64 {
-	before := res.Engine.Flows[1].Core.Counters
-	res.Engine.RunSeconds(interval * 4)
-	delta := res.Engine.Flows[1].Core.Counters.Sub(before)
-	seconds := float64(delta.Cycles) / clockHz
-	if seconds == 0 {
-		return 0
-	}
-	return float64(delta.Packets) / seconds
 }
 
 // PeakUncontained returns the aggressor's maximum observed rate without

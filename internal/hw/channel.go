@@ -39,7 +39,7 @@ type Channel struct {
 
 	// waitHist counts requests by queueing delay in power-of-two buckets:
 	// bucket 0 is zero wait, bucket i ≥ 1 covers [2^(i-1), 2^i). It feeds
-	// WaitQuantile, which is how Config.MaxQueueWait (the concurrent
+	// WaitQuantile, which is how DefaultMaxQueueWait (the concurrent
 	// runtime's finite-queue bound) is tuned against the deterministic
 	// engine's observed tail waits.
 	waitHist [waitBuckets]uint64

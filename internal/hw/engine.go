@@ -125,6 +125,13 @@ func (e *Engine) Snapshot() []Counters {
 // throughput, not cold-cache transients.
 func (e *Engine) MeasureWindow(warmup, window float64) []FlowStats {
 	e.RunSeconds(warmup)
+	return e.Measure(window)
+}
+
+// Measure advances all flows by window virtual seconds from wherever
+// the engine stands and returns per-flow statistics for that window: the
+// one counter-delta primitive, for callers that place windows themselves.
+func (e *Engine) Measure(window float64) []FlowStats {
 	before := e.Snapshot()
 	start := make([]uint64, len(e.Flows))
 	for i, f := range e.Flows {

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -163,17 +164,33 @@ func TestEngineRemoteCompetitorsShareOnlyMemCtrl(t *testing.T) {
 	}
 }
 
+// TestMeasureWindowDeterministic: identical runs agree, and
+// MeasureWindow(w, n) is RunSeconds(w) then Measure(n) — same per-flow
+// stats (counters, window length, label) and same final core clocks.
 func TestMeasureWindowDeterministic(t *testing.T) {
-	run := func() FlowStats {
+	run := func(split bool) ([]FlowStats, []uint64) {
 		p := NewPlatform(smallConfig())
 		e := NewEngine(p)
 		e.Attach(0, "t", stridedSource(DomainBase(0), 512, 8))
 		e.Attach(1, "c", stridedSource(DomainBase(0)+Addr(1<<20), 2048, 8))
-		return e.MeasureWindow(0.0002, 0.001)[0]
+		var stats []FlowStats
+		if split {
+			e.RunSeconds(0.0002)
+			stats = e.Measure(0.001)
+		} else {
+			stats = e.MeasureWindow(0.0002, 0.001)
+		}
+		return stats, []uint64{p.Cores[0].Clock(), p.Cores[1].Clock()}
 	}
-	a, b := run(), run()
-	if a.Raw != b.Raw {
-		t.Fatalf("identical runs diverged:\n%+v\n%+v", a.Raw, b.Raw)
+	a, aClocks := run(false)
+	for _, split := range []bool{false, true} {
+		b, bClocks := run(split)
+		if !slices.Equal(a, b) || !slices.Equal(aClocks, bClocks) {
+			t.Fatalf("split=%v: runs diverged:\n%+v %v\n%+v %v", split, a, aClocks, b, bClocks)
+		}
+	}
+	if a[0].Raw.Packets == 0 || a[0].Seconds == 0 {
+		t.Fatalf("empty window: %+v", a[0])
 	}
 }
 

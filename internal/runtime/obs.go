@@ -18,7 +18,7 @@ import (
 //
 // The control loop also maintains the prediction-residual time series:
 // each window, each profiled app's observed drop is compared against the
-// live prediction, and divergence beyond Config.ResidualTolerance is
+// live prediction, and divergence beyond residualTolerance is
 // attributed by obs.Diagnose to L3 contention, ring backpressure, or
 // remote NUMA references — the paper's overload-diagnosis shape turned
 // on the model itself.
@@ -521,6 +521,10 @@ func (r *Runtime) evalLatency() {
 	}
 }
 
+// residualTolerance is the |observed − predicted| drop within which a
+// window's prediction is considered to hold.
+const residualTolerance = 0.05
+
 // windowResiduals computes the window's per-app prediction residuals and
 // diagnoses each divergence from the same counter evidence the
 // predictor reads. winSec is the window's wall length in virtual
@@ -658,7 +662,7 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		if m := r.obsm; m != nil {
 			m.appDrift[a.spec.Name].Set(o.DriftRefRatio)
 		}
-		out = append(out, obs.NewResidual(q, tsec, r.cfg.ResidualTolerance, o))
+		out = append(out, obs.NewResidual(q, tsec, residualTolerance, o))
 	}
 	return out
 }
@@ -733,17 +737,17 @@ func (r *Runtime) Residuals() []obs.Residual {
 // set. Export its events (WriteChrome) only after Run returns.
 func (r *Runtime) Tracer() *obs.Tracer { return r.tracer }
 
+// traceCap bounds each worker's trace buffer in events; overflow counts
+// as dropped, never blocks the worker.
+const traceCap = 8192
+
 // buildTracer sizes the tracer to the worker set and names its trace
 // processes (one per staged flow replica) and threads (one per worker).
 func (r *Runtime) buildTracer() {
 	if r.cfg.TraceSample <= 0 {
 		return
 	}
-	capN := r.cfg.TraceCap
-	if capN <= 0 {
-		capN = 8192
-	}
-	r.tracer = obs.NewTracer(uint64(r.cfg.TraceSample), capN, len(r.workers))
+	r.tracer = obs.NewTracer(uint64(r.cfg.TraceSample), traceCap, len(r.workers))
 	for i, w := range r.workers {
 		w.shard = r.tracer.Shard(i)
 		r.tracer.SetThread(i, fmt.Sprintf("worker%d@core%d", i, w.core.ID))

@@ -119,10 +119,6 @@ type Config struct {
 
 	// RingSize is each flow's input-ring capacity in packets (default 512).
 	RingSize int
-	// HandoffDepth is the capacity of the hand-off rings connecting the
-	// stages of a cross-worker service chain (default 128, clamped so
-	// in-flight packets cannot exhaust the stage-0 buffer pool).
-	HandoffDepth int
 	// Batch is the worker's maximum burst per ring poll (default 32).
 	Batch int
 	// QuantumCycles is the clock-synchronisation quantum (default 200000
@@ -130,13 +126,6 @@ type Config struct {
 	QuantumCycles uint64
 	// ControlEvery is the control-loop period in quanta (default 5).
 	ControlEvery int
-	// MaxQueueWait bounds any single request's queueing delay at the
-	// memory controllers and QPI links, modelling their finite queues
-	// (default DefaultMaxQueueWait). Required under lax clock
-	// synchronisation — workers replay their quanta in arbitrary host
-	// order, and unbounded FCFS would tax a late replayer with its
-	// neighbours' entire quantum; see hw.Channel.MaxWait.
-	MaxQueueWait uint64
 
 	// MigrateState, when positive, makes live re-placement move a flow's
 	// state along with the flow: a re-placed flow whose live state
@@ -157,16 +146,13 @@ type Config struct {
 	Profiles map[apps.FlowType]FlowProfile
 
 	// Admission enables the containment loop for flows carrying a
-	// control element; Slack is the tolerated overshoot (default 0.05).
+	// control element.
 	Admission bool
-	Slack     float64
 
 	// DropThreshold enables live re-placement: when any flow's predicted
 	// drop exceeds it, the control loop searches for a cross-socket swap
-	// (requires curves in Profiles). Zero disables. RebalanceMargin is
-	// the minimum predicted improvement for a swap (default 0.02).
-	DropThreshold   float64
-	RebalanceMargin float64
+	// (requires curves in Profiles). Zero disables.
+	DropThreshold float64
 
 	// Scenario names the run in reports.
 	Scenario string
@@ -179,39 +165,34 @@ type Config struct {
 	// TraceSample, when positive, samples one in N packets entering each
 	// staged chain for per-stage exec-span tracing (Runtime.Tracer).
 	TraceSample int
-	// TraceCap bounds each worker's trace buffer in events (default 8192;
-	// overflow counts as dropped, never blocks the worker).
-	TraceCap int
 	// StatsRetention caps the retained control samples and the residual
 	// series per app (default DefaultStatsRetention).
 	StatsRetention int
-	// ResidualTolerance is the |observed − predicted| drop within which a
-	// window's prediction is considered to hold (default 0.05).
-	ResidualTolerance float64
 	// OnWindow, when non-nil, is called at every control barrier with the
 	// window's sample and residuals. Workers are parked while it runs;
 	// keep it brief.
 	OnWindow func(ControlSample, []obs.Residual)
 }
 
-// DefaultMaxQueueWait is the default finite-queue bound in cycles, tuned
-// against the deterministic engine's observed memory-controller queue
-// waits under a socket-saturating realistic mix. The engine's p99 wait
-// there is ≈ 63 cycles, its mean ≈ 8; under lax synchronisation the
-// bound is hit far more often than a true FCFS queue's tail (a late
-// replayer sees the channel horizon its neighbours' whole quantum
-// ahead), so within the admissible band the smallest value tracks the
-// engine's throughput best: 32 is the low edge of [p99/2, 2·p99], and
-// TestMaxQueueWaitTracksEngine fails if the default ever leaves that
-// band.
+// DefaultMaxQueueWait bounds any single request's queueing delay at the
+// memory controllers and QPI links, in cycles, modelling their finite
+// queues. A bound is required under lax clock synchronisation — workers
+// replay their quanta in arbitrary host order, and unbounded FCFS would
+// tax a late replayer with its neighbours' entire quantum; see
+// hw.Channel.MaxWait. The value is tuned against the deterministic
+// engine's observed memory-controller queue waits under a
+// socket-saturating realistic mix. The engine's p99 wait there is ≈ 63
+// cycles, its mean ≈ 8; under lax synchronisation the bound is hit far
+// more often than a true FCFS queue's tail (a late replayer sees the
+// channel horizon its neighbours' whole quantum ahead), so within the
+// admissible band the smallest value tracks the engine's throughput
+// best: 32 is the low edge of [p99/2, 2·p99], and
+// TestMaxQueueWaitTracksEngine fails if it ever leaves that band.
 const DefaultMaxQueueWait = 32
 
 func (c Config) withDefaults() Config {
 	if c.RingSize == 0 {
 		c.RingSize = 512
-	}
-	if c.HandoffDepth == 0 {
-		c.HandoffDepth = 128
 	}
 	if c.Batch == 0 {
 		c.Batch = 32
@@ -221,18 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ControlEvery == 0 {
 		c.ControlEvery = 5
-	}
-	if c.MaxQueueWait == 0 {
-		c.MaxQueueWait = DefaultMaxQueueWait
-	}
-	if c.Slack == 0 {
-		c.Slack = 0.05
-	}
-	if c.RebalanceMargin == 0 {
-		c.RebalanceMargin = 0.02
-	}
-	if c.ResidualTolerance == 0 {
-		c.ResidualTolerance = 0.05
 	}
 	return c
 }
@@ -285,6 +254,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if len(cfg.Apps) == 0 {
 		return nil, fmt.Errorf("runtime: no apps configured")
 	}
+	if cfg.RingSize < 0 {
+		return nil, fmt.Errorf("runtime: RingSize %d is negative", cfg.RingSize)
+	}
 	total := 0
 	maxPkt := 0
 	for i, a := range cfg.Apps {
@@ -331,7 +303,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		predCnt:    map[string]int{},
 	}
 	r.stats.setRetention(cfg.StatsRetention)
-	r.platform.BoundChannelWaits(cfg.MaxQueueWait)
+	r.platform.BoundChannelWaits(DefaultMaxQueueWait)
 	for t, p := range cfg.Profiles {
 		if len(p.Curve.Points) > 0 {
 			r.curves[t] = p.Curve
@@ -704,6 +676,15 @@ func snapshotElems(cur, dst []hw.ElemCell) []hw.ElemCell {
 	return dst
 }
 
+// The control loop's two fixed margins: the containment loop tolerates a
+// flow 5% over its profiled reference rate before throttling it, and
+// re-placement swaps two flows only for a predicted improvement of at
+// least two points of drop.
+const (
+	admissionSlack  = 0.05
+	rebalanceMargin = 0.02
+)
+
 // controlStep is the operator's monitoring agent, run at a barrier: it
 // derives per-core telemetry from counter deltas, applies admission
 // control, and — when predicted drop crosses the threshold — re-places
@@ -813,7 +794,7 @@ func (r *Runtime) controlStep(q int) {
 			if !ok || prof.SoloRefsPerSec <= 0 {
 				continue
 			}
-			rc := core.RateController{Limit: prof.SoloRefsPerSec, Slack: r.cfg.Slack}
+			rc := core.RateController{Limit: prof.SoloRefsPerSec, Slack: admissionSlack}
 			tele := &sample.Workers[i]
 			var refs float64
 			for _, u := range f.stages {
@@ -834,7 +815,7 @@ func (r *Runtime) controlStep(q int) {
 
 	// Live re-placement across sockets.
 	if r.cfg.DropThreshold > 0 && len(r.curves) > 0 {
-		if a, b, ok := core.PlanRebalance(r.curves, live, r.cfg.DropThreshold, r.cfg.RebalanceMargin); ok {
+		if a, b, ok := core.PlanRebalance(r.curves, live, r.cfg.DropThreshold, rebalanceMargin); ok {
 			worst := 0.0
 			for _, d := range drops {
 				if d > worst {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
@@ -358,13 +359,19 @@ func TestNewRuntimeValidation(t *testing.T) {
 		{"duplicate core", func(c *Config) { c.Cores = []int{3, 3} }},
 		{"core out of range", func(c *Config) { c.Cores = []int{0, 99} }},
 		{"rate fraction without profile", func(c *Config) { c.Apps[0].RateFraction = 0.5 }},
+		// Used to panic in NewRing on a replica-build goroutine.
+		{"RingSize", func(c *Config) { c.RingSize = -5 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base()
 			tc.mutate(&cfg)
-			if _, err := NewRuntime(cfg); err == nil {
+			_, err := NewRuntime(cfg)
+			if err == nil {
 				t.Fatal("invalid config accepted")
+			}
+			if tc.name == "RingSize" && !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("error %q does not name the field", err)
 			}
 		})
 	}

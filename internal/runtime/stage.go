@@ -142,11 +142,15 @@ func (r *Runtime) buildStages(f *flow, raw hw.PacketSource, lead, stages int, ar
 	return nil
 }
 
+// handoffDepth is the capacity of the hand-off rings connecting the
+// stages of a cross-worker service chain, before chainHandoffDepth's clamp.
+const handoffDepth = 128
+
 // chainHandoffDepth bounds the forward rings of a chain (stages ≥ 2) so
 // that packets in flight plus buffers queued for return can never
 // exhaust the stage-0 pool.
 func (r *Runtime) chainHandoffDepth(stages int) int {
-	depth := r.cfg.HandoffDepth
+	depth := handoffDepth
 	if limit := r.cfg.Params.Buffers / (4 * (stages - 1)); depth > limit {
 		depth = limit
 	}

@@ -7,7 +7,7 @@ import (
 	"pktpredict/internal/core"
 )
 
-// TestMaxQueueWaitTracksEngine tunes Config.MaxQueueWait against the
+// TestMaxQueueWaitTracksEngine tunes DefaultMaxQueueWait against the
 // deterministic engine: it measures the p99 memory-controller queueing
 // delay of a socket-saturating realistic mix under unbounded FCFS (the
 // engine's regime) and fails if DefaultMaxQueueWait diverges from that

@@ -37,6 +37,8 @@ func FuzzParseScenario(f *testing.F) {
 		// stray positionals — all rejected, none silently dropped.
 		"scenario :: Scenario(NAME s, DROP_TRESHOLD 0.05, BATCHH 9);\nmon :: Flow(TYPE MON, WORKER 3, RATE_FRACTON 0.5);",
 		"scenario :: Scenario(NAME s, ADMISSION);\nmon :: Flow(MON);",
+		// Out-of-range numbers: RING -5 used to panic on a build goroutine.
+		"s :: Scenario(RING -5);\nmon :: Flow(TYPE MON, RATE -5, PACKET_SIZE -1);",
 		// Every Scenario and Flow key at once; TYPE naming a graph.
 		"scenario :: Scenario(NAME s, RING 64, BATCH 4, ADMISSION true, DROP_THRESHOLD 0.05, MIGRATE_STATE 4096, MIN_CORES_PER_SOCKET 2, MIN_SOCKETS 1, FIT 4, SYN_REGION_FRACTION 0.5, PLACE 0 s1:1);\ngraph G { src :: FromDevice; src -> ToDevice; }\ng :: Flow(TYPE G, WORKERS 2, RATE 1e6, RATE_FRACTION 0.5, BURST_ON 2, BURST_OFF 3, CONTROL true, SYN_COMPUTE 7, PACKET_SIZE 128, SLO_P99_US 250);\nfw :: Flow(TYPE fw, HIDDEN_TRIGGER 2000);",
 	}

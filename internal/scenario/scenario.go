@@ -145,14 +145,14 @@ type Scenario struct {
 // scenarioKeys declares every Scenario(...) key.
 var scenarioKeys = []Key[Scenario]{
 	String("NAME", func(s *Scenario) *string { return &s.Name }),
-	Int("RING", "", func(s *Scenario) *int { return &s.RingSize }),
+	Int("RING", "[1,1048576]", func(s *Scenario) *int { return &s.RingSize }),
 	Int("BATCH", "[0,)", func(s *Scenario) *int { return &s.Batch }),
 	Bool("ADMISSION", func(s *Scenario) *bool { return &s.Admission }),
-	Float("DROP_THRESHOLD", "", func(s *Scenario) *float64 { return &s.DropThreshold }),
+	Float("DROP_THRESHOLD", "[0,1]", func(s *Scenario) *float64 { return &s.DropThreshold }),
 	Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.MigrateState }),
-	Int("MIN_CORES_PER_SOCKET", "", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
-	Int("MIN_SOCKETS", "", func(s *Scenario) *int { return &s.MinSockets }),
-	Int("FIT", "", func(s *Scenario) *int { return &s.Fit }),
+	Int("MIN_CORES_PER_SOCKET", "[0,)", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
+	Int("MIN_SOCKETS", "[0,)", func(s *Scenario) *int { return &s.MinSockets }),
+	Int("FIT", "[0,)", func(s *Scenario) *int { return &s.Fit }),
 	Float("SYN_REGION_FRACTION", "[0,1]", func(s *Scenario) *float64 { return &s.SynRegionFraction }),
 	list("PLACE", func(s *Scenario) *[]Placement { return &s.Place }, parsePlacement, Placement.String),
 }
@@ -172,15 +172,15 @@ var flowKeys = []Key[flowDecl]{
 	String("TYPE", func(f *flowDecl) *string { return &f.typ }),
 	String("GRAPH", func(f *flowDecl) *string { return &f.graph }),
 	Int("WORKERS", "[1,)", func(f *flowDecl) *int { return &f.Workers }),
-	Float("RATE", "", func(f *flowDecl) *float64 { return &f.Rate }),
-	Float("RATE_FRACTION", "", func(f *flowDecl) *float64 { return &f.RateFraction }),
-	Int("BURST_ON", "", func(f *flowDecl) *int { return &f.BurstOn }),
-	Int("BURST_OFF", "", func(f *flowDecl) *int { return &f.BurstOff }),
+	Float("RATE", "[0,)", func(f *flowDecl) *float64 { return &f.Rate }),
+	Float("RATE_FRACTION", "[0,)", func(f *flowDecl) *float64 { return &f.RateFraction }),
+	Int("BURST_ON", "[0,)", func(f *flowDecl) *int { return &f.BurstOn }),
+	Int("BURST_OFF", "[0,)", func(f *flowDecl) *int { return &f.BurstOff }),
 	Bool("CONTROL", func(f *flowDecl) *bool { return &f.Control }),
 	Uint("HIDDEN_TRIGGER", "", func(f *flowDecl) *uint64 { return &f.HiddenTrigger }),
-	Int("SYN_COMPUTE", "", func(f *flowDecl) *int { return &f.SynCompute }),
-	Int("PACKET_SIZE", "", func(f *flowDecl) *int { return &f.PacketSize }),
-	Float("SLO_P99_US", "", func(f *flowDecl) *float64 { return &f.SLOP99US }),
+	Int("SYN_COMPUTE", "[0,)", func(f *flowDecl) *int { return &f.SynCompute }),
+	Int("PACKET_SIZE", "[0,65535]", func(f *flowDecl) *int { return &f.PacketSize }),
+	Float("SLO_P99_US", "[0,)", func(f *flowDecl) *float64 { return &f.SLOP99US }),
 }
 
 // flowDefaults holds the value of every Flow key a declaration omits.

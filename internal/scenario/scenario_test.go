@@ -244,6 +244,7 @@ func TestParseErrors(t *testing.T) {
 		{"bad placement", `scenario :: Scenario(NAME x, PLACE q1); m :: Flow(TYPE MON);`, "placement"},
 		{"bad fraction", `scenario :: Scenario(NAME x, SYN_REGION_FRACTION 1.5); m :: Flow(TYPE MON);`, "SYN_REGION_FRACTION"},
 		{"bad batch", `scenario :: Scenario(NAME x, BATCH -2); m :: Flow(TYPE MON);`, "BATCH"},
+		{"negative ring", `s :: Scenario(RING -5); m :: Flow(TYPE MON);`, "RING -5 outside [1,1048576]"},
 		{"unterminated graph", `scenario :: Scenario(NAME x); graph G { src :: FromDevice;`, "missing closing brace"},
 		{"malformed graph", `scenario :: Scenario(NAME x); graph { }; m :: Flow(TYPE MON);`, "malformed graph"},
 		{"bad statement", `scenario :: Scenario(NAME x); what is this; m :: Flow(TYPE MON);`, "cannot parse"},
@@ -258,6 +259,34 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestNumericKeysBounded: no numeric Scenario or Flow row is unbounded.
+// -1 parses as an integer and as a float, so every row that is not a
+// verbatim string must refuse it, naming the key — an Int or Float row
+// with its interval, the other kinds (bool, uint64, placement) as
+// malformed. An unbounded RING reached runtime.NewRing and panicked on a
+// build goroutine; the other unbounded rows ran as if the key were absent.
+func TestNumericKeysBounded(t *testing.T) {
+	verbatim := []string{"NAME", "TYPE", "GRAPH"}
+	check := func(name string, err error) {
+		switch {
+		case slices.Contains(verbatim, name):
+			if err != nil {
+				t.Errorf("%s: a string key refused -1: %v", name, err)
+			}
+		case err == nil:
+			t.Errorf("%s accepts -1: give the row an interval", name)
+		case !strings.HasPrefix(err.Error(), name+" -1 ") || !strings.Contains(err.Error(), " outside [") && !strings.Contains(err.Error(), " is not "):
+			t.Errorf("%s: error %q does not name the key with its bounds or its kind", name, err)
+		}
+	}
+	for _, k := range scenarioKeys {
+		check(k.Name, k.set(&Scenario{}, "-1"))
+	}
+	for _, k := range flowKeys {
+		check(k.Name, k.set(&flowDecl{}, "-1"))
 	}
 }
 
