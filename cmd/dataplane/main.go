@@ -21,7 +21,7 @@
 //	          [-scenario mixed|bursty|thrash|hidden|...]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
 //	          [-duration 0.05] [-packets N]
-//	          [-batch 32] [-ring 512] [-quantum 200000] [-noprofile]
+//	          [-quantum 200000] [-noprofile]
 //	          [-migrate-state BYTES] [-telemetry]
 //	          [-metrics-addr :9090] [-residuals]
 //	          [-trace-sample 64] [-trace-out trace.json]
@@ -71,8 +71,6 @@ func main() {
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
 	duration := flag.Float64("duration", 0.05, "measured virtual seconds")
 	packets := flag.Uint64("packets", 0, "stop after N processed packets instead of -duration")
-	batch := flag.Int("batch", 0, "worker batch size (default 32)")
-	ring := flag.Int("ring", 0, "input-ring capacity in packets (default per scenario)")
 	quantum := flag.Uint64("quantum", 0, "clock-sync quantum in cycles (default 200000)")
 	migrateState := flag.Uint64("migrate-state", 0,
 		"state-migration footprint threshold in bytes: re-placed flows whose tables fit are copied to their new socket; 0 keeps the scenario's setting")
@@ -119,12 +117,6 @@ func main() {
 	cfg, err := sc.ConfigOn(hwCfg, scale.Params)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *batch > 0 {
-		cfg.Batch = *batch
-	}
-	if *ring > 0 {
-		cfg.RingSize = *ring
 	}
 	if *quantum > 0 {
 		cfg.QuantumCycles = *quantum

@@ -130,7 +130,7 @@ func sched(fs *flag.FlagSet) func(exp.Scale) error {
 			return err
 		}
 		fmt.Printf("greedy heuristic: {%v | %v} avg=%.1f%% (best %.1f%%, worst %.1f%%)\n",
-			s0, s1, greedy*100, eval.Best.AvgDrop*100, eval.Worst.AvgDrop*100)
+			s0, s1, greedy.AvgDrop*100, eval.Best.AvgDrop*100, eval.Worst.AvgDrop*100)
 		return nil
 	}
 }

@@ -17,6 +17,10 @@ import (
 	"strings"
 	"testing"
 
+	"pktpredict/internal/apps"
+	"pktpredict/internal/hw"
+	"pktpredict/internal/obs"
+	"pktpredict/internal/runtime"
 	"pktpredict/internal/scenario"
 	"pktpredict/internal/sweep"
 )
@@ -111,6 +115,41 @@ func TestGrammarKeysDeclaredOnce(t *testing.T) {
 	for k, n := range want {
 		if got[k] != n {
 			t.Errorf("key %q: %d string literals in internal/scenario + internal/sweep, want %d (one per declaring table row)", k, got[k], n)
+		}
+	}
+}
+
+// TestMetricFamiliesDocumented holds docs/observability.md to the
+// registry in both directions: every family a runtime registers is named
+// in the document's family reference, with its kind and label names, and
+// every dataplane_* name the document mentions is a registered family.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	const doc = "docs/observability.md"
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := runtime.NewRuntime(runtime.Config{
+		Cfg: hw.DefaultConfig(), Params: apps.Small(), Metrics: reg,
+		Apps: []runtime.AppSpec{{Name: "mon", Type: apps.MON, Workers: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, f := range reg.Snapshot().Families {
+		registered[f.Name] = true
+		labels := strings.Join(f.Labels, ", ")
+		if labels == "" {
+			labels = "—"
+		}
+		if row := "| `" + f.Name + "` | " + string(f.Kind) + " | " + labels + " |"; !strings.Contains(string(text), row) {
+			t.Errorf("%s: the family reference has no row starting %q", doc, row)
+		}
+	}
+	for _, name := range regexp.MustCompile(`dataplane_[a-z0-9_]+`).FindAllString(string(text), -1) {
+		if !registered[name] {
+			t.Errorf("%s names %s, which the runtime does not register", doc, name)
 		}
 	}
 }

@@ -84,25 +84,10 @@ func EvaluatePlacements(p *Predictor, flows []apps.FlowType) (PlacementEval, err
 		}
 		seen[pairKey] = true
 
-		drops0, sorted0, err := p.MeasuredDrops(split.s0)
+		pl, err := EvaluateSplit(p, split.s0, split.s1)
 		if err != nil {
 			return PlacementEval{}, err
 		}
-		drops1, sorted1, err := p.MeasuredDrops(split.s1)
-		if err != nil {
-			return PlacementEval{}, err
-		}
-		pl := Placement{Socket0: sorted0, Socket1: sorted1}
-		var sum float64
-		for i, d := range drops0 {
-			pl.PerFlow = append(pl.PerFlow, FlowDrop{Type: sorted0[i], Socket: 0, Drop: d})
-			sum += d
-		}
-		for i, d := range drops1 {
-			pl.PerFlow = append(pl.PerFlow, FlowDrop{Type: sorted1[i], Socket: 1, Drop: d})
-			sum += d
-		}
-		pl.AvgDrop = sum / float64(len(pl.PerFlow))
 		eval.All = append(eval.All, pl)
 	}
 	if len(eval.All) == 0 {
@@ -301,23 +286,28 @@ func PlanRebalance(curves map[apps.FlowType]Curve, flows []LiveFlow, threshold, 
 	return bi, bj, true
 }
 
-// EvaluateSplit measures one specific split's average drop, for callers
-// that want to score a heuristic placement against Best/Worst.
-func EvaluateSplit(p *Predictor, s0, s1 []apps.FlowType) (float64, error) {
-	drops0, _, err := p.MeasuredDrops(s0)
-	if err != nil {
-		return 0, err
-	}
-	drops1, _, err := p.MeasuredDrops(s1)
-	if err != nil {
-		return 0, err
-	}
+// EvaluateSplit measures one specific split — the per-flow and average
+// drop of co-running s0 on one socket and s1 on the other. It is the unit
+// EvaluatePlacements enumerates, and what scores a heuristic placement
+// against Best/Worst.
+func EvaluateSplit(p *Predictor, s0, s1 []apps.FlowType) (Placement, error) {
+	var pl Placement
 	var sum float64
-	for _, d := range drops0 {
-		sum += d
+	measure := func(socket int, mix []apps.FlowType) ([]apps.FlowType, error) {
+		drops, sorted, err := p.MeasuredDrops(mix)
+		for i, d := range drops {
+			pl.PerFlow = append(pl.PerFlow, FlowDrop{Type: sorted[i], Socket: socket, Drop: d})
+			sum += d
+		}
+		return sorted, err
 	}
-	for _, d := range drops1 {
-		sum += d
+	var err error
+	if pl.Socket0, err = measure(0, s0); err != nil {
+		return Placement{}, err
 	}
-	return sum / float64(len(drops0)+len(drops1)), nil
+	if pl.Socket1, err = measure(1, s1); err != nil {
+		return Placement{}, err
+	}
+	pl.AvgDrop = sum / float64(len(pl.PerFlow))
+	return pl, nil
 }

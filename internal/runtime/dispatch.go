@@ -37,25 +37,16 @@ type appState struct {
 	// summing rate × quantumSec one quantum at a time compounds float
 	// rounding over millions of barriers, and its residue survived
 	// measurement resets. pacedEmitted is kept apart from offered
-	// because resetMeasurement credits ring backlog into offered.
+	// because offered runs from process start and resetMeasurement
+	// credits ring backlog into it.
 	pacedQuanta  uint64
 	pacedEmitted uint64
 
-	// Previous control window's cursor into each accumulator, so the
-	// observability layer can difference per-window deltas without a
-	// second set of counters on the hot path (see Runtime.publishWindow
-	// and Runtime.rollWindowAccounting). prevProcessed snapshots the sum
-	// of the group's flow.packets.
-	prevOffered   uint64
-	prevEnqueued  uint64
-	prevNICDrops  uint64
-	prevProcessed uint64
-
-	// Latency-SLO evaluation state (see Runtime.publishLatency): control
+	// Latency-SLO evaluation state (see Runtime.evalLatency): control
 	// windows in which the window p99 exceeded the declared target, and
-	// the most recent window's burn rate.
+	// the most recent non-empty window's burn rate.
 	sloBreaches int
-	lastBurn    float64
+	sloBurn     float64
 }
 
 // burstActive reports whether quantum q falls in the app's on-phase.
@@ -86,14 +77,6 @@ func (a *appState) emitBurst(n int, stamp uint64) {
 	for _, f := range a.flows {
 		f.ring.Commit()
 	}
-}
-
-// resetAccounting zeroes offered-load counters at measurement start.
-func (a *appState) resetAccounting() {
-	a.offered, a.enqueued, a.nicDrops = 0, 0, 0
-	a.pacedQuanta, a.pacedEmitted = 0, 0
-	a.prevOffered, a.prevEnqueued, a.prevNICDrops, a.prevProcessed = 0, 0, 0, 0
-	a.sloBreaches, a.lastBurn = 0, 0
 }
 
 // dispatcher feeds every rate-driven flow group at barrier points. It

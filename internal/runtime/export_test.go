@@ -26,3 +26,14 @@ func (r *Runtime) Layout() []FlowLayout {
 	}
 	return out
 }
+
+// SetRetention shrinks what the runtime retains — n control samples, n
+// residuals per app — so eviction tests need not run
+// DefaultStatsRetention windows. Call before Run.
+func (r *Runtime) SetRetention(n int) {
+	r.stats.samples.max = n
+	r.residuals.max = n * len(r.disp.apps)
+}
+
+// CheckGolden is checkGolden, for the external test package.
+var CheckGolden = checkGolden

@@ -23,64 +23,114 @@ import (
 // remote NUMA references — the paper's overload-diagnosis shape turned
 // on the model itself.
 
-// rtObs holds the runtime's registered metric handles. All With lookups
-// happen here at build time; workers and the control loop only touch
-// resolved handles.
+// gaugeRow and counterRow are one metric family each: the registered vec
+// (the reg.Gauge/reg.Counter call sits in the row, where metriclint reads
+// its constant name and labels) paired with the window field it
+// publishes. A label scope's families are a slice of rows, resolved to
+// handles once per label tuple and published by one loop.
+type gaugeRow[S any] struct {
+	vec *obs.GaugeVec
+	of  func(S) float64
+}
+
+type counterRow[S any] struct {
+	vec *obs.CounterVec
+	of  func(S) uint64
+}
+
+func resolveGauges[S any](rows []gaugeRow[S], labels ...string) []*obs.Gauge {
+	hs := make([]*obs.Gauge, len(rows))
+	for i, row := range rows {
+		hs[i] = row.vec.With(labels...)
+	}
+	return hs
+}
+
+func resolveCounters[S any](rows []counterRow[S], labels ...string) []*obs.Counter {
+	hs := make([]*obs.Counter, len(rows))
+	for i, row := range rows {
+		hs[i] = row.vec.With(labels...)
+	}
+	return hs
+}
+
+func setGauges[S any](rows []gaugeRow[S], hs []*obs.Gauge, s S) {
+	for i, row := range rows {
+		hs[i].Set(row.of(s))
+	}
+}
+
+func addCounters[S any](rows []counterRow[S], hs []*obs.Counter, s S) {
+	for i, row := range rows {
+		hs[i].Add(row.of(s))
+	}
+}
+
+// rtObs holds the runtime's metric families and resolved handles. Every
+// With lookup happens at build time or in worker.bind (a swap at a
+// barrier); workers and the control loop only touch resolved handles.
 type rtObs struct {
-	reg *obs.Registry
+	workerRows []gaugeRow[*WorkerTelemetry]
+	appRows    []counterRow[*appMark]
+	residRows  []gaugeRow[*obs.Residual]
+	cutRows    []counterRow[*stageMark]
+	elemCRows  []counterRow[elemWindow]
+	elemGRows  []gaugeRow[elemWindow]
 
-	// Per-worker control-window gauges, indexed by worker id.
-	pps, refs, hits, remote, remotePkt, cycPkt []*obs.Gauge
-	ringDepth, ringFill, predDrop, delay       []*obs.Gauge
+	// binding is the worker→app info gauge, so a scraper can join worker
+	// series to apps across live migrations.
+	binding                           *obs.GaugeVec
+	migrations, copyCycles, throttles *obs.Counter
 
-	// Per-worker hardware-counter totals: hwTotals[worker][i] follows the
-	// enumeration order of hw.Counters.Each.
-	hwTotals [][]*obs.Counter
+	workers []workerHandles // by worker id
+	apps    []appHandles    // by app index
+	cuts    []cutHandles
+}
 
-	// Per-app accounting counters and drop/residual gauges.
-	appOffered, appEnqueued, appNICDrops   map[string]*obs.Counter
-	appProcessed                           map[string]*obs.Counter
-	appObserved, appPredicted, appResidual map[string]*obs.Gauge
-	appCause                               map[string]map[obs.Cause]*obs.Gauge
+type workerHandles struct {
+	gauges []*obs.Gauge   // by workerRows
+	hw     []*obs.Counter // in hw.Counters.Each order
+}
 
-	// Chain hand-off telemetry, one per (flow, cut). Push polls (producer
-	// spins on a full ring: the consumer lags) and pop polls (consumer
-	// spins on an empty ring: the producer starves it) mean opposite
-	// things, so they are exposed as separate families alongside the sum.
-	handoffFill      map[*stage]*obs.Gauge
-	handoffPolls     map[*stage]*obs.Counter
-	handoffPushPolls map[*stage]*obs.Counter
-	handoffPopPolls  map[*stage]*obs.Counter
+type appHandles struct {
+	counters []*obs.Counter // by appRows
+	resid    []*obs.Gauge   // by residRows
+	cause    []*obs.Gauge   // by residualCauses
+	drift    *obs.Gauge
+	lat      [3]*obs.Gauge // p50, p99, p999
+	// SLO telemetry, only for apps declaring a target.
+	burn     *obs.Gauge
+	breaches *obs.Counter
+}
 
-	// Worker→app binding info gauges, so a scraper can join worker series
-	// to apps across live migrations.
-	binding    *obs.GaugeVec
-	lastBound  map[int]*obs.Gauge
-	migrations *obs.Counter
-	copyCycles *obs.Counter
-	throttles  *obs.Counter
+// cutHandles is one chain cut's hand-off telemetry. Push polls (producer
+// spins on a full ring: the consumer lags) and pop polls (consumer spins
+// on an empty ring: the producer starves it) mean opposite things, so
+// they are exposed as separate families alongside the sum.
+type cutHandles struct {
+	u     *stage // the producing stage
+	fill  *obs.Gauge
+	polls []*obs.Counter // by cutRows
+}
 
-	// Per-element attribution families. These resolve label tuples at the
-	// barrier (not the hot path): the worker label follows live
-	// migrations, so the series set is discovered as flows move.
-	elemCycles, elemRefs   *obs.CounterVec
-	elemCycPkt, elemRefPkt *obs.GaugeVec
-	appDrift               map[string]*obs.Gauge
+// elemHandles is one table slot's element rows under the current binding
+// (both nil for a slot another stage of the chain executes).
+type elemHandles struct {
+	counters []*obs.Counter // by elemCRows
+	gauges   []*obs.Gauge   // by elemGRows
+}
 
-	// Per-app end-to-end latency quantiles (label: quantile) and SLO
-	// telemetry (burn gauge + breach counter, only for apps declaring a
-	// target).
-	appLatQ  map[string][3]*obs.Gauge
-	sloBurn  map[string]*obs.Gauge
-	sloTripd map[string]*obs.Counter
+// elemWindow is one (stage, element) cost delta over a control window —
+// the unit of per-element attribution.
+type elemWindow struct {
+	cells hw.ElemCell
+	pkts  uint64 // packets the flow processed this window
 }
 
 // batchBuckets derives the batch-fill histogram's buckets from the
 // configured batch size: {0, 1} then powers of two up to and including
 // the batch itself, so the top bucket always equals the largest possible
-// fill. The previous hardcoded {0,1,2,4,8,16,32} silently saturated any
-// batch above 32 into one bucket. For the default batch of 32 the
-// derived buckets are identical to the historical set.
+// fill.
 func batchBuckets(batch int) []float64 {
 	if batch < 1 {
 		batch = 1
@@ -95,45 +145,33 @@ func batchBuckets(batch int) []float64 {
 	return buckets
 }
 
-// hwCounterNames enumerates hw.Counters.Each's stable name order once.
-func hwCounterNames() []string {
-	var names []string
-	hw.Counters{}.Each(func(name string, _ uint64) { names = append(names, name) })
-	return names
-}
-
 // residualCauses is the label universe of the cause info gauge.
 var residualCauses = []obs.Cause{
 	obs.CauseNone, obs.CauseProfileDrift, obs.CauseNUMA, obs.CauseRing,
 	obs.CauseL3, obs.CauseBetter, obs.CauseUnknown,
 }
 
-// newRtObs registers every metric family and resolves the handles for
-// this runtime's workers and apps. It also hands each worker its
-// hot-path handles (packet counter, batch-fill histogram, spin-poll
-// counter).
-func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
-	m := &rtObs{
-		reg:              reg,
-		appOffered:       map[string]*obs.Counter{},
-		appEnqueued:      map[string]*obs.Counter{},
-		appNICDrops:      map[string]*obs.Counter{},
-		appProcessed:     map[string]*obs.Counter{},
-		appObserved:      map[string]*obs.Gauge{},
-		appPredicted:     map[string]*obs.Gauge{},
-		appResidual:      map[string]*obs.Gauge{},
-		appCause:         map[string]map[obs.Cause]*obs.Gauge{},
-		handoffFill:      map[*stage]*obs.Gauge{},
-		handoffPolls:     map[*stage]*obs.Counter{},
-		handoffPushPolls: map[*stage]*obs.Counter{},
-		handoffPopPolls:  map[*stage]*obs.Counter{},
-		lastBound:        map[int]*obs.Gauge{},
-		appDrift:         map[string]*obs.Gauge{},
-		appLatQ:          map[string][3]*obs.Gauge{},
-		sloBurn:          map[string]*obs.Gauge{},
-		sloTripd:         map[string]*obs.Counter{},
-	}
+// overheadElem names table slot 0 in per-element telemetry: cost charged
+// outside any element's Process bracket (source pulls, ring polls,
+// buffer recycling).
+const overheadElem = "overhead"
 
+// elemName names table slot i of the flow's stages the way telemetry
+// names it.
+func (f *flow) elemName(i int) string {
+	if i == 0 {
+		return overheadElem
+	}
+	return f.pipe.Nodes()[i-1].Name
+}
+
+// newRtObs registers every metric family (docs/observability.md lists
+// them in this order) and resolves the handles of this runtime's workers,
+// apps and cuts; the binding-scoped ones follow in bind. It also hands
+// each worker its hot-path handles, which count from process start; every
+// family published at a barrier counts from measurement start.
+func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
+	m := &rtObs{}
 	packets := reg.Counter("dataplane_worker_packets_total",
 		"packets fully processed, incremented from the worker hot path", "worker")
 	batch := reg.Histogram("dataplane_worker_batch_fill",
@@ -142,99 +180,92 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 		"batch polls cut short by the quantum boundary, excluded from batch_fill", "worker")
 	spins := reg.Counter("dataplane_worker_spin_polls_total",
 		"hand-off ring spin-wait iterations charged by this worker", "worker")
-
-	gv := func(name, help string) *obs.GaugeVec { return reg.Gauge(name, help, "worker") } //dataplane:allow metriclint registration helper; every call below passes a constant family name
-	ppsV := gv("dataplane_worker_pps", "packets per virtual second, last control window")
-	refsV := gv("dataplane_worker_l3_refs_per_sec", "L3 references per virtual second (aggressiveness)")
-	hitsV := gv("dataplane_worker_l3_hits_per_sec", "L3 hits per virtual second (sensitivity)")
-	remV := gv("dataplane_worker_remote_refs_per_sec", "remote-socket L3 misses per virtual second")
-	remPkV := gv("dataplane_worker_remote_per_packet", "remote references per processed packet (locality)")
-	cycV := gv("dataplane_worker_cycles_per_packet", "core cycles per processed packet")
-	depthV := gv("dataplane_worker_ring_depth", "input or hand-off ring occupancy at the barrier")
-	fillV := gv("dataplane_worker_ring_fill", "ring occupancy fraction at the barrier")
-	predV := gv("dataplane_worker_predicted_drop", "live curve-predicted drop for the bound flow")
-	delayV := gv("dataplane_worker_delay_cycles", "admission-control delay applied to the bound flow")
-	hwV := reg.Counter("dataplane_worker_hw_total",
+	m.workerRows = []gaugeRow[*WorkerTelemetry]{
+		{reg.Gauge("dataplane_worker_pps", "packets per virtual second, last control window", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.PPS }},
+		{reg.Gauge("dataplane_worker_l3_refs_per_sec", "L3 references per virtual second (aggressiveness)", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.RefsPerSec }},
+		{reg.Gauge("dataplane_worker_l3_hits_per_sec", "L3 hits per virtual second (sensitivity)", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.HitsPerSec }},
+		{reg.Gauge("dataplane_worker_remote_refs_per_sec", "remote-socket L3 misses per virtual second", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.RemoteRefsPerSec }},
+		{reg.Gauge("dataplane_worker_remote_per_packet", "remote references per processed packet (locality)", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.RemotePerPacket }},
+		{reg.Gauge("dataplane_worker_cycles_per_packet", "core cycles per processed packet", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.CyclesPerPacket }},
+		{reg.Gauge("dataplane_worker_ring_depth", "input or hand-off ring occupancy at the barrier", "worker"),
+			func(t *WorkerTelemetry) float64 { return float64(t.RingDepth) }},
+		{reg.Gauge("dataplane_worker_ring_fill", "ring occupancy fraction at the barrier", "worker"),
+			func(t *WorkerTelemetry) float64 {
+				if t.RingCap == 0 {
+					return 0 // a synthetic flow has no input ring
+				}
+				return float64(t.RingDepth) / float64(t.RingCap)
+			}},
+		{reg.Gauge("dataplane_worker_predicted_drop", "live curve-predicted drop for the bound flow", "worker"),
+			func(t *WorkerTelemetry) float64 { return t.PredictedDrop }},
+		{reg.Gauge("dataplane_worker_delay_cycles", "admission-control delay applied to the bound flow", "worker"),
+			func(t *WorkerTelemetry) float64 { return float64(t.DelayCycles) }},
+	}
+	hwTotals := reg.Counter("dataplane_worker_hw_total",
 		"per-core hardware counter totals since measurement start", "worker", "counter")
-
-	hwNames := hwCounterNames()
 	for i, w := range r.workers {
 		id := fmt.Sprint(i)
-		w.mPackets = packets.With(id)
-		w.mBatch = batch.With(id)
-		w.mClipped = clipped.With(id)
-		w.mSpins = spins.With(id)
-		m.pps = append(m.pps, ppsV.With(id))
-		m.refs = append(m.refs, refsV.With(id))
-		m.hits = append(m.hits, hitsV.With(id))
-		m.remote = append(m.remote, remV.With(id))
-		m.remotePkt = append(m.remotePkt, remPkV.With(id))
-		m.cycPkt = append(m.cycPkt, cycV.With(id))
-		m.ringDepth = append(m.ringDepth, depthV.With(id))
-		m.ringFill = append(m.ringFill, fillV.With(id))
-		m.predDrop = append(m.predDrop, predV.With(id))
-		m.delay = append(m.delay, delayV.With(id))
-		hwRow := make([]*obs.Counter, len(hwNames))
-		for j, n := range hwNames {
-			hwRow[j] = hwV.With(id, n)
-		}
-		m.hwTotals = append(m.hwTotals, hwRow)
+		w.mPackets, w.mBatch, w.mClipped, w.mSpins = packets.With(id), batch.With(id), clipped.With(id), spins.With(id)
+		wh := workerHandles{gauges: resolveGauges(m.workerRows, id)}
+		hw.Counters{}.Each(func(name string, _ uint64) { wh.hw = append(wh.hw, hwTotals.With(id, name)) })
+		m.workers = append(m.workers, wh)
 	}
 
-	offV := reg.Counter("dataplane_app_offered_total", "packets the traffic source generated", "app")
-	enqV := reg.Counter("dataplane_app_enqueued_total", "packets accepted into input rings", "app")
-	nicV := reg.Counter("dataplane_app_nic_drops_total", "packets tail-dropped at full input rings", "app")
-	procV := reg.Counter("dataplane_app_processed_total", "packets that entered a worker's pipeline", "app")
-	obsV := reg.Gauge("dataplane_app_observed_drop", "per-replica observed drop, last control window", "app")
-	apV := reg.Gauge("dataplane_app_predicted_drop", "mean live-predicted drop, last control window", "app")
-	resV := reg.Gauge("dataplane_app_residual", "observed minus predicted drop, last control window", "app")
+	m.appRows = []counterRow[*appMark]{
+		{reg.Counter("dataplane_app_offered_total", "packets the traffic source generated", "app"),
+			func(d *appMark) uint64 { return d.offered }},
+		{reg.Counter("dataplane_app_enqueued_total", "packets accepted into input rings", "app"),
+			func(d *appMark) uint64 { return d.enqueued }},
+		{reg.Counter("dataplane_app_nic_drops_total", "packets tail-dropped at full input rings", "app"),
+			func(d *appMark) uint64 { return d.nicDrops }},
+		{reg.Counter("dataplane_app_processed_total", "packets that entered a worker's pipeline", "app"),
+			func(d *appMark) uint64 { return d.processed }},
+	}
+	m.residRows = []gaugeRow[*obs.Residual]{
+		{reg.Gauge("dataplane_app_observed_drop", "per-replica observed drop, last control window", "app"),
+			func(rr *obs.Residual) float64 { return rr.Observed }},
+		{reg.Gauge("dataplane_app_predicted_drop", "mean live-predicted drop, last control window", "app"),
+			func(rr *obs.Residual) float64 { return rr.Predicted }},
+		{reg.Gauge("dataplane_app_residual", "observed minus predicted drop, last control window", "app"),
+			func(rr *obs.Residual) float64 { return rr.Residual }},
+	}
 	causeV := reg.Gauge("dataplane_app_residual_cause",
 		"1 on the residual cause attributed this window, 0 elsewhere", "app", "cause")
-	for _, a := range r.disp.apps {
-		name := a.spec.Name
-		m.appOffered[name] = offV.With(name)
-		m.appEnqueued[name] = enqV.With(name)
-		m.appNICDrops[name] = nicV.With(name)
-		m.appProcessed[name] = procV.With(name)
-		m.appObserved[name] = obsV.With(name)
-		m.appPredicted[name] = apV.With(name)
-		m.appResidual[name] = resV.With(name)
-		causes := map[obs.Cause]*obs.Gauge{}
-		for _, c := range residualCauses {
-			causes[c] = causeV.With(name, string(c))
-		}
-		m.appCause[name] = causes
-	}
-
-	hofV := reg.Gauge("dataplane_handoff_fill",
+	fillV := reg.Gauge("dataplane_handoff_fill",
 		"forward hand-off ring occupancy fraction at the barrier", "app", "replica", "cut")
-	hopV := reg.Counter("dataplane_handoff_polls_total",
-		"spin-wait iterations on the cut's forward ring (producer + consumer)", "app", "replica", "cut")
-	hopPushV := reg.Counter("dataplane_handoff_push_polls_total",
-		"producer spin-wait iterations on the cut's forward ring (ring full: consumer lags)", "app", "replica", "cut")
-	hopPopV := reg.Counter("dataplane_handoff_pop_polls_total",
-		"consumer spin-wait iterations on the cut's forward ring (ring empty: producer starves)", "app", "replica", "cut")
-	for _, f := range r.flows {
-		for _, u := range f.stages {
-			if u.out == nil {
-				continue
-			}
-			app, rep, cut := f.app.spec.Name, fmt.Sprint(f.replica), fmt.Sprint(u.index)
-			m.handoffFill[u] = hofV.With(app, rep, cut)
-			m.handoffPolls[u] = hopV.With(app, rep, cut)
-			m.handoffPushPolls[u] = hopPushV.With(app, rep, cut)
-			m.handoffPopPolls[u] = hopPopV.With(app, rep, cut)
-		}
+	m.cutRows = []counterRow[*stageMark]{
+		{reg.Counter("dataplane_handoff_polls_total",
+			"spin-wait iterations on the cut's forward ring (producer + consumer)", "app", "replica", "cut"),
+			func(d *stageMark) uint64 { return d.pushPolls + d.popPolls }},
+		{reg.Counter("dataplane_handoff_push_polls_total",
+			"producer spin-wait iterations on the cut's forward ring (ring full: consumer lags)", "app", "replica", "cut"),
+			func(d *stageMark) uint64 { return d.pushPolls }},
+		{reg.Counter("dataplane_handoff_pop_polls_total",
+			"consumer spin-wait iterations on the cut's forward ring (ring empty: producer starves)", "app", "replica", "cut"),
+			func(d *stageMark) uint64 { return d.popPolls }},
 	}
-
-	m.elemCycles = reg.Counter("dataplane_element_cycles_total",
-		"exec cycles attributed to the element since measurement start", "element", "app", "stage", "worker")
-	m.elemRefs = reg.Counter("dataplane_element_l3_refs_total",
-		"L3 references attributed to the element since measurement start", "element", "app", "stage", "worker")
-	m.elemCycPkt = reg.Gauge("dataplane_element_cycles_per_packet",
-		"element cycles per flow packet, last control window", "element", "app", "stage", "worker")
-	m.elemRefPkt = reg.Gauge("dataplane_element_refs_per_packet",
-		"element L3 references per flow packet, last control window", "element", "app", "stage", "worker")
+	m.elemCRows = []counterRow[elemWindow]{
+		{reg.Counter("dataplane_element_cycles_total",
+			"exec cycles attributed to the element since measurement start", "element", "app", "stage", "worker"),
+			func(e elemWindow) uint64 { return e.cells.Cycles }},
+		{reg.Counter("dataplane_element_l3_refs_total",
+			"L3 references attributed to the element since measurement start", "element", "app", "stage", "worker"),
+			func(e elemWindow) uint64 { return e.cells.L3Refs }},
+	}
+	m.elemGRows = []gaugeRow[elemWindow]{
+		{reg.Gauge("dataplane_element_cycles_per_packet",
+			"element cycles per flow packet, last control window", "element", "app", "stage", "worker"),
+			func(e elemWindow) float64 { return float64(e.cells.Cycles) / float64(e.pkts) }},
+		{reg.Gauge("dataplane_element_refs_per_packet",
+			"element L3 references per flow packet, last control window", "element", "app", "stage", "worker"),
+			func(e elemWindow) float64 { return float64(e.cells.L3Refs) / float64(e.pkts) }},
+	}
 	driftV := reg.Gauge("dataplane_app_drift_ratio",
 		"worst element live-over-baseline refs/pkt ratio, 0 when no element drifted", "app")
 	latV := reg.Gauge("dataplane_app_latency_cycles",
@@ -245,13 +276,25 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 		"control windows whose window p99 exceeded the latency SLO target", "app")
 	for _, a := range r.disp.apps {
 		name := a.spec.Name
-		m.appDrift[name] = driftV.With(name)
-		m.appLatQ[name] = [3]*obs.Gauge{
-			latV.With(name, "0.5"), latV.With(name, "0.99"), latV.With(name, "0.999"),
+		ah := appHandles{
+			counters: resolveCounters(m.appRows, name), resid: resolveGauges(m.residRows, name),
+			drift: driftV.With(name),
+			lat:   [3]*obs.Gauge{latV.With(name, "0.5"), latV.With(name, "0.99"), latV.With(name, "0.999")},
+		}
+		for _, c := range residualCauses {
+			ah.cause = append(ah.cause, causeV.With(name, string(c)))
 		}
 		if a.spec.SLOP99US > 0 {
-			m.sloBurn[name] = burnV.With(name)
-			m.sloTripd[name] = tripV.With(name)
+			ah.burn, ah.breaches = burnV.With(name), tripV.With(name)
+		}
+		m.apps = append(m.apps, ah)
+	}
+	for _, f := range r.flows {
+		for _, u := range f.stages {
+			if u.out != nil {
+				app, rep, cut := f.app.spec.Name, fmt.Sprint(f.replica), fmt.Sprint(u.index)
+				m.cuts = append(m.cuts, cutHandles{u: u, fill: fillV.With(app, rep, cut), polls: resolveCounters(m.cutRows, app, rep, cut)})
+			}
 		}
 	}
 
@@ -263,165 +306,73 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 		"destination-core cycles spent copying migrated state").With()
 	m.throttles = reg.Counter("dataplane_throttle_events_total",
 		"control windows in which admission tightened a delay").With()
+	for _, w := range r.workers {
+		w.obsm = m
+		m.bind(w)
+	}
 	return m
 }
 
-// publishWindow writes one control window's telemetry into the registry:
-// per-worker gauges from the sample, hardware-counter deltas, app
-// accounting deltas, hand-off ring state, and binding info. Runs at the
-// barrier (workers parked), so plain reads of owner-written state are
-// safe; all registry writes are atomics, so a concurrent scrape sees a
-// consistent-enough page without stopping the dataplane.
-func (r *Runtime) publishWindow(sample ControlSample, deltas []hw.Counters) {
-	m := r.obsm
-	if m == nil {
-		return
+// bind resolves the handles whose labels name the stage w now runs: the
+// binding info gauge (the previous binding's drops to 0) and the element
+// rows, {element,app,stage,worker} — the worker label follows the flow
+// across migrations, so a migrated flow's costs start a new series on its
+// new core, as a per-core hardware profiler would see.
+func (m *rtObs) bind(w *worker) {
+	u := w.unit
+	app, stage, worker := u.fl.app.spec.Name, fmt.Sprint(u.index), fmt.Sprint(w.id)
+	if w.mBound != nil {
+		w.mBound.Set(0)
 	}
-	for _, t := range sample.Workers {
-		i := t.Worker
-		m.pps[i].Set(t.PPS)
-		m.refs[i].Set(t.RefsPerSec)
-		m.hits[i].Set(t.HitsPerSec)
-		m.remote[i].Set(t.RemoteRefsPerSec)
-		m.remotePkt[i].Set(t.RemotePerPacket)
-		m.cycPkt[i].Set(t.CyclesPerPacket)
-		m.ringDepth[i].Set(float64(t.RingDepth))
-		if t.RingCap > 0 {
-			m.ringFill[i].Set(float64(t.RingDepth) / float64(t.RingCap))
-		}
-		m.predDrop[i].Set(t.PredictedDrop)
-		m.delay[i].Set(float64(t.DelayCycles))
-		for j, v := range eachValues(deltas[i]) {
-			m.hwTotals[i][j].Add(v)
-		}
-		// Binding info: flip the gauge when a migration rebound the worker.
-		if t.App == "" {
-			if old := m.lastBound[i]; old != nil {
-				old.Set(0)
-				delete(m.lastBound, i)
-			}
+	w.mBound = m.binding.With(worker, app, stage)
+	w.mBound.Set(1)
+	w.mElems = make([]elemHandles, len(u.elems))
+	for i := range u.elems {
+		if i > 0 && u.fl.pipe.Nodes()[i-1].Stage != u.index {
 			continue
 		}
-		g := m.binding.With(fmt.Sprint(i), t.App, fmt.Sprint(t.Stage))
-		if old := m.lastBound[i]; old != nil && old != g {
-			old.Set(0)
-		}
-		g.Set(1)
-		m.lastBound[i] = g
+		name := u.fl.elemName(i)
+		w.mElems[i] = elemHandles{resolveCounters(m.elemCRows, name, app, stage, worker), resolveGauges(m.elemGRows, name, app, stage, worker)}
 	}
+}
 
-	for _, a := range r.disp.apps {
-		name := a.spec.Name
-		m.appOffered[name].Add(a.offered - a.prevOffered)
-		m.appEnqueued[name].Add(a.enqueued - a.prevEnqueued)
-		m.appNICDrops[name].Add(a.nicDrops - a.prevNICDrops)
-		var processed uint64
-		for _, f := range a.flows {
-			processed += f.packets
+// publish writes one control window into the registry, one loop per label
+// scope. It runs at the barrier (workers parked) on handles resolved
+// earlier; all registry writes are atomics, so a concurrent scrape sees a
+// consistent-enough page without stopping the dataplane.
+func (m *rtObs) publish(r *Runtime, win *window) {
+	for i := range win.sample.Workers {
+		t, wh := &win.sample.Workers[i], &m.workers[i]
+		setGauges(m.workerRows, wh.gauges, t)
+		j := 0
+		win.d.workers[i].counters.Each(func(_ string, v uint64) {
+			wh.hw[j].Add(v)
+			j++
+		})
+		if t.Throttled {
+			m.throttles.Inc()
 		}
-		m.appProcessed[name].Add(processed - a.prevProcessed)
 	}
-
-	for _, f := range r.flows {
-		for _, u := range f.stages {
-			if u.out == nil {
+	for i := range m.apps {
+		addCounters(m.appRows, m.apps[i].counters, &win.d.apps[i])
+	}
+	for _, c := range m.cuts {
+		c.fill.Set(float64(c.u.out.Len()) / float64(c.u.out.Cap()))
+		addCounters(m.cutRows, c.polls, &win.d.flows[c.u.fl.id].stages[c.u.index])
+	}
+	// Per-element cost deltas, under the binding current at publish time,
+	// skipping cells that accrued nothing.
+	for _, w := range r.workers {
+		fd := &win.d.flows[w.unit.fl.id]
+		for i, eh := range w.mElems {
+			e := elemWindow{cells: fd.stages[w.unit.index].elems[i], pkts: fd.packets}
+			if eh.counters == nil || (e.cells.Cycles == 0 && e.cells.L3Refs == 0) {
 				continue
 			}
-			m.handoffFill[u].Set(float64(u.out.Len()) / float64(u.out.Cap()))
-			// The cursors roll forward in rollWindowAccounting, which runs
-			// whether or not a registry is configured — windowResiduals
-			// reads the same per-window deltas for diagnosis.
-			push, pop := u.out.PushPolls(), u.out.PopPolls()
-			m.handoffPolls[u].Add(push + pop - u.prevPushPolls - u.prevPopPolls)
-			m.handoffPushPolls[u].Add(push - u.prevPushPolls)
-			m.handoffPopPolls[u].Add(pop - u.prevPopPolls)
-		}
-	}
-}
-
-// eachValues flattens a counter delta in hw.Counters.Each order.
-func eachValues(c hw.Counters) []uint64 {
-	out := make([]uint64, 0, 13)
-	c.Each(func(_ string, v uint64) { out = append(out, v) })
-	return out
-}
-
-// overheadElem names table slot 0 in per-element telemetry: cost charged
-// outside any element's Process bracket (source pulls, ring polls,
-// buffer recycling).
-const overheadElem = "overhead"
-
-// elemWindow is one (flow, stage, element) cost delta over a control
-// window — the unit of per-element attribution and drift detection.
-type elemWindow struct {
-	app     string
-	element string
-	stage   int
-	worker  int
-	pkts    uint64 // packets the flow processed this window
-	cells   hw.ElemCell
-}
-
-// stageElems visits every per-element cell of every pipeline flow's
-// stages, differenced against the cursor table since picks (a stage's
-// prevElems or baseElems) and named the way telemetry names it. Call it
-// only while the owning workers are parked (a barrier, or after Run), so
-// plain reads of their cells are safe.
-func (r *Runtime) stageElems(since func(*stage) []hw.ElemCell, visit func(f *flow, u *stage, element string, d hw.ElemCell)) {
-	for _, f := range r.flows {
-		if f.pipe == nil {
-			continue
-		}
-		nodes := f.pipe.Nodes()
-		for _, u := range f.stages {
-			base := since(u)
-			for i := range u.elems {
-				var b hw.ElemCell
-				if i < len(base) {
-					b = base[i]
-				}
-				name := overheadElem
-				if i > 0 {
-					name = nodes[i-1].Name
-				}
-				visit(f, u, name, u.elems[i].Sub(b))
+			addCounters(m.elemCRows, eh.counters, e)
+			if e.pkts > 0 {
+				setGauges(m.elemGRows, eh.gauges, e)
 			}
-		}
-	}
-}
-
-// windowElems differences every stage's per-element table against its
-// control-window cursor, skipping cells that accrued nothing. The
-// cursors roll forward in rollWindowAccounting after the window's
-// consumers have read them.
-func (r *Runtime) windowElems() []elemWindow {
-	var out []elemWindow
-	r.stageElems(func(u *stage) []hw.ElemCell { return u.prevElems }, func(f *flow, u *stage, element string, d hw.ElemCell) {
-		if d.Cycles == 0 && d.L3Refs == 0 {
-			return
-		}
-		out = append(out, elemWindow{app: f.app.spec.Name, element: element, stage: u.index,
-			worker: u.workerIdx, pkts: f.packets - f.prevPackets, cells: d})
-	})
-	return out
-}
-
-// publishElems writes the window's per-element cost deltas into the
-// registry. Label tuples resolve here at the barrier — the worker label
-// follows the flow across migrations, so a migrated flow's costs start a
-// new series on its new core, as a per-core hardware profiler would see.
-func (r *Runtime) publishElems(elems []elemWindow) {
-	m := r.obsm
-	if m == nil {
-		return
-	}
-	for _, e := range elems {
-		stage, worker := fmt.Sprint(e.stage), fmt.Sprint(e.worker)
-		m.elemCycles.With(e.element, e.app, stage, worker).Add(e.cells.Cycles)
-		m.elemRefs.With(e.element, e.app, stage, worker).Add(e.cells.L3Refs)
-		if e.pkts > 0 {
-			m.elemCycPkt.With(e.element, e.app, stage, worker).Set(float64(e.cells.Cycles) / float64(e.pkts))
-			m.elemRefPkt.With(e.element, e.app, stage, worker).Set(float64(e.cells.L3Refs) / float64(e.pkts))
 		}
 	}
 }
@@ -442,29 +393,34 @@ const (
 	driftBaseFloor = 0.25
 )
 
-// windowDrift scans one app's per-element window costs for the element
-// that most exceeds its offline baseline, filling the WindowObs drift
-// evidence. It is a no-op unless the app's profile carries element
+// windowDrift scans one app's per-element window costs — summed across
+// its replicas and stages by table slot, which replicas share — for the
+// element that most exceeds its offline baseline, filling the WindowObs
+// drift evidence. It is a no-op unless the app's profile carries element
 // baselines (len(prof.Elements) > 0) — hand-built profiles without them
 // must not trip drift on every element.
-func windowDrift(o *obs.WindowObs, prof FlowProfile, byElem map[string]hw.ElemCell, pkts uint64) {
+func windowDrift(o *obs.WindowObs, prof FlowProfile, a *appState, d *mark) {
+	pkts := d.apps[a.index].processed
 	if len(prof.Elements) == 0 || pkts == 0 {
 		return
 	}
-	best := 0.0
-	for name, cells := range byElem {
+	for i := range a.flows[0].stages[0].elems {
+		var cells hw.ElemCell
+		for _, f := range a.flows {
+			for _, sd := range d.flows[f.id].stages {
+				c := sd.elems[i]
+				cells.Cycles += c.Cycles
+				cells.L3Refs += c.L3Refs
+			}
+		}
 		liveRefs := float64(cells.L3Refs) / float64(pkts)
 		if liveRefs < driftMinRefs {
 			continue
 		}
+		name := a.flows[0].elemName(i)
 		baseline, known := prof.Elements[name]
-		base := baseline.RefsPerPacket
-		if base < driftBaseFloor {
-			base = driftBaseFloor
-		}
-		ratio := liveRefs / base
-		if ratio >= driftRatio && ratio > best {
-			best = ratio
+		base := max(baseline.RefsPerPacket, driftBaseFloor)
+		if ratio := liveRefs / base; ratio >= driftRatio && ratio > o.DriftRefRatio {
 			o.DriftElement = name
 			o.DriftRefRatio = ratio
 			o.DriftLiveRefs = liveRefs
@@ -475,47 +431,37 @@ func windowDrift(o *obs.WindowObs, prof FlowProfile, byElem map[string]hw.ElemCe
 	}
 }
 
-// evalLatency merges each app's per-flow (and per-stage) latency shards
-// into the window's delta histogram, publishes its quantiles, and
-// evaluates the app's latency SLO: the burn rate is the fraction of
-// window packets over the target relative to the 1% budget a p99 target
-// implies, and a window whose p99 exceeds the target counts one breach.
-// Runs at the barrier regardless of whether a registry is configured —
-// breach counts feed the report and the sweep gate, not just /metrics.
-func (r *Runtime) evalLatency() {
-	clockHz := r.cfg.Cfg.ClockHz
-	for _, a := range r.disp.apps {
-		var d obs.LatHist
-		for _, f := range a.flows {
-			for _, u := range f.stages {
-				ud := u.lat.Sub(&u.prevLat)
-				d.Merge(&ud)
-			}
-		}
+// evalLatency publishes each app's window latency quantiles and evaluates
+// its latency SLO: the burn rate is the fraction of window packets over
+// the target relative to the 1% budget a p99 target implies, and a window
+// whose p99 exceeds the target counts one breach. Runs at the barrier
+// regardless of whether a registry is configured — breach counts feed the
+// report and the sweep gate, not just /metrics.
+func (r *Runtime) evalLatency(win *window) {
+	for i, a := range r.disp.apps {
+		d := &win.d.apps[i].lat
 		if d.Count() == 0 {
 			continue
 		}
-		name := a.spec.Name
-		p99 := d.Quantile(0.99)
-		if m := r.obsm; m != nil {
-			q := m.appLatQ[name]
-			q[0].Set(d.Quantile(0.50))
-			q[1].Set(p99)
-			q[2].Set(d.Quantile(0.999))
+		p99, breached := d.Quantile(0.99), false
+		if a.spec.SLOP99US > 0 {
+			target := uint64(a.spec.SLOP99US * 1e-6 * r.cfg.Cfg.ClockHz)
+			a.sloBurn = float64(d.CountOver(target)) / float64(d.Count()) / 0.01
+			if breached = p99 > float64(target); breached {
+				a.sloBreaches++
+			}
 		}
-		if a.spec.SLOP99US <= 0 {
+		if r.obsm == nil {
 			continue
 		}
-		target := uint64(a.spec.SLOP99US * 1e-6 * clockHz)
-		a.lastBurn = float64(d.CountOver(target)) / float64(d.Count()) / 0.01
-		breached := p99 > float64(target)
-		if breached {
-			a.sloBreaches++
-		}
-		if m := r.obsm; m != nil {
-			m.sloBurn[name].Set(a.lastBurn)
+		ah := &r.obsm.apps[i]
+		ah.lat[0].Set(d.Quantile(0.50))
+		ah.lat[1].Set(p99)
+		ah.lat[2].Set(d.Quantile(0.999))
+		if ah.burn != nil {
+			ah.burn.Set(a.sloBurn)
 			if breached {
-				m.sloTripd[name].Inc()
+				ah.breaches.Inc()
 			}
 		}
 	}
@@ -527,31 +473,15 @@ const residualTolerance = 0.05
 
 // windowResiduals computes the window's per-app prediction residuals and
 // diagnoses each divergence from the same counter evidence the
-// predictor reads. winSec is the window's wall length in virtual
-// seconds. Apps without a solo profile (synthetic probes, unprofiled
-// customs) produce no residual — there is no prediction to diverge from.
-func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSample, deltas []hw.Counters, elems []elemWindow) []obs.Residual {
-	if winSec <= 0 {
+// predictor reads. Apps without a solo profile (synthetic probes,
+// unprofiled customs) produce no residual — there is no prediction to
+// diverge from.
+func (r *Runtime) windowResiduals(win *window) []obs.Residual {
+	if win.sec <= 0 {
 		return nil
 	}
-	// Per-app per-element window costs, summed across replicas and
-	// stages: the drift detector's live side.
-	byApp := map[string]map[string]hw.ElemCell{}
-	for _, e := range elems {
-		em := byApp[e.app]
-		if em == nil {
-			em = map[string]hw.ElemCell{}
-			byApp[e.app] = em
-		}
-		c := em[e.element]
-		c.Cycles += e.cells.Cycles
-		c.L3Refs += e.cells.L3Refs
-		c.L3Hits += e.cells.L3Hits
-		c.L3Misses += e.cells.L3Misses
-		em[e.element] = c
-	}
 	var out []obs.Residual
-	for _, a := range r.disp.apps {
+	for i, a := range r.disp.apps {
 		// Hidden-trigger aggressors keep their residual series on purpose:
 		// the moment the flow's behaviour departs its profiled type, the
 		// residual spikes and the diagnoser names the evidence — the
@@ -560,32 +490,11 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		if !ok || prof.SoloPPS <= 0 || a.spec.Type.Synthetic() {
 			continue
 		}
-		var processed uint64
-		for _, f := range a.flows {
-			processed += f.packets
-		}
-		winProcessed := processed - a.prevProcessed
-		winOffered := a.offered - a.prevOffered
-		winNIC := a.nicDrops - a.prevNICDrops
-		if winProcessed == 0 && winOffered == 0 {
-			continue // idle window (burst off-phase): nothing measured
-		}
-
-		// Expected per-replica throughput: the solo baseline, capped at the
-		// offered rate for paced sources — the same comparison the
-		// whole-run report makes, one window at a time.
-		expected := prof.SoloPPS
-		if a.rate > 0 && winOffered > 0 {
-			offPPS := float64(winOffered) / winSec / float64(len(a.flows))
-			if offPPS < expected {
-				expected = offPPS
-			}
-		}
-		if expected <= 0 {
+		d := &win.d.apps[i]
+		observed, ok := a.observedDrop(prof.SoloPPS, d, win.sec)
+		if !ok {
 			continue
 		}
-		perReplica := float64(winProcessed) / winSec / float64(len(a.flows))
-		observed := 1 - perReplica/expected
 
 		// Evidence across the app's workers: predicted drop averaged, ring
 		// fill worst-case, locality and hit rate packet-weighted, and the
@@ -595,7 +504,7 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		var ringFill float64
 		var remRefs, pkts, l3Refs, l3Hits uint64
 		sockets := map[int]bool{}
-		for _, t := range sample.Workers {
+		for _, t := range win.sample.Workers {
 			if t.App != a.spec.Name {
 				continue
 			}
@@ -606,11 +515,11 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 					ringFill = f
 				}
 			}
-			d := deltas[t.Worker]
-			remRefs += d.RemoteRefs
-			pkts += d.Packets
-			l3Refs += d.L3Refs
-			l3Hits += d.L3Hits
+			wd := &win.d.workers[t.Worker].counters
+			remRefs += wd.RemoteRefs
+			pkts += wd.Packets
+			l3Refs += wd.L3Refs
+			l3Hits += wd.L3Hits
 			sockets[t.Socket] = true
 		}
 		if predN == 0 {
@@ -619,7 +528,7 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		var competing float64
 		for sock := range sockets {
 			var refs float64
-			for _, t := range sample.Workers {
+			for _, t := range win.sample.Workers {
 				if t.Socket == sock && t.App != a.spec.Name {
 					refs += t.RefsPerSec
 				}
@@ -638,19 +547,15 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		}
 		// Hand-off spin-poll deltas across the app's cuts, per direction:
 		// the ring-backpressure rung uses them to name which side of a
-		// congested cut is at fault (the cursors roll forward afterwards
-		// in rollWindowAccounting).
+		// congested cut is at fault.
 		for _, f := range a.flows {
-			for _, u := range f.stages {
-				if u.out == nil {
-					continue
-				}
-				o.HandoffPushPolls += u.out.PushPolls() - u.prevPushPolls
-				o.HandoffPopPolls += u.out.PopPolls() - u.prevPopPolls
+			for _, sd := range win.d.flows[f.id].stages {
+				o.HandoffPushPolls += sd.pushPolls
+				o.HandoffPopPolls += sd.popPolls
 			}
 		}
-		if winOffered > 0 {
-			o.NICDropRate = float64(winNIC) / float64(winOffered)
+		if d.offered > 0 {
+			o.NICDropRate = float64(d.nicDrops) / float64(d.offered)
 		}
 		if pkts > 0 {
 			o.RemotePerPacket = float64(remRefs) / float64(pkts)
@@ -658,80 +563,26 @@ func (r *Runtime) windowResiduals(q int, tsec, winSec float64, sample ControlSam
 		if l3Refs > 0 {
 			o.HitRate = float64(l3Hits) / float64(l3Refs)
 		}
-		windowDrift(&o, prof, byApp[a.spec.Name], winProcessed)
+		windowDrift(&o, prof, a, win.d)
+		out = append(out, obs.NewResidual(win.sample.Quantum, win.sample.Time, residualTolerance, o))
 		if m := r.obsm; m != nil {
-			m.appDrift[a.spec.Name].Set(o.DriftRefRatio)
-		}
-		out = append(out, obs.NewResidual(q, tsec, residualTolerance, o))
-	}
-	return out
-}
-
-// recordResiduals publishes the window's residuals into the registry and
-// appends them to the retained series (same retention policy as Stats).
-func (r *Runtime) recordResiduals(res []obs.Residual) {
-	for _, rr := range res {
-		if m := r.obsm; m != nil {
-			m.appObserved[rr.App].Set(rr.Observed)
-			m.appPredicted[rr.App].Set(rr.Predicted)
-			m.appResidual[rr.App].Set(rr.Residual)
-			for c, g := range m.appCause[rr.App] {
+			rr, ah := &out[len(out)-1], &m.apps[i]
+			ah.drift.Set(o.DriftRefRatio)
+			setGauges(m.residRows, ah.resid, rr)
+			for k, c := range residualCauses {
+				ah.cause[k].Set(0)
 				if c == rr.Cause {
-					g.Set(1)
-				} else {
-					g.Set(0)
+					ah.cause[k].Set(1)
 				}
 			}
 		}
 	}
-	retain := r.cfg.StatsRetention
-	if retain <= 0 {
-		retain = DefaultStatsRetention
-	}
-	capN := retain * len(r.disp.apps)
-	for _, rr := range res {
-		if len(r.residuals) < capN {
-			r.residuals = append(r.residuals, rr)
-			continue
-		}
-		r.residuals[r.residualHead] = rr
-		r.residualHead = (r.residualHead + 1) % len(r.residuals)
-	}
-}
-
-// rollWindowAccounting advances every app's previous-window cursors
-// after a control window's deltas have been consumed (publishWindow and
-// windowResiduals both read them).
-func (r *Runtime) rollWindowAccounting() {
-	for _, a := range r.disp.apps {
-		a.prevOffered, a.prevEnqueued, a.prevNICDrops = a.offered, a.enqueued, a.nicDrops
-		var processed uint64
-		for _, f := range a.flows {
-			processed += f.packets
-		}
-		a.prevProcessed = processed
-	}
-	for _, f := range r.flows {
-		f.prevPackets = f.packets
-		for _, u := range f.stages {
-			u.prevElems = snapshotElems(u.elems, u.prevElems)
-			u.prevLat = u.lat
-			if u.out != nil {
-				u.prevPushPolls, u.prevPopPolls = u.out.PushPolls(), u.out.PopPolls()
-			}
-		}
-	}
+	return out
 }
 
 // Residuals returns the retained prediction-residual series, oldest
 // first. Call after Run (or from OnWindow, where workers are parked).
-func (r *Runtime) Residuals() []obs.Residual {
-	out := make([]obs.Residual, 0, len(r.residuals))
-	for i := 0; i < len(r.residuals); i++ {
-		out = append(out, r.residuals[(r.residualHead+i)%len(r.residuals)])
-	}
-	return out
-}
+func (r *Runtime) Residuals() []obs.Residual { return r.residuals.items() }
 
 // Tracer returns the packet tracer, nil unless Config.TraceSample is
 // set. Export its events (WriteChrome) only after Run returns.

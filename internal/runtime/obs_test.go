@@ -14,8 +14,7 @@ import (
 )
 
 func TestStatsRetention(t *testing.T) {
-	s := &Stats{}
-	s.setRetention(4)
+	s := &Stats{samples: retained[ControlSample]{max: 4}}
 	for q := 0; q < 10; q++ {
 		s.record(ControlSample{Quantum: q})
 	}
@@ -298,11 +297,11 @@ func TestRuntimeResidualSeries(t *testing.T) {
 	// Retention bounds the series: a tiny retention keeps only the tail.
 	cfg2 := cfg
 	cfg2.OnWindow = nil
-	cfg2.StatsRetention = 2
 	r2, err := NewRuntime(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2.SetRetention(2)
 	rep2, err := r2.Run(0.004)
 	if err != nil {
 		t.Fatal(err)
@@ -352,4 +351,57 @@ func firstLines(s string, n int) string {
 		lines = lines[:n]
 	}
 	return strings.Join(lines, "\n")
+}
+
+// TestSwapRebindsHandles forces a re-placement at a barrier and checks
+// the handles worker.bind re-resolved: each worker's old
+// dataplane_worker_app series drops to 0 as its new one goes to 1, and
+// the moved flows' element costs continue under their new worker label.
+func TestSwapRebindsHandles(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig([]AppSpec{
+		{Name: "ipfwd", Type: apps.IP, Workers: 1},
+		{Name: "mon", Type: apps.MON, Workers: 1},
+	})
+	cfg.Metrics = reg
+	var r *Runtime
+	cfg.OnWindow = func(ControlSample, []obs.Residual) {
+		if len(r.migrations) == 0 {
+			r.swap(0, 1, &r.win, 0) // workers are parked: this is the barrier
+		}
+	}
+	r, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(0.004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	series := map[string]float64{}
+	for _, f := range reg.Snapshot().Families {
+		for _, s := range f.Series {
+			series[f.Name+"{"+strings.Join(s.LabelValues, ",")+"}"] = s.Value
+		}
+	}
+	for key, want := range map[string]float64{
+		"dataplane_worker_app{0,ipfwd,0}": 0,
+		"dataplane_worker_app{1,mon,0}":   0,
+		"dataplane_worker_app{0,mon,0}":   1,
+		"dataplane_worker_app{1,ipfwd,0}": 1,
+		"dataplane_migrations_total{}":    1,
+	} {
+		if got, ok := series[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	for _, key := range []string{
+		"dataplane_element_cycles_total{overhead,mon,0,0}",
+		"dataplane_element_cycles_total{overhead,ipfwd,0,1}",
+	} {
+		if series[key] == 0 {
+			t.Errorf("%s = 0: the moved flow's element costs did not follow it to its new worker", key)
+		}
+	}
 }

@@ -83,19 +83,22 @@ func soloElementBaselines(cfg hw.Config, params apps.Params, t apps.FlowType, wa
 // meant for single-type profiling runs; a mixed runtime folds all apps'
 // same-named elements together.
 func (r *Runtime) ElementBaselines() map[string]ElemBaseline {
-	totals := map[string]hw.ElemCell{}
-	r.stageElems(func(u *stage) []hw.ElemCell { return u.baseElems }, func(_ *flow, _ *stage, element string, d hw.ElemCell) {
-		c := totals[element]
-		c.Cycles += d.Cycles
-		c.L3Refs += d.L3Refs
-		c.L3Hits += d.L3Hits
-		c.L3Misses += d.L3Misses
-		totals[element] = c
-	})
+	tot, totals := r.total(), map[string]hw.ElemCell{}
 	var pkts uint64
 	for _, f := range r.flows {
-		if f.pipe != nil {
-			pkts += f.packets
+		if f.pipe == nil {
+			continue
+		}
+		fd := &tot.flows[f.id]
+		pkts += fd.packets
+		for _, sd := range fd.stages {
+			for i, d := range sd.elems {
+				name := f.elemName(i)
+				c := totals[name]
+				c.Cycles += d.Cycles
+				c.L3Refs += d.L3Refs
+				totals[name] = c
+			}
 		}
 	}
 	if pkts == 0 {

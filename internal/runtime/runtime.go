@@ -165,9 +165,6 @@ type Config struct {
 	// TraceSample, when positive, samples one in N packets entering each
 	// staged chain for per-stage exec-span tracing (Runtime.Tracer).
 	TraceSample int
-	// StatsRetention caps the retained control samples and the residual
-	// series per app (default DefaultStatsRetention).
-	StatsRetention int
 	// OnWindow, when non-nil, is called at every control barrier with the
 	// window's sample and residuals. Workers are parked while it runs;
 	// keep it brief.
@@ -222,20 +219,21 @@ type Runtime struct {
 	throttleEvents int
 	finished       bool
 
+	// The control window (see window.go): base marks the end of warm-up,
+	// prev the last control barrier; cur and win are the storage the next
+	// barrier's mark and window are computed into.
+	base, prev, cur *mark
+	win             window
+
 	// Observability state (see obs.go): registered metric handles, the
-	// packet tracer, the retained residual ring, running prediction
+	// packet tracer, the retained residual series, and running prediction
 	// accumulators for the whole-run report (independent of Stats
-	// retention), and the previous control barrier's quantum.
-	obsm         *rtObs
-	tracer       *obs.Tracer
-	residuals    []obs.Residual
-	residualHead int
-	predSum      map[string]float64
-	predCnt      map[string]int
-	lastControlQ int
-	// warmQ is the first measured quantum (warmup length in quanta), the
-	// origin of every sample's virtual-time axis.
-	warmQ int
+	// retention).
+	obsm      *rtObs
+	tracer    *obs.Tracer
+	residuals retained[obs.Residual]
+	predSum   map[string]float64
+	predCnt   map[string]int
 }
 
 // pendingPost marks one side of a recorded migration whose post-copy
@@ -296,13 +294,12 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:        cfg,
 		platform:   hw.NewPlatform(cfg.Cfg),
-		stats:      &Stats{},
+		stats:      &Stats{samples: retained[ControlSample]{max: DefaultStatsRetention}},
 		curves:     map[apps.FlowType]core.Curve{},
 		quantumSec: cfg.Cfg.CyclesToSeconds(cfg.QuantumCycles),
 		predSum:    map[string]float64{},
 		predCnt:    map[string]int{},
 	}
-	r.stats.setRetention(cfg.StatsRetention)
 	r.platform.BoundChannelWaits(DefaultMaxQueueWait)
 	for t, p := range cfg.Profiles {
 		if len(p.Curve.Points) > 0 {
@@ -443,6 +440,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 	r.disp = &dispatcher{apps: states, quantumSec: r.quantumSec, quantumCycles: cfg.QuantumCycles}
+	r.residuals.max = DefaultStatsRetention * len(states)
+	r.base, r.prev, r.cur, r.win.d = newMark(r), newMark(r), newMark(r), newMark(r)
 	r.buildTracer()
 	if cfg.Metrics != nil {
 		r.obsm = newRtObs(cfg.Metrics, r)
@@ -567,13 +566,11 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 	if r.cfg.Warmup > 0 {
 		warmQ = int(math.Ceil(r.cfg.Warmup / r.quantumSec))
 	}
-	r.warmQ = warmQ
 	sinceControl := 0
 	measured := 0
 	for q := 0; ; q++ {
 		if q == warmQ {
-			r.resetMeasurement()
-			r.lastControlQ = q - 1
+			r.resetMeasurement(q)
 		}
 		r.disp.enqueue(q)
 		limit := uint64(q+1) * r.cfg.QuantumCycles
@@ -597,13 +594,7 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 			r.controlStep(q)
 			sinceControl = 0
 		}
-		// Count packets entering flows, not per-worker executions: a
-		// chain's stages each touch the same packet once.
-		var processed uint64
-		for _, f := range r.flows {
-			processed += f.packets
-		}
-		if stop(measured, processed) {
+		if stop(measured, r.processed()) {
 			if sinceControl > 0 {
 				r.controlStep(q)
 			}
@@ -612,48 +603,25 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 	}
 }
 
-// resetMeasurement zeroes every measurement baseline at the end of
-// warmup; all workers are parked when it runs.
-func (r *Runtime) resetMeasurement() {
+// resetMeasurement starts the measured interval at the end of warmup,
+// before quantum q runs: it takes the base mark (and the first window's
+// prev). All workers are parked when it runs.
+func (r *Runtime) resetMeasurement(q int) {
+	r.base.take(r, q-1)
+	r.prev.take(r, q-1)
 	for _, w := range r.workers {
-		w.prevCounters = w.core.Counters
-		w.baseCounters = w.core.Counters
-		w.prevClock = w.core.Clock()
-		w.packets = 0
-		w.bindPackets = 0
-		w.bindClock = w.core.Clock()
-		w.winBatchSum, w.winBatchCnt, w.winClipped = 0, 0, 0
-		w.totBatchSum, w.totBatchCnt, w.totClipped = 0, 0, 0
-	}
-	for _, f := range r.flows {
-		f.prevPackets = 0
-		for _, u := range f.stages {
-			u.prevElems = snapshotElems(u.elems, u.prevElems)
-			u.baseElems = snapshotElems(u.elems, u.baseElems)
-			u.prevLat, u.baseLat = u.lat, u.lat
-			if u.runner != nil {
-				u.runner.Reset()
-			}
-		}
-		// Packets already inside a chain's hand-off rings will reach their
-		// terminal inside the window; credit them as entered so the flow's
-		// conservation identity holds (the receive-ring backlog gets the
-		// same treatment below).
-		f.packets = f.inFlight()
-		if f.pipe != nil {
-			nodes := f.pipe.Nodes()
-			f.baseBranch = make([]branchCounters, len(nodes))
-			for i, n := range nodes {
-				f.baseBranch[i] = branchCounters{dropped: n.Dropped, finished: n.Finished}
-			}
-		}
+		w.bindPackets, w.bindClock = w.packets, w.core.Clock()
 	}
 	for _, a := range r.disp.apps {
-		a.resetAccounting()
-		// Packets already sitting in rings at measurement start will be
-		// processed inside the window; credit them as offered and
-		// enqueued so the window's conservation and drop accounting hold.
+		a.pacedQuanta, a.pacedEmitted = 0, 0
 		for _, f := range a.flows {
+			// Packets already inside a chain's hand-off rings will reach
+			// their terminal inside the window, and packets already sitting
+			// in receive rings will be processed inside it: credit the
+			// former as entered and the latter as offered and enqueued —
+			// on top of the marks just taken — so the window's conservation
+			// and drop accounting hold.
+			f.packets += f.inFlight()
 			if f.ring != nil {
 				backlog := uint64(f.ring.Len())
 				a.offered += backlog
@@ -663,215 +631,24 @@ func (r *Runtime) resetMeasurement() {
 	}
 }
 
-// snapshotElems copies cur into dst (reusing its storage when sized
-// right), the control loop's cursor idiom for per-element cell tables.
-func snapshotElems(cur, dst []hw.ElemCell) []hw.ElemCell {
-	if cur == nil {
-		return nil
-	}
-	if len(dst) != len(cur) {
-		dst = make([]hw.ElemCell, len(cur))
-	}
-	copy(dst, cur)
-	return dst
-}
-
-// The control loop's two fixed margins: the containment loop tolerates a
-// flow 5% over its profiled reference rate before throttling it, and
-// re-placement swaps two flows only for a predicted improvement of at
-// least two points of drop.
-const (
-	admissionSlack  = 0.05
-	rebalanceMargin = 0.02
-)
-
-// controlStep is the operator's monitoring agent, run at a barrier: it
-// derives per-core telemetry from counter deltas, applies admission
-// control, and — when predicted drop crosses the threshold — re-places
-// flows across sockets.
-func (r *Runtime) controlStep(q int) {
-	clockHz := r.cfg.Cfg.ClockHz
-	// Time is virtual seconds since measurement start: warmup quanta are
-	// excluded from the axis, so the first post-warmup window ends at
-	// ControlEvery × quantum regardless of how long warmup ran.
-	sample := ControlSample{Quantum: q, Time: float64(q+1-r.warmQ) * r.quantumSec}
-	live := make([]core.LiveFlow, 0, len(r.workers))
-	deltas := make([]hw.Counters, len(r.workers))
-	for i, w := range r.workers {
-		cur := w.core.Counters
-		delta := cur.Sub(w.prevCounters)
-		deltas[i] = delta
-		elapsed := w.core.Clock() - w.prevClock
-		w.prevCounters = cur
-		w.prevClock = w.core.Clock()
-		winSec := float64(elapsed) / clockHz
-
-		tele := WorkerTelemetry{
-			Worker: i, Core: w.core.ID, Socket: w.socket,
-			BatchOccupancy: occupancy(w.winBatchSum, w.winBatchCnt, w.batch),
-			ClippedBatches: w.winClipped,
-		}
-		w.winBatchSum, w.winBatchCnt, w.winClipped = 0, 0, 0
-		if winSec > 0 {
-			tele.PPS = float64(delta.Packets) / winSec
-			tele.RefsPerSec = float64(delta.L3Refs) / winSec
-			tele.HitsPerSec = float64(delta.L3Hits) / winSec
-			tele.RemoteRefsPerSec = float64(delta.RemoteRefs) / winSec
-		}
-		tele.CyclesPerPacket = delta.PerPacket(delta.Cycles)
-		tele.RemotePerPacket = delta.PerPacket(delta.RemoteRefs)
-		w.lastRemotePerPkt = tele.RemotePerPacket
-		w.lastWindowPackets = delta.Packets
-		u := w.unit
-		f := u.fl
-		tele.App = f.app.spec.Name
-		tele.Type = f.app.spec.Type
-		tele.Stage = u.index
-		tele.Stages = len(f.stages)
-		// The worker's input is the previous stage's hand-off ring; stage
-		// 0 of a ring-fed flow has the receive ring.
-		if u.in != nil {
-			tele.RingDepth = u.in.Len()
-			tele.RingCap = u.in.Cap()
-		} else if f.ring != nil {
-			tele.RingDepth = f.ring.Len()
-			tele.RingCap = f.ring.Cap()
-		}
-		if f.control != nil {
-			tele.DelayCycles = f.control.Delay()
-		}
-		live = append(live, core.LiveFlow{
-			Worker: i, Type: f.app.spec.Type, Socket: w.socket,
-			RefsPerSec: tele.RefsPerSec,
-			// Chain stages contend for their socket but migrate only as a
-			// unit, which single-swap re-placement cannot do.
-			Pinned: len(f.stages) > 1,
-		})
-		sample.Workers = append(sample.Workers, tele)
-	}
-
-	// Fill in the post-copy remote rates of migrations recorded at
-	// earlier control steps, from the first post-swap window in which the
-	// moved flow actually processed traffic (copy traffic is excluded —
-	// swap re-baselined the window counters after the copy, and a long
-	// copy can leave the destination core idle for several quanta, so a
-	// zero-packet window stays pending rather than recording a phantom
-	// rate). Migrations whose measurement never lands keep the NaN
-	// sentinel: "unmeasured", not "local".
-	pending := r.pendingPost[:0]
-	for _, pp := range r.pendingPost {
-		w := r.workers[pp.worker]
-		if w.lastWindowPackets == 0 {
-			pending = append(pending, pp)
-			continue
-		}
-		m := &r.migrations[pp.mig]
-		if pp.side == 0 {
-			m.RemotePerPktAfterA = w.lastRemotePerPkt
-		} else {
-			m.RemotePerPktAfterB = w.lastRemotePerPkt
-		}
-	}
-	r.pendingPost = pending
-
-	// Predicted drop for the placement the window actually measured.
-	drops := core.PredictLiveDrops(r.curves, live)
-	for k, lf := range live {
-		sample.Workers[lf.Worker].PredictedDrop = drops[k]
-	}
-
-	// Admission control: clamp flows to their profiled reference rate. A
-	// chain is throttled as one unit: its stages' reference rates are
-	// summed (the solo profile measured the whole graph) and the single
-	// control element at stage 0 slows the whole chain down.
-	if r.cfg.Admission {
-		for i, w := range r.workers {
-			f := w.unit.fl
-			if f.control == nil || w.unit.index != 0 {
-				continue
-			}
-			prof, ok := r.cfg.Profiles[f.app.spec.Type]
-			if !ok || prof.SoloRefsPerSec <= 0 {
-				continue
-			}
-			rc := core.RateController{Limit: prof.SoloRefsPerSec, Slack: admissionSlack}
-			tele := &sample.Workers[i]
-			var refs float64
-			for _, u := range f.stages {
-				refs += sample.Workers[u.workerIdx].RefsPerSec
-			}
-			next, throttled := rc.Step(refs, tele.CyclesPerPacket, f.control.Delay())
-			f.control.SetDelay(next)
-			tele.DelayCycles = next
-			tele.Throttled = throttled
-			if throttled {
-				r.throttleEvents++
-				if r.obsm != nil {
-					r.obsm.throttles.Inc()
-				}
-			}
-		}
-	}
-
-	// Live re-placement across sockets.
-	if r.cfg.DropThreshold > 0 && len(r.curves) > 0 {
-		if a, b, ok := core.PlanRebalance(r.curves, live, r.cfg.DropThreshold, rebalanceMargin); ok {
-			worst := 0.0
-			for _, d := range drops {
-				if d > worst {
-					worst = d
-				}
-			}
-			r.swap(live[a].Worker, live[b].Worker, q, worst)
-		}
-	}
-
-	r.stats.record(sample)
-
-	// Whole-run prediction accumulators for the report, decoupled from the
-	// Stats retention ring so a long run's averages cover every window.
-	for _, t := range sample.Workers {
-		if t.App != "" {
-			r.predSum[t.App] += t.PredictedDrop
-			r.predCnt[t.App]++
-		}
-	}
-
-	// Observability: this window's residual series, per-element cost
-	// attribution, latency/SLO evaluation, and metric publication all
-	// consume the same deltas, then the window cursors roll forward.
-	winSec := float64(q-r.lastControlQ) * r.quantumSec
-	elems := r.windowElems()
-	res := r.windowResiduals(q, sample.Time, winSec, sample, deltas, elems)
-	r.publishWindow(sample, deltas)
-	r.publishElems(elems)
-	r.evalLatency()
-	r.recordResiduals(res)
-	r.rollWindowAccounting()
-	r.lastControlQ = q
-	if r.cfg.OnWindow != nil {
-		r.cfg.OnWindow(sample, res)
-	}
-}
-
 // swap exchanges the flows of two workers: live migration at a barrier.
 // When Config.MigrateState admits a flow's footprint, its state moves
 // with it (migrateState); otherwise the tables stay behind and the flow
 // pays QPI from its new socket.
-func (r *Runtime) swap(a, b, q int, worstBefore float64) {
+func (r *Runtime) swap(a, b int, win *window, worstBefore float64) {
 	wa, wb := r.workers[a], r.workers[b]
 	ua, ub := wa.unit, wb.unit
 	fa, fb := ua.fl, ub.fl
 	m := Migration{
-		Quantum: q, WorkerA: a, WorkerB: b,
+		Quantum: win.sample.Quantum, WorkerA: a, WorkerB: b,
 		FlowA: flowName(fa), FlowB: flowName(fb),
 		WorstBefore: worstBefore,
 		// Both rate pairs use NaN for "unmeasured", never a phantom 0.00
 		// ("fully local"): the before side when the preceding window
 		// carried no traffic, the after side until the first post-swap
 		// window with traffic measures it.
-		RemotePerPktBeforeA: remRateOrNaN(wa),
-		RemotePerPktBeforeB: remRateOrNaN(wb),
+		RemotePerPktBeforeA: win.remoteRate(a),
+		RemotePerPktBeforeB: win.remoteRate(b),
 		RemotePerPktAfterA:  math.NaN(),
 		RemotePerPktAfterB:  math.NaN(),
 	}
@@ -881,10 +658,11 @@ func (r *Runtime) swap(a, b, q int, worstBefore float64) {
 	if m.StateCopyCycles > 0 {
 		// Re-baseline the next control window past the copy: its remote
 		// reads are one-off migration traffic, not the steady state the
-		// post-copy telemetry is after. (Whole-run counters keep them.)
+		// post-copy telemetry is after. cur is the mark that window will
+		// subtract. (Whole-run counters keep the copy.)
 		for _, w := range [2]*worker{wa, wb} {
-			w.prevCounters = w.core.Counters
-			w.prevClock = w.core.Clock()
+			cm := &r.cur.workers[w.id]
+			cm.counters, cm.clock = w.core.Counters, w.core.Clock()
 		}
 	}
 	wa.bind(ub)
@@ -907,15 +685,6 @@ func (r *Runtime) swap(a, b, q int, worstBefore float64) {
 	r.pendingPost = append(kept,
 		pendingPost{mig: mi, side: 0, worker: b},
 		pendingPost{mig: mi, side: 1, worker: a})
-}
-
-// remRateOrNaN returns the worker's last-window remote rate, or NaN when
-// that window processed no packets and therefore measured nothing.
-func remRateOrNaN(w *worker) float64 {
-	if w.lastWindowPackets == 0 {
-		return math.NaN()
-	}
-	return w.lastRemotePerPkt
 }
 
 // fnMigrate attributes state-copy traffic in per-function profiles.
@@ -985,10 +754,12 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		Quanta:         measQ,
 		Migrations:     r.migrations,
 		ThrottleEvents: r.throttleEvents,
+		Residuals:      r.Residuals(),
 	}
+	tot := r.total()
 
 	for i, w := range r.workers {
-		delta := w.core.Counters.Sub(w.baseCounters)
+		d := &tot.workers[i]
 		// Packets and PPS are attributed to the final binding only: the
 		// per-binding baseline snapshot taken at swap time keeps packets a
 		// previous flow processed on this core out of the current app's
@@ -999,11 +770,11 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		wr := WorkerReport{
 			Worker: i, Core: w.core.ID, Socket: w.socket,
 			Packets:         bound,
-			TotalPackets:    w.packets,
-			RefsPerSec:      float64(delta.L3Refs) / duration,
-			RemotePerPacket: delta.PerPacket(delta.RemoteRefs),
-			BatchOccupancy:  occupancy(w.totBatchSum, w.totBatchCnt, w.batch),
-			ClippedBatches:  w.totClipped,
+			TotalPackets:    d.packets,
+			RefsPerSec:      float64(d.counters.L3Refs) / duration,
+			RemotePerPacket: d.counters.PerPacket(d.counters.RemoteRefs),
+			BatchOccupancy:  occupancy(d.batchSum, d.batchCnt, w.batch),
+			ClippedBatches:  d.clipped,
 		}
 		if boundSec > 0 {
 			wr.PPS = float64(bound) / boundSec
@@ -1020,36 +791,34 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		rep.Workers = append(rep.Workers, wr)
 	}
 
-	// Per-app prediction averages from the running accumulators: every
-	// control window since measurement start contributes, regardless of
-	// how many samples the Stats retention ring still holds.
-	predSum, predCnt := r.predSum, r.predCnt
-	rep.Residuals = r.Residuals()
-
-	for _, a := range r.disp.apps {
+	for i, a := range r.disp.apps {
+		d := &tot.apps[i]
 		stages := len(a.flows[0].stages)
 		ar := AppReport{
 			Name: a.spec.Name, Type: a.spec.Type,
 			Workers: len(a.flows) * stages, Stages: stages,
-			Offered: a.offered, Enqueued: a.enqueued, NICDrops: a.nicDrops,
+			Offered: d.offered, Enqueued: d.enqueued, NICDrops: d.nicDrops, Processed: d.processed,
 		}
 		branchIdx := map[string]int{}
 		for _, f := range a.flows {
-			_, dropped, finished := f.totals()
-			ar.Processed += f.packets
-			ar.PipeDropped += dropped
-			ar.Finished += finished
+			fd := &tot.flows[f.id]
 			ar.InFlight += f.inFlight()
-			for _, u := range f.stages {
-				if u.runner != nil {
-					ar.CutDropped += u.runner.CutDropped
-				}
+			if f.pipe == nil {
+				// Every packet a synthetic flow emits completes.
+				ar.Finished += fd.packets
+			}
+			// Packets enter at stage 0 and reach exactly one terminal across
+			// the stages (packets still inside hand-off rings are neither).
+			for _, sd := range fd.stages {
+				ar.PipeDropped += sd.dropped
+				ar.Finished += sd.finished
+				ar.CutDropped += sd.cutDropped
 			}
 			// Per-branch terminal counters, aggregated across replicas by
 			// node name (replicas share the graph shape).
 			if f.pipe != nil && f.pipe.Branching() {
-				for i, bc := range f.branchTotals() {
-					name := f.pipe.Nodes()[i].Name
+				for k, bc := range fd.branch {
+					name := f.pipe.Nodes()[k].Name
 					j, ok := branchIdx[name]
 					if !ok {
 						j = len(ar.Branches)
@@ -1064,57 +833,32 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		ar.ObservedPPS = float64(ar.Processed) / duration
 		ar.GoodputPPS = float64(ar.Finished) / duration
 		ar.PerWorkerPPS = ar.ObservedPPS / float64(ar.Workers)
-		if a.offered > 0 {
-			ar.LossRate = float64(a.nicDrops) / float64(a.offered)
+		if d.offered > 0 {
+			ar.LossRate = float64(d.nicDrops) / float64(d.offered)
 		}
 		if p, ok := r.cfg.Profiles[a.spec.Type]; ok && p.SoloPPS > 0 {
 			ar.SoloPPS = p.SoloPPS
-			expected := p.SoloPPS
-			if a.rate > 0 {
-				// Offered load is sharded across replicas (a chain replica
-				// is one RSS target no matter how many workers it spans).
-				offPPS := float64(a.offered) / duration / float64(len(a.flows))
-				if offPPS < expected {
-					expected = offPPS
-				}
-			}
-			if expected > 0 {
-				// The drop comparison is per replica — the deployment unit
-				// the solo profile describes (the whole graph
-				// run-to-completion on one core). For unstaged apps that
-				// is per worker; for a chain it asks Section 2.2's
-				// question directly: what did cutting the graph cost (or
-				// buy) against running the replica unsplit, so pipelining
-				// overhead shows as negative headroom only when the chain
-				// actually underperforms one core, not as phantom
-				// contention drop.
-				perReplica := ar.ObservedPPS / float64(len(a.flows))
-				ar.ObservedDrop = 1 - perReplica/expected
-			}
+			ar.ObservedDrop, _ = a.observedDrop(p.SoloPPS, d, duration)
 		}
-		if n := predCnt[a.spec.Name]; n > 0 {
-			ar.PredictedDrop = predSum[a.spec.Name] / float64(n)
+		// Per-app prediction average from the running accumulators: every
+		// control window since measurement start contributes, regardless of
+		// how many samples the Stats retention ring still holds.
+		if n := r.predCnt[a.spec.Name]; n > 0 {
+			ar.PredictedDrop = r.predSum[a.spec.Name] / float64(n)
 		}
 		// Whole-window latency percentiles from the group's merged
 		// log-bucket histogram, and the SLO outcome the control loop
 		// accumulated window by window.
-		var hist obs.LatHist
-		for _, f := range a.flows {
-			for _, u := range f.stages {
-				ud := u.lat.Sub(&u.baseLat)
-				hist.Merge(&ud)
-			}
-		}
-		if hist.Count() > 0 {
+		if d.lat.Count() > 0 {
 			toUS := 1e6 / r.cfg.Cfg.ClockHz
-			ar.LatCount = hist.Count()
-			ar.LatP50US = hist.Quantile(0.50) * toUS
-			ar.LatP99US = hist.Quantile(0.99) * toUS
-			ar.LatP999US = hist.Quantile(0.999) * toUS
+			ar.LatCount = d.lat.Count()
+			ar.LatP50US = d.lat.Quantile(0.50) * toUS
+			ar.LatP99US = d.lat.Quantile(0.99) * toUS
+			ar.LatP999US = d.lat.Quantile(0.999) * toUS
 		}
 		ar.SLOP99US = a.spec.SLOP99US
 		ar.SLOBreaches = a.sloBreaches
-		ar.SLOBurnRate = a.lastBurn
+		ar.SLOBurnRate = a.sloBurn
 		rep.Apps = append(rep.Apps, ar)
 	}
 	return rep

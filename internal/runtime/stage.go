@@ -61,13 +61,6 @@ type stage struct {
 	// hand-off rings at all.
 	batched bool
 
-	// prevPushPolls/prevPopPolls are the out ring's per-direction poll
-	// counts at the last control barrier (the observability layer's
-	// per-window delta cursors): push polls mean this stage's consumer
-	// lags, pop polls mean the next stage starves.
-	prevPushPolls uint64
-	prevPopPolls  uint64
-
 	// elems is this stage's per-element cost table (nil for synthetic
 	// flows): slot 0 is the stage's overhead (source pulls, ring polls,
 	// recycling), slot i+1 is pipe.Nodes()[i]. Each stage runs on its own
@@ -75,16 +68,14 @@ type stage struct {
 	// executes it and the control loop sums the stages at barriers. The
 	// table is installed on whichever core the stage is bound to
 	// (hw.Core.SetElemTable) and follows it across migrations; only the
-	// owning worker writes it, the control loop differences it against
-	// prevElems at barriers and resetMeasurement snapshots baseElems.
-	elems, prevElems, baseElems []hw.ElemCell
+	// owning worker writes it; the control loop marks it at barriers.
+	elems []hw.ElemCell
 
 	// lat is this stage's end-to-end latency shard: finish-clock minus
 	// ring-enqueue stamp, recorded by whichever stage terminates the
 	// packet's walk, so each stage owns a single-writer histogram and the
-	// control loop merges them. prevLat/baseLat are the control-window
-	// and measurement-start snapshots.
-	lat, prevLat, baseLat obs.LatHist
+	// control loop merges them into the mark.
+	lat obs.LatHist
 }
 
 // remoteRecycler routes a spent packet home through the stage's return

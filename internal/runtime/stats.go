@@ -48,58 +48,63 @@ type ControlSample struct {
 	Workers []WorkerTelemetry
 }
 
-// DefaultStatsRetention is how many control samples Stats keeps when no
-// retention was configured: enough for any interactive run's full
-// telemetry at the default control period, while bounding a long-lived
-// dataplane's memory (the previous unbounded append leaked on long
-// runs). Whole-run aggregates (prediction averages, residual series) do
-// not depend on the retained window.
+// DefaultStatsRetention is how many control samples Stats keeps, and how
+// many residuals per app the runtime keeps: enough for any interactive
+// run's full telemetry at the default control period, while bounding a
+// long-lived dataplane's memory. Whole-run aggregates (prediction
+// averages, SLO breach counts) do not depend on the retained window.
 const DefaultStatsRetention = 1024
 
-// Stats aggregates per-core telemetry across control intervals, keeping
-// the most recent samples in a fixed-size ring. The runtime's control
-// loop records into it at barrier points; any goroutine may concurrently
-// read the latest snapshot, which is how a CLI progress display or an
-// external scraper observes a live dataplane.
-type Stats struct {
-	mu      sync.Mutex
-	retain  int             // ring capacity; 0 means DefaultStatsRetention
-	samples []ControlSample // ring storage, at most retain entries
-	head    int             // index of the oldest sample once the ring wrapped
-	total   int             // samples recorded since construction
+// retained is a bounded series: the newest max entries, oldest first.
+type retained[T any] struct {
+	max  int
+	buf  []T // ring storage, at most max entries
+	head int // index of the oldest entry once the ring wrapped
 }
 
-// setRetention fixes the ring capacity; it must run before any record.
-func (s *Stats) setRetention(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.retain = n
+func (s *retained[T]) push(v T) {
+	if len(s.buf) < s.max {
+		s.buf = append(s.buf, v)
+		return
+	}
+	s.buf[s.head] = v
+	s.head = (s.head + 1) % len(s.buf)
+}
+
+// items returns a copy of the series, oldest first.
+func (s *retained[T]) items() []T {
+	out := make([]T, 0, len(s.buf))
+	out = append(out, s.buf[s.head:]...)
+	return append(out, s.buf[:s.head]...)
+}
+
+// Stats aggregates per-core telemetry across control intervals, keeping
+// the most recent samples. The runtime's control loop records into it at
+// barrier points; any goroutine may concurrently read the latest
+// snapshot, which is how a CLI progress display or an external scraper
+// observes a live dataplane.
+type Stats struct {
+	mu      sync.Mutex
+	samples retained[ControlSample]
+	total   int // samples recorded since construction
 }
 
 func (s *Stats) record(cs ControlSample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	retain := s.retain
-	if retain <= 0 {
-		retain = DefaultStatsRetention
-	}
 	s.total++
-	if len(s.samples) < retain {
-		s.samples = append(s.samples, cs)
-		return
-	}
-	s.samples[s.head] = cs
-	s.head = (s.head + 1) % len(s.samples)
+	s.samples.push(cs)
 }
 
 // Latest returns the most recent control sample (zero value when none).
 func (s *Stats) Latest() ControlSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	b := s.samples.buf
+	if len(b) == 0 {
 		return ControlSample{}
 	}
-	return s.samples[(s.head+len(s.samples)-1)%len(s.samples)]
+	return b[(s.samples.head+len(b)-1)%len(b)]
 }
 
 // Samples returns a copy of the retained control samples, oldest first.
@@ -108,11 +113,7 @@ func (s *Stats) Latest() ControlSample {
 func (s *Stats) Samples() []ControlSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]ControlSample, 0, len(s.samples))
-	for i := 0; i < len(s.samples); i++ {
-		out = append(out, s.samples[(s.head+i)%len(s.samples)])
-	}
-	return out
+	return s.samples.items()
 }
 
 // Total returns how many control samples have been recorded since the
@@ -299,7 +300,7 @@ type Report struct {
 
 	// Residuals is the retained per-window prediction-residual series
 	// (oldest first): each profiled app's observed versus predicted drop
-	// with a diagnosed cause. Bounded by Config.StatsRetention per app.
+	// with a diagnosed cause. Bounded by DefaultStatsRetention per app.
 	Residuals []obs.Residual
 }
 

@@ -11,12 +11,12 @@ import (
 // TestControlSampleTimeMonotonic pins the residual wall-time
 // derivation: ControlSample.Time must be quantum-derived virtual
 // seconds since measurement start — strictly monotonic, spaced exactly
-// one control window apart, and immune to StatsRetention evicting old
+// one control window apart, and immune to the retention ring evicting old
 // samples (the prior derivation walked the retained sample count, so
 // eviction made the series fold back on itself).
 func TestControlSampleTimeMonotonic(t *testing.T) {
 	cfg := testConfig([]AppSpec{{Name: "ipfwd", Type: apps.IP, Workers: 1}})
-	cfg.StatsRetention = 3 // force eviction well before the run ends
+	const retention = 3 // force eviction well before the run ends
 	cfg.Profiles = map[apps.FlowType]FlowProfile{
 		apps.IP: {SoloPPS: 1e6, SoloRefsPerSec: 1e6},
 	}
@@ -39,13 +39,14 @@ func TestControlSampleTimeMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetRetention(retention)
 	rep, err := r.Run(0.004)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
-	if len(seen) <= cfg.StatsRetention {
-		t.Fatalf("run produced %d windows; need more than the retention of %d", len(seen), cfg.StatsRetention)
+	if len(seen) <= retention {
+		t.Fatalf("run produced %d windows; need more than the retention of %d", len(seen), retention)
 	}
 
 	for i, p := range seen {
@@ -77,8 +78,8 @@ func TestControlSampleTimeMonotonic(t *testing.T) {
 	// The retained tail matches the live series — eviction must not
 	// rewrite times.
 	tail := r.Stats().Samples()
-	if len(tail) != cfg.StatsRetention {
-		t.Fatalf("retained %d samples, want %d", len(tail), cfg.StatsRetention)
+	if len(tail) != retention {
+		t.Fatalf("retained %d samples, want %d", len(tail), retention)
 	}
 	off := len(seen) - len(tail)
 	for i, cs := range tail {

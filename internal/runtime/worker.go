@@ -52,19 +52,13 @@ type flow struct {
 	stateBytes uint64
 	stateHome  int
 
-	// packets counts packets that entered the flow since measurement
-	// start. The stage-0 worker increments it; the control loop reads it
-	// at barriers. prevPackets is the control loop's window cursor into it.
-	packets     uint64
-	prevPackets uint64
+	// packets counts packets that entered the flow. The stage-0 worker
+	// increments it; the control loop marks it at barriers.
+	packets uint64
 
 	// lastConsumed is the dispatcher's credit cursor: the ring's consumed
 	// count at the last barrier (see dispatcher.enqueue).
 	lastConsumed uint64
-
-	// baseBranch holds each pipeline node's terminal counters at
-	// measurement start, aligned with pipe.Nodes().
-	baseBranch []branchCounters
 }
 
 // numStages returns how many stages (and so workers) the flow occupies.
@@ -89,49 +83,6 @@ func (f *flow) stageState(stage int, p *hw.Platform) (bytes uint64, socket int) 
 		}
 	}
 	return bytes, socket
-}
-
-// branchCounters is one node's terminal counter snapshot.
-type branchCounters struct {
-	dropped, finished uint64
-}
-
-// branchTotals returns the flow's per-node terminal counters relative to
-// the measurement baseline, aligned with pipe.Nodes(). It returns nil
-// for synthetic flows.
-func (f *flow) branchTotals() []branchCounters {
-	if f.pipe == nil {
-		return nil
-	}
-	nodes := f.pipe.Nodes()
-	out := make([]branchCounters, len(nodes))
-	for i, n := range nodes {
-		var base branchCounters
-		if i < len(f.baseBranch) {
-			base = f.baseBranch[i]
-		}
-		out[i] = branchCounters{
-			dropped:  n.Dropped - base.dropped,
-			finished: n.Finished - base.finished,
-		}
-	}
-	return out
-}
-
-// totals returns the flow's packet counters since measurement start
-// (resetMeasurement zeroes the stage runners). Packets enter at stage 0
-// and reach exactly one terminal across the stages (packets still inside
-// hand-off rings are neither; see flow.inFlight); every packet a
-// synthetic flow emits completes.
-func (f *flow) totals() (received, dropped, finished uint64) {
-	if f.pipe == nil {
-		return f.packets, 0, f.packets
-	}
-	for _, u := range f.stages {
-		dropped += u.runner.Dropped
-		finished += u.runner.Finished
-	}
-	return f.packets, dropped, finished
 }
 
 // ringSource is the worker-side receive path of a flow's input ring.
@@ -242,31 +193,16 @@ type worker struct {
 	unit  *stage
 	opbuf []hw.Op
 
-	// Owner-written telemetry, read by the control loop at barriers.
-	// Batch polls clipped by the quantum boundary (the clock ran out
-	// mid-batch with input still available) are counted apart from the
-	// occupancy sums: a boundary-clipped poll says nothing about how
+	// Owner-written cumulative telemetry, marked by the control loop at
+	// barriers. Batch polls clipped by the quantum boundary (the clock ran
+	// out mid-batch with input still available) are counted apart from
+	// the occupancy sums: a boundary-clipped poll says nothing about how
 	// full the input rings run, and folding it in biased BatchOccupancy
 	// low — the shorter the quantum, the worse.
-	packets     uint64 // packets since measurement start
-	winBatchSum uint64 // packets in occupancy-counted polls, this control window
-	winBatchCnt uint64 // occupancy-counted batch polls, this control window
-	winClipped  uint64 // quantum-clipped batch polls, this control window
-	totBatchSum uint64
-	totBatchCnt uint64
-	totClipped  uint64
-
-	prevCounters hw.Counters // control-window baseline
-	prevClock    uint64
-	baseCounters hw.Counters // measurement-start baseline
-
-	// lastRemotePerPkt is the previous control window's remote references
-	// per packet on this core — the "before" side of a migration's
-	// locality telemetry (see Migration.RemotePerPktBeforeA) — and
-	// lastWindowPackets that window's packet count, which gates the
-	// "after" side: a window with no traffic measures nothing.
-	lastRemotePerPkt  float64
-	lastWindowPackets uint64
+	packets     uint64 // packets processed
+	totBatchSum uint64 // packets in occupancy-counted polls
+	totBatchCnt uint64 // occupancy-counted batch polls
+	totClipped  uint64 // quantum-clipped batch polls
 
 	// Per-binding baselines, reset whenever the worker's flow changes
 	// (and at measurement start), so reported packets are attributed to
@@ -283,6 +219,13 @@ type worker struct {
 	mBatch   *obs.Histogram
 	mClipped *obs.Counter
 	mSpins   *obs.Counter
+
+	// Barrier-side handles whose labels name the bound stage, resolved by
+	// bind (obsm is nil when no registry is configured): the binding info
+	// gauge and, per table slot the stage executes, the element rows.
+	obsm   *rtObs
+	mBound *obs.Gauge
+	mElems []elemHandles
 
 	// shard is the worker's private trace buffer (nil when tracing is
 	// off): runQuantum records a sampled packet's exec span into it.
@@ -306,6 +249,9 @@ func (w *worker) bind(u *stage) {
 	w.src.ring = nil
 	if u.index == 0 {
 		w.src.ring = u.fl.ring
+	}
+	if w.obsm != nil {
+		w.obsm.bind(w)
 	}
 }
 
@@ -376,14 +322,11 @@ func (w *worker) runQuantum(limit uint64) {
 			// The quantum boundary cut this batch short with input still
 			// available: its fill reflects the clock, not the ring, so it
 			// is counted apart instead of biasing occupancy low.
-			w.winClipped++
 			w.totClipped++
 			if w.mClipped != nil {
 				w.mClipped.Inc()
 			}
 		} else {
-			w.winBatchSum += uint64(n)
-			w.winBatchCnt++
 			w.totBatchSum += uint64(n)
 			w.totBatchCnt++
 			if w.mBatch != nil {
