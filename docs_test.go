@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
@@ -26,17 +27,31 @@ import (
 )
 
 // grammarTables returns every declaration class's keys, straight from
-// the parsers' key tables.
+// the parsers' key tables: the scenario and sweep grammars' and, for what
+// goes inside a graph block, every registered element class's.
 func grammarTables() map[string][]string {
 	tables := scenario.KeyTables()
 	maps.Copy(tables, sweep.KeyTables())
+	for class, rows := range click.KeyTables() {
+		for _, row := range rows {
+			tables[class] = append(tables[class], row.Name)
+		}
+	}
 	return tables
 }
+
+// keyDeclaringDirs are the packages whose non-test source declares
+// grammar keys: the two file grammars and the eight element providers.
+var keyDeclaringDirs = []string{"internal/scenario", "internal/sweep",
+	"internal/elements", "internal/nat", "internal/netflow", "internal/aes",
+	"internal/iplookup", "internal/re", "internal/firewall", "internal/synth"}
 
 // TestScenarioFormatDocListsEveryKey holds docs/scenario-format.md to the
 // key tables in both directions: under each `Class(...)` heading, the
 // keys in the first column of the table rows must be exactly the keys
-// the parser declares for that class.
+// the parser declares for that class. An element row's interval is held
+// to the document too: the row that lists the key quotes its Bounds, or
+// says uint64 where any value of that kind is accepted.
 func TestScenarioFormatDocListsEveryKey(t *testing.T) {
 	const doc = "docs/scenario-format.md"
 	text, err := os.ReadFile(doc)
@@ -46,6 +61,7 @@ func TestScenarioFormatDocListsEveryKey(t *testing.T) {
 	heading := regexp.MustCompile("^#+ `(\\w+)\\(\\.\\.\\.\\)`")
 	key := regexp.MustCompile("`([A-Z0-9_]+)`")
 	documented := map[string][]string{}
+	rowOf := map[string]string{} // "Class KEY" → the table row listing it
 	class := ""
 	for _, line := range strings.Split(string(text), "\n") {
 		if strings.HasPrefix(line, "#") {
@@ -61,6 +77,20 @@ func TestScenarioFormatDocListsEveryKey(t *testing.T) {
 		firstCell, _, _ := strings.Cut(line[2:], " | ")
 		for _, m := range key.FindAllStringSubmatch(firstCell, -1) {
 			documented[class] = append(documented[class], m[1])
+			rowOf[class+" "+m[1]] = strings.ReplaceAll(line, `\|`, "|")
+		}
+	}
+	for class, rows := range click.KeyTables() {
+		for _, row := range rows {
+			want := "`" + row.Bounds + "`"
+			if row.Bounds == "" && row.Kind == "uint64" {
+				want = "uint64" // any value of the kind: the row says which
+			} else if row.Bounds == "" {
+				continue
+			}
+			if line, ok := rowOf[class+" "+row.Name]; ok && !strings.Contains(line, want) {
+				t.Errorf("%s: the %s(...) row for %s does not give its interval %s", doc, class, row.Name, want)
+			}
 		}
 	}
 	for class, keys := range grammarTables() {
@@ -82,7 +112,7 @@ func TestScenarioFormatDocListsEveryKey(t *testing.T) {
 }
 
 // TestGrammarKeysDeclaredOnce walks the key tables and the non-test
-// source of the two grammar packages: each key's string literal must
+// source of the key-declaring packages: each key's string literal must
 // occur exactly once per class that declares it — in its table row.
 // Twice means some code is again matching the key by hand beside the
 // table.
@@ -94,7 +124,7 @@ func TestGrammarKeysDeclaredOnce(t *testing.T) {
 		}
 	}
 	got := map[string]int{}
-	for _, dir := range []string{"internal/scenario", "internal/sweep"} {
+	for _, dir := range keyDeclaringDirs {
 		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
 		}, 0)
@@ -114,7 +144,7 @@ func TestGrammarKeysDeclaredOnce(t *testing.T) {
 	}
 	for k, n := range want {
 		if got[k] != n {
-			t.Errorf("key %q: %d string literals in internal/scenario + internal/sweep, want %d (one per declaring table row)", k, got[k], n)
+			t.Errorf("key %q: %d string literals in %v, want %d (one per declaring table row)", k, got[k], keyDeclaringDirs, n)
 		}
 	}
 }

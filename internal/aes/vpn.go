@@ -106,8 +106,14 @@ func (v *VPNElement) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
+// vpnArgs is what AESEncrypt(...) decodes into.
+type vpnArgs struct{ maxPacket, outBufs int }
+
 func init() {
-	click.Register("AESEncrypt", func(env *click.Env, args click.Args) (interface{}, error) {
+	click.Register("AESEncrypt", []click.Key[vpnArgs]{
+		click.Int("MAXPACKET", "[0,)", func(a *vpnArgs) *int { return &a.maxPacket }),
+		click.Int("OUTBUFS", "[0,)", func(a *vpnArgs) *int { return &a.outBufs }),
+	}, func(*click.Env) vpnArgs { return vpnArgs{maxPacket: 2048} }, func(env *click.Env, a vpnArgs) (interface{}, error) {
 		key := make([]byte, KeySize)
 		seed := env.Seed
 		for i := range key {
@@ -116,14 +122,6 @@ func init() {
 				seed = seed*0x9e3779b97f4a7c15 + 1
 			}
 		}
-		maxPkt, err := args.Int("MAXPACKET", 2048)
-		if err != nil {
-			return nil, err
-		}
-		outBufs, err := args.Int("OUTBUFS", 0)
-		if err != nil {
-			return nil, err
-		}
-		return NewVPN(key, env.Arena, maxPkt, outBufs)
+		return NewVPN(key, env.Arena, a.maxPacket, a.outBufs)
 	})
 }

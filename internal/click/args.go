@@ -1,15 +1,12 @@
 package click
 
-import (
-	"fmt"
-	"math"
-	"strconv"
-	"strings"
-)
+import "strings"
 
-// Args holds an element's configuration arguments, in Click style: a
+// Args holds a declaration's configuration arguments, in Click style: a
 // comma-separated list where each item is either positional ("64") or a
-// keyword-value pair ("ROUTES 128000").
+// keyword-value pair ("ROUTES 128000"). It has no accessors: the only
+// reader is Decode, through the class's key table (keys.go), so no code
+// can read a key its table does not declare.
 type Args struct {
 	Positional []string
 	Keyword    map[string]string
@@ -32,67 +29,4 @@ func ParseArgs(items []string) Args {
 		a.Positional = append(a.Positional, it)
 	}
 	return a
-}
-
-// String returns the keyword argument key, or def if absent.
-func (a Args) String(key, def string) string {
-	if v, ok := a.Keyword[strings.ToUpper(key)]; ok {
-		return v
-	}
-	return def
-}
-
-// Int returns the keyword argument key as an int, or def if absent.
-func (a Args) Int(key string, def int) (int, error) {
-	v, ok := a.Keyword[strings.ToUpper(key)]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("click: argument %s: %q is not an integer", key, v)
-	}
-	return n, nil
-}
-
-// Uint64 returns the keyword argument key as a uint64, or def if absent.
-func (a Args) Uint64(key string, def uint64) (uint64, error) {
-	v, ok := a.Keyword[strings.ToUpper(key)]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("click: argument %s: %q is not a uint64", key, v)
-	}
-	return n, nil
-}
-
-// Float64 returns the keyword argument key as a float64, or def if
-// absent. Non-finite values (NaN, ±Inf) are rejected: no configuration
-// knob means them, and they would poison downstream arithmetic and
-// break render/parse round-trips.
-func (a Args) Float64(key string, def float64) (float64, error) {
-	v, ok := a.Keyword[strings.ToUpper(key)]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("click: argument %s: %q is not a finite number", key, v)
-	}
-	return f, nil
-}
-
-// Bool returns the keyword argument key as a bool, or def if absent.
-func (a Args) Bool(key string, def bool) (bool, error) {
-	v, ok := a.Keyword[strings.ToUpper(key)]
-	if !ok {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("click: argument %s: %q is not a bool", key, v)
-	}
-	return b, nil
 }

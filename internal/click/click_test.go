@@ -193,20 +193,22 @@ func TestPipelineImplementsPacketSource(t *testing.T) {
 
 func testEnv() *Env { return &Env{Arena: mem.NewArena(0), Seed: 1} }
 
+// countKeys is the one row the test sources declare.
+var countKeys = []Key[int]{Int("COUNT", "[0,)", func(n *int) *int { return n })}
+
+func one(*Env) int { return 1 }
+
+// bare registers a test class that takes no arguments.
+func bare(class string, build func() interface{}) {
+	Register(class, nil, nil, func(*Env, struct{}) (interface{}, error) { return build(), nil })
+}
+
 func init() {
-	Register("TSource", func(env *Env, args Args) (interface{}, error) {
-		n, err := args.Int("COUNT", 1)
-		if err != nil {
-			return nil, err
-		}
+	Register("TSource", countKeys, one, func(_ *Env, n int) (interface{}, error) {
 		return &testSource{remaining: n}, nil
 	})
-	Register("TElem", func(env *Env, args Args) (interface{}, error) {
-		return &testElement{class: "TElem", verdict: Continue}, nil
-	})
-	Register("TDrop", func(env *Env, args Args) (interface{}, error) {
-		return &testElement{class: "TDrop", verdict: Drop}, nil
-	})
+	bare("TElem", func() interface{} { return &testElement{class: "TElem", verdict: Continue} })
+	bare("TDrop", func() interface{} { return &testElement{class: "TDrop", verdict: Drop} })
 }
 
 func TestParseConfigDeclared(t *testing.T) {
@@ -294,24 +296,12 @@ func TestParseConfigErrors(t *testing.T) {
 }
 
 func TestParseArgs(t *testing.T) {
-	a := ParseArgs([]string{"64", "ROUTES 128000", " SEED 7 ", "VERBOSE true", ""})
+	a := ParseArgs([]string{"64", "routes 128000", " SEED 7 ", ""})
 	if len(a.Positional) != 1 || a.Positional[0] != "64" {
 		t.Fatalf("positional = %v", a.Positional)
 	}
-	if n, err := a.Int("routes", 0); err != nil || n != 128000 {
-		t.Fatalf("ROUTES = %d, %v", n, err)
-	}
-	if s, err := a.Uint64("SEED", 0); err != nil || s != 7 {
-		t.Fatalf("SEED = %d, %v", s, err)
-	}
-	if b, err := a.Bool("VERBOSE", false); err != nil || !b {
-		t.Fatalf("VERBOSE = %v, %v", b, err)
-	}
-	if n, err := a.Int("MISSING", 42); err != nil || n != 42 {
-		t.Fatalf("default = %d, %v", n, err)
-	}
-	if _, err := a.Int("VERBOSE", 0); err == nil {
-		t.Fatal("non-integer value must error")
+	if len(a.Keyword) != 2 || a.Keyword["ROUTES"] != "128000" || a.Keyword["SEED"] != "7" {
+		t.Fatalf("keyword = %v", a.Keyword)
 	}
 }
 

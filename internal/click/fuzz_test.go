@@ -54,6 +54,28 @@ func FuzzParseConfig(f *testing.F) {
 		"src :: FromDevice(SIG_HIT 1.5);",
 		"src :: FromDevice(SIG_HIT 0.5, SIG_COUNT 0);",
 		"src :: FromDevice(LOW_ENTROPY_BITS 9);",
+		// Element arguments a key table refuses — misspelled keys, stray
+		// positionals, values outside the row's interval (the scenario
+		// package's TestBadElementArgumentsAreErrors builds the same
+		// strings with the real classes registered).
+		"src :: FromDevice; src -> RadixIPLookup(ROUTE 100) -> ToDevice;",
+		"src :: FromDevice; src -> NetFlow(ENTRIS 64) -> ToDevice;",
+		"src :: FromDevice; src -> NetFlow(64) -> ToDevice;",
+		"src :: FromDevice; src -> IPRewriter(ENTRIES -1) -> ToDevice;",
+		"src :: FromDevice; src -> ToDevice(FOO 1);",
+		"src :: FromDevice; src -> NetFlow(ENTRIES -5) -> ToDevice;",
+		"src :: FromDevice; src -> NetFlow(ENTRIES 0) -> ToDevice;",
+		"src :: FromDevice; src -> ToDevice(RING -4);",
+		"src :: FromDevice(BUFFERS -3); src -> ToDevice;",
+		"src :: FromDevice; src -> RedundancyElim(STORE -1) -> ToDevice;",
+		"src :: FromDevice; src -> Syn(REGION -4096) -> ToDevice;",
+		"src :: FromDevice; src -> Control(DELAY 5000000000) -> ToDevice;",
+		"src :: FromDevice(FLOWS -64); src -> ToDevice;",
+		"src :: FromDevice; src -> AESEncrypt(OUTBUFS -1) -> ToDevice;",
+		"src :: FromDevice; src -> Syn(ACCESSES -1) -> ToDevice;",
+		"src :: FromDevice; src -> EntropyGate(WINDOW -8) -> ToDevice;",
+		"src :: TSource(COUNT -1); src -> TElem(FOO 1) -> TDrop(5);",
+		"src :: SeqSource(COUNTS 2, 7); src -> TElem;",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -54,22 +54,12 @@ func (testTee) Process(ctx *Ctx, p *Packet) Verdict {
 }
 
 func init() {
-	Register("SeqSource", func(env *Env, args Args) (interface{}, error) {
-		n, err := args.Int("COUNT", 1)
-		if err != nil {
-			return nil, err
-		}
+	Register("SeqSource", countKeys, one, func(_ *Env, n int) (interface{}, error) {
 		return &seqSource{remaining: n}, nil
 	})
-	Register("TCls", func(env *Env, args Args) (interface{}, error) {
-		return parityClassifier{}, nil
-	})
-	Register("TRR", func(env *Env, args Args) (interface{}, error) {
-		return &rrRouter{}, nil
-	})
-	Register("TTee", func(env *Env, args Args) (interface{}, error) {
-		return testTee{}, nil
-	})
+	bare("TCls", func() interface{} { return parityClassifier{} })
+	bare("TRR", func() interface{} { return &rrRouter{} })
+	bare("TTee", func() interface{} { return testTee{} })
 }
 
 func runAll(pl *Pipeline) {

@@ -1,4 +1,4 @@
-package scenario
+package click
 
 import (
 	"errors"
@@ -7,28 +7,37 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"pktpredict/internal/click"
 )
+
+// Row is a key-table row without its declaration type: the key, the Go
+// type of its field, the interval a numeric value must lie in ("" accepts
+// any value of the kind), and whether the row takes the class's bare
+// arguments instead of "NAME value".
+type Row struct {
+	Name, Kind, Bounds string
+	Positional         bool
+}
 
 // Key is one row of a declaration class's key table — the only place a
 // grammar key is stated. A row names the key, says which field of the
 // declaration T its value lands in (the field's type is the key's kind)
-// and bounds it; Decode, Encode and Platform.Apply are loops over the
-// table, so a key cannot be parsed but not rendered, range-checked in one
-// place but not another, or silently ignored when misspelled. Tables are
-// package-level values built once. The .sweep grammar's tables
-// (internal/sweep) use the same constructors.
+// and bounds it; Decode, Encode and scenario.Platform.Apply are loops
+// over the table, so a key cannot be parsed but not rendered,
+// range-checked in one place but not another, or silently ignored when
+// misspelled. Element classes hand their table to Register; the tables
+// of internal/scenario and internal/sweep are package-level values.
 type Key[T any] struct {
-	Name   string
+	Row
 	set    func(dst *T, text string) error // parse text into the field
 	text   func(src *T) string             // the field's canonical text
-	assign func(dst, src *T)               // dst's field = src's
+	Assign func(dst, src *T)               // dst's field = src's
 }
 
-func newKey[T, V any](name string, at func(*T) *V, parse func(string) (V, error), text func(V) string) Key[T] {
+// NewKey declares a key of a kind the constructors below do not cover;
+// parse's error completes "KEY value ...", text renders the value back.
+func NewKey[T, V any](name, bounds string, at func(*T) *V, parse func(string) (V, error), text func(V) string) Key[T] {
 	return Key[T]{
-		Name: name,
+		Row: Row{Name: name, Kind: fmt.Sprintf("%T", *new(V)), Bounds: bounds},
 		set: func(dst *T, s string) error {
 			v, err := parse(s)
 			if err != nil {
@@ -38,18 +47,25 @@ func newKey[T, V any](name string, at func(*T) *V, parse func(string) (V, error)
 			return nil
 		},
 		text:   func(src *T) string { return text(*at(src)) },
-		assign: func(dst, src *T) { *at(dst) = *at(src) },
+		Assign: func(dst, src *T) { *at(dst) = *at(src) },
 	}
+}
+
+// Positional marks k as the row that takes the class's bare arguments
+// (joined by spaces) instead of "NAME value"; a table has at most one.
+func Positional[T any](k Key[T]) Key[T] {
+	k.Row.Positional = true
+	return k
 }
 
 // String declares a key whose value is taken verbatim.
 func String[T any](name string, at func(*T) *string) Key[T] {
-	return newKey(name, at, func(s string) (string, error) { return s, nil }, func(s string) string { return s })
+	return NewKey(name, "", at, func(s string) (string, error) { return s, nil }, func(s string) string { return s })
 }
 
 // Bool declares a true/false key.
 func Bool[T any](name string, at func(*T) *bool) Key[T] {
-	return newKey(name, at, func(s string) (bool, error) {
+	return NewKey(name, "", at, func(s string) (bool, error) {
 		b, err := strconv.ParseBool(s)
 		if err != nil {
 			return false, errors.New("is not a bool")
@@ -60,28 +76,29 @@ func Bool[T any](name string, at func(*T) *bool) Key[T] {
 
 // Int, Uint and Float declare numeric keys. bounds is the accepted
 // interval in mathematical notation — "[1,64]", "(0,1)", "[1000,)" — with
-// an empty end unbounded and "" accepting any value of the kind.
+// an empty end unbounded, "[0,0]|[64,)" a union and "" accepting any
+// value of the kind.
 func Int[T any](name, bounds string, at func(*T) *int) Key[T] {
-	return newKey(name, at, bounded(bounds, strconv.Atoi, "an integer"), strconv.Itoa)
+	return NewKey(name, bounds, at, bounded(bounds, strconv.Atoi, "an integer"), strconv.Itoa)
 }
 
 func Uint[T any](name, bounds string, at func(*T) *uint64) Key[T] {
-	return newKey(name, at, bounded(bounds, parseUint, "a uint64"), formatUint)
+	return NewKey(name, bounds, at, bounded(bounds, parseUint, "a uint64"), formatUint)
 }
 
 func Float[T any](name, bounds string, at func(*T) *float64) Key[T] {
-	return newKey(name, at, bounded(bounds, parseFinite, "a finite number"), formatFloat)
+	return NewKey(name, bounds, at, bounded(bounds, parseFinite, "a finite number"), formatFloat)
 }
 
 // Floats declares a key holding a space-separated list of numbers, each
 // within bounds.
 func Floats[T any](name, bounds string, at func(*T) *[]float64) Key[T] {
-	return list(name, at, bounded(bounds, parseFinite, "a finite number"), formatFloat)
+	return List(name, bounds, at, bounded(bounds, parseFinite, "a finite number"), formatFloat)
 }
 
-// list declares a key holding space-separated elements of one kind.
-func list[T, V any](name string, at func(*T) *[]V, parse func(string) (V, error), text func(V) string) Key[T] {
-	return newKey(name, at, func(s string) ([]V, error) {
+// List declares a key holding space-separated elements of one kind.
+func List[T, V any](name, bounds string, at func(*T) *[]V, parse func(string) (V, error), text func(V) string) Key[T] {
+	return NewKey(name, bounds, at, func(s string) ([]V, error) {
 		var out []V
 		for _, tok := range strings.Fields(s) {
 			v, err := parse(tok)
@@ -114,11 +131,15 @@ func bounded[V int | uint64 | float64](bounds string, parse func(string) (V, err
 	}
 }
 
-// within reports whether v lies in the interval: '[' and ']' include an
-// end, '(' and ')' exclude it, an empty end is unbounded.
+// within reports whether v lies in one of the '|'-separated intervals:
+// '[' and ']' include an end, '(' and ')' exclude it, an empty end is
+// unbounded.
 func within(v float64, bounds string) bool {
 	if bounds == "" {
 		return true
+	}
+	if first, rest, union := strings.Cut(bounds, "|"); union {
+		return within(v, first) || within(v, rest)
 	}
 	lo, hi, _ := strings.Cut(bounds[1:len(bounds)-1], ",")
 	if b, err := strconv.ParseFloat(lo, 64); err == nil && (v < b || v == b && bounds[0] == '(') {
@@ -157,16 +178,26 @@ func KeyNames[T any](keys []Key[T]) []string {
 
 // Decode reads one declaration's arguments into dst through the class's
 // key table. Anything the table does not declare — a misspelled key, a
-// stray positional argument — is an error listing the known keys, as is
-// a value its kind cannot parse or its bounds exclude.
-func Decode[T any](class string, keys []Key[T], args click.Args, dst *T) error {
-	known := func() string { return "known keys: " + strings.Join(KeyNames(keys), " ") }
-	if len(args.Positional) > 0 {
-		return fmt.Errorf("%s: positional argument %q (every %s key is KEY VALUE; %s)", class, args.Positional[0], class, known())
+// bare argument where no row is Positional — is an error listing the
+// known keys, as is a value its kind cannot parse or its bounds exclude.
+func Decode[T any](class string, keys []Key[T], args Args, dst *T) error {
+	pos := slices.IndexFunc(keys, func(k Key[T]) bool { return k.Positional })
+	known := func() string {
+		if len(keys) == 0 {
+			return class + " takes no arguments"
+		}
+		names := KeyNames(keys)
+		if pos >= 0 {
+			names[pos] += " (written bare)"
+		}
+		return "known keys: " + strings.Join(names, " ")
+	}
+	if len(args.Positional) > 0 && pos < 0 {
+		return fmt.Errorf("%s: positional argument %q (%s)", class, args.Positional[0], known())
 	}
 	var unknown []string
 	for name := range args.Keyword {
-		if !slices.ContainsFunc(keys, func(k Key[T]) bool { return k.Name == name }) {
+		if !slices.ContainsFunc(keys, func(k Key[T]) bool { return k.Name == name && !k.Positional }) {
 			unknown = append(unknown, name)
 		}
 	}
@@ -174,8 +205,12 @@ func Decode[T any](class string, keys []Key[T], args click.Args, dst *T) error {
 		slices.Sort(unknown)
 		return fmt.Errorf("%s: unknown key %s (%s)", class, strings.Join(unknown, ", "), known())
 	}
-	for _, k := range keys {
-		if v, ok := args.Keyword[k.Name]; ok {
+	for i, k := range keys {
+		v, ok := args.Keyword[k.Name]
+		if i == pos {
+			v, ok = strings.Join(args.Positional, " "), len(args.Positional) > 0
+		}
+		if ok {
 			if err := k.set(dst, v); err != nil {
 				return fmt.Errorf("%s: %w", class, err)
 			}

@@ -1,8 +1,15 @@
+// Grammar keys live in this package too: every key a configuration may
+// write — in an element's Class(...) and in the declarations of
+// internal/scenario and internal/sweep — is one Key row of a table
+// (keys.go). Args only carries the text, Decode is its one reader, and
+// NewInstance decodes through the table a class gave Register before the
+// class's build function runs.
 package click
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"pktpredict/internal/mem"
@@ -44,45 +51,63 @@ func (e *Env) arenaFor(stage int) *mem.Arena {
 	return e.ArenaAt(stage)
 }
 
-// Constructor builds an element or source instance from configuration
-// arguments. The returned value must implement Element or Source.
-type Constructor func(env *Env, args Args) (interface{}, error)
-
+// registry holds every class with its declaration type erased: the
+// decode-then-build step and the rows of its key table.
 var registry = struct {
 	sync.Mutex
-	classes map[string]Constructor
-}{classes: make(map[string]Constructor)}
+	build map[string]func(env *Env, args Args) (interface{}, error)
+	rows  map[string][]Row
+}{build: map[string]func(*Env, Args) (interface{}, error){}, rows: map[string][]Row{}}
 
-// Register makes a class available to configurations. It panics on
-// duplicate registration, which indicates two packages claiming one name.
-func Register(class string, c Constructor) {
+// Register makes a class available to configurations. The class hands
+// over its key table, the configuration a bare `Class` gets in env (nil:
+// the zero T) and a build function that receives the decoded T — never
+// the Args — and returns an Element or Source; a class that takes no
+// arguments registers a nil table over struct{}. It panics on duplicate
+// registration, which indicates two packages claiming one name.
+func Register[T any](class string, keys []Key[T], defaults func(env *Env) T, build func(env *Env, cfg T) (interface{}, error)) {
 	registry.Lock()
 	defer registry.Unlock()
-	if _, dup := registry.classes[class]; dup {
+	if _, dup := registry.build[class]; dup {
 		panic(fmt.Sprintf("click: class %q registered twice", class))
 	}
-	registry.classes[class] = c
+	registry.rows[class] = make([]Row, len(keys))
+	for i, k := range keys {
+		registry.rows[class][i] = k.Row
+	}
+	registry.build[class] = func(env *Env, args Args) (interface{}, error) {
+		var cfg T
+		if defaults != nil {
+			cfg = defaults(env)
+		}
+		if err := Decode(class, keys, args, &cfg); err != nil {
+			return nil, err
+		}
+		return build(env, cfg)
+	}
 }
 
-// NewInstance constructs an instance of class with the given arguments.
+// NewInstance constructs an instance of class, decoding the arguments
+// through its key table first: an unknown key, a stray positional, an
+// unparsable or out-of-interval value is an error naming class and key,
+// raised before the class allocates anything.
 func NewInstance(env *Env, class string, args Args) (interface{}, error) {
 	registry.Lock()
-	ctor, ok := registry.classes[class]
+	build, ok := registry.build[class]
 	registry.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("click: unknown element class %q (known: %v)", class, Classes())
 	}
-	return ctor(env, args)
+	return build(env, args)
+}
+
+// KeyTables returns every registered class's key-table rows, in table
+// order — what a configuration may write inside `Class(...)`.
+func KeyTables() map[string][]Row {
+	registry.Lock()
+	defer registry.Unlock()
+	return maps.Clone(registry.rows)
 }
 
 // Classes returns the sorted names of all registered classes.
-func Classes() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	out := make([]string, 0, len(registry.classes))
-	for c := range registry.classes {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
+func Classes() []string { return slices.Sorted(maps.Keys(KeyTables())) }

@@ -21,7 +21,7 @@ func (countBuild) Class() string                                   { return "Cou
 func (countBuild) Process(*click.Ctx, *click.Packet) click.Verdict { return click.Continue }
 
 func init() {
-	click.Register("CountBuild", func(*click.Env, click.Args) (interface{}, error) {
+	click.Register("CountBuild", nil, nil, func(*click.Env, struct{}) (interface{}, error) {
 		buildCount.Add(1)
 		return countBuild{}, nil
 	})

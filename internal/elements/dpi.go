@@ -279,47 +279,40 @@ func parseSigList(s string) ([][]byte, error) {
 	return out, nil
 }
 
+// sigArgs is what SignatureClassifier(...) decodes into.
+type sigArgs struct {
+	sigs     string
+	patterns int
+	seed     uint64
+}
+
 func init() {
-	click.Register("SignatureClassifier", func(env *click.Env, args click.Args) (interface{}, error) {
-		var patterns [][]byte
-		if sigs := args.String("SIGS", ""); sigs != "" {
-			var err error
-			patterns, err = parseSigList(sigs)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			n, err := args.Int("PATTERNS", 16)
-			if err != nil {
-				return nil, err
-			}
-			if n <= 0 {
-				return nil, fmt.Errorf("elements: SignatureClassifier PATTERNS must be positive")
-			}
-			seed, err := args.Uint64("SIG_SEED", env.Seed)
-			if err != nil {
-				return nil, err
-			}
-			patterns = dpi.Signatures(seed, n)
+	click.Register("SignatureClassifier", []click.Key[sigArgs]{
+		click.String("SIGS", func(a *sigArgs) *string { return &a.sigs }),
+		click.Int("PATTERNS", "[1,)", func(a *sigArgs) *int { return &a.patterns }),
+		click.Uint("SIG_SEED", "", func(a *sigArgs) *uint64 { return &a.seed }),
+	}, func(env *click.Env) sigArgs {
+		return sigArgs{patterns: 16, seed: env.Seed}
+	}, func(env *click.Env, a sigArgs) (interface{}, error) {
+		if a.sigs == "" {
+			return NewSignatureClassifier(env, dpi.Signatures(a.seed, a.patterns))
+		}
+		patterns, err := parseSigList(a.sigs)
+		if err != nil {
+			return nil, err
 		}
 		return NewSignatureClassifier(env, patterns)
 	})
-	click.Register("EntropyGate", func(env *click.Env, args click.Args) (interface{}, error) {
-		threshold, err := args.Float64("THRESHOLD", 6.5)
-		if err != nil {
-			return nil, err
-		}
-		window, err := args.Int("WINDOW", 0)
-		if err != nil {
-			return nil, err
-		}
-		return NewEntropyGate(threshold, window)
+	// EntropyGate's rows land in the fields of a scratch gate.
+	click.Register("EntropyGate", []click.Key[EntropyGate]{
+		click.Float("THRESHOLD", "[0,8]", func(g *EntropyGate) *float64 { return &g.threshold }),
+		click.Int("WINDOW", "[0,)", func(g *EntropyGate) *int { return &g.window }),
+	}, func(*click.Env) EntropyGate { return EntropyGate{threshold: 6.5} }, func(_ *click.Env, g EntropyGate) (interface{}, error) {
+		return NewEntropyGate(g.threshold, g.window)
 	})
-	click.Register("BanTable", func(env *click.Env, args click.Args) (interface{}, error) {
-		entries, err := args.Int("ENTRIES", 16384)
-		if err != nil {
-			return nil, err
-		}
+	click.Register("BanTable", []click.Key[int]{
+		click.Int("ENTRIES", "[1,)", func(n *int) *int { return n }),
+	}, func(*click.Env) int { return 16384 }, func(env *click.Env, entries int) (interface{}, error) {
 		return NewBanTableElement(env, entries)
 	})
 }

@@ -363,109 +363,60 @@ func (c *Control) Delay() uint32 { return c.delay }
 // SetDelay updates the delay in cycles per packet.
 func (c *Control) SetDelay(cycles uint32) { c.delay = cycles }
 
+// fromDeviceArgs is what FromDevice(...) decodes into: the source's
+// configuration plus the keys that become one (COUNT, and the signature
+// set SIG_COUNT/SIG_SEED derive).
+type fromDeviceArgs struct {
+	FromDeviceConfig
+	count, sigCount, shiftAfter int
+	sigSeed                     uint64
+}
+
+// bare registers a class that takes no arguments.
+func bare(class string, build func(env *click.Env) interface{}) {
+	click.Register(class, nil, nil, func(env *click.Env, _ struct{}) (interface{}, error) { return build(env), nil })
+}
+
 func init() {
-	click.Register("FromDevice", func(env *click.Env, args click.Args) (interface{}, error) {
-		size, err := args.Int("SIZE", 0)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := args.Uint64("SEED", 0)
-		if err != nil {
-			return nil, err
-		}
-		flows, err := args.Int("FLOWS", 0)
-		if err != nil {
-			return nil, err
-		}
-		bufs, err := args.Int("BUFFERS", 0)
-		if err != nil {
-			return nil, err
-		}
-		count, err := args.Int("COUNT", 0)
-		if err != nil {
-			return nil, err
-		}
-		batch, err := args.Int("BATCH", 0)
-		if err != nil {
-			return nil, err
-		}
-		spec := trafficgen.Spec{Seed: seed, Size: size, Flows: flows}
+	click.Register("FromDevice", []click.Key[fromDeviceArgs]{
+		click.Int("SIZE", fmt.Sprintf("[0,0]|[%d,65535]", trafficgen.MinPacketSize), func(a *fromDeviceArgs) *int { return &a.Traffic.Size }),
+		click.Uint("SEED", "", func(a *fromDeviceArgs) *uint64 { return &a.Traffic.Seed }),
+		click.Int("FLOWS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Traffic.Flows }),
+		click.Int("BUFFERS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Buffers }),
+		click.Int("COUNT", "[0,)", func(a *fromDeviceArgs) *int { return &a.count }),
+		click.Int("BATCH", "[0,)", func(a *fromDeviceArgs) *int { return &a.Batch }),
+		click.Float("SIG_HIT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHit }),
+		click.Float("SIG_SHIFT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHitShift }),
+		click.Int("SIG_COUNT", "[1,)", func(a *fromDeviceArgs) *int { return &a.sigCount }),
+		click.Uint("SIG_SEED", "", func(a *fromDeviceArgs) *uint64 { return &a.sigSeed }),
+		click.Int("SIG_SHIFT_AFTER", "[0,)", func(a *fromDeviceArgs) *int { return &a.shiftAfter }),
+		click.Float("LOW_ENTROPY", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.LowEntropy }),
+		click.Int("LOW_ENTROPY_BITS", "[0,8]", func(a *fromDeviceArgs) *int { return &a.Traffic.LowEntropyBits }),
+	}, func(env *click.Env) fromDeviceArgs {
+		return fromDeviceArgs{sigCount: 16, sigSeed: env.Seed}
+	}, func(env *click.Env, a fromDeviceArgs) (interface{}, error) {
+		a.Count = int64(a.count)
 		// DPI payload shaping: the generator derives the same signature
 		// set as a seed-configured SignatureClassifier, so SIG_HIT is the
 		// scenario's exact match rate.
-		sigHit, err := args.Float64("SIG_HIT", 0)
-		if err != nil {
-			return nil, err
+		if a.Traffic.SigHit > 0 || a.Traffic.SigHitShift > 0 {
+			a.Traffic.Signatures = dpi.Signatures(a.sigSeed, a.sigCount)
+			a.Traffic.SigShiftAfter = int64(a.shiftAfter)
 		}
-		sigShift, err := args.Float64("SIG_SHIFT", 0)
-		if err != nil {
-			return nil, err
-		}
-		if sigHit > 0 || sigShift > 0 {
-			sigCount, err := args.Int("SIG_COUNT", 16)
-			if err != nil {
-				return nil, err
-			}
-			if sigCount <= 0 {
-				return nil, fmt.Errorf("elements: FromDevice SIG_COUNT must be positive")
-			}
-			sigSeed, err := args.Uint64("SIG_SEED", env.Seed)
-			if err != nil {
-				return nil, err
-			}
-			shiftAfter, err := args.Int("SIG_SHIFT_AFTER", 0)
-			if err != nil {
-				return nil, err
-			}
-			spec.Signatures = dpi.Signatures(sigSeed, sigCount)
-			spec.SigHit = sigHit
-			spec.SigHitShift = sigShift
-			spec.SigShiftAfter = int64(shiftAfter)
-		}
-		lowEnt, err := args.Float64("LOW_ENTROPY", 0)
-		if err != nil {
-			return nil, err
-		}
-		lowBits, err := args.Int("LOW_ENTROPY_BITS", 0)
-		if err != nil {
-			return nil, err
-		}
-		spec.LowEntropy = lowEnt
-		spec.LowEntropyBits = lowBits
-		return NewFromDevice(env, FromDeviceConfig{
-			Traffic: spec,
-			Buffers: bufs,
-			Count:   int64(count),
-			Batch:   batch,
-		})
+		return NewFromDevice(env, a.FromDeviceConfig)
 	})
-	click.Register("ToDevice", func(env *click.Env, args click.Args) (interface{}, error) {
-		ring, err := args.Int("RING", 0)
-		if err != nil {
-			return nil, err
-		}
+	click.Register("ToDevice", []click.Key[int]{
+		click.Int("RING", "[0,)", func(ring *int) *int { return ring }),
+	}, nil, func(env *click.Env, ring int) (interface{}, error) {
 		return NewToDevice(env, ring), nil
 	})
-	click.Register("CheckIPHeader", func(env *click.Env, args click.Args) (interface{}, error) {
-		return &CheckIPHeader{}, nil
-	})
-	click.Register("DecIPTTL", func(env *click.Env, args click.Args) (interface{}, error) {
-		return &DecIPTTL{}, nil
-	})
-	click.Register("Counter", func(env *click.Env, args click.Args) (interface{}, error) {
-		return NewCounter(env), nil
-	})
-	click.Register("Discard", func(env *click.Env, args click.Args) (interface{}, error) {
-		return &Discard{}, nil
-	})
-	click.Register("Control", func(env *click.Env, args click.Args) (interface{}, error) {
-		d, err := args.Int("DELAY", 0)
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("elements: Control DELAY must be non-negative")
-		}
-		return NewControl(uint32(d)), nil
+	bare("CheckIPHeader", func(*click.Env) interface{} { return &CheckIPHeader{} })
+	bare("DecIPTTL", func(*click.Env) interface{} { return &DecIPTTL{} })
+	bare("Counter", func(env *click.Env) interface{} { return NewCounter(env) })
+	bare("Discard", func(*click.Env) interface{} { return &Discard{} })
+	click.Register("Control", []click.Key[int]{
+		click.Int("DELAY", "[0,4294967295]", func(d *int) *int { return d }),
+	}, nil, func(_ *click.Env, delay int) (interface{}, error) {
+		return NewControl(uint32(delay)), nil
 	})
 }

@@ -360,24 +360,20 @@ func (r *RoundRobinSwitch) Stat(name string) (uint64, bool) {
 }
 
 func init() {
-	click.Register("Classifier", func(env *click.Env, args click.Args) (interface{}, error) {
-		return NewClassifier(args.Positional)
+	click.Register("Classifier", []click.Key[string]{
+		click.Positional(click.String("PATTERN", func(p *string) *string { return p })),
+	}, nil, func(_ *click.Env, patterns string) (interface{}, error) {
+		return NewClassifier(strings.Fields(patterns))
 	})
-	click.Register("IPClassifier", func(env *click.Env, args click.Args) (interface{}, error) {
-		return NewIPClassifier(args.Positional)
+	click.Register("IPClassifier", []click.Key[string]{
+		click.Positional(click.String("PATTERN", func(p *string) *string { return p })),
+	}, nil, func(_ *click.Env, patterns string) (interface{}, error) {
+		return NewIPClassifier(strings.Fields(patterns))
 	})
-	click.Register("Tee", func(env *click.Env, args click.Args) (interface{}, error) {
-		n := 0
-		if len(args.Positional) > 0 {
-			var err error
-			n, err = strconv.Atoi(args.Positional[0])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("elements: Tee argument %q is not a port count", args.Positional[0])
-			}
-		}
-		return NewTee(n), nil
+	click.Register("Tee", []click.Key[int]{
+		click.Positional(click.Int("OUTPUTS", "[0,)", func(n *int) *int { return n })),
+	}, nil, func(_ *click.Env, outputs int) (interface{}, error) {
+		return NewTee(outputs), nil
 	})
-	click.Register("RoundRobinSwitch", func(env *click.Env, args click.Args) (interface{}, error) {
-		return &RoundRobinSwitch{}, nil
-	})
+	bare("RoundRobinSwitch", func(*click.Env) interface{} { return &RoundRobinSwitch{} })
 }

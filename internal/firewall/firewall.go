@@ -7,8 +7,6 @@
 package firewall
 
 import (
-	"fmt"
-
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
@@ -182,19 +180,19 @@ func (e *Element) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
+// filterArgs is what IPFilter(...) decodes into.
+type filterArgs struct {
+	rules int
+	seed  uint64
+}
+
 func init() {
-	click.Register("IPFilter", func(env *click.Env, args click.Args) (interface{}, error) {
-		n, err := args.Int("RULES", 1000)
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("firewall: RULES must be positive")
-		}
-		seed, err := args.Uint64("SEED", env.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return &Element{Filter: NewFilter(env.Arena, NoMatchRules(n, seed))}, nil
+	click.Register("IPFilter", []click.Key[filterArgs]{
+		click.Int("RULES", "[1,)", func(a *filterArgs) *int { return &a.rules }),
+		click.Uint("SEED", "", func(a *filterArgs) *uint64 { return &a.seed }),
+	}, func(env *click.Env) filterArgs {
+		return filterArgs{rules: 1000, seed: env.Seed}
+	}, func(env *click.Env, a filterArgs) (interface{}, error) {
+		return &Element{Filter: NewFilter(env.Arena, NoMatchRules(a.rules, a.seed))}, nil
 	})
 }

@@ -2,7 +2,6 @@ package iplookup
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -63,22 +62,22 @@ func (e *Element) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
+// lookupArgs is what RadixIPLookup(...) decodes into.
+type lookupArgs struct {
+	routes int
+	seed   uint64
+}
+
 func init() {
-	click.Register("RadixIPLookup", func(env *click.Env, args click.Args) (interface{}, error) {
-		n, err := args.Int("ROUTES", 128000)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("iplookup: RadixIPLookup ROUTES %d must not be negative", n)
-		}
-		seed, err := args.Uint64("SEED", env.Seed)
-		if err != nil {
-			return nil, err
-		}
+	click.Register("RadixIPLookup", []click.Key[lookupArgs]{
+		click.Int("ROUTES", "[0,)", func(a *lookupArgs) *int { return &a.routes }),
+		click.Uint("SEED", "", func(a *lookupArgs) *uint64 { return &a.seed }),
+	}, func(env *click.Env) lookupArgs {
+		return lookupArgs{routes: 128000, seed: env.Seed}
+	}, func(env *click.Env, a lookupArgs) (interface{}, error) {
 		t := New(env.Arena, nil)
-		RandomTable(t, n, seed)
+		RandomTable(t, a.routes, a.seed)
 		t.recordFootprint()
-		return NewElement(t, env.Arena, n+1), nil
+		return NewElement(t, env.Arena, a.routes+1), nil
 	})
 }

@@ -240,19 +240,19 @@ func ParseAddr(s string) (uint32, error) {
 	return addr, nil
 }
 
+// rewriterArgs is what IPRewriter(...) decodes into.
+type rewriterArgs struct {
+	capacity int
+	extIP    uint32
+}
+
 func init() {
-	click.Register("IPRewriter", func(env *click.Env, args click.Args) (interface{}, error) {
-		capacity, err := args.Int("CAPACITY", 65536)
-		if err != nil {
-			return nil, err
-		}
-		if capacity <= 0 {
-			return nil, fmt.Errorf("nat: CAPACITY must be positive")
-		}
-		extIP, err := ParseAddr(args.String("EXTIP", "198.51.100.1"))
-		if err != nil {
-			return nil, err
-		}
-		return &Element{Table: NewTable(env.Arena, capacity, extIP)}, nil
+	click.Register("IPRewriter", []click.Key[rewriterArgs]{
+		click.Int("CAPACITY", "[1,)", func(a *rewriterArgs) *int { return &a.capacity }),
+		click.NewKey("EXTIP", "", func(a *rewriterArgs) *uint32 { return &a.extIP }, ParseAddr, netpkt.AddrString),
+	}, func(*click.Env) rewriterArgs {
+		return rewriterArgs{capacity: 65536, extIP: 0xC6336401} // 198.51.100.1
+	}, func(env *click.Env, a rewriterArgs) (interface{}, error) {
+		return &Element{Table: NewTable(env.Arena, a.capacity, a.extIP)}, nil
 	})
 }

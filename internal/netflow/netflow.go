@@ -199,11 +199,9 @@ func (e *Element) Stat(name string) (uint64, bool) {
 }
 
 func init() {
-	click.Register("NetFlow", func(env *click.Env, args click.Args) (interface{}, error) {
-		n, err := args.Int("ENTRIES", 100000)
-		if err != nil {
-			return nil, err
-		}
-		return &Element{Table: NewTable(env.Arena, n)}, nil
+	click.Register("NetFlow", []click.Key[int]{
+		click.Int("ENTRIES", "[1,)", func(n *int) *int { return n }),
+	}, func(*click.Env) int { return 100000 }, func(env *click.Env, entries int) (interface{}, error) {
+		return &Element{Table: NewTable(env.Arena, entries)}, nil
 	})
 }

@@ -1,7 +1,6 @@
 package re
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"pktpredict/internal/click"
@@ -273,26 +272,12 @@ func (e *Element) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
-var _ = binary.BigEndian // keep encoding/binary available for token wire format extensions
-
 func init() {
-	click.Register("RedundancyElim", func(env *click.Env, args click.Args) (interface{}, error) {
-		store, err := args.Int("STORE", 0)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := args.Int("ENTRIES", 0)
-		if err != nil {
-			return nil, err
-		}
-		sample, err := args.Int("SAMPLEBITS", 0)
-		if err != nil {
-			return nil, err
-		}
-		return &Element{Proc: NewProcessor(env.Arena, Config{
-			StoreBytes:   store,
-			TableEntries: entries,
-			SampleBits:   sample,
-		})}, nil
+	click.Register("RedundancyElim", []click.Key[Config]{
+		click.Int("STORE", "[0,0]|[1024,)", func(c *Config) *int { return &c.StoreBytes }),
+		click.Int("ENTRIES", "[0,)", func(c *Config) *int { return &c.TableEntries }),
+		click.Int("SAMPLEBITS", "[0,63]", func(c *Config) *int { return &c.SampleBits }),
+	}, nil, func(env *click.Env, cfg Config) (interface{}, error) {
+		return &Element{Proc: NewProcessor(env.Arena, cfg)}, nil
 	})
 }

@@ -215,7 +215,7 @@ func (l *probeLog) reset() (experiments, peak int) {
 var slotProbeLog = &probeLog{first: map[*mem.Arena]int{}, last: map[*mem.Arena]int{}}
 
 func init() {
-	click.Register("SlotProbe", func(env *click.Env, _ click.Args) (interface{}, error) {
+	click.Register("SlotProbe", nil, nil, func(env *click.Env, _ struct{}) (interface{}, error) {
 		slotProbeLog.event(env.Arena)
 		return &slotProbe{id: env.Arena}, nil
 	})

@@ -45,6 +45,10 @@ func FuzzParseScenario(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// Element arguments the class's key table refuses (elements_test.go).
+	for _, tc := range badElementArgs {
+		f.Add(oneWorkerScenario(tc.graph))
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)
 		if err != nil {

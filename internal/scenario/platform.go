@@ -36,30 +36,30 @@ const maxWays = 128
 
 // platformKeys declares every Platform(...) key, each landing in the
 // hw.Config field it overrides.
-var platformKeys = func() []Key[Platform] {
+var platformKeys = func() []click.Key[Platform] {
 	size := fmt.Sprintf("[%d,%d]", hw.LineSize, 1<<30)
 	ways := fmt.Sprintf("[1,%d]", maxWays)
-	return []Key[Platform]{
-		Int("SOCKETS", "[1,64]", func(p *Platform) *int { return &p.cfg.Sockets }),
-		Int("CORES_PER_SOCKET", "[1,1024]", func(p *Platform) *int { return &p.cfg.CoresPerSocket }),
-		Float("CLOCK_HZ", "(0,)", func(p *Platform) *float64 { return &p.cfg.ClockHz }),
-		Int("L1_BYTES", size, func(p *Platform) *int { return &p.cfg.L1D.SizeBytes }),
-		Int("L1_WAYS", ways, func(p *Platform) *int { return &p.cfg.L1D.Ways }),
-		Int("L2_BYTES", size, func(p *Platform) *int { return &p.cfg.L2.SizeBytes }),
-		Int("L2_WAYS", ways, func(p *Platform) *int { return &p.cfg.L2.Ways }),
-		Int("L3_BYTES", size, func(p *Platform) *int { return &p.cfg.L3.SizeBytes }),
-		Int("L3_WAYS", ways, func(p *Platform) *int { return &p.cfg.L3.Ways }),
-		newKey("L3_POLICY", func(p *Platform) *hw.ReplacementPolicy { return &p.cfg.L3Policy }, parsePolicy, policyName),
-		Bool("INCLUSIVE_L3", func(p *Platform) *bool { return &p.cfg.InclusiveL3 }),
-		Int("LINE_BYTES", fmt.Sprintf("[%d,%[1]d]", hw.LineSize), func(p *Platform) *int { return &p.lineBytes }),
-		Uint("L1_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L1Latency }),
-		Uint("L2_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L2Latency }),
-		Uint("L3_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L3Latency }),
-		Uint("DRAM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.DRAMLatency }),
-		Uint("MEM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.MemCtrlService }), // memory-controller occupancy per line
-		Uint("QPI_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.QPILatency }),     // one-way remote-access latency
-		Uint("QPI_SERVICE", "", func(p *Platform) *uint64 { return &p.cfg.QPIService }),
-		Uint("STREAM_MLP", "[1,)", func(p *Platform) *uint64 { return &p.cfg.StreamMLP }),
+	return []click.Key[Platform]{
+		click.Int("SOCKETS", "[1,64]", func(p *Platform) *int { return &p.cfg.Sockets }),
+		click.Int("CORES_PER_SOCKET", "[1,1024]", func(p *Platform) *int { return &p.cfg.CoresPerSocket }),
+		click.Float("CLOCK_HZ", "(0,)", func(p *Platform) *float64 { return &p.cfg.ClockHz }),
+		click.Int("L1_BYTES", size, func(p *Platform) *int { return &p.cfg.L1D.SizeBytes }),
+		click.Int("L1_WAYS", ways, func(p *Platform) *int { return &p.cfg.L1D.Ways }),
+		click.Int("L2_BYTES", size, func(p *Platform) *int { return &p.cfg.L2.SizeBytes }),
+		click.Int("L2_WAYS", ways, func(p *Platform) *int { return &p.cfg.L2.Ways }),
+		click.Int("L3_BYTES", size, func(p *Platform) *int { return &p.cfg.L3.SizeBytes }),
+		click.Int("L3_WAYS", ways, func(p *Platform) *int { return &p.cfg.L3.Ways }),
+		click.NewKey("L3_POLICY", "", func(p *Platform) *hw.ReplacementPolicy { return &p.cfg.L3Policy }, parsePolicy, policyName),
+		click.Bool("INCLUSIVE_L3", func(p *Platform) *bool { return &p.cfg.InclusiveL3 }),
+		click.Int("LINE_BYTES", fmt.Sprintf("[%d,%[1]d]", hw.LineSize), func(p *Platform) *int { return &p.lineBytes }),
+		click.Uint("L1_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L1Latency }),
+		click.Uint("L2_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L2Latency }),
+		click.Uint("L3_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.L3Latency }),
+		click.Uint("DRAM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.DRAMLatency }),
+		click.Uint("MEM_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.MemCtrlService }), // memory-controller occupancy per line
+		click.Uint("QPI_CYCLES", "", func(p *Platform) *uint64 { return &p.cfg.QPILatency }),     // one-way remote-access latency
+		click.Uint("QPI_SERVICE", "", func(p *Platform) *uint64 { return &p.cfg.QPIService }),
+		click.Uint("STREAM_MLP", "[1,)", func(p *Platform) *uint64 { return &p.cfg.StreamMLP }),
 	}
 }()
 
@@ -81,7 +81,7 @@ func parsePolicy(s string) (hw.ReplacementPolicy, error) {
 // platform variants with the same argument grammar.
 func ParsePlatformArgs(args click.Args) (*Platform, error) {
 	p := &Platform{}
-	if err := Decode("platform", platformKeys, args, p); err != nil {
+	if err := click.Decode("platform", platformKeys, args, p); err != nil {
 		return nil, err
 	}
 	for i, k := range platformKeys {
@@ -114,7 +114,7 @@ func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
 	out := Platform{cfg: base}
 	for i, k := range platformKeys {
 		if p.named>>i&1 == 1 {
-			k.assign(&out, p)
+			k.Assign(&out, p)
 		}
 	}
 	cfg := out.cfg

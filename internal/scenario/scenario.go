@@ -143,18 +143,18 @@ type Scenario struct {
 }
 
 // scenarioKeys declares every Scenario(...) key.
-var scenarioKeys = []Key[Scenario]{
-	String("NAME", func(s *Scenario) *string { return &s.Name }),
-	Int("RING", "[1,1048576]", func(s *Scenario) *int { return &s.RingSize }),
-	Int("BATCH", "[0,)", func(s *Scenario) *int { return &s.Batch }),
-	Bool("ADMISSION", func(s *Scenario) *bool { return &s.Admission }),
-	Float("DROP_THRESHOLD", "[0,1]", func(s *Scenario) *float64 { return &s.DropThreshold }),
-	Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.MigrateState }),
-	Int("MIN_CORES_PER_SOCKET", "[0,)", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
-	Int("MIN_SOCKETS", "[0,)", func(s *Scenario) *int { return &s.MinSockets }),
-	Int("FIT", "[0,)", func(s *Scenario) *int { return &s.Fit }),
-	Float("SYN_REGION_FRACTION", "[0,1]", func(s *Scenario) *float64 { return &s.SynRegionFraction }),
-	list("PLACE", func(s *Scenario) *[]Placement { return &s.Place }, parsePlacement, Placement.String),
+var scenarioKeys = []click.Key[Scenario]{
+	click.String("NAME", func(s *Scenario) *string { return &s.Name }),
+	click.Int("RING", "[1,1048576]", func(s *Scenario) *int { return &s.RingSize }),
+	click.Int("BATCH", "[0,)", func(s *Scenario) *int { return &s.Batch }),
+	click.Bool("ADMISSION", func(s *Scenario) *bool { return &s.Admission }),
+	click.Float("DROP_THRESHOLD", "[0,1]", func(s *Scenario) *float64 { return &s.DropThreshold }),
+	click.Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.MigrateState }),
+	click.Int("MIN_CORES_PER_SOCKET", "[0,)", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
+	click.Int("MIN_SOCKETS", "[0,)", func(s *Scenario) *int { return &s.MinSockets }),
+	click.Int("FIT", "[0,)", func(s *Scenario) *int { return &s.Fit }),
+	click.Float("SYN_REGION_FRACTION", "[0,1]", func(s *Scenario) *float64 { return &s.SynRegionFraction }),
+	click.List("PLACE", "", func(s *Scenario) *[]Placement { return &s.Place }, parsePlacement, Placement.String),
 }
 
 // flowDecl is a Flow(...) declaration as written: the flow group, plus
@@ -168,19 +168,19 @@ type flowDecl struct {
 
 // flowKeys declares every Flow(...) key; all but TYPE and GRAPH land
 // directly in the runtime.AppSpec a flow group is.
-var flowKeys = []Key[flowDecl]{
-	String("TYPE", func(f *flowDecl) *string { return &f.typ }),
-	String("GRAPH", func(f *flowDecl) *string { return &f.graph }),
-	Int("WORKERS", "[1,)", func(f *flowDecl) *int { return &f.Workers }),
-	Float("RATE", "[0,)", func(f *flowDecl) *float64 { return &f.Rate }),
-	Float("RATE_FRACTION", "[0,)", func(f *flowDecl) *float64 { return &f.RateFraction }),
-	Int("BURST_ON", "[0,)", func(f *flowDecl) *int { return &f.BurstOn }),
-	Int("BURST_OFF", "[0,)", func(f *flowDecl) *int { return &f.BurstOff }),
-	Bool("CONTROL", func(f *flowDecl) *bool { return &f.Control }),
-	Uint("HIDDEN_TRIGGER", "", func(f *flowDecl) *uint64 { return &f.HiddenTrigger }),
-	Int("SYN_COMPUTE", "[0,)", func(f *flowDecl) *int { return &f.SynCompute }),
-	Int("PACKET_SIZE", "[0,65535]", func(f *flowDecl) *int { return &f.PacketSize }),
-	Float("SLO_P99_US", "[0,)", func(f *flowDecl) *float64 { return &f.SLOP99US }),
+var flowKeys = []click.Key[flowDecl]{
+	click.String("TYPE", func(f *flowDecl) *string { return &f.typ }),
+	click.String("GRAPH", func(f *flowDecl) *string { return &f.graph }),
+	click.Int("WORKERS", "[1,)", func(f *flowDecl) *int { return &f.Workers }),
+	click.Float("RATE", "[0,)", func(f *flowDecl) *float64 { return &f.Rate }),
+	click.Float("RATE_FRACTION", "[0,)", func(f *flowDecl) *float64 { return &f.RateFraction }),
+	click.Int("BURST_ON", "[0,)", func(f *flowDecl) *int { return &f.BurstOn }),
+	click.Int("BURST_OFF", "[0,)", func(f *flowDecl) *int { return &f.BurstOff }),
+	click.Bool("CONTROL", func(f *flowDecl) *bool { return &f.Control }),
+	click.Uint("HIDDEN_TRIGGER", "", func(f *flowDecl) *uint64 { return &f.HiddenTrigger }),
+	click.Int("SYN_COMPUTE", "[0,)", func(f *flowDecl) *int { return &f.SynCompute }),
+	click.Int("PACKET_SIZE", "[0,65535]", func(f *flowDecl) *int { return &f.PacketSize }),
+	click.Float("SLO_P99_US", "[0,)", func(f *flowDecl) *float64 { return &f.SLOP99US }),
 }
 
 // flowDefaults holds the value of every Flow key a declaration omits.
@@ -191,9 +191,9 @@ var flowDefaults = flowDecl{AppSpec: runtime.AppSpec{Workers: 1}}
 // hold the reference documentation to them.
 func KeyTables() map[string][]string {
 	return map[string][]string{
-		"Scenario": KeyNames(scenarioKeys),
-		"Platform": KeyNames(platformKeys),
-		"Flow":     KeyNames(flowKeys),
+		"Scenario": click.KeyNames(scenarioKeys),
+		"Platform": click.KeyNames(platformKeys),
+		"Flow":     click.KeyNames(flowKeys),
 	}
 }
 
@@ -311,7 +311,7 @@ func Parse(text string) (*Scenario, error) {
 				return fmt.Errorf("second Scenario declaration")
 			}
 			seenScenario = true
-			return Decode("scenario", scenarioKeys, args, s)
+			return click.Decode("scenario", scenarioKeys, args, s)
 		case "Platform":
 			if s.Platform != nil {
 				return fmt.Errorf("second Platform declaration")
@@ -384,7 +384,7 @@ func (p Placement) String() string {
 func (s *Scenario) parseFlow(name string, args click.Args) (runtime.AppSpec, error) {
 	d := flowDefaults
 	d.Name = name
-	if err := Decode(fmt.Sprintf("flow %q", name), flowKeys, args, &d); err != nil {
+	if err := click.Decode(fmt.Sprintf("flow %q", name), flowKeys, args, &d); err != nil {
 		return d.AppSpec, err
 	}
 	ref := d.typ + d.graph // the type's name: past the first two cases exactly one is set
@@ -538,10 +538,10 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 // structurally identical to s (graph bodies are preserved verbatim).
 func (s *Scenario) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scenario :: Scenario(%s);\n", strings.Join(Encode(scenarioKeys, s, &Scenario{}, 0), ", "))
+	fmt.Fprintf(&b, "scenario :: Scenario(%s);\n", strings.Join(click.Encode(scenarioKeys, s, &Scenario{}, 0), ", "))
 
 	if p := s.Platform; p != nil {
-		fmt.Fprintf(&b, "\nplatform :: Platform(%s);\n", strings.Join(Encode(platformKeys, p, nil, p.named), ", "))
+		fmt.Fprintf(&b, "\nplatform :: Platform(%s);\n", strings.Join(click.Encode(platformKeys, p, nil, p.named), ", "))
 	}
 
 	for _, g := range s.Graphs {
@@ -559,7 +559,7 @@ func (s *Scenario) Render() string {
 		if s.graph(d.typ) != nil {
 			d.typ, d.graph = "", d.typ
 		}
-		fmt.Fprintf(&b, "\n%s :: Flow(%s);", f.Name, strings.Join(Encode(flowKeys, &d, &flowDefaults, 0), ", "))
+		fmt.Fprintf(&b, "\n%s :: Flow(%s);", f.Name, strings.Join(click.Encode(flowKeys, &d, &flowDefaults, 0), ", "))
 	}
 	b.WriteString("\n")
 	return b.String()

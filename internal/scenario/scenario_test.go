@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/runtime"
@@ -278,15 +279,15 @@ func TestNumericKeysBounded(t *testing.T) {
 			}
 		case err == nil:
 			t.Errorf("%s accepts -1: give the row an interval", name)
-		case !strings.HasPrefix(err.Error(), name+" -1 ") || !strings.Contains(err.Error(), " outside [") && !strings.Contains(err.Error(), " is not "):
+		case !strings.HasPrefix(err.Error(), "c: "+name+" -1 ") || !strings.Contains(err.Error(), " outside [") && !strings.Contains(err.Error(), " is not "):
 			t.Errorf("%s: error %q does not name the key with its bounds or its kind", name, err)
 		}
 	}
 	for _, k := range scenarioKeys {
-		check(k.Name, k.set(&Scenario{}, "-1"))
+		check(k.Name, click.Decode("c", scenarioKeys, click.ParseArgs([]string{k.Name + " -1"}), &Scenario{}))
 	}
 	for _, k := range flowKeys {
-		check(k.Name, k.set(&flowDecl{}, "-1"))
+		check(k.Name, click.Decode("c", flowKeys, click.ParseArgs([]string{k.Name + " -1"}), &flowDecl{}))
 	}
 }
 
@@ -307,7 +308,7 @@ func TestUndeclaredArgumentsRejected(t *testing.T) {
 		{"platform misspelling", header + "platform :: Platform(L3_BYTE 524288);\nmon :: Flow(TYPE MON);",
 			"statement 2 (line 2): platform: unknown key L3_BYTE (known keys: SOCKETS CORES_PER_SOCKET"},
 		{"scenario positional", "scenario :: Scenario(NAME x, ADMISSION);\nmon :: Flow(TYPE MON);",
-			`statement 1 (line 1): scenario: positional argument "ADMISSION" (every scenario key is KEY VALUE; known keys: NAME`},
+			`statement 1 (line 1): scenario: positional argument "ADMISSION" (known keys: NAME`},
 		{"flow positional", header + "mon :: Flow(MON);", `statement 2 (line 2): flow "mon": positional argument "MON"`},
 		{"platform positional", header + "platform :: Platform(64);\nmon :: Flow(TYPE MON);", `platform: positional argument "64"`},
 	}

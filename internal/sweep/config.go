@@ -29,9 +29,9 @@ type RunSpec struct {
 }
 
 // runKeys declares every Run(...) key.
-var runKeys = []scenario.Key[RunSpec]{
-	scenario.String("FILE", func(r *RunSpec) *string { return &r.File }),
-	scenario.Float("TOLERANCE", "[0,1)", func(r *RunSpec) *float64 { return &r.Tolerance }),
+var runKeys = []click.Key[RunSpec]{
+	click.String("FILE", func(r *RunSpec) *string { return &r.File }),
+	click.Float("TOLERANCE", "[0,1)", func(r *RunSpec) *float64 { return &r.Tolerance }),
 }
 
 // Config is a parsed .sweep file: the declarative grid
@@ -66,22 +66,22 @@ type Config struct {
 }
 
 // sweepKeys declares every Sweep(...) key.
-var sweepKeys = []scenario.Key[Config]{
-	scenario.String("NAME", func(c *Config) *string { return &c.Name }),
+var sweepKeys = []click.Key[Config]{
+	click.String("NAME", func(c *Config) *string { return &c.Name }),
 	// Duration is measured virtual time; warmup is excluded on top of it.
-	scenario.Float("DURATION", "(0,)", func(c *Config) *float64 { return &c.Duration }),
-	scenario.Float("WARMUP", "[0,)", func(c *Config) *float64 { return &c.Warmup }),
-	scenario.Uint("QUANTUM", "[1000,)", func(c *Config) *uint64 { return &c.Quantum }),
-	scenario.Int("CONTROL_EVERY", "[1,)", func(c *Config) *int { return &c.ControlEvery }),
-	scenario.Int("PARALLEL", "[0,)", func(c *Config) *int { return &c.Parallel }),
-	scenario.Float("TOLERANCE", "(0,1)", func(c *Config) *float64 { return &c.Tolerance }),
-	scenario.Floats("LOADS", "(0,4]", func(c *Config) *[]float64 { return &c.Loads }),
+	click.Float("DURATION", "(0,)", func(c *Config) *float64 { return &c.Duration }),
+	click.Float("WARMUP", "[0,)", func(c *Config) *float64 { return &c.Warmup }),
+	click.Uint("QUANTUM", "[1000,)", func(c *Config) *uint64 { return &c.Quantum }),
+	click.Int("CONTROL_EVERY", "[1,)", func(c *Config) *int { return &c.ControlEvery }),
+	click.Int("PARALLEL", "[0,)", func(c *Config) *int { return &c.Parallel }),
+	click.Float("TOLERANCE", "(0,1)", func(c *Config) *float64 { return &c.Tolerance }),
+	click.Floats("LOADS", "(0,4]", func(c *Config) *[]float64 { return &c.Loads }),
 }
 
 // KeyTables lists every key of the .sweep grammar's own declaration
 // classes (Platform(...) is scenario.KeyTables'), in canonical order.
 func KeyTables() map[string][]string {
-	return map[string][]string{"Sweep": scenario.KeyNames(sweepKeys), "Run": scenario.KeyNames(runKeys)}
+	return map[string][]string{"Sweep": click.KeyNames(sweepKeys), "Run": click.KeyNames(runKeys)}
 }
 
 // Points returns the grid size.
@@ -151,14 +151,14 @@ func ParseConfig(text string) (*Config, error) {
 				return fmt.Errorf("second Sweep declaration")
 			}
 			seenSweep = true
-			return scenario.Decode("sweep", sweepKeys, args, c)
+			return click.Decode("sweep", sweepKeys, args, c)
 		case "Platform":
 			p, err := scenario.ParsePlatformArgs(args)
 			c.Platforms = append(c.Platforms, PlatformVariant{Name: name, Platform: p})
 			return err
 		default:
 			r := RunSpec{Name: name}
-			if err := scenario.Decode(fmt.Sprintf("run %q", name), runKeys, args, &r); err != nil {
+			if err := click.Decode(fmt.Sprintf("run %q", name), runKeys, args, &r); err != nil {
 				return err
 			}
 			if r.File == "" {

@@ -82,7 +82,7 @@ func TestParseConfigErrors(t *testing.T) {
 		// silently at the default 0.15.
 		{"sweep :: Sweep(TOLERENCE 0.05);\nr :: Run(FILE f);",
 			"statement 1 (line 1): sweep: unknown key TOLERENCE (known keys: NAME DURATION WARMUP QUANTUM CONTROL_EVERY PARALLEL TOLERANCE LOADS)"},
-		{"sweep :: Sweep(NAME d, 0.05);\nr :: Run(FILE f);", `sweep: positional argument "0.05" (every sweep key is KEY VALUE; known keys: NAME`},
+		{"sweep :: Sweep(NAME d, 0.05);\nr :: Run(FILE f);", `sweep: positional argument "0.05" (known keys: NAME`},
 		{"sweep :: Sweep(NAME d);\n\nr :: Run(FILE f, TOLERENCE 0.2);", `statement 2 (line 3): run "r": unknown key TOLERENCE (known keys: FILE TOLERANCE)`},
 		{"sweep :: Sweep(NAME d);\nr :: Run(f.click);", `statement 2 (line 2): run "r": positional argument "f.click"`},
 		{"sweep :: Sweep(NAME d);\nr :: Run(FILE f, TOLERANCE 1);", "TOLERANCE 1 outside [0,1)"},

@@ -145,29 +145,21 @@ func (e *Element) Stat(name string) (uint64, bool) {
 	return 0, false
 }
 
+// synArgs is what Syn(...) decodes into.
+type synArgs struct {
+	Config
+	trigger uint64
+}
+
 func init() {
-	click.Register("Syn", func(env *click.Env, args click.Args) (interface{}, error) {
-		region, err := args.Int("REGION", 0)
-		if err != nil {
-			return nil, err
-		}
-		accesses, err := args.Int("ACCESSES", 0)
-		if err != nil {
-			return nil, err
-		}
-		compute, err := args.Int("COMPUTE", 0)
-		if err != nil {
-			return nil, err
-		}
-		trigger, err := args.Uint64("TRIGGER", 0)
-		if err != nil {
-			return nil, err
-		}
-		return NewElement(env.Arena, Config{
-			Seed:              env.Seed,
-			RegionBytes:       region,
-			AccessesPerPacket: accesses,
-			ComputePerAccess:  compute,
-		}, trigger), nil
+	click.Register("Syn", []click.Key[synArgs]{
+		click.Int("REGION", "[0,0]|[64,)", func(a *synArgs) *int { return &a.RegionBytes }),
+		click.Int("ACCESSES", "[0,)", func(a *synArgs) *int { return &a.AccessesPerPacket }),
+		click.Int("COMPUTE", "[0,4294967295]", func(a *synArgs) *int { return &a.ComputePerAccess }),
+		click.Uint("TRIGGER", "", func(a *synArgs) *uint64 { return &a.trigger }),
+	}, func(env *click.Env) synArgs {
+		return synArgs{Config: Config{Seed: env.Seed}}
+	}, func(env *click.Env, a synArgs) (interface{}, error) {
+		return NewElement(env.Arena, a.Config, a.trigger), nil
 	})
 }
