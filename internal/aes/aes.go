@@ -1,54 +1,31 @@
-// Package aes implements the AES-128 block cipher (FIPS-197) and CTR-mode
-// encryption for the paper's VPN workload. The implementation is
-// self-contained — key expansion, S-box, ShiftRows, MixColumns — and
-// encrypts real payload bytes; the VPN element charges the corresponding
-// compute cycles, making VPN the system's representative CPU-intensive
-// packet processing.
+// Package aes is the paper's VPN workload: AES-128 in counter mode over
+// real payload bytes, making VPN the system's representative
+// CPU-intensive packet processing. The block cipher is the standard
+// library's crypto/aes; what the simulated core is charged (vpn.go:
+// cycles per block plus the payload's loads and stores) is a constant of
+// the modelled software implementation and never depended on the host's.
 package aes
 
-import "fmt"
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/subtle"
+	"fmt"
+)
 
 // BlockSize is the AES block size in bytes.
-const BlockSize = 16
+const BlockSize = aes.BlockSize
 
 // KeySize is the AES-128 key size in bytes.
 const KeySize = 16
 
-// sbox is the AES substitution box.
-var sbox = [256]byte{
-	0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-	0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-	0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-	0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-	0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-	0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-	0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-	0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-	0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-	0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-	0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-	0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-	0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-	0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-	0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-	0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-}
-
-// invSbox is the inverse substitution box, used by decryption.
-var invSbox [256]byte
-
-func init() {
-	for i, v := range sbox {
-		invSbox[v] = byte(i)
-	}
-}
-
-// rcon holds the round constants for key expansion.
-var rcon = [11]byte{0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
-
-// Cipher is an expanded AES-128 key.
+// Cipher is an expanded AES-128 key with the two blocks CTR works in, so
+// that encrypting a payload allocates nothing (a block handed to the
+// cipher.Block interface would escape). It is not safe for concurrent
+// use; every VPN element owns one.
 type Cipher struct {
-	roundKeys [44]uint32
+	block              cipher.Block
+	counter, keystream [BlockSize]byte
 }
 
 // NewCipher expands a 16-byte key.
@@ -56,159 +33,26 @@ func NewCipher(key []byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("aes: key length %d, want %d", len(key), KeySize)
 	}
-	c := &Cipher{}
-	for i := 0; i < 4; i++ {
-		c.roundKeys[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 |
-			uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
-	}
-	for i := 4; i < 44; i++ {
-		t := c.roundKeys[i-1]
-		if i%4 == 0 {
-			t = subWord(rotWord(t)) ^ uint32(rcon[i/4])<<24
-		}
-		c.roundKeys[i] = c.roundKeys[i-4] ^ t
-	}
-	return c, nil
-}
-
-func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
-
-func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
-}
-
-// xtime multiplies by x in GF(2^8) modulo the AES polynomial.
-func xtime(b byte) byte {
-	if b&0x80 != 0 {
-		return b<<1 ^ 0x1b
-	}
-	return b << 1
-}
-
-// mul multiplies two bytes in GF(2^8).
-func mul(a, b byte) byte {
-	var p byte
-	for b != 0 {
-		if b&1 != 0 {
-			p ^= a
-		}
-		a = xtime(a)
-		b >>= 1
-	}
-	return p
+	block, _ := aes.NewCipher(key) // fails only on a key length it does not know
+	return &Cipher{block: block}, nil
 }
 
 // Encrypt encrypts one 16-byte block from src into dst (which may alias).
-func (c *Cipher) Encrypt(dst, src []byte) {
-	var s [16]byte
-	copy(s[:], src[:16])
-	addRoundKey(&s, c.roundKeys[0:4])
-	for round := 1; round < 10; round++ {
-		subBytes(&s)
-		shiftRows(&s)
-		mixColumns(&s)
-		addRoundKey(&s, c.roundKeys[4*round:4*round+4])
-	}
-	subBytes(&s)
-	shiftRows(&s)
-	addRoundKey(&s, c.roundKeys[40:44])
-	copy(dst[:16], s[:])
-}
-
-// Decrypt decrypts one 16-byte block from src into dst (which may alias).
-func (c *Cipher) Decrypt(dst, src []byte) {
-	var s [16]byte
-	copy(s[:], src[:16])
-	addRoundKey(&s, c.roundKeys[40:44])
-	for round := 9; round >= 1; round-- {
-		invShiftRows(&s)
-		invSubBytes(&s)
-		addRoundKey(&s, c.roundKeys[4*round:4*round+4])
-		invMixColumns(&s)
-	}
-	invShiftRows(&s)
-	invSubBytes(&s)
-	addRoundKey(&s, c.roundKeys[0:4])
-	copy(dst[:16], s[:])
-}
-
-// The state is column-major as in FIPS-197: s[4*c+r] is row r, column c.
-
-func addRoundKey(s *[16]byte, rk []uint32) {
-	for c := 0; c < 4; c++ {
-		w := rk[c]
-		s[4*c] ^= byte(w >> 24)
-		s[4*c+1] ^= byte(w >> 16)
-		s[4*c+2] ^= byte(w >> 8)
-		s[4*c+3] ^= byte(w)
-	}
-}
-
-func subBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = sbox[s[i]]
-	}
-}
-
-func invSubBytes(s *[16]byte) {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
-func shiftRows(s *[16]byte) {
-	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
-	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
-	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func invShiftRows(s *[16]byte) {
-	s[5], s[9], s[13], s[1] = s[1], s[5], s[9], s[13]
-	s[10], s[14], s[2], s[6] = s[2], s[6], s[10], s[14]
-	s[15], s[3], s[7], s[11] = s[3], s[7], s[11], s[15]
-}
-
-func mixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[4*c+1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[4*c+2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[4*c+3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
-	}
-}
-
-func invMixColumns(s *[16]byte) {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = mul(a0, 0x0e) ^ mul(a1, 0x0b) ^ mul(a2, 0x0d) ^ mul(a3, 0x09)
-		s[4*c+1] = mul(a0, 0x09) ^ mul(a1, 0x0e) ^ mul(a2, 0x0b) ^ mul(a3, 0x0d)
-		s[4*c+2] = mul(a0, 0x0d) ^ mul(a1, 0x09) ^ mul(a2, 0x0e) ^ mul(a3, 0x0b)
-		s[4*c+3] = mul(a0, 0x0b) ^ mul(a1, 0x0d) ^ mul(a2, 0x09) ^ mul(a3, 0x0e)
-	}
-}
+func (c *Cipher) Encrypt(dst, src []byte) { c.block.Encrypt(dst, src) }
 
 // CTR encrypts (or, identically, decrypts) buf in place using counter
 // mode with the given 16-byte IV. CTR turns the block cipher into a
 // stream cipher, so arbitrary payload lengths need no padding — the mode
-// VPN tunnels typically use.
+// VPN tunnels typically use. (cipher.NewCTR allocates a stream per call.)
 func (c *Cipher) CTR(iv [16]byte, buf []byte) {
-	var keystream [16]byte
-	counter := iv
+	c.counter = iv
 	for off := 0; off < len(buf); off += BlockSize {
-		c.Encrypt(keystream[:], counter[:])
-		end := off + BlockSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		for i := off; i < end; i++ {
-			buf[i] ^= keystream[i-off]
-		}
+		c.block.Encrypt(c.keystream[:], c.counter[:])
+		subtle.XORBytes(buf[off:], buf[off:], c.keystream[:])
 		// Increment the counter big-endian.
-		for i := 15; i >= 0; i-- {
-			counter[i]++
-			if counter[i] != 0 {
+		for i := BlockSize - 1; i >= 0; i-- {
+			c.counter[i]++
+			if c.counter[i] != 0 {
 				break
 			}
 		}

@@ -98,14 +98,6 @@ func (v *VPNElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (v *VPNElement) Stat(name string) (uint64, bool) {
-	if name == "encrypted" {
-		return v.Encrypted, true
-	}
-	return 0, false
-}
-
 // vpnArgs is what AESEncrypt(...) decodes into.
 type vpnArgs struct{ maxPacket, outBufs int }
 

@@ -140,14 +140,3 @@ func (p *Pass) NonTestFiles() []*ast.File {
 func All() []*Analyzer {
 	return []*Analyzer{HotPathAlloc, ElemStamp, SingleWriter, MetricLint}
 }
-
-// ByName resolves an analyzer by name, for CLI flags and allow
-// directives.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -97,18 +97,13 @@ type Params struct {
 // CustomFlow is one user-defined flow type: a Click configuration whose
 // head is a Source (replaced by the receive ring when run under the
 // concurrent runtime) and the packet profile its traffic is generated
-// with.
+// with. The configuration's `stage N:` statements, if any, cut the graph
+// into a cross-worker service chain: offline profiling still runs the
+// whole graph on one core; the concurrent runtime places each stage on
+// its own worker connected by hand-off rings.
 type CustomFlow struct {
 	Config     string
 	PacketSize int // generated packet size (default PacketSizeIP)
-
-	// Stages, when non-empty, cuts the graph into a cross-worker service
-	// chain: it maps element names to stage indices (unlisted elements
-	// inherit their predecessors' stage; see click.Pipeline.AssignStages).
-	// Offline profiling still runs the whole graph on one core; the
-	// concurrent runtime places each stage on its own worker connected by
-	// hand-off rings.
-	Stages map[string]int
 }
 
 // Default returns the paper-scale parameters.
@@ -391,11 +386,8 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 			return nil, fmt.Errorf("apps: unknown flow type %q", t)
 		}
 	}
-	env := &click.Env{Arena: arena, Seed: seed, RxBatch: p.RxBatch}
-	if cf, ok := p.Custom[t]; ok && len(cf.Stages) > 0 {
-		env.StageOf = cf.Stages
-		env.ArenaAt = func(s int) *mem.Arena { return tr.track(arenaAt(s)) }
-	}
+	env := &click.Env{Arena: arena, Seed: seed, RxBatch: p.RxBatch,
+		ArenaAt: func(s int) *mem.Arena { return tr.track(arenaAt(s)) }}
 	pl, err := click.ParseConfig(env, string(t), p.Config(t, seed))
 	if err != nil {
 		return nil, fmt.Errorf("apps: building %s: %w", t, err)
@@ -419,37 +411,15 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 			return nil, err
 		}
 	}
-	// Stage cuts are assigned after all structural edits (a Control at
-	// the head lands in stage 0 with the rest of the receive path).
-	if cf, ok := p.Custom[t]; ok && len(cf.Stages) > 0 {
-		if err := pl.AssignStages(cf.Stages); err != nil {
-			return nil, fmt.Errorf("apps: staging %s: %w", t, err)
-		}
-	}
+	// Every node carries its stage: the graph's own from click.Parse, a
+	// Control at the head stage 0 with the rest of the receive path.
 	stageOf := make(map[string]int, len(pl.Nodes()))
 	for _, n := range pl.Nodes() {
 		stageOf[n.Name] = n.Stage
 	}
-	state := tr.collect(stageOf, pl.SourceName())
-	if cf, ok := p.Custom[t]; ok && len(cf.Stages) > 0 {
-		// Cross-check the parser's pre-construction stage plan against
-		// the authoritative AssignStages outcome: every live binding must
-		// sit in the arena of the stage it executes in. A divergence
-		// (e.g. the two inheritance implementations drifting apart) would
-		// otherwise ship silently as permanent cross-domain traffic.
-		for _, b := range state {
-			if b.Source {
-				continue
-			}
-			if want := arenaAt(b.Stage).Domain(); b.Domain() != want {
-				return nil, fmt.Errorf("apps: %s: element %q runs in stage %d but its state landed in domain %d, want %d (stage plan diverged)",
-					t, b.Element, b.Stage, b.Domain(), want)
-			}
-		}
-	}
 	inst := &Instance{
 		Type: t, Source: pl, Pipeline: pl, Control: ctl,
-		State: state,
+		State: tr.collect(stageOf, pl.SourceName()),
 	}
 	if fd, ok := pl.Source.(*elements.FromDevice); ok {
 		spec := fd.Spec()
@@ -460,19 +430,16 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 
 // Stages returns how many pipeline stages flow type t is cut into — the
 // number of workers one replica occupies under the concurrent runtime.
-// Builtins and unstaged custom flows run as a single stage.
+// Builtins and custom flows without a `stage N:` statement run as a
+// single stage (as does a configuration that does not parse: building it
+// reports why).
 func (p Params) Stages(t FlowType) int {
-	cf, ok := p.Custom[t]
-	if !ok || len(cf.Stages) == 0 {
-		return 1
-	}
-	max := 0
-	for _, s := range cf.Stages {
-		if s > max {
-			max = s
+	if cf, ok := p.Custom[t]; ok {
+		if g, err := click.Parse(cf.Config); err == nil {
+			return g.NumStages()
 		}
 	}
-	return max + 1
+	return 1
 }
 
 // ParseFlowType converts a string such as "MON" or "syn_max" to a

@@ -3,8 +3,10 @@ package apps
 import (
 	"testing"
 
+	"pktpredict/internal/elements"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
+	"pktpredict/internal/nat"
 )
 
 // testPlatform returns a scaled-down platform that keeps the 2-socket
@@ -42,7 +44,7 @@ func TestBuildAllRealisticTypes(t *testing.T) {
 			if c.L3Refs == 0 {
 				t.Fatal("no L3 references; flow is not exercising memory")
 			}
-			if got, _ := inst.Pipeline.Stat("dropped"); got > 0 {
+			if got := inst.Pipeline.Dropped; got > 0 {
 				t.Fatalf("%d packets dropped; workloads must forward everything", got)
 			}
 		})
@@ -285,8 +287,15 @@ func TestCustomFlowTypeBuilds(t *testing.T) {
 	if inst.Pipeline.Received != 50 {
 		t.Fatalf("received %d", inst.Pipeline.Received)
 	}
-	sent, _ := inst.Pipeline.Stat("ToDevice.sent")
-	rewritten, _ := inst.Pipeline.Stat("IPRewriter.rewritten")
+	var sent, rewritten uint64
+	for _, el := range inst.Pipeline.Elements() {
+		switch el := el.(type) {
+		case *elements.ToDevice:
+			sent = el.Sent
+		case *nat.Element:
+			rewritten = el.Rewritten
+		}
+	}
 	if sent == 0 || rewritten != sent {
 		t.Fatalf("sent %d rewritten %d; NAT chain must rewrite everything it forwards", sent, rewritten)
 	}
@@ -362,9 +371,9 @@ func TestBuildSpecAllocatesPerStage(t *testing.T) {
 				rt  :: RadixIPLookup(ROUTES 1000);
 				nf  :: NetFlow(ENTRIES 512);
 				src -> chk -> rt -> nf -> ToDevice;
+				stage 1: nf;
 			`,
 			PacketSize: 64,
-			Stages:     map[string]int{"nf": 1},
 		},
 	}
 	p.Custom = custom

@@ -39,13 +39,6 @@ func (e *testElement) Process(ctx *Ctx, p *Packet) Verdict {
 	return e.verdict
 }
 
-func (e *testElement) Stat(name string) (uint64, bool) {
-	if name == "seen" {
-		return uint64(e.seen), true
-	}
-	return 0, false
-}
-
 type testRecycler struct{ recycled int }
 
 func (r *testRecycler) Recycle(ctx *Ctx, p *Packet) { r.recycled++ }
@@ -171,17 +164,11 @@ func TestPipelineStats(t *testing.T) {
 	el := &testElement{class: "A", verdict: Continue}
 	pl := NewPipeline("p", src, el)
 	pl.EmitPacket(nil)
-	if v, ok := pl.Stat("received"); !ok || v != 1 {
-		t.Fatalf("received = %d/%v", v, ok)
+	if pl.Received != 1 || pl.Finished != 1 || pl.Dropped != 0 {
+		t.Fatalf("received/finished/dropped = %d/%d/%d, want 1/1/0", pl.Received, pl.Finished, pl.Dropped)
 	}
-	if v, ok := pl.Stat("A.seen"); !ok || v != 1 {
-		t.Fatalf("A.seen = %d/%v", v, ok)
-	}
-	if _, ok := pl.Stat("A.nope"); ok {
-		t.Fatal("unknown element stat must not resolve")
-	}
-	if _, ok := pl.Stat("bogus"); ok {
-		t.Fatal("unknown stat must not resolve")
+	if n := pl.Nodes()[0]; n.El != el || n.Finished != 1 || n.Dropped != 0 || el.seen != 1 {
+		t.Fatalf("node %s: finished %d dropped %d, element saw %d", n.Name, n.Finished, n.Dropped, el.seen)
 	}
 }
 
@@ -277,7 +264,9 @@ func TestParseConfigErrors(t *testing.T) {
 		{"head not source", `TElem -> TDrop;`, "not a packet source"},
 		{"two heads", `TSource -> TElem; TSource -> TDrop;`, "multiple chain heads"},
 		{"orphan is second head", `src :: TSource; orphan :: TElem; x :: TElem; src -> x;`, "multiple chain heads"},
-		{"disconnected cycle", "src :: TSource;\na :: TElem;\nb :: TElem;\na -> b;\nb -> a;\nsrc -> TElem;", "not connected"},
+		{"disconnected cycle", "src :: TSource;\na :: TElem;\nb :: TElem;\na -> b;\nb -> a;\nsrc -> TElem;", `cycle through "a"`},
+		{"headless cycle", `a :: TElem; b :: TElem; a -> b; b -> a;`, `cycle through "a"`},
+		{"empty", "// nothing\n", "declares no elements"},
 		{"unterminated comment", `/* oops`, "unterminated"},
 		{"dangling arrow", `src :: TSource; src -> ;`, "empty element"},
 		{"source midchain", `TSource -> TSource;`, "not a processing element"},

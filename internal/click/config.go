@@ -2,7 +2,6 @@ package click
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -10,6 +9,43 @@ import (
 // maxPort bounds output port numbers in configurations; it exists to
 // reject absurd port vectors, not to constrain real fan-out.
 const maxPort = 255
+
+// Error is what Parse reports: what is wrong with a configuration, and the
+// line (1-based, in the text Parse was handed) of the statement at fault —
+// a caller that embeds the text in a larger file adds its offset.
+type Error struct {
+	Line int
+	Msg  string
+}
+
+func (e *Error) Error() string { return fmt.Sprintf("click: %s (line %d)", e.Msg, e.Line) }
+
+func errAt(line int, format string, a ...interface{}) error {
+	return &Error{Line: line, Msg: fmt.Sprintf(format, a...)}
+}
+
+// Graph is a parsed and checked configuration: the shape of a pipeline —
+// names, classes, arguments, port edges, stages — with nothing
+// constructed. Build makes a pipeline of it, any number of times.
+type Graph struct {
+	elems  []*graphElem // declaration order, the order Build constructs in
+	topo   []*graphElem // topological order, the source first
+	stages int
+}
+
+// graphElem is one element of a Graph.
+type graphElem struct {
+	name, class string
+	args        Args
+	line        int // of the statement that declared it
+	outs        map[int]*graphElem
+	inDeg       int // predecessors not yet ordered; -1 once the element is
+	stage       int
+}
+
+// NumStages returns how many stages the graph's `stage N:` statements cut
+// it into; 1 without any.
+func (g *Graph) NumStages() int { return g.stages }
 
 // ParseConfig builds a pipeline from a Click-style configuration:
 //
@@ -24,95 +60,95 @@ const maxPort = 255
 //	cls[1] -> nat;
 //	cls[2] -> Discard;
 //
+//	// stage cuts: nat and everything downstream run on a second core
+//	stage 1: nat;
+//
 // The element graph must be a DAG with a single Source at its head.
 // Output ports are written el[port] on the upstream side; Router
 // elements (classifiers, switches, tees) fan out across numbered ports,
 // and every port a Router declares must be connected. All elements have
 // a single input, so fan-in needs no port syntax ([0]el is accepted).
+// It is Parse, which checks everything that needs no instance, then Build.
 func ParseConfig(env *Env, name, config string) (*Pipeline, error) {
+	g, err := Parse(config)
+	if err != nil {
+		return nil, err
+	}
+	return g.Build(env, name)
+}
+
+// Parse reads a configuration and checks all of it that can be checked
+// without constructing an element: duplicate, undeclared and unconnected
+// elements, port wiring, one head, cycles, classes against the registry,
+// arguments against the class's key table, and the stage statements
+// against the stage rule (cutStages). What is left for Build needs an
+// instance: that the head is a Source and the rest Elements, and a
+// Router's port count.
+func Parse(config string) (*Graph, error) {
 	stmts, err := lex(config)
 	if err != nil {
 		return nil, err
 	}
-
-	// When the graph will be cut into stages, resolve each element's
-	// stage before construction so its state allocates from the arena of
-	// the worker that will run it (per-stage NUMA-local placement).
-	var plan map[string]int
-	if len(env.StageOf) > 0 && env.ArenaAt != nil {
-		plan = stagePlan(stmts, env.StageOf)
-	}
-
-	nodes := make(map[string]*graphNode)
-	order := []*graphNode{} // declaration order, for deterministic errors
+	g := &Graph{}
+	byName := make(map[string]*graphElem)
 	anon := 0
-
-	declare := func(nm, class string, args Args) (*graphNode, error) {
-		if _, dup := nodes[nm]; dup {
-			return nil, fmt.Errorf("click: element %q declared twice", nm)
+	declare := func(line int, nm, class string, args Args) (*graphElem, error) {
+		if _, dup := byName[nm]; dup {
+			return nil, errAt(line, "element %q declared twice", nm)
 		}
-		benv := env
-		if plan != nil {
-			if a := env.arenaFor(plan[nm]); a != env.Arena {
-				e2 := *env
-				e2.Arena = a
-				benv = &e2
-			}
+		if err := checkArgs(class, args); err != nil {
+			return nil, errAt(line, "%q: %v", nm, err)
 		}
-		if benv.Arena != nil {
-			// Label the element's allocations so callers can read back
-			// exactly where its state landed (apps records these bindings).
-			defer benv.Arena.SetLabel(benv.Arena.SetLabel(nm))
-		}
-		inst, err := NewInstance(benv, class, args)
-		if err != nil {
-			return nil, fmt.Errorf("click: %q: %w", nm, err)
-		}
-		n := &graphNode{name: nm, instance: inst, outs: map[int]*graphNode{}}
-		nodes[nm] = n
-		order = append(order, n)
+		n := &graphElem{name: nm, class: class, args: args, line: line, outs: map[int]*graphElem{}}
+		byName[nm] = n
+		g.elems = append(g.elems, n)
 		return n, nil
 	}
 
+	stageOf := map[string]int{}
+	stageLine := map[string]int{} // element → line of the stage statement naming it
 	for _, st := range stmts {
 		switch st.kind {
 		case stmtDecl:
-			if _, err := declare(st.name, st.class, st.args); err != nil {
+			if _, err := declare(st.line, st.name, st.class, st.args); err != nil {
 				return nil, err
 			}
+		case stmtStage:
+			for _, nm := range st.names {
+				if _, dup := stageOf[nm]; dup {
+					return nil, errAt(st.line, "element %q assigned to two stages", nm)
+				}
+				stageOf[nm], stageLine[nm] = st.stage, st.line
+			}
 		case stmtConn:
-			var prev *graphNode
+			var prev *graphElem
 			prevPort := 0
 			for _, ref := range st.chain {
-				var n *graphNode
+				var n *graphElem
 				if ref.class != "" {
 					// Inline anonymous element.
 					anon++
-					nm := fmt.Sprintf("%s@%d", ref.class, anon)
 					var err error
-					n, err = declare(nm, ref.class, ref.args)
+					n, err = declare(st.line, fmt.Sprintf("%s@%d", ref.class, anon), ref.class, ref.args)
 					if err != nil {
 						return nil, err
 					}
 				} else {
 					var ok bool
-					n, ok = nodes[ref.name]
+					n, ok = byName[ref.name]
 					if !ok {
-						return nil, fmt.Errorf("click: connection references undeclared element %q", ref.name)
+						return nil, errAt(st.line, "connection references undeclared element %q", ref.name)
 					}
 				}
 				if ref.inPort != 0 {
-					return nil, fmt.Errorf("click: input port %d on %q: elements have a single input port 0", ref.inPort, n.name)
+					return nil, errAt(st.line, "input port %d on %q: elements have a single input port 0", ref.inPort, n.name)
 				}
 				if prev != nil {
-					if _, isRouter := prev.instance.(Router); prevPort > 0 && !isRouter {
-						return nil, fmt.Errorf("click: %q (%s) is not a Router; only output port 0 exists", prev.name, classOf(prev.instance))
-					}
 					if to, dup := prev.outs[prevPort]; dup {
 						if to == n {
-							return nil, fmt.Errorf("click: output port %d of %q connected twice", prevPort, prev.name)
+							return nil, errAt(st.line, "output port %d of %q connected twice", prevPort, prev.name)
 						}
-						return nil, fmt.Errorf("click: output port %d of %q has two downstream connections (%q and %q)",
+						return nil, errAt(st.line, "output port %d of %q has two downstream connections (%q and %q)",
 							prevPort, prev.name, to.name, n.name)
 					}
 					prev.outs[prevPort] = n
@@ -122,265 +158,161 @@ func ParseConfig(env *Env, name, config string) (*Pipeline, error) {
 				prevPort = ref.outPort
 			}
 			if prevPort != 0 {
-				return nil, fmt.Errorf("click: dangling output port %d on %q at the end of a chain", prevPort, prev.name)
+				return nil, errAt(st.line, "dangling output port %d on %q at the end of a chain", prevPort, prev.name)
 			}
 		}
 	}
 
-	// Find the head: the unique node with in-degree 0, which must be a
-	// Source.
-	var head *graphNode
-	for _, n := range order {
+	// One head: the unique element nothing feeds. (Elements but no head is
+	// a cycle, which the ordering below reports.)
+	var head *graphElem
+	for _, n := range g.elems {
 		if n.inDeg == 0 {
 			if head != nil {
-				return nil, fmt.Errorf("click: multiple chain heads (%q and %q); configuration must have one source", head.name, n.name)
+				return nil, errAt(n.line, "multiple chain heads (%q and %q); configuration must have one source", head.name, n.name)
 			}
 			head = n
 		}
 	}
-	if head == nil {
-		return nil, fmt.Errorf("click: configuration has no head (cycle?)")
-	}
-	src, ok := head.instance.(Source)
-	if !ok {
-		return nil, fmt.Errorf("click: chain head %q (%T) is not a packet source", head.name, head.instance)
-	}
-
-	// Every declared element must be reachable from the head.
-	reach := map[*graphNode]bool{head: true}
-	frontier := []*graphNode{head}
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, e := range sortedEdges(n.outs) {
-			if !reach[e.to] {
-				reach[e.to] = true
-				frontier = append(frontier, e.to)
-			}
-		}
-	}
-	for _, n := range order {
-		if !reach[n] {
-			return nil, fmt.Errorf("click: element %q is declared but not connected", n.name)
-		}
+	if len(g.elems) == 0 {
+		return nil, errAt(1, "configuration declares no elements")
 	}
 
 	// Kahn's algorithm over declaration order: a deterministic topological
-	// order, and a deterministic cycle report when none exists.
-	indeg := map[*graphNode]int{}
-	for _, n := range order {
-		for _, e := range sortedEdges(n.outs) {
-			indeg[e.to]++
-		}
-	}
-	var topo []*graphNode
-	done := map[*graphNode]bool{}
-	for len(topo) < len(order) {
+	// order, and a deterministic cycle report when none exists — an element
+	// the one head does not reach sits on, or behind, a cycle too. The
+	// head's single port-0 edge makes its target the first processing
+	// node: it is the only one whose sole predecessor is the head.
+	for len(g.topo) < len(g.elems) {
 		progressed := false
-		for _, n := range order {
-			if done[n] || indeg[n] != 0 {
+		for _, n := range g.elems {
+			if n.inDeg != 0 {
 				continue
 			}
-			done[n] = true
-			topo = append(topo, n)
-			for _, e := range sortedEdges(n.outs) {
-				indeg[e.to]--
+			n.inDeg = -1
+			g.topo = append(g.topo, n)
+			for _, t := range n.outs {
+				t.inDeg--
 			}
 			progressed = true
 		}
 		if !progressed {
-			for _, n := range order {
-				if !done[n] {
-					return nil, fmt.Errorf("click: configuration contains a cycle through %q", n.name)
+			for _, n := range g.elems {
+				if n.inDeg > 0 {
+					return nil, errAt(n.line, "configuration contains a cycle through %q", n.name)
 				}
 			}
 		}
 	}
 
-	// Validate elements and router port usage, and wire the final graph.
-	built := map[*graphNode]*Node{}
-	var finalNodes []*Node
-	for _, gn := range topo {
-		if gn == head {
-			continue
+	// Stages, by the one rule, over the processing nodes (the source is not
+	// one: under the runtime a receive ring replaces it).
+	of, nodes := g.nodes()
+	var at string
+	if g.stages, at, err = cutStages(nodes, stageOf); err != nil {
+		line, named := stageLine[at]
+		if !named {
+			line = byName[at].line
 		}
-		el, ok := gn.instance.(Element)
-		if !ok {
-			return nil, fmt.Errorf("click: %q (%T) is not a processing element", gn.name, gn.instance)
-		}
-		built[gn] = &Node{Name: gn.name, El: el}
-		finalNodes = append(finalNodes, built[gn])
+		return nil, errAt(line, "%v", err)
 	}
-	for _, gn := range topo {
+	for n, node := range of {
+		n.stage = node.Stage
+	}
+	return g, nil
+}
+
+// nodes lays the graph's processing elements out as pipeline nodes — in
+// topological order, wired port for port, each in its element's stage.
+func (g *Graph) nodes() (of map[*graphElem]*Node, nodes []*Node) {
+	of = make(map[*graphElem]*Node, len(g.topo))
+	for _, n := range g.topo[1:] {
+		of[n] = &Node{Name: n.name, Stage: n.stage}
+		nodes = append(nodes, of[n])
+	}
+	for n, node := range of {
+		for port, t := range n.outs {
+			node.connect(port, of[t])
+		}
+	}
+	return of, nodes
+}
+
+// Build constructs the graph's elements in declaration order, each from
+// the arena of the stage it runs in (env.ArenaAt — per-stage NUMA-local
+// placement), runs the checks that need an instance, and wires the
+// pipeline, whose nodes carry their stage.
+func (g *Graph) Build(env *Env, name string) (*Pipeline, error) {
+	inst := make(map[*graphElem]interface{}, len(g.elems))
+	for _, n := range g.elems {
+		var err error
+		if inst[n], err = construct(env, n); err != nil {
+			return nil, fmt.Errorf("click: %q: %w", n.name, err)
+		}
+	}
+	head := g.topo[0]
+	src, ok := inst[head].(Source)
+	if !ok {
+		return nil, fmt.Errorf("click: chain head %q (%T) is not a packet source", head.name, inst[head])
+	}
+
+	// Validate elements and router port usage.
+	of, nodes := g.nodes()
+	for _, gn := range g.topo[1:] {
+		if of[gn].El, ok = inst[gn].(Element); !ok {
+			return nil, fmt.Errorf("click: %q (%T) is not a processing element", gn.name, inst[gn])
+		}
+	}
+	for _, gn := range g.topo {
 		connected := len(gn.outs)
 		maxUsed := -1
 		for port := range gn.outs {
-			if port > maxUsed {
-				maxUsed = port
-			}
+			maxUsed = max(maxUsed, port)
 		}
-		if r, isRouter := gn.instance.(Router); isRouter {
-			switch n := r.NumOutputs(); {
-			case n == AdaptiveOutputs:
-				if maxUsed+1 != connected {
-					return nil, fmt.Errorf("click: %q (%s) output ports must be contiguous from 0; %d ports connected but port %d used",
-						gn.name, classOf(gn.instance), connected, maxUsed)
-				}
-			default:
-				if maxUsed >= n {
-					return nil, fmt.Errorf("click: %q (%s) has %d output ports; port %d connected",
-						gn.name, classOf(gn.instance), n, maxUsed)
-				}
-				for port := 0; port < n; port++ {
-					if _, ok := gn.outs[port]; !ok {
-						return nil, fmt.Errorf("click: output port %d of %q (%s) is not connected",
-							port, gn.name, classOf(gn.instance))
-					}
-				}
+		r, isRouter := inst[gn].(Router)
+		switch {
+		case !isRouter:
+			if maxUsed > 0 {
+				return nil, fmt.Errorf("click: %q (%s) is not a Router; only output port 0 exists", gn.name, gn.class)
 			}
-			if setter, ok := gn.instance.(OutputsSetter); ok {
-				setter.SetOutputs(connected)
-			}
-		}
-		if gn == head {
-			// The source's single port-0 edge makes its target the first
-			// processing node; Kahn necessarily placed that target first
-			// among the element nodes, since it is the only one whose sole
-			// predecessor is the head.
 			continue
+		case r.NumOutputs() == AdaptiveOutputs:
+			if maxUsed+1 != connected {
+				return nil, fmt.Errorf("click: %q (%s) output ports must be contiguous from 0; %d ports connected but port %d used",
+					gn.name, gn.class, connected, maxUsed)
+			}
+		default:
+			if maxUsed >= r.NumOutputs() {
+				return nil, fmt.Errorf("click: %q (%s) has %d output ports; port %d connected", gn.name, gn.class, r.NumOutputs(), maxUsed)
+			}
+			for port := 0; port < r.NumOutputs(); port++ {
+				if _, ok := gn.outs[port]; !ok {
+					return nil, fmt.Errorf("click: output port %d of %q (%s) is not connected", port, gn.name, gn.class)
+				}
+			}
 		}
-		from := built[gn]
-		for _, e := range sortedEdges(gn.outs) {
-			from.connect(e.port, built[e.to])
+		if setter, ok := inst[gn].(OutputsSetter); ok {
+			setter.SetOutputs(connected)
 		}
 	}
-	pl := newGraphPipeline(name, src, finalNodes)
-	pl.srcName = head.name
+	pl := newGraphPipeline(name, src, nodes)
+	pl.srcName, pl.numStages = head.name, g.stages
 	return pl, nil
 }
 
-// stagePlan predicts each element's stage assignment from the lexed
-// statements, before any element is constructed: explicit entries come
-// from stageOf, every other node inherits the maximum stage of its
-// predecessors in topological order — the same rule
-// Pipeline.AssignStages applies (and later validates) on the built
-// graph. Anonymous inline elements are named exactly as the build pass
-// names them, so the plan's keys line up. The plan is best-effort: on a
-// malformed graph (cycles, duplicates) it returns what it derived and
-// leaves error reporting to the build pass, which sees the same input.
-func stagePlan(stmts []stmt, stageOf map[string]int) map[string]int {
-	type pnode struct {
-		name  string
-		stage int
-		fixed bool
-		outs  []*pnode
-		indeg int
+// construct builds one element from its stage's arena, its allocations
+// labelled with its name so callers can read back exactly where its state
+// landed (apps records these bindings).
+func construct(env *Env, n *graphElem) (interface{}, error) {
+	if a := env.arenaFor(n.stage); a != env.Arena {
+		e2 := *env
+		e2.Arena = a
+		env = &e2
 	}
-	nodes := map[string]*pnode{}
-	var order []*pnode
-	get := func(nm string) *pnode {
-		if n, ok := nodes[nm]; ok {
-			return n
-		}
-		n := &pnode{name: nm}
-		if s, ok := stageOf[nm]; ok {
-			if s > 0 {
-				n.stage = s
-			}
-			n.fixed = true
-		}
-		nodes[nm] = n
-		order = append(order, n)
-		return n
+	if env.Arena != nil {
+		defer env.Arena.SetLabel(env.Arena.SetLabel(n.name))
 	}
-	anon := 0
-	for _, st := range stmts {
-		switch st.kind {
-		case stmtDecl:
-			get(st.name)
-		case stmtConn:
-			var prev *pnode
-			for _, ref := range st.chain {
-				var n *pnode
-				if ref.class != "" {
-					// Mirrors the build pass's anonymous-element naming.
-					anon++
-					n = get(fmt.Sprintf("%s@%d", ref.class, anon))
-				} else {
-					n = get(ref.name)
-				}
-				if prev != nil && prev != n {
-					prev.outs = append(prev.outs, n)
-					n.indeg++
-				}
-				prev = n
-			}
-		}
-	}
-
-	// Kahn in declaration order; unresolvable remainders (cycles the
-	// build pass will reject) keep their explicit or zero stage.
-	done := map[*pnode]bool{}
-	for remaining := len(order); remaining > 0; {
-		progressed := false
-		for _, n := range order {
-			if done[n] || n.indeg != 0 {
-				continue
-			}
-			done[n] = true
-			remaining--
-			progressed = true
-			for _, t := range n.outs {
-				t.indeg--
-				if !t.fixed && n.stage > t.stage {
-					t.stage = n.stage
-				}
-			}
-		}
-		if !progressed {
-			break
-		}
-	}
-	plan := make(map[string]int, len(order))
-	for _, n := range order {
-		plan[n.name] = n.stage
-	}
-	return plan
-}
-
-// graphNode is the parser's intermediate representation of one element.
-type graphNode struct {
-	name     string
-	instance interface{}
-	outs     map[int]*graphNode
-	inDeg    int
-}
-
-type portEdge struct {
-	port int
-	to   *graphNode
-}
-
-// sortedEdges returns a node's outgoing edges in port order, so every
-// traversal of the parse graph is deterministic.
-func sortedEdges(outs map[int]*graphNode) []portEdge {
-	edges := make([]portEdge, 0, len(outs))
-	for p, t := range outs {
-		edges = append(edges, portEdge{p, t})
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].port < edges[j].port })
-	return edges
-}
-
-func classOf(instance interface{}) string {
-	switch v := instance.(type) {
-	case Element:
-		return v.Class()
-	case Source:
-		return v.Class()
-	default:
-		return fmt.Sprintf("%T", instance)
-	}
+	return NewInstance(env, n.class, n.args)
 }
 
 type stmtKind int
@@ -388,6 +320,7 @@ type stmtKind int
 const (
 	stmtDecl stmtKind = iota
 	stmtConn
+	stmtStage
 )
 
 type elemRef struct {
@@ -400,10 +333,13 @@ type elemRef struct {
 
 type stmt struct {
 	kind  stmtKind
+	line  int
 	name  string // decl
 	class string // decl
 	args  Args   // decl
 	chain []elemRef
+	stage int      // stage
+	names []string // stage: the elements it places
 }
 
 // lex splits a configuration into statements. The grammar is small enough
@@ -416,42 +352,48 @@ func lex(config string) ([]stmt, error) {
 	var stmts []stmt
 	for _, ts := range Statements(stripped) {
 		s := ts.Text
-		// Line numbers are relative to the config text lex was handed —
-		// for a scenario's inline graph, the graph block's body.
-		at := fmt.Sprintf("statement %d (line %d)", ts.No, ts.Line)
+		if isStageStmt(s) {
+			st, err := parseStageStmt(s)
+			if err != nil {
+				return nil, errAt(ts.Line, "%v", err)
+			}
+			st.line = ts.Line
+			stmts = append(stmts, st)
+			continue
+		}
 		if name, rest, ok := CutTopLevel(s, "::"); ok {
 			name = strings.TrimSpace(name)
 			if !isIdent(name) {
-				return nil, fmt.Errorf("click: %s: bad element name %q", at, name)
+				return nil, errAt(ts.Line, "bad element name %q", name)
 			}
 			class, args, err := ParseClassRef(strings.TrimSpace(rest))
 			if err != nil {
-				return nil, fmt.Errorf("click: %s: %w", at, err)
+				return nil, errAt(ts.Line, "%v", err)
 			}
-			stmts = append(stmts, stmt{kind: stmtDecl, name: name, class: class, args: args})
+			stmts = append(stmts, stmt{kind: stmtDecl, line: ts.Line, name: name, class: class, args: args})
 			continue
 		}
 		if strings.Contains(s, "->") {
 			parts := SplitTopLevel(s, "->")
 			if len(parts) < 2 {
-				return nil, fmt.Errorf("click: %s: dangling '->'", at)
+				return nil, errAt(ts.Line, "dangling '->'")
 			}
 			var chain []elemRef
 			for _, part := range parts {
 				part = strings.TrimSpace(part)
 				if part == "" {
-					return nil, fmt.Errorf("click: %s: empty element in chain", at)
+					return nil, errAt(ts.Line, "empty element in chain")
 				}
 				ref, err := parseChainItem(part)
 				if err != nil {
-					return nil, fmt.Errorf("click: %s: %w", at, err)
+					return nil, errAt(ts.Line, "%v", err)
 				}
 				chain = append(chain, ref)
 			}
-			stmts = append(stmts, stmt{kind: stmtConn, chain: chain})
+			stmts = append(stmts, stmt{kind: stmtConn, line: ts.Line, chain: chain})
 			continue
 		}
-		return nil, fmt.Errorf("click: %s: cannot parse %q", at, s)
+		return nil, errAt(ts.Line, "cannot parse %q", s)
 	}
 	// Bare-class references in chains: if a chain item names something
 	// never declared but registered as a class, treat it as anonymous.
@@ -475,6 +417,36 @@ func lex(config string) ([]stmt, error) {
 		}
 	}
 	return stmts, nil
+}
+
+// isStageStmt reports whether a statement is a stage cut: the keyword
+// `stage` followed by a stage number. An element that happens to be named
+// stage (`stage :: Counter`, `stage -> out`) is ordinary Click text.
+func isStageStmt(s string) bool {
+	rest, ok := strings.CutPrefix(s, "stage")
+	num := strings.TrimLeft(rest, " \t\r\n")
+	return ok && num != rest && num != "" && num[0] >= '0' && num[0] <= '9'
+}
+
+// parseStageStmt parses "stage N: el[,] el ...": the named elements run in
+// stage N of a cross-core service chain, and every element no statement
+// names inherits its predecessors' stage (see cutStages).
+func parseStageStmt(s string) (stmt, error) {
+	num, names, ok := strings.Cut(s[len("stage"):], ":")
+	if !ok {
+		return stmt{}, fmt.Errorf("stage statement %q wants `stage N: element ...`", s)
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(num))
+	if err != nil || n < 0 {
+		return stmt{}, fmt.Errorf("stage statement %q: bad stage number %q", s, strings.TrimSpace(num))
+	}
+	st := stmt{kind: stmtStage, stage: n, names: strings.FieldsFunc(names, func(r rune) bool {
+		return strings.ContainsRune(", \t\r\n", r)
+	})}
+	if len(st.names) == 0 {
+		return stmt{}, fmt.Errorf("stage statement %q names no elements", s)
+	}
+	return st, nil
 }
 
 // parseChainItem parses one item of a connection chain:

@@ -28,15 +28,6 @@ const (
 // port. Output(0) == Continue.
 func Output(port int) Verdict { return Verdict(port) }
 
-// Port returns the output port a verdict routes to, and whether it routes
-// at all (terminal verdicts do not).
-func (v Verdict) Port() (int, bool) {
-	if v >= 0 {
-		return int(v), true
-	}
-	return 0, false
-}
-
 // String renders the verdict for diagnostics.
 func (v Verdict) String() string {
 	switch {
@@ -95,10 +86,4 @@ type OutputsSetter interface {
 type Source interface {
 	Class() string
 	Pull(ctx *Ctx) *Packet
-}
-
-// Stats is implemented by elements that expose counters.
-type Stats interface {
-	// Stat returns a named counter value; ok is false for unknown names.
-	Stat(name string) (value uint64, ok bool)
 }

@@ -76,6 +76,18 @@ func FuzzParseConfig(f *testing.F) {
 		"src :: FromDevice; src -> EntropyGate(WINDOW -8) -> ToDevice;",
 		"src :: TSource(COUNT -1); src -> TElem(FOO 1) -> TDrop(5);",
 		"src :: SeqSource(COUNTS 2, 7); src -> TElem;",
+		// Stage statements — the grammar's third kind — well-formed, naming
+		// nothing, twice, with a gap, backwards, malformed; and an element
+		// merely named stage.
+		"src :: SeqSource; a :: TElem; b :: TElem; src -> a -> b; stage 1: b;",
+		"src :: SeqSource; a :: TElem; b :: TElem; src -> a -> b -> TDrop; stage 1: b, TDrop@1",
+		"src :: SeqSource; src -> TElem; stage 1: nope;",
+		"src :: SeqSource; a :: TElem; b :: TElem; src -> a -> b; stage 1: b; stage 2: b;",
+		"src :: SeqSource; a :: TElem; b :: TElem; src -> a -> b; stage 2: b;",
+		"src :: SeqSource; a :: TElem; b :: TElem; c :: TElem; src -> a -> b -> c; stage 1: b; stage 0: c;",
+		"src :: SeqSource; a :: TElem; src -> a; stage 1: a;",
+		"stage 1 a; stage 1x: a; stage 1: ; stage 99999999999999999999: a; stage 1:: a;",
+		"src :: SeqSource; stage :: TElem; src -> stage -> TDrop; stage 0: stage;",
 	}
 	for _, s := range seeds {
 		f.Add(s)

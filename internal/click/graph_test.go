@@ -62,6 +62,19 @@ func init() {
 	bare("TTee", func() interface{} { return testTee{} })
 }
 
+// nodeNamed returns the pipeline's node of that configuration name, whose
+// Dropped and Finished are the per-branch terminal counters.
+func nodeNamed(t *testing.T, pl *Pipeline, name string) *Node {
+	t.Helper()
+	for _, n := range pl.Nodes() {
+		if n.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("pipeline has no node %q", name)
+	return nil
+}
+
 func runAll(pl *Pipeline) {
 	var ops = pl.EmitPacket(nil)
 	for len(ops) > 0 {
@@ -84,10 +97,10 @@ func TestGraphClassifierRoutesBranches(t *testing.T) {
 		t.Fatalf("ParseConfig: %v", err)
 	}
 	runAll(pl)
-	if got, _ := pl.Stat("a.finished"); got != 2 {
+	if got := nodeNamed(t, pl, "a").Finished; got != 2 {
 		t.Fatalf("a.finished = %d, want 2", got)
 	}
-	if got, _ := pl.Stat("b.finished"); got != 2 {
+	if got := nodeNamed(t, pl, "b").Finished; got != 2 {
 		t.Fatalf("b.finished = %d, want 2", got)
 	}
 	if pl.Received != 4 || pl.Finished != 4 || pl.Dropped != 0 {
@@ -109,7 +122,7 @@ func TestGraphFanInMergesBranches(t *testing.T) {
 		t.Fatalf("ParseConfig: %v", err)
 	}
 	runAll(pl)
-	if got, _ := pl.Stat("sink.finished"); got != 4 {
+	if got := nodeNamed(t, pl, "sink").Finished; got != 4 {
 		t.Fatalf("sink.finished = %d, want 4 (fan-in must merge)", got)
 	}
 }
@@ -130,7 +143,7 @@ func TestGraphRoundRobinAdaptsToConnectedPorts(t *testing.T) {
 	}
 	runAll(pl)
 	for _, name := range []string{"a", "b", "c"} {
-		if got, _ := pl.Stat(name + ".finished"); got != 2 {
+		if got := nodeNamed(t, pl, name).Finished; got != 2 {
 			t.Fatalf("%s.finished = %d, want 2", name, got)
 		}
 	}
@@ -153,10 +166,10 @@ func TestGraphTeeBroadcastsToAllBranches(t *testing.T) {
 	runAll(pl)
 	// Every packet finishes on branch a and drops on branch b: the
 	// per-branch counters separate the two fates.
-	if got, _ := pl.Stat("a.finished"); got != 3 {
+	if got := nodeNamed(t, pl, "a").Finished; got != 3 {
 		t.Fatalf("a.finished = %d, want 3", got)
 	}
-	if got, _ := pl.Stat("b.dropped"); got != 3 {
+	if got := nodeNamed(t, pl, "b").Dropped; got != 3 {
 		t.Fatalf("b.dropped = %d, want 3", got)
 	}
 	// Packet-level outcome: every packet completed on branch a, so none

@@ -8,6 +8,12 @@
 // corresponding micro-operation trace (loads, stores, compute bursts)
 // through a Ctx; the hw engine replays that trace against the simulated
 // memory hierarchy. A pipeline therefore implements hw.PacketSource.
+//
+// A configuration is read in two halves (config.go). Parse turns the text
+// — declarations, connections and `stage N:` cuts — into a Graph and
+// checks everything about it that needs no instance; Graph.Build
+// constructs the elements, each from the arena of the stage the one
+// stage rule (cutStages, stage.go) put it in, and wires the Pipeline.
 package click
 
 import "pktpredict/internal/hw"

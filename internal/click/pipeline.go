@@ -71,7 +71,7 @@ type Pipeline struct {
 	nodes   []*Node // topological order, head first
 	srcName string  // source's config name (ParseConfig-built pipelines)
 
-	numStages int           // 0 until AssignStages cuts the graph
+	numStages int           // 0 for a pipeline not built from a Graph and never cut
 	idx       map[*Node]int // node → index, for cross-stage resume points
 
 	ctx   Ctx
@@ -173,9 +173,9 @@ func (pl *Pipeline) uniqueName(base string) string {
 	}
 }
 
-// PushFront inserts el ahead of the current head: every packet traverses
-// it first. It is how the runtime attaches a Control element to an
-// already-parsed pipeline.
+// PushFront inserts el ahead of the current head, in stage 0: every
+// packet traverses it first. It is how the runtime attaches a Control
+// element to an already-parsed pipeline.
 func (pl *Pipeline) PushFront(el Element) {
 	n := &Node{Name: pl.uniqueName(el.Class()), El: el}
 	if pl.head != nil {
@@ -188,7 +188,9 @@ func (pl *Pipeline) PushFront(el Element) {
 
 // InsertBefore splices el in front of the first node (in topological
 // order) whose element class is class: every edge into that node is
-// re-targeted through el. It returns an error when no such node exists.
+// re-targeted through el, which joins the latest stage any of its new
+// predecessors runs in (the stage rule's own answer for an unplaced
+// node). It returns an error when no such node exists.
 func (pl *Pipeline) InsertBefore(class string, el Element) error {
 	var target *Node
 	idx := -1
@@ -207,6 +209,7 @@ func (pl *Pipeline) InsertBefore(class string, el Element) error {
 		for port, t := range m.Out {
 			if t == target {
 				m.Out[port] = n
+				n.Stage = max(n.Stage, m.Stage)
 			}
 		}
 	}
@@ -365,43 +368,4 @@ func (pl *Pipeline) String() string {
 		b.WriteString(";")
 	}
 	return b.String()
-}
-
-// Stat aggregates pipeline counters, per-branch node counters, and
-// element counters: "received", "dropped", "finished",
-// "<node>.dropped"/"<node>.finished" for a node's terminal counts, or
-// "<ElementClass>.<name>" for an element's own counters.
-func (pl *Pipeline) Stat(name string) (uint64, bool) {
-	switch name {
-	case "received":
-		return pl.Received, true
-	case "dropped":
-		return pl.Dropped, true
-	case "finished":
-		return pl.Finished, true
-	}
-	if prefix, rest, ok := strings.Cut(name, "."); ok {
-		for _, n := range pl.nodes {
-			if n.Name != prefix {
-				continue
-			}
-			switch rest {
-			case "dropped":
-				return n.Dropped, true
-			case "finished":
-				return n.Finished, true
-			}
-		}
-		for _, n := range pl.nodes {
-			if n.El.Class() != prefix {
-				continue
-			}
-			if s, isStats := n.El.(Stats); isStats {
-				if v, found := s.Stat(rest); found {
-					return v, true
-				}
-			}
-		}
-	}
-	return 0, false
 }

@@ -18,13 +18,6 @@ import (
 // Env carries the resources element constructors need: the NUMA arena to
 // allocate simulated memory from (enforcing the paper's local-allocation
 // policy) and a seed for any per-flow randomness.
-//
-// StageOf and ArenaAt together make state placement stage-aware: when a
-// graph will be cut into a cross-worker service chain, ParseConfig
-// resolves each element's stage (same inheritance rule as
-// Pipeline.AssignStages) before construction and allocates its state
-// from ArenaAt(stage) — so every stage's tables land in the NUMA domain
-// of the worker that will run them, instead of stage 0's.
 type Env struct {
 	Arena *mem.Arena
 	Seed  uint64
@@ -34,12 +27,11 @@ type Env struct {
 	// knob). 0 or 1 means unbatched.
 	RxBatch int
 
-	// StageOf maps element names to stage indices (unlisted elements
-	// inherit the maximum stage of their predecessors). nil or empty
-	// means a single-stage graph.
-	StageOf map[string]int
-	// ArenaAt returns the arena stage s allocates from; nil means every
-	// stage uses Arena.
+	// ArenaAt makes state placement stage-aware: Graph.Build allocates an
+	// element's state from ArenaAt(its stage), so every stage of a
+	// cross-worker service chain keeps its tables in the NUMA domain of the
+	// worker that will run it, instead of stage 0's. nil means every stage
+	// uses Arena.
 	ArenaAt func(stage int) *mem.Arena
 }
 
@@ -52,12 +44,14 @@ func (e *Env) arenaFor(stage int) *mem.Arena {
 }
 
 // registry holds every class with its declaration type erased: the
-// decode-then-build step and the rows of its key table.
+// decode-then-build step, its decode-only twin and the rows of its key
+// table.
 var registry = struct {
 	sync.Mutex
 	build map[string]func(env *Env, args Args) (interface{}, error)
+	check map[string]func(args Args) error
 	rows  map[string][]Row
-}{build: map[string]func(*Env, Args) (interface{}, error){}, rows: map[string][]Row{}}
+}{build: map[string]func(*Env, Args) (interface{}, error){}, check: map[string]func(Args) error{}, rows: map[string][]Row{}}
 
 // Register makes a class available to configurations. The class hands
 // over its key table, the configuration a bare `Class` gets in env (nil:
@@ -75,6 +69,7 @@ func Register[T any](class string, keys []Key[T], defaults func(env *Env) T, bui
 	for i, k := range keys {
 		registry.rows[class][i] = k.Row
 	}
+	registry.check[class] = func(args Args) error { return Decode(class, keys, args, new(T)) }
 	registry.build[class] = func(env *Env, args Args) (interface{}, error) {
 		var cfg T
 		if defaults != nil {
@@ -96,9 +91,21 @@ func NewInstance(env *Env, class string, args Args) (interface{}, error) {
 	build, ok := registry.build[class]
 	registry.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("click: unknown element class %q (known: %v)", class, Classes())
+		return nil, fmt.Errorf("click: %w", checkArgs(class, args))
 	}
 	return build(env, args)
+}
+
+// checkArgs is NewInstance without the instance, for Parse: the class
+// must be registered and the arguments decode through its key table.
+func checkArgs(class string, args Args) error {
+	registry.Lock()
+	check, ok := registry.check[class]
+	registry.Unlock()
+	if !ok {
+		return fmt.Errorf("unknown element class %q (known: %v)", class, Classes())
+	}
+	return check(args)
 }
 
 // KeyTables returns every registered class's key-table rows, in table

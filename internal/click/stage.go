@@ -1,6 +1,10 @@
 package click
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Stage support: a pipeline graph can be cut into consecutive stages that
 // run on different cores, connected by hand-off rings (the Section 2.2
@@ -12,93 +16,81 @@ import "fmt"
 // profiling of a staged graph measures the same work a single core would
 // do.
 
-// AssignStages cuts the graph: stageOf maps element names to stage
-// indices; every unlisted node inherits the maximum stage of its
-// predecessors (the head defaults to 0), so declaring just the entry
-// elements of each cut is enough. It validates that stage indices are
-// contiguous from 0, that the head is in stage 0, and that every edge
-// stays within its stage or crosses to the next one. Call it after any
-// structural edits (PushFront/InsertBefore); the assignment is final.
-func (pl *Pipeline) AssignStages(stageOf map[string]int) error {
-	byName := make(map[string]*Node, len(pl.nodes))
-	for _, n := range pl.nodes {
-		byName[n.Name] = n
-		n.Stage = 0
+// AssignStages cuts an already-built graph the way a configuration's
+// `stage N:` statements cut a parsed one (cutStages). It is for
+// programmatic cuts (the Section 2.2 experiment); call it after any
+// structural edits (PushFront/InsertBefore).
+func (pl *Pipeline) AssignStages(stageOf map[string]int) (err error) {
+	if pl.numStages, _, err = cutStages(pl.nodes, stageOf); err != nil {
+		return fmt.Errorf("click: %w", err)
 	}
-	explicit := make(map[*Node]bool, len(stageOf))
-	for name, s := range stageOf {
-		n, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("click: stage assignment names unknown element %q", name)
-		}
-		if s < 0 {
-			return fmt.Errorf("click: element %q assigned negative stage %d", name, s)
-		}
-		n.Stage = s
-		explicit[n] = true
-	}
-
-	// Inherit: in topological order, an unassigned node joins the latest
-	// stage any predecessor runs in.
-	preds := make(map[*Node][]*Node, len(pl.nodes))
-	for _, n := range pl.nodes {
-		for _, t := range n.Out {
-			if t != nil {
-				preds[t] = append(preds[t], n)
-			}
-		}
-	}
-	for _, n := range pl.nodes {
-		if explicit[n] {
-			continue
-		}
-		for _, p := range preds[n] {
-			if p.Stage > n.Stage {
-				n.Stage = p.Stage
-			}
-		}
-	}
-
-	if pl.head != nil && pl.head.Stage != 0 {
-		return fmt.Errorf("click: head element %q must be in stage 0, not %d", pl.head.Name, pl.head.Stage)
-	}
-	max := 0
-	seen := map[int]bool{}
-	for _, n := range pl.nodes {
-		seen[n.Stage] = true
-		if n.Stage > max {
-			max = n.Stage
-		}
-	}
-	for s := 0; s <= max; s++ {
-		if !seen[s] {
-			return fmt.Errorf("click: stage %d is empty; stages must be contiguous from 0", s)
-		}
-	}
-	for _, n := range pl.nodes {
-		for _, t := range n.Out {
-			if t == nil {
-				continue
-			}
-			if t.Stage != n.Stage && t.Stage != n.Stage+1 {
-				return fmt.Errorf("click: edge %s -> %s crosses from stage %d to stage %d; cuts may only hand packets to the next stage",
-					n.Name, t.Name, n.Stage, t.Stage)
-			}
-		}
-	}
-	pl.numStages = max + 1
 	pl.reindex()
 	return nil
 }
 
-// NumStages returns how many stages the graph is cut into (1 when
-// AssignStages was never called).
-func (pl *Pipeline) NumStages() int {
-	if pl.numStages == 0 {
-		return 1
+// cutStages is the stage rule, the one place a cut is read. nodes are a
+// graph's processing nodes in topological order, head first. stageOf
+// places nodes explicitly, by name; every other node inherits the latest
+// stage any predecessor runs in (the head defaults to 0), so naming the
+// entry elements of each cut is enough. It checks that the head is in
+// stage 0, that stage indices are contiguous from 0 and that every edge
+// stays within its stage or crosses to the next one, sets every Node.Stage
+// and returns the stage count — or an error and the name of the element
+// at fault.
+func cutStages(nodes []*Node, stageOf map[string]int) (stages int, at string, err error) {
+	byName := make(map[string]*Node, len(nodes))
+	for _, n := range nodes {
+		byName[n.Name] = n
+		n.Stage = 0
 	}
-	return pl.numStages
+	explicit := make(map[*Node]bool, len(stageOf))
+	for _, name := range slices.Sorted(maps.Keys(stageOf)) {
+		n, ok := byName[name]
+		if !ok {
+			return 0, name, fmt.Errorf("stage assignment names unknown element %q", name)
+		}
+		if stageOf[name] < 0 {
+			return 0, name, fmt.Errorf("element %q assigned negative stage %d", name, stageOf[name])
+		}
+		n.Stage, explicit[n] = stageOf[name], true
+	}
+	// Topological order: a node's stage is final before its successors'.
+	for _, n := range nodes {
+		for _, t := range n.Out {
+			if t != nil && !explicit[t] && n.Stage > t.Stage {
+				t.Stage = n.Stage
+			}
+		}
+	}
+	if len(nodes) > 0 && nodes[0].Stage != 0 {
+		return 0, nodes[0].Name, fmt.Errorf("head element %q must be in stage 0, not %d", nodes[0].Name, nodes[0].Stage)
+	}
+	for stages = 0; ; stages++ {
+		if slices.ContainsFunc(nodes, func(n *Node) bool { return n.Stage == stages }) {
+			continue
+		}
+		// Past the last stage, or a gap — and the first node past a gap was
+		// placed there explicitly: its predecessors all run before it.
+		above := slices.IndexFunc(nodes, func(n *Node) bool { return n.Stage > stages })
+		if above < 0 {
+			break
+		}
+		return 0, nodes[above].Name, fmt.Errorf("stage %d is empty; stages must be contiguous from 0", stages)
+	}
+	for _, n := range nodes {
+		for _, t := range n.Out {
+			if t != nil && t.Stage != n.Stage && t.Stage != n.Stage+1 {
+				return 0, t.Name, fmt.Errorf("edge %s -> %s crosses from stage %d to stage %d; cuts may only hand packets to the next stage",
+					n.Name, t.Name, n.Stage, t.Stage)
+			}
+		}
+	}
+	return max(stages, 1), "", nil
 }
+
+// NumStages returns how many stages the graph is cut into; 1 for an
+// uncut one.
+func (pl *Pipeline) NumStages() int { return max(pl.numStages, 1) }
 
 // HeadIndex returns the node index a stage-0 walk enters at, or -1 for a
 // bare-source pipeline.

@@ -1,8 +1,11 @@
 package click
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"pktpredict/internal/mem"
 )
 
 // stagePipeline builds src -> a -> cls; cls[0] -> b -> tail; cls[1] -> drop
@@ -260,5 +263,66 @@ func TestBroadcastPacketLevelOutcome(t *testing.T) {
 	runAll(pl)
 	if pl.Received != 2 || pl.Dropped != 2 || pl.Finished != 0 {
 		t.Fatalf("all-drop tee: recv %d fin %d drop %d, want 2/0/2", pl.Received, pl.Finished, pl.Dropped)
+	}
+}
+
+// TestStageStatementsCutTheGraph: a configuration's `stage N:` statements
+// are the cut. Parse reads the stage count without constructing anything;
+// Build constructs each element from the arena of the stage it runs in,
+// the nodes carry their stage — identical to AssignStages with the same
+// map on the uncut graph — and graph surgery keeps the cut: PushFront
+// lands in stage 0, InsertBefore in its new predecessors' stage.
+func TestStageStatementsCutTheGraph(t *testing.T) {
+	const cfg = `
+		src :: SeqSource(COUNT 1);
+		a :: TElem; cls :: TCls; b :: TElem; tail :: TElem; drop :: TDrop;
+		src -> a -> cls;
+		cls[0] -> b -> tail;
+		cls[1] -> drop;
+	`
+	g, err := Parse(cfg + "stage 1: b;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumStages() != 2 {
+		t.Fatalf("NumStages = %d, want 2", g.NumStages())
+	}
+	var asked []int
+	env := testEnv()
+	arenas := []*mem.Arena{env.Arena, mem.NewArena(1)}
+	env.ArenaAt = func(s int) *mem.Arena { asked = append(asked, s); return arenas[s] }
+	pl, err := g.Build(env, "cut")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Declaration order: src, a, cls, b, tail, drop.
+	if want := []int{0, 0, 0, 1, 1, 0}; !reflect.DeepEqual(asked, want) {
+		t.Fatalf("elements built from the arenas of stages %v, want %v", asked, want)
+	}
+	ref := stagePipeline(t, 1)
+	if err := ref.AssignStages(map[string]int{"b": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if pl.NumStages() != ref.NumStages() {
+		t.Fatalf("built %d stages, AssignStages %d", pl.NumStages(), ref.NumStages())
+	}
+	for i, n := range pl.Nodes() {
+		if r := ref.Nodes()[i]; n.Name != r.Name || n.Stage != r.Stage {
+			t.Fatalf("node %d: built %s in stage %d, AssignStages %s in stage %d", i, n.Name, n.Stage, r.Name, r.Stage)
+		}
+	}
+
+	front, ins := &testElement{class: "Front"}, &testElement{class: "Ins"}
+	pl.PushFront(front)
+	tail := nodeNamed(t, pl, "tail")
+	tail.El = &testElement{class: "Tail"}
+	if err := pl.InsertBefore("Tail", ins); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodeNamed(t, pl, "Front").Stage; got != 0 {
+		t.Fatalf("PushFront landed in stage %d, want 0", got)
+	}
+	if got := nodeNamed(t, pl, "Ins").Stage; got != 1 {
+		t.Fatalf("InsertBefore a stage-1 node's only successor landed in stage %d, want 1", got)
 	}
 }

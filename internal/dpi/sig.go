@@ -69,7 +69,6 @@ type SigTable struct {
 	// state (via its suffix chain), 0 when none.
 	out    []int32
 	region mem.Region // one row of 256 int32 transitions per state
-	npat   int
 }
 
 // NewSigTable compiles patterns into a matcher. With a non-nil arena
@@ -146,16 +145,12 @@ func NewSigTable(arena *mem.Arena, patterns [][]byte) (*SigTable, error) {
 	t := &SigTable{
 		trans: goto_[:int(states)*256],
 		out:   out[:states],
-		npat:  len(patterns),
 	}
 	if arena != nil {
 		t.region = mem.NewRegion(arena, int(states), 256*4, false)
 	}
 	return t, nil
 }
-
-// Patterns returns the number of compiled patterns.
-func (t *SigTable) Patterns() int { return t.npat }
 
 // States returns the automaton's state count.
 func (t *SigTable) States() int { return len(t.out) }

@@ -106,19 +106,6 @@ func (s *SignatureClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Ver
 	return click.Output(0)
 }
 
-// Stat implements click.Stats.
-func (s *SignatureClassifier) Stat(name string) (uint64, bool) {
-	switch name {
-	case "scanned":
-		return s.Scanned, true
-	case "matched":
-		return s.Matched, true
-	case "states":
-		return uint64(s.table.States()), true
-	}
-	return 0, false
-}
-
 // EntropyGate estimates each payload's Shannon entropy over a sampled
 // window and steers estimates at or above the threshold (in bits per
 // byte) out port 1 — high-entropy payloads where a signature also hit
@@ -174,17 +161,6 @@ func (e *EntropyGate) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Output(0)
 }
 
-// Stat implements click.Stats.
-func (e *EntropyGate) Stat(name string) (uint64, bool) {
-	switch name {
-	case "passed":
-		return e.Passed, true
-	case "flagged":
-		return e.Flagged, true
-	}
-	return 0, false
-}
-
 // BanTableElement wraps the dpi.BanTable LRU verdict table as a click
 // Router: each packet's source address is checked and recorded; repeat
 // offenders (already in the table) exit port 1 — typically into a
@@ -233,21 +209,6 @@ func (b *BanTableElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict
 	}
 	b.Admitted++
 	return click.Output(0)
-}
-
-// Stat implements click.Stats.
-func (b *BanTableElement) Stat(name string) (uint64, bool) {
-	switch name {
-	case "admitted":
-		return b.Admitted, true
-	case "banned":
-		return b.Banned, true
-	case "entries":
-		return uint64(b.table.Occupied()), true
-	case "evictions":
-		return b.table.Evictions, true
-	}
-	return 0, false
 }
 
 // parseSigList parses a SIGS value: hex-encoded patterns separated by

@@ -216,14 +216,6 @@ func (td *ToDevice) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Consume
 }
 
-// Stat implements click.Stats.
-func (td *ToDevice) Stat(name string) (uint64, bool) {
-	if name == "sent" {
-		return td.Sent, true
-	}
-	return 0, false
-}
-
 // CheckIPHeader validates the IPv4 header exactly as Click's element of
 // the same name: version, header length, total length, checksum. Invalid
 // packets are dropped.
@@ -246,17 +238,6 @@ func (c *CheckIPHeader) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	}
 	c.Ok++
 	return click.Continue
-}
-
-// Stat implements click.Stats.
-func (c *CheckIPHeader) Stat(name string) (uint64, bool) {
-	switch name {
-	case "ok":
-		return c.Ok, true
-	case "bad":
-		return c.Bad, true
-	}
-	return 0, false
 }
 
 // DecIPTTL decrements the TTL and incrementally updates the header
@@ -307,17 +288,6 @@ func (c *Counter) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	c.Packets++
 	c.Bytes += uint64(len(p.Data))
 	return click.Continue
-}
-
-// Stat implements click.Stats.
-func (c *Counter) Stat(name string) (uint64, bool) {
-	switch name {
-	case "packets":
-		return c.Packets, true
-	case "bytes":
-		return c.Bytes, true
-	}
-	return 0, false
 }
 
 // Discard drops every packet, like Click's element of the same name.

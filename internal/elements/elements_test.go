@@ -106,8 +106,8 @@ func TestCheckIPHeaderDropsCorrupt(t *testing.T) {
 	if v := el.Process(&ctx, p); v != click.Drop {
 		t.Fatalf("verdict = %v, want drop", v)
 	}
-	if v, ok := el.Stat("bad"); !ok || v != 1 {
-		t.Fatalf("bad stat = %d/%v", v, ok)
+	if el.Bad != 1 || el.Ok != 0 {
+		t.Fatalf("bad/ok = %d/%d, want 1/0", el.Bad, el.Ok)
 	}
 }
 
@@ -151,9 +151,6 @@ func TestCounterCounts(t *testing.T) {
 	if c.Packets != 2 || c.Bytes != 128 {
 		t.Fatalf("counter = %d pkts / %d bytes", c.Packets, c.Bytes)
 	}
-	if v, ok := c.Stat("bytes"); !ok || v != 128 {
-		t.Fatalf("bytes stat = %d/%v", v, ok)
-	}
 }
 
 func TestDiscardDrops(t *testing.T) {
@@ -188,8 +185,8 @@ func TestToDeviceConsumes(t *testing.T) {
 	if v := td.Process(&ctx, mkPacket(t)); v != click.Consume {
 		t.Fatalf("verdict = %v, want consume", v)
 	}
-	if v, ok := td.Stat("sent"); !ok || v != 1 {
-		t.Fatalf("sent = %d/%v", v, ok)
+	if td.Sent != 1 {
+		t.Fatalf("sent = %d", td.Sent)
 	}
 }
 
@@ -212,12 +209,24 @@ func TestConfigIntegration(t *testing.T) {
 	if n != 10 {
 		t.Fatalf("packets = %d, want 10", n)
 	}
-	if v, _ := pl.Stat("Counter.packets"); v != 10 {
-		t.Fatalf("Counter.packets = %d", v)
+	if v := elementOf[*Counter](t, pl).Packets; v != 10 {
+		t.Fatalf("Counter.Packets = %d", v)
 	}
-	if v, _ := pl.Stat("ToDevice.sent"); v != 10 {
-		t.Fatalf("ToDevice.sent = %d", v)
+	if v := elementOf[*ToDevice](t, pl).Sent; v != 10 {
+		t.Fatalf("ToDevice.Sent = %d", v)
 	}
+}
+
+// elementOf returns the pipeline's first element of type T.
+func elementOf[T click.Element](t *testing.T, pl *click.Pipeline) T {
+	t.Helper()
+	for _, el := range pl.Elements() {
+		if v, ok := el.(T); ok {
+			return v
+		}
+	}
+	t.Fatalf("pipeline has no %T", *new(T))
+	panic("unreachable")
 }
 
 func TestConfigControlElement(t *testing.T) {

@@ -161,19 +161,6 @@ func (c *Classifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Drop
 }
 
-// Stat implements click.Stats: "nomatch" or "port<i>".
-func (c *Classifier) Stat(name string) (uint64, bool) {
-	if name == "nomatch" {
-		return c.NoMatch, true
-	}
-	if rest, ok := strings.CutPrefix(name, "port"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 0 && i < len(c.Matched) {
-			return c.Matched[i], true
-		}
-	}
-	return 0, false
-}
-
 // ipPattern is one IPClassifier-lite pattern over the parsed 5-tuple.
 type ipPattern struct {
 	catchAll bool
@@ -271,19 +258,6 @@ func (c *IPClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Drop
 }
 
-// Stat implements click.Stats: "nomatch" or "port<i>".
-func (c *IPClassifier) Stat(name string) (uint64, bool) {
-	if name == "nomatch" {
-		return c.NoMatch, true
-	}
-	if rest, ok := strings.CutPrefix(name, "port"); ok {
-		if i, err := strconv.Atoi(rest); err == nil && i >= 0 && i < len(c.Matched) {
-			return c.Matched[i], true
-		}
-	}
-	return 0, false
-}
-
 // Tee sends every packet down every connected output port (Click's Tee).
 // The branches process the same packet bytes sequentially.
 type Tee struct {
@@ -310,14 +284,6 @@ func (t *Tee) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	t.Packets++
 	ctx.Compute(4, 4)
 	return click.Broadcast
-}
-
-// Stat implements click.Stats.
-func (t *Tee) Stat(name string) (uint64, bool) {
-	if name == "packets" {
-		return t.Packets, true
-	}
-	return 0, false
 }
 
 // RoundRobinSwitch cycles packets across its connected output ports in
@@ -349,14 +315,6 @@ func (r *RoundRobinSwitch) Process(ctx *click.Ctx, p *click.Packet) click.Verdic
 	port := r.next
 	r.next = (r.next + 1) % r.n
 	return click.Output(port)
-}
-
-// Stat implements click.Stats.
-func (r *RoundRobinSwitch) Stat(name string) (uint64, bool) {
-	if name == "packets" {
-		return r.Packets, true
-	}
-	return 0, false
 }
 
 func init() {

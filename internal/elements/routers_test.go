@@ -38,7 +38,7 @@ func TestClassifierMatchesBytesInOrder(t *testing.T) {
 	if v := c.Process(&ctx, mkProtoPacket(t, netpkt.ProtoUDP, 80)); v != click.Output(1) {
 		t.Fatalf("UDP packet routed to %v, want output(1)", v)
 	}
-	if n, _ := c.Stat("port0"); n != 1 {
+	if n := c.Matched[0]; n != 1 {
 		t.Fatalf("port0 = %d", n)
 	}
 	if len(ctx.Ops) == 0 {
@@ -60,8 +60,8 @@ func TestClassifierWildcardsAndNoMatchDrop(t *testing.T) {
 	if v := c.Process(&ctx, bad); v != click.Drop {
 		t.Fatalf("no-match packet got %v, want drop", v)
 	}
-	if n, _ := c.Stat("nomatch"); n != 1 {
-		t.Fatalf("nomatch = %d", n)
+	if c.NoMatch != 1 {
+		t.Fatalf("nomatch = %d", c.NoMatch)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestIPClassifierProtocolAndPortSplit(t *testing.T) {
 	if v := c.Process(&ctx, &click.Packet{Data: []byte{1, 2, 3}, Addr: 0x2000}); v != click.Drop {
 		t.Fatalf("bad packet got %v, want drop", v)
 	}
-	if n, _ := c.Stat("nomatch"); n != 1 {
-		t.Fatalf("nomatch = %d", n)
+	if c.NoMatch != 1 {
+		t.Fatalf("nomatch = %d", c.NoMatch)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestTeeAndRoundRobinSwitch(t *testing.T) {
 			t.Fatalf("packet %d routed to %v, want %v", i, v, want)
 		}
 	}
-	if n, _ := rr.Stat("packets"); n != 6 {
-		t.Fatalf("rr packets = %d", n)
+	if rr.Packets != 6 {
+		t.Fatalf("rr packets = %d", rr.Packets)
 	}
 }
 
@@ -166,13 +166,12 @@ func TestRoutersViaConfig(t *testing.T) {
 	if pl.Received != 200 {
 		t.Fatalf("received %d", pl.Received)
 	}
-	tcp, _ := pl.Stat("IPClassifier.port0")
-	udp, _ := pl.Stat("IPClassifier.port1")
+	cls := elementOf[*IPClassifier](t, pl)
+	tcp, udp := cls.Matched[0], cls.Matched[1]
 	if tcp == 0 || udp == 0 || tcp+udp != 200 {
 		t.Fatalf("protocol split %d/%d, want both nonzero summing to 200", tcp, udp)
 	}
-	sent, _ := pl.Stat("ToDevice.sent")
-	mirrored, _ := pl.Stat("Counter.packets")
+	sent, mirrored := elementOf[*ToDevice](t, pl).Sent, elementOf[*Counter](t, pl).Packets
 	if sent != 200 || mirrored != 200 {
 		t.Fatalf("tee delivered %d to wire, %d to mirror; want 200/200", sent, mirrored)
 	}

@@ -78,9 +78,6 @@ func NewFilter(arena *mem.Arena, rules []Rule) *Filter {
 	}
 }
 
-// Rules returns the rule count.
-func (f *Filter) Rules() int { return len(f.rules) }
-
 // SimBytes returns the simulated footprint of the rule array.
 func (f *Filter) SimBytes() uint64 { return f.region.Size() }
 
@@ -165,19 +162,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 		return click.Drop
 	}
 	return click.Continue
-}
-
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	switch name {
-	case "dropped":
-		return e.Dropped, true
-	case "checked":
-		return e.Filter.Checked, true
-	case "matched":
-		return e.Filter.Matched, true
-	}
-	return 0, false
 }
 
 // filterArgs is what IPFilter(...) decodes into.

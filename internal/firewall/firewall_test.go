@@ -164,8 +164,8 @@ func TestElementDeniesAndAllows(t *testing.T) {
 	if el.Dropped != 1 {
 		t.Fatalf("dropped = %d", el.Dropped)
 	}
-	if v, ok := el.Stat("matched"); !ok || v != 1 {
-		t.Fatalf("matched stat = %d/%v", v, ok)
+	if el.Filter.Matched != 1 {
+		t.Fatalf("matched = %d", el.Filter.Matched)
 	}
 }
 

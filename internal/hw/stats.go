@@ -39,9 +39,6 @@ func (s FlowStats) L3RefsPerSec() float64 { return s.perSec(s.Raw.L3Refs) }
 // (Section 3.2, observation a).
 func (s FlowStats) L3HitsPerSec() float64 { return s.perSec(s.Raw.L3Hits) }
 
-// L3MissesPerSec returns last-level-cache misses per virtual second.
-func (s FlowStats) L3MissesPerSec() float64 { return s.perSec(s.Raw.L3Misses) }
-
 // CPI returns cycles per instruction over the window.
 func (s FlowStats) CPI() float64 { return s.Raw.CPI() }
 

@@ -54,14 +54,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	if name == "noroute" {
-		return e.NoRoute, true
-	}
-	return 0, false
-}
-
 // lookupArgs is what RadixIPLookup(...) decodes into.
 type lookupArgs struct {
 	routes int

@@ -150,11 +150,6 @@ func (a *Arena) Alloc(size uint64, align uint64) hw.Addr {
 	return base
 }
 
-// AllocLines reserves n cache lines and returns the base address.
-func (a *Arena) AllocLines(n int) hw.Addr {
-	return a.Alloc(uint64(n)*hw.LineSize, hw.LineSize)
-}
-
 // Reserve allocates address space like Alloc but records no binding: for
 // sparse structures that reserve a generous contiguous range and touch
 // only what insertions populate (e.g. the radix trie's entry array).

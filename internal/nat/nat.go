@@ -202,27 +202,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	switch name {
-	case "rewritten":
-		return e.Rewritten, true
-	case "dropped":
-		return e.Dropped, true
-	case "entries":
-		return uint64(e.Table.Occupied()), true
-	case "lookups":
-		return e.Table.Lookups, true
-	case "hits":
-		return e.Table.Hits, true
-	case "inserts":
-		return e.Table.Inserts, true
-	case "evictions":
-		return e.Table.Evictions, true
-	}
-	return 0, false
-}
-
 // ParseAddr converts a dotted-quad IPv4 address to its uint32 form.
 func ParseAddr(s string) (uint32, error) {
 	parts := strings.Split(s, ".")

@@ -123,8 +123,8 @@ func TestElementRewritesAndChecksumStaysValid(t *testing.T) {
 	if ft3.SrcPort == ft.SrcPort {
 		t.Fatalf("distinct flows share external port %d", ft3.SrcPort)
 	}
-	if n, _ := el.Stat("rewritten"); n != 3 {
-		t.Fatalf("rewritten = %d", n)
+	if el.Rewritten != 3 {
+		t.Fatalf("rewritten = %d", el.Rewritten)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestElementDropsGarbage(t *testing.T) {
 	if v := el.Process(&ctx, &click.Packet{Data: []byte{1, 2}, Addr: 0}); v != click.Drop {
 		t.Fatalf("garbage got %v", v)
 	}
-	if n, _ := el.Stat("dropped"); n != 1 {
-		t.Fatalf("dropped = %d", n)
+	if el.Dropped != 1 {
+		t.Fatalf("dropped = %d", el.Dropped)
 	}
 }
 

@@ -183,21 +183,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	switch name {
-	case "lookups":
-		return e.Table.Lookups, true
-	case "inserts":
-		return e.Table.Inserts, true
-	case "evictions":
-		return e.Table.Evictions, true
-	case "failed":
-		return e.Failed, true
-	}
-	return 0, false
-}
-
 func init() {
 	click.Register("NetFlow", []click.Key[int]{
 		click.Int("ENTRIES", "[1,)", func(n *int) *int { return n }),

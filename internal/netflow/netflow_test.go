@@ -151,11 +151,8 @@ func TestElementProcessesPackets(t *testing.T) {
 	if v := el.Process(&ctx, p); v != click.Continue {
 		t.Fatalf("verdict = %v", v)
 	}
-	if tb.Lookups != 1 {
+	if tb.Lookups != 1 || el.Table != tb {
 		t.Fatalf("lookups = %d", tb.Lookups)
-	}
-	if v, ok := el.Stat("lookups"); !ok || v != 1 {
-		t.Fatalf("stat lookups = %d/%v", v, ok)
 	}
 }
 

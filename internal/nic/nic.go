@@ -62,9 +62,6 @@ func (bp *BufferPool) Size() int { return bp.region.Count }
 // Available returns how many buffers are currently free.
 func (bp *BufferPool) Available() int { return len(bp.free) }
 
-// BufSize returns the byte size of each buffer.
-func (bp *BufferPool) BufSize() int { return bp.bufSize }
-
 // Get pops a free buffer, emitting the free-list trace. It returns the
 // buffer index, its bytes, and its simulated address. It panics when the
 // pool is exhausted — pipelines recycle every packet, so exhaustion means

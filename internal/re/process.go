@@ -257,21 +257,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	switch name {
-	case "saved":
-		return e.SavedBytes, true
-	case "matched":
-		return e.Proc.MatchedBytes, true
-	case "fingerprints":
-		return e.Proc.Fingerprints, true
-	case "hits":
-		return e.Proc.Table().Hits, true
-	}
-	return 0, false
-}
-
 func init() {
 	click.Register("RedundancyElim", []click.Key[Config]{
 		click.Int("STORE", "[0,0]|[1024,)", func(c *Config) *int { return &c.StoreBytes }),

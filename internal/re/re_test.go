@@ -320,8 +320,8 @@ func TestElementAccumulatesSavings(t *testing.T) {
 	if el.SavedBytes == 0 {
 		t.Fatal("repeated packet saved nothing")
 	}
-	if v, ok := el.Stat("hits"); !ok || v == 0 {
-		t.Fatalf("hits stat = %d/%v", v, ok)
+	if el.Proc.Table().Hits == 0 || el.Proc.MatchedBytes == 0 {
+		t.Fatalf("hits %d, matched bytes %d", el.Proc.Table().Hits, el.Proc.MatchedBytes)
 	}
 }
 

@@ -36,9 +36,6 @@ func NewPacketStore(arena *mem.Arena, size int) *PacketStore {
 // Size returns the store capacity in bytes.
 func (ps *PacketStore) Size() int { return len(ps.buf) }
 
-// Written returns the total bytes appended since creation.
-func (ps *PacketStore) Written() uint64 { return ps.w }
-
 // addrOf returns the simulated address of store offset off.
 func (ps *PacketStore) addrOf(off uint64) hw.Addr {
 	return ps.region.Base + hw.Addr(off%uint64(len(ps.buf)))

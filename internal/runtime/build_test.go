@@ -1,13 +1,18 @@
 package runtime_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	stdruntime "runtime"
 	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/core"
+	"pktpredict/internal/exp"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/runtime"
@@ -17,7 +22,8 @@ import (
 // serialLayout is the layout NewRuntime must produce, assembled the way
 // it built flows before replicas were built side by side: one direct
 // BuildSpec call per replica in declaration order, each stage's arena
-// numbered and page-coloured as it is created.
+// numbered and page-coloured as it is created. State lists every binding,
+// the build-time source's included; the runtime keeps the live ones.
 func serialLayout(t *testing.T, cfg runtime.Config) []runtime.FlowLayout {
 	t.Helper()
 	var out []runtime.FlowLayout
@@ -46,7 +52,7 @@ func serialLayout(t *testing.T, cfg runtime.Config) []runtime.FlowLayout {
 			if err != nil {
 				t.Fatalf("reference build of %s replica %d: %v", a.Name, k, err)
 			}
-			l.State = inst.StateBindings(-1)
+			l.State = inst.State
 			out = append(out, l)
 		}
 	}
@@ -64,6 +70,9 @@ func TestNewRuntimeLayoutIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, name := range []string{"mixed", "nat_chain_staged", "ids_chain_staged"} {
 		cfg := shippedConfig(t, name)
 		want := serialLayout(t, cfg)
+		for i := range want {
+			want[i].State = live(want[i].State)
+		}
 		if len(want) == 0 || len(want[0].State) == 0 {
 			t.Fatalf("%s: reference layout is empty", name)
 		}
@@ -84,6 +93,103 @@ func TestNewRuntimeLayoutIndependentOfGOMAXPROCS(t *testing.T) {
 			}
 		}
 	}
+}
+
+// live drops the build-time source's bindings, as Instance.StateBindings does.
+func live(all []apps.StateBinding) []apps.StateBinding {
+	var out []apps.StateBinding
+	for _, b := range all {
+		if !b.Source {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// TestLayoutGolden pins the simulated layout across commits, which the
+// test above cannot: it compares a build with itself, so a change that
+// moved every staged element into another arena would pass it. For every
+// shipped scenario and every bench workload at quick scale,
+// testdata/layout.golden lists each replica's stage workers and every
+// state binding — element, stage, base, size, whether it is the
+// build-time source's — as the tree built them before a graph's stage
+// cut joined the Click grammar (commit de16c65). On the way it holds each
+// file to the loader's contract: parse → render → parse is a fixed point,
+// graph bodies are the file's text, and a body's parsed stage count is
+// the number of stages the runtime builds. A build change that means to
+// move an address regenerates with
+// `go test ./internal/runtime/ -run TestLayoutGolden -args -update`
+// and says which.
+func TestLayoutGolden(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.click")
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads, err := filepath.Glob("../../bench/workloads/*.click")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, path := range append(files, workloads...) {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bench harness substitutes its -seed; any fixed pair will do.
+		file := strings.NewReplacer("{{SEED}}", "1", "{{SIG_SEED}}", "11").Replace(string(text))
+		sc, err := scenario.Parse(file)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		// Loading keeps every graph body as the file wrote it (comments
+		// aside), so rendering is a fixed point, and the stage count a
+		// body parses to is the one the runtime builds below.
+		if again, err := scenario.Parse(sc.Render()); err != nil || !reflect.DeepEqual(again, sc) {
+			t.Fatalf("%s: parse → render → parse diverges (%v)", path, err)
+		}
+		stripped, _ := click.StripComments(file)
+		stages := map[apps.FlowType]int{}
+		for _, g := range sc.Graphs {
+			parsed, err := click.Parse(g.Config)
+			if err != nil || !strings.Contains(stripped, "{"+g.Config+"}") {
+				t.Fatalf("%s: graph %s is not the file's text (%v)", path, g.Name, err)
+			}
+			stages[apps.FlowType(g.Name)] = parsed.NumStages()
+		}
+		scale := exp.Quick()
+		cfg, err := sc.Config(scale.Cfg, scale.Params)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		// Where state lands does not depend on a flow's offered rate.
+		cfg.Profiles = map[apps.FlowType]runtime.FlowProfile{}
+		for _, typ := range cfg.FlowTypes() {
+			cfg.Profiles[typ] = runtime.FlowProfile{SoloPPS: 1e6}
+		}
+		rt, err := runtime.NewRuntime(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		fmt.Fprintf(&out, "== %s\n", strings.TrimPrefix(path, "../../"))
+		typeOf := map[string]apps.FlowType{}
+		for _, a := range cfg.Apps {
+			typeOf[a.Name] = a.Type
+		}
+		got := rt.Layout()
+		for i, l := range serialLayout(t, cfg) {
+			if !reflect.DeepEqual(got[i].Workers, l.Workers) || !reflect.DeepEqual(got[i].State, live(l.State)) {
+				t.Fatalf("%s: flow %d differs from the serial build\n got %+v\nwant %+v", path, i, got[i], l)
+			}
+			if want := max(stages[typeOf[l.App]], 1); len(l.Workers) != want {
+				t.Fatalf("%s: %s runs in %d stages, its graph parses to %d", path, l.App, len(l.Workers), want)
+			}
+			fmt.Fprintf(&out, "%s replica %d workers %v home %d\n", l.App, l.Replica, l.Workers, l.StateHome)
+			for _, b := range l.State {
+				fmt.Fprintf(&out, "  %s stage %d base %#x size %d source %t\n", b.Element, b.Stage, uint64(b.Base), b.Size, b.Source)
+			}
+		}
+	}
+	runtime.CheckGolden(t, filepath.Join("testdata", "layout.golden"), []byte(out.String()))
 }
 
 // TestNewRuntimeErrorIsLowestIndexReplica: with several replicas failing

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,13 +39,17 @@ func craftedGraph(halfBytes int) string {
 	`, halfBytes, halfBytes)
 }
 
-// withCustom returns params with one custom flow type registered.
+// withCustom returns params with one custom flow type registered, its
+// stage map written as the configuration's `stage N:` statements.
 func withCustom(params apps.Params, name, config string, stages map[string]int) apps.Params {
 	custom := map[apps.FlowType]apps.CustomFlow{}
 	for t, cf := range params.Custom {
 		custom[t] = cf
 	}
-	custom[apps.FlowType(name)] = apps.CustomFlow{Config: config, PacketSize: 64, Stages: stages}
+	for _, el := range slices.Sorted(maps.Keys(stages)) {
+		config += fmt.Sprintf("stage %d: %s;\n", stages[el], el)
+	}
+	custom[apps.FlowType(name)] = apps.CustomFlow{Config: config, PacketSize: 64}
 	params.Custom = custom
 	return params
 }

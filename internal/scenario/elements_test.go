@@ -1,11 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"pktpredict/internal/apps"
-	"pktpredict/internal/runtime"
 )
 
 // badElementArgs are graph bodies whose one faulty element argument used
@@ -45,26 +43,63 @@ func oneWorkerScenario(graph string) string {
 	return "s :: Scenario(NAME g);\ngraph G {\n" + graph + "\n}\ng :: Flow(GRAPH G);\n"
 }
 
-// TestBadElementArgumentsAreErrors builds every entry the way dataplane
-// -config does — Parse → ConfigOn → NewRuntime — and wants an error
-// naming the class and the key (and, for an unknown key, the known ones):
-// never a panic, never a runtime built on defaults the file did not ask
-// for.
+// TestBadElementArgumentsAreErrors loads every entry the way dataplane
+// -config does and wants Parse itself — a graph is checked where it is
+// loaded, before anything is built — to return an error naming the graph,
+// the class and the key (and, for an unknown key, the known ones): never
+// a panic, never a runtime built on defaults the file did not ask for.
 func TestBadElementArgumentsAreErrors(t *testing.T) {
 	for _, tc := range badElementArgs {
 		t.Run(tc.class+"/"+tc.key, func(t *testing.T) {
-			s, err := Parse(oneWorkerScenario(tc.graph))
-			if err != nil {
-				t.Fatalf("the scenario grammar does not read element arguments: %v", err)
-			}
-			cfg, err := s.ConfigOn(testCfg(), apps.Small())
+			_, err := Parse(oneWorkerScenario(tc.graph))
 			if err == nil {
-				_, err = runtime.NewRuntime(cfg)
+				t.Fatal("parsed")
 			}
+			for _, want := range []string{"graph G: ", tc.class + ": ", tc.key, tc.also, "(line 3)"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// badGraphs are graph bodies a file must not load with, each faulty at a
+// known line of the body: what a graph's shape, classes, arguments and
+// stage statements can get wrong without an element being constructed.
+// They are regression seeds of FuzzParseScenario too.
+var badGraphs = []struct {
+	name, body, want string
+	line             int // in the body, 1-based
+}{
+	{"unknown class", "src :: FromDevice;\nsrc -> Nope -> ToDevice;", `unknown element class "Nope"`, 2},
+	{"misspelled key", "src :: FromDevice;\nnf :: NetFlow(ENTRIS 64);\nsrc -> nf -> ToDevice;", "NetFlow: unknown key ENTRIS (known keys: ENTRIES)", 2},
+	{"value outside its interval", "src :: FromDevice;\n\nsrc -> NetFlow(ENTRIES -5)\n    -> ToDevice;", "NetFlow: ENTRIES -5 outside [1,)", 3},
+	{"cycle", "src :: FromDevice;\na :: Counter;\nb :: Counter;\nsrc -> a;\na -> b;\nb -> a;", `cycle through "a"`, 2},
+	{"undeclared reference", "src :: FromDevice;\nsrc -> later;\nlater :: Counter;\nlater -> ToDevice;", `undeclared element "later"`, 2},
+	{"unconnected element", "src :: FromDevice;\nsrc -> ToDevice;\norphan :: Counter;", `multiple chain heads ("src" and "orphan")`, 3},
+	{"two heads", "a :: FromDevice;\nb :: FromDevice;\na -> ToDevice;\nb -> Discard;", `multiple chain heads ("a" and "b")`, 2},
+	{"stage names a missing element", "src :: FromDevice;\nsrc -> Counter -> ToDevice;\nstage 1: nope;", `unknown element "nope"`, 3},
+	{"element in two stages", "src :: FromDevice;\nc :: Counter;\nsrc -> CheckIPHeader -> c -> ToDevice;\nstage 1: c;\nstage 2: c;", `"c" assigned to two stages`, 5},
+	{"stage 2 without stage 1", "src :: FromDevice;\nc :: Counter;\nsrc -> CheckIPHeader -> c -> ToDevice;\nstage 2: c;", "stage 1 is empty", 4},
+	{"head outside stage 0", "src :: FromDevice;\nc :: Counter;\nsrc -> c -> ToDevice;\nstage 1: c;", `head element "c" must be in stage 0`, 4},
+	{"backward edge across a cut", "src :: FromDevice;\na :: Counter;\nb :: Counter;\nsrc -> CheckIPHeader -> a -> b -> ToDevice;\nstage 1: a;\nstage 0: b;", "edge a -> b crosses from stage 1 to stage 0", 6},
+	{"edge skipping a stage", "src :: FromDevice;\nt :: Tee;\nj :: Counter;\nz :: Counter;\nsrc -> t;\nt[0] -> z;\nt[1] -> Counter -> j -> z -> ToDevice;\nstage 1: Counter@1;\nstage 2: j;", "edge t -> z crosses from stage 0 to stage 2", 4},
+}
+
+// TestBadGraphsFailAtParse: a graph is checked where it is loaded. Every
+// entry is rejected by Parse itself — not by ConfigOn, not on a build
+// goroutine of NewRuntime after the tries are built — with the graph's
+// name and the line of the file (not of the block) the fault is on.
+func TestBadGraphsFailAtParse(t *testing.T) {
+	const head = "s :: Scenario(NAME g);\n/* two lines\n   of comment */\ngraph G {\n"
+	for _, tc := range badGraphs {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(head + tc.body + "\n}\ng :: Flow(GRAPH G);\n")
 			if err == nil {
-				t.Fatal("built a runtime")
+				t.Fatal("parsed")
 			}
-			for _, want := range []string{tc.class + ": ", tc.key, tc.also} {
+			for _, want := range []string{"graph G: ", tc.want, fmt.Sprintf("(line %d)", 4+tc.line)} {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not contain %q", err, want)
 				}

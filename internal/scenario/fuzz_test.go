@@ -49,6 +49,10 @@ func FuzzParseScenario(f *testing.F) {
 	for _, tc := range badElementArgs {
 		f.Add(oneWorkerScenario(tc.graph))
 	}
+	// Graphs whose shape or stage statements fail the load.
+	for _, tc := range badGraphs {
+		f.Add(oneWorkerScenario(tc.body))
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)
 		if err != nil {

@@ -21,7 +21,8 @@
 //	natfw :: Flow(GRAPH NATFW, WORKERS 2);
 //	mon   :: Flow(TYPE MON, RATE_FRACTION 0.7);
 //
-// A graph block may also declare stage cuts, turning the flow into a
+// A graph block is Click text, checked by click.Parse when the file is
+// loaded, and may cut itself into stages, turning the flow into a
 // cross-worker service chain: `stage 1: fw;` moves fw — and everything
 // downstream of it — onto a second worker connected by a hand-off ring.
 // Each replica of a staged flow occupies one core per stage, consecutive
@@ -67,41 +68,11 @@ type Placement struct {
 	Core   int
 }
 
-// Graph is one inline pipeline definition; Config is the Click graph
-// text, kept verbatim (stage declarations excluded).
+// Graph is one inline pipeline definition; Config is the block's body —
+// Click text, `stage N:` statements included — kept verbatim.
 type Graph struct {
 	Name   string
 	Config string
-	// Stages holds the graph's stage-cut declarations in declaration
-	// order; empty means the graph runs to completion on one worker.
-	Stages []StageDecl
-}
-
-// StageDecl assigns the named elements to one stage of a cross-worker
-// service chain (`stage 1: fw, tee;` inside a graph block). Elements not
-// named in any declaration inherit their predecessors' stage, so listing
-// each cut's entry elements is enough. A flow using a staged graph
-// occupies stages × WORKERS cores: each replica spans its stages on
-// consecutive workers, in stage order — PLACE lists cores in that same
-// order.
-type StageDecl struct {
-	Stage    int
-	Elements []string
-}
-
-// StageMap flattens the declarations into the element→stage map the apps
-// layer consumes; nil when the graph is unstaged.
-func (g Graph) StageMap() map[string]int {
-	if len(g.Stages) == 0 {
-		return nil
-	}
-	m := make(map[string]int)
-	for _, d := range g.Stages {
-		for _, el := range d.Elements {
-			m[el] = d.Stage
-		}
-	}
-	return m
 }
 
 // Scenario is a parsed scenario file.
@@ -290,15 +261,6 @@ func Parse(text string) (*Scenario, error) {
 			return nil, fmt.Errorf("graph %q declared twice", g.Name)
 		}
 		names[g.Name] = true
-		staged := map[string]bool{}
-		for _, d := range g.Stages {
-			for _, el := range d.Elements {
-				if staged[el] {
-					return nil, fmt.Errorf("graph %q: element %q assigned to two stages", g.Name, el)
-				}
-				staged[el] = true
-			}
-		}
 	}
 
 	err = Declarations(rest, []string{"Scenario", "Platform", "Flow"}, func(name, class string, args click.Args) error {
@@ -491,7 +453,7 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 					pktSize = f.PacketSize
 				}
 			}
-			custom[t] = apps.CustomFlow{Config: g.Config, PacketSize: pktSize, Stages: g.StageMap()}
+			custom[t] = apps.CustomFlow{Config: g.Config, PacketSize: pktSize}
 		}
 		params.Custom = custom
 	}
@@ -545,13 +507,7 @@ func (s *Scenario) Render() string {
 	}
 
 	for _, g := range s.Graphs {
-		fmt.Fprintf(&b, "\ngraph %s {%s", g.Name, g.Config)
-		// Stage declarations re-attach right after the Click text so the
-		// next parse strips them back out byte-for-byte.
-		for _, d := range g.Stages {
-			fmt.Fprintf(&b, "stage %d: %s;", d.Stage, strings.Join(d.Elements, " "))
-		}
-		b.WriteString("}\n")
+		fmt.Fprintf(&b, "\ngraph %s {%s}\n", g.Name, g.Config)
 	}
 
 	for _, f := range s.Flows {
@@ -567,7 +523,8 @@ func (s *Scenario) Render() string {
 
 // extractGraphs pulls `graph NAME { ... }` blocks out of
 // comment-stripped text, returning the remaining statement stream and
-// the blocks in declaration order. Graph bodies must not contain braces.
+// the blocks in declaration order, each body checked by click.Parse. Graph
+// bodies must not contain braces.
 func extractGraphs(s string) (string, []Graph, error) {
 	var out strings.Builder
 	var graphs []Graph
@@ -604,11 +561,17 @@ func extractGraphs(s string) (string, []Graph, error) {
 		if !click.BalancedParens(s[j+1 : j+closing]) {
 			return "", nil, fmt.Errorf("graph %q: unbalanced parentheses", name)
 		}
-		cfg, decls, err := stripStageDecls(name, s[j+1:j+closing])
-		if err != nil {
-			return "", nil, err
+		// A graph is checked where it is loaded — everything about it that
+		// needs no constructed element — and reported at the file's line.
+		body := s[j+1 : j+closing]
+		if _, err := click.Parse(body); err != nil {
+			var at *click.Error
+			if errors.As(err, &at) {
+				return "", nil, fmt.Errorf("graph %s: %s (line %d)", name, at.Msg, at.Line+strings.Count(s[:j], "\n"))
+			}
+			return "", nil, fmt.Errorf("graph %s: %w", name, err)
 		}
-		graphs = append(graphs, Graph{Name: name, Config: cfg, Stages: decls})
+		graphs = append(graphs, Graph{Name: name, Config: body})
 		// Keep the removed block's newlines in the statement stream so
 		// line numbers reported for later statements stay true to the
 		// file.
@@ -621,78 +584,6 @@ func extractGraphs(s string) (string, []Graph, error) {
 		i = end
 	}
 	return out.String(), graphs, nil
-}
-
-// stripStageDecls pulls `stage N: el el;` statements out of a graph body,
-// returning the remaining Click text byte-for-byte except that the
-// declarations themselves are removed (first keyword byte through
-// terminating semicolon) and a dangling final statement gains its ';',
-// so that parse → render → parse is stable.
-func stripStageDecls(graph, body string) (string, []StageDecl, error) {
-	var out strings.Builder
-	var decls []StageDecl
-	parts := click.SplitTopLevel(body, ";")
-	for i, stmt := range parts {
-		terminated := i < len(parts)-1 // every part but the last had a ';'
-		lead := len(stmt) - len(strings.TrimLeft(stmt, " \t\r\n"))
-		trimmed := stmt[lead:]
-		switch {
-		case !isStageDecl(trimmed):
-			out.WriteString(stmt)
-			if terminated || trimmed != "" {
-				// Terminating a dangling final statement keeps the Click
-				// text well-formed when Render re-attaches stage
-				// declarations after it (and makes parse → render → parse
-				// stable from the first parse on).
-				out.WriteByte(';')
-			}
-		case !terminated:
-			return "", nil, fmt.Errorf("graph %q: stage declaration %q missing ';'", graph, snippet(trimmed))
-		default:
-			d, err := parseStageDecl(trimmed)
-			if err != nil {
-				return "", nil, fmt.Errorf("graph %q: %w", graph, err)
-			}
-			decls = append(decls, d)
-			out.WriteString(stmt[:lead])
-		}
-	}
-	return out.String(), decls, nil
-}
-
-// isStageDecl reports whether a trimmed graph statement is a stage-cut
-// declaration: the keyword `stage` followed by a stage number. An element
-// that happens to be named stage (`stage :: Counter`, `stage -> out`) is
-// ordinary Click text.
-func isStageDecl(trimmed string) bool {
-	if !wordAt(trimmed, 0, "stage") {
-		return false
-	}
-	rest := strings.TrimLeft(trimmed[len("stage"):], " \t\r\n")
-	return rest != "" && rest[0] >= '0' && rest[0] <= '9'
-}
-
-// parseStageDecl parses "stage N: el[,] el ...".
-func parseStageDecl(s string) (StageDecl, error) {
-	rest := strings.TrimSpace(s[len("stage"):])
-	num, names, ok := strings.Cut(rest, ":")
-	if !ok {
-		return StageDecl{}, fmt.Errorf("stage declaration %q wants `stage N: element ...`", snippet(s))
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(num))
-	if err != nil || n < 0 {
-		return StageDecl{}, fmt.Errorf("stage declaration %q: bad stage number %q", snippet(s), strings.TrimSpace(num))
-	}
-	d := StageDecl{Stage: n}
-	for _, tok := range strings.FieldsFunc(names, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t' || r == '\n' || r == '\r'
-	}) {
-		d.Elements = append(d.Elements, tok)
-	}
-	if len(d.Elements) == 0 {
-		return StageDecl{}, fmt.Errorf("stage declaration %q names no elements", snippet(s))
-	}
-	return d, nil
 }
 
 func wordAt(s string, i int, word string) bool {

@@ -237,7 +237,7 @@ func TestParseErrors(t *testing.T) {
 		{"double scenario", `scenario :: Scenario(NAME x); s2 :: Scenario(NAME y); m :: Flow(TYPE MON);`, "second Scenario"},
 		{"unknown class", `scenario :: Scenario(NAME x); m :: Widget(TYPE MON);`, "unknown declaration class"},
 		{"flow without type", `scenario :: Scenario(NAME x); m :: Flow(WORKERS 2);`, "needs TYPE or GRAPH"},
-		{"both type and graph", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, GRAPH G); graph G { }`, "both TYPE and GRAPH"},
+		{"both type and graph", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, GRAPH G); graph G { src :: FromDevice; src -> ToDevice; }`, "both TYPE and GRAPH"},
 		{"undeclared graph", `scenario :: Scenario(NAME x); m :: Flow(GRAPH NOPE);`, "undeclared graph"},
 		{"unused graph", "scenario :: Scenario(NAME x); m :: Flow(TYPE MON);\ngraph G { src :: FromDevice; src -> ToDevice; }", "no flow uses it"},
 		{"dup flow", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON); m :: Flow(TYPE MON);`, "declared twice"},
@@ -347,7 +347,7 @@ func TestShippedByName(t *testing.T) {
 // TestHiddenTriggerRequiresFW: HIDDEN_TRIGGER builds an FW aggressor, so
 // any other flow type is a parse error that names the flow's line.
 func TestHiddenTriggerRequiresFW(t *testing.T) {
-	const graph = "\ngraph G { src :: FromDevice; nf :: NetFlow; src -> nf -> ToDevice; stage 1: nf; }"
+	const graph = "\ngraph G { src :: FromDevice; nf :: NetFlow; src -> CheckIPHeader -> nf -> ToDevice; stage 1: nf; }"
 	cases := []struct{ name, flow, tail string }{
 		{"MON", "rogue :: Flow(TYPE MON, HIDDEN_TRIGGER 2000);", ""},
 		{"SYN", "rogue :: Flow(TYPE SYN, HIDDEN_TRIGGER 2000);", ""},

@@ -115,33 +115,47 @@ type Report struct {
 	Pass       bool    `json:"pass"`
 }
 
+// absErr accumulates |prediction error| over validated app rows: the one
+// derivation of the max / mean figures a point, a report and a trend
+// entry carry.
+type absErr struct {
+	n        int
+	sum, max float64
+	worst    string // the app holding max; of equals, the last
+}
+
+func (e *absErr) add(a AppResult) {
+	if !a.Validated {
+		return
+	}
+	v := math.Abs(a.PredErr)
+	e.n++
+	e.sum += v
+	if v >= e.max {
+		e.max, e.worst = v, a.App
+	}
+}
+
+func (e *absErr) mean() float64 {
+	if e.n == 0 {
+		return 0
+	}
+	return e.sum / float64(e.n)
+}
+
 // finish computes a point's aggregates from its app rows.
 func (p *PointResult) finish() {
 	p.Pass = p.Error == ""
-	n := 0
+	var e absErr
 	for _, a := range p.Apps {
 		// A declared latency SLO gates the point independently of drop
 		// validation — even synthetic or hidden flows can carry one.
-		if a.SLOP99US > 0 && !a.SLOPass {
+		if a.SLOP99US > 0 && !a.SLOPass || a.Validated && !a.Pass {
 			p.Pass = false
 		}
-		if !a.Validated {
-			continue
-		}
-		n++
-		e := math.Abs(a.PredErr)
-		p.MeanAbsErr += e
-		if e >= p.MaxAbsErr {
-			p.MaxAbsErr = e
-			p.WorstApp = a.App
-		}
-		if !a.Pass {
-			p.Pass = false
-		}
+		e.add(a)
 	}
-	if n > 0 {
-		p.MeanAbsErr /= float64(n)
-	}
+	p.MaxAbsErr, p.MeanAbsErr, p.WorstApp = e.max, e.mean(), e.worst
 }
 
 // aggregate computes the report's totals from its points. A point that
@@ -150,7 +164,7 @@ func (p *PointResult) finish() {
 // must not shape the headline error figures.
 func (r *Report) aggregate() {
 	r.Pass = true
-	n := 0
+	var e absErr
 	for _, p := range r.Points {
 		if p.Error != "" || !p.Pass {
 			r.Failed++
@@ -160,20 +174,10 @@ func (r *Report) aggregate() {
 			continue
 		}
 		for _, a := range p.Apps {
-			if !a.Validated {
-				continue
-			}
-			n++
-			e := math.Abs(a.PredErr)
-			r.MeanAbsErr += e
-			if e > r.MaxAbsErr {
-				r.MaxAbsErr = e
-			}
+			e.add(a)
 		}
 	}
-	if n > 0 {
-		r.MeanAbsErr /= float64(n)
-	}
+	r.MaxAbsErr, r.MeanAbsErr = e.max, e.mean()
 }
 
 // JSON renders the machine-readable report (the CI artifact).

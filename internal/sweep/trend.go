@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -70,8 +69,7 @@ func (t *Trend) Save(path string) error {
 // An existing entry for the same (rev, scenario) is replaced.
 func (t *Trend) Append(rep *Report, rev, when string) {
 	type agg struct {
-		max, sum float64
-		n        int
+		err      absErr
 		points   int
 		failed   int
 		maxP99   float64
@@ -96,15 +94,7 @@ func (t *Trend) Append(rep *Report, rev, when string) {
 				a.maxP99 = ar.LatP99US
 			}
 			a.breaches += ar.SLOBreaches
-			if !ar.Validated {
-				continue
-			}
-			e := math.Abs(ar.PredErr)
-			a.sum += e
-			a.n++
-			if e > a.max {
-				a.max = e
-			}
+			a.err.add(ar)
 		}
 	}
 	names := make([]string, 0, len(byScenario))
@@ -114,15 +104,11 @@ func (t *Trend) Append(rep *Report, rev, when string) {
 	sort.Strings(names)
 	for _, s := range names {
 		a := byScenario[s]
-		e := TrendEntry{
+		t.upsert(TrendEntry{
 			GitRev: rev, When: when, Scale: rep.Scale, Sweep: rep.Name,
-			Scenario: s, MaxAbsErr: a.max, Points: a.points, Failed: a.failed,
+			Scenario: s, MaxAbsErr: a.err.max, MeanAbsErr: a.err.mean(), Points: a.points, Failed: a.failed,
 			MaxP99US: a.maxP99, SLOBreaches: a.breaches,
-		}
-		if a.n > 0 {
-			e.MeanAbsErr = a.sum / float64(a.n)
-		}
-		t.upsert(e)
+		})
 	}
 }
 

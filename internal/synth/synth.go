@@ -136,15 +136,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// Stat implements click.Stats.
-func (e *Element) Stat(name string) (uint64, bool) {
-	switch name {
-	case "seen":
-		return e.seen, true
-	}
-	return 0, false
-}
-
 // synArgs is what Syn(...) decodes into.
 type synArgs struct {
 	Config

@@ -124,8 +124,8 @@ func TestElementTrigger(t *testing.T) {
 	if !el.Active() {
 		t.Fatal("Active() false after trigger")
 	}
-	if v, ok := el.Stat("seen"); !ok || v != 4 {
-		t.Fatalf("seen = %d/%v", v, ok)
+	if el.seen != 4 {
+		t.Fatalf("seen = %d", el.seen)
 	}
 }
 

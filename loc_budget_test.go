@@ -7,6 +7,9 @@ package pktpredict_test
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -89,5 +92,53 @@ func TestNonTestLineBudget(t *testing.T) {
 	}
 	for pkg := range ceilings {
 		t.Errorf("%s lists %s, which no longer exists; prune it", budgetFile, pkg)
+	}
+}
+
+// TestExportedNamesAreUsed is the census of dead exported API, as a test
+// run: an exported func or method declared in a non-test file under
+// internal/ or cmd/ whose name occurs nowhere else in the repository's .go
+// files — tests, examples/ and bench/ included, comments and other
+// declarations of the same name not — has no caller and fails here, by
+// name. There is no allow-list: a name that must stay gets a caller or a
+// test.
+func TestExportedNamesAreUsed(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{} // exported func name → a census file declaring it
+	used := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		census := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) && !strings.HasSuffix(path, "_test.go")
+		declNames := map[*ast.Ident]bool{}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declNames[n.Name] = true
+				if census && n.Name.IsExported() {
+					declared[n.Name.Name] = path
+				}
+			case *ast.Ident:
+				if !declNames[n] {
+					used[n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, path := range declared {
+		if !used[name] {
+			t.Errorf("%s: exported %s is declared and never named again; delete it, or give it a caller or a test", path, name)
+		}
 	}
 }
