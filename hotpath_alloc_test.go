@@ -18,9 +18,12 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	stdruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
 	"pktpredict/internal/handoff"
@@ -29,6 +32,7 @@ import (
 	"pktpredict/internal/nic"
 	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
+	"pktpredict/internal/scenario"
 	"pktpredict/internal/spsc"
 	"pktpredict/internal/synth"
 )
@@ -234,6 +238,94 @@ func TestHotPathAllocs(t *testing.T) {
 		banIP++
 		ban.Check(ctx, banIP)
 	})
+
+	// apps: whole flows from their own source — FromDevice.Pull/Recycle,
+	// every element's Process (re.Processor.Process among them), ToDevice.
+	// Each used to cost one click.Packet a packet, RE nine objects.
+	emit := func(name string, p apps.Params, ft apps.FlowType) {
+		inst, err := p.BuildSpec(apps.Spec{Type: ft, Seed: 7, SynCompute: 200}, func(int) *mem.Arena { return arena })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		buf := make([]hw.Op, 0, 1<<16)
+		for i := 0; i < 2*p.Buffers; i++ { // every pool buffer used; scratch and op buffer at their steady size
+			buf = inst.Source.EmitPacket(buf[:0])
+		}
+		gate(t, name+".EmitPacket", func() { buf = inst.Source.EmitPacket(buf[:0]) })
+	}
+	for _, ft := range append(slices.Clone(apps.RealisticTypes), apps.SYN) {
+		emit("apps."+string(ft), apps.Small(), ft)
+	}
+	for _, name := range []string{"nat_chain", "ids_chain"} {
+		sc, err := scenario.Shipped(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := sc.Config(hw.DefaultConfig(), apps.Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ft := range cfg.Params.Custom {
+			emit(name+"."+string(ft), cfg.Params, ft)
+		}
+	}
+}
+
+// stagedSLOChain is nat_chain_staged's graph, paced under a p99 objective.
+const stagedSLOChain = `scenario :: Scenario(NAME gate, MIN_CORES_PER_SOCKET 2, MIN_SOCKETS 2, PLACE s0:0 s1:0);
+graph NATFW {
+    src :: FromDevice(SIZE 64);
+    cls :: IPClassifier(tcp, udp, -);
+    nat :: IPRewriter(EXTIP 198.51.100.1, CAPACITY 65536);
+    fw  :: IPFilter(RULES 1000);
+    src -> CheckIPHeader -> cls;
+    cls[0] -> nat;
+    cls[1] -> nat;
+    cls[2] -> Discard;
+    nat -> fw -> ToDevice;
+    stage 1: fw;
+}
+natfw :: Flow(GRAPH NATFW, WORKERS 1, RATE 400000, SLO_P99_US 500);
+`
+
+// TestRuntimePathAllocs gates the runtime's packet path where it does the
+// most per packet: a chain cut across two workers (hand-off ring, staged
+// batch ops), every packet traced, latency recorded against an SLO. What
+// is left is per control window (the sample and its residuals, ~9 objects
+// at every barrier), so windows are made ten times rarer than the default
+// and the bound is 0.02 objects a packet (measured: 0.008, start-up
+// included): one object per packet, per traced span or per 32-packet batch
+// would all break it.
+func TestRuntimePathAllocs(t *testing.T) {
+	sc, err := scenario.Parse(stagedSLOChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := sc.Config(hw.DefaultConfig(), apps.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TraceSample, cfg.ControlEvery = 1, 50
+	r, err := runtime.NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	rep, err := r.Run(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdruntime.ReadMemStats(&after)
+	pkts := rep.TotalProcessed()
+	if len(r.Tracer().Events()) == 0 {
+		t.Fatal("no packet was traced")
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("%d mallocs for %d packets", mallocs, pkts)
+	if pkts < 5000 || float64(mallocs) > 0.02*float64(pkts) {
+		t.Fatalf("%d mallocs for %d packets: want at least 5000 packets and at most 0.02 objects a packet", mallocs, pkts)
+	}
 }
 
 // hotpathDirect lists the //dataplane:hotpath functions TestHotPathAllocs
@@ -293,6 +385,9 @@ var hotpathIndirect = map[string]string{
 	"handoff.Ring.chargeCursor":   "unexported; every CommitPush/CommitPop above that moves a cursor runs it",
 	"runtime.ringSource.Pull":     "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
 	"runtime.ringSource.Recycle":  "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
+	"elements.FromDevice.Pull":    "every apps.*.EmitPacket gate above pulls from the flow's own FromDevice",
+	"elements.FromDevice.Recycle": "every apps.*.EmitPacket gate above recycles into the flow's own FromDevice",
+	"re.Processor.Process":        "apps.RE.EmitPacket above runs it on every packet",
 	"runtime.ringSource.endBatch": "unexported type; Ring.Release above is the whole body, and the worker integration tests drive it each quantum",
 }
 

@@ -74,6 +74,8 @@ func FuzzParseConfig(f *testing.F) {
 		"src :: FromDevice; src -> AESEncrypt(OUTBUFS -1) -> ToDevice;",
 		"src :: FromDevice; src -> Syn(ACCESSES -1) -> ToDevice;",
 		"src :: FromDevice; src -> EntropyGate(WINDOW -8) -> ToDevice;",
+		"src :: FromDevice(BUFFERS 4000000000, SIZE 1500); src -> ToDevice;",
+		"src :: FromDevice; src -> ToDevice(RING 4000000000);",
 		"src :: TSource(COUNT -1); src -> TElem(FOO 1) -> TDrop(5);",
 		"src :: SeqSource(COUNTS 2, 7); src -> TElem;",
 		// Stage statements — the grammar's third kind — well-formed, naming

@@ -62,6 +62,7 @@ const (
 // consumes an RX descriptor, and hands the packet to the pipeline.
 type FromDevice struct {
 	pool      *nic.BufferPool
+	pkts      []click.Packet // one header per pool buffer, owned with it from Get to Recycle
 	ring      *nic.Ring
 	gen       trafficgen.Generator
 	spec      trafficgen.Spec
@@ -125,6 +126,7 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	}
 	return &FromDevice{
 		pool:      nic.NewBufferPool(env.Arena, cfg.Buffers, bufSize),
+		pkts:      make([]click.Packet, cfg.Buffers),
 		ring:      nic.NewRing(env.Arena, cfg.RingSize),
 		gen:       trafficgen.New(cfg.Traffic),
 		spec:      spec,
@@ -146,6 +148,7 @@ func (fd *FromDevice) Class() string { return "FromDevice" }
 // Pull implements click.Source.
 //
 //dataplane:stamped source-side DMA and ring ops are flow overhead (slot 0) by design
+//dataplane:hotpath
 func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	if fd.remaining == 0 {
 		return nil
@@ -171,15 +174,16 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	}
 	ctx.Compute(RxCompute, RxInstrs)
 	fd.Pulled++
-	return &click.Packet{
-		Data:      data[:n],
-		Addr:      addr,
-		Recycler:  fd,
-		PoolIndex: idx,
-	}
+	// A buffer, and so its header, has one owner between Get and Recycle;
+	// the assignment also clears the last packet's Trace and Enq.
+	p := &fd.pkts[idx]
+	*p = click.Packet{Data: data[:n], Addr: addr, Recycler: fd, PoolIndex: idx}
+	return p
 }
 
 // Recycle implements click.Recycler, returning the buffer to the pool.
+//
+//dataplane:hotpath
 func (fd *FromDevice) Recycle(ctx *click.Ctx, p *click.Packet) {
 	fd.pool.Put(ctx, p.PoolIndex)
 }
@@ -352,7 +356,7 @@ func init() {
 		click.Int("SIZE", fmt.Sprintf("[0,0]|[%d,65535]", trafficgen.MinPacketSize), func(a *fromDeviceArgs) *int { return &a.Traffic.Size }),
 		click.Uint("SEED", "", func(a *fromDeviceArgs) *uint64 { return &a.Traffic.Seed }),
 		click.Int("FLOWS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Traffic.Flows }),
-		click.Int("BUFFERS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Buffers }),
+		click.Int("BUFFERS", "[0,1048576]", func(a *fromDeviceArgs) *int { return &a.Buffers }),
 		click.Int("COUNT", "[0,)", func(a *fromDeviceArgs) *int { return &a.count }),
 		click.Int("BATCH", "[0,)", func(a *fromDeviceArgs) *int { return &a.Batch }),
 		click.Float("SIG_HIT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHit }),
@@ -376,7 +380,7 @@ func init() {
 		return NewFromDevice(env, a.FromDeviceConfig)
 	})
 	click.Register("ToDevice", []click.Key[int]{
-		click.Int("RING", "[0,)", func(ring *int) *int { return ring }),
+		click.Int("RING", "[0,1048576]", func(ring *int) *int { return ring }),
 	}, nil, func(env *click.Env, ring int) (interface{}, error) {
 		return NewToDevice(env, ring), nil
 	})

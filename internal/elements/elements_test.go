@@ -73,6 +73,24 @@ func TestFromDeviceRecyclesBuffers(t *testing.T) {
 	}
 }
 
+// TestFromDeviceReusesHeaders: a packet header belongs to its pool buffer,
+// so a buffer's next packet is the same *click.Packet, reset — nothing a
+// previous owner left on it (a trace mark, an enqueue stamp) survives.
+func TestFromDeviceReusesHeaders(t *testing.T) {
+	fd := newFD(t, FromDeviceConfig{Buffers: 1})
+	var ctx click.Ctx
+	first := fd.Pull(&ctx)
+	first.Trace, first.Enq = 7, 99
+	first.Recycler.Recycle(&ctx, first)
+	again := fd.Pull(&ctx)
+	if again != first {
+		t.Fatal("the pool's one buffer came back under a new header")
+	}
+	if again.Trace != 0 || again.Enq != 0 || again.Recycler != click.Recycler(fd) || again.PoolIndex != 0 {
+		t.Fatalf("recycled header not reset: %+v", *again)
+	}
+}
+
 func TestFromDeviceInvalidTraffic(t *testing.T) {
 	_, err := NewFromDevice(newEnv(), FromDeviceConfig{Traffic: trafficgen.Spec{Size: 8}})
 	if err == nil {

@@ -11,6 +11,13 @@
 // levels), giving random-destination lookups the multi-node, multi-line
 // walk that makes radix-trie IP lookup cache-hungry on the paper's
 // platform.
+//
+// The host-side arrays are equal to the simulated layout: 8 bytes an
+// entry — the route, and one link word packing the child's node id above
+// the route's original prefix length + 1, zero meaning "none" in both
+// (the root is nobody's child) — plus a 4-byte entry offset a node. No
+// array holds a node's level: every walk starts at the root and descends
+// one level per step, so the level is the walk's own step count.
 package iplookup
 
 import (
@@ -31,29 +38,31 @@ const NoRoute = ^uint32(0)
 var DefaultStrides = []int{8, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
 
 // entry is one slot of a trie node. Entries are stored in a single flat
-// array (nodes are 2^stride consecutive entries) to keep the Go-side
-// memory proportional to the simulated layout.
+// array (nodes are 2^stride consecutive entries), and an entry is the
+// eight bytes it is simulated as.
 type entry struct {
 	route uint32 // NoRoute if none
-	child int32  // node id, -1 if none
-	plen  int8   // original prefix length of route; -1 if none
+	link  uint32 // child node id << plenBits (0: none) | route's original prefix length + 1 (0: none)
 }
+
+// plenBits holds a prefix length + 1 (at most 33); the other childBits of
+// link hold a node id, which reserve keeps below maxNodes.
+const plenBits, childBits, plenMask = 8, 32 - plenBits, 1<<plenBits - 1
 
 // simEntryBytes is each entry's simulated size.
 const simEntryBytes = 8
 
 // maxEntries and maxNodes are what New reserves of simulated address
 // space; a table past either would alias its arena's next allocation.
-const maxEntries, maxNodes = 1 << 26, 1 << 24
+const maxEntries, maxNodes = 1 << 26, 1 << childBits
 
 // reserve makes room for that many more nodes and entries, or fails if
 // the trie would outgrow the reservation.
 func (t *RadixTrie) reserve(nodes, entries int) error {
-	if n, e := len(t.level)+nodes, len(t.entries)+entries; n > maxNodes || e > maxEntries {
+	if n, e := len(t.offset)+nodes, len(t.entries)+entries; n > maxNodes || e > maxEntries {
 		return fmt.Errorf("iplookup: a table of %d nodes and %d entries is past the %d nodes or %d entries of simulated address space reserved for one", n, e, maxNodes, maxEntries)
 	}
 	t.entries = slices.Grow(t.entries, entries)
-	t.level = slices.Grow(t.level, nodes)
 	t.offset = slices.Grow(t.offset, nodes)
 	return nil
 }
@@ -65,7 +74,6 @@ func (t *RadixTrie) reserve(nodes, entries int) error {
 type RadixTrie struct {
 	strides []int
 	bounds  []int   // cumulative prefix-length boundaries
-	level   []int32 // level of each node (index into strides)
 	offset  []int32 // first entry index of each node
 	entries []entry
 	base    hw.Addr // simulated base of the entry array
@@ -109,7 +117,7 @@ func New(arena *mem.Arena, strides []int) *RadixTrie {
 // state migration would copy. Call it after the table is populated.
 func (t *RadixTrie) recordFootprint() {
 	t.arena.Record(t.base, uint64(len(t.entries))*simEntryBytes)
-	t.arena.Record(t.hdrBase, uint64(len(t.level))*8)
+	t.arena.Record(t.hdrBase, uint64(len(t.offset))*8)
 }
 
 func (t *RadixTrie) newNode(level int) int32 {
@@ -119,11 +127,10 @@ func (t *RadixTrie) newNode(level int) int32 {
 	}
 	t.entries = t.entries[:off+size]
 	for i := off; i < off+size; i++ {
-		t.entries[i] = entry{route: NoRoute, child: -1, plen: -1}
+		t.entries[i] = entry{route: NoRoute}
 	}
-	t.level = append(t.level, int32(level))
 	t.offset = append(t.offset, int32(off))
-	return int32(len(t.level) - 1)
+	return int32(len(t.offset) - 1)
 }
 
 // entryAddr returns the simulated address of entry index e.
@@ -135,7 +142,7 @@ func (t *RadixTrie) entryAddr(e int32) hw.Addr {
 func (t *RadixTrie) Routes() int { return t.routes }
 
 // Nodes returns the number of allocated trie nodes.
-func (t *RadixTrie) Nodes() int { return len(t.level) }
+func (t *RadixTrie) Nodes() int { return len(t.offset) }
 
 // SimBytes returns the trie's simulated memory footprint (entries
 // actually allocated, not the reserved range).
@@ -153,7 +160,7 @@ func (t *RadixTrie) Insert(prefix uint32, plen int, nexthop uint32) {
 		panic("iplookup: nexthop collides with NoRoute sentinel")
 	}
 	prefix &= maskOf(plen)
-	t.insert(0, 0, prefix, plen, nexthop)
+	t.insert(prefix, plen, nexthop)
 	t.routes++
 }
 
@@ -207,40 +214,38 @@ func maskOf(plen int) uint32 {
 	return ^uint32(0) << (32 - plen)
 }
 
-// insert walks to the level whose boundary covers plen, expanding the
-// prefix across all entries it covers at that level.
-func (t *RadixTrie) insert(node int32, depth int, prefix uint32, plen int, nexthop uint32) {
-	level := int(t.level[node])
-	stride := t.strides[level]
-	shift := 32 - depth - stride
-	index := int(prefix>>shift) & (1<<stride - 1)
-	off := t.offset[node]
-
-	if plen <= t.bounds[level] {
-		// The prefix ends at or within this level: expand it over all
-		// entries whose top bits match. A longer prefix expanded earlier
-		// onto the same entries keeps precedence.
-		low := plen - depth
-		if low < 0 {
-			low = 0
-		}
-		span := 1 << (stride - low)
-		start := index &^ (span - 1)
-		for i := start; i < start+span; i++ {
-			e := &t.entries[off+int32(i)]
-			if int(e.plen) <= plen {
-				e.route = nexthop
-				e.plen = int8(plen)
+// insert walks from the root to the level whose boundary covers plen,
+// expanding the prefix across all entries it covers at that level. A walk
+// descends one level per step, so a node's level is the step count and no
+// array keeps it.
+func (t *RadixTrie) insert(prefix uint32, plen int, nexthop uint32) {
+	node, depth := int32(0), 0
+	for level := 0; ; level++ {
+		stride := t.strides[level]
+		index := int32(prefix>>(32-depth-stride)) & (1<<stride - 1)
+		off := t.offset[node]
+		if plen <= t.bounds[level] {
+			// The prefix ends at or within this level: expand it over all
+			// entries whose top bits match. A longer prefix expanded earlier
+			// onto the same entries keeps precedence.
+			span := int32(1) << (stride - max(plen-depth, 0))
+			start := index &^ (span - 1)
+			for i := start; i < start+span; i++ {
+				e := &t.entries[off+i]
+				if int(e.link&plenMask) <= plen+1 {
+					e.route = nexthop
+					e.link = e.link&^plenMask | uint32(plen+1)
+				}
 			}
+			return
 		}
-		return
+		child := int32(t.entries[off+index].link >> plenBits)
+		if child == 0 { // the root is nobody's child
+			child = t.newNode(level + 1)
+			t.entries[off+index].link |= uint32(child) << plenBits
+		}
+		node, depth = child, depth+stride
 	}
-	child := t.entries[off+int32(index)].child
-	if child < 0 {
-		child = t.newNode(level + 1)
-		t.entries[off+int32(index)].child = child
-	}
-	t.insert(child, depth+stride, prefix, plen, nexthop)
 }
 
 // Lookup returns the longest-prefix-match next hop for dst, emitting the
@@ -251,25 +256,21 @@ func (t *RadixTrie) insert(node int32, depth int, prefix uint32, plen int, nexth
 //dataplane:stamped emits under the caller's Ctx bracket (called from Element.Process)
 func (t *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
 	best := NoRoute
-	node := int32(0)
-	depth := 0
-	for {
+	node, depth := int32(0), 0
+	for level := 0; ; level++ {
 		ctx.Load(t.hdrBase + hw.Addr(uint64(node)*8))
-		level := int(t.level[node])
 		stride := t.strides[level]
-		shift := 32 - depth - stride
-		index := int32(dst>>shift) & (1<<stride - 1)
+		index := int32(dst>>(32-depth-stride)) & (1<<stride - 1)
 		e := t.entries[t.offset[node]+index]
 		ctx.Load(t.entryAddr(t.offset[node] + index))
 		ctx.Compute(7, 9) // shift/mask/branch per level
 		if e.route != NoRoute {
 			best = e.route
 		}
-		if e.child < 0 {
+		if e.link>>plenBits == 0 {
 			return best
 		}
-		node = e.child
-		depth += stride
+		node, depth = int32(e.link>>plenBits), depth+stride
 	}
 }
 
@@ -277,22 +278,18 @@ func (t *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
 // verification.
 func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 	best := NoRoute
-	node := int32(0)
-	depth := 0
-	for {
-		level := int(t.level[node])
+	node, depth := int32(0), 0
+	for level := 0; ; level++ {
 		stride := t.strides[level]
-		shift := 32 - depth - stride
-		index := int32(dst>>shift) & (1<<stride - 1)
+		index := int32(dst>>(32-depth-stride)) & (1<<stride - 1)
 		e := t.entries[t.offset[node]+index]
 		if e.route != NoRoute {
 			best = e.route
 		}
-		if e.child < 0 {
+		if e.link>>plenBits == 0 {
 			return best
 		}
-		node = e.child
-		depth += stride
+		node, depth = int32(e.link>>plenBits), depth+stride
 	}
 }
 

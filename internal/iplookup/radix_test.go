@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pktpredict/internal/click"
 	_ "pktpredict/internal/elements" // FromDevice and ToDevice, for ParseConfig
@@ -265,8 +266,7 @@ func randomTableEach(tr *RadixTrie, n int, seed uint64) {
 
 func sameTrie(t *testing.T, what string, got, want *RadixTrie) {
 	t.Helper()
-	if !slices.Equal(got.entries, want.entries) || !slices.Equal(got.level, want.level) ||
-		!slices.Equal(got.offset, want.offset) {
+	if !slices.Equal(got.entries, want.entries) || !slices.Equal(got.offset, want.offset) {
 		t.Fatalf("%s: node arrays differ from one-at-a-time insertion (%d vs %d nodes, %d vs %d entries)",
 			what, got.Nodes(), want.Nodes(), len(got.entries), len(want.entries))
 	}
@@ -344,10 +344,9 @@ func TestInsertAllSizesOnce(t *testing.T) {
 	for _, n := range []int{500, 4000, 40000} {
 		tr := newTrie()
 		RandomTable(tr, n, 9)
-		if !slack(len(tr.entries), cap(tr.entries), 12) || !slack(len(tr.level), cap(tr.level), 4) ||
-			!slack(len(tr.offset), cap(tr.offset), 4) {
-			t.Errorf("n=%d: len/cap entries %d/%d, level %d/%d, offset %d/%d: not sized in one step", n,
-				len(tr.entries), cap(tr.entries), len(tr.level), cap(tr.level), len(tr.offset), cap(tr.offset))
+		if !slack(len(tr.entries), cap(tr.entries), int(unsafe.Sizeof(entry{}))) || !slack(len(tr.offset), cap(tr.offset), 4) {
+			t.Errorf("n=%d: len/cap entries %d/%d, offset %d/%d: not sized in one step", n,
+				len(tr.entries), cap(tr.entries), len(tr.offset), cap(tr.offset))
 		}
 		allocs = append(allocs, testing.AllocsPerRun(3, func() { RandomTable(newTrie(), n, 9) }))
 	}
@@ -355,6 +354,13 @@ func TestInsertAllSizesOnce(t *testing.T) {
 		if a != allocs[0] || a > 20 {
 			t.Fatalf("allocations per build %v: want one small constant at every table size", allocs)
 		}
+	}
+}
+
+// TestEntryIsItsSimulatedSize: the host entry is the simulated one.
+func TestEntryIsItsSimulatedSize(t *testing.T) {
+	if unsafe.Sizeof(entry{}) != simEntryBytes {
+		t.Fatalf("entry is %d host bytes, simulated as %d", unsafe.Sizeof(entry{}), simEntryBytes)
 	}
 }
 

@@ -28,7 +28,7 @@ var fnRecycle = hw.RegisterFunc("skb_recycle")
 // touched on every packet — which is why, in the paper's Figure 7,
 // skb_recycle's cached data is essentially never evicted.
 type BufferPool struct {
-	bufs    [][]byte
+	slab    []byte     // every buffer, bufSize bytes each, in one host allocation
 	region  mem.Region // simulated buffer storage
 	stack   mem.Region // free-stack slots, 4 bytes each
 	head    hw.Addr    // free-stack head index
@@ -45,12 +45,11 @@ func NewBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
 		region:  mem.NewRegion(arena, count, uint64(bufSize), true),
 		stack:   mem.NewRegion(arena, count, 4, false),
 		head:    arena.Alloc(hw.LineSize, hw.LineSize),
+		slab:    make([]byte, count*bufSize),
+		free:    make([]int, count),
 		bufSize: bufSize,
 	}
-	bp.bufs = make([][]byte, count)
-	bp.free = make([]int, count)
-	for i := range bp.bufs {
-		bp.bufs[i] = make([]byte, bufSize)
+	for i := range bp.free {
 		bp.free[i] = count - 1 - i // pop order: buffer 0 first
 	}
 	return bp
@@ -81,7 +80,8 @@ func (bp *BufferPool) Get(ctx *click.Ctx) (idx int, data []byte, addr hw.Addr) {
 	ctx.Load(bp.stack.Addr(len(bp.free))) // read stack slot
 	ctx.Store(bp.head)                    // update head
 	ctx.Compute(6, 6)
-	return idx, bp.bufs[idx], bp.region.Addr(idx)
+	lo, hi := idx*bp.bufSize, (idx+1)*bp.bufSize // hi is the capacity too: an overrun cannot reach the neighbour
+	return idx, bp.slab[lo:hi:hi], bp.region.Addr(idx)
 }
 
 // Put returns buffer idx to the pool, emitting the free-list trace.
@@ -89,7 +89,7 @@ func (bp *BufferPool) Get(ctx *click.Ctx) (idx int, data []byte, addr hw.Addr) {
 //dataplane:stamped emits under the caller's Ctx bracket (sources and sinks own the attribution)
 //dataplane:hotpath
 func (bp *BufferPool) Put(ctx *click.Ctx, idx int) {
-	if idx < 0 || idx >= len(bp.bufs) {
+	if idx < 0 || idx >= bp.region.Count {
 		panic(fmt.Sprintf("nic: Put of invalid buffer %d", idx)) //dataplane:allow hotpathalloc formats only on the panic path, never in steady state
 	}
 	old := ctx.SetFunc(fnRecycle)

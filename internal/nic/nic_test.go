@@ -38,13 +38,39 @@ func TestBufferPoolDistinctBuffers(t *testing.T) {
 	var ctx click.Ctx
 	seen := make(map[int]bool)
 	addrs := make(map[hw.Addr]bool)
+	bufs := make([][]byte, 8)
 	for i := 0; i < 8; i++ {
-		idx, _, addr := bp.Get(&ctx)
+		idx, data, addr := bp.Get(&ctx)
 		if seen[idx] || addrs[addr] {
 			t.Fatalf("duplicate buffer %d / %#x", idx, addr)
 		}
 		seen[idx] = true
 		addrs[addr] = true
+		// The buffers share one slab: each must end where it ends, so an
+		// append past it reallocates instead of writing into the next.
+		if len(data) != 512 || cap(data) != 512 {
+			t.Fatalf("buffer %d: len %d cap %d, want 512 / 512", idx, len(data), cap(data))
+		}
+		for j := range data {
+			data[j] = byte(idx + 1)
+		}
+		bufs[idx] = data
+	}
+	for idx, data := range bufs {
+		if data[0] != byte(idx+1) || data[511] != byte(idx+1) {
+			t.Fatalf("buffer %d overwritten by a neighbour", idx)
+		}
+	}
+}
+
+// TestBufferPoolAllocatesOnce: a pool is one slab, one free stack and its
+// header whatever the buffer count (it was an object per buffer).
+func TestBufferPoolAllocatesOnce(t *testing.T) {
+	for _, count := range []int{4, 512, 4096} {
+		// The arena's own bookkeeping is one or two of them.
+		if n := testing.AllocsPerRun(5, func() { NewBufferPool(mem.NewArena(0), count, 2048) }); n > 8 {
+			t.Fatalf("a pool of %d buffers takes %v allocations, want a small constant", count, n)
+		}
 	}
 }
 

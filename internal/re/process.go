@@ -57,7 +57,7 @@ type Segment struct {
 
 // Encoded is the result of processing one payload.
 type Encoded struct {
-	Segments   []Segment
+	Segments   []Segment // the Processor's scratch: valid until its next Process
 	RawLen     int
 	MatchedLen int // bytes replaced by references
 }
@@ -83,7 +83,9 @@ type Processor struct {
 	rabin  *Rabin
 	store  *PacketStore
 	table  *FPTable
-	sample uint64 // selection mask
+	sample uint64    // selection mask
+	reps   []rep     // scratch kept between packets: steady state allocates nothing
+	segs   []Segment // backing array of the last Encoded.Segments
 
 	// Stats.
 	Packets      uint64
@@ -109,6 +111,12 @@ func (p *Processor) Store() *PacketStore { return p.store }
 // Table exposes the fingerprint table.
 func (p *Processor) Table() *FPTable { return p.table }
 
+// rep is one representative fingerprint of the payload being processed.
+type rep struct {
+	pos int // window start position in payload
+	fp  uint64
+}
+
 // rollCyclesPerByte charges the rolling-hash arithmetic: two table
 // lookups, two shifts and two XORs per byte.
 const rollCyclesPerByte = 3
@@ -118,29 +126,27 @@ const rollCyclesPerByte = 3
 // representative fingerprints, verifies and extends matches against the
 // packet store, appends the new content to the store, and returns the
 // encoding. All table and store traffic is emitted into ctx.
+//
+//dataplane:hotpath
 func (p *Processor) Process(ctx *click.Ctx, payload []byte, addr hw.Addr) Encoded {
 	old := ctx.SetFunc(fnRE)
 	defer ctx.SetFunc(old)
 
 	p.Packets++
-	enc := Encoded{RawLen: len(payload)}
+	enc := Encoded{Segments: p.segs[:0], RawLen: len(payload)}
 
 	// Fingerprint the payload. The payload lines are (re)read and the
 	// rolling hash is charged per byte.
 	ctx.LoadBytes(addr, len(payload))
 	ctx.Compute(uint32(len(payload)*rollCyclesPerByte), uint32(len(payload)*2))
 
-	type rep struct {
-		pos int // window start position in payload
-		fp  uint64
-	}
-	var reps []rep
-	w := p.rabin.Window()
-	p.rabin.Roll(payload, func(pos int, fp uint64) {
-		if fp&p.sample == 0 {
-			reps = append(reps, rep{pos: pos - w + 1, fp: fp})
+	reps, w, fp := p.reps[:0], p.rabin.Window(), uint64(0)
+	for i := range payload {
+		if fp = p.rabin.Slide(fp, payload, i); i >= w-1 && fp&p.sample == 0 {
+			reps = append(reps, rep{pos: i - w + 1, fp: fp})
 		}
-	})
+	}
+	p.reps = reps
 	p.Fingerprints += uint64(len(reps))
 
 	// Match representative regions against the store, greedily and
@@ -185,6 +191,7 @@ func (p *Processor) Process(ctx *click.Ctx, payload []byte, addr hw.Addr) Encode
 	if covered < len(payload) {
 		enc.Segments = append(enc.Segments, Segment{Literal: payload[covered:]})
 	}
+	p.segs = enc.Segments
 	p.MatchedBytes += uint64(enc.MatchedLen)
 
 	// Append the raw payload to the store and index its representative

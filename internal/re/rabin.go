@@ -108,24 +108,16 @@ func (r *Rabin) appendByte(fp uint64, b byte) uint64 {
 // Window returns the window width in bytes.
 func (r *Rabin) Window() int { return r.window }
 
-// Roll computes the fingerprint at every position of data where a full
-// window is available, calling fn(pos, fp) for each, where pos is the
-// index of the window's last byte. It performs the real rolling-hash
-// arithmetic over the real bytes.
-func (r *Rabin) Roll(data []byte, fn func(pos int, fp uint64)) {
-	if len(data) < r.window {
-		return
-	}
-	var fp uint64
-	for i := 0; i < r.window; i++ {
-		fp = r.appendByte(fp, data[i])
-	}
-	fn(r.window-1, fp)
-	for i := r.window; i < len(data); i++ {
+// Slide extends fp, the fingerprint of the window ending at data[i-1]
+// (zero at i = 0), by data[i], popping the byte that leaves once the
+// window is full: from i = Window()-1 on, the result is the fingerprint of
+// the full window ending at data[i]. The caller drives the loop over i; it
+// is the real rolling-hash arithmetic over the real bytes.
+func (r *Rabin) Slide(fp uint64, data []byte, i int) uint64 {
+	if i >= r.window {
 		fp ^= r.popT[data[i-r.window]]
-		fp = r.appendByte(fp, data[i])
-		fn(i, fp)
 	}
+	return r.appendByte(fp, data[i])
 }
 
 // FingerprintAt computes the fingerprint of the window ending at position
