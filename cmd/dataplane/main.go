@@ -20,10 +20,8 @@
 //	dataplane [-config examples/scenarios/nat_chain.click]
 //	          [-scenario mixed|bursty|thrash|hidden|...]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
-//	          [-duration 0.05] [-packets N]
-//	          [-quantum 200000] [-noprofile]
-//	          [-migrate-state BYTES] [-telemetry]
-//	          [-metrics-addr :9090] [-residuals]
+//	          [-duration 0.05] [-quantum 200000] [-noprofile]
+//	          [-telemetry] [-metrics-addr :9090] [-residuals]
 //	          [-trace-sample 64] [-trace-out trace.json]
 //
 // Observability: -metrics-addr serves the live metrics registry over
@@ -70,10 +68,7 @@ func main() {
 	platformOverrides := flag.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
 	duration := flag.Float64("duration", 0.05, "measured virtual seconds")
-	packets := flag.Uint64("packets", 0, "stop after N processed packets instead of -duration")
 	quantum := flag.Uint64("quantum", 0, "clock-sync quantum in cycles (default 200000)")
-	migrateState := flag.Uint64("migrate-state", 0,
-		"state-migration footprint threshold in bytes: re-placed flows whose tables fit are copied to their new socket; 0 keeps the scenario's setting")
 	noprofile := flag.Bool("noprofile", false,
 		"skip offline profiling (disables prediction, admission limits, re-placement)")
 	telemetry := flag.Bool("telemetry", false, "dump per-window telemetry samples")
@@ -121,9 +116,6 @@ func main() {
 	if *quantum > 0 {
 		cfg.QuantumCycles = *quantum
 	}
-	if *migrateState > 0 {
-		cfg.MigrateState = *migrateState
-	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = scale.Warmup
 	}
@@ -162,14 +154,22 @@ func main() {
 		*traceSample = 64
 	}
 	cfg.TraceSample = *traceSample
-	if *residuals {
-		// Live per-window residual report: each control barrier prints the
-		// apps whose prediction diverged, with the diagnosed cause.
-		cfg.OnWindow = func(cs runtime.ControlSample, res []obs.Residual) {
-			for _, rr := range res {
-				if rr.Cause == obs.CauseNone {
-					continue
-				}
+	// The run's windows reach -telemetry and -residuals here, and only
+	// here: each control barrier prints the apps whose prediction
+	// diverged, with the diagnosed cause, and keeps what the flags print
+	// after the report.
+	var samples []runtime.ControlSample
+	var series []obs.Residual
+	cfg.OnWindow = func(cs runtime.ControlSample, res []obs.Residual) {
+		if *telemetry {
+			samples = append(samples, cs)
+		}
+		if !*residuals {
+			return
+		}
+		series = append(series, res...)
+		for _, rr := range res {
+			if rr.Cause != obs.CauseNone {
 				fmt.Fprintf(os.Stderr, "residual t=%.2fms %-10s pred=%.1f%% obs=%.1f%% [%s] %s\n",
 					rr.Time*1e3, rr.App, rr.Predicted*100, rr.Observed*100, rr.Cause, rr.Evidence)
 			}
@@ -181,12 +181,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	start := time.Now()
-	var rep *runtime.Report
-	if *packets > 0 {
-		rep, err = r.RunPackets(*packets)
-	} else {
-		rep, err = r.Run(*duration)
-	}
+	rep, err := r.Run(*duration)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -196,7 +191,7 @@ func main() {
 	fmt.Println(rep.String())
 
 	if *residuals {
-		printResiduals(rep.Residuals)
+		printResiduals(series)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, r, cfg.Cfg.ClockHz); err != nil {
@@ -206,7 +201,7 @@ func main() {
 
 	if *telemetry {
 		fmt.Println("telemetry samples:")
-		for _, cs := range r.Stats().Samples() {
+		for _, cs := range samples {
 			for _, w := range cs.Workers {
 				app := w.App
 				if w.Stages > 1 {
@@ -223,7 +218,7 @@ func main() {
 	}
 }
 
-// printResiduals renders the retained prediction-residual time series:
+// printResiduals renders the run's prediction-residual time series:
 // the paper's accuracy metric per control window, with each divergence's
 // diagnosed cause.
 func printResiduals(res []obs.Residual) {

@@ -14,6 +14,7 @@ import (
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
 )
 
@@ -32,6 +33,10 @@ func main() {
 		Warmup:   0.001,
 		Scenario: "example",
 	}
+	// Every control window passes through OnWindow as it closes; keep the
+	// last one, which is what a live dashboard would show.
+	var last runtime.ControlSample
+	cfg.OnWindow = func(cs runtime.ControlSample, _ []obs.Residual) { last = cs }
 	r, err := runtime.NewRuntime(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -43,9 +48,6 @@ func main() {
 
 	fmt.Println(rep.String())
 
-	// The Stats aggregator holds every control-interval sample; the last
-	// one is what a live dashboard would show.
-	last := r.Stats().Latest()
 	fmt.Printf("final window (t=%.1fms):\n", last.Time*1e3)
 	for _, w := range last.Workers {
 		fmt.Printf("  worker %d (core %d, %s): %.2fM pps, %.1fM L3 refs/s, ring %d/%d\n",

@@ -91,6 +91,7 @@ func TestRuntimeChainRunsAndConserves(t *testing.T) {
 	cfg.Params = params
 	cps := testCfg().CoresPerSocket
 	cfg.Cores = []int{0, cps} // stage 0 on socket 0, stage 1 across QPI
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestRuntimeChainRunsAndConserves(t *testing.T) {
 	}
 	// Per-stage telemetry made it into the control samples.
 	sawStage1 := false
-	for _, cs := range r.Stats().Samples() {
+	for _, cs := range wins.Samples {
 		for _, wt := range cs.Workers {
 			if wt.Stage == 1 && wt.Stages == 2 && wt.RingCap > 0 {
 				sawStage1 = true

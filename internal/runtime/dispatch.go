@@ -44,9 +44,12 @@ type appState struct {
 
 	// Latency-SLO evaluation state (see Runtime.evalLatency): control
 	// windows in which the window p99 exceeded the declared target, and
-	// the most recent non-empty window's burn rate.
+	// the most recent non-empty window's burn rate. predSum/predCnt
+	// accumulate the group's workers' live predicted drops (see gather).
 	sloBreaches int
 	sloBurn     float64
+	predSum     float64
+	predCnt     int
 }
 
 // burstActive reports whether quantum q falls in the app's on-phase.

@@ -40,6 +40,7 @@ func TestProfileDriftNamesHiddenElement(t *testing.T) {
 	cfg.Profiles = map[apps.FlowType]FlowProfile{
 		apps.FW: profileWithElements(t, apps.FW, params),
 	}
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,14 +53,14 @@ func TestProfileDriftNamesHiddenElement(t *testing.T) {
 
 	var drifts int
 	var evidence string
-	for _, rr := range rep.Residuals {
+	for _, rr := range wins.Residuals {
 		if rr.Cause == obs.CauseProfileDrift {
 			drifts++
 			evidence = rr.Evidence
 		}
 	}
 	if drifts == 0 {
-		t.Fatalf("no window diagnosed profile drift after the hidden trigger; residuals: %+v", rep.Residuals)
+		t.Fatalf("no window diagnosed profile drift after the hidden trigger; residuals: %+v", wins.Residuals)
 	}
 	// The aggressor element is spliced in as a Syn synthetic element; the
 	// diagnosis must name it, not some legitimate FW element.
@@ -81,6 +82,7 @@ func TestNoDriftOnUnperturbedMix(t *testing.T) {
 		apps.IP:  profileWithElements(t, apps.IP, params),
 		apps.MON: profileWithElements(t, apps.MON, params),
 	}
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +92,10 @@ func TestNoDriftOnUnperturbedMix(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
-	if len(rep.Residuals) == 0 {
+	if len(wins.Residuals) == 0 {
 		t.Fatal("profiled mix produced no residual series")
 	}
-	for _, rr := range rep.Residuals {
+	for _, rr := range wins.Residuals {
 		if rr.Cause == obs.CauseProfileDrift {
 			t.Fatalf("clean mix diagnosed drift at t=%.3fms for %s: %s", rr.Time*1e3, rr.App, rr.Evidence)
 		}

@@ -1,6 +1,9 @@
 package runtime
 
-import "pktpredict/internal/apps"
+import (
+	"pktpredict/internal/apps"
+	"pktpredict/internal/obs"
+)
 
 // FlowLayout is what of a built flow the build order could move: its id,
 // the worker each stage is bound to, and where its state sits in
@@ -27,12 +30,34 @@ func (r *Runtime) Layout() []FlowLayout {
 	return out
 }
 
-// SetRetention shrinks what the runtime retains — n control samples, n
-// residuals per app — so eviction tests need not run
-// DefaultStatsRetention windows. Call before Run.
-func (r *Runtime) SetRetention(n int) {
-	r.stats.samples.max = n
-	r.residuals.max = n * len(r.disp.apps)
+// Windows is what a run handed Config.OnWindow: every control sample and
+// the residual series flattened, oldest first.
+type Windows struct {
+	Samples   []ControlSample
+	Residuals []obs.Residual // never nil, so an empty series renders []
+}
+
+// Latest returns the last sample, the zero value before the first window.
+func (w *Windows) Latest() ControlSample {
+	if len(w.Samples) == 0 {
+		return ControlSample{}
+	}
+	return w.Samples[len(w.Samples)-1]
+}
+
+// CaptureWindows installs an OnWindow collector on cfg, after any hook
+// already set, and returns what it collects.
+func CaptureWindows(cfg *Config) *Windows {
+	w := &Windows{Residuals: []obs.Residual{}}
+	hook := cfg.OnWindow
+	cfg.OnWindow = func(cs ControlSample, res []obs.Residual) {
+		if hook != nil {
+			hook(cs, res)
+		}
+		w.Samples = append(w.Samples, cs)
+		w.Residuals = append(w.Residuals, res...)
+	}
+	return w
 }
 
 // CheckGolden is checkGolden, for the external test package.

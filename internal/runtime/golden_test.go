@@ -134,12 +134,9 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 	}
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
-	var samples []ControlSample
 	var windows [][]obs.Residual
-	cfg.OnWindow = func(cs ControlSample, res []obs.Residual) {
-		samples = append(samples, cs)
-		windows = append(windows, res)
-	}
+	cfg.OnWindow = func(_ ControlSample, res []obs.Residual) { windows = append(windows, res) }
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,12 +146,17 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
-	section("report", rep)
-	section("samples", samples)
+	// The goldens predate the one window stream: the report then ended
+	// with the residual series, and a ring held the last sample.
+	section("report", struct {
+		*Report
+		Residuals []obs.Residual
+	}{rep, wins.Residuals})
+	section("samples", wins.Samples)
 	section("window residuals", windows)
-	section("residuals", r.Residuals())
+	section("residuals", wins.Residuals)
 	section("element baselines", r.ElementBaselines())
-	section("stats latest", r.Stats().Latest())
+	section("stats latest", wins.Latest())
 	out.WriteString("== exposition\n")
 	if err := reg.Snapshot().WritePrometheus(&out); err != nil {
 		t.Fatal(err)

@@ -277,6 +277,7 @@ func TestRuntimeBanTableStateMigration(t *testing.T) {
 	run := func(migrate uint64) (*Report, []ControlSample) {
 		cfg := idsStateConfig(t)
 		cfg.MigrateState = migrate
+		wins := CaptureWindows(&cfg)
 		r, err := NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +290,7 @@ func TestRuntimeBanTableStateMigration(t *testing.T) {
 		if len(rep.Migrations) == 0 {
 			t.Fatal("re-placement never engaged")
 		}
-		return rep, r.Stats().Samples()
+		return rep, wins.Samples
 	}
 
 	// Threshold admits the IDS state (2 MiB ban table plus the compiled
@@ -378,6 +379,7 @@ func TestProfileDriftNamesIDSDetector(t *testing.T) {
 	cfg := testConfig([]AppSpec{{Name: "ids", Type: "IDS", Workers: 1}})
 	cfg.Params = runParams
 	cfg.Profiles = map[apps.FlowType]FlowProfile{"IDS": prof}
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -390,14 +392,14 @@ func TestProfileDriftNamesIDSDetector(t *testing.T) {
 
 	var drifts int
 	var evidence string
-	for _, rr := range rep.Residuals {
+	for _, rr := range wins.Residuals {
 		if rr.Cause == obs.CauseProfileDrift {
 			drifts++
 			evidence = rr.Evidence
 		}
 	}
 	if drifts == 0 {
-		t.Fatalf("no window diagnosed profile drift after the signature-rate shift; residuals: %+v", rep.Residuals)
+		t.Fatalf("no window diagnosed profile drift after the signature-rate shift; residuals: %+v", wins.Residuals)
 	}
 	if !strings.Contains(evidence, "bans") && !strings.Contains(evidence, "ent") {
 		t.Fatalf("drift evidence does not name an IDS detector element: %q", evidence)

@@ -114,6 +114,7 @@ func TestRuntimeStateMigrationRestoresLocality(t *testing.T) {
 	run := func(migrate uint64) (*Report, []ControlSample) {
 		cfg := thrashStateConfig(t)
 		cfg.MigrateState = migrate
+		wins := CaptureWindows(&cfg)
 		r, err := NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +127,7 @@ func TestRuntimeStateMigrationRestoresLocality(t *testing.T) {
 		if len(rep.Migrations) == 0 {
 			t.Fatal("re-placement never engaged")
 		}
-		return rep, r.Stats().Samples()
+		return rep, wins.Samples
 	}
 
 	// With the threshold admitting every flow in the mix (MON ≈ 2.6 MiB,

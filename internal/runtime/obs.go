@@ -580,10 +580,6 @@ func (r *Runtime) windowResiduals(win *window) []obs.Residual {
 	return out
 }
 
-// Residuals returns the retained prediction-residual series, oldest
-// first. Call after Run (or from OnWindow, where workers are parked).
-func (r *Runtime) Residuals() []obs.Residual { return r.residuals.items() }
-
 // Tracer returns the packet tracer, nil unless Config.TraceSample is
 // set. Export its events (WriteChrome) only after Run returns.
 func (r *Runtime) Tracer() *obs.Tracer { return r.tracer }

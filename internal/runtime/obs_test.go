@@ -13,28 +13,6 @@ import (
 	"pktpredict/internal/obs"
 )
 
-func TestStatsRetention(t *testing.T) {
-	s := &Stats{samples: retained[ControlSample]{max: 4}}
-	for q := 0; q < 10; q++ {
-		s.record(ControlSample{Quantum: q})
-	}
-	if s.Total() != 10 {
-		t.Fatalf("total = %d, want 10", s.Total())
-	}
-	got := s.Samples()
-	if len(got) != 4 {
-		t.Fatalf("retained %d samples, want 4", len(got))
-	}
-	for i, cs := range got {
-		if cs.Quantum != 6+i {
-			t.Fatalf("sample %d is quantum %d, want %d (oldest-first tail)", i, cs.Quantum, 6+i)
-		}
-	}
-	if s.Latest().Quantum != 9 {
-		t.Fatalf("latest = %d, want 9", s.Latest().Quantum)
-	}
-}
-
 // TestRuntimeMetricsScrapeMidRun scrapes the exposition endpoint while
 // the dataplane is running (workers mid-quantum) and checks the page
 // carries the runtime's families. Run under -race this also proves the
@@ -250,13 +228,12 @@ func TestRuntimeResidualSeries(t *testing.T) {
 		apps.IP:  {SoloPPS: ipSolo.Throughput(), SoloRefsPerSec: ipSolo.L3RefsPerSec()},
 		apps.MON: {SoloPPS: monSolo.Throughput(), SoloRefsPerSec: monSolo.L3RefsPerSec()},
 	}
-	windows := 0
 	cfg.OnWindow = func(cs ControlSample, res []obs.Residual) {
-		windows++
 		if len(res) != 2 {
 			t.Errorf("window at q%d has %d residuals, want 2 (one per profiled app)", cs.Quantum, len(res))
 		}
 	}
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,19 +243,20 @@ func TestRuntimeResidualSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
+	windows := len(wins.Samples)
 	if windows == 0 {
 		t.Fatal("OnWindow never fired")
 	}
-	if len(rep.Residuals) != 2*windows {
-		t.Fatalf("report retains %d residuals, want %d (2 apps x %d windows)",
-			len(rep.Residuals), 2*windows, windows)
+	if len(wins.Residuals) != 2*windows {
+		t.Fatalf("series has %d residuals, want %d (2 apps x %d windows)",
+			len(wins.Residuals), 2*windows, windows)
 	}
 	valid := map[obs.Cause]bool{
 		obs.CauseNone: true, obs.CauseNUMA: true, obs.CauseRing: true,
 		obs.CauseL3: true, obs.CauseBetter: true, obs.CauseUnknown: true,
 	}
 	seen := map[string]bool{}
-	for _, rr := range rep.Residuals {
+	for _, rr := range wins.Residuals {
 		seen[rr.App] = true
 		if !valid[rr.Cause] {
 			t.Fatalf("residual carries unknown cause %q", rr.Cause)
@@ -292,25 +270,6 @@ func TestRuntimeResidualSeries(t *testing.T) {
 	}
 	if !seen["ipfwd"] || !seen["mon"] {
 		t.Fatalf("residual series missing an app: %v", seen)
-	}
-
-	// Retention bounds the series: a tiny retention keeps only the tail.
-	cfg2 := cfg
-	cfg2.OnWindow = nil
-	r2, err := NewRuntime(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.SetRetention(2)
-	rep2, err := r2.Run(0.004)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Residuals) > 2*len(cfg2.Apps) {
-		t.Fatalf("retention 2 kept %d residuals, want at most %d", len(rep2.Residuals), 2*len(cfg2.Apps))
-	}
-	if got := len(r2.Stats().Samples()); got > 2 {
-		t.Fatalf("retention 2 kept %d control samples", got)
 	}
 }
 

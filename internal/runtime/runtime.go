@@ -24,7 +24,9 @@
 // emergent; only the fine-grained interleaving within a quantum — and
 // therefore the exact drop figures — varies between runs. Dispatch and
 // the control loop run at barrier points, which is also when telemetry
-// is sampled, throttle decisions applied, and flows migrated.
+// is sampled, throttle decisions applied, and flows migrated. A window's
+// telemetry leaves through Config.OnWindow and the metrics registry; Run
+// returns only the whole-run Report.
 package runtime
 
 import (
@@ -166,8 +168,9 @@ type Config struct {
 	// staged chain for per-stage exec-span tracing (Runtime.Tracer).
 	TraceSample int
 	// OnWindow, when non-nil, is called at every control barrier with the
-	// window's sample and residuals. Workers are parked while it runs;
-	// keep it brief.
+	// window's sample and residuals: with Metrics, the only way a window
+	// leaves the runtime (the Report keeps none), and the caller's to keep.
+	// Workers are parked while it runs; keep it brief.
 	OnWindow func(ControlSample, []obs.Residual)
 }
 
@@ -210,7 +213,6 @@ type Runtime struct {
 	workers    []*worker
 	flows      []*flow
 	disp       *dispatcher
-	stats      *Stats
 	curves     map[apps.FlowType]core.Curve
 	quantumSec float64
 
@@ -225,15 +227,10 @@ type Runtime struct {
 	base, prev, cur *mark
 	win             window
 
-	// Observability state (see obs.go): registered metric handles, the
-	// packet tracer, the retained residual series, and running prediction
-	// accumulators for the whole-run report (independent of Stats
-	// retention).
-	obsm      *rtObs
-	tracer    *obs.Tracer
-	residuals retained[obs.Residual]
-	predSum   map[string]float64
-	predCnt   map[string]int
+	// Observability state (see obs.go): registered metric handles and the
+	// packet tracer.
+	obsm   *rtObs
+	tracer *obs.Tracer
 }
 
 // pendingPost marks one side of a recorded migration whose post-copy
@@ -257,6 +254,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	total := 0
 	maxPkt := 0
+	named := map[string]int{}
 	for i, a := range cfg.Apps {
 		if a.Workers <= 0 {
 			return nil, fmt.Errorf("runtime: app %q needs at least one worker", a.Name)
@@ -264,6 +262,11 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		if a.Name == "" {
 			return nil, fmt.Errorf("runtime: app %d has no name", i)
 		}
+		// Reports, residuals and metric series are keyed by app name.
+		if j, ok := named[a.Name]; ok {
+			return nil, fmt.Errorf("runtime: apps %d and %d are both named %q", j, i, a.Name)
+		}
+		named[a.Name] = i
 		// A replica of a staged flow type occupies one worker per stage.
 		total += a.Workers * cfg.Params.Stages(a.Type)
 		if s := cfg.appPacketSize(a); s > maxPkt {
@@ -294,11 +297,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:        cfg,
 		platform:   hw.NewPlatform(cfg.Cfg),
-		stats:      &Stats{samples: retained[ControlSample]{max: DefaultStatsRetention}},
 		curves:     map[apps.FlowType]core.Curve{},
 		quantumSec: cfg.Cfg.CyclesToSeconds(cfg.QuantumCycles),
-		predSum:    map[string]float64{},
-		predCnt:    map[string]int{},
 	}
 	r.platform.BoundChannelWaits(DefaultMaxQueueWait)
 	for t, p := range cfg.Profiles {
@@ -440,7 +440,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 	r.disp = &dispatcher{apps: states, quantumSec: r.quantumSec, quantumCycles: cfg.QuantumCycles}
-	r.residuals.max = DefaultStatsRetention * len(states)
 	r.base, r.prev, r.cur, r.win.d = newMark(r), newMark(r), newMark(r), newMark(r)
 	r.buildTracer()
 	if cfg.Metrics != nil {
@@ -529,9 +528,6 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 	return nil, nil
 }
 
-// Stats exposes the live telemetry aggregator.
-func (r *Runtime) Stats() *Stats { return r.stats }
-
 // Run executes the dataplane for the given measured virtual duration
 // (plus the configured warmup) and reports.
 func (r *Runtime) Run(duration float64) (*Report, error) {
@@ -539,16 +535,10 @@ func (r *Runtime) Run(duration float64) (*Report, error) {
 	if quanta < 1 {
 		quanta = 1
 	}
-	return r.run(func(done int, processed uint64) bool { return done >= quanta })
+	return r.run(quanta)
 }
 
-// RunPackets executes until at least count packets have been processed
-// after warmup.
-func (r *Runtime) RunPackets(count uint64) (*Report, error) {
-	return r.run(func(done int, processed uint64) bool { return processed >= count })
-}
-
-func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report, error) {
+func (r *Runtime) run(quanta int) (*Report, error) {
 	if r.finished {
 		return nil, fmt.Errorf("runtime: already ran; build a new Runtime")
 	}
@@ -594,7 +584,7 @@ func (r *Runtime) run(stop func(doneQuanta int, processed uint64) bool) (*Report
 			r.controlStep(q)
 			sinceControl = 0
 		}
-		if stop(measured, r.processed()) {
+		if measured == quanta {
 			if sinceControl > 0 {
 				r.controlStep(q)
 			}
@@ -754,7 +744,6 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		Quanta:         measQ,
 		Migrations:     r.migrations,
 		ThrottleEvents: r.throttleEvents,
-		Residuals:      r.Residuals(),
 	}
 	tot := r.total()
 
@@ -840,11 +829,10 @@ func (r *Runtime) buildReport(measQ int) *Report {
 			ar.SoloPPS = p.SoloPPS
 			ar.ObservedDrop, _ = a.observedDrop(p.SoloPPS, d, duration)
 		}
-		// Per-app prediction average from the running accumulators: every
-		// control window since measurement start contributes, regardless of
-		// how many samples the Stats retention ring still holds.
-		if n := r.predCnt[a.spec.Name]; n > 0 {
-			ar.PredictedDrop = r.predSum[a.spec.Name] / float64(n)
+		// Per-app prediction average: every control window since
+		// measurement start contributes.
+		if a.predCnt > 0 {
+			ar.PredictedDrop = a.predSum / float64(a.predCnt)
 		}
 		// Whole-window latency percentiles from the group's merged
 		// log-bucket histogram, and the SLO outcome the control loop

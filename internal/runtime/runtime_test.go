@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,7 @@ func TestRuntimeMixedSaturating(t *testing.T) {
 		{Name: "ipfwd", Type: apps.IP, Workers: 2},
 		{Name: "mon", Type: apps.MON, Workers: 2},
 	})
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +94,10 @@ func TestRuntimeMixedSaturating(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(r.Stats().Samples()) == 0 {
+	if len(wins.Samples) == 0 {
 		t.Fatal("no control samples recorded")
 	}
-	last := r.Stats().Latest()
+	last := wins.Latest()
 	if len(last.Workers) != 4 {
 		t.Fatalf("latest sample has %d workers", len(last.Workers))
 	}
@@ -177,6 +179,7 @@ func TestRuntimeAdmissionContainsHiddenAggressor(t *testing.T) {
 	cfg.Profiles = map[apps.FlowType]FlowProfile{
 		apps.FW: {SoloPPS: fwSolo.Throughput(), SoloRefsPerSec: fwSolo.L3RefsPerSec()},
 	}
+	wins := CaptureWindows(&cfg)
 	r, err := NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +194,7 @@ func TestRuntimeAdmissionContainsHiddenAggressor(t *testing.T) {
 	// The rogue's control element must carry a positive delay in at
 	// least one recorded sample.
 	sawDelay := false
-	for _, cs := range r.Stats().Samples() {
+	for _, cs := range wins.Samples {
 		for _, w := range cs.Workers {
 			if w.App == "rogue" && w.DelayCycles > 0 {
 				sawDelay = true
@@ -321,12 +324,16 @@ func TestRuntimePacketCountMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.RunPackets(500)
+	rep, err := r.Run(0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.TotalProcessed(); got < 500 {
 		t.Fatalf("processed %d packets, want ≥ 500", got)
+	}
+	// The one stop rule: the measured quanta that cover the duration.
+	if want := int(math.Ceil(0.001 / cfg.Cfg.CyclesToSeconds(cfg.QuantumCycles))); rep.Quanta != want {
+		t.Fatalf("ran %d measured quanta, want %d", rep.Quanta, want)
 	}
 }
 
@@ -351,16 +358,22 @@ func TestNewRuntimeValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		want   string // in the error, when set
 	}{
-		{"no apps", func(c *Config) { c.Apps = nil }},
-		{"zero workers", func(c *Config) { c.Apps[0].Workers = 0 }},
-		{"unnamed app", func(c *Config) { c.Apps[0].Name = "" }},
-		{"core count mismatch", func(c *Config) { c.Cores = []int{0} }},
-		{"duplicate core", func(c *Config) { c.Cores = []int{3, 3} }},
-		{"core out of range", func(c *Config) { c.Cores = []int{0, 99} }},
-		{"rate fraction without profile", func(c *Config) { c.Apps[0].RateFraction = 0.5 }},
+		{"no apps", func(c *Config) { c.Apps = nil }, ""},
+		{"zero workers", func(c *Config) { c.Apps[0].Workers = 0 }, ""},
+		{"unnamed app", func(c *Config) { c.Apps[0].Name = "" }, ""},
+		{"core count mismatch", func(c *Config) { c.Cores = []int{0} }, ""},
+		{"duplicate core", func(c *Config) { c.Cores = []int{3, 3} }, ""},
+		{"core out of range", func(c *Config) { c.Cores = []int{0, 99} }, ""},
+		{"rate fraction without profile", func(c *Config) { c.Apps[0].RateFraction = 0.5 }, ""},
 		// Used to panic in NewRing on a replica-build goroutine.
-		{"RingSize", func(c *Config) { c.RingSize = -5 }},
+		{"RingSize", func(c *Config) { c.RingSize = -5 }, "RingSize"},
+		// Used to run, blending both apps' predictions, residual evidence
+		// and dataplane_app_* series under the one name.
+		{"duplicate app name", func(c *Config) {
+			c.Apps = []AppSpec{{Name: "a", Type: apps.IP, Workers: 1}, {Name: "a", Type: apps.MON, Workers: 1}}
+		}, `apps 0 and 1 are both named "a"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -370,8 +383,8 @@ func TestNewRuntimeValidation(t *testing.T) {
 			if err == nil {
 				t.Fatal("invalid config accepted")
 			}
-			if tc.name == "RingSize" && !strings.Contains(err.Error(), tc.name) {
-				t.Fatalf("error %q does not name the field", err)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
 			}
 		})
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"pktpredict/internal/apps"
-	"pktpredict/internal/obs"
 )
 
 // WorkerTelemetry is one worker's live measurements over the last control
@@ -41,87 +39,12 @@ type WorkerTelemetry struct {
 	PredictedDrop    float64
 }
 
-// ControlSample is one control interval's full telemetry snapshot.
+// ControlSample is one control interval's full telemetry snapshot, as
+// Config.OnWindow receives it.
 type ControlSample struct {
 	Quantum int     // quantum index at which the sample was taken
 	Time    float64 // virtual seconds since measurement start
 	Workers []WorkerTelemetry
-}
-
-// DefaultStatsRetention is how many control samples Stats keeps, and how
-// many residuals per app the runtime keeps: enough for any interactive
-// run's full telemetry at the default control period, while bounding a
-// long-lived dataplane's memory. Whole-run aggregates (prediction
-// averages, SLO breach counts) do not depend on the retained window.
-const DefaultStatsRetention = 1024
-
-// retained is a bounded series: the newest max entries, oldest first.
-type retained[T any] struct {
-	max  int
-	buf  []T // ring storage, at most max entries
-	head int // index of the oldest entry once the ring wrapped
-}
-
-func (s *retained[T]) push(v T) {
-	if len(s.buf) < s.max {
-		s.buf = append(s.buf, v)
-		return
-	}
-	s.buf[s.head] = v
-	s.head = (s.head + 1) % len(s.buf)
-}
-
-// items returns a copy of the series, oldest first.
-func (s *retained[T]) items() []T {
-	out := make([]T, 0, len(s.buf))
-	out = append(out, s.buf[s.head:]...)
-	return append(out, s.buf[:s.head]...)
-}
-
-// Stats aggregates per-core telemetry across control intervals, keeping
-// the most recent samples. The runtime's control loop records into it at
-// barrier points; any goroutine may concurrently read the latest
-// snapshot, which is how a CLI progress display or an external scraper
-// observes a live dataplane.
-type Stats struct {
-	mu      sync.Mutex
-	samples retained[ControlSample]
-	total   int // samples recorded since construction
-}
-
-func (s *Stats) record(cs ControlSample) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	s.samples.push(cs)
-}
-
-// Latest returns the most recent control sample (zero value when none).
-func (s *Stats) Latest() ControlSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.samples.buf
-	if len(b) == 0 {
-		return ControlSample{}
-	}
-	return b[(s.samples.head+len(b)-1)%len(b)]
-}
-
-// Samples returns a copy of the retained control samples, oldest first.
-// A run longer than the retention window keeps only the tail; Total
-// reports how many samples were recorded overall.
-func (s *Stats) Samples() []ControlSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.samples.items()
-}
-
-// Total returns how many control samples have been recorded since the
-// start, including any the retention ring has already evicted.
-func (s *Stats) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
 }
 
 // Migration records one live re-placement: two workers exchanged their
@@ -287,7 +210,9 @@ func (a AppReport) CheckConservation() error {
 	return nil
 }
 
-// Report is the outcome of one runtime execution.
+// Report is the whole-run summary of one runtime execution. Per-window
+// data is not kept here: it leaves through Config.OnWindow and the
+// metrics registry as each window closes.
 type Report struct {
 	Scenario string
 	Duration float64 // measured virtual seconds (warmup excluded)
@@ -297,11 +222,6 @@ type Report struct {
 
 	Migrations     []Migration
 	ThrottleEvents int // control windows in which admission tightened a delay
-
-	// Residuals is the retained per-window prediction-residual series
-	// (oldest first): each profiled app's observed versus predicted drop
-	// with a diagnosed cause. Bounded by DefaultStatsRetention per app.
-	Residuals []obs.Residual
 }
 
 // fmtRemRate renders a migration-window remote rate, NaN as unmeasured.

@@ -10,13 +10,11 @@ import (
 
 // TestControlSampleTimeMonotonic pins the residual wall-time
 // derivation: ControlSample.Time must be quantum-derived virtual
-// seconds since measurement start — strictly monotonic, spaced exactly
-// one control window apart, and immune to the retention ring evicting old
-// samples (the prior derivation walked the retained sample count, so
-// eviction made the series fold back on itself).
+// seconds since measurement start — strictly monotonic and spaced exactly
+// one control window apart (an earlier derivation walked a retained
+// sample count, so evicting old samples folded the series back on itself).
 func TestControlSampleTimeMonotonic(t *testing.T) {
 	cfg := testConfig([]AppSpec{{Name: "ipfwd", Type: apps.IP, Workers: 1}})
-	const retention = 3 // force eviction well before the run ends
 	cfg.Profiles = map[apps.FlowType]FlowProfile{
 		apps.IP: {SoloPPS: 1e6, SoloRefsPerSec: 1e6},
 	}
@@ -39,14 +37,13 @@ func TestControlSampleTimeMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetRetention(retention)
 	rep, err := r.Run(0.004)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkConservation(t, rep)
-	if len(seen) <= retention {
-		t.Fatalf("run produced %d windows; need more than the retention of %d", len(seen), retention)
+	if len(seen) < 3 {
+		t.Fatalf("run produced %d windows; need at least 3", len(seen))
 	}
 
 	for i, p := range seen {
@@ -72,20 +69,6 @@ func TestControlSampleTimeMonotonic(t *testing.T) {
 	for i := 1; i < len(resTimes); i++ {
 		if resTimes[i] < resTimes[i-1] {
 			t.Fatalf("residual times regress at %d: %v -> %v", i, resTimes[i-1], resTimes[i])
-		}
-	}
-
-	// The retained tail matches the live series — eviction must not
-	// rewrite times.
-	tail := r.Stats().Samples()
-	if len(tail) != retention {
-		t.Fatalf("retained %d samples, want %d", len(tail), retention)
-	}
-	off := len(seen) - len(tail)
-	for i, cs := range tail {
-		if want := seen[off+i]; cs.Time != want.tsec || cs.Quantum != want.q {
-			t.Fatalf("retained sample %d = (q%d, %v), want (q%d, %v)",
-				i, cs.Quantum, cs.Time, want.q, want.tsec)
 		}
 	}
 }

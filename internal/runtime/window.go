@@ -156,19 +156,10 @@ func (r *Runtime) total() *mark {
 	return r.win.d
 }
 
-// processed counts packets that entered flows since measurement start.
-func (r *Runtime) processed() uint64 {
-	var n uint64
-	for _, f := range r.flows {
-		n += f.packets - r.base.flows[f.id].packets
-	}
-	return n
-}
-
 // window is one control interval: the counter deltas, the telemetry
 // gather derives from them, and the live placement decide reads. d is
-// reused storage; sample is fresh every window because Stats and
-// OnWindow keep it.
+// reused storage; sample is fresh every window because OnWindow may keep
+// it.
 type window struct {
 	sec    float64 // its length in virtual seconds
 	d      *mark   // cur − prev
@@ -198,8 +189,8 @@ const (
 // controlStep is the operator's monitoring agent, run at the barrier
 // after quantum q with every worker parked. decide writes only control
 // delays and bindings (and, through swap, the marks of the two cores it
-// charged a state copy to); publish writes the run's telemetry — Stats,
-// residuals, SLO state, the registry — and nothing the dataplane reads.
+// charged a state copy to); publish hands the window out — SLO state, the
+// registry, OnWindow — and writes nothing the dataplane reads.
 func (r *Runtime) controlStep(q int) {
 	win := r.gather(q)
 	r.decide(win)
@@ -208,7 +199,9 @@ func (r *Runtime) controlStep(q int) {
 }
 
 // gather marks the counters and derives the window: per-core telemetry
-// from the counter deltas, the live placement, and its predicted drops.
+// from the counter deltas, the live placement, and its predicted drops,
+// which it adds to each measured app's whole-run average (decide may
+// rebind workers before publish).
 func (r *Runtime) gather(q int) *window {
 	r.cur.take(r, q)
 	win := &r.win
@@ -283,6 +276,9 @@ func (r *Runtime) gather(q int) *window {
 	win.drops = core.PredictLiveDrops(r.curves, win.live)
 	for i, d := range win.drops {
 		win.sample.Workers[i].PredictedDrop = d
+		a := r.workers[i].unit.fl.app
+		a.predSum += d
+		a.predCnt++
 	}
 	return win
 }
@@ -317,23 +313,16 @@ func (r *Runtime) decide(win *window) {
 	}
 }
 
-// publish records the window: the sample into Stats, the whole-run
-// prediction accumulators (kept apart from the Stats retention ring so a
-// long run's averages cover every window), the residual series, latency
-// and SLO evaluation, the registry, and the caller's OnWindow hook.
+// publish hands the window out, the runtime keeping only whole-run
+// accumulators: the throttle count, the residuals, latency and SLO
+// evaluation, the registry, and the caller's OnWindow hook.
 func (r *Runtime) publish(win *window) {
-	r.stats.record(win.sample)
 	for _, t := range win.sample.Workers {
-		r.predSum[t.App] += t.PredictedDrop
-		r.predCnt[t.App]++
 		if t.Throttled {
 			r.throttleEvents++
 		}
 	}
 	res := r.windowResiduals(win)
-	for _, rr := range res {
-		r.residuals.push(rr)
-	}
 	r.evalLatency(win)
 	if r.obsm != nil {
 		r.obsm.publish(r, win)

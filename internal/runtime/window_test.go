@@ -70,6 +70,7 @@ func TestBarrierAllocationGate(t *testing.T) {
 	mallocs := func(reg *obs.Registry) float64 {
 		cfg := shippedConfig(t, "nat_chain_staged")
 		cfg.Metrics = reg
+		wins := runtime.CaptureWindows(&cfg)
 		r, err := runtime.NewRuntime(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +81,7 @@ func TestBarrierAllocationGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		stdruntime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / float64(r.Stats().Total())
+		return float64(after.Mallocs-before.Mallocs) / float64(len(wins.Samples))
 	}
 	without, with := mallocs(nil), mallocs(obs.NewRegistry())
 	if with > without+8 {

@@ -7,6 +7,7 @@ import (
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
+	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
 )
 
@@ -160,6 +161,8 @@ func TestStagedNatChainRunsEndToEnd(t *testing.T) {
 	cfg.QuantumCycles = 100_000
 	cfg.ControlEvery = 4
 	cfg.Warmup = 0.0003
+	var samples []runtime.ControlSample
+	cfg.OnWindow = func(cs runtime.ControlSample, _ []obs.Residual) { samples = append(samples, cs) }
 	r, err := runtime.NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +225,7 @@ func TestStagedNatChainRunsEndToEnd(t *testing.T) {
 	// Per-stage telemetry in the control samples: the stage-1 worker's
 	// ring columns describe its hand-off ring.
 	saw := false
-	for _, cs := range r.Stats().Samples() {
+	for _, cs := range samples {
 		for _, wt := range cs.Workers {
 			if wt.App == "natfw" && wt.Stage == 1 && wt.RingCap > 0 {
 				saw = true

@@ -10,12 +10,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"pktpredict/internal/runtime"
+	"pktpredict/internal/sweep"
 )
 
 // nonTestLines counts the lines of every non-test .go file under each
@@ -139,6 +145,121 @@ func TestExportedNamesAreUsed(t *testing.T) {
 	for name, path := range declared {
 		if !used[name] {
 			t.Errorf("%s: exported %s is declared and never named again; delete it, or give it a caller or a test", path, name)
+		}
+	}
+}
+
+// knobRegistrars are the flag.FlagSet methods that register a flag, with
+// the index of the name argument.
+var knobRegistrars = map[string]int{
+	"String": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Float64": 0, "Bool": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"StringVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "Float64Var": 1, "BoolVar": 1, "DurationVar": 1,
+	"Var": 1, "TextVar": 1,
+}
+
+// knobCensus lists every knob the tree has, one sorted line each: a flag
+// registered in a non-test file under cmd/ ("flag cmd/dataplane
+// -duration"; a name that is not a literal is rendered as its expression),
+// an exported field of runtime.Config, runtime.AppSpec or sweep.Config
+// ("field runtime.Config.Batch"), and an os.Getenv/os.LookupEnv call site
+// under internal/ or cmd/ ("env internal/x NAME").
+func knobCensus(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			dir := filepath.ToSlash(filepath.Dir(path))
+			name := func(e ast.Expr) string {
+				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					s, _ := strconv.Unquote(lit.Value)
+					return s
+				}
+				return "<" + types.ExprString(e) + ">"
+			}
+			for _, decl := range file.Decls {
+				// typesFlag's own fs.Var registers the name its caller passes;
+				// the callers are counted instead.
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "typesFlag" {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "typesFlag" && strings.HasPrefix(dir, "cmd/") {
+						out = append(out, "flag "+dir+" -"+name(call.Args[1]))
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					x, ok := sel.X.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if i, ok := knobRegistrars[sel.Sel.Name]; ok && (x.Name == "flag" || x.Name == "fs") && strings.HasPrefix(dir, "cmd/") {
+						out = append(out, "flag "+dir+" -"+name(call.Args[i]))
+					}
+					if x.Name == "os" && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
+						out = append(out, "env "+dir+" "+name(call.Args[0]))
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []any{runtime.Config{}, runtime.AppSpec{}, sweep.Config{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				out = append(out, "field "+typ.String()+"."+f.Name)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestKnobCensus makes ROADMAP's house rule — no PR adds a flag, scenario
+// key, Config field or env var without removing one — a test: the census
+// must equal lint/knobs.txt line for line, so a knob added or removed is a
+// reviewed edit to that file. Scenario, sweep and element keys are
+// checked against docs/scenario-format.md instead.
+func TestKnobCensus(t *testing.T) {
+	const listFile = "lint/knobs.txt"
+	data, err := os.ReadFile(listFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]int{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+			listed[line]++
+		}
+	}
+	for _, knob := range knobCensus(t) {
+		if listed[knob] == 0 {
+			t.Errorf("new knob %q: name the knob it replaces in the PR and edit %s", knob, listFile)
+			continue
+		}
+		listed[knob]--
+	}
+	for knob, n := range listed {
+		if n > 0 {
+			t.Errorf("%s lists %q, which the tree no longer has; delete the line", listFile, knob)
 		}
 	}
 }
