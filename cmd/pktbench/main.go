@@ -6,7 +6,7 @@
 //
 //	pktbench [-exp table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throttle|pipeline|all]
 //	         [-csv] [-targets MON,IP]
-//	pktbench profile [-flow MON] [-window 0.012] [-seed 1]
+//	pktbench profile [-flow MON]
 //	pktbench predict [-mix MON,MON,VPN,VPN,FW,RE] [-validate]
 //	pktbench sched   [-flows 6xMON,6xFW]
 //

@@ -12,34 +12,20 @@ import (
 )
 
 // profile runs one packet-processing flow solo on the simulated platform
-// and prints its Table 1 row plus a per-function breakdown — the
-// offline-profiling step of the paper's prediction method.
+// — the same solo run Table 1 reports — and prints its Table 1 row plus a
+// per-function breakdown: the offline-profiling step of the paper's
+// prediction method.
 func profile(fs *flag.FlagSet) func(exp.Scale) error {
 	flow := typesFlag(fs, "flow", "MON", "flow type: IP, MON, FW, RE, VPN, SYN, SYN_MAX")
-	window := fs.Float64("window", 0, "measurement window in virtual seconds (0 = scale default)")
-	seed := fs.Uint64("seed", 0, "flow seed (0 = canonical)")
 	return func(scale exp.Scale) error {
 		if len(*flow) != 1 {
 			return fmt.Errorf("-flow wants exactly one flow type, got %v", flow)
 		}
 		t := (*flow)[0]
-		if *window > 0 {
-			scale.Window = *window
-		}
-		if *seed == 0 {
-			*seed = core.SeedFor(t, 0)
-		}
-		res, err := core.Scenario{
-			Cfg:    scale.Cfg,
-			Params: scale.Params,
-			Flows:  []core.FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: *seed}},
-			Warmup: scale.Warmup,
-			Window: scale.Window,
-		}.Run()
+		st, err := scale.NewPredictor().Solo(t)
 		if err != nil {
 			return err
 		}
-		st := res.Stats[0]
 		st.Label = string(t)
 		fmt.Println(exp.Table([]hw.FlowStats{st}))
 		fmt.Printf("throughput: %.0f packets/sec\n\n", st.Throughput())

@@ -8,7 +8,7 @@
 //
 //	sweep -config examples/sweeps/paper_mixes.sweep
 //	      [-scale quick|full] [-platform "KEY VALUE, ..."]
-//	      [-parallel N] [-json report.json] [-md report.md] [-q]
+//	      [-json report.json] [-md report.md] [-q]
 //	      [-profile-cache cache.json]
 //	      [-trend trend.json] [-trend-md trend.md] [-trend-svg dir]
 //
@@ -64,7 +64,6 @@ func main() {
 	scaleName := flag.String("scale", "quick", "platform/workload scale: quick or full")
 	platformOverrides := flag.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE", applied on top of every grid variant`)
-	parallel := flag.Int("parallel", 0, "max concurrent grid points (default: the sweep file's PARALLEL, else GOMAXPROCS)")
 	jsonPath := flag.String("json", "", "write the JSON report here")
 	mdPath := flag.String("md", "", "write the markdown report here (stdout always gets it)")
 	cachePath := flag.String("profile-cache", "",
@@ -79,6 +78,12 @@ func main() {
 	if *configPath == "" {
 		fatalf("-config is required")
 	}
+	if *trendMD != "" && *trendPath == "" {
+		fatalf("-trend-md requires -trend")
+	}
+	if *trendSVG != "" && *trendPath == "" {
+		fatalf("-trend-svg requires -trend")
+	}
 	scale, err := exp.ScaleByName(*scaleName)
 	if err != nil {
 		fatalf("%v", err)
@@ -86,12 +91,6 @@ func main() {
 	cfg, err := sweep.LoadConfig(*configPath)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *parallel < 0 {
-		fatalf("-parallel %d negative", *parallel)
-	}
-	if *parallel > 0 {
-		cfg.Parallel = *parallel
 	}
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
@@ -118,7 +117,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if r.ProfileCache != nil {
+	if *cachePath != "" {
 		hits, misses := r.ProfileCache.Stats()
 		fmt.Fprintf(os.Stderr, "sweep: profile cache %s: %d hits, %d misses, %d entries\n",
 			*cachePath, hits, misses, r.ProfileCache.Len())
@@ -139,12 +138,6 @@ func main() {
 		if err := os.WriteFile(*jsonPath, append(js, '\n'), 0o644); err != nil {
 			fatalf("%v", err)
 		}
-	}
-	if *trendMD != "" && *trendPath == "" {
-		fatalf("-trend-md requires -trend")
-	}
-	if *trendSVG != "" && *trendPath == "" {
-		fatalf("-trend-svg requires -trend")
 	}
 	if *trendPath != "" {
 		trend, err := sweep.LoadTrend(*trendPath)

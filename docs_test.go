@@ -111,6 +111,50 @@ func TestScenarioFormatDocListsEveryKey(t *testing.T) {
 	}
 }
 
+// TestShippedScenarioTableMatchesFiles holds the "Worked examples" table
+// of docs/scenario-format.md to the files it describes: every backticked
+// span in a row's description that is exactly a declaration class, an
+// element class or a key must occur as a whole word in that row's
+// examples/scenarios file, so a row cannot claim a construct its file
+// does not use.
+func TestShippedScenarioTableMatchesFiles(t *testing.T) {
+	const doc = "docs/scenario-format.md"
+	text, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for class, keys := range grammarTables() {
+		names[class] = true
+		for _, k := range keys {
+			names[k] = true
+		}
+	}
+	row := regexp.MustCompile("^\\| `(\\w+\\.click)` \\| (.*) \\|$")
+	span := regexp.MustCompile("`([^`]+)`")
+	rows := 0
+	for _, line := range strings.Split(string(text), "\n") {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		file, err := os.ReadFile(filepath.Join("examples/scenarios", m[1]))
+		if err != nil {
+			t.Errorf("%s: the worked-examples row names %s: %v", doc, m[1], err)
+			continue
+		}
+		for _, sm := range span.FindAllStringSubmatch(m[2], -1) {
+			if name := sm[1]; names[name] && !regexp.MustCompile(`\b`+name+`\b`).Match(file) {
+				t.Errorf("%s: the %s row cites `%s`, which the file does not use", doc, m[1], name)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("%s: no worked-examples rows found", doc)
+	}
+}
+
 // TestGrammarKeysDeclaredOnce walks the key tables and the non-test
 // source of the key-declaring packages: each key's string literal must
 // occur exactly once per class that declares it — in its table row.

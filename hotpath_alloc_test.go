@@ -84,7 +84,6 @@ func TestHotPathAllocs(t *testing.T) {
 	gate(t, "obs.Counter.Inc", func() { c.Inc() })
 	gate(t, "obs.Counter.Add", func() { c.Add(3) })
 	gate(t, "obs.Gauge.Set", func() { g.Set(1.5) })
-	gate(t, "obs.Gauge.Add", func() { g.Add(0.5) })
 	gate(t, "obs.Histogram.Observe", func() { h.Observe(7) })
 	var lh obs.LatHist
 	gate(t, "obs.LatHist.Observe", func() { lh.Observe(12345) })
@@ -334,7 +333,6 @@ var hotpathDirect = map[string]bool{
 	"obs.Counter.Inc":               true,
 	"obs.Counter.Add":               true,
 	"obs.Gauge.Set":                 true,
-	"obs.Gauge.Add":                 true,
 	"obs.Histogram.Observe":         true,
 	"obs.LatHist.Observe":           true,
 	"spsc.Cursor.Stage":             true,

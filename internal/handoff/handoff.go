@@ -116,10 +116,6 @@ func (r *Ring) Consumed() uint64 { return r.cur.Consumed() }
 // Produced returns the cumulative number of packets pushed.
 func (r *Ring) Produced() uint64 { return r.cur.Produced() }
 
-// Polls returns the cumulative spin-wait iterations both stages have
-// charged against this ring — the observable cost of stage imbalance.
-func (r *Ring) Polls() uint64 { return r.pushPolls.Load() + r.popPolls.Load() }
-
 // PushPolls returns the producer's cumulative spin-wait iterations
 // (PollFull): the ring was full, so the consumer lags.
 func (r *Ring) PushPolls() uint64 { return r.pushPolls.Load() }

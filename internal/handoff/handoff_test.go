@@ -173,8 +173,8 @@ func TestRingFullEmptyAndPolls(t *testing.T) {
 	if r.PushPolls() != 1 || r.PopPolls() != 1 {
 		t.Fatalf("after PollEmpty: push=%d pop=%d, want 1/1", r.PushPolls(), r.PopPolls())
 	}
-	if r.Polls() != 2 {
-		t.Fatalf("total polls = %d, want 2", r.Polls())
+	if total := r.PushPolls() + r.PopPolls(); total != 2 {
+		t.Fatalf("total polls = %d, want 2", total)
 	}
 	for i := 0; i < before; i++ {
 		ctx.Ops = nil

@@ -46,10 +46,8 @@ type Table struct {
 	Inserts   uint64
 	Probes    uint64
 	Evictions uint64 // slots reused after collisions exhaust probe budget
-	Exported  uint64 // records expired by Age
 
-	clock     uint64
-	ageCursor int
+	clock uint64
 }
 
 // maxProbes bounds a probe chain; production flow tables bound probing
@@ -143,7 +141,7 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 	return victim
 }
 
-// Get returns the entry for key without tracing, for tests and export.
+// Get returns the entry for key without tracing, for tests.
 func (t *Table) Get(key netpkt.FiveTuple) (Entry, bool) {
 	idx := key.Hash() & t.mask
 	for probe := 0; probe < maxProbes; probe++ {

@@ -30,8 +30,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable float metric. Set/Add are atomic on the float's
-// bit pattern: zero allocations, readable mid-update from any goroutine.
+// Gauge is a settable float metric. Set is atomic on the float's bit
+// pattern: zero allocations, readable mid-update from any goroutine.
 //
 //dataplane:cell
 type Gauge struct {
@@ -43,19 +43,6 @@ type Gauge struct {
 //
 //dataplane:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (a CAS loop, still allocation-free).
-//
-//dataplane:hotpath
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

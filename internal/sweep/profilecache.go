@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/runtime"
 )
@@ -20,18 +21,30 @@ import (
 // nearly all of its wall clock re-deriving profiles that have not
 // changed; with a warm cache those grid points start in milliseconds.
 //
-// The cache is a single JSON file. Entries are per flow type, so two
-// scenarios that share a platform and flow type share the work. Loads
-// tolerate damage the way the trend store does: a file that no longer
-// parses is moved aside to path+".corrupt" and profiling proceeds cold.
+// The cache is a single JSON file; with no path it lives in memory only,
+// which is how a Runner without one still profiles each key once.
+// Entries are per flow type, so two scenarios that share a platform and
+// flow type share the work. Loads tolerate damage the way the trend store
+// does: a file that no longer parses is moved aside to path+".corrupt"
+// and profiling proceeds cold.
 type ProfileCache struct {
 	path string
 	salt string
 
 	mu      sync.Mutex
 	entries map[string]runtime.FlowProfile
+	slots   map[string]*profileSlot // keys looked up by this process
+	dirty   bool                    // entries gained a key since the last Save
 	hits    int
 	misses  int
+}
+
+// profileSlot is one key's lookup: the first grid point to ask runs it,
+// concurrent askers wait on the once.
+type profileSlot struct {
+	once sync.Once
+	p    runtime.FlowProfile
+	err  error
 }
 
 // profileCacheFile is the on-disk shape. Version guards the key scheme:
@@ -41,13 +54,17 @@ type profileCacheFile struct {
 	Entries map[string]runtime.FlowProfile `json:"entries"`
 }
 
-const profileCacheVersion = 1
+const profileCacheVersion = 2
 
 // OpenProfileCache loads (or initialises) the cache at path. The salt
 // becomes part of every key; pass the git revision so entries written by
 // other code versions never match.
 func OpenProfileCache(path, salt string) (*ProfileCache, error) {
-	c := &ProfileCache{path: path, salt: salt, entries: map[string]runtime.FlowProfile{}}
+	c := &ProfileCache{path: path, salt: salt, entries: map[string]runtime.FlowProfile{},
+		slots: map[string]*profileSlot{}}
+	if path == "" {
+		return c, nil
+	}
 	var f profileCacheFile
 	ok, err := loadStore("profile cache", path, &f, func() bool { return f.Version == profileCacheVersion })
 	if err != nil {
@@ -59,14 +76,25 @@ func OpenProfileCache(path, salt string) (*ProfileCache, error) {
 	return c, nil
 }
 
+// ownParams narrows params.Custom to t's own entry. Build, PacketSize
+// and Stages read no other, so nothing else in Custom can change t's
+// profile — and a builtin type profiles to one key whatever custom graphs
+// share its scenario.
+func ownParams(params apps.Params, t apps.FlowType) apps.Params {
+	cf, ok := params.Custom[t]
+	params.Custom = nil
+	if ok {
+		params.Custom = map[apps.FlowType]apps.CustomFlow{t: cf}
+	}
+	return params
+}
+
 // profileKey hashes every profiling input (plus the salt) into the cache
-// key for one flow type. The JSON encoding of the inputs is the canonical
-// form: any platform knob, workload parameter (including the modelled
-// receive batch), window, or grid change produces a different key.
+// key for one flow type, whose params ownParams has narrowed. The JSON
+// encoding of the inputs is the canonical form: any platform knob,
+// workload parameter (including the modelled receive batch and a custom
+// type's graph text), window, or grid change produces a different key.
 func (c *ProfileCache) profileKey(cfg hw.Config, params apps.Params, warmup, window float64, grid []int, t apps.FlowType) (string, error) {
-	// Custom flow types contribute their graph text through the Custom
-	// map; the map iterates nondeterministically but encoding/json sorts
-	// object keys, so the encoding is stable.
 	blob, err := json.Marshal(struct {
 		Cfg    hw.Config
 		Params apps.Params
@@ -83,31 +111,42 @@ func (c *ProfileCache) profileKey(cfg hw.Config, params apps.Params, warmup, win
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// get returns the cached profile for the key, counting the hit or miss.
-func (c *ProfileCache) get(key string) (runtime.FlowProfile, bool) {
+// lookup returns the profile stored under key, running profile to make it
+// when there is none. A key is looked up once per process — the first
+// asker counts the hit or miss, concurrent askers wait for its result —
+// so no key is profiled twice however many grid points share it.
+func (c *ProfileCache) lookup(key string, profile func() (runtime.FlowProfile, error)) (runtime.FlowProfile, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.entries[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
+	s := c.slots[key]
+	if s == nil {
+		s = &profileSlot{}
+		c.slots[key] = s
 	}
-	return p, ok
+	c.mu.Unlock()
+	s.once.Do(func() {
+		c.mu.Lock()
+		p, ok := c.entries[key]
+		if ok {
+			c.hits++
+		} else {
+			c.misses++
+		}
+		c.mu.Unlock()
+		if ok {
+			s.p = p
+			return
+		}
+		if s.p, s.err = profile(); s.err == nil {
+			c.mu.Lock()
+			c.entries[key], c.dirty = s.p, true
+			c.mu.Unlock()
+		}
+	})
+	return s.p, s.err
 }
 
-// put records freshly profiled entries under their keys (in memory;
-// Save persists).
-func (c *ProfileCache) put(fresh map[string]runtime.FlowProfile) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, p := range fresh {
-		c.entries[k] = p
-	}
-}
-
-// Stats reports cache effectiveness for this process: lookups served
-// from disk versus lookups that had to profile.
+// Stats reports cache effectiveness for this process: distinct keys
+// served from the store versus keys that had to profile.
 func (c *ProfileCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,11 +161,17 @@ func (c *ProfileCache) Len() int {
 }
 
 // Save writes the cache atomically, like the trend store (see
-// saveStore).
+// saveStore). A memory-only cache, or one with no new entry, has nothing
+// to write.
 func (c *ProfileCache) Save() error {
 	c.mu.Lock()
+	if c.path == "" || !c.dirty {
+		c.mu.Unlock()
+		return nil
+	}
 	f := profileCacheFile{Version: profileCacheVersion, Entries: c.entries}
 	data, err := json.MarshalIndent(&f, "", " ")
+	c.dirty = false
 	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("profile cache: %w", err)
@@ -134,54 +179,31 @@ func (c *ProfileCache) Save() error {
 	return saveStore("profile cache", c.path, data)
 }
 
-// profiledFlows is ProfileFlows behind the cache: cached flow types are
-// served from disk, the rest are profiled in one batch, stored, and the
-// cache saved. A cache save failure does not fail the sweep — the
-// profiles are correct either way — but it is reported on Progress.
+// profiledFlows returns the offline profile of every flow type cfg runs,
+// each looked up in the cache under its own key and profiled there on a
+// miss; the types fan out, so a point's misses profile side by side.
 func (r *Runner) profiledFlows(hwCfg hw.Config, cfg runtime.Config) (map[apps.FlowType]runtime.FlowProfile, error) {
-	types := cfg.FlowTypes()
-	c := r.ProfileCache
-	if c == nil {
-		return runtime.ProfileFlows(hwCfg, cfg.Params, r.Scale.Warmup, r.Scale.Window,
-			r.Scale.SweepGrid, types)
-	}
-	out := make(map[apps.FlowType]runtime.FlowProfile, len(types))
-	keys := make(map[apps.FlowType]string, len(types))
-	var missing []apps.FlowType
-	for _, t := range types {
-		if _, done := out[t]; done {
-			continue
-		}
-		key, err := c.profileKey(hwCfg, cfg.Params, r.Scale.Warmup, r.Scale.Window, r.Scale.SweepGrid, t)
+	c, sc, types := r.ProfileCache, r.Scale, cfg.FlowTypes()
+	profs := make([]runtime.FlowProfile, len(types))
+	err := core.FanOut(len(types), func(i int) error {
+		t := types[i]
+		params := ownParams(cfg.Params, t)
+		key, err := c.profileKey(hwCfg, params, sc.Warmup, sc.Window, sc.SweepGrid, t)
 		if err != nil {
-			return nil, fmt.Errorf("profile cache key: %w", err)
+			return fmt.Errorf("profile cache key: %w", err)
 		}
-		keys[t] = key
-		if p, ok := c.get(key); ok {
-			out[t] = p
-			continue
-		}
-		// Reserve the slot so a duplicate type in the list is not
-		// profiled twice; the real profile overwrites it below.
-		out[t] = runtime.FlowProfile{}
-		missing = append(missing, t)
-	}
-	if len(missing) == 0 {
-		return out, nil
-	}
-	profiled, err := runtime.ProfileFlows(hwCfg, cfg.Params, r.Scale.Warmup, r.Scale.Window,
-		r.Scale.SweepGrid, missing)
+		profs[i], err = c.lookup(key, func() (runtime.FlowProfile, error) {
+			m, err := runtime.ProfileFlows(hwCfg, params, sc.Warmup, sc.Window, sc.SweepGrid, []apps.FlowType{t})
+			return m[t], err
+		})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	fresh := make(map[string]runtime.FlowProfile, len(profiled))
-	for t, p := range profiled {
-		out[t] = p
-		fresh[keys[t]] = p
-	}
-	c.put(fresh)
-	if err := c.Save(); err != nil && r.Progress != nil {
-		fmt.Fprintf(r.Progress, "sweep: warning: %v\n", err)
+	out := make(map[apps.FlowType]runtime.FlowProfile, len(types))
+	for i, t := range types {
+		out[t] = profs[i]
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -62,6 +63,9 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 	if c1.Len() != 1 {
 		t.Fatalf("cold run stored %d entries, want 1", c1.Len())
 	}
+	if err := c1.Save(); err != nil { // Run saves once, after its last point
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cache file not persisted: %v", err)
 	}
@@ -101,6 +105,9 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 	if c3.Len() != 2 {
 		t.Fatalf("stale salt run stored %d entries, want 2 (old + new)", c3.Len())
 	}
+	if err := c3.Save(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Stale platform: one knob changes the key even at the same salt.
 	c4, err := OpenProfileCache(path, "rev-a")
@@ -120,10 +127,10 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 	if key1 == key2 {
 		t.Fatal("platform change did not change the cache key")
 	}
-	if _, ok := c4.get(key1); !ok {
+	if _, ok := c4.entries[key1]; !ok {
 		t.Fatal("original key no longer resolves")
 	}
-	if _, ok := c4.get(key2); ok {
+	if _, ok := c4.entries[key2]; ok {
 		t.Fatal("changed platform resolved a stale entry")
 	}
 	// The modelled batch depth is a profiling input too: BATCH must key.
@@ -135,6 +142,89 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 	}
 	if key3 == key1 {
 		t.Fatal("RxBatch change did not change the cache key")
+	}
+}
+
+// TestProfileKeyIgnoresOtherCustomGraphs: a builtin type's profile does
+// not depend on the custom graphs that share its scenario, so it must not
+// be keyed on them. Profiled under Params with and without an unrelated
+// custom graph, in two fresh caches, IP lands under one key with a
+// bit-identical profile.
+func TestProfileKeyIgnoresOtherCustomGraphs(t *testing.T) {
+	scale := cacheTestScale()
+	plain := cacheTestConfig(scale)
+	withGraph := cacheTestConfig(scale)
+	withGraph.Params.Custom = map[apps.FlowType]apps.CustomFlow{"G": {
+		Config: "src :: FromDevice(SIZE 64);\nsrc -> CheckIPHeader -> Counter -> ToDevice;\n"}}
+	var keys []string
+	var profiles [][]byte
+	for _, cfg := range []runtime.Config{plain, withGraph} {
+		c, err := OpenProfileCache("", "rev-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := (&Runner{Scale: scale, ProfileCache: c}).profiledFlows(scale.Cfg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Len() != 1 {
+			t.Fatalf("%d keys for one flow type, want 1", c.Len())
+		}
+		for k := range c.entries {
+			keys = append(keys, k)
+		}
+		j, _ := json.Marshal(p[apps.IP])
+		profiles = append(profiles, j)
+	}
+	if keys[0] != keys[1] {
+		t.Fatal("an unrelated custom graph changed IP's cache key")
+	}
+	if !bytes.Equal(profiles[0], profiles[1]) {
+		t.Fatalf("IP's profile depends on an unrelated custom graph:\n%s\n%s", profiles[0], profiles[1])
+	}
+}
+
+// TestRunnerProfilesSharedTypeOnce runs one platform × one load × two
+// scenarios that share the IP flow type, one of them beside a custom
+// graph: IP is profiled once for both (two misses: IP and the graph),
+// and the cache file is written when Run ends.
+func TestRunnerProfilesSharedTypeOnce(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"a.click": "s :: Scenario(NAME a);\nip :: Flow(TYPE IP);\n",
+		"b.click": "s :: Scenario(NAME b);\ngraph G {\n    src :: FromDevice(SIZE 64);\n" +
+			"    src -> CheckIPHeader -> Counter -> ToDevice;\n}\ng :: Flow(GRAPH G);\nip :: Flow(TYPE IP);\n",
+		"t.sweep": "sweep :: Sweep(NAME t, DURATION 0.001, WARMUP 0.0001, TOLERANCE 0.99, LOADS 1, PARALLEL 2);\n" +
+			"a :: Run(FILE a.click);\nb :: Run(FILE b.click);\n",
+	}
+	for name, text := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg, err := LoadConfig(filepath.Join(dir, "t.sweep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "profiles.json")
+	c, err := OpenProfileCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&Runner{Config: cfg, Scale: cacheTestScale(), ProfileCache: c}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Points {
+		if p.Error != "" {
+			t.Fatalf("point %s: %s", p.Scenario, p.Error)
+		}
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("%d hits %d misses, want 0/2 (IP once for both scenarios, G once)", hits, misses)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("Run did not save the cache: %v", err)
 	}
 }
 

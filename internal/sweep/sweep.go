@@ -25,9 +25,7 @@ import (
 	"sync"
 	"time"
 
-	"pktpredict/internal/apps"
 	"pktpredict/internal/exp"
-	"pktpredict/internal/hw"
 	"pktpredict/internal/runtime"
 	"pktpredict/internal/scenario"
 )
@@ -41,38 +39,33 @@ type Runner struct {
 	// Overrides, when non-nil, is applied on top of every platform
 	// variant (the CLI -platform flag; highest precedence).
 	Overrides *scenario.Platform
-	// ProfileCache, when non-nil, serves offline profiles from a
-	// persistent store keyed by their full inputs (cmd/sweep
-	// -profile-cache); grid points whose profiles are cached skip
-	// re-profiling entirely.
+	// ProfileCache memoises offline profiles per platform × flow type,
+	// keyed by their full inputs: every grid point that needs a key
+	// shares one profiling run. Given a file (cmd/sweep -profile-cache),
+	// warm keys skip re-profiling entirely; nil is a memory-only cache,
+	// made by Run.
 	ProfileCache *ProfileCache
 	// Progress, when non-nil, receives one line per completed point.
 	Progress io.Writer
 
-	mu       sync.Mutex
-	profiles map[string]*profileEntry
-	done     int
-}
-
-// profileEntry memoises one (platform variant, scenario) pair's offline
-// profiling; load points share it, and the sync.Once serialises
-// concurrent grid points onto a single profiling run.
-type profileEntry struct {
-	once sync.Once
-	p    map[apps.FlowType]runtime.FlowProfile
-	err  error
+	mu   sync.Mutex
+	done int
 }
 
 // Run executes the whole grid and returns the aggregated report. Grid
 // points run concurrently (Config.Parallel at a time); an individual
 // point's failure is recorded in its PointResult rather than aborting
-// the sweep.
+// the sweep. The profile cache is saved once, after the last point; a
+// save failure does not fail the sweep — the profiles are correct either
+// way — but it is reported on Progress.
 func (r *Runner) Run() (*Report, error) {
 	c := r.Config
 	if c == nil || c.Points() == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
 	}
-	r.profiles = make(map[string]*profileEntry)
+	if r.ProfileCache == nil {
+		r.ProfileCache, _ = OpenProfileCache("", "") // no file: cannot fail
+	}
 	r.done = 0
 
 	parallel := c.Parallel
@@ -151,6 +144,9 @@ func (r *Runner) Run() (*Report, error) {
 		}(j)
 	}
 	wg.Wait()
+	if err := r.ProfileCache.Save(); err != nil && r.Progress != nil {
+		fmt.Fprintf(r.Progress, "sweep: warning: %v\n", err)
+	}
 
 	rep.Points = results
 	rep.aggregate()
@@ -203,7 +199,7 @@ func (r *Runner) runPoint(v PlatformVariant, load float64, run RunSpec) PointRes
 		return fail(err)
 	}
 
-	profiles, err := r.profileFor(v.Name, run.Name, hwCfg, cfg)
+	profiles, err := r.profiledFlows(hwCfg, cfg)
 	if err != nil {
 		return fail(fmt.Errorf("profiling: %w", err))
 	}
@@ -230,26 +226,6 @@ func (r *Runner) runPoint(v PlatformVariant, load float64, run RunSpec) PointRes
 	pr.finish()
 	pr.HostSeconds = time.Since(start).Seconds()
 	return pr
-}
-
-// profileFor memoises offline profiling per (platform variant, scenario)
-// pair; every load point of the pair reuses the same curves, exactly as
-// an operator reuses offline profiles across operating points. With a
-// ProfileCache attached, the profiling inside the once is itself served
-// from the persistent store when the inputs match.
-func (r *Runner) profileFor(variant, run string, hwCfg hw.Config, cfg runtime.Config) (map[apps.FlowType]runtime.FlowProfile, error) {
-	key := variant + "\x00" + run
-	r.mu.Lock()
-	e, ok := r.profiles[key]
-	if !ok {
-		e = &profileEntry{}
-		r.profiles[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		e.p, e.err = r.profiledFlows(hwCfg, cfg)
-	})
-	return e.p, e.err
 }
 
 // scaleLoad applies an offered-load multiplier to every flow group:

@@ -66,14 +66,6 @@ func NewSource(arena *mem.Arena, cfg Config) *Source {
 	}
 }
 
-// NewMaxSource returns the SYN_MAX flow: back-to-back random reads.
-func NewMaxSource(arena *mem.Arena, seed uint64) *Source {
-	return NewSource(arena, Config{Seed: seed, ComputePerAccess: 0})
-}
-
-// Config returns the source's effective configuration.
-func (s *Source) Config() Config { return s.cfg }
-
 // EmitPacket implements hw.PacketSource. The random reads form an
 // independent address stream, which an out-of-order core overlaps —
 // that memory-level parallelism is what lets the paper's SYN flows push

@@ -31,10 +31,10 @@ func TestSourceEmitsConfiguredMix(t *testing.T) {
 
 func TestMaxSourceIsPureLoads(t *testing.T) {
 	arena := mem.NewArena(0)
-	s := NewMaxSource(arena, 2)
+	s := NewSource(arena, Config{Seed: 2}) // SYN_MAX: no compute between reads
 	ops := s.EmitPacket(nil)
-	if len(ops) != s.Config().AccessesPerPacket {
-		t.Fatalf("ops = %d, want %d", len(ops), s.Config().AccessesPerPacket)
+	if len(ops) != s.cfg.AccessesPerPacket {
+		t.Fatalf("ops = %d, want %d", len(ops), s.cfg.AccessesPerPacket)
 	}
 	for _, op := range ops {
 		if op.Kind != hw.OpLoadStream {

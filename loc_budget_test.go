@@ -102,17 +102,40 @@ func TestNonTestLineBudget(t *testing.T) {
 }
 
 // TestExportedNamesAreUsed is the census of dead exported API, as a test
-// run: an exported func or method declared in a non-test file under
-// internal/ or cmd/ whose name occurs nowhere else in the repository's .go
-// files — tests, examples/ and bench/ included, comments and other
-// declarations of the same name not — has no caller and fails here, by
-// name. There is no allow-list: a name that must stay gets a caller or a
-// test.
+// run. An exported func or method declared in a non-test file under
+// internal/ or cmd/ is used when a non-test .go file — internal/, cmd/,
+// examples/ or bench/ — names it outside a declaration (comments and other
+// declarations of the same name do not count). A name only tests call must
+// be listed, with its role, in lint/test-only-api.txt: an oracle (a
+// reference implementation a test compares against), an observer (an
+// accessor a test asserts on), an instrument (a measurement a guard test
+// takes) or deferred (kept for a named open item). The list is checked
+// both ways, like lint/knobs.txt: an unlisted test-only name fails, and so
+// does a listed name that gained a production caller or no longer exists.
 func TestExportedNamesAreUsed(t *testing.T) {
+	const listFile = "lint/test-only-api.txt"
+	roles := map[string]bool{"oracle": true, "observer": true, "instrument": true, "deferred": true}
+	data, err := os.ReadFile(listFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 2 || !roles[f[1]] {
+			t.Errorf("%s:%d: want \"<Name> oracle|observer|instrument|deferred <why>\", got %q", listFile, i+1, line)
+			continue
+		}
+		listed[f[0]] = true
+	}
+
 	fset := token.NewFileSet()
-	declared := map[string]string{} // exported func name → a census file declaring it
-	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	declared := map[string]string{}                         // exported func name → a census file declaring it
+	usedBy := map[bool]map[string]bool{false: {}, true: {}} // by a test file? → names
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
@@ -121,7 +144,8 @@ func TestExportedNamesAreUsed(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		census := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) && !strings.HasSuffix(path, "_test.go")
+		test := strings.HasSuffix(path, "_test.go")
+		census := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) && !test
 		declNames := map[*ast.Ident]bool{}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -132,7 +156,7 @@ func TestExportedNamesAreUsed(t *testing.T) {
 				}
 			case *ast.Ident:
 				if !declNames[n] {
-					used[n.Name] = true
+					usedBy[test][n.Name] = true
 				}
 			}
 			return true
@@ -143,9 +167,20 @@ func TestExportedNamesAreUsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, path := range declared {
-		if !used[name] {
-			t.Errorf("%s: exported %s is declared and never named again; delete it, or give it a caller or a test", path, name)
+		switch {
+		case usedBy[false][name]:
+			if listed[name] {
+				t.Errorf("%s lists %s (%s), which now has a production caller; delete the line", listFile, name, path)
+			}
+		case !usedBy[true][name]:
+			t.Errorf("%s: exported %s is declared and never named again; delete it, or give it a caller", path, name)
+		case !listed[name]:
+			t.Errorf("%s: exported %s has only test callers; give it a production caller, delete it, or list it with its role in %s", path, name, listFile)
 		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		t.Errorf("%s lists %s, which no longer exists; delete the line", listFile, name)
 	}
 }
 
