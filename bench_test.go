@@ -36,24 +36,19 @@ func benchScale() exp.Scale {
 
 var (
 	benchOnce sync.Once
-	benchScl  exp.Scale
 	benchPred *core.Predictor
-	benchFig2 *exp.Fig2Result
 )
 
-func benchSetup(b *testing.B) (exp.Scale, *core.Predictor) {
+func benchSetup(b *testing.B) *core.Predictor {
 	b.Helper()
-	benchOnce.Do(func() {
-		benchScl = benchScale()
-		benchPred = benchScl.NewPredictor()
-	})
-	return benchScl, benchPred
+	benchOnce.Do(func() { benchPred = benchScale().NewPredictor() })
+	return benchPred
 }
 
 func BenchmarkTable1(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable1(s, p)
+		res, err := exp.RunTable1(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,14 +59,13 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 func BenchmarkFig2(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig2(s, p)
+		res, err := exp.RunFig2(p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			benchFig2 = res
 			b.Log("\n" + res.String())
 			max := res.MaxDrop()
 			b.ReportMetric(max.Drop*100, "max_drop_%")
@@ -81,12 +75,12 @@ func BenchmarkFig2(b *testing.B) {
 }
 
 func BenchmarkFig4(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	// Two targets keep the 3-mode ramp suite bounded; run cmd/pktbench
 	// -exp fig4 for all five types.
 	targets := []apps.FlowType{apps.MON, apps.FW}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig4(s, p, targets)
+		res, err := exp.RunFig4(p, targets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,9 +95,9 @@ func BenchmarkFig4(b *testing.B) {
 }
 
 func BenchmarkFig5(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig5(s, p, benchFig2)
+		res, err := exp.RunFig5(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,9 +110,9 @@ func BenchmarkFig5(b *testing.B) {
 }
 
 func BenchmarkFig6(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig6(s, p)
+		res, err := exp.RunFig6(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,9 +123,9 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 func BenchmarkFig7(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig7(s, p)
+		res, err := exp.RunFig7(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,9 +140,9 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 func BenchmarkFig8(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig8(s, p)
+		res, err := exp.RunFig8(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,9 +154,9 @@ func BenchmarkFig8(b *testing.B) {
 }
 
 func BenchmarkFig9(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig9(s, p)
+		res, err := exp.RunFig9(p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +168,7 @@ func BenchmarkFig9(b *testing.B) {
 }
 
 func BenchmarkFig10(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	combos := []exp.Fig10Combo{}
 	for _, c := range exp.DefaultCombos() {
 		switch c.Label {
@@ -183,7 +177,7 @@ func BenchmarkFig10(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig10(s, p, combos)
+		res, err := exp.RunFig10(p, combos)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,9 +190,9 @@ func BenchmarkFig10(b *testing.B) {
 }
 
 func BenchmarkThrottle(b *testing.B) {
-	s, p := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunThrottle(s, p)
+		res, err := exp.RunThrottle(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,9 +205,9 @@ func BenchmarkThrottle(b *testing.B) {
 }
 
 func BenchmarkPipelineVsParallel(b *testing.B) {
-	s, _ := benchSetup(b)
+	p := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunPipeline(s)
+		res, err := exp.RunPipeline(p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,15 +228,15 @@ func BenchmarkPipelineVsParallel(b *testing.B) {
 // sockets) for a fixed virtual window and reports aggregate packets per
 // virtual second plus host-time cost per simulated packet.
 func BenchmarkRuntime(b *testing.B) {
-	s, _ := benchSetup(b)
+	p := benchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var total uint64
 			var virtSec float64
 			for i := 0; i < b.N; i++ {
 				cfg := runtime.Config{
-					Cfg:      s.Cfg,
-					Params:   s.Params,
+					Cfg:      p.Cfg,
+					Params:   p.Params,
 					Apps:     []runtime.AppSpec{{Name: "ipfwd", Type: apps.IP, Workers: workers}},
 					Warmup:   0.001,
 					Scenario: fmt.Sprintf("bench-%d", workers),
@@ -279,7 +273,7 @@ func ablationDrop(b *testing.B, mutate func(*hw.Config)) float64 {
 	s := benchScale()
 	mutate(&s.Cfg)
 	p := s.NewPredictor()
-	cell, err := exp.RunFig2Pair(s, p, apps.MON, apps.RE)
+	cell, err := exp.RunFig2Pair(p, apps.MON, apps.RE)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	pktbench [-exp table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throttle|pipeline|all]
-//	         [-csv] [-targets MON,IP]
+//	pktbench [-exp NAME|all] [-csv]
 //	pktbench profile [-flow MON]
-//	pktbench predict [-mix MON,MON,VPN,VPN,FW,RE] [-validate]
+//	pktbench predict [-mix MON,MON,VPN,VPN,FW,RE]
 //	pktbench sched   [-flows 6xMON,6xFW]
 //
-// Every form takes -scale full|quick (default full, the paper platform).
+// -exp all, the default, runs every experiment pktbench -h lists, in that
+// order. Every form takes -scale full|quick (default full, the paper platform).
 // A flow-type list is comma-separated, each entry a type or COUNTxTYPE:
 // "MON,MON,VPN" and "2xMON,VPN" are the same mix.
 package main
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -112,67 +113,55 @@ type result interface {
 	CSV() string
 }
 
+// figureTable is every -exp experiment, in the order -exp all runs them.
+var figureTable = []struct {
+	name string
+	run  func(*core.Predictor) (result, error)
+}{
+	{"table1", func(p *core.Predictor) (result, error) { return exp.RunTable1(p) }},
+	{"fig2", func(p *core.Predictor) (result, error) { return exp.RunFig2(p) }},
+	{"fig4", func(p *core.Predictor) (result, error) { return exp.RunFig4(p, nil) }},
+	{"fig5", func(p *core.Predictor) (result, error) { return exp.RunFig5(p) }},
+	{"fig6", func(p *core.Predictor) (result, error) { return exp.RunFig6(p) }},
+	{"fig7", func(p *core.Predictor) (result, error) { return exp.RunFig7(p) }},
+	{"fig8", func(p *core.Predictor) (result, error) { return exp.RunFig8(p) }},
+	{"fig9", func(p *core.Predictor) (result, error) { return exp.RunFig9(p, nil) }},
+	{"fig10", func(p *core.Predictor) (result, error) { return exp.RunFig10(p, nil) }},
+	{"throttle", func(p *core.Predictor) (result, error) { return exp.RunThrottle(p) }},
+	{"pipeline", func(p *core.Predictor) (result, error) { return exp.RunPipeline(p) }},
+}
+
 func figures(fs *flag.FlagSet) func(exp.Scale) error {
-	expName := fs.String("exp", "all", "experiment id (table1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, throttle, pipeline, all)")
+	var names []string
+	for _, f := range figureTable {
+		names = append(names, f.name)
+	}
+	names = append(names, "all")
+	expName := fs.String("exp", "all", "experiment: "+strings.Join(names, ", "))
 	csv := fs.Bool("csv", false, "emit CSV instead of text tables")
-	targets := typesFlag(fs, "targets", "", "flow-type list for fig4 (default: all)")
 	return func(scale exp.Scale) error {
-		names := []string{*expName}
-		if *expName == "all" {
-			names = []string{"table1", "fig2", "fig4", "fig5", "fig6", "fig7",
-				"fig8", "fig9", "fig10", "throttle", "pipeline"}
+		if !slices.Contains(names, *expName) {
+			return fmt.Errorf("unknown experiment %q (want %s)", *expName, strings.Join(names, ", "))
 		}
-		// One predictor shared across experiments: solo profiles, sweeps, and
-		// co-run measurements are memoised, exactly as an operator would
-		// reuse offline profiles.
+		// One predictor for every experiment: its memoised profiles, sweeps and
+		// co-runs are reused, exactly as an operator reuses offline profiles.
 		p := scale.NewPredictor()
-		var fig2 *exp.Fig2Result
-		for _, name := range names {
+		for _, f := range figureTable {
+			if *expName != "all" && f.name != *expName {
+				continue
+			}
 			start := time.Now()
-			res, err := runFigure(name, scale, p, &fig2, *targets)
+			res, err := f.run(p)
 			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+				return fmt.Errorf("%s: %w", f.name, err)
 			}
 			if *csv {
-				fmt.Printf("# %s (%s scale)\n%s", name, scale.Name, res.CSV())
+				fmt.Printf("# %s (%s scale)\n%s", f.name, scale.Name, res.CSV())
 			} else {
 				fmt.Printf("=== %s (%s scale, %.1fs) ===\n%s\n",
-					name, scale.Name, time.Since(start).Seconds(), res.String())
+					f.name, scale.Name, time.Since(start).Seconds(), res.String())
 			}
 		}
 		return nil
-	}
-}
-
-func runFigure(name string, scale exp.Scale, p *core.Predictor, fig2 **exp.Fig2Result, targets []apps.FlowType) (result, error) {
-	switch name {
-	case "table1":
-		return exp.RunTable1(scale, p)
-	case "fig2":
-		r, err := exp.RunFig2(scale, p)
-		if err == nil {
-			*fig2 = r
-		}
-		return r, err
-	case "fig4":
-		return exp.RunFig4(scale, p, targets)
-	case "fig5":
-		return exp.RunFig5(scale, p, *fig2)
-	case "fig6":
-		return exp.RunFig6(scale, p)
-	case "fig7":
-		return exp.RunFig7(scale, p)
-	case "fig8":
-		return exp.RunFig8(scale, p)
-	case "fig9":
-		return exp.RunFig9(scale, p)
-	case "fig10":
-		return exp.RunFig10(scale, p, nil)
-	case "throttle":
-		return exp.RunThrottle(scale, p)
-	case "pipeline":
-		return exp.RunPipeline(scale)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
 }

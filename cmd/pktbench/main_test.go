@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -25,15 +27,61 @@ func TestTypeListCounts(t *testing.T) {
 	}
 }
 
+// TestEmptyListsRejected: an empty or ill-sized flow-type list, and an
+// unknown experiment, are errors from the command, before any simulation.
 func TestEmptyListsRejected(t *testing.T) {
-	for name, args := range map[string][]string{"predict": {"-mix", ""}, "sched": {"-flows", " , "}} {
-		fs := flag.NewFlagSet(name, flag.ContinueOnError)
-		run := commands[name](fs)
-		if err := fs.Parse(args); err != nil {
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"predict", []string{"-mix", ""}},
+		{"sched", []string{"-flows", " , "}},
+		{"sched", []string{"-flows", "3xMON,3xFW"}}, // the quick platform has 2x6 cores
+		{"", []string{"-exp", "fig3"}},
+	} {
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		run := commands[c.name](fs)
+		if err := fs.Parse(c.args); err != nil {
 			t.Fatal(err)
 		}
 		if err := run(exp.Quick()); err == nil {
-			t.Errorf("%s ran an empty flow-type list", name)
+			t.Errorf("%q %v ran", c.name, c.args)
 		}
+	}
+}
+
+// TestPredictPrintsFigure9: predict prints Figure 9 for its mix, column
+// for column; it used to print predicted before measured, the figure
+// measured before predicted.
+func TestPredictPrintsFigure9(t *testing.T) {
+	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
+	run := commands["predict"](fs)
+	if err := fs.Parse([]string{"-mix", "2xMON,2xVPN,FW,RE"}); err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = run(exp.Quick())
+	w.Close()
+	got := string(<-out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exp.RunFig9(exp.Quick().NewPredictor(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want.String() {
+		t.Fatalf("predict printed\n%s\nFigure 9 is\n%s", got, want)
 	}
 }

@@ -3,9 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 
-	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
 	"pktpredict/internal/hw"
@@ -39,75 +37,37 @@ func profile(fs *flag.FlagSet) func(exp.Scale) error {
 	}
 }
 
-// predict applies the paper's three-step prediction method to a workload
-// mix: it profiles each flow type solo, builds the target's
-// drop-versus-competition curve with SYN sweeps, and predicts every
-// flow's contention-induced drop. With -validate it also co-runs the mix
-// and reports measured drops and prediction error.
+// predict is Figure 9 for the mix you name: the paper's prediction method
+// (solo profiles, SYN-sweep curves, predicted drops) checked against a
+// co-run of the mix.
 func predict(fs *flag.FlagSet) func(exp.Scale) error {
 	mix := typesFlag(fs, "mix", "MON,MON,VPN,VPN,FW,RE", "flow-type list sharing one socket")
-	validate := fs.Bool("validate", false, "also co-run the mix and report measured drops")
 	return func(scale exp.Scale) error {
 		if len(*mix) == 0 {
 			return fmt.Errorf("-mix names no flow type")
 		}
-		p := scale.NewPredictor()
-		preds, sorted, err := p.PredictMix(*mix)
-		if err != nil {
-			return err
+		res, err := exp.RunFig9(scale.NewPredictor(), *mix)
+		if err == nil {
+			fmt.Print(res.String())
 		}
-		fmt.Printf("workload mix: %v\n\n", sorted)
-		if !*validate {
-			fmt.Printf("%-8s %14s %16s\n", "flow", "pred. drop", "competition")
-			for i, t := range sorted {
-				fmt.Printf("%-8s %13.1f%% %13.1fM/s\n", t,
-					preds[i].Drop*100, preds[i].CompetingRefsPerSec/1e6)
-			}
-			return nil
-		}
-		measured, _, err := p.MeasuredDrops(*mix)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8s %12s %12s %10s\n", "flow", "predicted", "measured", "|error|")
-		var worst float64
-		for i, t := range sorted {
-			e := math.Abs(preds[i].Drop - measured[i])
-			worst = max(worst, e)
-			fmt.Printf("%-8s %11.1f%% %11.1f%% %9.2f%%\n", t,
-				preds[i].Drop*100, measured[i]*100, e*100)
-		}
-		fmt.Printf("\nworst-case error: %.2f%%\n", worst*100)
-		return nil
+		return err
 	}
 }
 
-// sched explores flow-to-core placements for a flow combination filling
-// both sockets, reproducing the paper's Section 5 analysis: it simulates
-// every distinct placement, reports the best and worst, and scores the
-// greedy contention-aware heuristic against them. The paper's conclusion
-// — the gain is small — shows up as a tight best-to-worst range.
+// sched is Figure 10 for the combination you name, one flow per core of
+// both sockets: every distinct placement, the best and worst (the paper's
+// Section 5 finding is a small gap), and the greedy contention-aware
+// heuristic scored against them.
 func sched(fs *flag.FlagSet) func(exp.Scale) error {
-	flagged := typesFlag(fs, "flows", "6xMON,6xFW", "flow-type list, one flow per core, e.g. 6xMON,6xFW or 4xMON,4xFW,4xRE")
+	flows := typesFlag(fs, "flows", "6xMON,6xFW", "flow-type list, one flow per core, e.g. 6xMON,6xFW or 4xMON,4xFW,4xRE")
 	return func(scale exp.Scale) error {
-		flows := []apps.FlowType(*flagged)
-		if want := 2 * scale.Cfg.CoresPerSocket; len(flows) != want {
-			return fmt.Errorf("%d flows specified, platform has %d cores", len(flows), want)
-		}
 		p := scale.NewPredictor()
-		eval, err := core.EvaluatePlacements(p, flows)
+		res, err := exp.RunFig10(p, []exp.Fig10Combo{{Flows: *flows}})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("combination: %v\n", flows)
-		fmt.Printf("distinct placements: %d\n\n", len(eval.All))
-		for _, pl := range eval.All {
-			fmt.Printf("  %v\n", pl)
-		}
-		fmt.Printf("\nbest:  %v\nworst: %v\n", eval.Best, eval.Worst)
-		fmt.Printf("contention-aware scheduling gain: %.1f%%\n", eval.Gain*100)
-
-		s0, s1, err := core.GreedyPlacement(p, flows)
+		fmt.Print(res.String())
+		s0, s1, err := core.GreedyPlacement(p, *flows)
 		if err != nil {
 			return err
 		}
@@ -115,6 +75,7 @@ func sched(fs *flag.FlagSet) func(exp.Scale) error {
 		if err != nil {
 			return err
 		}
+		eval := res.Combos[0].Eval
 		fmt.Printf("greedy heuristic: {%v | %v} avg=%.1f%% (best %.1f%%, worst %.1f%%)\n",
 			s0, s1, greedy.AvgDrop*100, eval.Best.AvgDrop*100, eval.Worst.AvgDrop*100)
 		return nil

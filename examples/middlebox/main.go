@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"pktpredict/internal/apps"
 	"pktpredict/internal/exp"
 )
 
@@ -23,34 +22,11 @@ func main() {
 	scale.Warmup, scale.Window = 0.003, 0.008
 	scale.SweepGrid = []int{1600, 400, 100, 25, 0}
 
-	p := scale.NewPredictor()
-	mix := []apps.FlowType{apps.MON, apps.MON, apps.VPN, apps.VPN, apps.FW, apps.RE}
-	fmt.Printf("consolidated middlebox workload (one socket): %v\n\n", mix)
-
-	fmt.Println("offline profiling (solo runs + SYN sweeps)...")
-	preds, sorted, err := p.PredictMix(mix)
+	fmt.Printf("consolidated middlebox workload (one socket): %v\n", exp.Fig9Mix)
+	fmt.Println("offline profiling (solo runs + SYN sweeps), then the measured co-run...")
+	res, err := exp.RunFig9(scale.NewPredictor(), exp.Fig9Mix)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Println("validating against the measured co-run...")
-	measured, _, err := p.MeasuredDrops(mix)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("\n%-8s %12s %12s %10s\n", "flow", "predicted", "measured", "|error|")
-	var worst float64
-	for i, t := range sorted {
-		e := preds[i].Drop - measured[i]
-		if e < 0 {
-			e = -e
-		}
-		if e > worst {
-			worst = e
-		}
-		fmt.Printf("%-8s %11.1f%% %11.1f%% %9.2f%%\n",
-			t, preds[i].Drop*100, measured[i]*100, e*100)
-	}
-	fmt.Printf("\nworst-case prediction error: %.2f%% (paper: 1.26%% for this mix)\n", worst*100)
+	fmt.Printf("\n%s(paper: 1.26%% worst-case error for this mix)\n", res)
 }

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"pktpredict/internal/apps"
-	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
 )
 
@@ -19,60 +17,11 @@ func main() {
 	scale := exp.Full()
 	scale.Warmup, scale.Window = 0.003, 0.008
 
-	p := scale.NewPredictor()
-	var flows []apps.FlowType
-	for i := 0; i < 6; i++ {
-		flows = append(flows, apps.MON, apps.FW)
-	}
-
+	combo := exp.DefaultCombos()[:1] // 6MON+6FW, the paper's Figure 10(b)
 	fmt.Println("evaluating all distinct placements of 6 MON + 6 FW on 2 sockets...")
-	eval, err := core.EvaluatePlacements(p, flows)
+	res, err := exp.RunFig10(scale.NewPredictor(), combo)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("\n%-40s %10s\n", "placement (socket0 | socket1)", "avg drop")
-	for _, pl := range eval.All {
-		fmt.Printf("%-40v %9.1f%%\n", placementLabel(pl), pl.AvgDrop*100)
-	}
-	fmt.Printf("\nbest placement:  %.1f%% average drop\n", eval.Best.AvgDrop*100)
-	fmt.Printf("worst placement: %.1f%% average drop\n", eval.Worst.AvgDrop*100)
-	fmt.Printf("contention-aware scheduling gain: %.1f%% (paper: ~2%%)\n", eval.Gain*100)
-
-	fmt.Println("\nper-flow drops under best and worst placement (Figure 10(b)):")
-	fmt.Printf("%-10s %12s %12s\n", "flow", "best", "worst")
-	for _, t := range []apps.FlowType{apps.MON, apps.FW} {
-		fmt.Printf("%-10s %11.1f%% %11.1f%%\n", t,
-			avgFor(eval.Best, t)*100, avgFor(eval.Worst, t)*100)
-	}
-}
-
-func placementLabel(pl core.Placement) string {
-	count := func(ts []apps.FlowType, w apps.FlowType) int {
-		n := 0
-		for _, t := range ts {
-			if t == w {
-				n++
-			}
-		}
-		return n
-	}
-	return fmt.Sprintf("%dMON+%dFW | %dMON+%dFW",
-		count(pl.Socket0, apps.MON), count(pl.Socket0, apps.FW),
-		count(pl.Socket1, apps.MON), count(pl.Socket1, apps.FW))
-}
-
-func avgFor(pl core.Placement, t apps.FlowType) float64 {
-	var sum float64
-	n := 0
-	for _, fd := range pl.PerFlow {
-		if fd.Type == t {
-			sum += fd.Drop
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	fmt.Printf("\n%s(paper: ~2%% contention-aware scheduling gain)\n", res)
 }

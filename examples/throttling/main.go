@@ -17,11 +17,10 @@ import (
 )
 
 func main() {
-	scale := exp.Quick() // interactive scale; run with Full() for paper scale
-	p := scale.NewPredictor()
+	p := exp.Quick().NewPredictor() // interactive scale; run with Full() for paper scale
 
 	fmt.Println("running the hidden-aggressor scenario with and without containment...")
-	res, err := exp.RunThrottle(scale, p)
+	res, err := exp.RunThrottle(p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,45 +27,45 @@ func checkCSV(t *testing.T, name, csv string) {
 }
 
 func TestCSVStructures(t *testing.T) {
-	s, p := quickSetup(t)
+	p := quickSetup(t)
 
-	t1, err := RunTable1(s, p)
+	t1, err := RunTable1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "table1", t1.CSV())
 
-	f2, err := RunFig2(s, p)
+	f2, err := RunFig2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "fig2", f2.CSV())
 
-	f5, err := RunFig5(s, p, f2)
+	f5, err := RunFig5(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "fig5", f5.CSV())
 
-	f6, err := RunFig6(s, p)
+	f6, err := RunFig6(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "fig6", f6.CSV())
 
-	f7, err := RunFig7(s, p)
+	f7, err := RunFig7(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "fig7", f7.CSV())
 
-	f8, err := RunFig8(s, p)
+	f8, err := RunFig8(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkCSV(t, "fig8", f8.CSV())
 
-	f9, err := RunFig9(s, p)
+	f9, err := RunFig9(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

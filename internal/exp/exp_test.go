@@ -19,21 +19,17 @@ import (
 var (
 	sharedOnce sync.Once
 	sharedPred *core.Predictor
-	sharedScl  Scale
 )
 
-func quickSetup(t *testing.T) (Scale, *core.Predictor) {
+func quickSetup(t *testing.T) *core.Predictor {
 	t.Helper()
-	sharedOnce.Do(func() {
-		sharedScl = Quick()
-		sharedPred = sharedScl.NewPredictor()
-	})
-	return sharedScl, sharedPred
+	sharedOnce.Do(func() { sharedPred = Quick().NewPredictor() })
+	return sharedPred
 }
 
 func TestTable1(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunTable1(s, p)
+	p := quickSetup(t)
+	res, err := RunTable1(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +53,8 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig2(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig2(s, p)
+	p := quickSetup(t)
+	res, err := RunFig2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +84,8 @@ func TestFig2(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig4(s, p, []apps.FlowType{apps.MON})
+	p := quickSetup(t)
+	res, err := RunFig4(p, []apps.FlowType{apps.MON})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +116,36 @@ func TestFig4(t *testing.T) {
 	}
 }
 
+// TestFig5 also pins that Figure 5 recomputes Figure 2 through the
+// predictor's memo: its points are Figure 2's cells bit for bit, whether
+// Figure 2 ran on the predictor first (-exp all) or not (-exp fig5).
 func TestFig5(t *testing.T) {
-	s, p := quickSetup(t)
-	fig2, err := RunFig2(s, p)
+	p := quickSetup(t)
+	fig2, err := RunFig2(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFig5(s, p, fig2)
+	res, err := RunFig5(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(res.Points, fig2.Cells) {
+		t.Fatal("Figure 5's realistic points differ from Figure 2's cells")
+	}
+	// The same on two fresh predictors, one of which never ran Figure 2;
+	// short windows keep the second pair of 25 co-runs cheap.
+	short := Quick()
+	short.Warmup, short.Window, short.SweepGrid = 0.00002, 0.00005, []int{400, 0}
+	want, err := RunFig2(short.NewPredictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := RunFig5(short.NewPredictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(alone.Points, want.Cells) {
+		t.Fatal("Figure 5 run alone differs from Figure 2's cells")
 	}
 	if len(res.Curves) != 5 || len(res.Points) != 25 {
 		t.Fatalf("curves/points = %d/%d", len(res.Curves), len(res.Points))
@@ -144,8 +161,8 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig6(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig6(s, p)
+	p := quickSetup(t)
+	res, err := RunFig6(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +184,8 @@ func TestFig6(t *testing.T) {
 }
 
 func TestFig7(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig7(s, p)
+	p := quickSetup(t)
+	res, err := RunFig7(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +210,8 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig8(s, p)
+	p := quickSetup(t)
+	res, err := RunFig8(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +236,8 @@ func TestFig8(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunFig9(s, p)
+	p := quickSetup(t)
+	res, err := RunFig9(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +250,13 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	s, p := quickSetup(t)
+	p := quickSetup(t)
 	combos := []Fig10Combo{
 		{Label: "6MON+6FW", Flows: []apps.FlowType{
 			apps.MON, apps.MON, apps.MON, apps.MON, apps.MON, apps.MON,
 			apps.FW, apps.FW, apps.FW, apps.FW, apps.FW, apps.FW}},
 	}
-	res, err := RunFig10(s, p, combos)
+	res, err := RunFig10(p, combos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +267,8 @@ func TestFig10(t *testing.T) {
 	if len(combo.Eval.All) != 4 {
 		t.Fatalf("placements = %d, want 4", len(combo.Eval.All))
 	}
-	if combo.Gain() < 0 {
-		t.Fatalf("negative gain %v", combo.Gain())
+	if combo.Eval.Gain < 0 {
+		t.Fatalf("negative gain %v", combo.Eval.Gain)
 	}
 	if len(combo.Eval.Best.PerFlow) != 12 {
 		t.Fatalf("per-flow = %d, want 12", len(combo.Eval.Best.PerFlow))
@@ -259,8 +276,8 @@ func TestFig10(t *testing.T) {
 }
 
 func TestThrottleExperiment(t *testing.T) {
-	s, p := quickSetup(t)
-	res, err := RunThrottle(s, p)
+	p := quickSetup(t)
+	res, err := RunThrottle(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +344,7 @@ func TestUncutMatchesEmitPacket(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
-	_, p := quickSetup(t)
+	p := quickSetup(t)
 	st, err := p.Solo(apps.IP)
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +360,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestPipelineExperiment(t *testing.T) {
-	s, _ := quickSetup(t)
-	res, err := RunPipeline(s)
+	p := quickSetup(t)
+	res, err := RunPipeline(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pktpredict/internal/apps"
@@ -14,9 +15,6 @@ type Fig10Combo struct {
 	Flows []apps.FlowType
 	Eval  core.PlacementEval
 }
-
-// Gain returns the contention-aware-scheduling benefit for the combo.
-func (c Fig10Combo) Gain() float64 { return c.Eval.Gain }
 
 // Fig10Result reproduces Figure 10: for each flow combination, the
 // average per-flow drop under the worst and best flow-to-core placement;
@@ -36,20 +34,8 @@ type Fig10Result struct {
 // most and least sensitive/aggressive types); the rest cover the other
 // pairings plus mixed and adversarial combinations.
 func DefaultCombos() []Fig10Combo {
-	rep := func(t apps.FlowType, n int) []apps.FlowType {
-		out := make([]apps.FlowType, n)
-		for i := range out {
-			out[i] = t
-		}
-		return out
-	}
-	cat := func(parts ...[]apps.FlowType) []apps.FlowType {
-		var out []apps.FlowType
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
+	rep := func(t apps.FlowType, n int) []apps.FlowType { return slices.Repeat([]apps.FlowType{t}, n) }
+	cat := slices.Concat[[]apps.FlowType]
 	return []Fig10Combo{
 		{Label: "6MON+6FW", Flows: cat(rep(apps.MON, 6), rep(apps.FW, 6))},
 		{Label: "6MON+6RE", Flows: cat(rep(apps.MON, 6), rep(apps.RE, 6))},
@@ -61,13 +47,17 @@ func DefaultCombos() []Fig10Combo {
 	}
 }
 
-// RunFig10 evaluates the given combos (nil = DefaultCombos).
-func RunFig10(s Scale, p *core.Predictor, combos []Fig10Combo) (*Fig10Result, error) {
+// RunFig10 evaluates the given combos (nil = DefaultCombos); a combo
+// without a label is labelled with its type counts.
+func RunFig10(p *core.Predictor, combos []Fig10Combo) (*Fig10Result, error) {
 	if combos == nil {
 		combos = DefaultCombos()
 	}
 	out := &Fig10Result{}
 	for _, combo := range combos {
+		if combo.Label == "" {
+			combo.Label = countLabel(combo.Flows)
+		}
 		eval, err := core.EvaluatePlacements(p, combo.Flows)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig10 %s: %w", combo.Label, err)
@@ -75,18 +65,10 @@ func RunFig10(s Scale, p *core.Predictor, combos []Fig10Combo) (*Fig10Result, er
 		combo.Eval = eval
 		out.Combos = append(out.Combos, combo)
 
-		synthetic := false
-		for _, t := range combo.Flows {
-			if t == apps.SYNMAX || t == apps.SYN {
-				synthetic = true
-			}
-		}
-		if synthetic {
-			if eval.Gain > out.MaxSyntheticGain {
-				out.MaxSyntheticGain = eval.Gain
-			}
-		} else if eval.Gain > out.MaxRealisticGain {
-			out.MaxRealisticGain = eval.Gain
+		if slices.Contains(combo.Flows, apps.SYNMAX) || slices.Contains(combo.Flows, apps.SYN) {
+			out.MaxSyntheticGain = max(out.MaxSyntheticGain, eval.Gain)
+		} else {
+			out.MaxRealisticGain = max(out.MaxRealisticGain, eval.Gain)
 		}
 	}
 	return out, nil
@@ -102,28 +84,31 @@ func (r *Fig10Result) Combo(label string) (Fig10Combo, bool) {
 	return Fig10Combo{}, false
 }
 
-// String renders 10(a) and the 6MON+6FW per-flow detail (10(b)).
+// String renders 10(a), every placement of every combo, and the
+// 6MON+6FW per-flow detail (10(b)).
 func (r *Fig10Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 10(a): average drop under best and worst placement\n")
 	fmt.Fprintf(&b, "%-16s %10s %10s %8s\n", "combination", "best", "worst", "gain")
 	for _, c := range r.Combos {
 		fmt.Fprintf(&b, "%-16s %10s %10s %8s\n", c.Label,
-			pct(c.Eval.Best.AvgDrop), pct(c.Eval.Worst.AvgDrop), pct(c.Gain()))
+			pct(c.Eval.Best.AvgDrop), pct(c.Eval.Worst.AvgDrop), pct(c.Eval.Gain))
 	}
 	fmt.Fprintf(&b, "max gain: realistic %s, synthetic %s\n",
 		pct(r.MaxRealisticGain), pct(r.MaxSyntheticGain))
+	for _, c := range r.Combos {
+		fmt.Fprintf(&b, "placements of %s (%d distinct, best first):\n", c.Label, len(c.Eval.All))
+		for _, pl := range c.Eval.All {
+			fmt.Fprintf(&b, "  %v\n", pl)
+		}
+	}
 	if c, ok := r.Combo("6MON+6FW"); ok {
 		b.WriteString("Figure 10(b): per-flow drop for 6MON+6FW\n")
-		fmt.Fprintf(&b, "  best  %v:", c.Eval.Best)
-		b.WriteByte('\n')
-		for _, fd := range c.Eval.Best.PerFlow {
-			fmt.Fprintf(&b, "    socket%d %-8s %s\n", fd.Socket, fd.Type, pct(fd.Drop))
-		}
-		fmt.Fprintf(&b, "  worst %v:", c.Eval.Worst)
-		b.WriteByte('\n')
-		for _, fd := range c.Eval.Worst.PerFlow {
-			fmt.Fprintf(&b, "    socket%d %-8s %s\n", fd.Socket, fd.Type, pct(fd.Drop))
+		for i, pl := range []core.Placement{c.Eval.Best, c.Eval.Worst} {
+			fmt.Fprintf(&b, "  %-5s %v:\n", []string{"best", "worst"}[i], pl)
+			for _, fd := range pl.PerFlow {
+				fmt.Fprintf(&b, "    socket%d %-8s %s\n", fd.Socket, fd.Type, pct(fd.Drop))
+			}
 		}
 	}
 	return b.String()

@@ -26,9 +26,8 @@ type Fig2Result struct {
 	Average map[apps.FlowType]float64
 }
 
-// RunFig2 runs all 25 pairs using p's memoised measurements (pass
-// s.NewPredictor() to run standalone).
-func RunFig2(s Scale, p *core.Predictor) (*Fig2Result, error) {
+// RunFig2 runs all 25 pairs using p's memoised measurements.
+func RunFig2(p *core.Predictor) (*Fig2Result, error) {
 	out := &Fig2Result{Average: make(map[apps.FlowType]float64)}
 	for _, target := range apps.RealisticTypes {
 		var sum float64
@@ -48,7 +47,7 @@ func RunFig2(s Scale, p *core.Predictor) (*Fig2Result, error) {
 // RunFig2Pair measures a single Figure 2 cell: the drop of target
 // co-running with 5 flows of type comp. It is exported for the ablation
 // benchmarks, which re-measure one cell under modified hardware models.
-func RunFig2Pair(s Scale, p *core.Predictor, target, comp apps.FlowType) (Fig2Cell, error) {
+func RunFig2Pair(p *core.Predictor, target, comp apps.FlowType) (Fig2Cell, error) {
 	return measurePair(p, target, comp)
 }
 
@@ -118,19 +117,10 @@ func (r *Fig2Result) MaxDrop() Fig2Cell {
 func (r *Fig2Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 2(a): performance drop of target (rows) with 5 co-runners of type (columns)\n")
-	fmt.Fprintf(&b, "%-8s", "")
-	for _, comp := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%8s", comp)
-	}
-	b.WriteByte('\n')
-	for _, target := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%-8s", target)
-		for _, comp := range apps.RealisticTypes {
-			c, _ := r.Cell(target, comp)
-			fmt.Fprintf(&b, "%8s", pct(c.Drop))
-		}
-		b.WriteByte('\n')
-	}
+	matrix(&b, func(target, comp apps.FlowType) string {
+		c, _ := r.Cell(target, comp)
+		return pct(c.Drop)
+	})
 	b.WriteString("Figure 2(b): average drop per target type\n")
 	for _, target := range apps.RealisticTypes {
 		fmt.Fprintf(&b, "%-8s %s\n", target, pct(r.Average[target]))

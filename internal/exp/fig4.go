@@ -52,14 +52,14 @@ type Fig4Result struct {
 
 // RunFig4 measures the given targets (nil = all realistic types) under
 // all three modes.
-func RunFig4(s Scale, p *core.Predictor, targets []apps.FlowType) (*Fig4Result, error) {
+func RunFig4(p *core.Predictor, targets []apps.FlowType) (*Fig4Result, error) {
 	if targets == nil {
 		targets = apps.RealisticTypes
 	}
 	out := &Fig4Result{}
 	for _, mode := range Modes {
 		for _, target := range targets {
-			series, err := runFig4Series(s, p, target, mode)
+			series, err := runFig4Series(p, target, mode)
 			if err != nil {
 				return nil, err
 			}
@@ -69,14 +69,14 @@ func RunFig4(s Scale, p *core.Predictor, targets []apps.FlowType) (*Fig4Result, 
 	return out, nil
 }
 
-func runFig4Series(s Scale, p *core.Predictor, target apps.FlowType, mode ContentionMode) (Fig4Series, error) {
+func runFig4Series(p *core.Predictor, target apps.FlowType, mode ContentionMode) (Fig4Series, error) {
 	solo, err := p.Solo(target)
 	if err != nil {
 		return Fig4Series{}, err
 	}
 	series := Fig4Series{Target: target, Mode: mode}
-	n := s.Cfg.CoresPerSocket - 1
-	for _, k := range s.SweepGrid {
+	n := p.Cfg.CoresPerSocket - 1
+	for _, k := range p.SweepGrid {
 		flows := []core.FlowSpec{{Type: target, Core: 0, Domain: 0, Seed: core.SeedFor(target, 0)}}
 		for i := 1; i <= n; i++ {
 			f := core.FlowSpec{Type: apps.SYN, Seed: core.SeedFor(apps.SYN, i), SynCompute: k}
@@ -84,14 +84,14 @@ func runFig4Series(s Scale, p *core.Predictor, target apps.FlowType, mode Conten
 			case CacheOnly:
 				f.Core, f.Domain = i, 1
 			case MemCtrlOnly:
-				f.Core, f.Domain = s.Cfg.CoresPerSocket+i-1, 0
+				f.Core, f.Domain = p.Cfg.CoresPerSocket+i-1, 0
 			case Both:
 				f.Core, f.Domain = i, 0
 			}
 			flows = append(flows, f)
 		}
-		res, err := core.Scenario{Cfg: s.Cfg, Params: s.Params, Flows: flows,
-			Warmup: s.Warmup, Window: s.Window}.Run()
+		res, err := core.Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
+			Warmup: p.Warmup, Window: p.Window}.Run()
 		if err != nil {
 			return Fig4Series{}, fmt.Errorf("exp: fig4 %s/%s: %w", target, mode, err)
 		}
@@ -122,13 +122,11 @@ func (r *Fig4Result) Get(target apps.FlowType, mode ContentionMode) (Fig4Series,
 
 // MaxDrop returns the largest drop in a series.
 func (s Fig4Series) MaxDrop() float64 {
-	var max float64
+	var m float64
 	for _, pt := range s.Points {
-		if pt.Drop > max {
-			max = pt.Drop
-		}
+		m = max(m, pt.Drop)
 	}
-	return max
+	return m
 }
 
 // String renders each mode's series.

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pktpredict/internal/apps"
@@ -20,14 +21,11 @@ type Fig5Result struct {
 }
 
 // RunFig5 builds the overlay from the predictor's sweeps and the Figure 2
-// measurements.
-func RunFig5(s Scale, p *core.Predictor, fig2 *Fig2Result) (*Fig5Result, error) {
-	if fig2 == nil {
-		var err error
-		fig2, err = RunFig2(s, p)
-		if err != nil {
-			return nil, err
-		}
+// measurements, which p's memo makes a lookup once Figure 2 has run.
+func RunFig5(p *core.Predictor) (*Fig5Result, error) {
+	fig2, err := RunFig2(p)
+	if err != nil {
+		return nil, err
 	}
 	out := &Fig5Result{Curves: make(map[apps.FlowType]core.Curve)}
 	for _, t := range apps.RealisticTypes {
@@ -50,22 +48,16 @@ func (r *Fig5Result) Deviation(cell Fig2Cell) float64 {
 	if !ok {
 		return 0
 	}
-	d := cell.Drop - curve.DropAt(cell.CompetingRefsPerSec)
-	if d < 0 {
-		return -d
-	}
-	return d
+	return math.Abs(cell.Drop - curve.DropAt(cell.CompetingRefsPerSec))
 }
 
 // MaxDeviation returns the worst-case deviation across all points.
 func (r *Fig5Result) MaxDeviation() float64 {
-	var max float64
+	var m float64
 	for _, cell := range r.Points {
-		if d := r.Deviation(cell); d > max {
-			max = d
-		}
+		m = max(m, r.Deviation(cell))
 	}
-	return max
+	return m
 }
 
 // MeanDeviation returns the average deviation across all points.

@@ -36,7 +36,7 @@ var Fig6Deltas = []float64{30e-9, core.DeltaSeconds, 60e-9}
 
 // RunFig6 evaluates the bound curves and measures the flows' solo
 // hits/sec.
-func RunFig6(s Scale, p *core.Predictor) (*Fig6Result, error) {
+func RunFig6(p *core.Predictor) (*Fig6Result, error) {
 	out := &Fig6Result{}
 	for _, delta := range Fig6Deltas {
 		curve := Fig6Curve{DeltaSeconds: delta}

@@ -37,7 +37,7 @@ type Fig7Result struct {
 // Appendix A model with the paper's parameters: C = cache lines, Ht =
 // solo hits/sec, W = the flow table's slot count (the structure the model
 // describes exactly, as the paper notes for flow_statistics).
-func RunFig7(s Scale, p *core.Predictor) (*Fig7Result, error) {
+func RunFig7(p *core.Predictor) (*Fig7Result, error) {
 	target := apps.MON
 	solo, err := p.Solo(target)
 	if err != nil {
@@ -49,11 +49,11 @@ func RunFig7(s Scale, p *core.Predictor) (*Fig7Result, error) {
 	}
 
 	tableSlots := 1
-	for tableSlots < s.Params.NetFlowEntries {
+	for tableSlots < p.Params.NetFlowEntries {
 		tableSlots <<= 1
 	}
 	model := core.CacheModel{
-		CacheLines:       float64(s.Cfg.L3.SizeBytes / hw.LineSize),
+		CacheLines:       float64(p.Cfg.L3.SizeBytes / hw.LineSize),
 		TargetHitsPerSec: solo.L3HitsPerSec(),
 		TargetChunks:     float64(tableSlots),
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pktpredict/internal/apps"
@@ -35,7 +36,7 @@ type Fig8Result struct {
 }
 
 // RunFig8 predicts and measures every pair scenario.
-func RunFig8(s Scale, p *core.Predictor) (*Fig8Result, error) {
+func RunFig8(p *core.Predictor) (*Fig8Result, error) {
 	out := &Fig8Result{
 		AvgError:      make(map[apps.FlowType]float64),
 		AvgPerfectErr: make(map[apps.FlowType]float64),
@@ -48,14 +49,11 @@ func RunFig8(s Scale, p *core.Predictor) (*Fig8Result, error) {
 				return nil, fmt.Errorf("exp: fig8 %s vs %s: %w", target, comp, err)
 			}
 			out.Cells = append(out.Cells, cell)
-			sumErr += abs(cell.Error())
-			sumPerf += abs(cell.PerfectError())
-			if abs(cell.Error()) > out.MaxAbsError {
-				out.MaxAbsError = abs(cell.Error())
-			}
-			if abs(cell.PerfectError()) > out.MaxAbsPerfErr {
-				out.MaxAbsPerfErr = abs(cell.PerfectError())
-			}
+			e, perf := math.Abs(cell.Error()), math.Abs(cell.PerfectError())
+			sumErr += e
+			sumPerf += perf
+			out.MaxAbsError = max(out.MaxAbsError, e)
+			out.MaxAbsPerfErr = max(out.MaxAbsPerfErr, perf)
 		}
 		n := float64(len(apps.RealisticTypes))
 		out.AvgError[target] = sumErr / n
@@ -90,50 +88,25 @@ func predictPair(p *core.Predictor, target, comp apps.FlowType) (Fig8Cell, error
 	}, nil
 }
 
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
-}
-
 // String renders the error matrices and averages.
 func (r *Fig8Result) String() string {
 	var b strings.Builder
+	cell := func(target, comp apps.FlowType) Fig8Cell {
+		for _, c := range r.Cells {
+			if c.Target == target && c.Competitor == comp {
+				return c
+			}
+		}
+		return Fig8Cell{}
+	}
 	b.WriteString("Figure 8(a): prediction error (predicted - measured), rows=target, cols=5x competitor\n")
-	fmt.Fprintf(&b, "%-8s", "")
-	for _, comp := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%8s", comp)
-	}
-	b.WriteByte('\n')
-	for _, target := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%-8s", target)
-		for _, comp := range apps.RealisticTypes {
-			for _, c := range r.Cells {
-				if c.Target == target && c.Competitor == comp {
-					fmt.Fprintf(&b, "%+8.1f", c.Error()*100)
-				}
-			}
-		}
-		b.WriteByte('\n')
-	}
+	matrix(&b, func(target, comp apps.FlowType) string {
+		return fmt.Sprintf("%+.1f", cell(target, comp).Error()*100)
+	})
 	b.WriteString("Figure 8(b): error with perfect knowledge of the competition\n")
-	fmt.Fprintf(&b, "%-8s", "")
-	for _, comp := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%8s", comp)
-	}
-	b.WriteByte('\n')
-	for _, target := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%-8s", target)
-		for _, comp := range apps.RealisticTypes {
-			for _, c := range r.Cells {
-				if c.Target == target && c.Competitor == comp {
-					fmt.Fprintf(&b, "%+8.1f", c.PerfectError()*100)
-				}
-			}
-		}
-		b.WriteByte('\n')
-	}
+	matrix(&b, func(target, comp apps.FlowType) string {
+		return fmt.Sprintf("%+.1f", cell(target, comp).PerfectError()*100)
+	})
 	b.WriteString("Figure 8(c): average absolute error per target (ours / perfect)\n")
 	for _, target := range apps.RealisticTypes {
 		fmt.Fprintf(&b, "%-8s %6.2f %6.2f\n", target,

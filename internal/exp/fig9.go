@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pktpredict/internal/apps"
@@ -9,56 +10,63 @@ import (
 )
 
 // Fig9Flow is one flow of the mixed workload with its measured and
-// predicted drop.
+// predicted drop, and the competition the prediction assumed (the other
+// flows' solo refs/sec).
 type Fig9Flow struct {
-	Type      apps.FlowType
-	Measured  float64
-	Predicted float64
+	Type                apps.FlowType
+	Measured            float64
+	Predicted           float64
+	CompetingRefsPerSec float64
 }
 
 // AbsError returns |predicted − measured|.
-func (f Fig9Flow) AbsError() float64 { return abs(f.Predicted - f.Measured) }
+func (f Fig9Flow) AbsError() float64 { return math.Abs(f.Predicted - f.Measured) }
 
 // Fig9Mix is the paper's mixed workload per processor: 2 MON, 2 VPN,
 // 1 FW, 1 RE.
 var Fig9Mix = []apps.FlowType{apps.MON, apps.MON, apps.VPN, apps.VPN, apps.FW, apps.RE}
 
 // Fig9Result reproduces Figure 9: measured versus predicted drop for each
-// flow of the mixed workload.
+// flow of a mix sharing one socket.
 type Fig9Result struct {
+	Mix      []apps.FlowType
 	Flows    []Fig9Flow
 	MaxError float64
 }
 
-// RunFig9 measures and predicts the mixed workload.
-func RunFig9(s Scale, p *core.Predictor) (*Fig9Result, error) {
-	measured, sorted, err := p.MeasuredDrops(Fig9Mix)
+// RunFig9 predicts the mix's drops from solo profiles, then co-runs it
+// and measures them: the paper's Section 4 method and its check. A nil
+// mix is Fig9Mix.
+func RunFig9(p *core.Predictor, mix []apps.FlowType) (*Fig9Result, error) {
+	if mix == nil {
+		mix = Fig9Mix
+	}
+	measured, sorted, err := p.MeasuredDrops(mix)
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig9 measure: %w", err)
 	}
-	predicted, _, err := p.PredictMix(Fig9Mix)
+	predicted, _, err := p.PredictMix(mix)
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig9 predict: %w", err)
 	}
-	out := &Fig9Result{}
+	out := &Fig9Result{Mix: mix}
 	for i, t := range sorted {
-		f := Fig9Flow{Type: t, Measured: measured[i], Predicted: predicted[i].Drop}
+		f := Fig9Flow{Type: t, Measured: measured[i], Predicted: predicted[i].Drop,
+			CompetingRefsPerSec: predicted[i].CompetingRefsPerSec}
 		out.Flows = append(out.Flows, f)
-		if f.AbsError() > out.MaxError {
-			out.MaxError = f.AbsError()
-		}
+		out.MaxError = max(out.MaxError, f.AbsError())
 	}
 	return out, nil
 }
 
-// String renders per-flow measured/predicted/error rows.
+// String renders per-flow measured/predicted/error/competition rows.
 func (r *Fig9Result) String() string {
 	var b strings.Builder
-	b.WriteString("Figure 9: mixed workload (2 MON, 2 VPN, 1 FW, 1 RE per processor)\n")
-	fmt.Fprintf(&b, "%-8s %10s %10s %10s\n", "flow", "measured", "predicted", "|error|")
+	fmt.Fprintf(&b, "Figure 9: mixed workload (%s per processor)\n", countLabel(r.Mix))
+	fmt.Fprintf(&b, "%-8s %10s %10s %10s %12s\n", "flow", "measured", "predicted", "|error|", "competition")
 	for _, f := range r.Flows {
-		fmt.Fprintf(&b, "%-8s %10s %10s %10.2f\n",
-			f.Type, pct(f.Measured), pct(f.Predicted), f.AbsError()*100)
+		fmt.Fprintf(&b, "%-8s %10s %10s %10.2f %12s\n",
+			f.Type, pct(f.Measured), pct(f.Predicted), f.AbsError()*100, mrefs(f.CompetingRefsPerSec))
 	}
 	fmt.Fprintf(&b, "max |error|: %.2f%%\n", r.MaxError*100)
 	return b.String()

@@ -127,16 +127,16 @@ type PipelineResult struct {
 
 // RunPipeline compares both approaches on a realistic workload (MON) and
 // on the crafted workload.
-func RunPipeline(s Scale) (*PipelineResult, error) {
+func RunPipeline(p *core.Predictor) (*PipelineResult, error) {
 	out := &PipelineResult{}
 
-	mon, err := pipelineVsParallelMON(s)
+	mon, err := pipelineVsParallelMON(p)
 	if err != nil {
 		return nil, err
 	}
 	out.Rows = append(out.Rows, mon)
 
-	crafted, err := pipelineVsParallelCrafted(s)
+	crafted, err := pipelineVsParallelCrafted(p)
 	if err != nil {
 		return nil, err
 	}
@@ -145,17 +145,17 @@ func RunPipeline(s Scale) (*PipelineResult, error) {
 }
 
 // pipelineVsParallelMON splits the MON pipeline after the route lookup.
-func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
+func pipelineVsParallelMON(p *core.Predictor) (PipelineRow, error) {
 	row := PipelineRow{Workload: "MON"}
 
 	// Parallel: two independent MON flows on one socket.
 	par, err := core.Scenario{
-		Cfg: s.Cfg, Params: s.Params,
+		Cfg: p.Cfg, Params: p.Params,
 		Flows: []core.FlowSpec{
 			{Type: apps.MON, Core: 0, Domain: 0, Seed: core.SeedFor(apps.MON, 0)},
 			{Type: apps.MON, Core: 1, Domain: 0, Seed: core.SeedFor(apps.MON, 1)},
 		},
-		Warmup: s.Warmup, Window: s.Window,
+		Warmup: p.Warmup, Window: p.Window,
 	}.Run()
 	if err != nil {
 		return row, err
@@ -164,7 +164,7 @@ func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
 
 	// Pipeline: one MON flow split across two cores of the same socket.
 	arena := mem.NewArena(0)
-	inst, err := s.Params.Build(apps.MON, arena, core.SeedFor(apps.MON, 0))
+	inst, err := p.Params.Build(apps.MON, arena, core.SeedFor(apps.MON, 0))
 	if err != nil {
 		return row, err
 	}
@@ -172,7 +172,7 @@ func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
 	if err != nil {
 		return row, err
 	}
-	row.PipelinePktsPerSec, err = completionRate(s, stages, 0, 1)
+	row.PipelinePktsPerSec, err = completionRate(p, stages, 0, 1)
 	return row, err
 }
 
@@ -180,7 +180,7 @@ func pipelineVsParallelMON(s Scale) (PipelineRow, error) {
 // each packet makes many accesses to a cacheable structure twice the L3
 // size. Split across sockets, each stage's half fits its own L3; run in
 // parallel, each core's full replica thrashes.
-func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
+func pipelineVsParallelCrafted(p *core.Predictor) (PipelineRow, error) {
 	row := PipelineRow{Workload: "crafted"}
 	// crafted builds the two-half chain: a small-packet source in arenaA
 	// and one Syn element per half, each making 110 accesses (>200 per
@@ -193,7 +193,7 @@ func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		half := synth.Config{Seed: env.Seed, RegionBytes: s.Cfg.L3.SizeBytes, AccessesPerPacket: 110}
+		half := synth.Config{Seed: env.Seed, RegionBytes: p.Cfg.L3.SizeBytes, AccessesPerPacket: 110}
 		a := synth.NewElement(arenaA, half, 0)
 		half.Seed ^= 0xb
 		b := synth.NewElement(arenaB, half, 0)
@@ -216,7 +216,7 @@ func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
 		replicas = append(replicas, whole...)
 	}
 	var err error
-	if row.ParallelPktsPerSec, err = completionRate(s, replicas, 0, s.Cfg.CoresPerSocket); err != nil {
+	if row.ParallelPktsPerSec, err = completionRate(p, replicas, 0, p.Cfg.CoresPerSocket); err != nil {
 		return row, err
 	}
 
@@ -231,7 +231,7 @@ func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
 	if err != nil {
 		return row, err
 	}
-	row.PipelinePktsPerSec, err = completionRate(s, stages, 0, s.Cfg.CoresPerSocket)
+	row.PipelinePktsPerSec, err = completionRate(p, stages, 0, p.Cfg.CoresPerSocket)
 	return row, err
 }
 
@@ -239,17 +239,17 @@ func pipelineVsParallelCrafted(s Scale) (PipelineRow, error) {
 // returns the packets per second completed over the window, summed over
 // the flows that complete packets at all: both replicas of a parallel
 // pair, the last stage of a chain.
-func completionRate(s Scale, flows []*cut, cores ...int) (float64, error) {
-	engine := hw.NewEngine(hw.NewPlatform(s.Cfg))
+func completionRate(p *core.Predictor, flows []*cut, cores ...int) (float64, error) {
+	engine := hw.NewEngine(hw.NewPlatform(p.Cfg))
 	for i, c := range flows {
 		engine.Attach(cores[i], fmt.Sprintf("core%d/stage%d", cores[i], c.runner.Stage()), c)
 	}
-	engine.RunSeconds(s.Warmup)
+	engine.RunSeconds(p.Warmup)
 	for _, c := range flows {
 		c.runner.Reset()
 	}
 	var rate float64
-	for i, st := range engine.Measure(s.Window) {
+	for i, st := range engine.Measure(p.Window) {
 		if flows[i].out != nil {
 			continue
 		}

@@ -7,8 +7,10 @@
 // (contention-aware scheduling), the Section 4 throttling demonstration,
 // and the Section 2.2 parallel-versus-pipeline comparison.
 //
-// Every experiment takes a Scale, so the same driver runs at paper scale
-// (benchmarks, cmd/pktbench) or at a reduced scale (unit tests).
+// Every experiment takes one *core.Predictor, built by Scale.NewPredictor:
+// it carries the platform, workload and windows, so the same driver runs
+// at paper scale (benchmarks, cmd/pktbench) or at a reduced scale (unit
+// tests), and experiments sharing it share its memoised measurements.
 package exp
 
 import (

@@ -17,7 +17,7 @@ type Table1Result struct {
 }
 
 // RunTable1 profiles each realistic flow type solo, through p's memo.
-func RunTable1(s Scale, p *core.Predictor) (*Table1Result, error) {
+func RunTable1(p *core.Predictor) (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, t := range apps.RealisticTypes {
 		st, err := p.Solo(t)

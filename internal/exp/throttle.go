@@ -40,7 +40,7 @@ func (r *ThrottleResult) VictimProtection() float64 {
 // RunThrottle builds two identical scenarios — a hidden-aggressor flow
 // plus a MON victim on the same socket — and runs one with the
 // containment loop and one without.
-func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
+func RunThrottle(p *core.Predictor) (*ThrottleResult, error) {
 	fwSolo, err := p.Solo(apps.FW)
 	if err != nil {
 		return nil, err
@@ -49,11 +49,11 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	// The trigger fires well after the offline profiling phase (two
 	// warmup-length windows of honest FW behaviour), whatever the scale's
 	// packet rate is.
-	trigger := uint64(fwSolo.Throughput()*s.Warmup*2*2) + 400
+	trigger := uint64(fwSolo.Throughput()*p.Warmup*2*2) + 400
 	build := func() (*core.RunResult, error) {
 		return core.Scenario{
-			Cfg:    s.Cfg,
-			Params: s.Params,
+			Cfg:    p.Cfg,
+			Params: p.Params,
 			Flows: []core.FlowSpec{
 				{Type: apps.FW, Core: 0, Domain: 0, Seed: core.SeedFor(apps.FW, 0), HiddenTrigger: trigger},
 				{Type: apps.MON, Core: 1, Domain: 0, Seed: core.SeedFor(apps.MON, 1)},
@@ -62,7 +62,7 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	}
 
 	out := &ThrottleResult{}
-	interval := s.Window / 4
+	interval := p.Window / 4
 	steps := 24
 
 	// Offline profile of the honest phase: run a fresh scenario's warmup
@@ -71,7 +71,7 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	honest := prof.Engine.MeasureWindow(s.Warmup, s.Warmup)[0]
+	honest := prof.Engine.MeasureWindow(p.Warmup, p.Warmup)[0]
 	if n := prof.Engine.Flows[0].Core.Counters.Packets; n >= trigger {
 		return nil, fmt.Errorf("exp: throttle profiling window crossed the trigger (%d of %d packets)", n, trigger)
 	}
@@ -84,7 +84,7 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 		return nil, err
 	}
 	// The victim's throughput while the aggressor is still honest.
-	out.VictimBaselineTput = free.Engine.MeasureWindow(s.Warmup, s.Warmup)[1].Throughput()
+	out.VictimBaselineTput = free.Engine.MeasureWindow(p.Warmup, p.Warmup)[1].Throughput()
 	for i := 0; i < steps; i++ {
 		out.Uncontained = append(out.Uncontained, core.ThrottleSample{
 			Interval: i, RefsPerSec: free.Engine.Measure(interval)[0].L3RefsPerSec()})
@@ -96,7 +96,7 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	contained.Engine.MeasureWindow(s.Warmup, s.Warmup)
+	contained.Engine.MeasureWindow(p.Warmup, p.Warmup)
 	cont, err := core.NewContainment(contained.Engine, 0, contained.Instances[0].Control, out.ProfiledRefsPerSec)
 	if err != nil {
 		return nil, err
@@ -109,13 +109,11 @@ func RunThrottle(s Scale, p *core.Predictor) (*ThrottleResult, error) {
 // PeakUncontained returns the aggressor's maximum observed rate without
 // containment.
 func (r *ThrottleResult) PeakUncontained() float64 {
-	var max float64
+	var m float64
 	for _, s := range r.Uncontained {
-		if s.RefsPerSec > max {
-			max = s.RefsPerSec
-		}
+		m = max(m, s.RefsPerSec)
 	}
-	return max
+	return m
 }
 
 // FinalContained returns the aggressor's rate at the end of containment.

@@ -185,7 +185,7 @@ func TestRuntimeChainPipelineVersusParallel(t *testing.T) {
 	// The runtime's verdicts must match the deterministic engine's
 	// Section 2.2 reproduction, which charges the same hand-off costs
 	// through the shared handoff package.
-	res, err := exp.RunPipeline(exp.Quick())
+	res, err := exp.RunPipeline(exp.Quick().NewPredictor())
 	if err != nil {
 		t.Fatal(err)
 	}
