@@ -17,12 +17,10 @@
 //
 // Usage:
 //
-//	dataplane [-config examples/scenarios/nat_chain.click]
-//	          [-scenario mixed|bursty|thrash|hidden|...]
+//	dataplane [-config FILE.click | -scenario mixed|bursty|thrash|hidden|...]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
-//	          [-duration 0.05] [-quantum 200000] [-noprofile]
-//	          [-telemetry] [-metrics-addr :9090] [-residuals]
-//	          [-trace-sample 64] [-trace-out trace.json]
+//	          [-duration 0.05] [-noprofile] [-telemetry] [-residuals]
+//	          [-metrics-addr :9090] [-trace-sample 64] [-trace-out trace.json]
 //
 // Observability: -metrics-addr serves the live metrics registry over
 // HTTP while the dataplane runs (/metrics Prometheus text, /metrics.json
@@ -42,7 +40,9 @@
 // and -platform (same KEY VALUE syntax) overrides both. Offline
 // profiling always runs on the effective platform.
 //
-// Durations are virtual seconds on the simulated platform.
+// Durations are virtual seconds on the simulated platform; a -duration
+// that is not positive and finite exits 1 naming it. The clock-sync
+// quantum is the runtime's default; a .sweep grid varies it (QUANTUM).
 package main
 
 import (
@@ -68,7 +68,6 @@ func main() {
 	platformOverrides := flag.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
 	duration := flag.Float64("duration", 0.05, "measured virtual seconds")
-	quantum := flag.Uint64("quantum", 0, "clock-sync quantum in cycles (default 200000)")
 	noprofile := flag.Bool("noprofile", false,
 		"skip offline profiling (disables prediction, admission limits, re-placement)")
 	telemetry := flag.Bool("telemetry", false, "dump per-window telemetry samples")
@@ -112,9 +111,6 @@ func main() {
 	cfg, err := sc.ConfigOn(hwCfg, scale.Params)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *quantum > 0 {
-		cfg.QuantumCycles = *quantum
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = scale.Warmup

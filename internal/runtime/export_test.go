@@ -62,3 +62,14 @@ func CaptureWindows(cfg *Config) *Windows {
 
 // CheckGolden is checkGolden, for the external test package.
 var CheckGolden = checkGolden
+
+// InLine switches r to the barrier's in-line driver (see the package doc):
+// its quanta run on the calling goroutine, and the run is a pure function
+// of its configuration.
+func (r *Runtime) InLine() { r.inline = true }
+
+// IntGolden is intGolden, for the external test package.
+var IntGolden = intGolden
+
+// ThrashStateConfig is thrashStateConfig, for the external test package.
+var ThrashStateConfig = thrashStateConfig

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/hw"
 	"pktpredict/internal/obs"
 )
 
@@ -66,10 +69,18 @@ func goldenConfigs() map[string]Config {
 	return map[string]Config{"mon_paced_slo": mon, "syn": syn, "fw_admission": adm}
 }
 
+// TestOneWorkerGoldens runs each configuration under both barrier
+// drivers against the same file: with one worker there is nothing to
+// race, so the goroutine driver must reproduce the in-line one byte for
+// byte — the check on the driver production runs.
 func TestOneWorkerGoldens(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
-			checkGolden(t, filepath.Join("testdata", name+".golden"), goldenRun(t, cfg))
+			for _, inline := range []bool{false, true} {
+				t.Run(fmt.Sprintf("inline=%t", inline), func(t *testing.T) {
+					checkGolden(t, filepath.Join("testdata", name+".golden"), goldenRun(t, cfg, inline))
+				})
+			}
 		})
 	}
 }
@@ -118,9 +129,10 @@ func sortSeries(text []byte) []byte {
 	return append(head, strings.Join(lines, "\n")...)
 }
 
-// goldenRun executes cfg with a registry and renders everything the
-// control window publishes, one section per surface.
-func goldenRun(t *testing.T, cfg Config) []byte {
+// goldenRun executes cfg with a registry, on the in-line driver or the
+// goroutine one, and renders everything the control window publishes, one
+// section per surface.
+func goldenRun(t *testing.T, cfg Config, inline bool) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	section := func(title string, v any) {
@@ -141,6 +153,7 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.inline = inline
 	rep, err := r.Run(0.002)
 	if err != nil {
 		t.Fatal(err)
@@ -162,4 +175,95 @@ func goldenRun(t *testing.T, cfg Config) []byte {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// intGolden renders what a run left behind as integers only, one fact
+// per line, so a diff names what moved: every integer field of the
+// Report (apps and their branches, workers, migrations and their state
+// copies, throttle events, quanta), each worker's final hw.Counters, the
+// per-element cycle and reference sums and each app's latency-histogram
+// bucket counts over the measured interval.
+func intGolden(r *Runtime, rep *Report) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "report%s migrations %d\n", intFields(*rep), len(rep.Migrations))
+	for _, a := range rep.Apps {
+		fmt.Fprintf(&b, "app%s\n", intFields(a))
+		for _, br := range a.Branches {
+			fmt.Fprintf(&b, "  branch%s\n", intFields(br))
+		}
+	}
+	for _, w := range rep.Workers {
+		fmt.Fprintf(&b, "worker%s\n", intFields(w))
+	}
+	for _, m := range rep.Migrations {
+		fmt.Fprintf(&b, "migration%s\n  copy A%s\n  copy B%s\n", intFields(m), intFields(m.CopyA), intFields(m.CopyB))
+	}
+	for _, w := range r.workers {
+		fmt.Fprintf(&b, "counters worker %d", w.id)
+		w.core.Counters.Each(func(name string, v uint64) { fmt.Fprintf(&b, " %s %d", name, v) })
+		b.WriteByte('\n')
+		// By name: a function's id depends on when it was first registered.
+		var funcs []string
+		for id, fc := range w.core.Counters.Func {
+			if fc != (hw.FuncCounters{}) {
+				funcs = append(funcs, fmt.Sprintf("  func %s%s\n", hw.FuncName(hw.FuncID(id)), intFields(fc)))
+			}
+		}
+		sort.Strings(funcs)
+		b.WriteString(strings.Join(funcs, ""))
+	}
+	tot := r.total()
+	for _, f := range r.flows {
+		for s, sd := range tot.flows[f.id].stages {
+			for i, c := range sd.elems {
+				if c.Cycles != 0 || c.L3Refs != 0 {
+					fmt.Fprintf(&b, "element %s stage %d %s cycles %d l3_refs %d\n", flowName(f), s, f.elemName(i), c.Cycles, c.L3Refs)
+				}
+			}
+		}
+	}
+	for i, a := range r.disp.apps {
+		fmt.Fprintf(&b, "latency %s%s\n", a.spec.Name, latBuckets(&tot.apps[i].lat))
+	}
+	return b.Bytes()
+}
+
+// intFields renders v's integer, bool and string fields in declaration
+// order as " Name value" pairs: everything but its floats and nested values.
+func intFields(v any) string {
+	var b strings.Builder
+	rv := reflect.ValueOf(v)
+	for i := range rv.NumField() {
+		f, name := rv.Field(i), rv.Type().Field(i).Name
+		switch {
+		case f.CanInt():
+			fmt.Fprintf(&b, " %s %d", name, f.Int())
+		case f.CanUint():
+			fmt.Fprintf(&b, " %s %d", name, f.Uint())
+		case f.Kind() == reflect.Bool:
+			fmt.Fprintf(&b, " %s %t", name, f.Bool())
+		case f.Kind() == reflect.String:
+			fmt.Fprintf(&b, " %s %q", name, f.String())
+		}
+	}
+	return b.String()
+}
+
+// latBuckets renders h's non-empty buckets as " lo:count", read through
+// CountOver at obs.LatHist's bucket bounds: one bucket below 64 cycles,
+// eight per octave up to 2^30, and one above.
+func latBuckets(h *obs.LatHist) string {
+	var b strings.Builder
+	lo, above := uint64(0), h.Count()
+	for hi := uint64(64); above > 0; hi += 1 << (bits.Len64(hi) - 4) {
+		var over uint64
+		if hi <= 1<<30 {
+			over = h.CountOver(hi)
+		}
+		if n := above - over; n > 0 {
+			fmt.Fprintf(&b, " %d:%d", lo, n)
+		}
+		lo, above = hi, over
+	}
+	return b.String()
 }

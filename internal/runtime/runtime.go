@@ -13,20 +13,27 @@
 // traces directly. The worker loop, telemetry, reports and re-placement
 // see only stages.
 //
-// Where the hw.Engine interleaves flows deterministically on one OS
-// thread in exact global virtual-time order, the runtime lets workers
-// race through a time quantum concurrently and synchronises all core
-// clocks at quantum boundaries (lax conservative synchronisation, as
-// parallel architecture simulators use). Both replay ops through the
-// same interpreter in package hw; the runtime's share is the locking
-// policy — shared cache state is serialised per socket inside
-// hw.Core.ExecOps — so contention between co-located flows remains
-// emergent; only the fine-grained interleaving within a quantum — and
-// therefore the exact drop figures — varies between runs. Dispatch and
-// the control loop run at barrier points, which is also when telemetry
-// is sampled, throttle decisions applied, and flows migrated. A window's
-// telemetry leaves through Config.OnWindow and the metrics registry; Run
-// returns only the whole-run Report.
+// Where the hw.Engine interleaves flows in exact global virtual-time
+// order on one OS thread, the runtime synchronises core clocks only at
+// quantum boundaries (lax conservative synchronisation, as parallel
+// architecture simulators use). Both replay ops through the same
+// interpreter in package hw; the runtime's locking policy (shared cache
+// state is serialised per socket in hw.Core.ExecOps) keeps contention
+// emergent. One barrier, driven by Run, releases the workers for each
+// quantum in the rotated order (q+k)%n; dispatch, telemetry, throttling
+// and migration happen between releases, and a window leaves through
+// Config.OnWindow and the metrics registry.
+//
+// The barrier has two drivers. Production's runs each worker on a
+// goroutine, so the interleaving within a quantum, and with it the exact
+// drop figures, varies from run to run. The in-line driver, which only
+// tests switch on, runs the same pass on the calling goroutine and makes
+// a run a pure function of its configuration: worker (q+k)%n runs its
+// whole quantum before the next starts, so a chain stage's hand-off ring
+// holds only what its upstream pushed earlier in the same pass or in
+// earlier quanta, and a stage released before its upstream spin-polls
+// until the quantum boundary. The concurrent driver's numbers
+// legitimately differ from the in-line ones.
 package runtime
 
 import (
@@ -220,6 +227,7 @@ type Runtime struct {
 	pendingPost    []pendingPost
 	throttleEvents int
 	finished       bool
+	inline         bool // the barrier's in-line driver; only tests set it
 
 	// The control window (see window.go): base marks the end of warm-up,
 	// prev the last control barrier; cur and win are the storage the next
@@ -326,8 +334,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			socket: sock,
 			src:    newRingSource(arena(sock), cfg.Params.Buffers, maxPkt, 256, cfg.Params.RxBatch),
 			batch:  cfg.Batch,
-			startC: make(chan uint64),
-			doneC:  make(chan struct{}),
 		}
 		r.workers = append(r.workers, w)
 	}
@@ -529,13 +535,13 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 }
 
 // Run executes the dataplane for the given measured virtual duration
-// (plus the configured warmup) and reports.
+// (plus the configured warmup) and reports. A duration that is not
+// positive and finite, or is longer than 2^31 quanta, is an error.
 func (r *Runtime) Run(duration float64) (*Report, error) {
-	quanta := int(math.Ceil(duration / r.quantumSec))
-	if quanta < 1 {
-		quanta = 1
+	if quanta := math.Ceil(duration / r.quantumSec); quanta >= 1 && quanta <= 1<<31 {
+		return r.run(int(quanta))
 	}
-	return r.run(quanta)
+	return nil, fmt.Errorf("runtime: duration %g s is not a positive, finite time of at most 2^31 quanta", duration)
 }
 
 func (r *Runtime) run(quanta int) (*Report, error) {
@@ -543,14 +549,8 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 		return nil, fmt.Errorf("runtime: already ran; build a new Runtime")
 	}
 	r.finished = true
-	for _, w := range r.workers {
-		go w.loop()
-	}
-	defer func() {
-		for _, w := range r.workers {
-			close(w.startC)
-		}
-	}()
+	b := newBarrier(r.workers, r.inline)
+	defer b.stop()
 
 	warmQ := 0
 	if r.cfg.Warmup > 0 {
@@ -563,18 +563,7 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 			r.resetMeasurement(q)
 		}
 		r.disp.enqueue(q)
-		limit := uint64(q+1) * r.cfg.QuantumCycles
-		// Rotate the release order so no worker systematically replays
-		// first (on few host CPUs a quantum's workers run near
-		// sequentially, and the first replayer sees the emptiest
-		// channel queues).
-		n := len(r.workers)
-		for k := 0; k < n; k++ {
-			r.workers[(q+k)%n].startC <- limit
-		}
-		for _, w := range r.workers {
-			<-w.doneC
-		}
+		b.release(q, uint64(q+1)*r.cfg.QuantumCycles)
 		if q < warmQ {
 			continue
 		}
@@ -590,6 +579,57 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 			}
 			return r.buildReport(measured), nil
 		}
+	}
+}
+
+// barrier is the quantum barrier of the package doc: release runs every
+// worker to limit and returns once all have arrived; start and done are
+// nil in-line. The release order rotates with the quantum so no worker
+// systematically replays first: on few host CPUs a quantum's workers run
+// near sequentially, and the first replayer sees the emptiest channel
+// queues.
+type barrier struct {
+	workers []*worker
+	start   []chan uint64
+	done    []chan struct{}
+}
+
+func newBarrier(workers []*worker, inline bool) *barrier {
+	b := &barrier{workers: workers}
+	if inline {
+		return b
+	}
+	for _, w := range workers {
+		start, done := make(chan uint64), make(chan struct{})
+		b.start, b.done = append(b.start, start), append(b.done, done)
+		go func() {
+			defer close(done)
+			for limit := range start {
+				w.runQuantum(limit)
+				done <- struct{}{}
+			}
+		}()
+	}
+	return b
+}
+
+func (b *barrier) release(q int, limit uint64) {
+	for k := range b.workers {
+		if i := (q + k) % len(b.workers); b.start == nil {
+			b.workers[i].runQuantum(limit)
+		} else {
+			b.start[i] <- limit
+		}
+	}
+	for _, done := range b.done {
+		<-done
+	}
+}
+
+func (b *barrier) stop() {
+	for i, start := range b.start {
+		close(start)
+		<-b.done[i]
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -348,6 +349,28 @@ func TestRuntimeRunOnce(t *testing.T) {
 	}
 	if _, err := r.Run(0.001); err == nil {
 		t.Fatal("second Run succeeded; runtimes must be single-use")
+	}
+}
+
+// TestRunRejectsBadDuration: a duration that is not positive, not finite
+// or longer than 2^31 quanta is an error naming it — it used to be
+// clamped to one quantum, and 1e30 overflowed the quantum count. A
+// positive duration shorter than a quantum still runs one.
+func TestRunRejectsBadDuration(t *testing.T) {
+	run := func(d float64) (*Report, error) {
+		r, err := NewRuntime(testConfig([]AppSpec{{Name: "syn", Type: apps.SYN, Workers: 1}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Run(d)
+	}
+	for _, d := range []float64{-1, 0, math.NaN(), math.Inf(1), 1e30} {
+		if _, err := run(d); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duration %g s", d)) {
+			t.Errorf("Run(%g): err = %v, want one naming the duration", d, err)
+		}
+	}
+	if rep, err := run(1e-12); err != nil || rep.Quanta != 1 {
+		t.Fatalf("Run(1e-12): %v, %v; want one quantum", rep, err)
 	}
 }
 

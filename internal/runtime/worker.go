@@ -178,9 +178,9 @@ func (rs *ringSource) Recycle(ctx *click.Ctx, p *click.Packet) {
 	rs.pool.Put(ctx, p.PoolIndex)
 }
 
-// worker is one run-to-completion dataplane thread pinned to one
-// simulated core. It owns the core exclusively; all shared cache state it
-// touches is serialised inside hw (see Core.ExecOps).
+// worker is one run-to-completion dataplane thread pinned to one simulated
+// core, whose quanta the barrier runs. It owns the core exclusively; all
+// shared cache state it touches is serialised inside hw (see Core.ExecOps).
 type worker struct {
 	id     int
 	core   *hw.Core
@@ -230,9 +230,6 @@ type worker struct {
 	// shard is the worker's private trace buffer (nil when tracing is
 	// off): runQuantum records a sampled packet's exec span into it.
 	shard *obs.TraceShard
-
-	startC chan uint64
-	doneC  chan struct{}
 }
 
 // bind attaches stage u to w, at construction and when a re-placement
@@ -252,17 +249,6 @@ func (w *worker) bind(u *stage) {
 	}
 	if w.obsm != nil {
 		w.obsm.bind(w)
-	}
-}
-
-// loop is the worker goroutine: wait for a quantum, run to its boundary,
-// report back. The channel pair is the synchronisation barrier that keeps
-// core-local virtual clocks within one quantum of each other (lax
-// conservative synchronisation, as parallel architecture simulators use).
-func (w *worker) loop() {
-	for limit := range w.startC {
-		w.runQuantum(limit)
-		w.doneC <- struct{}{}
 	}
 }
 
