@@ -85,6 +85,9 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if *traceSample < 0 {
+		fatalf("-trace-sample %d is negative (N traces one in N packets, 0 disables)", *traceSample)
+	}
 
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
@@ -233,13 +236,10 @@ func printResiduals(res []obs.Residual) {
 	}
 }
 
-// writeTrace exports the run's sampled chain spans as Chrome trace-event
-// JSON (Perfetto / chrome://tracing).
+// writeTrace exports the run's sampled chain spans (-trace-out implies a
+// tracer) as Chrome trace-event JSON (Perfetto / chrome://tracing).
 func writeTrace(path string, r *runtime.Runtime, clockHz float64) error {
 	t := r.Tracer()
-	if t == nil {
-		return fmt.Errorf("trace: no tracer (is -trace-sample set?)")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)

@@ -31,30 +31,19 @@ import (
 // printed only for the packages the user named, and a nonzero exit
 // fails the `go vet` invocation.
 
-// VetConfig mirrors cmd/go's internal vetConfig JSON.
+// VetConfig is the part of cmd/go's vet configuration JSON the checker
+// reads; decoding skips the other keys.
 type VetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
+	ImportPath  string            `json:"ImportPath"`
+	GoFiles     []string          `json:"GoFiles"`
+	GoVersion   string            `json:"GoVersion"`
+	ImportMap   map[string]string `json:"ImportMap"`
+	PackageFile map[string]string `json:"PackageFile"`
+	PackageVetx map[string]string `json:"PackageVetx"`
+	VetxOnly    bool              `json:"VetxOnly"`
+	VetxOutput  string            `json:"VetxOutput"`
 
-	ModulePath    string
-	ModuleVersion string
-	ImportMap     map[string]string
-	PackageFile   map[string]string
-	Standard      map[string]bool
-
-	ImportPathOnlyForTesting string `json:",omitempty"`
-
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-	GoVersion                 string
+	SucceedOnTypecheckFailure bool `json:"SucceedOnTypecheckFailure"`
 }
 
 // vetxFile is the fact payload one run leaves for dependent packages:

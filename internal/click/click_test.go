@@ -81,15 +81,6 @@ func TestCtxComputeSkipsEmpty(t *testing.T) {
 	}
 }
 
-func TestPacketLineAddrs(t *testing.T) {
-	p := &Packet{Addr: 0x100}
-	var got []hw.Addr
-	p.LineAddrs(60, 10, func(a hw.Addr) { got = append(got, a) })
-	if len(got) != 2 || got[0] != 0x100+0x0 || got[1] != 0x140 {
-		t.Fatalf("LineAddrs = %#v", got)
-	}
-}
-
 func TestPipelineRunsChain(t *testing.T) {
 	src := &testSource{remaining: 3}
 	e1 := &testElement{class: "A", verdict: Continue}

@@ -42,20 +42,6 @@ type Packet struct {
 	PoolIndex int
 }
 
-// LineAddrs calls fn for the simulated address of each cache line the
-// byte range [off, off+n) of the packet touches.
-func (p *Packet) LineAddrs(off, n int, fn func(hw.Addr)) {
-	if n <= 0 {
-		return
-	}
-	start := p.Addr + hw.Addr(off)
-	first := hw.LineOf(start)
-	last := hw.LineOf(start + hw.Addr(n) - 1)
-	for a := first; a <= last; a += hw.LineSize {
-		fn(a)
-	}
-}
-
 // Recycler returns packet buffers to their pool, emitting the trace of
 // the free-list manipulation (the paper's skb_recycle function).
 type Recycler interface {

@@ -2,6 +2,7 @@ package dpi
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"pktpredict/internal/rng"
@@ -15,6 +16,20 @@ func entropyBound(exact float64) float64 {
 		return rel
 	}
 	return EntropyErrorBoundBits
+}
+
+// zipfFill fills b with byte values drawn from a Zipf distribution of
+// exponent s over the 256 ranks, by inverse-CDF search.
+func zipfFill(r *rng.RNG, b []byte, s float64) {
+	var cdf [256]float64
+	sum := 0.0
+	for i := range cdf {
+		sum += math.Pow(float64(i+1), -s)
+		cdf[i] = sum
+	}
+	for i := range b {
+		b[i] = byte(sort.SearchFloat64s(cdf[:], r.Float64()*sum))
+	}
 }
 
 func TestEstimateBitsWithinBoundAcrossDistributions(t *testing.T) {
@@ -58,11 +73,8 @@ func TestEstimateBitsWithinBoundAcrossDistributions(t *testing.T) {
 				check("skewed", payload)
 			}
 			// Zipf-distributed symbols, the classic heavy-tail case.
-			z := rng.NewZipf(rng.New(uint64(size)+uint64(trial)), 256, 1.2)
 			payload := make([]byte, size)
-			for i := range payload {
-				payload[i] = byte(z.Next())
-			}
+			zipfFill(rng.New(uint64(size)+uint64(trial)), payload, 1.2)
 			check("zipf", payload)
 		}
 	}

@@ -56,6 +56,10 @@ const (
 	txInstrs       = 40
 )
 
+// RxRingSize is the RX descriptor ring size of every receive path:
+// FromDevice's and the runtime's ring-fed one, which must match it.
+const RxRingSize = 256
+
 // FromDevice is a pipeline source: it models one NIC receive queue. Each
 // Pull takes a buffer from the per-core pool, writes a generated packet
 // into it (the NIC's DMA, delivered into the L3 via direct cache access),
@@ -77,8 +81,6 @@ type FromDeviceConfig struct {
 	Traffic trafficgen.Spec
 	// Buffers is the pool size (default 512, Click's per-core default).
 	Buffers int
-	// RingSize is the RX descriptor ring size (default 256).
-	RingSize int
 	// Count bounds the number of packets delivered; 0 means unbounded.
 	Count int64
 	// Batch is the number of packets received per RX poll; the poll part
@@ -93,9 +95,6 @@ type FromDeviceConfig struct {
 func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	if cfg.Buffers == 0 {
 		cfg.Buffers = 512
-	}
-	if cfg.RingSize == 0 {
-		cfg.RingSize = 256
 	}
 	if cfg.Traffic.Seed == 0 {
 		cfg.Traffic.Seed = env.Seed
@@ -127,7 +126,7 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	return &FromDevice{
 		pool:      nic.NewBufferPool(env.Arena, cfg.Buffers, bufSize),
 		pkts:      make([]click.Packet, cfg.Buffers),
-		ring:      nic.NewRing(env.Arena, cfg.RingSize),
+		ring:      nic.NewRing(env.Arena, RxRingSize),
 		gen:       trafficgen.New(cfg.Traffic),
 		spec:      spec,
 		remaining: remaining,

@@ -26,7 +26,6 @@ type Entry struct {
 	Key      netpkt.FiveTuple
 	Packets  uint64
 	Bytes    uint64
-	First    uint64 // packet sequence number at creation
 	LastSeen uint64 // packet sequence number of the last update
 	used     bool
 }
@@ -135,7 +134,7 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 		t.Evictions++
 	}
 	t.Inserts++
-	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), First: t.clock, LastSeen: t.clock, used: true}
+	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock, used: true}
 	ctx.Store(t.index.Addr(int(victimIdx)))
 	ctx.Store(t.region.Addr(int(victimIdx)))
 	return victim

@@ -20,8 +20,6 @@ type Config struct {
 	// TableEntries is the fingerprint-table slot count (paper: >4M;
 	// default 2M).
 	TableEntries int
-	// Window is the fingerprint window width (default 64).
-	Window int
 	// SampleBits selects representative fingerprints: a window is
 	// representative when the low SampleBits bits of its fingerprint are
 	// zero, i.e. 1 in 2^SampleBits positions on average (default 4).
@@ -34,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TableEntries == 0 {
 		c.TableEntries = 2 << 20
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
 	}
 	if c.SampleBits == 0 {
 		c.SampleBits = 4
@@ -79,7 +74,6 @@ func (e Encoded) SavedBytes() int {
 
 // Processor is one flow's redundancy-elimination engine.
 type Processor struct {
-	cfg    Config
 	rabin  *Rabin
 	store  *PacketStore
 	table  *FPTable
@@ -97,8 +91,7 @@ type Processor struct {
 func NewProcessor(arena *mem.Arena, cfg Config) *Processor {
 	cfg = cfg.withDefaults()
 	return &Processor{
-		cfg:    cfg,
-		rabin:  NewRabin(DefaultPoly, cfg.Window),
+		rabin:  NewRabin(DefaultPoly, DefaultWindow),
 		store:  NewPacketStore(arena, cfg.StoreBytes),
 		table:  NewFPTable(arena, cfg.TableEntries),
 		sample: 1<<uint(cfg.SampleBits) - 1,

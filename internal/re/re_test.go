@@ -338,7 +338,7 @@ func TestElementAccumulatesSavings(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.StoreBytes != 16<<20 || c.TableEntries != 2<<20 || c.Window != 64 || c.SampleBits != 4 {
+	if c.StoreBytes != 16<<20 || c.TableEntries != 2<<20 || c.SampleBits != 4 {
 		t.Fatalf("defaults = %+v", c)
 	}
 }

@@ -68,101 +68,3 @@ func (r *RNG) Fill(b []byte) {
 		}
 	}
 }
-
-// Zipf draws from a Zipf-like distribution over [0, n) with exponent s,
-// using inverse-CDF sampling over a precomputed table. It models skewed
-// flow popularity for the non-uniform traffic scenarios.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(r *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += 1 / pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: r}
-}
-
-// Next returns the next sample in [0, len(cdf)).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// pow computes x**y for y > 0 via exp/log-free repeated squaring on the
-// integer part and a short Taylor refinement for the fraction. Zipf table
-// construction is the only caller and happens once at setup, so clarity
-// beats speed; precision to ~1e-9 is ample for a sampling CDF.
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// x^y = exp(y * ln x): implement ln and exp with enough precision.
-	return exp(y * ln(x))
-}
-
-func ln(x float64) float64 {
-	// Range-reduce x into [1,2) by halving; ln(x) = k*ln2 + ln(m).
-	k := 0
-	for x >= 2 {
-		x /= 2
-		k++
-	}
-	for x < 1 {
-		x *= 2
-		k--
-	}
-	// atanh series: ln(m) = 2*atanh((m-1)/(m+1)).
-	t := (x - 1) / (x + 1)
-	t2 := t * t
-	sum, term := 0.0, t
-	for i := 1; i < 40; i += 2 {
-		sum += term / float64(i)
-		term *= t2
-	}
-	const ln2 = 0.6931471805599453
-	return float64(k)*ln2 + 2*sum
-}
-
-func exp(x float64) float64 {
-	// Range-reduce: exp(x) = 2^k * exp(r), |r| <= ln2/2.
-	const ln2 = 0.6931471805599453
-	k := int(x/ln2 + 0.5)
-	if x < 0 {
-		k = int(x/ln2 - 0.5)
-	}
-	r := x - float64(k)*ln2
-	// Taylor series for exp(r).
-	sum, term := 1.0, 1.0
-	for i := 1; i < 20; i++ {
-		term *= r / float64(i)
-		sum += term
-	}
-	for ; k > 0; k-- {
-		sum *= 2
-	}
-	for ; k < 0; k++ {
-		sum /= 2
-	}
-	return sum
-}

@@ -1,10 +1,6 @@
 package rng
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(7), New(7)
@@ -104,58 +100,5 @@ func TestUniformity(t *testing.T) {
 		if c < n/16*9/10 || c > n/16*11/10 {
 			t.Fatalf("bucket %d has %d of %d; distribution skewed", i, c, n)
 		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(13)
-	z := NewZipf(r, 1000, 1.0)
-	counts := make([]int, 1000)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 1000 {
-			t.Fatalf("Zipf sample %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] < counts[500]*5 {
-		t.Fatalf("rank 0 (%d) should dominate rank 500 (%d)", counts[0], counts[500])
-	}
-}
-
-func TestZipfPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
-}
-
-func TestInternalMathAgainstStdlib(t *testing.T) {
-	for _, x := range []float64{0.1, 0.5, 1, 1.5, 2, 3.14159, 10, 123.456} {
-		if got, want := ln(x), math.Log(x); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("ln(%v) = %v, want %v", x, got, want)
-		}
-	}
-	for _, x := range []float64{-5, -1, -0.1, 0, 0.1, 1, 2.5, 10} {
-		if got, want := exp(x), math.Exp(x); math.Abs(got-want)/math.Max(want, 1e-300) > 1e-9 {
-			t.Fatalf("exp(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
-// Property: pow matches math.Pow for positive bases and exponents in the
-// range Zipf construction uses.
-func TestPowQuick(t *testing.T) {
-	f := func(xi, yi uint16) bool {
-		x := 1 + float64(xi%5000)    // [1, 5001)
-		y := 0.1 + float64(yi%30)/10 // [0.1, 3.1)
-		got, want := pow(x, y), math.Pow(x, y)
-		return math.Abs(got-want)/want < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -128,13 +128,9 @@ type elemWindow struct {
 }
 
 // batchBuckets derives the batch-fill histogram's buckets from the
-// configured batch size: {0, 1} then powers of two up to and including
-// the batch itself, so the top bucket always equals the largest possible
-// fill.
+// worker burst: {0, 1} then powers of two up to and including the burst
+// itself, so the top bucket always equals the largest possible fill.
 func batchBuckets(batch int) []float64 {
-	if batch < 1 {
-		batch = 1
-	}
 	buckets := []float64{0, 1}
 	for b := 2; b < batch; b <<= 1 {
 		buckets = append(buckets, float64(b))
@@ -175,7 +171,7 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 	packets := reg.Counter("dataplane_worker_packets_total",
 		"packets fully processed, incremented from the worker hot path", "worker")
 	batch := reg.Histogram("dataplane_worker_batch_fill",
-		"packets per ring poll (batch occupancy)", batchBuckets(r.cfg.Batch), "worker")
+		"packets per ring poll (batch occupancy)", batchBuckets(r.cfg.burst()), "worker")
 	clipped := reg.Counter("dataplane_worker_batch_clipped_total",
 		"batch polls cut short by the quantum boundary, excluded from batch_fill", "worker")
 	spins := reg.Counter("dataplane_worker_spin_polls_total",

@@ -128,8 +128,6 @@ type Config struct {
 
 	// RingSize is each flow's input-ring capacity in packets (default 512).
 	RingSize int
-	// Batch is the worker's maximum burst per ring poll (default 32).
-	Batch int
 	// QuantumCycles is the clock-synchronisation quantum (default 200000
 	// cycles, ~71 µs at 2.8 GHz).
 	QuantumCycles uint64
@@ -201,9 +199,6 @@ func (c Config) withDefaults() Config {
 	if c.RingSize == 0 {
 		c.RingSize = 512
 	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
 	if c.QuantumCycles == 0 {
 		c.QuantumCycles = 200_000
 	}
@@ -211,6 +206,15 @@ func (c Config) withDefaults() Config {
 		c.ControlEvery = 5
 	}
 	return c
+}
+
+// burst is a worker's maximum packets per ring poll: the modelled receive
+// batch (the scenario's BATCH), or 32 when the scenario models none.
+func (c Config) burst() int {
+	if c.Params.RxBatch >= 1 {
+		return c.Params.RxBatch
+	}
+	return 32
 }
 
 // Runtime is a built dataplane, ready to run once.
@@ -332,8 +336,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			id:     i,
 			core:   r.platform.Cores[coreID],
 			socket: sock,
-			src:    newRingSource(arena(sock), cfg.Params.Buffers, maxPkt, 256, cfg.Params.RxBatch),
-			batch:  cfg.Batch,
+			src:    newRingSource(arena(sock), cfg.Params.Buffers, maxPkt, cfg.Params.RxBatch),
+			batch:  cfg.burst(),
 		}
 		r.workers = append(r.workers, w)
 	}

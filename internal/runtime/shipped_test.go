@@ -90,7 +90,6 @@ func TestRuntimeBatchedScalarEquivalence(t *testing.T) {
 			for _, b := range []int{1, batch} {
 				cfg := shippedConfig(t, name)
 				cfg.Params.RxBatch = b
-				cfg.Batch = max(b, 2) // worker burst ≥ 2 keeps batch polls meaningful
 				if needsProfile(cfg) {
 					// Profiles must be derived at the same modelled batch
 					// depth the runtime runs with, or rate fractions

@@ -112,14 +112,14 @@ type ringSource struct {
 	pkts []click.Packet
 }
 
-func newRingSource(arena *mem.Arena, buffers, bufSize, ringSize, rxBatch int) *ringSource {
+func newRingSource(arena *mem.Arena, buffers, bufSize, rxBatch int) *ringSource {
 	alloc := (bufSize + 511) &^ 511 // buffers never share cache lines
 	if rxBatch < 1 {
 		rxBatch = 1
 	}
 	return &ringSource{
 		pool:      nic.NewBufferPool(arena, buffers, alloc),
-		rx:        nic.NewRing(arena, ringSize),
+		rx:        nic.NewRing(arena, elements.RxRingSize),
 		scratch:   make([]byte, bufSize),
 		pkts:      make([]click.Packet, buffers),
 		pollEvery: rxBatch,

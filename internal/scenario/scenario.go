@@ -424,10 +424,9 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 		params.SynRegionBytes = int(s.SynRegionFraction * float64(cfg.L3.SizeBytes))
 	}
 	if s.Batch > 0 {
-		// The modelled batch must reach both the cost model (Params, so
-		// offline profiling and the runtime's receive path charge the
-		// same amortized poll) and the runtime's burst size (Config.Batch,
-		// set below).
+		// The modelled batch reaches the cost model (Params, so offline
+		// profiling and the runtime's receive path charge the same
+		// amortized poll) and, through it, the runtime's burst size.
 		params.RxBatch = s.Batch
 	}
 	if len(s.Graphs) > 0 {
@@ -487,9 +486,6 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 		out.Cores = append(out.Cores, core)
 	}
 	out.RingSize = s.RingSize
-	if s.Batch > 0 {
-		out.Batch = s.Batch
-	}
 	out.Admission = s.Admission
 	out.DropThreshold = s.DropThreshold
 	out.MigrateState = s.MigrateState

@@ -12,6 +12,7 @@ import (
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
+	"pktpredict/internal/obs"
 	"pktpredict/internal/runtime"
 )
 
@@ -486,11 +487,37 @@ func TestMigrateStateKnob(t *testing.T) {
 }
 
 // TestBatchKnob: the BATCH scenario argument reaches both sides of the
-// model it must keep consistent — the per-worker burst depth
-// (Config.Batch) and the modelled receive batch the cost accounting
-// amortises poll charges over (Params.RxBatch) — and survives a render
-// round trip.
+// model it must keep consistent — the modelled receive batch the cost
+// accounting amortises poll charges over (Params.RxBatch) and the burst
+// the runtime's workers drain per ring poll — and survives a render round
+// trip. The burst is read where an operator sees it: the top bound of
+// dataplane_worker_batch_fill, which saturated MON polls fill exactly.
 func TestBatchKnob(t *testing.T) {
+	burst := func(cfg runtime.Config) float64 {
+		t.Helper()
+		reg := obs.NewRegistry()
+		cfg.Metrics = reg
+		r, err := runtime.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(0.001); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range reg.Snapshot().Families {
+			if f.Name != "dataplane_worker_batch_fill" {
+				continue
+			}
+			ss := f.Series[0]
+			top, n := ss.Bounds[len(ss.Bounds)-1], len(ss.Buckets)
+			if full := ss.Buckets[n-2] - ss.Buckets[n-3]; full == 0 || ss.Buckets[n-1] != ss.Buckets[n-2] {
+				t.Fatalf("batch_fill %v over bounds %v: want polls that fill the top bound %v and none above", ss.Buckets, ss.Bounds, top)
+			}
+			return top
+		}
+		t.Fatal("no dataplane_worker_batch_fill family")
+		return 0
+	}
 	s, err := Parse(`
 		scenario :: Scenario(NAME b, BATCH 8);
 		mon :: Flow(TYPE MON);
@@ -505,11 +532,11 @@ func TestBatchKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Batch != 8 {
-		t.Fatalf("runtime config Batch = %d, want 8", cfg.Batch)
-	}
 	if cfg.Params.RxBatch != 8 {
 		t.Fatalf("params RxBatch = %d, want 8 (profiling and runtime must batch alike)", cfg.Params.RxBatch)
+	}
+	if got := burst(cfg); got != 8 {
+		t.Fatalf("BATCH 8 runtime drains bursts of %v, want 8", got)
 	}
 	rendered := s.Render()
 	if !strings.Contains(rendered, "BATCH 8") {
@@ -523,8 +550,8 @@ func TestBatchKnob(t *testing.T) {
 		t.Fatalf("round-tripped Batch = %d, want 8", s2.Batch)
 	}
 
-	// Unset: the historical scalar model — runtime defaults apply and the
-	// modelled receive batch stays off.
+	// Unset: the historical scalar model — the modelled receive batch stays
+	// off and workers drain the runtime's default burst of 32.
 	s, err = Parse(`scenario :: Scenario(NAME b); mon :: Flow(TYPE MON);`)
 	if err != nil {
 		t.Fatal(err)
@@ -533,8 +560,11 @@ func TestBatchKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Params.RxBatch != 0 || cfg.Batch != 0 {
-		t.Fatalf("unset BATCH leaked: RxBatch=%d Batch=%d", cfg.Params.RxBatch, cfg.Batch)
+	if cfg.Params.RxBatch != 0 {
+		t.Fatalf("unset BATCH leaked: RxBatch=%d", cfg.Params.RxBatch)
+	}
+	if got := burst(cfg); got != 32 {
+		t.Fatalf("unbatched runtime drains bursts of %v, want 32", got)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package trafficgen produces deterministic packet streams for the
-// experiment workloads. The paper crafts input traffic to maximise each
-// application's sensitivity to contention — random destination addresses
-// for IP lookup, random 5-tuples for NetFlow, non-matching packets for
-// the firewall, unique content for redundancy elimination — and these
-// generators reproduce those distributions from explicit seeds.
+// experiment workloads: exactly the paper's crafted traffic, which
+// maximises each application's sensitivity to contention — random
+// destination addresses for IP lookup, random 5-tuples (or a fixed set of
+// uniformly drawn flows) for NetFlow, non-matching packets for the
+// firewall, unique content for redundancy elimination — reproduced from
+// explicit seeds. The one shaping beyond it is the DPI chain's: signature
+// hits and low-entropy payloads at stated rates.
 package trafficgen
 
 import (
@@ -37,19 +39,6 @@ type Spec struct {
 	// packet. The paper's NetFlow table of 100000 entries is populated by
 	// setting Flows to 100000.
 	Flows int
-	// ZipfS, when positive and Flows > 0, skews flow popularity with a
-	// Zipf distribution of this exponent; otherwise flows are uniform.
-	ZipfS float64
-	// Redundancy is the probability that a packet's payload repeats one
-	// of the last HistorySize payloads, exercising redundancy
-	// elimination's match path. Zero (the paper's contention setup)
-	// makes every payload unique.
-	Redundancy float64
-	// HistorySize is the number of recent payloads kept for Redundancy
-	// (default 32).
-	HistorySize int
-	// TTL is the initial TTL (default 64).
-	TTL uint8
 
 	// Signatures enables DPI payload shaping: with probability SigHit a
 	// packet's payload embeds one of these byte patterns at a random
@@ -78,12 +67,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Size == 0 {
 		s.Size = MinPacketSize
 	}
-	if s.HistorySize == 0 {
-		s.HistorySize = 32
-	}
-	if s.TTL == 0 {
-		s.TTL = 64
-	}
 	return s
 }
 
@@ -92,12 +75,6 @@ func (s Spec) Validate() error {
 	s = s.withDefaults()
 	if s.Size < MinPacketSize {
 		return fmt.Errorf("trafficgen: size %d below minimum %d", s.Size, MinPacketSize)
-	}
-	if s.Redundancy < 0 || s.Redundancy >= 1 {
-		return fmt.Errorf("trafficgen: redundancy %v outside [0,1)", s.Redundancy)
-	}
-	if s.ZipfS > 0 && s.Flows <= 0 {
-		return fmt.Errorf("trafficgen: ZipfS requires Flows > 0")
 	}
 	if s.SigHit < 0 || s.SigHit > 1 {
 		return fmt.Errorf("trafficgen: SigHit %v outside [0,1]", s.SigHit)
@@ -127,14 +104,11 @@ func (s Spec) Validate() error {
 }
 
 type gen struct {
-	spec    Spec
-	r       *rng.RNG
-	zipf    *rng.Zipf
-	flows   []netpkt.FiveTuple
-	history [][]byte
-	histLen int
-	id      uint16
-	pkts    int64
+	spec  Spec
+	r     *rng.RNG
+	flows []netpkt.FiveTuple
+	id    uint16
+	pkts  int64
 }
 
 // New builds a generator from spec. It panics on invalid specs: generator
@@ -152,12 +126,6 @@ func New(spec Spec) Generator {
 		for i := range g.flows {
 			g.flows[i] = randomTuple(fr)
 		}
-		if spec.ZipfS > 0 {
-			g.zipf = rng.NewZipf(rng.New(spec.Seed^0x21bf), spec.Flows, spec.ZipfS)
-		}
-	}
-	if spec.Redundancy > 0 {
-		g.history = make([][]byte, spec.HistorySize)
 	}
 	return g
 }
@@ -195,8 +163,6 @@ func (g *gen) Next(b []byte) int {
 	switch {
 	case g.flows == nil:
 		t = randomTuple(g.r)
-	case g.zipf != nil:
-		t = g.flows[g.zipf.Next()]
 	default:
 		t = g.flows[g.r.Intn(len(g.flows))]
 	}
@@ -204,7 +170,7 @@ func (g *gen) Next(b []byte) int {
 	netpkt.WriteIPv4(b, netpkt.IPv4Header{
 		TotalLen: uint16(size),
 		ID:       g.id,
-		TTL:      g.spec.TTL,
+		TTL:      64,
 		Proto:    t.Proto,
 		Src:      t.Src,
 		Dst:      t.Dst,
@@ -214,16 +180,7 @@ func (g *gen) Next(b []byte) int {
 	binary.BigEndian.PutUint32(b[netpkt.IPv4HeaderLen+4:], 0)
 
 	payload := b[netpkt.IPv4HeaderLen+8 : size]
-	if g.history != nil && g.histLen > 0 && g.r.Float64() < g.spec.Redundancy {
-		// Repeat a recent payload so redundancy elimination can encode it.
-		src := g.history[g.r.Intn(g.histLen)]
-		n := copy(payload, src)
-		for i := n; i < len(payload); i++ {
-			payload[i] = 0
-		}
-	} else {
-		g.r.Fill(payload)
-	}
+	g.r.Fill(payload)
 	g.pkts++
 	if g.spec.LowEntropy > 0 && g.r.Float64() < g.spec.LowEntropy {
 		// Collapse the payload onto a 2^LowEntropyBits-value alphabet:
@@ -240,13 +197,6 @@ func (g *gen) Next(b []byte) int {
 		if len(sig) <= len(payload) {
 			off := g.r.Intn(len(payload) - len(sig) + 1)
 			copy(payload[off:], sig)
-		}
-	}
-	if g.history != nil {
-		idx := int(g.id) % len(g.history)
-		g.history[idx] = append(g.history[idx][:0], payload...)
-		if g.histLen < len(g.history) {
-			g.histLen++
 		}
 	}
 	return size

@@ -101,18 +101,11 @@ func TestNonTestLineBudget(t *testing.T) {
 	}
 }
 
-// TestExportedNamesAreUsed is the census of dead exported API, as a test
-// run. An exported func or method declared in a non-test file under
-// internal/ or cmd/ is used when a non-test .go file — internal/, cmd/,
-// examples/ or bench/ — names it outside a declaration (comments and other
-// declarations of the same name do not count). A name only tests call must
-// be listed, with its role, in lint/test-only-api.txt: an oracle (a
-// reference implementation a test compares against), an observer (an
-// accessor a test asserts on), an instrument (a measurement a guard test
-// takes) or deferred (kept for a named open item). The list is checked
-// both ways, like lint/knobs.txt: an unlisted test-only name fails, and so
-// does a listed name that gained a production caller or no longer exists.
-func TestExportedNamesAreUsed(t *testing.T) {
+// testOnlyAPI reads lint/test-only-api.txt and returns its listed names:
+// the "<pkg>.<Type>.<Field>" lines when fields is set, the function and
+// method names otherwise.
+func testOnlyAPI(t *testing.T, fields bool) map[string]bool {
+	t.Helper()
 	const listFile = "lint/test-only-api.txt"
 	roles := map[string]bool{"oracle": true, "observer": true, "instrument": true, "deferred": true}
 	data, err := os.ReadFile(listFile)
@@ -129,13 +122,31 @@ func TestExportedNamesAreUsed(t *testing.T) {
 			t.Errorf("%s:%d: want \"<Name> oracle|observer|instrument|deferred <why>\", got %q", listFile, i+1, line)
 			continue
 		}
-		listed[f[0]] = true
+		if strings.Contains(f[0], ".") == fields {
+			listed[f[0]] = true
+		}
 	}
+	return listed
+}
 
+// TestExportedNamesAreUsed is the census of dead exported API, as a test
+// run. An exported func or method declared in a non-test file under
+// internal/ or cmd/ is used when a non-test .go file — internal/, cmd/,
+// examples/ or bench/ — names it outside a declaration (comments and other
+// declarations of the same name do not count). A name only tests call must
+// be listed, with its role, in lint/test-only-api.txt: an oracle (a
+// reference implementation a test compares against), an observer (an
+// accessor a test asserts on), an instrument (a measurement a guard test
+// takes) or deferred (kept for a named open item). The list is checked
+// both ways, like lint/knobs.txt: an unlisted test-only name fails, and so
+// does a listed name that gained a production caller or no longer exists.
+func TestExportedNamesAreUsed(t *testing.T) {
+	const listFile = "lint/test-only-api.txt"
+	listed := testOnlyAPI(t, false)
 	fset := token.NewFileSet()
 	declared := map[string]string{}                         // exported func name → a census file declaring it
 	usedBy := map[bool]map[string]bool{false: {}, true: {}} // by a test file? → names
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
 		}
@@ -184,6 +195,164 @@ func TestExportedNamesAreUsed(t *testing.T) {
 	}
 }
 
+// TestExportedFieldsAreWritten is TestExportedNamesAreUsed's census for
+// struct fields. An exported field of a struct type declared in a non-test
+// file under internal/ must be written by a non-test file under internal/,
+// cmd/, examples/ or bench/. Writes are a keyed composite-literal key, a
+// positional composite literal of the type (which writes every field), an
+// assignment, ++/--, &x.F, a method call on x.F, and a json: tag (decoding
+// writes the field). The census goes by field name, so a field passes when
+// any struct's field of that name is written. A field only tests write is
+// listed in lint/test-only-api.txt as "<pkg>.<Type>.<Field> <role> <why>",
+// checked both ways.
+func TestExportedFieldsAreWritten(t *testing.T) {
+	listed := testOnlyAPI(t, true)
+	fset := token.NewFileSet()
+	declared := map[string]string{}                             // "pkg.Type.Field" under internal/ → Field
+	fieldsOf := map[string][]string{}                           // struct type name → its exported fields
+	written := map[bool]map[string]bool{false: {}, true: {}}    // by a test file? → field names
+	positional := map[bool]map[string]bool{false: {}, true: {}} // by a test file? → type names
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		w := written[test]
+		// lvalue marks every field along an lvalue: x.F.G[i] writes G and F.
+		var lvalue func(e ast.Expr)
+		lvalue = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.SelectorExpr:
+				w[e.Sel.Name] = true
+				lvalue(e.X)
+			case *ast.IndexExpr:
+				lvalue(e.X)
+			case *ast.StarExpr:
+				lvalue(e.X)
+			case *ast.ParenExpr:
+				lvalue(e.X)
+			}
+		}
+		elided := map[*ast.CompositeLit]ast.Expr{} // an element literal without a type → its slice or map's element type
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || test || !strings.HasPrefix(path, "internal/") {
+					break
+				}
+				for _, f := range st.Fields.List {
+					decoded := f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`) && !strings.Contains(f.Tag.Value, `json:"-"`)
+					for _, id := range f.Names {
+						if id.IsExported() {
+							fieldsOf[n.Name.Name] = append(fieldsOf[n.Name.Name], id.Name)
+							declared[file.Name.Name+"."+n.Name.Name+"."+id.Name] = id.Name
+							w[id.Name] = w[id.Name] || decoded
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				typ := n.Type
+				if typ == nil {
+					typ = elided[n]
+				}
+				typ = typeBase(typ)
+				var elem ast.Expr
+				switch tt := typ.(type) {
+				case *ast.ArrayType:
+					elem = tt.Elt
+				case *ast.MapType:
+					elem = tt.Value
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok && elem == nil {
+							w[id.Name] = true
+						}
+						e = kv.Value
+					} else if id, ok := typ.(*ast.Ident); ok {
+						positional[test][id.Name] = true
+					}
+					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elem != nil {
+						elided[lit] = elem
+					}
+				}
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lvalue(e)
+				}
+			case *ast.IncDecStmt:
+				lvalue(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					lvalue(n.X)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					lvalue(sel.X)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for test, types := range positional {
+		for typ := range types {
+			for _, f := range fieldsOf[typ] {
+				written[test][f] = true
+			}
+		}
+	}
+	names := make([]string, 0, len(declared))
+	for name := range declared {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch f := declared[name]; {
+		case written[false][f]:
+			if listed[name] {
+				t.Errorf("lint/test-only-api.txt lists %s, which a non-test file now writes; delete the line", name)
+			}
+		case !written[true][f]:
+			t.Errorf("exported field %s is never written; delete it, or give it a setter", name)
+		case !listed[name]:
+			t.Errorf("exported field %s is written only by tests; give it a production setter, delete it, or list it with its role in lint/test-only-api.txt", name)
+		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		t.Errorf("lint/test-only-api.txt lists field %s, which no longer exists; delete the line", name)
+	}
+}
+
+// typeBase strips pointers, type arguments and a package qualifier from a
+// type expression.
+func typeBase(e ast.Expr) ast.Expr {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			return t.Sel
+		default:
+			return e
+		}
+	}
+}
+
 // knobRegistrars are the flag.FlagSet methods that register a flag, with
 // the index of the name argument.
 var knobRegistrars = map[string]int{
@@ -196,7 +365,7 @@ var knobRegistrars = map[string]int{
 // registered in a non-test file under cmd/ ("flag cmd/dataplane
 // -duration"; a name that is not a literal is rendered as its expression),
 // an exported field of runtime.Config, runtime.AppSpec or sweep.Config
-// ("field runtime.Config.Batch"), and an os.Getenv/os.LookupEnv call site
+// ("field runtime.Config.RingSize"), and an os.Getenv/os.LookupEnv call site
 // under internal/ or cmd/ ("env internal/x NAME").
 func knobCensus(t *testing.T) []string {
 	t.Helper()
