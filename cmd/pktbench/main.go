@@ -27,6 +27,7 @@ import (
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
+	"pktpredict/internal/table"
 )
 
 // commands maps a subcommand to its setup: register flags on fs, return
@@ -89,9 +90,7 @@ func (l *typeList) Set(s string) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < count; i++ {
-			*l = append(*l, t)
-		}
+		*l = append(*l, slices.Repeat([]apps.FlowType{t}, count)...)
 	}
 	return nil
 }
@@ -107,28 +106,30 @@ func typesFlag(fs *flag.FlagSet, name, def, usage string) *typeList {
 	return l
 }
 
-// result is the common surface of all experiment results.
-type result interface {
-	String() string
-	CSV() string
+// tabled hands on the table of a driver's result, or its error.
+func tabled[R interface{ Table() *table.Table }](r R, err error) (*table.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r.Table(), nil
 }
 
 // figureTable is every -exp experiment, in the order -exp all runs them.
 var figureTable = []struct {
 	name string
-	run  func(*core.Predictor) (result, error)
+	run  func(*core.Predictor) (*table.Table, error)
 }{
-	{"table1", func(p *core.Predictor) (result, error) { return exp.RunTable1(p) }},
-	{"fig2", func(p *core.Predictor) (result, error) { return exp.RunFig2(p) }},
-	{"fig4", func(p *core.Predictor) (result, error) { return exp.RunFig4(p, nil) }},
-	{"fig5", func(p *core.Predictor) (result, error) { return exp.RunFig5(p) }},
-	{"fig6", func(p *core.Predictor) (result, error) { return exp.RunFig6(p) }},
-	{"fig7", func(p *core.Predictor) (result, error) { return exp.RunFig7(p) }},
-	{"fig8", func(p *core.Predictor) (result, error) { return exp.RunFig8(p) }},
-	{"fig9", func(p *core.Predictor) (result, error) { return exp.RunFig9(p, nil) }},
-	{"fig10", func(p *core.Predictor) (result, error) { return exp.RunFig10(p, nil) }},
-	{"throttle", func(p *core.Predictor) (result, error) { return exp.RunThrottle(p) }},
-	{"pipeline", func(p *core.Predictor) (result, error) { return exp.RunPipeline(p) }},
+	{"table1", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunTable1(p)) }},
+	{"fig2", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig2(p)) }},
+	{"fig4", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig4(p, nil)) }},
+	{"fig5", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig5(p)) }},
+	{"fig6", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig6(p)) }},
+	{"fig7", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig7(p)) }},
+	{"fig8", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig8(p)) }},
+	{"fig9", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig9(p, nil)) }},
+	{"fig10", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig10(p, nil)) }},
+	{"throttle", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunThrottle(p)) }},
+	{"pipeline", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunPipeline(p)) }},
 }
 
 func figures(fs *flag.FlagSet) func(exp.Scale) error {
@@ -151,15 +152,15 @@ func figures(fs *flag.FlagSet) func(exp.Scale) error {
 				continue
 			}
 			start := time.Now()
-			res, err := f.run(p)
+			t, err := f.run(p)
 			if err != nil {
 				return fmt.Errorf("%s: %w", f.name, err)
 			}
 			if *csv {
-				fmt.Printf("# %s (%s scale)\n%s", f.name, scale.Name, res.CSV())
+				fmt.Printf("# %s (%s scale)\n%s", f.name, scale.Name, t.CSV())
 			} else {
-				fmt.Printf("=== %s (%s scale, %.1fs) ===\n%s\n",
-					f.name, scale.Name, time.Since(start).Seconds(), res.String())
+				fmt.Printf("=== %s (%s scale, %.1fs) ===\nmethod: warm-up %g ms, window %g ms, SYN compute grid %v; deterministic engine: one run per point, spread 0\n%s\n",
+					f.name, scale.Name, time.Since(start).Seconds(), p.Warmup*1e3, p.Window*1e3, p.SweepGrid, t)
 			}
 		}
 		return nil

@@ -50,13 +50,13 @@ func TestEmptyListsRejected(t *testing.T) {
 	}
 }
 
-// TestPredictPrintsFigure9: predict prints Figure 9 for its mix, column
-// for column; it used to print predicted before measured, the figure
-// measured before predicted.
-func TestPredictPrintsFigure9(t *testing.T) {
-	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
-	run := commands["predict"](fs)
-	if err := fs.Parse([]string{"-mix", "2xMON,2xVPN,FW,RE"}); err != nil {
+// stdoutOf runs a subcommand on the quick scale and returns what it
+// printed.
+func stdoutOf(t *testing.T, name string, args ...string) string {
+	t.Helper()
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	run := commands[name](fs)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	r, w, err := os.Pipe()
@@ -77,11 +77,47 @@ func TestPredictPrintsFigure9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return got
+}
+
+// TestPredictPrintsFigure9: predict prints Figure 9 for its mix, column
+// for column; it used to print predicted before measured, the figure
+// measured before predicted.
+func TestPredictPrintsFigure9(t *testing.T) {
+	got := stdoutOf(t, "predict", "-mix", "2xMON,2xVPN,FW,RE")
 	want, err := exp.RunFig9(exp.Quick().NewPredictor(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want.String() {
-		t.Fatalf("predict printed\n%s\nFigure 9 is\n%s", got, want)
+	if got != want.Table().String() {
+		t.Fatalf("predict printed\n%s\nFigure 9 is\n%s", got, want.Table())
+	}
+}
+
+// TestSchedPrintsFigure10b: sched prints the per-flow drops of Figure
+// 10(b) for its combination under the best and the worst placement, and
+// a gain only for the kind of combination it evaluated. It printed
+// neither per-flow line, because they were keyed on the label "6MON+6FW"
+// and sched's combination is labelled "6 MON, 6 FW", and it printed a
+// synthetic gain of 0.0% for combinations it never ran.
+func TestSchedPrintsFigure10b(t *testing.T) {
+	got := stdoutOf(t, "sched", "-flows", "6xMON,6xFW")
+	for _, place := range []string{"best", "worst"} {
+		prefix := "Figure 10(b) 6 MON, 6 FW, " + place + " placement: "
+		var line string
+		for _, l := range strings.Split(got, "\n") {
+			if strings.HasPrefix(l, prefix) {
+				line = l
+			}
+		}
+		if n := strings.Count(line, "socket"); n != 12 {
+			t.Errorf("%s: %d per-flow drops, want 12:\n%s", place, n, got)
+		}
+	}
+	if !strings.Contains(got, "\nmax gain: realistic ") || strings.Contains(got, "synthetic") {
+		t.Errorf("want a realistic gain and no synthetic one:\n%s", got)
+	}
+	if !strings.Contains(got, "\ngreedy heuristic: ") {
+		t.Errorf("no greedy line:\n%s", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/table"
 )
 
 // profile runs one packet-processing flow solo on the simulated platform
@@ -19,20 +20,18 @@ func profile(fs *flag.FlagSet) func(exp.Scale) error {
 		if len(*flow) != 1 {
 			return fmt.Errorf("-flow wants exactly one flow type, got %v", flow)
 		}
-		t := (*flow)[0]
-		st, err := scale.NewPredictor().Solo(t)
+		st, err := scale.NewPredictor().Solo((*flow)[0])
 		if err != nil {
 			return err
 		}
-		st.Label = string(t)
-		fmt.Println(exp.Table([]hw.FlowStats{st}))
+		st.Label = string((*flow)[0])
+		fmt.Println((&exp.Table1Result{Profiles: []hw.FlowStats{st}}).Table())
 		fmt.Printf("throughput: %.0f packets/sec\n\n", st.Throughput())
-
-		fmt.Println("per-function breakdown:")
-		fmt.Printf("%-20s %12s %12s %12s %12s\n", "function", "cycles", "L3 refs", "L3 hits", "L3 misses")
+		funcs := table.New("per-function breakdown", "function", "cycles", "l3_refs", "l3_hits", "l3_misses")
 		for _, fn := range st.FuncBreakdown() {
-			fmt.Printf("%-20s %12d %12d %12d %12d\n", fn.Name, fn.Cycles, fn.L3Refs, fn.L3Hits, fn.L3Misses)
+			funcs.Add(fn.Name, fn.Cycles, fn.L3Refs, fn.L3Hits, fn.L3Misses)
 		}
+		fmt.Print(funcs)
 		return nil
 	}
 }
@@ -48,7 +47,7 @@ func predict(fs *flag.FlagSet) func(exp.Scale) error {
 		}
 		res, err := exp.RunFig9(scale.NewPredictor(), *mix)
 		if err == nil {
-			fmt.Print(res.String())
+			fmt.Print(res.Table())
 		}
 		return err
 	}
@@ -66,7 +65,7 @@ func sched(fs *flag.FlagSet) func(exp.Scale) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Print(res.Table())
 		s0, s1, err := core.GreedyPlacement(p, *flows)
 		if err != nil {
 			return err

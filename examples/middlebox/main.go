@@ -28,5 +28,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s(paper: 1.26%% worst-case error for this mix)\n", res)
+	fmt.Printf("\n%s(paper: 1.26%% worst-case error for this mix)\n", res.Table())
 }

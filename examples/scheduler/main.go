@@ -23,5 +23,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s(paper: ~2%% contention-aware scheduling gain)\n", res)
+	fmt.Printf("\n%s(paper: ~2%% contention-aware scheduling gain)\n", res.Table())
 }

@@ -7,6 +7,7 @@ import (
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // Fig10Combo is one flow combination's best/worst placement evaluation.
@@ -18,15 +19,10 @@ type Fig10Combo struct {
 
 // Fig10Result reproduces Figure 10: for each flow combination, the
 // average per-flow drop under the worst and best flow-to-core placement;
-// plus the per-flow detail of the 6-MON/6-FW combination (10(b)).
+// plus the per-flow detail of the first combination (10(b)), 6-MON/6-FW
+// in DefaultCombos.
 type Fig10Result struct {
 	Combos []Fig10Combo
-	// MaxRealisticGain is the largest best-to-worst gap among combos of
-	// realistic flows — the paper reports 2%.
-	MaxRealisticGain float64
-	// MaxSyntheticGain is the gap for the adversarial SYN_MAX combo —
-	// the paper reports 6%.
-	MaxSyntheticGain float64
 }
 
 // DefaultCombos returns the flow combinations evaluated by RunFig10. The
@@ -64,66 +60,56 @@ func RunFig10(p *core.Predictor, combos []Fig10Combo) (*Fig10Result, error) {
 		}
 		combo.Eval = eval
 		out.Combos = append(out.Combos, combo)
-
-		if slices.Contains(combo.Flows, apps.SYNMAX) || slices.Contains(combo.Flows, apps.SYN) {
-			out.MaxSyntheticGain = max(out.MaxSyntheticGain, eval.Gain)
-		} else {
-			out.MaxRealisticGain = max(out.MaxRealisticGain, eval.Gain)
-		}
 	}
 	return out, nil
 }
 
-// Combo returns the combo with the given label.
-func (r *Fig10Result) Combo(label string) (Fig10Combo, bool) {
+// MaxGain returns the largest best-to-worst gap among the combos with
+// (synthetic) or without adversarial SYN flows — the paper reports 6% and
+// 2% — and whether any such combo was evaluated.
+func (r *Fig10Result) MaxGain(synthetic bool) (gain float64, ok bool) {
 	for _, c := range r.Combos {
-		if c.Label == label {
-			return c, true
+		if slices.ContainsFunc(c.Flows, apps.FlowType.Synthetic) == synthetic {
+			gain, ok = max(gain, c.Eval.Gain), true
 		}
 	}
-	return Fig10Combo{}, false
+	return gain, ok
 }
 
-// String renders 10(a), every placement of every combo, and the
-// 6MON+6FW per-flow detail (10(b)).
-func (r *Fig10Result) String() string {
-	var b strings.Builder
-	b.WriteString("Figure 10(a): average drop under best and worst placement\n")
-	fmt.Fprintf(&b, "%-16s %10s %10s %8s\n", "combination", "best", "worst", "gain")
+// Table lists every placement of every combo, best first; the notes carry
+// each combo's best, worst and gain (10(a)), the largest gain of each kind
+// of combo evaluated, and the first combo's per-flow drops under its best
+// and worst placement (10(b)).
+func (r *Fig10Result) Table() *table.Table {
+	t := table.New("Figure 10: average drop of every distinct placement, best first",
+		"combination", "placement", "socket0", "socket1", "avg_drop").Format(pct, "avg_drop")
 	for _, c := range r.Combos {
-		fmt.Fprintf(&b, "%-16s %10s %10s %8s\n", c.Label,
-			pct(c.Eval.Best.AvgDrop), pct(c.Eval.Worst.AvgDrop), pct(c.Eval.Gain))
+		for i, pl := range c.Eval.All {
+			t.Add(c.Label, i, joinLabel(pl.Socket0), joinLabel(pl.Socket1), pl.AvgDrop)
+		}
+		t.Note("Figure 10(a) %s: %d distinct placements, best %s, worst %s, gain %s",
+			c.Label, len(c.Eval.All), pct(c.Eval.Best.AvgDrop), pct(c.Eval.Worst.AvgDrop), pct(c.Eval.Gain))
 	}
-	fmt.Fprintf(&b, "max gain: realistic %s, synthetic %s\n",
-		pct(r.MaxRealisticGain), pct(r.MaxSyntheticGain))
-	for _, c := range r.Combos {
-		fmt.Fprintf(&b, "placements of %s (%d distinct, best first):\n", c.Label, len(c.Eval.All))
-		for _, pl := range c.Eval.All {
-			fmt.Fprintf(&b, "  %v\n", pl)
+	var gains []string
+	for _, kind := range []string{"realistic", "synthetic"} {
+		if g, ok := r.MaxGain(kind == "synthetic"); ok {
+			gains = append(gains, kind+" "+pct(g))
 		}
 	}
-	if c, ok := r.Combo("6MON+6FW"); ok {
-		b.WriteString("Figure 10(b): per-flow drop for 6MON+6FW\n")
+	if gains != nil {
+		t.Note("max gain: %s", strings.Join(gains, ", "))
+	}
+	if len(r.Combos) > 0 {
+		c := r.Combos[0]
 		for i, pl := range []core.Placement{c.Eval.Best, c.Eval.Worst} {
-			fmt.Fprintf(&b, "  %-5s %v:\n", []string{"best", "worst"}[i], pl)
-			for _, fd := range pl.PerFlow {
-				fmt.Fprintf(&b, "    socket%d %-8s %s\n", fd.Socket, fd.Type, pct(fd.Drop))
+			flows := make([]string, len(pl.PerFlow))
+			for j, fd := range pl.PerFlow {
+				flows[j] = fmt.Sprintf("socket%d %s %s", fd.Socket, fd.Type, pct(fd.Drop))
 			}
+			t.Note("Figure 10(b) %s, %s placement: %s", c.Label, []string{"best", "worst"}[i], strings.Join(flows, ", "))
 		}
 	}
-	return b.String()
-}
-
-// CSV renders every placement of every combo.
-func (r *Fig10Result) CSV() string {
-	var c csvBuilder
-	c.row("combination", "placement", "socket0", "socket1", "avg_drop")
-	for _, combo := range r.Combos {
-		for i, pl := range combo.Eval.All {
-			c.row(combo.Label, i, joinLabel(pl.Socket0), joinLabel(pl.Socket1), pl.AvgDrop)
-		}
-	}
-	return c.String()
+	return t
 }
 
 func joinLabel(ts []apps.FlowType) string {

@@ -7,6 +7,7 @@ import (
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/table"
 )
 
 // Fig2Cell is one experiment of Figure 2: a target flow co-running with 5
@@ -32,7 +33,7 @@ func RunFig2(p *core.Predictor) (*Fig2Result, error) {
 	for _, target := range apps.RealisticTypes {
 		var sum float64
 		for _, comp := range apps.RealisticTypes {
-			cell, err := measurePair(p, target, comp)
+			cell, err := RunFig2Pair(p, target, comp)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig2 %s vs %s: %w", target, comp, err)
 			}
@@ -44,16 +45,10 @@ func RunFig2(p *core.Predictor) (*Fig2Result, error) {
 	return out, nil
 }
 
-// RunFig2Pair measures a single Figure 2 cell: the drop of target
-// co-running with 5 flows of type comp. It is exported for the ablation
-// benchmarks, which re-measure one cell under modified hardware models.
+// RunFig2Pair measures one Figure 2 cell: the drop of target co-running
+// with 5 flows of type comp, and the competitors' aggregate refs/sec. The
+// ablation benchmarks re-measure one cell under modified hardware models.
 func RunFig2Pair(p *core.Predictor, target, comp apps.FlowType) (Fig2Cell, error) {
-	return measurePair(p, target, comp)
-}
-
-// measurePair measures the drop of target co-running with 5 flows of
-// type comp, and the competitors' aggregate refs/sec.
-func measurePair(p *core.Predictor, target, comp apps.FlowType) (Fig2Cell, error) {
 	mix := []apps.FlowType{target, comp, comp, comp, comp, comp}
 	stats, sorted, err := p.MeasureMix(mix)
 	if err != nil {
@@ -92,16 +87,6 @@ func targetIndex(sorted []apps.FlowType, target, comp apps.FlowType) int {
 	return 0
 }
 
-// Cell returns the (target, competitor) measurement.
-func (r *Fig2Result) Cell(target, comp apps.FlowType) (Fig2Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Target == target && c.Competitor == comp {
-			return c, true
-		}
-	}
-	return Fig2Cell{}, false
-}
-
 // MaxDrop returns the largest drop in the matrix.
 func (r *Fig2Result) MaxDrop() Fig2Cell {
 	var max Fig2Cell
@@ -113,27 +98,18 @@ func (r *Fig2Result) MaxDrop() Fig2Cell {
 	return max
 }
 
-// String renders Figure 2(a) as a matrix and 2(b) as a row of averages.
-func (r *Fig2Result) String() string {
-	var b strings.Builder
-	b.WriteString("Figure 2(a): performance drop of target (rows) with 5 co-runners of type (columns)\n")
-	matrix(&b, func(target, comp apps.FlowType) string {
-		c, _ := r.Cell(target, comp)
-		return pct(c.Drop)
-	})
-	b.WriteString("Figure 2(b): average drop per target type\n")
-	for _, target := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%-8s %s\n", target, pct(r.Average[target]))
+// Table lists every cell of Figure 2(a); a note carries 2(b)'s averages.
+func (r *Fig2Result) Table() *table.Table {
+	t := table.New("Figure 2(a): performance drop of target with 5 co-runners of type competitor",
+		"target", "competitor", "drop", "competing_refs_per_sec").
+		Format(pct, "drop").Format(mrefs, "competing_refs_per_sec")
+	for _, c := range r.Cells {
+		t.Add(c.Target, c.Competitor, c.Drop, c.CompetingRefsPerSec)
 	}
-	return b.String()
-}
-
-// CSV renders all cells.
-func (r *Fig2Result) CSV() string {
-	var c csvBuilder
-	c.row("target", "competitor", "drop", "competing_refs_per_sec")
-	for _, cell := range r.Cells {
-		c.row(string(cell.Target), string(cell.Competitor), cell.Drop, cell.CompetingRefsPerSec)
+	avg := make([]string, len(apps.RealisticTypes))
+	for i, target := range apps.RealisticTypes {
+		avg[i] = fmt.Sprintf("%s %s", target, pct(r.Average[target]))
 	}
-	return c.String()
+	t.Note("Figure 2(b): average drop per target: %s", strings.Join(avg, ", "))
+	return t
 }

@@ -3,11 +3,11 @@ package exp
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/table"
 )
 
 // ContentionMode selects which shared resource the competitors contend
@@ -129,33 +129,15 @@ func (s Fig4Series) MaxDrop() float64 {
 	return m
 }
 
-// String renders each mode's series.
-func (r *Fig4Result) String() string {
-	var b strings.Builder
-	for _, mode := range Modes {
-		fmt.Fprintf(&b, "Figure 4 (%s contention): drop vs competing refs/sec\n", mode)
-		for _, s := range r.Series {
-			if s.Mode != mode {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-8s", s.Target)
-			for _, pt := range s.Points {
-				fmt.Fprintf(&b, " (%s, %s)", mrefs(pt.CompetingRefsPerSec), pct(pt.Drop))
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-// CSV renders all points.
-func (r *Fig4Result) CSV() string {
-	var c csvBuilder
-	c.row("mode", "target", "competing_refs_per_sec", "drop")
+// Table lists every point of every series.
+func (r *Fig4Result) Table() *table.Table {
+	t := table.New("Figure 4: drop vs competing refs/sec under cache, memctrl and both contention",
+		"mode", "target", "competing_refs_per_sec", "drop").
+		Format(mrefs, "competing_refs_per_sec").Format(pct, "drop")
 	for _, s := range r.Series {
 		for _, pt := range s.Points {
-			c.row(string(s.Mode), string(s.Target), pt.CompetingRefsPerSec, pt.Drop)
+			t.Add(s.Mode, s.Target, pt.CompetingRefsPerSec, pt.Drop)
 		}
 	}
-	return c.String()
+	return t
 }

@@ -1,12 +1,11 @@
 package exp
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // Fig5Result reproduces Figure 5: each target type's drop-versus-
@@ -72,43 +71,20 @@ func (r *Fig5Result) MeanDeviation() float64 {
 	return sum / float64(len(r.Points))
 }
 
-// String renders the curves and points.
-func (r *Fig5Result) String() string {
-	var b strings.Builder
-	b.WriteString("Figure 5: drop vs competing refs/sec — SYN curves (S) and realistic points (R)\n")
-	for _, t := range apps.RealisticTypes {
-		curve := r.Curves[t]
-		fmt.Fprintf(&b, "  %s(S):", t)
-		for _, pt := range curve.Points {
-			fmt.Fprintf(&b, " (%s, %s)", mrefs(pt.CompetingRefsPerSec), pct(pt.Drop))
-		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "  %s(R):", t)
-		for _, cell := range r.Points {
-			if cell.Target != t {
-				continue
-			}
-			fmt.Fprintf(&b, " [5x%s: %s, %s]", cell.Competitor, mrefs(cell.CompetingRefsPerSec), pct(cell.Drop))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "max |realistic - synthetic| deviation: %s (mean %s)\n",
-		pct(r.MaxDeviation()), pct(r.MeanDeviation()))
-	return b.String()
-}
-
-// CSV renders curve points and realistic points in one table.
-func (r *Fig5Result) CSV() string {
-	var c csvBuilder
-	c.row("kind", "target", "competitor", "competing_refs_per_sec", "drop")
-	for _, t := range apps.RealisticTypes {
-		for _, pt := range r.Curves[t].Points {
-			c.row("syn_curve", string(t), "SYN", pt.CompetingRefsPerSec, pt.Drop)
+// Table lists the SYN curves' points, then the realistic points; a note
+// carries how far the latter fall from the former.
+func (r *Fig5Result) Table() *table.Table {
+	t := table.New("Figure 5: drop vs competing refs/sec, SYN curves and realistic points",
+		"kind", "target", "competitor", "competing_refs_per_sec", "drop").
+		Format(mrefs, "competing_refs_per_sec").Format(pct, "drop")
+	for _, target := range apps.RealisticTypes {
+		for _, pt := range r.Curves[target].Points {
+			t.Add("syn_curve", target, "SYN", pt.CompetingRefsPerSec, pt.Drop)
 		}
 	}
-	for _, cell := range r.Points {
-		c.row("realistic", string(cell.Target), string(cell.Competitor),
-			cell.CompetingRefsPerSec, cell.Drop)
+	for _, c := range r.Points {
+		t.Add("realistic", c.Target, c.Competitor, c.CompetingRefsPerSec, c.Drop)
 	}
-	return c.String()
+	t.Note("max |realistic - synthetic| deviation: %s (mean %s)", pct(r.MaxDeviation()), pct(r.MeanDeviation()))
+	return t
 }

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // Fig6Point is one flow type's position on Figure 6: its solo hits/sec
@@ -61,36 +61,19 @@ func RunFig6(p *core.Predictor) (*Fig6Result, error) {
 	return out, nil
 }
 
-// String renders the bound at the measured points and curve samples.
-func (r *Fig6Result) String() string {
-	var b strings.Builder
-	b.WriteString("Figure 6: worst-case drop (Eq. 1, κ=1) vs solo cache hits/sec\n")
+// Table lists each δ curve's samples (δ in ns), then the measured flows
+// at the paper's δ.
+func (r *Fig6Result) Table() *table.Table {
+	t := table.New(fmt.Sprintf("Figure 6: worst-case drop (Eq. 1, κ=1) vs solo cache hits/sec; flows at δ=%.2fns", core.DeltaSeconds*1e9),
+		"kind", "flow_or_delta_ns", "hits_per_sec", "worst_case_drop").
+		Format(mrefs, "hits_per_sec").Format(pct, "worst_case_drop")
 	for _, c := range r.Curves {
-		fmt.Fprintf(&b, "  δ=%.2fns:", c.DeltaSeconds*1e9)
-		for i := 0; i < len(c.HitsPerSec); i += 5 {
-			fmt.Fprintf(&b, " (%s,%s)", mrefs(c.HitsPerSec[i]), pct(c.Drop[i]))
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("  measured flows (δ=43.75ns):\n")
-	for _, pt := range r.Points {
-		fmt.Fprintf(&b, "    %-8s hits/sec=%s worst-case drop=%s\n",
-			pt.Flow, mrefs(pt.HitsPerSec), pct(pt.WorstCaseDrop))
-	}
-	return b.String()
-}
-
-// CSV renders curves and points.
-func (r *Fig6Result) CSV() string {
-	var c csvBuilder
-	c.row("kind", "flow_or_delta_ns", "hits_per_sec", "worst_case_drop")
-	for _, cv := range r.Curves {
-		for i := range cv.HitsPerSec {
-			c.row("curve", fmt.Sprintf("%.2f", cv.DeltaSeconds*1e9), cv.HitsPerSec[i], cv.Drop[i])
+		for i := range c.HitsPerSec {
+			t.Add("curve", fmt.Sprintf("%.2f", c.DeltaSeconds*1e9), c.HitsPerSec[i], c.Drop[i])
 		}
 	}
 	for _, pt := range r.Points {
-		c.row("point", string(pt.Flow), pt.HitsPerSec, pt.WorstCaseDrop)
+		t.Add("point", pt.Flow, pt.HitsPerSec, pt.WorstCaseDrop)
 	}
-	return c.String()
+	return t
 }

@@ -2,11 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/table"
 )
 
 // Fig7Funcs are the MON-flow functions the paper breaks conversion down
@@ -103,39 +103,18 @@ func funcHitsPerPacket(st hw.FlowStats) map[string]float64 {
 	return out
 }
 
-// String renders the conversion table.
-func (r *Fig7Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: hit-to-miss conversion of a %s flow vs competing refs/sec\n", r.Target)
-	fmt.Fprintf(&b, "%12s %9s %9s", "competing", "measured", "model")
-	for _, fn := range Fig7Funcs {
-		fmt.Fprintf(&b, " %16s", fn)
-	}
-	b.WriteByte('\n')
+// Table lists the conversion at each competition level, flow-wide, by
+// the model and per function.
+func (r *Fig7Result) Table() *table.Table {
+	cols := append([]string{"competing_refs_per_sec", "measured", "model"}, Fig7Funcs...)
+	t := table.New(fmt.Sprintf("Figure 7: hit-to-miss conversion of a %s flow vs competing refs/sec", r.Target), cols...).
+		Format(mrefs, cols[0]).Format(pct, cols[1:]...)
 	for _, pt := range r.Points {
-		fmt.Fprintf(&b, "%12s %9s %9s", mrefs(pt.CompetingRefsPerSec), pct(pt.Measured), pct(pt.Model))
-		for _, fn := range Fig7Funcs {
-			fmt.Fprintf(&b, " %16s", pct(pt.PerFunc[fn]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CSV renders all points.
-func (r *Fig7Result) CSV() string {
-	var c csvBuilder
-	header := []interface{}{"competing_refs_per_sec", "measured", "model"}
-	for _, fn := range Fig7Funcs {
-		header = append(header, fn)
-	}
-	c.row(header...)
-	for _, pt := range r.Points {
-		row := []interface{}{pt.CompetingRefsPerSec, pt.Measured, pt.Model}
+		row := []any{pt.CompetingRefsPerSec, pt.Measured, pt.Model}
 		for _, fn := range Fig7Funcs {
 			row = append(row, pt.PerFunc[fn])
 		}
-		c.row(row...)
+		t.Add(row...)
 	}
-	return c.String()
+	return t
 }

@@ -3,10 +3,10 @@ package exp
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // Fig8Cell is one scenario's prediction outcome.
@@ -64,7 +64,7 @@ func RunFig8(p *core.Predictor) (*Fig8Result, error) {
 
 func predictPair(p *core.Predictor, target, comp apps.FlowType) (Fig8Cell, error) {
 	// Measured drop and measured competition from the co-run.
-	cell2, err := measurePair(p, target, comp)
+	cell2, err := RunFig2Pair(p, target, comp)
 	if err != nil {
 		return Fig8Cell{}, err
 	}
@@ -88,42 +88,27 @@ func predictPair(p *core.Predictor, target, comp apps.FlowType) (Fig8Cell, error
 	}, nil
 }
 
-// String renders the error matrices and averages.
-func (r *Fig8Result) String() string {
-	var b strings.Builder
-	cell := func(target, comp apps.FlowType) Fig8Cell {
+// Table lists every scenario's measured and predicted drops; the notes
+// carry 8(a) and 8(b)'s errors and 8(c)'s averages per target, and the worst.
+func (r *Fig8Result) Table() *table.Table {
+	t := table.New("Figure 8: measured vs predicted drop (solo-rate and perfect knowledge of the competition)",
+		"target", "competitor", "measured", "predicted", "perfect").
+		Format(pct, "measured", "predicted", "perfect")
+	for _, c := range r.Cells {
+		t.Add(c.Target, c.Competitor, c.Measured, c.Predicted, c.Perfect)
+	}
+	t.Note("Figure 8(a) ours, 8(b) perfect: predicted - measured in points vs 5x %v; 8(c): mean |error|", apps.RealisticTypes)
+	for _, target := range apps.RealisticTypes {
+		ours, perfect := "", ""
 		for _, c := range r.Cells {
-			if c.Target == target && c.Competitor == comp {
-				return c
+			if c.Target == target {
+				ours += fmt.Sprintf(" %+.1f", c.Error()*100)
+				perfect += fmt.Sprintf(" %+.1f", c.PerfectError()*100)
 			}
 		}
-		return Fig8Cell{}
-	}
-	b.WriteString("Figure 8(a): prediction error (predicted - measured), rows=target, cols=5x competitor\n")
-	matrix(&b, func(target, comp apps.FlowType) string {
-		return fmt.Sprintf("%+.1f", cell(target, comp).Error()*100)
-	})
-	b.WriteString("Figure 8(b): error with perfect knowledge of the competition\n")
-	matrix(&b, func(target, comp apps.FlowType) string {
-		return fmt.Sprintf("%+.1f", cell(target, comp).PerfectError()*100)
-	})
-	b.WriteString("Figure 8(c): average absolute error per target (ours / perfect)\n")
-	for _, target := range apps.RealisticTypes {
-		fmt.Fprintf(&b, "%-8s %6.2f %6.2f\n", target,
+		t.Note("%s: ours%s, perfect%s; mean |error| ours %.2f, perfect %.2f", target, ours, perfect,
 			r.AvgError[target]*100, r.AvgPerfectErr[target]*100)
 	}
-	fmt.Fprintf(&b, "worst-case |error|: ours %s, perfect %s\n",
-		pct(r.MaxAbsError), pct(r.MaxAbsPerfErr))
-	return b.String()
-}
-
-// CSV renders all cells.
-func (r *Fig8Result) CSV() string {
-	var c csvBuilder
-	c.row("target", "competitor", "measured", "predicted", "perfect")
-	for _, cell := range r.Cells {
-		c.row(string(cell.Target), string(cell.Competitor),
-			cell.Measured, cell.Predicted, cell.Perfect)
-	}
-	return c.String()
+	t.Note("worst-case |error|: ours %s, perfect %s", pct(r.MaxAbsError), pct(r.MaxAbsPerfErr))
+	return t
 }

@@ -7,6 +7,7 @@ import (
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // Fig9Flow is one flow of the mixed workload with its measured and
@@ -59,25 +60,19 @@ func RunFig9(p *core.Predictor, mix []apps.FlowType) (*Fig9Result, error) {
 	return out, nil
 }
 
-// String renders per-flow measured/predicted/error/competition rows.
-func (r *Fig9Result) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9: mixed workload (%s per processor)\n", countLabel(r.Mix))
-	fmt.Fprintf(&b, "%-8s %10s %10s %10s %12s\n", "flow", "measured", "predicted", "|error|", "competition")
-	for _, f := range r.Flows {
-		fmt.Fprintf(&b, "%-8s %10s %10s %10.2f %12s\n",
-			f.Type, pct(f.Measured), pct(f.Predicted), f.AbsError()*100, mrefs(f.CompetingRefsPerSec))
+// Table lists each flow's measured and predicted drop; the notes carry
+// the competition each prediction assumed and the worst error.
+func (r *Fig9Result) Table() *table.Table {
+	t := table.New(fmt.Sprintf("Figure 9: mixed workload (%s per processor)", countLabel(r.Mix)),
+		"flow", "measured", "predicted", "abs_error").
+		Format(pct, "measured", "predicted").
+		Format(func(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }, "abs_error")
+	competition := make([]string, len(r.Flows))
+	for i, f := range r.Flows {
+		t.Add(f.Type, f.Measured, f.Predicted, f.AbsError())
+		competition[i] = fmt.Sprintf("%s %s", f.Type, mrefs(f.CompetingRefsPerSec))
 	}
-	fmt.Fprintf(&b, "max |error|: %.2f%%\n", r.MaxError*100)
-	return b.String()
-}
-
-// CSV renders per-flow rows.
-func (r *Fig9Result) CSV() string {
-	var c csvBuilder
-	c.row("flow", "measured", "predicted", "abs_error")
-	for _, f := range r.Flows {
-		c.row(string(f.Type), f.Measured, f.Predicted, f.AbsError())
-	}
-	return c.String()
+	t.Note("assumed competition (the other flows' solo refs/sec): %s", strings.Join(competition, ", "))
+	t.Note("max |error|: %.2f%%", r.MaxError*100)
+	return t
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
@@ -11,6 +10,7 @@ import (
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/synth"
+	"pktpredict/internal/table"
 )
 
 // Section 2.2: the "parallel" approach (each packet fully processed by
@@ -261,24 +261,12 @@ func completionRate(p *core.Predictor, flows []*cut, cores ...int) (float64, err
 	return rate, nil
 }
 
-// String renders the comparison.
-func (r *PipelineResult) String() string {
-	var b strings.Builder
-	b.WriteString("Section 2.2: parallel vs pipeline (2 cores each)\n")
-	fmt.Fprintf(&b, "%-10s %14s %14s %10s\n", "workload", "parallel pps", "pipeline pps", "winner")
+// Table lists both approaches' throughput per workload.
+func (r *PipelineResult) Table() *table.Table {
+	t := table.New("Section 2.2: parallel vs pipeline (2 cores each)",
+		"workload", "parallel_pps", "pipeline_pps", "winner").Format(fixed(0), "parallel_pps", "pipeline_pps")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %14.0f %14.0f %10s\n",
-			row.Workload, row.ParallelPktsPerSec, row.PipelinePktsPerSec, row.Winner())
+		t.Add(row.Workload, row.ParallelPktsPerSec, row.PipelinePktsPerSec, row.Winner())
 	}
-	return b.String()
-}
-
-// CSV renders the rows.
-func (r *PipelineResult) CSV() string {
-	var c csvBuilder
-	c.row("workload", "parallel_pps", "pipeline_pps", "winner")
-	for _, row := range r.Rows {
-		c.row(row.Workload, row.ParallelPktsPerSec, row.PipelinePktsPerSec, row.Winner())
-	}
-	return c.String()
+	return t
 }

@@ -11,6 +11,11 @@
 // it carries the platform, workload and windows, so the same driver runs
 // at paper scale (benchmarks, cmd/pktbench) or at a reduced scale (unit
 // tests), and experiments sharing it share its memoised measurements.
+//
+// Every result renders through one method, Table: its columns are the
+// figure's CSV columns and its notes carry what the rows alone do not
+// (averages, worst cases, the assumptions behind a prediction), so the
+// text, CSV and markdown forms of internal/table all show the same result.
 package exp
 
 import (

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/table"
 )
 
 // ThrottleResult reproduces the Section 4 containment demonstration: a
@@ -124,33 +124,20 @@ func (r *ThrottleResult) FinalContained() float64 {
 	return r.Contained[len(r.Contained)-1].RefsPerSec
 }
 
-// String renders the containment summary and both time series.
-func (r *ThrottleResult) String() string {
-	var b strings.Builder
-	b.WriteString("Section 4: containing hidden aggressiveness\n")
-	fmt.Fprintf(&b, "profiled rate: %s refs/sec\n", mrefs(r.ProfiledRefsPerSec))
-	fmt.Fprintf(&b, "uncontained: peak %s refs/sec, victim MON at %.0f pkts/sec\n",
-		mrefs(r.PeakUncontained()), r.VictimUncontainedTput)
-	fmt.Fprintf(&b, "contained:   final %s refs/sec, victim MON at %.0f pkts/sec\n",
-		mrefs(r.FinalContained()), r.VictimContainedTput)
-	fmt.Fprintf(&b, "containment preserved %s of the victim's throughput\n",
-		pct(r.VictimProtection()))
-	b.WriteString("contained series (interval, refs/sec, delay):\n")
-	for _, s := range r.Contained {
-		fmt.Fprintf(&b, "  %3d %10s %8d\n", s.Interval, mrefs(s.RefsPerSec), s.DelayCycles)
-	}
-	return b.String()
-}
-
-// CSV renders both series.
-func (r *ThrottleResult) CSV() string {
-	var c csvBuilder
-	c.row("series", "interval", "refs_per_sec", "delay_cycles")
+// Table lists the aggressor's rate per interval without and with
+// containment; the notes carry the profile, the extremes and the victim.
+func (r *ThrottleResult) Table() *table.Table {
+	t := table.New("Section 4: containing hidden aggressiveness",
+		"series", "interval", "refs_per_sec", "delay_cycles").Format(mrefs, "refs_per_sec")
 	for _, s := range r.Uncontained {
-		c.row("uncontained", s.Interval, s.RefsPerSec, s.DelayCycles)
+		t.Add("uncontained", s.Interval, s.RefsPerSec, s.DelayCycles)
 	}
 	for _, s := range r.Contained {
-		c.row("contained", s.Interval, s.RefsPerSec, s.DelayCycles)
+		t.Add("contained", s.Interval, s.RefsPerSec, s.DelayCycles)
 	}
-	return c.String()
+	t.Note("profiled rate: %s refs/sec", mrefs(r.ProfiledRefsPerSec))
+	t.Note("uncontained: peak %s refs/sec, victim MON at %.0f pkts/sec", mrefs(r.PeakUncontained()), r.VictimUncontainedTput)
+	t.Note("contained:   final %s refs/sec, victim MON at %.0f pkts/sec", mrefs(r.FinalContained()), r.VictimContainedTput)
+	t.Note("containment preserved %s of the victim's throughput", pct(r.VictimProtection()))
+	return t
 }

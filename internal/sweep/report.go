@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"pktpredict/internal/table"
 )
 
 // AppResult is one app's row at one grid point.
@@ -185,8 +187,8 @@ func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// Markdown renders the human-readable report: a summary line, the
-// per-point table, and a per-app detail table.
+// Markdown renders the human-readable report: a summary, the per-point
+// table and the per-app detail table.
 func (r *Report) Markdown() string {
 	var b strings.Builder
 	verdict := "PASS"
@@ -199,32 +201,14 @@ func (r *Report) Markdown() string {
 	fmt.Fprintf(&b, "Prediction error over all validated apps: max %.1f%%, mean %.1f%%; %d/%d points failed.\n\n",
 		r.MaxAbsErr*100, r.MeanAbsErr*100, r.Failed, len(r.Points))
 
-	b.WriteString("| platform | load | scenario | topology | apps | max \\|err\\| | mean \\|err\\| | worst app | tol | migr | thr | result |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	f2 := func(f float64) string { return fmt.Sprintf("%.2f", f) }
+	points := table.New("", "platform", "load", "scenario", "topology", "apps", "max |err|", "mean |err|",
+		"worst app", "tol", "migr", "thr", "result").Format(f2, "load").Format(percent, "max |err|", "mean |err|")
+	detail := table.New("", "platform", "load", "scenario", "app", "type", "offered", "obs drop", "pred drop",
+		"expected", "err", "goodput pps", "rem/pkt", "p50 µs", "p99 µs", "slo", "validated").
+		Format(f2, "load", "rem/pkt").Format(percent, "obs drop", "pred drop", "expected")
 	for _, p := range r.Points {
-		result := "pass"
-		switch {
-		case p.Error != "":
-			result = "error: " + mdCell(p.Error)
-		case !p.Pass:
-			result = "**FAIL**"
-		}
 		nv := 0
-		for _, a := range p.Apps {
-			if a.Validated {
-				nv++
-			}
-		}
-		fmt.Fprintf(&b, "| %s | %.2f | %s | %d×%d, L3 %s | %d | %.1f%% | %.1f%% | %s | %.0f%% | %d | %d | %s |\n",
-			p.Platform, p.Load, p.Scenario, p.Sockets, p.CoresPerSocket, fmtBytes(p.L3Bytes),
-			nv, p.MaxAbsErr*100, p.MeanAbsErr*100, dash(p.WorstApp), p.Tolerance*100,
-			p.Migrations, p.ThrottleEvents, result)
-	}
-
-	b.WriteString("\n## Per-app detail\n\n")
-	b.WriteString("| platform | load | scenario | app | type | offered | obs drop | pred drop | expected | err | goodput pps | rem/pkt | p50 µs | p99 µs | slo | validated |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
-	for _, p := range r.Points {
 		for _, a := range p.Apps {
 			off := "sat"
 			if a.OfferedFraction > 0 {
@@ -232,6 +216,7 @@ func (r *Report) Markdown() string {
 			}
 			val := "–"
 			if a.Validated {
+				nv++
 				val = "pass"
 				if !a.Pass {
 					val = "**FAIL**"
@@ -249,26 +234,31 @@ func (r *Report) Markdown() string {
 					slo = fmt.Sprintf("≤%.0f **BREACH** (%d win)", a.SLOP99US, a.SLOBreaches)
 				}
 			}
-			fmt.Fprintf(&b, "| %s | %.2f | %s | %s | %s | %s | %.1f%% | %.1f%% | %.1f%% | %+.1f%% | %.2fM | %.2f | %s | %s | %s | %s |\n",
-				p.Platform, p.Load, p.Scenario, a.App, a.Type, off,
-				a.ObservedDrop*100, a.PredictedDrop*100, a.ExpectedDrop*100, a.PredErr*100,
-				a.GoodputPPS/1e6, a.RemotePerPacket, p50, p99, slo, val)
+			detail.Add(p.Platform, p.Load, p.Scenario, a.App, a.Type, off, a.ObservedDrop, a.PredictedDrop,
+				a.ExpectedDrop, fmt.Sprintf("%+.1f%%", a.PredErr*100), fmt.Sprintf("%.2fM", a.GoodputPPS/1e6),
+				a.RemotePerPacket, p50, p99, slo, val)
 		}
+		result := "pass"
+		switch {
+		case p.Error != "":
+			result = "error: " + p.Error
+		case !p.Pass:
+			result = "**FAIL**"
+		}
+		points.Add(p.Platform, p.Load, p.Scenario,
+			fmt.Sprintf("%d×%d, L3 %s", p.Sockets, p.CoresPerSocket, fmtBytes(p.L3Bytes)), nv, p.MaxAbsErr,
+			p.MeanAbsErr, dash(p.WorstApp), fmt.Sprintf("%.0f%%", p.Tolerance*100), p.Migrations, p.ThrottleEvents, result)
 	}
-	return b.String()
+	return b.String() + points.Markdown() + "\n## Per-app detail\n\n" + detail.Markdown()
 }
+
+// percent formats a fraction as a percentage with one decimal.
+func percent(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
 
 func dash(s string) string {
 	if s == "" {
 		return "–"
 	}
-	return s
-}
-
-// mdCell makes arbitrary text (error strings quoting user input) safe
-// inside a markdown table cell.
-func mdCell(s string) string {
-	s = strings.NewReplacer("|", "\\|", "\n", " ", "\r", " ").Replace(s)
 	return s
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"pktpredict/internal/table"
 )
 
 // Trend is a persistent prediction-error history: one entry per
@@ -127,14 +129,11 @@ func (t *Trend) upsert(e TrendEntry) {
 // in recorded order — the accuracy time series a reviewer reads to spot
 // a regression the pass/fail gate's tolerance still admits.
 func (t *Trend) Markdown() string {
-	var b strings.Builder
-	b.WriteString("# prediction-error trend\n\n")
 	if len(t.Entries) == 0 {
-		b.WriteString("no entries yet\n")
-		return b.String()
+		return "# prediction-error trend\n\nno entries yet\n"
 	}
-	b.WriteString("| scenario | rev | when | scale | max \\|err\\| | mean \\|err\\| | max p99 µs | slo breaches | points | failed |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
+	tb := table.New("prediction-error trend", "scenario", "rev", "when", "scale", "max |err|", "mean |err|",
+		"max p99 µs", "slo breaches", "points", "failed").Format(percent, "max |err|", "mean |err|")
 	for _, s := range t.Scenarios() {
 		for _, e := range t.Entries {
 			if e.Scenario != s {
@@ -144,12 +143,10 @@ func (t *Trend) Markdown() string {
 			if e.MaxP99US > 0 {
 				p99 = fmt.Sprintf("%.1f", e.MaxP99US)
 			}
-			fmt.Fprintf(&b, "| %s | %s | %s | %s | %.1f%% | %.1f%% | %s | %d | %d | %d |\n",
-				mdCell(e.Scenario), mdCell(e.GitRev), mdCell(e.When), mdCell(e.Scale),
-				e.MaxAbsErr*100, e.MeanAbsErr*100, p99, e.SLOBreaches, e.Points, e.Failed)
+			tb.Add(e.Scenario, e.GitRev, e.When, e.Scale, e.MaxAbsErr, e.MeanAbsErr, p99, e.SLOBreaches, e.Points, e.Failed)
 		}
 	}
-	return b.String()
+	return tb.Markdown()
 }
 
 // Scenarios lists the store's scenarios, sorted.
