@@ -3,12 +3,14 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
+	"pktpredict/internal/hw"
 )
 
 // buildCount counts constructions of the CountBuild element: one per
@@ -102,6 +104,64 @@ func TestPredictorConcurrentUse(t *testing.T) {
 	}
 	if liveExperiments != 0 {
 		t.Errorf("%d experiment slots still held", liveExperiments)
+	}
+}
+
+// TestReusedPlatformsMatchNew: a predictor's solo run and every sweep
+// sample, measured on platforms its experiments pass on to each other,
+// have the raw counters Scenario.Run gets for the same flows on new
+// platforms; and the predictor keeps no more platforms than experiments
+// can run at once.
+func TestReusedPlatformsMatchNew(t *testing.T) {
+	cfg := testCfg()
+	cfg.CoresPerSocket = 3
+	typ := apps.MON
+	target := FlowSpec{Type: typ, Seed: SeedFor(typ, 0)}
+	newPlatformRun := func(p *Predictor, flows []FlowSpec) []hw.FlowStats {
+		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows, Warmup: p.Warmup, Window: p.Window}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	for _, n := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			p := NewPredictor(cfg, apps.Small(), 0.0001, 0.0003)
+			p.SweepGrid = []int{3200, 1600, 800, 0}
+			samples, err := p.Sweep(typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo, err := p.Solo(typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := newPlatformRun(p, []FlowSpec{target})[0]; solo != want {
+				t.Errorf("GOMAXPROCS %d: solo %+v, on a new platform %+v", n, solo.Raw, want.Raw)
+			}
+			want := make([]SweepSample, len(p.SweepGrid))
+			for g, k := range p.SweepGrid {
+				flows := []FlowSpec{target}
+				for i := 1; i <= p.Competitors; i++ {
+					flows = append(flows, FlowSpec{Type: apps.SYN, Core: i, Seed: SeedFor(apps.SYN, i), SynCompute: k})
+				}
+				stats := newPlatformRun(p, flows)
+				want[g].Target = stats[0]
+				for _, s := range stats[1:] {
+					want[g].CompetingRefsPerSec += s.L3RefsPerSec()
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].CompetingRefsPerSec < want[j].CompetingRefsPerSec })
+			for i, s := range samples {
+				if s != want[i] {
+					t.Errorf("GOMAXPROCS %d: sweep sample %d %+v, on a new platform %+v", n, i, s.Target.Raw, want[i].Target.Raw)
+				}
+			}
+			if free := p.freePlatforms(); free < 1 || free > n {
+				t.Errorf("GOMAXPROCS %d: %d platforms on the free list, want 1..%d", n, free, n)
+			}
+		}()
 	}
 }
 

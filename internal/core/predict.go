@@ -82,11 +82,12 @@ type Predictor struct {
 	// paper uses 5: one target plus five competitors fill a socket).
 	Competitors int
 
-	mu     sync.Mutex // guards the maps, never held while measuring
+	mu     sync.Mutex // guards the maps and free, never held while measuring
 	solo   map[apps.FlowType]*memo[hw.FlowStats]
 	curves map[apps.FlowType]*memo[Curve]
 	sweeps map[apps.FlowType]*memo[[]SweepSample]
 	mixes  map[string]*memo[[]hw.FlowStats]
+	free   []*hw.Platform // platforms no experiment is using (see measure)
 }
 
 // memo is one memoised quantity: its first caller measures it, concurrent
@@ -111,10 +112,10 @@ func memoised[K comparable, T any](p *Predictor, m map[K]*memo[T], k K, measure 
 }
 
 // Offline profiling is a set of independent leaf experiments: each builds
-// its own platform and flows, measures one window, and is a pure function
-// of its scenario. So they run concurrently, every result lands in a slot
-// addressed by its index, and at most GOMAXPROCS are live in the whole
-// process: concurrent passes share that many scenarios' state, no more.
+// its own flows on a platform as constructed, measures one window, and is
+// a pure function of its scenario. So they run concurrently, every result
+// lands in a slot addressed by its index, and at most GOMAXPROCS are live
+// in the whole process: concurrent passes share that many scenarios' state.
 var (
 	slotMu          sync.Mutex
 	slotFreed       = sync.NewCond(&slotMu)
@@ -122,8 +123,8 @@ var (
 )
 
 // Experiment runs one leaf experiment holding one of the process's
-// GOMAXPROCS experiment slots, taken before run builds anything and
-// released when it returns. run must not wait for another Experiment.
+// GOMAXPROCS experiment slots, taken before run builds or reuses anything
+// and released when it returns. run must not wait for another Experiment.
 func Experiment[T any](run func() (T, error)) (T, error) {
 	slotMu.Lock()
 	for liveExperiments >= runtime.GOMAXPROCS(0) {
@@ -164,15 +165,33 @@ func FanOut(n int, f func(i int) error) error {
 }
 
 // measure co-runs flows as one leaf experiment and keeps only the window
-// statistics: platform and tables are garbage once the slot is free.
+// statistics. It takes a platform off p's free list and resets it — a new
+// one when the list is empty or holds another Cfg — and puts it back once
+// the window is measured, so p holds at most GOMAXPROCS platforms, one per
+// experiment slot; the flows' tables are garbage once the slot is free.
 func (p *Predictor) measure(flows []FlowSpec) ([]hw.FlowStats, error) {
 	return Experiment(func() ([]hw.FlowStats, error) {
-		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows,
-			Warmup: p.Warmup, Window: p.Window}.Run()
+		p.mu.Lock()
+		var platform *hw.Platform
+		if n := len(p.free); n > 0 {
+			platform, p.free = p.free[n-1], p.free[:n-1]
+		}
+		p.mu.Unlock()
+		if platform == nil || platform.Cfg != p.Cfg {
+			platform = hw.NewPlatform(p.Cfg)
+		} else {
+			platform.Reset()
+		}
+		defer func() {
+			p.mu.Lock()
+			p.free = append(p.free, platform)
+			p.mu.Unlock()
+		}()
+		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows}.buildOn(platform)
 		if err != nil {
 			return nil, err
 		}
-		return res.Stats, nil
+		return res.Engine.MeasureWindow(p.Warmup, p.Window), nil
 	})
 }
 

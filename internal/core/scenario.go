@@ -56,10 +56,15 @@ type RunResult struct {
 // Build constructs the platform, flows, and engine without running
 // anything, for callers that drive the engine themselves.
 func (s Scenario) Build() (*RunResult, error) {
+	return s.buildOn(hw.NewPlatform(s.Cfg))
+}
+
+// buildOn is Build on a platform in its constructed state for s.Cfg: a
+// new one, or one Platform.Reset returned to it.
+func (s Scenario) buildOn(platform *hw.Platform) (*RunResult, error) {
 	if len(s.Flows) == 0 {
 		return nil, fmt.Errorf("core: scenario has no flows")
 	}
-	platform := hw.NewPlatform(s.Cfg)
 	engine := hw.NewEngine(platform)
 	arenas := make(map[int]*mem.Arena)
 	arena := func(d int) *mem.Arena {

@@ -100,7 +100,6 @@ func NewCache(name string, g CacheGeom, policy ReplacementPolicy) *Cache {
 		ways:   g.Ways,
 		policy: policy,
 		tick:   1 << (idxShift + bits.Len(uint(g.Ways-1))),
-		rng:    0x9e3779b97f4a7c15,
 	}
 	c.Flush()
 	return c
@@ -266,7 +265,8 @@ func (c *Cache) ValidLines() int {
 	return n
 }
 
-// Flush invalidates every line and resets statistics.
+// Flush returns the cache to its constructed state: no valid line, no
+// statistics, and the use-stamp clock and random-victim state rewound.
 func (c *Cache) Flush() {
 	for base := 0; base < len(c.tags); base += c.ways {
 		for way := 0; way < c.ways; way++ {
@@ -275,4 +275,5 @@ func (c *Cache) Flush() {
 		}
 	}
 	c.Stats = CacheStats{}
+	c.clock, c.rng = 0, 0x9e3779b97f4a7c15
 }

@@ -158,6 +158,34 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
+// TestFlushedRandomCacheMatchesNew: a ReplaceRandom L3 that was used and
+// then flushed picks, on one address stream, the victims a new cache
+// picks — Flush rewinds the victim draw and the stamp clock.
+func TestFlushedRandomCacheMatchesNew(t *testing.T) {
+	g := CacheGeom{SizeBytes: 16 << 10, Ways: 4}
+	stream := func(i int) Addr { return Addr(i*i%4099) * LineSize }
+	used := NewCache("used", g, ReplaceRandom)
+	for i := range 5000 {
+		used.Insert(stream(i+1), i%3 == 0)
+	}
+	used.Flush()
+	fresh := NewCache("fresh", g, ReplaceRandom)
+	evictions := 0
+	for i := range 5000 {
+		v1, d1, e1 := used.Insert(stream(i), i%2 == 0)
+		v2, d2, e2 := fresh.Insert(stream(i), i%2 == 0)
+		if v1 != v2 || d1 != d2 || e1 != e2 {
+			t.Fatalf("insert %d: flushed cache evicted (%#x, dirty %v, %v), new cache (%#x, dirty %v, %v)", i, v1, d1, e1, v2, d2, e2)
+		}
+		if e1 {
+			evictions++
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("the stream never filled a set")
+	}
+}
+
 func TestCacheCapacityNeverExceeded(t *testing.T) {
 	c := newTinyCache(t, 2048, 4, ReplaceLRU)
 	total := c.Sets() * c.Ways()

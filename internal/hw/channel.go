@@ -141,13 +141,8 @@ func (ch *Channel) AvgQueueCycles() float64 {
 	return float64(ch.QueueCycles) / float64(ch.Requests)
 }
 
-// Reset clears statistics and pending occupancy.
+// Reset returns the channel to its constructed state: idle, unbounded and
+// without statistics. Call it only while nothing occupies the channel.
 func (ch *Channel) Reset() {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	ch.nextFree = 0
-	ch.Requests = 0
-	ch.QueueCycles = 0
-	ch.BusyCycles = 0
-	ch.waitHist = [waitBuckets]uint64{}
+	*ch = Channel{Name: ch.Name, ServiceCycles: ch.ServiceCycles}
 }

@@ -275,9 +275,12 @@ func (c *Core) evictedL3(now uint64, victim Addr, old uint64) {
 	}
 }
 
-// FlushCaches invalidates every cache on the platform and resets channel
-// state; counters are left untouched.
-func (p *Platform) FlushCaches() {
+// Reset returns the platform to the state NewPlatform(p.Cfg) builds: every
+// cache and channel as constructed, every core's counters, clock and
+// element table cleared, every domain at its default home. Call it only
+// while no core is executing.
+func (p *Platform) Reset() {
+	p.domainHome = nil
 	for _, s := range p.Sockets {
 		s.L3.Flush()
 		s.Mem.Reset()
@@ -285,6 +288,7 @@ func (p *Platform) FlushCaches() {
 		for _, c := range s.Cores {
 			c.L1.Flush()
 			c.L2.Flush()
+			c.Counters, c.clock, c.elems, c.curElem = Counters{}, 0, nil, 0
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // smallConfig returns a scaled-down platform for unit tests: same
 // structure as the Westmere model, tiny caches so eviction behaviour is
@@ -219,16 +222,41 @@ func TestFuncAttribution(t *testing.T) {
 	}
 }
 
-func TestFlushCaches(t *testing.T) {
+// TestResetMatchesNew: a platform driven through everything that leaves
+// state behind — loads, stores and DMA writes on both sockets, a re-homed
+// domain, bounded channel waits, an element table, random L3 victims —
+// and then reset is indistinguishable from a new one. This is the proof
+// that an experiment on a reset platform shares nothing with the last.
+func TestResetMatchesNew(t *testing.T) {
 	cfg := smallConfig()
+	cfg.L3Policy = ReplaceRandom
 	p := NewPlatform(cfg)
-	core := p.Cores[0]
-	core.Access(0, 0x40, false, FuncOther)
-	p.FlushCaches()
-	if core.L1.ValidLines() != 0 || p.Sockets[0].L3.ValidLines() != 0 {
-		t.Fatal("FlushCaches left valid lines behind")
+	p.SetDomainHome(2, 1)
+	p.BoundChannelWaits(20)
+	p.Cores[0].SetElemTable(make([]ElemCell, 2))
+	l3Lines := cfg.L3.SizeBytes / LineSize
+	for i := range 3 * l3Lines {
+		for _, c := range p.Cores {
+			base := DomainBase(i%3) + Addr(c.ID<<24)
+			c.ExecOps([]Op{
+				{Kind: OpLoad, Addr: base + Addr(i*LineSize)},
+				{Kind: OpStore, Addr: base + Addr((i+7)*LineSize), Elem: 1},
+				{Kind: OpDMAWrite, Addr: base + Addr((i+l3Lines)*LineSize)},
+				{Kind: OpCompute, Cycles: 5, Instrs: 2},
+			})
+		}
 	}
-	if core.Counters.L3Refs != 1 {
-		t.Fatal("FlushCaches must not clear core counters")
+	fresh := NewPlatform(cfg)
+	for _, s := range p.Sockets {
+		if s.L3.Stats.Evictions == 0 || s.Mem.MaxWait == 0 || s.Mem.Requests == 0 || s.L3.rng == fresh.Sockets[0].L3.rng {
+			t.Fatalf("socket %d: the run left no state to reset (L3 %+v)", s.ID, s.L3.Stats)
+		}
+	}
+	if p.Sockets[1].QPI.Requests == 0 || p.Cores[0].elems[1].L3Refs == 0 {
+		t.Fatal("the run crossed no socket or attributed nothing to the element table")
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, fresh) {
+		t.Fatal("a reset platform differs from NewPlatform(cfg)")
 	}
 }

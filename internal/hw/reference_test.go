@@ -30,8 +30,7 @@ type refCache struct {
 }
 
 func newRefCache(g CacheGeom, policy ReplacementPolicy) *refCache {
-	c := &refCache{lines: make([]refLine, g.Sets()*g.Ways), sets: uint64(g.Sets()), ways: g.Ways,
-		policy: policy, rng: 0x9e3779b97f4a7c15}
+	c := &refCache{lines: make([]refLine, g.Sets()*g.Ways), sets: uint64(g.Sets()), ways: g.Ways, policy: policy}
 	c.flush()
 	return c
 }
@@ -143,6 +142,7 @@ func (c *refCache) flush() {
 		c.lines[i] = refLine{tag: invalidTag}
 	}
 	c.stats = CacheStats{}
+	c.clock, c.rng = 0, 0x9e3779b97f4a7c15
 }
 
 type refCore struct {
@@ -182,7 +182,9 @@ func newRefPlatform(cfg Config) *refPlatform {
 
 func (p *refPlatform) home(addr Addr) *refSocket { return p.sockets[DomainOf(addr)%len(p.sockets)] }
 
-func (p *refPlatform) flushCaches() {
+// reset is Platform.Reset: empty caches, idle channels, zero clocks and
+// counters.
+func (p *refPlatform) reset() {
 	for _, s := range p.sockets {
 		s.l3.flush()
 		s.mem.Reset()
@@ -190,6 +192,7 @@ func (p *refPlatform) flushCaches() {
 		for _, c := range s.cores {
 			c.l1.flush()
 			c.l2.flush()
+			c.cnt, c.clock = Counters{}, 0
 		}
 	}
 }
@@ -414,8 +417,8 @@ func replayAgainstReference(t *testing.T, cfg Config, seed int64, ops int) {
 	}
 	for i := 0; i < ops; i++ {
 		if rnd.Intn(ops/3) == 0 {
-			p.FlushCaches()
-			ref.flushCaches()
+			p.Reset()
+			ref.reset()
 			continue
 		}
 		id := rnd.Intn(len(p.Cores))
