@@ -32,10 +32,7 @@ type Channel struct {
 	mu       sync.Mutex
 	nextFree uint64
 
-	// Stats
-	Requests    uint64
-	QueueCycles uint64 // total cycles requests spent waiting
-	BusyCycles  uint64 // total cycles the channel was occupied
+	Requests uint64 // requests served
 
 	// waitHist counts requests by queueing delay in power-of-two buckets:
 	// bucket 0 is zero wait, bucket i ≥ 1 covers [2^(i-1), 2^i). It feeds
@@ -71,20 +68,10 @@ func (ch *Channel) Occupy(now uint64) (wait uint64) {
 		wait = ch.MaxWait
 		start = now + wait
 	}
-	// Busy time only accrues for the part of this service window that
-	// extends the channel's busy horizon: a capped request overlaps time
-	// already reserved, and counting it twice would push Utilization
-	// past 1.
-	if nf := start + ch.ServiceCycles; nf > ch.nextFree {
-		if busy := nf - ch.nextFree; busy < ch.ServiceCycles {
-			ch.BusyCycles += busy
-		} else {
-			ch.BusyCycles += ch.ServiceCycles
-		}
-		ch.nextFree = nf
-	}
+	// A capped request overlaps time already reserved: the horizon only
+	// ever moves forward.
+	ch.nextFree = max(ch.nextFree, start+ch.ServiceCycles)
 	ch.Requests++
-	ch.QueueCycles += wait
 	ch.waitHist[waitBucket(wait)]++
 	return wait
 }
@@ -123,22 +110,6 @@ func (ch *Channel) WaitQuantile(q float64) uint64 {
 		}
 	}
 	return 1<<(waitBuckets-1) - 1
-}
-
-// Utilization returns the fraction of [0, now] the channel spent busy.
-func (ch *Channel) Utilization(now uint64) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(ch.BusyCycles) / float64(now)
-}
-
-// AvgQueueCycles returns the mean queueing delay per request.
-func (ch *Channel) AvgQueueCycles() float64 {
-	if ch.Requests == 0 {
-		return 0
-	}
-	return float64(ch.QueueCycles) / float64(ch.Requests)
 }
 
 // Reset returns the channel to its constructed state: idle, unbounded and

@@ -15,6 +15,20 @@ func TestChannelNoContentionNoWait(t *testing.T) {
 	}
 }
 
+// TestChannelUtilization checks the channel at half utilization: requests
+// spaced twice the service time apart never queue, and the histogram agrees.
+func TestChannelUtilization(t *testing.T) {
+	ch := NewChannel("mem", 10)
+	for i := 0; i < 5; i++ {
+		if w := ch.Occupy(uint64(i) * 20); w != 0 {
+			t.Fatalf("request %d at half load waited %d", i, w)
+		}
+	}
+	if ch.Requests != 5 || ch.WaitQuantile(1) != 0 {
+		t.Fatalf("%d requests, max wait bucket %d; want 5 and 0", ch.Requests, ch.WaitQuantile(1))
+	}
+}
+
 func TestChannelBackToBackQueues(t *testing.T) {
 	ch := NewChannel("mem", 10)
 	ch.Occupy(0) // busy until 10
@@ -24,8 +38,9 @@ func TestChannelBackToBackQueues(t *testing.T) {
 	if w := ch.Occupy(0); w != 20 {
 		t.Fatalf("third request wait = %d, want 20", w)
 	}
-	if ch.Requests != 3 || ch.QueueCycles != 30 || ch.BusyCycles != 30 {
-		t.Fatalf("stats = req %d queue %d busy %d", ch.Requests, ch.QueueCycles, ch.BusyCycles)
+	// Waits 0, 10 and 20 land in buckets 0, [8,16) and [16,32).
+	if ch.Requests != 3 || ch.waitHist[0] != 1 || ch.waitHist[4] != 1 || ch.waitHist[5] != 1 {
+		t.Fatalf("stats = req %d, wait histogram %v", ch.Requests, ch.waitHist)
 	}
 }
 
@@ -38,25 +53,13 @@ func TestChannelDrainsAfterIdle(t *testing.T) {
 	}
 }
 
-func TestChannelUtilization(t *testing.T) {
-	ch := NewChannel("mem", 10)
-	for i := 0; i < 5; i++ {
-		ch.Occupy(uint64(i) * 20)
-	}
-	if u := ch.Utilization(100); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if ch.AvgQueueCycles() != 0 {
-		t.Fatalf("avg queue = %v, want 0", ch.AvgQueueCycles())
-	}
-}
-
 func TestChannelReset(t *testing.T) {
 	ch := NewChannel("mem", 10)
 	ch.Occupy(0)
+	ch.Occupy(0)
 	ch.Reset()
-	if ch.Requests != 0 || ch.BusyCycles != 0 {
-		t.Fatalf("stats not reset: req %d busy %d", ch.Requests, ch.BusyCycles)
+	if ch.Requests != 0 || ch.waitHist != [waitBuckets]uint64{} {
+		t.Fatalf("stats not reset: req %d, wait histogram %v", ch.Requests, ch.waitHist)
 	}
 	if w := ch.Occupy(0); w != 0 {
 		t.Fatalf("wait after reset = %d, want 0", w)

@@ -5,8 +5,9 @@ package hw
 // goroutine per simulated core and keeps core clocks loosely synchronised
 // with a time quantum. Both replay ops through the same interpreter
 // (Core.exec); ExecOps is the per-core entry point for the concurrent
-// mode, adding only the owning socket's lock around every cache-state
-// mutation so that same-socket workers may run concurrently.
+// mode, adding only the owning socket's lock, held once per run of
+// consecutive memory ops, so that same-socket workers may run
+// concurrently.
 //
 // Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
 // an access only ever touches its own socket's caches; remote-domain
@@ -17,43 +18,50 @@ package hw
 // function and element accounts. The executors differ only in the policy
 // around it. The Engine passes one op at a time in global virtual-time
 // order with shared false: it is single-threaded and never locks. ExecOps
-// and ExecStall pass a whole trace with shared true, and exec then holds
-// the owning socket's lock around the cache-state mutation of each memory
-// op only.
+// and ExecStall pass a whole trace with shared true, and exec then takes
+// the owning socket's lock once per run of consecutive memory ops,
+// releasing it at every compute op and at the end of the trace. A compute
+// op touches no shared state, so it bounds every hold. Holding the lock
+// for the whole trace saved no more host time, but it coarsened how
+// co-located cores interleave and measurably lowered prediction accuracy.
 //
 //dataplane:owner the simulated core is the single writer of its element cells
 //dataplane:hotpath
 func (c *Core) exec(ops []Op, shared bool) {
 	cnt := &c.Counters
+	locked := false
 	for _, op := range ops {
 		var lat, instrs uint64 = 0, 1
 		switch op.Kind {
 		case OpCompute:
+			if locked {
+				c.Socket.mu.Unlock()
+				locked = false
+			}
 			lat, instrs = uint64(op.Cycles), uint64(op.Instrs)
 		case OpLoad, OpStore, OpLoadStream:
-			c.curElem = op.Elem
-			if shared {
+			if shared && !locked {
 				c.Socket.mu.Lock()
+				locked = true
 			}
+			c.curElem = op.Elem
 			lat = c.Access(c.clock, op.Addr, op.Kind == OpStore, op.Func)
-			if shared {
-				c.Socket.mu.Unlock()
-			}
 			if op.Kind == OpLoadStream {
 				if mlp := c.Socket.platform.Cfg.StreamMLP; mlp > 1 {
 					lat = (lat + mlp - 1) / mlp
 				}
 			}
 		case OpDMAWrite:
-			if shared {
+			if shared && !locked {
 				c.Socket.mu.Lock()
+				locked = true
 			}
 			c.DMAWrite(c.clock, op.Addr)
-			if shared {
-				c.Socket.mu.Unlock()
-			}
 			continue // the NIC does the work: no cycles, no instruction
 		default:
+			if locked {
+				c.Socket.mu.Unlock() // peers on the socket must outlive the panic
+			}
 			panic("hw: unknown op kind")
 		}
 		c.clock += lat
@@ -63,6 +71,9 @@ func (c *Core) exec(ops []Op, shared bool) {
 		if c.elems != nil {
 			c.elems[op.Elem].Cycles += lat
 		}
+	}
+	if locked {
+		c.Socket.mu.Unlock()
 	}
 }
 

@@ -43,8 +43,9 @@ type Socket struct {
 	// mu serialises access to the socket's cache state (the shared L3
 	// and, because DMA delivery and inclusive-L3 back-invalidation cross
 	// core boundaries, every core-private cache on the socket) when flows
-	// execute concurrently (see Core.ExecOps). The single-threaded engine
-	// path never takes it.
+	// execute concurrently (see Core.ExecOps): a core holds it once per
+	// run of consecutive memory ops and releases it at every compute op.
+	// The single-threaded engine path never takes it.
 	mu sync.Mutex
 
 	platform *Platform

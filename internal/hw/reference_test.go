@@ -461,8 +461,8 @@ func replayAgainstReference(t *testing.T, cfg Config, seed int64, ops int) {
 	}
 	sameChannel := func(ch, r *Channel) {
 		t.Helper()
-		if ch.Requests != r.Requests || ch.QueueCycles != r.QueueCycles {
-			t.Fatalf("%s: %d requests / %d queue cycles, reference %d / %d", ch.Name, ch.Requests, ch.QueueCycles, r.Requests, r.QueueCycles)
+		if ch.Requests != r.Requests || ch.waitHist != r.waitHist {
+			t.Fatalf("%s: %d requests / wait histogram %v, reference %d / %v", ch.Name, ch.Requests, ch.waitHist, r.Requests, r.waitHist)
 		}
 	}
 	for i, s := range p.Sockets {

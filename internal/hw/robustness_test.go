@@ -1,8 +1,10 @@
 package hw
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Robustness and invariant tests across the hw package: counter algebra,
@@ -206,26 +208,109 @@ func TestStreamLoadCheaperThanLoad(t *testing.T) {
 }
 
 // TestUnknownOpPanics: an op kind the interpreter does not know is a
-// bug in the emitter, and both executors must refuse it loudly.
+// bug in the emitter, and both executors must refuse it loudly — without
+// leaving the socket's lock held, which would deadlock every peer core
+// on the socket. The bad op after a load arrives mid-hold.
 func TestUnknownOpPanics(t *testing.T) {
-	bad := []Op{{Kind: OpKind(99)}}
+	bad := Op{Kind: OpKind(99)}
 	paths := map[string]func(p *Platform){
 		"engine": func(p *Platform) {
 			e := NewEngine(p)
-			e.Attach(0, "bad", SourceFunc(func(buf []Op) []Op { return append(buf, bad...) }))
+			e.Attach(0, "bad", SourceFunc(func(buf []Op) []Op { return append(buf, bad) }))
 			e.RunUntil(1000)
 		},
-		"ExecOps":   func(p *Platform) { p.Cores[0].ExecOps(bad) },
-		"ExecStall": func(p *Platform) { p.Cores[0].ExecStall(bad) },
+		"ExecOps":            func(p *Platform) { p.Cores[0].ExecOps([]Op{bad}) },
+		"ExecStall":          func(p *Platform) { p.Cores[0].ExecStall([]Op{bad}) },
+		"ExecOps after load": func(p *Platform) { p.Cores[0].ExecOps([]Op{{Kind: OpLoad, Addr: 64}, bad}) },
 	}
 	for name, run := range paths {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic for unknown op kind")
-				}
+			p := NewPlatform(smallConfig())
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic for unknown op kind")
+					}
+				}()
+				run(p)
 			}()
-			run(NewPlatform(smallConfig()))
+			done := make(chan struct{})
+			go func() {
+				p.Cores[1].ExecOps([]Op{{Kind: OpLoad, Addr: 64}, {Kind: OpDMAWrite, Addr: 128}})
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("core 1 still blocked after 5 s: the panic left socket 0's lock held")
+			}
 		})
+	}
+}
+
+// TestExecOpsConcurrentSockets drives four cores on each socket of a
+// small inclusive platform from their own goroutines — the runtime's
+// execution mode — with traces that mix DMA writes, stores, stream loads
+// and remote-domain loads over far more lines than the L3 holds, so
+// back-invalidation crosses cores while they run. Host interleaving
+// varies, but the counter identities may not: every op is counted once
+// at every level it reaches, and every remote reference crosses a QPI
+// link exactly once. Run it under -race.
+func TestExecOpsConcurrentSockets(t *testing.T) {
+	cfg := smallConfig()
+	p := NewPlatform(cfg)
+	p.BoundChannelWaits(32)          // the runtime's DefaultMaxQueueWait
+	const packets, lines = 300, 2048 // 128 KiB a core against a 16 KiB L3
+	var cores []*Core
+	for _, s := range p.Sockets {
+		cores = append(cores, s.Cores[:4]...)
+	}
+	var wg sync.WaitGroup
+	for i, c := range cores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			local := DomainBase(c.Socket.ID) + Addr(i)*lines*LineSize
+			remote := DomainBase(1-c.Socket.ID) + Addr(i)*lines*LineSize
+			var ops []Op
+			for n := 0; n < packets; n++ {
+				line := func(k int) Addr { return Addr((n*7+k*131)%lines) * LineSize }
+				ops = append(ops[:0],
+					Op{Kind: OpDMAWrite, Addr: local + line(0)},
+					Op{Kind: OpLoad, Addr: local + line(0)},
+					Op{Kind: OpCompute, Cycles: 40, Instrs: 30},
+					Op{Kind: OpStore, Addr: local + line(1)},
+					Op{Kind: OpLoadStream, Addr: local + line(2)},
+					Op{Kind: OpLoadStream, Addr: local + line(3)},
+					Op{Kind: OpCompute, Cycles: 20, Instrs: 10},
+					Op{Kind: OpLoad, Addr: remote + line(4)},
+					Op{Kind: OpStore, Addr: remote + line(5)},
+				)
+				c.ExecOps(ops)
+			}
+		}()
+	}
+	wg.Wait()
+
+	const memOps = 6 * packets // every op of a trace but the DMA write and the two computes
+	var remoteRefs, qpiRequests uint64
+	for _, c := range cores {
+		k := c.Counters
+		if k.L1Hits+k.L2Refs != k.L1Refs || k.L2Hits+k.L3Refs != k.L2Refs || k.L3Hits+k.L3Misses != k.L3Refs {
+			t.Errorf("core %d: counter hierarchy broken: %+v", c.ID, k)
+		}
+		if k.L1Refs != memOps || k.Packets != packets {
+			t.Errorf("core %d: %d L1 refs / %d packets, want %d / %d", c.ID, k.L1Refs, k.Packets, memOps, packets)
+		}
+		remoteRefs += k.RemoteRefs
+	}
+	for _, s := range p.Sockets {
+		qpiRequests += s.QPI.Requests
+		if s.L3.Stats.Evictions == 0 {
+			t.Errorf("socket %d: no L3 eviction, so no back-invalidation was exercised", s.ID)
+		}
+	}
+	if remoteRefs == 0 || remoteRefs != qpiRequests {
+		t.Errorf("Σ RemoteRefs %d, Σ QPI requests %d: want equal and non-zero", remoteRefs, qpiRequests)
 	}
 }
