@@ -9,9 +9,8 @@ package analysis
 //
 // Expected diagnostics are `// want "regex"` comments: every diagnostic
 // must land on a line carrying a want whose regex matches its message,
-// and every want must be matched. Facts flow between fixture packages
-// exactly as the drivers propagate them, so cross-package checks
-// (singlewriter's cell facts) are testable.
+// and every want must be matched. The driver's directive check runs over
+// every fixture package alongside the analyzer, as vetdp runs it.
 
 import (
 	"bytes"
@@ -63,7 +62,6 @@ type fixturePkg struct {
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
-	facts map[string][]string // analyzer → exported facts
 }
 
 // fixtureImporter resolves fixture-local imports by path, falling back
@@ -127,13 +125,7 @@ func loadFixtures(t *testing.T, fset *token.FileSet, paths ...string) []*fixture
 			t.Fatalf("type-checking fixture %s: %v", path, err)
 		}
 		imp.local[path] = tpkg
-		out = append(out, &fixturePkg{
-			path:  path,
-			files: files,
-			pkg:   tpkg,
-			info:  info,
-			facts: map[string][]string{},
-		})
+		out = append(out, &fixturePkg{path: path, files: files, pkg: tpkg, info: info})
 	}
 	return out
 }
@@ -144,30 +136,15 @@ type diag struct {
 	msg string
 }
 
-// runFixtures drives one analyzer over the fixture packages in order,
-// threading facts, and returns all diagnostics.
+// runFixtures drives the directive check and one analyzer over the
+// fixture packages in order and returns all diagnostics.
 func runFixtures(t *testing.T, a *Analyzer, pkgs []*fixturePkg, fset *token.FileSet) []diag {
 	t.Helper()
 	var out []diag
-	for i, p := range pkgs {
-		p := p
-		var depFacts []string
-		for _, d := range pkgs[:i] {
-			depFacts = append(depFacts, d.facts[a.Name]...)
-		}
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      p.files,
-			Pkg:        p.pkg,
-			Info:       p.info,
-			Sizes:      types.SizesFor("gc", build.Default.GOARCH),
-			DepFacts:   func() []string { return depFacts },
-			ExportFact: func(fact string) { p.facts[a.Name] = append(p.facts[a.Name], fact) },
-			Report: func(d Diagnostic) {
-				out = append(out, diag{pos: fset.Position(d.Pos), msg: d.Message})
-			},
-		}
+	report := func(d Diagnostic) { out = append(out, diag{pos: fset.Position(d.Pos), msg: d.Message}) }
+	for _, p := range pkgs {
+		checkDirectives(fset, p.files, report)
+		pass := &Pass{Analyzer: a, Fset: fset, Files: p.files, Pkg: p.pkg, Info: p.info, Report: report}
 		if err := a.Run(pass); err != nil {
 			t.Fatalf("%s on fixture %s: %v", a.Name, p.path, err)
 		}

@@ -18,17 +18,3 @@ func TestHotPathAllocGolden(t *testing.T) {
 func TestElemStampGolden(t *testing.T) {
 	checkFixtures(t, ElemStamp, "hw", "click", "synthbug")
 }
-
-// TestSingleWriterGolden covers cell registration (size and kind
-// checks), the access rules in the declaring package, and — via the
-// celluser fixture — cell facts flowing across package boundaries.
-func TestSingleWriterGolden(t *testing.T) {
-	checkFixtures(t, SingleWriter, "cell", "celluser")
-}
-
-// TestMetricLintGolden covers family-name constancy, the _total
-// counter convention, label constancy, and slice-forwarded labels
-// against a fixture mirror of the obs.Registry surface.
-func TestMetricLintGolden(t *testing.T) {
-	checkFixtures(t, MetricLint, "obs", "metrics")
-}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -12,18 +13,16 @@ import (
 //
 //	//dataplane:hotpath
 //	//dataplane:stamped <reason>
-//	//dataplane:cell
-//	//dataplane:owner <reason>
 //	//dataplane:allow <analyzer> <reason>
 //
-// hotpath, stamped, owner and allow attach to a function through its doc
-// comment; cell attaches to a type declaration; allow additionally works
-// as an end-of-line comment suppressing just that line's finding.
+// All three attach to a function through its doc comment; allow also
+// works in a type's doc comment and as an end-of-line comment
+// suppressing just that line's finding. Any other name is reported.
 const directivePrefix = "//dataplane:"
 
 // directive is one parsed //dataplane: comment.
 type directive struct {
-	name string // "hotpath", "stamped", "cell", "owner", "allow"
+	name string // "hotpath", "stamped", "allow"
 	args string // remainder after the name, space-trimmed
 	pos  token.Pos
 }
@@ -187,12 +186,29 @@ func (p *Pass) allowed(pos token.Pos) bool {
 	return false
 }
 
-// enclosingFunc returns the function declaration containing pos, or nil.
-func enclosingFunc(f *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && pos >= fd.Pos() && pos < fd.End() {
-			return fd
+// checkDirectives reports, once per comment, every //dataplane:
+// directive in the non-test files that vetdp does not know: a name other
+// than hotpath, stamped and allow, or an allow naming no analyzer in
+// All(). A misspelled directive would otherwise exempt its function
+// silently.
+func checkDirectives(fset *token.FileSet, files []*ast.File, report func(Diagnostic)) {
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	for _, f := range files {
+		if strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
+			continue
+		}
+		for _, cg := range f.Comments {
+			for _, d := range parseDirectives(cg) {
+				switch a, isAllow := toAllow(d); {
+				case isAllow && !known[a.analyzer]:
+					report(Diagnostic{Pos: d.pos, Message: fmt.Sprintf("//dataplane:allow names %q, which is not a vetdp analyzer: it suppresses nothing", a.analyzer)})
+				case !isAllow && d.name != "hotpath" && d.name != "stamped":
+					report(Diagnostic{Pos: d.pos, Message: fmt.Sprintf("unknown directive //dataplane:%s: vetdp knows hotpath, stamped and allow", d.name)})
+				}
+			}
 		}
 	}
-	return nil
 }

@@ -74,3 +74,25 @@ func hotBadAllow(n int) {
 	b := make([]byte, n) // want `make in hot path allocates`
 	_ = b
 }
+
+// hotMisspelt's directive is misspelt: vetdp reports it instead of
+// leaving the function silently unchecked.
+//
+//dataplane:hotpth // want `unknown directive //dataplane:hotpth`
+func hotMisspelt(n int) []byte {
+	return make([]byte, n)
+}
+
+// retired carries a directive vetdp no longer knows.
+//
+//dataplane:cell // want `unknown directive //dataplane:cell`
+type retired struct{ a uint64 }
+
+// hotUnknownAllow's allow names no analyzer: it is reported and
+// suppresses nothing.
+//
+//dataplane:hotpath
+func hotUnknownAllow(n int) {
+	b := make([]byte, n) //dataplane:allow hotpathaloc misspelt analyzer name // want `"hotpathaloc", which is not a vetdp analyzer` `make in hot path allocates`
+	_ = b
+}

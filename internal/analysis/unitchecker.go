@@ -11,7 +11,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"sort"
 )
 
 // This file implements the `go vet -vettool` unit-checker protocol, the
@@ -23,13 +22,13 @@ import (
 //     action cache key,
 //   - `vetdp -flags` prints the tool's flag schema as JSON,
 //   - `vetdp <objdir>/vet.cfg` analyzes one package described by a JSON
-//     config: sources, export data for every import, and "vetx" fact
-//     files produced by earlier runs over the dependencies.
+//     config: sources and export data for every import.
 //
-// Dependency-only packages (VetxOnly, which includes the whole standard
-// library) are analyzed silently just to harvest facts; diagnostics are
-// printed only for the packages the user named, and a nonzero exit
-// fails the `go vet` invocation.
+// The analyzers keep no cross-package facts, so a dependency-only package
+// (VetxOnly, which includes the whole standard library) gets an empty
+// "vetx" fact file and is neither parsed nor type-checked. Diagnostics are
+// printed only for the packages the user named, and a nonzero exit fails
+// the `go vet` invocation.
 
 // VetConfig is the part of cmd/go's vet configuration JSON the checker
 // reads; decoding skips the other keys.
@@ -39,18 +38,11 @@ type VetConfig struct {
 	GoVersion   string            `json:"GoVersion"`
 	ImportMap   map[string]string `json:"ImportMap"`
 	PackageFile map[string]string `json:"PackageFile"`
-	PackageVetx map[string]string `json:"PackageVetx"`
 	VetxOnly    bool              `json:"VetxOnly"`
 	VetxOutput  string            `json:"VetxOutput"`
 
 	SucceedOnTypecheckFailure bool `json:"SucceedOnTypecheckFailure"`
 }
-
-// vetxFile is the fact payload one run leaves for dependent packages:
-// analyzer name → exported fact strings. Facts inherited from this
-// package's own dependencies are folded in, so dependents see the
-// transitive closure without walking it.
-type vetxFile map[string][]string
 
 // RunUnitchecker analyzes the single package described by cfgPath and
 // returns the process exit code: 0 clean, 1 for operational errors,
@@ -60,6 +52,9 @@ func RunUnitchecker(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int
 	if err != nil {
 		fmt.Fprintf(stderr, "vetdp: %v\n", err)
 		return 1
+	}
+	if cfg.VetxOnly {
+		return writeVetx(cfg, stderr)
 	}
 
 	fset := token.NewFileSet()
@@ -98,61 +93,21 @@ func RunUnitchecker(analyzers []*Analyzer, cfgPath string, stderr io.Writer) int
 		return typecheckFailure(cfg, stderr, err)
 	}
 
-	depFacts := map[string][]string{}
-	for _, vetxPath := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxPath)
-		if err != nil {
-			continue // a dep analyzed by an older tool build; facts degrade soft
-		}
-		var vf vetxFile
-		if err := json.Unmarshal(data, &vf); err != nil {
-			continue
-		}
-		for name, facts := range vf {
-			depFacts[name] = append(depFacts[name], facts...)
-		}
-	}
-	for name := range depFacts {
-		sort.Strings(depFacts[name])
-	}
-
-	out := vetxFile{}
 	exit := 0
+	report := func(d Diagnostic) {
+		fmt.Fprintf(stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
+		exit = 2
+	}
+	checkDirectives(fset, files, report)
 	for _, a := range analyzers {
-		a := a
-		exported := append([]string(nil), depFacts[a.Name]...)
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      files,
-			Pkg:        tpkg,
-			Info:       info,
-			Sizes:      conf.Sizes,
-			DepFacts:   func() []string { return depFacts[a.Name] },
-			ExportFact: func(fact string) { exported = append(exported, fact) },
-			Report: func(d Diagnostic) {
-				if cfg.VetxOnly {
-					return
-				}
-				fmt.Fprintf(stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-				exit = 2
-			},
-		}
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info, Report: report}
 		if err := a.Run(pass); err != nil {
 			fmt.Fprintf(stderr, "vetdp: %s on %s: %v\n", a.Name, cfg.ImportPath, err)
 			return 1
 		}
-		if len(exported) > 0 {
-			sort.Strings(exported)
-			out[a.Name] = dedupe(exported)
-		}
 	}
-
-	if cfg.VetxOutput != "" {
-		if err := writeVetx(cfg.VetxOutput, out); err != nil {
-			fmt.Fprintf(stderr, "vetdp: %v\n", err)
-			return 1
-		}
+	if code := writeVetx(cfg, stderr); code != 0 {
+		return code
 	}
 	return exit
 }
@@ -169,39 +124,25 @@ func readVetConfig(path string) (*VetConfig, error) {
 	return cfg, nil
 }
 
-// typecheckFailure handles a package we could not parse or type-check.
-// For dependency-only packages (assembly-heavy runtime internals, cgo)
-// analysis is best-effort fact harvesting, so failure degrades to "no
-// facts" rather than breaking the whole `go vet` run; for the packages
-// under analysis it is fatal unless cmd/go asked otherwise.
+// typecheckFailure handles a package we could not parse or type-check:
+// fatal unless cmd/go asked otherwise.
 func typecheckFailure(cfg *VetConfig, stderr io.Writer, err error) int {
-	if cfg.SucceedOnTypecheckFailure || cfg.VetxOnly {
-		if cfg.VetxOutput != "" {
-			if werr := writeVetx(cfg.VetxOutput, vetxFile{}); werr != nil {
-				fmt.Fprintf(stderr, "vetdp: %v\n", werr)
-				return 1
-			}
-		}
-		return 0
+	if cfg.SucceedOnTypecheckFailure {
+		return writeVetx(cfg, stderr)
 	}
 	fmt.Fprintf(stderr, "vetdp: %s: %v\n", cfg.ImportPath, err)
 	return 1
 }
 
-func writeVetx(path string, vf vetxFile) error {
-	data, err := json.Marshal(vf)
-	if err != nil {
-		return err
+// writeVetx leaves the empty fact file cmd/go expects of every run and
+// returns the exit code: 0, or 1 if it could not be written.
+func writeVetx(cfg *VetConfig, stderr io.Writer) int {
+	if cfg.VetxOutput == "" {
+		return 0
 	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || s != sorted[i-1] {
-			out = append(out, s)
-		}
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+		fmt.Fprintf(stderr, "vetdp: %v\n", err)
+		return 1
 	}
-	return out
+	return 0
 }

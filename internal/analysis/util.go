@@ -59,11 +59,3 @@ func recvType(p *Pass, fd *ast.FuncDecl) *types.Named {
 	}
 	return asNamed(tv.Type)
 }
-
-// qualifiedName renders a named type as pkgpath.Name for facts.
-func qualifiedName(n *types.Named) string {
-	if n.Obj().Pkg() == nil {
-		return n.Obj().Name()
-	}
-	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
-}

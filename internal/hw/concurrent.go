@@ -25,7 +25,6 @@ package hw
 // for the whole trace saved no more host time, but it coarsened how
 // co-located cores interleave and measurably lowered prediction accuracy.
 //
-//dataplane:owner the simulated core is the single writer of its element cells
 //dataplane:hotpath
 func (c *Core) exec(ops []Op, shared bool) {
 	cnt := &c.Counters
@@ -69,7 +68,7 @@ func (c *Core) exec(ops []Op, shared bool) {
 		cnt.Instructions += instrs
 		cnt.Func[op.Func].Cycles += lat
 		if c.elems != nil {
-			c.elems[op.Elem].Cycles += lat
+			c.elems[op.Elem].cost.Cycles += lat
 		}
 	}
 	if locked {

@@ -16,28 +16,42 @@ package hw
 // that core's goroutine (the runtime re-installs it when a re-placement
 // swap re-binds flows), read only at quantum barriers while workers are
 // parked: single-writer, no atomics, and each cell is padded to one
-// cache line so neighbouring slots never false-share.
+// cache line so neighbouring slots never false-share. A cell's fields are
+// unexported, so only this package's interpreter can write one; readers
+// take ElemCost values with CopyCosts.
 
-// ElemCell accumulates one element's execution cost: cycles charged by
-// every op tagged with the element's slot, and the L3 traffic those ops
-// generated. Padded to exactly one 64-byte cache line.
-//
-//dataplane:cell
-type ElemCell struct {
+// ElemCost is one element's execution cost: cycles charged by every op
+// tagged with the element's slot, and the L3 traffic those ops generated.
+type ElemCost struct {
 	Cycles   uint64
 	L3Refs   uint64
 	L3Hits   uint64
 	L3Misses uint64
-	_        [4]uint64 // pad to one cache line
 }
 
 // Sub returns the element-wise difference c − prev, for window deltas.
-func (c ElemCell) Sub(prev ElemCell) ElemCell {
-	return ElemCell{
+func (c ElemCost) Sub(prev ElemCost) ElemCost {
+	return ElemCost{
 		Cycles:   c.Cycles - prev.Cycles,
 		L3Refs:   c.L3Refs - prev.L3Refs,
 		L3Hits:   c.L3Hits - prev.L3Hits,
 		L3Misses: c.L3Misses - prev.L3Misses,
+	}
+}
+
+// ElemCell is one element's live cost accumulator, padded to exactly one
+// 64-byte cache line.
+type ElemCell struct {
+	cost ElemCost
+	_    [4]uint64 // pad to one cache line
+}
+
+// CopyCosts copies the costs of cells into dst, min(len(dst),
+// len(cells)) of them as copy does. Call it only while the table's core
+// is not executing.
+func CopyCosts(dst []ElemCost, cells []ElemCell) {
+	for i := range min(len(dst), len(cells)) {
+		dst[i] = cells[i].cost
 	}
 }
 

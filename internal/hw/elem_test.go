@@ -35,8 +35,10 @@ func TestElemAttributionReconcilesCounters(t *testing.T) {
 	}
 	c.ExecOps(ops)
 
+	cost := make([]ElemCost, len(table))
+	CopyCosts(cost, table)
 	var cyc, refs, hits, misses uint64
-	for _, cell := range table {
+	for _, cell := range cost {
 		cyc += cell.Cycles
 		refs += cell.L3Refs
 		hits += cell.L3Hits
@@ -50,14 +52,14 @@ func TestElemAttributionReconcilesCounters(t *testing.T) {
 		t.Fatalf("element L3 sums (%d/%d/%d) != core counters (%d/%d/%d)",
 			refs, hits, misses, cnt.L3Refs, cnt.L3Hits, cnt.L3Misses)
 	}
-	if table[0].Cycles != 7 {
-		t.Fatalf("overhead slot charged %d cycles, want 7", table[0].Cycles)
+	if cost[0].Cycles != 7 {
+		t.Fatalf("overhead slot charged %d cycles, want 7", cost[0].Cycles)
 	}
-	if table[1].Cycles == 0 || table[1].L3Refs == 0 {
-		t.Fatalf("element 1 cell empty: %+v", table[1])
+	if cost[1].Cycles == 0 || cost[1].L3Refs == 0 {
+		t.Fatalf("element 1 cell empty: %+v", cost[1])
 	}
-	if table[2].L3Refs != 2 {
-		t.Fatalf("element 2 saw %d L3 refs, want 2 (cold store + stream load)", table[2].L3Refs)
+	if cost[2].L3Refs != 2 {
+		t.Fatalf("element 2 saw %d L3 refs, want 2 (cold store + stream load)", cost[2].L3Refs)
 	}
 
 	// Removing the table must not disturb counting.

@@ -258,7 +258,7 @@ func TestEngineAndExecOpsAgree(t *testing.T) {
 			t.Errorf("element cell %d: engine %+v, ExecOps %+v", i, a.elems[i], b.elems[i])
 		}
 	}
-	if a.Counters.Packets != uint64(len(packets)) || a.Counters.RemoteRefs == 0 || a.elems[3].L3Refs == 0 {
+	if a.Counters.Packets != uint64(len(packets)) || a.Counters.RemoteRefs == 0 || a.elems[3].cost.L3Refs == 0 {
 		t.Errorf("trace did not exercise what it should: %+v", a.Counters)
 	}
 }

@@ -144,8 +144,6 @@ func (p *Platform) SetDomainHome(d, socket int) {
 // when the L3 is inclusive — an L3 eviction back-invalidates private
 // copies across the socket, which is the mechanism by which one flow's
 // cache pressure destroys another flow's L1/L2 locality.
-//
-//dataplane:owner the simulated core is the single writer of its element cells
 func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	cfg := &c.Socket.platform.Cfg
 	cnt := &c.Counters
@@ -171,19 +169,19 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	cnt.L3Refs++
 	cnt.Func[fn].L3Refs++
 	if c.elems != nil {
-		c.elems[c.curElem].L3Refs++
+		c.elems[c.curElem].cost.L3Refs++
 	}
 	if sock.L3.access(addr, c.holder) {
 		cnt.L3Hits++
 		cnt.Func[fn].L3Hits++
 		if c.elems != nil {
-			c.elems[c.curElem].L3Hits++
+			c.elems[c.curElem].cost.L3Hits++
 		}
 	} else {
 		cnt.L3Misses++
 		cnt.Func[fn].L3Misses++
 		if c.elems != nil {
-			c.elems[c.curElem].L3Misses++
+			c.elems[c.curElem].cost.L3Misses++
 		}
 		// Memory access, possibly across the interconnect.
 		home := sock.platform.HomeSocket(addr)

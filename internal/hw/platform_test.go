@@ -252,7 +252,7 @@ func TestResetMatchesNew(t *testing.T) {
 			t.Fatalf("socket %d: the run left no state to reset (L3 %+v)", s.ID, s.L3.Stats)
 		}
 	}
-	if p.Sockets[1].QPI.Requests == 0 || p.Cores[0].elems[1].L3Refs == 0 {
+	if p.Sockets[1].QPI.Requests == 0 || p.Cores[0].elems[1].cost.L3Refs == 0 {
 		t.Fatal("the run crossed no socket or attributed nothing to the element table")
 	}
 	p.Reset()

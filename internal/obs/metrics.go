@@ -10,8 +10,6 @@ import (
 // locks, safe to call from a worker's packet loop. The padding keeps
 // per-worker series (the registry's sharding idiom: one series per
 // worker label) from false-sharing a line.
-//
-//dataplane:cell
 type Counter struct {
 	v atomic.Uint64
 	_ [56]byte
@@ -32,8 +30,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a settable float metric. Set is atomic on the float's bit
 // pattern: zero allocations, readable mid-update from any goroutine.
-//
-//dataplane:cell
 type Gauge struct {
 	bits atomic.Uint64
 	_    [56]byte

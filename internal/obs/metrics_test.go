@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines while a
@@ -126,6 +127,53 @@ func TestVecReuse(t *testing.T) {
 	a.Add(3)
 	if b.Value() != 3 {
 		t.Fatalf("shared handle reads %d, want 3", b.Value())
+	}
+}
+
+// Counter and Gauge cells each own a full cache line, so per-worker
+// series written from different cores never false-share.
+func TestCellsAreOneCacheLine(t *testing.T) {
+	if s := unsafe.Sizeof(Counter{}); s != 64 {
+		t.Errorf("Counter is %d bytes, want 64", s)
+	}
+	if s := unsafe.Sizeof(Gauge{}); s != 64 {
+		t.Errorf("Gauge is %d bytes, want 64", s)
+	}
+}
+
+// TestRegistrationRules: names and label names are lower-case
+// Prometheus identifiers, and a name ends in _total exactly when it is a
+// counter's. A registration that breaks a rule panics at setup time.
+func TestRegistrationRules(t *testing.T) {
+	counter := func(name string, labels ...string) func(*Registry) {
+		return func(r *Registry) { r.Counter(name, "h", labels...) }
+	}
+	gauge := func(name string) func(*Registry) { return func(r *Registry) { r.Gauge(name, "h") } }
+	hist := func(name string) func(*Registry) {
+		return func(r *Registry) { r.Histogram(name, "h", []float64{1}) }
+	}
+	for _, tc := range []struct {
+		name   string
+		reg    func(*Registry)
+		panics bool
+	}{
+		{"counter drops_total", counter("drops_total", "worker"), false},
+		{"gauge queue_depth", gauge("queue_depth"), false},
+		{"histogram batch_fill", hist("batch_fill"), false},
+		{"counter foo", counter("foo"), true},
+		{"gauge busy_total", gauge("busy_total"), true},
+		{"histogram lat_total", hist("lat_total"), true},
+		{"name Bad_total", counter("Bad_total"), true},
+		{"label Bad-Label", counter("ok_total", "Bad-Label"), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r != nil) != tc.panics {
+					t.Fatalf("panicked: %v, want a panic: %v", r, tc.panics)
+				}
+			}()
+			tc.reg(NewRegistry())
+		})
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -42,7 +43,7 @@ const (
 	KindHistogram Kind = "histogram"
 )
 
-var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // Registry holds metric families. The zero value is not usable; call
 // NewRegistry.
@@ -81,10 +82,15 @@ func NewRegistry() *Registry {
 }
 
 // register creates or fetches a family, validating that re-registration
-// agrees on kind and label names (a programming error otherwise).
+// agrees on kind and label names (a programming error otherwise). Names
+// and label names are lower-case Prometheus identifiers, and a name ends
+// in _total exactly when it is a counter's, which rate() queries rely on.
 func (r *Registry) register(name, help string, kind Kind, buckets []float64, labelNames []string) *family {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
+	}
+	if strings.HasSuffix(name, "_total") != (kind == KindCounter) {
+		panic(fmt.Sprintf("obs: %s %s: a name ends in _total if and only if it names a counter", kind, name))
 	}
 	for _, l := range labelNames {
 		if !nameRe.MatchString(l) {

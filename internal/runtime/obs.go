@@ -24,8 +24,8 @@ import (
 // on the model itself.
 
 // gaugeRow and counterRow are one metric family each: the registered vec
-// (the reg.Gauge/reg.Counter call sits in the row, where metriclint reads
-// its constant name and labels) paired with the window field it
+// (the reg.Gauge/reg.Counter call sits in the row; testdata/families.golden
+// pins every name and label set) paired with the window field it
 // publishes. A label scope's families are a slice of rows, resolved to
 // handles once per label tuple and published by one loop.
 type gaugeRow[S any] struct {
@@ -123,7 +123,7 @@ type elemHandles struct {
 // elemWindow is one (stage, element) cost delta over a control window —
 // the unit of per-element attribution.
 type elemWindow struct {
-	cells hw.ElemCell
+	cells hw.ElemCost
 	pkts  uint64 // packets the flow processed this window
 }
 
@@ -401,7 +401,7 @@ func windowDrift(o *obs.WindowObs, prof FlowProfile, a *appState, d *mark) {
 		return
 	}
 	for i := range a.flows[0].stages[0].elems {
-		var cells hw.ElemCell
+		var cells hw.ElemCost
 		for _, f := range a.flows {
 			for _, sd := range d.flows[f.id].stages {
 				c := sd.elems[i]

@@ -83,7 +83,7 @@ func soloElementBaselines(cfg hw.Config, params apps.Params, t apps.FlowType, wa
 // meant for single-type profiling runs; a mixed runtime folds all apps'
 // same-named elements together.
 func (r *Runtime) ElementBaselines() map[string]ElemBaseline {
-	tot, totals := r.total(), map[string]hw.ElemCell{}
+	tot, totals := r.total(), map[string]hw.ElemCost{}
 	var pkts uint64
 	for _, f := range r.flows {
 		if f.pipe == nil {

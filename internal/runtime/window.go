@@ -54,7 +54,7 @@ type flowMark struct {
 }
 
 type stageMark struct {
-	elems                         []hw.ElemCell // by table slot
+	elems                         []hw.ElemCost // by table slot
 	pushPolls, popPolls           uint64        // the out ring's, zero at the last stage
 	dropped, finished, cutDropped uint64        // the stage runner's
 }
@@ -74,7 +74,7 @@ func newMark(r *Runtime) *mark {
 		fm := &m.flows[f.id]
 		fm.stages = make([]stageMark, len(f.stages))
 		for s, u := range f.stages {
-			fm.stages[s].elems = make([]hw.ElemCell, len(u.elems))
+			fm.stages[s].elems = make([]hw.ElemCost, len(u.elems))
 		}
 		if f.pipe != nil {
 			fm.branch = make([]branchCounters, len(f.pipe.Nodes()))
@@ -100,7 +100,7 @@ func (m *mark) take(r *Runtime, q int) {
 			am.processed += f.packets
 			for s, u := range f.stages {
 				sm := &fm.stages[s]
-				copy(sm.elems, u.elems)
+				hw.CopyCosts(sm.elems, u.elems)
 				am.lat.Merge(&u.lat)
 				if u.out != nil {
 					sm.pushPolls, sm.popPolls = u.out.PushPolls(), u.out.PopPolls()
