@@ -86,8 +86,8 @@ func BenchmarkFig4(b *testing.B) {
 		}
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
-			cache, _ := res.Get(apps.MON, exp.CacheOnly)
-			mem, _ := res.Get(apps.MON, exp.MemCtrlOnly)
+			cache, _ := res.Get(apps.MON, core.CacheOnly)
+			mem, _ := res.Get(apps.MON, core.MemCtrlOnly)
 			b.ReportMetric(cache.MaxDrop()*100, "mon_cache_only_max_%")
 			b.ReportMetric(mem.MaxDrop()*100, "mon_memctrl_only_max_%")
 		}

@@ -108,10 +108,10 @@ func TestPredictorConcurrentUse(t *testing.T) {
 }
 
 // TestReusedPlatformsMatchNew: a predictor's solo run and every sweep
-// sample, measured on platforms its experiments pass on to each other,
-// have the raw counters Scenario.Run gets for the same flows on new
-// platforms; and the predictor keeps no more platforms than experiments
-// can run at once.
+// sample under each of the three competitor placements, measured on
+// platforms its experiments pass on to each other, have the raw counters
+// Scenario.Run gets for the same flows on new platforms; and the
+// predictor keeps no more platforms than experiments can run at once.
 func TestReusedPlatformsMatchNew(t *testing.T) {
 	cfg := testCfg()
 	cfg.CoresPerSocket = 3
@@ -124,15 +124,17 @@ func TestReusedPlatformsMatchNew(t *testing.T) {
 		}
 		return res.Stats
 	}
+	// placed is competitor i's core and data domain under each mode.
+	placed := map[ContentionMode]func(i int) (int, int){
+		CacheOnly:   func(i int) (int, int) { return i, 1 },
+		MemCtrlOnly: func(i int) (int, int) { return cfg.CoresPerSocket + i - 1, 0 },
+		Both:        func(i int) (int, int) { return i, 0 },
+	}
 	for _, n := range []int{1, 2} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 			p := NewPredictor(cfg, apps.Small(), 0.0001, 0.0003)
 			p.SweepGrid = []int{3200, 1600, 800, 0}
-			samples, err := p.Sweep(typ)
-			if err != nil {
-				t.Fatal(err)
-			}
 			solo, err := p.Solo(typ)
 			if err != nil {
 				t.Fatal(err)
@@ -140,22 +142,29 @@ func TestReusedPlatformsMatchNew(t *testing.T) {
 			if want := newPlatformRun(p, []FlowSpec{target})[0]; solo != want {
 				t.Errorf("GOMAXPROCS %d: solo %+v, on a new platform %+v", n, solo.Raw, want.Raw)
 			}
-			want := make([]SweepSample, len(p.SweepGrid))
-			for g, k := range p.SweepGrid {
-				flows := []FlowSpec{target}
-				for i := 1; i <= p.Competitors; i++ {
-					flows = append(flows, FlowSpec{Type: apps.SYN, Core: i, Seed: SeedFor(apps.SYN, i), SynCompute: k})
+			for _, m := range Modes {
+				samples, err := p.sweep(typ, m)
+				if err != nil {
+					t.Fatal(err)
 				}
-				stats := newPlatformRun(p, flows)
-				want[g].Target = stats[0]
-				for _, s := range stats[1:] {
-					want[g].CompetingRefsPerSec += s.L3RefsPerSec()
+				want := make([]SweepSample, len(p.SweepGrid))
+				for g, k := range p.SweepGrid {
+					flows := []FlowSpec{target}
+					for i := 1; i < cfg.CoresPerSocket; i++ {
+						c, d := placed[m](i)
+						flows = append(flows, FlowSpec{Type: apps.SYN, Core: c, Domain: d, Seed: SeedFor(apps.SYN, i), SynCompute: k})
+					}
+					stats := newPlatformRun(p, flows)
+					want[g].Target = stats[0]
+					for _, s := range stats[1:] {
+						want[g].CompetingRefsPerSec += s.L3RefsPerSec()
+					}
 				}
-			}
-			sort.Slice(want, func(i, j int) bool { return want[i].CompetingRefsPerSec < want[j].CompetingRefsPerSec })
-			for i, s := range samples {
-				if s != want[i] {
-					t.Errorf("GOMAXPROCS %d: sweep sample %d %+v, on a new platform %+v", n, i, s.Target.Raw, want[i].Target.Raw)
+				sort.Slice(want, func(i, j int) bool { return want[i].CompetingRefsPerSec < want[j].CompetingRefsPerSec })
+				for i, s := range samples {
+					if s != want[i] {
+						t.Errorf("GOMAXPROCS %d, %s: sweep sample %d %+v, on a new platform %+v", n, m, i, s.Target.Raw, want[i].Target.Raw)
+					}
 				}
 			}
 			if free := p.freePlatforms(); free < 1 || free > n {
@@ -181,6 +190,47 @@ func TestSweepErrorNamesLowestIndexPoint(t *testing.T) {
 			}
 			if _, err := p.Curve("nosuchgraph"); err == nil || err.Error() != `core: solo nosuchgraph: core: flow 0 (nosuchgraph): apps: unknown flow type "nosuchgraph"` {
 				t.Errorf("GOMAXPROCS %d: Curve error %q, want the solo run's", n, err)
+			}
+			if liveExperiments != 0 {
+				t.Errorf("GOMAXPROCS %d: %d experiment slots still held after failures", n, liveExperiments)
+			}
+		}()
+	}
+}
+
+// TestUnplaceableCoresAreErrors: a flow on a core the platform lacks, or
+// on a core another flow already runs on, is a build error naming the
+// flow, its type and the core — not a panic in hw.Engine.Attach, which
+// under a sweep's fan-out would kill the process. A memctrl-placed sweep
+// on a one-socket platform is such a build, and frees every slot.
+func TestUnplaceableCoresAreErrors(t *testing.T) {
+	cfg := testCfg()
+	mon := func(core int) FlowSpec { return FlowSpec{Type: apps.MON, Core: core, Seed: 1} }
+	for _, tc := range []struct {
+		flows []FlowSpec
+		want  string
+	}{
+		{[]FlowSpec{mon(cfg.TotalCores())}, "core: flow 0 (MON): core 12 is outside [0,12) or runs another flow"},
+		{[]FlowSpec{mon(-1)}, "core: flow 0 (MON): core -1 is outside [0,12) or runs another flow"},
+		{[]FlowSpec{mon(3), mon(3)}, "core: flow 1 (MON): core 3 is outside [0,12) or runs another flow"},
+	} {
+		if _, err := (Scenario{Cfg: cfg, Params: apps.Small(), Flows: tc.flows}).Build(); err == nil || err.Error() != tc.want {
+			t.Errorf("Build(%+v): error %q, want %q", tc.flows, err, tc.want)
+		}
+	}
+
+	cfg.Sockets, cfg.CoresPerSocket = 1, 3
+	const want = `core: sweep MON under memctrl @ SYN compute 1600: core: flow 1 (SYN): core 3 is outside [0,3) or runs another flow`
+	for _, n := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			p := NewPredictor(cfg, apps.Small(), 0.0001, 0.0003)
+			p.SweepGrid = []int{1600, 0}
+			if _, err := p.CurveUnder(apps.MON, MemCtrlOnly); err == nil || err.Error() != want {
+				t.Errorf("GOMAXPROCS %d: memctrl curve on one socket: error %q, want %q", n, err, want)
+			}
+			if _, err := p.CurveUnder(apps.MON, "l2"); err == nil || err.Error() != `core: unknown contention mode "l2"` {
+				t.Errorf("GOMAXPROCS %d: unknown mode: error %q", n, err)
 			}
 			if liveExperiments != 0 {
 				t.Errorf("GOMAXPROCS %d: %d experiment slots still held after failures", n, liveExperiments)

@@ -101,7 +101,7 @@ func TestPlanRebalanceRespectsThresholdAndMargin(t *testing.T) {
 }
 
 func TestRateControllerStep(t *testing.T) {
-	rc := RateController{Limit: 100e6, Slack: 0.05}
+	rc := RateController{Limit: 100e6}
 	// Over the limit: delay grows proportionally.
 	next, throttled := rc.Step(200e6, 1000, 0)
 	if !throttled || next == 0 {
@@ -113,6 +113,9 @@ func TestRateControllerStep(t *testing.T) {
 	// Within the slack band: no change.
 	if n, th := rc.Step(103e6, 1000, 42); n != 42 || th {
 		t.Fatalf("Step in slack band: next=%d throttled=%v", n, th)
+	}
+	if _, th := rc.Step(106e6, 1000, 42); !th {
+		t.Fatalf("Step %.0f%% past the limit, beyond its %.0f%% slack, did not throttle", 6.0, ThrottleSlack*100)
 	}
 	// Under the limit: delay shrinks, eventually to zero.
 	n, th := rc.Step(50e6, 1000, 100)

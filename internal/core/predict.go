@@ -78,14 +78,11 @@ type Predictor struct {
 	Warmup    float64
 	Window    float64
 	SweepGrid []int
-	// Competitors is the number of SYN co-runners used in sweeps (the
-	// paper uses 5: one target plus five competitors fill a socket).
-	Competitors int
 
 	mu     sync.Mutex // guards the maps and free, never held while measuring
 	solo   map[apps.FlowType]*memo[hw.FlowStats]
-	curves map[apps.FlowType]*memo[Curve]
-	sweeps map[apps.FlowType]*memo[[]SweepSample]
+	curves map[sweepKey]*memo[Curve]
+	sweeps map[sweepKey]*memo[[]SweepSample]
 	mixes  map[string]*memo[[]hw.FlowStats]
 	free   []*hw.Platform // platforms no experiment is using (see measure)
 }
@@ -207,16 +204,15 @@ type SweepSample struct {
 // NewPredictor builds a predictor with the paper's sweep setup.
 func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Predictor {
 	return &Predictor{
-		Cfg:         cfg,
-		Params:      params,
-		Warmup:      warmup,
-		Window:      window,
-		SweepGrid:   DefaultSweepGrid,
-		Competitors: cfg.CoresPerSocket - 1,
-		solo:        make(map[apps.FlowType]*memo[hw.FlowStats]),
-		curves:      make(map[apps.FlowType]*memo[Curve]),
-		sweeps:      make(map[apps.FlowType]*memo[[]SweepSample]),
-		mixes:       make(map[string]*memo[[]hw.FlowStats]),
+		Cfg:       cfg,
+		Params:    params,
+		Warmup:    warmup,
+		Window:    window,
+		SweepGrid: DefaultSweepGrid,
+		solo:      make(map[apps.FlowType]*memo[hw.FlowStats]),
+		curves:    make(map[sweepKey]*memo[Curve]),
+		sweeps:    make(map[sweepKey]*memo[[]SweepSample]),
+		mixes:     make(map[string]*memo[[]hw.FlowStats]),
 	}
 }
 
@@ -233,24 +229,57 @@ func (p *Predictor) Solo(t apps.FlowType) (hw.FlowStats, error) {
 	})
 }
 
+// ContentionMode places a sweep's SYN competitors so they share the L3,
+// the target's memory controller, or both with it: Figure 3's three
+// configurations. The target runs on core 0 with its data in domain 0;
+// competitor i (1 ≤ i < CoresPerSocket) is placed as its mode says.
+type ContentionMode string
+
+const (
+	CacheOnly   ContentionMode = "cache"   // on core i, data in domain 1 (Fig. 3(a))
+	MemCtrlOnly ContentionMode = "memctrl" // on core CoresPerSocket+i-1, data in domain 0 (Fig. 3(b))
+	Both        ContentionMode = "both"    // on core i, data in domain 0 (Fig. 3(c)): the profiling sweep
+)
+
+// Modes lists the three configurations in the paper's order.
+var Modes = []ContentionMode{CacheOnly, MemCtrlOnly, Both}
+
+// sweepKey memoises a sweep, and the curve read from it, per placement.
+type sweepKey struct {
+	target apps.FlowType
+	mode   ContentionMode
+}
+
 // Sweep returns the memoised sweep samples of flow type t: the target's
 // full statistics when co-running with SYN competitors at each grid rate
 // (step 2 of the method), sorted by competition; the points run at once.
 func (p *Predictor) Sweep(t apps.FlowType) ([]SweepSample, error) {
-	return memoised(p, p.sweeps, t, func() ([]SweepSample, error) {
+	return p.sweep(t, Both)
+}
+
+func (p *Predictor) sweep(t apps.FlowType, m ContentionMode) ([]SweepSample, error) {
+	return memoised(p, p.sweeps, sweepKey{t, m}, func() ([]SweepSample, error) {
+		name := string(t)
+		if m != Both {
+			name += " under " + string(m)
+		}
 		samples := make([]SweepSample, len(p.SweepGrid))
 		err := FanOut(len(samples), func(g int) error {
 			k := p.SweepGrid[g]
 			flows := []FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}}
-			for i := 1; i <= p.Competitors; i++ {
-				flows = append(flows, FlowSpec{
-					Type: apps.SYN, Core: i, Domain: 0,
-					Seed: SeedFor(apps.SYN, i), SynCompute: k,
-				})
+			for i := 1; i < p.Cfg.CoresPerSocket; i++ {
+				f := FlowSpec{Type: apps.SYN, Core: i, Domain: 0, Seed: SeedFor(apps.SYN, i), SynCompute: k}
+				switch m {
+				case CacheOnly:
+					f.Domain = 1
+				case MemCtrlOnly:
+					f.Core = p.Cfg.CoresPerSocket + i - 1
+				}
+				flows = append(flows, f)
 			}
 			stats, err := p.measure(flows)
 			if err != nil {
-				return fmt.Errorf("core: sweep %s @ SYN compute %d: %w", t, k, err)
+				return fmt.Errorf("core: sweep %s @ SYN compute %d: %w", name, k, err)
 			}
 			samples[g].Target = stats[0]
 			for _, s := range stats[1:] {
@@ -271,12 +300,21 @@ func (p *Predictor) Sweep(t apps.FlowType) ([]SweepSample, error) {
 // Curve returns the memoised drop-versus-competition curve of flow type
 // t, derived from the solo run and the sweep.
 func (p *Predictor) Curve(t apps.FlowType) (Curve, error) {
-	return memoised(p, p.curves, t, func() (Curve, error) {
+	return p.CurveUnder(t, Both)
+}
+
+// CurveUnder is Curve with the sweep's competitors placed by mode m:
+// Figure 4's ramps. CurveUnder(t, Both) is Curve(t).
+func (p *Predictor) CurveUnder(t apps.FlowType, m ContentionMode) (Curve, error) {
+	if m != CacheOnly && m != MemCtrlOnly && m != Both {
+		return Curve{}, fmt.Errorf("core: unknown contention mode %q", m)
+	}
+	return memoised(p, p.curves, sweepKey{t, m}, func() (Curve, error) {
 		solo, err := p.Solo(t)
 		if err != nil {
 			return Curve{}, err
 		}
-		samples, err := p.Sweep(t)
+		samples, err := p.sweep(t, m)
 		if err != nil {
 			return Curve{}, err
 		}

@@ -76,7 +76,12 @@ func (s Scenario) buildOn(platform *hw.Platform) (*RunResult, error) {
 		return a
 	}
 	res := &RunResult{Platform: platform, Engine: engine}
+	taken := make(map[int]bool, len(s.Flows))
 	for i, f := range s.Flows {
+		if f.Core < 0 || f.Core >= len(platform.Cores) || taken[f.Core] {
+			return nil, fmt.Errorf("core: flow %d (%s): core %d is outside [0,%d) or runs another flow", i, f.Type, f.Core, len(platform.Cores))
+		}
+		taken[f.Core] = true
 		a := arena(f.Domain)
 		inst, err := s.Params.BuildSpec(apps.Spec{
 			Type: f.Type, Seed: f.Seed, SynCompute: f.SynCompute,

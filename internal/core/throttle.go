@@ -23,6 +23,10 @@ type ThrottleSample struct {
 	Throttled   bool
 }
 
+// ThrottleSlack is the measurement noise tolerated above a flow's
+// profiled reference rate before it is throttled.
+const ThrottleSlack = 0.05
+
 // RateController is the pure control law of the containment loop,
 // decoupled from any engine so both the offline Containment loop and the
 // concurrent runtime's admission control can drive it: proportional
@@ -31,8 +35,6 @@ type ThrottleSample struct {
 type RateController struct {
 	// Limit is the profiled L3 refs/sec the flow may not exceed.
 	Limit float64
-	// Slack tolerates measurement noise above the limit (e.g. 0.05).
-	Slack float64
 }
 
 // Step computes the next control-element delay from one interval's
@@ -50,7 +52,7 @@ func (rc RateController) Step(refsPerSec, cyclesPerPacket float64, delay uint32)
 		return delay, false
 	}
 	switch {
-	case refsPerSec > rc.Limit*(1+rc.Slack):
+	case refsPerSec > rc.Limit*(1+ThrottleSlack):
 		needed := cyclesPerPacket * (refsPerSec/rc.Limit - 1)
 		return delay + uint32(needed) + 1, true
 	case refsPerSec < rc.Limit && delay > 0:
@@ -63,22 +65,14 @@ func (rc RateController) Step(refsPerSec, cyclesPerPacket float64, delay uint32)
 	return delay, false
 }
 
-// Containment drives the monitor-and-throttle loop for one flow.
-type Containment struct {
-	// Limit is the profiled L3 refs/sec the flow may not exceed.
-	Limit float64
-	// Slack tolerates measurement noise above the limit (default 5%).
-	Slack float64
-	// Control is the flow's control element.
-	Control *elements.Control
-
-	engine *hw.Engine
-	flow   int // index into engine.Flows
-}
-
-// NewContainment monitors flow index flowIdx of e, clamping it to
-// limitRefsPerSec via ctl.
-func NewContainment(e *hw.Engine, flowIdx int, ctl *elements.Control, limitRefsPerSec float64) (*Containment, error) {
+// Containment drives the monitor-and-throttle loop for flow index flowIdx
+// of e: steps monitoring intervals of the given virtual length, after
+// each of which ctl's delay is adjusted to clamp the flow to
+// limitRefsPerSec. It returns one sample per interval. The controller is
+// deliberately simple — proportional increase when over the limit, gentle
+// decrease when under — because the paper's point is that a trivial
+// mechanism suffices once the memory-access rate is observable.
+func Containment(e *hw.Engine, flowIdx int, ctl *elements.Control, limitRefsPerSec, interval float64, steps int) ([]ThrottleSample, error) {
 	if flowIdx < 0 || flowIdx >= len(e.Flows) {
 		return nil, fmt.Errorf("core: flow index %d out of range", flowIdx)
 	}
@@ -88,35 +82,13 @@ func NewContainment(e *hw.Engine, flowIdx int, ctl *elements.Control, limitRefsP
 	if limitRefsPerSec <= 0 {
 		return nil, fmt.Errorf("core: containment limit must be positive")
 	}
-	return &Containment{
-		Limit:   limitRefsPerSec,
-		Slack:   0.05,
-		Control: ctl,
-		engine:  e,
-		flow:    flowIdx,
-	}, nil
-}
-
-// Run executes steps monitoring intervals of the given virtual length,
-// adjusting the control element after each, and returns the samples. The
-// controller is deliberately simple — multiplicative increase when over
-// the limit, gentle decrease when well under — because the paper's point
-// is that a trivial mechanism suffices once the memory-access rate is
-// observable.
-func (c *Containment) Run(interval float64, steps int) []ThrottleSample {
+	rc := RateController{Limit: limitRefsPerSec}
 	samples := make([]ThrottleSample, 0, steps)
-	for step := 0; step < steps; step++ {
-		st := c.engine.Measure(interval)[c.flow]
-		refsPerSec := st.L3RefsPerSec()
-		rc := RateController{Limit: c.Limit, Slack: c.Slack}
-		next, throttled := rc.Step(refsPerSec, st.CyclesPerPacket(), c.Control.Delay())
-		c.Control.SetDelay(next)
-		samples = append(samples, ThrottleSample{
-			Interval:    step,
-			RefsPerSec:  refsPerSec,
-			DelayCycles: c.Control.Delay(),
-			Throttled:   throttled,
-		})
+	for step := range steps {
+		st := e.Measure(interval)[flowIdx]
+		next, throttled := rc.Step(st.L3RefsPerSec(), st.CyclesPerPacket(), ctl.Delay())
+		ctl.SetDelay(next)
+		samples = append(samples, ThrottleSample{Interval: step, RefsPerSec: st.L3RefsPerSec(), DelayCycles: ctl.Delay(), Throttled: throttled})
 	}
-	return samples
+	return samples, nil
 }

@@ -17,14 +17,17 @@ func TestContainmentValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := res.Instances[0].Control
-	if _, err := NewContainment(res.Engine, 5, ctl, 1e6); err == nil {
+	if _, err := Containment(res.Engine, 5, ctl, 1e6, 0.0005, 1); err == nil {
 		t.Fatal("bad flow index must fail")
 	}
-	if _, err := NewContainment(res.Engine, 0, nil, 1e6); err == nil {
+	if _, err := Containment(res.Engine, 0, nil, 1e6, 0.0005, 1); err == nil {
 		t.Fatal("nil control must fail")
 	}
-	if _, err := NewContainment(res.Engine, 0, ctl, 0); err == nil {
+	if _, err := Containment(res.Engine, 0, ctl, 0, 0.0005, 1); err == nil {
 		t.Fatal("zero limit must fail")
+	}
+	if n := res.Engine.Flows[0].Core.Counters.Packets; n != 0 {
+		t.Fatalf("a rejected containment ran the engine: %d packets", n)
 	}
 }
 
@@ -58,11 +61,10 @@ func TestContainmentClampsHiddenAggressor(t *testing.T) {
 	seconds := float64(honest.Cycles) / testCfg().ClockHz
 	limit := float64(honest.L3Refs) / seconds
 
-	cont, err := NewContainment(res.Engine, 0, ctl, limit)
+	samples, err := Containment(res.Engine, 0, ctl, limit, 0.0005, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := cont.Run(0.0005, 30)
 
 	// The flow must have turned aggressive at some point...
 	peak := 0.0
@@ -107,11 +109,10 @@ func TestContainmentLeavesHonestFlowAlone(t *testing.T) {
 	delta := res.Engine.Flows[0].Core.Counters.Sub(warm)
 	limit := float64(delta.L3Refs) / (float64(delta.Cycles) / testCfg().ClockHz)
 
-	cont, err := NewContainment(res.Engine, 0, res.Instances[0].Control, limit)
+	samples, err := Containment(res.Engine, 0, res.Instances[0].Control, limit, 0.0005, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := cont.Run(0.0005, 12)
 	// An honest flow hovers at its profiled rate: any throttle engagement
 	// must stay small relative to the flow's per-packet work, and the
 	// observed rate must stay near the limit.

@@ -95,9 +95,9 @@ func TestFig4(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantGolden(t, "testdata/fig4_mon_quick.csv", res.Table().CSV())
-	cache, ok1 := res.Get(apps.MON, CacheOnly)
-	mem, ok2 := res.Get(apps.MON, MemCtrlOnly)
-	both, ok3 := res.Get(apps.MON, Both)
+	cache, ok1 := res.Get(apps.MON, core.CacheOnly)
+	mem, ok2 := res.Get(apps.MON, core.MemCtrlOnly)
+	both, ok3 := res.Get(apps.MON, core.Both)
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("missing series")
 	}

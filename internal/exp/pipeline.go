@@ -149,18 +149,11 @@ func pipelineVsParallelMON(p *core.Predictor) (PipelineRow, error) {
 	row := PipelineRow{Workload: "MON"}
 
 	// Parallel: two independent MON flows on one socket.
-	par, err := core.Scenario{
-		Cfg: p.Cfg, Params: p.Params,
-		Flows: []core.FlowSpec{
-			{Type: apps.MON, Core: 0, Domain: 0, Seed: core.SeedFor(apps.MON, 0)},
-			{Type: apps.MON, Core: 1, Domain: 0, Seed: core.SeedFor(apps.MON, 1)},
-		},
-		Warmup: p.Warmup, Window: p.Window,
-	}.Run()
+	par, _, err := p.MeasureMix([]apps.FlowType{apps.MON, apps.MON})
 	if err != nil {
 		return row, err
 	}
-	row.ParallelPktsPerSec = par.Stats[0].Throughput() + par.Stats[1].Throughput()
+	row.ParallelPktsPerSec = par[0].Throughput() + par[1].Throughput()
 
 	// Pipeline: one MON flow split across two cores of the same socket.
 	arena := mem.NewArena(0)

@@ -11,6 +11,11 @@
 // it carries the platform, workload and windows, so the same driver runs
 // at paper scale (benchmarks, cmd/pktbench) or at a reduced scale (unit
 // tests), and experiments sharing it share its memoised measurements.
+// Drivers measure co-runs only through it — Figure 4's ramps are its
+// curves under core.Modes' three placements, §2.2's parallel pair a
+// MeasureMix — so every point fans out and is measured once; the
+// throttling loop's live engine and §2.2's cut stages, which are not
+// flow lists, are the only engines a driver builds itself.
 //
 // Every result renders through one method, Table: its columns are the
 // figure's CSV columns and its notes carry what the rows alone do not

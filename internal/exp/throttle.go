@@ -97,11 +97,10 @@ func RunThrottle(p *core.Predictor) (*ThrottleResult, error) {
 		return nil, err
 	}
 	contained.Engine.MeasureWindow(p.Warmup, p.Warmup)
-	cont, err := core.NewContainment(contained.Engine, 0, contained.Instances[0].Control, out.ProfiledRefsPerSec)
+	out.Contained, err = core.Containment(contained.Engine, 0, contained.Instances[0].Control, out.ProfiledRefsPerSec, interval, steps)
 	if err != nil {
 		return nil, err
 	}
-	out.Contained = cont.Run(interval, steps)
 	out.VictimContainedTput = contained.Engine.Measure(interval * 4)[1].Throughput()
 	return out, nil
 }

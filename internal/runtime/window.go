@@ -177,14 +177,10 @@ func (win *window) remoteRate(worker int) float64 {
 	return win.sample.Workers[worker].RemotePerPacket
 }
 
-// The control loop's two fixed margins: the containment loop tolerates a
-// flow 5% over its profiled reference rate before throttling it, and
-// re-placement swaps two flows only for a predicted improvement of at
-// least two points of drop.
-const (
-	admissionSlack  = 0.05
-	rebalanceMargin = 0.02
-)
+// rebalanceMargin is the control loop's re-placement margin: it swaps two
+// flows only for a predicted improvement of at least two points of drop.
+// (Admission tolerates core.ThrottleSlack over a flow's profiled rate.)
+const rebalanceMargin = 0.02
 
 // controlStep is the operator's monitoring agent, run at the barrier
 // after quantum q with every worker parked. decide writes only control
@@ -297,7 +293,7 @@ func (r *Runtime) decide(win *window) {
 		if !r.cfg.Admission || f.control == nil || w.unit.index != 0 || prof.SoloRefsPerSec <= 0 {
 			continue
 		}
-		rc := core.RateController{Limit: prof.SoloRefsPerSec, Slack: admissionSlack}
+		rc := core.RateController{Limit: prof.SoloRefsPerSec}
 		tele := &win.sample.Workers[i]
 		var refs float64
 		for _, u := range f.stages {
