@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
@@ -236,5 +240,54 @@ func TestUnplaceableCoresAreErrors(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: %d experiment slots still held after failures", n, liveExperiments)
 			}
 		}()
+	}
+}
+
+// explode is the frame TestFanOutPanicIsAnError expects a panic to name.
+func explode(i int) error { panic(fmt.Sprintf("task %d gave up", i)) }
+
+// TestFanOutPanicIsAnError: a panic in one task is that task's error, so
+// it can neither end the process nor hide a lower-index failure, and
+// FanOut still joins every task and leaves no experiment slot held.
+func TestFanOutPanicIsAnError(t *testing.T) {
+	first := errors.New("task 0 failed")
+	var finished atomic.Int64
+	err := FanOut(4, func(i int) error {
+		defer finished.Add(1)
+		_, err := Experiment(func() (int, error) {
+			switch i {
+			case 0:
+				return 0, first
+			case 1:
+				time.Sleep(20 * time.Millisecond)
+			case 2:
+				return 0, explode(i)
+			}
+			return i, nil
+		})
+		return err
+	})
+	if !errors.Is(err, first) {
+		t.Fatalf("err = %v, want task 0's error", err)
+	}
+	if n := finished.Load(); n != 4 {
+		t.Fatalf("FanOut returned with %d of 4 tasks finished", n)
+	}
+	if liveExperiments != 0 {
+		t.Fatalf("%d experiment slots still held after a panic", liveExperiments)
+	}
+	err = FanOut(3, func(i int) error {
+		if i == 2 {
+			return explode(i)
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a panicking task returned no error")
+	}
+	for _, want := range []string{"task 2 panicked", "core.explode (concurrent_test.go:", "task 2 gave up"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %q, want it to contain %q", err, want)
+		}
 	}
 }

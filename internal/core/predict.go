@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -141,7 +142,9 @@ func Experiment[T any](run func() (T, error)) (T, error) {
 // FanOut runs f(0) … f(n-1) on a goroutine each, joins them all and
 // returns the lowest-index error. f writes its result to a slot addressed
 // by i, so neither results nor the error depend on completion order; what
-// runs at once is bounded by the experiment slots, not here.
+// runs at once is bounded by the experiment slots, not here. A panic in
+// f(i) is f(i)'s error, naming i and where it was raised: on a goroutine
+// of its own it would end the process.
 func FanOut(n int, f func(i int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -149,6 +152,11 @@ func FanOut(n int, f func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					errs[i] = fmt.Errorf("core: fan-out task %d panicked in %s: %v", i, panicSite(), v)
+				}
+			}()
 			errs[i] = f(i)
 		}()
 	}
@@ -159,6 +167,20 @@ func FanOut(n int, f func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// panicSite names the first frame of a panicking goroutine's stack that
+// is not the runtime's own: the function and line that raised it. Call it
+// only from the deferred function that recovers.
+func panicSite() string {
+	var pcs [32]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs[:])])
+	for {
+		fr, more := frames.Next()
+		if !strings.HasPrefix(fr.Function, "runtime.") || !more {
+			return fmt.Sprintf("%s (%s:%d)", fr.Function, filepath.Base(fr.File), fr.Line)
+		}
+	}
 }
 
 // measure co-runs flows as one leaf experiment and keeps only the window

@@ -64,9 +64,14 @@ const RxRingSize = 256
 // Pull takes a buffer from the per-core pool, writes a generated packet
 // into it (the NIC's DMA, delivered into the L3 via direct cache access),
 // consumes an RX descriptor, and hands the packet to the pipeline.
+//
+// Construction reserves the source's simulated memory; its host state —
+// the pool's buffers and free stack, the packet headers, the generator —
+// is built on the first Pull. A source nobody pulls (the concurrent
+// runtime feeds a flow through its own ring) holds none of it.
 type FromDevice struct {
 	pool      *nic.BufferPool
-	pkts      []click.Packet // one header per pool buffer, owned with it from Get to Recycle
+	pkts      []click.Packet // one header per pool buffer, owned with it from Get to Recycle; nil until the first Pull
 	ring      *nic.Ring
 	gen       trafficgen.Generator
 	spec      trafficgen.Spec
@@ -90,7 +95,7 @@ type FromDeviceConfig struct {
 	Batch int
 }
 
-// NewFromDevice builds the source, allocating its pool and ring from env's
+// NewFromDevice builds the source, reserving its pool and ring in env's
 // arena so all per-flow state is NUMA-local.
 func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	if cfg.Buffers == 0 {
@@ -124,10 +129,8 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 		spec.Size = trafficgen.MinPacketSize
 	}
 	return &FromDevice{
-		pool:      nic.NewBufferPool(env.Arena, cfg.Buffers, bufSize),
-		pkts:      make([]click.Packet, cfg.Buffers),
+		pool:      nic.ReserveBufferPool(env.Arena, cfg.Buffers, bufSize),
 		ring:      nic.NewRing(env.Arena, RxRingSize),
-		gen:       trafficgen.New(cfg.Traffic),
 		spec:      spec,
 		remaining: remaining,
 		batch:     cfg.Batch,
@@ -154,6 +157,11 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	}
 	if fd.remaining > 0 {
 		fd.remaining--
+	}
+	if fd.pkts == nil {
+		fd.pool.Alloc()
+		fd.pkts = make([]click.Packet, fd.pool.Size()) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
+		fd.gen = trafficgen.New(fd.spec)
 	}
 	old := ctx.SetFunc(fnFromDevice)
 	defer ctx.SetFunc(old)

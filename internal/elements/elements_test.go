@@ -1,6 +1,8 @@
 package elements
 
 import (
+	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"pktpredict/internal/click"
@@ -88,6 +90,45 @@ func TestFromDeviceReusesHeaders(t *testing.T) {
 	}
 	if again.Trace != 0 || again.Enq != 0 || again.Recycler != click.Recycler(fd) || again.PoolIndex != 0 {
 		t.Fatalf("recycled header not reset: %+v", *again)
+	}
+}
+
+// TestUnpulledFromDeviceHoldsNoHostState: a source builds its buffers,
+// headers and generator on its first Pull, so one nobody pulls holds none
+// of them — yet it reserves exactly the simulated extents a pulled one
+// does, so everything allocated after it keeps its address.
+func TestUnpulledFromDeviceHoldsNoHostState(t *testing.T) {
+	cfg := FromDeviceConfig{Buffers: 1024, Traffic: trafficgen.Spec{Size: 1500, Flows: 4096}}
+	build := func() (*FromDevice, *mem.Arena, uint64) {
+		env := newEnv()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		fd, err := NewFromDevice(env, cfg)
+		goruntime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fd, env.Arena, after.TotalAlloc - before.TotalAlloc
+	}
+	idle, idleArena, idleBytes := build()
+	pulled, pulledArena, _ := build()
+	var ctx click.Ctx
+	p := pulled.Pull(&ctx)
+	p.Recycler.Recycle(&ctx, p)
+
+	// The pulled source's slab alone is 1.5 MiB.
+	if idle.pkts != nil || idle.gen != nil || idle.Pool().Available() != 0 || idleBytes > 64<<10 {
+		t.Fatalf("never-pulled source holds %d headers, generator %v, %d free buffers, %d host bytes; want none",
+			len(idle.pkts), idle.gen != nil, idle.Pool().Available(), idleBytes)
+	}
+	if len(pulled.pkts) != cfg.Buffers || pulled.gen == nil || pulled.Pool().Available() != cfg.Buffers {
+		t.Fatalf("pulled source: %d headers, generator %v, %d of %d buffers free", len(pulled.pkts), pulled.gen != nil, pulled.Pool().Available(), cfg.Buffers)
+	}
+	if !slices.Equal(idleArena.Bindings(), pulledArena.Bindings()) || idleArena.Mark() != pulledArena.Mark() {
+		t.Fatalf("arena extents differ: never pulled %v, pulled %v", idleArena.Bindings(), pulledArena.Bindings())
+	}
+	if a, b := idleArena.Alloc(64, 64), pulledArena.Alloc(64, 64); a != b {
+		t.Fatalf("next allocation at %#x after a never-pulled source, %#x after a pulled one", a, b)
 	}
 }
 

@@ -225,10 +225,14 @@ func TestFig8(t *testing.T) {
 	if len(res.Cells) != 25 {
 		t.Fatalf("cells = %d, want 25", len(res.Cells))
 	}
-	// Prediction quality: the paper achieves <3% at full scale; quick
-	// scale tolerates more but errors must stay bounded.
-	if res.MaxAbsError > 0.20 {
-		t.Fatalf("worst prediction error %v too large", res.MaxAbsError)
+	// Prediction quality. The paper reports a worst error under 3 %;
+	// this reproduction does not match it: its worst |predicted −
+	// measured| drop is 11.1 points at full scale and 15.5 at quick scale
+	// (MON against IP). The bound is the quick-scale 15.5 plus half a
+	// point of margin, so a change that worsens prediction fails here;
+	// it may only tighten.
+	if res.MaxAbsError > 0.16 {
+		t.Fatalf("worst prediction error %v above 0.16 (measured 0.155)", res.MaxAbsError)
 	}
 	// Perfect knowledge must not be systematically worse than the
 	// solo-rate assumption.

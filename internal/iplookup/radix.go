@@ -22,6 +22,7 @@ package iplookup
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"pktpredict/internal/click"
@@ -172,27 +173,37 @@ type Route struct {
 }
 
 // InsertAll is Insert over routes in order, with the node arrays sized
-// for the whole set first, in one step. A set that does not fit the
-// reserved simulated range fails before anything is inserted.
-func (t *RadixTrie) InsertAll(routes []Route) error {
+// for the whole set first, in one step. It ranges routes more than once —
+// to count the set, to collect the keys that size it, and to insert — so
+// routes must yield the same sequence every time; a generated table need
+// never be held as a list. A set that does not fit the reserved simulated
+// range fails before anything is inserted.
+func (t *RadixTrie) InsertAll(routes iter.Seq[Route]) error {
 	if err := t.reserve(t.need(routes)); err != nil {
 		return err
 	}
-	for _, r := range routes {
+	routes(func(r Route) bool {
 		t.Insert(r.Prefix, r.Len, r.NextHop)
-	}
+		return true
+	})
 	return nil
 }
 
 // need counts the nodes and entries inserting routes adds, exactly for a
 // trie holding no routes (an upper bound once some exist): level l+1 has
 // a node per distinct value, cut at bounds[l], of the prefixes longer
-// than bounds[l], and sorting makes equal cuts adjacent at every l.
-func (t *RadixTrie) need(routes []Route) (nodes, entries int) {
-	keys := make([]uint64, len(routes)) // masked prefix << 8 | length
-	for i, r := range routes {
-		keys[i] = uint64(r.Prefix&maskOf(r.Len))<<8 | uint64(r.Len)
-	}
+// than bounds[l], and sorting makes equal cuts adjacent at every l. The
+// set is counted first so the keys take one allocation of their size.
+func (t *RadixTrie) need(routes iter.Seq[Route]) (nodes, entries int) {
+	// Called, not ranged over: a range-over-func loop puts one more object
+	// per loop on the heap, and TestInsertAllSizesOnce counts a build's.
+	n := 0
+	routes(func(Route) bool { n++; return true })
+	keys := make([]uint64, 0, n) // masked prefix << 8 | length
+	routes(func(r Route) bool {
+		keys = append(keys, uint64(r.Prefix&maskOf(r.Len))<<8|uint64(r.Len))
+		return true
+	})
 	slices.Sort(keys)
 	for l, b := range t.bounds[:len(t.bounds)-1] {
 		last := ^uint64(0) // no 32-bit cut equals it
@@ -298,21 +309,35 @@ func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 // mirroring the paper's 128000-entry table loaded with random prefixes.
 // Next hops index an adjacency table of n+1 entries (see Element).
 func RandomTable(t *RadixTrie, n int, seed uint64) {
-	r := rng.New(seed)
-	routes := make([]Route, 1, max(n, 0)+1) // [0]: the default route, every lookup resolves
-	for i := 0; i < n; i++ {
-		var plen int
-		switch p := r.Float64(); {
-		case p < 0.20:
-			plen = 16
-		case p < 0.40:
-			plen = 20
-		default:
-			plen = 24
-		}
-		routes = append(routes, Route{r.Uint32(), plen, uint32(r.Intn(n)) + 1})
-	}
-	if err := t.InsertAll(routes); err != nil {
+	if err := t.InsertAll(randomRoutes(n, seed)); err != nil {
 		panic(err) // out of reach of this mix: at most ~5.6M nodes at any n
+	}
+}
+
+// randomRoutes is RandomTable's route set: the default route, then n
+// drawn routes. Each range restarts a copy of the seeded generator (a
+// value: no allocation per range), so every range yields the same routes
+// in the same order.
+func randomRoutes(n int, seed uint64) iter.Seq[Route] {
+	start := *rng.New(seed)
+	return func(yield func(Route) bool) {
+		if !yield(Route{}) { // the default route: every lookup resolves
+			return
+		}
+		r := start
+		for range n {
+			var plen int
+			switch p := r.Float64(); {
+			case p < 0.20:
+				plen = 16
+			case p < 0.40:
+				plen = 20
+			default:
+				plen = 24
+			}
+			if !yield(Route{r.Uint32(), plen, uint32(r.Intn(n)) + 1}) {
+				return
+			}
+		}
 	}
 }

@@ -301,7 +301,7 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 				continue // a 16-bit node is 768 KiB on the Go side
 			}
 			got, want := New(mem.NewArena(0), strides), New(mem.NewArena(0), strides)
-			if err := got.InsertAll(set); err != nil {
+			if err := got.InsertAll(slices.Values(set)); err != nil {
 				t.Fatalf("%s, strides %v: %v", name, strides, err)
 			}
 			insertEach(want, set)
@@ -312,7 +312,7 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 	// then an upper bound, and the result still the one-at-a-time trie.
 	got, want := newTrie(), newTrie()
 	for _, name := range []string{"long first", "random seed 3", "duplicates", "random seed 4"} {
-		if err := got.InsertAll(sets[name]); err != nil {
+		if err := got.InsertAll(slices.Values(sets[name])); err != nil {
 			t.Fatal(err)
 		}
 		insertEach(want, sets[name])
@@ -328,6 +328,31 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 		RandomTable(got, n, uint64(i+1))
 		randomTableEach(want, n, uint64(i+1))
 		sameTrie(t, fmt.Sprintf("RandomTable(%d)", n), got, want)
+	}
+}
+
+// TestInsertAllReplaysItsSequence: RandomTable's routes are a sequence
+// regenerated on every range, never a list; the trie InsertAll builds
+// from it equals, entry for entry, the one built from the same routes
+// collected into a slice.
+func TestInsertAllReplaysItsSequence(t *testing.T) {
+	for i, n := range []int{0, 1, 50, 4000, 40000} {
+		seq := randomRoutes(n, uint64(i+7))
+		routes := slices.Collect(seq)
+		if len(routes) != n+1 || !slices.Equal(slices.Collect(seq), routes) {
+			t.Fatalf("n=%d: ranging the sequence twice gave %d then different routes, want the same %d", n, len(routes), n+1)
+		}
+		got, want := newTrie(), newTrie()
+		if err := got.InsertAll(seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.InsertAll(slices.Values(routes)); err != nil {
+			t.Fatal(err)
+		}
+		sameTrie(t, fmt.Sprintf("n=%d replayed", n), got, want)
+	}
+	for range randomRoutes(10, 1) {
+		break // a sequence must stop when its consumer does
 	}
 }
 
@@ -374,10 +399,10 @@ func TestReservationChecked(t *testing.T) {
 	for i := range routes {
 		routes[i] = Route{uint32(i) << 16, 32, 1}
 	}
-	if nodes, entries := tr.need(routes[:1023]); nodes != 1023 || 1<<16+entries != maxEntries {
+	if nodes, entries := tr.need(slices.Values(routes[:1023])); nodes != 1023 || 1<<16+entries != maxEntries {
 		t.Fatalf("1023 second-level nodes: need = %d nodes, %d entries; want them to fill the reservation exactly", nodes, entries)
 	}
-	err := tr.InsertAll(routes)
+	err := tr.InsertAll(slices.Values(routes))
 	if err == nil || !strings.Contains(err.Error(), "67108864 entries") {
 		t.Fatalf("1024 second-level nodes: err = %v, want the entry reservation named", err)
 	}

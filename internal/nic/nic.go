@@ -36,23 +36,37 @@ type BufferPool struct {
 	bufSize int
 }
 
-// NewBufferPool allocates count buffers of bufSize bytes from arena.
+// NewBufferPool allocates count buffers of bufSize bytes from arena,
+// simulated and host memory both: ReserveBufferPool, then Alloc.
 func NewBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
+	bp := ReserveBufferPool(arena, count, bufSize)
+	bp.Alloc()
+	return bp
+}
+
+// ReserveBufferPool takes the pool's simulated memory from arena — the
+// buffers, the free stack and the head line — and no host memory: Get
+// must not run before Alloc.
+func ReserveBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
 	if count <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("nic: invalid pool %d x %d", count, bufSize))
 	}
-	bp := &BufferPool{
+	return &BufferPool{
 		region:  mem.NewRegion(arena, count, uint64(bufSize), true),
 		stack:   mem.NewRegion(arena, count, 4, false),
 		head:    arena.Alloc(hw.LineSize, hw.LineSize),
-		slab:    make([]byte, count*bufSize),
-		free:    make([]int, count),
 		bufSize: bufSize,
 	}
+}
+
+// Alloc allocates a reserved pool's host buffers and fills its free
+// stack, every buffer free.
+func (bp *BufferPool) Alloc() {
+	bp.slab = make([]byte, bp.region.Count*bp.bufSize)
+	bp.free = make([]int, bp.region.Count)
 	for i := range bp.free {
-		bp.free[i] = count - 1 - i // pop order: buffer 0 first
+		bp.free[i] = len(bp.free) - 1 - i // pop order: buffer 0 first
 	}
-	return bp
 }
 
 // Size returns the pool's buffer count.

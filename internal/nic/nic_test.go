@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"pktpredict/internal/click"
@@ -71,6 +73,24 @@ func TestBufferPoolAllocatesOnce(t *testing.T) {
 		if n := testing.AllocsPerRun(5, func() { NewBufferPool(mem.NewArena(0), count, 2048) }); n > 8 {
 			t.Fatalf("a pool of %d buffers takes %v allocations, want a small constant", count, n)
 		}
+	}
+}
+
+// TestReservedPoolHoldsNoHostMemory: ReserveBufferPool takes the same
+// simulated extents as NewBufferPool and no host buffers; Alloc then
+// makes it the eager pool.
+func TestReservedPoolHoldsNoHostMemory(t *testing.T) {
+	ea, ra := mem.NewArena(0), mem.NewArena(0)
+	eager, reserved := NewBufferPool(ea, 16, 512), ReserveBufferPool(ra, 16, 512)
+	if reserved.slab != nil || reserved.free != nil {
+		t.Fatalf("reserved pool holds %d slab bytes and %d free entries, want none", len(reserved.slab), len(reserved.free))
+	}
+	if !slices.Equal(ea.Bindings(), ra.Bindings()) || ea.Alloc(64, 64) != ra.Alloc(64, 64) {
+		t.Fatalf("arena extents differ: eager %v, reserved %v", ea.Bindings(), ra.Bindings())
+	}
+	reserved.Alloc()
+	if !reflect.DeepEqual(eager, reserved) {
+		t.Fatal("reserved pool after Alloc differs from the eager one")
 	}
 }
 

@@ -215,6 +215,45 @@ func TestNewRuntimeErrorIsLowestIndexReplica(t *testing.T) {
 	}
 }
 
+// TestNewRuntimeKeepsWhatItAllocates: a build allocates what the runtime
+// keeps and little else. Each pipeline's FromDevice, which the runtime
+// drops for a receive ring, reserves its simulated memory but builds no
+// host state, and a routing table is filled from a regenerated route
+// sequence, never a list; before either, the shipped mix's quick-scale
+// build left 2.1 MiB of garbage, 0.3 MiB since.
+func TestNewRuntimeKeepsWhatItAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates ~4 MiB of its own in this build")
+	}
+	cfg := shippedConfig(t, "mixed")
+	scale := exp.Quick()
+	cfg.Cfg, cfg.Params = scale.Cfg, scale.Params
+	cfg.Profiles = map[apps.FlowType]runtime.FlowProfile{}
+	for _, typ := range cfg.FlowTypes() {
+		cfg.Profiles[typ] = runtime.FlowProfile{SoloPPS: 1e6}
+	}
+	var before, after stdruntime.MemStats
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&before)
+	rt, err := runtime.NewRuntime(cfg)
+	stdruntime.GC()
+	stdruntime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdruntime.KeepAlive(rt)
+	allocated, live := after.TotalAlloc-before.TotalAlloc, int64(after.HeapAlloc)-int64(before.HeapAlloc)
+	garbage := int64(allocated) - live
+	t.Logf("allocated %d B, live %d B, garbage %d B", allocated, live, garbage)
+	if garbage > 1<<20 {
+		t.Fatalf("NewRuntime allocated %.2f MiB and keeps %.2f MiB: %.2f MiB of garbage, want under 1 MiB",
+			float64(allocated)/(1<<20), float64(live)/(1<<20), float64(garbage)/(1<<20))
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
 // BenchmarkNewRuntimeFull times the build of the shipped six-flow mix at
 // paper scale (six 128 000-route tries, five flow tables). Run it with
 // -cpu 1,2: at -cpu 1 it is the cost of sizing the tables in one step;

@@ -523,9 +523,9 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 		return inst.Source, nil
 	}
 	f.ring = NewRing(r.cfg.RingSize, st.pktSize)
-	// The graph's own source generated traffic for offline profiling;
-	// here the flow is fed through its ring and pulled by its stage-0
-	// worker's receive path, so let the source (and its packet buffers) go.
+	// The flow is fed through its ring and pulled by its stage-0 worker's
+	// receive path, so let the graph's own source go: never pulled, it
+	// built no host buffers, and its simulated extents stay reserved.
 	f.pipe.Source = nil
 	// Per-element attribution slots: the graph is structurally final here
 	// (control elements and aggressors are inserted by the builders), so
