@@ -285,3 +285,47 @@ func TestREADMELinksDocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDeparturesQuoteFig8Bound ties the README's "Where this reproduction
+// departs from the paper" to the nightly gate: the Figure 8 row that names
+// lint/fig8-full.bound quotes the file's value, and the full-scale worst
+// error it states (in bold) is below it.
+func TestDeparturesQuoteFig8Bound(t *testing.T) {
+	data, err := os.ReadFile("lint/fig8-full.bound")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := strings.TrimSpace(string(data))
+	limit, err := strconv.ParseFloat(bound, 64)
+	if err != nil {
+		t.Fatalf("lint/fig8-full.bound: %v", err)
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Where this reproduction departs from the paper\n")
+	if !ok {
+		t.Fatal(`README has no "## Where this reproduction departs from the paper" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var row string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "| Figure 8") && strings.Contains(line, "lint/fig8-full.bound") {
+			row = line
+		}
+	}
+	if row == "" {
+		t.Fatal("the departures section has no Figure 8 row naming lint/fig8-full.bound")
+	}
+	if m := regexp.MustCompile("`lint/fig8-full.bound` = ([0-9.]+)").FindStringSubmatch(row); m == nil || m[1] != bound {
+		t.Errorf("the Figure 8 row quotes the bound as %v, lint/fig8-full.bound holds %s:\n%s", m, bound, row)
+	}
+	m := regexp.MustCompile(`\*\*([0-9.]+) points\*\*`).FindStringSubmatch(row)
+	if m == nil {
+		t.Fatalf("the Figure 8 row states no full-scale worst error as **N points**:\n%s", row)
+	}
+	if worst, _ := strconv.ParseFloat(m[1], 64); worst >= limit {
+		t.Errorf("the Figure 8 row's full-scale worst error %v points is not below lint/fig8-full.bound %v", worst, limit)
+	}
+}

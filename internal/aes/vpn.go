@@ -24,11 +24,10 @@ const instrsPerBlock = 180
 // encapsulation path does, which is what puts tunnel endpoints' output
 // buffers into the cache working set.
 type VPNElement struct {
-	cipher    *Cipher
-	out       mem.Region // output-buffer ring
-	outIdx    int
-	nextIV    uint64
-	Encrypted uint64
+	cipher *Cipher
+	out    mem.Region // output-buffer ring
+	outIdx int
+	nextIV uint64
 }
 
 // defaultOutBuffers is the default output-ring depth: tunnel endpoints
@@ -94,7 +93,6 @@ func (v *VPNElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	} else {
 		ctx.StoreBytes(payloadAddr, len(payload))
 	}
-	v.Encrypted++
 	return click.Continue
 }
 

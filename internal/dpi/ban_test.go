@@ -43,8 +43,8 @@ func TestBanTableRepeatOffender(t *testing.T) {
 	if tb.Check(&ctx, 0x0a000002) {
 		t.Fatal("unrelated address reported as repeat offender")
 	}
-	if tb.Hits != 1 || tb.Inserts != 2 || tb.Lookups != 3 {
-		t.Fatalf("stats hits=%d inserts=%d lookups=%d, want 1/2/3", tb.Hits, tb.Inserts, tb.Lookups)
+	if tb.Occupied() != 2 {
+		t.Fatalf("%d entries after three checks of two addresses, want 2", tb.Occupied())
 	}
 	if !tb.Contains(0x0a000001) || !tb.Contains(0x0a000002) || tb.Contains(0x0a000003) {
 		t.Fatal("Contains disagrees with Check history")
@@ -70,8 +70,8 @@ func TestBanTableEvictsLeastRecentlySeen(t *testing.T) {
 	if tb.Check(&ctx, ips[banProbes]) {
 		t.Fatal("fresh address reported as repeat offender")
 	}
-	if tb.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", tb.Evictions)
+	if tb.Occupied() != banProbes {
+		t.Fatalf("%d entries after overflowing a full %d-slot chain, want %d (one evicted)", tb.Occupied(), banProbes, banProbes)
 	}
 	if tb.Contains(ips[1]) {
 		t.Fatal("LRU entry survived the eviction")

@@ -56,9 +56,6 @@ const (
 // list or derived from a seed shared with the traffic generator.
 type SignatureClassifier struct {
 	table *dpi.SigTable
-
-	Scanned uint64
-	Matched uint64
 }
 
 // NewSignatureClassifier builds the classifier over a compiled table.
@@ -83,7 +80,6 @@ func (s *SignatureClassifier) NumOutputs() int { return 2 }
 func (s *SignatureClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	old := ctx.SetFunc(fnSigScan)
 	defer ctx.SetFunc(old)
-	s.Scanned++
 	if len(p.Data) <= payloadOffset {
 		return click.Output(0)
 	}
@@ -100,7 +96,6 @@ func (s *SignatureClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Ver
 	}
 	ctx.Compute(uint32(len(payload)*sigScanCyclesPerByte), uint32(len(payload)*sigScanInstrsPerByte))
 	if s.table.Match(payload) >= 0 {
-		s.Matched++
 		return click.Output(1)
 	}
 	return click.Output(0)
@@ -115,9 +110,6 @@ type EntropyGate struct {
 	est       dpi.Entropy
 	threshold float64
 	window    int
-
-	Passed  uint64
-	Flagged uint64
 }
 
 // NewEntropyGate builds the gate; window <= 0 uses dpi.EntropyWindow.
@@ -142,7 +134,6 @@ func (e *EntropyGate) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	old := ctx.SetFunc(fnEntropy)
 	defer ctx.SetFunc(old)
 	if len(p.Data) <= payloadOffset {
-		e.Passed++
 		return click.Output(0)
 	}
 	payload := p.Data[payloadOffset:]
@@ -154,10 +145,8 @@ func (e *EntropyGate) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.Compute(uint32(entropyBaseCompute+samples*entropySampleCycles),
 		uint32(entropyBaseInstrs+samples*entropySampleInstrs))
 	if e.est.EstimateBits(payload, e.window) >= e.threshold {
-		e.Flagged++
 		return click.Output(1)
 	}
-	e.Passed++
 	return click.Output(0)
 }
 
@@ -169,10 +158,6 @@ func (e *EntropyGate) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 // the upstream detectors while letting first strikes through.
 type BanTableElement struct {
 	table *dpi.BanTable
-
-	Admitted uint64
-	Banned   uint64
-	Short    uint64
 }
 
 // NewBanTableElement allocates the ban table from env's arena.
@@ -198,16 +183,13 @@ func (b *BanTableElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict
 	old := ctx.SetFunc(fnBan)
 	defer ctx.SetFunc(old)
 	if len(p.Data) < netpkt.IPv4HeaderLen {
-		b.Short++
 		return click.Drop
 	}
 	ctx.Load(p.Addr) // source address sits in the header's first line
 	src := binary.BigEndian.Uint32(p.Data[12:16])
 	if b.table.Check(ctx, src) {
-		b.Banned++
 		return click.Output(1)
 	}
-	b.Admitted++
 	return click.Output(0)
 }
 

@@ -78,7 +78,6 @@ type FromDevice struct {
 	remaining int64 // -1 = unbounded
 	batch     int   // packets per RX poll; the poll cost amortizes over it
 	sincePoll int
-	Pulled    uint64
 }
 
 // FromDeviceConfig configures a FromDevice source.
@@ -180,7 +179,6 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 		fd.sincePoll = 0
 	}
 	ctx.Compute(RxCompute, RxInstrs)
-	fd.Pulled++
 	// A buffer, and so its header, has one owner between Get and Recycle;
 	// the assignment also clears the last packet's Trace and Enq.
 	p := &fd.pkts[idx]
@@ -202,7 +200,6 @@ func (fd *FromDevice) Pool() *nic.BufferPool { return fd.pool }
 // consumes the packet.
 type ToDevice struct {
 	ring *nic.Ring
-	Sent uint64
 }
 
 // NewToDevice builds the sink with a TX ring of ringSize descriptors
@@ -223,16 +220,13 @@ func (td *ToDevice) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	defer ctx.SetFunc(old)
 	td.ring.Produce(ctx)
 	ctx.Compute(txCompute, txInstrs)
-	td.Sent++
 	return click.Consume
 }
 
 // CheckIPHeader validates the IPv4 header exactly as Click's element of
 // the same name: version, header length, total length, checksum. Invalid
 // packets are dropped.
-type CheckIPHeader struct {
-	Ok, Bad uint64
-}
+type CheckIPHeader struct{}
 
 // Class implements click.Element.
 func (c *CheckIPHeader) Class() string { return "CheckIPHeader" }
@@ -244,19 +238,15 @@ func (c *CheckIPHeader) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.LoadBytes(p.Addr, netpkt.IPv4HeaderLen)
 	ctx.Compute(checkIPCompute, checkIPInstrs)
 	if _, err := netpkt.ParseIPv4(p.Data); err != nil {
-		c.Bad++
 		return click.Drop
 	}
-	c.Ok++
 	return click.Continue
 }
 
 // DecIPTTL decrements the TTL and incrementally updates the header
 // checksum (RFC 1624), dropping expired packets, as in the paper's "full
 // IP forwarding" path.
-type DecIPTTL struct {
-	Expired uint64
-}
+type DecIPTTL struct{}
 
 // Class implements click.Element.
 func (d *DecIPTTL) Class() string { return "DecIPTTL" }
@@ -269,7 +259,6 @@ func (d *DecIPTTL) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.Store(p.Addr)
 	ctx.Compute(decTTLCompute, decTTLInstrs)
 	if err := netpkt.DecTTL(p.Data); err != nil {
-		d.Expired++
 		return click.Drop
 	}
 	return click.Continue
@@ -302,14 +291,13 @@ func (c *Counter) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 }
 
 // Discard drops every packet, like Click's element of the same name.
-type Discard struct{ Count uint64 }
+type Discard struct{}
 
 // Class implements click.Element.
 func (d *Discard) Class() string { return "Discard" }
 
 // Process implements click.Element.
 func (d *Discard) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
-	d.Count++
 	return click.Drop
 }
 

@@ -152,9 +152,6 @@ func TestCheckIPHeaderAcceptsValid(t *testing.T) {
 	if v := el.Process(&ctx, mkPacket(t)); v != click.Continue {
 		t.Fatalf("verdict = %v, want continue", v)
 	}
-	if el.Ok != 1 || el.Bad != 0 {
-		t.Fatalf("counters = %d/%d", el.Ok, el.Bad)
-	}
 }
 
 func TestCheckIPHeaderDropsCorrupt(t *testing.T) {
@@ -164,9 +161,6 @@ func TestCheckIPHeaderDropsCorrupt(t *testing.T) {
 	p.Data[12] ^= 0xff // corrupt source, checksum now wrong
 	if v := el.Process(&ctx, p); v != click.Drop {
 		t.Fatalf("verdict = %v, want drop", v)
-	}
-	if el.Bad != 1 || el.Ok != 0 {
-		t.Fatalf("bad/ok = %d/%d, want 1/0", el.Bad, el.Ok)
 	}
 }
 
@@ -196,9 +190,6 @@ func TestDecIPTTLDropsExpired(t *testing.T) {
 	p.Data[10], p.Data[11] = byte(cs>>8), byte(cs)
 	if v := el.Process(&ctx, p); v != click.Drop {
 		t.Fatalf("verdict = %v, want drop", v)
-	}
-	if el.Expired != 1 {
-		t.Fatalf("expired = %d", el.Expired)
 	}
 }
 
@@ -244,9 +235,6 @@ func TestToDeviceConsumes(t *testing.T) {
 	if v := td.Process(&ctx, mkPacket(t)); v != click.Consume {
 		t.Fatalf("verdict = %v, want consume", v)
 	}
-	if td.Sent != 1 {
-		t.Fatalf("sent = %d", td.Sent)
-	}
 }
 
 func TestConfigIntegration(t *testing.T) {
@@ -271,8 +259,8 @@ func TestConfigIntegration(t *testing.T) {
 	if v := elementOf[*Counter](t, pl).Packets; v != 10 {
 		t.Fatalf("Counter.Packets = %d", v)
 	}
-	if v := elementOf[*ToDevice](t, pl).Sent; v != 10 {
-		t.Fatalf("ToDevice.Sent = %d", v)
+	if pl.Finished != 10 {
+		t.Fatalf("Pipeline.Finished = %d, want 10 sent", pl.Finished)
 	}
 }
 

@@ -110,7 +110,6 @@ type Classifier struct {
 	span     int // rightmost byte any pattern examines
 
 	Matched []uint64 // per-port match counts
-	NoMatch uint64
 }
 
 // NewClassifier builds a classifier from pattern strings.
@@ -157,7 +156,6 @@ func (c *Classifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 			return click.Output(i)
 		}
 	}
-	c.NoMatch++
 	return click.Drop
 }
 
@@ -212,7 +210,6 @@ type IPClassifier struct {
 	patterns []ipPattern
 
 	Matched []uint64
-	NoMatch uint64
 }
 
 // NewIPClassifier builds the classifier from pattern strings.
@@ -244,7 +241,6 @@ func (c *IPClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.LoadBytes(p.Addr, netpkt.IPv4HeaderLen+4)
 	ft, err := netpkt.ExtractFiveTuple(p.Data)
 	if err != nil {
-		c.NoMatch++
 		return click.Drop
 	}
 	for i, pat := range c.patterns {
@@ -254,7 +250,6 @@ func (c *IPClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 			return click.Output(i)
 		}
 	}
-	c.NoMatch++
 	return click.Drop
 }
 
@@ -262,7 +257,6 @@ func (c *IPClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 // The branches process the same packet bytes sequentially.
 type Tee struct {
 	outputs int // 0 = adapt to connected ports
-	Packets uint64
 }
 
 // NewTee builds a tee; outputs of 0 adapts to the connected port count.
@@ -281,7 +275,6 @@ func (t *Tee) NumOutputs() int {
 
 // Process implements click.Element.
 func (t *Tee) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
-	t.Packets++
 	ctx.Compute(4, 4)
 	return click.Broadcast
 }
@@ -292,8 +285,6 @@ func (t *Tee) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 type RoundRobinSwitch struct {
 	n    int
 	next int
-
-	Packets uint64
 }
 
 // Class implements click.Element.
@@ -307,7 +298,6 @@ func (r *RoundRobinSwitch) SetOutputs(n int) { r.n = n }
 
 // Process implements click.Element.
 func (r *RoundRobinSwitch) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
-	r.Packets++
 	ctx.Compute(4, 4)
 	if r.n == 0 {
 		return click.Continue

@@ -60,9 +60,6 @@ func TestClassifierWildcardsAndNoMatchDrop(t *testing.T) {
 	if v := c.Process(&ctx, bad); v != click.Drop {
 		t.Fatalf("no-match packet got %v, want drop", v)
 	}
-	if c.NoMatch != 1 {
-		t.Fatalf("nomatch = %d", c.NoMatch)
-	}
 }
 
 func TestClassifierRejectsBadPatterns(t *testing.T) {
@@ -101,9 +98,6 @@ func TestIPClassifierProtocolAndPortSplit(t *testing.T) {
 	if v := c.Process(&ctx, &click.Packet{Data: []byte{1, 2, 3}, Addr: 0x2000}); v != click.Drop {
 		t.Fatalf("bad packet got %v, want drop", v)
 	}
-	if c.NoMatch != 1 {
-		t.Fatalf("nomatch = %d", c.NoMatch)
-	}
 }
 
 func TestIPClassifierRejectsBadPatterns(t *testing.T) {
@@ -134,9 +128,6 @@ func TestTeeAndRoundRobinSwitch(t *testing.T) {
 		if v := rr.Process(&ctx, mkProtoPacket(t, netpkt.ProtoTCP, 80)); v != want {
 			t.Fatalf("packet %d routed to %v, want %v", i, v, want)
 		}
-	}
-	if rr.Packets != 6 {
-		t.Fatalf("rr packets = %d", rr.Packets)
 	}
 }
 
@@ -171,9 +162,8 @@ func TestRoutersViaConfig(t *testing.T) {
 	if tcp == 0 || udp == 0 || tcp+udp != 200 {
 		t.Fatalf("protocol split %d/%d, want both nonzero summing to 200", tcp, udp)
 	}
-	sent, mirrored := elementOf[*ToDevice](t, pl).Sent, elementOf[*Counter](t, pl).Packets
-	if sent != 200 || mirrored != 200 {
-		t.Fatalf("tee delivered %d to wire, %d to mirror; want 200/200", sent, mirrored)
+	if mirrored := elementOf[*Counter](t, pl).Packets; mirrored != 200 {
+		t.Fatalf("tee delivered %d to the mirror, want 200", mirrored)
 	}
 	// Every packet finished on the wire branch; the mirror branch's
 	// Discard shows up in per-branch node counters, not in the

@@ -22,8 +22,7 @@ type ThrottleResult struct {
 	// VictimUncontainedTput and VictimContainedTput are a MON
 	// co-runner's packets/sec in the post-trigger steady state of each
 	// run, measured at the same virtual-time position so they compare
-	// directly. VictimBaselineTput is its pre-trigger throughput.
-	VictimBaselineTput    float64
+	// directly.
 	VictimUncontainedTput float64
 	VictimContainedTput   float64
 }
@@ -78,13 +77,13 @@ func RunThrottle(p *core.Predictor) (*ThrottleResult, error) {
 	out.ProfiledRefsPerSec = honest.L3RefsPerSec()
 
 	// Run 1: no containment — observe the aggression and the victim's
-	// drop versus its own pre-trigger throughput.
+	// drop. The two pre-trigger windows put both runs at the same
+	// virtual-time position.
 	free, err := build()
 	if err != nil {
 		return nil, err
 	}
-	// The victim's throughput while the aggressor is still honest.
-	out.VictimBaselineTput = free.Engine.MeasureWindow(p.Warmup, p.Warmup)[1].Throughput()
+	free.Engine.MeasureWindow(p.Warmup, p.Warmup)
 	for i := 0; i < steps; i++ {
 		out.Uncontained = append(out.Uncontained, core.ThrottleSample{
 			Interval: i, RefsPerSec: free.Engine.Measure(interval)[0].L3RefsPerSec()})

@@ -62,9 +62,6 @@ const ruleSimBytes = 32
 type Filter struct {
 	rules  []Rule
 	region mem.Region
-
-	Checked uint64 // total rule evaluations
-	Matched uint64
 }
 
 // NewFilter allocates the rule array from arena.
@@ -99,9 +96,7 @@ func (f *Filter) Check(ctx *click.Ctx, ft netpkt.FiveTuple) (Action, bool) {
 			prevLine = line
 		}
 		ctx.Compute(16, 14) // field comparisons and branches per rule
-		f.Checked++
 		if f.rules[i].Matches(ft) {
-			f.Matched++
 			return f.rules[i].Act, true
 		}
 	}
@@ -142,8 +137,7 @@ func NoMatchRules(n int, seed uint64) []Rule {
 
 // Element is the IPFilter click element.
 type Element struct {
-	Filter  *Filter
-	Dropped uint64
+	Filter *Filter
 }
 
 // Class implements click.Element.
@@ -153,12 +147,10 @@ func (e *Element) Class() string { return "IPFilter" }
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ft, err := netpkt.ExtractFiveTuple(p.Data)
 	if err != nil {
-		e.Dropped++
 		return click.Drop
 	}
 	act, _ := e.Filter.Check(ctx, ft)
 	if act == Deny {
-		e.Dropped++
 		return click.Drop
 	}
 	return click.Continue

@@ -99,13 +99,25 @@ func TestNoMatchRulesNeverMatchQuick(t *testing.T) {
 	}
 }
 
+// rulesChecked counts the rules a trace evaluated: Check emits one
+// compute op per rule.
+func rulesChecked(ops []hw.Op) int {
+	n := 0
+	for _, op := range ops {
+		if op.Kind == hw.OpCompute {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCheckScansAllRulesOnNoMatch(t *testing.T) {
 	arena := mem.NewArena(0)
 	f := NewFilter(arena, NoMatchRules(1000, 1))
 	var ctx click.Ctx
 	f.Check(&ctx, tcpTuple(1, 2, 80))
-	if f.Checked != 1000 {
-		t.Fatalf("checked %d rules, want 1000", f.Checked)
+	if n := rulesChecked(ctx.Ops); n != 1000 {
+		t.Fatalf("checked %d rules, want 1000", n)
 	}
 	// 1000 rules at 32 B each, 2 per line → 500 distinct line loads.
 	loads := 0
@@ -129,8 +141,8 @@ func TestCheckStopsAtMatch(t *testing.T) {
 	if !matched || act != Deny {
 		t.Fatalf("= %v/%v, want Deny/true", act, matched)
 	}
-	if f.Checked != 10 {
-		t.Fatalf("checked %d rules, want 10 (stop at first match)", f.Checked)
+	if n := rulesChecked(ctx.Ops); n != 10 {
+		t.Fatalf("checked %d rules, want 10 (stop at first match)", n)
 	}
 }
 
@@ -160,12 +172,6 @@ func TestElementDeniesAndAllows(t *testing.T) {
 	}
 	if v := el.Process(&ctx, mk(80)); v != click.Continue {
 		t.Fatalf("port 80 verdict = %v, want continue", v)
-	}
-	if el.Dropped != 1 {
-		t.Fatalf("dropped = %d", el.Dropped)
-	}
-	if el.Filter.Matched != 1 {
-		t.Fatalf("matched = %d", el.Filter.Matched)
 	}
 }
 

@@ -17,9 +17,8 @@ var fnRadixLookup = hw.RegisterFunc("radix_ip_lookup")
 // forwarding path loads after the longest-prefix match). Packets without
 // a route are dropped.
 type Element struct {
-	Trie    *RadixTrie
-	adj     mem.Region // adjacency table: one line-padded entry per route
-	NoRoute uint64
+	Trie *RadixTrie
+	adj  mem.Region // adjacency table: one line-padded entry per route
 }
 
 // NewElement wraps an existing trie, allocating the adjacency table for
@@ -44,7 +43,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	dst := binary.BigEndian.Uint32(p.Data[16:])
 	nh := e.Trie.Lookup(ctx, dst)
 	if nh == NoRoute {
-		e.NoRoute++
 		ctx.Compute(8, 8)
 		return click.Drop
 	}

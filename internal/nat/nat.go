@@ -49,12 +49,6 @@ type Table struct {
 	extIP    uint32
 	nextPort uint32
 	clock    uint64
-
-	// Statistics.
-	Lookups   uint64
-	Hits      uint64
-	Inserts   uint64
-	Evictions uint64
 }
 
 // NewTable builds a table with capacity slots (rounded up to a power of
@@ -124,7 +118,6 @@ func (t *Table) Translate(ctx *click.Ctx, key netpkt.FiveTuple) (port uint16, cr
 	defer ctx.SetFunc(old)
 
 	t.clock++
-	t.Lookups++
 	h := key.Hash()
 	ctx.Compute(30, 28) // tuple hash
 	idx := h & t.mask
@@ -135,13 +128,11 @@ func (t *Table) Translate(ctx *click.Ctx, key netpkt.FiveTuple) (port uint16, cr
 		ctx.Load(t.region.Addr(int(idx)))
 		ctx.Compute(4, 5)
 		if slot.used && slot.key == key {
-			t.Hits++
 			slot.lastSeen = t.clock
 			ctx.Store(t.region.Addr(int(idx)))
 			return slot.extPort, false
 		}
 		if !slot.used {
-			t.Inserts++
 			*slot = mapping{key: key, extPort: t.allocPort(ctx), used: true, lastSeen: t.clock}
 			ctx.Store(t.region.Addr(int(idx)))
 			return slot.extPort, true
@@ -152,8 +143,6 @@ func (t *Table) Translate(ctx *click.Ctx, key netpkt.FiveTuple) (port uint16, cr
 		idx = (idx + 1) & t.mask
 	}
 	// Chain full: expire the least-recently-used probed binding.
-	t.Evictions++
-	t.Inserts++
 	slot := &t.slots[victim]
 	*slot = mapping{key: key, extPort: t.allocPort(ctx), used: true, lastSeen: t.clock}
 	ctx.Store(t.region.Addr(int(victim)))
@@ -170,9 +159,6 @@ const (
 // Element is the IPRewriter click element: stateful source NAT.
 type Element struct {
 	Table *Table
-
-	Rewritten uint64
-	Dropped   uint64
 }
 
 // Class implements click.Element.
@@ -183,14 +169,12 @@ func (e *Element) Class() string { return "IPRewriter" }
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ft, err := netpkt.ExtractFiveTuple(p.Data)
 	if err != nil {
-		e.Dropped++
 		return click.Drop
 	}
 	port, _ := e.Table.Translate(ctx, ft)
 	old := ctx.SetFunc(fnNAT)
 	if err := netpkt.RewriteSrc(p.Data, e.Table.extIP, port); err != nil {
 		ctx.SetFunc(old)
-		e.Dropped++
 		return click.Drop
 	}
 	// The rewrite dirties the header's cache line(s).
@@ -198,7 +182,6 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.StoreBytes(p.Addr, netpkt.IPv4HeaderLen+2)
 	ctx.Compute(rewriteCompute, rewriteInstrs)
 	ctx.SetFunc(old)
-	e.Rewritten++
 	return click.Continue
 }
 

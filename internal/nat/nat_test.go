@@ -37,8 +37,8 @@ func TestTableAllocatesStablePorts(t *testing.T) {
 	if created || again != p1 {
 		t.Fatalf("repeat lookup got port %d created=%v, want %d/false", again, created, p1)
 	}
-	if tb.Occupied() != 2 || tb.Inserts != 2 || tb.Hits != 1 {
-		t.Fatalf("table state: occ=%d inserts=%d hits=%d", tb.Occupied(), tb.Inserts, tb.Hits)
+	if tb.Occupied() != 2 {
+		t.Fatalf("%d bindings for two flows, want 2", tb.Occupied())
 	}
 }
 
@@ -49,8 +49,8 @@ func TestTableEvictsLRUUnderPressure(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tb.Translate(&ctx, tuple(uint16(i)))
 	}
-	if tb.Evictions == 0 {
-		t.Fatal("overloaded table never evicted")
+	if _, created := tb.Translate(&ctx, tuple(0)); !created {
+		t.Fatal("overloaded table never evicted the first flow's binding")
 	}
 	if tb.Occupied() > tb.Size() {
 		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), tb.Size())
@@ -111,20 +111,21 @@ func TestElementRewritesAndChecksumStaysValid(t *testing.T) {
 
 	// The same inner flow must map to the same external port.
 	pkt2 := &click.Packet{Data: natPacket(1234), Addr: 0x4000}
-	el.Process(&ctx, pkt2)
+	if v := el.Process(&ctx, pkt2); v != click.Continue {
+		t.Fatalf("repeat flow: verdict %v", v)
+	}
 	ft2, _ := netpkt.ExtractFiveTuple(pkt2.Data)
 	if ft2.SrcPort != ft.SrcPort {
 		t.Fatalf("flow remapped: %d then %d", ft.SrcPort, ft2.SrcPort)
 	}
 	// A different inner flow must not share the port.
 	pkt3 := &click.Packet{Data: natPacket(4321), Addr: 0x4000}
-	el.Process(&ctx, pkt3)
+	if v := el.Process(&ctx, pkt3); v != click.Continue {
+		t.Fatalf("second flow: verdict %v", v)
+	}
 	ft3, _ := netpkt.ExtractFiveTuple(pkt3.Data)
 	if ft3.SrcPort == ft.SrcPort {
 		t.Fatalf("distinct flows share external port %d", ft3.SrcPort)
-	}
-	if el.Rewritten != 3 {
-		t.Fatalf("rewritten = %d", el.Rewritten)
 	}
 }
 
@@ -133,9 +134,6 @@ func TestElementDropsGarbage(t *testing.T) {
 	var ctx click.Ctx
 	if v := el.Process(&ctx, &click.Packet{Data: []byte{1, 2}, Addr: 0}); v != click.Drop {
 		t.Fatalf("garbage got %v", v)
-	}
-	if el.Dropped != 1 {
-		t.Fatalf("dropped = %d", el.Dropped)
 	}
 }
 

@@ -39,14 +39,7 @@ type Table struct {
 	index  mem.Region // bucket-index array, 8 bytes per slot
 	region mem.Region // flow records, one line each
 	mask   uint64
-
-	// Statistics.
-	Lookups   uint64
-	Inserts   uint64
-	Probes    uint64
-	Evictions uint64 // slots reused after collisions exhaust probe budget
-
-	clock uint64
+	clock  uint64
 }
 
 // maxProbes bounds a probe chain; production flow tables bound probing
@@ -98,7 +91,6 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 	defer ctx.SetFunc(old)
 
 	t.clock++
-	t.Lookups++
 	h := key.Hash()
 	ctx.Compute(30, 28) // header hash computation
 	idx := h & t.mask
@@ -109,7 +101,6 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 		slot := &t.slots[idx]
 		ctx.Load(t.region.Addr(int(idx))) // record line
 		ctx.Compute(4, 5)
-		t.Probes++
 		if slot.used && slot.Key == key {
 			slot.Packets++
 			slot.Bytes += uint64(size)
@@ -130,10 +121,6 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 		}
 		idx = (idx + 1) & t.mask
 	}
-	if victim.used {
-		t.Evictions++
-	}
-	t.Inserts++
 	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock, used: true}
 	ctx.Store(t.index.Addr(int(victimIdx)))
 	ctx.Store(t.region.Addr(int(victimIdx)))
@@ -158,8 +145,7 @@ func (t *Table) Get(key netpkt.FiveTuple) (Entry, bool) {
 
 // Element is the NetFlow click element.
 type Element struct {
-	Table  *Table
-	Failed uint64 // packets whose 5-tuple could not be extracted
+	Table *Table
 }
 
 // Class implements click.Element.
@@ -169,7 +155,6 @@ func (e *Element) Class() string { return "NetFlow" }
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ft, err := netpkt.ExtractFiveTuple(p.Data)
 	if err != nil {
-		e.Failed++
 		return click.Drop
 	}
 	// Reading the transport header may touch a second packet line.

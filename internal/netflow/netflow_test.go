@@ -36,8 +36,8 @@ func TestUpdateCreatesAndAccumulates(t *testing.T) {
 	if e.Packets != 2 || e.Bytes != 164 {
 		t.Fatalf("entry = %+v, want 2 pkts / 164 bytes", e)
 	}
-	if tb.Inserts != 1 || tb.Lookups != 2 {
-		t.Fatalf("stats: %d inserts / %d lookups", tb.Inserts, tb.Lookups)
+	if tb.Occupied() != 1 {
+		t.Fatalf("%d records for one flow, want 1", tb.Occupied())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestCollisionEvictsStalest(t *testing.T) {
 	for i := uint32(0); i < 100; i++ {
 		tb.Update(&ctx, tuple(i), 64)
 	}
-	if tb.Evictions == 0 {
-		t.Fatal("no evictions despite overload")
+	if _, ok := tb.Get(tuple(0)); ok {
+		t.Fatal("the first flow's record survived 99 later flows in 2 slots")
 	}
 	if occ := tb.Occupied(); occ > 2 {
 		t.Fatalf("occupied = %d > capacity", occ)
@@ -124,8 +124,8 @@ func TestCountsMatchReferenceQuick(t *testing.T) {
 			ref[k]++
 			ctx.Ops = ctx.Ops[:0]
 		}
-		if tb.Evictions > 0 {
-			return true // eviction voids the comparison; not expected at this load
+		if tb.Occupied() < len(ref) {
+			return true // an eviction voids the comparison; not expected at this load
 		}
 		for k, want := range ref {
 			e, ok := tb.Get(k)
@@ -151,8 +151,8 @@ func TestElementProcessesPackets(t *testing.T) {
 	if v := el.Process(&ctx, p); v != click.Continue {
 		t.Fatalf("verdict = %v", v)
 	}
-	if tb.Lookups != 1 || el.Table != tb {
-		t.Fatalf("lookups = %d", tb.Lookups)
+	if e, ok := tb.Get(netpkt.FiveTuple{Src: 1, Dst: 2, Proto: netpkt.ProtoUDP}); !ok || e.Packets != 1 || e.Bytes != 64 {
+		t.Fatalf("flow record %+v (found %v), want 1 packet / 64 bytes", e, ok)
 	}
 }
 
@@ -162,9 +162,6 @@ func TestElementDropsUnparseable(t *testing.T) {
 	p := &click.Packet{Data: make([]byte, 10), Addr: 0}
 	if v := el.Process(&ctx, p); v != click.Drop {
 		t.Fatalf("verdict = %v, want drop", v)
-	}
-	if el.Failed != 1 {
-		t.Fatalf("failed = %d", el.Failed)
 	}
 }
 

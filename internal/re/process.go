@@ -57,21 +57,6 @@ type Encoded struct {
 	MatchedLen int // bytes replaced by references
 }
 
-// SavedBytes returns how many payload bytes the encoding eliminated,
-// accounting for the reference tokens' own size (12 bytes each).
-func (e Encoded) SavedBytes() int {
-	saved := e.MatchedLen
-	for _, s := range e.Segments {
-		if s.Match {
-			saved -= 12
-		}
-	}
-	if saved < 0 {
-		return 0
-	}
-	return saved
-}
-
 // Processor is one flow's redundancy-elimination engine.
 type Processor struct {
 	rabin  *Rabin
@@ -100,9 +85,6 @@ func NewProcessor(arena *mem.Arena, cfg Config) *Processor {
 
 // Store exposes the packet store (for decode-side tests).
 func (p *Processor) Store() *PacketStore { return p.store }
-
-// Table exposes the fingerprint table.
-func (p *Processor) Table() *FPTable { return p.table }
 
 // rep is one representative fingerprint of the payload being processed.
 type rep struct {
@@ -239,8 +221,6 @@ func (p *Processor) Decode(enc Encoded) ([]byte, error) {
 // Element is the RedundancyElim click element.
 type Element struct {
 	Proc *Processor
-	// SavedBytes accumulates eliminated output bytes.
-	SavedBytes uint64
 }
 
 // Class implements click.Element.
@@ -252,8 +232,7 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 		return click.Continue
 	}
 	payload := p.Data[netpkt.IPv4HeaderLen:]
-	enc := e.Proc.Process(ctx, payload, p.Addr+netpkt.IPv4HeaderLen)
-	e.SavedBytes += uint64(enc.SavedBytes())
+	e.Proc.Process(ctx, payload, p.Addr+netpkt.IPv4HeaderLen)
 	return click.Continue
 }
 

@@ -94,8 +94,6 @@ type FPTable struct {
 	locs   []uint64 // store offset of the window's first byte
 	region mem.Region
 	mask   uint64
-
-	Lookups, Hits, Inserts uint64
 }
 
 // NewFPTable builds a table with capacity slots (rounded up to a power of
@@ -139,9 +137,7 @@ func (t *FPTable) Lookup(ctx *click.Ctx, fp uint64) (loc uint64, ok bool) {
 	idx := fp & t.mask
 	ctx.Load(t.region.Addr(int(idx)))
 	ctx.Compute(6, 7)
-	t.Lookups++
 	if t.keys[idx] == fpKey(fp) {
-		t.Hits++
 		return t.locs[idx], true
 	}
 	return 0, false
@@ -157,5 +153,4 @@ func (t *FPTable) Insert(ctx *click.Ctx, fp uint64, loc uint64) {
 	ctx.Compute(4, 5)
 	t.keys[idx] = fpKey(fp)
 	t.locs[idx] = loc
-	t.Inserts++
 }

@@ -1,11 +1,17 @@
 package runtime
 
 import (
+	"maps"
+	"math"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/core"
+	"pktpredict/internal/exp"
+	"pktpredict/internal/hw"
 	"pktpredict/internal/obs"
 )
 
@@ -141,6 +147,78 @@ func TestElementBaselinesFromSolo(t *testing.T) {
 	}
 	if !anyRefs {
 		t.Fatal("no element issued L3 references in the solo run")
+	}
+}
+
+// engineElementBaselines is soloElementBaselines measured on the
+// deterministic engine's solo run instead: the pipeline's nodes numbered
+// as buildFlow numbers them (slot i+1, the overhead in slot 0), a table of
+// cells on core 0, and the cells' growth over the window per packet.
+func engineElementBaselines(t *testing.T, s exp.Scale, typ apps.FlowType) map[string]ElemBaseline {
+	t.Helper()
+	res, err := core.Scenario{Cfg: s.Cfg, Params: s.Params,
+		Flows: []core.FlowSpec{{Type: typ, Core: 0, Domain: 0, Seed: core.SeedFor(typ, 0)}}}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := res.Instances[0].Pipeline.Nodes()
+	for i, n := range nodes {
+		n.Elem = uint16(i + 1)
+	}
+	cells := make([]hw.ElemCell, len(nodes)+1)
+	res.Platform.Cores[0].SetElemTable(cells)
+	before, after := make([]hw.ElemCost, len(cells)), make([]hw.ElemCost, len(cells))
+	res.Engine.Measure(s.Warmup)
+	hw.CopyCosts(before, cells)
+	pkts := float64(res.Engine.Measure(s.Window)[0].Raw.Packets)
+	hw.CopyCosts(after, cells)
+	out := map[string]ElemBaseline{}
+	for i := range cells {
+		name := overheadElem
+		if i > 0 {
+			name = nodes[i-1].Name
+		}
+		d := after[i].Sub(before[i])
+		out[name] = ElemBaseline{CyclesPerPacket: float64(d.Cycles) / pkts, RefsPerPacket: float64(d.L3Refs) / pkts}
+	}
+	return out
+}
+
+// TestElementBaselinesMatchEngine is the oracle between the two executors
+// at element grain (ROADMAP item 10(a)): for every builtin flow type, the
+// runtime's solo element baselines name the same elements as the engine's
+// solo run, and every element the drift detector weighs (at least
+// driftBaseFloor refs/packet) costs the same on both within 5 %, in L3
+// references and in cycles per packet. The residue is layout: the
+// runtime's private state domains and per-worker receive pool put the
+// flow's lines in other cache sets (docs/ARCHITECTURE.md). At quick scale
+// the widest gap is VPN's RadixIPLookup, 3.7 %.
+func TestElementBaselinesMatchEngine(t *testing.T) {
+	s := exp.Quick()
+	for _, typ := range []apps.FlowType{apps.IP, apps.MON, apps.FW, apps.RE, apps.VPN} {
+		rt, err := soloElementBaselines(s.Cfg, s.Params, typ, s.Warmup, s.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engineElementBaselines(t, s, typ)
+		names := slices.Sorted(maps.Keys(rt))
+		if engNames := slices.Sorted(maps.Keys(eng)); !slices.Equal(names, engNames) {
+			t.Fatalf("%s: runtime elements %v, engine elements %v", typ, names, engNames)
+		}
+		for _, name := range names {
+			r, e := rt[name], eng[name]
+			if max(r.RefsPerPacket, e.RefsPerPacket) < driftBaseFloor {
+				continue
+			}
+			for _, c := range []struct {
+				what    string
+				rt, eng float64
+			}{{"refs/pkt", r.RefsPerPacket, e.RefsPerPacket}, {"cycles/pkt", r.CyclesPerPacket, e.CyclesPerPacket}} {
+				if math.Abs(c.rt-c.eng) > 0.05*c.eng {
+					t.Errorf("%s %s: runtime %.3f %s, engine %.3f: more than 5 %% apart", typ, name, c.rt, c.what, c.eng)
+				}
+			}
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/table"
 )
 
 // WorkerTelemetry is one worker's live measurements over the last control
@@ -241,33 +241,49 @@ func (r *Report) TotalProcessed() uint64 {
 	return n
 }
 
-// String renders the report as aligned text tables.
+// String renders the report as text tables: workers, apps and, when any
+// packet recorded a latency, latencies. Migrations are the worker table's
+// notes; cut losses and branch terminals are the app table's.
 func (r *Report) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scenario %s: %d workers, %.1f ms virtual, %d quanta, %d migrations, %d throttle events\n",
-		r.Scenario, len(r.Workers), r.Duration*1e3, r.Quanta, len(r.Migrations), r.ThrottleEvents)
-
-	fmt.Fprintf(&b, "\n%-3s %-4s %-6s %-10s %-8s %-5s %12s %12s %8s %8s %8s %9s\n",
-		"wkr", "core", "socket", "app", "type", "stage", "pkts", "pps", "occ", "delay", "rem/pkt", "state")
+	f0 := func(v float64) string { return fmt.Sprintf("%.0f", v) }
+	f1 := func(v float64) string { return fmt.Sprintf("%.1f", v) }
+	f2 := func(v float64) string { return fmt.Sprintf("%.2f", v) }
+	workers := table.New(fmt.Sprintf("scenario %s: %d workers, %.1f ms virtual, %d quanta, %d migrations, %d throttle events",
+		r.Scenario, len(r.Workers), r.Duration*1e3, r.Quanta, len(r.Migrations), r.ThrottleEvents),
+		"wkr", "core", "socket", "app", "type", "stage", "pkts", "pps", "occ", "delay", "rem/pkt", "state").
+		Format(f0, "pps").Format(f2, "occ", "rem/pkt")
 	for _, w := range r.Workers {
-		stage := "-"
+		stage, state := "-", "-"
 		if w.Stages > 1 {
 			stage = fmt.Sprintf("%d/%d", w.Stage, w.Stages)
 		}
-		state := "-"
 		if w.StateSocket >= 0 {
 			state = fmt.Sprintf("%dB@s%d", w.StateBytes, w.StateSocket)
 			if w.StateSocket != w.Socket {
 				state += "!" // state remote to the executing socket
 			}
 		}
-		fmt.Fprintf(&b, "%-3d %-4d %-6d %-10s %-8s %-5s %12d %12.0f %8.2f %8d %8.2f %9s\n",
-			w.Worker, w.Core, w.Socket, w.App, w.Type, stage, w.Packets, w.PPS,
+		workers.Add(w.Worker, w.Core, w.Socket, w.App, w.Type, stage, w.Packets, w.PPS,
 			w.BatchOccupancy, w.DelayCycles, w.RemotePerPacket, state)
 	}
+	for _, m := range r.Migrations {
+		workers.Note("migration @q%d: worker %d (%s) <-> worker %d (%s), worst predicted drop was %.1f%%",
+			m.Quantum, m.WorkerA, m.FlowA, m.WorkerB, m.FlowB, m.WorstBefore*100)
+		if m.StateCopyCycles > 0 {
+			workers.Note("  state copy: %d B (%d lines) in %d cycles",
+				m.CopyA.Bytes+m.CopyB.Bytes, m.CopyA.Lines+m.CopyB.Lines, m.StateCopyCycles)
+		}
+		workers.Note("  remote refs/pkt: %s %s -> %s, %s %s -> %s",
+			m.FlowA, fmtRemRate(m.RemotePerPktBeforeA), fmtRemRate(m.RemotePerPktAfterA),
+			m.FlowB, fmtRemRate(m.RemotePerPktBeforeB), fmtRemRate(m.RemotePerPktAfterB))
+	}
 
-	fmt.Fprintf(&b, "\n%-10s %-8s %3s %12s %12s %10s %12s %10s %10s %10s %10s\n",
-		"app", "type", "n", "processed", "finished", "nicdrop", "pps/worker", "solo", "obs_drop", "pred_drop", "err")
+	// An empty title renders as the blank line between tables.
+	appT := table.New("", "app", "type", "n", "processed", "finished", "nicdrop", "pps/worker", "solo", "obs_drop", "pred_drop", "err").
+		Format(f0, "pps/worker", "solo")
+	lat := table.New("", "app", "lat_count", "p50_us", "p99_us", "p999_us", "slo_p99", "breaches", "burn").
+		Format(f1, "p50_us", "p99_us", "p999_us")
+	anyLat := false
 	for _, a := range r.Apps {
 		obs, pred, errs := "-", "-", "-"
 		if a.SoloPPS > 0 {
@@ -275,70 +291,33 @@ func (r *Report) String() string {
 			pred = fmt.Sprintf("%.1f%%", a.PredictedDrop*100)
 			errs = fmt.Sprintf("%+.1f%%", a.PredictionError()*100)
 		}
-		fmt.Fprintf(&b, "%-10s %-8s %3d %12d %12d %10d %12.0f %10.0f %10s %10s %10s\n",
-			a.Name, a.Type, a.Workers, a.Processed, a.Finished, a.NICDrops,
-			a.PerWorkerPPS, a.SoloPPS, obs, pred, errs)
-	}
-
-	anyLat := false
-	for _, a := range r.Apps {
-		if a.LatCount > 0 {
-			anyLat = true
-			break
+		appT.Add(a.Name, a.Type, a.Workers, a.Processed, a.Finished, a.NICDrops, a.PerWorkerPPS, a.SoloPPS, obs, pred, errs)
+		if a.CutDropped > 0 {
+			appT.Note("%s: %d packet branches lost at stage cuts (a cut hands each packet over once; re-cut the graph so broadcasts stay within a stage)",
+				a.Name, a.CutDropped)
 		}
-	}
-	if anyLat {
-		fmt.Fprintf(&b, "\n%-10s %12s %10s %10s %10s %10s %9s %6s\n",
-			"app", "lat_count", "p50_us", "p99_us", "p999_us", "slo_p99", "breaches", "burn")
-		for _, a := range r.Apps {
-			if a.LatCount == 0 {
-				continue
+		if len(a.Branches) > 0 {
+			appT.Note("%s branches:", a.Name)
+		}
+		for _, br := range a.Branches {
+			if br.Dropped > 0 || br.Finished > 0 {
+				appT.Note("  %-16s finished %10d  dropped %10d", br.Node, br.Finished, br.Dropped)
 			}
+		}
+		if a.LatCount > 0 {
 			slo, breaches, burn := "-", "-", "-"
 			if a.SLOP99US > 0 {
 				slo = fmt.Sprintf("%.1fus", a.SLOP99US)
 				breaches = fmt.Sprint(a.SLOBreaches)
 				burn = fmt.Sprintf("%.2f", a.SLOBurnRate)
 			}
-			fmt.Fprintf(&b, "%-10s %12d %10.1f %10.1f %10.1f %10s %9s %6s\n",
-				a.Name, a.LatCount, a.LatP50US, a.LatP99US, a.LatP999US, slo, breaches, burn)
+			lat.Add(a.Name, a.LatCount, a.LatP50US, a.LatP99US, a.LatP999US, slo, breaches, burn)
+			anyLat = true
 		}
 	}
-
-	for _, a := range r.Apps {
-		if a.CutDropped > 0 {
-			fmt.Fprintf(&b, "\n%s: %d packet branches lost at stage cuts (a cut hands each packet over once; re-cut the graph so broadcasts stay within a stage)\n",
-				a.Name, a.CutDropped)
-		}
+	out := workers.String() + appT.String()
+	if anyLat {
+		out += lat.String()
 	}
-
-	for _, a := range r.Apps {
-		if len(a.Branches) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s branches:", a.Name)
-		for _, br := range a.Branches {
-			if br.Dropped == 0 && br.Finished == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "\n  %-16s finished %10d  dropped %10d", br.Node, br.Finished, br.Dropped)
-		}
-		b.WriteString("\n")
-	}
-
-	for _, m := range r.Migrations {
-		fmt.Fprintf(&b, "\nmigration @q%d: worker %d (%s) <-> worker %d (%s), worst predicted drop was %.1f%%",
-			m.Quantum, m.WorkerA, m.FlowA, m.WorkerB, m.FlowB, m.WorstBefore*100)
-		if m.StateCopyCycles > 0 {
-			fmt.Fprintf(&b, "\n  state copy: %d B (%d lines) in %d cycles",
-				m.CopyA.Bytes+m.CopyB.Bytes, m.CopyA.Lines+m.CopyB.Lines, m.StateCopyCycles)
-		}
-		fmt.Fprintf(&b, "\n  remote refs/pkt: %s %s -> %s, %s %s -> %s",
-			m.FlowA, fmtRemRate(m.RemotePerPktBeforeA), fmtRemRate(m.RemotePerPktAfterA),
-			m.FlowB, fmtRemRate(m.RemotePerPktBeforeB), fmtRemRate(m.RemotePerPktAfterB))
-	}
-	if len(r.Migrations) > 0 {
-		b.WriteString("\n")
-	}
-	return b.String()
+	return out
 }

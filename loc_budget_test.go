@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -101,10 +103,11 @@ func TestNonTestLineBudget(t *testing.T) {
 	}
 }
 
-// testOnlyAPI reads lint/test-only-api.txt and returns its listed names:
-// the "<pkg>.<Type>.<Field>" lines when fields is set, the function and
-// method names otherwise.
-func testOnlyAPI(t *testing.T, fields bool) map[string]bool {
+// testOnlyAPI reads lint/test-only-api.txt and returns the listed names of
+// one kind: "func" (function and method names), "field" (the
+// "<pkg>.<Type>.<Field>" lines) or "tally" (the "<pkg>.<Type>.<Field>++"
+// lines, returned without the "++").
+func testOnlyAPI(t *testing.T, kind string) map[string]bool {
 	t.Helper()
 	const listFile = "lint/test-only-api.txt"
 	roles := map[string]bool{"oracle": true, "observer": true, "instrument": true, "deferred": true}
@@ -122,8 +125,18 @@ func testOnlyAPI(t *testing.T, fields bool) map[string]bool {
 			t.Errorf("%s:%d: want \"<Name> oracle|observer|instrument|deferred <why>\", got %q", listFile, i+1, line)
 			continue
 		}
-		if strings.Contains(f[0], ".") == fields {
-			listed[f[0]] = true
+		name, tally := strings.CutSuffix(f[0], "++")
+		switch {
+		case tally:
+			if kind == "tally" {
+				listed[name] = true
+			}
+		case strings.Contains(name, "."):
+			if kind == "field" {
+				listed[name] = true
+			}
+		case kind == "func":
+			listed[name] = true
 		}
 	}
 	return listed
@@ -142,7 +155,7 @@ func testOnlyAPI(t *testing.T, fields bool) map[string]bool {
 // does a listed name that gained a production caller or no longer exists.
 func TestExportedNamesAreUsed(t *testing.T) {
 	const listFile = "lint/test-only-api.txt"
-	listed := testOnlyAPI(t, false)
+	listed := testOnlyAPI(t, "func")
 	fset := token.NewFileSet()
 	declared := map[string]string{}                         // exported func name → a census file declaring it
 	usedBy := map[bool]map[string]bool{false: {}, true: {}} // by a test file? → names
@@ -206,7 +219,7 @@ func TestExportedNamesAreUsed(t *testing.T) {
 // listed in lint/test-only-api.txt as "<pkg>.<Type>.<Field> <role> <why>",
 // checked both ways.
 func TestExportedFieldsAreWritten(t *testing.T) {
-	listed := testOnlyAPI(t, true)
+	listed := testOnlyAPI(t, "field")
 	fset := token.NewFileSet()
 	declared := map[string]string{}                             // "pkg.Type.Field" under internal/ → Field
 	fieldsOf := map[string][]string{}                           // struct type name → its exported fields
@@ -350,6 +363,339 @@ func typeBase(e ast.Expr) ast.Expr {
 		default:
 			return e
 		}
+	}
+}
+
+// modulePkg is one directory of the module, type-checked: its non-test
+// files, and apart from them its in-package and external test files.
+type modulePkg struct {
+	bp          *build.Package
+	path        string
+	files       []*ast.File // non-test, then in-package test files
+	xfiles      []*ast.File // the external test package
+	nonTest     int         // files[:nonTest] are the non-test files
+	pkg, tested *types.Package
+}
+
+// loadModule parses every package of the module — internal/, cmd/,
+// examples/, the nested bench/ module and the root's tests — honouring
+// build constraints, and type-checks it with go/types: GOROOT packages from
+// source, the module's own in import order. Each package's in-package test
+// files are checked with a second copy of it, and its external test
+// package against that copy, as go test builds them. check runs on every
+// checked file with the Info that describes it and the file's path.
+func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path string)) {
+	t.Helper()
+	// The source importer would run cgo for net; its pure-Go files type-check the same.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	pkgs := map[string]*modulePkg{}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.Default.ImportDir(dir, 0)
+		if _, none := err.(*build.NoGoError); none {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		p := &modulePkg{bp: bp, path: strings.TrimSuffix("pktpredict/"+filepath.ToSlash(dir), "/.")}
+		parse := func(names []string) ([]*ast.File, error) {
+			var files []*ast.File
+			for _, name := range names {
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, err
+				}
+				files = append(files, f)
+			}
+			return files, nil
+		}
+		if p.files, err = parse(append(bp.GoFiles, bp.TestGoFiles...)); err != nil {
+			return err
+		}
+		p.nonTest = len(bp.GoFiles)
+		if p.xfiles, err = parse(bp.XTestGoFiles); err != nil {
+			return err
+		}
+		pkgs[p.path] = p
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	imports := func(self *modulePkg) importFunc {
+		return func(path string) (*types.Package, error) {
+			if self != nil && path == self.path {
+				return self.tested, nil
+			}
+			if p := pkgs[path]; p != nil {
+				return p.pkg, nil
+			}
+			return std.ImportFrom(path, ".", 0)
+		}
+	}
+	newInfo := func() *types.Info {
+		return &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+	}
+	// The non-test packages, in import order, must type-check cleanly.
+	done := map[string]bool{}
+	var visit func(p *modulePkg)
+	visit = func(p *modulePkg) {
+		if done[p.path] {
+			return
+		}
+		done[p.path] = true
+		for _, imp := range p.bp.Imports {
+			if q := pkgs[imp]; q != nil {
+				visit(q)
+			}
+		}
+		if p.nonTest == 0 {
+			return
+		}
+		info := newInfo()
+		conf := types.Config{Importer: imports(nil)}
+		pkg, err := conf.Check(p.path, fset, p.files[:p.nonTest], info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.path, err)
+		}
+		p.pkg = pkg
+		for _, f := range p.files[:p.nonTest] {
+			check(info, f, fset.File(f.Pos()).Name())
+		}
+	}
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		visit(pkgs[path])
+	}
+	// Test files see the package's test copy, which is a second set of
+	// objects: a test mixing it with a package that imports the plain copy
+	// has type errors that do not hide a field access, so they are ignored.
+	for _, path := range paths {
+		p := pkgs[path]
+		conf := types.Config{Importer: imports(p), Error: func(error) {}}
+		p.tested = p.pkg
+		if len(p.files) > p.nonTest {
+			info := newInfo()
+			p.tested, _ = conf.Check(p.path, fset, p.files, info)
+			for _, f := range p.files[p.nonTest:] {
+				check(info, f, fset.File(f.Pos()).Name())
+			}
+		}
+		if len(p.xfiles) > 0 {
+			info := newInfo()
+			conf.Check(p.path+"_test", fset, p.xfiles, info)
+			for _, f := range p.xfiles {
+				check(info, f, fset.File(f.Pos()).Name())
+			}
+		}
+	}
+}
+
+type importFunc func(path string) (*types.Package, error)
+
+func (f importFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestCountersAreRead is the read side of TestExportedFieldsAreWritten, with
+// type information. An exported field declared in a non-test file under
+// internal/ whose every non-test write is ++, --, += or -= is a tally: it
+// must be read by non-test code — internal/, cmd/, examples/ or bench/ —
+// or be listed in lint/test-only-api.txt as "<pkg>.<Type>.<Field>++ <role>
+// <why>", checked both ways. A read is any other use of the field: a
+// selector that is not an lvalue, a json: tag (encoding reads the field),
+// or the whole struct compared with == or != or passed to a function.
+// Going by object rather than name matters here: Packets, Dropped and
+// Hits are read somewhere under the same name for other structs.
+func TestCountersAreRead(t *testing.T) {
+	type use struct {
+		counted, assigned bool    // by non-test code: ++/--/+=/-=, any other write
+		read              [2]bool // by non-test code, by a test
+	}
+	// A field is known by its declaration's position: the package's test
+	// copy declares it again, as another object, at the same place.
+	uses := map[token.Pos]*use{}
+	of := func(v *types.Var) *use {
+		p := v.Origin().Pos()
+		if uses[p] == nil {
+			uses[p] = &use{}
+		}
+		return uses[p]
+	}
+	census := map[token.Pos]string{} // exported fields declared in non-test files under internal/ → "pkg.Type.Field"
+	loadModule(t, func(info *types.Info, file *ast.File, path string) {
+		test := strings.HasSuffix(path, "_test.go")
+		reader := 0 // index into use.read
+		if test {
+			reader = 1
+		}
+		fieldOf := func(e ast.Expr) *types.Var {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return s.Obj().(*types.Var)
+				}
+			}
+			return nil
+		}
+		lvalues := map[ast.Expr]bool{} // field selectors written, or on the path to a write
+		var write func(e ast.Expr, counted bool)
+		write = func(e ast.Expr, counted bool) {
+			switch e := e.(type) {
+			case *ast.ParenExpr:
+				write(e.X, counted)
+			case *ast.IndexExpr:
+				write(e.X, counted)
+			case *ast.StarExpr:
+				write(e.X, false)
+			case *ast.SelectorExpr:
+				if v := fieldOf(e); v != nil {
+					lvalues[e] = true
+					if !test {
+						u := of(v)
+						u.counted = u.counted || counted
+						u.assigned = u.assigned || !counted
+					}
+					write(e.X, false)
+				}
+			}
+		}
+		// wholly marks every field of a struct value as read, through
+		// arrays, slices and maps but not pointers.
+		var wholly func(typ types.Type, seen map[types.Type]bool)
+		wholly = func(typ types.Type, seen map[types.Type]bool) {
+			if typ == nil || seen[typ] {
+				return
+			}
+			seen[typ] = true
+			switch u := typ.Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					of(u.Field(i)).read[reader] = true
+					wholly(u.Field(i).Type(), seen)
+				}
+			case *types.Array:
+				wholly(u.Elem(), seen)
+			case *types.Slice:
+				wholly(u.Elem(), seen)
+			case *types.Map:
+				wholly(u.Elem(), seen)
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || test || !strings.HasPrefix(path, "internal/") {
+					break
+				}
+				for _, f := range st.Fields.List {
+					encoded := f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`) && !strings.Contains(f.Tag.Value, `json:"-"`)
+					for _, id := range f.Names {
+						if id.IsExported() {
+							census[id.Pos()] = file.Name.Name + "." + n.Name.Name + "." + id.Name
+							if encoded {
+								of(info.Defs[id].(*types.Var)).read[0] = true
+							}
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X, true)
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					write(e, n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN)
+				}
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					write(n.Key, false)
+					write(n.Value, false)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X, false)
+				}
+			case *ast.CompositeLit:
+				if test {
+					break
+				}
+				st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						of(info.Uses[kv.Key.(*ast.Ident)].(*types.Var)).assigned = true
+					} else {
+						of(st.Field(i)).assigned = true
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+						write(sel.X, false) // a method may write its receiver
+					}
+				}
+				if tv := info.Types[n.Fun]; tv.IsType() || tv.IsBuiltin() {
+					break
+				}
+				for _, arg := range n.Args {
+					wholly(info.Types[arg].Type, map[types.Type]bool{})
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					wholly(info.Types[n.X].Type, map[types.Type]bool{})
+					wholly(info.Types[n.Y].Type, map[types.Type]bool{})
+				}
+			case *ast.SelectorExpr:
+				if v := fieldOf(n); v != nil && !lvalues[n] {
+					of(v).read[reader] = true
+				}
+			}
+			return true
+		})
+	})
+	const listFile = "lint/test-only-api.txt"
+	listed := testOnlyAPI(t, "tally")
+	tallies := map[string]*use{}
+	var names []string
+	for pos, name := range census {
+		if u := uses[pos]; u != nil && u.counted && !u.assigned {
+			tallies[name] = u
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		switch u := tallies[name]; {
+		case u.read[0]:
+			if listed[name] {
+				t.Errorf("%s lists %s++, which non-test code now reads; delete the line", listFile, name)
+			}
+		case !u.read[1]:
+			t.Errorf("tally %s is only ever counted; nothing reads it, so delete it", name)
+		case !listed[name]:
+			t.Errorf("tally %s is counted on the packet path and read only by tests; give it a reader (a report, metric or decision), restate the test on an observable, or list it as %s++ with its role in %s", name, name, listFile)
+		}
+		delete(listed, name)
+	}
+	for name := range listed {
+		t.Errorf("%s lists %s++, which is no longer a tally only tests read; delete the line", listFile, name)
 	}
 }
 
