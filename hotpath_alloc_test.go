@@ -1,6 +1,7 @@
 // The consolidated zero-allocation tier. Every function annotated
 // //dataplane:hotpath (the set vetdp's hotpathalloc analyzer checks
-// statically) is gated here dynamically with testing.AllocsPerRun:
+// statically, in TestVetdp) is gated here dynamically with
+// testing.AllocsPerRun:
 //
 //	go test -run TestHotPathAllocs
 //
@@ -8,21 +9,19 @@
 // static analyzer proves the absence of allocation *sites*; this tier
 // proves the absence of allocation *behaviour* (escape analysis can
 // defeat or rescue either one, so the two gates back each other up).
-// TestHotPathAllocManifest parses the source tree so a newly annotated
+// TestHotPathAllocManifest reads the source tree so a newly annotated
 // function cannot silently skip the gate.
 package pktpredict_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	stdruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"pktpredict/internal/analysis"
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
@@ -389,58 +388,61 @@ var hotpathIndirect = map[string]string{
 	"runtime.ringSource.endBatch": "unexported type; Ring.Release above is the whole body, and the worker integration tests drive it each quantum",
 }
 
-// TestHotPathAllocManifest parses internal/ for //dataplane:hotpath
+// TestVetdp runs vetdp — the //dataplane: directive check and the
+// hotpathalloc and elemstamp analyzers (internal/analysis,
+// docs/static-analysis.md) — over the non-test files of every package of
+// the root module, on the module's one typed load. bench/ is its own
+// module and is not checked. Each diagnostic fails the test as
+// file:line:col: message.
+func TestVetdp(t *testing.T) {
+	m := loadModule(t)
+	for _, p := range m.pkgs {
+		if p.nonTest == 0 || strings.HasPrefix(p.path, "pktpredict/bench/") {
+			continue
+		}
+		for _, d := range analysis.Check(m.fset, p.files[:p.nonTest], p.pkg, p.info) {
+			t.Errorf("%s: %s", m.fset.Position(d.Pos), d.Message)
+		}
+	}
+}
+
+// TestHotPathAllocManifest reads internal/ for //dataplane:hotpath
 // annotations and fails if any annotated function is neither directly
 // gated above nor accounted for in hotpathIndirect — so annotating a
 // function automatically demands an alloc gate for it. It also fails on
 // stale entries, keeping the manifest in lockstep with the annotations.
 func TestHotPathAllocManifest(t *testing.T) {
 	annotated := map[string]token.Position{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	m := loadModule(t)
+	for _, p := range m.pkgs {
+		if !strings.HasPrefix(p.path, "pktpredict/internal/") {
+			continue
 		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, cm := range fd.Doc.List {
-				if cm.Text != "//dataplane:hotpath" && !strings.HasPrefix(cm.Text, "//dataplane:hotpath ") {
+		for _, f := range p.files[:p.nonTest] {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil {
 					continue
 				}
-				key := f.Name.Name + "."
-				if fd.Recv != nil && len(fd.Recv.List) > 0 {
-					rt := fd.Recv.List[0].Type
-					if star, ok := rt.(*ast.StarExpr); ok {
-						rt = star.X
+				for _, cm := range fd.Doc.List {
+					if cm.Text != "//dataplane:hotpath" && !strings.HasPrefix(cm.Text, "//dataplane:hotpath ") {
+						continue
 					}
-					if id, ok := rt.(*ast.Ident); ok {
-						key += id.Name + "."
+					key := f.Name.Name + "."
+					if fd.Recv != nil && len(fd.Recv.List) > 0 {
+						rt := fd.Recv.List[0].Type
+						if star, ok := rt.(*ast.StarExpr); ok {
+							rt = star.X
+						}
+						if id, ok := rt.(*ast.Ident); ok {
+							key += id.Name + "."
+						}
 					}
+					key += fd.Name.Name
+					annotated[key] = m.fset.Position(fd.Pos())
 				}
-				key += fd.Name.Name
-				annotated[key] = fset.Position(fd.Pos())
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(annotated) == 0 {
 		t.Fatal("found no //dataplane:hotpath annotations under internal/; the walker is broken")

@@ -37,9 +37,6 @@ func NewCipher(key []byte) (*Cipher, error) {
 	return &Cipher{block: block}, nil
 }
 
-// Encrypt encrypts one 16-byte block from src into dst (which may alias).
-func (c *Cipher) Encrypt(dst, src []byte) { c.block.Encrypt(dst, src) }
-
 // CTR encrypts (or, identically, decrypts) buf in place using counter
 // mode with the given 16-byte IV. CTR turns the block cipher into a
 // stream cipher, so arbitrary payload lengths need no padding — the mode

@@ -28,8 +28,9 @@
 //
 // The framework mirrors golang.org/x/tools/go/analysis deliberately —
 // Analyzer, Pass, diagnostics — but is built on the standard library
-// only, so the repo stays dependency-free. cmd/vetdp drives it as a
-// `go vet -vettool` unit checker.
+// only, so the repo stays dependency-free. Check is the one driver: the
+// root package's TestVetdp runs it over every package of the module's
+// type-checked load.
 package analysis
 
 import (
@@ -37,12 +38,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Analyzer is one static check. Run inspects a single type-checked
-// package through its Pass and reports diagnostics; it must be stateless
-// across packages.
+// package's non-test files through its Pass and reports diagnostics; it
+// must be stateless across packages.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and //dataplane:allow
 	// directives.
@@ -50,7 +50,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run performs the check.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // Pass carries one package's syntax and types into an analyzer,
@@ -83,22 +83,22 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// NonTestFiles returns the pass's files excluding _test.go files: the
-// suite checks production hot paths, and test code (fixtures, gates,
-// fakes) routinely breaks the rules on purpose.
-func (p *Pass) NonTestFiles() []*ast.File {
-	var out []*ast.File
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Package).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
 // All returns the full vetdp analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{HotPathAlloc, ElemStamp}
+}
+
+// Check runs vetdp over one type-checked package — the directive check,
+// then every analyzer in All — and returns the diagnostics in report
+// order. files are the package's non-test files: the suite checks
+// production hot paths, and test code (fixtures, gates, fakes) breaks
+// the rules on purpose.
+func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []Diagnostic {
+	var diags []Diagnostic
+	report := func(d Diagnostic) { diags = append(diags, d) }
+	checkDirectives(files, report)
+	for _, a := range All() {
+		a.Run(&Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, Info: info, Report: report})
+	}
+	return diags
 }

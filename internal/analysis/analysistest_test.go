@@ -9,8 +9,9 @@ package analysis
 //
 // Expected diagnostics are `// want "regex"` comments: every diagnostic
 // must land on a line carrying a want whose regex matches its message,
-// and every want must be matched. The driver's directive check runs over
-// every fixture package alongside the analyzer, as vetdp runs it.
+// and every want must be matched. Fixtures run through Check, the
+// driver the root's TestVetdp uses: the directive check and every
+// analyzer, so each fixture also pins what the other analyzer leaves alone.
 
 import (
 	"bytes"
@@ -130,28 +131,6 @@ func loadFixtures(t *testing.T, fset *token.FileSet, paths ...string) []*fixture
 	return out
 }
 
-// diag is one reported diagnostic, resolved to a position.
-type diag struct {
-	pos token.Position
-	msg string
-}
-
-// runFixtures drives the directive check and one analyzer over the
-// fixture packages in order and returns all diagnostics.
-func runFixtures(t *testing.T, a *Analyzer, pkgs []*fixturePkg, fset *token.FileSet) []diag {
-	t.Helper()
-	var out []diag
-	report := func(d Diagnostic) { out = append(out, diag{pos: fset.Position(d.Pos), msg: d.Message}) }
-	for _, p := range pkgs {
-		checkDirectives(fset, p.files, report)
-		pass := &Pass{Analyzer: a, Fset: fset, Files: p.files, Pkg: p.pkg, Info: p.info, Report: report}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s on fixture %s: %v", a.Name, p.path, err)
-		}
-	}
-	return out
-}
-
 var wantRE = regexp.MustCompile(`// want ((?:\x60[^\x60]*\x60|"(?:[^"\\]|\\.)*")(?:\s+(?:\x60[^\x60]*\x60|"(?:[^"\\]|\\.)*"))*)`)
 var wantArgRE = regexp.MustCompile(`\x60[^\x60]*\x60|"(?:[^"\\]|\\.)*"`)
 
@@ -204,26 +183,27 @@ func collectWants(t *testing.T, pkgs []*fixturePkg, fset *token.FileSet) []*want
 	return out
 }
 
-// checkFixtures runs the analyzer over the fixture packages (dependency
-// order) and diffs diagnostics against the `// want` comments.
-func checkFixtures(t *testing.T, a *Analyzer, paths ...string) {
+// checkFixtures runs Check — the directive check and every analyzer —
+// over the fixture packages (dependency order) and diffs its diagnostics
+// against the `// want` comments.
+func checkFixtures(t *testing.T, paths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs := loadFixtures(t, fset, paths...)
-	diags := runFixtures(t, a, pkgs, fset)
 	wants := collectWants(t, pkgs, fset)
-
-	for _, d := range diags {
-		found := false
-		for _, w := range wants {
-			if w.file == d.pos.Filename && w.line == d.pos.Line && w.re.MatchString(d.msg) {
-				w.matched = true
-				found = true
-				break
+	for _, p := range pkgs {
+		for _, d := range Check(fset, p.files, p.pkg, p.info) {
+			pos, found := fset.Position(d.Pos), false
+			for _, w := range wants {
+				if w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+					w.matched = true
+					found = true
+					break
+				}
 			}
-		}
-		if !found {
-			t.Errorf("unexpected diagnostic at %s:%d: %s", d.pos.Filename, d.pos.Line, d.msg)
+			if !found {
+				t.Errorf("unexpected diagnostic at %s:%d: %s", pos.Filename, pos.Line, d.Message)
+			}
 		}
 	}
 	for _, w := range wants {

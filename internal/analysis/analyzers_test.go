@@ -7,7 +7,7 @@ import "testing"
 // (reasoned allow suppresses; reasonless allow is itself diagnosed and
 // suppresses nothing).
 func TestHotPathAllocGolden(t *testing.T) {
-	checkFixtures(t, HotPathAlloc, "hotpath")
+	checkFixtures(t, "hotpath")
 }
 
 // TestElemStampGolden replays the PR 7 Synth bug class: raw hw.Op
@@ -16,5 +16,5 @@ func TestHotPathAllocGolden(t *testing.T) {
 // synthbug fixture's Buggy types are the regression; the Fixed types
 // are the shipped fix.
 func TestElemStampGolden(t *testing.T) {
-	checkFixtures(t, ElemStamp, "hw", "click", "synthbug")
+	checkFixtures(t, "hw", "click", "synthbug")
 }

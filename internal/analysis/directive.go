@@ -187,19 +187,15 @@ func (p *Pass) allowed(pos token.Pos) bool {
 }
 
 // checkDirectives reports, once per comment, every //dataplane:
-// directive in the non-test files that vetdp does not know: a name other
-// than hotpath, stamped and allow, or an allow naming no analyzer in
-// All(). A misspelled directive would otherwise exempt its function
-// silently.
-func checkDirectives(fset *token.FileSet, files []*ast.File, report func(Diagnostic)) {
+// directive in files that vetdp does not know: a name other than
+// hotpath, stamped and allow, or an allow naming no analyzer in All().
+// A misspelled directive would otherwise exempt its function silently.
+func checkDirectives(files []*ast.File, report func(Diagnostic)) {
 	known := map[string]bool{}
 	for _, a := range All() {
 		known[a.Name] = true
 	}
 	for _, f := range files {
-		if strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go") {
-			continue
-		}
 		for _, cg := range f.Comments {
 			for _, d := range parseDirectives(cg) {
 				switch a, isAllow := toAllow(d); {

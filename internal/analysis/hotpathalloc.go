@@ -28,8 +28,8 @@ var HotPathAlloc = &Analyzer{
 	Run: runHotPathAlloc,
 }
 
-func runHotPathAlloc(p *Pass) error {
-	for _, f := range p.NonTestFiles() {
+func runHotPathAlloc(p *Pass) {
+	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -41,7 +41,6 @@ func runHotPathAlloc(p *Pass) error {
 			checkHotPath(p, fd)
 		}
 	}
-	return nil
 }
 
 // walkWithParents visits every node under root with its ancestor chain

@@ -187,9 +187,6 @@ type StateBinding struct {
 // Domain returns the NUMA domain the binding's memory belongs to.
 func (b StateBinding) Domain() int { return hw.DomainOf(b.Base) }
 
-// Lines returns how many cache lines the binding spans.
-func (b StateBinding) Lines() int { return hw.LinesSpanned(b.Base, int(b.Size)) }
-
 // StateBindings returns the instance's live (non-source) state bindings
 // for one stage, or for all stages when stage < 0.
 func (i *Instance) StateBindings(stage int) []StateBinding {

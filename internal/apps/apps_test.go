@@ -132,7 +132,7 @@ func TestBuildSpecControl(t *testing.T) {
 	if inst.Control == nil {
 		t.Fatal("control element missing")
 	}
-	if inst.Pipeline.Elements()[0] != inst.Control {
+	if inst.Pipeline.Nodes()[0].El != inst.Control {
 		t.Fatal("control element must be first in the chain")
 	}
 	for _, syn := range []FlowType{SYN, SYNMAX} {
@@ -302,7 +302,7 @@ func TestCustomFlowTypeBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withCtl.Pipeline.Elements()[0] != withCtl.Control {
+	if withCtl.Pipeline.Nodes()[0].El != withCtl.Control {
 		t.Fatal("control element not at pipeline head")
 	}
 

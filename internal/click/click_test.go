@@ -202,8 +202,8 @@ func TestParseConfigDeclared(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if len(pl.Elements()) != 2 {
-		t.Fatalf("elements = %d, want 2", len(pl.Elements()))
+	if len(pl.Nodes()) != 2 {
+		t.Fatalf("elements = %d, want 2", len(pl.Nodes()))
 	}
 	n := 0
 	for len(pl.EmitPacket(nil)) > 0 {
@@ -219,8 +219,8 @@ func TestParseConfigInlineAnonymous(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if len(pl.Elements()) != 2 {
-		t.Fatalf("elements = %d, want 2", len(pl.Elements()))
+	if len(pl.Nodes()) != 2 {
+		t.Fatalf("elements = %d, want 2", len(pl.Nodes()))
 	}
 	pl.EmitPacket(nil)
 	if pl.Dropped != 1 {
@@ -239,8 +239,8 @@ func TestParseConfigMultiStatementChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	if len(pl.Elements()) != 2 {
-		t.Fatalf("elements = %d, want 2", len(pl.Elements()))
+	if len(pl.Nodes()) != 2 {
+		t.Fatalf("elements = %d, want 2", len(pl.Nodes()))
 	}
 }
 

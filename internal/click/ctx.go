@@ -26,9 +26,6 @@ func (c *Ctx) SetFunc(f hw.FuncID) hw.FuncID {
 	return old
 }
 
-// Func returns the current attribution function.
-func (c *Ctx) Func() hw.FuncID { return c.fn }
-
 // SetElem switches the element attribution slot and returns the previous
 // one, mirroring SetFunc's restore idiom. Slot 0 is the flow's overhead
 // slot.

@@ -280,8 +280,8 @@ func TestPipelinePushFrontAndInsertBefore(t *testing.T) {
 	}
 
 	var classes []string
-	for _, el := range pl.Elements() {
-		classes = append(classes, el.Class())
+	for _, n := range pl.Nodes() {
+		classes = append(classes, n.El.Class())
 	}
 	want := "Front Mid Ins Last"
 	if got := strings.Join(classes, " "); got != want {

@@ -117,16 +117,6 @@ func (pl *Pipeline) Nodes() []*Node { return pl.nodes }
 // dead weight, not migratable flow state.
 func (pl *Pipeline) SourceName() string { return pl.srcName }
 
-// Elements returns the pipeline's elements in topological order — for a
-// linear pipeline, exactly the chain order.
-func (pl *Pipeline) Elements() []Element {
-	out := make([]Element, len(pl.nodes))
-	for i, n := range pl.nodes {
-		out[i] = n.El
-	}
-	return out
-}
-
 // Branching reports whether the graph is anything other than a single
 // linear chain: an output port above 0, a node with several connected
 // outputs, or a fan-in.

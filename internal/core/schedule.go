@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"pktpredict/internal/apps"
 )
@@ -27,20 +26,6 @@ type FlowDrop struct {
 	Type   apps.FlowType
 	Socket int
 	Drop   float64
-}
-
-// String renders the placement compactly.
-func (p Placement) String() string {
-	return fmt.Sprintf("{%s | %s} avg=%.1f%%",
-		joinTypes(p.Socket0), joinTypes(p.Socket1), p.AvgDrop*100)
-}
-
-func joinTypes(ts []apps.FlowType) string {
-	s := make([]string, len(ts))
-	for i, t := range ts {
-		s[i] = string(t)
-	}
-	return strings.Join(s, "+")
 }
 
 // PlacementEval is the outcome of exhaustively evaluating all distinct

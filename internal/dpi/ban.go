@@ -56,9 +56,6 @@ func NewBanTable(arena *mem.Arena, capacity int) (*BanTable, error) {
 	return t, nil
 }
 
-// Size returns the slot count.
-func (t *BanTable) Size() int { return len(t.slots) }
-
 // SimBytes returns the table's simulated footprint.
 func (t *BanTable) SimBytes() uint64 { return t.region.Size() }
 

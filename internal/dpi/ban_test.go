@@ -56,7 +56,7 @@ func TestBanTableEvictsLeastRecentlySeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ips := sameBucketIPs(t, tb.Size(), banProbes+2)
+	ips := sameBucketIPs(t, len(tb.slots), banProbes+2)
 	var ctx click.Ctx
 	// Fill one probe chain completely.
 	for _, ip := range ips[:banProbes] {
@@ -97,8 +97,8 @@ func TestBanTableTraceAndFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Size() != 128 {
-		t.Fatalf("size = %d, want 128", tb.Size())
+	if len(tb.slots) != 128 {
+		t.Fatalf("size = %d, want 128", len(tb.slots))
 	}
 	if want := uint64(128 * hw.LineSize); tb.SimBytes() != want {
 		t.Fatalf("SimBytes = %d, want %d (one line per slot)", tb.SimBytes(), want)
@@ -153,7 +153,7 @@ func TestBanTableConcurrentReadersUnderWriter(t *testing.T) {
 		}(uint64(w) + 1)
 	}
 	wg.Wait()
-	if tb.Occupied() > tb.Size() {
-		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), tb.Size())
+	if tb.Occupied() > len(tb.slots) {
+		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), len(tb.slots))
 	}
 }

@@ -67,9 +67,6 @@ func NewSignatureClassifier(env *click.Env, patterns [][]byte) (*SignatureClassi
 	return &SignatureClassifier{table: table}, nil
 }
 
-// Table exposes the compiled matcher for tests.
-func (s *SignatureClassifier) Table() *dpi.SigTable { return s.table }
-
 // Class implements click.Element.
 func (s *SignatureClassifier) Class() string { return "SignatureClassifier" }
 
@@ -168,9 +165,6 @@ func NewBanTableElement(env *click.Env, entries int) (*BanTableElement, error) {
 	}
 	return &BanTableElement{table: table}, nil
 }
-
-// Table exposes the underlying ban table for tests.
-func (b *BanTableElement) Table() *dpi.BanTable { return b.table }
 
 // Class implements click.Element.
 func (b *BanTableElement) Class() string { return "BanTable" }

@@ -267,8 +267,8 @@ func TestConfigIntegration(t *testing.T) {
 // elementOf returns the pipeline's first element of type T.
 func elementOf[T click.Element](t *testing.T, pl *click.Pipeline) T {
 	t.Helper()
-	for _, el := range pl.Elements() {
-		if v, ok := el.(T); ok {
+	for _, n := range pl.Nodes() {
+		if v, ok := n.El.(T); ok {
 			return v
 		}
 	}

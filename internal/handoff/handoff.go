@@ -105,16 +105,9 @@ func (r *Ring) Len() int { return r.cur.Len() }
 // see spsc.Cursor.Full).
 func (r *Ring) Full() bool { return r.cur.Full() }
 
-// Empty reports whether a Pop or PopStaged would fail (consumer side;
-// see spsc.Cursor.Empty).
-func (r *Ring) Empty() bool { return r.cur.Empty() }
-
 // Consumed returns the cumulative number of packets popped, for credit
 // accounting across barriers.
 func (r *Ring) Consumed() uint64 { return r.cur.Consumed() }
-
-// Produced returns the cumulative number of packets pushed.
-func (r *Ring) Produced() uint64 { return r.cur.Produced() }
 
 // PushPolls returns the producer's cumulative spin-wait iterations
 // (PollFull): the ring was full, so the consumer lags.

@@ -68,7 +68,7 @@ func TestRingPushPopCharges(t *testing.T) {
 	consCtx.Ops = nil
 	r.ChargeHeaderMiss(&consCtx, p)
 	loads, _, _ = opKinds(consCtx.Ops)
-	if want := hw.LinesSpanned(p.Addr, HeaderBytes); loads != want {
+	if want := int(hw.LineOf(p.Addr+HeaderBytes-1)-hw.LineOf(p.Addr))/hw.LineSize + 1; loads != want {
 		t.Fatalf("header miss loads %d lines, want %d", loads, want)
 	}
 }
@@ -110,8 +110,8 @@ func TestRingBatchedPushPopCharges(t *testing.T) {
 		t.Fatalf("staged pops released before commit: consumed = %d", r.Consumed())
 	}
 	r.CommitPop(&consCtx)
-	if r.Consumed() != uint64(len(pkts)) || !r.Empty() {
-		t.Fatalf("after commit: consumed = %d, empty = %v", r.Consumed(), r.Empty())
+	if r.Consumed() != uint64(len(pkts)) || r.Len() != 0 {
+		t.Fatalf("after commit: consumed = %d, len = %d", r.Consumed(), r.Len())
 	}
 	if got, want := sumCompute(consCtx.Ops), len(pkts)*slotCycles+cursorCycles; got != want {
 		t.Fatalf("batched pop cycles = %d, want %d", got, want)
@@ -131,8 +131,8 @@ func TestRingBatchedPushPopCharges(t *testing.T) {
 func TestRingFullEmptyAndPolls(t *testing.T) {
 	r := New(mem.NewArena(0), 2)
 	var ctx click.Ctx
-	if !r.Empty() || r.Full() {
-		t.Fatalf("fresh ring: empty=%v full=%v", r.Empty(), r.Full())
+	if r.Len() != 0 || r.Full() {
+		t.Fatalf("fresh ring: len=%d full=%v", r.Len(), r.Full())
 	}
 	p := &click.Packet{Addr: 0x20000}
 	for i := 0; i < r.Cap(); i++ {

@@ -105,15 +105,6 @@ func NewCache(name string, g CacheGeom, policy ReplacementPolicy) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.sets) }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// SizeBytes returns the capacity in bytes.
-func (c *Cache) SizeBytes() int { return int(c.sets) * c.ways * LineSize }
-
 func (c *Cache) setOf(lineAddr uint64) int {
 	return int(lineAddr%c.sets) * c.ways
 }

@@ -188,7 +188,7 @@ func TestFlushedRandomCacheMatchesNew(t *testing.T) {
 
 func TestCacheCapacityNeverExceeded(t *testing.T) {
 	c := newTinyCache(t, 2048, 4, ReplaceLRU)
-	total := c.Sets() * c.Ways()
+	total := int(c.sets) * c.ways
 	for i := 0; i < 10*total; i++ {
 		c.Insert(Addr(i)*LineSize*7, false)
 	}
@@ -224,7 +224,7 @@ func TestCacheStatsInvariantQuick(t *testing.T) {
 				c.Insert(addr, w)
 			}
 		}
-		capacity := c.Sets() * c.Ways()
+		capacity := int(c.sets) * c.ways
 		return c.Stats.Hits+c.Stats.Misses == c.Stats.Refs && c.ValidLines() <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -258,7 +258,7 @@ func TestCacheLRURetentionQuick(t *testing.T) {
 	f := func(seed uint8) bool {
 		c := NewCache("q", CacheGeom{SizeBytes: 2048, Ways: 4}, ReplaceLRU)
 		// 4 lines, all in the same set: stride = sets * LineSize.
-		stride := Addr(c.Sets() * LineSize)
+		stride := Addr(c.sets * LineSize)
 		base := Addr(seed) * stride * 16
 		lines := []Addr{base, base + stride, base + 2*stride, base + 3*stride}
 		for pass := 0; pass < 3; pass++ {

@@ -46,13 +46,3 @@ func DomainOf(a Addr) int { return int(a >> domainShift) }
 
 // LineOf returns the address of the cache line containing a.
 func LineOf(a Addr) Addr { return a &^ (LineSize - 1) }
-
-// LinesSpanned returns how many cache lines the byte range [a, a+n) touches.
-func LinesSpanned(a Addr, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	first := a >> LineShift
-	last := (a + Addr(n) - 1) >> LineShift
-	return int(last-first) + 1
-}

@@ -51,14 +51,11 @@ func TestFlowStatsDerivations(t *testing.T) {
 	if st.L3RefsPerSec() != 1e7 {
 		t.Fatalf("L3RefsPerSec = %v", st.L3RefsPerSec())
 	}
-	if st.HitRate() != 0.8 {
-		t.Fatalf("HitRate = %v", st.HitRate())
-	}
 	if st.L2HitsPerPacket() != 5 {
 		t.Fatalf("L2HitsPerPacket = %v", st.L2HitsPerPacket())
 	}
 	var zero FlowStats
-	if zero.Throughput() != 0 || zero.HitRate() != 0 || zero.CPI() != 0 {
+	if zero.Throughput() != 0 || zero.CPI() != 0 {
 		t.Fatal("zero-value stats must not divide by zero")
 	}
 }
@@ -87,18 +84,6 @@ func TestAddrHelpers(t *testing.T) {
 	}
 	if LineOf(0x7f) != 0x40 {
 		t.Fatalf("LineOf(0x7f) = %#x", LineOf(0x7f))
-	}
-	cases := []struct {
-		addr Addr
-		n    int
-		want int
-	}{
-		{0, 0, 0}, {0, 1, 1}, {0, 64, 1}, {0, 65, 2}, {63, 2, 2}, {64, 64, 1},
-	}
-	for _, c := range cases {
-		if got := LinesSpanned(c.addr, c.n); got != c.want {
-			t.Fatalf("LinesSpanned(%#x,%d) = %d, want %d", c.addr, c.n, got, c.want)
-		}
 	}
 }
 

@@ -57,14 +57,6 @@ func (s FlowStats) L3HitsPerPacket() float64 { return s.Raw.PerPacket(s.Raw.L3Hi
 // L2HitsPerPacket returns L2 hits per packet.
 func (s FlowStats) L2HitsPerPacket() float64 { return s.Raw.PerPacket(s.Raw.L2Hits) }
 
-// HitRate returns the L3 hit fraction of L3 references.
-func (s FlowStats) HitRate() float64 {
-	if s.Raw.L3Refs == 0 {
-		return 0
-	}
-	return float64(s.Raw.L3Hits) / float64(s.Raw.L3Refs)
-}
-
 // PerformanceDrop returns the relative throughput drop of s versus a solo
 // baseline, the paper's central metric: (τs − τc)/τs.
 func PerformanceDrop(solo, contended FlowStats) float64 {

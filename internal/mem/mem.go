@@ -49,15 +49,6 @@ type Binding struct {
 	Size  uint64
 }
 
-// Domain returns the NUMA domain the binding's memory belongs to.
-func (b Binding) Domain() int { return hw.DomainOf(b.Base) }
-
-// End returns the first address past the binding.
-func (b Binding) End() hw.Addr { return b.Base + hw.Addr(b.Size) }
-
-// Lines returns how many cache lines the binding spans.
-func (b Binding) Lines() int { return hw.LinesSpanned(b.Base, int(b.Size)) }
-
 // arenaCapacity bounds each domain's allocatable range. 1 TiB per domain
 // is far beyond any experiment's needs and keeps domain ids disjoint.
 const arenaCapacity = hw.Addr(1) << 40
@@ -206,6 +197,3 @@ func (r Region) Addr(i int) hw.Addr {
 
 // Size returns the region's extent in bytes.
 func (r Region) Size() uint64 { return r.Stride * uint64(r.Count) }
-
-// Lines returns how many distinct cache lines the region spans.
-func (r Region) Lines() int { return hw.LinesSpanned(r.Base, int(r.Size())) }

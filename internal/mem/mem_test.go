@@ -64,8 +64,8 @@ func TestRegionPacked(t *testing.T) {
 	if hw.LineOf(r.Addr(0)) != hw.LineOf(r.Addr(3)) {
 		t.Fatal("elements 0..3 must share a cache line when packed")
 	}
-	if r.Lines() != 4 {
-		t.Fatalf("16 x 16B packed = %d lines, want 4", r.Lines())
+	if r.Size() != 4*hw.LineSize {
+		t.Fatalf("16 x 16B packed = %d bytes, want 4 lines", r.Size())
 	}
 }
 
@@ -127,13 +127,13 @@ func TestArenaBindingsRecordLabelledSpans(t *testing.T) {
 	if bs[0].Label != "table" || bs[0].Base != p1 {
 		t.Fatalf("first binding %+v", bs[0])
 	}
-	if got := bs[0].End(); got < p1+150 {
+	if got := bs[0].Base + hw.Addr(bs[0].Size); got < p1+150 {
 		t.Fatalf("coalesced span ends at %#x, want ≥ %#x", got, p1+150)
 	}
 	if bs[1].Label != "ring" || bs[1].Base != p3 || bs[1].Size != 64 {
 		t.Fatalf("second binding %+v", bs[1])
 	}
-	if bs[0].Domain() != 1 || bs[1].Domain() != 1 {
+	if hw.DomainOf(bs[0].Base) != 1 || hw.DomainOf(bs[1].Base) != 1 {
 		t.Fatalf("bindings report wrong domain: %+v", bs)
 	}
 }

@@ -71,14 +71,8 @@ func NewTable(arena *mem.Arena, capacity int, extIP uint32) *Table {
 	}
 }
 
-// Size returns the slot count.
-func (t *Table) Size() int { return len(t.slots) }
-
 // ExtIP returns the external address mappings translate to.
 func (t *Table) ExtIP() uint32 { return t.extIP }
-
-// SimBytes returns the table's simulated footprint.
-func (t *Table) SimBytes() uint64 { return t.region.Size() }
 
 // Occupied returns the number of active mappings.
 func (t *Table) Occupied() int {

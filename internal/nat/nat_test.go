@@ -52,8 +52,8 @@ func TestTableEvictsLRUUnderPressure(t *testing.T) {
 	if _, created := tb.Translate(&ctx, tuple(0)); !created {
 		t.Fatal("overloaded table never evicted the first flow's binding")
 	}
-	if tb.Occupied() > tb.Size() {
-		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), tb.Size())
+	if tb.Occupied() > len(tb.slots) {
+		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), len(tb.slots))
 	}
 }
 
@@ -156,8 +156,8 @@ func TestRegistryBuildsRewriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	el, ok := inst.(*Element)
-	if !ok || el.Table.Size() != 128 {
-		t.Fatalf("unexpected instance %T (size %d)", inst, el.Table.Size())
+	if !ok || len(el.Table.slots) != 128 {
+		t.Fatalf("unexpected instance %T (size %d)", inst, len(el.Table.slots))
 	}
 	want, _ := ParseAddr("10.0.0.254")
 	if el.Table.ExtIP() != want {

@@ -64,12 +64,6 @@ func NewTable(arena *mem.Arena, capacity int) *Table {
 	}
 }
 
-// Size returns the slot count.
-func (t *Table) Size() int { return len(t.slots) }
-
-// SimBytes returns the table's simulated footprint.
-func (t *Table) SimBytes() uint64 { return t.region.Size() }
-
 // Occupied returns the number of used slots.
 func (t *Table) Occupied() int {
 	n := 0

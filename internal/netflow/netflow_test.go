@@ -18,8 +18,8 @@ func tuple(i uint32) netpkt.FiveTuple {
 }
 
 func TestTableRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := newTable(100000).Size(); got != 131072 {
-		t.Fatalf("Size = %d, want 131072", got)
+	if got := len(newTable(100000).slots); got != 131072 {
+		t.Fatalf("slots = %d, want 131072", got)
 	}
 }
 

@@ -131,9 +131,6 @@ func NewRing(arena *mem.Arena, n int) *Ring {
 	return &Ring{desc: mem.NewRegion(arena, n, 16, false)}
 }
 
-// Size returns the descriptor count.
-func (r *Ring) Size() int { return r.desc.Count }
-
 // Consume reads the next descriptor (RX side: the core checks what the
 // NIC wrote) and advances the ring.
 //

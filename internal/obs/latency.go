@@ -76,9 +76,6 @@ func (h *LatHist) Observe(v uint64) {
 // Count returns the number of observations.
 func (h *LatHist) Count() uint64 { return h.count }
 
-// Sum returns the sum of all observations, in cycles.
-func (h *LatHist) Sum() uint64 { return h.sum }
-
 // Mean returns the mean latency in cycles, 0 when empty.
 func (h *LatHist) Mean() float64 {
 	if h.count == 0 {

@@ -128,8 +128,8 @@ func TestLatHistMergeSubCount(t *testing.T) {
 	var m LatHist
 	m.Merge(&snap)
 	m.Merge(&d)
-	if m.Count() != a.Count() || m.Sum() != a.Sum() {
-		t.Fatalf("merge(snapshot, delta) = %d/%d, want %d/%d", m.Count(), m.Sum(), a.Count(), a.Sum())
+	if m.Count() != a.Count() || m.sum != a.sum {
+		t.Fatalf("merge(snapshot, delta) = %d/%d, want %d/%d", m.Count(), m.sum, a.Count(), a.sum)
 	}
 }
 

@@ -83,9 +83,6 @@ func NewProcessor(arena *mem.Arena, cfg Config) *Processor {
 	}
 }
 
-// Store exposes the packet store (for decode-side tests).
-func (p *Processor) Store() *PacketStore { return p.store }
-
 // rep is one representative fingerprint of the payload being processed.
 type rep struct {
 	pos int // window start position in payload

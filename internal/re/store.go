@@ -33,9 +33,6 @@ func NewPacketStore(arena *mem.Arena, size int) *PacketStore {
 	}
 }
 
-// Size returns the store capacity in bytes.
-func (ps *PacketStore) Size() int { return len(ps.buf) }
-
 // addrOf returns the simulated address of store offset off.
 func (ps *PacketStore) addrOf(off uint64) hw.Addr {
 	return ps.region.Base + hw.Addr(off%uint64(len(ps.buf)))
@@ -114,12 +111,6 @@ func NewFPTable(arena *mem.Arena, capacity int) *FPTable {
 		mask:   uint64(size - 1),
 	}
 }
-
-// Size returns the slot count.
-func (t *FPTable) Size() int { return len(t.keys) }
-
-// SimBytes returns the table's simulated footprint.
-func (t *FPTable) SimBytes() uint64 { return t.region.Size() }
 
 func fpKey(fp uint64) uint32 {
 	k := uint32(fp >> 32)

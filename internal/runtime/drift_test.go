@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -174,6 +175,23 @@ func TestReportStringLatencyTable(t *testing.T) {
 	for _, want := range []string{"p99_us", "slo_p99", "breaches"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report lacks latency column %q:\n%s", want, s)
+		}
+	}
+	// A migration is three notes under the worker table; a rate not yet
+	// measured after the swap reads n/a.
+	rep.Migrations = append(rep.Migrations, Migration{
+		Quantum: 7, WorkerA: 0, WorkerB: 1, FlowA: "ipfwd", FlowB: "mon", WorstBefore: 0.25,
+		StateCopyCycles: 900, CopyA: StateCopy{Copied: true, Bytes: 4096, Lines: 64, Cycles: 900},
+		RemotePerPktBeforeA: 1.5, RemotePerPktAfterA: math.NaN(), RemotePerPktAfterB: 0.25,
+	})
+	s = rep.String()
+	for _, want := range []string{
+		"migration @q7: worker 0 (ipfwd) <-> worker 1 (mon), worst predicted drop was 25.0%",
+		"  state copy: 4096 B (64 lines) in 900 cycles",
+		"  remote refs/pkt: ipfwd 1.50 -> n/a, mon 0.00 -> 0.25",
+	} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("report lacks migration note %q:\n%s", want, s)
 		}
 	}
 }

@@ -365,6 +365,9 @@ func (s *Scenario) parseFlow(name string, args click.Args) (runtime.AppSpec, err
 			return d.AppSpec, fmt.Errorf("flow %q: %w", name, err)
 		}
 	}
+	if (d.BurstOn > 0) != (d.BurstOff > 0) {
+		return d.AppSpec, fmt.Errorf("flow %q: BURST_ON %d and BURST_OFF %d gate the source together; set both positive or neither", name, d.BurstOn, d.BurstOff)
+	}
 	if d.HiddenTrigger > 0 && d.Type != apps.FW {
 		// The aggressor is an FW pipeline by construction (see
 		// apps.Params.BuildSpec, which enforces the same rule for

@@ -243,6 +243,8 @@ func TestParseErrors(t *testing.T) {
 		{"unused graph", "scenario :: Scenario(NAME x); m :: Flow(TYPE MON);\ngraph G { src :: FromDevice; src -> ToDevice; }", "no flow uses it"},
 		{"dup flow", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON); m :: Flow(TYPE MON);`, "declared twice"},
 		{"zero workers", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, WORKERS 0);`, "WORKERS 0 outside [1,)"},
+		{"burst on only", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, BURST_ON 1);`, "BURST_ON 1 and BURST_OFF 0 gate the source together"},
+		{"burst off only", `scenario :: Scenario(NAME x); m :: Flow(TYPE MON, BURST_OFF 3);`, "BURST_ON 0 and BURST_OFF 3 gate the source together"},
 		{"bad placement", `scenario :: Scenario(NAME x, PLACE q1); m :: Flow(TYPE MON);`, "placement"},
 		{"bad fraction", `scenario :: Scenario(NAME x, SYN_REGION_FRACTION 1.5); m :: Flow(TYPE MON);`, "SYN_REGION_FRACTION"},
 		{"bad batch", `scenario :: Scenario(NAME x, BATCH -2); m :: Flow(TYPE MON);`, "BATCH"},

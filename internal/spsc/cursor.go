@@ -67,10 +67,6 @@ func (c *Cursor) Len() int {
 // consumer can only make it stale in the permissive direction).
 func (c *Cursor) Full() bool { return c.tail.Load()+c.staged-c.head.Load() >= c.size }
 
-// Empty reports whether Take would fail, counting the consumer's
-// taken-but-unreleased slots. Only the consumer should act on it.
-func (c *Cursor) Empty() bool { return c.head.Load()+c.taken == c.tail.Load() }
-
 // Consumed returns the cumulative number of slots released — the credit
 // counter backpressure accounting differences across barriers.
 func (c *Cursor) Consumed() uint64 { return c.head.Load() }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"pktpredict/internal/runtime"
@@ -104,9 +105,9 @@ func TestNonTestLineBudget(t *testing.T) {
 }
 
 // testOnlyAPI reads lint/test-only-api.txt and returns the listed names of
-// one kind: "func" (function and method names), "field" (the
-// "<pkg>.<Type>.<Field>" lines) or "tally" (the "<pkg>.<Type>.<Field>++"
-// lines, returned without the "++").
+// one kind: "func" (the "<pkg>.<Func>()" and "<pkg>.<Type>.<Method>()"
+// lines), "field" (the "<pkg>.<Type>.<Field>" lines) or "tally" (the
+// "<pkg>.<Type>.<Field>++" lines, returned without the "++").
 func testOnlyAPI(t *testing.T, kind string) map[string]bool {
 	t.Helper()
 	const listFile = "lint/test-only-api.txt"
@@ -121,91 +122,167 @@ func testOnlyAPI(t *testing.T, kind string) map[string]bool {
 			continue
 		}
 		f := strings.Fields(line)
-		if len(f) < 2 || !roles[f[1]] {
-			t.Errorf("%s:%d: want \"<Name> oracle|observer|instrument|deferred <why>\", got %q", listFile, i+1, line)
+		if len(f) < 2 || !roles[f[1]] || !strings.Contains(f[0], ".") {
+			t.Errorf("%s:%d: want \"<pkg>.<Name> oracle|observer|instrument|deferred <why>\", got %q", listFile, i+1, line)
 			continue
 		}
-		name, tally := strings.CutSuffix(f[0], "++")
+		name := f[0]
 		switch {
-		case tally:
+		case strings.HasSuffix(name, "()"):
+			if kind == "func" {
+				listed[name] = true
+			}
+		case strings.HasSuffix(name, "++"):
 			if kind == "tally" {
-				listed[name] = true
+				listed[strings.TrimSuffix(name, "++")] = true
 			}
-		case strings.Contains(name, "."):
-			if kind == "field" {
-				listed[name] = true
-			}
-		case kind == "func":
+		case kind == "field":
 			listed[name] = true
 		}
 	}
 	return listed
 }
 
+// stdCalled are the standard-library interfaces whose methods the
+// standard library calls: a method that implements one is used whether or
+// not the module names it.
+var stdCalled = map[string][]string{
+	"fmt":           {"Stringer"},
+	"sort":          {"Interface"},
+	"encoding/json": {"Marshaler", "Unmarshaler"},
+	"net/http":      {"Handler"},
+	"io":            {"Reader", "Writer"},
+}
+
 // TestExportedNamesAreUsed is the census of dead exported API, as a test
-// run. An exported func or method declared in a non-test file under
-// internal/ or cmd/ is used when a non-test .go file — internal/, cmd/,
-// examples/ or bench/ — names it outside a declaration (comments and other
-// declarations of the same name do not count). A name only tests call must
-// be listed, with its role, in lint/test-only-api.txt: an oracle (a
-// reference implementation a test compares against), an observer (an
-// accessor a test asserts on), an instrument (a measurement a guard test
-// takes) or deferred (kept for a named open item). The list is checked
-// both ways, like lint/knobs.txt: an unlisted test-only name fails, and so
-// does a listed name that gained a production caller or no longer exists.
+// run over the module's typed load. An exported func or method declared in
+// a non-test file under internal/ or cmd/ is used on a side — non-test code
+// (internal/, cmd/, examples/ or bench/) or tests — when code on that side
+// names its object, when it is a method and that side names the same-named
+// method of an interface its receiver implements, or when it implements a
+// standard-library interface the standard library calls (stdCalled, and
+// error). A func or method only tests use must be listed, with its role,
+// in lint/test-only-api.txt as "<pkg>.<Func>()" or "<pkg>.<Type>.<Method>()":
+// an oracle (a reference implementation a test compares against), an
+// observer (an accessor a test asserts on), an instrument (a measurement a
+// guard test takes) or deferred (kept for a named open item). The list is
+// checked both ways, like lint/knobs.txt: an unlisted test-only name fails,
+// and so does a listed name that gained a production caller or no longer
+// exists.
 func TestExportedNamesAreUsed(t *testing.T) {
 	const listFile = "lint/test-only-api.txt"
 	listed := testOnlyAPI(t, "func")
-	fset := token.NewFileSet()
-	declared := map[string]string{}                         // exported func name → a census file declaring it
-	usedBy := map[bool]map[string]bool{false: {}, true: {}} // by a test file? → names
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		test := strings.HasSuffix(path, "_test.go")
-		census := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) && !test
-		declNames := map[*ast.Ident]bool{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				declNames[n.Name] = true
-				if census && n.Name.IsExported() {
-					declared[n.Name.Name] = path
-				}
-			case *ast.Ident:
-				if !declNames[n] {
-					usedBy[test][n.Name] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	m := loadModule(t)
+	type ifaceMethod struct {
+		iface *types.Interface
+		name  string
 	}
-	for name, path := range declared {
-		switch {
-		case usedBy[false][name]:
-			if listed[name] {
-				t.Errorf("%s lists %s (%s), which now has a production caller; delete the line", listFile, name, path)
+	// A func is known by its declaration's position: the package's test
+	// copy declares it again, as another object, at the same place.
+	used := [2]map[token.Pos]bool{{}, {}}         // by non-test code, by tests → funcs named
+	dispatched := [2]map[ifaceMethod]bool{{}, {}} // by non-test code, by tests → interface methods named
+	stdCall := func(obj types.Object) {
+		iface := obj.Type().Underlying().(*types.Interface)
+		for i := range iface.NumMethods() {
+			dispatched[0][ifaceMethod{iface, iface.Method(i).Name()}] = true
+		}
+	}
+	stdCall(types.Universe.Lookup("error"))
+	for path, names := range stdCalled {
+		pkg, err := m.std.ImportFrom(path, ".", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			stdCall(pkg.Scope().Lookup(name))
+		}
+	}
+	var declared []*types.Func // exported funcs and methods declared in non-test files under internal/ and cmd/
+	for _, p := range m.pkgs {
+		// A test copy's Info covers the package's non-test files too, but a
+		// func named there is named by the plain copy's Info as well.
+		for side, info := range []*types.Info{p.info, p.testInfo, p.xinfo} {
+			if info == nil {
+				continue
 			}
-		case !usedBy[true][name]:
-			t.Errorf("%s: exported %s is declared and never named again; delete it, or give it a caller", path, name)
+			side = min(side, 1)
+			for _, obj := range info.Uses {
+				fn, ok := obj.(*types.Func)
+				if !ok {
+					continue
+				}
+				fn = fn.Origin()
+				used[side][fn.Pos()] = true
+				if iface, ok := receiver(fn).Underlying().(*types.Interface); ok {
+					dispatched[side][ifaceMethod{iface, fn.Name()}] = true
+				}
+			}
+		}
+		if p.nonTest == 0 || !strings.HasPrefix(p.path, "pktpredict/internal/") && !strings.HasPrefix(p.path, "pktpredict/cmd/") {
+			continue
+		}
+		for id, obj := range p.info.Defs {
+			if fn, ok := obj.(*types.Func); ok && id.IsExported() && !types.IsInterface(receiver(fn)) {
+				declared = append(declared, fn)
+			}
+		}
+	}
+	usedBy := func(side int, fn *types.Func) bool {
+		if used[side][fn.Pos()] {
+			return true
+		}
+		recv, ok := receiver(fn).(*types.Named)
+		if !ok {
+			return false
+		}
+		for d := range dispatched[side] {
+			if d.name == fn.Name() && (types.Implements(recv, d.iface) || types.Implements(types.NewPointer(recv), d.iface)) {
+				return true
+			}
+		}
+		return false
+	}
+	sort.Slice(declared, func(i, j int) bool { return declared[i].Pos() < declared[j].Pos() })
+	for _, fn := range declared {
+		name, at := qualifiedName(fn), m.fset.Position(fn.Pos())
+		switch {
+		case usedBy(0, fn):
+			if listed[name] {
+				t.Errorf("%s lists %s, which now has a production caller; delete the line", listFile, name)
+			}
+		case !usedBy(1, fn):
+			t.Errorf("%s: exported %s is declared and never called; delete it, or give it a caller", at, name)
 		case !listed[name]:
-			t.Errorf("%s: exported %s has only test callers; give it a production caller, delete it, or list it with its role in %s", path, name, listFile)
+			t.Errorf("%s: exported %s has only test callers; give it a production caller, delete it, or list it with its role in %s", at, name, listFile)
 		}
 		delete(listed, name)
 	}
 	for name := range listed {
 		t.Errorf("%s lists %s, which no longer exists; delete the line", listFile, name)
 	}
+}
+
+// receiver is a func's receiver type without its pointer, or the invalid
+// type for a plain func.
+func receiver(fn *types.Func) types.Type {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return types.Typ[types.Invalid]
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
+// qualifiedName is a func's lint/test-only-api.txt name:
+// "<pkg>.<Func>()" or "<pkg>.<Type>.<Method>()".
+func qualifiedName(fn *types.Func) string {
+	name := fn.Pkg().Name() + "."
+	if recv, ok := receiver(fn).(*types.Named); ok {
+		name += recv.Obj().Name() + "."
+	}
+	return name + fn.Name() + "()"
 }
 
 // TestExportedFieldsAreWritten is TestExportedNamesAreUsed's census for
@@ -375,23 +452,59 @@ type modulePkg struct {
 	xfiles      []*ast.File // the external test package
 	nonTest     int         // files[:nonTest] are the non-test files
 	pkg, tested *types.Package
+	// The Info of files[:nonTest], of files (the test copy) and of xfiles.
+	info, testInfo, xinfo *types.Info
 }
 
-// loadModule parses every package of the module — internal/, cmd/,
+// typedModule is the module parsed, comments included, and type-checked
+// once per test binary: the read census, the exported-name census and
+// vetdp all walk this one load.
+type typedModule struct {
+	fset *token.FileSet
+	pkgs []*modulePkg // sorted by import path
+	std  types.ImporterFrom
+}
+
+// eachFile calls check on every checked file with the Info that describes
+// it and the file's path.
+func (m *typedModule) eachFile(check func(info *types.Info, file *ast.File, path string)) {
+	visit := func(info *types.Info, files []*ast.File) {
+		for _, f := range files {
+			check(info, f, m.fset.File(f.Pos()).Name())
+		}
+	}
+	for _, p := range m.pkgs {
+		visit(p.info, p.files[:p.nonTest])
+		visit(p.testInfo, p.files[p.nonTest:])
+		visit(p.xinfo, p.xfiles)
+	}
+}
+
+var typedLoad = sync.OnceValues(typeCheckModule)
+
+// loadModule returns the module's one type-checked load.
+func loadModule(t *testing.T) *typedModule {
+	t.Helper()
+	m, err := typedLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// typeCheckModule parses every package of the module — internal/, cmd/,
 // examples/, the nested bench/ module and the root's tests — honouring
 // build constraints, and type-checks it with go/types: GOROOT packages from
 // source, the module's own in import order. Each package's in-package test
 // files are checked with a second copy of it, and its external test
-// package against that copy, as go test builds them. check runs on every
-// checked file with the Info that describes it and the file's path.
-func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path string)) {
-	t.Helper()
+// package against that copy, as go test builds them.
+func typeCheckModule() (*typedModule, error) {
 	// The source importer would run cgo for net; its pure-Go files type-check the same.
 	cgo := build.Default.CgoEnabled
 	build.Default.CgoEnabled = false
-	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
+	defer func() { build.Default.CgoEnabled = cgo }()
 	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	m := &typedModule{fset: fset, std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
 	pkgs := map[string]*modulePkg{}
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -410,7 +523,7 @@ func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path 
 		parse := func(names []string) ([]*ast.File, error) {
 			var files []*ast.File
 			for _, name := range names {
-				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+				f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 				if err != nil {
 					return nil, err
 				}
@@ -426,11 +539,13 @@ func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path 
 			return err
 		}
 		pkgs[p.path] = p
+		m.pkgs = append(m.pkgs, p)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	sort.Slice(m.pkgs, func(i, j int) bool { return m.pkgs[i].path < m.pkgs[j].path })
 	imports := func(self *modulePkg) importFunc {
 		return func(path string) (*types.Package, error) {
 			if self != nil && path == self.path {
@@ -439,7 +554,7 @@ func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path 
 			if p := pkgs[path]; p != nil {
 				return p.pkg, nil
 			}
-			return std.ImportFrom(path, ".", 0)
+			return m.std.ImportFrom(path, ".", 0)
 		}
 	}
 	newInfo := func() *types.Info {
@@ -452,61 +567,52 @@ func loadModule(t *testing.T, check func(info *types.Info, file *ast.File, path 
 	}
 	// The non-test packages, in import order, must type-check cleanly.
 	done := map[string]bool{}
-	var visit func(p *modulePkg)
-	visit = func(p *modulePkg) {
+	var visit func(p *modulePkg) error
+	visit = func(p *modulePkg) error {
 		if done[p.path] {
-			return
+			return nil
 		}
 		done[p.path] = true
 		for _, imp := range p.bp.Imports {
 			if q := pkgs[imp]; q != nil {
-				visit(q)
+				if err := visit(q); err != nil {
+					return err
+				}
 			}
 		}
 		if p.nonTest == 0 {
-			return
+			return nil
 		}
-		info := newInfo()
+		p.info = newInfo()
 		conf := types.Config{Importer: imports(nil)}
-		pkg, err := conf.Check(p.path, fset, p.files[:p.nonTest], info)
+		pkg, err := conf.Check(p.path, fset, p.files[:p.nonTest], p.info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.path, err)
+			return fmt.Errorf("type-checking %s: %v", p.path, err)
 		}
 		p.pkg = pkg
-		for _, f := range p.files[:p.nonTest] {
-			check(info, f, fset.File(f.Pos()).Name())
+		return nil
+	}
+	for _, p := range m.pkgs {
+		if err := visit(p); err != nil {
+			return nil, err
 		}
-	}
-	paths := make([]string, 0, len(pkgs))
-	for path := range pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		visit(pkgs[path])
 	}
 	// Test files see the package's test copy, which is a second set of
 	// objects: a test mixing it with a package that imports the plain copy
 	// has type errors that do not hide a field access, so they are ignored.
-	for _, path := range paths {
-		p := pkgs[path]
+	for _, p := range m.pkgs {
 		conf := types.Config{Importer: imports(p), Error: func(error) {}}
 		p.tested = p.pkg
 		if len(p.files) > p.nonTest {
-			info := newInfo()
-			p.tested, _ = conf.Check(p.path, fset, p.files, info)
-			for _, f := range p.files[p.nonTest:] {
-				check(info, f, fset.File(f.Pos()).Name())
-			}
+			p.testInfo = newInfo()
+			p.tested, _ = conf.Check(p.path, fset, p.files, p.testInfo)
 		}
 		if len(p.xfiles) > 0 {
-			info := newInfo()
-			conf.Check(p.path+"_test", fset, p.xfiles, info)
-			for _, f := range p.xfiles {
-				check(info, f, fset.File(f.Pos()).Name())
-			}
+			p.xinfo = newInfo()
+			conf.Check(p.path+"_test", fset, p.xfiles, p.xinfo)
 		}
 	}
+	return m, nil
 }
 
 type importFunc func(path string) (*types.Package, error)
@@ -539,7 +645,7 @@ func TestCountersAreRead(t *testing.T) {
 		return uses[p]
 	}
 	census := map[token.Pos]string{} // exported fields declared in non-test files under internal/ → "pkg.Type.Field"
-	loadModule(t, func(info *types.Info, file *ast.File, path string) {
+	loadModule(t).eachFile(func(info *types.Info, file *ast.File, path string) {
 		test := strings.HasSuffix(path, "_test.go")
 		reader := 0 // index into use.read
 		if test {
