@@ -20,7 +20,7 @@
 //	dataplane [-config FILE.click | -scenario mixed|bursty|thrash|hidden|...]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
 //	          [-duration 0.05] [-noprofile] [-telemetry] [-residuals]
-//	          [-metrics-addr :9090] [-trace-sample 64] [-trace-out trace.json]
+//	          [-metrics-addr :9090] [-trace-out trace.json]
 //
 // Observability: -metrics-addr serves the live metrics registry over
 // HTTP while the dataplane runs (/metrics Prometheus text, /metrics.json
@@ -30,10 +30,11 @@
 // per app, with a diagnosed cause — profile drift names the specific
 // element whose live cost diverged from its offline baseline). The
 // final report includes a per-app latency table (p50/p99/p999 in
-// virtual µs, with SLO breach counts) whenever latencies were recorded. -trace-sample N tags one in N packets
-// entering each staged chain and records per-stage exec spans in virtual
-// time; -trace-out writes them as Chrome trace-event JSON loadable in
-// Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+// virtual µs, with SLO breach counts) whenever latencies were recorded.
+// -trace-out tags one in 64 packets entering each staged chain,
+// records per-stage exec spans in virtual time and writes them as Chrome
+// trace-event JSON loadable in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing.
 //
 // The platform is layered: -scale supplies the defaults, a scenario
 // file's platform :: Platform(...) block overrides the knobs it names,
@@ -60,6 +61,10 @@ import (
 	"pktpredict/internal/scenario"
 )
 
+// traceSample is -trace-out's rate: one in traceSample packets entering a
+// staged chain is traced.
+const traceSample = 64
+
 func main() {
 	configPath := flag.String("config", "", "scenario file (Click-style .click text)")
 	scenarioName := flag.String("scenario", "mixed",
@@ -75,18 +80,13 @@ func main() {
 		"serve live metrics over HTTP on this address (/metrics Prometheus text, /metrics.json)")
 	residuals := flag.Bool("residuals", false,
 		"print the per-window prediction-residual series with diagnosed causes")
-	traceSample := flag.Int("trace-sample", 0,
-		"trace one in N packets entering each staged chain (0 disables)")
 	traceOut := flag.String("trace-out", "",
-		"write sampled chain traces as Chrome trace-event JSON to this file (implies -trace-sample 64 if unset)")
+		"trace one in 64 packets entering each staged chain and write the spans as Chrome trace-event JSON to this file")
 	flag.Parse()
 
 	scale, err := exp.ScaleByName(*scaleName)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	if *traceSample < 0 {
-		fatalf("-trace-sample %d is negative (N traces one in N packets, 0 disables)", *traceSample)
 	}
 
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
@@ -149,10 +149,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dataplane: serving metrics on http://%s/metrics\n", srv.Addr)
 		cfg.Metrics = reg
 	}
-	if *traceOut != "" && *traceSample == 0 {
-		*traceSample = 64
+	if *traceOut != "" {
+		cfg.TraceSample = traceSample
 	}
-	cfg.TraceSample = *traceSample
 	// The run's windows reach -telemetry and -residuals here, and only
 	// here: each control barrier prints the apps whose prediction
 	// diverged, with the diagnosed cause, and keeps what the flags print
@@ -251,7 +250,7 @@ func writeTrace(path string, r *runtime.Runtime, clockHz float64) error {
 	n := len(t.Events())
 	msg := fmt.Sprintf("dataplane: wrote %d trace spans to %s", n, path)
 	if d := t.Dropped(); d > 0 {
-		msg += fmt.Sprintf(" (%d spans dropped: raise -trace-sample or shorten the run)", d)
+		msg += fmt.Sprintf(" (%d spans dropped: shorten the run)", d)
 	}
 	if n == 0 {
 		msg += " (no staged chains in this scenario, or no sampled packet completed)"

@@ -25,6 +25,7 @@ import (
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
+	"pktpredict/internal/elements"
 	"pktpredict/internal/handoff"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
@@ -171,7 +172,8 @@ func TestHotPathAllocs(t *testing.T) {
 
 	// nic: buffer pool and descriptor rings.
 	arena := mem.NewArena(0)
-	pool := nic.NewBufferPool(arena, 32, 2048)
+	pool := nic.ReserveBufferPool(arena, 32, 2048)
+	pool.Alloc()
 	gate(t, "nic.BufferPool.Get+Put", func() {
 		ctx.Ops = ctx.Ops[:0]
 		idx, _, _ := pool.Get(ctx)
@@ -180,6 +182,29 @@ func TestHotPathAllocs(t *testing.T) {
 	rx := nic.NewRing(arena, 64)
 	gate(t, "nic.Ring.Consume", func() { ctx.Ops = ctx.Ops[:0]; rx.Consume(ctx) })
 	gate(t, "nic.Ring.Produce", func() { ctx.Ops = ctx.Ops[:0]; rx.Produce(ctx) })
+
+	// elements: a runtime worker's receive path, FromDevice fed by a ring,
+	// one burst of four packets a run.
+	fd, err := elements.NewFromDevice(&click.Env{Arena: arena, RxBatch: 4}, elements.FromDeviceConfig{Buffers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := runtime.NewRing(8, 64)
+	fd.SetFeed(feed)
+	gate(t, "elements.FromDevice.Pull+Recycle+EndBatch (fed)", func() {
+		ctx.Ops = ctx.Ops[:0]
+		for i := 0; i < 4; i++ {
+			if !feed.Push(payload[:64], 1) {
+				t.Fatal("feed full")
+			}
+			p := fd.Pull(ctx)
+			if p == nil || p.Enq != 1 {
+				t.Fatal("fed source delivered no stamped packet")
+			}
+			fd.Recycle(ctx, p)
+		}
+		fd.EndBatch()
+	})
 
 	// handoff: the inter-stage SPSC ring (poll via PollFull/PollEmpty).
 	ho := handoff.New(arena, 64)
@@ -352,6 +377,7 @@ var hotpathDirect = map[string]bool{
 	"click.Ctx.StoreBytes":          true,
 	"click.Ctx.DMABytes":            true,
 	"click.Ctx.Compute":             true,
+	"elements.FromDevice.EndBatch":  true,
 	"click.Pipeline.EmitPacket":     true,
 	"nic.BufferPool.Get":            true,
 	"nic.BufferPool.Put":            true,
@@ -380,12 +406,9 @@ var hotpathIndirect = map[string]string{
 	"click.walkNodes":             "unexported; Pipeline.EmitPacket above walks the graph",
 	"handoff.Ring.poll":           "unexported; PollFull/PollEmpty above are thin wrappers",
 	"handoff.Ring.chargeCursor":   "unexported; every CommitPush/CommitPop above that moves a cursor runs it",
-	"runtime.ringSource.Pull":     "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
-	"runtime.ringSource.Recycle":  "unexported type; the worker integration tests in internal/runtime drive the full Pull/Recycle cycle",
 	"elements.FromDevice.Pull":    "every apps.*.EmitPacket gate above pulls from the flow's own FromDevice",
 	"elements.FromDevice.Recycle": "every apps.*.EmitPacket gate above recycles into the flow's own FromDevice",
 	"re.Processor.Process":        "apps.RE.EmitPacket above runs it on every packet",
-	"runtime.ringSource.endBatch": "unexported type; Ring.Release above is the whole body, and the worker integration tests drive it each quantum",
 }
 
 // TestVetdp runs vetdp — the //dataplane: directive check and the

@@ -160,15 +160,6 @@ type Instance struct {
 	// flow's tables, what migrating them would cost, and which stage of a
 	// service chain owns which span.
 	State []StateBinding
-
-	// Traffic is the build-time source's resolved generator spec when
-	// the pipeline's head is a FromDevice (nil otherwise). The concurrent
-	// runtime replaces the source with a receive ring and generates the
-	// flow's traffic centrally; it adopts this spec's payload shaping
-	// (signature injection, entropy distribution) and cross-checks its
-	// packet size, so ring-fed traffic matches what the graph's own
-	// source generated during offline profiling.
-	Traffic *trafficgen.Spec
 }
 
 // StateBinding locates one element's simulated state.
@@ -414,15 +405,10 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 	for _, n := range pl.Nodes() {
 		stageOf[n.Name] = n.Stage
 	}
-	inst := &Instance{
+	return &Instance{
 		Type: t, Source: pl, Pipeline: pl, Control: ctl,
 		State: tr.collect(stageOf, pl.SourceName()),
-	}
-	if fd, ok := pl.Source.(*elements.FromDevice); ok {
-		spec := fd.Spec()
-		inst.Traffic = &spec
-	}
-	return inst, nil
+	}, nil
 }
 
 // Stages returns how many pipeline stages flow type t is cut into — the

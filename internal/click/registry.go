@@ -22,9 +22,8 @@ type Env struct {
 	Arena *mem.Arena
 	Seed  uint64
 
-	// RxBatch is the receive batch size sources default to when their
-	// configuration doesn't set one explicitly (the scenario-level BATCH
-	// knob). 0 or 1 means unbatched.
+	// RxBatch is every source's receive batch size (the scenario-level
+	// BATCH knob). 0 or 1 means unbatched.
 	RxBatch int
 
 	// ArenaAt makes state placement stage-aware: Graph.Build allocates an

@@ -32,22 +32,17 @@ var (
 // Compute costs in cycles/instructions for the fixed per-packet work each
 // element does beyond its memory accesses. They approximate the
 // instruction counts of the corresponding Click elements on the paper's
-// platform and are deliberately centralised for calibration. The receive
-// costs are exported because the runtime's ring-fed receive path must
-// charge exactly what FromDevice charges, or runtime profiles diverge
-// from the offline solo profiles predictions are built on.
+// platform and are deliberately centralised for calibration.
 //
 // The receive cost is split so batching can amortize it: the poll part
-// (checking the RX ring's state and setting up a burst) is charged once
-// per batch of BATCH packets, the per-packet part for every packet. At
-// batch 1 the sum — poll + per-packet = 60 cycles / 50 instrs — is
-// exactly the historical unbatched FromDevice cost, so scenarios without
-// a BATCH key charge what they always charged.
+// (checking the RX ring, setting up a burst) once per burst of the
+// scenario's BATCH packets, the per-packet part for every packet. Their
+// sum, 60 cycles / 50 instrs, is the unbatched cost (BATCH 1 or unset).
 const (
-	RxPollCompute  = 20
-	RxPollInstrs   = 15
-	RxCompute      = 40
-	RxInstrs       = 35
+	rxPollCompute  = 20
+	rxPollInstrs   = 15
+	rxCompute      = 40
+	rxInstrs       = 35
 	checkIPCompute = 60
 	checkIPInstrs  = 50
 	decTTLCompute  = 25
@@ -56,28 +51,37 @@ const (
 	txInstrs       = 40
 )
 
-// RxRingSize is the RX descriptor ring size of every receive path:
-// FromDevice's and the runtime's ring-fed one, which must match it.
-const RxRingSize = 256
-
 // FromDevice is a pipeline source: it models one NIC receive queue. Each
-// Pull takes a buffer from the per-core pool, writes a generated packet
-// into it (the NIC's DMA, delivered into the L3 via direct cache access),
-// consumes an RX descriptor, and hands the packet to the pipeline.
+// Pull takes a buffer from the per-core pool, writes a packet into it (the
+// NIC's DMA, delivered into the L3 via direct cache access), consumes an
+// RX descriptor, and hands the packet to the pipeline. The packet comes
+// from the source's generator on the engine, or from its Feed on the
+// concurrent runtime, where every worker receives through one FromDevice
+// fed by the input ring of the flow it runs: one receive trace for both.
 //
 // Construction reserves the source's simulated memory; its host state —
-// the pool's buffers and free stack, the packet headers, the generator —
-// is built on the first Pull. A source nobody pulls (the concurrent
-// runtime feeds a flow through its own ring) holds none of it.
+// the pool's buffers and free stack, the packet headers, the generator or
+// the feed's copy buffer — is built on the first Pull. A source nobody
+// pulls (a graph's own source on the runtime, a worker that runs only
+// later stages of chains) holds none of it.
 type FromDevice struct {
 	pool      *nic.BufferPool
 	pkts      []click.Packet // one header per pool buffer, owned with it from Get to Recycle; nil until the first Pull
 	ring      *nic.Ring
 	gen       trafficgen.Generator
 	spec      trafficgen.Spec
-	remaining int64 // -1 = unbounded
-	batch     int   // packets per RX poll; the poll cost amortizes over it
+	feed      Feed
+	scratch   []byte // the feed's next packet, popped before a buffer is taken
+	remaining int64  // -1 = unbounded
+	batch     int    // packets per RX poll; the poll cost amortizes over it
 	sincePoll int
+}
+
+// Feed is a receive queue a FromDevice pulls from in place of its generator
+// (PopStaged copies a packet out; Release frees the slots taken).
+type Feed interface {
+	PopStaged(dst []byte) (n int, stamp uint64, ok bool)
+	Release() bool
 }
 
 // FromDeviceConfig configures a FromDevice source.
@@ -87,27 +91,17 @@ type FromDeviceConfig struct {
 	Buffers int
 	// Count bounds the number of packets delivered; 0 means unbounded.
 	Count int64
-	// Batch is the number of packets received per RX poll; the poll part
-	// of the receive cost is charged once per batch. 0 defaults to the
-	// environment's RxBatch (itself defaulting to 1, the unbatched
-	// historical behaviour).
-	Batch int
 }
 
 // NewFromDevice builds the source, reserving its pool and ring in env's
-// arena so all per-flow state is NUMA-local.
+// arena so all per-flow state is NUMA-local. It polls the RX ring once per
+// env.RxBatch packets (every packet when that is below 1).
 func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	if cfg.Buffers == 0 {
 		cfg.Buffers = 512
 	}
 	if cfg.Traffic.Seed == 0 {
 		cfg.Traffic.Seed = env.Seed
-	}
-	if cfg.Batch == 0 {
-		cfg.Batch = env.RxBatch
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = 1
 	}
 	if err := cfg.Traffic.Validate(); err != nil {
 		return nil, err
@@ -129,24 +123,30 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	}
 	return &FromDevice{
 		pool:      nic.ReserveBufferPool(env.Arena, cfg.Buffers, bufSize),
-		ring:      nic.NewRing(env.Arena, RxRingSize),
+		ring:      nic.NewRing(env.Arena, 256), // the RX descriptor ring
 		spec:      spec,
 		remaining: remaining,
-		batch:     cfg.Batch,
+		batch:     max(env.RxBatch, 1),
 	}, nil
 }
 
-// Spec returns the source's resolved traffic spec (seed and size
-// defaults applied). The concurrent runtime, which replaces the source
-// with a receive ring, reads it to generate equivalent traffic — same
-// packet size and payload shaping — so runtime behaviour matches the
-// offline profile the graph's own source produced.
+// Spec returns the source's resolved traffic spec (seed and size defaults
+// applied): the concurrent runtime generates a graph flow's traffic from a
+// copy, so it matches what the offline profile measured.
 func (fd *FromDevice) Spec() trafficgen.Spec { return fd.spec }
+
+// Bounded reports whether the source was configured with a COUNT.
+func (fd *FromDevice) Bounded() bool { return fd.remaining >= 0 }
+
+// SetFeed makes the source pull from f instead of its generator (nil: no
+// feed). A fed source must have its feed from its first Pull on.
+func (fd *FromDevice) SetFeed(f Feed) { fd.feed = f }
 
 // Class implements click.Source.
 func (fd *FromDevice) Class() string { return "FromDevice" }
 
-// Pull implements click.Source.
+// Pull implements click.Source. A fed source returns nil while its feed
+// is empty.
 //
 //dataplane:stamped source-side DMA and ring ops are flow overhead (slot 0) by design
 //dataplane:hotpath
@@ -154,36 +154,63 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	if fd.remaining == 0 {
 		return nil
 	}
-	if fd.remaining > 0 {
-		fd.remaining--
-	}
 	if fd.pkts == nil {
 		fd.pool.Alloc()
 		fd.pkts = make([]click.Packet, fd.pool.Size()) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
-		fd.gen = trafficgen.New(fd.spec)
+		if fd.feed != nil {
+			fd.scratch = make([]byte, fd.spec.Size) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
+		} else {
+			fd.gen = trafficgen.New(fd.spec)
+		}
+	}
+	n, enq := 0, uint64(0)
+	if fd.feed != nil {
+		var ok bool
+		if n, enq, ok = fd.feed.PopStaged(fd.scratch); !ok {
+			return nil
+		}
+	}
+	if fd.remaining > 0 {
+		fd.remaining--
 	}
 	old := ctx.SetFunc(fnFromDevice)
 	defer ctx.SetFunc(old)
 
 	idx, data, addr := fd.pool.Get(ctx)
-	n := fd.gen.Next(data)
+	if fd.feed != nil {
+		copy(data, fd.scratch[:n])
+	} else {
+		n = fd.gen.Next(data)
+	}
 	ctx.DMABytes(addr, n) // NIC writes the packet into the cache (DCA)
 	fd.ring.Consume(ctx)  // core reads the RX descriptor
 	if fd.sincePoll == 0 {
 		// First packet of an RX burst pays the poll; the rest of the
 		// batch rides on it.
-		ctx.Compute(RxPollCompute, RxPollInstrs)
+		ctx.Compute(rxPollCompute, rxPollInstrs)
 	}
 	fd.sincePoll++
 	if fd.sincePoll == fd.batch {
 		fd.sincePoll = 0
 	}
-	ctx.Compute(RxCompute, RxInstrs)
+	ctx.Compute(rxCompute, rxInstrs)
 	// A buffer, and so its header, has one owner between Get and Recycle;
-	// the assignment also clears the last packet's Trace and Enq.
+	// the assignment also overwrites the last packet's Trace and Enq.
 	p := &fd.pkts[idx]
-	*p = click.Packet{Data: data[:n], Addr: addr, Recycler: fd, PoolIndex: idx}
+	*p = click.Packet{Data: data[:n], Addr: addr, Recycler: fd, PoolIndex: idx, Enq: enq}
 	return p
+}
+
+// EndBatch closes the current RX burst, so the next Pull pays a fresh
+// poll, and releases the feed's slots taken since the last EndBatch with
+// one cursor store. The runtime's workers call it after every batch.
+//
+//dataplane:hotpath
+func (fd *FromDevice) EndBatch() {
+	fd.sincePoll = 0
+	if fd.feed != nil {
+		fd.feed.Release()
+	}
 }
 
 // Recycle implements click.Recycler, returning the buffer to the pool.
@@ -353,7 +380,6 @@ func init() {
 		click.Int("FLOWS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Traffic.Flows }),
 		click.Int("BUFFERS", "[0,1048576]", func(a *fromDeviceArgs) *int { return &a.Buffers }),
 		click.Int("COUNT", "[0,)", func(a *fromDeviceArgs) *int { return &a.count }),
-		click.Int("BATCH", "[0,)", func(a *fromDeviceArgs) *int { return &a.Batch }),
 		click.Float("SIG_HIT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHit }),
 		click.Float("SIG_SHIFT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHitShift }),
 		click.Int("SIG_COUNT", "[1,)", func(a *fromDeviceArgs) *int { return &a.sigCount }),

@@ -36,14 +36,6 @@ type BufferPool struct {
 	bufSize int
 }
 
-// NewBufferPool allocates count buffers of bufSize bytes from arena,
-// simulated and host memory both: ReserveBufferPool, then Alloc.
-func NewBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
-	bp := ReserveBufferPool(arena, count, bufSize)
-	bp.Alloc()
-	return bp
-}
-
 // ReserveBufferPool takes the pool's simulated memory from arena — the
 // buffers, the free stack and the head line — and no host memory: Get
 // must not run before Alloc.

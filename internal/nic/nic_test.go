@@ -10,9 +10,17 @@ import (
 	"pktpredict/internal/mem"
 )
 
+// newPool builds a pool with its host buffers: ReserveBufferPool, then
+// Alloc.
+func newPool(arena *mem.Arena, count, bufSize int) *BufferPool {
+	bp := ReserveBufferPool(arena, count, bufSize)
+	bp.Alloc()
+	return bp
+}
+
 func TestBufferPoolGetPutCycle(t *testing.T) {
 	arena := mem.NewArena(0)
-	bp := NewBufferPool(arena, 4, 2048)
+	bp := newPool(arena, 4, 2048)
 	var ctx click.Ctx
 
 	if bp.Available() != 4 {
@@ -36,7 +44,7 @@ func TestBufferPoolGetPutCycle(t *testing.T) {
 
 func TestBufferPoolDistinctBuffers(t *testing.T) {
 	arena := mem.NewArena(0)
-	bp := NewBufferPool(arena, 8, 512)
+	bp := newPool(arena, 8, 512)
 	var ctx click.Ctx
 	seen := make(map[int]bool)
 	addrs := make(map[hw.Addr]bool)
@@ -70,18 +78,18 @@ func TestBufferPoolDistinctBuffers(t *testing.T) {
 func TestBufferPoolAllocatesOnce(t *testing.T) {
 	for _, count := range []int{4, 512, 4096} {
 		// The arena's own bookkeeping is one or two of them.
-		if n := testing.AllocsPerRun(5, func() { NewBufferPool(mem.NewArena(0), count, 2048) }); n > 8 {
+		if n := testing.AllocsPerRun(5, func() { newPool(mem.NewArena(0), count, 2048) }); n > 8 {
 			t.Fatalf("a pool of %d buffers takes %v allocations, want a small constant", count, n)
 		}
 	}
 }
 
 // TestReservedPoolHoldsNoHostMemory: ReserveBufferPool takes the same
-// simulated extents as NewBufferPool and no host buffers; Alloc then
+// simulated extents as an allocated pool and no host buffers; Alloc then
 // makes it the eager pool.
 func TestReservedPoolHoldsNoHostMemory(t *testing.T) {
 	ea, ra := mem.NewArena(0), mem.NewArena(0)
-	eager, reserved := NewBufferPool(ea, 16, 512), ReserveBufferPool(ra, 16, 512)
+	eager, reserved := newPool(ea, 16, 512), ReserveBufferPool(ra, 16, 512)
 	if reserved.slab != nil || reserved.free != nil {
 		t.Fatalf("reserved pool holds %d slab bytes and %d free entries, want none", len(reserved.slab), len(reserved.free))
 	}
@@ -96,7 +104,7 @@ func TestReservedPoolHoldsNoHostMemory(t *testing.T) {
 
 func TestBufferPoolExhaustionPanics(t *testing.T) {
 	arena := mem.NewArena(0)
-	bp := NewBufferPool(arena, 1, 64)
+	bp := newPool(arena, 1, 64)
 	var ctx click.Ctx
 	bp.Get(&ctx)
 	defer func() {
@@ -109,7 +117,7 @@ func TestBufferPoolExhaustionPanics(t *testing.T) {
 
 func TestBufferPoolPutValidation(t *testing.T) {
 	arena := mem.NewArena(0)
-	bp := NewBufferPool(arena, 2, 64)
+	bp := newPool(arena, 2, 64)
 	var ctx click.Ctx
 	defer func() {
 		if recover() == nil {
@@ -121,7 +129,7 @@ func TestBufferPoolPutValidation(t *testing.T) {
 
 func TestBufferPoolEmitsRecycleTrace(t *testing.T) {
 	arena := mem.NewArena(0)
-	bp := NewBufferPool(arena, 2, 64)
+	bp := newPool(arena, 2, 64)
 	var ctx click.Ctx
 	idx, _, _ := bp.Get(&ctx)
 	bp.Put(&ctx, idx)
@@ -183,8 +191,8 @@ func TestRingProduceStores(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	arena := mem.NewArena(0)
 	for _, f := range []func(){
-		func() { NewBufferPool(arena, 0, 64) },
-		func() { NewBufferPool(arena, 4, 0) },
+		func() { ReserveBufferPool(arena, 0, 64) },
+		func() { ReserveBufferPool(arena, 4, 0) },
 		func() { NewRing(arena, 0) },
 	} {
 		func() {

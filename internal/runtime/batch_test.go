@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	stdruntime "runtime"
 	"slices"
 	"testing"
@@ -197,23 +198,25 @@ func TestWorkerBatchOccupancyExcludesClipped(t *testing.T) {
 	checkConservation(t, rep)
 }
 
-// ringSourceAsClick lets Pipeline.EmitPacket pull from a worker's receive
-// path, the way the pre-unification runtime ran unstaged flows.
-type ringSourceAsClick struct{ *ringSource }
-
-func (ringSourceAsClick) Class() string { return "RingSource" }
-
 // TestOneStageTraceMatchesEmitPacket pins the fold of unstaged flows into
-// chains of one stage at the op level: at BATCH 1, stage.step must emit
-// exactly the trace run-to-completion Pipeline.EmitPacket emits over the
-// same receive path (pull → walk → recycle), packet for packet, and leave
-// the same packet-level outcome counters.
+// chains of one stage at the op level: stage.step must emit exactly the
+// trace run-to-completion Pipeline.EmitPacket emits over the worker's own
+// FromDevice (pull → walk → recycle), packet for packet, and leave the
+// same packet-level outcome counters. At BATCH 4 the RX poll is charged
+// once per four pulls on both sides.
 func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
-	for _, typ := range []apps.FlowType{apps.IP, apps.FW, apps.VPN} {
-		t.Run(string(typ), func(t *testing.T) {
+	for _, tc := range []struct {
+		typ   apps.FlowType
+		batch int
+	}{{apps.IP, 1}, {apps.FW, 1}, {apps.VPN, 1}, {apps.IP, 4}, {apps.FW, 4}, {apps.VPN, 4}} {
+		name := string(tc.typ)
+		if tc.batch > 1 {
+			name += fmt.Sprintf("_BATCH_%d", tc.batch)
+		}
+		t.Run(name, func(t *testing.T) {
 			build := func() *worker {
-				cfg := testConfig([]AppSpec{{Name: "solo", Type: typ, Workers: 1}})
-				cfg.Params.RxBatch = 1
+				cfg := testConfig([]AppSpec{{Name: "solo", Type: tc.typ, Workers: 1}})
+				cfg.Params.RxBatch = tc.batch
 				r, err := NewRuntime(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -223,7 +226,7 @@ func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
 			}
 			staged, rtc := build(), build()
 			pipe := rtc.unit.fl.pipe
-			pipe.Source = ringSourceAsClick{rtc.src}
+			pipe.Source = rtc.src
 			for i := 0; i < 300; i++ {
 				got := staged.unit.step(staged)
 				staged.opbuf = got.ops

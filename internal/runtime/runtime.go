@@ -42,7 +42,9 @@ import (
 	"sort"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/core"
+	"pktpredict/internal/elements"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/obs"
@@ -329,17 +331,17 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		return a
 	}
 
-	// Workers: one per listed core, receive path NUMA-local.
+	// Workers: one per listed core, each receiving through its own
+	// FromDevice in its socket's memory: Params.Buffers buffers of the
+	// largest packet, then the RX ring (see worker.bind).
 	for i, coreID := range cores {
 		sock := coreID / cfg.Cfg.CoresPerSocket
-		w := &worker{
-			id:     i,
-			core:   r.platform.Cores[coreID],
-			socket: sock,
-			src:    newRingSource(arena(sock), cfg.Params.Buffers, maxPkt, cfg.Params.RxBatch),
-			batch:  cfg.burst(),
+		src, err := elements.NewFromDevice(&click.Env{Arena: arena(sock), RxBatch: cfg.Params.RxBatch}, elements.FromDeviceConfig{
+			Traffic: trafficgen.Spec{Size: max(maxPkt, trafficgen.MinPacketSize)}, Buffers: cfg.Params.Buffers})
+		if err != nil {
+			return nil, err
 		}
-		r.workers = append(r.workers, w)
+		r.workers = append(r.workers, &worker{id: i, core: r.platform.Cores[coreID], socket: sock, src: src, batch: cfg.burst()})
 	}
 
 	// Flow instances: replica k of an app starts on the next unbound
@@ -417,35 +419,31 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			widx += stages
 		}
 		if !spec.Type.Synthetic() {
-			// The flow population scales with the replica count so that
-			// RSS sharding delivers each replica roughly TrafficFlows
-			// distinct flows — the workload the solo profile was
-			// measured under. (With a fixed population, sharding would
-			// shrink each core's working set and every replica would
-			// beat its solo baseline.)
-			genSpec := trafficgen.Spec{
-				Seed:  core.SeedFor(spec.Type, 1000+ai),
-				Size:  pktSize,
-				Flows: cfg.Params.TrafficFlows * spec.Workers,
-			}
-			// The graph's own source was what generated traffic during
-			// offline profiling; the ring-fed runtime must match it. Its
-			// payload shaping (signature injection, entropy distribution)
-			// carries over, and a packet-size disagreement is a
-			// configuration error — the profile and the runtime would
-			// silently measure different workloads.
+			// The graph's own source generated the traffic offline
+			// profiling measured, so the ring-fed runtime generates from a
+			// copy of its spec: the payload shaping (signature injection,
+			// entropy distribution) carries over, and a packet-size
+			// disagreement or a COUNT is a configuration error — the
+			// profile and the runtime would silently measure different
+			// workloads. The flow population scales with the replica count
+			// so that RSS sharding delivers each replica roughly
+			// TrafficFlows distinct flows, the workload the solo profile
+			// was measured under. (With a fixed population, sharding would
+			// shrink each core's working set and every replica would beat
+			// its solo baseline.)
+			genSpec := trafficgen.Spec{Size: pktSize}
 			if src := st.flows[0].traffic; src != nil {
 				if src.Size != pktSize {
 					return nil, fmt.Errorf("runtime: app %q: graph source generates %d-byte packets but the flow's packet size is %d (set PACKET_SIZE to match the source's SIZE)",
 						spec.Name, src.Size, pktSize)
 				}
-				genSpec.Signatures = src.Signatures
-				genSpec.SigHit = src.SigHit
-				genSpec.SigHitShift = src.SigHitShift
-				genSpec.SigShiftAfter = src.SigShiftAfter
-				genSpec.LowEntropy = src.LowEntropy
-				genSpec.LowEntropyBits = src.LowEntropyBits
+				if st.flows[0].counted {
+					return nil, fmt.Errorf("runtime: app %q: graph source sets COUNT, but a scenario flow's traffic is unbounded (drop COUNT)", spec.Name)
+				}
+				genSpec = *src
 			}
+			genSpec.Seed = core.SeedFor(spec.Type, 1000+ai)
+			genSpec.Flows = cfg.Params.TrafficFlows * spec.Workers
 			st.gen = trafficgen.New(genSpec)
 		}
 	}
@@ -516,7 +514,7 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 	if err != nil {
 		return nil, fmt.Errorf("runtime: app %q replica %d: %w", spec.Name, f.replica, err)
 	}
-	f.pipe, f.control, f.traffic = inst.Pipeline, inst.Control, inst.Traffic
+	f.pipe, f.control = inst.Pipeline, inst.Control
 	f.state, f.stateBytes = inst.StateBindings(-1), inst.StateBytes(-1)
 	f.stateHome = r.platform.DomainHome(arenas[0].Domain())
 	if f.pipe == nil {
@@ -524,8 +522,13 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 	}
 	f.ring = NewRing(r.cfg.RingSize, st.pktSize)
 	// The flow is fed through its ring and pulled by its stage-0 worker's
-	// receive path, so let the graph's own source go: never pulled, it
-	// built no host buffers, and its simulated extents stay reserved.
+	// FromDevice, so let the graph's own source go once its spec is read:
+	// never pulled, it built no host buffers, and its simulated extents
+	// stay reserved.
+	if fd, ok := f.pipe.Source.(*elements.FromDevice); ok {
+		spec := fd.Spec()
+		f.traffic, f.counted = &spec, fd.Bounded()
+	}
 	f.pipe.Source = nil
 	// Per-element attribution slots: the graph is structurally final here
 	// (control elements and aggressors are inserted by the builders), so

@@ -5,17 +5,9 @@ import (
 	"pktpredict/internal/click"
 	"pktpredict/internal/elements"
 	"pktpredict/internal/hw"
-	"pktpredict/internal/mem"
-	"pktpredict/internal/nic"
 	"pktpredict/internal/obs"
 	"pktpredict/internal/trafficgen"
 )
-
-// Receive-path attribution matches elements.FromDevice, so a runtime
-// worker's per-packet profile lines up with the offline solo profile the
-// predictor is built from; the compute costs come from the same
-// centralised constants.
-var fnRingRx = hw.RegisterFunc("from_device")
 
 // flow is one running flow instance: a pipeline replica (or a raw
 // synthetic source) cut into one or more stages, plus its input ring and
@@ -35,7 +27,8 @@ type flow struct {
 	pipe    *click.Pipeline   // nil for synthetic flows
 	ring    *Ring             // nil for synthetic flows
 	control *elements.Control // non-nil when the app carries admission control
-	traffic *trafficgen.Spec  // the build-time source's generator spec, when it had one
+	traffic *trafficgen.Spec  // the graph's own source's spec, read before buildFlow drops the source
+	counted bool              // that source set COUNT, which a ring-fed flow cannot honour
 
 	// stages holds the flow's stages in pipeline order, at least one (see
 	// stage.go); the per-element tables and latency shards live there.
@@ -85,99 +78,6 @@ func (f *flow) stageState(stage int, p *hw.Platform) (bytes uint64, socket int) 
 	return bytes, socket
 }
 
-// ringSource is the worker-side receive path of a flow's input ring.
-// Popping a packet takes a buffer from the worker's NUMA-local pool,
-// copies the bytes in (modelled as the NIC's DMA into the socket's L3 via
-// direct cache access), and consumes an RX descriptor — the same trace
-// FromDevice emits, with the ring replacing the inline generator.
-type ringSource struct {
-	pool    *nic.BufferPool
-	rx      *nic.Ring
-	ring    *Ring
-	scratch []byte
-
-	// pollEvery is the modelled receive batch (Params.RxBatch): the RX
-	// poll cost is charged on the first pull of each burst and every
-	// pollEvery pulls after it. sincePoll tracks the position within the
-	// burst and resets at batch end (endBatch), so poll charges align
-	// with the worker's actual batch boundaries. pollEvery 1 charges the
-	// poll on every pull — the historical unbatched cost.
-	pollEvery int
-	sincePoll int
-
-	// pkts preallocates one Packet header per pool buffer. A packet and
-	// its buffer share a lifetime (both released by Recycle), so indexing
-	// by the buffer slot makes Pull allocation-free: pkts[idx] cannot be
-	// reused before buffer idx is.
-	pkts []click.Packet
-}
-
-func newRingSource(arena *mem.Arena, buffers, bufSize, rxBatch int) *ringSource {
-	alloc := (bufSize + 511) &^ 511 // buffers never share cache lines
-	if rxBatch < 1 {
-		rxBatch = 1
-	}
-	return &ringSource{
-		pool:      nic.NewBufferPool(arena, buffers, alloc),
-		rx:        nic.NewRing(arena, elements.RxRingSize),
-		scratch:   make([]byte, bufSize),
-		pkts:      make([]click.Packet, buffers),
-		pollEvery: rxBatch,
-	}
-}
-
-// Pull takes the next packet off the bound ring, emitting the receive
-// trace; nil when the ring is empty. Only stage 0 of a ring-fed flow
-// pulls, so the ring is never nil here.
-//
-//dataplane:stamped source-side ring and DMA ops are flow overhead (slot 0) by design
-//dataplane:hotpath
-func (rs *ringSource) Pull(ctx *click.Ctx) *click.Packet {
-	n, stamp, ok := rs.ring.PopStaged(rs.scratch)
-	if !ok {
-		return nil
-	}
-	old := ctx.SetFunc(fnRingRx)
-	defer ctx.SetFunc(old)
-	idx, data, addr := rs.pool.Get(ctx)
-	copy(data[:n], rs.scratch[:n])
-	ctx.DMABytes(addr, n)
-	rs.rx.Consume(ctx)
-	if rs.sincePoll == 0 {
-		// First packet of an RX burst pays the poll, as FromDevice does;
-		// the rest of the batch rides on it.
-		ctx.Compute(elements.RxPollCompute, elements.RxPollInstrs)
-	}
-	rs.sincePoll++
-	if rs.sincePoll == rs.pollEvery {
-		rs.sincePoll = 0
-	}
-	ctx.Compute(elements.RxCompute, elements.RxInstrs)
-	p := &rs.pkts[idx]
-	*p = click.Packet{Data: data[:n], Addr: addr, Recycler: rs, PoolIndex: idx, Enq: stamp}
-	return p
-}
-
-// endBatch closes the worker's current receive burst: the slots taken by
-// PopStaged are released with one cursor store, and the next pull starts
-// a fresh burst (paying a fresh RX poll). Called by runQuantum after
-// every batch loop, so ring cursors are exact at barriers.
-//
-//dataplane:hotpath
-func (rs *ringSource) endBatch() {
-	rs.sincePoll = 0
-	if rs.ring != nil {
-		rs.ring.Release()
-	}
-}
-
-// Recycle implements click.Recycler.
-//
-//dataplane:hotpath
-func (rs *ringSource) Recycle(ctx *click.Ctx, p *click.Packet) {
-	rs.pool.Put(ctx, p.PoolIndex)
-}
-
 // worker is one run-to-completion dataplane thread pinned to one simulated
 // core, whose quanta the barrier runs. It owns the core exclusively; all
 // shared cache state it touches is serialised inside hw (see Core.ExecOps).
@@ -185,7 +85,7 @@ type worker struct {
 	id     int
 	core   *hw.Core
 	socket int
-	src    *ringSource
+	src    *elements.FromDevice // fed by the input ring of the flow whose stage 0 it runs
 	batch  int
 
 	// unit is the stage the worker runs. Every worker is bound to exactly
@@ -235,17 +135,18 @@ type worker struct {
 // bind attaches stage u to w, at construction and when a re-placement
 // swap moves a one-stage flow: from now on the stage runs on this
 // worker's core, charges its per-element table there (only this worker
-// writes it), and — at stage 0 — draws packets through this worker's
-// NUMA-local receive path.
+// writes it), and — at stage 0 of a ring-fed flow — draws packets from
+// the flow's ring through this worker's NUMA-local FromDevice. Any other
+// stage leaves the source without a feed (nil, never a typed nil).
 func (w *worker) bind(u *stage) {
 	w.unit = u
 	w.bindPackets = w.packets
 	w.bindClock = w.core.Clock()
 	u.workerIdx = w.id
 	w.core.SetElemTable(u.elems)
-	w.src.ring = nil
-	if u.index == 0 {
-		w.src.ring = u.fl.ring
+	w.src.SetFeed(nil)
+	if u.index == 0 && u.fl.ring != nil {
+		w.src.SetFeed(u.fl.ring)
 	}
 	if w.obsm != nil {
 		w.obsm.bind(w)
@@ -302,7 +203,7 @@ func (w *worker) runQuantum(limit uint64) {
 		// Close the batch: release the receive ring's cursor once for the
 		// whole burst, and publish/release any slots the stage staged on
 		// its hand-off rings.
-		w.src.endBatch()
+		w.src.EndBatch()
 		u.flush(w)
 		if progressed && n < w.batch && w.core.Clock() >= limit && u.inputReady() {
 			// The quantum boundary cut this batch short with input still

@@ -35,6 +35,9 @@ var badElementArgs = []struct{ graph, class, key, also string }{
 	{"src :: FromDevice; src -> RedundancyElim(STORE 512) -> ToDevice;", "RedundancyElim", "STORE 512", "[0,0]|[1024,)"},
 	{"src :: FromDevice; src -> Syn(REGION 32) -> ToDevice;", "Syn", "REGION 32", "[0,0]|[64,)"},
 	{"src :: FromDevice; t :: Tee(-1); src -> t; t[0] -> ToDevice;", "Tee", "OUTPUTS -1", "[0,)"},
+	// A key the runtime's receive path never honoured: the source batches
+	// at the scenario's BATCH.
+	{"src :: FromDevice(SIZE 64, BATCH 32); src -> ToDevice;", "FromDevice", "unknown key BATCH", "known keys: SIZE SEED"},
 }
 
 // oneWorkerScenario wraps a graph body as a scenario file running it on
