@@ -65,33 +65,50 @@ import (
 // staged chain is traced.
 const traceSample = 64
 
-func main() {
-	configPath := flag.String("config", "", "scenario file (Click-style .click text)")
-	scenarioName := flag.String("scenario", "mixed",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: the report goes to stdout, the rest to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dataplane", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	configPath := fs.String("config", "", "scenario file (Click-style .click text)")
+	scenarioName := fs.String("scenario", "mixed",
 		"shipped scenario file by name: "+strings.Join(scenario.ShippedNames(), ", ")+" (ignored with -config)")
-	scaleName := flag.String("scale", "quick", "platform/workload scale: quick or full")
-	platformOverrides := flag.String("platform", "",
+	scaleName := fs.String("scale", "quick", "platform/workload scale: quick or full")
+	platformOverrides := fs.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
-	duration := flag.Float64("duration", 0.05, "measured virtual seconds")
-	noprofile := flag.Bool("noprofile", false,
+	duration := fs.Float64("duration", 0.05, "measured virtual seconds")
+	noprofile := fs.Bool("noprofile", false,
 		"skip offline profiling (disables prediction, admission limits, re-placement)")
-	telemetry := flag.Bool("telemetry", false, "dump per-window telemetry samples")
-	metricsAddr := flag.String("metrics-addr", "",
+	telemetry := fs.Bool("telemetry", false, "dump per-window telemetry samples")
+	metricsAddr := fs.String("metrics-addr", "",
 		"serve live metrics over HTTP on this address (/metrics Prometheus text, /metrics.json)")
-	residuals := flag.Bool("residuals", false,
+	residuals := fs.Bool("residuals", false,
 		"print the per-window prediction-residual series with diagnosed causes")
-	traceOut := flag.String("trace-out", "",
+	traceOut := fs.String("trace-out", "",
 		"trace one in 64 packets entering each staged chain and write the spans as Chrome trace-event JSON to this file")
-	flag.Parse()
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2 // fs has printed the error and the usage
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "dataplane: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dataplane: %v\n", err)
+		return 1
+	}
 
 	scale, err := exp.ScaleByName(*scaleName)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
-		fatalf("-platform: %v", err)
+		return fail(fmt.Errorf("-platform: %w", err))
 	}
 
 	var sc *scenario.Scenario
@@ -101,19 +118,19 @@ func main() {
 		sc, err = scenario.Shipped(*scenarioName)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	// Precedence: -scale defaults < file platform block < -platform.
 	hwCfg, err := sc.PlatformConfig(scale.Cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	if hwCfg, err = overrides.Apply(hwCfg); err != nil {
-		fatalf("-platform: %v", err)
+		return fail(fmt.Errorf("-platform: %w", err))
 	}
 	cfg, err := sc.ConfigOn(hwCfg, scale.Params)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = scale.Warmup
@@ -121,7 +138,7 @@ func main() {
 
 	if !*noprofile {
 		types := cfg.FlowTypes()
-		fmt.Fprintf(os.Stderr, "dataplane: profiling %v offline (%s scale)...\n", types, scale.Name)
+		fmt.Fprintf(stderr, "dataplane: profiling %v offline (%s scale)...\n", types, scale.Name)
 		start := time.Now()
 		// Profiling must use the scenario's workload parameters (thrash,
 		// for example, pins the SYN region; file scenarios register their
@@ -131,23 +148,21 @@ func main() {
 		profiles, err := runtime.ProfileFlows(cfg.Cfg, cfg.Params, scale.Warmup, scale.Window,
 			scale.SweepGrid, types)
 		if err != nil {
-			fatalf("profiling: %v", err)
+			return fail(fmt.Errorf("profiling: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "dataplane: profiling done in %.1fs\n", time.Since(start).Seconds())
-		printProfiles(os.Stderr, types, profiles)
+		fmt.Fprintf(stderr, "dataplane: profiling done in %.1fs\n", time.Since(start).Seconds())
+		printProfiles(stderr, types, profiles)
 		cfg.Profiles = profiles
 	}
 
-	var reg *obs.Registry
 	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		srv, serr := obs.Serve(*metricsAddr, reg)
-		if serr != nil {
-			fatalf("-metrics-addr: %v", serr)
+		cfg.Metrics = obs.NewRegistry()
+		srv, err := obs.Serve(*metricsAddr, cfg.Metrics)
+		if err != nil {
+			return fail(fmt.Errorf("-metrics-addr: %w", err))
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dataplane: serving metrics on http://%s/metrics\n", srv.Addr)
-		cfg.Metrics = reg
+		fmt.Fprintf(stderr, "dataplane: serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 	if *traceOut != "" {
 		cfg.TraceSample = traceSample
@@ -168,7 +183,7 @@ func main() {
 		series = append(series, res...)
 		for _, rr := range res {
 			if rr.Cause != obs.CauseNone {
-				fmt.Fprintf(os.Stderr, "residual t=%.2fms %-10s pred=%.1f%% obs=%.1f%% [%s] %s\n",
+				fmt.Fprintf(stderr, "residual t=%.2fms %-10s pred=%.1f%% obs=%.1f%% [%s] %s\n",
 					rr.Time*1e3, rr.App, rr.Predicted*100, rr.Observed*100, rr.Cause, rr.Evidence)
 			}
 		}
@@ -176,29 +191,29 @@ func main() {
 
 	r, err := runtime.NewRuntime(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	start := time.Now()
 	rep, err := r.Run(*duration)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "dataplane: ran %.1f ms virtual in %.2fs host\n",
+	fmt.Fprintf(stderr, "dataplane: ran %.1f ms virtual in %.2fs host\n",
 		rep.Duration*1e3, time.Since(start).Seconds())
 
-	fmt.Println(rep.String())
+	fmt.Fprintln(stdout, rep.String())
 
 	if *residuals {
-		printResiduals(series)
+		printResiduals(stdout, series)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, r, cfg.Cfg.ClockHz); err != nil {
-			fatalf("%v", err)
+		if err := writeTrace(stderr, *traceOut, r, cfg.Cfg.ClockHz); err != nil {
+			return fail(err)
 		}
 	}
 
 	if *telemetry {
-		fmt.Println("telemetry samples:")
+		fmt.Fprintln(stdout, "telemetry samples:")
 		for _, cs := range samples {
 			for _, w := range cs.Workers {
 				app := w.App
@@ -207,37 +222,42 @@ func main() {
 					// ring (stage 0 keeps the receive ring).
 					app = fmt.Sprintf("%s#%d", w.App, w.Stage)
 				}
-				fmt.Printf("  t=%.2fms wkr=%d sock=%d %-10s pps=%.2fM refs/s=%.1fM rem/pkt=%.2f occ=%.2f ring=%d/%d delay=%d pred=%.1f%%%s\n",
+				mark := ""
+				if w.Throttled {
+					mark = " THROTTLED"
+				}
+				fmt.Fprintf(stdout, "  t=%.2fms wkr=%d sock=%d %-10s pps=%.2fM refs/s=%.1fM rem/pkt=%.2f occ=%.2f ring=%d/%d delay=%d pred=%.1f%%%s\n",
 					cs.Time*1e3, w.Worker, w.Socket, app, w.PPS/1e6, w.RefsPerSec/1e6,
 					w.RemotePerPacket, w.BatchOccupancy, w.RingDepth, w.RingCap, w.DelayCycles,
-					w.PredictedDrop*100, throttledMark(w.Throttled))
+					w.PredictedDrop*100, mark)
 			}
 		}
 	}
+	return 0
 }
 
 // printResiduals renders the run's prediction-residual time series:
 // the paper's accuracy metric per control window, with each divergence's
 // diagnosed cause.
-func printResiduals(res []obs.Residual) {
+func printResiduals(w io.Writer, res []obs.Residual) {
 	if len(res) == 0 {
-		fmt.Println("residual series: empty (no profiled apps, or run shorter than one control window)")
+		fmt.Fprintln(w, "residual series: empty (no profiled apps, or run shorter than one control window)")
 		return
 	}
-	fmt.Println("prediction-residual series:")
+	fmt.Fprintln(w, "prediction-residual series:")
 	for _, rr := range res {
 		line := fmt.Sprintf("  t=%.2fms %-10s pred=%5.1f%% obs=%5.1f%% resid=%+5.1f%% [%s]",
 			rr.Time*1e3, rr.App, rr.Predicted*100, rr.Observed*100, rr.Residual*100, rr.Cause)
 		if rr.Evidence != "" {
 			line += " " + rr.Evidence
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 }
 
 // writeTrace exports the run's sampled chain spans (-trace-out implies a
 // tracer) as Chrome trace-event JSON (Perfetto / chrome://tracing).
-func writeTrace(path string, r *runtime.Runtime, clockHz float64) error {
+func writeTrace(stderr io.Writer, path string, r *runtime.Runtime, clockHz float64) error {
 	t := r.Tracer()
 	f, err := os.Create(path)
 	if err != nil {
@@ -255,20 +275,8 @@ func writeTrace(path string, r *runtime.Runtime, clockHz float64) error {
 	if n == 0 {
 		msg += " (no staged chains in this scenario, or no sampled packet completed)"
 	}
-	fmt.Fprintln(os.Stderr, msg)
+	fmt.Fprintln(stderr, msg)
 	return f.Close()
-}
-
-func throttledMark(t bool) string {
-	if t {
-		return " THROTTLED"
-	}
-	return ""
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "dataplane: "+format+"\n", args...)
-	os.Exit(1)
 }
 
 // printProfiles writes one summary line per profiled type, in the order

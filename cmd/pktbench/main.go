@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -33,36 +34,49 @@ import (
 // commands maps a subcommand to its setup: register flags on fs, return
 // the function to run once they and -scale are parsed. The empty name is
 // the bare `pktbench -exp ...` form.
-var commands = map[string]func(fs *flag.FlagSet) func(exp.Scale) error{
+var commands = map[string]func(fs *flag.FlagSet) func(exp.Scale, io.Writer) error{
 	"":        figures,
 	"profile": profile,
 	"predict": predict,
 	"sched":   sched,
 }
 
-func main() {
-	name, args := "", os.Args[1:]
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: the report goes to stdout, the rest to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := ""
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name, args = args[0], args[1:]
 	}
 	setup, ok := commands[name]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "pktbench: unknown command %q (want profile, predict, sched, or flags for the figures)\n", name)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pktbench: unknown command %q (want profile, predict, sched, or flags for the figures)\n", name)
+		return 2
 	}
-	fs := flag.NewFlagSet(strings.TrimSpace("pktbench "+name), flag.ExitOnError)
+	fs := flag.NewFlagSet(strings.TrimSpace("pktbench "+name), flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "full", "platform/workload scale: full (paper) or quick")
-	run := setup(fs)
-	fs.Parse(args) // ExitOnError: a bad flag or flow-type list exits 2 here
+	body := setup(fs)
+	switch err := fs.Parse(args); { // a bad flag or flow-type list is an error here
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2 // fs has printed the error and the usage
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return 2
+	}
 	scale, err := exp.ScaleByName(*scaleName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return 2
 	}
-	if err := run(scale); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
-		os.Exit(1)
+	if err := body(scale, stdout); err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return 1
 	}
+	return 0
 }
 
 // typeList is a flag holding a flow-type list ("MON,IP", "6xMON,6xFW").
@@ -95,44 +109,28 @@ func (l *typeList) Set(s string) error {
 	return nil
 }
 
-// typesFlag registers a flow-type-list flag whose default is written in
-// the flag's own syntax.
-func typesFlag(fs *flag.FlagSet, name, def, usage string) *typeList {
-	l := new(typeList)
-	if err := l.Set(def); err != nil {
-		panic(err) // a default that does not parse is a bug
-	}
-	fs.Var(l, name, usage)
-	return l
-}
-
-// tabled hands on the table of a driver's result, or its error.
-func tabled[R interface{ Table() *table.Table }](r R, err error) (*table.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Table(), nil
-}
+// tabler is an experiment driver's result.
+type tabler interface{ Table() *table.Table }
 
 // figureTable is every -exp experiment, in the order -exp all runs them.
 var figureTable = []struct {
 	name string
-	run  func(*core.Predictor) (*table.Table, error)
+	run  func(*core.Predictor) (tabler, error)
 }{
-	{"table1", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunTable1(p)) }},
-	{"fig2", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig2(p)) }},
-	{"fig4", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig4(p, nil)) }},
-	{"fig5", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig5(p)) }},
-	{"fig6", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig6(p)) }},
-	{"fig7", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig7(p)) }},
-	{"fig8", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig8(p)) }},
-	{"fig9", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig9(p, nil)) }},
-	{"fig10", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunFig10(p, nil)) }},
-	{"throttle", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunThrottle(p)) }},
-	{"pipeline", func(p *core.Predictor) (*table.Table, error) { return tabled(exp.RunPipeline(p)) }},
+	{"table1", func(p *core.Predictor) (tabler, error) { return exp.RunTable1(p) }},
+	{"fig2", func(p *core.Predictor) (tabler, error) { return exp.RunFig2(p) }},
+	{"fig4", func(p *core.Predictor) (tabler, error) { return exp.RunFig4(p, nil) }},
+	{"fig5", func(p *core.Predictor) (tabler, error) { return exp.RunFig5(p) }},
+	{"fig6", func(p *core.Predictor) (tabler, error) { return exp.RunFig6(p) }},
+	{"fig7", func(p *core.Predictor) (tabler, error) { return exp.RunFig7(p) }},
+	{"fig8", func(p *core.Predictor) (tabler, error) { return exp.RunFig8(p) }},
+	{"fig9", func(p *core.Predictor) (tabler, error) { return exp.RunFig9(p, nil) }},
+	{"fig10", func(p *core.Predictor) (tabler, error) { return exp.RunFig10(p, nil) }},
+	{"throttle", func(p *core.Predictor) (tabler, error) { return exp.RunThrottle(p) }},
+	{"pipeline", func(p *core.Predictor) (tabler, error) { return exp.RunPipeline(p) }},
 }
 
-func figures(fs *flag.FlagSet) func(exp.Scale) error {
+func figures(fs *flag.FlagSet) func(exp.Scale, io.Writer) error {
 	var names []string
 	for _, f := range figureTable {
 		names = append(names, f.name)
@@ -140,7 +138,7 @@ func figures(fs *flag.FlagSet) func(exp.Scale) error {
 	names = append(names, "all")
 	expName := fs.String("exp", "all", "experiment: "+strings.Join(names, ", "))
 	csv := fs.Bool("csv", false, "emit CSV instead of text tables")
-	return func(scale exp.Scale) error {
+	return func(scale exp.Scale, w io.Writer) error {
 		if !slices.Contains(names, *expName) {
 			return fmt.Errorf("unknown experiment %q (want %s)", *expName, strings.Join(names, ", "))
 		}
@@ -152,14 +150,15 @@ func figures(fs *flag.FlagSet) func(exp.Scale) error {
 				continue
 			}
 			start := time.Now()
-			t, err := f.run(p)
+			res, err := f.run(p)
 			if err != nil {
 				return fmt.Errorf("%s: %w", f.name, err)
 			}
+			t := res.Table()
 			if *csv {
-				fmt.Printf("# %s (%s scale)\n%s", f.name, scale.Name, t.CSV())
+				fmt.Fprintf(w, "# %s (%s scale)\n%s", f.name, scale.Name, t.CSV())
 			} else {
-				fmt.Printf("=== %s (%s scale, %.1fs) ===\nmethod: warm-up %g ms, window %g ms, SYN compute grid %v; deterministic engine: one run per point, spread 0\n%s\n",
+				fmt.Fprintf(w, "=== %s (%s scale, %.1fs) ===\nmethod: warm-up %g ms, window %g ms, SYN compute grid %v; deterministic engine: one run per point, spread 0\n%s\n",
 					f.name, scale.Name, time.Since(start).Seconds(), p.Warmup*1e3, p.Window*1e3, p.SweepGrid, t)
 			}
 		}

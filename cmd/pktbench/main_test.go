@@ -1,10 +1,9 @@
 package main
 
 import (
-	"flag"
+	"bytes"
 	"fmt"
-	"io"
-	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,64 +26,91 @@ func TestTypeListCounts(t *testing.T) {
 	}
 }
 
-// TestEmptyListsRejected: an empty or ill-sized flow-type list, and an
-// unknown experiment, are errors from the command, before any simulation.
-func TestEmptyListsRejected(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		args []string
-	}{
-		{"predict", []string{"-mix", ""}},
-		{"sched", []string{"-flows", " , "}},
-		{"sched", []string{"-flows", "3xMON,3xFW"}}, // the quick platform has 2x6 cores
-		{"", []string{"-exp", "fig3"}},
+// stackTrace is what a panic leaves on stderr; no command line may end
+// in one, however bad.
+var stackTrace = regexp.MustCompile(`panic:|goroutine `)
+
+// row is one command line and what pktbench must answer: the exit
+// status, and a regular expression for each thing stdout and stderr
+// must hold.
+type row struct {
+	name           string
+	args           []string
+	code           int
+	stdout, stderr []string
+}
+
+// check runs the row, reports every way the answer differs, and returns
+// what the command printed on stdout.
+func (r row) check(t *testing.T) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(r.args, &stdout, &stderr)
+	if code != r.code {
+		t.Errorf("%v: exit %d, want %d", r.args, code, r.code)
+	}
+	for _, out := range []struct {
+		name, text string
+		want       []string
+	}{{"stdout", stdout.String(), r.stdout}, {"stderr", stderr.String(), r.stderr}} {
+		for _, re := range out.want {
+			if !regexp.MustCompile(re).MatchString(out.text) {
+				t.Errorf("%v: %s lacks %q", r.args, out.name, re)
+			}
+		}
+	}
+	if stackTrace.MatchString(stderr.String()) {
+		t.Errorf("%v: Go stack trace on stderr", r.args)
+	}
+	if t.Failed() {
+		t.Logf("stdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestCommandLine is pktbench's command-line contract, row by row.
+func TestCommandLine(t *testing.T) {
+	notDefined := []string{"flag provided but not defined"}
+	for _, r := range []row{
+		// profile is the predictor's memoised solo run: Table 1's row,
+		// then the per-function breakdown.
+		{name: "profile", args: []string{"profile", "-flow", "MON", "-scale", "quick"},
+			stdout: []string{`(?m)^flow +cpi +l3_refs_per_sec `, `(?m)^per-function breakdown$`, `(?m)^function +cycles +l3_refs `}},
+		// profile lost -seed and -window, predict lost -validate (it
+		// always co-runs) and the figures lost -targets.
+		{name: "retired profile -window", args: []string{"profile", "-window", "0.01"}, code: 2, stderr: notDefined},
+		{name: "retired predict -validate", args: []string{"predict", "-validate"}, code: 2, stderr: notDefined},
+		{name: "retired -targets", args: []string{"-targets", "MON"}, code: 2, stderr: notDefined},
+		// A positional argument used to end flag parsing silently, and
+		// this line profiled MON at full scale.
+		{name: "stray argument", args: []string{"profile", "-flow", "MON", "extra"}, code: 2,
+			stderr: []string{`pktbench profile: unexpected argument "extra"`}},
+		{name: "help", args: []string{"-h"}, stderr: []string{`Usage of pktbench:`, `-exp`}},
+		{name: "subcommand help", args: []string{"sched", "-h"}, stderr: []string{`Usage of pktbench sched:`, `-flows`}},
 	} {
-		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
-		run := commands[c.name](fs)
-		if err := fs.Parse(c.args); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(exp.Quick()); err == nil {
-			t.Errorf("%q %v ran", c.name, c.args)
-		}
+		t.Run(r.name, func(t *testing.T) { r.check(t) })
 	}
 }
 
-// stdoutOf runs a subcommand on the quick scale and returns what it
-// printed.
-func stdoutOf(t *testing.T, name string, args ...string) string {
-	t.Helper()
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	run := commands[name](fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
+// TestEmptyListsRejected: an empty or ill-sized flow-type list, and an
+// unknown experiment, are errors from the command, before any simulation.
+func TestEmptyListsRejected(t *testing.T) {
+	for _, r := range []row{
+		{args: []string{"predict", "-mix", ""}, stderr: []string{`\Apktbench predict: -mix names no flow type\n\z`}},
+		{args: []string{"sched", "-flows", " , "}, stderr: []string{`\Apktbench sched: .*0 flows, want 12`}},
+		{args: []string{"sched", "-flows", "3xMON,3xFW"}, stderr: []string{`\Apktbench sched: .*6 flows, want 12`}}, // the quick platform has 2x6 cores
+		{args: []string{"-exp", "fig3"}, stderr: []string{`\Apktbench: unknown experiment "fig3"`}},
+	} {
+		r.args, r.code = append(r.args, "-scale", "quick"), 1
+		r.check(t)
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = stdout }()
-	out := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		out <- b
-	}()
-	err = run(exp.Quick())
-	w.Close()
-	got := string(<-out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
 }
 
 // TestPredictPrintsFigure9: predict prints Figure 9 for its mix, column
 // for column; it used to print predicted before measured, the figure
 // measured before predicted.
 func TestPredictPrintsFigure9(t *testing.T) {
-	got := stdoutOf(t, "predict", "-mix", "2xMON,2xVPN,FW,RE")
+	got := row{args: []string{"predict", "-mix", "2xMON,2xVPN,FW,RE", "-scale", "quick"}}.check(t)
 	want, err := exp.RunFig9(exp.Quick().NewPredictor(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +127,7 @@ func TestPredictPrintsFigure9(t *testing.T) {
 // and sched's combination is labelled "6 MON, 6 FW", and it printed a
 // synthetic gain of 0.0% for combinations it never ran.
 func TestSchedPrintsFigure10b(t *testing.T) {
-	got := stdoutOf(t, "sched", "-flows", "6xMON,6xFW")
+	got := row{args: []string{"sched", "-flows", "6xMON,6xFW", "-scale", "quick"}}.check(t)
 	for _, place := range []string{"best", "worst"} {
 		prefix := "Figure 10(b) 6 MON, 6 FW, " + place + " placement: "
 		var line string
@@ -114,7 +140,7 @@ func TestSchedPrintsFigure10b(t *testing.T) {
 			t.Errorf("%s: %d per-flow drops, want 12:\n%s", place, n, got)
 		}
 	}
-	if !strings.Contains(got, "\nmax gain: realistic ") || strings.Contains(got, "synthetic") {
+	if !regexp.MustCompile(`(?m)^max gain: realistic [0-9.]*%$`).MatchString(got) || strings.Contains(got, "synthetic") {
 		t.Errorf("want a realistic gain and no synthetic one:\n%s", got)
 	}
 	if !strings.Contains(got, "\ngreedy heuristic: ") {

@@ -36,8 +36,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -59,42 +61,60 @@ func gitRev() string {
 	return strings.TrimSpace(string(out))
 }
 
-func main() {
-	configPath := flag.String("config", "", "sweep grid file (.sweep, see examples/sweeps/)")
-	scaleName := flag.String("scale", "quick", "platform/workload scale: quick or full")
-	platformOverrides := flag.String("platform", "",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: the report goes to stdout, the rest to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	configPath := fs.String("config", "", "sweep grid file (.sweep, see examples/sweeps/)")
+	scaleName := fs.String("scale", "quick", "platform/workload scale: quick or full")
+	platformOverrides := fs.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE", applied on top of every grid variant`)
-	jsonPath := flag.String("json", "", "write the JSON report here")
-	mdPath := flag.String("md", "", "write the markdown report here (stdout always gets it)")
-	cachePath := flag.String("profile-cache", "",
+	jsonPath := fs.String("json", "", "write the JSON report here")
+	mdPath := fs.String("md", "", "write the markdown report here (stdout always gets it)")
+	cachePath := fs.String("profile-cache", "",
 		"persistent offline-profile cache file: profiles keyed by platform, workload, windows, grid, flow type, and git revision; warm entries skip re-profiling")
-	trendPath := flag.String("trend", "",
+	trendPath := fs.String("trend", "",
 		"append per-scenario prediction error to this JSON trend store (keyed by git rev + scenario) and print the trend table")
-	trendMD := flag.String("trend-md", "", "write the trend markdown table here (requires -trend)")
-	trendSVG := flag.String("trend-svg", "", "write one per-scenario sparkline SVG into this directory (requires -trend)")
-	quiet := flag.Bool("q", false, "suppress per-point progress on stderr")
-	flag.Parse()
+	trendMD := fs.String("trend-md", "", "write the trend markdown table here (requires -trend)")
+	trendSVG := fs.String("trend-svg", "", "write one per-scenario sparkline SVG into this directory (requires -trend)")
+	quiet := fs.Bool("q", false, "suppress per-point progress on stderr")
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		return 0
+	case err != nil:
+		return 2 // fs has printed the error and the usage
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "sweep: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	// internal/sweep's errors start with its name, which is ours: print it once.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sweep:", strings.TrimPrefix(err.Error(), "sweep: "))
+		return 1
+	}
 
 	if *configPath == "" {
-		fatalf("-config is required")
+		return fail(errors.New("-config is required"))
 	}
 	if *trendMD != "" && *trendPath == "" {
-		fatalf("-trend-md requires -trend")
+		return fail(errors.New("-trend-md requires -trend"))
 	}
 	if *trendSVG != "" && *trendPath == "" {
-		fatalf("-trend-svg requires -trend")
+		return fail(errors.New("-trend-svg requires -trend"))
 	}
 	scale, err := exp.ScaleByName(*scaleName)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	cfg, err := sweep.LoadConfig(*configPath)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
-		fatalf("-platform: %v", err)
+		return fail(fmt.Errorf("-platform: %w", err))
 	}
 
 	r := &sweep.Runner{Config: cfg, Scale: scale, Overrides: overrides}
@@ -104,59 +124,59 @@ func main() {
 		// retries, nightly restores, local iteration) start warm.
 		cache, err := sweep.OpenProfileCache(*cachePath, gitRev())
 		if err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 		r.ProfileCache = cache
 	}
 	if !*quiet {
-		r.Progress = os.Stderr
-		fmt.Fprintf(os.Stderr, "sweep: %s — %d platforms × %d loads × %d scenarios = %d points (%s scale)\n",
+		r.Progress = stderr
+		fmt.Fprintf(stderr, "sweep: %s — %d platforms × %d loads × %d scenarios = %d points (%s scale)\n",
 			cfg.Name, len(cfg.Platforms), len(cfg.Loads), len(cfg.Runs), cfg.Points(), scale.Name)
 	}
 	rep, err := r.Run()
 	if err != nil {
-		fatalf("%v", err)
+		return fail(err)
 	}
 	if *cachePath != "" {
 		hits, misses := r.ProfileCache.Stats()
-		fmt.Fprintf(os.Stderr, "sweep: profile cache %s: %d hits, %d misses, %d entries\n",
+		fmt.Fprintf(stderr, "sweep: profile cache %s: %d hits, %d misses, %d entries\n",
 			*cachePath, hits, misses, r.ProfileCache.Len())
 	}
 
 	md := rep.Markdown()
-	fmt.Print(md)
+	fmt.Fprint(stdout, md)
 	if *mdPath != "" {
 		if err := os.WriteFile(*mdPath, []byte(md), 0o644); err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 	}
 	if *jsonPath != "" {
 		js, err := rep.JSON()
 		if err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*jsonPath, append(js, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 	}
 	if *trendPath != "" {
 		trend, err := sweep.LoadTrend(*trendPath)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(err)
 		}
 		trend.Append(rep, gitRev(), time.Now().UTC().Format(time.RFC3339))
 		if err := trend.Save(*trendPath); err != nil {
-			fatalf("trend: %v", err)
+			return fail(err)
 		}
-		fmt.Print("\n" + trend.Markdown())
+		fmt.Fprint(stdout, "\n"+trend.Markdown())
 		if *trendMD != "" {
 			if err := os.WriteFile(*trendMD, []byte(trend.Markdown()), 0o644); err != nil {
-				fatalf("trend: %v", err)
+				return fail(fmt.Errorf("trend: %w", err))
 			}
 		}
 		if *trendSVG != "" {
 			if err := os.MkdirAll(*trendSVG, 0o755); err != nil {
-				fatalf("trend: %v", err)
+				return fail(fmt.Errorf("trend: %w", err))
 			}
 			for _, scen := range trend.Scenarios() {
 				svg := trend.SparklineSVG(scen)
@@ -165,21 +185,17 @@ func main() {
 				}
 				path := filepath.Join(*trendSVG, "trend-"+scen+".svg")
 				if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-					fatalf("trend: %v", err)
+					return fail(fmt.Errorf("trend: %w", err))
 				}
 			}
 		}
 	}
 	if !rep.Pass {
-		fmt.Fprintf(os.Stderr, "sweep: FAIL — %d/%d points outside tolerance (max |err| %.1f%%)\n",
+		fmt.Fprintf(stderr, "sweep: FAIL — %d/%d points outside tolerance (max |err| %.1f%%)\n",
 			rep.Failed, len(rep.Points), rep.MaxAbsErr*100)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "sweep: PASS — max |err| %.1f%%, mean %.1f%% over %d points\n",
+	fmt.Fprintf(stderr, "sweep: PASS — max |err| %.1f%%, mean %.1f%% over %d points\n",
 		rep.MaxAbsErr*100, rep.MeanAbsErr*100, len(rep.Points))
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -148,6 +148,7 @@ func testOnlyAPI(t *testing.T, kind string) map[string]bool {
 // not the module names it.
 var stdCalled = map[string][]string{
 	"fmt":           {"Stringer"},
+	"flag":          {"Value"},
 	"sort":          {"Interface"},
 	"encoding/json": {"Marshaler", "Unmarshaler"},
 	"net/http":      {"Handler"},
@@ -805,8 +806,8 @@ func TestCountersAreRead(t *testing.T) {
 	}
 }
 
-// knobRegistrars are the flag.FlagSet methods that register a flag, with
-// the index of the name argument.
+// knobRegistrars are the flag.FlagSet methods and flag package functions
+// that register a flag, with the index of the name argument.
 var knobRegistrars = map[string]int{
 	"String": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Float64": 0, "Bool": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
 	"StringVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "Float64Var": 1, "BoolVar": 1, "DurationVar": 1,
@@ -818,63 +819,49 @@ var knobRegistrars = map[string]int{
 // -duration"; a name that is not a literal is rendered as its expression),
 // an exported field of runtime.Config, runtime.AppSpec or sweep.Config
 // ("field runtime.Config.RingSize"), and an os.Getenv/os.LookupEnv call site
-// under internal/ or cmd/ ("env internal/x NAME").
+// under internal/ or cmd/ ("env internal/x NAME"). A call is known by the
+// object it calls, on the module's typed load: a *flag.FlagSet method or
+// flag package function registers a flag whatever the receiver is named.
 func knobCensus(t *testing.T) []string {
 	t.Helper()
 	var out []string
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			dir := filepath.ToSlash(filepath.Dir(path))
-			name := func(e ast.Expr) string {
-				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					s, _ := strconv.Unquote(lit.Value)
-					return s
+	name := func(e ast.Expr) string {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, _ := strconv.Unquote(lit.Value)
+			return s
+		}
+		return "<" + types.ExprString(e) + ">"
+	}
+	for _, p := range loadModule(t).pkgs {
+		dir := strings.TrimPrefix(p.path, "pktpredict/")
+		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/") {
+			continue
+		}
+		for _, file := range p.files[:p.nonTest] {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-				return "<" + types.ExprString(e) + ">"
-			}
-			for _, decl := range file.Decls {
-				// typesFlag's own fs.Var registers the name its caller passes;
-				// the callers are counted instead.
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "typesFlag" {
-					continue
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
 				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "typesFlag" && strings.HasPrefix(dir, "cmd/") {
-						out = append(out, "flag "+dir+" -"+name(call.Args[1]))
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					x, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if i, ok := knobRegistrars[sel.Sel.Name]; ok && (x.Name == "flag" || x.Name == "fs") && strings.HasPrefix(dir, "cmd/") {
+				fn, ok := p.info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil { // the universe's error.Error
+					return true
+				}
+				switch pkg := fn.Pkg().Path(); {
+				case pkg == "flag" && strings.HasPrefix(dir, "cmd/"):
+					recv := types.TypeString(receiver(fn), nil)
+					if i, ok := knobRegistrars[fn.Name()]; ok && (recv == "invalid type" || recv == "flag.FlagSet") {
 						out = append(out, "flag "+dir+" -"+name(call.Args[i]))
 					}
-					if x.Name == "os" && (sel.Sel.Name == "Getenv" || sel.Sel.Name == "LookupEnv") {
-						out = append(out, "env "+dir+" "+name(call.Args[0]))
-					}
-					return true
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+				case pkg == "os" && (fn.Name() == "Getenv" || fn.Name() == "LookupEnv"):
+					out = append(out, "env "+dir+" "+name(call.Args[0]))
+				}
+				return true
+			})
 		}
 	}
 	for _, v := range []any{runtime.Config{}, runtime.AppSpec{}, sweep.Config{}} {
