@@ -55,8 +55,26 @@ func EvaluatePlacements(p *Predictor, flows []apps.FlowType) (PlacementEval, err
 	}
 	eval := PlacementEval{Flows: append([]apps.FlowType(nil), flows...)}
 
-	seen := make(map[string]bool)
+	// Measure every distinct socket mix at once; the loop below reads the
+	// memo, so the result does not depend on completion order.
 	splits := enumerateSplits(flows, perSocket)
+	measured := make(map[string]bool)
+	var mixes [][]apps.FlowType
+	for _, split := range splits {
+		for _, mix := range [][]apps.FlowType{split.s0, split.s1} {
+			if k := mixKey(mix); !measured[k] {
+				measured[k] = true
+				mixes = append(mixes, mix)
+			}
+		}
+	}
+	if err := FanOut(len(mixes), func(i int) error {
+		_, _, err := p.MeasuredDrops(mixes[i])
+		return err
+	}); err != nil {
+		return PlacementEval{}, err
+	}
+	seen := make(map[string]bool)
 	for _, split := range splits {
 		k0, k1 := mixKey(split.s0), mixKey(split.s1)
 		// Socket order is irrelevant: canonicalise the pair.

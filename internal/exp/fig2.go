@@ -29,18 +29,23 @@ type Fig2Result struct {
 
 // RunFig2 runs all 25 pairs using p's memoised measurements.
 func RunFig2(p *core.Predictor) (*Fig2Result, error) {
-	out := &Fig2Result{Average: make(map[apps.FlowType]float64)}
-	for _, target := range apps.RealisticTypes {
+	n := len(apps.RealisticTypes)
+	out := &Fig2Result{Cells: make([]Fig2Cell, n*n), Average: make(map[apps.FlowType]float64)}
+	if err := core.FanOut(n*n, func(i int) (err error) {
+		target, comp := apps.RealisticTypes[i/n], apps.RealisticTypes[i%n]
+		if out.Cells[i], err = RunFig2Pair(p, target, comp); err != nil {
+			return fmt.Errorf("exp: fig2 %s vs %s: %w", target, comp, err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, target := range apps.RealisticTypes {
 		var sum float64
-		for _, comp := range apps.RealisticTypes {
-			cell, err := RunFig2Pair(p, target, comp)
-			if err != nil {
-				return nil, fmt.Errorf("exp: fig2 %s vs %s: %w", target, comp, err)
-			}
-			out.Cells = append(out.Cells, cell)
+		for _, cell := range out.Cells[i*n : (i+1)*n] {
 			sum += cell.Drop
 		}
-		out.Average[target] = sum / float64(len(apps.RealisticTypes))
+		out.Average[target] = sum / float64(n)
 	}
 	return out, nil
 }

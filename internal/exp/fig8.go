@@ -41,23 +41,28 @@ func RunFig8(p *core.Predictor) (*Fig8Result, error) {
 		AvgError:      make(map[apps.FlowType]float64),
 		AvgPerfectErr: make(map[apps.FlowType]float64),
 	}
-	for _, target := range apps.RealisticTypes {
+	n := len(apps.RealisticTypes)
+	out.Cells = make([]Fig8Cell, n*n)
+	if err := core.FanOut(n*n, func(i int) (err error) {
+		target, comp := apps.RealisticTypes[i/n], apps.RealisticTypes[i%n]
+		if out.Cells[i], err = predictPair(p, target, comp); err != nil {
+			return fmt.Errorf("exp: fig8 %s vs %s: %w", target, comp, err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, target := range apps.RealisticTypes {
 		var sumErr, sumPerf float64
-		for _, comp := range apps.RealisticTypes {
-			cell, err := predictPair(p, target, comp)
-			if err != nil {
-				return nil, fmt.Errorf("exp: fig8 %s vs %s: %w", target, comp, err)
-			}
-			out.Cells = append(out.Cells, cell)
+		for _, cell := range out.Cells[i*n : (i+1)*n] {
 			e, perf := math.Abs(cell.Error()), math.Abs(cell.PerfectError())
 			sumErr += e
 			sumPerf += perf
 			out.MaxAbsError = max(out.MaxAbsError, e)
 			out.MaxAbsPerfErr = max(out.MaxAbsPerfErr, perf)
 		}
-		n := float64(len(apps.RealisticTypes))
-		out.AvgError[target] = sumErr / n
-		out.AvgPerfectErr[target] = sumPerf / n
+		out.AvgError[target] = sumErr / float64(n)
+		out.AvgPerfectErr[target] = sumPerf / float64(n)
 	}
 	return out, nil
 }

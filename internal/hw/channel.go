@@ -13,9 +13,9 @@ import (
 // Figure 4(b) (contention for the memory controller) and the slow growth
 // of the effective miss penalty with competition noted in Section 3.3.
 //
-// A channel is a leaf lock: Occupy may be called concurrently by cores on
-// any socket (local misses, remote QPI traffic, posted write-backs), so it
-// guards its own state and never acquires another lock.
+// A shared channel (see Platform.BoundChannelWaits) is a leaf lock: cores
+// on any socket may Occupy it at once (local misses, remote QPI traffic,
+// posted write-backs). The single-threaded engine's channels never lock.
 type Channel struct {
 	Name          string
 	ServiceCycles uint64
@@ -30,6 +30,7 @@ type Channel struct {
 	MaxWait uint64
 
 	mu       sync.Mutex
+	shared   bool // Occupy takes mu
 	nextFree uint64
 
 	Requests uint64 // requests served
@@ -57,8 +58,10 @@ func NewChannel(name string, serviceCycles uint64) *Channel {
 // service begins. The caller adds any fixed latency (e.g. DRAM access
 // time) itself.
 func (ch *Channel) Occupy(now uint64) (wait uint64) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
+	if ch.shared {
+		ch.mu.Lock()
+		defer ch.mu.Unlock()
+	}
 	start := now
 	if ch.nextFree > start {
 		start = ch.nextFree
@@ -112,8 +115,8 @@ func (ch *Channel) WaitQuantile(q float64) uint64 {
 	return 1<<(waitBuckets-1) - 1
 }
 
-// Reset returns the channel to its constructed state: idle, unbounded and
-// without statistics. Call it only while nothing occupies the channel.
+// Reset returns the channel to its constructed state: idle, unbounded,
+// unshared, without statistics. Call it only while nothing occupies it.
 func (ch *Channel) Reset() {
 	*ch = Channel{Name: ch.Name, ServiceCycles: ch.ServiceCycles}
 }

@@ -11,7 +11,8 @@ package hw
 //
 // Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
 // an access only ever touches its own socket's caches; remote-domain
-// traffic goes through the home socket's channels, which are leaf locks.
+// traffic goes through the home socket's channels, leaf locks once
+// BoundChannelWaits, the concurrent set-up, marks them shared.
 
 // exec is the package's one op interpreter: it replays ops on c,
 // advancing the core's clock and charging each op's latency to the core,
@@ -99,14 +100,13 @@ func (c *Core) ExecStall(ops []Op) {
 	c.exec(ops, true)
 }
 
-// BoundChannelWaits caps the queueing delay of every channel on the
-// platform at maxWait cycles — the finite-controller-queue model
-// concurrent execution needs (see Channel.MaxWait). Call it before any
-// flow executes.
+// BoundChannelWaits readies the platform for concurrent execution: each
+// channel's queueing delay is capped at maxWait cycles (see MaxWait) and
+// the channel marked shared, so Occupy locks. Call it before any flow runs.
 func (p *Platform) BoundChannelWaits(maxWait uint64) {
 	for _, s := range p.Sockets {
-		s.Mem.MaxWait = maxWait
-		s.QPI.MaxWait = maxWait
+		s.Mem.MaxWait, s.Mem.shared = maxWait, true
+		s.QPI.MaxWait, s.QPI.shared = maxWait, true
 	}
 }
 

@@ -19,9 +19,9 @@ type Flow struct {
 
 // Engine interleaves the execution traces of the attached flows in global
 // virtual-time order: at every step the flow whose core has the smallest
-// local clock executes its next micro-operation. Because shared-cache and
-// memory-controller state is touched in (near) global time order,
-// contention between co-runners is emergent.
+// local clock executes its next micro-operation (and the computes behind
+// it). Because shared-cache and memory-controller state is touched in
+// (near) global time order, contention between co-runners is emergent.
 type Engine struct {
 	Platform *Platform
 	Flows    []*Flow
@@ -50,10 +50,11 @@ func (e *Engine) Attach(coreID int, label string, src PacketSource) *Flow {
 	return f
 }
 
-// step executes one micro-operation of f, refilling its per-packet op
-// buffer from the source as needed and marking the flow done when the
-// source is exhausted.
-func (e *Engine) step(f *Flow) {
+// step executes f's next op, refilling its op buffer from the source as
+// needed and marking the flow done when the source is exhausted, then the
+// packet's compute ops behind it while the clock is below limit: those
+// touch nothing another flow sees (see docs/ARCHITECTURE.md).
+func (e *Engine) step(f *Flow, limit uint64) {
 	if f.pos >= len(f.ops) {
 		f.ops = f.src.EmitPacket(f.ops[:0])
 		f.pos = 0
@@ -63,7 +64,9 @@ func (e *Engine) step(f *Flow) {
 		}
 	}
 	f.Core.exec(f.ops[f.pos:f.pos+1], false)
-	f.pos++
+	for f.pos++; f.pos < len(f.ops) && f.ops[f.pos].Kind == OpCompute && f.Core.clock < limit; f.pos++ {
+		f.Core.exec(f.ops[f.pos:f.pos+1], false)
+	}
 	if f.pos >= len(f.ops) {
 		f.Core.Counters.Packets++
 	}
@@ -89,7 +92,7 @@ func (e *Engine) runnable(limit uint64) *Flow {
 // virtual-time order throughout.
 func (e *Engine) RunUntil(t uint64) {
 	for f := e.runnable(t); f != nil; f = e.runnable(t) {
-		e.step(f)
+		e.step(f, t)
 	}
 }
 

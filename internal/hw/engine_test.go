@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -260,5 +261,105 @@ func TestEngineAndExecOpsAgree(t *testing.T) {
 	}
 	if a.Counters.Packets != uint64(len(packets)) || a.Counters.RemoteRefs == 0 || a.elems[3].cost.L3Refs == 0 {
 		t.Errorf("trace did not exercise what it should: %+v", a.Counters)
+	}
+}
+
+// oneOpRunUntil is Engine.RunUntil without run-ahead: every op, compute
+// or not, waits for its own runnable scan. It is the reference the
+// run-ahead engine must match bit for bit.
+func oneOpRunUntil(e *Engine, limit uint64) {
+	for f := e.runnable(limit); f != nil; f = e.runnable(limit) {
+		if f.pos >= len(f.ops) {
+			f.ops = f.src.EmitPacket(f.ops[:0])
+			f.pos = 0
+			if len(f.ops) == 0 {
+				f.done = true
+				continue
+			}
+		}
+		f.Core.exec(f.ops[f.pos:f.pos+1], false)
+		f.pos++
+		if f.pos >= len(f.ops) {
+			f.Core.Counters.Packets++
+		}
+	}
+}
+
+// runAheadSources builds the same four flows' sources afresh each call:
+// runs of computes (some of zero cycles) between loads, stores and DMA
+// writes into a region twice the L3, packets that end in a compute, a
+// SYN-like flow of compute/stream-load pairs, and one that runs dry.
+func runAheadSources() []PacketSource {
+	mixed := func(seed int64, packets int) PacketSource {
+		rnd := rand.New(rand.NewSource(seed))
+		line := func() Addr { return Addr(rnd.Intn(512)) * LineSize }
+		return SourceFunc(func(buf []Op) []Op {
+			if packets == 0 {
+				return buf
+			}
+			packets--
+			if rnd.Intn(3) == 0 {
+				buf = append(buf, Op{Kind: OpDMAWrite, Addr: line()})
+			}
+			for g := rnd.Intn(5); g >= 0; g-- {
+				for n := rnd.Intn(5); n > 0; n-- {
+					cycles := uint32(rnd.Intn(3) * rnd.Intn(40)) // a third of them zero
+					buf = append(buf, Op{Kind: OpCompute, Cycles: cycles, Instrs: cycles/2 + 1, Func: 1})
+				}
+				buf = append(buf, Op{Kind: []OpKind{OpLoad, OpStore, OpLoadStream}[rnd.Intn(3)], Addr: line(), Func: 2})
+			}
+			if rnd.Intn(2) == 0 {
+				buf = append(buf, Op{Kind: OpCompute, Cycles: 25, Instrs: 9})
+			}
+			return buf
+		})
+	}
+	next := 0
+	syn := SourceFunc(func(buf []Op) []Op {
+		for range 4 {
+			next = (next + 97) % 1024
+			buf = append(buf, Op{Kind: OpCompute, Cycles: 12, Instrs: 12},
+				Op{Kind: OpLoadStream, Addr: Addr(1024+next) * LineSize})
+		}
+		return buf
+	})
+	return []PacketSource{mixed(1, -1), mixed(2, -1), syn, mixed(3, 40)}
+}
+
+// TestEngineRunAheadMatchesOneOpSteps: running a flow's compute ops ahead
+// of other flows' ops is unobservable. Two identical platforms, one
+// stepped one op per scan and one by RunUntil, must agree on every clock,
+// counter and cache statistic after each of many limits that land inside
+// compute runs, at packet ends and past a dry source.
+func TestEngineRunAheadMatchesOneOpSteps(t *testing.T) {
+	cfg := smallConfig()
+	ref, got := NewEngine(NewPlatform(cfg)), NewEngine(NewPlatform(cfg))
+	for _, e := range []*Engine{ref, got} {
+		for i, src := range runAheadSources() {
+			e.Attach(i, "", src)
+		}
+	}
+	rnd := rand.New(rand.NewSource(7))
+	var limit uint64
+	for step := 0; step < 2000; step++ {
+		limit += uint64(rnd.Intn(120))
+		oneOpRunUntil(ref, limit)
+		got.RunUntil(limit)
+		for i, a := range ref.Platform.Cores {
+			b := got.Platform.Cores[i]
+			if a.clock != b.clock || a.Counters != b.Counters || a.L1.Stats != b.L1.Stats || a.L2.Stats != b.L2.Stats {
+				t.Fatalf("limit %d, core %d: one op per scan clock %d %+v L1 %+v L2 %+v\nrun-ahead clock %d %+v L1 %+v L2 %+v",
+					limit, i, a.clock, a.Counters, a.L1.Stats, a.L2.Stats, b.clock, b.Counters, b.L1.Stats, b.L2.Stats)
+			}
+		}
+		for i, a := range ref.Platform.Sockets {
+			if b := got.Platform.Sockets[i]; a.L3.Stats != b.L3.Stats || a.Mem.Requests != b.Mem.Requests {
+				t.Fatalf("limit %d, socket %d: L3 %+v, %d mem requests against %+v, %d", limit, i, a.L3.Stats, a.Mem.Requests, b.L3.Stats, b.Mem.Requests)
+			}
+		}
+	}
+	if c := got.Platform.Cores[3].Counters; c.Packets != 40 || got.Platform.Cores[2].Counters.L3Misses == 0 {
+		t.Fatalf("the sources did not exercise what they should: dry flow %d packets, SYN flow %d L3 misses",
+			c.Packets, got.Platform.Cores[2].Counters.L3Misses)
 	}
 }

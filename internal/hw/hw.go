@@ -14,10 +14,10 @@
 // formulas.
 //
 // One interpreter (Core.exec) replays ops against the hierarchy. The
-// Engine is a scheduling policy around it — one thread, one op at a time
-// from the flow with the smallest clock, no locks — and Core.ExecOps is a
-// locking policy around it, for executors that run one goroutine per core
-// (package runtime).
+// Engine is a scheduling policy around it — one thread, the next op of
+// the flow with the smallest clock and the computes behind it, no locks —
+// and Core.ExecOps is a locking policy around it, for executors that run
+// one goroutine per core (package runtime).
 //
 // All state is explicit and seeded: two runs with identical inputs produce
 // identical performance counters.

@@ -9,8 +9,10 @@ import (
 // The cache model's two codegen-sensitive paths, timed without bench/:
 // compare against a build of the parent commit (this file uses only the
 // public API, so it drops into an older tree unchanged). What to look for
-// is in the verify skill: the victim scan must stay free of conditional
-// jumps other than its back-edge.
+// is in the verify skill: the victim scan — four strided lanes when the
+// ways are a multiple of four, as both geometries below are, one serial
+// chain otherwise — must stay free of conditional jumps other than its
+// loops' back-edges.
 
 // BenchmarkCacheFill times Insert on full sets, so every insert evicts.
 // The resident lines are touched in random order first: each set's

@@ -100,11 +100,7 @@ func NewPlatform(cfg Config) *Platform {
 // the runtime allocates each flow's state from its own private domain so
 // the state can be re-homed independently (see SetDomainHome).
 func (p *Platform) HomeSocket(addr Addr) *Socket {
-	d := DomainOf(addr)
-	if s, ok := p.domainHome[d]; ok {
-		return p.Sockets[s]
-	}
-	return p.Sockets[d%len(p.Sockets)]
+	return p.Sockets[p.DomainHome(DomainOf(addr))]
 }
 
 // DomainHome returns the socket id addresses of NUMA domain d currently
@@ -216,11 +212,18 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 // any stale private copies are invalidated. The core is not charged
 // cycles; the NIC, not the core, does the work.
 func (c *Core) DMAWrite(now uint64, addr Addr) {
-	for _, peer := range c.Socket.Cores {
-		peer.L1.Invalidate(addr)
-		peer.L2.Invalidate(addr)
+	sock := c.Socket
+	i := sock.L3.find(addr)
+	if !sock.platform.Cfg.InclusiveL3 {
+		sock.invalidateHolders(^uint64(0), addr) // any core may hold a copy
+	} else if i >= 0 { // only holders may; of a line the L3 lacks, none
+		sock.invalidateHolders(sock.L3.words[i], addr)
 	}
-	victim, old := c.Socket.L3.insert(addr, dirtyBit)
+	if i >= 0 {
+		sock.L3.touch(i, dirtyBit)
+		return
+	}
+	victim, old := sock.L3.fill(addr, dirtyBit)
 	c.evictedL3(now, victim, old)
 }
 
@@ -256,22 +259,28 @@ func (c *Core) evictedL3(now uint64, victim Addr, old uint64) {
 	dirty := old&dirtyBit != 0
 	if sock.platform.Cfg.InclusiveL3 {
 		// Inclusive L3: displaced lines may not survive in private caches.
-		// A core's holder bit is set when it fills or hits the line in L3,
-		// its only ways to a private copy, so the set bits name every core
-		// that can hold one (core k shares bit k mod holderBits).
-		for h := old >> holderShift & (1<<holderBits - 1); h != 0; h &= h - 1 {
-			for k := bits.TrailingZeros64(h); k < len(sock.Cores); k += holderBits {
-				_, d1 := sock.Cores[k].L1.Invalidate(victim)
-				_, d2 := sock.Cores[k].L2.Invalidate(victim)
-				dirty = dirty || d1 || d2
-			}
-		}
+		dirty = sock.invalidateHolders(old, victim) || dirty
 	}
 	if dirty {
 		// Posted write-back: consumes controller bandwidth, adds no
 		// latency to the access that triggered the eviction.
 		sock.platform.HomeSocket(victim).Mem.Occupy(now)
 	}
+}
+
+// invalidateHolders drops addr's line from L1 and L2 of every core whose
+// holder bit is set in w, an L3 recency word, and reports whether a copy
+// was dirty. A core sets its bit by filling or hitting the line in L3, its
+// only ways to a private copy (core k shares bit k mod holderBits).
+func (s *Socket) invalidateHolders(w uint64, addr Addr) (dirty bool) {
+	for h := w >> holderShift & (1<<holderBits - 1); h != 0; h &= h - 1 {
+		for k := bits.TrailingZeros64(h); k < len(s.Cores); k += holderBits {
+			_, d1 := s.Cores[k].L1.Invalidate(addr)
+			_, d2 := s.Cores[k].L2.Invalidate(addr)
+			dirty = dirty || d1 || d2
+		}
+	}
+	return dirty
 }
 
 // Reset returns the platform to the state NewPlatform(p.Cfg) builds: every
