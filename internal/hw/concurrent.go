@@ -2,12 +2,12 @@ package hw
 
 // Trace execution. The Engine interleaves flows in global virtual-time
 // order on one OS thread; the runtime (package runtime) instead runs one
-// goroutine per simulated core and keeps core clocks loosely synchronised
-// with a time quantum. Both replay ops through the same interpreter
-// (Core.exec); ExecOps is the per-core entry point for the concurrent
-// mode, adding only the owning socket's lock, held once per run of
-// consecutive memory ops, so that same-socket workers may run
-// concurrently.
+// goroutine per simulated socket, stepping its cores in clock order, and
+// keeps core clocks loosely synchronised with a time quantum. Both replay
+// ops through the same interpreter (Core.exec); ExecOps is the per-core
+// entry point for the concurrent mode, adding only the owning socket's
+// lock, held once per run of consecutive memory ops, so that even one
+// goroutine per core, same-socket cores included, is safe.
 //
 // Lock order: Socket.mu → Channel.mu. Sockets never lock each other —
 // an access only ever touches its own socket's caches; remote-domain
@@ -78,9 +78,9 @@ func (c *Core) exec(ops []Op, shared bool) {
 }
 
 // ExecOps replays one packet's micro-operation trace on c, advancing the
-// core's local clock and counters. It is safe to call concurrently from
-// one goroutine per core; two goroutines must never drive the same core.
-// A non-empty trace counts as one processed packet, as in the Engine.
+// core's local clock and counters. It is safe from one goroutine per core
+// (the runtime drives a socket's cores from one goroutine); two must never
+// drive the same core. A non-empty trace is one packet, as in the Engine.
 //
 //dataplane:hotpath
 func (c *Core) ExecOps(ops []Op) {

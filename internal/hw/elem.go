@@ -13,12 +13,12 @@ package hw
 // exactly with the core's executed-cycle counters.
 //
 // The table is installed on a Core with SetElemTable and written only by
-// that core's goroutine (the runtime re-installs it when a re-placement
-// swap re-binds flows), read only at quantum barriers while workers are
-// parked: single-writer, no atomics, and each cell is padded to one
-// cache line so neighbouring slots never false-share. A cell's fields are
-// unexported, so only this package's interpreter can write one; readers
-// take ElemCost values with CopyCosts.
+// the goroutine driving the core (the runtime re-installs it when a
+// re-placement swap re-binds flows), read only at quantum barriers while
+// workers are parked: single-writer, no atomics, and each cell is padded
+// to one cache line so neighbouring slots never false-share. A cell's
+// fields are unexported, so only this package's interpreter can write
+// one; readers take ElemCost values with CopyCosts.
 
 // ElemCost is one element's execution cost: cycles charged by every op
 // tagged with the element's slot, and the L3 traffic those ops generated.

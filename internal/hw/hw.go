@@ -17,7 +17,7 @@
 // Engine is a scheduling policy around it — one thread, the next op of
 // the flow with the smallest clock and the computes behind it, no locks —
 // and Core.ExecOps is a locking policy around it, for executors that run
-// one goroutine per core (package runtime).
+// cores concurrently (package runtime runs one goroutine per socket).
 //
 // All state is explicit and seeded: two runs with identical inputs produce
 // identical performance counters.

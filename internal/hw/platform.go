@@ -23,7 +23,7 @@ type Core struct {
 	// elems is the per-element attribution table installed by
 	// SetElemTable (nil = attribution off); curElem is the slot of the op
 	// currently executing, so Access can attribute L3 traffic without a
-	// wider signature. Both are touched only by the core's own goroutine.
+	// wider signature. Both are touched only by the goroutine driving the core.
 	elems   []ElemCell
 	curElem uint16
 }

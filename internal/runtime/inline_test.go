@@ -161,9 +161,50 @@ func TestInLineReplayAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestOneSocketRunsRepeat: the goroutine driver runs a socket's workers
+// on one goroutine in core-clock order, so a run whose workers all sit on
+// one socket is a pure function of its configuration, as an in-line run
+// is. Every shipped scenario built that way gives a byte-identical
+// integer golden at GOMAXPROCS 1, 2 and 8; the set is read from the
+// reports, so a scenario that moves to one socket joins it.
+func TestOneSocketRunsRepeat(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(0))
+	var oneSocket []string
+	for _, name := range scenario.ShippedNames() {
+		cfg := inLineConfig(t, name)
+		var first []byte
+		for _, procs := range []int{1, 2, 8} {
+			stdruntime.GOMAXPROCS(procs)
+			r, err := runtime.NewRuntime(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.Run(inLineDuration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.ContainsFunc(rep.Workers, func(w runtime.WorkerReport) bool { return w.Socket != rep.Workers[0].Socket }) {
+				break
+			}
+			golden := runtime.IntGolden(r, rep)
+			if first == nil {
+				first = golden
+				oneSocket = append(oneSocket, name)
+			} else if !bytes.Equal(golden, first) {
+				t.Fatalf("%s: the run at GOMAXPROCS %d differs from GOMAXPROCS 1's:\n%s\n%s", name, procs, golden, first)
+			}
+		}
+	}
+	if len(oneSocket) == 0 {
+		t.Fatal("no shipped scenario runs on one socket")
+	}
+	t.Logf("one-socket scenarios: %v", oneSocket)
+}
+
 // TestBarrierGoroutines: the in-line driver starts no goroutine, and the
-// concurrent one starts one per worker when Run starts and leaves none
-// behind when it returns. Counts are read inside OnWindow, mid-run.
+// concurrent one starts one per socket that hosts a worker when Run
+// starts and leaves none behind when it returns. Counts are read inside
+// OnWindow, mid-run.
 func TestBarrierGoroutines(t *testing.T) {
 	for _, inline := range []bool{true, false} {
 		cfg := shippedConfig(t, "nat_chain_staged")
@@ -180,14 +221,18 @@ func TestBarrierGoroutines(t *testing.T) {
 		if inline {
 			r.InLine()
 		} else {
-			want += 3 // the two-stage chain's workers and MON's
+			want += 2 // the two-stage chain's workers and MON's sit on two sockets
 		}
 		rep, err := r.Run(0.002)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(during) == 0 || len(rep.Workers) != 3 {
-			t.Fatalf("inline=%t: %d windows, %d workers", inline, len(during), len(rep.Workers))
+		sockets := map[int]bool{}
+		for _, w := range rep.Workers {
+			sockets[w.Socket] = true
+		}
+		if len(during) == 0 || len(rep.Workers) != 3 || len(sockets) != 2 {
+			t.Fatalf("inline=%t: %d windows, %d workers on %d sockets", inline, len(during), len(rep.Workers), len(sockets))
 		}
 		for _, n := range during {
 			if n != want {
@@ -219,8 +264,11 @@ func settledGoroutines() int {
 // host nanoseconds per processed packet, on the two runtime workloads of
 // the bench harness at quick scale: the contended mix (six saturating
 // flows on one socket) and the chains mix (two paced staged chains and a
-// firewall). Neither driver wins on both, which is why production keeps
-// goroutines.
+// firewall, on both sockets). The goroutine driver runs a socket's
+// workers on one goroutine, so on the contended mix it costs about what
+// the in-line pass costs, at any -cpu, and on the chains mix a second
+// host CPU runs the two sockets side by side, which the in-line pass
+// cannot: that is why production runs it.
 func BenchmarkQuantumDrivers(b *testing.B) {
 	if testing.Short() {
 		b.Skip("profiles two quick-scale mixes")

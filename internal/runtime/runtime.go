@@ -1,5 +1,5 @@
 // Package runtime is the concurrent multi-core dataplane: it executes
-// Click pipelines on one goroutine per simulated core, fed through
+// Click pipelines on simulated cores, one goroutine per socket, fed through
 // bounded SPSC rings by an RSS-sharding dispatcher, with live per-core
 // telemetry driving the paper's two online mechanisms — admission
 // control (containing flows that exceed their profiled memory-reference
@@ -17,28 +17,29 @@
 // order on one OS thread, the runtime synchronises core clocks only at
 // quantum boundaries (lax conservative synchronisation, as parallel
 // architecture simulators use). Both replay ops through the same
-// interpreter in package hw; the runtime's locking policy (shared cache
-// state is serialised per socket in hw.Core.ExecOps) keeps contention
-// emergent. One barrier, driven by Run, releases the workers for each
-// quantum in the rotated order (q+k)%n; dispatch, telemetry, throttling
-// and migration happen between releases, and a window leaves through
-// Config.OnWindow and the metrics registry.
+// interpreter in package hw, where shared cache state is serialised per
+// socket (hw.Core.ExecOps), so contention stays emergent. One barrier,
+// driven by Run, releases the workers for each quantum in the rotated
+// order (q+k)%n; dispatch, telemetry, throttling and migration happen
+// between releases, and a window leaves through Config.OnWindow and the
+// metrics registry.
 //
-// The barrier has two drivers. Production's runs each worker on a
-// goroutine, so the interleaving within a quantum, and with it the exact
-// drop figures, varies from run to run. The in-line driver, which only
-// tests switch on, runs the same pass on the calling goroutine and makes
-// a run a pure function of its configuration: worker (q+k)%n runs its
-// whole quantum before the next starts, so a chain stage's hand-off ring
-// holds only what its upstream pushed earlier in the same pass or in
-// earlier quanta, and a stage released before its upstream spin-polls
-// until the quantum boundary. The concurrent driver's numbers
-// legitimately differ from the in-line ones.
+// The barrier has two drivers. Production's runs each socket's workers on
+// one goroutine, stepping the one with the smallest core clock a packet at
+// a time, as the engine does: a socket's caches are never contended, and a
+// run whose workers share a socket is a pure function of its configuration;
+// across sockets the interleaving, and with it the exact drop figures,
+// varies from run to run. The in-line driver, which only tests switch on,
+// runs each worker's whole quantum in turn on the caller, so every run
+// repeats, with numbers of its own: a chain stage's hand-off ring holds
+// only what its upstream pushed earlier in the pass or earlier quanta, and
+// a stage released before its upstream spin-polls to the boundary.
 package runtime
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pktpredict/internal/apps"
@@ -590,29 +591,37 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 }
 
 // barrier is the quantum barrier of the package doc: release runs every
-// worker to limit and returns once all have arrived; start and done are
-// nil in-line. The release order rotates with the quantum so no worker
-// systematically replays first: on few host CPUs a quantum's workers run
-// near sequentially, and the first replayer sees the emptiest channel
-// queues.
+// group of workers to limit (runSocket), a socket's workers on a goroutine
+// of their own or, in-line (start and done nil), each worker alone on the
+// caller. The release order rotates with the quantum so no worker
+// systematically replays first and sees the emptiest channel queues.
 type barrier struct {
-	workers []*worker
-	start   []chan uint64
-	done    []chan struct{}
+	groups, live [][]*worker // live: each group's runSocket buffer
+	start        []chan int
+	done         []chan struct{}
+	limit        uint64 // the released quantum's end, set before any start
 }
 
 func newBarrier(workers []*worker, inline bool) *barrier {
-	b := &barrier{workers: workers}
+	b := &barrier{}
+	for _, w := range workers {
+		g := slices.IndexFunc(b.groups, func(ws []*worker) bool { return !inline && ws[0].socket == w.socket })
+		if g < 0 {
+			g = len(b.groups)
+			b.groups, b.live = append(b.groups, nil), append(b.live, nil)
+		}
+		b.groups[g], b.live[g] = append(b.groups[g], w), append(b.live[g], w)
+	}
 	if inline {
 		return b
 	}
-	for _, w := range workers {
-		start, done := make(chan uint64), make(chan struct{})
+	for g := range b.groups {
+		start, done := make(chan int), make(chan struct{})
 		b.start, b.done = append(b.start, start), append(b.done, done)
 		go func() {
 			defer close(done)
-			for limit := range start {
-				w.runQuantum(limit)
+			for q := range start {
+				runSocket(b.groups[g], b.live[g], q, b.limit)
 				done <- struct{}{}
 			}
 		}()
@@ -621,11 +630,12 @@ func newBarrier(workers []*worker, inline bool) *barrier {
 }
 
 func (b *barrier) release(q int, limit uint64) {
-	for k := range b.workers {
-		if i := (q + k) % len(b.workers); b.start == nil {
-			b.workers[i].runQuantum(limit)
+	b.limit = limit
+	for k := range b.groups {
+		if g := (q + k) % len(b.groups); b.start == nil {
+			runSocket(b.groups[g], b.live[g], q, limit)
 		} else {
-			b.start[i] <- limit
+			b.start[g] <- q
 		}
 	}
 	for _, done := range b.done {

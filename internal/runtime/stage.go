@@ -151,7 +151,7 @@ func (r *Runtime) chainHandoffDepth(stages int) int {
 	return depth
 }
 
-// stepResult is what one unit of stage work hands runQuantum: the trace
+// stepResult is what one unit of stage work hands poll: the trace
 // to execute and, because a packet's latency and exec span can only be
 // timed once that trace has advanced the core clock, what to record
 // afterwards.
@@ -165,7 +165,7 @@ type stepResult struct {
 	lat *obs.LatHist
 	enq uint64
 
-	// trace is non-zero for a sampled packet, whose exec span runQuantum
+	// trace is non-zero for a sampled packet, whose exec span poll
 	// records; dequeued/handed say whether the span began with a hand-off
 	// pop and ended with a hand-off push.
 	trace            uint64
@@ -268,7 +268,7 @@ func (u *stage) step(w *worker) stepResult {
 	} else {
 		// The walk terminated here: this stage records the packet's
 		// end-to-end latency (finished or dropped — either way the packet
-		// left the system) once runQuantum has executed its trace.
+		// left the system) once poll has executed its trace.
 		res.lat = &u.lat
 	}
 	res.ops = ctx.Ops
@@ -278,8 +278,8 @@ func (u *stage) step(w *worker) stepResult {
 // flush closes the stage's current batch: staged hand-off pushes are
 // published and taken slots released, each with a single cursor store
 // whose simulated cost (charged once per batch — the amortization
-// batching buys) executes as a stall trace. runQuantum calls it after
-// every batch loop, so ring cursors are exact at barriers and a peer
+// batching buys) executes as a stall trace. poll calls it at every
+// batch close, so ring cursors are exact at barriers and a peer
 // stage never waits past one batch for staged packets.
 func (u *stage) flush(w *worker) {
 	if !u.batched {

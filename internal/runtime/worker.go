@@ -1,6 +1,9 @@
 package runtime
 
 import (
+	"cmp"
+	"slices"
+
 	"pktpredict/internal/apps"
 	"pktpredict/internal/click"
 	"pktpredict/internal/elements"
@@ -79,8 +82,9 @@ func (f *flow) stageState(stage int, p *hw.Platform) (bytes uint64, socket int) 
 }
 
 // worker is one run-to-completion dataplane thread pinned to one simulated
-// core, whose quanta the barrier runs. It owns the core exclusively; all
-// shared cache state it touches is serialised inside hw (see Core.ExecOps).
+// core, whose quanta the barrier runs. It owns the core exclusively; its
+// socket's workers run on one goroutine (runSocket), so the shared cache
+// state it touches is never contended (see Core.ExecOps).
 type worker struct {
 	id     int
 	core   *hw.Core
@@ -90,8 +94,10 @@ type worker struct {
 
 	// unit is the stage the worker runs. Every worker is bound to exactly
 	// one stage from NewRuntime on; swap exchanges two workers' units.
-	unit  *stage
-	opbuf []hw.Op
+	unit       *stage
+	opbuf      []hw.Op
+	n          int  // packets in the open batch, which poll steps and closes
+	progressed bool // whether a step of the open batch did work
 
 	// Owner-written cumulative telemetry, marked by the control loop at
 	// barriers. Batch polls clipped by the quantum boundary (the clock ran
@@ -128,7 +134,7 @@ type worker struct {
 	mElems []elemHandles
 
 	// shard is the worker's private trace buffer (nil when tracing is
-	// off): runQuantum records a sampled packet's exec span into it.
+	// off): poll records a sampled packet's exec span into it.
 	shard *obs.TraceShard
 }
 
@@ -153,28 +159,21 @@ func (w *worker) bind(u *stage) {
 	}
 }
 
-// runQuantum executes batches until the core's local clock reaches the
-// quantum boundary. When the input runs dry the worker idles to the
-// boundary: the dispatcher only refills receive rings at barriers, so
-// within a quantum an empty receive ring stays empty. Chain stages may
-// instead emit spin-wait traces with no packet (their hand-off rings are
-// fed live by a concurrently running peer); those advance the clock
-// without counting towards throughput or batch occupancy.
-func (w *worker) runQuantum(limit uint64) {
+// poll runs one step of the open batch, one packet's trace or one stall
+// trace, or closes the batch once it is full, the clock has reached limit
+// or the stage had nothing to give; it returns false when the quantum is
+// done. A receive ring refills only at barriers, so a dry input idles the
+// worker to limit; a chain stage instead spin-polls its hand-off ring,
+// which a peer feeds live, and the stall counts no packet.
+func (w *worker) poll(limit uint64) bool {
 	u := w.unit
-	for w.core.Clock() < limit {
-		n := 0
-		progressed := false
-		for n < w.batch && w.core.Clock() < limit {
-			res := u.step(w)
-			w.opbuf = res.ops
-			if len(res.ops) == 0 {
-				break
-			}
-			progressed = true
+	if w.n < w.batch && w.core.Clock() < limit {
+		res := u.step(w)
+		if w.opbuf = res.ops; len(res.ops) > 0 {
+			w.progressed = true
 			if !res.packet {
 				w.core.ExecStall(res.ops)
-				continue
+				return true
 			}
 			// Bracket the trace's execution with core-clock reads: a
 			// sampled packet's span is the charged virtual time, hand-off
@@ -198,31 +197,52 @@ func (w *worker) runQuantum(limit uint64) {
 			if w.mPackets != nil {
 				w.mPackets.Inc()
 			}
-			n++
+			w.n++
+			return true
 		}
-		// Close the batch: release the receive ring's cursor once for the
-		// whole burst, and publish/release any slots the stage staged on
-		// its hand-off rings.
-		w.src.EndBatch()
-		u.flush(w)
-		if progressed && n < w.batch && w.core.Clock() >= limit && u.inputReady() {
-			// The quantum boundary cut this batch short with input still
-			// available: its fill reflects the clock, not the ring, so it
-			// is counted apart instead of biasing occupancy low.
-			w.totClipped++
-			if w.mClipped != nil {
-				w.mClipped.Inc()
-			}
-		} else {
-			w.totBatchSum += uint64(n)
-			w.totBatchCnt++
-			if w.mBatch != nil {
-				w.mBatch.Observe(float64(n))
-			}
+	}
+	// Close the batch: release the receive ring's cursor once for the burst
+	// and publish/release the slots the stage staged on its hand-off rings.
+	n, progressed := w.n, w.progressed
+	w.n, w.progressed = 0, false
+	w.src.EndBatch()
+	u.flush(w)
+	if progressed && n < w.batch && w.core.Clock() >= limit && u.inputReady() {
+		// The quantum boundary cut this batch short with input still
+		// available: its fill reflects the clock, not the ring, so it is
+		// counted apart instead of biasing occupancy low.
+		w.totClipped++
+		if w.mClipped != nil {
+			w.mClipped.Inc()
 		}
-		if !progressed {
-			w.core.AdvanceTo(limit)
-			return
+	} else {
+		w.totBatchSum += uint64(n)
+		w.totBatchCnt++
+		if w.mBatch != nil {
+			w.mBatch.Observe(float64(n))
+		}
+	}
+	if !progressed {
+		w.core.AdvanceTo(limit)
+	}
+	return progressed && w.core.Clock() < limit
+}
+
+// runSocket runs the workers ws to limit in the engine's order: it polls
+// the live one with the smallest core clock, ties going to the rotation
+// of ws starting at first. live is the caller's buffer of len(ws). For
+// one worker this is its whole quantum.
+func runSocket(ws, live []*worker, first int, limit uint64) {
+	live = live[:0]
+	for k := range ws {
+		if w := ws[(first+k)%len(ws)]; w.core.Clock() < limit {
+			live = append(live, w)
+		}
+	}
+	for len(live) > 0 {
+		w := slices.MinFunc(live, func(a, b *worker) int { return cmp.Compare(a.core.Clock(), b.core.Clock()) })
+		if !w.poll(limit) {
+			live = slices.DeleteFunc(live, func(x *worker) bool { return x == w })
 		}
 	}
 }
