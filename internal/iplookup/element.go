@@ -65,7 +65,7 @@ func init() {
 	}, func(env *click.Env) lookupArgs {
 		return lookupArgs{routes: 128000, seed: env.Seed}
 	}, func(env *click.Env, a lookupArgs) (interface{}, error) {
-		t := New(env.Arena, nil)
+		t := New(env.Arena)
 		RandomTable(t, a.routes, a.seed)
 		t.recordFootprint()
 		return NewElement(t, env.Arena, a.routes+1), nil

@@ -7,17 +7,20 @@
 // The trie's nodes live in simulated memory; every node visited during a
 // lookup emits the corresponding load, so the structure's cache footprint
 // — hot top levels, cold deep levels — emerges from real traversals of a
-// real table. The default strides are fine (an 8-bit root, then 2-bit
+// real table. The strides are fine and fixed (an 8-bit root, then 2-bit
 // levels), giving random-destination lookups the multi-node, multi-line
 // walk that makes radix-trie IP lookup cache-hungry on the paper's
 // platform.
 //
-// The host-side arrays are equal to the simulated layout: 8 bytes an
-// entry — the route, and one link word packing the child's node id above
-// the route's original prefix length + 1, zero meaning "none" in both
-// (the root is nobody's child) — plus a 4-byte entry offset a node. No
-// array holds a node's level: every walk starts at the root and descends
-// one level per step, so the level is the walk's own step count.
+// The host-side array is the simulated layout: 8 bytes an entry — the
+// route, and one link word packing the child's node id above the route's
+// original prefix length + 1, zero meaning "none" in both (the root is
+// nobody's child). Nodes are allocated in id order and, the layout being
+// fixed, node k's entries start at 0 for the root and 256 + 4·(k−1)
+// otherwise, so a walk computes a node's offset from its id and makes one
+// dependent load a level. No array holds a node's level either: every
+// walk starts at the root and descends one level per step, so the level
+// is the walk's own step count.
 package iplookup
 
 import (
@@ -34,15 +37,25 @@ import (
 // NoRoute is returned by Lookup when no prefix covers the address.
 const NoRoute = ^uint32(0)
 
-// DefaultStrides is the level layout of the trie: an 8-bit root followed
-// by 2-bit internal levels, covering prefix lengths up to /32.
-var DefaultStrides = []int{8, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
+// The trie's one layout: an 8-bit root of rootEntries entries, then twelve
+// levels of 2-bit nodes of nodeEntries each, covering lengths up to /32.
+const rootBits, nodeBits, rootEntries, nodeEntries = 8, 2, 1 << 8, 1 << 2
+
+// first returns the index of node k's first entry: 0 for the root, whose
+// entries come first, then nodeEntries a node in id order, the order
+// newNode allocates in. first(n) is also the entry count of n nodes.
+func first(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return rootEntries + (k-1)*nodeEntries
+}
 
 // entry is one slot of a trie node. Entries are stored in a single flat
-// array (nodes are 2^stride consecutive entries), and an entry is the
-// eight bytes it is simulated as.
+// array (a node's are consecutive, from first(node)), and an entry is the
+// eight bytes it is simulated as; the zero entry is empty.
 type entry struct {
-	route uint32 // NoRoute if none
+	route uint32 // the next hop, if link holds a prefix length
 	link  uint32 // child node id << plenBits (0: none) | route's original prefix length + 1 (0: none)
 }
 
@@ -57,14 +70,15 @@ const simEntryBytes = 8
 // space; a table past either would alias its arena's next allocation.
 const maxEntries, maxNodes = 1 << 26, 1 << childBits
 
-// reserve makes room for that many more nodes and entries, or fails if
-// the trie would outgrow the reservation.
-func (t *RadixTrie) reserve(nodes, entries int) error {
-	if n, e := len(t.offset)+nodes, len(t.entries)+entries; n > maxNodes || e > maxEntries {
+// reserve makes room for that many more nodes and their entries, or
+// fails if the trie would outgrow the reservation.
+func (t *RadixTrie) reserve(nodes int) error {
+	n := t.nodes + nodes
+	e := first(n)
+	if n > maxNodes || e > maxEntries {
 		return fmt.Errorf("iplookup: a table of %d nodes and %d entries is past the %d nodes or %d entries of simulated address space reserved for one", n, e, maxNodes, maxEntries)
 	}
-	t.entries = slices.Grow(t.entries, entries)
-	t.offset = slices.Grow(t.offset, nodes)
+	t.entries = slices.Grow(t.entries, e-len(t.entries))
 	return nil
 }
 
@@ -73,35 +87,17 @@ func (t *RadixTrie) reserve(nodes, entries int) error {
 // (controlled prefix expansion), preserving exact longest-prefix-match
 // semantics.
 type RadixTrie struct {
-	strides []int
-	bounds  []int   // cumulative prefix-length boundaries
-	offset  []int32 // first entry index of each node
 	entries []entry
+	nodes   int     // allocated nodes; node k's entries start at first(k)
 	base    hw.Addr // simulated base of the entry array
 	hdrBase hw.Addr // simulated base of the node-descriptor array
 	arena   *mem.Arena
 	routes  int
 }
 
-// New builds an empty trie allocating node memory from arena. A nil
-// strides uses DefaultStrides.
-func New(arena *mem.Arena, strides []int) *RadixTrie {
-	if strides == nil {
-		strides = DefaultStrides
-	}
-	total := 0
-	bounds := make([]int, len(strides))
-	for i, s := range strides {
-		if s < 1 || s > 16 {
-			panic(fmt.Sprintf("iplookup: stride %d out of range", s))
-		}
-		total += s
-		bounds[i] = total
-	}
-	if total != 32 {
-		panic(fmt.Sprintf("iplookup: strides cover %d bits, want 32", total))
-	}
-	t := &RadixTrie{strides: strides, bounds: bounds, arena: arena}
+// New builds an empty trie allocating node memory from arena.
+func New(arena *mem.Arena) *RadixTrie {
+	t := &RadixTrie{arena: arena}
 	// Reserve generous contiguous simulated ranges for entries and node
 	// descriptors; actual usage is bounded by insertions. 1<<26 entries
 	// × 8 B = 512 MiB of address space, of which only allocated entries
@@ -109,7 +105,7 @@ func New(arena *mem.Arena, strides []int) *RadixTrie {
 	// the table is populated, so the reservation never counts as state.
 	t.base = arena.Reserve(maxEntries*simEntryBytes, hw.LineSize)
 	t.hdrBase = arena.Reserve(maxNodes*8, hw.LineSize)
-	t.newNode(0) // root
+	t.newNode() // root
 	return t
 }
 
@@ -118,24 +114,22 @@ func New(arena *mem.Arena, strides []int) *RadixTrie {
 // state migration would copy. Call it after the table is populated.
 func (t *RadixTrie) recordFootprint() {
 	t.arena.Record(t.base, uint64(len(t.entries))*simEntryBytes)
-	t.arena.Record(t.hdrBase, uint64(len(t.offset))*8)
+	t.arena.Record(t.hdrBase, uint64(t.nodes)*8)
 }
 
-func (t *RadixTrie) newNode(level int) int32 {
-	off, size := len(t.entries), 1<<t.strides[level]
-	if err := t.reserve(1, size); err != nil {
+// newNode appends the next node's entries and returns its id. They are
+// empty: reserve grew the array, so past its length it holds zeros.
+func (t *RadixTrie) newNode() int {
+	if err := t.reserve(1); err != nil {
 		panic(err)
 	}
-	t.entries = t.entries[:off+size]
-	for i := off; i < off+size; i++ {
-		t.entries[i] = entry{route: NoRoute}
-	}
-	t.offset = append(t.offset, int32(off))
-	return int32(len(t.offset) - 1)
+	t.nodes++
+	t.entries = t.entries[:first(t.nodes)]
+	return t.nodes - 1
 }
 
 // entryAddr returns the simulated address of entry index e.
-func (t *RadixTrie) entryAddr(e int32) hw.Addr {
+func (t *RadixTrie) entryAddr(e int) hw.Addr {
 	return t.base + hw.Addr(uint64(e)*simEntryBytes)
 }
 
@@ -143,7 +137,7 @@ func (t *RadixTrie) entryAddr(e int32) hw.Addr {
 func (t *RadixTrie) Routes() int { return t.routes }
 
 // Nodes returns the number of allocated trie nodes.
-func (t *RadixTrie) Nodes() int { return len(t.offset) }
+func (t *RadixTrie) Nodes() int { return t.nodes }
 
 // SimBytes returns the trie's simulated memory footprint (entries
 // actually allocated, not the reserved range).
@@ -172,7 +166,7 @@ type Route struct {
 	NextHop uint32
 }
 
-// InsertAll is Insert over routes in order, with the node arrays sized
+// InsertAll is Insert over routes in order, with the entry array sized
 // for the whole set first, in one step. It ranges routes more than once —
 // to count the set, to collect the keys that size it, and to insert — so
 // routes must yield the same sequence every time; a generated table need
@@ -189,12 +183,14 @@ func (t *RadixTrie) InsertAll(routes iter.Seq[Route]) error {
 	return nil
 }
 
-// need counts the nodes and entries inserting routes adds, exactly for a
-// trie holding no routes (an upper bound once some exist): level l+1 has
-// a node per distinct value, cut at bounds[l], of the prefixes longer
-// than bounds[l], and sorting makes equal cuts adjacent at every l. The
-// set is counted first so the keys take one allocation of their size.
-func (t *RadixTrie) need(routes iter.Seq[Route]) (nodes, entries int) {
+// need counts the nodes inserting routes adds, exactly for a trie holding
+// no routes (an upper bound once some exist): the level below boundary b
+// has a node per distinct value, cut at b, of the prefixes longer than b,
+// and sorting makes equal cuts adjacent at every b, so one pass over the
+// sorted keys counts every level, each key stopping at the first boundary
+// its length does not pass. The set is counted first so the keys take
+// one allocation of their size.
+func (t *RadixTrie) need(routes iter.Seq[Route]) (nodes int) {
 	// Called, not ranged over: a range-over-func loop puts one more object
 	// per loop on the heap, and TestInsertAllSizesOnce counts a build's.
 	n := 0
@@ -205,17 +201,20 @@ func (t *RadixTrie) need(routes iter.Seq[Route]) (nodes, entries int) {
 		return true
 	})
 	slices.Sort(keys)
-	for l, b := range t.bounds[:len(t.bounds)-1] {
-		last := ^uint64(0) // no 32-bit cut equals it
-		for _, k := range keys {
-			if cut := k >> (40 - b); int(k&0xff) > b && cut != last {
-				last = cut
+	var last [(32 - rootBits) / nodeBits]uint64 // the last cut + 1 at each boundary, 0: none
+	for _, k := range keys {
+		for l := range last {
+			b := rootBits + l*nodeBits
+			if int(k&0xff) <= b {
+				break
+			}
+			if cut := k>>(40-b) + 1; cut != last[l] {
+				last[l] = cut
 				nodes++
-				entries += 1 << t.strides[l+1]
 			}
 		}
 	}
-	return nodes, entries
+	return nodes
 }
 
 func maskOf(plen int) uint32 {
@@ -230,19 +229,17 @@ func maskOf(plen int) uint32 {
 // descends one level per step, so a node's level is the step count and no
 // array keeps it.
 func (t *RadixTrie) insert(prefix uint32, plen int, nexthop uint32) {
-	node, depth := int32(0), 0
-	for level := 0; ; level++ {
-		stride := t.strides[level]
-		index := int32(prefix>>(32-depth-stride)) & (1<<stride - 1)
-		off := t.offset[node]
-		if plen <= t.bounds[level] {
+	off, depth, stride := 0, 0, rootBits
+	for {
+		index := int(prefix>>(32-depth-stride)) & (1<<stride - 1)
+		if plen <= depth+stride {
 			// The prefix ends at or within this level: expand it over all
 			// entries whose top bits match. A longer prefix expanded earlier
 			// onto the same entries keeps precedence.
-			span := int32(1) << (stride - max(plen-depth, 0))
-			start := index &^ (span - 1)
+			span := 1 << (stride - max(plen-depth, 0))
+			start := off + index&^(span-1)
 			for i := start; i < start+span; i++ {
-				e := &t.entries[off+i]
+				e := &t.entries[i]
 				if int(e.link&plenMask) <= plen+1 {
 					e.route = nexthop
 					e.link = e.link&^plenMask | uint32(plen+1)
@@ -250,12 +247,12 @@ func (t *RadixTrie) insert(prefix uint32, plen int, nexthop uint32) {
 			}
 			return
 		}
-		child := int32(t.entries[off+index].link >> plenBits)
+		child := int(t.entries[off+index].link >> plenBits)
 		if child == 0 { // the root is nobody's child
-			child = t.newNode(level + 1)
+			child = t.newNode()
 			t.entries[off+index].link |= uint32(child) << plenBits
 		}
-		node, depth = child, depth+stride
+		off, depth, stride = first(child), depth+stride, nodeBits
 	}
 }
 
@@ -267,21 +264,20 @@ func (t *RadixTrie) insert(prefix uint32, plen int, nexthop uint32) {
 //dataplane:stamped emits under the caller's Ctx bracket (called from Element.Process)
 func (t *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
 	best := NoRoute
-	node, depth := int32(0), 0
-	for level := 0; ; level++ {
+	node, shift, mask := 0, 32-rootBits, uint32(rootEntries-1)
+	for {
 		ctx.Load(t.hdrBase + hw.Addr(uint64(node)*8))
-		stride := t.strides[level]
-		index := int32(dst>>(32-depth-stride)) & (1<<stride - 1)
-		e := t.entries[t.offset[node]+index]
-		ctx.Load(t.entryAddr(t.offset[node] + index))
+		i := first(node) + int(dst>>shift&mask)
+		e := t.entries[i]
+		ctx.Load(t.entryAddr(i))
 		ctx.Compute(7, 9) // shift/mask/branch per level
-		if e.route != NoRoute {
+		if e.link&plenMask != 0 {
 			best = e.route
 		}
 		if e.link>>plenBits == 0 {
 			return best
 		}
-		node, depth = int32(e.link>>plenBits), depth+stride
+		node, shift, mask = int(e.link>>plenBits), shift-nodeBits, nodeEntries-1
 	}
 }
 
@@ -289,18 +285,16 @@ func (t *RadixTrie) Lookup(ctx *click.Ctx, dst uint32) uint32 {
 // verification.
 func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 	best := NoRoute
-	node, depth := int32(0), 0
-	for level := 0; ; level++ {
-		stride := t.strides[level]
-		index := int32(dst>>(32-depth-stride)) & (1<<stride - 1)
-		e := t.entries[t.offset[node]+index]
-		if e.route != NoRoute {
+	node, shift, mask := 0, 32-rootBits, uint32(rootEntries-1)
+	for {
+		e := t.entries[first(node)+int(dst>>shift&mask)]
+		if e.link&plenMask != 0 {
 			best = e.route
 		}
 		if e.link>>plenBits == 0 {
 			return best
 		}
-		node, depth = int32(e.link>>plenBits), depth+stride
+		node, shift, mask = int(e.link>>plenBits), shift-nodeBits, nodeEntries-1
 	}
 }
 

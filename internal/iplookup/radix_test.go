@@ -14,7 +14,7 @@ import (
 	"pktpredict/internal/rng"
 )
 
-func newTrie() *RadixTrie { return New(mem.NewArena(0), nil) }
+func newTrie() *RadixTrie { return New(mem.NewArena(0)) }
 
 func TestLookupEmptyTrie(t *testing.T) {
 	tr := newTrie()
@@ -102,19 +102,6 @@ func TestInsertValidation(t *testing.T) {
 				}
 			}()
 			f()
-		}()
-	}
-}
-
-func TestBadStridesPanic(t *testing.T) {
-	for _, strides := range [][]int{{8, 8}, {40}, {0, 32}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("strides %v should panic", strides)
-				}
-			}()
-			New(mem.NewArena(0), strides)
 		}()
 	}
 }
@@ -266,7 +253,7 @@ func randomTableEach(tr *RadixTrie, n int, seed uint64) {
 
 func sameTrie(t *testing.T, what string, got, want *RadixTrie) {
 	t.Helper()
-	if !slices.Equal(got.entries, want.entries) || !slices.Equal(got.offset, want.offset) {
+	if !slices.Equal(got.entries, want.entries) || got.Nodes() != want.Nodes() {
 		t.Fatalf("%s: node arrays differ from one-at-a-time insertion (%d vs %d nodes, %d vs %d entries)",
 			what, got.Nodes(), want.Nodes(), len(got.entries), len(want.entries))
 	}
@@ -295,18 +282,13 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 		}
 		sets[fmt.Sprintf("random seed %d", seed)] = set
 	}
-	for _, strides := range [][]int{nil, {16, 16}, {8, 8, 8, 8}, {4, 4, 4, 4, 4, 4, 4, 4}, {3, 13, 16}} {
-		for name, set := range sets {
-			if len(strides) < 4 && len(set) > 5 {
-				continue // a 16-bit node is 768 KiB on the Go side
-			}
-			got, want := New(mem.NewArena(0), strides), New(mem.NewArena(0), strides)
-			if err := got.InsertAll(slices.Values(set)); err != nil {
-				t.Fatalf("%s, strides %v: %v", name, strides, err)
-			}
-			insertEach(want, set)
-			sameTrie(t, fmt.Sprintf("%s, strides %v", name, strides), got, want)
+	for name, set := range sets {
+		got, want := newTrie(), newTrie()
+		if err := got.InsertAll(slices.Values(set)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		insertEach(want, set)
+		sameTrie(t, name, got, want)
 	}
 	// A second bulk load lands on nodes the first created: the count is
 	// then an upper bound, and the result still the one-at-a-time trie.
@@ -357,7 +339,7 @@ func TestInsertAllReplaysItsSequence(t *testing.T) {
 }
 
 // TestInsertAllSizesOnce pins what the bulk path is for: the node arrays
-// are allocated once at the size they end with, so a build allocates a
+// is allocated once at the size it ends with, so a build allocates a
 // fixed number of objects whatever the table size.
 func TestInsertAllSizesOnce(t *testing.T) {
 	// The allocator rounds a request up to its size class: at most an
@@ -369,9 +351,8 @@ func TestInsertAllSizesOnce(t *testing.T) {
 	for _, n := range []int{500, 4000, 40000} {
 		tr := newTrie()
 		RandomTable(tr, n, 9)
-		if !slack(len(tr.entries), cap(tr.entries), int(unsafe.Sizeof(entry{}))) || !slack(len(tr.offset), cap(tr.offset), 4) {
-			t.Errorf("n=%d: len/cap entries %d/%d, offset %d/%d: not sized in one step", n,
-				len(tr.entries), cap(tr.entries), len(tr.offset), cap(tr.offset))
+		if !slack(len(tr.entries), cap(tr.entries), int(unsafe.Sizeof(entry{}))) {
+			t.Errorf("n=%d: len/cap entries %d/%d: not sized in one step", n, len(tr.entries), cap(tr.entries))
 		}
 		allocs = append(allocs, testing.AllocsPerRun(3, func() { RandomTable(newTrie(), n, 9) }))
 	}
@@ -390,32 +371,80 @@ func TestEntryIsItsSimulatedSize(t *testing.T) {
 }
 
 // TestReservationChecked: a table past the simulated range New reserves
-// must fail naming the limit, not alias the arena's next allocation.
-// Sixteen-bit strides overflow the entry range at the 1024th second-level
-// node; the count shows it before anything is allocated or inserted.
+// must fail naming the limit, not alias the arena's next allocation. The
+// entry range binds first, at 2^24 - 63 nodes; a trie that big is 512 MiB
+// of host entries, so the test sets the node count the check reads — the
+// entries follow from it — and shows the check before anything grows.
 func TestReservationChecked(t *testing.T) {
-	tr := New(mem.NewArena(0), []int{16, 16})
-	routes := make([]Route, 1024)
-	for i := range routes {
-		routes[i] = Route{uint32(i) << 16, 32, 1}
+	tr := newTrie()
+	// A host route needs a node at each of the twelve 2-bit levels.
+	host := slices.Values([]Route{{0x01020304, 32, 1}})
+	if got := tr.need(host); got != 12 {
+		t.Fatalf("one /32: need = %d nodes, want 12", got)
 	}
-	if nodes, entries := tr.need(slices.Values(routes[:1023])); nodes != 1023 || 1<<16+entries != maxEntries {
-		t.Fatalf("1023 second-level nodes: need = %d nodes, %d entries; want them to fill the reservation exactly", nodes, entries)
+	full := (maxEntries-rootEntries)/nodeEntries + 1 // the nodes whose entries fill the range
+	if first(full) != maxEntries || full > maxNodes {
+		t.Fatalf("%d nodes end at entry %d; want the entry range, %d, to bind before the %d nodes", full, first(full), maxEntries, maxNodes)
 	}
-	err := tr.InsertAll(slices.Values(routes))
+	tr.nodes = full - 11 // a host route now needs one node past the range
+	err := tr.InsertAll(host)
 	if err == nil || !strings.Contains(err.Error(), "67108864 entries") {
-		t.Fatalf("1024 second-level nodes: err = %v, want the entry reservation named", err)
+		t.Fatalf("one node past the entry range: err = %v, want the entry reservation named", err)
 	}
-	if tr.Routes() != 0 || tr.Nodes() != 1 || cap(tr.entries) != 1<<16 {
+	if tr.Routes() != 0 || tr.Nodes() != full-11 || cap(tr.entries) != rootEntries || tr.entries[1].link != 0 {
 		t.Fatalf("InsertAll past the reservation left %d routes, %d nodes, room for %d entries; want the trie untouched", tr.Routes(), tr.Nodes(), cap(tr.entries))
 	}
-	if err := tr.reserve(maxNodes, 0); err == nil || !strings.Contains(err.Error(), "16777216 nodes") {
+	tr.nodes = 1
+	if err := tr.reserve(maxNodes); err == nil || !strings.Contains(err.Error(), "16777216 nodes") {
 		t.Fatalf("one node past the descriptor range: err = %v, want the node reservation named", err)
 	}
-	// newNode makes the same call for one node, so single Inserts are
+	// newNode makes the same check for one node, so single Inserts are
 	// held to the same bound.
-	if err := tr.reserve(1, maxEntries-1<<16+1); err == nil {
-		t.Fatal("one entry past the entry range accepted")
+	tr.nodes = full
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "67108864 entries") {
+				t.Fatalf("a single Insert past the entry range: panic %v, want the entry reservation named", r)
+			}
+		}()
+		tr.Insert(0x01020304, 32, 1)
+	}()
+}
+
+// TestNodeOffsetsFollowLayout: the entry array holds the root's 256
+// entries, then 4 a node in id order, with nothing before, between or
+// after — so a node's offset is arithmetic on its id. Every node but the
+// root is one entry's child, and is allocated after its parent.
+func TestNodeOffsetsFollowLayout(t *testing.T) {
+	for _, n := range []int{500, 20000, 128000} {
+		tr := newTrie()
+		RandomTable(tr, n, uint64(n)+1)
+		if len(tr.entries) != 256+4*(tr.Nodes()-1) {
+			t.Fatalf("n=%d: %d entries for %d nodes, want 256 + 4 a node", n, len(tr.entries), tr.Nodes())
+		}
+		parent := make([]int, tr.Nodes()) // parent id + 1, 0: no link seen yet
+		for k := range tr.Nodes() {
+			start := 0
+			if k > 0 {
+				start = 256 + 4*(k-1)
+			}
+			if first(k) != start {
+				t.Fatalf("n=%d: node %d starts at entry %d, want %d", n, k, first(k), start)
+			}
+			for _, e := range tr.entries[start:first(k+1)] {
+				c := int(e.link >> plenBits)
+				if c == 0 {
+					continue
+				}
+				if c <= k || parent[c] != 0 {
+					t.Fatalf("n=%d: node %d links child %d, linked before from node %d; want one link a node, from an earlier one", n, k, c, parent[c]-1)
+				}
+				parent[c] = k + 1
+			}
+		}
+		if i := slices.Index(parent[1:], 0); i >= 0 {
+			t.Fatalf("n=%d: node %d is nobody's child", n, i+1)
+		}
 	}
 }
 
@@ -426,5 +455,32 @@ func TestNegativeRoutesRejected(t *testing.T) {
 	_, err := click.ParseConfig(env, "neg", "src :: FromDevice(SIZE 64); src -> RadixIPLookup(ROUTES -5) -> ToDevice;")
 	if err == nil || !strings.Contains(err.Error(), "RadixIPLookup") || !strings.Contains(err.Error(), "ROUTES") {
 		t.Fatalf("ROUTES -5: err = %v, want an error naming the element and the key", err)
+	}
+}
+
+// BenchmarkRandomTable times the build half of the trie at the paper's
+// table size: the count, the one-step sizing and the insert walk.
+func BenchmarkRandomTable(b *testing.B) {
+	b.ReportAllocs()
+	for i := range b.N {
+		RandomTable(newTrie(), 128000, uint64(i)+1)
+	}
+}
+
+// BenchmarkLookup times the per-packet half: one traced Lookup of a
+// random destination in a 128 000-route table.
+func BenchmarkLookup(b *testing.B) {
+	tr := newTrie()
+	RandomTable(tr, 128000, 1)
+	dst := make([]uint32, 1<<16)
+	r := rng.New(2)
+	for i := range dst {
+		dst[i] = r.Uint32()
+	}
+	var ctx click.Ctx
+	b.ResetTimer()
+	for i := range b.N {
+		ctx.Ops = ctx.Ops[:0]
+		tr.Lookup(&ctx, dst[i&(len(dst)-1)])
 	}
 }
