@@ -17,10 +17,10 @@
 // original prefix length + 1, zero meaning "none" in both (the root is
 // nobody's child). Nodes are allocated in id order and, the layout being
 // fixed, node k's entries start at 0 for the root and 256 + 4·(k−1)
-// otherwise, so a walk computes a node's offset from its id and makes one
-// dependent load a level. No array holds a node's level either: every
-// walk starts at the root and descends one level per step, so the level
-// is the walk's own step count.
+// otherwise: a walk makes one dependent load a level, and its step count
+// is the level. A route set is sized before its first insert, by counting
+// nodes over its masked prefixes radix-sorted in place, so the array is
+// allocated once and a build takes time linear in the routes.
 package iplookup
 
 import (
@@ -166,16 +166,19 @@ type Route struct {
 	NextHop uint32
 }
 
-// InsertAll is Insert over routes in order, with the entry array sized
-// for the whole set first, in one step. It ranges routes more than once —
-// to count the set, to collect the keys that size it, and to insert — so
-// routes must yield the same sequence every time; a generated table need
-// never be held as a list. A set that does not fit the reserved simulated
-// range fails before anything is inserted.
-func (t *RadixTrie) InsertAll(routes iter.Seq[Route]) error {
-	if err := t.reserve(t.need(routes)); err != nil {
+// InsertAll is Insert over a set of n routes in order, with the entry
+// array sized for the whole set first, in one step. It ranges routes
+// twice, to size and to insert, so they must come in the same sequence
+// both times; a generated table need never be held as a list. n sizes the
+// one allocation that sizing takes (a wrong n costs only allocations). A
+// set that does not fit the reserved simulated range fails before any
+// insert.
+func (t *RadixTrie) InsertAll(routes iter.Seq[Route], n int) error {
+	if err := t.reserve(t.need(routes, n)); err != nil {
 		return err
 	}
+	// Called, not ranged over: a range-over-func loop puts one more object
+	// per loop on the heap, and TestInsertAllSizesOnce counts a build's.
 	routes(func(r Route) bool {
 		t.Insert(r.Prefix, r.Len, r.NextHop)
 		return true
@@ -183,38 +186,65 @@ func (t *RadixTrie) InsertAll(routes iter.Seq[Route]) error {
 	return nil
 }
 
-// need counts the nodes inserting routes adds, exactly for a trie holding
-// no routes (an upper bound once some exist): the level below boundary b
-// has a node per distinct value, cut at b, of the prefixes longer than b,
-// and sorting makes equal cuts adjacent at every b, so one pass over the
-// sorted keys counts every level, each key stopping at the first boundary
-// its length does not pass. The set is counted first so the keys take
-// one allocation of their size.
-func (t *RadixTrie) need(routes iter.Seq[Route]) (nodes int) {
-	// Called, not ranged over: a range-over-func loop puts one more object
-	// per loop on the heap, and TestInsertAllSizesOnce counts a build's.
-	n := 0
-	routes(func(Route) bool { n++; return true })
-	keys := make([]uint64, 0, n) // masked prefix << 8 | length
+// need counts the nodes inserting routes, a set of n, adds, exactly for a
+// trie holding no routes (an upper bound once some exist): the level below
+// boundary b has a node per distinct cut at b of the prefixes longer than
+// b. Sorted, equal cuts are adjacent at every b, so each key climbs from
+// the deepest boundary its length passes to the first where its cut is the
+// last counted (the keys since share it, and so every shallower cut).
+func (t *RadixTrie) need(routes iter.Seq[Route], n int) (nodes int) {
+	keys := make([]uint64, 0, n) // masked prefix << 8 | length: 40 bits, so the top byte is at 32
 	routes(func(r Route) bool {
 		keys = append(keys, uint64(r.Prefix&maskOf(r.Len))<<8|uint64(r.Len))
 		return true
 	})
-	slices.Sort(keys)
+	sortKeys(keys, 32)
 	var last [(32 - rootBits) / nodeBits]uint64 // the last cut + 1 at each boundary, 0: none
 	for _, k := range keys {
-		for l := range last {
-			b := rootBits + l*nodeBits
-			if int(k&0xff) <= b {
+		for l := min(len(last), (int(k&0xff)-rootBits+1)/nodeBits) - 1; l >= 0; l-- {
+			cut := k>>(40-rootBits-l*nodeBits) + 1
+			if cut == last[l] {
 				break
 			}
-			if cut := k>>(40-b) + 1; cut != last[l] {
-				last[l] = cut
-				nodes++
-			}
+			last[l] = cut
+			nodes++
 		}
 	}
 	return nodes
+}
+
+// sortKeys sorts keys, which agree above the byte at shift, in place and
+// allocation-free (an American-flag sort): it swaps each key into the next
+// free slot of its bucket by that byte, then sorts a bucket of over 32 keys
+// on the next byte down and a smaller one by comparison.
+func sortKeys(keys []uint64, shift uint) {
+	var next, end [256]int // bucket d's first unplaced slot, and its end
+	for _, k := range keys {
+		end[byte(k>>shift)]++
+	}
+	for d, sum := 0, 0; d < len(end); d++ {
+		next[d], sum = sum, sum+end[d]
+		end[d] = sum
+	}
+	for b := range next {
+		for i := next[b]; i < end[b]; i = next[b] {
+			k := keys[i]
+			for d := byte(k >> shift); int(d) != b; d = byte(k >> shift) {
+				keys[next[d]], k = k, keys[next[d]]
+				next[d]++
+			}
+			keys[i] = k
+			next[b]++
+		}
+	}
+	for d, lo := 0, 0; d < len(end); d++ {
+		if bucket := keys[lo:end[d]]; len(bucket) > 32 && shift > 0 {
+			sortKeys(bucket, shift-8)
+		} else if len(bucket) > 1 {
+			slices.Sort(bucket)
+		}
+		lo = end[d]
+	}
 }
 
 func maskOf(plen int) uint32 {
@@ -303,7 +333,7 @@ func (t *RadixTrie) LookupPlain(dst uint32) uint32 {
 // mirroring the paper's 128000-entry table loaded with random prefixes.
 // Next hops index an adjacency table of n+1 entries (see Element).
 func RandomTable(t *RadixTrie, n int, seed uint64) {
-	if err := t.InsertAll(randomRoutes(n, seed)); err != nil {
+	if err := t.InsertAll(randomRoutes(n, seed), n+1); err != nil {
 		panic(err) // out of reach of this mix: at most ~5.6M nodes at any n
 	}
 }

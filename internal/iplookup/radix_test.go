@@ -1,6 +1,7 @@
 package iplookup
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -284,7 +285,7 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 	}
 	for name, set := range sets {
 		got, want := newTrie(), newTrie()
-		if err := got.InsertAll(slices.Values(set)); err != nil {
+		if err := got.InsertAll(slices.Values(set), len(set)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		insertEach(want, set)
@@ -294,7 +295,7 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 	// then an upper bound, and the result still the one-at-a-time trie.
 	got, want := newTrie(), newTrie()
 	for _, name := range []string{"long first", "random seed 3", "duplicates", "random seed 4"} {
-		if err := got.InsertAll(slices.Values(sets[name])); err != nil {
+		if err := got.InsertAll(slices.Values(sets[name]), len(sets[name])); err != nil {
 			t.Fatal(err)
 		}
 		insertEach(want, sets[name])
@@ -325,10 +326,10 @@ func TestInsertAllReplaysItsSequence(t *testing.T) {
 			t.Fatalf("n=%d: ranging the sequence twice gave %d then different routes, want the same %d", n, len(routes), n+1)
 		}
 		got, want := newTrie(), newTrie()
-		if err := got.InsertAll(seq); err != nil {
+		if err := got.InsertAll(seq, n+1); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.InsertAll(slices.Values(routes)); err != nil {
+		if err := want.InsertAll(slices.Values(routes), len(routes)); err != nil {
 			t.Fatal(err)
 		}
 		sameTrie(t, fmt.Sprintf("n=%d replayed", n), got, want)
@@ -336,6 +337,88 @@ func TestInsertAllReplaysItsSequence(t *testing.T) {
 	for range randomRoutes(10, 1) {
 		break // a sequence must stop when its consumer does
 	}
+}
+
+// checkNeed: need on a fresh trie counts exactly the nodes that one
+// Insert a route adds, and InsertAll builds the one-at-a-time trie.
+func checkNeed(t *testing.T, name string, set []Route) {
+	t.Helper()
+	got, want := newTrie(), newTrie()
+	need := got.need(slices.Values(set), len(set))
+	insertEach(want, set)
+	if need != want.Nodes()-1 {
+		t.Fatalf("%s: need = %d nodes, one Insert a route added %d", name, need, want.Nodes()-1)
+	}
+	if wrong := got.need(slices.Values(set), len(set)/2); wrong != need {
+		t.Fatalf("%s: need given half the set's size = %d nodes, given its size %d", name, wrong, need)
+	}
+	if err := got.InsertAll(slices.Values(set), len(set)); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sameTrie(t, name, got, want)
+}
+
+// TestNeedCountsInsertedNodes drives need's sort through each of its
+// cases: keys equal in every byte, differing only in the length byte or
+// only in the top one, and sets just below, at and above the 32 keys up
+// to which a bucket is sorted by comparison, spread over the address
+// space or crowded into one /16 so that every byte is bucketed.
+func TestNeedCountsInsertedNodes(t *testing.T) {
+	sets := map[string][]Route{
+		"empty":      nil,
+		"/0 alone":   {{0, 0, 1}},
+		"/32":        {{0xc0a80101, 32, 1}},
+		"duplicates": {{0x0a010200, 24, 1}, {0x0a010200, 24, 2}, {0x0a0102ff, 24, 3}, {0x0a010000, 16, 4}, {0x0a010000, 16, 5}},
+	}
+	for b := rootBits; b <= 32; b += nodeBits {
+		var set []Route
+		for l := b - 1; l <= min(b+1, 32); l++ {
+			set = append(set, Route{0xdeadbeef, l, uint32(len(set) + 1)}, Route{0x21436587, l, uint32(len(set) + 2)})
+		}
+		sets[fmt.Sprintf("lengths %d..%d", b-1, min(b+1, 32))] = set
+	}
+	var same, lengths, tops []Route
+	for i := range 40 {
+		same = append(same, Route{0x01020304, 32, uint32(i + 1)})
+	}
+	for l := range 33 {
+		lengths = append(lengths, Route{0, l, uint32(l + 1)})
+	}
+	for b := range 256 {
+		tops = append(tops, Route{uint32(b)<<24 | 0x123456, 32, uint32(b + 1)})
+	}
+	sets["one /32 forty times"], sets["only the length differs"], sets["only the top byte differs"] = same, lengths, tops
+	for _, n := range []int{31, 32, 33, 257} {
+		r := rng.New(uint64(n))
+		var spread, crowded []Route
+		for i := range n {
+			spread = append(spread, Route{r.Uint32(), r.Intn(33), uint32(i + 1)})
+			crowded = append(crowded, Route{0x0a0b0000 | r.Uint32()>>16, 16 + r.Intn(17), uint32(i + 1)})
+		}
+		sets[fmt.Sprintf("%d spread", n)], sets[fmt.Sprintf("%d in one /16", n)] = spread, crowded
+	}
+	if !testing.Short() {
+		sets["RandomTable(128000)"] = slices.Collect(randomRoutes(128000, 1))
+	}
+	for name, set := range sets {
+		checkNeed(t, name, set)
+	}
+}
+
+// FuzzNeed: any route set — five bytes a route, a prefix and a length —
+// is sized exactly and bulk-loaded as one Insert a route loads it.
+func FuzzNeed(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xc0, 0xa8, 0x01, 0x01, 32})
+	f.Add([]byte{0x0a, 0x01, 0x02, 0x00, 24, 0x0a, 0x01, 0x02, 0x00, 24, 0x0a, 0x01, 0x00, 0x00, 16, 0, 0, 0, 0, 0})
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 7, 0xde, 0xad, 0xbe, 0xef, 8, 0xde, 0xad, 0xbe, 0xef, 9, 0xde, 0xad, 0xbe, 0xef, 31})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var set []Route
+		for ; len(data) >= 5; data = data[5:] {
+			set = append(set, Route{binary.BigEndian.Uint32(data), int(data[4]) % 33, uint32(len(set) + 1)})
+		}
+		checkNeed(t, "fuzzed set", set)
+	})
 }
 
 // TestInsertAllSizesOnce pins what the bulk path is for: the node arrays
@@ -379,7 +462,7 @@ func TestReservationChecked(t *testing.T) {
 	tr := newTrie()
 	// A host route needs a node at each of the twelve 2-bit levels.
 	host := slices.Values([]Route{{0x01020304, 32, 1}})
-	if got := tr.need(host); got != 12 {
+	if got := tr.need(host, 1); got != 12 {
 		t.Fatalf("one /32: need = %d nodes, want 12", got)
 	}
 	full := (maxEntries-rootEntries)/nodeEntries + 1 // the nodes whose entries fill the range
@@ -387,7 +470,7 @@ func TestReservationChecked(t *testing.T) {
 		t.Fatalf("%d nodes end at entry %d; want the entry range, %d, to bind before the %d nodes", full, first(full), maxEntries, maxNodes)
 	}
 	tr.nodes = full - 11 // a host route now needs one node past the range
-	err := tr.InsertAll(host)
+	err := tr.InsertAll(host, 1)
 	if err == nil || !strings.Contains(err.Error(), "67108864 entries") {
 		t.Fatalf("one node past the entry range: err = %v, want the entry reservation named", err)
 	}
@@ -459,7 +542,7 @@ func TestNegativeRoutesRejected(t *testing.T) {
 }
 
 // BenchmarkRandomTable times the build half of the trie at the paper's
-// table size: the count, the one-step sizing and the insert walk.
+// table size: the one-step sizing and the insert walk.
 func BenchmarkRandomTable(b *testing.B) {
 	b.ReportAllocs()
 	for i := range b.N {
@@ -482,5 +565,15 @@ func BenchmarkLookup(b *testing.B) {
 	for i := range b.N {
 		ctx.Ops = ctx.Ops[:0]
 		tr.Lookup(&ctx, dst[i&(len(dst)-1)])
+	}
+}
+
+// BenchmarkNeed times the sizing pass alone at the paper's table size:
+// collecting the masked keys, sorting them and counting every level.
+func BenchmarkNeed(b *testing.B) {
+	b.ReportAllocs()
+	tr, routes := newTrie(), randomRoutes(128000, 1)
+	for b.Loop() {
+		tr.need(routes, 128001)
 	}
 }
