@@ -172,12 +172,10 @@ func TestHotPathAllocs(t *testing.T) {
 
 	// nic: buffer pool and descriptor rings.
 	arena := mem.NewArena(0)
-	pool := nic.ReserveBufferPool(arena, 32, 2048)
-	pool.Alloc()
+	pool := nic.NewBufferPool(arena, 32, 2048)
 	gate(t, "nic.BufferPool.Get+Put", func() {
 		ctx.Ops = ctx.Ops[:0]
-		idx, _, _ := pool.Get(ctx)
-		pool.Put(ctx, idx)
+		pool.Put(ctx, pool.Get(ctx).PoolIndex)
 	})
 	rx := nic.NewRing(arena, 64)
 	gate(t, "nic.Ring.Consume", func() { ctx.Ops = ctx.Ops[:0]; rx.Consume(ctx) })

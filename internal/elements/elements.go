@@ -60,13 +60,12 @@ const (
 // fed by the input ring of the flow it runs: one receive trace for both.
 //
 // Construction reserves the source's simulated memory; its host state —
-// the pool's buffers and free stack, the packet headers, the generator or
-// the feed's copy buffer — is built on the first Pull. A source nobody
+// the generator or the feed's copy buffer, then each pool chunk's buffers
+// and headers — is built by the Pull that first needs it. A source nobody
 // pulls (a graph's own source on the runtime, a worker that runs only
 // later stages of chains) holds none of it.
 type FromDevice struct {
 	pool      *nic.BufferPool
-	pkts      []click.Packet // one header per pool buffer, owned with it from Get to Recycle; nil until the first Pull
 	ring      *nic.Ring
 	gen       trafficgen.Generator
 	spec      trafficgen.Spec
@@ -100,29 +99,24 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	if cfg.Buffers == 0 {
 		cfg.Buffers = 512
 	}
-	if cfg.Traffic.Seed == 0 {
-		cfg.Traffic.Seed = env.Seed
+	spec := cfg.Traffic
+	if spec.Seed == 0 {
+		spec.Seed = env.Seed
 	}
-	if err := cfg.Traffic.Validate(); err != nil {
+	if spec.Size == 0 {
+		spec.Size = trafficgen.MinPacketSize
+	}
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	bufSize := cfg.Traffic.Size
-	if bufSize < trafficgen.MinPacketSize {
-		bufSize = trafficgen.MinPacketSize
-	}
-	// Buffers are rounded up to the next 512-byte boundary like real
-	// socket buffers, so distinct packets never share lines.
-	bufSize = (bufSize + 511) &^ 511
 	remaining := cfg.Count
 	if remaining == 0 {
 		remaining = -1
 	}
-	spec := cfg.Traffic
-	if spec.Size == 0 {
-		spec.Size = trafficgen.MinPacketSize
-	}
 	return &FromDevice{
-		pool:      nic.ReserveBufferPool(env.Arena, cfg.Buffers, bufSize),
+		// Buffers are rounded up to the next 512-byte boundary like real
+		// socket buffers, so distinct packets never share lines.
+		pool:      nic.NewBufferPool(env.Arena, cfg.Buffers, (spec.Size+511)&^511),
 		ring:      nic.NewRing(env.Arena, 256), // the RX descriptor ring
 		spec:      spec,
 		remaining: remaining,
@@ -154,21 +148,17 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	if fd.remaining == 0 {
 		return nil
 	}
-	if fd.pkts == nil {
-		fd.pool.Alloc()
-		fd.pkts = make([]click.Packet, fd.pool.Size()) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
-		if fd.feed != nil {
-			fd.scratch = make([]byte, fd.spec.Size) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
-		} else {
-			fd.gen = trafficgen.New(fd.spec)
-		}
-	}
 	n, enq := 0, uint64(0)
 	if fd.feed != nil {
+		if fd.scratch == nil {
+			fd.scratch = make([]byte, fd.spec.Size) //dataplane:allow hotpathalloc the first Pull builds the source's host state, once per source
+		}
 		var ok bool
 		if n, enq, ok = fd.feed.PopStaged(fd.scratch); !ok {
 			return nil
 		}
+	} else if fd.gen == nil {
+		fd.gen = trafficgen.New(fd.spec)
 	}
 	if fd.remaining > 0 {
 		fd.remaining--
@@ -176,14 +166,17 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 	old := ctx.SetFunc(fnFromDevice)
 	defer ctx.SetFunc(old)
 
-	idx, data, addr := fd.pool.Get(ctx)
+	// A buffer and its header have one owner between Get and Recycle; Get
+	// resets the header, dropping the last packet's Trace and Enq.
+	p := fd.pool.Get(ctx)
 	if fd.feed != nil {
-		copy(data, fd.scratch[:n])
+		copy(p.Data, fd.scratch[:n])
 	} else {
-		n = fd.gen.Next(data)
+		n = fd.gen.Next(p.Data)
 	}
-	ctx.DMABytes(addr, n) // NIC writes the packet into the cache (DCA)
-	fd.ring.Consume(ctx)  // core reads the RX descriptor
+	p.Data, p.Recycler, p.Enq = p.Data[:n], fd, enq
+	ctx.DMABytes(p.Addr, n) // NIC writes the packet into the cache (DCA)
+	fd.ring.Consume(ctx)    // core reads the RX descriptor
 	if fd.sincePoll == 0 {
 		// First packet of an RX burst pays the poll; the rest of the
 		// batch rides on it.
@@ -194,10 +187,6 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 		fd.sincePoll = 0
 	}
 	ctx.Compute(rxCompute, rxInstrs)
-	// A buffer, and so its header, has one owner between Get and Recycle;
-	// the assignment also overwrites the last packet's Trace and Enq.
-	p := &fd.pkts[idx]
-	*p = click.Packet{Data: data[:n], Addr: addr, Recycler: fd, PoolIndex: idx, Enq: enq}
 	return p
 }
 

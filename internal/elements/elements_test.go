@@ -93,37 +93,47 @@ func TestFromDeviceReusesHeaders(t *testing.T) {
 	}
 }
 
-// TestUnpulledFromDeviceHoldsNoHostState: a source builds its buffers,
-// headers and generator on its first Pull, so one nobody pulls holds none
-// of them — yet it reserves exactly the simulated extents a pulled one
-// does, so everything allocated after it keeps its address.
+// TestUnpulledFromDeviceHoldsNoHostState: a source builds its generator
+// on its first Pull and a pool buffer's bytes and header with the first
+// take of its chunk, so one nobody pulls holds none of them and one pulled
+// once holds one chunk — yet both reserve exactly the simulated extents,
+// so everything allocated after them keeps its address.
 func TestUnpulledFromDeviceHoldsNoHostState(t *testing.T) {
 	cfg := FromDeviceConfig{Buffers: 1024, Traffic: trafficgen.Spec{Size: 1500, Flows: 4096}}
-	build := func() (*FromDevice, *mem.Arena, uint64) {
-		env := newEnv()
+	hostBytes := func(f func()) uint64 {
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
-		fd, err := NewFromDevice(env, cfg)
+		f()
 		goruntime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fd, env.Arena, after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	idle, idleArena, idleBytes := build()
-	pulled, pulledArena, _ := build()
+	build := func() (fd *FromDevice, env *click.Env, bytes uint64) {
+		env = newEnv()
+		bytes = hostBytes(func() {
+			var err error
+			if fd, err = NewFromDevice(env, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return fd, env, bytes
+	}
+	idle, idleEnv, idleBytes := build()
+	pulled, pulledEnv, _ := build()
 	var ctx click.Ctx
-	p := pulled.Pull(&ctx)
-	p.Recycler.Recycle(&ctx, p)
+	pulledBytes := hostBytes(func() {
+		p := pulled.Pull(&ctx)
+		p.Recycler.Recycle(&ctx, p)
+	})
 
-	// The pulled source's slab alone is 1.5 MiB.
-	if idle.pkts != nil || idle.gen != nil || idle.Pool().Available() != 0 || idleBytes > 64<<10 {
-		t.Fatalf("never-pulled source holds %d headers, generator %v, %d free buffers, %d host bytes; want none",
-			len(idle.pkts), idle.gen != nil, idle.Pool().Available(), idleBytes)
+	if idle.gen != nil || idleBytes > 64<<10 {
+		t.Fatalf("never-pulled source holds generator %v and %d host bytes; want none", idle.gen != nil, idleBytes)
 	}
-	if len(pulled.pkts) != cfg.Buffers || pulled.gen == nil || pulled.Pool().Available() != cfg.Buffers {
-		t.Fatalf("pulled source: %d headers, generator %v, %d of %d buffers free", len(pulled.pkts), pulled.gen != nil, pulled.Pool().Available(), cfg.Buffers)
+	// An eager pool's slab alone was 1.5 MiB; one chunk is 16 buffers.
+	if pulled.gen == nil || pulled.Pool().Available() != cfg.Buffers || pulledBytes < 1536 || pulledBytes > 64<<10 {
+		t.Fatalf("pulled source: generator %v, %d of %d buffers free, %d host bytes; want one chunk's",
+			pulled.gen != nil, pulled.Pool().Available(), cfg.Buffers, pulledBytes)
 	}
+	idleArena, pulledArena := idleEnv.Arena, pulledEnv.Arena
 	if !slices.Equal(idleArena.Bindings(), pulledArena.Bindings()) || idleArena.Mark() != pulledArena.Mark() {
 		t.Fatalf("arena extents differ: never pulled %v, pulled %v", idleArena.Bindings(), pulledArena.Bindings())
 	}

@@ -3,10 +3,12 @@ package iplookup
 import (
 	"encoding/binary"
 	"fmt"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"pktpredict/internal/click"
@@ -551,20 +553,46 @@ func BenchmarkRandomTable(b *testing.B) {
 }
 
 // BenchmarkLookup times the per-packet half: one traced Lookup of a
-// random destination in a 128 000-route table.
+// random destination in a 128 000-route table. Where the host puts the
+// table's 9.9 MB entries array moves the time as much as Lookup's code
+// does (two binaries with the same Lookup measured 344 and 442 ns), so it
+// builds four tables, each after a spacer allocation of a different size,
+// splits b.N between them, and reports the fastest and slowest
+// placement's ns/lookup and their spread: a change smaller than the
+// spread cannot be judged from one run.
 func BenchmarkLookup(b *testing.B) {
-	tr := newTrie()
-	RandomTable(tr, 128000, 1)
 	dst := make([]uint32, 1<<16)
 	r := rng.New(2)
 	for i := range dst {
 		dst[i] = r.Uint32()
 	}
+	var spacers [][]byte
+	var tries []*RadixTrie
+	for _, kib := range []int{0, 24, 136, 1064} {
+		spacers = append(spacers, make([]byte, kib<<10))
+		tr := newTrie()
+		RandomTable(tr, 128000, 1)
+		tries = append(tries, tr)
+	}
 	var ctx click.Ctx
+	ns := make([]float64, len(tries))
 	b.ResetTimer()
-	for i := range b.N {
-		ctx.Ops = ctx.Ops[:0]
-		tr.Lookup(&ctx, dst[i&(len(dst)-1)])
+	for k, tr := range tries {
+		n := (b.N + k) / len(tries) // the parts sum to b.N
+		start := time.Now()
+		for i := range n {
+			ctx.Ops = ctx.Ops[:0]
+			tr.Lookup(&ctx, dst[i&(len(dst)-1)])
+		}
+		ns[k] = float64(time.Since(start).Nanoseconds()) / float64(max(n, 1))
+	}
+	b.StopTimer()
+	goruntime.KeepAlive(spacers)
+	if b.N >= len(tries) {
+		lo, hi := slices.Min(ns), slices.Max(ns)
+		b.ReportMetric(lo, "min-ns/lookup")
+		b.ReportMetric(hi, "max-ns/lookup")
+		b.ReportMetric(100*(hi/lo-1), "spread-%")
 	}
 }
 

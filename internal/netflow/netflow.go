@@ -21,13 +21,13 @@ import (
 // fnFlowStats matches the paper's flow_statistics profile symbol.
 var fnFlowStats = hw.RegisterFunc("flow_statistics")
 
-// Entry is one flow record.
+// Entry is one flow record. A slot is in use iff its Packets is nonzero:
+// a record is written with its first packet.
 type Entry struct {
 	Key      netpkt.FiveTuple
 	Packets  uint64
 	Bytes    uint64
 	LastSeen uint64 // packet sequence number of the last update
-	used     bool
 }
 
 // Table is an open-addressing (linear probing) flow table in the layout
@@ -68,7 +68,7 @@ func NewTable(arena *mem.Arena, capacity int) *Table {
 func (t *Table) Occupied() int {
 	n := 0
 	for i := range t.slots {
-		if t.slots[i].used {
+		if t.slots[i].Packets != 0 {
 			n++
 		}
 	}
@@ -95,14 +95,14 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 		slot := &t.slots[idx]
 		ctx.Load(t.region.Addr(int(idx))) // record line
 		ctx.Compute(4, 5)
-		if slot.used && slot.Key == key {
+		if slot.Packets != 0 && slot.Key == key {
 			slot.Packets++
 			slot.Bytes += uint64(size)
 			slot.LastSeen = t.clock
 			ctx.Store(t.region.Addr(int(idx)))
 			return slot
 		}
-		if !slot.used {
+		if slot.Packets == 0 {
 			victim = slot
 			victimIdx = idx
 			break
@@ -115,7 +115,7 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 		}
 		idx = (idx + 1) & t.mask
 	}
-	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock, used: true}
+	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock}
 	ctx.Store(t.index.Addr(int(victimIdx)))
 	ctx.Store(t.region.Addr(int(victimIdx)))
 	return victim
@@ -126,10 +126,10 @@ func (t *Table) Get(key netpkt.FiveTuple) (Entry, bool) {
 	idx := key.Hash() & t.mask
 	for probe := 0; probe < maxProbes; probe++ {
 		slot := &t.slots[idx]
-		if slot.used && slot.Key == key {
+		if slot.Packets != 0 && slot.Key == key {
 			return *slot, true
 		}
-		if !slot.used {
+		if slot.Packets == 0 {
 			return Entry{}, false
 		}
 		idx = (idx + 1) & t.mask

@@ -3,6 +3,7 @@ package netflow
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -172,4 +173,13 @@ func TestNewTableValidation(t *testing.T) {
 		}
 	}()
 	newTable(0)
+}
+
+// TestEntryIsFortyBytes: a record carries no in-use flag beside its
+// Packets count, so a paper-scale table's 131 072 slots take 40 bytes
+// each on the host, not 48.
+func TestEntryIsFortyBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 40 {
+		t.Fatalf("Entry is %d bytes, want 40", n)
+	}
 }

@@ -11,6 +11,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
@@ -27,19 +28,32 @@ var fnRecycle = hw.RegisterFunc("skb_recycle")
 // trace: the stack entries and head pointer are bookkeeping data that is
 // touched on every packet — which is why, in the paper's Figure 7,
 // skb_recycle's cached data is essentially never evicted.
+//
+// The stack starts full with buffer 0 on top, so it pops the buffers
+// returned so far, last in first out, then the never-taken ones in index
+// order; the pool keeps just that. A buffer's bytes and header come with
+// the first take of its chunk: a core that recycles a few holds one chunk.
 type BufferPool struct {
-	slab    []byte     // every buffer, bufSize bytes each, in one host allocation
-	region  mem.Region // simulated buffer storage
-	stack   mem.Region // free-stack slots, 4 bytes each
-	head    hw.Addr    // free-stack head index
-	free    []int
-	bufSize int
+	chunks   []*chunk   // host state of buffers k*chunkBufs on
+	returned []int32    // buffers Put back; its capacity covers every buffer taken
+	fresh    int        // next never-taken buffer
+	region   mem.Region // simulated buffer storage
+	stack    mem.Region // free-stack slots, 4 bytes each
+	head     hw.Addr    // free-stack head index
+	bufSize  int
 }
 
-// ReserveBufferPool takes the pool's simulated memory from arena — the
-// buffers, the free stack and the head line — and no host memory: Get
-// must not run before Alloc.
-func ReserveBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
+// chunkBufs buffers share a chunk: their bytes and a packet header each.
+const chunkBufs = 16
+
+type chunk struct {
+	pkts  [chunkBufs]click.Packet
+	bytes []byte
+}
+
+// NewBufferPool takes the pool's simulated memory from arena — the
+// buffers, the free stack and the head line — and no host buffers.
+func NewBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
 	if count <= 0 || bufSize <= 0 {
 		panic(fmt.Sprintf("nic: invalid pool %d x %d", count, bufSize))
 	}
@@ -51,43 +65,42 @@ func ReserveBufferPool(arena *mem.Arena, count, bufSize int) *BufferPool {
 	}
 }
 
-// Alloc allocates a reserved pool's host buffers and fills its free
-// stack, every buffer free.
-func (bp *BufferPool) Alloc() {
-	bp.slab = make([]byte, bp.region.Count*bp.bufSize)
-	bp.free = make([]int, bp.region.Count)
-	for i := range bp.free {
-		bp.free[i] = len(bp.free) - 1 - i // pop order: buffer 0 first
-	}
-}
-
-// Size returns the pool's buffer count.
-func (bp *BufferPool) Size() int { return bp.region.Count }
-
-// Available returns how many buffers are currently free.
-func (bp *BufferPool) Available() int { return len(bp.free) }
+// Available returns how many buffers are free: the free stack's depth.
+func (bp *BufferPool) Available() int { return len(bp.returned) + bp.region.Count - bp.fresh }
 
 // Get pops a free buffer, emitting the free-list trace. It returns the
-// buffer index, its bytes, and its simulated address. It panics when the
-// pool is exhausted — pipelines recycle every packet, so exhaustion means
-// a leak, a bug worth failing loudly on.
+// buffer's packet header, reset: Data spans the buffer, Addr is its
+// simulated address, PoolIndex its index. It panics when the pool is
+// exhausted — pipelines recycle every packet, so exhaustion means a leak,
+// a bug worth failing loudly on.
 //
 //dataplane:stamped emits under the caller's Ctx bracket (sources and sinks own the attribution)
 //dataplane:hotpath
-func (bp *BufferPool) Get(ctx *click.Ctx) (idx int, data []byte, addr hw.Addr) {
-	if len(bp.free) == 0 {
+func (bp *BufferPool) Get(ctx *click.Ctx) *click.Packet {
+	idx := bp.fresh
+	switch n := len(bp.returned); {
+	case n > 0:
+		idx, bp.returned = int(bp.returned[n-1]), bp.returned[:n-1]
+	case idx == bp.region.Count:
 		panic("nic: buffer pool exhausted (leaked packets?)")
+	default:
+		if bp.fresh++; idx%chunkBufs == 0 { // first take of a chunk: make it, and room for Put
+			n := min(chunkBufs, bp.region.Count-idx)
+			bp.chunks = append(bp.chunks, &chunk{bytes: make([]byte, n*bp.bufSize)}) //dataplane:allow hotpathalloc a chunk is made once, when its first buffer is first taken
+			bp.returned = slices.Grow(bp.returned, idx+n-len(bp.returned))           //dataplane:allow hotpathalloc grown once per chunk, when its first buffer is first taken
+		}
 	}
 	old := ctx.SetFunc(fnRecycle)
 	defer ctx.SetFunc(old)
-	idx = bp.free[len(bp.free)-1]
-	bp.free = bp.free[:len(bp.free)-1]
-	ctx.Load(bp.head)                     // read head index
-	ctx.Load(bp.stack.Addr(len(bp.free))) // read stack slot
-	ctx.Store(bp.head)                    // update head
+	ctx.Load(bp.head)                       // read head index
+	ctx.Load(bp.stack.Addr(bp.Available())) // read stack slot
+	ctx.Store(bp.head)                      // update head
 	ctx.Compute(6, 6)
-	lo, hi := idx*bp.bufSize, (idx+1)*bp.bufSize // hi is the capacity too: an overrun cannot reach the neighbour
-	return idx, bp.slab[lo:hi:hi], bp.region.Addr(idx)
+	c, i := bp.chunks[idx/chunkBufs], idx%chunkBufs
+	lo, hi := i*bp.bufSize, (i+1)*bp.bufSize // hi is the capacity too: an overrun cannot reach the neighbour
+	p := &c.pkts[i]
+	*p = click.Packet{Data: c.bytes[lo:hi:hi], Addr: bp.region.Addr(idx), PoolIndex: idx}
+	return p
 }
 
 // Put returns buffer idx to the pool, emitting the free-list trace.
@@ -95,16 +108,16 @@ func (bp *BufferPool) Get(ctx *click.Ctx) (idx int, data []byte, addr hw.Addr) {
 //dataplane:stamped emits under the caller's Ctx bracket (sources and sinks own the attribution)
 //dataplane:hotpath
 func (bp *BufferPool) Put(ctx *click.Ctx, idx int) {
-	if idx < 0 || idx >= bp.region.Count {
-		panic(fmt.Sprintf("nic: Put of invalid buffer %d", idx)) //dataplane:allow hotpathalloc formats only on the panic path, never in steady state
+	if idx < 0 || idx >= bp.fresh {
+		panic(fmt.Sprintf("nic: Put of a buffer never taken: %d", idx)) //dataplane:allow hotpathalloc formats only on the panic path, never in steady state
 	}
 	old := ctx.SetFunc(fnRecycle)
 	defer ctx.SetFunc(old)
 	ctx.Load(bp.head)
-	ctx.Store(bp.stack.Addr(len(bp.free)))
+	ctx.Store(bp.stack.Addr(bp.Available()))
 	ctx.Store(bp.head)
 	ctx.Compute(6, 6)
-	bp.free = append(bp.free, idx)
+	bp.returned = append(bp.returned, int32(idx))
 }
 
 // Ring is a descriptor ring for one RX or TX queue. Descriptors are 16

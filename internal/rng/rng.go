@@ -6,6 +6,8 @@
 // the measurement path may use math/rand's global, seed-racy state.
 package rng
 
+import "encoding/binary"
+
 // RNG is a splitmix64 generator. The zero value is a valid generator
 // seeded with 0; prefer New to decorrelate seeds.
 type RNG struct {
@@ -19,9 +21,15 @@ func New(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// gamma is splitmix64's increment: n draws add n·gamma to the state.
+const gamma = 0x9e3779b97f4a7c15
+
+// At returns New(seed) as it stands after n draws, in O(1).
+func At(seed, n uint64) RNG { return RNG{state: seed + n*gamma} }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -50,15 +58,7 @@ func (r *RNG) Float64() float64 {
 func (r *RNG) Fill(b []byte) {
 	i := 0
 	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
+		binary.LittleEndian.PutUint64(b[i:], r.Uint64())
 	}
 	if i < len(b) {
 		v := r.Uint64()

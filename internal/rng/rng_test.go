@@ -102,3 +102,25 @@ func TestUniformity(t *testing.T) {
 		}
 	}
 }
+
+// TestAtMatchesSequentialDraws: At(seed, n) is New(seed) after n draws —
+// the jump and the stream agree on the next draws, for seeds that wrap
+// the state too.
+func TestAtMatchesSequentialDraws(t *testing.T) {
+	for _, seed := range []uint64{0, 0xf10e5, ^uint64(0)} {
+		seq := New(seed)
+		drawn := uint64(0)
+		for _, n := range []uint64{0, 1, 5, 1<<20 + 3} {
+			for ; drawn < n; drawn++ {
+				seq.Uint64()
+			}
+			at := At(seed, n)
+			ahead := *seq
+			for k := 0; k < 4; k++ {
+				if got, want := at.Uint64(), ahead.Uint64(); got != want {
+					t.Fatalf("seed %#x: At(n=%d) draw %d = %#x, sequential %#x", seed, n, k, got, want)
+				}
+			}
+		}
+	}
+}

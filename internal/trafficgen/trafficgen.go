@@ -1,11 +1,11 @@
 // Package trafficgen produces deterministic packet streams for the
 // experiment workloads: exactly the paper's crafted traffic, which
 // maximises each application's sensitivity to contention — random
-// destination addresses for IP lookup, random 5-tuples (or a fixed set of
-// uniformly drawn flows) for NetFlow, non-matching packets for the
-// firewall, unique content for redundancy elimination — reproduced from
-// explicit seeds. The one shaping beyond it is the DPI chain's: signature
-// hits and low-entropy payloads at stated rates.
+// destination addresses for IP lookup, random 5-tuples (or a fixed flow
+// set, recomputed per packet, never stored) for NetFlow, non-matching
+// packets for the firewall, unique content for redundancy elimination —
+// from explicit seeds. The one shaping beyond it is the DPI chain's:
+// signature hits and low-entropy payloads at stated rates.
 package trafficgen
 
 import (
@@ -35,9 +35,9 @@ type Spec struct {
 	// Size is the total packet length in bytes (default MinPacketSize).
 	Size int
 	// Flows, when positive, draws each packet's 5-tuple from a fixed set
-	// of that many flows instead of generating a fresh random tuple per
-	// packet. The paper's NetFlow table of 100000 entries is populated by
-	// setting Flows to 100000.
+	// of that many flows, not a fresh random tuple per packet: Flows
+	// 100000 fills the paper's NetFlow table. The set is never stored; a
+	// flow's tuple is recomputed from its index by a jump (rng.At).
 	Flows int
 
 	// Signatures enables DPI payload shaping: with probability SigHit a
@@ -104,11 +104,10 @@ func (s Spec) Validate() error {
 }
 
 type gen struct {
-	spec  Spec
-	r     *rng.RNG
-	flows []netpkt.FiveTuple
-	id    uint16
-	pkts  int64
+	spec Spec
+	r    *rng.RNG
+	id   uint16
+	pkts int64
 }
 
 // New builds a generator from spec. It panics on invalid specs: generator
@@ -119,15 +118,15 @@ func New(spec Spec) Generator {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	g := &gen{spec: spec, r: rng.New(spec.Seed)}
-	if spec.Flows > 0 {
-		g.flows = make([]netpkt.FiveTuple, spec.Flows)
-		fr := rng.New(spec.Seed ^ 0xf10e5)
-		for i := range g.flows {
-			g.flows[i] = randomTuple(fr)
-		}
-	}
-	return g
+	return &gen{spec: spec, r: rng.New(spec.Seed)}
+}
+
+// flow returns flow i of the fixed set: the i-th tuple of the stream
+// seeded Seed ^ 0xf10e5, recomputed by a jump past randomTuple's five
+// draws a tuple instead of stored.
+func (g *gen) flow(i int) netpkt.FiveTuple {
+	r := rng.At(g.spec.Seed^0xf10e5, 5*uint64(i))
+	return randomTuple(&r)
 }
 
 func randomTuple(r *rng.RNG) netpkt.FiveTuple {
@@ -160,11 +159,10 @@ func (g *gen) Next(b []byte) int {
 		panic(fmt.Sprintf("trafficgen: buffer %d too small for %d-byte packet", len(b), size))
 	}
 	var t netpkt.FiveTuple
-	switch {
-	case g.flows == nil:
+	if g.spec.Flows > 0 {
+		t = g.flow(g.r.Intn(g.spec.Flows))
+	} else {
 		t = randomTuple(g.r)
-	default:
-		t = g.flows[g.r.Intn(len(g.flows))]
 	}
 	g.id++
 	netpkt.WriteIPv4(b, netpkt.IPv4Header{

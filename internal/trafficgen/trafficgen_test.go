@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pktpredict/internal/netpkt"
+	"pktpredict/internal/rng"
 )
 
 func TestGeneratedPacketsAreValidIPv4(t *testing.T) {
@@ -116,4 +117,19 @@ func TestNextPanicsOnSmallBuffer(t *testing.T) {
 		}
 	}()
 	g.Next(make([]byte, 64))
+}
+
+// TestFlowsMatchSequentialTable: flow i, recomputed by a jump, is the
+// i-th tuple of the table New used to store — every tuple of one drawn
+// sequentially from Seed ^ 0xf10e5.
+func TestFlowsMatchSequentialTable(t *testing.T) {
+	for _, flows := range []int{1, 4096, 100000} {
+		g := New(Spec{Seed: 5, Flows: flows}).(*gen)
+		seq := rng.New(5 ^ 0xf10e5)
+		for i := 0; i < flows; i++ {
+			if got, want := g.flow(i), randomTuple(seq); got != want {
+				t.Fatalf("Flows %d: flow %d = %+v, sequential table %+v", flows, i, got, want)
+			}
+		}
+	}
 }
