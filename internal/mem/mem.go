@@ -8,6 +8,11 @@
 // the memory controller attached to the processor running the flow
 // (Section 2.2, "NUMA memory allocation"); arenas make that placement
 // decision explicit and testable.
+//
+// A structure's simulated layout is fixed at build time, but its host
+// side need not be: Slots keeps a hashed table's entries only for the
+// slots a run takes, so a flow table's host memory follows its live
+// flows, not its capacity.
 package mem
 
 import (
@@ -197,3 +202,46 @@ func (r Region) Addr(i int) hw.Addr {
 
 // Size returns the region's extent in bytes.
 func (r Region) Size() uint64 { return r.Stride * uint64(r.Count) }
+
+// Slots is the host side of a hashed table's slots: a value exists only
+// for a slot that was taken. An index maps each slot to its value's
+// position, 0 meaning never taken, and values sit densely in fixed
+// chunks, so a table costs 4 bytes a slot plus what its live entries
+// hold, a returned pointer stays valid, and growth never copies a value.
+type Slots[T any] struct {
+	pos    []uint32 // slot → 1 + position of its value; 0: never taken
+	chunks []*[slotChunk]T
+	taken  int
+}
+
+// slotChunk values share a chunk.
+const slotChunk = 256
+
+// NewSlots returns n slots, none taken, holding no values.
+func NewSlots[T any](n int) *Slots[T] { return &Slots[T]{pos: make([]uint32, n)} }
+
+// Taken returns the number of slots ever taken.
+func (s *Slots[T]) Taken() int { return s.taken }
+
+// Get returns slot i's value, or nil when slot i was never taken.
+func (s *Slots[T]) Get(i int) *T {
+	p := s.pos[i]
+	if p == 0 {
+		return nil
+	}
+	return &s.chunks[(p-1)/slotChunk][(p-1)%slotChunk]
+}
+
+// Take returns slot i's value, zeroed on the slot's first take.
+func (s *Slots[T]) Take(i int) *T {
+	if v := s.Get(i); v != nil {
+		return v
+	}
+	p := s.taken
+	if p%slotChunk == 0 {
+		s.chunks = append(s.chunks, new([slotChunk]T))
+	}
+	s.taken++
+	s.pos[i] = uint32(s.taken)
+	return &s.chunks[p/slotChunk][p%slotChunk]
+}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"pktpredict/internal/hw"
+	"pktpredict/internal/rng"
 )
 
 func TestArenaDomainSeparation(t *testing.T) {
@@ -192,5 +193,59 @@ func TestArenaReserveAndRecord(t *testing.T) {
 	last := bs[len(bs)-1]
 	if last.Base != base || last.Size != 4096 || last.Label != "sparse" {
 		t.Fatalf("recorded binding %+v", last)
+	}
+}
+
+// TestSlotsMatchEagerArray drives random takes, reads and writes through
+// Slots and through the eager array it replaces (a value and an in-use
+// flag for every slot). Take must hand out a zeroed value on a slot's
+// first take and the same value after; Get must never take.
+func TestSlotsMatchEagerArray(t *testing.T) {
+	const n = 4096
+	r := rng.New(7)
+	s := NewSlots[[2]uint64](n)
+	vals, used := make([][2]uint64, n), make([]bool, n)
+	taken := 0
+	for step := 0; step < 20000; step++ {
+		i := r.Intn(n)
+		if r.Intn(2) == 0 {
+			v := s.Get(i)
+			if (v == nil) != !used[i] || v != nil && *v != vals[i] {
+				t.Fatalf("step %d: Get(%d) = %v, want %v (used %v)", step, i, v, vals[i], used[i])
+			}
+			continue
+		}
+		v := s.Take(i)
+		if !used[i] {
+			used[i] = true
+			taken++
+		}
+		if *v != vals[i] {
+			t.Fatalf("step %d: Take(%d) = %v, want %v", step, i, *v, vals[i])
+		}
+		vals[i] = [2]uint64{r.Uint64(), uint64(step)}
+		*v = vals[i]
+		if s.Taken() != taken {
+			t.Fatalf("step %d: %d slots taken, want %d", step, s.Taken(), taken)
+		}
+	}
+}
+
+// TestSlotsHoldOnlyWhatIsTaken: n slots cost their index until a slot is
+// taken, and then a chunk per slotChunk slots taken.
+func TestSlotsHoldOnlyWhatIsTaken(t *testing.T) {
+	s := NewSlots[[40]byte](131072)
+	if len(s.chunks) != 0 || cap(s.pos) != 131072 {
+		t.Fatalf("fresh slots hold %d chunks and a %d-entry index", len(s.chunks), cap(s.pos))
+	}
+	first := s.Take(37)
+	for n := 2; n <= 3*slotChunk+1; n++ {
+		s.Take(n * 37)
+		if want := (n + slotChunk - 1) / slotChunk; len(s.chunks) != want {
+			t.Fatalf("%d slots taken in %d chunks, want %d", n, len(s.chunks), want)
+		}
+	}
+	if s.Get(37) != first {
+		t.Fatal("a value moved when its store grew")
 	}
 }

@@ -5,7 +5,8 @@
 // incremental checksum update. The flow table is the NAT's contended
 // structure — like NetFlow's it is memory-intensive but cacheable, and
 // the per-packet probe-allocate-rewrite trace is what the workload
-// contributes to the shared cache.
+// contributes to the shared cache. Like NetFlow's, its host side holds a
+// mapping only for a slot some flow took (mem.Slots).
 package nat
 
 import (
@@ -26,7 +27,6 @@ var fnNAT = hw.RegisterFunc("nat_rewrite")
 type mapping struct {
 	key      netpkt.FiveTuple
 	extPort  uint16
-	used     bool
 	lastSeen uint64
 }
 
@@ -42,9 +42,9 @@ const firstPort = 1024
 // line-sized mapping entries, plus a port-allocator cursor on its own
 // bookkeeping line.
 type Table struct {
-	slots    []mapping
-	region   mem.Region // mapping entries, one line each
-	portLine hw.Addr    // port-allocator cursor line
+	slots    *mem.Slots[mapping] // a slot is in use iff it was ever taken
+	region   mem.Region          // mapping entries, one line each
+	portLine hw.Addr             // port-allocator cursor line
 	mask     uint64
 	extIP    uint32
 	nextPort uint32
@@ -62,7 +62,7 @@ func NewTable(arena *mem.Arena, capacity int, extIP uint32) *Table {
 		size <<= 1
 	}
 	return &Table{
-		slots:    make([]mapping, size),
+		slots:    mem.NewSlots[mapping](size),
 		region:   mem.NewRegion(arena, size, hw.LineSize, true),
 		portLine: arena.Alloc(hw.LineSize, hw.LineSize),
 		mask:     uint64(size - 1),
@@ -74,16 +74,8 @@ func NewTable(arena *mem.Arena, capacity int, extIP uint32) *Table {
 // ExtIP returns the external address mappings translate to.
 func (t *Table) ExtIP() uint32 { return t.extIP }
 
-// Occupied returns the number of active mappings.
-func (t *Table) Occupied() int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].used {
-			n++
-		}
-	}
-	return n
-}
+// Taken returns the number of active mappings.
+func (t *Table) Taken() int { return t.slots.Taken() }
 
 // allocPort hands out the next external port, cycling through the
 // dynamic range; the cursor lives on its own line, so every allocation
@@ -118,27 +110,27 @@ func (t *Table) Translate(ctx *click.Ctx, key netpkt.FiveTuple) (port uint16, cr
 	victim := idx
 	victimSeen := ^uint64(0)
 	for probe := 0; probe < maxProbes; probe++ {
-		slot := &t.slots[idx]
+		slot := t.slots.Get(int(idx))
 		ctx.Load(t.region.Addr(int(idx)))
 		ctx.Compute(4, 5)
-		if slot.used && slot.key == key {
+		if slot == nil {
+			victim = idx
+			break
+		}
+		if slot.key == key {
 			slot.lastSeen = t.clock
 			ctx.Store(t.region.Addr(int(idx)))
 			return slot.extPort, false
-		}
-		if !slot.used {
-			*slot = mapping{key: key, extPort: t.allocPort(ctx), used: true, lastSeen: t.clock}
-			ctx.Store(t.region.Addr(int(idx)))
-			return slot.extPort, true
 		}
 		if slot.lastSeen < victimSeen {
 			victim, victimSeen = idx, slot.lastSeen
 		}
 		idx = (idx + 1) & t.mask
 	}
-	// Chain full: expire the least-recently-used probed binding.
-	slot := &t.slots[victim]
-	*slot = mapping{key: key, extPort: t.allocPort(ctx), used: true, lastSeen: t.clock}
+	// Bind the free slot, or expire the chain's least-recently-used
+	// binding when the chain is full.
+	slot := t.slots.Take(int(victim))
+	*slot = mapping{key: key, extPort: t.allocPort(ctx), lastSeen: t.clock}
 	ctx.Store(t.region.Addr(int(victim)))
 	return slot.extPort, true
 }

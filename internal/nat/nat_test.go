@@ -1,12 +1,14 @@
 package nat
 
 import (
+	"slices"
 	"testing"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/netpkt"
+	"pktpredict/internal/rng"
 )
 
 func newTable(capacity int) *Table {
@@ -37,8 +39,8 @@ func TestTableAllocatesStablePorts(t *testing.T) {
 	if created || again != p1 {
 		t.Fatalf("repeat lookup got port %d created=%v, want %d/false", again, created, p1)
 	}
-	if tb.Occupied() != 2 {
-		t.Fatalf("%d bindings for two flows, want 2", tb.Occupied())
+	if tb.Taken() != 2 {
+		t.Fatalf("%d bindings for two flows, want 2", tb.Taken())
 	}
 }
 
@@ -52,8 +54,8 @@ func TestTableEvictsLRUUnderPressure(t *testing.T) {
 	if _, created := tb.Translate(&ctx, tuple(0)); !created {
 		t.Fatal("overloaded table never evicted the first flow's binding")
 	}
-	if tb.Occupied() > len(tb.slots) {
-		t.Fatalf("occupied %d exceeds size %d", tb.Occupied(), len(tb.slots))
+	if tb.Taken() > tb.region.Count {
+		t.Fatalf("occupied %d exceeds size %d", tb.Taken(), tb.region.Count)
 	}
 }
 
@@ -156,8 +158,8 @@ func TestRegistryBuildsRewriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	el, ok := inst.(*Element)
-	if !ok || len(el.Table.slots) != 128 {
-		t.Fatalf("unexpected instance %T (size %d)", inst, len(el.Table.slots))
+	if !ok || el.Table.region.Count != 128 {
+		t.Fatalf("unexpected instance %T (size %d)", inst, el.Table.region.Count)
 	}
 	want, _ := ParseAddr("10.0.0.254")
 	if el.Table.ExtIP() != want {
@@ -168,5 +170,126 @@ func TestRegistryBuildsRewriter(t *testing.T) {
 	}
 	if _, err := click.NewInstance(env, "IPRewriter", click.ParseArgs([]string{"CAPACITY -1"})); err == nil {
 		t.Fatal("bad CAPACITY accepted")
+	}
+}
+
+// eagerMapping and eagerTable are the table as it was before its host
+// side went sparse: a mapping for every slot, made up front, with an
+// in-use flag. They are the oracle the sparse table must match op for op.
+type eagerMapping struct {
+	key      netpkt.FiveTuple
+	extPort  uint16
+	used     bool
+	lastSeen uint64
+}
+
+type eagerTable struct {
+	slots    []eagerMapping
+	region   mem.Region
+	portLine hw.Addr
+	mask     uint64
+	nextPort uint32
+	clock    uint64
+}
+
+// newEagerTable lays the oracle out exactly as NewTable lays out a table
+// on a fresh arena, so the two emit the same addresses.
+func newEagerTable(capacity int) *eagerTable {
+	arena := mem.NewArena(0)
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return &eagerTable{
+		slots:    make([]eagerMapping, size),
+		region:   mem.NewRegion(arena, size, hw.LineSize, true),
+		portLine: arena.Alloc(hw.LineSize, hw.LineSize),
+		mask:     uint64(size - 1),
+		nextPort: firstPort,
+	}
+}
+
+func (t *eagerTable) allocPort(ctx *click.Ctx) uint16 {
+	ctx.Load(t.portLine)
+	ctx.Store(t.portLine)
+	port := uint16(t.nextPort)
+	if t.nextPort++; t.nextPort > 65535 {
+		t.nextPort = firstPort
+	}
+	return port
+}
+
+func (t *eagerTable) translate(ctx *click.Ctx, key netpkt.FiveTuple) (uint16, bool) {
+	old := ctx.SetFunc(fnNAT)
+	defer ctx.SetFunc(old)
+	t.clock++
+	ctx.Compute(30, 28)
+	idx := key.Hash() & t.mask
+	victim, victimSeen := idx, ^uint64(0)
+	for probe := 0; probe < maxProbes; probe++ {
+		slot := &t.slots[idx]
+		ctx.Load(t.region.Addr(int(idx)))
+		ctx.Compute(4, 5)
+		if slot.used && slot.key == key {
+			slot.lastSeen = t.clock
+			ctx.Store(t.region.Addr(int(idx)))
+			return slot.extPort, false
+		}
+		if !slot.used {
+			victim = idx
+			break
+		}
+		if slot.lastSeen < victimSeen {
+			victim, victimSeen = idx, slot.lastSeen
+		}
+		idx = (idx + 1) & t.mask
+	}
+	slot := &t.slots[victim]
+	*slot = eagerMapping{key: key, extPort: t.allocPort(ctx), used: true, lastSeen: t.clock}
+	ctx.Store(t.region.Addr(int(victim)))
+	return slot.extPort, true
+}
+
+func (t *eagerTable) occupied() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].used {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTranslateMatchesEagerTable drives random flow sequences through the
+// sparse table and the eager oracle side by side. The 8- and 16-slot
+// tables fill every probe chain, so most new flows expire the least
+// recently used binding of a full chain; the larger ones mostly hit or
+// bind a free slot.
+func TestTranslateMatchesEagerTable(t *testing.T) {
+	for _, c := range []struct{ slots, flows int }{{8, 40}, {16, 48}, {64, 96}, {1024, 3000}} {
+		r := rng.New(uint64(c.slots))
+		got, want := newTable(c.slots), newEagerTable(c.slots)
+		var gctx, wctx click.Ctx
+		for i := 0; i < 100*c.slots; i++ {
+			key := tuple(uint16(r.Intn(c.flows)))
+			gp, gc := got.Translate(&gctx, key)
+			wp, wc := want.translate(&wctx, key)
+			if gp != wp || gc != wc {
+				t.Fatalf("%d slots, packet %d: port %d created %v, want %d %v", c.slots, i, gp, gc, wp, wc)
+			}
+			if !slices.Equal(gctx.Ops, wctx.Ops) {
+				t.Fatalf("%d slots, packet %d: ops %v, want %v", c.slots, i, gctx.Ops, wctx.Ops)
+			}
+			gctx.Ops, wctx.Ops = gctx.Ops[:0], wctx.Ops[:0]
+			if got.Taken() != want.occupied() {
+				t.Fatalf("%d slots, packet %d: %d slots taken, want %d", c.slots, i, got.Taken(), want.occupied())
+			}
+		}
+		for i, w := range want.slots {
+			m := got.slots.Get(i)
+			if (m == nil) != !w.used || m != nil && *m != (mapping{key: w.key, extPort: w.extPort, lastSeen: w.lastSeen}) {
+				t.Fatalf("%d slots: slot %d holds %v, want %+v", c.slots, i, m, w)
+			}
+		}
 	}
 }

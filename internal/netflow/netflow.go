@@ -6,7 +6,9 @@
 // The table is the canonical "memory-intensive but cacheable" structure:
 // at the paper's 100000 flows it occupies several megabytes, benefits
 // heavily from the L3 cache, and is therefore the workload most sensitive
-// to cache contention (Figure 2).
+// to cache contention (Figure 2). That size is simulated; on the host a
+// record exists only for a slot some flow took (mem.Slots), so a table
+// costs 4 bytes a slot plus its live flows.
 package netflow
 
 import (
@@ -21,8 +23,7 @@ import (
 // fnFlowStats matches the paper's flow_statistics profile symbol.
 var fnFlowStats = hw.RegisterFunc("flow_statistics")
 
-// Entry is one flow record. A slot is in use iff its Packets is nonzero:
-// a record is written with its first packet.
+// Entry is one flow record, written with its flow's first packet.
 type Entry struct {
 	Key      netpkt.FiveTuple
 	Packets  uint64
@@ -35,9 +36,9 @@ type Entry struct {
 // and line-sized flow records. Each update reads the index line, probes
 // record lines, and writes the matching record.
 type Table struct {
-	slots  []Entry
-	index  mem.Region // bucket-index array, 8 bytes per slot
-	region mem.Region // flow records, one line each
+	slots  *mem.Slots[Entry] // a slot is in use iff it was ever taken
+	index  mem.Region        // bucket-index array, 8 bytes per slot
+	region mem.Region        // flow records, one line each
 	mask   uint64
 	clock  uint64
 }
@@ -57,23 +58,15 @@ func NewTable(arena *mem.Arena, capacity int) *Table {
 		size <<= 1
 	}
 	return &Table{
-		slots:  make([]Entry, size),
+		slots:  mem.NewSlots[Entry](size),
 		index:  mem.NewRegion(arena, size, 8, false),
 		region: mem.NewRegion(arena, size, hw.LineSize, true),
 		mask:   uint64(size - 1),
 	}
 }
 
-// Occupied returns the number of used slots.
-func (t *Table) Occupied() int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].Packets != 0 {
-			n++
-		}
-	}
-	return n
-}
+// Taken returns the number of used slots.
+func (t *Table) Taken() int { return t.slots.Taken() }
 
 // Update records one packet of size bytes for flow key, emitting the
 // probe-and-update trace: one load per probed slot and one store for the
@@ -92,20 +85,20 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 	var victim *Entry
 	victimIdx := idx
 	for probe := 0; probe < maxProbes; probe++ {
-		slot := &t.slots[idx]
+		slot := t.slots.Get(int(idx))
 		ctx.Load(t.region.Addr(int(idx))) // record line
 		ctx.Compute(4, 5)
-		if slot.Packets != 0 && slot.Key == key {
+		if slot == nil {
+			victim = t.slots.Take(int(idx))
+			victimIdx = idx
+			break
+		}
+		if slot.Key == key {
 			slot.Packets++
 			slot.Bytes += uint64(size)
 			slot.LastSeen = t.clock
 			ctx.Store(t.region.Addr(int(idx)))
 			return slot
-		}
-		if slot.Packets == 0 {
-			victim = slot
-			victimIdx = idx
-			break
 		}
 		// Remember the stalest record in the chain as the eviction
 		// candidate.
@@ -125,12 +118,12 @@ func (t *Table) Update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
 func (t *Table) Get(key netpkt.FiveTuple) (Entry, bool) {
 	idx := key.Hash() & t.mask
 	for probe := 0; probe < maxProbes; probe++ {
-		slot := &t.slots[idx]
-		if slot.Packets != 0 && slot.Key == key {
-			return *slot, true
-		}
-		if slot.Packets == 0 {
+		slot := t.slots.Get(int(idx))
+		if slot == nil {
 			return Entry{}, false
+		}
+		if slot.Key == key {
+			return *slot, true
 		}
 		idx = (idx + 1) & t.mask
 	}

@@ -1,6 +1,8 @@
 package netflow
 
 import (
+	stdruntime "runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -19,7 +21,7 @@ func tuple(i uint32) netpkt.FiveTuple {
 }
 
 func TestTableRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := len(newTable(100000).slots); got != 131072 {
+	if got := newTable(100000).region.Count; got != 131072 {
 		t.Fatalf("slots = %d, want 131072", got)
 	}
 }
@@ -37,8 +39,8 @@ func TestUpdateCreatesAndAccumulates(t *testing.T) {
 	if e.Packets != 2 || e.Bytes != 164 {
 		t.Fatalf("entry = %+v, want 2 pkts / 164 bytes", e)
 	}
-	if tb.Occupied() != 1 {
-		t.Fatalf("%d records for one flow, want 1", tb.Occupied())
+	if tb.Taken() != 1 {
+		t.Fatalf("%d records for one flow, want 1", tb.Taken())
 	}
 }
 
@@ -73,7 +75,7 @@ func TestCollisionEvictsStalest(t *testing.T) {
 	if _, ok := tb.Get(tuple(0)); ok {
 		t.Fatal("the first flow's record survived 99 later flows in 2 slots")
 	}
-	if occ := tb.Occupied(); occ > 2 {
+	if occ := tb.Taken(); occ > 2 {
 		t.Fatalf("occupied = %d > capacity", occ)
 	}
 }
@@ -125,7 +127,7 @@ func TestCountsMatchReferenceQuick(t *testing.T) {
 			ref[k]++
 			ctx.Ops = ctx.Ops[:0]
 		}
-		if tb.Occupied() < len(ref) {
+		if tb.Taken() < len(ref) {
 			return true // an eviction voids the comparison; not expected at this load
 		}
 		for k, want := range ref {
@@ -175,11 +177,153 @@ func TestNewTableValidation(t *testing.T) {
 	newTable(0)
 }
 
-// TestEntryIsFortyBytes: a record carries no in-use flag beside its
-// Packets count, so a paper-scale table's 131 072 slots take 40 bytes
-// each on the host, not 48.
+// TestEntryIsFortyBytes: a record carries no in-use flag (a slot is in
+// use iff it was taken), so each live flow takes 40 bytes on the host,
+// not 48.
 func TestEntryIsFortyBytes(t *testing.T) {
 	if n := unsafe.Sizeof(Entry{}); n != 40 {
 		t.Fatalf("Entry is %d bytes, want 40", n)
+	}
+}
+
+// eagerTable is the table as it was before its host side went sparse: a
+// record for every slot, made up front, a slot in use iff its Packets is
+// nonzero. It is the oracle the sparse table must match op for op.
+type eagerTable struct {
+	slots         []Entry
+	index, region mem.Region
+	mask, clock   uint64
+}
+
+// newEagerTable lays the oracle out exactly as NewTable lays out a table
+// on a fresh arena, so the two emit the same addresses.
+func newEagerTable(capacity int) *eagerTable {
+	arena := mem.NewArena(0)
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return &eagerTable{
+		slots:  make([]Entry, size),
+		index:  mem.NewRegion(arena, size, 8, false),
+		region: mem.NewRegion(arena, size, hw.LineSize, true),
+		mask:   uint64(size - 1),
+	}
+}
+
+func (t *eagerTable) update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
+	old := ctx.SetFunc(fnFlowStats)
+	defer ctx.SetFunc(old)
+	t.clock++
+	ctx.Compute(30, 28)
+	idx := key.Hash() & t.mask
+	ctx.Load(t.index.Addr(int(idx)))
+	var victim *Entry
+	victimIdx := idx
+	for probe := 0; probe < maxProbes; probe++ {
+		slot := &t.slots[idx]
+		ctx.Load(t.region.Addr(int(idx)))
+		ctx.Compute(4, 5)
+		if slot.Packets != 0 && slot.Key == key {
+			slot.Packets++
+			slot.Bytes += uint64(size)
+			slot.LastSeen = t.clock
+			ctx.Store(t.region.Addr(int(idx)))
+			return slot
+		}
+		if slot.Packets == 0 {
+			victim, victimIdx = slot, idx
+			break
+		}
+		if victim == nil || slot.LastSeen < victim.LastSeen {
+			victim, victimIdx = slot, idx
+		}
+		idx = (idx + 1) & t.mask
+	}
+	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock}
+	ctx.Store(t.index.Addr(int(victimIdx)))
+	ctx.Store(t.region.Addr(int(victimIdx)))
+	return victim
+}
+
+func (t *eagerTable) get(key netpkt.FiveTuple) (Entry, bool) {
+	idx := key.Hash() & t.mask
+	for probe := 0; probe < maxProbes && t.slots[idx].Packets != 0; probe++ {
+		if t.slots[idx].Key == key {
+			return t.slots[idx], true
+		}
+		idx = (idx + 1) & t.mask
+	}
+	return Entry{}, false
+}
+
+func (t *eagerTable) occupied() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].Packets != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUpdateMatchesEagerTable drives random flow sequences through the
+// sparse table and the eager oracle side by side, with a lookup of a
+// random flow after each update. The 8- and 16-slot
+// tables fill every probe chain, so most inserts evict the stalest
+// record of a full chain; the larger ones mostly hit or insert.
+func TestUpdateMatchesEagerTable(t *testing.T) {
+	for _, c := range []struct{ slots, flows int }{{8, 40}, {16, 48}, {64, 96}, {1024, 3000}} {
+		r := rng.New(uint64(c.slots))
+		got, want := newTable(c.slots), newEagerTable(c.slots)
+		var gctx, wctx click.Ctx
+		for i := 0; i < 20*c.slots; i++ {
+			key, size := tuple(uint32(r.Intn(c.flows))), 64+r.Intn(1400)
+			g, w := got.Update(&gctx, key, size), want.update(&wctx, key, size)
+			if *g != *w {
+				t.Fatalf("%d slots, update %d: record %+v, want %+v", c.slots, i, *g, *w)
+			}
+			if !slices.Equal(gctx.Ops, wctx.Ops) {
+				t.Fatalf("%d slots, update %d: ops %v, want %v", c.slots, i, gctx.Ops, wctx.Ops)
+			}
+			gctx.Ops, wctx.Ops = gctx.Ops[:0], wctx.Ops[:0]
+			probe := tuple(uint32(r.Intn(c.flows)))
+			ge, gok := got.Get(probe)
+			if we, wok := want.get(probe); ge != we || gok != wok {
+				t.Fatalf("%d slots, after update %d: Get = %+v %v, want %+v %v", c.slots, i, ge, gok, we, wok)
+			}
+			if got.Taken() != want.occupied() {
+				t.Fatalf("%d slots, update %d: %d slots taken, want %d", c.slots, i, got.Taken(), want.occupied())
+			}
+		}
+		for i := range want.slots {
+			if e := got.slots.Get(i); (e == nil) != (want.slots[i].Packets == 0) || e != nil && *e != want.slots[i] {
+				t.Fatalf("%d slots: slot %d holds %v, want %+v", c.slots, i, e, want.slots[i])
+			}
+		}
+	}
+}
+
+// TestTableHostMemoryFollowsFlows: a paper-size table holds its slot
+// index and no record until a flow arrives, and then only records for
+// the flows it has seen.
+func TestTableHostMemoryFollowsFlows(t *testing.T) {
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	tb := newTable(100000)
+	stdruntime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4*131072+1024 {
+		t.Fatalf("a fresh 131 072-slot table allocated %d bytes, want at most 4 a slot + 1 KiB", n)
+	}
+	if tb.Taken() != 0 {
+		t.Fatalf("a fresh table holds %d records", tb.Taken())
+	}
+	var ctx click.Ctx
+	for i := uint32(0); i < 1000; i++ {
+		tb.Update(&ctx, tuple(i), 64)
+		ctx.Ops = ctx.Ops[:0]
+	}
+	if tb.Taken() != 1000 {
+		t.Fatalf("1000 distinct flows took %d slots", tb.Taken())
 	}
 }
