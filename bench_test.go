@@ -1,23 +1,14 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation, plus ablations over the hardware model's design choices.
-// Each benchmark prints the reproduced rows/series through b.Log and
-// reports its headline quantity as a custom metric, so
-//
-//	go test -bench=. -benchmem
-//
-// regenerates the full evaluation. Figure benchmarks share one predictor:
-// its memoised solo profiles, sweeps, and co-run measurements mirror how
-// an operator reuses offline profiles, and keep the suite's runtime
-// bounded.
+// Benchmarks of the concurrent runtime's scaling, plus ablations over the
+// hardware model's design choices. The paper's evaluation itself is
+// regenerated by go run ./cmd/pktbench -exp all and pinned, at quick
+// scale, by the internal/exp CSV goldens.
 package pktpredict_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"pktpredict/internal/apps"
-	"pktpredict/internal/core"
 	"pktpredict/internal/exp"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/runtime"
@@ -34,211 +25,21 @@ func benchScale() exp.Scale {
 	return s
 }
 
-var (
-	benchOnce sync.Once
-	benchPred *core.Predictor
-)
-
-func benchSetup(b *testing.B) *core.Predictor {
-	b.Helper()
-	benchOnce.Do(func() { benchPred = benchScale().NewPredictor() })
-	return benchPred
-}
-
-func BenchmarkTable1(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable1(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig2(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig2(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			max := res.MaxDrop()
-			b.ReportMetric(max.Drop*100, "max_drop_%")
-			b.ReportMetric(res.Average[apps.MON]*100, "mon_avg_drop_%")
-		}
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	p := benchSetup(b)
-	// Two targets keep the 3-mode ramp suite bounded; run cmd/pktbench
-	// -exp fig4 for all five types.
-	targets := []apps.FlowType{apps.MON, apps.FW}
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig4(p, targets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			cache, _ := res.Get(apps.MON, core.CacheOnly)
-			mem, _ := res.Get(apps.MON, core.MemCtrlOnly)
-			b.ReportMetric(cache.MaxDrop()*100, "mon_cache_only_max_%")
-			b.ReportMetric(mem.MaxDrop()*100, "mon_memctrl_only_max_%")
-		}
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig5(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			b.ReportMetric(res.MaxDeviation()*100, "max_deviation_%")
-			b.ReportMetric(res.MeanDeviation()*100, "mean_deviation_%")
-		}
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-		}
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig7(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			last := res.Points[len(res.Points)-1]
-			b.ReportMetric(last.Measured*100, "max_conversion_%")
-			b.ReportMetric(last.PerFunc["flow_statistics"]*100, "flow_statistics_conv_%")
-			b.ReportMetric(last.PerFunc["skb_recycle"]*100, "skb_recycle_conv_%")
-		}
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig8(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			b.ReportMetric(res.MaxAbsError*100, "worst_error_%")
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig9(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			b.ReportMetric(res.MaxError*100, "worst_error_%")
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	p := benchSetup(b)
-	combos := []exp.Fig10Combo{}
-	for _, c := range exp.DefaultCombos() {
-		switch c.Label {
-		case "6MON+6FW", "6MON+6RE", "6SYNMAX+6FW":
-			combos = append(combos, c)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig10(p, combos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			realistic, _ := res.MaxGain(false)
-			synthetic, _ := res.MaxGain(true)
-			b.ReportMetric(realistic*100, "realistic_gain_%")
-			b.ReportMetric(synthetic*100, "synthetic_gain_%")
-		}
-	}
-}
-
-func BenchmarkThrottle(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunThrottle(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			b.ReportMetric(res.VictimProtection()*100, "victim_protection_%")
-			b.ReportMetric(res.PeakUncontained()/1e6, "aggr_peak_Mrefs")
-		}
-	}
-}
-
-func BenchmarkPipelineVsParallel(b *testing.B) {
-	p := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunPipeline(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res.Table().String())
-			for _, row := range res.Rows {
-				if row.Workload == "MON" {
-					b.ReportMetric(row.ParallelPktsPerSec/row.PipelinePktsPerSec, "mon_parallel_speedup_x")
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkRuntime scales the concurrent dataplane across worker counts
 // so scaling regressions are visible: each sub-benchmark executes a
 // saturating IP-forwarding mix on 1, 2, 4, and 8 workers (8 spans both
 // sockets) for a fixed virtual window and reports aggregate packets per
 // virtual second plus host-time cost per simulated packet.
 func BenchmarkRuntime(b *testing.B) {
-	p := benchSetup(b)
+	s := benchScale()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var total uint64
 			var virtSec float64
 			for i := 0; i < b.N; i++ {
 				cfg := runtime.Config{
-					Cfg:      p.Cfg,
-					Params:   p.Params,
+					Cfg:      s.Cfg,
+					Params:   s.Params,
 					Apps:     []runtime.AppSpec{{Name: "ipfwd", Type: apps.IP, Workers: workers}},
 					Warmup:   0.001,
 					Scenario: fmt.Sprintf("bench-%d", workers),

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -145,5 +146,28 @@ func TestSchedPrintsFigure10b(t *testing.T) {
 	}
 	if !strings.Contains(got, "\ngreedy heuristic: ") {
 		t.Errorf("no greedy line:\n%s", got)
+	}
+}
+
+// TestEveryFigureHasAGolden: the internal/exp CSV goldens are the one
+// check on the figures' numbers, so every -exp name must have a
+// non-empty quick-scale golden — a new figure cannot ship unchecked —
+// and -exp NAME -csv must print the golden under pktbench's one header
+// line, so that -exp all's CSV is the goldens, concatenated in
+// figureTable order, each under its "# NAME (quick scale)" line.
+func TestEveryFigureHasAGolden(t *testing.T) {
+	golden := func(name string) string {
+		b, err := os.ReadFile("../../internal/exp/testdata/" + name + "_quick.csv")
+		if err != nil || len(b) == 0 {
+			t.Errorf("-exp %s has no quick-scale golden: %d bytes, %v", name, len(b), err)
+		}
+		return string(b)
+	}
+	for _, f := range figureTable {
+		golden(f.name)
+	}
+	want := "# table1 (quick scale)\n" + golden("table1")
+	if got := (row{args: []string{"-exp", "table1", "-scale", "quick", "-csv"}}).check(t); got != want {
+		t.Fatalf("-exp table1 -scale quick -csv printed\n%s\nwant\n%s", got, want)
 	}
 }
