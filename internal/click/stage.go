@@ -126,8 +126,6 @@ type StageRunner struct {
 	ctx   Ctx
 	stack []*Node
 
-	Received   uint64 // packets entering this stage
-	Handed     uint64 // packets passed on to the next stage
 	Finished   uint64 // packets whose walk ended here with a completed branch
 	Dropped    uint64 // packets whose walk ended here with no completed branch
 	CutDropped uint64 // branches lost because the packet had already been handed off
@@ -153,7 +151,7 @@ func (sr *StageRunner) Stage() int { return sr.stage }
 
 // Reset zeroes the runner's packet counters (measurement-window start).
 func (sr *StageRunner) Reset() {
-	sr.Received, sr.Handed, sr.Finished, sr.Dropped, sr.CutDropped = 0, 0, 0, 0, 0
+	sr.Finished, sr.Dropped, sr.CutDropped = 0, 0, 0
 }
 
 // Walk runs p through the runner's stage starting at node index entry
@@ -173,7 +171,6 @@ func (sr *StageRunner) Reset() {
 // reaches the cut (a Tee broadcasting across it), that branch is lost
 // and counted in CutDropped.
 func (sr *StageRunner) Walk(p *Packet, entry int, priorFinished bool) (next int, finished bool) {
-	sr.Received++
 	res := walkResult{finished: 1} // bare source (entry -1): done at pull, as EmitPacket counts it
 	if entry >= 0 {
 		var stack []*Node
@@ -183,7 +180,6 @@ func (sr *StageRunner) Walk(p *Packet, entry int, priorFinished bool) (next int,
 	sr.CutDropped += uint64(res.extraCross)
 	finished = priorFinished || res.finished > 0
 	if res.handoff != nil {
-		sr.Handed++
 		next, ok := sr.pl.idx[res.handoff]
 		if !ok {
 			panic(fmt.Sprintf("click: pipeline %q restructured after AssignStages", sr.pl.Name))

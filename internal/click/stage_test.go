@@ -139,18 +139,16 @@ func TestStageRunnersHandAcrossCut(t *testing.T) {
 	if handed == 0 || terminal == 0 {
 		t.Fatalf("classifier split degenerate: handed %d, local terminals %d", handed, terminal)
 	}
-	if sr0.Received != count || sr0.Handed != uint64(handed) || sr0.Dropped != uint64(terminal) {
-		t.Fatalf("stage-0 counters: %+v (handed %d, terminal %d)", *sr0, handed, terminal)
+	// Every packet stage 0 did not hand on ended its walk there.
+	if handed+terminal != count || sr0.Finished != 0 || sr0.Dropped != uint64(terminal) {
+		t.Fatalf("stage-0 counters: %+v (handed %d, terminal %d of %d)", *sr0, handed, terminal, count)
 	}
-	if sr1.Received != uint64(handed) || sr1.Finished != uint64(handed) || sr1.Dropped != 0 {
-		t.Fatalf("stage-1 counters: received %d finished %d dropped %d, want %d/%d/0",
-			sr1.Received, sr1.Finished, sr1.Dropped, handed, handed)
+	if sr1.Finished != uint64(handed) || sr1.Dropped != 0 {
+		t.Fatalf("stage-1 counters: finished %d dropped %d, want %d/0", sr1.Finished, sr1.Dropped, handed)
 	}
 	// Chain-level conservation: every packet reached exactly one terminal.
-	entered := sr0.Received
-	terminals := sr0.Finished + sr0.Dropped + sr1.Finished + sr1.Dropped
-	if entered != terminals {
-		t.Fatalf("conservation: %d entered, %d terminals", entered, terminals)
+	if terminals := sr0.Finished + sr0.Dropped + sr1.Finished + sr1.Dropped; terminals != count {
+		t.Fatalf("conservation: %d entered, %d terminals", count, terminals)
 	}
 }
 
@@ -193,8 +191,9 @@ func TestStageWalkHandsOffAtMostOnce(t *testing.T) {
 	if sr0.CutDropped != 3 {
 		t.Fatalf("CutDropped = %d, want 3 (one lost branch per packet)", sr0.CutDropped)
 	}
-	if sr0.Handed != 3 || sr1.Finished != 3 {
-		t.Fatalf("handed %d finished %d, want 3/3", sr0.Handed, sr1.Finished)
+	// Every walk handed off, so stage 0 ended none and stage 1 all three.
+	if sr0.Finished+sr0.Dropped != 0 || sr1.Finished != 3 {
+		t.Fatalf("stage 0 ended %d walks, stage 1 finished %d, want 0/3", sr0.Finished+sr0.Dropped, sr1.Finished)
 	}
 }
 

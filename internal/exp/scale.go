@@ -14,8 +14,8 @@
 // Drivers measure co-runs only through it — Figure 4's ramps are its
 // curves under core.Modes' three placements, §2.2's parallel pair a
 // MeasureMix — so every point fans out and is measured once; the
-// throttling loop's live engine and §2.2's cut stages, which are not
-// flow lists, are the only engines a driver builds itself.
+// throttle builds through core.Scenario too, so §2.2's cut stages, not a
+// flow list, are the only engine a driver builds itself (completionRate).
 //
 // Every result renders through one method, Table: its columns are the
 // figure's CSV columns and its notes carry what the rows alone do not

@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"math"
 	stdruntime "runtime"
 	"slices"
 	"testing"
@@ -306,14 +307,21 @@ func TestUpdateMatchesEagerTable(t *testing.T) {
 
 // TestTableHostMemoryFollowsFlows: a paper-size table holds its slot
 // index and no record until a flow arrives, and then only records for
-// the flows it has seen.
+// the flows it has seen. TotalAlloc is process-wide, so the bound is on
+// the smallest of several builds: a stray runtime allocation does not
+// land in every one, an eager record array would.
 func TestTableHostMemoryFollowsFlows(t *testing.T) {
 	var before, after stdruntime.MemStats
-	stdruntime.ReadMemStats(&before)
-	tb := newTable(100000)
-	stdruntime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4*131072+1024 {
-		t.Fatalf("a fresh 131 072-slot table allocated %d bytes, want at most 4 a slot + 1 KiB", n)
+	var tb *Table
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		stdruntime.ReadMemStats(&before)
+		tb = newTable(100000)
+		stdruntime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4*131072+1024 {
+		t.Fatalf("a fresh 131 072-slot table allocated at least %d bytes in each of 5 builds, want at most 4 a slot + 1 KiB", least)
 	}
 	if tb.Taken() != 0 {
 		t.Fatalf("a fresh table holds %d records", tb.Taken())

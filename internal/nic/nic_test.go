@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"math"
 	goruntime "runtime"
 	"slices"
 	"testing"
@@ -207,18 +208,30 @@ func TestBufferPoolAllocatesOnce(t *testing.T) {
 
 // TestReservedPoolHoldsNoHostMemory: NewBufferPool takes the eager
 // oracle's simulated extents and no host buffers; a run that keeps one
-// buffer live holds host bytes for one chunk only.
+// buffer live holds host bytes for one chunk only. TotalAlloc is
+// process-wide, so the construction bound is on the smallest of several
+// tries: a stray runtime allocation does not land in every one, an eager
+// slab would.
 func TestReservedPoolHoldsNoHostMemory(t *testing.T) {
-	const count, bufSize = 4096, 2048
-	ea, la := mem.NewArena(0), mem.NewArena(0)
+	const count, bufSize, tries = 4096, 2048, 5
+	ea := mem.NewArena(0)
 	newEagerPool(ea, count, bufSize)
+	var la *mem.Arena
+	var bp *BufferPool
+	least := uint64(math.MaxUint64)
 	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	bp := NewBufferPool(la, count, bufSize)
-	goruntime.ReadMemStats(&after)
-	if bp.chunks != nil || bp.returned != nil || after.TotalAlloc-before.TotalAlloc > 4<<10 {
-		t.Fatalf("new pool holds %d chunks, %d returned slots and took %d host bytes, want none",
-			len(bp.chunks), cap(bp.returned), after.TotalAlloc-before.TotalAlloc)
+	for range tries {
+		la = mem.NewArena(0)
+		goruntime.ReadMemStats(&before)
+		bp = NewBufferPool(la, count, bufSize)
+		goruntime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if bp.chunks != nil || bp.returned != nil {
+			t.Fatalf("new pool holds %d chunks and %d returned slots, want none", len(bp.chunks), cap(bp.returned))
+		}
+	}
+	if least > 4<<10 {
+		t.Fatalf("new pool took at least %d host bytes in each of %d tries, want none", least, tries)
 	}
 	if !slices.Equal(ea.Bindings(), la.Bindings()) || ea.Alloc(64, 64) != la.Alloc(64, 64) {
 		t.Fatalf("arena extents differ: eager %v, lazy %v", ea.Bindings(), la.Bindings())

@@ -25,16 +25,11 @@ type FamilySnapshot struct {
 	Series []SeriesSnapshot `json:"series"`
 }
 
-// SeriesSnapshot is one label combination's snapshot. Value carries a
-// counter's count or a gauge's level; histograms fill Buckets (cumulative
-// counts per upper bound, +Inf last), Sum, and Count instead.
+// SeriesSnapshot is one label combination's snapshot: Value carries a
+// counter's count or a gauge's level.
 type SeriesSnapshot struct {
-	LabelValues []string  `json:"label_values,omitempty"`
-	Value       float64   `json:"value"`
-	Bounds      []float64 `json:"bounds,omitempty"`
-	Buckets     []uint64  `json:"buckets,omitempty"`
-	Sum         float64   `json:"sum,omitempty"`
-	Count       uint64    `json:"count,omitempty"`
+	LabelValues []string `json:"label_values,omitempty"`
+	Value       float64  `json:"value"`
 }
 
 // Snapshot copies every series' current value.
@@ -56,16 +51,6 @@ func (r *Registry) Snapshot() Snapshot {
 				ss.Value = float64(s.counter.Value())
 			case KindGauge:
 				ss.Value = s.gauge.Value()
-			case KindHistogram:
-				ss.Bounds = f.buckets
-				ss.Buckets = make([]uint64, len(s.hist.counts))
-				cum := uint64(0)
-				for i := range s.hist.counts {
-					cum += s.hist.counts[i].Load()
-					ss.Buckets[i] = cum
-				}
-				ss.Sum = s.hist.Sum()
-				ss.Count = s.hist.Count()
 			}
 			fs.Series = append(fs.Series, ss)
 		}
@@ -76,7 +61,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): # HELP / # TYPE headers, one sample line per
-// series, histogram _bucket/_sum/_count expansion.
+// series.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	for _, f := range s.Families {
@@ -85,22 +70,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
 		for _, ss := range f.Series {
-			switch f.Kind {
-			case KindHistogram:
-				cum := uint64(0)
-				for i, c := range ss.Buckets {
-					cum = c
-					le := "+Inf"
-					if i < len(ss.Bounds) {
-						le = formatFloat(ss.Bounds[i])
-					}
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, labelSet(f.Labels, ss.LabelValues, "le", le), cum)
-				}
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, labelSet(f.Labels, ss.LabelValues), formatFloat(ss.Sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, labelSet(f.Labels, ss.LabelValues), ss.Count)
-			default:
-				fmt.Fprintf(&b, "%s%s %s\n", f.Name, labelSet(f.Labels, ss.LabelValues), formatFloat(ss.Value))
-			}
+			fmt.Fprintf(&b, "%s%s %s\n", f.Name, labelSet(f.Labels, ss.LabelValues), formatFloat(ss.Value))
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -115,34 +85,26 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// labelSet renders {k="v",...} from parallel name/value slices plus
-// optional extra pairs; it renders nothing when there are no labels.
-func labelSet(names, values []string, extra ...string) string {
-	if len(names) == 0 && len(extra) == 0 {
+// labelSet renders {k="v",...} from parallel name/value slices; it
+// renders nothing when there are no labels.
+func labelSet(names, values []string) string {
+	if len(names) == 0 {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteByte('{')
-	first := true
-	emit := func(k, v string) {
-		if !first {
+	for i, n := range names {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		first = false
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(v))
-		b.WriteByte('"')
-	}
-	for i, n := range names {
 		v := ""
 		if i < len(values) {
 			v = values[i]
 		}
-		emit(n, v)
-	}
-	for i := 0; i+1 < len(extra); i += 2 {
-		emit(extra[i], extra[i+1])
+		b.WriteString(n)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(v))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()

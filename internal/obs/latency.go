@@ -15,11 +15,10 @@ import (
 // drive SLO decisions: a p99 estimate cannot be off by more than one
 // bucket's width.
 //
-// Unlike the registry's atomic Histogram, LatHist is a plain value with
-// no internal synchronisation: the runtime keeps one shard per worker
-// (single writer, written only from that worker's goroutine) and merges
-// shards at quantum barriers, the same ownership discipline as
-// hw.ElemCell. Observe is a few integer ops and never allocates.
+// LatHist is a plain value with no internal synchronisation: the runtime
+// keeps one shard per stage (single writer, written only from the
+// goroutine of the worker running it) and merges shards at control
+// barriers, the same ownership discipline as hw.ElemCell. Observe is a few integer ops and never allocates.
 type LatHist struct {
 	counts [latBuckets]uint64
 	sum    uint64

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines while a
@@ -64,12 +63,11 @@ type nonMonotonicErr struct{ last, v float64 }
 
 func (e *nonMonotonicErr) Error() string { return "snapshot went backwards" }
 
-// TestGaugeHistogramConcurrent exercises gauge Set and histogram Observe
-// from concurrent writers with a concurrent snapshotter.
-func TestGaugeHistogramConcurrent(t *testing.T) {
+// TestGaugeConcurrent exercises gauge Set from concurrent writers with
+// a concurrent snapshotter.
+func TestGaugeConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("test_gauge", "t").With()
-	h := reg.Histogram("test_hist", "t", []float64{1, 2, 4}).With()
 	const writers, perWriter = 8, 5000
 
 	stop := make(chan struct{})
@@ -94,7 +92,6 @@ func TestGaugeHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perWriter; j++ {
 				g.Set(float64(i*perWriter + j))
-				h.Observe(float64(j % 5))
 			}
 		}()
 	}
@@ -105,13 +102,6 @@ func TestGaugeHistogramConcurrent(t *testing.T) {
 	// The gauge holds some writer's last Set, never a torn mix of two.
 	if got := g.Value(); got != math.Trunc(got) || int(got)%perWriter != perWriter-1 || got >= writers*perWriter {
 		t.Fatalf("gauge = %g, not any writer's last value", got)
-	}
-	if got := h.Count(); got != writers*perWriter {
-		t.Fatalf("histogram count = %d, want %d", got, writers*perWriter)
-	}
-	wantSum := float64(writers) * perWriter / 5 * (0 + 1 + 2 + 3 + 4)
-	if math.Abs(h.Sum()-wantSum) > 1e-6 {
-		t.Fatalf("histogram sum = %g, want %g", h.Sum(), wantSum)
 	}
 }
 
@@ -130,17 +120,6 @@ func TestVecReuse(t *testing.T) {
 	}
 }
 
-// Counter and Gauge cells each own a full cache line, so per-worker
-// series written from different cores never false-share.
-func TestCellsAreOneCacheLine(t *testing.T) {
-	if s := unsafe.Sizeof(Counter{}); s != 64 {
-		t.Errorf("Counter is %d bytes, want 64", s)
-	}
-	if s := unsafe.Sizeof(Gauge{}); s != 64 {
-		t.Errorf("Gauge is %d bytes, want 64", s)
-	}
-}
-
 // TestRegistrationRules: names and label names are lower-case
 // Prometheus identifiers, and a name ends in _total exactly when it is a
 // counter's. A registration that breaks a rule panics at setup time.
@@ -149,9 +128,6 @@ func TestRegistrationRules(t *testing.T) {
 		return func(r *Registry) { r.Counter(name, "h", labels...) }
 	}
 	gauge := func(name string) func(*Registry) { return func(r *Registry) { r.Gauge(name, "h") } }
-	hist := func(name string) func(*Registry) {
-		return func(r *Registry) { r.Histogram(name, "h", []float64{1}) }
-	}
 	for _, tc := range []struct {
 		name   string
 		reg    func(*Registry)
@@ -159,10 +135,8 @@ func TestRegistrationRules(t *testing.T) {
 	}{
 		{"counter drops_total", counter("drops_total", "worker"), false},
 		{"gauge queue_depth", gauge("queue_depth"), false},
-		{"histogram batch_fill", hist("batch_fill"), false},
 		{"counter foo", counter("foo"), true},
 		{"gauge busy_total", gauge("busy_total"), true},
-		{"histogram lat_total", hist("lat_total"), true},
 		{"name Bad_total", counter("Bad_total"), true},
 		{"label Bad-Label", counter("ok_total", "Bad-Label"), true},
 	} {
@@ -178,14 +152,11 @@ func TestRegistrationRules(t *testing.T) {
 }
 
 // TestPrometheusExposition locks the text format: HELP/TYPE headers,
-// label rendering and escaping, histogram bucket expansion.
+// label rendering and escaping.
 func TestPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dp_packets_total", "packets processed", "worker", "app").With("0", `na"t`).Add(7)
 	reg.Gauge("dp_ring_fill", "ring occupancy fraction").With().Set(0.5)
-	h := reg.Histogram("dp_batch", "batch fill", []float64{1, 8, 32}).With()
-	h.Observe(1)
-	h.Observe(9)
 
 	var b strings.Builder
 	if err := reg.Snapshot().WritePrometheus(&b); err != nil {
@@ -198,13 +169,6 @@ func TestPrometheusExposition(t *testing.T) {
 		`dp_packets_total{worker="0",app="na\"t"} 7` + "\n",
 		"# TYPE dp_ring_fill gauge\n",
 		"dp_ring_fill 0.5\n",
-		"# TYPE dp_batch histogram\n",
-		`dp_batch_bucket{le="1"} 1` + "\n",
-		`dp_batch_bucket{le="8"} 1` + "\n",
-		`dp_batch_bucket{le="32"} 2` + "\n",
-		`dp_batch_bucket{le="+Inf"} 2` + "\n",
-		"dp_batch_sum 10\n",
-		"dp_batch_count 2\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -229,13 +193,5 @@ func BenchmarkGaugeSet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Set(float64(i))
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("c", "t", []float64{1, 2, 4, 8, 16, 32}, "w").With("0")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i & 31))
 	}
 }

@@ -1,9 +1,10 @@
 // Package obs is the dataplane's unified observability layer: a metrics
-// registry whose hot-path updates are single atomic operations (zero
-// allocations, so worker goroutines can publish from inside their packet
-// loops), snapshot-on-read exposition in Prometheus text and JSON,
-// packet-sampled chain tracing exported as Chrome trace-event JSON, and a
-// prediction-residual diagnoser.
+// registry of counters and gauges whose updates are single atomic
+// operations (zero allocations, so the runtime's control barrier
+// publishes a whole window without allocating), snapshot-on-read
+// exposition in Prometheus text and JSON, packet-sampled chain tracing
+// exported as Chrome trace-event JSON, and a prediction-residual
+// diagnoser.
 //
 // The paper's method is built on exactly this telemetry: per-core
 // hardware counters (cycles, L3 refs/hits, remote references) feed the
@@ -15,20 +16,18 @@
 // references), and per-stage packet traces whose virtual-time gaps are
 // the charged hand-off costs.
 //
-// Concurrency model: metric handles (Counter, Gauge, Histogram) are safe
-// for concurrent use; every update is a plain atomic on a cache-line
-// padded cell, so one writer per series (the per-worker sharding the
-// runtime uses) never contends and racy multi-writer use is still
-// correct. Vec lookup (With) locks and may allocate — resolve handles at
-// setup time, not on the hot path. Snapshots and exposition only read
-// atomics and can run while workers are mid-quantum, including under the
-// race detector.
+// Concurrency model: metric handles (Counter, Gauge) are safe for
+// concurrent use; every update is a plain atomic, so the runtime, which
+// writes every series from its control barrier, never blocks a scrape,
+// and multi-writer use is still correct. Vec lookup (With) locks and may
+// allocate — resolve handles at setup time, not per update. Snapshots
+// and exposition only read atomics and can run while workers are
+// mid-quantum, including under the race detector.
 package obs
 
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -38,9 +37,8 @@ type Kind string
 
 // Metric kinds, matching the Prometheus exposition TYPE names.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
 )
 
 var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -60,7 +58,6 @@ type family struct {
 	help       string
 	kind       Kind
 	labelNames []string
-	buckets    []float64 // histogram families only
 
 	mu     sync.Mutex
 	series []*series
@@ -73,7 +70,6 @@ type series struct {
 	labelValues []string
 	counter     *Counter
 	gauge       *Gauge
-	hist        *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -85,7 +81,7 @@ func NewRegistry() *Registry {
 // agrees on kind and label names (a programming error otherwise). Names
 // and label names are lower-case Prometheus identifiers, and a name ends
 // in _total exactly when it is a counter's, which rate() queries rely on.
-func (r *Registry) register(name, help string, kind Kind, buckets []float64, labelNames []string) *family {
+func (r *Registry) register(name, help string, kind Kind, labelNames []string) *family {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -108,7 +104,6 @@ func (r *Registry) register(name, help string, kind Kind, buckets []float64, lab
 	f := &family{
 		name: name, help: help, kind: kind,
 		labelNames: append([]string(nil), labelNames...),
-		buckets:    buckets,
 		byKey:      map[string]*series{},
 	}
 	r.families = append(r.families, f)
@@ -148,8 +143,6 @@ func (f *family) seriesFor(values []string) *series {
 		s.counter = &Counter{}
 	case KindGauge:
 		s.gauge = &Gauge{}
-	case KindHistogram:
-		s.hist = newHistogram(f.buckets)
 	}
 	f.series = append(f.series, s)
 	f.byKey[key] = s
@@ -158,24 +151,12 @@ func (f *family) seriesFor(values []string) *series {
 
 // Counter registers (or fetches) a counter family and returns its vec.
 func (r *Registry) Counter(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, KindCounter, nil, labelNames)}
+	return &CounterVec{r.register(name, help, KindCounter, labelNames)}
 }
 
 // Gauge registers (or fetches) a gauge family and returns its vec.
 func (r *Registry) Gauge(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, nil, labelNames)}
-}
-
-// Histogram registers (or fetches) a histogram family with the given
-// upper bucket bounds (sorted ascending; a +Inf bucket is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if len(buckets) == 0 {
-		panic(fmt.Sprintf("obs: histogram %s needs at least one bucket bound", name))
-	}
-	if !sort.Float64sAreSorted(buckets) {
-		panic(fmt.Sprintf("obs: histogram %s bucket bounds must be sorted", name))
-	}
-	return &HistogramVec{r.register(name, help, KindHistogram, append([]float64(nil), buckets...), labelNames)}
+	return &GaugeVec{r.register(name, help, KindGauge, labelNames)}
 }
 
 // CounterVec resolves label tuples to Counter handles.
@@ -194,13 +175,4 @@ type GaugeVec struct{ f *family }
 // first use. Setup path: locks and may allocate.
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.seriesFor(labelValues).gauge
-}
-
-// HistogramVec resolves label tuples to Histogram handles.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values, creating it on
-// first use. Setup path: locks and may allocate.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.seriesFor(labelValues).hist
 }

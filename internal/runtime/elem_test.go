@@ -263,9 +263,9 @@ func TestMetricNameConventions(t *testing.T) {
 			if !total {
 				t.Errorf("counter %q must end in _total", f.Name)
 			}
-		case obs.KindGauge, obs.KindHistogram:
+		case obs.KindGauge:
 			if total {
-				t.Errorf("%s %q must not end in _total", f.Kind, f.Name)
+				t.Errorf("gauge %q must not end in _total", f.Name)
 			}
 		default:
 			t.Errorf("family %q has unknown kind %q", f.Name, f.Kind)

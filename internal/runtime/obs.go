@@ -8,13 +8,12 @@ import (
 )
 
 // Observability glue: when Config.Metrics is set, the runtime publishes
-// its telemetry into an obs.Registry — worker hot-path counters updated
-// from inside the packet loop (single atomic adds, no allocations), and
-// control-window gauges/counters written at barriers from the same
-// counter deltas the predictor consumes. When Config.TraceSample is set,
-// staged chains tag one in N packets with a trace ID that rides the
-// hand-off descriptors; every stage records its exec span in virtual
-// time, exported as Chrome trace-event JSON (Runtime.Tracer).
+// its telemetry into an obs.Registry at control barriers, every family
+// from the same window deltas the predictor consumes; no worker writes a
+// registry handle. When Config.TraceSample is set, staged chains tag one
+// in N packets with a trace ID that rides the hand-off descriptors;
+// every stage records its exec span in virtual time, exported as Chrome
+// trace-event JSON (Runtime.Tracer).
 //
 // The control loop also maintains the prediction-residual time series:
 // each window, each profiled app's observed drop is compared against the
@@ -68,14 +67,16 @@ func addCounters[S any](rows []counterRow[S], hs []*obs.Counter, s S) {
 
 // rtObs holds the runtime's metric families and resolved handles. Every
 // With lookup happens at build time or in worker.bind (a swap at a
-// barrier); workers and the control loop only touch resolved handles.
+// barrier); the control loop only touches resolved handles, and workers
+// none.
 type rtObs struct {
-	workerRows []gaugeRow[*WorkerTelemetry]
-	appRows    []counterRow[*appMark]
-	residRows  []gaugeRow[*obs.Residual]
-	cutRows    []counterRow[*stageMark]
-	elemCRows  []counterRow[elemWindow]
-	elemGRows  []gaugeRow[elemWindow]
+	workerCRows []counterRow[*workerMark]
+	workerRows  []gaugeRow[*WorkerTelemetry]
+	appRows     []counterRow[*appMark]
+	residRows   []gaugeRow[*obs.Residual]
+	cutRows     []counterRow[*stageMark]
+	elemCRows   []counterRow[elemWindow]
+	elemGRows   []gaugeRow[elemWindow]
 
 	// binding is the worker→app info gauge, so a scraper can join worker
 	// series to apps across live migrations.
@@ -88,8 +89,10 @@ type rtObs struct {
 }
 
 type workerHandles struct {
-	gauges []*obs.Gauge   // by workerRows
-	hw     []*obs.Counter // in hw.Counters.Each order
+	counters []*obs.Counter // by workerCRows
+	spins    *obs.Counter
+	gauges   []*obs.Gauge   // by workerRows
+	hw       []*obs.Counter // in hw.Counters.Each order
 }
 
 type appHandles struct {
@@ -127,20 +130,6 @@ type elemWindow struct {
 	pkts  uint64 // packets the flow processed this window
 }
 
-// batchBuckets derives the batch-fill histogram's buckets from the
-// worker burst: {0, 1} then powers of two up to and including the burst
-// itself, so the top bucket always equals the largest possible fill.
-func batchBuckets(batch int) []float64 {
-	buckets := []float64{0, 1}
-	for b := 2; b < batch; b <<= 1 {
-		buckets = append(buckets, float64(b))
-	}
-	if batch > 1 {
-		buckets = append(buckets, float64(batch))
-	}
-	return buckets
-}
-
 // residualCauses is the label universe of the cause info gauge.
 var residualCauses = []obs.Cause{
 	obs.CauseNone, obs.CauseProfileDrift, obs.CauseNUMA, obs.CauseRing,
@@ -163,17 +152,21 @@ func (f *flow) elemName(i int) string {
 
 // newRtObs registers every metric family (docs/observability.md lists
 // them in this order) and resolves the handles of this runtime's workers,
-// apps and cuts; the binding-scoped ones follow in bind. It also hands
-// each worker its hot-path handles, which count from process start; every
-// family published at a barrier counts from measurement start.
+// apps and cuts; the binding-scoped ones follow in bind. Every family
+// counts from measurement start.
 func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 	m := &rtObs{}
-	packets := reg.Counter("dataplane_worker_packets_total",
-		"packets fully processed, incremented from the worker hot path", "worker")
-	batch := reg.Histogram("dataplane_worker_batch_fill",
-		"packets per ring poll (batch occupancy)", batchBuckets(r.cfg.burst()), "worker")
-	clipped := reg.Counter("dataplane_worker_batch_clipped_total",
-		"batch polls cut short by the quantum boundary, excluded from batch_fill", "worker")
+	m.workerCRows = []counterRow[*workerMark]{
+		{reg.Counter("dataplane_worker_packets_total", "packets whose trace the worker executed", "worker"),
+			func(d *workerMark) uint64 { return d.packets }},
+		{reg.Counter("dataplane_worker_batch_polls_total", "occupancy-counted batch polls", "worker"),
+			func(d *workerMark) uint64 { return d.batchCnt }},
+		{reg.Counter("dataplane_worker_batch_filled_total", "packets drained by occupancy-counted batch polls", "worker"),
+			func(d *workerMark) uint64 { return d.batchSum }},
+		{reg.Counter("dataplane_worker_batch_clipped_total",
+			"batch polls cut short by the quantum boundary, excluded from batch_polls", "worker"),
+			func(d *workerMark) uint64 { return d.clipped }},
+	}
 	spins := reg.Counter("dataplane_worker_spin_polls_total",
 		"hand-off ring spin-wait iterations charged by this worker", "worker")
 	m.workerRows = []gaugeRow[*WorkerTelemetry]{
@@ -205,10 +198,10 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 	}
 	hwTotals := reg.Counter("dataplane_worker_hw_total",
 		"per-core hardware counter totals since measurement start", "worker", "counter")
-	for i, w := range r.workers {
+	for i := range r.workers {
 		id := fmt.Sprint(i)
-		w.mPackets, w.mBatch, w.mClipped, w.mSpins = packets.With(id), batch.With(id), clipped.With(id), spins.With(id)
-		wh := workerHandles{gauges: resolveGauges(m.workerRows, id)}
+		wh := workerHandles{counters: resolveCounters(m.workerCRows, id), spins: spins.With(id),
+			gauges: resolveGauges(m.workerRows, id)}
 		hw.Counters{}.Each(func(name string, _ uint64) { wh.hw = append(wh.hw, hwTotals.With(id, name)) })
 		m.workers = append(m.workers, wh)
 	}
@@ -339,6 +332,16 @@ func (m *rtObs) bind(w *worker) {
 func (m *rtObs) publish(r *Runtime, win *window) {
 	for i := range win.sample.Workers {
 		t, wh := &win.sample.Workers[i], &m.workers[i]
+		addCounters(m.workerCRows, wh.counters, &win.d.workers[i])
+		// A stage spins on its out ring when it is full and on its in
+		// ring, the previous stage's out ring, when it is empty.
+		u := r.workers[i].unit
+		sm := win.d.flows[u.fl.id].stages
+		spins := sm[u.index].pushPolls
+		if u.index > 0 {
+			spins += sm[u.index-1].popPolls
+		}
+		wh.spins.Add(spins)
 		setGauges(m.workerRows, wh.gauges, t)
 		j := 0
 		win.d.workers[i].counters.Each(func(_ string, v uint64) {

@@ -16,7 +16,7 @@ import (
 // TestRuntimeMetricsScrapeMidRun scrapes the exposition endpoint while
 // the dataplane is running (workers mid-quantum) and checks the page
 // carries the runtime's families. Run under -race this also proves the
-// hot-path publication and the snapshot reader do not race.
+// barrier's publication and the snapshot reader do not race.
 func TestRuntimeMetricsScrapeMidRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig([]AppSpec{
@@ -74,7 +74,8 @@ func TestRuntimeMetricsScrapeMidRun(t *testing.T) {
 	final := string(scrape("/metrics"))
 	for _, want := range []string{
 		"# TYPE dataplane_worker_packets_total counter",
-		"# TYPE dataplane_worker_batch_fill histogram",
+		"# TYPE dataplane_worker_batch_polls_total counter",
+		"# TYPE dataplane_worker_batch_filled_total counter",
 		"# TYPE dataplane_worker_pps gauge",
 		`dataplane_worker_packets_total{worker="0"}`,
 		`dataplane_worker_hw_total{worker="0",counter="l3_refs"}`,
@@ -106,13 +107,14 @@ func TestRuntimeMetricsScrapeMidRun(t *testing.T) {
 			packets += s.Value
 		}
 	}
-	// The counter includes warmup packets; the report excludes them.
+	// The counter is published at barriers from measurement start, the
+	// interval the report covers.
 	var total uint64
 	for _, w := range rep.Workers {
 		total += w.TotalPackets
 	}
-	if uint64(packets) < total {
-		t.Fatalf("packet counter %v below reported total %d", packets, total)
+	if uint64(packets) != total {
+		t.Fatalf("packet counter %v, want the reported total %d", packets, total)
 	}
 }
 

@@ -167,9 +167,8 @@ type Config struct {
 	// Scenario names the run in reports.
 	Scenario string
 
-	// Metrics, when non-nil, is the registry the runtime publishes into:
-	// per-packet worker counters from the hot path (single atomic adds),
-	// control-window telemetry at barriers. An HTTP endpoint scraping the
+	// Metrics, when non-nil, is the registry the runtime publishes every
+	// control window into, at the barrier. An HTTP endpoint scraping the
 	// registry (obs.Serve) can read concurrently with the run.
 	Metrics *obs.Registry
 	// TraceSample, when positive, samples one in N packets entering each

@@ -206,9 +206,6 @@ func (u *stage) step(w *worker) stepResult {
 	// slot for; spin on the ring's state line instead.
 	if u.out != nil && u.out.Full() {
 		u.out.PollFull(ctx)
-		if w.mSpins != nil {
-			w.mSpins.Inc()
-		}
 		return stepResult{ops: ctx.Ops}
 	}
 
@@ -241,9 +238,6 @@ func (u *stage) step(w *worker) stepResult {
 		if !ok {
 			// The producer may deliver mid-quantum: spin, don't idle.
 			u.in.PollEmpty(ctx)
-			if w.mSpins != nil {
-				w.mSpins.Inc()
-			}
 			return stepResult{ops: ctx.Ops}
 		}
 		u.in.ChargeHeaderMiss(ctx, p)

@@ -117,15 +117,6 @@ type worker struct {
 	bindPackets uint64
 	bindClock   uint64
 
-	// Hot-path metric handles, resolved at build time (nil when no
-	// registry is configured): per-worker packet counter, batch-fill
-	// histogram, clipped-poll counter, and spin-poll counter — each
-	// update one atomic op.
-	mPackets *obs.Counter
-	mBatch   *obs.Histogram
-	mClipped *obs.Counter
-	mSpins   *obs.Counter
-
 	// Barrier-side handles whose labels name the bound stage, resolved by
 	// bind (obsm is nil when no registry is configured): the binding info
 	// gauge and, per table slot the stage executes, the element rows.
@@ -194,9 +185,6 @@ func (w *worker) poll(limit uint64) bool {
 				res.lat.Observe(w.core.Clock() - res.enq)
 			}
 			w.packets++
-			if w.mPackets != nil {
-				w.mPackets.Inc()
-			}
 			w.n++
 			return true
 		}
@@ -212,15 +200,9 @@ func (w *worker) poll(limit uint64) bool {
 		// available: its fill reflects the clock, not the ring, so it is
 		// counted apart instead of biasing occupancy low.
 		w.totClipped++
-		if w.mClipped != nil {
-			w.mClipped.Inc()
-		}
 	} else {
 		w.totBatchSum += uint64(n)
 		w.totBatchCnt++
-		if w.mBatch != nil {
-			w.mBatch.Observe(float64(n))
-		}
 	}
 	if !progressed {
 		w.core.AdvanceTo(limit)

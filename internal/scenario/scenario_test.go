@@ -492,8 +492,10 @@ func TestMigrateStateKnob(t *testing.T) {
 // model it must keep consistent — the modelled receive batch the cost
 // accounting amortises poll charges over (Params.RxBatch) and the burst
 // the runtime's workers drain per ring poll — and survives a render round
-// trip. The burst is read where an operator sees it: the top bound of
-// dataplane_worker_batch_fill, which saturated MON polls fill exactly.
+// trip. The burst is read where an operator sees it: the mean fill of
+// an occupancy-counted poll, dataplane_worker_batch_filled_total over
+// dataplane_worker_batch_polls_total, which saturated MON polls fill
+// exactly.
 func TestBatchKnob(t *testing.T) {
 	burst := func(cfg runtime.Config) float64 {
 		t.Helper()
@@ -506,19 +508,17 @@ func TestBatchKnob(t *testing.T) {
 		if _, err := r.Run(0.001); err != nil {
 			t.Fatal(err)
 		}
+		counts := map[string]float64{}
 		for _, f := range reg.Snapshot().Families {
-			if f.Name != "dataplane_worker_batch_fill" {
-				continue
+			for _, ss := range f.Series {
+				counts[f.Name] += ss.Value
 			}
-			ss := f.Series[0]
-			top, n := ss.Bounds[len(ss.Bounds)-1], len(ss.Buckets)
-			if full := ss.Buckets[n-2] - ss.Buckets[n-3]; full == 0 || ss.Buckets[n-1] != ss.Buckets[n-2] {
-				t.Fatalf("batch_fill %v over bounds %v: want polls that fill the top bound %v and none above", ss.Buckets, ss.Bounds, top)
-			}
-			return top
 		}
-		t.Fatal("no dataplane_worker_batch_fill family")
-		return 0
+		polls, filled := counts["dataplane_worker_batch_polls_total"], counts["dataplane_worker_batch_filled_total"]
+		if polls == 0 {
+			t.Fatalf("no occupancy-counted batch poll (%v filled)", filled)
+		}
+		return filled / polls
 	}
 	s, err := Parse(`
 		scenario :: Scenario(NAME b, BATCH 8);

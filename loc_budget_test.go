@@ -622,7 +622,8 @@ func (f importFunc) Import(path string) (*types.Package, error) { return f(path)
 
 // TestCountersAreRead is the read side of TestExportedFieldsAreWritten, with
 // type information. An exported field declared in a non-test file under
-// internal/ whose every non-test write is ++, --, += or -= is a tally: it
+// internal/ whose every non-test write is ++, --, += or -= is a tally (a
+// store of the literal 0 resets one and does not count as a write): it
 // must be read by non-test code — internal/, cmd/, examples/ or bench/ —
 // or be listed in lint/test-only-api.txt as "<pkg>.<Type>.<Field>++ <role>
 // <why>", checked both ways. A read is any other use of the field: a
@@ -725,7 +726,13 @@ func TestCountersAreRead(t *testing.T) {
 			case *ast.IncDecStmt:
 				write(n.X, true)
 			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
+				for i, e := range n.Lhs {
+					if sel, ok := e.(*ast.SelectorExpr); ok && fieldOf(sel) != nil && n.Tok == token.ASSIGN &&
+						len(n.Rhs) == len(n.Lhs) && isZeroLit(n.Rhs[i]) {
+						lvalues[sel] = true // a reset: neither a read nor an assignment
+						write(sel.X, false)
+						continue
+					}
 					write(e, n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN)
 				}
 			case *ast.RangeStmt:
@@ -804,6 +811,12 @@ func TestCountersAreRead(t *testing.T) {
 	for name := range listed {
 		t.Errorf("%s lists %s++, which is no longer a tally only tests read; delete the line", listFile, name)
 	}
+}
+
+// isZeroLit reports whether e is the integer literal 0.
+func isZeroLit(e ast.Expr) bool {
+	lit, ok := e.(*ast.BasicLit)
+	return ok && lit.Kind == token.INT && lit.Value == "0"
 }
 
 // knobRegistrars are the flag.FlagSet methods and flag package functions
