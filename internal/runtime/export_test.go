@@ -64,8 +64,8 @@ func CaptureWindows(cfg *Config) *Windows {
 var CheckGolden = checkGolden
 
 // InLine switches r to the barrier's in-line driver (see the package doc):
-// its quanta run on the calling goroutine, and the run is a pure function
-// of its configuration.
+// its sockets run one after another on the calling goroutine, and the run
+// is a pure function of its configuration.
 func (r *Runtime) InLine() { r.inline = true }
 
 // IntGolden is intGolden, for the external test package.

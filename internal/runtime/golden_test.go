@@ -70,9 +70,10 @@ func goldenConfigs() map[string]Config {
 }
 
 // TestOneWorkerGoldens runs each configuration under both barrier
-// drivers against the same file: with one worker there is nothing to
-// race, so the goroutine driver must reproduce the in-line one byte for
-// byte — the check on the driver production runs.
+// drivers against the same file: both step a socket by runSocket, so
+// they must agree byte for byte on everything the window publishes,
+// floats and exposition included, which the integer goldens of
+// TestInLineGoldens leave out.
 func TestOneWorkerGoldens(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -160,11 +161,18 @@ func goldenRun(t *testing.T, cfg Config, inline bool) []byte {
 	}
 	checkConservation(t, rep)
 	// The goldens predate the one window stream: the report then ended
-	// with the residual series, and a ring held the last sample.
+	// with the residual series, and a ring held the last sample. They
+	// predate AppReport's json tags too, so its rows render untagged.
 	section("report", struct {
-		*Report
-		Residuals []obs.Residual
-	}{rep, wins.Residuals})
+		Scenario       string
+		Duration       float64
+		Quanta         int
+		Workers        []WorkerReport
+		Apps           []any
+		Migrations     []Migration
+		ThrottleEvents int
+		Residuals      []obs.Residual
+	}{rep.Scenario, rep.Duration, rep.Quanta, rep.Workers, untagged(rep.Apps), rep.Migrations, rep.ThrottleEvents, wins.Residuals})
 	section("samples", wins.Samples)
 	section("window residuals", windows)
 	section("residuals", wins.Residuals)
@@ -175,6 +183,24 @@ func goldenRun(t *testing.T, cfg Config, inline bool) []byte {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// untagged returns each app report as a value of AppReport's fields
+// without their json tags, which encoding/json renders under the Go field
+// names and omits none of.
+func untagged(apps []AppReport) []any {
+	t := reflect.TypeFor[AppReport]()
+	fields := make([]reflect.StructField, t.NumField())
+	for i := range fields {
+		fields[i] = t.Field(i)
+		fields[i].Tag = ""
+	}
+	u := reflect.StructOf(fields)
+	out := make([]any, len(apps))
+	for i, a := range apps {
+		out[i] = reflect.ValueOf(a).Convert(u).Interface()
+	}
+	return out
 }
 
 // intGolden renders what a run left behind as integers only, one fact

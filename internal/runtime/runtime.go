@@ -19,21 +19,20 @@
 // architecture simulators use). Both replay ops through the same
 // interpreter in package hw, where shared cache state is serialised per
 // socket (hw.Core.ExecOps), so contention stays emergent. One barrier,
-// driven by Run, releases the workers for each quantum in the rotated
+// driven by Run, releases the sockets for each quantum in the rotated
 // order (q+k)%n; dispatch, telemetry, throttling and migration happen
 // between releases, and a window leaves through Config.OnWindow and the
 // metrics registry.
 //
-// The barrier has two drivers. Production's runs each socket's workers on
-// one goroutine, stepping the one with the smallest core clock a packet at
-// a time, as the engine does: a socket's caches are never contended, and a
-// run whose workers share a socket is a pure function of its configuration;
-// across sockets the interleaving, and with it the exact drop figures,
-// varies from run to run. The in-line driver, which only tests switch on,
-// runs each worker's whole quantum in turn on the caller, so every run
-// repeats, with numbers of its own: a chain stage's hand-off ring holds
-// only what its upstream pushed earlier in the pass or earlier quanta, and
-// a stage released before its upstream spin-polls to the boundary.
+// The barrier has two drivers and one stepping rule: each socket's
+// workers run on one goroutine, which steps the one with the smallest core
+// clock a packet at a time, as the engine does, so a socket's caches are
+// never contended. Production runs the sockets side by side; the in-line
+// driver, which only tests switch on, runs them one after another on the
+// caller, so its runs repeat. A production run whose sockets share nothing
+// within a quantum gives the in-line run's bytes; one whose chain crosses
+// sockets shares that hand-off ring live, and its drop figures vary from
+// run to run.
 package runtime
 
 import (
@@ -589,11 +588,11 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 	}
 }
 
-// barrier is the quantum barrier of the package doc: release runs every
-// group of workers to limit (runSocket), a socket's workers on a goroutine
-// of their own or, in-line (start and done nil), each worker alone on the
-// caller. The release order rotates with the quantum so no worker
-// systematically replays first and sees the emptiest channel queues.
+// barrier is the quantum barrier of the package doc: release runs each
+// socket's workers to limit (runSocket), on a goroutine of their own or,
+// in-line (start and done nil), on the caller. The release order rotates
+// with the quantum so no socket systematically replays first and sees the
+// emptiest channel queues.
 type barrier struct {
 	groups, live [][]*worker // live: each group's runSocket buffer
 	start        []chan int
@@ -604,7 +603,7 @@ type barrier struct {
 func newBarrier(workers []*worker, inline bool) *barrier {
 	b := &barrier{}
 	for _, w := range workers {
-		g := slices.IndexFunc(b.groups, func(ws []*worker) bool { return !inline && ws[0].socket == w.socket })
+		g := slices.IndexFunc(b.groups, func(ws []*worker) bool { return ws[0].socket == w.socket })
 		if g < 0 {
 			g = len(b.groups)
 			b.groups, b.live = append(b.groups, nil), append(b.live, nil)

@@ -122,66 +122,67 @@ type WorkerReport struct {
 // AppReport summarises one flow group over the measurement window and
 // holds the scenario's headline comparison: observed throughput drop
 // against the drop the paper's method predicts from the live telemetry.
+// Its JSON keys are those of the sweep report's app rows, which embed it.
 type AppReport struct {
-	Name    string
-	Type    apps.FlowType
-	Workers int // workers the group occupies (replicas × stages)
-	Stages  int // 1 for run-to-completion flows
+	Name    string        `json:"app"`
+	Type    apps.FlowType `json:"type"`
+	Workers int           `json:"workers"` // workers the group occupies (replicas × stages)
+	Stages  int           `json:"stages"`  // 1 for run-to-completion flows
 
-	Offered  uint64 // packets the traffic source generated
-	Enqueued uint64 // packets accepted into input rings
-	NICDrops uint64 // packets tail-dropped at full rings
+	Offered  uint64 `json:"offered"`   // packets the traffic source generated
+	Enqueued uint64 `json:"enqueued"`  // packets accepted into input rings
+	NICDrops uint64 `json:"nic_drops"` // packets tail-dropped at full rings
 
-	Processed   uint64 // packets that entered a worker's pipeline
-	PipeDropped uint64 // packets dropped inside the pipeline (firewall etc.)
-	Finished    uint64 // packets that completed the pipeline
-	InFlight    uint64 // packets still inside chain hand-off rings at window end
+	Processed   uint64 `json:"processed"`    // packets that entered a worker's pipeline
+	PipeDropped uint64 `json:"pipe_dropped"` // packets dropped inside the pipeline (firewall etc.)
+	Finished    uint64 `json:"finished"`     // packets that completed the pipeline
+	InFlight    uint64 `json:"in_flight"`    // packets still inside chain hand-off rings at window end
 	// CutDropped counts packet *branches* lost at a stage cut: a chain
 	// hands each packet across a cut at most once, so a Tee broadcasting
 	// several branches over the same cut loses the extras. Non-zero means
 	// the graph's cut placement discards traffic the run-to-completion
 	// deployment would deliver — a configuration smell worth surfacing.
-	CutDropped uint64
+	CutDropped uint64 `json:"cut_dropped"`
 
-	ObservedPPS  float64 // aggregate processed/sec across the group's workers
-	GoodputPPS   float64 // aggregate finished/sec — useful throughput, drops excluded
-	PerWorkerPPS float64 // processed/sec per occupied core (a chain divides by its stages too)
-	SoloPPS      float64 // offline solo baseline per worker (0 when unprofiled)
+	ObservedPPS  float64 `json:"observed_pps"`   // aggregate processed/sec across the group's workers
+	GoodputPPS   float64 `json:"goodput_pps"`    // aggregate finished/sec — useful throughput, drops excluded
+	PerWorkerPPS float64 `json:"per_worker_pps"` // processed/sec per occupied core (a chain divides by its stages too)
+	SoloPPS      float64 `json:"solo_pps"`       // offline solo baseline per worker (0 when unprofiled)
 
-	ObservedDrop  float64 // 1 − PerWorkerPPS/expected (expected caps at offered rate)
-	PredictedDrop float64 // time-averaged per-worker curve prediction
-	LossRate      float64 // NICDrops/Offered
+	ObservedDrop  float64 `json:"observed_drop"`  // 1 − PerWorkerPPS/expected (expected caps at offered rate)
+	PredictedDrop float64 `json:"predicted_drop"` // time-averaged per-worker curve prediction
+	LossRate      float64 `json:"loss_rate"`      // NICDrops/Offered
 
 	// End-to-end latency over the measurement window: ring-enqueue to
 	// walk-termination, in virtual microseconds, estimated from the
 	// group's merged log-bucket histogram (zero when no packet went
 	// through a ring — synthetic self-driving flows have no enqueue
 	// side). LatCount is the number of recorded latencies.
-	LatCount  uint64
-	LatP50US  float64
-	LatP99US  float64
-	LatP999US float64
+	LatCount  uint64  `json:"lat_count,omitempty"`
+	LatP50US  float64 `json:"lat_p50_us,omitempty"`
+	LatP99US  float64 `json:"lat_p99_us,omitempty"`
+	LatP999US float64 `json:"lat_p999_us,omitempty"`
 
 	// Latency-SLO outcome: SLOP99US echoes the declared target (0 when
 	// none), SLOBreaches counts control windows whose window p99 exceeded
 	// it, and SLOBurnRate is the last window's burn rate — the fraction
 	// of window packets over the target relative to the 1% budget a p99
 	// target implies (1.0 = burning exactly the budget).
-	SLOP99US    float64
-	SLOBreaches int
-	SLOBurnRate float64
+	SLOP99US    float64 `json:"slo_p99_us,omitempty"`
+	SLOBreaches int     `json:"slo_breaches,omitempty"`
+	SLOBurnRate float64 `json:"slo_burn_rate,omitempty"`
 
 	// Branches holds per-node terminal counters for branching pipelines
 	// (empty for linear chains): where the group's packets ended their
 	// walk, aggregated across replicas in graph order.
-	Branches []BranchReport
+	Branches []BranchReport `json:"branches,omitempty"`
 }
 
 // BranchReport is one graph node's terminal accounting over the window.
 type BranchReport struct {
-	Node     string
-	Dropped  uint64
-	Finished uint64
+	Node     string `json:"node"`
+	Dropped  uint64 `json:"dropped"`
+	Finished uint64 `json:"finished"`
 }
 
 // PredictionError returns observed minus predicted drop, the paper's

@@ -6,50 +6,28 @@ import (
 	"math"
 	"strings"
 
+	"pktpredict/internal/runtime"
 	"pktpredict/internal/table"
 )
 
-// AppResult is one app's row at one grid point.
+// AppResult is one app's row at one grid point: the runtime's report of
+// the app plus the sweep's verdict on it.
 type AppResult struct {
-	App      string `json:"app"`
-	Type     string `json:"type"`
-	Replicas int    `json:"replicas"`
-	Stages   int    `json:"stages"`
+	runtime.AppReport
+	Replicas int `json:"replicas"`
 
 	// OfferedFraction is the offered load as a fraction of the app's solo
 	// rate at this point (0 = saturating).
 	OfferedFraction float64 `json:"offered_fraction"`
-
-	Offered   uint64 `json:"offered"`
-	Processed uint64 `json:"processed"`
-	Finished  uint64 `json:"finished"`
-	NICDrops  uint64 `json:"nic_drops"`
-
-	ObservedPPS     float64 `json:"observed_pps"`
-	GoodputPPS      float64 `json:"goodput_pps"`
-	SoloPPS         float64 `json:"solo_pps"`
+	// RemotePerPacket is the mean of the app's workers' whole-window
+	// remote references per packet: the report's locality column.
 	RemotePerPacket float64 `json:"remote_per_packet"`
 
-	// End-to-end virtual-time latency over the measurement window, in
-	// virtual microseconds; LatCount == 0 means no latencies recorded.
-	LatCount  uint64  `json:"lat_count,omitempty"`
-	LatP50US  float64 `json:"lat_p50_us,omitempty"`
-	LatP99US  float64 `json:"lat_p99_us,omitempty"`
-	LatP999US float64 `json:"lat_p999_us,omitempty"`
+	// SLOPass reports whether the whole-run p99 met the declared objective
+	// (SLOP99US). An app with a declared SLO fails its point on breach
+	// even when drop validation skips it.
+	SLOPass bool `json:"slo_pass"`
 
-	// SLO evaluation: SLOP99US is the declared p99 objective (0 = none),
-	// SLOBreaches counts control windows whose window p99 exceeded it,
-	// SLOBurnRate is the last window's error-budget burn, and SLOPass
-	// reports whether the whole-run p99 met the objective. An app with a
-	// declared SLO fails its point on breach even when drop validation
-	// skips it.
-	SLOP99US    float64 `json:"slo_p99_us,omitempty"`
-	SLOBreaches int     `json:"slo_breaches,omitempty"`
-	SLOBurnRate float64 `json:"slo_burn_rate,omitempty"`
-	SLOPass     bool    `json:"slo_pass"`
-
-	ObservedDrop  float64 `json:"observed_drop"`
-	PredictedDrop float64 `json:"predicted_drop"`
 	// ExpectedDrop is the drop the model expects at this operating point
 	// (the curve prediction for saturating flows, the headroom-derived
 	// figure for paced ones); PredErr = ObservedDrop − ExpectedDrop.
@@ -134,7 +112,7 @@ func (e *absErr) add(a AppResult) {
 	e.n++
 	e.sum += v
 	if v >= e.max {
-		e.max, e.worst = v, a.App
+		e.max, e.worst = v, a.Name
 	}
 }
 
@@ -234,7 +212,7 @@ func (r *Report) Markdown() string {
 					slo = fmt.Sprintf("≤%.0f **BREACH** (%d win)", a.SLOP99US, a.SLOBreaches)
 				}
 			}
-			detail.Add(p.Platform, p.Load, p.Scenario, a.App, a.Type, off, a.ObservedDrop, a.PredictedDrop,
+			detail.Add(p.Platform, p.Load, p.Scenario, a.Name, a.Type, off, a.ObservedDrop, a.PredictedDrop,
 				a.ExpectedDrop, fmt.Sprintf("%+.1f%%", a.PredErr*100), fmt.Sprintf("%.2fM", a.GoodputPPS/1e6),
 				a.RemotePerPacket, p50, p99, slo, val)
 		}

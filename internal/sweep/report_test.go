@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"testing"
+
+	"pktpredict/internal/runtime"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.md.golden from this run")
@@ -38,18 +41,18 @@ func goldenReport() *Report {
 		Points: []PointResult{
 			{Platform: "base", Load: 0.7, Scenario: "mixed.click", Sockets: 2, CoresPerSocket: 6,
 				L3Bytes: 1 << 20, Tolerance: 0.18, Migrations: 1, Apps: []AppResult{
-					{App: "mon", Type: "MON", OfferedFraction: 0.7, ObservedDrop: 0.031, PredictedDrop: 0.042,
-						ExpectedDrop: 0.02, PredErr: 0.011, GoodputPPS: 2.5e6, RemotePerPacket: 0.125,
-						LatCount: 100, LatP50US: 12.34, LatP99US: 56.78, SLOP99US: 100, SLOPass: true,
-						Validated: true, Pass: true},
-					{App: "probe", Type: "SYN", ObservedDrop: 0.5, PredErr: 0.4},
+					{AppReport: runtime.AppReport{Name: "mon", Type: "MON", ObservedDrop: 0.031, PredictedDrop: 0.042,
+						GoodputPPS: 2.5e6, LatCount: 100, LatP50US: 12.34, LatP99US: 56.78, SLOP99US: 100},
+						OfferedFraction: 0.7, ExpectedDrop: 0.02, PredErr: 0.011, RemotePerPacket: 0.125,
+						SLOPass: true, Validated: true, Pass: true},
+					{AppReport: runtime.AppReport{Name: "probe", Type: "SYN", ObservedDrop: 0.5}, PredErr: 0.4},
 				}},
 			{Platform: "base", Load: 1, Scenario: "slo.click", Sockets: 2, CoresPerSocket: 6,
 				L3Bytes: 768 << 10, Tolerance: 0.18, ThrottleEvents: 3, Apps: []AppResult{
-					{App: "fw", Type: "FW", ObservedDrop: 0.3, PredictedDrop: 0.05, ExpectedDrop: 0.05,
-						PredErr: -0.25, GoodputPPS: 1.25e6, Validated: true},
-					{App: "vpn", Type: "VPN", OfferedFraction: 1.5, LatCount: 10, LatP50US: 3, LatP99US: 9.99,
-						SLOP99US: 5, SLOBreaches: 3},
+					{AppReport: runtime.AppReport{Name: "fw", Type: "FW", ObservedDrop: 0.3, PredictedDrop: 0.05,
+						GoodputPPS: 1.25e6}, ExpectedDrop: 0.05, PredErr: -0.25, Validated: true},
+					{AppReport: runtime.AppReport{Name: "vpn", Type: "VPN", LatCount: 10, LatP50US: 3, LatP99US: 9.99,
+						SLOP99US: 5, SLOBreaches: 3}, OfferedFraction: 1.5},
 				}},
 			{Platform: "half_l3", Load: 1, Scenario: "mixed.click", Sockets: 1, CoresPerSocket: 4,
 				L3Bytes: 1000, Tolerance: 0.2, Error: "load x.click: key A|B\nsecond line"},
@@ -60,6 +63,35 @@ func goldenReport() *Report {
 	}
 	rep.aggregate()
 	return rep
+}
+
+// TestAppRowKeys: an app row's JSON carries every key the row carried
+// before it embedded runtime.AppReport — the CI artifact's readers key on
+// them. Every field is set, so the omitempty keys show too.
+func TestAppRowKeys(t *testing.T) {
+	row := AppResult{
+		AppReport: runtime.AppReport{Name: "mon", Type: "MON", Stages: 1, Offered: 1, Processed: 1, Finished: 1,
+			NICDrops: 1, ObservedPPS: 1, GoodputPPS: 1, SoloPPS: 1, LatCount: 1, LatP50US: 1, LatP99US: 1,
+			LatP999US: 1, SLOP99US: 1, SLOBreaches: 1, SLOBurnRate: 1, ObservedDrop: 1, PredictedDrop: 1},
+		Replicas: 1, OfferedFraction: 1, RemotePerPacket: 1, SLOPass: true, ExpectedDrop: 1, PredErr: 1,
+		Validated: true, Pass: true,
+	}
+	js, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(js, &got); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"app", "type", "replicas", "stages", "offered_fraction", "offered", "processed",
+		"finished", "nic_drops", "observed_pps", "goodput_pps", "solo_pps", "remote_per_packet", "lat_count",
+		"lat_p50_us", "lat_p99_us", "lat_p999_us", "slo_p99_us", "slo_breaches", "slo_burn_rate", "slo_pass",
+		"observed_drop", "predicted_drop", "expected_drop", "prediction_error", "validated", "pass"} {
+		if _, ok := got[k]; !ok {
+			t.Errorf("an app row has no %q key: %s", k, js)
+		}
+	}
 }
 
 // TestReportMarkdownGolden pins the sweep report's markdown, every

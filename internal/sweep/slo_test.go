@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pktpredict/internal/exp"
+	"pktpredict/internal/runtime"
 )
 
 // TestPointSLOGate checks the gate arithmetic alone: a declared SLO
@@ -16,8 +17,8 @@ import (
 // (synthetic flows still owe their latency objective).
 func TestPointSLOGate(t *testing.T) {
 	p := PointResult{Apps: []AppResult{
-		{App: "good", Validated: true, Pass: true, SLOP99US: 100, SLOPass: true},
-		{App: "slow", Validated: true, Pass: true, SLOP99US: 10, SLOPass: false},
+		{AppReport: runtime.AppReport{Name: "good", SLOP99US: 100}, Validated: true, Pass: true, SLOPass: true},
+		{AppReport: runtime.AppReport{Name: "slow", SLOP99US: 10}, Validated: true, Pass: true, SLOPass: false},
 	}}
 	p.finish()
 	if p.Pass {
@@ -25,7 +26,7 @@ func TestPointSLOGate(t *testing.T) {
 	}
 
 	p = PointResult{Apps: []AppResult{
-		{App: "syn", Validated: false, SLOP99US: 10, SLOPass: false},
+		{AppReport: runtime.AppReport{Name: "syn", SLOP99US: 10}, Validated: false, SLOPass: false},
 	}}
 	p.finish()
 	if p.Pass {
@@ -33,8 +34,8 @@ func TestPointSLOGate(t *testing.T) {
 	}
 
 	p = PointResult{Apps: []AppResult{
-		{App: "free", Validated: true, Pass: true}, // no SLO declared
-		{App: "good", Validated: true, Pass: true, SLOP99US: 100, SLOPass: true},
+		{AppReport: named("free"), Validated: true, Pass: true}, // no SLO declared
+		{AppReport: runtime.AppReport{Name: "good", SLOP99US: 100}, Validated: true, Pass: true, SLOPass: true},
 	}}
 	p.finish()
 	if !p.Pass {
@@ -87,7 +88,7 @@ slo :: Run(FILE ` + scen + `);
 	breach := run("0.001") // 1 ns: no packet finishes that fast
 	var row *AppResult
 	for i := range breach.Points[0].Apps {
-		if breach.Points[0].Apps[i].App == "ipfwd" {
+		if breach.Points[0].Apps[i].Name == "ipfwd" {
 			row = &breach.Points[0].Apps[i]
 		}
 	}

@@ -130,7 +130,7 @@ func (r *Runner) Run() (*Report, error) {
 					// than blaming a prediction error that may be in band.
 					for _, a := range pr.Apps {
 						if a.SLOP99US > 0 && !a.SLOPass {
-							status = fmt.Sprintf("FAIL %s p99 %.1fµs > SLO %.1fµs", a.App, a.LatP99US, a.SLOP99US)
+							status = fmt.Sprintf("FAIL %s p99 %.1fµs > SLO %.1fµs", a.Name, a.LatP99US, a.SLOP99US)
 							break
 						}
 					}
@@ -306,36 +306,7 @@ func evalRun(specs []runtime.AppSpec, rep *runtime.Report, tol float64) ([]AppRe
 //     the pass criterion one-sided: an under-capacity flow absorbs
 //     contention as higher cycles/packet while still keeping up.
 func evalApp(spec runtime.AppSpec, a runtime.AppReport, rep *runtime.Report, duration, tol float64) (AppResult, bool) {
-	stages := a.Stages
-	if stages < 1 {
-		stages = 1
-	}
-	replicas := a.Workers / stages
-	if replicas < 1 {
-		replicas = 1
-	}
-	row := AppResult{
-		App:           a.Name,
-		Type:          string(a.Type),
-		Replicas:      replicas,
-		Stages:        stages,
-		Offered:       a.Offered,
-		Processed:     a.Processed,
-		Finished:      a.Finished,
-		NICDrops:      a.NICDrops,
-		ObservedPPS:   a.ObservedPPS,
-		GoodputPPS:    a.GoodputPPS,
-		SoloPPS:       a.SoloPPS,
-		ObservedDrop:  a.ObservedDrop,
-		PredictedDrop: a.PredictedDrop,
-		LatCount:      a.LatCount,
-		LatP50US:      a.LatP50US,
-		LatP99US:      a.LatP99US,
-		LatP999US:     a.LatP999US,
-		SLOP99US:      a.SLOP99US,
-		SLOBreaches:   a.SLOBreaches,
-		SLOBurnRate:   a.SLOBurnRate,
-	}
+	row := AppResult{AppReport: a, Replicas: a.Workers / a.Stages}
 	// Whole-run p99 versus the declared objective decides SLOPass;
 	// SLOBreaches additionally records transient per-window excursions.
 	row.SLOPass = a.SLOP99US <= 0 || (a.LatCount > 0 && a.LatP99US <= a.SLOP99US)
@@ -359,7 +330,7 @@ func evalApp(spec runtime.AppSpec, a runtime.AppReport, rep *runtime.Report, dur
 
 	frac := spec.RateFraction
 	if frac == 0 && spec.Rate > 0 && a.SoloPPS > 0 && duration > 0 {
-		offPPS := float64(a.Offered) / duration / float64(replicas)
+		offPPS := float64(a.Offered) / duration / float64(row.Replicas)
 		frac = offPPS / a.SoloPPS
 	}
 	row.OfferedFraction = frac

@@ -82,7 +82,7 @@ mixed :: Run(FILE ../../examples/scenarios/mixed.click);
 				validated++
 			}
 			if a.SoloPPS <= 0 {
-				t.Errorf("point %v app %s has no solo baseline", p.Load, a.App)
+				t.Errorf("point %v app %s has no solo baseline", p.Load, a.Name)
 			}
 		}
 		if validated == 0 {
@@ -128,6 +128,10 @@ mixed :: Run(FILE ../../examples/scenarios/mixed.click);
 	}
 }
 
+// named returns an app report that carries only its name, for
+// hand-built rows.
+func named(name string) runtime.AppReport { return runtime.AppReport{Name: name} }
+
 // TestReportAggregation checks the gate arithmetic on a hand-built
 // report: non-validated rows never count, a failing app fails its point
 // and the sweep, an errored point fails the sweep.
@@ -136,16 +140,16 @@ func TestReportAggregation(t *testing.T) {
 		Name: "agg",
 		Points: []PointResult{
 			{Apps: []AppResult{
-				{App: "a", Validated: true, Pass: true, PredErr: 0.02},
-				{App: "syn", Validated: false, PredErr: 0.9},
+				{AppReport: named("a"), Validated: true, Pass: true, PredErr: 0.02},
+				{AppReport: named("syn"), Validated: false, PredErr: 0.9},
 			}},
 			{Apps: []AppResult{
-				{App: "b", Validated: true, Pass: false, PredErr: -0.3},
+				{AppReport: named("b"), Validated: true, Pass: false, PredErr: -0.3},
 			}},
 			// An errored point's partial rows (collected before the error)
 			// must not shape the headline figures.
 			{Error: "boom", Apps: []AppResult{
-				{App: "c", Validated: true, Pass: true, PredErr: 0.99},
+				{AppReport: named("c"), Validated: true, Pass: true, PredErr: 0.99},
 			}},
 		},
 	}

@@ -15,21 +15,21 @@ func trendReport(scale string, errA, errB float64) *Report {
 			{
 				Scenario: "mixed.click", Pass: true,
 				Apps: []AppResult{
-					{App: "ipfwd", PredErr: errA, Validated: true, Pass: true},
-					{App: "probe", PredErr: 0.9, Validated: false},
+					{AppReport: named("ipfwd"), PredErr: errA, Validated: true, Pass: true},
+					{AppReport: named("probe"), PredErr: 0.9, Validated: false},
 				},
 			},
 			{
 				Scenario: "mixed.click", Pass: true,
 				Apps: []AppResult{
-					{App: "ipfwd", PredErr: -errB, Validated: true, Pass: true},
+					{AppReport: named("ipfwd"), PredErr: -errB, Validated: true, Pass: true},
 				},
 			},
 			{
 				Scenario: "bursty.click", Pass: false,
 				Error: "platform invalid",
 				Apps: []AppResult{
-					{App: "stale", PredErr: 0.5, Validated: true},
+					{AppReport: named("stale"), PredErr: 0.5, Validated: true},
 				},
 			},
 		},

@@ -94,7 +94,7 @@ func TestValidateRuntimeDropsAgainstEngine(t *testing.T) {
 			for _, row := range rows {
 				if row.Validated && !row.Pass {
 					t.Errorf("app %s (%s): observed drop %.1f%% vs expected %.1f%% (engine prediction %.1f%%, offered %.2f of solo) — error %+.1f%% exceeds %.0f%%",
-						row.App, row.Type, row.ObservedDrop*100, row.ExpectedDrop*100, row.PredictedDrop*100,
+						row.Name, row.Type, row.ObservedDrop*100, row.ExpectedDrop*100, row.PredictedDrop*100,
 						row.OfferedFraction, row.PredErr*100, tol*100)
 				}
 			}
