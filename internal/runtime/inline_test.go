@@ -30,8 +30,9 @@ import (
 // TestRuntimeBatchedScalarEquivalence's two-point grid and short windows,
 // and so does the thrash-state configuration — the only one that swaps
 // flows and copies state in a run this short. Production must give the
-// same golden, at any GOMAXPROCS, for every case but crossSocketChains. A
-// change that means to move a number regenerates with
+// same golden, at any GOMAXPROCS, for every case but crossSocketChains
+// (TestOneSocketRunsRepeat). A change that means to move a number
+// regenerates with
 // `go test ./internal/runtime/ -run TestInLineGoldens -args -update`
 // and says which number moved.
 
@@ -138,9 +139,7 @@ func runCase(t *testing.T, cfg runtime.Config, procs int) (*runtime.Report, []by
 	return rep, js, runtime.IntGolden(r, rep)
 }
 
-// TestInLineGoldens checks every case's in-line run against its golden
-// and then, but for crossSocketChains, production's runs at GOMAXPROCS 1,
-// 2 and 8: production equals the goldens.
+// TestInLineGoldens checks every case's in-line run against its golden.
 func TestInLineGoldens(t *testing.T) {
 	for _, name := range append(scenario.ShippedNames(), thrashState) {
 		t.Run(name, func(t *testing.T) {
@@ -159,16 +158,35 @@ func TestInLineGoldens(t *testing.T) {
 					t.Fatalf("no migration copied state: %+v", rep.Migrations)
 				}
 			}
-			if slices.Contains(crossSocketChains, name) {
-				// The exemption holds only while its reason does.
-				if !slices.ContainsFunc(rep.Workers, func(w runtime.WorkerReport) bool {
-					return slices.ContainsFunc(rep.Workers, func(v runtime.WorkerReport) bool {
-						return v.App == w.App && v.Stage != w.Stage && v.Socket != w.Socket
-					})
-				}) {
-					t.Fatalf("%s places no chain stage on another socket: %+v", name, rep.Workers)
-				}
-				return
+			// TestOneSocketRunsRepeat's exemption holds only while its
+			// reason does.
+			if slices.Contains(crossSocketChains, name) && !slices.ContainsFunc(rep.Workers, func(w runtime.WorkerReport) bool {
+				return slices.ContainsFunc(rep.Workers, func(v runtime.WorkerReport) bool {
+					return v.App == w.App && v.Stage != w.Stage && v.Socket != w.Socket
+				})
+			}) {
+				t.Fatalf("%s places no chain stage on another socket: %+v", name, rep.Workers)
+			}
+		})
+	}
+}
+
+// TestOneSocketRunsRepeat: the goroutine driver runs each socket's
+// workers on one goroutine by the in-line driver's rule, so a production
+// run whose sockets share nothing within a quantum repeats the in-line
+// run byte for byte. Every case but crossSocketChains gives its committed
+// golden on the goroutine driver at GOMAXPROCS 1, 2 and 8.
+func TestOneSocketRunsRepeat(t *testing.T) {
+	for _, name := range append(scenario.ShippedNames(), thrashState) {
+		if slices.Contains(crossSocketChains, name) {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel() // cases profile side by side; runCase serialises the runs
+			cfg := inLineConfig(t, name)
+			golden, err := os.ReadFile(filepath.Join("testdata", "inline", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, procs := range []int{1, 2, 8} {
 				if _, _, got := runCase(t, cfg, procs); !bytes.Equal(got, golden) {
