@@ -399,7 +399,6 @@ var hotpathDirect = map[string]bool{
 // an external test, each with the exported entry point that covers it.
 var hotpathIndirect = map[string]string{
 	"hw.Core.exec":                "unexported; every ExecOps/ExecStall call above runs it",
-	"click.Pipeline.walk":         "unexported; Pipeline.EmitPacket above walks the graph",
 	"click.walkNodes":             "unexported; Pipeline.EmitPacket above walks the graph",
 	"handoff.Ring.poll":           "unexported; PollFull/PollEmpty above are thin wrappers",
 	"handoff.Ring.chargeCursor":   "unexported; every CommitPush/CommitPop above that moves a cursor runs it",

@@ -96,14 +96,10 @@ func (v *VPNElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// vpnArgs is what AESEncrypt(...) decodes into.
-type vpnArgs struct{ maxPacket, outBufs int }
-
 func init() {
-	click.Register("AESEncrypt", []click.Key[vpnArgs]{
-		click.Int("MAXPACKET", "[0,)", func(a *vpnArgs) *int { return &a.maxPacket }),
-		click.Int("OUTBUFS", "[0,)", func(a *vpnArgs) *int { return &a.outBufs }),
-	}, func(*click.Env) vpnArgs { return vpnArgs{maxPacket: 2048} }, func(env *click.Env, a vpnArgs) (interface{}, error) {
+	click.Register("AESEncrypt", []click.Key[int]{
+		click.Int("OUTBUFS", "[0,)", func(n *int) *int { return n }),
+	}, nil, func(env *click.Env, outBufs int) (interface{}, error) {
 		key := make([]byte, KeySize)
 		seed := env.Seed
 		for i := range key {
@@ -112,6 +108,6 @@ func init() {
 				seed = seed*0x9e3779b97f4a7c15 + 1
 			}
 		}
-		return NewVPN(key, env.Arena, a.maxPacket, a.outBufs)
+		return NewVPN(key, env.Arena, 2048, outBufs)
 	})
 }

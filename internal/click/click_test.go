@@ -15,7 +15,6 @@ type testSource struct {
 	pulled    int
 }
 
-func (s *testSource) Class() string { return "TestSource" }
 func (s *testSource) Pull(ctx *Ctx) *Packet {
 	if s.remaining == 0 {
 		return nil
@@ -97,8 +96,8 @@ func TestPipelineRunsChain(t *testing.T) {
 	if e1.seen != 3 || e2.seen != 3 {
 		t.Fatalf("elements saw %d/%d packets, want 3/3", e1.seen, e2.seen)
 	}
-	if pl.Received != 3 || pl.Finished != 3 || pl.Dropped != 0 {
-		t.Fatalf("pipeline counters: %d/%d/%d", pl.Received, pl.Finished, pl.Dropped)
+	if a, b := pl.Nodes()[0], pl.Nodes()[1]; a.Finished+a.Dropped+b.Dropped != 0 || b.Finished != 3 {
+		t.Fatalf("terminals: A %d/%d, B %d/%d finished/dropped, want 0/0 and 3/0", a.Finished, a.Dropped, b.Finished, b.Dropped)
 	}
 }
 
@@ -112,8 +111,8 @@ func TestPipelineDropStopsChain(t *testing.T) {
 	if e2.seen != 0 {
 		t.Fatal("element after Drop must not run")
 	}
-	if pl.Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", pl.Dropped)
+	if n := pl.Nodes()[0]; n.Dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", n.Dropped)
 	}
 }
 
@@ -122,8 +121,8 @@ func TestPipelineConsumeCountsFinished(t *testing.T) {
 	e1 := &testElement{class: "A", verdict: Consume}
 	pl := NewPipeline("p", src, e1)
 	pl.EmitPacket(nil)
-	if pl.Finished != 1 {
-		t.Fatalf("finished = %d, want 1", pl.Finished)
+	if n := pl.Nodes()[0]; n.Finished != 1 {
+		t.Fatalf("finished = %d, want 1", n.Finished)
 	}
 }
 
@@ -147,16 +146,14 @@ func TestPipelineRecycles(t *testing.T) {
 // SourceFunc adapts a function to Source for tests.
 type SourceFunc func(ctx *Ctx) *Packet
 
-func (f SourceFunc) Class() string         { return "SourceFunc" }
 func (f SourceFunc) Pull(ctx *Ctx) *Packet { return f(ctx) }
 
 func TestPipelineStats(t *testing.T) {
 	src := &testSource{remaining: 1}
 	el := &testElement{class: "A", verdict: Continue}
 	pl := NewPipeline("p", src, el)
-	pl.EmitPacket(nil)
-	if pl.Received != 1 || pl.Finished != 1 || pl.Dropped != 0 {
-		t.Fatalf("received/finished/dropped = %d/%d/%d, want 1/1/0", pl.Received, pl.Finished, pl.Dropped)
+	if recv, fin, drop := runAll(t, pl); recv != 1 || fin != 1 || drop != 0 {
+		t.Fatalf("received/finished/dropped = %d/%d/%d, want 1/1/0", recv, fin, drop)
 	}
 	if n := pl.Nodes()[0]; n.El != el || n.Finished != 1 || n.Dropped != 0 || el.seen != 1 {
 		t.Fatalf("node %s: finished %d dropped %d, element saw %d", n.Name, n.Finished, n.Dropped, el.seen)
@@ -222,9 +219,8 @@ func TestParseConfigInlineAnonymous(t *testing.T) {
 	if len(pl.Nodes()) != 2 {
 		t.Fatalf("elements = %d, want 2", len(pl.Nodes()))
 	}
-	pl.EmitPacket(nil)
-	if pl.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", pl.Dropped)
+	if _, _, drop := runAll(t, pl); drop != 1 {
+		t.Fatalf("dropped = %d, want 1", drop)
 	}
 }
 
@@ -297,12 +293,5 @@ func TestVerdictString(t *testing.T) {
 	}
 	if Verdict(-9).String() != "invalid" {
 		t.Fatal("unknown verdict must render invalid")
-	}
-}
-
-func TestPipelineString(t *testing.T) {
-	pl := NewPipeline("p", &testSource{}, &testElement{class: "A"}, &testElement{class: "B"})
-	if got := pl.String(); got != "p :: TestSource -> A -> B" {
-		t.Fatalf("String() = %q", got)
 	}
 }

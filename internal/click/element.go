@@ -84,6 +84,5 @@ type OutputsSetter interface {
 // Source produces packets at the head of a pipeline (Click's FromDevice
 // role). Pull returns nil when no more packets will arrive.
 type Source interface {
-	Class() string
 	Pull(ctx *Ctx) *Packet
 }

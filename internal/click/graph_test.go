@@ -14,7 +14,6 @@ type seqSource struct {
 	seq       int
 }
 
-func (s *seqSource) Class() string { return "SeqSource" }
 func (s *seqSource) Pull(ctx *Ctx) *Packet {
 	if s.remaining == 0 {
 		return nil
@@ -75,11 +74,22 @@ func nodeNamed(t *testing.T, pl *Pipeline, name string) *Node {
 	return nil
 }
 
-func runAll(pl *Pipeline) {
-	var ops = pl.EmitPacket(nil)
-	for len(ops) > 0 {
-		ops = pl.EmitPacket(ops[:0])
+// runAll pulls the source dry and walks each packet through a stage-0
+// runner of the uncut graph, the walker EmitPacket uses. It returns the
+// packets pulled and the runner's packet-level outcome: a packet finished
+// when at least one of its branches completed, dropped when none did.
+func runAll(t *testing.T, pl *Pipeline) (received, finished, dropped uint64) {
+	t.Helper()
+	sr, err := pl.StageRunner(0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for p := pl.Source.Pull(sr.Ctx()); p != nil; p = pl.Source.Pull(sr.Ctx()) {
+		received++
+		sr.Walk(p, pl.HeadIndex(), false)
+		sr.Ctx().Ops = sr.Ctx().Ops[:0]
+	}
+	return received, sr.Finished, sr.Dropped
 }
 
 func TestGraphClassifierRoutesBranches(t *testing.T) {
@@ -96,15 +106,15 @@ func TestGraphClassifierRoutesBranches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	runAll(pl)
+	recv, fin, drop := runAll(t, pl)
 	if got := nodeNamed(t, pl, "a").Finished; got != 2 {
 		t.Fatalf("a.finished = %d, want 2", got)
 	}
 	if got := nodeNamed(t, pl, "b").Finished; got != 2 {
 		t.Fatalf("b.finished = %d, want 2", got)
 	}
-	if pl.Received != 4 || pl.Finished != 4 || pl.Dropped != 0 {
-		t.Fatalf("counters: %d/%d/%d", pl.Received, pl.Finished, pl.Dropped)
+	if recv != 4 || fin != 4 || drop != 0 {
+		t.Fatalf("counters: %d/%d/%d", recv, fin, drop)
 	}
 }
 
@@ -121,7 +131,7 @@ func TestGraphFanInMergesBranches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	runAll(pl)
+	runAll(t, pl)
 	if got := nodeNamed(t, pl, "sink").Finished; got != 4 {
 		t.Fatalf("sink.finished = %d, want 4 (fan-in must merge)", got)
 	}
@@ -141,7 +151,7 @@ func TestGraphRoundRobinAdaptsToConnectedPorts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	runAll(pl)
+	runAll(t, pl)
 	for _, name := range []string{"a", "b", "c"} {
 		if got := nodeNamed(t, pl, name).Finished; got != 2 {
 			t.Fatalf("%s.finished = %d, want 2", name, got)
@@ -163,7 +173,7 @@ func TestGraphTeeBroadcastsToAllBranches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	runAll(pl)
+	recv, fin, drop := runAll(t, pl)
 	// Every packet finishes on branch a and drops on branch b: the
 	// per-branch counters separate the two fates.
 	if got := nodeNamed(t, pl, "a").Finished; got != 3 {
@@ -173,13 +183,13 @@ func TestGraphTeeBroadcastsToAllBranches(t *testing.T) {
 		t.Fatalf("b.dropped = %d, want 3", got)
 	}
 	// Packet-level outcome: every packet completed on branch a, so none
-	// count as dropped and Received == Finished + Dropped holds.
-	if pl.Finished != 3 || pl.Dropped != 0 || pl.Received != 3 {
-		t.Fatalf("counters: recv %d fin %d drop %d", pl.Received, pl.Finished, pl.Dropped)
+	// count as dropped and received == finished + dropped holds.
+	if fin != 3 || drop != 0 || recv != 3 {
+		t.Fatalf("counters: recv %d fin %d drop %d", recv, fin, drop)
 	}
 }
 
-func TestGraphBranchingString(t *testing.T) {
+func TestGraphBranching(t *testing.T) {
 	cfg := `
 		src :: SeqSource(COUNT 1);
 		cls :: TCls;
@@ -195,24 +205,6 @@ func TestGraphBranchingString(t *testing.T) {
 	}
 	if !pl.Branching() {
 		t.Fatal("classifier graph must report Branching")
-	}
-	want := strings.Join([]string{
-		"g :: SeqSource -> cls;",
-		"cls :: TCls; cls[0] -> a; cls[1] -> b;",
-		"a :: TElem;",
-		"b :: TElem;",
-	}, "\n")
-	if got := pl.String(); got != want {
-		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
-	}
-	// A second parse of an equivalent config renders identically: the
-	// printed form is deterministic.
-	pl2, err := ParseConfig(testEnv(), "g", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl2.String() != want {
-		t.Fatal("String() is not deterministic across parses")
 	}
 }
 
@@ -287,12 +279,12 @@ func TestPipelinePushFrontAndInsertBefore(t *testing.T) {
 	if got := strings.Join(classes, " "); got != want {
 		t.Fatalf("element order %q, want %q", got, want)
 	}
-	runAll(pl)
+	_, fin, _ := runAll(t, pl)
 	if front.seen != 2 || mid.seen != 2 || ins.seen != 2 || last.seen != 2 {
 		t.Fatalf("element visits: %d %d %d %d", front.seen, mid.seen, ins.seen, last.seen)
 	}
-	if pl.Finished != 2 {
-		t.Fatalf("finished = %d, want 2", pl.Finished)
+	if fin != 2 {
+		t.Fatalf("finished = %d, want 2", fin)
 	}
 }
 
@@ -303,8 +295,7 @@ func TestGraphUnconnectedRouterlessPortDrops(t *testing.T) {
 	src := &seqSource{remaining: 1}
 	rogue := &testElement{class: "Rogue", verdict: Output(1)}
 	pl := NewPipeline("p", src, rogue)
-	runAll(pl)
-	if pl.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", pl.Dropped)
+	if _, _, drop := runAll(t, pl); drop != 1 {
+		t.Fatalf("dropped = %d, want 1", drop)
 	}
 }

@@ -2,17 +2,16 @@ package click
 
 import (
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/hw"
 )
 
 // Node is one vertex of a pipeline graph: an element, its outgoing edges
 // indexed by output port (nil entries are unconnected), and per-branch
-// terminal counters. Packets whose walk ends at this node — dropped here,
-// consumed here, or run off the end of the chain here — are counted here,
-// which is what gives a branching pipeline per-branch drop/finish
-// accounting.
+// terminal counters. Packet branches whose walk ends at this node —
+// dropped here, consumed here, or run off the end of the chain here — are
+// counted here, which is what gives a branching pipeline per-branch
+// drop/finish accounting.
 type Node struct {
 	Name string
 	El   Element
@@ -57,15 +56,6 @@ func (n *Node) connect(port int, target *Node) {
 type Pipeline struct {
 	Name   string
 	Source Source
-
-	// Counters, all per packet so that Received == Finished + Dropped
-	// holds exactly: a packet whose walk completes on at least one branch
-	// (a Tee may fan it out to several) counts as finished, a packet no
-	// branch of which completed counts as dropped. Per-branch terminal
-	// counts live on the nodes.
-	Received uint64 // packets pulled from the source
-	Dropped  uint64 // packets that completed on no branch
-	Finished uint64 // packets that completed on at least one branch
 
 	head    *Node
 	nodes   []*Node // topological order, head first
@@ -212,7 +202,9 @@ func (pl *Pipeline) InsertBefore(class string, el Element) error {
 }
 
 // EmitPacket implements hw.PacketSource: it pulls one packet, walks it
-// through the element graph, and returns the accumulated trace.
+// through the element graph, and returns the accumulated trace. The
+// packet's outcome is counted on the nodes its branches end at; a
+// StageRunner counts it per packet.
 //
 //dataplane:hotpath
 func (pl *Pipeline) EmitPacket(buf []hw.Op) []hw.Op {
@@ -221,30 +213,14 @@ func (pl *Pipeline) EmitPacket(buf []hw.Op) []hw.Op {
 	if p == nil {
 		return buf[:0]
 	}
-	pl.Received++
-	if pl.head == nil {
-		pl.Finished++
-	} else {
-		pl.walk(p)
+	if pl.head != nil {
+		_, stack := walkNodes(&pl.ctx, pl.stack, pl.head, p, -1)
+		pl.stack = stack[:0]
 	}
 	if p.Recycler != nil {
 		p.Recycler.Recycle(&pl.ctx, p)
 	}
 	return pl.ctx.Ops
-}
-
-// walk runs one packet through the whole graph and records its
-// packet-level outcome: finished when at least one branch completed.
-//
-//dataplane:hotpath
-func (pl *Pipeline) walk(p *Packet) {
-	res, stack := walkNodes(&pl.ctx, pl.stack, pl.head, p, -1)
-	pl.stack = stack[:0]
-	if res.finished > 0 {
-		pl.Finished++
-	} else {
-		pl.Dropped++
-	}
 }
 
 // walkResult summarises one packet's (sub-)walk.
@@ -321,41 +297,4 @@ func walkNodes(ctx *Ctx, stack []*Node, entry *Node, p *Packet, stage int) (walk
 		}
 	}
 	return res, stack
-}
-
-// String renders the pipeline in config-like syntax. A linear chain keeps
-// the compact one-line form; a branching graph is rendered one node per
-// line with explicit port syntax (el[1] -> ...).
-func (pl *Pipeline) String() string {
-	if !pl.Branching() {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s :: %s", pl.Name, pl.Source.Class())
-		for n := pl.head; n != nil; n = n.out(0) {
-			fmt.Fprintf(&b, " -> %s", n.El.Class())
-		}
-		return b.String()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s :: %s -> %s;", pl.Name, pl.Source.Class(), pl.head.Name)
-	for _, n := range pl.nodes {
-		fmt.Fprintf(&b, "\n%s :: %s", n.Name, n.El.Class())
-		connected := 0
-		for _, t := range n.Out {
-			if t != nil {
-				connected++
-			}
-		}
-		for port, t := range n.Out {
-			if t == nil {
-				continue
-			}
-			if port == 0 && connected == 1 {
-				fmt.Fprintf(&b, "; %s -> %s", n.Name, t.Name)
-			} else {
-				fmt.Fprintf(&b, "; %s[%d] -> %s", n.Name, port, t.Name)
-			}
-		}
-		b.WriteString(";")
-	}
-	return b.String()
 }

@@ -164,14 +164,13 @@ func (sr *StageRunner) Reset() {
 //
 // priorFinished carries the packet-level outcome across cuts: whether a
 // branch already completed in an earlier stage. A terminating walk
-// counts the packet finished when any branch anywhere completed — the
-// same per-packet rule Pipeline.walk applies run-to-completion — and a
+// counts the packet finished when any branch anywhere completed, and a
 // handing-off walk returns the accumulated flag for the next stage's
 // ring slot. A walk can hand off at most once: if a second branch
 // reaches the cut (a Tee broadcasting across it), that branch is lost
 // and counted in CutDropped.
 func (sr *StageRunner) Walk(p *Packet, entry int, priorFinished bool) (next int, finished bool) {
-	res := walkResult{finished: 1} // bare source (entry -1): done at pull, as EmitPacket counts it
+	res := walkResult{finished: 1} // bare source (entry -1): done at pull
 	if entry >= 0 {
 		var stack []*Node
 		res, stack = walkNodes(&sr.ctx, sr.stack, sr.pl.nodes[entry], p, sr.stage)

@@ -199,8 +199,8 @@ func TestStageWalkHandsOffAtMostOnce(t *testing.T) {
 
 // TestStageWalkCarriesFinishedAcrossCut: a branch that completes before
 // the cut decides the packet's outcome even when the post-cut remainder
-// drops — matching what Pipeline.walk would count run-to-completion on
-// the identical graph.
+// drops — matching what one runner would count on the identical graph
+// uncut.
 func TestStageWalkCarriesFinishedAcrossCut(t *testing.T) {
 	const count = 4
 	cfg := `
@@ -259,9 +259,8 @@ func TestBroadcastPacketLevelOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runAll(pl)
-	if pl.Received != 2 || pl.Dropped != 2 || pl.Finished != 0 {
-		t.Fatalf("all-drop tee: recv %d fin %d drop %d, want 2/0/2", pl.Received, pl.Finished, pl.Dropped)
+	if recv, fin, drop := runAll(t, pl); recv != 2 || drop != 2 || fin != 0 {
+		t.Fatalf("all-drop tee: recv %d fin %d drop %d, want 2/0/2", recv, fin, drop)
 	}
 }
 

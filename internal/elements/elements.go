@@ -71,7 +71,6 @@ type FromDevice struct {
 	spec      trafficgen.Spec
 	feed      Feed
 	scratch   []byte // the feed's next packet, popped before a buffer is taken
-	remaining int64  // -1 = unbounded
 	batch     int    // packets per RX poll; the poll cost amortizes over it
 	sincePoll int
 }
@@ -88,8 +87,6 @@ type FromDeviceConfig struct {
 	Traffic trafficgen.Spec
 	// Buffers is the pool size (default 512, Click's per-core default).
 	Buffers int
-	// Count bounds the number of packets delivered; 0 means unbounded.
-	Count int64
 }
 
 // NewFromDevice builds the source, reserving its pool and ring in env's
@@ -109,18 +106,13 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	remaining := cfg.Count
-	if remaining == 0 {
-		remaining = -1
-	}
 	return &FromDevice{
 		// Buffers are rounded up to the next 512-byte boundary like real
 		// socket buffers, so distinct packets never share lines.
-		pool:      nic.NewBufferPool(env.Arena, cfg.Buffers, (spec.Size+511)&^511),
-		ring:      nic.NewRing(env.Arena, 256), // the RX descriptor ring
-		spec:      spec,
-		remaining: remaining,
-		batch:     max(env.RxBatch, 1),
+		pool:  nic.NewBufferPool(env.Arena, cfg.Buffers, (spec.Size+511)&^511),
+		ring:  nic.NewRing(env.Arena, 256), // the RX descriptor ring
+		spec:  spec,
+		batch: max(env.RxBatch, 1),
 	}, nil
 }
 
@@ -129,15 +121,9 @@ func NewFromDevice(env *click.Env, cfg FromDeviceConfig) (*FromDevice, error) {
 // copy, so it matches what the offline profile measured.
 func (fd *FromDevice) Spec() trafficgen.Spec { return fd.spec }
 
-// Bounded reports whether the source was configured with a COUNT.
-func (fd *FromDevice) Bounded() bool { return fd.remaining >= 0 }
-
 // SetFeed makes the source pull from f instead of its generator (nil: no
 // feed). A fed source must have its feed from its first Pull on.
 func (fd *FromDevice) SetFeed(f Feed) { fd.feed = f }
-
-// Class implements click.Source.
-func (fd *FromDevice) Class() string { return "FromDevice" }
 
 // Pull implements click.Source. A fed source returns nil while its feed
 // is empty.
@@ -145,9 +131,6 @@ func (fd *FromDevice) Class() string { return "FromDevice" }
 //dataplane:stamped source-side DMA and ring ops are flow overhead (slot 0) by design
 //dataplane:hotpath
 func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
-	if fd.remaining == 0 {
-		return nil
-	}
 	n, enq := 0, uint64(0)
 	if fd.feed != nil {
 		if fd.scratch == nil {
@@ -159,9 +142,6 @@ func (fd *FromDevice) Pull(ctx *click.Ctx) *click.Packet {
 		}
 	} else if fd.gen == nil {
 		fd.gen = trafficgen.New(fd.spec)
-	}
-	if fd.remaining > 0 {
-		fd.remaining--
 	}
 	old := ctx.SetFunc(fnFromDevice)
 	defer ctx.SetFunc(old)
@@ -349,12 +329,12 @@ func (c *Control) Delay() uint32 { return c.delay }
 func (c *Control) SetDelay(cycles uint32) { c.delay = cycles }
 
 // fromDeviceArgs is what FromDevice(...) decodes into: the source's
-// configuration plus the keys that become one (COUNT, and the signature
-// set SIG_COUNT/SIG_SEED derive).
+// configuration plus the keys that become one (the signature set
+// SIG_COUNT/SIG_SEED derive).
 type fromDeviceArgs struct {
 	FromDeviceConfig
-	count, sigCount, shiftAfter int
-	sigSeed                     uint64
+	sigCount, shiftAfter int
+	sigSeed              uint64
 }
 
 // bare registers a class that takes no arguments.
@@ -368,7 +348,6 @@ func init() {
 		click.Uint("SEED", "", func(a *fromDeviceArgs) *uint64 { return &a.Traffic.Seed }),
 		click.Int("FLOWS", "[0,)", func(a *fromDeviceArgs) *int { return &a.Traffic.Flows }),
 		click.Int("BUFFERS", "[0,1048576]", func(a *fromDeviceArgs) *int { return &a.Buffers }),
-		click.Int("COUNT", "[0,)", func(a *fromDeviceArgs) *int { return &a.count }),
 		click.Float("SIG_HIT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHit }),
 		click.Float("SIG_SHIFT", "[0,1]", func(a *fromDeviceArgs) *float64 { return &a.Traffic.SigHitShift }),
 		click.Int("SIG_COUNT", "[1,)", func(a *fromDeviceArgs) *int { return &a.sigCount }),
@@ -379,7 +358,6 @@ func init() {
 	}, func(env *click.Env) fromDeviceArgs {
 		return fromDeviceArgs{sigCount: 16, sigSeed: env.Seed}
 	}, func(env *click.Env, a fromDeviceArgs) (interface{}, error) {
-		a.Count = int64(a.count)
 		// DPI payload shaping: the generator derives the same signature
 		// set as a seed-configured SignatureClassifier, so SIG_HIT is the
 		// scenario's exact match rate.

@@ -371,7 +371,8 @@ func wantGolden(t *testing.T, path, got string) {
 // TestUncutMatchesEmitPacket is the engine-side twin of the runtime's
 // TestOneStageTraceMatchesEmitPacket: a pipeline left whole by
 // cutPipeline emits exactly run-to-completion Pipeline.EmitPacket's
-// trace, packet for packet, and reaches the same outcome counters.
+// trace, packet for packet, and leaves the same terminal counters on every
+// node.
 func TestUncutMatchesEmitPacket(t *testing.T) {
 	build := func() *apps.Instance {
 		inst, err := Quick().Params.Build(apps.MON, mem.NewArena(0), core.SeedFor(apps.MON, 0))
@@ -380,8 +381,8 @@ func TestUncutMatchesEmitPacket(t *testing.T) {
 		}
 		return inst
 	}
-	rtc := build().Pipeline
-	cuts, err := cutPipeline(build().Pipeline, 0, mem.NewArena(0))
+	rtc, whole := build().Pipeline, build().Pipeline
+	cuts, err := cutPipeline(whole, 0, mem.NewArena(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +396,13 @@ func TestUncutMatchesEmitPacket(t *testing.T) {
 			t.Fatalf("packet %d: uncut trace (%d ops) differs from EmitPacket's (%d ops)", i, len(got), len(want))
 		}
 	}
-	if n := cuts[0].completed(); n != 1000 || n != rtc.Finished+rtc.Dropped {
-		t.Fatalf("completed %d, pipeline finished %d + dropped %d", n, rtc.Finished, rtc.Dropped)
+	if n := cuts[0].completed(); n != 1000 {
+		t.Fatalf("completed %d, want 1000", n)
+	}
+	for k, n := range whole.Nodes() {
+		if m := rtc.Nodes()[k]; n.Dropped != m.Dropped || n.Finished != m.Finished {
+			t.Fatalf("node %s: uncut %d/%d dropped/finished, EmitPacket %d/%d", n.Name, n.Dropped, n.Finished, m.Dropped, m.Finished)
+		}
 	}
 }
 

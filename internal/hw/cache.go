@@ -55,26 +55,16 @@ const (
 	maxWays = 128
 )
 
-// CacheStats aggregates the events observed by one cache instance.
-// For shared caches these are totals across all accessing cores; per-core
-// attribution lives in Counters.
-type CacheStats struct {
-	Refs       uint64 // lookups via Access
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64 // valid lines displaced by Insert
-	Writebacks uint64 // dirty lines displaced or invalidated
-}
-
 // Cache is a set-associative, write-back, write-allocate cache with a
 // configurable replacement policy. It models presence and recency only;
 // latency is charged by the access path in Platform, and coherence across
 // private caches is handled by the inclusive-L3 back-invalidation logic.
+// It counts nothing: references, hits and misses are counted per core in
+// Counters.
 //
 // The zero value is not usable; construct with NewCache.
 type Cache struct {
 	Name   string
-	Stats  CacheStats
 	tags   []uint64
 	words  []uint64
 	sets   uint64
@@ -139,9 +129,9 @@ func (c *Cache) touch(i int, flags uint64) {
 	c.words[i] = c.words[i]&(c.tick-1) | c.clock | flags
 }
 
-// Access looks up the line containing addr, updating recency and counting
-// the reference. If write is true and the line is present it is marked
-// dirty. It returns whether the access hit.
+// Access looks up the line containing addr, updating recency. If write is
+// true and the line is present it is marked dirty. It returns whether the
+// access hit.
 func (c *Cache) Access(addr Addr, write bool) bool {
 	return c.access(addr, flagOf(write))
 }
@@ -149,18 +139,15 @@ func (c *Cache) Access(addr Addr, write bool) bool {
 // access is Access with the bits to OR into a hit way's word spelled out:
 // the L3 passes the accessing core's holder bit.
 func (c *Cache) access(addr Addr, flags uint64) bool {
-	c.Stats.Refs++
 	if i := c.find(addr); i >= 0 {
 		c.touch(i, flags)
-		c.Stats.Hits++
 		return true
 	}
-	c.Stats.Misses++
 	return false
 }
 
 // Contains reports whether the line containing addr is present, without
-// updating recency or statistics. It is intended for tests and assertions.
+// updating recency. It is intended for tests and assertions.
 func (c *Cache) Contains(addr Addr) bool { return c.find(addr) >= 0 }
 
 // Insert fills the line containing addr, evicting a victim if the set is
@@ -215,8 +202,6 @@ func (c *Cache) fill(addr Addr, flags uint64) (victim Addr, old uint64) {
 	}
 	i := base + c.ways - 1 - int(old&(c.tick-1)>>idxShift)
 	if old >= c.tick {
-		c.Stats.Evictions++
-		c.Stats.Writebacks += old & dirtyBit
 		victim = Addr(c.tags[i] << LineShift)
 	}
 	c.tags[i] = line
@@ -234,15 +219,13 @@ func minWord(old, x uint64) uint64 {
 }
 
 // Invalidate removes the line containing addr if present, returning
-// whether it was present and whether it was dirty. Dirty invalidations
-// are counted as writebacks.
+// whether it was present and whether it was dirty.
 func (c *Cache) Invalidate(addr Addr) (present, dirty bool) {
 	i := c.find(addr)
 	if i < 0 {
 		return false, false
 	}
 	dirty = c.words[i]&dirtyBit != 0
-	c.Stats.Writebacks += c.words[i] & dirtyBit
 	c.tags[i] = invalidTag
 	c.words[i] &= (c.tick - 1) &^ (1<<idxShift - 1)
 	return true, dirty
@@ -271,8 +254,8 @@ func (c *Cache) ValidLines() int {
 	return n
 }
 
-// Flush returns the cache to its constructed state: no valid line, no
-// statistics, and the use-stamp clock and random-victim state rewound.
+// Flush returns the cache to its constructed state: no valid line, and the
+// use-stamp clock and random-victim state rewound.
 func (c *Cache) Flush() {
 	for base := 0; base < len(c.tags); base += c.ways {
 		for way := 0; way < c.ways; way++ {
@@ -280,6 +263,5 @@ func (c *Cache) Flush() {
 			c.words[base+way] = uint64(c.ways-1-way) << idxShift
 		}
 	}
-	c.Stats = CacheStats{}
 	c.clock, c.rng = 0, 0x9e3779b97f4a7c15
 }

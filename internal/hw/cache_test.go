@@ -36,9 +36,6 @@ func TestCacheMissThenHit(t *testing.T) {
 	if !c.Access(addr, false) {
 		t.Fatal("access after insert should hit")
 	}
-	if c.Stats.Refs != 2 || c.Stats.Hits != 1 || c.Stats.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 refs / 1 hit / 1 miss", c.Stats)
-	}
 }
 
 func TestCacheSameLineDifferentBytes(t *testing.T) {
@@ -97,9 +94,6 @@ func TestCacheDirtyEvictionReportsWriteback(t *testing.T) {
 	if !evicted || victim != a || !dirty {
 		t.Fatalf("got victim=%#x dirty=%v evicted=%v, want victim=%#x dirty evicted", victim, dirty, evicted, a)
 	}
-	if c.Stats.Writebacks != 1 {
-		t.Fatalf("writebacks = %d, want 1", c.Stats.Writebacks)
-	}
 }
 
 func TestCacheWriteAccessMarksDirty(t *testing.T) {
@@ -152,9 +146,6 @@ func TestCacheFlush(t *testing.T) {
 	c.Flush()
 	if c.ValidLines() != 0 {
 		t.Fatalf("ValidLines after Flush = %d, want 0", c.ValidLines())
-	}
-	if c.Stats != (CacheStats{}) {
-		t.Fatalf("stats not reset: %+v", c.Stats)
 	}
 }
 
@@ -212,20 +203,23 @@ func TestCacheRandomPolicyStaysWithinSet(t *testing.T) {
 	}
 }
 
-// Property: after any access sequence, hits+misses == refs, and the number
-// of valid lines never exceeds capacity.
-func TestCacheStatsInvariantQuick(t *testing.T) {
+// Property: after any access sequence that fills each miss, every valid
+// line came from a miss, and the number of valid lines never exceeds
+// capacity.
+func TestCacheOccupancyInvariantQuick(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {
 		c := NewCache("q", CacheGeom{SizeBytes: 1024, Ways: 2}, ReplaceLRU)
+		misses := 0
 		for i, a := range addrs {
 			w := i < len(writes) && writes[i]
 			addr := Addr(a)
 			if !c.Access(addr, w) {
+				misses++
 				c.Insert(addr, w)
 			}
 		}
 		capacity := int(c.sets) * c.ways
-		return c.Stats.Hits+c.Stats.Misses == c.Stats.Refs && c.ValidLines() <= capacity
+		return c.ValidLines() <= min(misses, capacity)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

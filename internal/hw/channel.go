@@ -33,10 +33,9 @@ type Channel struct {
 	shared   bool // Occupy takes mu
 	nextFree uint64
 
-	Requests uint64 // requests served
-
 	// waitHist counts requests by queueing delay in power-of-two buckets:
-	// bucket 0 is zero wait, bucket i ≥ 1 covers [2^(i-1), 2^i). It feeds
+	// bucket 0 is zero wait, bucket i ≥ 1 covers [2^(i-1), 2^i); its sum
+	// is the requests served. It feeds
 	// WaitQuantile, which is how DefaultMaxQueueWait (the concurrent
 	// runtime's finite-queue bound) is tuned against the deterministic
 	// engine's observed tail waits.
@@ -74,7 +73,6 @@ func (ch *Channel) Occupy(now uint64) (wait uint64) {
 	// A capped request overlaps time already reserved: the horizon only
 	// ever moves forward.
 	ch.nextFree = max(ch.nextFree, start+ch.ServiceCycles)
-	ch.Requests++
 	ch.waitHist[waitBucket(wait)]++
 	return wait
 }
@@ -92,11 +90,15 @@ func waitBucket(wait uint64) int { return min(bits.Len64(wait), waitBuckets-1) }
 func (ch *Channel) WaitQuantile(q float64) uint64 {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if ch.Requests == 0 {
+	var requests uint64
+	for _, n := range ch.waitHist {
+		requests += n
+	}
+	if requests == 0 {
 		return 0
 	}
-	target := uint64(q * float64(ch.Requests))
-	if float64(target) < q*float64(ch.Requests) {
+	target := uint64(q * float64(requests))
+	if float64(target) < q*float64(requests) {
 		target++ // ceiling: the quantile request itself must be covered
 	}
 	if target < 1 {

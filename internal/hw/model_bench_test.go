@@ -36,12 +36,15 @@ func BenchmarkCacheFill(b *testing.B) {
 			for i, l := range rnd.Perm(len(addrs)) {
 				addrs[i] = Addr(lines+l) * LineSize
 			}
+			evictions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Insert(addrs[i&(len(addrs)-1)], false)
+				if _, _, evicted := c.Insert(addrs[i&(len(addrs)-1)], false); evicted {
+					evictions++
+				}
 			}
-			if c.Stats.Evictions != uint64(b.N) {
-				b.Fatalf("%d of %d inserts evicted", c.Stats.Evictions, b.N)
+			if evictions != b.N {
+				b.Fatalf("%d of %d inserts evicted", evictions, b.N)
 			}
 		})
 	}

@@ -69,11 +69,11 @@ func TestAccessRemoteDomainUsesQPI(t *testing.T) {
 	if core.Counters.RemoteRefs != 1 {
 		t.Fatalf("RemoteRefs = %d, want 1", core.Counters.RemoteRefs)
 	}
-	if p.Sockets[1].Mem.Requests != 1 {
-		t.Fatalf("remote controller requests = %d, want 1", p.Sockets[1].Mem.Requests)
+	if n := served(p.Sockets[1].Mem); n != 1 {
+		t.Fatalf("remote controller requests = %d, want 1", n)
 	}
-	if p.Sockets[0].Mem.Requests != 0 {
-		t.Fatalf("local controller requests = %d, want 0", p.Sockets[0].Mem.Requests)
+	if n := served(p.Sockets[0].Mem); n != 0 {
+		t.Fatalf("local controller requests = %d, want 0", n)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestWritebackOnDirtyL3Eviction(t *testing.T) {
 	dirty := DomainBase(0) + 0x40
 	core.Access(0, dirty, true, FuncOther) // write miss → dirty line
 
-	memReqsBefore := p.Sockets[0].Mem.Requests
+	memReqsBefore := served(p.Sockets[0].Mem)
 	lines := cfg.L3.SizeBytes / LineSize * 4
 	for i := 1; i <= lines; i++ {
 		core.Access(uint64(i), dirty+Addr(i*LineSize), false, FuncOther)
@@ -203,7 +203,7 @@ func TestWritebackOnDirtyL3Eviction(t *testing.T) {
 	}
 	// The sweep generated its own fills; the dirty eviction must have
 	// added at least one extra (write-back) controller request.
-	extra := p.Sockets[0].Mem.Requests - memReqsBefore
+	extra := served(p.Sockets[0].Mem) - memReqsBefore
 	if extra <= uint64(lines) {
 		t.Fatalf("controller requests %d ≤ sweep fills %d: write-back not issued", extra, lines)
 	}
@@ -248,11 +248,12 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	fresh := NewPlatform(cfg)
 	for _, s := range p.Sockets {
-		if s.L3.Stats.Evictions == 0 || s.Mem.MaxWait == 0 || s.Mem.Requests == 0 || s.L3.rng == fresh.Sockets[0].L3.rng {
-			t.Fatalf("socket %d: the run left no state to reset (L3 %+v)", s.ID, s.L3.Stats)
+		// The L3's victim draw moved: its sets filled and evicted.
+		if s.Mem.MaxWait == 0 || served(s.Mem) == 0 || s.L3.rng == fresh.Sockets[0].L3.rng {
+			t.Fatalf("socket %d: the run left no state to reset", s.ID)
 		}
 	}
-	if p.Sockets[1].QPI.Requests == 0 || p.Cores[0].elems[1].cost.L3Refs == 0 {
+	if served(p.Sockets[1].QPI) == 0 || p.Cores[0].elems[1].cost.L3Refs == 0 {
 		t.Fatal("the run crossed no socket or attributed nothing to the element table")
 	}
 	p.Reset()

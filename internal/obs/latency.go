@@ -21,7 +21,6 @@ import (
 // barriers, the same ownership discipline as hw.ElemCell. Observe is a few integer ops and never allocates.
 type LatHist struct {
 	counts [latBuckets]uint64
-	sum    uint64
 	count  uint64
 }
 
@@ -68,27 +67,17 @@ func latBoundsOf(i int) (lo, hi uint64) {
 //dataplane:hotpath
 func (h *LatHist) Observe(v uint64) {
 	h.counts[latBucketOf(v)]++
-	h.sum += v
 	h.count++
 }
 
 // Count returns the number of observations.
 func (h *LatHist) Count() uint64 { return h.count }
 
-// Mean returns the mean latency in cycles, 0 when empty.
-func (h *LatHist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Merge adds other's observations into h.
 func (h *LatHist) Merge(other *LatHist) {
 	for i := range h.counts {
 		h.counts[i] += other.counts[i]
 	}
-	h.sum += other.sum
 	h.count += other.count
 }
 
@@ -99,7 +88,6 @@ func (h *LatHist) Sub(prev *LatHist) LatHist {
 	for i := range h.counts {
 		d.counts[i] = h.counts[i] - prev.counts[i]
 	}
-	d.sum = h.sum - prev.sum
 	d.count = h.count - prev.count
 	return d
 }

@@ -128,8 +128,8 @@ func TestLatHistMergeSubCount(t *testing.T) {
 	var m LatHist
 	m.Merge(&snap)
 	m.Merge(&d)
-	if m.Count() != a.Count() || m.sum != a.sum {
-		t.Fatalf("merge(snapshot, delta) = %d/%d, want %d/%d", m.Count(), m.sum, a.Count(), a.sum)
+	if m != a {
+		t.Fatalf("merge(snapshot, delta) = %d observations %v, want %d %v", m.Count(), m.counts, a.Count(), a.counts)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestLatHistCountOver(t *testing.T) {
 
 func TestLatHistEmptyAndClamping(t *testing.T) {
 	var h LatHist
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.99) != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(1)       // underflow

@@ -18,8 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/encode.sha256 fr
 // TestEncodeGolden pins, across commits, what one Processor emits and
 // returns for 2 000 seeded payloads of which about 30 % splice in a run of
 // an earlier payload: every op (kind, address, cycles, instructions) and
-// the Encoded — RawLen, MatchedLen and every segment, literal bytes
-// included. The file is the output of the tree before Process reused its
+// the Encoded — RawLen, the bytes matched and every segment, literal bytes
+// included — plus the payloads processed and the sum of the bytes matched.
+// The encode hash is the output of the tree before Process reused its
 // scratch (90992de). Regenerate with
 // `go test ./internal/re/ -run TestEncodeGolden -args -update` and say
 // what moved.
@@ -34,6 +35,7 @@ func TestEncodeGolden(t *testing.T) {
 	var ctx click.Ctx
 	r := rng.New(24)
 	var history [][]byte
+	var packets, matched int
 	for i := 0; i < 2000; i++ {
 		payload := make([]byte, 40+r.Intn(1400)) // some shorter than a window
 		r.Fill(payload)
@@ -45,13 +47,14 @@ func TestEncodeGolden(t *testing.T) {
 		history = append(history, payload)
 		ctx.Ops = ctx.Ops[:0]
 		enc := p.Process(&ctx, payload, hw.Addr(0x100000+64*(i%512)))
+		packets, matched = packets+1, matched+matchedLen(enc)
 		for _, op := range ctx.Ops {
 			put(uint64(op.Kind))
 			put(uint64(op.Addr))
 			put(uint64(op.Cycles)<<32 | uint64(op.Instrs))
 		}
 		put(uint64(enc.RawLen))
-		put(uint64(enc.MatchedLen))
+		put(uint64(matchedLen(enc)))
 		put(uint64(len(enc.Segments)))
 		for _, s := range enc.Segments {
 			if s.Match {
@@ -65,7 +68,7 @@ func TestEncodeGolden(t *testing.T) {
 			h.Write(s.Literal)
 		}
 	}
-	got := fmt.Sprintf("packets=%d matched=%d fingerprints=%d encode=%x\n", p.Packets, p.MatchedBytes, p.Fingerprints, h.Sum(nil))
+	got := fmt.Sprintf("packets=%d matched=%d encode=%x\n", packets, matched, h.Sum(nil))
 	const path = "testdata/encode.sha256"
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -52,9 +52,8 @@ type Segment struct {
 
 // Encoded is the result of processing one payload.
 type Encoded struct {
-	Segments   []Segment // the Processor's scratch: valid until its next Process
-	RawLen     int
-	MatchedLen int // bytes replaced by references
+	Segments []Segment // the Processor's scratch: valid until its next Process
+	RawLen   int
 }
 
 // Processor is one flow's redundancy-elimination engine.
@@ -65,11 +64,6 @@ type Processor struct {
 	sample uint64    // selection mask
 	reps   []rep     // scratch kept between packets: steady state allocates nothing
 	segs   []Segment // backing array of the last Encoded.Segments
-
-	// Stats.
-	Packets      uint64
-	MatchedBytes uint64
-	Fingerprints uint64 // representative fingerprints examined
 }
 
 // NewProcessor allocates the processor's store and table from arena.
@@ -104,7 +98,6 @@ func (p *Processor) Process(ctx *click.Ctx, payload []byte, addr hw.Addr) Encode
 	old := ctx.SetFunc(fnRE)
 	defer ctx.SetFunc(old)
 
-	p.Packets++
 	enc := Encoded{Segments: p.segs[:0], RawLen: len(payload)}
 
 	// Fingerprint the payload. The payload lines are (re)read and the
@@ -119,7 +112,6 @@ func (p *Processor) Process(ctx *click.Ctx, payload []byte, addr hw.Addr) Encode
 		}
 	}
 	p.reps = reps
-	p.Fingerprints += uint64(len(reps))
 
 	// Match representative regions against the store, greedily and
 	// left-to-right; matched regions are extended byte-wise in both
@@ -157,14 +149,12 @@ func (p *Processor) Process(ctx *click.Ctx, payload []byte, addr hw.Addr) Encode
 			enc.Segments = append(enc.Segments, Segment{Literal: payload[covered:start]})
 		}
 		enc.Segments = append(enc.Segments, Segment{Off: sloc, Len: length, Match: true})
-		enc.MatchedLen += length
 		covered = start + length
 	}
 	if covered < len(payload) {
 		enc.Segments = append(enc.Segments, Segment{Literal: payload[covered:]})
 	}
 	p.segs = enc.Segments
-	p.MatchedBytes += uint64(enc.MatchedLen)
 
 	// Append the raw payload to the store and index its representative
 	// fingerprints at their new locations.

@@ -2,6 +2,7 @@ package re
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,17 @@ func TestFPTableMissesOtherKeys(t *testing.T) {
 
 // --- processor: end-to-end ---
 
+// matchedLen is the bytes enc replaced by references: the lengths of its
+// match segments.
+func matchedLen(enc Encoded) (n int) {
+	for _, s := range enc.Segments {
+		if s.Match {
+			n += s.Len
+		}
+	}
+	return n
+}
+
 func newProc() *Processor {
 	return NewProcessor(mem.NewArena(0), Config{
 		StoreBytes:   1 << 20,
@@ -209,15 +221,17 @@ func TestProcessorUniqueContentNoMatches(t *testing.T) {
 	p := newProc()
 	var ctx click.Ctx
 	payload := make([]byte, 1000)
+	sampled := 0
 	for i := 0; i < 20; i++ {
 		rng.New(uint64(i + 1)).Fill(payload)
 		enc := p.Process(&ctx, payload, 0x100000)
-		if enc.MatchedLen != 0 {
-			t.Fatalf("packet %d: matched %d bytes of unique content", i, enc.MatchedLen)
+		if matchedLen(enc) != 0 {
+			t.Fatalf("packet %d: matched %d bytes of unique content", i, matchedLen(enc))
 		}
+		sampled += len(p.reps)
 		ctx.Ops = ctx.Ops[:0]
 	}
-	if p.Fingerprints == 0 {
+	if sampled == 0 {
 		t.Fatal("no representative fingerprints sampled")
 	}
 }
@@ -229,12 +243,12 @@ func TestProcessorDetectsRepeatedPayload(t *testing.T) {
 	rng.New(7).Fill(payload)
 
 	enc1 := p.Process(&ctx, payload, 0x100000)
-	if enc1.MatchedLen != 0 {
+	if matchedLen(enc1) != 0 {
 		t.Fatal("first sighting must not match")
 	}
 	enc2 := p.Process(&ctx, payload, 0x100000)
-	if enc2.MatchedLen < 900 {
-		t.Fatalf("repeat matched only %d of 1000 bytes", enc2.MatchedLen)
+	if matchedLen(enc2) < 900 {
+		t.Fatalf("repeat matched only %d of 1000 bytes", matchedLen(enc2))
 	}
 	refs := 0
 	for _, s := range enc2.Segments {
@@ -242,7 +256,7 @@ func TestProcessorDetectsRepeatedPayload(t *testing.T) {
 			refs++
 		}
 	}
-	if saved := enc2.MatchedLen - 12*refs; saved < 800 { // a reference token is 12 bytes
+	if saved := matchedLen(enc2) - 12*refs; saved < 800 { // a reference token is 12 bytes
 		t.Fatalf("saved only %d bytes", saved)
 	}
 }
@@ -260,7 +274,7 @@ func TestProcessorEncodeDecodeRoundTrip(t *testing.T) {
 	rng.New(12).Fill(second[400:])
 
 	enc := p.Process(&ctx, second, 0x100000)
-	if enc.MatchedLen == 0 {
+	if matchedLen(enc) == 0 {
 		t.Fatal("expected a partial match")
 	}
 	decoded, err := p.Decode(enc)
@@ -335,7 +349,7 @@ func TestElementAccumulatesSavings(t *testing.T) {
 	pkt := &click.Packet{Data: b, Addr: 0x200000}
 	el.Process(&ctx, pkt)
 	el.Process(&ctx, pkt) // identical packet: matches
-	if el.Proc.MatchedBytes == 0 {
+	if !slices.ContainsFunc(el.Proc.segs, func(s Segment) bool { return s.Match }) {
 		t.Fatal("repeated packet matched nothing")
 	}
 }

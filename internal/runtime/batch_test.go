@@ -202,7 +202,7 @@ func TestWorkerBatchOccupancyExcludesClipped(t *testing.T) {
 // chains of one stage at the op level: stage.step must emit exactly the
 // trace run-to-completion Pipeline.EmitPacket emits over the worker's own
 // FromDevice (pull → walk → recycle), packet for packet, and leave the
-// same packet-level outcome counters. At BATCH 4 the RX poll is charged
+// same terminal counters on every node. At BATCH 4 the RX poll is charged
 // once per four pulls on both sides.
 func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
 	for _, tc := range []struct {
@@ -241,10 +241,14 @@ func TestOneStageTraceMatchesEmitPacket(t *testing.T) {
 					t.Fatalf("packet %d: a run-to-completion step must terminate untraced: %+v", i, got)
 				}
 			}
-			run := staged.unit.runner
 			// A one-stage runner ends every walk it starts.
-			if rec, drop, fin := pipe.Received, pipe.Dropped, pipe.Finished; run.Finished+run.Dropped != rec || run.Dropped != drop || run.Finished != fin {
-				t.Fatalf("runner counters %d/%d, pipeline %d/%d/%d", run.Dropped, run.Finished, rec, drop, fin)
+			if run := staged.unit.runner; run.Finished+run.Dropped != 300 {
+				t.Fatalf("runner ended %d/%d walks, want 300", run.Finished+run.Dropped, 300)
+			}
+			for k, n := range staged.unit.fl.pipe.Nodes() {
+				if m := pipe.Nodes()[k]; n.Dropped != m.Dropped || n.Finished != m.Finished {
+					t.Fatalf("node %s: one stage %d/%d dropped/finished, EmitPacket %d/%d", n.Name, n.Dropped, n.Finished, m.Dropped, m.Finished)
+				}
 			}
 		})
 	}

@@ -158,7 +158,7 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 	m := &rtObs{}
 	m.workerCRows = []counterRow[*workerMark]{
 		{reg.Counter("dataplane_worker_packets_total", "packets whose trace the worker executed", "worker"),
-			func(d *workerMark) uint64 { return d.packets }},
+			func(d *workerMark) uint64 { return d.counters.Packets }},
 		{reg.Counter("dataplane_worker_batch_polls_total", "occupancy-counted batch polls", "worker"),
 			func(d *workerMark) uint64 { return d.batchCnt }},
 		{reg.Counter("dataplane_worker_batch_filled_total", "packets drained by occupancy-counted batch polls", "worker"),

@@ -422,22 +422,18 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			// profiling measured, so the ring-fed runtime generates from a
 			// copy of its spec: the payload shaping (signature injection,
 			// entropy distribution) carries over, and a packet-size
-			// disagreement or a COUNT is a configuration error — the
-			// profile and the runtime would silently measure different
-			// workloads. The flow population scales with the replica count
-			// so that RSS sharding delivers each replica roughly
-			// TrafficFlows distinct flows, the workload the solo profile
-			// was measured under. (With a fixed population, sharding would
-			// shrink each core's working set and every replica would beat
-			// its solo baseline.)
+			// disagreement is a configuration error — the profile and the
+			// runtime would silently measure different workloads. The flow
+			// population scales with the replica count so that RSS
+			// sharding delivers each replica roughly TrafficFlows distinct
+			// flows, the workload the solo profile was measured under.
+			// (With a fixed population, sharding would shrink each core's
+			// working set and every replica would beat its solo baseline.)
 			genSpec := trafficgen.Spec{Size: pktSize}
 			if src := st.flows[0].traffic; src != nil {
 				if src.Size != pktSize {
 					return nil, fmt.Errorf("runtime: app %q: graph source generates %d-byte packets but the flow's packet size is %d (set PACKET_SIZE to match the source's SIZE)",
 						spec.Name, src.Size, pktSize)
-				}
-				if st.flows[0].counted {
-					return nil, fmt.Errorf("runtime: app %q: graph source sets COUNT, but a scenario flow's traffic is unbounded (drop COUNT)", spec.Name)
 				}
 				genSpec = *src
 			}
@@ -526,7 +522,7 @@ func (r *Runtime) buildFlow(f *flow, arenas []*mem.Arena) (hw.PacketSource, erro
 	// stay reserved.
 	if fd, ok := f.pipe.Source.(*elements.FromDevice); ok {
 		spec := fd.Spec()
-		f.traffic, f.counted = &spec, fd.Bounded()
+		f.traffic = &spec
 	}
 	f.pipe.Source = nil
 	// Per-element attribution slots: the graph is structurally final here
@@ -655,7 +651,7 @@ func (r *Runtime) resetMeasurement(q int) {
 	r.base.take(r, q-1)
 	r.prev.take(r, q-1)
 	for _, w := range r.workers {
-		w.bindPackets, w.bindClock = w.packets, w.core.Clock()
+		w.bindPackets, w.bindClock = w.core.Counters.Packets, w.core.Clock()
 	}
 	for _, a := range r.disp.apps {
 		a.pacedQuanta, a.pacedEmitted = 0, 0
@@ -809,12 +805,12 @@ func (r *Runtime) buildReport(measQ int) *Report {
 		// previous flow processed on this core out of the current app's
 		// numbers. Counter-derived rates (refs/sec) stay per-core — they
 		// are what a hardware counter would report for the whole window.
-		bound := w.packets - w.bindPackets
+		bound := w.core.Counters.Packets - w.bindPackets
 		boundSec := r.cfg.Cfg.CyclesToSeconds(w.core.Clock() - w.bindClock)
 		wr := WorkerReport{
 			Worker: i, Core: w.core.ID, Socket: w.socket,
 			Packets:         bound,
-			TotalPackets:    d.packets,
+			TotalPackets:    d.counters.Packets,
 			RefsPerSec:      float64(d.counters.L3Refs) / duration,
 			RemotePerPacket: d.counters.PerPacket(d.counters.RemoteRefs),
 			BatchOccupancy:  occupancy(d.batchSum, d.batchCnt, w.batch),

@@ -397,11 +397,6 @@ func TestNewRuntimeValidation(t *testing.T) {
 		{"duplicate app name", func(c *Config) {
 			c.Apps = []AppSpec{{Name: "a", Type: apps.IP, Workers: 1}, {Name: "a", Type: apps.MON, Workers: 1}}
 		}, `apps 0 and 1 are both named "a"`},
-		// Used to profile a solo rate of 0 pps, then run unbounded.
-		{"graph source COUNT", func(c *Config) {
-			c.Params.Custom = map[apps.FlowType]apps.CustomFlow{"G": {Config: "src :: FromDevice(SIZE 64, COUNT 100); src -> CheckIPHeader -> ToDevice;", PacketSize: 64}}
-			c.Apps = []AppSpec{{Name: "g", Type: "G", Workers: 1}}
-		}, `app "g": graph source sets COUNT`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

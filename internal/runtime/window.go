@@ -33,7 +33,6 @@ type mark struct {
 type workerMark struct {
 	counters hw.Counters
 	clock    uint64
-	packets  uint64
 	// Batch-fill sum and count over occupancy-counted polls, and the polls
 	// the quantum boundary clipped (see worker).
 	batchSum, batchCnt, clipped uint64
@@ -88,7 +87,7 @@ func newMark(r *Runtime) *mark {
 func (m *mark) take(r *Runtime, q int) {
 	m.q = q
 	for i, w := range r.workers {
-		m.workers[i] = workerMark{counters: w.core.Counters, clock: w.core.Clock(), packets: w.packets,
+		m.workers[i] = workerMark{counters: w.core.Counters, clock: w.core.Clock(),
 			batchSum: w.totBatchSum, batchCnt: w.totBatchCnt, clipped: w.totClipped}
 	}
 	for i, a := range r.disp.apps {
@@ -124,7 +123,7 @@ func (d *mark) diff(cur, since *mark) {
 	d.q = cur.q - since.q
 	for i := range d.workers {
 		c, s := &cur.workers[i], &since.workers[i]
-		d.workers[i] = workerMark{counters: c.counters.Sub(s.counters), clock: c.clock - s.clock, packets: c.packets - s.packets,
+		d.workers[i] = workerMark{counters: c.counters.Sub(s.counters), clock: c.clock - s.clock,
 			batchSum: c.batchSum - s.batchSum, batchCnt: c.batchCnt - s.batchCnt, clipped: c.clipped - s.clipped}
 	}
 	for i := range d.apps {

@@ -31,7 +31,6 @@ type flow struct {
 	ring    *Ring             // nil for synthetic flows
 	control *elements.Control // non-nil when the app carries admission control
 	traffic *trafficgen.Spec  // the graph's own source's spec, read before buildFlow drops the source
-	counted bool              // that source set COUNT, which a ring-fed flow cannot honour
 
 	// stages holds the flow's stages in pipeline order, at least one (see
 	// stage.go); the per-element tables and latency shards live there.
@@ -105,15 +104,15 @@ type worker struct {
 	// the occupancy sums: a boundary-clipped poll says nothing about how
 	// full the input rings run, and folding it in biased BatchOccupancy
 	// low — the shorter the quantum, the worse.
-	packets     uint64 // packets processed
 	totBatchSum uint64 // packets in occupancy-counted polls
 	totBatchCnt uint64 // occupancy-counted batch polls
 	totClipped  uint64 // quantum-clipped batch polls
 
-	// Per-binding baselines, reset whenever the worker's flow changes
-	// (and at measurement start), so reported packets are attributed to
-	// the app that actually processed them rather than to whichever flow
-	// held the final binding after a migration.
+	// Per-binding baselines of the core's packet count and clock, reset
+	// whenever the worker's flow changes (and at measurement start), so
+	// reported packets are attributed to the app that actually processed
+	// them rather than to whichever flow held the final binding after a
+	// migration.
 	bindPackets uint64
 	bindClock   uint64
 
@@ -137,7 +136,7 @@ type worker struct {
 // stage leaves the source without a feed (nil, never a typed nil).
 func (w *worker) bind(u *stage) {
 	w.unit = u
-	w.bindPackets = w.packets
+	w.bindPackets = w.core.Counters.Packets
 	w.bindClock = w.core.Clock()
 	u.workerIdx = w.id
 	w.core.SetElemTable(u.elems)
@@ -184,7 +183,6 @@ func (w *worker) poll(limit uint64) bool {
 				// executed, minus the dispatcher's enqueue stamp.
 				res.lat.Observe(w.core.Clock() - res.enq)
 			}
-			w.packets++
 			w.n++
 			return true
 		}

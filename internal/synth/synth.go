@@ -128,21 +128,13 @@ func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
-// synArgs is what Syn(...) decodes into.
-type synArgs struct {
-	Config
-	trigger uint64
-}
-
 func init() {
-	click.Register("Syn", []click.Key[synArgs]{
-		click.Int("REGION", "[0,0]|[64,)", func(a *synArgs) *int { return &a.RegionBytes }),
-		click.Int("ACCESSES", "[0,)", func(a *synArgs) *int { return &a.AccessesPerPacket }),
-		click.Int("COMPUTE", "[0,4294967295]", func(a *synArgs) *int { return &a.ComputePerAccess }),
-		click.Uint("TRIGGER", "", func(a *synArgs) *uint64 { return &a.trigger }),
-	}, func(env *click.Env) synArgs {
-		return synArgs{Config: Config{Seed: env.Seed}}
-	}, func(env *click.Env, a synArgs) (interface{}, error) {
-		return NewElement(env.Arena, a.Config, a.trigger), nil
+	click.Register("Syn", []click.Key[Config]{
+		click.Int("REGION", "[0,0]|[64,)", func(c *Config) *int { return &c.RegionBytes }),
+		click.Int("ACCESSES", "[0,)", func(c *Config) *int { return &c.AccessesPerPacket }),
+	}, func(env *click.Env) Config {
+		return Config{Seed: env.Seed}
+	}, func(env *click.Env, c Config) (interface{}, error) {
+		return NewElement(env.Arena, c, 0), nil
 	})
 }
