@@ -105,7 +105,7 @@ func TestCTRCounterOverflow(t *testing.T) {
 }
 
 func TestVPNElementEncryptsPayload(t *testing.T) {
-	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0, 0)
+	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestVPNElementEncryptsPayload(t *testing.T) {
 // path this package owns: the cipher works in its own two blocks, so a
 // packet costs no heap object however long its payload.
 func TestVPNElementProcessAllocatesNothing(t *testing.T) {
-	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0, 0)
+	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestVPNElementProcessAllocatesNothing(t *testing.T) {
 }
 
 func TestVPNElementDistinctIVs(t *testing.T) {
-	v, _ := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0, 0)
+	v, _ := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
 	var ctx click.Ctx
 	mk := func() []byte {
 		b := make([]byte, 64)

@@ -36,25 +36,23 @@ type VPNElement struct {
 // cache-resident.
 const defaultOutBuffers = 4096
 
+const outBufferBytes = 2048 // one output buffer: the largest packet
+
 // NewVPN builds the element with the given 16-byte key. When arena is
-// non-nil an output-buffer ring of outBuffers buffers (0 = default) sized
-// for packets of up to maxPacket bytes is allocated; with a nil arena
-// encryption happens in place (no output-buffer traffic), which some
-// tests use.
-func NewVPN(key []byte, arena *mem.Arena, maxPacket, outBuffers int) (*VPNElement, error) {
+// non-nil an output-buffer ring of outBuffers buffers (0 = default) of
+// outBufferBytes each is allocated; with a nil arena encryption happens
+// in place (no output-buffer traffic), which some tests use.
+func NewVPN(key []byte, arena *mem.Arena, outBuffers int) (*VPNElement, error) {
 	c, err := NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
 	v := &VPNElement{cipher: c}
 	if arena != nil {
-		if maxPacket < 64 {
-			maxPacket = 64
-		}
 		if outBuffers <= 0 {
 			outBuffers = defaultOutBuffers
 		}
-		v.out = mem.NewRegion(arena, outBuffers, uint64(maxPacket), true)
+		v.out = mem.NewRegion(arena, outBuffers, outBufferBytes, true)
 	}
 	return v, nil
 }
@@ -108,6 +106,6 @@ func init() {
 				seed = seed*0x9e3779b97f4a7c15 + 1
 			}
 		}
-		return NewVPN(key, env.Arena, 2048, outBufs)
+		return NewVPN(key, env.Arena, outBufs)
 	})
 }

@@ -65,10 +65,11 @@ const (
 // The zero value is not usable; construct with NewCache.
 type Cache struct {
 	Name   string
+	geom   CacheGeom // what alloc makes at the first fill
 	tags   []uint64
 	words  []uint64
 	sets   uint64
-	ways   int
+	ways   int // 0 until the first fill, so find scans no way
 	policy ReplacementPolicy
 	clock  uint64 // stamp of the latest touch, in field position
 	tick   uint64 // one stamp: the lowest bit of the stamp field
@@ -77,6 +78,8 @@ type Cache struct {
 
 // NewCache builds a cache with the given geometry and replacement policy.
 // It panics on a geometry the recency word cannot index (Ways > 128).
+// Its arrays are made at the first fill: until then find scans zero ways,
+// so every lookup misses as on an empty cache.
 func NewCache(name string, g CacheGeom, policy ReplacementPolicy) *Cache {
 	sets := g.Sets()
 	if g.Ways > maxWays {
@@ -84,15 +87,22 @@ func NewCache(name string, g CacheGeom, policy ReplacementPolicy) *Cache {
 	}
 	c := &Cache{
 		Name:   name,
-		tags:   make([]uint64, sets*g.Ways),
-		words:  make([]uint64, sets*g.Ways),
+		geom:   g,
 		sets:   uint64(sets),
-		ways:   g.Ways,
 		policy: policy,
 		tick:   1 << (idxShift + bits.Len(uint(g.Ways-1))),
 	}
 	c.Flush()
 	return c
+}
+
+// alloc makes the arrays at the first fill. Nothing changes a cache before
+// it, so the stamp clock and victim draw are those Flush sets.
+func (c *Cache) alloc() {
+	c.ways = c.geom.Ways
+	c.tags = make([]uint64, int(c.sets)*c.ways)
+	c.words = make([]uint64, len(c.tags))
+	c.Flush()
 }
 
 func (c *Cache) setOf(lineAddr uint64) int {
@@ -174,6 +184,9 @@ func (c *Cache) insert(addr Addr, flags uint64) (victim Addr, old uint64) {
 // displaced line's address and recency word; the word is below c.tick
 // (no stamp, no dirty or holder bit) when the way was empty.
 func (c *Cache) fill(addr Addr, flags uint64) (victim Addr, old uint64) {
+	if c.tags == nil {
+		c.alloc()
+	}
 	line := uint64(addr >> LineShift)
 	base := c.setOf(line)
 	set := c.words[base : base+c.ways]
@@ -255,7 +268,7 @@ func (c *Cache) ValidLines() int {
 }
 
 // Flush returns the cache to its constructed state: no valid line, and the
-// use-stamp clock and random-victim state rewound.
+// use-stamp clock and random-victim state rewound. It keeps its arrays.
 func (c *Cache) Flush() {
 	for base := 0; base < len(c.tags); base += c.ways {
 		for way := 0; way < c.ways; way++ {

@@ -179,7 +179,7 @@ func TestFlushedRandomCacheMatchesNew(t *testing.T) {
 
 func TestCacheCapacityNeverExceeded(t *testing.T) {
 	c := newTinyCache(t, 2048, 4, ReplaceLRU)
-	total := int(c.sets) * c.ways
+	total := int(c.sets) * c.geom.Ways
 	for i := 0; i < 10*total; i++ {
 		c.Insert(Addr(i)*LineSize*7, false)
 	}
@@ -218,7 +218,7 @@ func TestCacheOccupancyInvariantQuick(t *testing.T) {
 				c.Insert(addr, w)
 			}
 		}
-		capacity := int(c.sets) * c.ways
+		capacity := int(c.sets) * c.geom.Ways
 		return c.ValidLines() <= min(misses, capacity)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

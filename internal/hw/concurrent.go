@@ -22,9 +22,9 @@ package hw
 // and ExecStall pass a whole trace with shared true, and exec then takes
 // the owning socket's lock once per run of consecutive memory ops,
 // releasing it at every compute op and at the end of the trace. A compute
-// op touches no shared state, so it bounds every hold. Holding the lock
-// for the whole trace saved no more host time, but it coarsened how
-// co-located cores interleave and measurably lowered prediction accuracy.
+// op touches no shared state, so it bounds every hold. In production the
+// lock is never contended (the runtime steps each socket from one
+// goroutine); only bench/layers.go's replay of one socket waits on it.
 //
 //dataplane:hotpath
 func (c *Core) exec(ops []Op, shared bool) {

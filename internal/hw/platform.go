@@ -285,8 +285,8 @@ func (s *Socket) invalidateHolders(w uint64, addr Addr) (dirty bool) {
 
 // Reset returns the platform to the state NewPlatform(p.Cfg) builds: every
 // cache and channel as constructed, every core's counters, clock and
-// element table cleared, every domain at its default home. Call it only
-// while no core is executing.
+// element table cleared, every domain at its default home. A cache keeps
+// the arrays its first fill made. Call it only while no core is executing.
 func (p *Platform) Reset() {
 	p.domainHome = nil
 	for _, s := range p.Sockets {

@@ -256,8 +256,75 @@ func TestResetMatchesNew(t *testing.T) {
 	if served(p.Sockets[1].QPI) == 0 || p.Cores[0].elems[1].cost.L3Refs == 0 {
 		t.Fatal("the run crossed no socket or attributed nothing to the element table")
 	}
+	// The run filled every cache, and a reset keeps the arrays a fill
+	// made: the new platform gets its arrays as a first fill makes them.
+	for _, c := range caches(fresh) {
+		c.alloc()
+	}
 	p.Reset()
 	if !reflect.DeepEqual(p, fresh) {
 		t.Fatal("a reset platform differs from NewPlatform(cfg)")
+	}
+}
+
+// caches lists p's caches: each socket's L3, then its cores' L1 and L2.
+func caches(p *Platform) []*Cache {
+	var cs []*Cache
+	for _, s := range p.Sockets {
+		cs = append(cs, s.L3)
+		for _, c := range s.Cores {
+			cs = append(cs, c.L1, c.L2)
+		}
+	}
+	return cs
+}
+
+// TestCachesAllocateAtFirstFill: a cache makes its arrays at its first
+// fill, so a run on core 0 alone, remote loads and DMA writes included,
+// leaves every other core's L1 and L2 and socket 1's L3 without them.
+// Such a cache misses every lookup without allocating, and its first
+// Insert leaves it equal to an eagerly allocated cache given the same
+// Insert, holding the reference model's lines. (TestHierarchyMatchesReference
+// replays from new, so unallocated, caches throughout.)
+func TestCachesAllocateAtFirstFill(t *testing.T) {
+	p := NewPlatform(smallConfig())
+	core0 := p.Cores[0]
+	core0.ExecOps([]Op{
+		{Kind: OpLoad, Addr: DomainBase(0) + 0x1000},
+		{Kind: OpStore, Addr: DomainBase(1) + 0x2040},
+		{Kind: OpDMAWrite, Addr: DomainBase(0) + 0x3000},
+	})
+	for _, c := range caches(p) {
+		filled := c == core0.L1 || c == core0.L2 || c == p.Sockets[0].L3
+		if made := c.tags != nil || c.words != nil || c.ways != 0; made != filled {
+			t.Errorf("%s: arrays made %v, want %v", c.Name, made, filled)
+		}
+	}
+	idle := []*Cache{p.Cores[1].L1, p.Cores[len(p.Cores)-1].L2, p.Sockets[1].L3}
+	addr := DomainBase(0) + 0x1000
+	for _, c := range idle {
+		var hit, present, dirty, marked bool
+		allocs := testing.AllocsPerRun(10, func() {
+			hit = c.Contains(addr)
+			present, dirty = c.Invalidate(addr)
+			marked = c.MarkDirty(addr)
+		})
+		if hit || present || dirty || marked || allocs != 0 {
+			t.Errorf("%s: Contains %v, Invalidate %v/%v, MarkDirty %v, %v allocations; want misses and 0",
+				c.Name, hit, present, dirty, marked, allocs)
+		}
+	}
+	for _, c := range idle {
+		eager, ref := NewCache(c.Name, c.geom, c.policy), newRefCache(c.geom, c.policy)
+		eager.alloc()
+		got, want := [3]any{}, [3]any{}
+		got[0], got[1], got[2] = c.Insert(addr, true)
+		want[0], want[1], want[2] = eager.Insert(addr, true)
+		ref.insert(addr, true)
+		if c.tags == nil || got != want || !reflect.DeepEqual(c, eager) {
+			t.Errorf("%s: first Insert returned %v and made arrays %v; an eager cache returns %v and holds the same state",
+				c.Name, got, c.tags != nil, want)
+		}
+		sameLines(t, c, ref)
 	}
 }
