@@ -7,6 +7,7 @@ import (
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
+	"pktpredict/internal/mem"
 	"pktpredict/internal/netpkt"
 )
 
@@ -105,39 +106,54 @@ func TestCTRCounterOverflow(t *testing.T) {
 }
 
 func TestVPNElementEncryptsPayload(t *testing.T) {
-	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
+	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), mem.NewArena(0), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]byte, 256)
-	netpkt.WriteIPv4(b, netpkt.IPv4Header{TotalLen: 256, TTL: 64, Proto: netpkt.ProtoUDP, Src: 1, Dst: 2})
-	orig := append([]byte(nil), b...)
-	p := &click.Packet{Data: b, Addr: 0x10000}
-	var ctx click.Ctx
-	if verdict := v.Process(&ctx, p); verdict != click.Continue {
-		t.Fatalf("verdict = %v", verdict)
-	}
-	if bytes.Equal(b[20:], orig[20:]) {
-		t.Fatal("payload unchanged")
-	}
-	if !bytes.Equal(b[:20], orig[:20]) {
-		t.Fatal("header must not be encrypted")
-	}
-
-	var computes, loads, stores int
-	for _, op := range ctx.Ops {
-		switch op.Kind {
-		case hw.OpCompute:
-			computes++
-		case hw.OpLoad:
-			loads++
-		case hw.OpStore:
-			stores++
+	// Each packet's ciphertext is stored to the next buffer of the output
+	// ring, one store per line of the packet, never back into the packet;
+	// the two-buffer ring wraps on the third packet.
+	for i, buf := range []int{0, 1, 0} {
+		b := make([]byte, 256)
+		netpkt.WriteIPv4(b, netpkt.IPv4Header{TotalLen: 256, TTL: 64, Proto: netpkt.ProtoUDP, Src: 1, Dst: 2})
+		orig := append([]byte(nil), b...)
+		p := &click.Packet{Data: b, Addr: 0x10000}
+		var ctx click.Ctx
+		if verdict := v.Process(&ctx, p); verdict != click.Continue {
+			t.Fatalf("packet %d: verdict = %v", i, verdict)
 		}
-	}
-	// 236-byte payload spans 4-5 lines; ensure both passes traced.
-	if loads < 4 || stores < 4 || computes == 0 {
-		t.Fatalf("trace: %d loads / %d stores / %d computes", loads, stores, computes)
+		if bytes.Equal(b[20:], orig[20:]) {
+			t.Fatalf("packet %d: payload unchanged", i)
+		}
+		if !bytes.Equal(b[:20], orig[:20]) {
+			t.Fatalf("packet %d: header must not be encrypted", i)
+		}
+
+		var computes, loads int
+		var stores []hw.Addr
+		for _, op := range ctx.Ops {
+			switch op.Kind {
+			case hw.OpCompute:
+				computes++
+			case hw.OpLoad:
+				loads++
+			case hw.OpStore:
+				stores = append(stores, op.Addr)
+			}
+		}
+		// The 236-byte payload spans 4-5 lines; the packet spans 4.
+		if loads < 4 || computes == 0 {
+			t.Fatalf("packet %d: trace has %d loads / %d computes", i, loads, computes)
+		}
+		out := v.out.Addr(buf)
+		if len(stores) != 256/hw.LineSize {
+			t.Fatalf("packet %d: %d stores, want one per line of the packet (%d)", i, len(stores), 256/hw.LineSize)
+		}
+		for j, a := range stores {
+			if want := out + hw.Addr(j*hw.LineSize); a != want {
+				t.Fatalf("packet %d: store %d at %#x, want %#x in output buffer %d", i, j, a, want, buf)
+			}
+		}
 	}
 }
 
@@ -145,7 +161,7 @@ func TestVPNElementEncryptsPayload(t *testing.T) {
 // path this package owns: the cipher works in its own two blocks, so a
 // packet costs no heap object however long its payload.
 func TestVPNElementProcessAllocatesNothing(t *testing.T) {
-	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
+	v, err := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), mem.NewArena(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +178,7 @@ func TestVPNElementProcessAllocatesNothing(t *testing.T) {
 }
 
 func TestVPNElementDistinctIVs(t *testing.T) {
-	v, _ := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), nil, 0)
+	v, _ := NewVPN(unhex(t, "000102030405060708090a0b0c0d0e0f"), mem.NewArena(0), 0)
 	var ctx click.Ctx
 	mk := func() []byte {
 		b := make([]byte, 64)

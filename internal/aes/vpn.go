@@ -38,23 +38,18 @@ const defaultOutBuffers = 4096
 
 const outBufferBytes = 2048 // one output buffer: the largest packet
 
-// NewVPN builds the element with the given 16-byte key. When arena is
-// non-nil an output-buffer ring of outBuffers buffers (0 = default) of
-// outBufferBytes each is allocated; with a nil arena encryption happens
-// in place (no output-buffer traffic), which some tests use.
+// NewVPN builds the element with the given 16-byte key and allocates
+// its output-buffer ring from arena: outBuffers buffers (0 = default) of
+// outBufferBytes each.
 func NewVPN(key []byte, arena *mem.Arena, outBuffers int) (*VPNElement, error) {
 	c, err := NewCipher(key)
 	if err != nil {
 		return nil, err
 	}
-	v := &VPNElement{cipher: c}
-	if arena != nil {
-		if outBuffers <= 0 {
-			outBuffers = defaultOutBuffers
-		}
-		v.out = mem.NewRegion(arena, outBuffers, outBufferBytes, true)
+	if outBuffers <= 0 {
+		outBuffers = defaultOutBuffers
 	}
-	return v, nil
+	return &VPNElement{cipher: c, out: mem.NewRegion(arena, outBuffers, outBufferBytes, true)}, nil
 }
 
 // Class implements click.Element.
@@ -81,16 +76,10 @@ func (v *VPNElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	// S-box and round keys are a few hundred bytes that remain
 	// L1-resident.
 	blocks := (len(payload) + BlockSize - 1) / BlockSize
-	payloadAddr := p.Addr + netpkt.IPv4HeaderLen
-	ctx.LoadBytes(payloadAddr, len(payload))
+	ctx.LoadBytes(p.Addr+netpkt.IPv4HeaderLen, len(payload))
 	ctx.Compute(uint32(blocks*cyclesPerBlock), uint32(blocks*instrsPerBlock))
-	if v.out.Count > 0 {
-		outAddr := v.out.Addr(v.outIdx)
-		v.outIdx = (v.outIdx + 1) % v.out.Count
-		ctx.StoreBytes(outAddr, len(p.Data))
-	} else {
-		ctx.StoreBytes(payloadAddr, len(payload))
-	}
+	ctx.StoreBytes(v.out.Addr(v.outIdx), len(p.Data))
+	v.outIdx = (v.outIdx + 1) % v.out.Count
 	return click.Continue
 }
 

@@ -309,9 +309,7 @@ func construct(env *Env, n *graphElem) (interface{}, error) {
 		e2.Arena = a
 		env = &e2
 	}
-	if env.Arena != nil {
-		defer env.Arena.SetLabel(env.Arena.SetLabel(n.name))
-	}
+	defer env.Arena.SetLabel(env.Arena.SetLabel(n.name))
 	return NewInstance(env, n.class, n.args)
 }
 

@@ -36,8 +36,7 @@ type BanTable struct {
 }
 
 // NewBanTable builds a table with capacity entries (rounded up to a
-// power of two) allocated from arena; a nil arena skips the simulated
-// region (engine-only tests).
+// power of two), one simulated line each, allocated from arena.
 func NewBanTable(arena *mem.Arena, capacity int) (*BanTable, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("dpi: ban table capacity %d must be positive", capacity)
@@ -46,14 +45,11 @@ func NewBanTable(arena *mem.Arena, capacity int) (*BanTable, error) {
 	for size < capacity {
 		size <<= 1
 	}
-	t := &BanTable{
-		slots: make([]atomic.Uint64, size),
-		mask:  uint64(size - 1),
-	}
-	if arena != nil {
-		t.region = mem.NewRegion(arena, size, hw.LineSize, true)
-	}
-	return t, nil
+	return &BanTable{
+		slots:  make([]atomic.Uint64, size),
+		region: mem.NewRegion(arena, size, hw.LineSize, true),
+		mask:   uint64(size - 1),
+	}, nil
 }
 
 // SimBytes returns the table's simulated footprint.
@@ -104,22 +100,16 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 	victimStamp := ^uint32(0)
 	for probe := 0; probe < banProbes; probe++ {
 		packed := t.slots[idx].Load()
-		if t.region.Count > 0 {
-			ctx.Load(t.region.Addr(int(idx)))
-		}
+		ctx.Load(t.region.Addr(int(idx)))
 		ctx.Compute(banCmpCompute, banCmpInstrs)
 		if packed == 0 {
 			t.slots[idx].Store(uint64(ip)<<32 | uint64(t.clock))
-			if t.region.Count > 0 {
-				ctx.Store(t.region.Addr(int(idx)))
-			}
+			ctx.Store(t.region.Addr(int(idx)))
 			return false
 		}
 		if uint32(packed>>32) == ip {
 			t.slots[idx].Store(uint64(ip)<<32 | uint64(t.clock))
-			if t.region.Count > 0 {
-				ctx.Store(t.region.Addr(int(idx)))
-			}
+			ctx.Store(t.region.Addr(int(idx)))
 			return true
 		}
 		if stamp := uint32(packed); stamp < victimStamp {
@@ -129,15 +119,14 @@ func (t *BanTable) Check(ctx *click.Ctx, ip uint32) bool {
 	}
 	// Chain full: evict the least-recently-seen probed entry.
 	t.slots[victim].Store(uint64(ip)<<32 | uint64(t.clock))
-	if t.region.Count > 0 {
-		ctx.Store(t.region.Addr(int(victim)))
-	}
+	ctx.Store(t.region.Addr(int(victim)))
 	return false
 }
 
 // Contains reports whether ip currently has an entry, without recording
 // a sighting or emitting a trace. Safe to call concurrently with the
-// writer's Check — the control plane's read path.
+// writer's Check. Only tests call it: it is their observer of the
+// table (lint/test-only-api.txt), and no control plane reads the table.
 func (t *BanTable) Contains(ip uint32) bool {
 	idx := banHash(ip) & t.mask
 	for probe := 0; probe < banProbes; probe++ {

@@ -29,7 +29,7 @@ func sameBucketIPs(t *testing.T, size, n int) []uint32 {
 }
 
 func TestBanTableRepeatOffender(t *testing.T) {
-	tb, err := NewBanTable(nil, 64)
+	tb, err := NewBanTable(mem.NewArena(0), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestBanTableRepeatOffender(t *testing.T) {
 }
 
 func TestBanTableEvictsLeastRecentlySeen(t *testing.T) {
-	tb, err := NewBanTable(nil, 64)
+	tb, err := NewBanTable(mem.NewArena(0), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,24 +103,60 @@ func TestBanTableTraceAndFootprint(t *testing.T) {
 	if want := uint64(128 * hw.LineSize); tb.SimBytes() != want {
 		t.Fatalf("SimBytes = %d, want %d (one line per slot)", tb.SimBytes(), want)
 	}
-	var ctx click.Ctx
-	tb.Check(&ctx, 0xc0a80101)
-	var loads, stores int
-	for _, op := range ctx.Ops {
-		switch op.Kind {
-		case hw.OpLoad:
-			loads++
-		case hw.OpStore:
-			stores++
+
+	// Check loads each line it probes, in chain order, and stores the one
+	// it writes, all inside the table's region. An insert into an empty
+	// chain probes and writes its first line.
+	ips := sameBucketIPs(t, len(tb.slots), banProbes+1)
+	first := int(banHash(ips[0]) & tb.mask)
+	base, end := tb.region.Addr(0), tb.region.Addr(0)+hw.Addr(tb.SimBytes())
+	expect := func(what string, ctx *click.Ctx, probed []int, written int) {
+		t.Helper()
+		var loads, stores []hw.Addr
+		for _, op := range ctx.Ops {
+			switch op.Kind {
+			case hw.OpLoad:
+				loads = append(loads, op.Addr)
+			case hw.OpStore:
+				stores = append(stores, op.Addr)
+			}
+		}
+		for _, a := range append(append([]hw.Addr(nil), loads...), stores...) {
+			if a < base || a >= end {
+				t.Fatalf("%s: access %#x outside the region [%#x,%#x)", what, a, base, end)
+			}
+		}
+		if len(loads) != len(probed) {
+			t.Fatalf("%s: %d loads, want one per probed line (%d)", what, len(loads), len(probed))
+		}
+		for i, slot := range probed {
+			if loads[i] != tb.region.Addr(slot) {
+				t.Fatalf("%s: load %d at %#x, want slot %d's line %#x", what, i, loads[i], slot, tb.region.Addr(slot))
+			}
+		}
+		if len(stores) != 1 || stores[0] != tb.region.Addr(written) {
+			t.Fatalf("%s: stores %#x, want one to slot %d's line %#x", what, stores, written, tb.region.Addr(written))
 		}
 	}
-	if loads == 0 || stores == 0 {
-		t.Fatalf("insert emitted %d loads / %d stores, want both > 0", loads, stores)
+	var ctx click.Ctx
+	tb.Check(&ctx, ips[0])
+	expect("insert", &ctx, []int{first}, first)
+	for _, ip := range ips[1:banProbes] {
+		tb.Check(&ctx, ip)
 	}
+	// A full chain probes all banProbes lines and overwrites the least
+	// recently seen, ips[0]'s.
+	ctx.Ops = ctx.Ops[:0]
+	tb.Check(&ctx, ips[banProbes])
+	chain := make([]int, banProbes)
+	for i := range chain {
+		chain[i] = (first + i) & int(tb.mask)
+	}
+	expect("eviction", &ctx, chain, first)
 }
 
 func TestBanTableConcurrentReadersUnderWriter(t *testing.T) {
-	tb, err := NewBanTable(nil, 256)
+	tb, err := NewBanTable(mem.NewArena(0), 256)
 	if err != nil {
 		t.Fatal(err)
 	}

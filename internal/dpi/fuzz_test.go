@@ -3,6 +3,8 @@ package dpi
 import (
 	"bytes"
 	"testing"
+
+	"pktpredict/internal/mem"
 )
 
 // naiveMatch is the reference the compiled matcher must agree with: the
@@ -51,7 +53,7 @@ func FuzzSigTable(f *testing.F) {
 	f.Add([]byte{0x01, 0x04, 0xde, 0xad, 0xbe, 0xef, 'c', 'l', 'e', 'a', 'n'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		patterns, hay := carvePatterns(data)
-		tab, err := NewSigTable(nil, patterns)
+		tab, err := NewSigTable(mem.NewArena(0), patterns)
 		if err != nil {
 			// Limit rejections are fine; the compiler must just never
 			// panic or mis-build.

@@ -59,9 +59,9 @@ func Signatures(seed uint64, n int) [][]byte {
 // per-packet setup, no allocation, no backtracking.
 //
 // The transition table's simulated footprint (one 1 KiB row per state,
-// allocated from the arena under the "sig_table" label) is what the
-// classifier element's trace touches, so the automaton shows up in the
-// cache model exactly as large as it really is.
+// allocated from the arena under the building element's label) is what
+// the classifier element's trace touches, so the automaton shows up in
+// the cache model exactly as large as it really is.
 type SigTable struct {
 	// trans is the dense DFA: trans[state<<8|byte] is the next state.
 	trans []int32
@@ -71,10 +71,9 @@ type SigTable struct {
 	region mem.Region // one row of 256 int32 transitions per state
 }
 
-// NewSigTable compiles patterns into a matcher. With a non-nil arena
-// the transition table's simulated rows are allocated under the
-// "sig_table" label (tests and the fuzzer pass nil). Empty patterns,
-// and sets beyond the compiler limits, are rejected.
+// NewSigTable compiles patterns into a matcher and allocates the
+// transition table's simulated rows from arena. Empty patterns, and
+// sets beyond the compiler limits, are rejected.
 func NewSigTable(arena *mem.Arena, patterns [][]byte) (*SigTable, error) {
 	if len(patterns) > MaxPatterns {
 		return nil, fmt.Errorf("dpi: %d patterns exceed the %d-pattern limit", len(patterns), MaxPatterns)
@@ -142,14 +141,11 @@ func NewSigTable(arena *mem.Arena, patterns [][]byte) (*SigTable, error) {
 		}
 	}
 
-	t := &SigTable{
-		trans: goto_[:int(states)*256],
-		out:   out[:states],
-	}
-	if arena != nil {
-		t.region = mem.NewRegion(arena, int(states), 256*4, false)
-	}
-	return t, nil
+	return &SigTable{
+		trans:  goto_[:int(states)*256],
+		out:    out[:states],
+		region: mem.NewRegion(arena, int(states), 256*4, false),
+	}, nil
 }
 
 // States returns the automaton's state count.
@@ -164,9 +160,6 @@ func (t *SigTable) SimBytes() uint64 { return t.region.Size() }
 func (t *SigTable) RowAddr(i int) hw.Addr {
 	return t.region.Addr(i % t.region.Count)
 }
-
-// HasRegion reports whether the table carries a simulated region.
-func (t *SigTable) HasRegion() bool { return t.region.Count > 0 }
 
 // Match scans b and returns the lowest pattern index that occurs
 // anywhere in it, or -1. This is the IDS fast path: every payload byte

@@ -39,7 +39,7 @@ func mustTable(t *testing.T, patterns ...string) *SigTable {
 	for i, p := range patterns {
 		bs[i] = []byte(p)
 	}
-	tab, err := NewSigTable(nil, bs)
+	tab, err := NewSigTable(mem.NewArena(0), bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,21 +111,21 @@ func TestSigTableDuplicatePatternsKeepLowestID(t *testing.T) {
 }
 
 func TestSigTableRejectsBadSets(t *testing.T) {
-	if _, err := NewSigTable(nil, [][]byte{[]byte("ok"), {}}); err == nil {
+	if _, err := NewSigTable(mem.NewArena(0), [][]byte{[]byte("ok"), {}}); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
 	many := make([][]byte, MaxPatterns+1)
 	for i := range many {
 		many[i] = []byte{byte(i), byte(i >> 8)}
 	}
-	if _, err := NewSigTable(nil, many); err == nil {
+	if _, err := NewSigTable(mem.NewArena(0), many); err == nil {
 		t.Fatal("over-limit pattern count accepted")
 	}
 	big := [][]byte{make([]byte, MaxPatternBytes+1)}
 	for i := range big[0] {
 		big[0][i] = 1
 	}
-	if _, err := NewSigTable(nil, big); err == nil {
+	if _, err := NewSigTable(mem.NewArena(0), big); err == nil {
 		t.Fatal("over-limit pattern bytes accepted")
 	}
 }
@@ -135,9 +135,6 @@ func TestSigTableRegionSizedToAutomaton(t *testing.T) {
 	tab, err := NewSigTable(arena, Signatures(7, 8))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !tab.HasRegion() {
-		t.Fatal("arena-backed table has no region")
 	}
 	if want := uint64(tab.States()) * 256 * 4; tab.SimBytes() != want {
 		t.Fatalf("SimBytes = %d, want %d (one 1KiB row per state)", tab.SimBytes(), want)

@@ -82,14 +82,12 @@ func (s *SignatureClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Ver
 	}
 	payload := p.Data[payloadOffset:]
 	ctx.LoadBytes(p.Addr+payloadOffset, len(payload))
-	if s.table.HasRegion() {
-		// The automaton rows the walk revisits, sampled one touch per
-		// stride with the row picked by the payload byte steering it —
-		// data-dependent like the real transition stream, without an op
-		// per byte.
-		for i := 0; i < len(payload); i += sigTableStride {
-			ctx.Load(s.table.RowAddr(int(payload[i])))
-		}
+	// The automaton rows the walk revisits, sampled one touch per
+	// stride with the row picked by the payload byte steering it —
+	// data-dependent like the real transition stream, without an op per
+	// byte.
+	for i := 0; i < len(payload); i += sigTableStride {
+		ctx.Load(s.table.RowAddr(int(payload[i])))
 	}
 	ctx.Compute(uint32(len(payload)*sigScanCyclesPerByte), uint32(len(payload)*sigScanInstrsPerByte))
 	if s.table.Match(payload) >= 0 {

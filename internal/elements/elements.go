@@ -198,13 +198,9 @@ type ToDevice struct {
 	ring *nic.Ring
 }
 
-// NewToDevice builds the sink with a TX ring of ringSize descriptors
-// (default 256 when 0).
-func NewToDevice(env *click.Env, ringSize int) *ToDevice {
-	if ringSize == 0 {
-		ringSize = 256
-	}
-	return &ToDevice{ring: nic.NewRing(env.Arena, ringSize)}
+// NewToDevice builds the sink with a 256-descriptor TX ring.
+func NewToDevice(env *click.Env) *ToDevice {
+	return &ToDevice{ring: nic.NewRing(env.Arena, 256)}
 }
 
 // Class implements click.Element.
@@ -367,11 +363,7 @@ func init() {
 		}
 		return NewFromDevice(env, a.FromDeviceConfig)
 	})
-	click.Register("ToDevice", []click.Key[int]{
-		click.Int("RING", "[0,1048576]", func(ring *int) *int { return ring }),
-	}, nil, func(env *click.Env, ring int) (interface{}, error) {
-		return NewToDevice(env, ring), nil
-	})
+	bare("ToDevice", func(env *click.Env) interface{} { return NewToDevice(env) })
 	bare("CheckIPHeader", func(*click.Env) interface{} { return &CheckIPHeader{} })
 	bare("DecIPTTL", func(*click.Env) interface{} { return &DecIPTTL{} })
 	bare("Counter", func(env *click.Env) interface{} { return NewCounter(env) })

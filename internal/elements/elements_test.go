@@ -237,7 +237,7 @@ func TestControlEmitsConfiguredDelay(t *testing.T) {
 }
 
 func TestToDeviceConsumes(t *testing.T) {
-	td := NewToDevice(newEnv(), 0)
+	td := NewToDevice(newEnv())
 	var ctx click.Ctx
 	if v := td.Process(&ctx, mkPacket(t)); v != click.Consume {
 		t.Fatalf("verdict = %v, want consume", v)

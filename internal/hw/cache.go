@@ -165,18 +165,12 @@ func (c *Cache) Contains(addr Addr) bool { return c.find(addr) >= 0 }
 // was displaced. Inserting a line that is already present refreshes its
 // recency (and dirtiness if dirty is true) without eviction.
 func (c *Cache) Insert(addr Addr, dirty bool) (victim Addr, victimDirty, evicted bool) {
-	victim, old := c.insert(addr, flagOf(dirty))
-	return victim, old&dirtyBit != 0, old >= c.tick
-}
-
-// insert is Insert in fill's terms: a present line is refreshed and
-// reports an empty way displaced.
-func (c *Cache) insert(addr Addr, flags uint64) (victim Addr, old uint64) {
 	if i := c.find(addr); i >= 0 {
-		c.touch(i, flags)
-		return 0, 0
+		c.touch(i, flagOf(dirty))
+		return 0, false, false
 	}
-	return c.fill(addr, flags)
+	victim, old := c.fill(addr, flagOf(dirty))
+	return victim, old&dirtyBit != 0, old >= c.tick
 }
 
 // fill places the line containing addr, which the caller knows to be

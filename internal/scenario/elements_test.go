@@ -8,7 +8,7 @@ import (
 
 // badElementArgs are graph bodies whose one faulty element argument used
 // to be ignored, truncated or fatal: the first five ran silently on the
-// class's defaults, the next six panicked on a build goroutine and killed
+// class's defaults, the next five panicked on a build goroutine and killed
 // the process, DELAY truncated through uint32 and the last four ran.
 // They are regression seeds of FuzzParseScenario and, as bare graph text,
 // of click's FuzzParseConfig.
@@ -17,10 +17,9 @@ var badElementArgs = []struct{ graph, class, key, also string }{
 	{"src :: FromDevice; src -> NetFlow(ENTRIS 64) -> ToDevice;", "NetFlow", "ENTRIS", "known keys: ENTRIES"},
 	{"src :: FromDevice; src -> NetFlow(64) -> ToDevice;", "NetFlow", `"64"`, "known keys: ENTRIES"},
 	{"src :: FromDevice; src -> IPRewriter(ENTRIES -1) -> ToDevice;", "IPRewriter", "ENTRIES", "known keys: CAPACITY EXTIP"},
-	{"src :: FromDevice; src -> ToDevice(FOO 1);", "ToDevice", "FOO", "known keys: RING"},
+	{"src :: FromDevice; src -> ToDevice(FOO 1);", "ToDevice", "FOO", "ToDevice takes no arguments"},
 	{"src :: FromDevice; src -> NetFlow(ENTRIES -5) -> ToDevice;", "NetFlow", "ENTRIES -5", "[1,)"},
 	{"src :: FromDevice; src -> NetFlow(ENTRIES 0) -> ToDevice;", "NetFlow", "ENTRIES 0", "[1,)"},
-	{"src :: FromDevice; src -> ToDevice(RING -4);", "ToDevice", "RING -4", "[0,1048576]"},
 	{"src :: FromDevice(BUFFERS -3); src -> ToDevice;", "FromDevice", "BUFFERS -3", "[0,1048576]"},
 	{"src :: FromDevice; src -> RedundancyElim(STORE -1) -> ToDevice;", "RedundancyElim", "STORE -1", "[1024,)"},
 	{"src :: FromDevice; src -> Syn(REGION -4096) -> ToDevice;", "Syn", "REGION -4096", "[64,)"},
@@ -87,11 +86,10 @@ var badGraphs = []struct {
 	{"stage 2 without stage 1", "src :: FromDevice;\nc :: Counter;\nsrc -> CheckIPHeader -> c -> ToDevice;\nstage 2: c;", "stage 1 is empty", 4},
 	{"head outside stage 0", "src :: FromDevice;\nc :: Counter;\nsrc -> c -> ToDevice;\nstage 1: c;", `head element "c" must be in stage 0`, 4},
 	{"backward edge across a cut", "src :: FromDevice;\na :: Counter;\nb :: Counter;\nsrc -> CheckIPHeader -> a -> b -> ToDevice;\nstage 1: a;\nstage 0: b;", "edge a -> b crosses from stage 1 to stage 0", 6},
-	// A pool or ring the host could not hold: 4e9 buffers of 1 536 bytes
+	// A pool the host could not hold: 4e9 buffers of 1 536 bytes
 	// exhausted the simulated arena on a build goroutine and killed the
 	// process; 5e7 asked the host for 76 GB.
 	{"pool past its bound", "src :: FromDevice(BUFFERS 4000000000,\n    SIZE 1500);\nsrc -> ToDevice;", "FromDevice: BUFFERS 4000000000 outside [0,1048576]", 1},
-	{"ring past its bound", "src :: FromDevice;\nsrc -> ToDevice(RING 4000000000);", "ToDevice: RING 4000000000 outside [0,1048576]", 2},
 	{"edge skipping a stage", "src :: FromDevice;\nt :: Tee;\nj :: Counter;\nz :: Counter;\nsrc -> t;\nt[0] -> z;\nt[1] -> Counter -> j -> z -> ToDevice;\nstage 1: Counter@1;\nstage 2: j;", "edge t -> z crosses from stage 0 to stage 2", 4},
 }
 

@@ -53,6 +53,10 @@ func FuzzParseScenario(f *testing.F) {
 	for _, tc := range badGraphs {
 		f.Add(oneWorkerScenario(tc.body))
 	}
+	// ToDevice takes no arguments, so a RING argument, negative or past
+	// any bound, is an unknown key: refused, never a panic.
+	f.Add(oneWorkerScenario("src :: FromDevice; src -> ToDevice(RING -4);"))
+	f.Add(oneWorkerScenario("src :: FromDevice;\nsrc -> ToDevice(RING 4000000000);"))
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := Parse(text)
 		if err != nil {

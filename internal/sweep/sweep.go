@@ -315,7 +315,7 @@ func evalApp(spec runtime.AppSpec, a runtime.AppReport, rep *runtime.Report, dur
 	var rem float64
 	var remN int
 	for _, w := range rep.Workers {
-		if w.App == a.Name && !math.IsNaN(w.RemotePerPacket) {
+		if w.App == a.Name {
 			rem += w.RemotePerPacket
 			remN++
 		}
