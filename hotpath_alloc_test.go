@@ -43,8 +43,6 @@ type allocSource struct {
 	data [64]byte
 }
 
-func (s *allocSource) Class() string { return "AllocSource" }
-
 func (s *allocSource) Pull(ctx *click.Ctx) *click.Packet {
 	s.pkt.Data = s.data[:]
 	ctx.Load(s.pkt.Addr)
@@ -53,8 +51,6 @@ func (s *allocSource) Pull(ctx *click.Ctx) *click.Packet {
 
 // allocElem is a minimal element: a compute burst, then continue.
 type allocElem struct{}
-
-func (allocElem) Class() string { return "AllocElem" }
 
 func (allocElem) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.Compute(10, 5)
@@ -165,7 +161,7 @@ func TestHotPathAllocs(t *testing.T) {
 	// click: a full pipeline walk (EmitPacket → walk → walkNodes).
 	src := &allocSource{}
 	src.pkt.Addr = base + 4096
-	pl := click.NewPipeline("alloc", src, allocElem{}, allocElem{})
+	pl := click.NewPipeline("alloc", src, "AllocElem", allocElem{}, allocElem{})
 	plBuf := make([]hw.Op, 0, 4096)
 	gate(t, "click.Pipeline.EmitPacket", func() { plBuf = pl.EmitPacket(plBuf[:0]) })
 

@@ -52,9 +52,6 @@ func NewVPN(key []byte, arena *mem.Arena, outBuffers int) (*VPNElement, error) {
 	return &VPNElement{cipher: c, out: mem.NewRegion(arena, outBuffers, outBufferBytes, true)}, nil
 }
 
-// Class implements click.Element.
-func (v *VPNElement) Class() string { return "AESEncrypt" }
-
 // Process implements click.Element.
 func (v *VPNElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	old := ctx.SetFunc(fnAES)

@@ -381,7 +381,7 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 		return nil, fmt.Errorf("apps: building %s: %w", t, err)
 	}
 	if ctl != nil {
-		pl.PushFront(ctl)
+		pl.PushFront("Control", ctl)
 	}
 	if hiddenTrigger > 0 {
 		// The Section 4 adversarial element: SYN_MAX-like accesses after
@@ -395,7 +395,7 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 			AccessesPerPacket: p.SynAccesses * 16,
 		}, hiddenTrigger)
 		arena.SetLabel(old)
-		if err := pl.InsertBefore("ToDevice", aggr); err != nil {
+		if err := pl.InsertBefore("ToDevice", "Syn", aggr); err != nil {
 			return nil, err
 		}
 	}

@@ -26,12 +26,10 @@ func (s *testSource) Pull(ctx *Ctx) *Packet {
 }
 
 type testElement struct {
-	class   string
 	verdict Verdict
 	seen    int
 }
 
-func (e *testElement) Class() string { return e.class }
 func (e *testElement) Process(ctx *Ctx, p *Packet) Verdict {
 	e.seen++
 	ctx.Load(p.Addr)
@@ -82,9 +80,9 @@ func TestCtxComputeSkipsEmpty(t *testing.T) {
 
 func TestPipelineRunsChain(t *testing.T) {
 	src := &testSource{remaining: 3}
-	e1 := &testElement{class: "A", verdict: Continue}
-	e2 := &testElement{class: "B", verdict: Continue}
-	pl := NewPipeline("p", src, e1, e2)
+	e1 := &testElement{verdict: Continue}
+	e2 := &testElement{verdict: Continue}
+	pl := NewPipeline("p", src, "T", e1, e2)
 
 	var ops []hw.Op
 	for {
@@ -103,9 +101,9 @@ func TestPipelineRunsChain(t *testing.T) {
 
 func TestPipelineDropStopsChain(t *testing.T) {
 	src := &testSource{remaining: 2}
-	e1 := &testElement{class: "A", verdict: Drop}
-	e2 := &testElement{class: "B", verdict: Continue}
-	pl := NewPipeline("p", src, e1, e2)
+	e1 := &testElement{verdict: Drop}
+	e2 := &testElement{verdict: Continue}
+	pl := NewPipeline("p", src, "T", e1, e2)
 	for len(pl.EmitPacket(nil)) > 0 {
 	}
 	if e2.seen != 0 {
@@ -118,8 +116,8 @@ func TestPipelineDropStopsChain(t *testing.T) {
 
 func TestPipelineConsumeCountsFinished(t *testing.T) {
 	src := &testSource{remaining: 1}
-	e1 := &testElement{class: "A", verdict: Consume}
-	pl := NewPipeline("p", src, e1)
+	e1 := &testElement{verdict: Consume}
+	pl := NewPipeline("p", src, "T", e1)
 	pl.EmitPacket(nil)
 	if n := pl.Nodes()[0]; n.Finished != 1 {
 		t.Fatalf("finished = %d, want 1", n.Finished)
@@ -135,7 +133,7 @@ func TestPipelineRecycles(t *testing.T) {
 			p.Recycler = rec
 		}
 		return p
-	}), &testElement{class: "A", verdict: Drop})
+	}), "T", &testElement{verdict: Drop})
 	for len(pl.EmitPacket(nil)) > 0 {
 	}
 	if rec.recycled != 2 {
@@ -150,8 +148,8 @@ func (f SourceFunc) Pull(ctx *Ctx) *Packet { return f(ctx) }
 
 func TestPipelineStats(t *testing.T) {
 	src := &testSource{remaining: 1}
-	el := &testElement{class: "A", verdict: Continue}
-	pl := NewPipeline("p", src, el)
+	el := &testElement{verdict: Continue}
+	pl := NewPipeline("p", src, "T", el)
 	if recv, fin, drop := runAll(t, pl); recv != 1 || fin != 1 || drop != 0 {
 		t.Fatalf("received/finished/dropped = %d/%d/%d, want 1/1/0", recv, fin, drop)
 	}
@@ -182,8 +180,8 @@ func init() {
 	Register("TSource", countKeys, one, func(_ *Env, n int) (interface{}, error) {
 		return &testSource{remaining: n}, nil
 	})
-	bare("TElem", func() interface{} { return &testElement{class: "TElem", verdict: Continue} })
-	bare("TDrop", func() interface{} { return &testElement{class: "TDrop", verdict: Drop} })
+	bare("TElem", func() interface{} { return &testElement{verdict: Continue} })
+	bare("TDrop", func() interface{} { return &testElement{verdict: Drop} })
 }
 
 func TestParseConfigDeclared(t *testing.T) {

@@ -227,7 +227,7 @@ func Parse(config string) (*Graph, error) {
 func (g *Graph) nodes() (of map[*graphElem]*Node, nodes []*Node) {
 	of = make(map[*graphElem]*Node, len(g.topo))
 	for _, n := range g.topo[1:] {
-		of[n] = &Node{Name: n.name, Stage: n.stage}
+		of[n] = &Node{Name: n.name, Stage: n.stage, class: n.class}
 		nodes = append(nodes, of[n])
 	}
 	for n, node := range of {

@@ -47,14 +47,11 @@ func (v Verdict) String() string {
 }
 
 // Element is one packet-processing stage. Process performs the element's
-// real work on p and emits the corresponding trace into ctx.
+// real work on p and emits the corresponding trace into ctx; it decides
+// where the packet goes next: an output port (Continue/Output), every
+// port (Broadcast), or a terminal verdict (Drop/Consume). The registry
+// and the element's Node hold its class name.
 type Element interface {
-	// Class returns the element's type name as used in configurations
-	// (e.g. "CheckIPHeader").
-	Class() string
-	// Process handles one packet and decides where it goes next: an
-	// output port (Continue/Output), every port (Broadcast), or a
-	// terminal verdict (Drop/Consume).
 	Process(ctx *Ctx, p *Packet) Verdict
 }
 

@@ -36,13 +36,13 @@ func FuzzParseConfig(f *testing.F) {
 		"platform :: Platform(SOCKETS 2, CORES_PER_SOCKET 4); src :: TSource; src -> TElem;",
 		"platform :: Platform(L3_BYTES 524288, LINE_BYTES 64);",
 		"platform :: Platform(SOCKETS 2",
-		// IDS element grammar: '|'-separated hex signature lists, seeded
-		// pattern sets, entropy thresholds/windows, ban-table sizing.
-		"src :: TSource; sig :: SignatureClassifier(SIGS deadbeef0102|cafebabe55aa); src -> sig; sig[0] -> TElem; sig[1] -> TDrop;",
+		// IDS element grammar: seeded pattern sets and their malformed
+		// values, entropy thresholds/windows, ban-table sizing.
+		"src :: TSource; sig :: SignatureClassifier(PATTERNS 2, SIG_SEED 5); src -> sig; sig[0] -> TElem; sig[1] -> TDrop;",
 		"sig :: SignatureClassifier(PATTERNS 16, SIG_SEED 11);",
-		"sig :: SignatureClassifier(SIGS abc);",
-		"sig :: SignatureClassifier(SIGS |||);",
-		"sig :: SignatureClassifier(SIGS zz11);",
+		"sig :: SignatureClassifier(PATTERNS abc);",
+		"sig :: SignatureClassifier(|||);",
+		"sig :: SignatureClassifier(SIG_SEED zz11);",
 		"sig :: SignatureClassifier(PATTERNS -3);",
 		"ent :: EntropyGate(THRESHOLD 6.5, WINDOW 512); ent[0] -> TElem; ent[1] -> TDrop;",
 		"ent :: EntropyGate(THRESHOLD 99);",

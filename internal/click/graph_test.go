@@ -27,7 +27,6 @@ func (s *seqSource) Pull(ctx *Ctx) *Packet {
 
 type parityClassifier struct{}
 
-func (parityClassifier) Class() string   { return "TCls" }
 func (parityClassifier) NumOutputs() int { return 2 }
 func (parityClassifier) Process(ctx *Ctx, p *Packet) Verdict {
 	return Output(int(p.Data[0]) % 2)
@@ -35,7 +34,6 @@ func (parityClassifier) Process(ctx *Ctx, p *Packet) Verdict {
 
 type rrRouter struct{ n, next int }
 
-func (r *rrRouter) Class() string    { return "TRR" }
 func (r *rrRouter) NumOutputs() int  { return AdaptiveOutputs }
 func (r *rrRouter) SetOutputs(n int) { r.n = n }
 func (r *rrRouter) Process(ctx *Ctx, p *Packet) Verdict {
@@ -46,7 +44,6 @@ func (r *rrRouter) Process(ctx *Ctx, p *Packet) Verdict {
 
 type testTee struct{}
 
-func (testTee) Class() string   { return "TTee" }
 func (testTee) NumOutputs() int { return AdaptiveOutputs }
 func (testTee) Process(ctx *Ctx, p *Packet) Verdict {
 	return Broadcast
@@ -257,27 +254,31 @@ func TestGraphErrorsDeterministic(t *testing.T) {
 
 func TestPipelinePushFrontAndInsertBefore(t *testing.T) {
 	src := &seqSource{remaining: 2}
-	mid := &testElement{class: "Mid", verdict: Continue}
-	last := &testElement{class: "Last", verdict: Consume}
-	pl := NewPipeline("p", src, mid, last)
+	mid := &testElement{verdict: Continue}
+	last := &testElement{verdict: Consume}
+	pl := NewPipeline("p", src, "Mid", mid, last)
+	pl.nodes[1].class = "Last" // a chain of two classes
 
-	front := &testElement{class: "Front", verdict: Continue}
-	pl.PushFront(front)
-	ins := &testElement{class: "Ins", verdict: Continue}
-	if err := pl.InsertBefore("Last", ins); err != nil {
+	front := &testElement{verdict: Continue}
+	pl.PushFront("Front", front)
+	ins := &testElement{verdict: Continue}
+	if err := pl.InsertBefore("Last", "Ins", ins); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.InsertBefore("Nope", ins); err == nil {
+	if err := pl.InsertBefore("Nope", "Ins", ins); err == nil {
 		t.Fatal("InsertBefore of unknown class must error")
 	}
 
-	var classes []string
+	var classes, names []string
 	for _, n := range pl.Nodes() {
-		classes = append(classes, n.El.Class())
+		classes = append(classes, n.class)
+		names = append(names, n.Name)
 	}
-	want := "Front Mid Ins Last"
-	if got := strings.Join(classes, " "); got != want {
+	if got, want := strings.Join(classes, " "), "Front Mid Ins Last"; got != want {
 		t.Fatalf("element order %q, want %q", got, want)
+	}
+	if got, want := strings.Join(names, " "), "Front Mid@1 Ins Mid@2"; got != want {
+		t.Fatalf("node names %q, want %q", got, want)
 	}
 	_, fin, _ := runAll(t, pl)
 	if front.seen != 2 || mid.seen != 2 || ins.seen != 2 || last.seen != 2 {
@@ -293,8 +294,8 @@ func TestGraphUnconnectedRouterlessPortDrops(t *testing.T) {
 	// error the validator cannot see — must surface as a drop, not a
 	// panic.
 	src := &seqSource{remaining: 1}
-	rogue := &testElement{class: "Rogue", verdict: Output(1)}
-	pl := NewPipeline("p", src, rogue)
+	rogue := &testElement{verdict: Output(1)}
+	pl := NewPipeline("p", src, "Rogue", rogue)
 	if _, _, drop := runAll(t, pl); drop != 1 {
 		t.Fatalf("dropped = %d, want 1", drop)
 	}

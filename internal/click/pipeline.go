@@ -29,6 +29,8 @@ type Node struct {
 
 	Dropped  uint64 // packet branches whose walk terminated here with a drop
 	Finished uint64 // packet branches consumed here or past the last element
+
+	class string // as a configuration names it; graph surgery alone reads it
 }
 
 // out returns the node connected at port, or nil.
@@ -68,13 +70,14 @@ type Pipeline struct {
 	stack []*Node
 }
 
-// NewPipeline assembles a linear pipeline from a source and an element
-// chain. Configurations with branches are built through ParseConfig.
-func NewPipeline(name string, src Source, elements ...Element) *Pipeline {
+// NewPipeline assembles a linear pipeline from a source and a chain of
+// elements of one class, named class@1, class@2, …. Configurations with
+// branches or mixed classes are built through ParseConfig.
+func NewPipeline(name string, src Source, class string, elements ...Element) *Pipeline {
 	pl := &Pipeline{Name: name, Source: src}
 	var prev *Node
 	for i, el := range elements {
-		n := &Node{Name: fmt.Sprintf("%s@%d", el.Class(), i+1), El: el}
+		n := &Node{Name: fmt.Sprintf("%s@%d", class, i+1), El: el, class: class}
 		pl.nodes = append(pl.nodes, n)
 		if prev == nil {
 			pl.head = n
@@ -153,11 +156,11 @@ func (pl *Pipeline) uniqueName(base string) string {
 	}
 }
 
-// PushFront inserts el ahead of the current head, in stage 0: every
-// packet traverses it first. It is how the runtime attaches a Control
-// element to an already-parsed pipeline.
-func (pl *Pipeline) PushFront(el Element) {
-	n := &Node{Name: pl.uniqueName(el.Class()), El: el}
+// PushFront inserts el, of the given class, ahead of the current head,
+// in stage 0: every packet traverses it first. It is how the runtime
+// attaches a Control element to an already-parsed pipeline.
+func (pl *Pipeline) PushFront(class string, el Element) {
+	n := &Node{Name: pl.uniqueName(class), El: el, class: class}
 	if pl.head != nil {
 		n.connect(0, pl.head)
 	}
@@ -166,24 +169,24 @@ func (pl *Pipeline) PushFront(el Element) {
 	pl.idx = nil // indices shifted; AssignStages/StageRunner rebuild
 }
 
-// InsertBefore splices el in front of the first node (in topological
-// order) whose element class is class: every edge into that node is
-// re-targeted through el, which joins the latest stage any of its new
-// predecessors runs in (the stage rule's own answer for an unplaced
+// InsertBefore splices el, of the given class, in front of the first
+// node (in topological order) whose class is before: every edge into that
+// node is re-targeted through el, which joins the latest stage any of its
+// new predecessors runs in (the stage rule's own answer for an unplaced
 // node). It returns an error when no such node exists.
-func (pl *Pipeline) InsertBefore(class string, el Element) error {
+func (pl *Pipeline) InsertBefore(before, class string, el Element) error {
 	var target *Node
 	idx := -1
 	for i, n := range pl.nodes {
-		if n.El.Class() == class {
+		if n.class == before {
 			target, idx = n, i
 			break
 		}
 	}
 	if target == nil {
-		return fmt.Errorf("click: pipeline %q has no %s element to insert before", pl.Name, class)
+		return fmt.Errorf("click: pipeline %q has no %s element to insert before", pl.Name, before)
 	}
-	n := &Node{Name: pl.uniqueName(el.Class()), El: el}
+	n := &Node{Name: pl.uniqueName(class), El: el, class: class}
 	n.connect(0, target)
 	for _, m := range pl.nodes {
 		for port, t := range m.Out {

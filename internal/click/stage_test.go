@@ -310,11 +310,11 @@ func TestStageStatementsCutTheGraph(t *testing.T) {
 		}
 	}
 
-	front, ins := &testElement{class: "Front"}, &testElement{class: "Ins"}
-	pl.PushFront(front)
-	tail := nodeNamed(t, pl, "tail")
-	tail.El = &testElement{class: "Tail"}
-	if err := pl.InsertBefore("Tail", ins); err != nil {
+	pl.PushFront("Front", &testElement{})
+	// tail is the graph's third TElem; give it a class of its own to
+	// insert before.
+	nodeNamed(t, pl, "tail").class = "Tail"
+	if err := pl.InsertBefore("Tail", "Ins", &testElement{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := nodeNamed(t, pl, "Front").Stage; got != 0 {

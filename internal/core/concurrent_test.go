@@ -23,7 +23,6 @@ var buildCount atomic.Int64
 
 type countBuild struct{}
 
-func (countBuild) Class() string                                   { return "CountBuild" }
 func (countBuild) Process(*click.Ctx, *click.Packet) click.Verdict { return click.Continue }
 
 func init() {

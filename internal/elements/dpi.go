@@ -3,7 +3,6 @@ package elements
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
@@ -52,8 +51,8 @@ const (
 
 // SignatureClassifier scans every payload byte through a compiled
 // multi-pattern matcher and steers matches out port 1 (clean traffic
-// exits port 0). The pattern set comes either from an explicit SIGS
-// list or derived from a seed shared with the traffic generator.
+// exits port 0). The pattern set is derived from a seed shared with the
+// traffic generator.
 type SignatureClassifier struct {
 	table *dpi.SigTable
 }
@@ -66,9 +65,6 @@ func NewSignatureClassifier(env *click.Env, patterns [][]byte) (*SignatureClassi
 	}
 	return &SignatureClassifier{table: table}, nil
 }
-
-// Class implements click.Element.
-func (s *SignatureClassifier) Class() string { return "SignatureClassifier" }
 
 // NumOutputs implements click.Router: port 0 clean, port 1 match.
 func (s *SignatureClassifier) NumOutputs() int { return 2 }
@@ -118,9 +114,6 @@ func NewEntropyGate(threshold float64, window int) (*EntropyGate, error) {
 	return &EntropyGate{threshold: threshold, window: window}, nil
 }
 
-// Class implements click.Element.
-func (e *EntropyGate) Class() string { return "EntropyGate" }
-
 // NumOutputs implements click.Router: port 0 pass, port 1 flagged.
 func (e *EntropyGate) NumOutputs() int { return 2 }
 
@@ -164,9 +157,6 @@ func NewBanTableElement(env *click.Env, entries int) (*BanTableElement, error) {
 	return &BanTableElement{table: table}, nil
 }
 
-// Class implements click.Element.
-func (b *BanTableElement) Class() string { return "BanTable" }
-
 // NumOutputs implements click.Router: port 0 pass, port 1 banned.
 func (b *BanTableElement) NumOutputs() int { return 2 }
 
@@ -185,58 +175,20 @@ func (b *BanTableElement) Process(ctx *click.Ctx, p *click.Packet) click.Verdict
 	return click.Output(0)
 }
 
-// parseSigList parses a SIGS value: hex-encoded patterns separated by
-// '|' (commas split click arguments, so they cannot appear in a list).
-func parseSigList(s string) ([][]byte, error) {
-	var out [][]byte
-	for _, item := range strings.Split(s, "|") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		if len(item)%2 != 0 {
-			return nil, fmt.Errorf("elements: SIGS pattern %q: hex digits must come in pairs", item)
-		}
-		b := make([]byte, len(item)/2)
-		for i := 0; i < len(item); i += 2 {
-			hi, ok1 := hexDigit(item[i])
-			lo, ok2 := hexDigit(item[i+1])
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("elements: SIGS pattern %q: bad hex digit", item)
-			}
-			b[i/2] = hi<<4 | lo
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("elements: SIGS lists no patterns")
-	}
-	return out, nil
-}
-
 // sigArgs is what SignatureClassifier(...) decodes into.
 type sigArgs struct {
-	sigs     string
 	patterns int
 	seed     uint64
 }
 
 func init() {
 	click.Register("SignatureClassifier", []click.Key[sigArgs]{
-		click.String("SIGS", func(a *sigArgs) *string { return &a.sigs }),
 		click.Int("PATTERNS", "[1,)", func(a *sigArgs) *int { return &a.patterns }),
 		click.Uint("SIG_SEED", "", func(a *sigArgs) *uint64 { return &a.seed }),
 	}, func(env *click.Env) sigArgs {
 		return sigArgs{patterns: 16, seed: env.Seed}
 	}, func(env *click.Env, a sigArgs) (interface{}, error) {
-		if a.sigs == "" {
-			return NewSignatureClassifier(env, dpi.Signatures(a.seed, a.patterns))
-		}
-		patterns, err := parseSigList(a.sigs)
-		if err != nil {
-			return nil, err
-		}
-		return NewSignatureClassifier(env, patterns)
+		return NewSignatureClassifier(env, dpi.Signatures(a.seed, a.patterns))
 	})
 	// EntropyGate's rows land in the fields of a scratch gate.
 	click.Register("EntropyGate", []click.Key[EntropyGate]{

@@ -203,9 +203,6 @@ func NewToDevice(env *click.Env) *ToDevice {
 	return &ToDevice{ring: nic.NewRing(env.Arena, 256)}
 }
 
-// Class implements click.Element.
-func (td *ToDevice) Class() string { return "ToDevice" }
-
 // Process implements click.Element.
 func (td *ToDevice) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	old := ctx.SetFunc(fnToDevice)
@@ -219,9 +216,6 @@ func (td *ToDevice) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 // the same name: version, header length, total length, checksum. Invalid
 // packets are dropped.
 type CheckIPHeader struct{}
-
-// Class implements click.Element.
-func (c *CheckIPHeader) Class() string { return "CheckIPHeader" }
 
 // Process implements click.Element.
 func (c *CheckIPHeader) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
@@ -239,9 +233,6 @@ func (c *CheckIPHeader) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 // checksum (RFC 1624), dropping expired packets, as in the paper's "full
 // IP forwarding" path.
 type DecIPTTL struct{}
-
-// Class implements click.Element.
-func (d *DecIPTTL) Class() string { return "DecIPTTL" }
 
 // Process implements click.Element.
 func (d *DecIPTTL) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
@@ -269,9 +260,6 @@ func NewCounter(env *click.Env) *Counter {
 	return &Counter{addr: env.Arena.Alloc(hw.LineSize, hw.LineSize)}
 }
 
-// Class implements click.Element.
-func (c *Counter) Class() string { return "Counter" }
-
 // Process implements click.Element.
 func (c *Counter) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ctx.Load(c.addr)
@@ -284,9 +272,6 @@ func (c *Counter) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 
 // Discard drops every packet, like Click's element of the same name.
 type Discard struct{}
-
-// Class implements click.Element.
-func (d *Discard) Class() string { return "Discard" }
 
 // Process implements click.Element.
 func (d *Discard) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
@@ -304,9 +289,6 @@ type Control struct {
 
 // NewControl builds a control element with an initial delay in cycles.
 func NewControl(delayCycles uint32) *Control { return &Control{delay: delayCycles} }
-
-// Class implements click.Element.
-func (c *Control) Class() string { return "Control" }
 
 // Process implements click.Element.
 func (c *Control) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {

@@ -131,9 +131,6 @@ func NewClassifier(patterns []string) (*Classifier, error) {
 	return c, nil
 }
 
-// Class implements click.Element.
-func (c *Classifier) Class() string { return "Classifier" }
-
 // NumOutputs implements click.Router: one port per pattern.
 func (c *Classifier) NumOutputs() int { return len(c.patterns) }
 
@@ -228,9 +225,6 @@ func NewIPClassifier(patterns []string) (*IPClassifier, error) {
 	return c, nil
 }
 
-// Class implements click.Element.
-func (c *IPClassifier) Class() string { return "IPClassifier" }
-
 // NumOutputs implements click.Router.
 func (c *IPClassifier) NumOutputs() int { return len(c.patterns) }
 
@@ -262,9 +256,6 @@ type Tee struct {
 // NewTee builds a tee; outputs of 0 adapts to the connected port count.
 func NewTee(outputs int) *Tee { return &Tee{outputs: outputs} }
 
-// Class implements click.Element.
-func (t *Tee) Class() string { return "Tee" }
-
 // NumOutputs implements click.Router.
 func (t *Tee) NumOutputs() int {
 	if t.outputs <= 0 {
@@ -286,9 +277,6 @@ type RoundRobinSwitch struct {
 	n    int
 	next int
 }
-
-// Class implements click.Element.
-func (r *RoundRobinSwitch) Class() string { return "RoundRobinSwitch" }
 
 // NumOutputs implements click.Router.
 func (r *RoundRobinSwitch) NumOutputs() int { return click.AdaptiveOutputs }

@@ -121,8 +121,19 @@ func TestTeeAndRoundRobinSwitch(t *testing.T) {
 		t.Fatalf("Tee verdict %v, want broadcast", v)
 	}
 
-	rr := &RoundRobinSwitch{}
-	rr.SetOutputs(3)
+	// The switch learns its port count from the graph it is built in.
+	pl, err := click.ParseConfig(newEnv(), "rr", `
+		src :: FromDevice(SIZE 64);
+		rr :: RoundRobinSwitch;
+		src -> rr;
+		rr[0] -> ToDevice;
+		rr[1] -> ToDevice;
+		rr[2] -> Discard;
+	`)
+	if err != nil {
+		t.Fatalf("ParseConfig: %v", err)
+	}
+	rr := elementOf[*RoundRobinSwitch](t, pl)
 	for i := 0; i < 6; i++ {
 		want := click.Output(i % 3)
 		if v := rr.Process(&ctx, mkProtoPacket(t, netpkt.ProtoTCP, 80)); v != want {

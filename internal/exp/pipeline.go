@@ -190,7 +190,7 @@ func pipelineVsParallelCrafted(p *core.Predictor) (PipelineRow, error) {
 		a := synth.NewElement(arenaA, half, 0)
 		half.Seed ^= 0xb
 		b := synth.NewElement(arenaB, half, 0)
-		return click.NewPipeline("crafted", src.(click.Source), a, b), nil
+		return click.NewPipeline("crafted", src.(click.Source), "Syn", a, b), nil
 	}
 
 	// Parallel: core 0 on socket 0 and core CoresPerSocket on socket 1,

@@ -140,9 +140,6 @@ type Element struct {
 	Filter *Filter
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "IPFilter" }
-
 // Process implements click.Element.
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ft, err := netpkt.ExtractFiveTuple(p.Data)

@@ -30,9 +30,6 @@ func NewElement(trie *RadixTrie, arena *mem.Arena, adjEntries int) *Element {
 	}
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "RadixIPLookup" }
-
 // Process implements click.Element.
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	old := ctx.SetFunc(fnRadixLookup)

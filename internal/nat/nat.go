@@ -147,9 +147,6 @@ type Element struct {
 	Table *Table
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "IPRewriter" }
-
 // Process implements click.Element: look up (or create) the packet's
 // binding and rewrite its source address and port in place.
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {

@@ -135,9 +135,6 @@ type Element struct {
 	Table *Table
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "NetFlow" }
-
 // Process implements click.Element.
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	ft, err := netpkt.ExtractFiveTuple(p.Data)

@@ -44,12 +44,6 @@ type IPv4Header struct {
 	Dst      uint32
 }
 
-// String renders the header compactly for diagnostics.
-func (h IPv4Header) String() string {
-	return fmt.Sprintf("IPv4 %s -> %s proto=%d ttl=%d len=%d",
-		AddrString(h.Src), AddrString(h.Dst), h.Proto, h.TTL, h.TotalLen)
-}
-
 // AddrString renders a uint32 IPv4 address in dotted-quad form.
 func AddrString(a uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))

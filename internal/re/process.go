@@ -210,9 +210,6 @@ type Element struct {
 	Proc *Processor
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "RedundancyElim" }
-
 // Process implements click.Element.
 func (e *Element) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	if len(p.Data) <= netpkt.IPv4HeaderLen {

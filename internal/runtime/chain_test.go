@@ -85,6 +85,45 @@ func runGoodput(t *testing.T, cfg Config, app string, dur float64) (float64, *Re
 	return 0, nil
 }
 
+// TestTeeAcrossCutReportsLostBranches cuts a graph between a Tee and
+// both its branches: the chain hands each packet across the cut once,
+// so every packet loses its second branch. The report's CutDropped is
+// the stage runners' count (no warm-up, so nothing is subtracted) and
+// the app table carries the note that says so.
+func TestTeeAcrossCutReportsLostBranches(t *testing.T) {
+	graph := `
+		src :: FromDevice(SIZE 64);
+		t :: Tee;
+		a :: Counter;
+		b :: Counter;
+		src -> t;
+		t[0] -> a -> ToDevice;
+		t[1] -> b -> Discard;
+	`
+	params := withCustom(apps.Small(), "TEEC", graph, map[string]int{"a": 1, "b": 1})
+	cfg := testConfig([]AppSpec{{Name: "teec", Type: "TEEC", Workers: 1}})
+	cfg.Params, cfg.Warmup = params, 0
+	r, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runners uint64
+	for _, w := range r.workers {
+		runners += w.unit.runner.CutDropped
+	}
+	a := rep.Apps[0]
+	if a.CutDropped == 0 || a.CutDropped != runners {
+		t.Fatalf("report CutDropped %d, stage runners %d: want equal and nonzero", a.CutDropped, runners)
+	}
+	if note := fmt.Sprintf("teec: %d packet branches lost at stage cuts", a.CutDropped); !strings.Contains(rep.String(), note) {
+		t.Fatalf("report does not carry %q:\n%s", note, rep)
+	}
+}
+
 func TestRuntimeChainRunsAndConserves(t *testing.T) {
 	params := withCustom(apps.Small(), "MONC", monStyleGraph(apps.Small()), map[string]int{"nf": 1})
 	cfg := testConfig([]AppSpec{{Name: "monc", Type: "MONC", Workers: 1}})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,6 +304,42 @@ func TestHandoffPollCounter(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, firstLines(page, 40))
 		}
+	}
+}
+
+// TestSwapSupersedesPendingMeasurement swaps the same two workers twice
+// at one barrier, before any window can measure the first swap: the
+// first migration's post-swap measurement belongs to a binding that no
+// longer exists, so it keeps its NaN after-rates, while the second's
+// land from the windows that follow.
+func TestSwapSupersedesPendingMeasurement(t *testing.T) {
+	cfg := testConfig([]AppSpec{
+		{Name: "ipfwd", Type: apps.IP, Workers: 1},
+		{Name: "mon", Type: apps.MON, Workers: 1},
+	})
+	var r *Runtime
+	cfg.OnWindow = func(ControlSample, []obs.Residual) {
+		if len(r.migrations) == 0 {
+			r.swap(0, 1, &r.win, 0)
+			r.swap(0, 1, &r.win, 0)
+		}
+	}
+	r, err := NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(0.004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Migrations) != 2 {
+		t.Fatalf("%d migrations, want 2", len(rep.Migrations))
+	}
+	if first := rep.Migrations[0]; !math.IsNaN(first.RemotePerPktAfterA) || !math.IsNaN(first.RemotePerPktAfterB) {
+		t.Fatalf("superseded migration measured after-rates %v/%v, want NaN", first.RemotePerPktAfterA, first.RemotePerPktAfterB)
+	}
+	if second := rep.Migrations[1]; math.IsNaN(second.RemotePerPktAfterA) || math.IsNaN(second.RemotePerPktAfterB) {
+		t.Fatalf("second migration's after-rates %v/%v never landed", second.RemotePerPktAfterA, second.RemotePerPktAfterB)
 	}
 }
 

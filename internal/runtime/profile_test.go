@@ -221,8 +221,6 @@ func init() {
 	})
 }
 
-func (p *slotProbe) Class() string { return "SlotProbe" }
-
 func (p *slotProbe) Process(*click.Ctx, *click.Packet) click.Verdict {
 	slotProbeLog.event(p.id)
 	return click.Continue

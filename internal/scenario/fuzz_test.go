@@ -27,11 +27,11 @@ func FuzzParseScenario(f *testing.F) {
 		// Graph blocks with stage declarations.
 		"scenario :: Scenario(NAME s);\ngraph G {\nsrc :: FromDevice(SIZE 64);\nsrc -> ToDevice;\nstage 1: ToDevice;\n}\ng :: Flow(GRAPH G);",
 		"scenario :: Scenario(NAME s);\ngraph G {",
-		// IDS detector chains: signature lists, entropy thresholds,
+		// IDS detector chains: seeded signature sets, entropy thresholds,
 		// ban-table sizing, payload-shaping source keys, staged BanTable.
 		"scenario :: Scenario(NAME s);\ngraph IDS {\nsrc :: FromDevice(SIZE 512, SIG_HIT 0.06, SIG_SEED 11, LOW_ENTROPY 0.5, LOW_ENTROPY_BITS 2);\nsig :: SignatureClassifier(SIG_SEED 11, PATTERNS 16);\nent :: EntropyGate(THRESHOLD 6.5, WINDOW 512);\nbans :: BanTable(ENTRIES 16384);\nsrc -> sig;\nsig[0] -> ToDevice;\nsig[1] -> ent;\nent[0] -> ToDevice;\nent[1] -> bans;\nbans[0] -> ToDevice;\nbans[1] -> Discard;\n}\nids :: Flow(GRAPH IDS, WORKERS 2);",
-		"scenario :: Scenario(NAME s);\ngraph IDS {\nsrc :: FromDevice(SIG_HIT 0.02, SIG_SHIFT 0.6, SIG_SHIFT_AFTER 4000);\nsig :: SignatureClassifier(SIGS deadbeef0102|cafebabe55aa);\nbans :: BanTable(ENTRIES 4096);\nsrc -> sig;\nsig[0] -> ToDevice;\nsig[1] -> bans;\nbans[0] -> ToDevice;\nbans[1] -> Discard;\nstage 1: bans;\n}\nids :: Flow(GRAPH IDS, MIGRATE_STATE true);",
-		"scenario :: Scenario(NAME s);\ngraph G {\nsig :: SignatureClassifier(SIGS |);\nent :: EntropyGate(THRESHOLD 99, WINDOW -5);\nbans :: BanTable(ENTRIES 0);\n}\ng :: Flow(GRAPH G);",
+		"scenario :: Scenario(NAME s);\ngraph IDS {\nsrc :: FromDevice(SIG_HIT 0.02, SIG_SHIFT 0.6, SIG_SHIFT_AFTER 4000);\nsig :: SignatureClassifier(PATTERNS 2, SIG_SEED 5);\nbans :: BanTable(ENTRIES 4096);\nsrc -> sig;\nsig[0] -> ToDevice;\nsig[1] -> bans;\nbans[0] -> ToDevice;\nbans[1] -> Discard;\nstage 1: bans;\n}\nids :: Flow(GRAPH IDS, MIGRATE_STATE true);",
+		"scenario :: Scenario(NAME s);\ngraph G {\nsig :: SignatureClassifier(PATTERNS 0);\nent :: EntropyGate(THRESHOLD 99, WINDOW -5);\nbans :: BanTable(ENTRIES 0);\n}\ng :: Flow(GRAPH G);",
 		"// comment\n/* block */\nscenario :: Scenario(NAME s);\nmon :: Flow(TYPE MON);",
 		// Undeclared arguments: misspelled keys, keys of another class,
 		// stray positionals — all rejected, none silently dropped.

@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"pktpredict/internal/apps"
 	"pktpredict/internal/exp"
 	"pktpredict/internal/runtime"
 )
@@ -177,5 +179,54 @@ func TestReportAggregation(t *testing.T) {
 	}
 	if !strings.Contains(rep.Markdown(), "error: boom") {
 		t.Fatal("markdown omits the errored point")
+	}
+}
+
+// TestEvalAppOperatingPoints checks evalApp's expected drop at each
+// operating point its doc lists, on hand-built reports: a flow paced by
+// an absolute Rate gets its offered fraction from the packets offered
+// per replica over the run, as one paced by RateFraction states it.
+func TestEvalAppOperatingPoints(t *testing.T) {
+	const tol = 0.1
+	// Two replicas of a one-stage flow, 2M pps solo each, predicted to
+	// lose 30 % under contention (headroom 0.7), observed to lose 5 %.
+	app := runtime.AppReport{Type: apps.MON, Workers: 2, Stages: 1, SoloPPS: 2e6, PredictedDrop: 0.3, ObservedDrop: 0.05}
+	offered := func(perReplicaPPS float64) runtime.AppReport {
+		a := app
+		a.Offered = uint64(perReplicaPPS * 2 * 0.5) // two replicas, 0.5 s
+		return a
+	}
+	cases := []struct {
+		name           string
+		spec           runtime.AppSpec
+		app            runtime.AppReport
+		skip, pass     bool
+		frac, expected float64
+	}{
+		{name: "saturating", app: app, pass: false, expected: 0.3},
+		{name: "fraction over solo", spec: runtime.AppSpec{RateFraction: 1.5}, app: app, pass: true, frac: 1.5, expected: 0.3},
+		{name: "fraction within headroom", spec: runtime.AppSpec{RateFraction: 0.5}, app: app, pass: true, frac: 0.5},
+		{name: "rate within headroom", spec: runtime.AppSpec{Rate: 2e6}, app: offered(1e6), pass: true, frac: 0.5},
+		{name: "rate past headroom", spec: runtime.AppSpec{Rate: 6.4e6}, app: offered(3.2e6), pass: true, frac: 1.6, expected: 0.3},
+		{name: "rate past headroom, under solo", spec: runtime.AppSpec{Rate: 3.5e6}, app: offered(1.75e6), pass: true, frac: 0.875, expected: 0.2},
+		{name: "synthetic", app: runtime.AppReport{Type: apps.SYN, Workers: 1, Stages: 1}, skip: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			row, skip := evalApp(tc.spec, tc.app, &runtime.Report{}, 0.5, tol)
+			if skip != tc.skip || row.Validated == tc.skip {
+				t.Fatalf("skip %v validated %v, want skip %v", skip, row.Validated, tc.skip)
+			}
+			if skip {
+				return
+			}
+			if math.Abs(row.OfferedFraction-tc.frac) > 1e-9 || math.Abs(row.ExpectedDrop-tc.expected) > 1e-9 || row.Pass != tc.pass {
+				t.Fatalf("fraction %v expected drop %v pass %v, want %v %v %v",
+					row.OfferedFraction, row.ExpectedDrop, row.Pass, tc.frac, tc.expected, tc.pass)
+			}
+			if want := tc.app.ObservedDrop - row.ExpectedDrop; math.Abs(row.PredErr-want) > 1e-9 {
+				t.Fatalf("error %v, want observed − expected = %v", row.PredErr, want)
+			}
+		})
 	}
 }

@@ -101,9 +101,6 @@ func NewElement(arena *mem.Arena, cfg Config, triggerAfter uint64) *Element {
 	return &Element{src: NewSource(arena, cfg), TriggerAfter: triggerAfter}
 }
 
-// Class implements click.Element.
-func (e *Element) Class() string { return "Syn" }
-
 // Active reports whether the synthetic load has started firing.
 func (e *Element) Active() bool { return e.seen > e.TriggerAfter }
 

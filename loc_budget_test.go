@@ -286,6 +286,42 @@ func qualifiedName(fn *types.Func) string {
 	return name + fn.Name() + "()"
 }
 
+// TestUnexecutedLedgerNamesFunctions checks lint/unexecuted.txt, the
+// ledger of code production never runs on purpose that lint/census.sh
+// reads: every line is "<pkg>.<Func>() func|block <why>" or the method
+// form, and names a function declared in a non-test file of the module
+// outside bench/, so a deleted path takes its line with it.
+func TestUnexecutedLedgerNamesFunctions(t *testing.T) {
+	const listFile = "lint/unexecuted.txt"
+	data, err := os.ReadFile(listFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, p := range loadModule(t).pkgs {
+		if p.nonTest == 0 || strings.HasPrefix(p.path, "pktpredict/bench") {
+			continue
+		}
+		for _, obj := range p.info.Defs {
+			if fn, ok := obj.(*types.Func); ok {
+				declared[qualifiedName(fn)] = true
+			}
+		}
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Fields(line)
+		switch {
+		case len(f) < 3 || f[1] != "func" && f[1] != "block" || !strings.HasSuffix(f[0], "()"):
+			t.Errorf("%s:%d: want \"<pkg>.<Func>() func|block <why>\", got %q", listFile, i+1, line)
+		case !declared[f[0]]:
+			t.Errorf("%s:%d: %s names no function of the module; delete the line", listFile, i+1, f[0])
+		}
+	}
+}
+
 // TestExportedFieldsAreWritten is TestExportedNamesAreUsed's census for
 // struct fields. An exported field of a struct type declared in a non-test
 // file under internal/ must be written by a non-test file under internal/,
