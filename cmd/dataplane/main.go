@@ -6,9 +6,10 @@
 // prediction, plus any admission throttling and live re-placement the
 // control loop performed.
 //
-// Scenarios are Click-style files: -config loads one by path, -scenario
-// one of the shipped examples/scenarios/*.click by name (they are
-// embedded, so this works from any directory). The shipped files include
+// Scenarios are Click-style files, named by -scenario: a value ending in
+// .click is a path, any other value one of the shipped
+// examples/scenarios/*.click by name (they are embedded, so this works
+// from any directory). The shipped files include
 // the four paper mixes, a branching NAT/firewall service chain (nat_chain.click) whose pipeline graph is
 // declared inline in the file, and the same chain cut across workers
 // (nat_chain_staged.click): its `stage 1: fw;` declaration runs the
@@ -17,7 +18,7 @@
 //
 // Usage:
 //
-//	dataplane [-config FILE.click | -scenario mixed|bursty|thrash|hidden|...]
+//	dataplane [-scenario mixed|bursty|thrash|hidden|...|FILE.click]
 //	          [-scale quick|full] [-platform "SOCKETS 2, L3_BYTES 6291456"]
 //	          [-duration 0.05] [-noprofile] [-telemetry] [-residuals]
 //	          [-metrics-addr :9090] [-trace-out trace.json]
@@ -38,8 +39,9 @@
 //
 // The platform is layered: -scale supplies the defaults, a scenario
 // file's platform :: Platform(...) block overrides the knobs it names,
-// and -platform (same KEY VALUE syntax) overrides both. Offline
-// profiling always runs on the effective platform.
+// and -platform (same KEY VALUE syntax) overrides both (see
+// scenario.Scenario.Config). Offline profiling always runs on the
+// effective platform.
 //
 // Durations are virtual seconds on the simulated platform; a -duration
 // that is not positive and finite exits 1 naming it. The clock-sync
@@ -71,9 +73,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dataplane", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	configPath := fs.String("config", "", "scenario file (Click-style .click text)")
 	scenarioName := fs.String("scenario", "mixed",
-		"shipped scenario file by name: "+strings.Join(scenario.ShippedNames(), ", ")+" (ignored with -config)")
+		"scenario file: a path ending in .click, or a shipped one by name: "+strings.Join(scenario.ShippedNames(), ", "))
 	scaleName := fs.String("scale", "quick", "platform/workload scale: quick or full")
 	platformOverrides := fs.String("platform", "",
 		`platform overrides as "KEY VALUE, KEY VALUE" (e.g. "SOCKETS 2, L3_BYTES 6291456"); applied over the -scale platform and any scenario Platform block`)
@@ -108,33 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
-		return fail(fmt.Errorf("-platform: %w", err))
+		return fail(err)
 	}
-
-	var sc *scenario.Scenario
-	if *configPath != "" {
-		sc, err = scenario.Load(*configPath)
-	} else {
-		sc, err = scenario.Shipped(*scenarioName)
+	load := scenario.Shipped
+	if strings.HasSuffix(*scenarioName, ".click") {
+		load = scenario.Load
 	}
+	sc, err := load(*scenarioName)
 	if err != nil {
 		return fail(err)
 	}
-	// Precedence: -scale defaults < file platform block < -platform.
-	hwCfg, err := sc.PlatformConfig(scale.Cfg)
+	cfg, err := sc.Config(scale.Cfg, scale.Params, overrides)
 	if err != nil {
 		return fail(err)
 	}
-	if hwCfg, err = overrides.Apply(hwCfg); err != nil {
-		return fail(fmt.Errorf("-platform: %w", err))
-	}
-	cfg, err := sc.ConfigOn(hwCfg, scale.Params)
-	if err != nil {
-		return fail(err)
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = scale.Warmup
-	}
+	cfg.Warmup = scale.Warmup
 
 	if !*noprofile {
 		types := cfg.FlowTypes()

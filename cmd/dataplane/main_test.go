@@ -74,7 +74,7 @@ func TestCommandLine(t *testing.T) {
 	notDefined := []string{"flag provided but not defined"}
 	element := func(elem string) []string {
 		text := "s :: Scenario(NAME probe);\ngraph G { src :: FromDevice; src -> " + elem + " -> ToDevice; }\ng :: Flow(GRAPH G);\n"
-		return []string{"-noprofile", "-config", probe(t, text), "-duration", "0.002"}
+		return []string{"-noprofile", "-scenario", probe(t, text), "-duration", "0.002"}
 	}
 	// graph's file opens with three lines, so the body's first line is
 	// the file's fourth.
@@ -84,7 +84,7 @@ func TestCommandLine(t *testing.T) {
 			text += "    " + line + "\n"
 		}
 		text += "}\ng :: Flow(GRAPH G);\n"
-		return []string{"-noprofile", "-config", probe(t, text), "-duration", "0.002"}
+		return []string{"-noprofile", "-scenario", probe(t, text), "-duration", "0.002"}
 	}
 	for _, r := range []row{
 		// Element arguments are rows of the class's key table: a table
@@ -105,15 +105,28 @@ func TestCommandLine(t *testing.T) {
 		// -telemetry and -residuals both read the run's control windows
 		// through Config.OnWindow. Without profiles the residual series
 		// is empty, so this row profiles.
-		{name: "window stream", args: []string{"-config", "../../examples/scenarios/nat_chain_staged.click", "-telemetry", "-residuals", "-duration", "0.002"},
+		{name: "window stream", args: []string{"-scenario", "../../examples/scenarios/nat_chain_staged.click", "-telemetry", "-residuals", "-duration", "0.002"},
 			stdout: []string{`(?m)^telemetry samples:\n  t=`, `(?m)^prediction-residual series:$`}},
 		// A run's duration is checked, not clamped: -duration -1 used to
 		// print a one-quantum report and exit 0.
 		{name: "negative duration", args: []string{"-noprofile", "-scenario", "nat_chain", "-duration", "-1"}, code: 1,
 			stderr: []string{"duration"}},
+		// -scenario names a file by path when the value ends in .click,
+		// and a shipped scenario by name otherwise.
+		{name: "scenario file by path", args: []string{"-noprofile", "-scenario", "../../examples/scenarios/nat_chain_staged.click", "-duration", "0.002"},
+			stdout: []string{`(?m)^scenario nat_chain_staged: `}},
+		{name: "missing scenario file", args: []string{"-noprofile", "-scenario", "nope.click"}, code: 1,
+			stderr: []string{`dataplane: scenario: open nope.click`}},
+		{name: "unknown shipped scenario", args: []string{"-noprofile", "-scenario", "nope"}, code: 1,
+			stderr: []string{`no shipped scenario "nope"`}},
+		// A platform the -platform layer leaves invalid names that layer.
+		{name: "invalid -platform geometry", args: []string{"-noprofile", "-scenario", "mixed", "-platform", "L3_WAYS 3"}, code: 1,
+			stderr: []string{`dataplane: -platform: L3 geometry`}},
 		// Retired flags are unknown to flag: -packets went with the
 		// second stop rule, -quantum to the .sweep grid's QUANTUM key,
-		// and -trace-out alone traces one packet in 64.
+		// -config into -scenario, and -trace-out alone traces one packet
+		// in 64.
+		{name: "retired -config", args: []string{"-config", "../../examples/scenarios/mixed.click"}, code: 2, stderr: notDefined},
 		{name: "retired -packets", args: []string{"-packets", "10"}, code: 2, stderr: notDefined},
 		{name: "retired -quantum", args: []string{"-quantum", "1000"}, code: 2, stderr: notDefined},
 		{name: "retired -trace-sample", args: []string{"-trace-sample", "64"}, code: 2, stderr: notDefined},
@@ -133,7 +146,7 @@ func TestChainTraceExport(t *testing.T) {
 	for _, name := range []string{"nat_chain_staged", "ids_chain_staged"} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "trace.json")
-			row{args: []string{"-noprofile", "-duration", "0.01", "-config", "../../examples/scenarios/" + name + ".click", "-trace-out", path},
+			row{args: []string{"-noprofile", "-duration", "0.01", "-scenario", "../../examples/scenarios/" + name + ".click", "-trace-out", path},
 				stderr: []string{`wrote [1-9][0-9]* trace spans`}}.check(t)
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -169,7 +182,7 @@ func TestLiveMetricsScrape(t *testing.T) {
 	var stdout bytes.Buffer
 	code := make(chan int, 1)
 	go func() {
-		code <- run([]string{"-noprofile", "-duration", "0.01", "-config", "../../examples/scenarios/mixed.click", "-metrics-addr", "127.0.0.1:0"}, &stdout, pw)
+		code <- run([]string{"-noprofile", "-duration", "0.01", "-scenario", "../../examples/scenarios/mixed.click", "-metrics-addr", "127.0.0.1:0"}, &stdout, pw)
 		pw.Close()
 	}()
 	defer io.Copy(io.Discard, pr) // unblock the run if the test fails early

@@ -114,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	overrides, err := scenario.ParseOverrides(*platformOverrides)
 	if err != nil {
-		return fail(fmt.Errorf("-platform: %w", err))
+		return fail(err)
 	}
 
 	r := &sweep.Runner{Config: cfg, Scale: scale, Overrides: overrides}

@@ -83,7 +83,7 @@ type Params struct {
 	// key): sources charge their RX poll cost once per RxBatch packets
 	// instead of per packet. 0 or 1 is the unbatched historical model.
 	// It must be set identically for offline profiling and the runtime,
-	// or predictions diverge from measurements; Scenario.ConfigOn does so.
+	// or predictions diverge from measurements; Scenario.Config does so.
 	RxBatch int
 
 	// Custom declares user-defined flow types: scenario files register a

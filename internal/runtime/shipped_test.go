@@ -125,10 +125,7 @@ func TestRuntimeBatchedScalarEquivalence(t *testing.T) {
 					drops[b][a.Name] = a.ObservedDrop
 				}
 			}
-			tol := 0.15
-			if name == "thrash" {
-				tol = 0.20 // migration transient timing differs run to run
-			}
+			const tol = 0.15
 			for app, d1 := range drops[1] {
 				db := drops[batch][app]
 				if diff := math.Abs(d1 - db); diff > tol {

@@ -150,7 +150,7 @@ g :: Flow(GRAPH G);`
 }
 
 // TestStagedNatChainRunsEndToEnd drives the shipped staged scenario the
-// same way `cmd/dataplane -config` does: load, assemble, run, and report
+// same way `cmd/dataplane -scenario` does: load, assemble, run, and report
 // per-stage workers with packet conservation intact.
 func TestStagedNatChainRunsEndToEnd(t *testing.T) {
 	s := loadShipped(t, "nat_chain_staged")

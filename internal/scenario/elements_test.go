@@ -94,7 +94,7 @@ var badGraphs = []struct {
 }
 
 // TestBadGraphsFailAtParse: a graph is checked where it is loaded. Every
-// entry is rejected by Parse itself — not by ConfigOn, not on a build
+// entry is rejected by Parse itself — not by Config, not on a build
 // goroutine of NewRuntime after the tries are built — with the graph's
 // name and the line of the file (not of the block) the fault is on.
 func TestBadGraphsFailAtParse(t *testing.T) {

@@ -15,12 +15,11 @@ import (
 //
 // It is a partial hw.Config: the values of the keys the block named, and
 // which ones those were, so a block overrides only what it names and
-// inherits everything else from the base hw.Config the scenario is
-// assembled on (the -scale platform, or whatever a sweep variant
-// produced). Precedence, lowest to highest: -scale defaults, the file's
-// platform block, a sweep's Platform variant, the CLI -platform flag —
-// each layer is one Platform applied on top of the previous one's result.
+// inherits everything else from the layer below it. A sweep's Platform
+// variant and the -platform flag are Platforms too; Scenario.Config
+// layers them.
 type Platform struct {
+	label string    // the layer's name, which every error about it starts with
 	named uint64    // bit i: platformKeys[i] was named
 	cfg   hw.Config // the named keys' values, in the fields they override
 	// lineBytes is an assertion, not an override: the cache-line size is a
@@ -77,11 +76,12 @@ func parsePolicy(s string) (hw.ReplacementPolicy, error) {
 }
 
 // ParsePlatformArgs builds a Platform from a Platform(...) argument
-// list. It is exported for the sweep harness, whose grid files declare
-// platform variants with the same argument grammar.
-func ParsePlatformArgs(args click.Args) (*Platform, error) {
-	p := &Platform{}
-	if err := click.Decode("platform", platformKeys, args, p); err != nil {
+// list; label names the layer in its parse and Apply errors. It is
+// exported for the sweep harness, whose grid files declare platform
+// variants with the same argument grammar.
+func ParsePlatformArgs(label string, args click.Args) (*Platform, error) {
+	p := &Platform{label: label}
+	if err := click.Decode(label, platformKeys, args, p); err != nil {
 		return nil, err
 	}
 	for i, k := range platformKeys {
@@ -93,14 +93,14 @@ func ParsePlatformArgs(args click.Args) (*Platform, error) {
 }
 
 // ParseOverrides parses a comma-separated "KEY VALUE, KEY VALUE" list —
-// the CLI -platform flag's syntax, identical to the keys of a scenario
-// file's Platform(...) block.
+// the -platform flag's syntax, identical to the keys of a scenario
+// file's Platform(...) block — as the layer named -platform.
 func ParseOverrides(s string) (*Platform, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, nil
 	}
-	return ParsePlatformArgs(click.ParseArgs(click.SplitTopLevel(s, ",")))
+	return ParsePlatformArgs("-platform", click.ParseArgs(click.SplitTopLevel(s, ",")))
 }
 
 // Apply overlays the block's named keys on base and validates the
@@ -124,11 +124,11 @@ func (p *Platform) Apply(base hw.Config) (hw.Config, error) {
 	}{{"L1", cfg.L1D}, {"L2", cfg.L2}, {"L3", cfg.L3}} {
 		span := hw.LineSize * lvl.g.Ways
 		if lvl.g.Ways > maxWays {
-			return hw.Config{}, fmt.Errorf("platform: %s_WAYS %d outside [1,%d]", lvl.name, lvl.g.Ways, maxWays)
+			return hw.Config{}, fmt.Errorf("%s: %s_WAYS %d outside [1,%d]", p.label, lvl.name, lvl.g.Ways, maxWays)
 		}
 		if lvl.g.Ways <= 0 || lvl.g.SizeBytes <= 0 || lvl.g.SizeBytes%span != 0 {
-			return hw.Config{}, fmt.Errorf("platform: %s geometry %d bytes / %d ways invalid (size must be a positive multiple of %d-byte line × ways = %d)",
-				lvl.name, lvl.g.SizeBytes, lvl.g.Ways, hw.LineSize, span)
+			return hw.Config{}, fmt.Errorf("%s: %s geometry %d bytes / %d ways invalid (size must be a positive multiple of %d-byte line × ways = %d)",
+				p.label, lvl.name, lvl.g.SizeBytes, lvl.g.Ways, hw.LineSize, span)
 		}
 	}
 	return cfg, nil

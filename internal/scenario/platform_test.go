@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/hw"
 )
 
@@ -47,11 +49,11 @@ func TestPlatformRoundTripConfig(t *testing.T) {
 	}
 
 	base := testCfg()
-	c1, err := s1.PlatformConfig(base)
+	c1, err := s1.Platform.Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s2.PlatformConfig(base)
+	c2, err := s2.Platform.Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ mon :: Flow(TYPE MON);
 		t.Fatal(err)
 	}
 	base := testCfg()
-	got, err := s.PlatformConfig(base)
+	got, err := s.Platform.Apply(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,39 +97,91 @@ mon :: Flow(TYPE MON);
 	}
 }
 
-// TestPlatformPrecedence: -scale base < file block < CLI overrides.
+// TestPlatformPrecedence: Config layers the platform, lowest first —
+// base, the file's block, then each over layer in order (a sweep
+// variant, then -platform) — and a layer overrides only the keys it
+// names, so each key reads the highest layer that names it.
 func TestPlatformPrecedence(t *testing.T) {
 	s, err := Parse(`
 scenario :: Scenario(NAME p);
-platform :: Platform(SOCKETS 4, L3_BYTES 524288);
+platform :: Platform(SOCKETS 4, QPI_CYCLES 50, DRAM_CYCLES 150);
 mon :: Flow(TYPE MON);
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := ParseOverrides("SOCKETS 2, MEM_CYCLES 9")
+	variant, err := ParsePlatformArgs("platform v", click.ParseArgs([]string{"SOCKETS 3", "QPI_CYCLES 60", "MEM_CYCLES 7"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := s.PlatformConfig(testCfg())
+	cli, err := ParseOverrides("SOCKETS 2, MEM_CYCLES 9, L2_CYCLES 11")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err = cli.Apply(cfg)
+	base := testCfg()
+	rc, err := s.Config(base, apps.Small(), variant, cli)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Sockets != 2 {
-		t.Fatalf("CLI override lost: SOCKETS %d, want 2", cfg.Sockets)
+	cfg := rc.Cfg
+	for _, c := range []struct {
+		key       string
+		got, want uint64
+	}{
+		{"L1_CYCLES: base (no layer names it)", cfg.L1Latency, base.L1Latency},
+		{"DRAM_CYCLES: file block beats base", cfg.DRAMLatency, 150},
+		{"QPI_CYCLES: variant beats file block", cfg.QPILatency, 60},
+		{"MEM_CYCLES: -platform beats variant", cfg.MemCtrlService, 9},
+		{"SOCKETS: -platform beats variant and file block", uint64(cfg.Sockets), 2},
+		{"L2_CYCLES: -platform beats base", cfg.L2Latency, 11},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: got %d, want %d", c.key, c.got, c.want)
+		}
 	}
-	if cfg.L3.SizeBytes != 524288 {
-		t.Fatalf("file override lost: L3 %d, want 524288", cfg.L3.SizeBytes)
+	// The order of over is the precedence: swapped, the variant wins.
+	if rc, err = s.Config(base, apps.Small(), cli, variant); err != nil || rc.Cfg.Sockets != 3 {
+		t.Errorf("over layers applied out of order: SOCKETS %d (%v), want 3", rc.Cfg.Sockets, err)
 	}
-	if cfg.MemCtrlService != 9 {
-		t.Fatalf("CLI addition lost: MEM_CYCLES %d, want 9", cfg.MemCtrlService)
+}
+
+// TestLayerErrorsNameTheLayer: a platform a layer leaves invalid is an
+// error that names that layer, and a scenario that does not fit its
+// resolved platform still returns that platform.
+func TestLayerErrorsNameTheLayer(t *testing.T) {
+	s, err := Parse("scenario :: Scenario(NAME p, MIN_CORES_PER_SOCKET 4);\nplatform :: Platform(L3_BYTES 4160);\nmon :: Flow(TYPE MON);\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.CoresPerSocket != testCfg().CoresPerSocket {
-		t.Fatalf("untouched key changed: CORES_PER_SOCKET %d", cfg.CoresPerSocket)
+	if _, err := s.Config(testCfg(), apps.Small()); err == nil || !strings.HasPrefix(err.Error(), "scenario p: platform: L3 geometry") {
+		t.Errorf("file block: error %v, want it to name scenario p's platform block", err)
+	}
+	s.Platform = nil
+	variant, err := ParsePlatformArgs("platform half", click.ParseArgs([]string{"L3_BYTES 4160"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Config(testCfg(), apps.Small(), variant); err == nil || !strings.HasPrefix(err.Error(), "platform half: L3 geometry") {
+		t.Errorf("variant: error %v, want it to name platform half", err)
+	}
+	cli, err := ParseOverrides("L3_BYTES 4160")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Config(testCfg(), apps.Small(), nil, cli); err == nil || !strings.HasPrefix(err.Error(), "-platform: L3 geometry") {
+		t.Errorf("-platform: error %v, want it to name -platform", err)
+	}
+
+	narrow, err := ParseOverrides("SOCKETS 3, CORES_PER_SOCKET 2, L3_BYTES 524288")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := s.Config(testCfg(), apps.Small(), narrow)
+	if err == nil || !strings.Contains(err.Error(), "scenario p needs ≥4 cores per socket") {
+		t.Fatalf("2 cores per socket: error %v, want the scenario's core minimum", err)
+	}
+	if c := rc.Cfg; c.Sockets != 3 || c.CoresPerSocket != 2 || c.L3.SizeBytes != 524288 {
+		t.Errorf("a scenario that does not fit lost its platform: %d sockets × %d cores, L3 %d", c.Sockets, c.CoresPerSocket, c.L3.SizeBytes)
 	}
 }
 
@@ -164,10 +218,10 @@ func TestPlatformErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.PlatformConfig(testCfg()); err == nil || !strings.Contains(err.Error(), "geometry") {
+	if _, err := bad.Platform.Apply(testCfg()); err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Fatalf("invalid geometry accepted: %v", err)
 	}
-	if _, err := s.PlatformConfig(testCfg()); err != nil {
+	if _, err := s.Platform.Apply(testCfg()); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
 	}
 
@@ -258,40 +312,31 @@ func TestParseErrorsIncludeLineNumbers(t *testing.T) {
 	}
 }
 
-// TestShippedMixedHalfL3 pins the shipped platform-block demo: same flow
-// groups as mixed, on the half-L3 variant of whatever base platform it
-// is assembled on — asserted via both the Config path (block applied
-// implicitly) and the sweep-style PlatformConfig/ConfigOn split.
+// TestShippedMixedHalfL3 pins the shipped platform-block demo: on any
+// base platform it is mixed with the shared L3 halved — the same
+// configuration as mixed under a layer naming the half L3, the way a
+// sweep variant or -platform would ask for it.
 func TestShippedMixedHalfL3(t *testing.T) {
 	base := testCfg()
 	params := apps.Small()
-	s := loadShipped(t, "mixed_half_l3")
-
-	direct, err := s.Config(base, params)
+	got, err := loadShipped(t, "mixed_half_l3").Config(base, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolved, err := s.PlatformConfig(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := s.ConfigOn(resolved, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, split) {
-		t.Fatalf("Config and PlatformConfig+ConfigOn diverge:\n got %+v\nwant %+v", split, direct)
-	}
-	if direct.Cfg.L3.SizeBytes != base.L3.SizeBytes/2 {
-		t.Fatalf("platform block not applied: L3 %d, want %d", direct.Cfg.L3.SizeBytes, base.L3.SizeBytes/2)
+	if got.Cfg.L3.SizeBytes != base.L3.SizeBytes/2 {
+		t.Fatalf("platform block not applied: L3 %d, want %d", got.Cfg.L3.SizeBytes, base.L3.SizeBytes/2)
 	}
 
-	mixed := loadShipped(t, "mixed")
-	want, err := mixed.Config(base, params)
+	half, err := ParseOverrides(fmt.Sprintf("L3_BYTES %d", base.L3.SizeBytes/2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(direct.Apps, want.Apps) {
-		t.Fatalf("half-L3 variant's flow groups diverge from mixed:\n got %+v\nwant %+v", direct.Apps, want.Apps)
+	want, err := loadShipped(t, "mixed").Config(base, params, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Scenario = got.Scenario
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("half-L3 variant diverges from mixed on a half L3:\n got %+v\nwant %+v", got, want)
 	}
 }

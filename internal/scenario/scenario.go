@@ -34,15 +34,15 @@
 //	platform :: Platform(SOCKETS 2, CORES_PER_SOCKET 4, L3_BYTES 6291456);
 //
 // overriding only the named knobs of the base platform (see Platform for
-// the key set and precedence rules) — this is what lets one scenario be
-// evaluated across platform shapes, the paper's evaluation axis that
-// internal/sweep grids over.
+// the key set) — this is what lets one scenario be evaluated across
+// platform shapes, the paper's evaluation axis that internal/sweep grids
+// over.
 //
-// Config turns a parsed scenario into a runtime.Config on a concrete
-// platform; inline graphs become custom flow types (apps.Params.Custom),
-// so offline profiling and the concurrent runtime treat them exactly
-// like builtin workloads. See docs/scenario-format.md for the complete
-// grammar reference.
+// Config is the one way from a parsed scenario to a runtime.Config: it
+// layers the platform and assembles the flows on it. Inline graphs
+// become custom flow types (apps.Params.Custom), so offline profiling
+// and the concurrent runtime treat them exactly like builtin workloads.
+// See docs/scenario-format.md for the complete grammar reference.
 package scenario
 
 import (
@@ -79,22 +79,19 @@ type Graph struct {
 type Scenario struct {
 	Name string
 
-	RingSize int
+	// Runtime is the runtime.Config that Config starts from: the
+	// RING, ADMISSION, DROP_THRESHOLD and MIGRATE_STATE keys decode
+	// straight into its RingSize, Admission, DropThreshold and
+	// MigrateState.
+	Runtime runtime.Config
 	// Batch is the modelled receive batch size (`BATCH 16`): descriptor
 	// and RX-poll costs are charged once per batch of this many packets,
 	// per-packet execution stays per packet, and the runtime's workers
 	// drain bursts of this size. 0 (the default) and 1 both mean the
 	// historical unbatched cost model.
 	Batch             int
-	Admission         bool
-	DropThreshold     float64
 	MinCoresPerSocket int
 	MinSockets        int
-	// MigrateState is the state-migration footprint threshold in bytes
-	// (`MIGRATE_STATE 1048576`): a re-placed flow whose tables fit copies
-	// them to its new socket, a bigger one keeps them remote. Zero (the
-	// default) leaves state behind on every migration.
-	MigrateState uint64
 	// Fit caps the total worker count at min(cores per socket, Fit),
 	// admitting declared flows in order until the cap is hit — how the
 	// mixed scenario fills exactly one socket on any platform.
@@ -116,11 +113,11 @@ type Scenario struct {
 // scenarioKeys declares every Scenario(...) key.
 var scenarioKeys = []click.Key[Scenario]{
 	click.String("NAME", func(s *Scenario) *string { return &s.Name }),
-	click.Int("RING", "[1,1048576]", func(s *Scenario) *int { return &s.RingSize }),
+	click.Int("RING", "[1,1048576]", func(s *Scenario) *int { return &s.Runtime.RingSize }),
 	click.Int("BATCH", "[0,)", func(s *Scenario) *int { return &s.Batch }),
-	click.Bool("ADMISSION", func(s *Scenario) *bool { return &s.Admission }),
-	click.Float("DROP_THRESHOLD", "[0,1]", func(s *Scenario) *float64 { return &s.DropThreshold }),
-	click.Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.MigrateState }),
+	click.Bool("ADMISSION", func(s *Scenario) *bool { return &s.Runtime.Admission }),
+	click.Float("DROP_THRESHOLD", "[0,1]", func(s *Scenario) *float64 { return &s.Runtime.DropThreshold }),
+	click.Uint("MIGRATE_STATE", "", func(s *Scenario) *uint64 { return &s.Runtime.MigrateState }),
 	click.Int("MIN_CORES_PER_SOCKET", "[0,)", func(s *Scenario) *int { return &s.MinCoresPerSocket }),
 	click.Int("MIN_SOCKETS", "[0,)", func(s *Scenario) *int { return &s.MinSockets }),
 	click.Int("FIT", "[0,)", func(s *Scenario) *int { return &s.Fit }),
@@ -278,7 +275,7 @@ func Parse(text string) (*Scenario, error) {
 			if s.Platform != nil {
 				return fmt.Errorf("second Platform declaration")
 			}
-			p, err := ParsePlatformArgs(args)
+			p, err := ParsePlatformArgs("platform", args)
 			s.Platform = p
 			return err
 		default:
@@ -387,41 +384,33 @@ func (s *Scenario) graph(name string) *Graph {
 	return nil
 }
 
-// PlatformConfig returns base with the file's platform block applied —
-// the effective platform the scenario asks to run on. Without a block it
-// returns base unchanged.
-func (s *Scenario) PlatformConfig(base hw.Config) (hw.Config, error) {
+// Config assembles the scenario's runtime configuration — the one way
+// from a parsed scenario to a runtime.Config. The platform is resolved
+// in layers, each overriding only the keys it names, lowest precedence
+// first: base (the -scale platform), the file's platform block, then
+// each of over in order (a sweep's Platform variant, then the -platform
+// flag). A layer's failure names the layer. Flows, cores and workload
+// parameters are then assembled on the resolved platform; a scenario
+// that does not fit it is an error that still returns the platform in
+// Cfg, for a caller reporting what was tried. Profiles are left nil;
+// callers attach them (see runtime.ProfileFlows) before NewRuntime when
+// prediction, admission, or re-placement is wanted.
+func (s *Scenario) Config(base hw.Config, params apps.Params, over ...*Platform) (runtime.Config, error) {
 	cfg, err := s.Platform.Apply(base)
 	if err != nil {
-		return hw.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return runtime.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return cfg, nil
-}
-
-// Config assembles the runtime configuration of the scenario on the
-// given platform and workload scale. Profiles are left nil; callers
-// attach them (see runtime.ProfileFlows) before NewRuntime when
-// prediction, admission, or re-placement is wanted. The file's platform
-// block, if any, is applied to cfg first; callers that already resolved
-// platform precedence themselves (the sweep harness layering variants,
-// the CLI layering -platform) use ConfigOn instead.
-func (s *Scenario) Config(cfg hw.Config, params apps.Params) (runtime.Config, error) {
-	applied, err := s.PlatformConfig(cfg)
-	if err != nil {
-		return runtime.Config{}, err
+	for _, p := range over {
+		if cfg, err = p.Apply(cfg); err != nil {
+			return runtime.Config{}, err
+		}
 	}
-	return s.ConfigOn(applied, params)
-}
-
-// ConfigOn assembles the runtime configuration on exactly cfg, treating
-// it as the already-resolved effective platform (the file's platform
-// block is NOT applied again).
-func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, error) {
+	fail := func(err error) (runtime.Config, error) { return runtime.Config{Cfg: cfg}, err }
 	if cfg.CoresPerSocket < s.MinCoresPerSocket {
-		return runtime.Config{}, fmt.Errorf("scenario %s needs ≥%d cores per socket", s.Name, s.MinCoresPerSocket)
+		return fail(fmt.Errorf("scenario %s needs ≥%d cores per socket", s.Name, s.MinCoresPerSocket))
 	}
 	if cfg.Sockets < s.MinSockets {
-		return runtime.Config{}, fmt.Errorf("scenario %s needs ≥%d sockets", s.Name, s.MinSockets)
+		return fail(fmt.Errorf("scenario %s needs ≥%d sockets", s.Name, s.MinSockets))
 	}
 	if s.SynRegionFraction > 0 {
 		params.SynRegionBytes = int(s.SynRegionFraction * float64(cfg.L3.SizeBytes))
@@ -444,10 +433,10 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 			// graph named MON would silently replace the builtin for every
 			// Flow(TYPE MON) including offline profiling.
 			if _, builtin := apps.ParseFlowType(g.Name); builtin == nil {
-				return runtime.Config{}, fmt.Errorf("scenario %s: graph %q collides with a builtin flow type", s.Name, g.Name)
+				return fail(fmt.Errorf("scenario %s: graph %q collides with a builtin flow type", s.Name, g.Name))
 			}
 			if _, clash := custom[t]; clash {
-				return runtime.Config{}, fmt.Errorf("scenario %s: graph %q collides with an existing flow type", s.Name, g.Name)
+				return fail(fmt.Errorf("scenario %s: graph %q collides with an existing flow type", s.Name, g.Name))
 			}
 			pktSize := params.PacketSizeIP
 			for _, f := range s.Flows {
@@ -460,7 +449,8 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 		params.Custom = custom
 	}
 
-	out := runtime.Config{Cfg: cfg, Params: params, Scenario: s.Name}
+	out := s.Runtime
+	out.Cfg, out.Params, out.Scenario = cfg, params, s.Name
 	fit := 0
 	if s.Fit > 0 {
 		fit = min(cfg.CoresPerSocket, s.Fit)
@@ -476,22 +466,18 @@ func (s *Scenario) ConfigOn(cfg hw.Config, params apps.Params) (runtime.Config, 
 		out.Apps = append(out.Apps, f)
 	}
 	if len(out.Apps) == 0 {
-		return runtime.Config{}, fmt.Errorf("scenario %s: no flows fit the platform", s.Name)
+		return fail(fmt.Errorf("scenario %s: no flows fit the platform", s.Name))
 	}
 	for _, p := range s.Place {
 		core := p.Core
 		if p.Socket >= 0 {
 			if p.Socket >= cfg.Sockets || p.Core >= cfg.CoresPerSocket {
-				return runtime.Config{}, fmt.Errorf("scenario %s: placement s%d:%d outside the platform", s.Name, p.Socket, p.Core)
+				return fail(fmt.Errorf("scenario %s: placement s%d:%d outside the platform", s.Name, p.Socket, p.Core))
 			}
 			core = p.Socket*cfg.CoresPerSocket + p.Core
 		}
 		out.Cores = append(out.Cores, core)
 	}
-	out.RingSize = s.RingSize
-	out.Admission = s.Admission
-	out.DropThreshold = s.DropThreshold
-	out.MigrateState = s.MigrateState
 	return out, nil
 }
 

@@ -459,8 +459,8 @@ func TestMigrateStateKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.MigrateState != 1<<20 {
-		t.Fatalf("MigrateState = %d, want %d", s.MigrateState, 1<<20)
+	if s.Runtime.MigrateState != 1<<20 {
+		t.Fatalf("MigrateState = %d, want %d", s.Runtime.MigrateState, 1<<20)
 	}
 	cfg, err := s.Config(testCfg(), apps.Small())
 	if err != nil {

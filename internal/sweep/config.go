@@ -11,8 +11,9 @@ import (
 )
 
 // PlatformVariant is one point on the sweep's platform axis: a named
-// override set applied to the base (-scale) platform. A nil Platform —
-// declared `base :: Platform();` — runs the base platform unchanged.
+// override set layered over the scenario's platform (see
+// scenario.Scenario.Config). A variant that names no keys — declared
+// `base :: Platform();` — runs that platform unchanged.
 type PlatformVariant struct {
 	Name     string
 	Platform *scenario.Platform
@@ -153,7 +154,7 @@ func ParseConfig(text string) (*Config, error) {
 			seenSweep = true
 			return click.Decode("sweep", sweepKeys, args, c)
 		case "Platform":
-			p, err := scenario.ParsePlatformArgs(args)
+			p, err := scenario.ParsePlatformArgs("platform "+name, args)
 			c.Platforms = append(c.Platforms, PlatformVariant{Name: name, Platform: p})
 			return err
 		default:

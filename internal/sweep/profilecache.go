@@ -182,18 +182,18 @@ func (c *ProfileCache) Save() error {
 // profiledFlows returns the offline profile of every flow type cfg runs,
 // each looked up in the cache under its own key and profiled there on a
 // miss; the types fan out, so a point's misses profile side by side.
-func (r *Runner) profiledFlows(hwCfg hw.Config, cfg runtime.Config) (map[apps.FlowType]runtime.FlowProfile, error) {
+func (r *Runner) profiledFlows(cfg runtime.Config) (map[apps.FlowType]runtime.FlowProfile, error) {
 	c, sc, types := r.ProfileCache, r.Scale, cfg.FlowTypes()
 	profs := make([]runtime.FlowProfile, len(types))
 	err := core.FanOut(len(types), func(i int) error {
 		t := types[i]
 		params := ownParams(cfg.Params, t)
-		key, err := c.profileKey(hwCfg, params, sc.Warmup, sc.Window, sc.SweepGrid, t)
+		key, err := c.profileKey(cfg.Cfg, params, sc.Warmup, sc.Window, sc.SweepGrid, t)
 		if err != nil {
 			return fmt.Errorf("profile cache key: %w", err)
 		}
 		profs[i], err = c.lookup(key, func() (runtime.FlowProfile, error) {
-			m, err := runtime.ProfileFlows(hwCfg, params, sc.Warmup, sc.Window, sc.SweepGrid, []apps.FlowType{t})
+			m, err := runtime.ProfileFlows(cfg.Cfg, params, sc.Warmup, sc.Window, sc.SweepGrid, []apps.FlowType{t})
 			return m[t], err
 		})
 		return err

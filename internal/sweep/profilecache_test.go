@@ -53,7 +53,7 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := &Runner{Scale: scale, ProfileCache: c1}
-	p1, err := r1.profiledFlows(scale.Cfg, cfg)
+	p1, err := r1.profiledFlows(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2 := &Runner{Scale: scale, ProfileCache: c2}
-	p2, err := r2.profiledFlows(scale.Cfg, cfg)
+	p2, err := r2.profiledFlows(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProfileCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r3 := &Runner{Scale: scale, ProfileCache: c3}
-	if _, err := r3.profiledFlows(scale.Cfg, cfg); err != nil {
+	if _, err := r3.profiledFlows(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := c3.Stats(); hits != 0 || misses != 1 {
@@ -163,7 +163,7 @@ func TestProfileKeyIgnoresOtherCustomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := (&Runner{Scale: scale, ProfileCache: c}).profiledFlows(scale.Cfg, cfg)
+		p, err := (&Runner{Scale: scale, ProfileCache: c}).profiledFlows(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

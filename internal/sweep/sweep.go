@@ -37,7 +37,8 @@ type Runner struct {
 	// profiling windows (exp.Quick or exp.Full).
 	Scale exp.Scale
 	// Overrides, when non-nil, is applied on top of every platform
-	// variant (the CLI -platform flag; highest precedence).
+	// variant (the CLI -platform flag; the highest layer, see
+	// scenario.Scenario.Config).
 	Overrides *scenario.Platform
 	// ProfileCache memoises offline profiles per platform × flow type,
 	// keyed by their full inputs: every grid point that needs a key
@@ -178,28 +179,15 @@ func (r *Runner) runPoint(v PlatformVariant, load float64, run RunSpec) PointRes
 	if err != nil {
 		return fail(err)
 	}
-	// Platform precedence: -scale base < scenario Platform block < sweep
-	// variant < CLI overrides.
-	hwCfg, err := sc.PlatformConfig(r.Scale.Cfg)
-	if err != nil {
-		return fail(err)
-	}
-	if hwCfg, err = v.Platform.Apply(hwCfg); err != nil {
-		return fail(fmt.Errorf("platform %s: %w", v.Name, err))
-	}
-	if hwCfg, err = r.Overrides.Apply(hwCfg); err != nil {
-		return fail(fmt.Errorf("overrides: %w", err))
-	}
-	pr.Sockets = hwCfg.Sockets
-	pr.CoresPerSocket = hwCfg.CoresPerSocket
-	pr.L3Bytes = hwCfg.L3.SizeBytes
-
-	cfg, err := sc.ConfigOn(hwCfg, r.Scale.Params)
+	cfg, err := sc.Config(r.Scale.Cfg, r.Scale.Params, v.Platform, r.Overrides)
+	pr.Sockets = cfg.Cfg.Sockets
+	pr.CoresPerSocket = cfg.Cfg.CoresPerSocket
+	pr.L3Bytes = cfg.Cfg.L3.SizeBytes
 	if err != nil {
 		return fail(err)
 	}
 
-	profiles, err := r.profiledFlows(hwCfg, cfg)
+	profiles, err := r.profiledFlows(cfg)
 	if err != nil {
 		return fail(fmt.Errorf("profiling: %w", err))
 	}

@@ -130,6 +130,40 @@ mixed :: Run(FILE ../../examples/scenarios/mixed.click);
 	}
 }
 
+// TestPointThatDoesNotFit: a point whose scenario does not fit its
+// resolved platform fails naming the scenario and still reports that
+// platform's topology; a variant that leaves the platform invalid fails
+// naming the variant. Neither point profiles or runs.
+func TestPointThatDoesNotFit(t *testing.T) {
+	cfg, err := ParseConfig(`
+sweep :: Sweep(NAME t, LOADS 1.0);
+narrow :: Platform(SOCKETS 3, CORES_PER_SOCKET 2, L3_BYTES 524288);
+bad    :: Platform(L3_WAYS 3);
+nat    :: Run(FILE ../../examples/scenarios/nat_chain.click);
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := (&Runner{Config: cfg, Scale: exp.Quick()}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Points) != 2 || rep.Pass {
+		t.Fatalf("%d points, pass %v: want 2 points and a failed sweep", len(rep.Points), rep.Pass)
+	}
+	narrow, bad := rep.Points[0], rep.Points[1]
+	if !strings.Contains(narrow.Error, "scenario nat_chain needs ≥4 cores per socket") {
+		t.Errorf("narrow point: error %q, want it to name the scenario and its need", narrow.Error)
+	}
+	if narrow.Sockets != 3 || narrow.CoresPerSocket != 2 || narrow.L3Bytes != 524288 {
+		t.Errorf("narrow point reports %d×%d, L3 %d: want the variant's 3×2, L3 524288",
+			narrow.Sockets, narrow.CoresPerSocket, narrow.L3Bytes)
+	}
+	if !strings.HasPrefix(bad.Error, "platform bad: ") || !strings.Contains(bad.Error, "L3 geometry") {
+		t.Errorf("bad point: error %q, want it to name the variant", bad.Error)
+	}
+}
+
 // named returns an app report that carries only its name, for
 // hand-built rows.
 func named(name string) runtime.AppReport { return runtime.AppReport{Name: name} }
