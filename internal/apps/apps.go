@@ -230,15 +230,8 @@ func (p Params) Config(t FlowType, seed uint64) string {
 		return cf.Config
 	}
 	var b strings.Builder
-	size := p.PacketSizeIP
-	switch t {
-	case VPN:
-		size = p.PacketSizeVPN
-	case RE:
-		size = p.PacketSizeRE
-	}
 	fmt.Fprintf(&b, "src :: FromDevice(SIZE %d, SEED %d, FLOWS %d, BUFFERS %d);\n",
-		size, seed, p.TrafficFlows, p.Buffers)
+		p.PacketSize(t), seed, p.TrafficFlows, p.Buffers)
 	b.WriteString("src -> CheckIPHeader")
 	fmt.Fprintf(&b, " -> RadixIPLookup(ROUTES %d, SEED %d)", p.Routes, seed^0x5eed)
 	b.WriteString(" -> DecIPTTL")

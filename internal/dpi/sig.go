@@ -1,9 +1,10 @@
 // Package dpi implements the engines behind the IDS workload class: a
 // compiled multi-pattern signature matcher, a sampled Shannon-entropy
-// estimator, and an LRU ban/verdict table. The click elements wrapping
-// them live in internal/elements; the engines here do the real work on
-// real payload bytes and expose the simulated-memory regions the
-// elements emit their traces against.
+// estimator, and an LRU ban/verdict table (a flowtab.Table, as NetFlow's
+// and the NAT's are). The click elements wrapping them live in
+// internal/elements; the engines here do the real work on real payload
+// bytes and expose the simulated-memory regions the elements emit their
+// traces against.
 //
 // The IDS class exists to stress the prediction model with per-packet
 // cost heterogeneity the NAT/firewall/monitor workloads lack: a cheap

@@ -5,8 +5,8 @@
 // incremental checksum update. The flow table is the NAT's contended
 // structure — like NetFlow's it is memory-intensive but cacheable, and
 // the per-packet probe-allocate-rewrite trace is what the workload
-// contributes to the shared cache. Like NetFlow's, its host side holds a
-// mapping only for a slot some flow took (mem.Slots).
+// contributes to the shared cache. Like NetFlow's, it is a flowtab.Table,
+// whose host side holds a mapping only for a slot some flow took.
 package nat
 
 import (
@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"pktpredict/internal/click"
+	"pktpredict/internal/flowtab"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/netpkt"
@@ -23,49 +24,26 @@ import (
 // fnNAT attributes NAT work in profiles.
 var fnNAT = hw.RegisterFunc("nat_rewrite")
 
-// mapping is one NAT binding: inner flow → external source port.
-type mapping struct {
-	key      netpkt.FiveTuple
-	extPort  uint16
-	lastSeen uint64
-}
-
-// maxProbes bounds a linear probe chain; a full chain evicts its
-// least-recently-used binding, as a production NAT expires mappings
-// under port pressure.
-const maxProbes = 8
-
 // firstPort is the lowest external port the allocator hands out.
 const firstPort = 1024
 
-// Table is the NAT flow table: open addressing with linear probing over
-// line-sized mapping entries, plus a port-allocator cursor on its own
-// bookkeeping line.
+// Table is the NAT flow table: a flowtab.Table from inner flow to
+// external source port, whose full chains expire the least recently used
+// binding as a production NAT expires mappings under port pressure, plus
+// a port-allocator cursor on its own bookkeeping line.
 type Table struct {
-	slots    *mem.Slots[mapping] // a slot is in use iff it was ever taken
-	region   mem.Region          // mapping entries, one line each
-	portLine hw.Addr             // port-allocator cursor line
-	mask     uint64
+	tab      *flowtab.Table[netpkt.FiveTuple, uint16]
+	portLine hw.Addr // port-allocator cursor line
 	extIP    uint32
 	nextPort uint32
-	clock    uint64
 }
 
 // NewTable builds a table with capacity slots (rounded up to a power of
 // two) allocated from arena, translating to external address extIP.
 func NewTable(arena *mem.Arena, capacity int, extIP uint32) *Table {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("nat: capacity %d must be positive", capacity))
-	}
-	size := 1
-	for size < capacity {
-		size <<= 1
-	}
 	return &Table{
-		slots:    mem.NewSlots[mapping](size),
-		region:   mem.NewRegion(arena, size, hw.LineSize, true),
+		tab:      flowtab.New[netpkt.FiveTuple, uint16](arena, capacity),
 		portLine: arena.Alloc(hw.LineSize, hw.LineSize),
-		mask:     uint64(size - 1),
 		extIP:    extIP,
 		nextPort: firstPort,
 	}
@@ -75,7 +53,7 @@ func NewTable(arena *mem.Arena, capacity int, extIP uint32) *Table {
 func (t *Table) ExtIP() uint32 { return t.extIP }
 
 // Taken returns the number of active mappings.
-func (t *Table) Taken() int { return t.slots.Taken() }
+func (t *Table) Taken() int { return t.tab.Taken() }
 
 // allocPort hands out the next external port, cycling through the
 // dynamic range; the cursor lives on its own line, so every allocation
@@ -103,36 +81,13 @@ func (t *Table) Translate(ctx *click.Ctx, key netpkt.FiveTuple) (port uint16, cr
 	old := ctx.SetFunc(fnNAT)
 	defer ctx.SetFunc(old)
 
-	t.clock++
-	h := key.Hash()
 	ctx.Compute(30, 28) // tuple hash
-	idx := h & t.mask
-	victim := idx
-	victimSeen := ^uint64(0)
-	for probe := 0; probe < maxProbes; probe++ {
-		slot := t.slots.Get(int(idx))
-		ctx.Load(t.region.Addr(int(idx)))
-		ctx.Compute(4, 5)
-		if slot == nil {
-			victim = idx
-			break
-		}
-		if slot.key == key {
-			slot.lastSeen = t.clock
-			ctx.Store(t.region.Addr(int(idx)))
-			return slot.extPort, false
-		}
-		if slot.lastSeen < victimSeen {
-			victim, victimSeen = idx, slot.lastSeen
-		}
-		idx = (idx + 1) & t.mask
+	p, slot, hit := t.tab.Find(ctx, key.Hash(), key)
+	if !hit {
+		*p = t.allocPort(ctx)
 	}
-	// Bind the free slot, or expire the chain's least-recently-used
-	// binding when the chain is full.
-	slot := t.slots.Take(int(victim))
-	*slot = mapping{key: key, extPort: t.allocPort(ctx), lastSeen: t.clock}
-	ctx.Store(t.region.Addr(int(victim)))
-	return slot.extPort, true
+	ctx.Store(t.tab.Lines().Addr(slot))
+	return *p, !hit
 }
 
 // rewrite costs beyond the table work: field stores and the incremental

@@ -3,8 +3,10 @@ package nat
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"pktpredict/internal/click"
+	"pktpredict/internal/flowtab"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/netpkt"
@@ -54,8 +56,8 @@ func TestTableEvictsLRUUnderPressure(t *testing.T) {
 	if _, created := tb.Translate(&ctx, tuple(0)); !created {
 		t.Fatal("overloaded table never evicted the first flow's binding")
 	}
-	if tb.Taken() > tb.region.Count {
-		t.Fatalf("occupied %d exceeds size %d", tb.Taken(), tb.region.Count)
+	if tb.Taken() > tb.tab.Lines().Count {
+		t.Fatalf("occupied %d exceeds size %d", tb.Taken(), tb.tab.Lines().Count)
 	}
 }
 
@@ -158,8 +160,8 @@ func TestRegistryBuildsRewriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	el, ok := inst.(*Element)
-	if !ok || el.Table.region.Count != 128 {
-		t.Fatalf("unexpected instance %T (size %d)", inst, el.Table.region.Count)
+	if !ok || el.Table.tab.Lines().Count != 128 {
+		t.Fatalf("unexpected instance %T (size %d)", inst, el.Table.tab.Lines().Count)
 	}
 	want, _ := ParseAddr("10.0.0.254")
 	if el.Table.ExtIP() != want {
@@ -175,7 +177,8 @@ func TestRegistryBuildsRewriter(t *testing.T) {
 
 // eagerMapping and eagerTable are the table as it was before its host
 // side went sparse: a mapping for every slot, made up front, with an
-// in-use flag. They are the oracle the sparse table must match op for op.
+// in-use flag, and its own probe loop. They are the oracle the table
+// must match op for op.
 type eagerMapping struct {
 	key      netpkt.FiveTuple
 	extPort  uint16
@@ -219,6 +222,9 @@ func (t *eagerTable) allocPort(ctx *click.Ctx) uint16 {
 	return port
 }
 
+// eagerProbes bounds the oracle's probe chain.
+const eagerProbes = 8
+
 func (t *eagerTable) translate(ctx *click.Ctx, key netpkt.FiveTuple) (uint16, bool) {
 	old := ctx.SetFunc(fnNAT)
 	defer ctx.SetFunc(old)
@@ -226,7 +232,7 @@ func (t *eagerTable) translate(ctx *click.Ctx, key netpkt.FiveTuple) (uint16, bo
 	ctx.Compute(30, 28)
 	idx := key.Hash() & t.mask
 	victim, victimSeen := idx, ^uint64(0)
-	for probe := 0; probe < maxProbes; probe++ {
+	for probe := 0; probe < eagerProbes; probe++ {
 		slot := &t.slots[idx]
 		ctx.Load(t.region.Addr(int(idx)))
 		ctx.Compute(4, 5)
@@ -261,7 +267,8 @@ func (t *eagerTable) occupied() int {
 }
 
 // TestTranslateMatchesEagerTable drives random flow sequences through the
-// sparse table and the eager oracle side by side. The 8- and 16-slot
+// table and the eager oracle side by side; at the end every oracle
+// mapping must be found as it is. The 8- and 16-slot
 // tables fill every probe chain, so most new flows expire the least
 // recently used binding of a full chain; the larger ones mostly hit or
 // bind a free slot.
@@ -286,10 +293,18 @@ func TestTranslateMatchesEagerTable(t *testing.T) {
 			}
 		}
 		for i, w := range want.slots {
-			m := got.slots.Get(i)
-			if (m == nil) != !w.used || m != nil && *m != (mapping{key: w.key, extPort: w.extPort, lastSeen: w.lastSeen}) {
-				t.Fatalf("%d slots: slot %d holds %v, want %+v", c.slots, i, m, w)
+			if m, ok := got.tab.Lookup(w.key.Hash(), w.key); w.used && (!ok || m.Val != w.extPort || m.Seen != w.lastSeen) {
+				t.Fatalf("%d slots: slot %d's mapping %+v is %+v (found %v)", c.slots, i, w, m, ok)
 			}
 		}
+	}
+}
+
+// TestMappingIsThirtyTwoBytes: a mapping (key, recency stamp and
+// external port) carries no in-use flag, so each live binding takes 32
+// bytes on the host.
+func TestMappingIsThirtyTwoBytes(t *testing.T) {
+	if n := unsafe.Sizeof(flowtab.Slot[netpkt.FiveTuple, uint16]{}); n != 32 {
+		t.Fatalf("a mapping is %d bytes, want 32", n)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"pktpredict/internal/click"
+	"pktpredict/internal/flowtab"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
 	"pktpredict/internal/netpkt"
@@ -22,8 +23,9 @@ func tuple(i uint32) netpkt.FiveTuple {
 }
 
 func TestTableRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := newTable(100000).region.Count; got != 131072 {
-		t.Fatalf("slots = %d, want 131072", got)
+	tb := newTable(100000)
+	if got, idx := tb.tab.Lines().Count, tb.index.Count; got != 131072 || idx != 131072 {
+		t.Fatalf("slots = %d, index entries = %d, want 131072 each", got, idx)
 	}
 }
 
@@ -37,7 +39,7 @@ func TestUpdateCreatesAndAccumulates(t *testing.T) {
 	if !ok {
 		t.Fatal("entry missing after updates")
 	}
-	if e.Packets != 2 || e.Bytes != 164 {
+	if e.Val.Packets != 2 || e.Val.Bytes != 164 {
 		t.Fatalf("entry = %+v, want 2 pkts / 164 bytes", e)
 	}
 	if tb.Taken() != 1 {
@@ -60,8 +62,8 @@ func TestLastSeenAdvances(t *testing.T) {
 	tb.Update(&ctx, tuple(2), 64)
 	tb.Update(&ctx, tuple(1), 64)
 	e2, _ := tb.Get(tuple(1))
-	if e2.LastSeen <= e1.LastSeen {
-		t.Fatalf("LastSeen did not advance: %d then %d", e1.LastSeen, e2.LastSeen)
+	if e2.Seen <= e1.Seen {
+		t.Fatalf("Seen did not advance: %d then %d", e1.Seen, e2.Seen)
 	}
 }
 
@@ -107,8 +109,8 @@ func TestUpdateEmitsLineTrace(t *testing.T) {
 
 func TestSlotsAreLinePadded(t *testing.T) {
 	tb := newTable(16)
-	a0 := tb.region.Addr(0)
-	a1 := tb.region.Addr(1)
+	a0 := tb.tab.Lines().Addr(0)
+	a1 := tb.tab.Lines().Addr(1)
 	if hw.LineOf(a0) == hw.LineOf(a1) {
 		t.Fatal("adjacent slots share a line; padding missing")
 	}
@@ -133,7 +135,7 @@ func TestCountsMatchReferenceQuick(t *testing.T) {
 		}
 		for k, want := range ref {
 			e, ok := tb.Get(k)
-			if !ok || e.Packets != want {
+			if !ok || e.Val.Packets != want {
 				return false
 			}
 		}
@@ -155,7 +157,7 @@ func TestElementProcessesPackets(t *testing.T) {
 	if v := el.Process(&ctx, p); v != click.Continue {
 		t.Fatalf("verdict = %v", v)
 	}
-	if e, ok := tb.Get(netpkt.FiveTuple{Src: 1, Dst: 2, Proto: netpkt.ProtoUDP}); !ok || e.Packets != 1 || e.Bytes != 64 {
+	if e, ok := tb.Get(netpkt.FiveTuple{Src: 1, Dst: 2, Proto: netpkt.ProtoUDP}); !ok || e.Val.Packets != 1 || e.Val.Bytes != 64 {
 		t.Fatalf("flow record %+v (found %v), want 1 packet / 64 bytes", e, ok)
 	}
 }
@@ -178,23 +180,35 @@ func TestNewTableValidation(t *testing.T) {
 	newTable(0)
 }
 
-// TestEntryIsFortyBytes: a record carries no in-use flag (a slot is in
-// use iff it was taken), so each live flow takes 40 bytes on the host,
-// not 48.
+// TestEntryIsFortyBytes: a record (key, recency stamp and Entry) carries
+// no in-use flag (a slot is in use iff it was taken), so each live flow
+// takes 40 bytes on the host, not 48.
 func TestEntryIsFortyBytes(t *testing.T) {
-	if n := unsafe.Sizeof(Entry{}); n != 40 {
-		t.Fatalf("Entry is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(flowtab.Slot[netpkt.FiveTuple, Entry]{}); n != 40 {
+		t.Fatalf("a flow record is %d bytes, want 40", n)
 	}
 }
 
+// eagerEntry is a flow record as the table kept it before flowtab: key,
+// counters and stamp in one struct, in use iff Packets is nonzero.
+type eagerEntry struct {
+	Key      netpkt.FiveTuple
+	Packets  uint64
+	Bytes    uint64
+	LastSeen uint64
+}
+
 // eagerTable is the table as it was before its host side went sparse: a
-// record for every slot, made up front, a slot in use iff its Packets is
-// nonzero. It is the oracle the sparse table must match op for op.
+// record for every slot, made up front, and its own probe loop. It is
+// the oracle the table must match op for op.
 type eagerTable struct {
-	slots         []Entry
+	slots         []eagerEntry
 	index, region mem.Region
 	mask, clock   uint64
 }
+
+// eagerProbes bounds the oracle's probe chain.
+const eagerProbes = 8
 
 // newEagerTable lays the oracle out exactly as NewTable lays out a table
 // on a fresh arena, so the two emit the same addresses.
@@ -205,23 +219,23 @@ func newEagerTable(capacity int) *eagerTable {
 		size <<= 1
 	}
 	return &eagerTable{
-		slots:  make([]Entry, size),
+		slots:  make([]eagerEntry, size),
 		index:  mem.NewRegion(arena, size, 8, false),
 		region: mem.NewRegion(arena, size, hw.LineSize, true),
 		mask:   uint64(size - 1),
 	}
 }
 
-func (t *eagerTable) update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Entry {
+func (t *eagerTable) update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *eagerEntry {
 	old := ctx.SetFunc(fnFlowStats)
 	defer ctx.SetFunc(old)
 	t.clock++
 	ctx.Compute(30, 28)
 	idx := key.Hash() & t.mask
 	ctx.Load(t.index.Addr(int(idx)))
-	var victim *Entry
+	var victim *eagerEntry
 	victimIdx := idx
-	for probe := 0; probe < maxProbes; probe++ {
+	for probe := 0; probe < eagerProbes; probe++ {
 		slot := &t.slots[idx]
 		ctx.Load(t.region.Addr(int(idx)))
 		ctx.Compute(4, 5)
@@ -241,21 +255,21 @@ func (t *eagerTable) update(ctx *click.Ctx, key netpkt.FiveTuple, size int) *Ent
 		}
 		idx = (idx + 1) & t.mask
 	}
-	*victim = Entry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock}
+	*victim = eagerEntry{Key: key, Packets: 1, Bytes: uint64(size), LastSeen: t.clock}
 	ctx.Store(t.index.Addr(int(victimIdx)))
 	ctx.Store(t.region.Addr(int(victimIdx)))
 	return victim
 }
 
-func (t *eagerTable) get(key netpkt.FiveTuple) (Entry, bool) {
+func (t *eagerTable) get(key netpkt.FiveTuple) (eagerEntry, bool) {
 	idx := key.Hash() & t.mask
-	for probe := 0; probe < maxProbes && t.slots[idx].Packets != 0; probe++ {
+	for probe := 0; probe < eagerProbes && t.slots[idx].Packets != 0; probe++ {
 		if t.slots[idx].Key == key {
 			return t.slots[idx], true
 		}
 		idx = (idx + 1) & t.mask
 	}
-	return Entry{}, false
+	return eagerEntry{}, false
 }
 
 func (t *eagerTable) occupied() int {
@@ -268,11 +282,21 @@ func (t *eagerTable) occupied() int {
 	return n
 }
 
+// getEager is Get in the oracle's record form.
+func getEager(tb *Table, key netpkt.FiveTuple) (eagerEntry, bool) {
+	s, ok := tb.Get(key)
+	if !ok {
+		return eagerEntry{}, false
+	}
+	return eagerEntry{Key: s.Key, Packets: s.Val.Packets, Bytes: s.Val.Bytes, LastSeen: s.Seen}, true
+}
+
 // TestUpdateMatchesEagerTable drives random flow sequences through the
-// sparse table and the eager oracle side by side, with a lookup of a
-// random flow after each update. The 8- and 16-slot
-// tables fill every probe chain, so most inserts evict the stalest
-// record of a full chain; the larger ones mostly hit or insert.
+// table and the eager oracle side by side, comparing the updated record,
+// the ops, a lookup of a random flow after each update, and occupancy;
+// at the end every oracle record must be found as it is. The 8- and
+// 16-slot tables fill every probe chain, so most inserts evict the
+// stalest record of a full chain; the larger ones mostly hit or insert.
 func TestUpdateMatchesEagerTable(t *testing.T) {
 	for _, c := range []struct{ slots, flows int }{{8, 40}, {16, 48}, {64, 96}, {1024, 3000}} {
 		r := rng.New(uint64(c.slots))
@@ -280,16 +304,17 @@ func TestUpdateMatchesEagerTable(t *testing.T) {
 		var gctx, wctx click.Ctx
 		for i := 0; i < 20*c.slots; i++ {
 			key, size := tuple(uint32(r.Intn(c.flows))), 64+r.Intn(1400)
-			g, w := got.Update(&gctx, key, size), want.update(&wctx, key, size)
-			if *g != *w {
-				t.Fatalf("%d slots, update %d: record %+v, want %+v", c.slots, i, *g, *w)
+			got.Update(&gctx, key, size)
+			w := want.update(&wctx, key, size)
+			if g, ok := getEager(got, key); !ok || g != *w {
+				t.Fatalf("%d slots, update %d: record %+v (found %v), want %+v", c.slots, i, g, ok, *w)
 			}
 			if !slices.Equal(gctx.Ops, wctx.Ops) {
 				t.Fatalf("%d slots, update %d: ops %v, want %v", c.slots, i, gctx.Ops, wctx.Ops)
 			}
 			gctx.Ops, wctx.Ops = gctx.Ops[:0], wctx.Ops[:0]
 			probe := tuple(uint32(r.Intn(c.flows)))
-			ge, gok := got.Get(probe)
+			ge, gok := getEager(got, probe)
 			if we, wok := want.get(probe); ge != we || gok != wok {
 				t.Fatalf("%d slots, after update %d: Get = %+v %v, want %+v %v", c.slots, i, ge, gok, we, wok)
 			}
@@ -297,9 +322,9 @@ func TestUpdateMatchesEagerTable(t *testing.T) {
 				t.Fatalf("%d slots, update %d: %d slots taken, want %d", c.slots, i, got.Taken(), want.occupied())
 			}
 		}
-		for i := range want.slots {
-			if e := got.slots.Get(i); (e == nil) != (want.slots[i].Packets == 0) || e != nil && *e != want.slots[i] {
-				t.Fatalf("%d slots: slot %d holds %v, want %+v", c.slots, i, e, want.slots[i])
+		for i, w := range want.slots {
+			if g, ok := getEager(got, w.Key); w.Packets != 0 && (!ok || g != w) {
+				t.Fatalf("%d slots: slot %d's record %+v is %+v (found %v)", c.slots, i, w, g, ok)
 			}
 		}
 	}
