@@ -290,3 +290,80 @@ func TestFanOutPanicIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoMeasuresEachKeyOnce: sixteen goroutines asking one key run its
+// measure once and share the value; a failing measure gives every caller,
+// concurrent or later, the same error and is never run again; distinct
+// keys measure independently, one key's measure not waiting on another's.
+func TestMemoMeasuresEachKeyOnce(t *testing.T) {
+	var m Memo[string, int] // the zero Memo is ready to use
+	fail := errors.New("measure failed")
+	want := map[string]int{"a": 1, "b": 2, "bad": 0}
+	runs := map[string]*atomic.Int64{}
+	for k := range want {
+		runs[k] = new(atomic.Int64)
+	}
+	measure := func(k string) func() (int, error) {
+		return func() (int, error) {
+			runs[k].Add(1)
+			time.Sleep(time.Millisecond) // the other askers arrive while it runs
+			if k == "bad" {
+				return 0, fail
+			}
+			return want[k], nil
+		}
+	}
+	check := func(who, k string, v int, err error) {
+		var wantErr error
+		if k == "bad" {
+			wantErr = fail
+		}
+		if v != want[k] || err != wantErr {
+			t.Errorf("%s: Do(%q) = %d, %v; want %d, %v", who, k, v, err, want[k], wantErr)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range []string{"a", "b", "bad"} {
+				v, err := m.Do(k, measure(k))
+				check(fmt.Sprintf("goroutine %d", g), k, v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range want {
+		v, err := m.Do(k, measure(k)) // a later caller: the memoised outcome
+		check("later caller", k, v, err)
+		if n := runs[k].Load(); n != 1 {
+			t.Errorf("key %q measured %d times, want 1", k, n)
+		}
+	}
+
+	// A key whose measure is still running blocks only its own askers.
+	release, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Do("slow", func() (int, error) { <-release; return 3, nil })
+	}()
+	got := make(chan int, 1) // one send, so a timed-out test leaks no goroutine
+	go func() {
+		v, _ := m.Do("fast", func() (int, error) { return 4, nil })
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		if v != 4 {
+			t.Errorf("Do(fast) = %d, want 4", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Do(fast) waited on another key's measure")
+	}
+	close(release)
+	<-done
+	if v, err := m.Do("slow", measure("a")); v != 3 || err != nil {
+		t.Errorf("Do(slow) = %d, %v after its measure returned; want 3, <nil>", v, err)
+	}
+}

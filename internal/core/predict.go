@@ -69,10 +69,10 @@ var DefaultSweepGrid = []int{3200, 1600, 800, 400, 200, 100, 50, 25, 0}
 
 // Predictor implements the paper's three-step prediction method over a
 // fixed platform configuration and workload scale. It memoises solo
-// profiles and sweep curves: everything is derived from offline profiling
-// and reused across predictions, exactly as an operator would use it.
-// Its methods may be called from several goroutines at once; set the
-// exported fields before the first call.
+// profiles and sweeps and reads every curve off them: everything is
+// derived from offline profiling and reused across predictions, exactly as
+// an operator would use it. Its methods may be called from several
+// goroutines at once; set the exported fields before the first call.
 type Predictor struct {
 	Cfg       hw.Config
 	Params    apps.Params
@@ -80,31 +80,40 @@ type Predictor struct {
 	Window    float64
 	SweepGrid []int
 
-	mu     sync.Mutex // guards the maps and free, never held while measuring
-	solo   map[apps.FlowType]*memo[hw.FlowStats]
-	curves map[sweepKey]*memo[Curve]
-	sweeps map[sweepKey]*memo[[]SweepSample]
-	mixes  map[string]*memo[[]hw.FlowStats]
+	mu     sync.Mutex // guards free, never held while measuring
+	solo   Memo[apps.FlowType, hw.FlowStats]
+	sweeps Memo[sweepKey, []SweepSample]
+	mixes  Memo[string, []hw.FlowStats]
 	free   []*hw.Platform // platforms no experiment is using (see measure)
 }
 
-// memo is one memoised quantity: its first caller measures it, concurrent
-// and later callers share the outcome — a failure too, an experiment
-// being a pure function of the predictor's configuration.
-type memo[T any] struct {
+// Memo memoises one measured quantity per key: the first caller of a key
+// runs its measure, concurrent and later callers share the outcome — a
+// failure too, a measurement being a pure function of its key, so it is
+// never retried. The zero Memo is ready to use.
+type Memo[K comparable, T any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[T]
+}
+
+type memoEntry[T any] struct {
 	once sync.Once
 	val  T
 	err  error
 }
 
-func memoised[K comparable, T any](p *Predictor, m map[K]*memo[T], k K, measure func() (T, error)) (T, error) {
-	p.mu.Lock()
-	e := m[k]
+// Do returns k's value, running measure if k has none yet.
+func (m *Memo[K, T]) Do(k K, measure func() (T, error)) (T, error) {
+	m.mu.Lock()
+	e := m.m[k]
 	if e == nil {
-		e = new(memo[T])
-		m[k] = e
+		if m.m == nil {
+			m.m = make(map[K]*memoEntry[T])
+		}
+		e = new(memoEntry[T])
+		m.m[k] = e
 	}
-	p.mu.Unlock()
+	m.mu.Unlock()
 	e.once.Do(func() { e.val, e.err = measure() })
 	return e.val, e.err
 }
@@ -231,10 +240,6 @@ func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Pr
 		Warmup:    warmup,
 		Window:    window,
 		SweepGrid: DefaultSweepGrid,
-		solo:      make(map[apps.FlowType]*memo[hw.FlowStats]),
-		curves:    make(map[sweepKey]*memo[Curve]),
-		sweeps:    make(map[sweepKey]*memo[[]SweepSample]),
-		mixes:     make(map[string]*memo[[]hw.FlowStats]),
 	}
 }
 
@@ -242,7 +247,7 @@ func NewPredictor(cfg hw.Config, params apps.Params, warmup, window float64) *Pr
 // offline profile from which both the flow's aggressiveness (refs/sec)
 // and its baseline throughput are read.
 func (p *Predictor) Solo(t apps.FlowType) (hw.FlowStats, error) {
-	return memoised(p, p.solo, t, func() (hw.FlowStats, error) {
+	return p.solo.Do(t, func() (hw.FlowStats, error) {
 		stats, err := p.measure([]FlowSpec{{Type: t, Core: 0, Domain: 0, Seed: SeedFor(t, 0)}})
 		if err != nil {
 			return hw.FlowStats{}, fmt.Errorf("core: solo %s: %w", t, err)
@@ -266,7 +271,7 @@ const (
 // Modes lists the three configurations in the paper's order.
 var Modes = []ContentionMode{CacheOnly, MemCtrlOnly, Both}
 
-// sweepKey memoises a sweep, and the curve read from it, per placement.
+// sweepKey memoises a sweep per placement.
 type sweepKey struct {
 	target apps.FlowType
 	mode   ContentionMode
@@ -280,7 +285,7 @@ func (p *Predictor) Sweep(t apps.FlowType) ([]SweepSample, error) {
 }
 
 func (p *Predictor) sweep(t apps.FlowType, m ContentionMode) ([]SweepSample, error) {
-	return memoised(p, p.sweeps, sweepKey{t, m}, func() ([]SweepSample, error) {
+	return p.sweeps.Do(sweepKey{t, m}, func() ([]SweepSample, error) {
 		name := string(t)
 		if m != Both {
 			name += " under " + string(m)
@@ -319,8 +324,8 @@ func (p *Predictor) sweep(t apps.FlowType, m ContentionMode) ([]SweepSample, err
 	})
 }
 
-// Curve returns the memoised drop-versus-competition curve of flow type
-// t, derived from the solo run and the sweep.
+// Curve returns the drop-versus-competition curve of flow type t, read
+// off the memoised solo run and sweep.
 func (p *Predictor) Curve(t apps.FlowType) (Curve, error) {
 	return p.CurveUnder(t, Both)
 }
@@ -331,24 +336,22 @@ func (p *Predictor) CurveUnder(t apps.FlowType, m ContentionMode) (Curve, error)
 	if m != CacheOnly && m != MemCtrlOnly && m != Both {
 		return Curve{}, fmt.Errorf("core: unknown contention mode %q", m)
 	}
-	return memoised(p, p.curves, sweepKey{t, m}, func() (Curve, error) {
-		solo, err := p.Solo(t)
-		if err != nil {
-			return Curve{}, err
-		}
-		samples, err := p.sweep(t, m)
-		if err != nil {
-			return Curve{}, err
-		}
-		curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
-		for _, s := range samples {
-			curve.Points = append(curve.Points, CurvePoint{
-				CompetingRefsPerSec: s.CompetingRefsPerSec,
-				Drop:                hw.PerformanceDrop(solo, s.Target),
-			})
-		}
-		return curve, nil
-	})
+	solo, err := p.Solo(t)
+	if err != nil {
+		return Curve{}, err
+	}
+	samples, err := p.sweep(t, m)
+	if err != nil {
+		return Curve{}, err
+	}
+	curve := Curve{Target: t, Points: []CurvePoint{{0, 0}}}
+	for _, s := range samples {
+		curve.Points = append(curve.Points, CurvePoint{
+			CompetingRefsPerSec: s.CompetingRefsPerSec,
+			Drop:                hw.PerformanceDrop(solo, s.Target),
+		})
+	}
+	return curve, nil
 }
 
 // Prediction is the predicted contention-induced drop for one flow.
@@ -412,7 +415,7 @@ func (p *Predictor) MeasureMix(mix []apps.FlowType) ([]hw.FlowStats, []apps.Flow
 	}
 	sorted := append([]apps.FlowType(nil), mix...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	stats, err := memoised(p, p.mixes, mixKey(sorted), func() ([]hw.FlowStats, error) {
+	stats, err := p.mixes.Do(mixKey(sorted), func() ([]hw.FlowStats, error) {
 		flows := make([]FlowSpec, len(sorted))
 		for i, t := range sorted {
 			flows[i] = FlowSpec{Type: t, Core: i, Domain: 0, Seed: SeedFor(t, i)}

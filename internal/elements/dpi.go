@@ -2,7 +2,6 @@ package elements
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"pktpredict/internal/click"
 	"pktpredict/internal/dpi"
@@ -104,14 +103,11 @@ type EntropyGate struct {
 }
 
 // NewEntropyGate builds the gate; window <= 0 uses dpi.EntropyWindow.
-func NewEntropyGate(threshold float64, window int) (*EntropyGate, error) {
-	if threshold < 0 || threshold > 8 {
-		return nil, fmt.Errorf("elements: EntropyGate THRESHOLD %v outside [0,8] bits", threshold)
-	}
+func NewEntropyGate(threshold float64, window int) *EntropyGate {
 	if window <= 0 {
 		window = dpi.EntropyWindow
 	}
-	return &EntropyGate{threshold: threshold, window: window}, nil
+	return &EntropyGate{threshold: threshold, window: window}
 }
 
 // NumOutputs implements click.Router: port 0 pass, port 1 flagged.
@@ -195,7 +191,7 @@ func init() {
 		click.Float("THRESHOLD", "[0,8]", func(g *EntropyGate) *float64 { return &g.threshold }),
 		click.Int("WINDOW", "[0,)", func(g *EntropyGate) *int { return &g.window }),
 	}, func(*click.Env) EntropyGate { return EntropyGate{threshold: 6.5} }, func(_ *click.Env, g EntropyGate) (interface{}, error) {
-		return NewEntropyGate(g.threshold, g.window)
+		return NewEntropyGate(g.threshold, g.window), nil
 	})
 	click.Register("BanTable", []click.Key[int]{
 		click.Int("ENTRIES", "[1,)", func(n *int) *int { return n }),

@@ -108,8 +108,6 @@ func (p bytePattern) matches(data []byte) bool {
 type Classifier struct {
 	patterns []bytePattern
 	span     int // rightmost byte any pattern examines
-
-	Matched []uint64 // per-port match counts
 }
 
 // NewClassifier builds a classifier from pattern strings.
@@ -117,7 +115,7 @@ func NewClassifier(patterns []string) (*Classifier, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("elements: Classifier needs at least one pattern")
 	}
-	c := &Classifier{Matched: make([]uint64, len(patterns))}
+	c := &Classifier{}
 	for _, s := range patterns {
 		p, err := parseBytePattern(strings.TrimSpace(s))
 		if err != nil {
@@ -149,7 +147,6 @@ func (c *Classifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	for i, pat := range c.patterns {
 		ctx.Compute(classifyCompute, classifyInstrs)
 		if pat.matches(p.Data) {
-			c.Matched[i]++
 			return click.Output(i)
 		}
 	}
@@ -205,8 +202,6 @@ func (p ipPattern) matches(ft netpkt.FiveTuple) bool {
 // Packets matching no pattern (including unparseable ones) are dropped.
 type IPClassifier struct {
 	patterns []ipPattern
-
-	Matched []uint64
 }
 
 // NewIPClassifier builds the classifier from pattern strings.
@@ -214,7 +209,7 @@ func NewIPClassifier(patterns []string) (*IPClassifier, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("elements: IPClassifier needs at least one pattern")
 	}
-	c := &IPClassifier{Matched: make([]uint64, len(patterns))}
+	c := &IPClassifier{}
 	for _, s := range patterns {
 		p, err := parseIPPattern(strings.TrimSpace(s))
 		if err != nil {
@@ -240,7 +235,6 @@ func (c *IPClassifier) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	for i, pat := range c.patterns {
 		ctx.Compute(classifyCompute, classifyInstrs)
 		if pat.matches(ft) {
-			c.Matched[i]++
 			return click.Output(i)
 		}
 	}

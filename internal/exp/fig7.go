@@ -5,6 +5,7 @@ import (
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/core"
+	"pktpredict/internal/flowtab"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/table"
 )
@@ -48,14 +49,10 @@ func RunFig7(p *core.Predictor) (*Fig7Result, error) {
 		return nil, err
 	}
 
-	tableSlots := 1
-	for tableSlots < p.Params.NetFlowEntries {
-		tableSlots <<= 1
-	}
 	model := core.CacheModel{
 		CacheLines:       float64(p.Cfg.L3.SizeBytes / hw.LineSize),
 		TargetHitsPerSec: solo.L3HitsPerSec(),
-		TargetChunks:     float64(tableSlots),
+		TargetChunks:     float64(flowtab.Size(p.Params.NetFlowEntries)),
 	}
 
 	soloHPP := solo.L3HitsPerPacket()

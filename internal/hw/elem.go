@@ -21,29 +21,22 @@ package hw
 // one; readers take ElemCost values with CopyCosts.
 
 // ElemCost is one element's execution cost: cycles charged by every op
-// tagged with the element's slot, and the L3 traffic those ops generated.
+// tagged with the element's slot, and the L3 references those ops made.
 type ElemCost struct {
-	Cycles   uint64
-	L3Refs   uint64
-	L3Hits   uint64
-	L3Misses uint64
+	Cycles uint64
+	L3Refs uint64
 }
 
 // Sub returns the element-wise difference c − prev, for window deltas.
 func (c ElemCost) Sub(prev ElemCost) ElemCost {
-	return ElemCost{
-		Cycles:   c.Cycles - prev.Cycles,
-		L3Refs:   c.L3Refs - prev.L3Refs,
-		L3Hits:   c.L3Hits - prev.L3Hits,
-		L3Misses: c.L3Misses - prev.L3Misses,
-	}
+	return ElemCost{Cycles: c.Cycles - prev.Cycles, L3Refs: c.L3Refs - prev.L3Refs}
 }
 
 // ElemCell is one element's live cost accumulator, padded to exactly one
 // 64-byte cache line.
 type ElemCell struct {
 	cost ElemCost
-	_    [4]uint64 // pad to one cache line
+	_    [6]uint64 // pad to one cache line
 }
 
 // CopyCosts copies the costs of cells into dst, min(len(dst),

@@ -170,15 +170,9 @@ func (c *Core) Access(now uint64, addr Addr, write bool, fn FuncID) uint64 {
 	if sock.L3.access(addr, c.holder) {
 		cnt.L3Hits++
 		cnt.Func[fn].L3Hits++
-		if c.elems != nil {
-			c.elems[c.curElem].cost.L3Hits++
-		}
 	} else {
 		cnt.L3Misses++
 		cnt.Func[fn].L3Misses++
-		if c.elems != nil {
-			c.elems[c.curElem].cost.L3Misses++
-		}
 		// Memory access, possibly across the interconnect.
 		home := sock.platform.HomeSocket(addr)
 		if home != sock {

@@ -39,7 +39,6 @@ type IPv4Header struct {
 	ID       uint16
 	TTL      uint8
 	Proto    uint8
-	Checksum uint16
 	Src      uint32
 	Dst      uint32
 }
@@ -70,7 +69,6 @@ func ParseIPv4(b []byte) (IPv4Header, error) {
 	h.ID = binary.BigEndian.Uint16(b[4:])
 	h.TTL = b[8]
 	h.Proto = b[9]
-	h.Checksum = binary.BigEndian.Uint16(b[10:])
 	h.Src = binary.BigEndian.Uint32(b[12:])
 	h.Dst = binary.BigEndian.Uint32(b[16:])
 	if Checksum(b[:IPv4HeaderLen]) != 0 {

@@ -31,20 +31,13 @@ type ProfileCache struct {
 	path string
 	salt string
 
+	slots core.Memo[string, runtime.FlowProfile] // keys looked up by this process
+
 	mu      sync.Mutex
 	entries map[string]runtime.FlowProfile
-	slots   map[string]*profileSlot // keys looked up by this process
-	dirty   bool                    // entries gained a key since the last Save
+	dirty   bool // entries gained a key since the last Save
 	hits    int
 	misses  int
-}
-
-// profileSlot is one key's lookup: the first grid point to ask runs it,
-// concurrent askers wait on the once.
-type profileSlot struct {
-	once sync.Once
-	p    runtime.FlowProfile
-	err  error
 }
 
 // profileCacheFile is the on-disk shape. Version guards the key scheme:
@@ -60,8 +53,7 @@ const profileCacheVersion = 2
 // becomes part of every key; pass the git revision so entries written by
 // other code versions never match.
 func OpenProfileCache(path, salt string) (*ProfileCache, error) {
-	c := &ProfileCache{path: path, salt: salt, entries: map[string]runtime.FlowProfile{},
-		slots: map[string]*profileSlot{}}
+	c := &ProfileCache{path: path, salt: salt, entries: map[string]runtime.FlowProfile{}}
 	if path == "" {
 		return c, nil
 	}
@@ -113,17 +105,10 @@ func (c *ProfileCache) profileKey(cfg hw.Config, params apps.Params, warmup, win
 
 // lookup returns the profile stored under key, running profile to make it
 // when there is none. A key is looked up once per process — the first
-// asker counts the hit or miss, concurrent askers wait for its result —
-// so no key is profiled twice however many grid points share it.
+// asker counts the hit or miss, the others share its result, a failure
+// too — so no key is profiled twice; only a profile is ever stored.
 func (c *ProfileCache) lookup(key string, profile func() (runtime.FlowProfile, error)) (runtime.FlowProfile, error) {
-	c.mu.Lock()
-	s := c.slots[key]
-	if s == nil {
-		s = &profileSlot{}
-		c.slots[key] = s
-	}
-	c.mu.Unlock()
-	s.once.Do(func() {
+	return c.slots.Do(key, func() (runtime.FlowProfile, error) {
 		c.mu.Lock()
 		p, ok := c.entries[key]
 		if ok {
@@ -133,16 +118,16 @@ func (c *ProfileCache) lookup(key string, profile func() (runtime.FlowProfile, e
 		}
 		c.mu.Unlock()
 		if ok {
-			s.p = p
-			return
+			return p, nil
 		}
-		if s.p, s.err = profile(); s.err == nil {
+		p, err := profile()
+		if err == nil {
 			c.mu.Lock()
-			c.entries[key], c.dirty = s.p, true
+			c.entries[key], c.dirty = p, true
 			c.mu.Unlock()
 		}
+		return p, err
 	})
-	return s.p, s.err
 }
 
 // Stats reports cache effectiveness for this process: distinct keys

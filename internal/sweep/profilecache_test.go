@@ -3,10 +3,15 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pktpredict/internal/apps"
 	"pktpredict/internal/exp"
@@ -262,5 +267,52 @@ func TestProfileCacheCorruptFile(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("future-version cache entries were accepted")
+	}
+}
+
+// TestProfileCacheSharesAFailure: a key whose profile fails is one miss
+// for the process; every asker, concurrent or later, gets that error
+// without profiling again; nothing is stored, and Save writes no file.
+func TestProfileCacheSharesAFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profiles.json")
+	c, err := OpenProfileCache(path, "rev-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := errors.New("profile failed")
+	var runs atomic.Int64
+	profile := func() (runtime.FlowProfile, error) {
+		runs.Add(1)
+		time.Sleep(time.Millisecond) // the other askers arrive while it runs
+		return runtime.FlowProfile{}, fail
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.lookup("key", profile); err != fail {
+				t.Errorf("asker %d: error %v, want %v", g, err, fail)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := c.lookup("key", profile); err != fail {
+		t.Errorf("later asker: error %v, want %v", err, fail)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("the failing profile ran %d times, want 1", n)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("%d hits %d misses, want 0/1", hits, misses)
+	}
+	if n := c.Len(); n != 0 {
+		t.Errorf("%d entries stored after a failed profile, want 0", n)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Save after a failed profile: stat %s: %v, want no file", path, err)
 	}
 }
