@@ -57,6 +57,13 @@ func (allocElem) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 	return click.Continue
 }
 
+// The gate's pipeline is Click text over the two doubles, like every
+// pipeline the program builds.
+func init() {
+	click.Register("AllocSource", nil, nil, func(*click.Env, struct{}) (interface{}, error) { return &allocSource{}, nil })
+	click.Register("AllocElem", nil, nil, func(*click.Env, struct{}) (interface{}, error) { return allocElem{}, nil })
+}
+
 // gate asserts fn performs zero allocations per run.
 func gate(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -159,9 +166,11 @@ func TestHotPathAllocs(t *testing.T) {
 	gate(t, "click.Ctx.Compute", func() { ctx.Ops = ctx.Ops[:0]; ctx.Compute(10, 5) })
 
 	// click: a full pipeline walk (EmitPacket → walk → walkNodes).
-	src := &allocSource{}
-	src.pkt.Addr = base + 4096
-	pl := click.NewPipeline("alloc", src, "AllocElem", allocElem{}, allocElem{})
+	pl, err := click.ParseConfig(&click.Env{Arena: mem.NewArena(0)}, "alloc", "AllocSource -> AllocElem -> AllocElem;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Source.(*allocSource).pkt.Addr = base + 4096
 	plBuf := make([]hw.Op, 0, 4096)
 	gate(t, "click.Pipeline.EmitPacket", func() { plBuf = pl.EmitPacket(plBuf[:0]) })
 

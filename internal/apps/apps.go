@@ -148,7 +148,6 @@ func Small() Params {
 
 // Instance is one constructed flow ready to attach to a core.
 type Instance struct {
-	Type     FlowType
 	Source   hw.PacketSource
 	Pipeline *click.Pipeline   // nil for raw synthetic sources
 	Control  *elements.Control // non-nil when built with a control element
@@ -293,7 +292,7 @@ func (p Params) BuildSpec(s Spec, arenaAt func(stage int) *mem.Arena) (*Instance
 	if !s.Type.Synthetic() {
 		var ctl *elements.Control
 		if s.Control || s.HiddenTrigger > 0 {
-			ctl = elements.NewControl(0)
+			ctl = &elements.Control{}
 		}
 		return p.build(s.Type, arenaAt, s.Seed, ctl, s.HiddenTrigger)
 	}
@@ -307,7 +306,7 @@ func (p Params) BuildSpec(s Spec, arenaAt func(stage int) *mem.Arena) (*Instance
 	tr := &arenaTracker{}
 	arena := tr.track(arenaAt(0))
 	defer arena.SetLabel(arena.SetLabel(string(s.Type)))
-	return &Instance{Type: s.Type, Source: synth.NewSource(arena, cfg), State: tr.collect(nil, "")}, nil
+	return &Instance{Source: synth.NewSource(arena, cfg), State: tr.collect(nil, "")}, nil
 }
 
 // arenaTracker records which arenas a build allocated from (and where
@@ -399,7 +398,7 @@ func (p Params) build(t FlowType, arenaAt func(int) *mem.Arena, seed uint64, ctl
 		stageOf[n.Name] = n.Stage
 	}
 	return &Instance{
-		Type: t, Source: pl, Pipeline: pl, Control: ctl,
+		Source: pl, Pipeline: pl, Control: ctl,
 		State: tr.collect(stageOf, pl.SourceName()),
 	}, nil
 }

@@ -74,7 +74,7 @@ func TestSynMaxMoreAggressiveThanSyn(t *testing.T) {
 	p := Small()
 	run := func(inst *Instance) float64 {
 		e := hw.NewEngine(testPlatform())
-		e.Attach(0, string(inst.Type), inst.Source)
+		e.Attach(0, "syn", inst.Source)
 		return e.MeasureWindow(0.0002, 0.001)[0].L3RefsPerSec()
 	}
 	measure := func(ft FlowType) float64 {

@@ -1,6 +1,7 @@
 package click
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestPipelineRunsChain(t *testing.T) {
 	src := &testSource{remaining: 3}
 	e1 := &testElement{verdict: Continue}
 	e2 := &testElement{verdict: Continue}
-	pl := NewPipeline("p", src, "T", e1, e2)
+	pl := newPipeline("p", src, "T", e1, e2)
 
 	var ops []hw.Op
 	for {
@@ -103,7 +104,7 @@ func TestPipelineDropStopsChain(t *testing.T) {
 	src := &testSource{remaining: 2}
 	e1 := &testElement{verdict: Drop}
 	e2 := &testElement{verdict: Continue}
-	pl := NewPipeline("p", src, "T", e1, e2)
+	pl := newPipeline("p", src, "T", e1, e2)
 	for len(pl.EmitPacket(nil)) > 0 {
 	}
 	if e2.seen != 0 {
@@ -117,7 +118,7 @@ func TestPipelineDropStopsChain(t *testing.T) {
 func TestPipelineConsumeCountsFinished(t *testing.T) {
 	src := &testSource{remaining: 1}
 	e1 := &testElement{verdict: Consume}
-	pl := NewPipeline("p", src, "T", e1)
+	pl := newPipeline("p", src, "T", e1)
 	pl.EmitPacket(nil)
 	if n := pl.Nodes()[0]; n.Finished != 1 {
 		t.Fatalf("finished = %d, want 1", n.Finished)
@@ -127,7 +128,7 @@ func TestPipelineConsumeCountsFinished(t *testing.T) {
 func TestPipelineRecycles(t *testing.T) {
 	rec := &testRecycler{}
 	src := &testSource{remaining: 2}
-	pl := NewPipeline("p", SourceFunc(func(ctx *Ctx) *Packet {
+	pl := newPipeline("p", SourceFunc(func(ctx *Ctx) *Packet {
 		p := src.Pull(ctx)
 		if p != nil {
 			p.Recycler = rec
@@ -141,6 +142,23 @@ func TestPipelineRecycles(t *testing.T) {
 	}
 }
 
+// newPipeline assembles a linear chain of elements of one class, named
+// class@1, class@2, … as a configuration's inline chain names them, fed by
+// src: a graph over test doubles that no class registers.
+func newPipeline(name string, src Source, class string, elements ...Element) *Pipeline {
+	pl := &Pipeline{Name: name, Source: src, numStages: 1}
+	for i, el := range elements {
+		n := &Node{Name: fmt.Sprintf("%s@%d", class, i+1), El: el, class: class}
+		if pl.head == nil {
+			pl.head = n
+		} else {
+			pl.nodes[i-1].connect(0, n)
+		}
+		pl.nodes = append(pl.nodes, n)
+	}
+	return pl
+}
+
 // SourceFunc adapts a function to Source for tests.
 type SourceFunc func(ctx *Ctx) *Packet
 
@@ -149,7 +167,7 @@ func (f SourceFunc) Pull(ctx *Ctx) *Packet { return f(ctx) }
 func TestPipelineStats(t *testing.T) {
 	src := &testSource{remaining: 1}
 	el := &testElement{verdict: Continue}
-	pl := NewPipeline("p", src, "T", el)
+	pl := newPipeline("p", src, "T", el)
 	if recv, fin, drop := runAll(t, pl); recv != 1 || fin != 1 || drop != 0 {
 		t.Fatalf("received/finished/dropped = %d/%d/%d, want 1/1/0", recv, fin, drop)
 	}

@@ -295,8 +295,10 @@ func (g *Graph) Build(env *Env, name string) (*Pipeline, error) {
 			setter.SetOutputs(connected)
 		}
 	}
-	pl := newGraphPipeline(name, src, nodes)
-	pl.srcName, pl.numStages = head.name, g.stages
+	pl := &Pipeline{Name: name, Source: src, nodes: nodes, srcName: head.name, numStages: g.stages}
+	if len(nodes) > 0 {
+		pl.head = nodes[0]
+	}
 	return pl, nil
 }
 

@@ -256,7 +256,7 @@ func TestPipelinePushFrontAndInsertBefore(t *testing.T) {
 	src := &seqSource{remaining: 2}
 	mid := &testElement{verdict: Continue}
 	last := &testElement{verdict: Consume}
-	pl := NewPipeline("p", src, "Mid", mid, last)
+	pl := newPipeline("p", src, "Mid", mid, last)
 	pl.nodes[1].class = "Last" // a chain of two classes
 
 	front := &testElement{verdict: Continue}
@@ -295,7 +295,7 @@ func TestGraphUnconnectedRouterlessPortDrops(t *testing.T) {
 	// panic.
 	src := &seqSource{remaining: 1}
 	rogue := &testElement{verdict: Output(1)}
-	pl := NewPipeline("p", src, "Rogue", rogue)
+	pl := newPipeline("p", src, "Rogue", rogue)
 	if _, _, drop := runAll(t, pl); drop != 1 {
 		t.Fatalf("dropped = %d, want 1", drop)
 	}

@@ -18,7 +18,8 @@ type Node struct {
 	Out  []*Node
 
 	// Stage is the pipeline stage the node executes in when the graph is
-	// cut across cores (see AssignStages); 0 for run-to-completion graphs.
+	// cut across cores by `stage N:` statements (see cutStages); 0 for
+	// run-to-completion graphs.
 	Stage int
 
 	// Elem is the node's slot in its flow's per-element attribution table
@@ -54,49 +55,20 @@ func (n *Node) connect(port int, target *Node) {
 // packet-processing flow. It implements hw.PacketSource, so it can be
 // attached directly to a simulated core. The common case is still a
 // linear chain; Router elements (classifiers, switches, tees) fan the
-// graph out into branches.
+// graph out into branches. Graph.Build is the one constructor.
 type Pipeline struct {
 	Name   string
 	Source Source
 
 	head    *Node
 	nodes   []*Node // topological order, head first
-	srcName string  // source's config name (ParseConfig-built pipelines)
+	srcName string  // source's config name
 
-	numStages int           // 0 for a pipeline not built from a Graph and never cut
+	numStages int           // the graph's stage count, 1 if uncut
 	idx       map[*Node]int // node → index, for cross-stage resume points
 
 	ctx   Ctx
 	stack []*Node
-}
-
-// NewPipeline assembles a linear pipeline from a source and a chain of
-// elements of one class, named class@1, class@2, …. Configurations with
-// branches or mixed classes are built through ParseConfig.
-func NewPipeline(name string, src Source, class string, elements ...Element) *Pipeline {
-	pl := &Pipeline{Name: name, Source: src}
-	var prev *Node
-	for i, el := range elements {
-		n := &Node{Name: fmt.Sprintf("%s@%d", class, i+1), El: el, class: class}
-		pl.nodes = append(pl.nodes, n)
-		if prev == nil {
-			pl.head = n
-		} else {
-			prev.connect(0, n)
-		}
-		prev = n
-	}
-	return pl
-}
-
-// newGraphPipeline wraps an already-validated graph: nodes must be in
-// topological order with nodes[0] the head (empty for a bare source).
-func newGraphPipeline(name string, src Source, nodes []*Node) *Pipeline {
-	pl := &Pipeline{Name: name, Source: src, nodes: nodes}
-	if len(nodes) > 0 {
-		pl.head = nodes[0]
-	}
-	return pl
 }
 
 // Nodes returns the pipeline's nodes in topological order, head first.
@@ -104,7 +76,7 @@ func newGraphPipeline(name string, src Source, nodes []*Node) *Pipeline {
 func (pl *Pipeline) Nodes() []*Node { return pl.nodes }
 
 // SourceName returns the configuration name of the pipeline's source
-// element ("" for programmatically built pipelines). State bindings
+// element. State bindings
 // recorded under this label belong to the build-time source — a runtime
 // that replaces the source (e.g. with a receive ring) treats them as
 // dead weight, not migratable flow state.
@@ -166,7 +138,7 @@ func (pl *Pipeline) PushFront(class string, el Element) {
 	}
 	pl.head = n
 	pl.nodes = append([]*Node{n}, pl.nodes...)
-	pl.idx = nil // indices shifted; AssignStages/StageRunner rebuild
+	pl.idx = nil // indices shifted; HeadIndex/StageRunner rebuild
 }
 
 // InsertBefore splices el, of the given class, in front of the first
@@ -200,7 +172,7 @@ func (pl *Pipeline) InsertBefore(before, class string, el Element) error {
 		pl.head = n
 	}
 	pl.nodes = append(pl.nodes[:idx], append([]*Node{n}, pl.nodes[idx:]...)...)
-	pl.idx = nil // indices shifted; AssignStages/StageRunner rebuild
+	pl.idx = nil // indices shifted; HeadIndex/StageRunner rebuild
 	return nil
 }
 

@@ -8,35 +8,24 @@ import (
 
 // Stage support: a pipeline graph can be cut into consecutive stages that
 // run on different cores, connected by hand-off rings (the Section 2.2
-// "pipeline" deployment). The cut is declared by assigning nodes to stage
-// indices; execution of one stage's sub-walks is driven by a StageRunner,
-// which stops a packet's walk at the first edge leaving its stage and
-// reports the node the next stage must resume at. The Pipeline itself
-// still executes run-to-completion (EmitPacket ignores stages), so solo
-// profiling of a staged graph measures the same work a single core would
-// do.
-
-// AssignStages cuts an already-built graph the way a configuration's
-// `stage N:` statements cut a parsed one (cutStages). It is for
-// programmatic cuts (the Section 2.2 experiment); call it after any
-// structural edits (PushFront/InsertBefore).
-func (pl *Pipeline) AssignStages(stageOf map[string]int) (err error) {
-	if pl.numStages, _, err = cutStages(pl.nodes, stageOf); err != nil {
-		return fmt.Errorf("click: %w", err)
-	}
-	pl.reindex()
-	return nil
-}
+// "pipeline" deployment). The cut is declared by a configuration's
+// `stage N:` statements, which Parse reads through cutStages; execution
+// of one stage's sub-walks is driven by a StageRunner, which stops a
+// packet's walk at the first edge leaving its stage and reports the node
+// the next stage must resume at. The Pipeline itself still executes
+// run-to-completion (EmitPacket ignores stages), so solo profiling of a
+// staged graph measures the same work a single core would do.
 
 // cutStages is the stage rule, the one place a cut is read. nodes are a
 // graph's processing nodes in topological order, head first. stageOf
-// places nodes explicitly, by name; every other node inherits the latest
-// stage any predecessor runs in (the head defaults to 0), so naming the
-// entry elements of each cut is enough. It checks that the head is in
-// stage 0, that stage indices are contiguous from 0 and that every edge
-// stays within its stage or crosses to the next one, sets every Node.Stage
-// and returns the stage count — or an error and the name of the element
-// at fault.
+// places nodes explicitly, by name, at stages the lexer has checked are
+// not negative; every other node inherits the latest stage any
+// predecessor runs in (the head defaults to 0), so naming the entry
+// elements of each cut is enough. It checks that the head is in stage 0,
+// that stage indices are contiguous from 0 and that every edge stays
+// within its stage or crosses to the next one, sets every Node.Stage and
+// returns the stage count — or an error and the name of the element at
+// fault.
 func cutStages(nodes []*Node, stageOf map[string]int) (stages int, at string, err error) {
 	byName := make(map[string]*Node, len(nodes))
 	for _, n := range nodes {
@@ -48,9 +37,6 @@ func cutStages(nodes []*Node, stageOf map[string]int) (stages int, at string, er
 		n, ok := byName[name]
 		if !ok {
 			return 0, name, fmt.Errorf("stage assignment names unknown element %q", name)
-		}
-		if stageOf[name] < 0 {
-			return 0, name, fmt.Errorf("element %q assigned negative stage %d", name, stageOf[name])
 		}
 		n.Stage, explicit[n] = stageOf[name], true
 	}
@@ -90,7 +76,7 @@ func cutStages(nodes []*Node, stageOf map[string]int) (stages int, at string, er
 
 // NumStages returns how many stages the graph is cut into; 1 for an
 // uncut one.
-func (pl *Pipeline) NumStages() int { return max(pl.numStages, 1) }
+func (pl *Pipeline) NumStages() int { return pl.numStages }
 
 // HeadIndex returns the node index a stage-0 walk enters at, or -1 for a
 // bare-source pipeline.
@@ -181,7 +167,7 @@ func (sr *StageRunner) Walk(p *Packet, entry int, priorFinished bool) (next int,
 	if res.handoff != nil {
 		next, ok := sr.pl.idx[res.handoff]
 		if !ok {
-			panic(fmt.Sprintf("click: pipeline %q restructured after AssignStages", sr.pl.Name))
+			panic(fmt.Sprintf("click: pipeline %q restructured after its stage runners were built", sr.pl.Name))
 		}
 		return next, finished
 	}

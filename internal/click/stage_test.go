@@ -8,11 +8,11 @@ import (
 	"pktpredict/internal/mem"
 )
 
-// stagePipeline builds src -> a -> cls; cls[0] -> b -> tail; cls[1] -> drop
-// with a branching middle, for stage-cut tests.
-func stagePipeline(t *testing.T, count int) *Pipeline {
-	t.Helper()
-	cfg := `
+// stageConfig is src -> a -> cls; cls[0] -> b -> tail; cls[1] -> drop,
+// a graph with a branching middle for stage-cut tests, followed by cut —
+// its `stage N:` statements.
+func stageConfig(count int, cut string) string {
+	return `
 		src :: SeqSource(COUNT ` + itoa(count) + `);
 		a :: TElem;
 		cls :: TCls;
@@ -22,8 +22,13 @@ func stagePipeline(t *testing.T, count int) *Pipeline {
 		src -> a -> cls;
 		cls[0] -> b -> tail;
 		cls[1] -> drop;
-	`
-	pl, err := ParseConfig(testEnv(), "staged", cfg)
+	` + cut
+}
+
+// stagePipeline builds stageConfig(count, cut).
+func stagePipeline(t *testing.T, count int, cut string) *Pipeline {
+	t.Helper()
+	pl, err := ParseConfig(testEnv(), "staged", stageConfig(count, cut))
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
@@ -44,11 +49,11 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// TestAssignStagesInheritsDownstream: a `stage N:` statement assigns the
+// elements it names; every other node inherits its predecessors' latest
+// stage.
 func TestAssignStagesInheritsDownstream(t *testing.T) {
-	pl := stagePipeline(t, 1)
-	if err := pl.AssignStages(map[string]int{"b": 1}); err != nil {
-		t.Fatal(err)
-	}
+	pl := stagePipeline(t, 1, "stage 1: b;")
 	if pl.NumStages() != 2 {
 		t.Fatalf("NumStages = %d, want 2", pl.NumStages())
 	}
@@ -60,22 +65,23 @@ func TestAssignStagesInheritsDownstream(t *testing.T) {
 	}
 }
 
+// TestAssignStagesValidation: a stage assignment the stage rule refuses
+// fails the parse, naming what is wrong.
 func TestAssignStagesValidation(t *testing.T) {
 	cases := []struct {
 		name    string
-		stages  map[string]int
+		cut     string
 		wantSub string
 	}{
-		{"unknown element", map[string]int{"nope": 1}, "unknown element"},
-		{"negative stage", map[string]int{"b": -1}, "negative stage"},
-		{"head not stage 0", map[string]int{"a": 1}, "stage 0"},
-		{"gap in stages", map[string]int{"b": 2}, "contiguous"},
-		{"backward edge", map[string]int{"cls": 1, "b": 0, "tail": 1}, "crosses"},
+		{"unknown element", "stage 1: nope;", "unknown element"},
+		{"negative stage", "stage -1: b;", `cannot parse "stage -1: b"`},
+		{"head not stage 0", "stage 1: a;", "stage 0"},
+		{"gap in stages", "stage 2: b;", "contiguous"},
+		{"backward edge", "stage 1: cls, tail; stage 0: b;", "crosses"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pl := stagePipeline(t, 1)
-			err := pl.AssignStages(tc.stages)
+			_, err := Parse(stageConfig(1, tc.cut))
 			if err == nil {
 				t.Fatal("invalid stage assignment accepted")
 			}
@@ -87,7 +93,7 @@ func TestAssignStagesValidation(t *testing.T) {
 }
 
 func TestUnstagedPipelineHasOneStage(t *testing.T) {
-	pl := stagePipeline(t, 1)
+	pl := stagePipeline(t, 1, "")
 	if pl.NumStages() != 1 {
 		t.Fatalf("NumStages = %d, want 1", pl.NumStages())
 	}
@@ -102,10 +108,7 @@ func TestUnstagedPipelineHasOneStage(t *testing.T) {
 // walks terminate.
 func TestStageRunnersHandAcrossCut(t *testing.T) {
 	const count = 6
-	pl := stagePipeline(t, count)
-	if err := pl.AssignStages(map[string]int{"b": 1}); err != nil {
-		t.Fatal(err)
-	}
+	pl := stagePipeline(t, count, "stage 1: b;")
 	sr0, err := pl.StageRunner(0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,12 +167,10 @@ func TestStageWalkHandsOffAtMostOnce(t *testing.T) {
 		src -> tee;
 		tee[0] -> x;
 		tee[1] -> y;
+		stage 1: x, y;
 	`
 	pl, err := ParseConfig(testEnv(), "teecut", cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.AssignStages(map[string]int{"x": 1, "y": 1}); err != nil {
 		t.Fatal(err)
 	}
 	sr0, _ := pl.StageRunner(0)
@@ -211,12 +212,10 @@ func TestStageWalkCarriesFinishedAcrossCut(t *testing.T) {
 		src -> tee;
 		tee[0] -> wire;
 		tee[1] -> fw;
+		stage 1: fw;
 	`
 	pl, err := ParseConfig(testEnv(), "fincut", cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.AssignStages(map[string]int{"fw": 1}); err != nil {
 		t.Fatal(err)
 	}
 	sr0, _ := pl.StageRunner(0)
@@ -266,19 +265,12 @@ func TestBroadcastPacketLevelOutcome(t *testing.T) {
 
 // TestStageStatementsCutTheGraph: a configuration's `stage N:` statements
 // are the cut. Parse reads the stage count without constructing anything;
-// Build constructs each element from the arena of the stage it runs in,
-// the nodes carry their stage — identical to AssignStages with the same
-// map on the uncut graph — and graph surgery keeps the cut: PushFront
+// Build constructs each element from the arena of the stage it runs in
+// (the nodes carry their stage: TestAssignStagesInheritsDownstream), and
+// graph surgery keeps the cut: PushFront
 // lands in stage 0, InsertBefore in its new predecessors' stage.
 func TestStageStatementsCutTheGraph(t *testing.T) {
-	const cfg = `
-		src :: SeqSource(COUNT 1);
-		a :: TElem; cls :: TCls; b :: TElem; tail :: TElem; drop :: TDrop;
-		src -> a -> cls;
-		cls[0] -> b -> tail;
-		cls[1] -> drop;
-	`
-	g, err := Parse(cfg + "stage 1: b;")
+	g, err := Parse(stageConfig(1, "stage 1: b;"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,19 +289,6 @@ func TestStageStatementsCutTheGraph(t *testing.T) {
 	if want := []int{0, 0, 0, 1, 1, 0}; !reflect.DeepEqual(asked, want) {
 		t.Fatalf("elements built from the arenas of stages %v, want %v", asked, want)
 	}
-	ref := stagePipeline(t, 1)
-	if err := ref.AssignStages(map[string]int{"b": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if pl.NumStages() != ref.NumStages() {
-		t.Fatalf("built %d stages, AssignStages %d", pl.NumStages(), ref.NumStages())
-	}
-	for i, n := range pl.Nodes() {
-		if r := ref.Nodes()[i]; n.Name != r.Name || n.Stage != r.Stage {
-			t.Fatalf("node %d: built %s in stage %d, AssignStages %s in stage %d", i, n.Name, n.Stage, r.Name, r.Stage)
-		}
-	}
-
 	pl.PushFront("Front", &testElement{})
 	// tail is the graph's third TElem; give it a class of its own to
 	// insert before.

@@ -121,11 +121,11 @@ func TestReusedPlatformsMatchNew(t *testing.T) {
 	typ := apps.MON
 	target := FlowSpec{Type: typ, Seed: SeedFor(typ, 0)}
 	newPlatformRun := func(p *Predictor, flows []FlowSpec) []hw.FlowStats {
-		res, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows, Warmup: p.Warmup, Window: p.Window}.Run()
+		stats, err := Scenario{Cfg: p.Cfg, Params: p.Params, Flows: flows, Warmup: p.Warmup, Window: p.Window}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats
+		return stats
 	}
 	// placed is competitor i's core and data domain under each mode.
 	placed := map[ContentionMode]func(i int) (int, int){
@@ -365,5 +365,27 @@ func TestMemoMeasuresEachKeyOnce(t *testing.T) {
 	<-done
 	if v, err := m.Do("slow", measure("a")); v != 3 || err != nil {
 		t.Errorf("Do(slow) = %d, %v after its measure returned; want 3, <nil>", v, err)
+	}
+}
+
+// TestMemoPanicIsTheKeysError: a measure that panics runs once, and its
+// panic is the key's error for every caller, the first included, naming
+// the frame that raised it — never a zero value served as a measurement.
+func TestMemoPanicIsTheKeysError(t *testing.T) {
+	var m Memo[string, int]
+	runs := 0
+	measure := func() (int, error) { runs++; return 1, explode(7) }
+	_, first := m.Do("k", measure)
+	v, later := m.Do("k", measure)
+	if runs != 1 {
+		t.Fatalf("measure ran %d times, want 1", runs)
+	}
+	if first == nil || later != first || v != 0 {
+		t.Fatalf("first call: error %v; second: value %d, error %v; want one shared error", first, v, later)
+	}
+	for _, want := range []string{"core: measure panicked in", "core.explode (concurrent_test.go:", "task 7 gave up"} {
+		if !strings.Contains(first.Error(), want) {
+			t.Fatalf("err = %q, want it to contain %q", first, want)
+		}
 	}
 }

@@ -36,14 +36,14 @@ func TestScenarioRunBasics(t *testing.T) {
 		Warmup: 0.0002,
 		Window: 0.001,
 	}
-	res, err := sc.Run()
+	stats, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("stats = %d flows", len(res.Stats))
+	if len(stats) != 2 {
+		t.Fatalf("stats = %d flows", len(stats))
 	}
-	for i, st := range res.Stats {
+	for i, st := range stats {
 		if st.Raw.Packets == 0 {
 			t.Fatalf("flow %d made no progress", i)
 		}
@@ -65,11 +65,11 @@ func TestScenarioDomainPlacement(t *testing.T) {
 		Flows:  []FlowSpec{{Type: apps.SYNMAX, Core: 0, Domain: 1, Seed: 3}},
 		Warmup: 0.0001, Window: 0.0005,
 	}
-	res, err := sc.Run()
+	stats, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats[0].Raw.RemoteRefs == 0 {
+	if stats[0].Raw.RemoteRefs == 0 {
 		t.Fatal("cross-domain flow produced no remote references")
 	}
 }

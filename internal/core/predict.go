@@ -90,7 +90,8 @@ type Predictor struct {
 // Memo memoises one measured quantity per key: the first caller of a key
 // runs its measure, concurrent and later callers share the outcome — a
 // failure too, a measurement being a pure function of its key, so it is
-// never retried. The zero Memo is ready to use.
+// never retried, and so is a panic, turned into the key's error. The zero
+// Memo is ready to use.
 type Memo[K comparable, T any] struct {
 	mu sync.Mutex
 	m  map[K]*memoEntry[T]
@@ -114,7 +115,10 @@ func (m *Memo[K, T]) Do(k K, measure func() (T, error)) (T, error) {
 		m.m[k] = e
 	}
 	m.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = measure() })
+	e.once.Do(func() {
+		defer recoverAs(&e.err, "measure")
+		e.val, e.err = measure()
+	})
 	return e.val, e.err
 }
 
@@ -161,11 +165,7 @@ func FanOut(n int, f func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("core: fan-out task %d panicked in %s: %v", i, panicSite(), v)
-				}
-			}()
+			defer recoverAs(&errs[i], fmt.Sprintf("fan-out task %d", i))
 			errs[i] = f(i)
 		}()
 	}
@@ -178,16 +178,23 @@ func FanOut(n int, f func(i int) error) error {
 	return nil
 }
 
-// panicSite names the first frame of a panicking goroutine's stack that
-// is not the runtime's own: the function and line that raised it. Call it
-// only from the deferred function that recovers.
-func panicSite() string {
+// recoverAs, deferred, turns a panic in the deferring function into *err,
+// naming what panicked and where: the first frame of the panicking stack
+// that is not the runtime's own. On a goroutine of its own the panic would
+// end the process, and in a memo's sync.Once it would leave the key done
+// with no error. It is the one place that recovers.
+func recoverAs(err *error, what string) {
+	v := recover()
+	if v == nil {
+		return
+	}
 	var pcs [32]uintptr
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(3, pcs[:])])
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
 	for {
 		fr, more := frames.Next()
 		if !strings.HasPrefix(fr.Function, "runtime.") || !more {
-			return fmt.Sprintf("%s (%s:%d)", fr.Function, filepath.Base(fr.File), fr.Line)
+			*err = fmt.Errorf("core: %s panicked in %s (%s:%d): %v", what, fr.Function, filepath.Base(fr.File), fr.Line, v)
+			return
 		}
 	}
 }
@@ -356,7 +363,6 @@ func (p *Predictor) CurveUnder(t apps.FlowType, m ContentionMode) (Curve, error)
 
 // Prediction is the predicted contention-induced drop for one flow.
 type Prediction struct {
-	Target              apps.FlowType
 	CompetingRefsPerSec float64 // assumed competition (sum of solo rates)
 	Drop                float64
 }
@@ -376,7 +382,7 @@ func (p *Predictor) Predict(target apps.FlowType, competitors []apps.FlowType) (
 	if err != nil {
 		return Prediction{}, err
 	}
-	return Prediction{Target: target, CompetingRefsPerSec: sum, Drop: curve.DropAt(sum)}, nil
+	return Prediction{CompetingRefsPerSec: sum, Drop: curve.DropAt(sum)}, nil
 }
 
 // PredictAt reads the target's curve at a known competition level — the
@@ -388,11 +394,7 @@ func (p *Predictor) PredictAt(target apps.FlowType, competingRefsPerSec float64)
 	if err != nil {
 		return Prediction{}, err
 	}
-	return Prediction{
-		Target:              target,
-		CompetingRefsPerSec: competingRefsPerSec,
-		Drop:                curve.DropAt(competingRefsPerSec),
-	}, nil
+	return Prediction{CompetingRefsPerSec: competingRefsPerSec, Drop: curve.DropAt(competingRefsPerSec)}, nil
 }
 
 // mixKey canonicalises a multiset of flow types.

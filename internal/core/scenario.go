@@ -42,15 +42,12 @@ type Scenario struct {
 	Window float64 // virtual seconds measured
 }
 
-// RunResult gives access to everything a caller may need after a run:
-// per-flow statistics for the measurement window, the built instances
-// (for element counters), and the live engine (for continued runs, e.g.
-// the throttling loop).
+// RunResult gives access to everything a caller may need after a build:
+// the built instances (for element counters) and the live engine, with
+// its platform, for the caller to run (e.g. the throttling loop).
 type RunResult struct {
-	Platform  *hw.Platform
 	Engine    *hw.Engine
 	Instances []*apps.Instance
-	Stats     []hw.FlowStats
 }
 
 // Build constructs the platform, flows, and engine without running
@@ -75,7 +72,7 @@ func (s Scenario) buildOn(platform *hw.Platform) (*RunResult, error) {
 		arenas[d] = a
 		return a
 	}
-	res := &RunResult{Platform: platform, Engine: engine}
+	res := &RunResult{Engine: engine}
 	taken := make(map[int]bool, len(s.Flows))
 	for i, f := range s.Flows {
 		if f.Core < 0 || f.Core >= len(platform.Cores) || taken[f.Core] {
@@ -97,14 +94,14 @@ func (s Scenario) buildOn(platform *hw.Platform) (*RunResult, error) {
 	return res, nil
 }
 
-// Run builds the scenario and measures one window.
-func (s Scenario) Run() (*RunResult, error) {
+// Run builds the scenario and returns each flow's statistics over one
+// measured window.
+func (s Scenario) Run() ([]hw.FlowStats, error) {
 	res, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = res.Engine.MeasureWindow(s.Warmup, s.Window)
-	return res, nil
+	return res.Engine.MeasureWindow(s.Warmup, s.Window), nil
 }
 
 // SeedFor derives a stable per-flow seed from the flow type and its

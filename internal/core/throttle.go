@@ -20,7 +20,6 @@ type ThrottleSample struct {
 	Interval    int
 	RefsPerSec  float64
 	DelayCycles uint32
-	Throttled   bool
 }
 
 // ThrottleSlack is the measurement noise tolerated above a flow's
@@ -86,9 +85,9 @@ func Containment(e *hw.Engine, flowIdx int, ctl *elements.Control, limitRefsPerS
 	samples := make([]ThrottleSample, 0, steps)
 	for step := range steps {
 		st := e.Measure(interval)[flowIdx]
-		next, throttled := rc.Step(st.L3RefsPerSec(), st.CyclesPerPacket(), ctl.Delay())
+		next, _ := rc.Step(st.L3RefsPerSec(), st.CyclesPerPacket(), ctl.Delay())
 		ctl.SetDelay(next)
-		samples = append(samples, ThrottleSample{Interval: step, RefsPerSec: st.L3RefsPerSec(), DelayCycles: ctl.Delay(), Throttled: throttled})
+		samples = append(samples, ThrottleSample{Interval: step, RefsPerSec: st.L3RefsPerSec(), DelayCycles: ctl.Delay()})
 	}
 	return samples, nil
 }

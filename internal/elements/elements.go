@@ -281,14 +281,11 @@ func (d *Discard) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
 // Control is the paper's "control element" (Section 4, containing hidden
 // aggressiveness): a configurable number of simple CPU operations at the
 // head of a flow that slows it down, throttling the rate at which the
-// flow performs memory accesses. The delay is adjustable at run time by
-// the monitoring loop in package core.
+// flow performs memory accesses. The zero Control adds no delay; the
+// monitoring loop in package core adjusts it at run time.
 type Control struct {
 	delay uint32
 }
-
-// NewControl builds a control element with an initial delay in cycles.
-func NewControl(delayCycles uint32) *Control { return &Control{delay: delayCycles} }
 
 // Process implements click.Element.
 func (c *Control) Process(ctx *click.Ctx, p *click.Packet) click.Verdict {
@@ -350,9 +347,5 @@ func init() {
 	bare("DecIPTTL", func(*click.Env) interface{} { return &DecIPTTL{} })
 	bare("Counter", func(env *click.Env) interface{} { return NewCounter(env) })
 	bare("Discard", func(*click.Env) interface{} { return &Discard{} })
-	click.Register("Control", []click.Key[int]{
-		click.Int("DELAY", "[0,4294967295]", func(d *int) *int { return d }),
-	}, nil, func(_ *click.Env, delay int) (interface{}, error) {
-		return NewControl(uint32(delay)), nil
-	})
+	bare("Control", func(*click.Env) interface{} { return &Control{} })
 }

@@ -219,7 +219,8 @@ func TestDiscardDrops(t *testing.T) {
 }
 
 func TestControlEmitsConfiguredDelay(t *testing.T) {
-	c := NewControl(100)
+	c := &Control{}
+	c.SetDelay(100)
 	var ctx click.Ctx
 	c.Process(&ctx, mkPacket(t))
 	if len(ctx.Ops) != 1 || ctx.Ops[0].Cycles != 100 {
@@ -295,18 +296,12 @@ func elementOf[T click.Element](t *testing.T, pl *click.Pipeline) T {
 }
 
 func TestConfigControlElement(t *testing.T) {
-	pl, err := click.ParseConfig(newEnv(), "t", `FromDevice -> Control(DELAY 50) -> ToDevice;`)
+	pl, err := click.ParseConfig(newEnv(), "t", `FromDevice -> Control -> ToDevice;`)
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
 	}
-	ops := pl.EmitPacket(nil)
-	found := false
-	for _, op := range ops {
-		if op.Kind == hw.OpCompute && op.Cycles == 50 {
-			found = true
-		}
-	}
-	if !found {
+	elementOf[*Control](t, pl).SetDelay(50)
+	if ops := pl.EmitPacket(nil); !slices.ContainsFunc(ops, func(op hw.Op) bool { return op.Kind == hw.OpCompute && op.Cycles == 50 }) {
 		t.Fatal("Control delay not present in trace")
 	}
 }

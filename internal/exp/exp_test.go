@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pktpredict/internal/apps"
+	"pktpredict/internal/click"
 	"pktpredict/internal/core"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
@@ -382,7 +383,7 @@ func TestUncutMatchesEmitPacket(t *testing.T) {
 		return inst
 	}
 	rtc, whole := build().Pipeline, build().Pipeline
-	cuts, err := cutPipeline(whole, 0, mem.NewArena(0))
+	cuts, err := cutPipeline(whole, mem.NewArena(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +409,37 @@ func TestUncutMatchesEmitPacket(t *testing.T) {
 
 func TestPipelineExperiment(t *testing.T) {
 	p := quickSetup(t)
+	// Where the cuts fall, by name, so that a renamed element fails here
+	// and not as a CSV diff: MON after its route lookup, crafted before
+	// half b, whose state the second socket holds.
+	stageOf := func(pl *click.Pipeline, err error) map[string]int {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := map[string]int{}
+		for _, n := range pl.Nodes() {
+			stages[n.Name] = n.Stage
+		}
+		return stages
+	}
+	if s := stageOf(monPipeline(p, mem.NewArena(0))); len(s) != 5 || s["RadixIPLookup@2"] != 0 || s["DecIPTTL@3"] != 1 {
+		t.Fatalf("MON cut %v, want RadixIPLookup@2 in stage 0 and DecIPTTL@3 in stage 1", s)
+	}
+	arenas := []*mem.Arena{mem.NewArena(0), mem.NewArena(1)}
+	if s := stageOf(craftedPipeline(p, 9, arenas...)); len(s) != 2 || s["a"] != 0 || s["b"] != 1 {
+		t.Fatalf("crafted cut %v, want a in stage 0 and b in stage 1", s)
+	}
+	for d, arena := range arenas {
+		for _, b := range arena.Bindings() {
+			if (b.Label == "b") != (d == 1) {
+				t.Fatalf("crafted: %s's state in domain %d; want b's, and only b's, in domain 1", b.Label, d)
+			}
+		}
+	}
+	if len(arenas[1].Bindings()) == 0 {
+		t.Fatal("crafted: nothing allocated in domain 1")
+	}
 	res, err := RunPipeline(p)
 	if err != nil {
 		t.Fatal(err)

@@ -9,20 +9,20 @@ import (
 	"pktpredict/internal/handoff"
 	"pktpredict/internal/hw"
 	"pktpredict/internal/mem"
-	"pktpredict/internal/synth"
 	"pktpredict/internal/table"
 )
 
 // Section 2.2: the "parallel" approach (each packet fully processed by
 // one core) versus the "pipeline" approach (processing steps split across
-// cores, packets handed over through a shared ring). Both are the same
-// click.Pipeline: cut with AssignStages, each stage a click.StageRunner
-// walk between internal/handoff rings — descriptor and header lines
-// crossing cores, spin-wait polls, buffer recycling into another core's
-// pool — exactly the walk and ring code runtime.stage.step runs, so the
-// engine and the concurrent runtime charge identical hand-off costs.
-// Pipelining wins only for the crafted workload: per-stage cacheable
-// structures that, replicated per core, overflow the shared cache.
+// cores, packets handed over through a shared ring). Both are a
+// click.Pipeline parsed from Click text, the pipeline cut by the text's
+// `stage 1:` statement; each stage is a click.StageRunner walk between
+// internal/handoff rings — descriptor and header lines crossing cores,
+// spin-wait polls, buffer recycling into another core's pool — exactly
+// the walk and ring code runtime.stage.step runs, so the engine and the
+// concurrent runtime charge identical hand-off costs. Pipelining wins
+// only for the crafted workload: per-stage cacheable structures that,
+// replicated per core, overflow the shared cache.
 
 // cut is one stage of a cut pipeline as an engine flow: stage 0 pulls
 // from the pipeline's source, a later stage pops its in ring; a walk that
@@ -36,18 +36,9 @@ type cut struct {
 	entry   int
 }
 
-// cutPipeline cuts pl after its first `after` nodes (0 leaves it whole)
-// and returns its stages in order, joined by rings allocated in arena.
-func cutPipeline(pl *click.Pipeline, after int, arena *mem.Arena) ([]*cut, error) {
-	if after > 0 {
-		nodes := pl.Nodes()
-		if after >= len(nodes) {
-			return nil, fmt.Errorf("exp: pipeline %q too short to cut after node %d (%d nodes)", pl.Name, after, len(nodes))
-		}
-		if err := pl.AssignStages(map[string]int{nodes[after].Name: 1}); err != nil {
-			return nil, err
-		}
-	}
+// cutPipeline returns pl's stages in order — as many as its Click text's
+// `stage` statements cut it into — joined by rings allocated in arena.
+func cutPipeline(pl *click.Pipeline, arena *mem.Arena) ([]*cut, error) {
 	cuts := make([]*cut, pl.NumStages())
 	for s := range cuts {
 		runner, err := pl.StageRunner(s)
@@ -61,6 +52,30 @@ func cutPipeline(pl *click.Pipeline, after int, arena *mem.Arena) ([]*cut, error
 		}
 	}
 	return cuts, nil
+}
+
+// monPipeline parses MON as the flow builder does, its state in arena,
+// cut after the route lookup: Params.Config names inline elements class@k
+// in chain order.
+func monPipeline(p *core.Predictor, arena *mem.Arena) (*click.Pipeline, error) {
+	seed := core.SeedFor(apps.MON, 0)
+	env := &click.Env{Arena: arena, Seed: seed, RxBatch: p.Params.RxBatch}
+	return click.ParseConfig(env, string(apps.MON), p.Params.Config(apps.MON, seed)+"stage 1: DecIPTTL@3;")
+}
+
+// craftedPipeline parses the adversarial graph: a small-packet source and
+// two Syn halves of 110 accesses each (>200 per packet, as in the paper)
+// to a region the size of the L3, built in declaration order. A second
+// arena cuts half b into stage 1 and holds its state.
+func craftedPipeline(p *core.Predictor, seedIdx int, arenas ...*mem.Arena) (*click.Pipeline, error) {
+	seed, l3 := core.SeedFor("crafted", seedIdx), p.Cfg.L3.SizeBytes
+	cfg := fmt.Sprintf("src :: FromDevice(SIZE 64, SEED %d, FLOWS 1024); a :: Syn(REGION %d, ACCESSES 110);\n"+
+		"b :: Syn(REGION %d, ACCESSES 110, SEED %d); src -> a -> b;\n", seed, l3, l3, seed^0xb)
+	if len(arenas) > 1 {
+		cfg += "stage 1: b;"
+	}
+	env := &click.Env{Arena: arenas[0], Seed: seed, ArenaAt: func(s int) *mem.Arena { return arenas[s] }}
+	return click.ParseConfig(env, "crafted", cfg)
 }
 
 // EmitPacket implements hw.PacketSource. A trace with no packet behind
@@ -157,11 +172,11 @@ func pipelineVsParallelMON(p *core.Predictor) (PipelineRow, error) {
 
 	// Pipeline: one MON flow split across two cores of the same socket.
 	arena := mem.NewArena(0)
-	inst, err := p.Params.Build(apps.MON, arena, core.SeedFor(apps.MON, 0))
+	pl, err := monPipeline(p, arena)
 	if err != nil {
 		return row, err
 	}
-	stages, err := cutPipeline(inst.Pipeline, 2, arena)
+	stages, err := cutPipeline(pl, arena)
 	if err != nil {
 		return row, err
 	}
@@ -175,34 +190,17 @@ func pipelineVsParallelMON(p *core.Predictor) (PipelineRow, error) {
 // parallel, each core's full replica thrashes.
 func pipelineVsParallelCrafted(p *core.Predictor) (PipelineRow, error) {
 	row := PipelineRow{Workload: "crafted"}
-	// crafted builds the two-half chain: a small-packet source in arenaA
-	// and one Syn element per half, each making 110 accesses (>200 per
-	// packet, as in the paper) to a region the size of the L3.
-	crafted := func(seedIdx int, arenaA, arenaB *mem.Arena) (*click.Pipeline, error) {
-		env := &click.Env{Arena: arenaA, Seed: core.SeedFor("crafted", seedIdx)}
-		src, err := click.NewInstance(env, "FromDevice", click.ParseArgs([]string{
-			"SIZE 64", fmt.Sprintf("SEED %d", env.Seed), "FLOWS 1024",
-		}))
-		if err != nil {
-			return nil, err
-		}
-		half := synth.Config{Seed: env.Seed, RegionBytes: p.Cfg.L3.SizeBytes, AccessesPerPacket: 110}
-		a := synth.NewElement(arenaA, half, 0)
-		half.Seed ^= 0xb
-		b := synth.NewElement(arenaB, half, 0)
-		return click.NewPipeline("crafted", src.(click.Source), "Syn", a, b), nil
-	}
 
 	// Parallel: core 0 on socket 0 and core CoresPerSocket on socket 1,
 	// each with a full local replica (the paper's NUMA policy).
 	var replicas []*cut
 	for i := 0; i < 2; i++ {
 		arena := mem.NewArena(i)
-		pl, err := crafted(i, arena, arena)
+		pl, err := craftedPipeline(p, i, arena)
 		if err != nil {
 			return row, err
 		}
-		whole, err := cutPipeline(pl, 0, arena)
+		whole, err := cutPipeline(pl, arena)
 		if err != nil {
 			return row, err
 		}
@@ -213,14 +211,14 @@ func pipelineVsParallelCrafted(p *core.Predictor) (PipelineRow, error) {
 		return row, err
 	}
 
-	// Pipeline: stage 1 on socket 0 with half A local; stage 2 on socket
-	// 1 with half B local; hand-off crosses QPI.
+	// Pipeline: stage 0 on socket 0 with half a local; stage 1 on socket
+	// 1 with half b local; hand-off crosses QPI.
 	arena0 := mem.NewArena(0)
-	pl, err := crafted(9, arena0, mem.NewArena(1))
+	pl, err := craftedPipeline(p, 9, arena0, mem.NewArena(1))
 	if err != nil {
 		return row, err
 	}
-	stages, err := cutPipeline(pl, 1, arena0)
+	stages, err := cutPipeline(pl, arena0)
 	if err != nil {
 		return row, err
 	}

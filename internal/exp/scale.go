@@ -14,8 +14,8 @@
 // Drivers measure co-runs only through it — Figure 4's ramps are its
 // curves under core.Modes' three placements, §2.2's parallel pair a
 // MeasureMix — so every point fans out and is measured once; the
-// throttle builds through core.Scenario too, so §2.2's cut stages, not a
-// flow list, are the only engine a driver builds itself (completionRate).
+// throttle builds through core.Scenario too, so §2.2's stages, Click text
+// cut by `stage` statements, are the only engine a driver builds itself.
 //
 // Every result renders through one method, Table: its columns are the
 // figure's CSV columns and its notes carry what the rows alone do not
@@ -53,7 +53,7 @@ func Full() Scale {
 		Params:    apps.Default(),
 		Warmup:    0.004,
 		Window:    0.012,
-		SweepGrid: []int{3200, 1600, 800, 400, 200, 100, 50, 25, 0},
+		SweepGrid: core.DefaultSweepGrid,
 	}
 }
 

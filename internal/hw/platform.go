@@ -34,7 +34,6 @@ func (c *Core) Clock() uint64 { return c.clock }
 // Socket is one processor package: a set of cores sharing an inclusive L3
 // and an integrated memory controller, plus an outgoing QPI link.
 type Socket struct {
-	ID    int
 	Cores []*Core
 	L3    *Cache
 	Mem   *Channel // integrated memory controller
@@ -71,7 +70,6 @@ func NewPlatform(cfg Config) *Platform {
 	p := &Platform{Cfg: cfg}
 	for s := 0; s < cfg.Sockets; s++ {
 		sock := &Socket{
-			ID:       s,
 			L3:       NewCache(fmt.Sprintf("socket%d.L3", s), cfg.L3, cfg.L3Policy),
 			Mem:      NewChannel(fmt.Sprintf("socket%d.mem", s), cfg.MemCtrlService),
 			QPI:      NewChannel(fmt.Sprintf("socket%d.qpi", s), cfg.QPIService),

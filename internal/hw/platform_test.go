@@ -247,10 +247,10 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 	fresh := NewPlatform(cfg)
-	for _, s := range p.Sockets {
+	for i, s := range p.Sockets {
 		// The L3's victim draw moved: its sets filled and evicted.
 		if s.Mem.MaxWait == 0 || served(s.Mem) == 0 || s.L3.rng == fresh.Sockets[0].L3.rng {
-			t.Fatalf("socket %d: the run left no state to reset", s.ID)
+			t.Fatalf("socket %d: the run left no state to reset", i)
 		}
 	}
 	if served(p.Sockets[1].QPI) == 0 || p.Cores[0].elems[1].cost.L3Refs == 0 {

@@ -255,8 +255,9 @@ func TestExecOpsConcurrentSockets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := DomainBase(c.Socket.ID) + Addr(i)*lines*LineSize
-			remote := DomainBase(1-c.Socket.ID) + Addr(i)*lines*LineSize
+			sock := c.ID / cfg.CoresPerSocket
+			local := DomainBase(sock) + Addr(i)*lines*LineSize
+			remote := DomainBase(1-sock) + Addr(i)*lines*LineSize
 			var ops []Op
 			for n := 0; n < packets; n++ {
 				line := func(k int) Addr { return Addr((n*7+k*131)%lines) * LineSize }
@@ -289,7 +290,7 @@ func TestExecOpsConcurrentSockets(t *testing.T) {
 		}
 		remoteRefs += k.RemoteRefs
 	}
-	for _, s := range p.Sockets {
+	for i, s := range p.Sockets {
 		qpiRequests += served(s.QPI)
 		// An L3 line leaves only by eviction, so more fills than lines
 		// evicted some.
@@ -298,7 +299,7 @@ func TestExecOpsConcurrentSockets(t *testing.T) {
 			fills += c.Counters.L3Misses
 		}
 		if fills <= uint64(cfg.L3.SizeBytes/LineSize) {
-			t.Errorf("socket %d: %d L3 fills, no eviction, so no back-invalidation was exercised", s.ID, fills)
+			t.Errorf("socket %d: %d L3 fills, no eviction, so no back-invalidation was exercised", i, fills)
 		}
 	}
 	if remoteRefs == 0 || remoteRefs != qpiRequests {

@@ -166,7 +166,7 @@ func engineElementBaselines(t *testing.T, s exp.Scale, typ apps.FlowType) map[st
 		n.Elem = uint16(i + 1)
 	}
 	cells := make([]hw.ElemCell, len(nodes)+1)
-	res.Platform.Cores[0].SetElemTable(cells)
+	res.Engine.Platform.Cores[0].SetElemTable(cells)
 	before, after := make([]hw.ElemCost, len(cells)), make([]hw.ElemCost, len(cells))
 	res.Engine.Measure(s.Warmup)
 	hw.CopyCosts(before, cells)

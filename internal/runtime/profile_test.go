@@ -85,11 +85,11 @@ func sameProfile(a, b FlowProfile) error {
 func serialProfile(t *testing.T, cfg hw.Config, params apps.Params, typ apps.FlowType) FlowProfile {
 	t.Helper()
 	run := func(flows []core.FlowSpec) []hw.FlowStats {
-		res, err := core.Scenario{Cfg: cfg, Params: params, Flows: flows, Warmup: profWarmup, Window: profWindow}.Run()
+		stats, err := core.Scenario{Cfg: cfg, Params: params, Flows: flows, Warmup: profWarmup, Window: profWindow}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Stats
+		return stats
 	}
 	target := core.FlowSpec{Type: typ, Seed: core.SeedFor(typ, 0)}
 	solo := run([]core.FlowSpec{target})[0]

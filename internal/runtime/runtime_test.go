@@ -44,11 +44,11 @@ func soloStats(t *testing.T, typ apps.FlowType, params apps.Params) hw.FlowStats
 		Warmup: 0.0005,
 		Window: 0.002,
 	}
-	res, err := sc.Run()
+	stats, err := sc.Run()
 	if err != nil {
 		t.Fatalf("solo %s: %v", typ, err)
 	}
-	return res.Stats[0]
+	return stats[0]
 }
 
 func TestRuntimeMixedSaturating(t *testing.T) {

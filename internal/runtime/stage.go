@@ -12,7 +12,7 @@ import (
 
 // Every flow is a chain of one or more stages, each bound to its own
 // worker — Section 2.2's "parallel" approach is the zero-cut case of its
-// "pipeline" approach. A staged Click graph (click.AssignStages) runs
+// "pipeline" approach. A Click graph cut by `stage N:` statements runs
 // each stage on its own worker, connected by handoff rings; an unstaged
 // graph is one stage with no hand-off, return or recycle ring, and a
 // synthetic flow is one stage whose packets come from a raw

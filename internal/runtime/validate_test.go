@@ -24,14 +24,12 @@ func TestMaxQueueWaitTracksEngine(t *testing.T) {
 	for i, typ := range mix {
 		flows[i] = core.FlowSpec{Type: typ, Core: i, Domain: 0, Seed: core.SeedFor(typ, i)}
 	}
-	res, err := core.Scenario{
-		Cfg: testCfg(), Params: apps.Small(), Flows: flows,
-		Warmup: 0.0005, Window: 0.002,
-	}.Run()
+	res, err := core.Scenario{Cfg: testCfg(), Params: apps.Small(), Flows: flows}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := res.Platform.Sockets[0].Mem
+	res.Engine.MeasureWindow(0.0005, 0.002)
+	mem := res.Engine.Platform.Sockets[0].Mem
 	p99 := mem.WaitQuantile(0.99)
 	if p99 == 0 {
 		t.Fatal("saturating mix produced no memory-controller queueing")

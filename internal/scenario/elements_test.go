@@ -9,7 +9,8 @@ import (
 // badElementArgs are graph bodies whose one faulty element argument used
 // to be ignored, truncated or fatal: the first five ran silently on the
 // class's defaults, the next five panicked on a build goroutine and killed
-// the process, DELAY truncated through uint32 and the last four ran.
+// the process, DELAY truncated through uint32 (Control has no keys now, so
+// it is refused as unknown) and the last four ran.
 // They are regression seeds of FuzzParseScenario and, as bare graph text,
 // of click's FuzzParseConfig.
 var badElementArgs = []struct{ graph, class, key, also string }{
@@ -23,7 +24,7 @@ var badElementArgs = []struct{ graph, class, key, also string }{
 	{"src :: FromDevice(BUFFERS -3); src -> ToDevice;", "FromDevice", "BUFFERS -3", "[0,1048576]"},
 	{"src :: FromDevice; src -> RedundancyElim(STORE -1) -> ToDevice;", "RedundancyElim", "STORE -1", "[1024,)"},
 	{"src :: FromDevice; src -> Syn(REGION -4096) -> ToDevice;", "Syn", "REGION -4096", "[64,)"},
-	{"src :: FromDevice; src -> Control(DELAY 5000000000) -> ToDevice;", "Control", "DELAY 5000000000", "[0,4294967295]"},
+	{"src :: FromDevice; src -> Control(DELAY 5000000000) -> ToDevice;", "Control", "unknown key DELAY", "Control takes no arguments"},
 	{"src :: FromDevice(FLOWS -64); src -> ToDevice;", "FromDevice", "FLOWS -64", "[0,)"},
 	{"src :: FromDevice; src -> AESEncrypt(OUTBUFS -1) -> ToDevice;", "AESEncrypt", "OUTBUFS -1", "[0,)"},
 	{"src :: FromDevice; src -> Syn(ACCESSES -1) -> ToDevice;", "Syn", "ACCESSES -1", "[0,)"},

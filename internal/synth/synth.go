@@ -129,6 +129,7 @@ func init() {
 	click.Register("Syn", []click.Key[Config]{
 		click.Int("REGION", "[0,0]|[64,)", func(c *Config) *int { return &c.RegionBytes }),
 		click.Int("ACCESSES", "[0,)", func(c *Config) *int { return &c.AccessesPerPacket }),
+		click.Uint("SEED", "", func(c *Config) *uint64 { return &c.Seed }),
 	}, func(env *click.Env) Config {
 		return Config{Seed: env.Seed}
 	}, func(env *click.Env, c Config) (interface{}, error) {

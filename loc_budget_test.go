@@ -136,6 +136,10 @@ func testOnlyAPI(t *testing.T, kind string) map[string]bool {
 			if kind == "tally" {
 				listed[strings.TrimSuffix(name, "++")] = true
 			}
+		case strings.HasSuffix(name, "="):
+			if kind == "assigned" {
+				listed[strings.TrimSuffix(name, "=")] = true
+			}
 		case kind == "field":
 			listed[name] = true
 		}
@@ -658,15 +662,17 @@ func (f importFunc) Import(path string) (*types.Package, error) { return f(path)
 
 // TestCountersAreRead is the read side of TestExportedFieldsAreWritten, with
 // type information. An exported field declared in a non-test file under
-// internal/ whose every non-test write is ++, --, += or -= is a tally (a
-// store of the literal 0 resets one, and a composite-literal element whose
-// value is a constant or a make(...) call starts one; neither counts as a
-// write): it must be read by non-test code — internal/, cmd/, examples/ or
-// bench/ — or be listed in lint/test-only-api.txt as
-// "<pkg>.<Type>.<Field>++ <role> <why>", checked both ways. A read is any
-// other use of the field: a selector that is not an lvalue, a json: tag
-// (encoding reads the field), or the whole struct compared with == or !=
-// or passed to a function.
+// internal/ that non-test code writes — a tally (++, --, += or -=) or a
+// plain assignment; a store of the literal 0 resets a field, and a
+// composite-literal element whose value is a constant or a make(...) call
+// starts a tally, neither counting as a write — must be read by non-test
+// code (internal/, cmd/, examples/ or bench/), or be listed in
+// lint/test-only-api.txt as "<pkg>.<Type>.<Field>++" (every write a tally)
+// or "<pkg>.<Type>.<Field>=" with its role and why, checked both ways. A
+// read is any other use of the field: a selector that is not an lvalue —
+// a method call on the field and taking its address included — a json:
+// tag (encoding reads the field), or the whole struct compared with == or
+// != or passed to a function.
 // Going by object rather than name matters here: Packets, Dropped and
 // Hits are read somewhere under the same name for other structs.
 func TestCountersAreRead(t *testing.T) {
@@ -778,10 +784,6 @@ func TestCountersAreRead(t *testing.T) {
 					write(n.Key, false)
 					write(n.Value, false)
 				}
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					write(n.X, false)
-				}
 			case *ast.CompositeLit:
 				if test {
 					break
@@ -800,11 +802,6 @@ func TestCountersAreRead(t *testing.T) {
 					}
 				}
 			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-						write(sel.X, false) // a method may write its receiver
-					}
-				}
 				if tv := info.Types[n.Fun]; tv.IsType() || tv.IsBuiltin() {
 					break
 				}
@@ -824,32 +821,45 @@ func TestCountersAreRead(t *testing.T) {
 			return true
 		})
 	})
+	// An entry is the field's listing: "pkg.Type.Field++" for a tally,
+	// "pkg.Type.Field=" for a field non-test code assigns.
 	const listFile = "lint/test-only-api.txt"
-	listed := testOnlyAPI(t, "tally")
-	tallies := map[string]*use{}
-	var names []string
+	listed := map[string]bool{}
+	for name := range testOnlyAPI(t, "tally") {
+		listed[name+"++"] = true
+	}
+	for name := range testOnlyAPI(t, "assigned") {
+		listed[name+"="] = true
+	}
+	written := map[string]*use{}
+	var entries []string
 	for pos, name := range census {
-		if u := uses[pos]; u != nil && u.counted && !u.assigned {
-			tallies[name] = u
-			names = append(names, name)
+		if u := uses[pos]; u != nil && (u.counted || u.assigned) {
+			entry := name + "++"
+			if u.assigned {
+				entry = name + "="
+			}
+			written[entry] = u
+			entries = append(entries, entry)
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		switch u := tallies[name]; {
+	sort.Strings(entries)
+	for _, entry := range entries {
+		name := strings.TrimRight(entry, "+=")
+		switch u := written[entry]; {
 		case u.read[0]:
-			if listed[name] {
-				t.Errorf("%s lists %s++, which non-test code now reads; delete the line", listFile, name)
+			if listed[entry] {
+				t.Errorf("%s lists %s, which non-test code now reads; delete the line", listFile, entry)
 			}
 		case !u.read[1]:
-			t.Errorf("tally %s is only ever counted; nothing reads it, so delete it", name)
-		case !listed[name]:
-			t.Errorf("tally %s is counted on the packet path and read only by tests; give it a reader (a report, metric or decision), restate the test on an observable, or list it as %s++ with its role in %s", name, name, listFile)
+			t.Errorf("field %s is only ever written; nothing reads it, so delete it", name)
+		case !listed[entry]:
+			t.Errorf("field %s is written by the program and read only by tests; give it a reader (a report, metric or decision), restate the test on an observable, or list it as %s with its role in %s", name, entry, listFile)
 		}
-		delete(listed, name)
+		delete(listed, entry)
 	}
-	for name := range listed {
-		t.Errorf("%s lists %s++, which is no longer a tally only tests read; delete the line", listFile, name)
+	for entry := range listed {
+		t.Errorf("%s lists %s, which is no longer a field the program writes and only tests read; delete the line", listFile, entry)
 	}
 }
 
