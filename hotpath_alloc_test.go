@@ -324,44 +324,74 @@ natfw :: Flow(GRAPH NATFW, WORKERS 1, RATE 400000, SLO_P99_US 500);
 `
 
 // TestRuntimePathAllocs gates the runtime's packet path where it does the
-// most per packet: a chain cut across two workers (hand-off ring, staged
-// batch ops), every packet traced, latency recorded against an SLO. What
-// is left is per control window (the sample and its residuals, ~9 objects
-// at every barrier), so windows are made ten times rarer than the default
-// and the bound is 0.02 objects a packet (measured: 0.011, start-up and
-// the NAT table's record chunks, made as its flows arrive, included): one
-// object per packet, per traced span or per 32-packet batch would all
-// break it.
+// most per packet, in two runs. One is a chain cut across two workers
+// (hand-off ring, staged batch ops), every packet traced, latency
+// recorded against an SLO. The other is mixed's six one-stage workers on
+// one socket at GOMAXPROCS 2 or more, where the CPU budget grants the
+// socket an emitter every quantum, so every step crosses the emitter
+// handshake. What is left is per control window (the sample and its
+// residuals, ~9 objects at every barrier), so windows are made ten times
+// rarer than the default and the bound is 0.02 objects a packet
+// (measured on the chain: 0.011, start-up and the NAT table's record
+// chunks, made as its flows arrive, included): one object per packet,
+// per traced span or per 32-packet batch would all break it.
 func TestRuntimePathAllocs(t *testing.T) {
-	sc, err := scenario.Parse(stagedSLOChain)
+	chain, err := scenario.Parse(stagedSLOChain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := sc.Config(hw.DefaultConfig(), apps.Small())
+	mixed, err := scenario.Load("examples/scenarios/mixed.click")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceSample, cfg.ControlEvery = 1, 50
-	r, err := runtime.NewRuntime(cfg)
-	if err != nil {
-		t.Fatal(err)
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(max(2, stdruntime.GOMAXPROCS(0))))
+	for _, c := range []struct {
+		name     string
+		sc       *scenario.Scenario
+		duration float64
+	}{{"staged chain", chain, 0.1}, {"mixed with an emitter", mixed, 0.01}} {
+		cfg, err := c.sc.Config(hw.DefaultConfig(), apps.Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.TraceSample, cfg.ControlEvery, cfg.Metrics = 1, 50, obs.NewRegistry()
+		r, err := runtime.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		rep, err := r.Run(c.duration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdruntime.ReadMemStats(&after)
+		pkts := rep.TotalProcessed()
+		if c.sc == chain && len(r.Tracer().Events()) == 0 {
+			t.Fatalf("%s: no packet was traced", c.name)
+		}
+		if c.sc == mixed && familyTotal(cfg.Metrics, "dataplane_socket_emitter_quanta_total") == 0 {
+			t.Fatalf("%s: no quantum ran with an emitter", c.name)
+		}
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d mallocs for %d packets", c.name, mallocs, pkts)
+		if pkts < 5000 || float64(mallocs) > 0.02*float64(pkts) {
+			t.Fatalf("%s: %d mallocs for %d packets: want at least 5000 packets and at most 0.02 objects a packet", c.name, mallocs, pkts)
+		}
 	}
-	var before, after stdruntime.MemStats
-	stdruntime.ReadMemStats(&before)
-	rep, err := r.Run(0.1)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// familyTotal sums a metric family's series in reg.
+func familyTotal(reg *obs.Registry, name string) float64 {
+	total := 0.0
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == name {
+			for _, ss := range f.Series {
+				total += ss.Value
+			}
+		}
 	}
-	stdruntime.ReadMemStats(&after)
-	pkts := rep.TotalProcessed()
-	if len(r.Tracer().Events()) == 0 {
-		t.Fatal("no packet was traced")
-	}
-	mallocs := after.Mallocs - before.Mallocs
-	t.Logf("%d mallocs for %d packets", mallocs, pkts)
-	if pkts < 5000 || float64(mallocs) > 0.02*float64(pkts) {
-		t.Fatalf("%d mallocs for %d packets: want at least 5000 packets and at most 0.02 objects a packet", mallocs, pkts)
-	}
+	return total
 }
 
 // hotpathDirect lists the //dataplane:hotpath functions TestHotPathAllocs
@@ -420,6 +450,9 @@ var hotpathIndirect = map[string]string{
 	"elements.FromDevice.Pull":    "every apps.*.EmitPacket gate above pulls from the flow's own FromDevice",
 	"elements.FromDevice.Recycle": "every apps.*.EmitPacket gate above recycles into the flow's own FromDevice",
 	"re.Processor.Process":        "apps.RE.EmitPacket above runs it on every packet",
+	"runtime.emitter.claim":       "unexported; TestRuntimePathAllocs's mixed run claims every step it is asked for",
+	"runtime.emitter.request":     "unexported; TestRuntimePathAllocs's mixed run requests every step the one-step rule allows",
+	"runtime.emitter.take":        "unexported; TestRuntimePathAllocs's mixed run takes every step through it",
 }
 
 // TestVetdp runs vetdp — the //dataplane: directive check and the

@@ -127,11 +127,46 @@ func (m *Memo[K, T]) Do(k K, measure func() (T, error)) (T, error) {
 // a pure function of its scenario. So they run concurrently, every result
 // lands in a slot addressed by its index, and at most GOMAXPROCS are live
 // in the whole process: concurrent passes share that many scenarios' state.
+//
+// The slots are one part of the process's one CPU budget of GOMAXPROCS.
+// The socket goroutines of live runtime runs are the second: counted, but
+// never waiting for a slot, so profiling beside a run does not slow. The
+// spare CPUs granted to runtime emitters, one quantum at a time, are the
+// third, and only they wait on the other two (SpareCPU).
 var (
 	slotMu          sync.Mutex
 	slotFreed       = sync.NewCond(&slotMu)
 	liveExperiments int
+	liveSockets     int
+	spareCPUs       int
 )
+
+// AddSockets counts n more socket goroutines of live runs, or -n fewer.
+func AddSockets(n int) {
+	slotMu.Lock()
+	liveSockets += n
+	slotMu.Unlock()
+}
+
+// SpareCPU grants the caller one host CPU for one quantum when live
+// experiments, socket goroutines and the CPUs already granted sum below
+// GOMAXPROCS. ReturnCPUs gives granted CPUs back.
+func SpareCPU() bool {
+	slotMu.Lock()
+	defer slotMu.Unlock()
+	if liveExperiments+liveSockets+spareCPUs >= runtime.GOMAXPROCS(0) {
+		return false
+	}
+	spareCPUs++
+	return true
+}
+
+// ReturnCPUs gives back n CPUs that SpareCPU granted.
+func ReturnCPUs(n int) {
+	slotMu.Lock()
+	spareCPUs -= n
+	slotMu.Unlock()
+}
 
 // Experiment runs one leaf experiment holding one of the process's
 // GOMAXPROCS experiment slots, taken before run builds or reuses anything

@@ -83,8 +83,7 @@ func (t *Table[K, V]) Find(ctx *click.Ctx, h uint64, key K) (v *V, slot int, hit
 		ctx.Load(t.lines.Addr(int(idx)))
 		ctx.Compute(4, 5)
 		if s == nil {
-			victim = idx
-			break
+			return t.bind(int(idx), key), int(idx), false
 		}
 		if s.Key == key {
 			s.Seen = t.clock
@@ -95,9 +94,15 @@ func (t *Table[K, V]) Find(ctx *click.Ctx, h uint64, key K) (v *V, slot int, hit
 		}
 		idx = (idx + 1) & t.mask
 	}
-	s := t.slots.Take(int(victim))
+	// The whole chain is taken: evict its least recently found entry.
+	return t.bind(int(victim), key), int(victim), false
+}
+
+// bind gives slot i to key with a zero value, newest in recency.
+func (t *Table[K, V]) bind(i int, key K) *V {
+	s := t.slots.Take(i)
 	*s = Slot[K, V]{Seen: t.clock, Key: key}
-	return &s.Val, int(victim), false
+	return &s.Val
 }
 
 // Lookup returns key's record, probing from slot h, without tracing and

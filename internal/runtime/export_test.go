@@ -73,3 +73,40 @@ var IntGolden = intGolden
 
 // ThrashStateConfig is thrashStateConfig, for the external test package.
 var ThrashStateConfig = thrashStateConfig
+
+// ForceEmitters grants every socket group that can have an emitter one
+// every quantum, whatever the CPU budget; delay, when non-nil, runs
+// before each claim, so the socket goroutine steals what it waits on.
+func (r *Runtime) ForceEmitters(delay func()) { r.forceEmit, r.emitDelay = true, delay }
+
+// AtBarrier calls f after every quantum, all sockets parked, with the
+// number of workers whose emitter handshake is not idle.
+func (r *Runtime) AtBarrier(f func(outstanding int)) {
+	r.atBarrier = func() {
+		n := 0
+		for _, w := range r.workers {
+			if w.ahead != nil && w.ahead.state.Load() != aheadIdle {
+				n++
+			}
+		}
+		f(n)
+	}
+}
+
+// EmitterTallies is one socket's emitter tallies over the whole run.
+type EmitterTallies struct {
+	Socket                int
+	Quanta, Steals, Waits uint64
+}
+
+// Emitters returns the tallies of every socket group that can have an
+// emitter.
+func (r *Runtime) Emitters() []EmitterTallies {
+	var out []EmitterTallies
+	for _, g := range r.groups {
+		if g.canEmit() {
+			out = append(out, EmitterTallies{g.socket, g.emitQuanta, g.steals, g.waits})
+		}
+	}
+	return out
+}

@@ -109,12 +109,16 @@ var procsMu sync.Mutex
 
 // runCase runs cfg and returns the report, its JSON and its integer
 // golden: on the in-line driver if procs is 0, else on the goroutine
-// driver with GOMAXPROCS set to procs for the run.
-func runCase(t *testing.T, cfg runtime.Config, procs int) (*runtime.Report, []byte, []byte) {
+// driver with GOMAXPROCS set to procs for the run. prep, if given, sets
+// test hooks on the built runtime.
+func runCase(t *testing.T, cfg runtime.Config, procs int, prep ...func(*runtime.Runtime)) (*runtime.Report, []byte, []byte) {
 	t.Helper()
 	r, err := runtime.NewRuntime(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range prep {
+		p(r)
 	}
 	if procs == 0 {
 		r.InLine()
@@ -175,7 +179,9 @@ func TestInLineGoldens(t *testing.T) {
 // workers on one goroutine by the in-line driver's rule, so a production
 // run whose sockets share nothing within a quantum repeats the in-line
 // run byte for byte. Every case but crossSocketChains gives its committed
-// golden on the goroutine driver at GOMAXPROCS 1, 2 and 8.
+// golden on the goroutine driver at GOMAXPROCS 1, 2 and 8, and again with
+// every emitter forced on at GOMAXPROCS 2 and 8, where no worker has a
+// request outstanding at any barrier.
 func TestOneSocketRunsRepeat(t *testing.T) {
 	for _, name := range append(scenario.ShippedNames(), thrashState) {
 		if slices.Contains(crossSocketChains, name) {
@@ -193,8 +199,56 @@ func TestOneSocketRunsRepeat(t *testing.T) {
 					t.Fatalf("production at GOMAXPROCS %d differs from the golden:\n%s\n%s", procs, got, golden)
 				}
 			}
+			for _, procs := range []int{2, 8} {
+				if _, _, got := runCase(t, cfg, procs, forceEmitters(t, nil)); !bytes.Equal(got, golden) {
+					t.Fatalf("production with emitters at GOMAXPROCS %d differs from the golden:\n%s\n%s", procs, got, golden)
+				}
+			}
 		})
 	}
+}
+
+// forceEmitters returns a runCase hook that forces every emitter on,
+// with delay before each claim, and fails t at any barrier where a
+// worker's handshake is not idle.
+func forceEmitters(t *testing.T, delay func()) func(*runtime.Runtime) {
+	return func(r *runtime.Runtime) {
+		r.ForceEmitters(delay)
+		r.AtBarrier(func(outstanding int) {
+			if outstanding != 0 {
+				t.Errorf("%d workers have a request outstanding at a barrier", outstanding)
+			}
+		})
+	}
+}
+
+// TestEmitterStealsKeepTheReport: an emitter that falls behind leaves
+// its requests to the socket goroutine, which steals and walks them
+// itself; the run still gives the golden. The delay holds the emitter
+// back on one claim in eight.
+func TestEmitterStealsKeepTheReport(t *testing.T) {
+	const name = "mixed"
+	cfg := inLineConfig(t, name)
+	golden, err := os.ReadFile(filepath.Join("testdata", "inline", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := 0
+	delay := func() {
+		if claims++; claims%8 == 0 {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	var r *runtime.Runtime
+	_, _, got := runCase(t, cfg, 2, forceEmitters(t, delay), func(rt *runtime.Runtime) { r = rt })
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("a run whose emitter fell behind differs from the golden:\n%s\n%s", got, golden)
+	}
+	em := r.Emitters()
+	if len(em) != 1 || em[0].Quanta == 0 || em[0].Steals == 0 {
+		t.Fatalf("emitter tallies %+v: want one socket that ran quanta with an emitter and had steals", em)
+	}
+	t.Logf("emitter tallies %+v", em)
 }
 
 // TestInLineReplayAcrossGOMAXPROCS: an in-line run does not depend on how
@@ -217,8 +271,9 @@ func TestInLineReplayAcrossGOMAXPROCS(t *testing.T) {
 
 // TestBarrierGoroutines: the in-line driver starts no goroutine, and the
 // concurrent one starts one per socket that hosts a worker when Run
-// starts and leaves none behind when it returns. Counts are read inside
-// OnWindow, mid-run.
+// starts, plus one emitter per socket the CPU budget grants one, and
+// leaves none behind when it returns. Counts are read inside OnWindow,
+// mid-run.
 func TestBarrierGoroutines(t *testing.T) {
 	for _, inline := range []bool{true, false} {
 		cfg := shippedConfig(t, "nat_chain_staged")
@@ -255,6 +310,45 @@ func TestBarrierGoroutines(t *testing.T) {
 		}
 		if after := settledGoroutines(); after != before {
 			t.Fatalf("inline=%t: %d goroutines after Run, %d before", inline, after, before)
+		}
+	}
+	// mixed runs six one-stage workers on one socket, which can have an
+	// emitter. The budget grants it one when the socket goroutine leaves a
+	// CPU of GOMAXPROCS spare (no experiment is live), and its goroutine
+	// starts at the first granted quantum and ends with Run.
+	procsMu.Lock()
+	defer procsMu.Unlock()
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		stdruntime.GOMAXPROCS(procs)
+		cfg := shippedConfig(t, "mixed")
+		var during []int
+		cfg.OnWindow = func(runtime.ControlSample, []obs.Residual) {
+			during = append(during, stdruntime.NumGoroutine())
+		}
+		r, err := runtime.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := settledGoroutines()
+		emitters := 0
+		if 1 < procs { // one socket goroutine, no live experiment
+			emitters = 1
+		}
+		if _, err := r.Run(0.002); err != nil {
+			t.Fatal(err)
+		}
+		em := r.Emitters()
+		if len(em) != 1 || (em[0].Quanta > 0) != (emitters == 1) {
+			t.Fatalf("GOMAXPROCS %d: emitter tallies %+v, want %d emitters", procs, em, emitters)
+		}
+		for _, n := range during {
+			if n != before+1+emitters {
+				t.Fatalf("GOMAXPROCS %d: %d goroutines mid-run, want %d", procs, n, before+1+emitters)
+			}
+		}
+		if after := settledGoroutines(); after != before {
+			t.Fatalf("GOMAXPROCS %d: %d goroutines after Run, %d before", procs, after, before)
 		}
 	}
 }

@@ -77,6 +77,7 @@ type rtObs struct {
 	cutRows     []counterRow[*stageMark]
 	elemCRows   []counterRow[elemWindow]
 	elemGRows   []gaugeRow[elemWindow]
+	emitRows    []counterRow[*groupMark]
 
 	// binding is the worker→app info gauge, so a scraper can join worker
 	// series to apps across live migrations.
@@ -86,6 +87,7 @@ type rtObs struct {
 	workers []workerHandles // by worker id
 	apps    []appHandles    // by app index
 	cuts    []cutHandles
+	emits   [][]*obs.Counter // by group, by emitRows; nil for a group that cannot have an emitter
 }
 
 type workerHandles struct {
@@ -287,6 +289,22 @@ func newRtObs(reg *obs.Registry, r *Runtime) *rtObs {
 		}
 	}
 
+	// Emitter tallies, one series a socket whose group can have one.
+	m.emitRows = []counterRow[*groupMark]{
+		{reg.Counter("dataplane_socket_emitter_quanta_total", "quanta the socket ran with an emitter walking packets ahead", "socket"),
+			func(d *groupMark) uint64 { return d.quanta }},
+		{reg.Counter("dataplane_socket_emitter_steals_total", "requested steps the socket goroutine walked itself, the emitter not having claimed them", "socket"),
+			func(d *groupMark) uint64 { return d.steals }},
+		{reg.Counter("dataplane_socket_emitter_waits_total", "steps the socket goroutine waited for while the emitter walked them", "socket"),
+			func(d *groupMark) uint64 { return d.waits }},
+	}
+	m.emits = make([][]*obs.Counter, len(r.groups))
+	for i, g := range r.groups {
+		if g.canEmit() {
+			m.emits[i] = resolveCounters(m.emitRows, fmt.Sprint(g.socket))
+		}
+	}
+
 	m.binding = reg.Gauge("dataplane_worker_app",
 		"1 while the worker runs the labelled app stage; rebound on live migration", "worker", "app", "stage")
 	m.migrations = reg.Counter("dataplane_migrations_total",
@@ -354,6 +372,11 @@ func (m *rtObs) publish(r *Runtime, win *window) {
 	}
 	for i := range m.apps {
 		addCounters(m.appRows, m.apps[i].counters, &win.d.apps[i])
+	}
+	for i, hs := range m.emits {
+		if hs != nil {
+			addCounters(m.emitRows, hs, &win.d.groups[i])
+		}
 	}
 	for _, c := range m.cuts {
 		c.fill.Set(float64(c.u.out.Len()) / float64(c.u.out.Cap()))

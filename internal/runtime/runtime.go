@@ -1,5 +1,7 @@
 // Package runtime is the concurrent multi-core dataplane: it executes
-// Click pipelines on simulated cores, one goroutine per socket, fed through
+// Click pipelines on simulated cores, one replaying goroutine per socket
+// (plus, on a spare host CPU, an emitter that walks its one-stage
+// workers' next packets ahead; emit.go), fed through
 // bounded SPSC rings by an RSS-sharding dispatcher, with live per-core
 // telemetry driving the paper's two online mechanisms — admission
 // control (containing flows that exceed their profiled memory-reference
@@ -27,7 +29,8 @@
 // The barrier has two drivers and one stepping rule: each socket's
 // workers run on one goroutine, which steps the one with the smallest core
 // clock a packet at a time, as the engine does, so a socket's caches are
-// never contended. Production runs the sockets side by side; the in-line
+// never contended; an emitter only moves where a step's walk runs, never
+// which step runs when. Production runs the sockets side by side; the in-line
 // driver, which only tests switch on, runs them one after another on the
 // caller, so its runs repeat. A production run whose sockets share nothing
 // within a quantum gives the in-line run's bytes; one whose chain crosses
@@ -38,7 +41,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"pktpredict/internal/apps"
@@ -233,6 +235,14 @@ type Runtime struct {
 	throttleEvents int
 	finished       bool
 	inline         bool // the barrier's in-line driver; only tests set it
+	groups         []*group
+
+	// Test hooks (export_test.go): grant every group that can have an
+	// emitter one each quantum whatever the budget, run emitDelay before
+	// each claim, and call atBarrier after every quantum.
+	forceEmit bool
+	emitDelay func()
+	atBarrier func()
 
 	// The control window (see window.go): base marks the end of warm-up,
 	// prev the last control barrier; cur and win are the storage the next
@@ -442,6 +452,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			st.gen = trafficgen.New(genSpec)
 		}
 	}
+	r.groups = groupWorkers(r.workers)
 	r.disp = &dispatcher{apps: states, quantumSec: r.quantumSec, quantumCycles: cfg.QuantumCycles}
 	r.base, r.prev, r.cur, r.win.d = newMark(r), newMark(r), newMark(r), newMark(r)
 	r.buildTracer()
@@ -551,7 +562,7 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 		return nil, fmt.Errorf("runtime: already ran; build a new Runtime")
 	}
 	r.finished = true
-	b := newBarrier(r.workers, r.inline)
+	b := r.newBarrier()
 	defer b.stop()
 
 	warmQ := 0
@@ -566,6 +577,9 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 		}
 		r.disp.enqueue(q)
 		b.release(q, uint64(q+1)*r.cfg.QuantumCycles)
+		if r.atBarrier != nil {
+			r.atBarrier()
+		}
 		if q < warmQ {
 			continue
 		}
@@ -588,34 +602,32 @@ func (r *Runtime) run(quanta int) (*Report, error) {
 // socket's workers to limit (runSocket), on a goroutine of their own or,
 // in-line (start and done nil), on the caller. The release order rotates
 // with the quantum so no socket systematically replays first and sees the
-// emptiest channel queues.
+// emptiest channel queues. The goroutine driver also opens, each quantum,
+// the emitters of the groups that the CPU budget grants one (emit.go).
 type barrier struct {
-	groups, live [][]*worker // live: each group's runSocket buffer
-	start        []chan int
-	done         []chan struct{}
-	limit        uint64 // the released quantum's end, set before any start
+	groups []*group
+	start  []chan int
+	done   []chan struct{}
+	limit  uint64 // the released quantum's end, set before any start
+	force  bool   // grant every emitter whatever the budget (a test hook)
 }
 
-func newBarrier(workers []*worker, inline bool) *barrier {
-	b := &barrier{}
-	for _, w := range workers {
-		g := slices.IndexFunc(b.groups, func(ws []*worker) bool { return ws[0].socket == w.socket })
-		if g < 0 {
-			g = len(b.groups)
-			b.groups, b.live = append(b.groups, nil), append(b.live, nil)
-		}
-		b.groups[g], b.live[g] = append(b.groups[g], w), append(b.live[g], w)
-	}
-	if inline {
+func (r *Runtime) newBarrier() *barrier {
+	b := &barrier{groups: r.groups, force: r.forceEmit}
+	if r.inline {
 		return b
 	}
-	for g := range b.groups {
+	core.AddSockets(len(b.groups))
+	for _, g := range b.groups {
+		if g.canEmit() {
+			g.em = newEmitter(g, r.emitDelay)
+		}
 		start, done := make(chan int), make(chan struct{})
 		b.start, b.done = append(b.start, start), append(b.done, done)
 		go func() {
 			defer close(done)
 			for q := range start {
-				runSocket(b.groups[g], b.live[g], q, b.limit)
+				runSocket(g, q, b.limit)
 				done <- struct{}{}
 			}
 		}()
@@ -625,9 +637,13 @@ func newBarrier(workers []*worker, inline bool) *barrier {
 
 func (b *barrier) release(q int, limit uint64) {
 	b.limit = limit
+	spares := 0
+	if b.start != nil {
+		spares = grant(b.groups, b.force)
+	}
 	for k := range b.groups {
 		if g := (q + k) % len(b.groups); b.start == nil {
-			runSocket(b.groups[g], b.live[g], q, limit)
+			runSocket(b.groups[g], q, limit)
 		} else {
 			b.start[g] <- q
 		}
@@ -635,13 +651,25 @@ func (b *barrier) release(q int, limit uint64) {
 	for _, done := range b.done {
 		<-done
 	}
+	if spares > 0 {
+		core.ReturnCPUs(spares)
+	}
 }
 
 func (b *barrier) stop() {
+	if b.start == nil {
+		return
+	}
 	for i, start := range b.start {
 		close(start)
 		<-b.done[i]
 	}
+	for _, g := range b.groups {
+		if g.em != nil {
+			g.em.stop()
+		}
+	}
+	core.AddSockets(-len(b.groups))
 }
 
 // resetMeasurement starts the measured interval at the end of warmup,

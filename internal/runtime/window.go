@@ -28,6 +28,12 @@ type mark struct {
 	workers []workerMark // by worker id
 	apps    []appMark    // by app index
 	flows   []flowMark   // by flow id
+	groups  []groupMark  // by socket group
+}
+
+// groupMark is a socket group's emitter tallies (see group).
+type groupMark struct {
+	quanta, steals, waits uint64
 }
 
 type workerMark struct {
@@ -68,6 +74,7 @@ func newMark(r *Runtime) *mark {
 		workers: make([]workerMark, len(r.workers)),
 		apps:    make([]appMark, len(r.disp.apps)),
 		flows:   make([]flowMark, len(r.flows)),
+		groups:  make([]groupMark, len(r.groups)),
 	}
 	for _, f := range r.flows {
 		fm := &m.flows[f.id]
@@ -89,6 +96,9 @@ func (m *mark) take(r *Runtime, q int) {
 	for i, w := range r.workers {
 		m.workers[i] = workerMark{counters: w.core.Counters, clock: w.core.Clock(),
 			batchSum: w.totBatchSum, batchCnt: w.totBatchCnt, clipped: w.totClipped}
+	}
+	for i, g := range r.groups {
+		m.groups[i] = groupMark{quanta: g.emitQuanta, steals: g.steals, waits: g.waits}
 	}
 	for i, a := range r.disp.apps {
 		am := &m.apps[i]
@@ -125,6 +135,10 @@ func (d *mark) diff(cur, since *mark) {
 		c, s := &cur.workers[i], &since.workers[i]
 		d.workers[i] = workerMark{counters: c.counters.Sub(s.counters), clock: c.clock - s.clock,
 			batchSum: c.batchSum - s.batchSum, batchCnt: c.batchCnt - s.batchCnt, clipped: c.clipped - s.clipped}
+	}
+	for i := range d.groups {
+		c, s := &cur.groups[i], &since.groups[i]
+		d.groups[i] = groupMark{quanta: c.quanta - s.quanta, steals: c.steals - s.steals, waits: c.waits - s.waits}
 	}
 	for i := range d.apps {
 		c, s := &cur.apps[i], &since.apps[i]

@@ -83,7 +83,8 @@ func (f *flow) stageState(stage int, p *hw.Platform) (bytes uint64, socket int) 
 // worker is one run-to-completion dataplane thread pinned to one simulated
 // core, whose quanta the barrier runs. It owns the core exclusively; its
 // socket's workers run on one goroutine (runSocket), so the shared cache
-// state it touches is never contended (see Core.ExecOps).
+// state it touches is never contended (see Core.ExecOps). Only its steps
+// may run elsewhere, on its socket's emitter (emit.go).
 type worker struct {
 	id     int
 	core   *hw.Core
@@ -95,8 +96,9 @@ type worker struct {
 	// one stage from NewRuntime on; swap exchanges two workers' units.
 	unit       *stage
 	opbuf      []hw.Op
-	n          int  // packets in the open batch, which poll steps and closes
-	progressed bool // whether a step of the open batch did work
+	n          int    // packets in the open batch, which poll steps and closes
+	progressed bool   // whether a step of the open batch did work
+	ahead      *ahead // the emitter handshake; nil unless an emitter may serve the worker
 
 	// Owner-written cumulative telemetry, marked by the control loop at
 	// barriers. Batch polls clipped by the quantum boundary (the clock ran
@@ -154,11 +156,12 @@ func (w *worker) bind(u *stage) {
 // or the stage had nothing to give; it returns false when the quantum is
 // done. A receive ring refills only at barriers, so a dry input idles the
 // worker to limit; a chain stage instead spin-polls its hand-off ring,
-// which a peer feeds live, and the stall counts no packet.
-func (w *worker) poll(limit uint64) bool {
+// which a peer feeds live, and the stall counts no packet. The step comes
+// from em when em has walked it ahead (nil em: none this quantum).
+func (w *worker) poll(limit uint64, em *emitter) bool {
 	u := w.unit
 	if w.n < w.batch && w.core.Clock() < limit {
-		res := u.step(w)
+		res := em.take(w)
 		if w.opbuf = res.ops; len(res.ops) > 0 {
 			w.progressed = true
 			if !res.packet {
@@ -208,21 +211,31 @@ func (w *worker) poll(limit uint64) bool {
 	return progressed && w.core.Clock() < limit
 }
 
-// runSocket runs the workers ws to limit in the engine's order: it polls
+// runSocket runs g's workers to limit in the engine's order: it polls
 // the live one with the smallest core clock, ties going to the rotation
-// of ws starting at first. live is the caller's buffer of len(ws). For
-// one worker this is its whole quantum.
-func runSocket(ws, live []*worker, first int, limit uint64) {
-	live = live[:0]
-	for k := range ws {
-		if w := ws[(first+k)%len(ws)]; w.core.Clock() < limit {
+// of g.ws starting at first. For one worker this is its whole quantum.
+// When the barrier opened g's emitter for the quantum, each step the
+// quantum is certain to take is requested from it (the one-step rule,
+// emit.go), and the emitter parks when the quantum ends.
+func runSocket(g *group, first int, limit uint64) {
+	var em *emitter
+	if g.em != nil && g.em.on.Load() {
+		em = g.em
+		defer em.on.Store(false)
+	}
+	live := g.live[:0]
+	for k := range g.ws {
+		if w := g.ws[(first+k)%len(g.ws)]; w.core.Clock() < limit {
 			live = append(live, w)
+			em.request(w)
 		}
 	}
 	for len(live) > 0 {
 		w := slices.MinFunc(live, func(a, b *worker) int { return cmp.Compare(a.core.Clock(), b.core.Clock()) })
-		if !w.poll(limit) {
+		if !w.poll(limit, em) {
 			live = slices.DeleteFunc(live, func(x *worker) bool { return x == w })
+		} else if w.n < w.batch && w.core.Clock() < limit {
+			em.request(w)
 		}
 	}
 }
